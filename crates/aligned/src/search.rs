@@ -109,25 +109,21 @@ impl SearchTimings {
 }
 
 /// Work accounting of one product search: how many candidate products
-/// were actually AND-popcounted, how many the conservative weight-bound
-/// break discarded without computing, and how many of the computed ones
-/// came from a sketch-seeded outer column.
+/// were actually AND-popcounted and how many the conservative weight-bound
+/// break discarded without computing.
 ///
 /// These are *effort* numbers, not detection inputs: the pruned
 /// candidates are exactly those that provably cannot enter the bounded
 /// candidate heap (their weight upper bound sits strictly below the
-/// full heap's minimum), so the detection set never depends on them —
-/// or on the seed-first scan order that makes the bar rise early. The
-/// counters do depend on shard/worker partitioning and scan order, so
-/// they are excluded from cross-thread metric determinism checks.
+/// full heap's minimum), so the detection set never depends on them.
+/// The counters do depend on shard/worker partitioning, so they are
+/// excluded from cross-thread metric determinism checks.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct SearchWork {
     /// Candidate products AND-popcounted.
     pub pairs_scanned: u64,
     /// Candidates discarded by the conservative weight-bound break.
     pub pairs_pruned: u64,
-    /// Scanned candidates whose outer column was a sketch seed.
-    pub seeded_pairs: u64,
 }
 
 impl SearchWork {
@@ -135,12 +131,10 @@ impl SearchWork {
     pub fn absorb(&mut self, other: SearchWork) {
         self.pairs_scanned += other.pairs_scanned;
         self.pairs_pruned += other.pairs_pruned;
-        self.seeded_pairs += other.seeded_pairs;
     }
 
     /// Total candidates considered (scanned + pruned) — invariant
-    /// across seed sets for an identical search, since seeding only
-    /// reorders the scan.
+    /// across shard partitions of an identical search.
     pub fn candidates(&self) -> u64 {
         self.pairs_scanned + self.pairs_pruned
     }
@@ -243,20 +237,15 @@ fn heap_bar(heap: &CandidateHeap, cap: usize) -> u32 {
 /// matrix). Returns the best product per iteration. `fanouts` provides
 /// per-shard fan-out buffers, reused across iterations and calls.
 ///
-/// `seeded` (empty = no seeding) flags the work-matrix columns the
-/// heavy-hitter sketch nominated; each shard scans its seeded outer
-/// columns first. Seeding is **advisory**: the bounded heaps retain a
-/// canonical top-H for any offer order, so the only effect is that the
-/// heap's eviction bar rises early and the conservative weight-bound
-/// break — a candidate whose `min(w_outer, max w_remaining)` upper
-/// bound sits strictly below a full heap's minimum weight can never
-/// enter and is skipped unscanned — fires sooner. `work_stats`
-/// accumulates the scanned/pruned/seeded candidate counts.
+/// The bounded heaps retain a canonical top-H for any offer order, so
+/// the conservative weight-bound break is lossless: a candidate whose
+/// `min(w_outer, max w_remaining)` upper bound sits strictly below a
+/// full heap's minimum weight can never enter and is skipped unscanned.
+/// `work_stats` accumulates the scanned/pruned candidate counts.
 fn product_search(
     work: &ColMatrix,
     cfg: &SearchConfig,
     fanouts: &mut Vec<Vec<u32>>,
-    seeded: &[bool],
     work_stats: &mut SearchWork,
 ) -> (Vec<u32>, Vec<Product>) {
     let n = work.ncols();
@@ -295,12 +284,7 @@ fn product_search(
         jobs,
         cfg.compute.workers_for(shards),
         |((s, heap), stats)| {
-            let mut own: Vec<usize> = (s..n).step_by(shards).collect();
-            if !seeded.is_empty() {
-                // Stable partition: seeded outer columns first (false < true).
-                own.sort_by_key(|&i| !seeded[i]);
-            }
-            for i in own {
+            for i in (s..n).step_by(shards) {
                 let start = i + 1;
                 if start >= n {
                     continue;
@@ -317,11 +301,7 @@ fn product_search(
                     let wc = and_weight(ci, cj);
                     push_bounded(heap, cfg.hopefuls, (wc, i as u32, j as u32));
                 }
-                let scanned = (end - start) as u64;
-                stats.pairs_scanned += scanned;
-                if !seeded.is_empty() && seeded[i] {
-                    stats.seeded_pairs += scanned;
-                }
+                stats.pairs_scanned += (end - start) as u64;
             }
         },
     );
@@ -554,7 +534,6 @@ pub fn naive_detect(matrix: &ColMatrix, cfg: &SearchConfig) -> AlignedDetection 
         cfg,
         false,
         &mut Vec::new(),
-        &[],
         &mut SearchWork::default(),
     )
     .0
@@ -582,7 +561,8 @@ pub fn refined_detect(matrix: &ColMatrix, cfg: &SearchConfig) -> AlignedDetectio
 
 /// [`refined_detect`] with the column weights precomputed (by the fusion
 /// transpose) and every screening buffer drawn from `scratch` — the
-/// steady-state epoch path. Returns the detection and per-stage timings.
+/// steady-state epoch path. Returns the detection, per-stage timings and
+/// the product search's work accounting.
 ///
 /// Screening selects the n′ heaviest columns by the total order
 /// `(weight desc, index asc)`: each column shard partitions out its
@@ -597,33 +577,6 @@ pub fn refined_detect_cached(
     matrix: &ColMatrix,
     weights: &[u32],
     cfg: &SearchConfig,
-    scratch: &mut SearchScratch,
-) -> (AlignedDetection, SearchTimings) {
-    let (det, timings, _) = refined_detect_seeded(matrix, weights, cfg, &[], scratch);
-    (det, timings)
-}
-
-/// [`refined_detect_cached`] with an advisory heavy-hitter seed set:
-/// `seeds` are *original-matrix* column indices (the sketch's top-k
-/// candidates; out-of-range or screened-out entries are ignored). Seeded
-/// columns are scanned first inside each product-search shard so the
-/// bounded heap's eviction bar rises early and the conservative
-/// weight-bound break prunes more of the pair scan.
-///
-/// Seeding is provably lossless: screening membership, the work-matrix
-/// order, and the retained top-H candidate set (a canonical function of
-/// the candidate multiset under the full-tuple total order) are all
-/// unchanged, so the detection is byte-identical to the unseeded run —
-/// see `seeding_never_changes_detection` in the tests. Only the returned
-/// [`SearchWork`] differs.
-///
-/// # Panics
-/// Panics if `weights.len() != matrix.ncols()`.
-pub fn refined_detect_seeded(
-    matrix: &ColMatrix,
-    weights: &[u32],
-    cfg: &SearchConfig,
-    seeds: &[usize],
     scratch: &mut SearchScratch,
 ) -> (AlignedDetection, SearchTimings, SearchWork) {
     let n = matrix.ncols();
@@ -670,24 +623,9 @@ pub fn refined_detect_seeded(
     }
     order.sort_unstable_by_key(|&j| (Reverse(weights[j]), j));
     matrix.select_columns_into(order, work);
-    let seeded: Vec<bool> = if seeds.is_empty() {
-        Vec::new()
-    } else {
-        let set: std::collections::HashSet<usize> = seeds.iter().copied().collect();
-        order.iter().map(|j| set.contains(j)).collect()
-    };
     let screen_ns = t0.elapsed().as_nanos() as u64;
     let mut work_stats = SearchWork::default();
-    let (det, mut timings) = detect_inner(
-        matrix,
-        work,
-        order,
-        cfg,
-        true,
-        fanouts,
-        &seeded,
-        &mut work_stats,
-    );
+    let (det, mut timings) = detect_inner(matrix, work, order, cfg, true, fanouts, &mut work_stats);
     timings.screen_ns = screen_ns;
     (det, timings, work_stats)
 }
@@ -696,7 +634,6 @@ pub fn refined_detect_seeded(
 /// `mapping[k]`), read the curve, optionally expand across `matrix`.
 /// Returns the detection plus per-stage timings (`screen_ns` left zero —
 /// screening happens in the caller).
-#[allow(clippy::too_many_arguments)]
 fn detect_inner(
     matrix: &ColMatrix,
     work: &ColMatrix,
@@ -704,12 +641,11 @@ fn detect_inner(
     cfg: &SearchConfig,
     expand: bool,
     fanouts: &mut Vec<Vec<u32>>,
-    seeded: &[bool],
     work_stats: &mut SearchWork,
 ) -> (AlignedDetection, SearchTimings) {
     let mut timings = SearchTimings::default();
     let t_core = Instant::now();
-    let (curve, best) = product_search(work, cfg, fanouts, seeded, work_stats);
+    let (curve, best) = product_search(work, cfg, fanouts, work_stats);
     let stopped = stop_point(&curve, cfg.termination);
     timings.core_ns = t_core.elapsed().as_nanos() as u64;
     let Some(stop) = stopped else {
@@ -798,7 +734,6 @@ fn detect_inner(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use proptest::prelude::*;
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
 
@@ -1022,7 +957,7 @@ mod tests {
         let plain = refined_detect(&mat, &cfg);
         let weights = mat.col_weights();
         let mut scratch = SearchScratch::new();
-        let (cached, timings) = refined_detect_cached(&mat, &weights, &cfg, &mut scratch);
+        let (cached, timings, _) = refined_detect_cached(&mat, &weights, &cfg, &mut scratch);
         assert_eq!(cached.found, plain.found);
         assert_eq!(cached.rows, plain.rows);
         assert_eq!(cached.cols, plain.cols);
@@ -1033,7 +968,7 @@ mod tests {
         // A second epoch through the same scratch must not regrow the
         // screening buffers.
         let order_cap = scratch.order.capacity();
-        let (again, _) = refined_detect_cached(&mat, &weights, &cfg, &mut scratch);
+        let (again, _, _) = refined_detect_cached(&mat, &weights, &cfg, &mut scratch);
         assert_eq!(again.cols, plain.cols);
         assert_eq!(scratch.order.capacity(), order_cap);
     }
@@ -1053,12 +988,21 @@ mod tests {
             };
             let weights = mat.col_weights();
             let mut scratch = SearchScratch::new();
-            refined_detect_cached(&mat, &weights, &cfg, &mut scratch).0
+            let (det, _, work) = refined_detect_cached(&mat, &weights, &cfg, &mut scratch);
+            (det, work)
         };
-        let seq = run(1, 1);
+        let (seq, seq_work) = run(1, 1);
         assert!(seq.found, "planted pattern not found");
         for (threads, shards) in [(1, 2), (2, 2), (2, 8), (4, 3), (1, 8)] {
-            let par = run(threads, shards);
+            let (par, work) = run(threads, shards);
+            // The split between scanned and pruned shifts with the
+            // partition, but their sum counts every candidate exactly
+            // once per iteration.
+            assert_eq!(
+                work.candidates(),
+                seq_work.candidates(),
+                "t={threads} s={shards}: candidate total differs"
+            );
             assert_eq!(par.rows, seq.rows, "t={threads} s={shards}: rows differ");
             assert_eq!(par.cols, seq.cols, "t={threads} s={shards}: cols differ");
             assert_eq!(
@@ -1073,82 +1017,6 @@ mod tests {
                 par.stopped_at, seq.stopped_at,
                 "t={threads} s={shards}: termination differs"
             );
-        }
-    }
-
-    #[test]
-    fn seeded_run_is_shard_count_invariant() {
-        // Seeds reorder each shard's scan and shift when the heap bar
-        // rises, so different shard counts prune different candidate
-        // subsets — making this the sharpest oracle that the prune is
-        // exact: every partition must still converge on the same
-        // canonical top-H.
-        let mut r = StdRng::seed_from_u64(54);
-        let (mat, _, cols) = planted_matrix(&mut r, 96, 800, 30, 14);
-        let run = |threads: usize, shards: usize| {
-            let cfg = SearchConfig {
-                compute: ComputeBudget::with_threads(threads).with_shards(shards),
-                ..small_cfg()
-            };
-            let weights = mat.col_weights();
-            let mut scratch = SearchScratch::new();
-            refined_detect_seeded(&mat, &weights, &cfg, &cols, &mut scratch)
-        };
-        let (seq, _, seq_work) = run(1, 1);
-        assert!(seq.found, "planted pattern not found");
-        assert!(seq_work.seeded_pairs > 0, "seeds never entered the scan");
-        for (threads, shards) in [(1, 2), (2, 2), (2, 8), (4, 3)] {
-            let (par, _, work) = run(threads, shards);
-            assert_eq!(par.rows, seq.rows, "t={threads} s={shards}: rows differ");
-            assert_eq!(par.cols, seq.cols, "t={threads} s={shards}: cols differ");
-            assert_eq!(
-                par.weight_curve, seq.weight_curve,
-                "t={threads} s={shards}: weight curve differs"
-            );
-            // The split between scanned and pruned shifts with the
-            // partition, but their sum counts every candidate exactly
-            // once per iteration.
-            assert_eq!(
-                work.candidates(),
-                seq_work.candidates(),
-                "t={threads} s={shards}: candidate total differs"
-            );
-        }
-    }
-
-    proptest! {
-        /// Seeding is advisory: for any seed set — empty, on-pattern,
-        /// off-pattern, out of range, duplicated — the detection is
-        /// byte-identical to the unseeded run. Only the work counters
-        /// may move.
-        #[test]
-        fn seeding_never_changes_detection(
-            matrix_seed in 0u64..64,
-            raw_seeds in proptest::collection::vec(0usize..1000, 0..20),
-            shards in 1usize..5,
-        ) {
-            let mut r = StdRng::seed_from_u64(matrix_seed);
-            let plant = (matrix_seed % 3) != 0; // mix noise and pattern
-            let (a, b) = if plant { (24, 10) } else { (0, 0) };
-            let (mat, _, _) = planted_matrix(&mut r, 64, 300, a, b);
-            let cfg = SearchConfig {
-                compute: ComputeBudget::sequential().with_shards(shards),
-                ..small_cfg()
-            };
-            let weights = mat.col_weights();
-            let mut scratch = SearchScratch::new();
-            let (base, _, base_work) =
-                refined_detect_seeded(&mat, &weights, &cfg, &[], &mut scratch);
-            let (seeded, _, work) =
-                refined_detect_seeded(&mat, &weights, &cfg, &raw_seeds, &mut scratch);
-            prop_assert_eq!(seeded.found, base.found);
-            prop_assert_eq!(&seeded.rows, &base.rows);
-            prop_assert_eq!(&seeded.cols, &base.cols);
-            prop_assert_eq!(&seeded.core_cols, &base.core_cols);
-            prop_assert_eq!(&seeded.weight_curve, &base.weight_curve);
-            prop_assert_eq!(seeded.stopped_at, base.stopped_at);
-            // Scanned + pruned covers the same candidate set either way.
-            prop_assert_eq!(work.candidates(), base_work.candidates());
         }
     }
 

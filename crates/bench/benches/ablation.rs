@@ -33,7 +33,7 @@ fn correlation_variants(c: &mut Criterion) {
     });
     for threads in [2usize, 4, 8] {
         g.bench_with_input(BenchmarkId::new("parallel", threads), &threads, |b, &t| {
-            b.iter(|| build_group_graph_parallel(&m, layout, &table, t).m())
+            b.iter(|| build_group_graph_parallel(&m, layout, &table, t).0.m())
         });
     }
     g.bench_function("sampled_div10", |b| {

@@ -1,16 +1,11 @@
-//! PR-8 acceptance bench: the subquadratic unaligned graph engine.
+//! Acceptance bench of the incremental unaligned graph engine.
 //!
-//! Three measurements over one 10× paper-scale null matrix (no planted
+//! Two measurements over one 10× paper-scale null matrix (no planted
 //! content — the regime the centre sits in almost every epoch):
 //!
-//! 1. **all-pairs oracle** — the retained reference path
-//!    (`build_group_graph_parallel`), exact AND-popcount over every
-//!    group pair;
-//! 2. **prescreened cold build** — same graph through the conservative
-//!    weight-class/band screen (on dense null rows the screen rarely
-//!    fires: the point of this row is showing the screen's overhead is
-//!    negligible, not that it prunes here);
-//! 3. **incremental steady state** — [`IncrementalCorrelator`] across
+//! 1. **all-pairs** — `build_group_graph_parallel`, exact AND-popcount
+//!    over every group pair (what a cold or audited epoch pays);
+//! 2. **incremental steady state** — [`IncrementalCorrelator`] across
 //!    churned epochs, where the headline ≥ 5× exact-pair reduction
 //!    comes from: only `changed × all` group pairs are re-tested.
 //!
@@ -26,8 +21,7 @@ use dcs_core::{
 };
 use dcs_traffic::{gen, BackgroundConfig, SizeMix};
 use dcs_unaligned::{
-    build_group_graph_parallel, build_group_graph_prescreened, GroupLayout, IncrementalConfig,
-    IncrementalCorrelator, LambdaTable, PreScreen, ScreenConfig,
+    build_group_graph_parallel, GroupLayout, IncrementalConfig, IncrementalCorrelator, LambdaTable,
 };
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -59,7 +53,6 @@ struct ChurnPoint {
     churn_frac: f64,
     groups_churned: usize,
     epochs: usize,
-    mean_pair_visits: f64,
     mean_exact_pairs: f64,
     mean_epoch_ms: f64,
 }
@@ -72,9 +65,6 @@ struct Report {
     shape: Shape,
     allpairs_ms: f64,
     allpairs_exact_pairs: u64,
-    prescreened_cold_ms: f64,
-    prescreened_screened_pairs: u64,
-    prescreened_exact_pairs: u64,
     steady_churn_frac: f64,
     steady_epochs: usize,
     steady_mean_exact_pairs: f64,
@@ -125,12 +115,6 @@ fn churn_groups(rng: &mut StdRng, m: &RowMatrix, groups: usize, count: usize) ->
     out
 }
 
-fn sorted_edges(g: &dcs_graph::Graph) -> Vec<(u32, u32)> {
-    let mut e: Vec<_> = g.edges().collect();
-    e.sort_unstable();
-    e
-}
-
 /// A few real centre epochs (8 routers, one churned per epoch) so the
 /// report embeds the ten-stage breakdown and the engine's counters.
 fn center_epochs(threads: usize) -> (StageGauges, MetricsSnapshot) {
@@ -171,7 +155,7 @@ fn center_epochs(threads: usize) -> (StageGauges, MetricsSnapshot) {
 fn run() -> Result<(), BenchError> {
     let scale = RunScale::from_env(1);
     banner(
-        "Unaligned graph engine — prescreen + cross-epoch delta maintenance",
+        "Unaligned graph engine — cross-epoch delta maintenance",
         "10× the Section V-B segment shape (32 groups × 10 arrays × 1,024 bits), null traffic",
     );
     // 10× the paper segment's 32 groups at full scale.
@@ -186,42 +170,30 @@ fn run() -> Result<(), BenchError> {
     let mut rng = StdRng::seed_from_u64(0x9A4B);
     let m0 = null_matrix(&mut rng, groups);
 
-    // 1. All-pairs oracle.
+    // 1. All-pairs.
     let t = Instant::now();
-    let oracle = build_group_graph_parallel(&m0, layout, &table, threads);
+    let (_, allpairs_exact_pairs) = build_group_graph_parallel(&m0, layout, &table, threads);
     let allpairs_ms = t.elapsed().as_secs_f64() * 1e3;
-    let allpairs_exact_pairs =
-        (groups * (groups - 1) / 2) as u64 * (ARRAYS_PER_GROUP * ARRAYS_PER_GROUP) as u64;
-
-    // 2. Prescreened cold build — identical graph, by construction.
-    let mut screen = PreScreen::new();
-    let t = Instant::now();
-    screen.rebuild(&m0, &table, ScreenConfig::default(), threads);
-    let (pre_graph, pre_stats) =
-        build_group_graph_prescreened(&m0, layout, &table, &screen, threads);
-    let prescreened_cold_ms = t.elapsed().as_secs_f64() * 1e3;
-    assert_eq!(
-        sorted_edges(&pre_graph),
-        sorted_edges(&oracle),
-        "prescreened build diverged from the all-pairs oracle"
-    );
     // ≤, not ==: a group pair early-exits its remaining row pairs once
     // one row pair connects, so the tally undershoots the nominal
     // triangle by a hair whenever the null graph grows an edge.
-    assert!(pre_stats.total() <= allpairs_exact_pairs);
+    assert!(
+        allpairs_exact_pairs
+            <= (groups * (groups - 1) / 2) as u64 * (ARRAYS_PER_GROUP * ARRAYS_PER_GROUP) as u64
+    );
 
-    // 3. Incremental steady state at fixed churn.
+    // 2. Incremental steady state at fixed churn. Every second epoch is
+    // audited against a full rebuild, so incremental == all-pairs is
+    // asserted inside the engine while it is being measured.
     let steady_churn = ((steady_churn_frac * groups as f64).round() as usize).max(1);
     let mut corr = IncrementalCorrelator::new(IncrementalConfig { audit_every: 2 });
     let mut m = m0;
-    screen.rebuild(&m, &table, ScreenConfig::default(), threads);
-    corr.epoch(&m, layout, &table, &screen, threads); // cold full build
+    corr.epoch(&m, layout, &table, threads); // cold full build
     let (mut exact_sum, mut ms_sum, mut ms_epochs) = (0u64, 0.0f64, 0usize);
     for _ in 0..steady_epochs {
         m = churn_groups(&mut rng, &m, groups, steady_churn);
         let t = Instant::now();
-        screen.rebuild(&m, &table, ScreenConfig::default(), threads);
-        let (_, stats) = corr.epoch(&m, layout, &table, &screen, threads);
+        let (_, stats) = corr.epoch(&m, layout, &table, threads);
         let ms = t.elapsed().as_secs_f64() * 1e3;
         assert!(!stats.full_rebuild, "steady state must not rebuild");
         exact_sum += stats.pairs_exact;
@@ -236,53 +208,47 @@ fn run() -> Result<(), BenchError> {
     let steady_mean_epoch_ms = ms_sum / ms_epochs.max(1) as f64;
     let exact_pair_reduction = allpairs_exact_pairs as f64 / steady_mean_exact_pairs.max(1.0);
 
-    // 4. Churn sweep: per-epoch work follows churned groups, not total.
+    // 3. Churn sweep: per-epoch work follows churned groups, not total.
     let sweep_epochs = if scale.quick { 2 } else { 3 };
     let mut churn_sweep = Vec::new();
     for &frac in &[0.02f64, 0.05, 0.1, 0.2, 0.4] {
         let count = ((frac * groups as f64).round() as usize).max(1);
         let mut corr = IncrementalCorrelator::new(IncrementalConfig { audit_every: 0 });
         let mut m = null_matrix(&mut rng, groups);
-        screen.rebuild(&m, &table, ScreenConfig::default(), threads);
-        corr.epoch(&m, layout, &table, &screen, threads);
-        let (mut visits, mut exact, mut ms) = (0u64, 0u64, 0.0f64);
+        corr.epoch(&m, layout, &table, threads);
+        let (mut exact, mut ms) = (0u64, 0.0f64);
         for _ in 0..sweep_epochs {
             m = churn_groups(&mut rng, &m, groups, count);
             let t = Instant::now();
-            screen.rebuild(&m, &table, ScreenConfig::default(), threads);
-            let (_, stats) = corr.epoch(&m, layout, &table, &screen, threads);
+            let (_, stats) = corr.epoch(&m, layout, &table, threads);
             ms += t.elapsed().as_secs_f64() * 1e3;
-            visits += stats.pairs_screened + stats.pairs_exact;
             exact += stats.pairs_exact;
         }
         churn_sweep.push(ChurnPoint {
             churn_frac: frac,
             groups_churned: count,
             epochs: sweep_epochs,
-            mean_pair_visits: visits as f64 / sweep_epochs as f64,
             mean_exact_pairs: exact as f64 / sweep_epochs as f64,
             mean_epoch_ms: ms / sweep_epochs as f64,
         });
     }
     for w in churn_sweep.windows(2) {
         assert!(
-            w[0].mean_pair_visits <= w[1].mean_pair_visits,
+            w[0].mean_exact_pairs <= w[1].mean_exact_pairs,
             "per-epoch work must grow with churn, not stay at the all-pairs level"
         );
     }
 
-    // 5. Real centre epochs for the CI-gated stage/metrics sections.
+    // 4. Real centre epochs for the CI-gated stage/metrics sections.
     let (center_stage_ns, metrics) = center_epochs(threads);
     assert!(
         center_stage_ns.all_nonzero(),
         "every stage of both pipelines must record a span"
     );
-    for key in ["pairs_screened_total", "pairs_exact_total"] {
-        assert!(
-            metrics.counter(key).is_some(),
-            "{key} missing from the centre snapshot"
-        );
-    }
+    assert!(
+        metrics.counter("pairs_exact_total").is_some(),
+        "pairs_exact_total missing from the centre snapshot"
+    );
     assert_eq!(
         metrics.counter("graph_full_rebuilds_total"),
         Some(1),
@@ -290,30 +256,22 @@ fn run() -> Result<(), BenchError> {
     );
     assert!(metrics.gauge("graph_edges_live").is_some());
 
+    println!("{:<34} {:>12} {:>14}", "engine", "epoch_ms", "exact_pairs");
     println!(
-        "{:<34} {:>12} {:>14} {:>14}",
-        "engine", "epoch_ms", "screened", "exact_pairs"
+        "{:<34} {:>12.2} {:>14}",
+        "all-pairs (cold)", allpairs_ms, allpairs_exact_pairs
     );
     println!(
-        "{:<34} {:>12.2} {:>14} {:>14}",
-        "all-pairs oracle (cold)", allpairs_ms, "-", allpairs_exact_pairs
-    );
-    println!(
-        "{:<34} {:>12.2} {:>14} {:>14}",
-        "prescreened (cold)", prescreened_cold_ms, pre_stats.pairs_screened, pre_stats.pairs_exact
-    );
-    println!(
-        "{:<34} {:>12.2} {:>14} {:>14.0}",
+        "{:<34} {:>12.2} {:>14.0}",
         format!("incremental steady ({steady_churn} grp churn)"),
         steady_mean_epoch_ms,
-        "-",
         steady_mean_exact_pairs
     );
     println!("\nchurn sweep (per-epoch mean):");
     for p in &churn_sweep {
         println!(
-            "  churn {:>5.2} ({:>3} groups): {:>12.0} pair visits, {:>8.2} ms",
-            p.churn_frac, p.groups_churned, p.mean_pair_visits, p.mean_epoch_ms
+            "  churn {:>5.2} ({:>3} groups): {:>12.0} exact pairs, {:>8.2} ms",
+            p.churn_frac, p.groups_churned, p.mean_exact_pairs, p.mean_epoch_ms
         );
     }
 
@@ -325,13 +283,10 @@ fn run() -> Result<(), BenchError> {
     let report = Report {
         generator: "repro_graph".to_string(),
         scale: if scale.quick { "quick" } else { "paper" }.to_string(),
-        note: "Null traffic at the paper's design fill keeps row weights dense and \
-               near-equal, so the conservative prescreen rarely prunes here (it earns \
-               its keep on skewed/sparse regimes — see the wide tiered soak); the \
-               headline reduction is cross-epoch delta maintenance re-testing only \
-               changed × all group pairs. The all-pairs build is retained as the \
-               reference oracle and the incremental path audits against a full \
-               rebuild every audit_every epochs."
+        note: "Null traffic at the paper's design fill. The headline reduction is \
+               cross-epoch delta maintenance re-testing only changed × all group \
+               pairs; the incremental path audits against a full all-pairs rebuild \
+               every audit_every epochs."
             .to_string(),
         shape: Shape {
             groups,
@@ -344,9 +299,6 @@ fn run() -> Result<(), BenchError> {
         },
         allpairs_ms,
         allpairs_exact_pairs,
-        prescreened_cold_ms,
-        prescreened_screened_pairs: pre_stats.pairs_screened,
-        prescreened_exact_pairs: pre_stats.pairs_exact,
         steady_churn_frac,
         steady_epochs,
         steady_mean_exact_pairs,

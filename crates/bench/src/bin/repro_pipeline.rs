@@ -225,7 +225,7 @@ fn fused_epoch(
     let fuse_ns = t1.elapsed().as_nanos() as f64;
 
     let t2 = Instant::now();
-    let (det, _) = refined_detect_cached(matrix, weights, cfg, scratch);
+    let (det, _, _) = refined_detect_cached(matrix, weights, cfg, scratch);
     let search_ns = t2.elapsed().as_nanos() as f64;
     let stages = StageNs {
         ingest_ns,
@@ -509,7 +509,7 @@ fn run() -> Result<(), BenchError> {
     );
     println!(
         "per-stage (last epoch): aligned fuse {:.2} / screen {:.2} / core_find {:.2} / \
-         sweep {:.2} / terminate {:.2} ms; unaligned stack_rows {:.2} / prescreen {:.2} / \
+         sweep {:.2} / terminate {:.2} ms; unaligned stack_rows {:.2} / \
          graph_build {:.2} / er_test {:.2} / peel {:.2} ms",
         center_stage_ns.fuse_ns as f64 / 1e6,
         center_stage_ns.screen_ns as f64 / 1e6,
@@ -517,7 +517,6 @@ fn run() -> Result<(), BenchError> {
         center_stage_ns.sweep_ns as f64 / 1e6,
         center_stage_ns.terminate_ns as f64 / 1e6,
         center_stage_ns.stack_rows_ns as f64 / 1e6,
-        center_stage_ns.prescreen_ns as f64 / 1e6,
         center_stage_ns.graph_build_ns as f64 / 1e6,
         center_stage_ns.er_test_ns as f64 / 1e6,
         center_stage_ns.peel_ns as f64 / 1e6,

@@ -1,21 +1,17 @@
-//! Sidecar-sketch measurements: heavy-hitter recall, wire overhead and
-//! the aligned search's seeded-vs-unseeded work, all on the same
-//! deterministic deployment. Emits `BENCH_sketch.json`.
+//! Sidecar-sketch measurements: heavy-hitter recall and wire overhead on
+//! one deterministic deployment. Emits `BENCH_sketch.json`.
 //!
 //! Each epoch plants a 30-packet content object at 20 of 24 routers and
 //! has every infected router replay it heavily, so the deployment has a
 //! known set of true heavy columns. Every bundle ships a content-index
-//! Space-Saving artifact; the centre fuses them, seeds its refined
-//! search from the top-k, and the run reports:
+//! Space-Saving artifact; the centre fuses them, lists the top-k in its
+//! report, and the run reports:
 //!
 //! * **recall** — fraction of the fused sketch's top-k that are true
 //!   heavy columns (exact counts over the generated traffic are the
 //!   ground truth);
 //! * **bytes ratio** — sketch artifact bytes ÷ digest bytes (the
-//!   sidecar must stay a rounding error next to the bitmaps);
-//! * **search work** — candidate pairs scanned/pruned with seeding on
-//!   vs off, plus the detection-fingerprint equality that proves the
-//!   seeds never changed the verdict.
+//!   sidecar must stay a rounding error next to the bitmaps).
 //!
 //! Honours `DCS_SCALE=quick` (128-Kbit digests) and `DCS_REPS` as the
 //! epoch count of the full paper-scale (4-Mbit) run.
@@ -44,15 +40,7 @@ struct EpochRow {
     epoch: usize,
     found: bool,
     recall: f64,
-    seed_columns: usize,
-    /// Candidate pairs (scanned + pruned) with seeding on / off. The
-    /// totals are partition-invariant; equality of the fingerprints is
-    /// the advisory-seeding guarantee.
-    candidates_seeded: u64,
-    candidates_unseeded: u64,
-    pairs_pruned_seeded: u64,
-    pairs_pruned_unseeded: u64,
-    fingerprints_equal: bool,
+    top_columns: usize,
 }
 
 #[derive(serde::Serialize)]
@@ -72,28 +60,11 @@ struct Report {
     sketch_bytes_ratio: f64,
     digest_bytes: u64,
     sketch_bytes: u64,
-    /// Whether every epoch's seeded and unseeded verdicts matched.
-    seeding_advisory: bool,
-    /// Per-stage breakdown of the final seeded epoch (includes
+    /// Per-stage breakdown of the final epoch (includes
     /// `sketch_fuse_ns`).
     center_stage_ns: StageGauges,
-    /// The seeded centre's cumulative metrics snapshot.
+    /// The centre's cumulative metrics snapshot.
     metrics: MetricsSnapshot,
-}
-
-/// Detection fields that must be identical seeded vs unseeded.
-fn fingerprint(r: &dcs_core::report::EpochReport) -> String {
-    format!(
-        "{}|{:?}|{}|{:?}|{}|{}|{:?}|{:?}",
-        r.aligned.found,
-        r.aligned.routers,
-        r.aligned.content_packets,
-        r.aligned.signature_indices,
-        r.unaligned.alarm,
-        r.unaligned.largest_component,
-        r.unaligned.suspected_routers,
-        r.unaligned.suspected_groups,
-    )
 }
 
 fn main() -> ExitCode {
@@ -108,8 +79,8 @@ fn main() -> ExitCode {
 
 fn run() -> Result<(), BenchError> {
     banner(
-        "sidecar sketch: heavy-hitter recall, wire overhead, seeded search work",
-        "PR 10 dcs-sketch prefilter; paper §IV screening at 24×4 Mbit",
+        "sidecar sketch: heavy-hitter recall, wire overhead",
+        "dcs-sketch reporting artifact at 24×4 Mbit",
     );
     let scale = RunScale::from_env(3);
     let (bits, epochs) = if scale.quick {
@@ -120,14 +91,10 @@ fn run() -> Result<(), BenchError> {
     let seed = 0x5EE7_C4B0_u64;
 
     let mcfg = MonitorConfig::small(7, bits, 4).with_sketch(SketchSpec::heavy_content(SKETCH_CAP));
-    let make_acfg = || {
-        let mut acfg = AnalysisConfig::for_groups(ROUTERS * 4);
-        acfg.search.n_prime = 400.min(bits);
-        acfg.search.hopefuls = 300.min(bits);
-        acfg
-    };
-    let seeded = AnalysisCenter::new(make_acfg());
-    let unseeded = AnalysisCenter::new(make_acfg().with_sketch_seed(false));
+    let mut acfg = AnalysisConfig::for_groups(ROUTERS * 4);
+    acfg.search.n_prime = 400.min(bits);
+    acfg.search.hopefuls = 300.min(bits);
+    let center = AnalysisCenter::new(acfg);
     // Probe collector for exact ground-truth column counts.
     let probe = dcs_collect::AlignedCollector::new(mcfg.aligned.clone());
 
@@ -142,8 +109,8 @@ fn run() -> Result<(), BenchError> {
     let mut digest_bytes = 0u64;
     let mut sketch_bytes = 0u64;
     println!(
-        "\n{:<6} {:>6} {:>7} {:>12} {:>12} {:>7}",
-        "epoch", "found", "recall", "cand_seeded", "cand_plain", "equal"
+        "\n{:<6} {:>6} {:>7} {:>6}",
+        "epoch", "found", "recall", "top_k"
     );
     for e in 0..epochs {
         let epoch_seed = seed.wrapping_add(e as u64 * 0x9E37_79B9_7F4A_7C15);
@@ -186,56 +153,39 @@ fn run() -> Result<(), BenchError> {
             sketch_bytes += d.artifact_bytes() as u64;
         }
 
-        let on = seeded.analyze_epoch(&digests).expect("full quorum");
-        let off = unseeded.analyze_epoch(&digests).expect("full quorum");
-        let fingerprints_equal = fingerprint(&on) == fingerprint(&off);
+        let report = center.analyze_epoch(&digests).expect("full quorum");
+        let top = &report.sketch.top_columns;
 
         // Ground truth: the heavy set is every column whose exact count
         // reaches the k-th largest (ties included), so recall is
         // well-defined when the replayed columns tie.
-        let k = on.sketch.seed_columns.len().max(1);
+        let k = top.len().max(1);
         let mut counts: Vec<u64> = true_counts.values().copied().collect();
         counts.sort_unstable_by(|a, b| b.cmp(a));
         let kth = counts.get(k - 1).copied().unwrap_or(0);
-        let hits = on
-            .sketch
-            .seed_columns
+        let hits = top
             .iter()
             .filter(|c| true_counts.get(c).copied().unwrap_or(0) >= kth)
             .count();
         let recall = hits as f64 / k as f64;
 
-        let snap_on = seeded.metrics();
-        let snap_off = unseeded.metrics();
         let row = EpochRow {
             epoch: e,
-            found: on.aligned.found,
+            found: report.aligned.found,
             recall,
-            seed_columns: on.sketch.seed_columns.len(),
-            candidates_seeded: snap_on.counter("search_candidates_total").unwrap_or(0),
-            candidates_unseeded: snap_off.counter("search_candidates_total").unwrap_or(0),
-            pairs_pruned_seeded: snap_on.gauge("search_pairs_pruned").unwrap_or(0),
-            pairs_pruned_unseeded: snap_off.gauge("search_pairs_pruned").unwrap_or(0),
-            fingerprints_equal,
+            top_columns: top.len(),
         };
         println!(
-            "{:<6} {:>6} {:>7.3} {:>12} {:>12} {:>7}",
-            e,
-            row.found,
-            row.recall,
-            row.candidates_seeded,
-            row.candidates_unseeded,
-            row.fingerprints_equal
+            "{:<6} {:>6} {:>7.3} {:>6}",
+            e, row.found, row.recall, row.top_columns
         );
         rows.push(row);
     }
 
     let recall_mean = rows.iter().map(|r| r.recall).sum::<f64>() / rows.len().max(1) as f64;
     let sketch_bytes_ratio = sketch_bytes as f64 / digest_bytes.max(1) as f64;
-    let seeding_advisory = rows.iter().all(|r| r.fingerprints_equal);
     println!(
-        "\nmean top-k recall {recall_mean:.3}, sketch overhead {:.2}% of digest bytes, \
-         seeding advisory: {seeding_advisory}",
+        "\nmean top-k recall {recall_mean:.3}, sketch overhead {:.2}% of digest bytes",
         sketch_bytes_ratio * 100.0
     );
     if recall_mean < 0.9 {
@@ -249,21 +199,15 @@ fn run() -> Result<(), BenchError> {
             sketch_bytes_ratio * 100.0
         )));
     }
-    if !seeding_advisory {
-        return Err(BenchError::Gate(
-            "seeded and unseeded verdicts diverged".to_string(),
-        ));
-    }
 
     let report = Report {
         generator: "repro_sketch".to_string(),
         cpus_available: std::thread::available_parallelism().map_or(1, |p| p.get()),
         scale: if scale.quick { "quick" } else { "full" }.to_string(),
         note: "content-index Space-Saving sidecar at every monitoring point: the \
-               centre fuses 24 leaf sketches per epoch, seeds the refined aligned \
-               search from the top-k, and the verdict is byte-identical to the \
-               unseeded run; recall is measured against exact column counts of \
-               the generated traffic"
+               centre fuses 24 leaf sketches per epoch and lists the top-k in its \
+               report (the sketch never feeds detection); recall is measured \
+               against exact column counts of the generated traffic"
             .to_string(),
         routers: ROUTERS,
         infected: INFECTED,
@@ -274,9 +218,8 @@ fn run() -> Result<(), BenchError> {
         sketch_bytes_ratio,
         digest_bytes,
         sketch_bytes,
-        seeding_advisory,
-        center_stage_ns: StageGauges::from_snapshot(&seeded.metrics()),
-        metrics: seeded.metrics(),
+        center_stage_ns: StageGauges::from_snapshot(&center.metrics()),
+        metrics: center.metrics(),
     };
     write_report("BENCH_sketch.json", &report)?;
     println!("wrote BENCH_sketch.json");

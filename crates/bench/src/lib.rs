@@ -146,7 +146,7 @@ pub fn write_report<T: serde::Serialize>(path: &str, report: &T) -> Result<(), B
 pub struct StageGauges {
     /// Aligned `fuse`: digest fusion into the m×n column matrix.
     pub fuse_ns: u64,
-    /// Aligned `sketch_fuse`: sidecar-sketch merge and seed derivation.
+    /// Aligned `sketch_fuse`: sidecar-sketch merge and top-k read-out.
     pub sketch_fuse_ns: u64,
     /// Aligned `screen`: rank columns, materialise the n′ heaviest.
     pub screen_ns: u64,
@@ -158,11 +158,7 @@ pub struct StageGauges {
     pub terminate_ns: u64,
     /// Unaligned `stack_rows`: array stacking and group-owner mapping.
     pub stack_rows_ns: u64,
-    /// Unaligned `prescreen`: λ table, weight classes and band
-    /// signatures for the conservative pair screen.
-    pub prescreen_ns: u64,
-    /// Unaligned `graph_build`: screened/incremental match-graph
-    /// construction.
+    /// Unaligned `graph_build`: incremental match-graph construction.
     pub graph_build_ns: u64,
     /// Unaligned `er_test`: Erdős–Rényi giant-component test.
     pub er_test_ns: u64,
@@ -171,7 +167,7 @@ pub struct StageGauges {
 }
 
 impl StageGauges {
-    /// Reads the eleven stage gauges out of a snapshot (zero for stages
+    /// Reads the ten stage gauges out of a snapshot (zero for stages
     /// the snapshot has never seen).
     pub fn from_snapshot(snap: &MetricsSnapshot) -> StageGauges {
         let g = |s: Stage| snap.gauge(&s.gauge_key()).unwrap_or(0);
@@ -183,7 +179,6 @@ impl StageGauges {
             sweep_ns: g(Stage::Sweep),
             terminate_ns: g(Stage::Terminate),
             stack_rows_ns: g(Stage::StackRows),
-            prescreen_ns: g(Stage::Prescreen),
             graph_build_ns: g(Stage::GraphBuild),
             er_test_ns: g(Stage::ErTest),
             peel_ns: g(Stage::Peel),
@@ -200,7 +195,6 @@ impl StageGauges {
             self.sweep_ns,
             self.terminate_ns,
             self.stack_rows_ns,
-            self.prescreen_ns,
             self.graph_build_ns,
             self.er_test_ns,
             self.peel_ns,
@@ -224,7 +218,7 @@ mod tests {
     }
 
     #[test]
-    fn stage_gauges_read_all_eleven_stages() {
+    fn stage_gauges_read_all_ten_stages() {
         let reg = dcs_obs::MetricsRegistry::new();
         let rec = dcs_core::StageRecorder::new(&reg);
         let empty = StageGauges::from_snapshot(&reg.snapshot());
@@ -240,8 +234,8 @@ mod tests {
         assert!(gauges.all_nonzero());
         assert_eq!(gauges.fuse_ns, 10);
         assert_eq!(gauges.sketch_fuse_ns, 20);
-        assert_eq!(gauges.prescreen_ns, 80);
-        assert_eq!(gauges.peel_ns, 110);
+        assert_eq!(gauges.graph_build_ns, 80);
+        assert_eq!(gauges.peel_ns, 100);
     }
 
     #[test]

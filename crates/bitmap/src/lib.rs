@@ -24,7 +24,6 @@ mod bitmap;
 mod col_matrix;
 mod digest;
 mod row_matrix;
-pub mod sig;
 #[cfg(target_arch = "x86_64")]
 #[allow(unsafe_code)]
 mod simd;
@@ -38,6 +37,5 @@ pub use bitmap::Bitmap;
 pub use col_matrix::ColMatrix;
 pub use digest::{BitmapView, DecodeError, DIGEST_MAGIC};
 pub use row_matrix::RowMatrix;
-pub use sig::{band_bounds, band_signatures_into, band_signatures_with};
 pub use source::WordSource;
 pub use words::{active_kernel, dispatch_counts, reset_dispatch_counts, Kernel};

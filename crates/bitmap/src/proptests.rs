@@ -117,25 +117,6 @@ proptest! {
     }
 
     #[test]
-    fn every_kernel_band_signatures_match_scalar(
-        nrows in 0usize..12,
-        wpr in 1usize..24,
-        bands in 1usize..10,
-        seed in any::<u64>(),
-    ) {
-        let data: Vec<u64> = (0..nrows * wpr)
-            .map(|i| seed.wrapping_mul(0x9E37_79B9_7F4A_7C15).wrapping_add(i as u64))
-            .collect();
-        let mut expect = vec![0u64; nrows * bands];
-        crate::sig::band_signatures_scalar(&data, wpr, nrows, bands, &mut expect);
-        for &k in available_kernels() {
-            let mut got = vec![!0u64; nrows * bands];
-            crate::sig::band_signatures_with(k, &data, wpr, nrows, bands, &mut got);
-            prop_assert_eq!(&got, &expect, "{:?} nrows={} wpr={} bands={}", k, nrows, wpr, bands);
-        }
-    }
-
-    #[test]
     fn every_kernel_and_or_match_scalar(
         pairs in proptest::collection::vec((any::<u64>(), any::<u64>()), 0..80),
     ) {

@@ -146,69 +146,6 @@ impl RowMatrix {
         });
     }
 
-    /// [`RowMatrix::fill_rows_sharded`] fused with band-signature
-    /// extraction: each shard hashes the rows it just copied while they
-    /// are still cache-hot, writing `sigs[r * bands + b]` (resized to
-    /// `rows.len() * bands`). Both the matrix and the signatures are
-    /// bit-identical to the separate passes
-    /// ([`RowMatrix::fill_rows_sharded`] then
-    /// [`RowMatrix::band_signatures_into`]) for any shard or worker
-    /// count: stacking is pure data movement, and the signature of a row
-    /// depends only on that row's words.
-    ///
-    /// # Panics
-    /// Panics if any row's bit length differs from `ncols`, or if
-    /// `bands == 0`.
-    pub fn fill_rows_sharded_with_sigs<S: WordSource + Sync>(
-        &mut self,
-        ncols: usize,
-        rows: &[S],
-        bands: usize,
-        sigs: &mut Vec<u64>,
-        shards: usize,
-        workers: usize,
-    ) {
-        assert!(bands > 0, "fill_rows_sharded_with_sigs: need a band");
-        self.reset(ncols);
-        for r in rows {
-            assert_eq!(r.bit_len(), ncols, "fill_rows_sharded_with_sigs: width");
-        }
-        let wpr = self.words_per_row;
-        self.nrows = rows.len();
-        self.data.resize(rows.len() * wpr, 0);
-        sigs.clear();
-        sigs.resize(rows.len() * bands, 0);
-        if shards <= 1 || workers <= 1 || rows.len() <= 1 {
-            for (r, row) in rows.iter().enumerate() {
-                for w in 0..wpr {
-                    self.data[r * wpr + w] = row.word(w);
-                }
-            }
-            crate::sig::band_signatures_into(&self.data, wpr, rows.len(), bands, sigs);
-            return;
-        }
-        let ranges = dcs_parallel::split_range(rows.len(), shards);
-        let mut jobs = Vec::with_capacity(ranges.len());
-        let mut rest: &mut [u64] = &mut self.data;
-        let mut srest: &mut [u64] = sigs;
-        for range in ranges {
-            let len = range.end - range.start;
-            let (shard, tail) = rest.split_at_mut(len * wpr);
-            let (sig_shard, stail) = srest.split_at_mut(len * bands);
-            rest = tail;
-            srest = stail;
-            jobs.push((range, shard, sig_shard));
-        }
-        dcs_parallel::run_jobs(jobs, workers, |(range, shard, sig_shard)| {
-            for (local, r) in range.clone().enumerate() {
-                for w in 0..wpr {
-                    shard[local * wpr + w] = rows[r].word(w);
-                }
-            }
-            crate::sig::band_signatures_into(shard, wpr, range.end - range.start, bands, sig_shard);
-        });
-    }
-
     /// Appends one row given as a bitmap.
     ///
     /// # Panics
@@ -284,20 +221,11 @@ impl RowMatrix {
     }
 
     /// The packed backing words, row-major (`words_per_row` words per
-    /// row). Exposed for kernels that stream several rows at once — the
-    /// band-signature extraction of [`crate::sig`] and sharded builds
-    /// that slice disjoint row ranges.
+    /// row). Exposed for callers that stream several rows at once, such
+    /// as the incremental correlator's row diff.
     #[inline]
     pub fn as_words(&self) -> &[u64] {
         &self.data
-    }
-
-    /// Fills `out[r * bands + b]` with the band-`b` signature of row `r`
-    /// (see [`crate::sig`]), resizing `out` to `nrows * bands`.
-    pub fn band_signatures_into(&self, bands: usize, out: &mut Vec<u64>) {
-        out.clear();
-        out.resize(self.nrows * bands, 0);
-        crate::sig::band_signatures_into(&self.data, self.words_per_row, self.nrows, bands, out);
     }
 
     /// Approximate heap footprint in bytes (digest-size accounting).
@@ -416,31 +344,6 @@ mod tests {
             let mut m = RowMatrix::new(0);
             m.fill_rows_sharded(130, &rows, shards, 4);
             assert_eq!(m, expect, "shards {shards}");
-        }
-    }
-
-    #[test]
-    fn fused_fill_with_sigs_matches_separate_passes_for_any_shard_count() {
-        let rows: Vec<Bitmap> = (0..13)
-            .map(|i| Bitmap::from_indices(300, [i, i + 7, 5 * i + 2, 299 - i]))
-            .collect();
-        let mut expect = RowMatrix::new(0);
-        expect.fill_rows_sharded(300, &rows, 1, 1);
-        for bands in [1usize, 3, 8] {
-            let mut expect_sigs = Vec::new();
-            expect.band_signatures_into(bands, &mut expect_sigs);
-            for shards in [1usize, 2, 3, 8, 10_000] {
-                for workers in [1usize, 4] {
-                    let mut m = RowMatrix::new(0);
-                    let mut sigs = Vec::new();
-                    m.fill_rows_sharded_with_sigs(300, &rows, bands, &mut sigs, shards, workers);
-                    assert_eq!(m, expect, "bands {bands} shards {shards}");
-                    assert_eq!(
-                        sigs, expect_sigs,
-                        "bands {bands} shards {shards} workers {workers}: sigs differ"
-                    );
-                }
-            }
         }
     }
 

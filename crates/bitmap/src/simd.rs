@@ -112,101 +112,6 @@ unsafe fn weight_impl(words: &[u64]) -> u32 {
     total
 }
 
-/// Band-signature extraction: four consecutive rows per iteration, the
-/// same word position of each row gathered into one vector and pushed
-/// through the vectorised [`mix_word`](crate::sig::mix_word) finalizer.
-/// Bit-identical to the scalar kernel because the per-word hashes are
-/// XOR-combined (order-free) and the vector multiply emulation computes
-/// the exact low 64 bits.
-pub(crate) fn band_signatures(
-    data: &[u64],
-    words_per_row: usize,
-    nrows: usize,
-    bands: usize,
-    out: &mut [u64],
-) {
-    assert_avx2!();
-    let quads = nrows / 4;
-    if quads > 0 {
-        // SAFETY: AVX2 availability verified above; gather indices stay
-        // inside `data` because row r < nrows and word j < words_per_row.
-        unsafe { band_signatures_impl(data, words_per_row, quads, bands, out) };
-    }
-    let r = quads * 4;
-    if r < nrows {
-        crate::sig::band_signatures_scalar(
-            &data[r * words_per_row..],
-            words_per_row,
-            nrows - r,
-            bands,
-            &mut out[r * bands..],
-        );
-    }
-}
-
-/// Exact low-64-bit product of each lane of `a` with the broadcast
-/// constant `b`: `lo64(a*b) = lo(a)·lo(b) + ((lo(a)·hi(b) + hi(a)·lo(b)) << 32)`
-/// built from 32×32→64 `_mm256_mul_epu32` multiplies.
-#[inline]
-#[target_feature(enable = "avx2")]
-unsafe fn mullo_epi64(a: __m256i, b: __m256i) -> __m256i {
-    let lo_lo = _mm256_mul_epu32(a, b);
-    let a_hi = _mm256_srli_epi64::<32>(a);
-    let b_hi = _mm256_srli_epi64::<32>(b);
-    let cross = _mm256_add_epi64(_mm256_mul_epu32(a_hi, b), _mm256_mul_epu32(a, b_hi));
-    _mm256_add_epi64(lo_lo, _mm256_slli_epi64::<32>(cross))
-}
-
-/// Vector form of [`crate::sig::mix_word`]'s splitmix64 finalizer (the
-/// position term is pre-mixed into `v` by the caller).
-#[inline]
-#[target_feature(enable = "avx2")]
-unsafe fn mix_finalize(v: __m256i) -> __m256i {
-    let c1 = _mm256_set1_epi64x(0xBF58_476D_1CE4_E5B9_u64 as i64);
-    let c2 = _mm256_set1_epi64x(0x94D0_49BB_1331_11EB_u64 as i64);
-    let z = mullo_epi64(_mm256_xor_si256(v, _mm256_srli_epi64::<30>(v)), c1);
-    let z = mullo_epi64(_mm256_xor_si256(z, _mm256_srli_epi64::<27>(z)), c2);
-    _mm256_xor_si256(z, _mm256_srli_epi64::<31>(z))
-}
-
-#[target_feature(enable = "avx2")]
-unsafe fn band_signatures_impl(
-    data: &[u64],
-    words_per_row: usize,
-    quads: usize,
-    bands: usize,
-    out: &mut [u64],
-) {
-    let stream = _mm256_set1_epi64x(0xD1B5_4A32_D192_ED03_u64 as i64);
-    let gamma = 0x9E37_79B9_7F4A_7C15_u64;
-    for q in 0..quads {
-        let r0 = q * 4;
-        let base = data.as_ptr().add(r0 * words_per_row).cast::<i64>();
-        let row_stride = _mm256_setr_epi64x(
-            0,
-            words_per_row as i64,
-            2 * words_per_row as i64,
-            3 * words_per_row as i64,
-        );
-        for b in 0..bands {
-            let (s, e) = crate::sig::band_bounds(words_per_row, bands, b);
-            let mut acc = _mm256_setzero_si256();
-            for j in s..e {
-                let idx = _mm256_add_epi64(row_stride, _mm256_set1_epi64x(j as i64));
-                let words = _mm256_i64gather_epi64::<8>(base, idx);
-                let pos = _mm256_set1_epi64x((j as u64).wrapping_mul(gamma) as i64);
-                let seeded = _mm256_xor_si256(_mm256_xor_si256(words, pos), stream);
-                acc = _mm256_xor_si256(acc, mix_finalize(seeded));
-            }
-            let mut lanes = [0u64; 4];
-            _mm256_storeu_si256(lanes.as_mut_ptr().cast(), acc);
-            for (lane, &v) in lanes.iter().enumerate() {
-                out[(r0 + lane) * bands + b] = v;
-            }
-        }
-    }
-}
-
 #[target_feature(enable = "avx2")]
 unsafe fn binary_weight_impl<const OP: u8>(a: &[u64], b: &[u64]) -> u32 {
     let pa = a.as_ptr().cast::<__m256i>();

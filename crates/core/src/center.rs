@@ -7,16 +7,15 @@ use crate::report::SketchReport;
 use crate::report::{AlignedReport, EpochReport, EpochTimings, TransportStats, UnalignedReport};
 use crate::session::CollectedEpoch;
 use crate::stages::{Stage, StageRecorder};
-use dcs_aligned::{refined_detect_cached, refined_detect_seeded, SearchConfig, SearchScratch};
+use dcs_aligned::{refined_detect_cached, SearchConfig, SearchScratch};
 use dcs_bitmap::{Bitmap, BitmapView, ColMatrix, RowMatrix};
 use dcs_obs::{MetricsRegistry, MetricsSnapshot};
 use dcs_parallel::ComputeBudget;
 use dcs_sketch::{decode_sketch, SketchDomain, SketchWire};
 use dcs_unaligned::lambda::p_star_for_edge_prob;
 use dcs_unaligned::{
-    build_group_graph_parallel, build_group_graph_prescreened, er_test, find_pattern,
-    CoreFindConfig, ErTestConfig, GroupLayout, IncrementalConfig, IncrementalCorrelator,
-    LambdaTable, PreScreen, ScreenConfig,
+    build_group_graph_parallel, er_test, find_pattern, CoreFindConfig, ErTestConfig, GroupLayout,
+    IncrementalConfig, IncrementalCorrelator, LambdaTable,
 };
 use std::sync::{Mutex, PoisonError};
 use std::time::Instant;
@@ -47,58 +46,17 @@ pub struct AnalysisConfig {
     /// [`IngestError::QuorumTooSmall`] instead of running the pipelines
     /// on a sliver of the deployment. 1 = run on whatever survives.
     pub min_quorum: usize,
-    /// Unaligned test-graph engine settings (prescreen shape, incremental
-    /// maintenance, audit cadence).
-    pub ugraph: UnalignedGraphConfig,
-    /// Whether the fused content-index heavy-hitter sketch (when the
-    /// epoch's bundles carry one) seeds the aligned core search.
-    /// **Advisory only**: seeding reorders the candidate scan, it never
-    /// changes the detection — flipping this flag leaves every verdict
-    /// byte-identical (see `sketch_seeding_is_advisory` in the tests).
-    pub sketch_seed: bool,
-    /// How many fused heavy-hitter columns are handed to the search as
-    /// seeds when `sketch_seed` is on.
-    pub sketch_top_k: usize,
+    /// Unaligned test-graph engine settings: the graph is maintained
+    /// incrementally across epochs (delta re-test of changed groups
+    /// only) and audited against a full all-pairs rebuild at this
+    /// cadence. The detection graph raised on an alarm always uses the
+    /// all-pairs build ([`dcs_unaligned::build_group_graph_parallel`]).
+    pub ugraph: IncrementalConfig,
 }
 
-/// How the unaligned statistical-test graph is built each epoch.
-///
-/// The detection graph raised on an alarm always uses the retained
-/// all-pairs path ([`dcs_unaligned::build_group_graph_parallel`]) — it is
-/// rare and serves as the reference oracle.
-#[derive(Debug, Clone, Copy, PartialEq, serde::Serialize, serde::Deserialize)]
-pub struct UnalignedGraphConfig {
-    /// Band signatures per row for the conservative prescreen.
-    pub prescreen_bands: usize,
-    /// Weight-class bucket width (bits) for the prescreen.
-    pub class_width: u32,
-    /// Maintain the graph incrementally across epochs (delta re-test of
-    /// changed groups only). `false` = full prescreened rebuild every
-    /// epoch; either way the graph is identical to the all-pairs build.
-    pub incremental: bool,
-    /// Full-rebuild equality audit cadence in epochs (0 disables).
-    pub audit_every: u64,
-}
-
-impl Default for UnalignedGraphConfig {
-    fn default() -> Self {
-        UnalignedGraphConfig {
-            prescreen_bands: 8,
-            class_width: 32,
-            incremental: true,
-            audit_every: 16,
-        }
-    }
-}
-
-impl UnalignedGraphConfig {
-    fn screen(&self) -> ScreenConfig {
-        ScreenConfig {
-            bands: self.prescreen_bands,
-            class_width: self.class_width,
-        }
-    }
-}
+/// How many of the fused content-index sketch's heaviest columns an
+/// epoch report lists ([`SketchReport::top_columns`]).
+const SKETCH_REPORT_TOP_K: usize = 16;
 
 fn default_min_quorum() -> usize {
     1
@@ -121,16 +79,8 @@ impl AnalysisConfig {
             corefind: CoreFindConfig::default(),
             compute: dcs_parallel::ComputeBudget::default(),
             min_quorum: default_min_quorum(),
-            ugraph: UnalignedGraphConfig::default(),
-            sketch_seed: true,
-            sketch_top_k: 16,
+            ugraph: IncrementalConfig::default(),
         }
-    }
-
-    /// Enables or disables sketch seeding of the aligned search.
-    pub fn with_sketch_seed(mut self, on: bool) -> Self {
-        self.sketch_seed = on;
-        self
     }
 
     /// Sets the minimum surviving-bundle count required to analyse.
@@ -165,11 +115,6 @@ struct EpochScratch {
     urows: RowMatrix,
     /// Owner router of each global flow-split group.
     group_owner: Vec<usize>,
-    /// Band signatures extracted during the stacking pass, handed to the
-    /// prescreen (round-trips by swap, so both buffers recycle).
-    stack_sigs: Vec<u64>,
-    /// Conservative pair prescreen (weights, classes, band signatures).
-    screen: PreScreen,
 }
 
 impl EpochScratch {
@@ -180,8 +125,6 @@ impl EpochScratch {
             search: SearchScratch::new(),
             urows: RowMatrix::new(0),
             group_owner: Vec::new(),
-            stack_sigs: Vec::new(),
-            screen: PreScreen::new(),
         }
     }
 }
@@ -207,17 +150,8 @@ trait EpochSource: DigestShape {
         budget: &ComputeBudget,
     );
     /// Stacks the unaligned arrays of `digests` vertically into `rows`,
-    /// sharded per `budget`, extracting `bands` band signatures per row
-    /// into `sigs` while each shard's rows are cache-hot (the prescreen
-    /// consumes them via
-    /// [`PreScreen::rebuild_with_sigs`](dcs_unaligned::PreScreen::rebuild_with_sigs)).
-    fn stack_unaligned(
-        digests: &[&Self],
-        rows: &mut RowMatrix,
-        bands: usize,
-        sigs: &mut Vec<u64>,
-        budget: &ComputeBudget,
-    );
+    /// sharded per `budget`.
+    fn stack_unaligned(digests: &[&Self], rows: &mut RowMatrix, budget: &ComputeBudget);
 }
 
 impl EpochSource for RouterDigest {
@@ -243,27 +177,14 @@ impl EpochSource for RouterDigest {
         let shards = budget.effective_shards();
         matrix.fuse_rows_into_sharded(&rows, weights, shards, budget.workers_for(shards));
     }
-    fn stack_unaligned(
-        digests: &[&Self],
-        rows: &mut RowMatrix,
-        bands: usize,
-        sigs: &mut Vec<u64>,
-        budget: &ComputeBudget,
-    ) {
+    fn stack_unaligned(digests: &[&Self], rows: &mut RowMatrix, budget: &ComputeBudget) {
         let ncols = digests
             .first()
             .and_then(|d| d.unaligned.arrays.first())
             .map_or(0, Bitmap::len);
         let flat: Vec<&Bitmap> = digests.iter().flat_map(|d| &d.unaligned.arrays).collect();
         let shards = budget.effective_shards();
-        rows.fill_rows_sharded_with_sigs(
-            ncols,
-            &flat,
-            bands,
-            sigs,
-            shards,
-            budget.workers_for(shards),
-        );
+        rows.fill_rows_sharded(ncols, &flat, shards, budget.workers_for(shards));
     }
 }
 
@@ -290,13 +211,7 @@ impl EpochSource for RouterDigestView<'_> {
         let shards = budget.effective_shards();
         matrix.fuse_rows_into_sharded(&rows, weights, shards, budget.workers_for(shards));
     }
-    fn stack_unaligned(
-        digests: &[&Self],
-        rows: &mut RowMatrix,
-        bands: usize,
-        sigs: &mut Vec<u64>,
-        budget: &ComputeBudget,
-    ) {
+    fn stack_unaligned(digests: &[&Self], rows: &mut RowMatrix, budget: &ComputeBudget) {
         let ncols = digests
             .first()
             .filter(|d| d.unaligned.array_count() > 0)
@@ -306,14 +221,7 @@ impl EpochSource for RouterDigestView<'_> {
             .flat_map(|d| (0..d.unaligned.array_count()).map(move |i| d.unaligned.array(i)))
             .collect();
         let shards = budget.effective_shards();
-        rows.fill_rows_sharded_with_sigs(
-            ncols,
-            &flat,
-            bands,
-            sigs,
-            shards,
-            budget.workers_for(shards),
-        );
+        rows.fill_rows_sharded(ncols, &flat, shards, budget.workers_for(shards));
     }
 }
 
@@ -345,13 +253,11 @@ pub struct AnalysisCenter {
 impl AnalysisCenter {
     /// Creates the centre.
     pub fn new(cfg: AnalysisConfig) -> Self {
-        let inc = IncrementalConfig {
-            audit_every: cfg.ugraph.audit_every,
-        };
+        let correlator = IncrementalCorrelator::new(cfg.ugraph);
         AnalysisCenter {
             cfg,
             scratch: Mutex::new(vec![EpochScratch::new()]),
-            correlators: Mutex::new(vec![IncrementalCorrelator::new(inc)]),
+            correlators: Mutex::new(vec![correlator]),
             metrics: MetricsRegistry::new(),
         }
     }
@@ -405,11 +311,7 @@ impl AnalysisCenter {
             .lock()
             .unwrap_or_else(PoisonError::into_inner)
             .pop()
-            .unwrap_or_else(|| {
-                IncrementalCorrelator::new(IncrementalConfig {
-                    audit_every: self.cfg.ugraph.audit_every,
-                })
-            })
+            .unwrap_or_else(|| IncrementalCorrelator::new(self.cfg.ugraph))
     }
 
     /// Returns a correlator (with its warm cross-epoch state) to the
@@ -713,13 +615,7 @@ impl AnalysisCenter {
         // Unaligned pipeline, stage 1: stack arrays and map ownership.
         let k = digests.first().map_or(1, |d| d.arrays_per_group());
         let (_, stack_ns) = rec.run(Stage::StackRows, || {
-            D::stack_unaligned(
-                digests,
-                &mut s.urows,
-                self.cfg.ugraph.prescreen_bands,
-                &mut s.stack_sigs,
-                &self.cfg.compute,
-            );
+            D::stack_unaligned(digests, &mut s.urows, &self.cfg.compute);
             s.group_owner.clear();
             for d in digests {
                 s.group_owner
@@ -728,37 +624,29 @@ impl AnalysisCenter {
         });
 
         // Aligned pipeline, stage 2: merge the bundles' sidecar sketches
-        // and derive advisory seed columns for the core search. Runs (and
-        // records its span) every epoch, sketches or not, so the stage
-        // keys exist in every snapshot.
+        // for the report. Runs (and records its span) every epoch,
+        // sketches or not, so the stage keys exist in every snapshot.
         let payloads: Vec<&[u8]> = digests
             .iter()
             .filter_map(|d| d.src_sketch_payload())
             .collect();
         let ncols = s.matrix.ncols();
-        let ((seeds, sketch), _) =
-            rec.run(Stage::SketchFuse, || self.fuse_sketches(&payloads, ncols));
+        let (sketch, _) = rec.run(Stage::SketchFuse, || self.fuse_sketches(&payloads, ncols));
 
         // Aligned stages 3–6 are timed inside the search layer; record
         // its per-stage split under the stage names.
-        let (det, search_t, work) = refined_detect_seeded(
-            &s.matrix,
-            &s.col_weights,
-            &self.cfg.search,
-            &seeds,
-            &mut s.search,
-        );
-        // Scan-work accounting. The scanned/pruned split (and the seeded
-        // tally) depends on the shard partition and seed order, so those
-        // land in last-epoch gauges; their sum covers the same candidate
-        // set under any partition and is safe to count.
+        let (det, search_t, work) =
+            refined_detect_cached(&s.matrix, &s.col_weights, &self.cfg.search, &mut s.search);
+        // Scan-work accounting. The scanned/pruned split depends on the
+        // shard partition, so those land in last-epoch gauges; their sum
+        // covers the same candidate set under any partition and is safe
+        // to count.
         self.metrics
             .counter("search_candidates_total", &[])
             .add(work.candidates());
         let g = |name: &str, v: u64| self.metrics.gauge(name, &[]).set(v);
         g("search_pairs_scanned", work.pairs_scanned);
         g("search_pairs_pruned", work.pairs_pruned);
-        g("search_seeded_pairs", work.seeded_pairs);
         let screen_ns = rec.record(Stage::Screen, search_t.screen_ns);
         let core_ns = rec.record(Stage::CoreFind, search_t.core_ns);
         let expand_ns = rec.record(Stage::Sweep, search_t.expand_ns);
@@ -773,14 +661,7 @@ impl AnalysisCenter {
             content_packets: det.cols.len(),
             signature_indices: det.cols,
         };
-        let unaligned = self.unaligned_from_rows(
-            &s.urows,
-            &mut s.screen,
-            &mut s.stack_sigs,
-            &s.group_owner,
-            k,
-            &rec,
-        );
+        let unaligned = self.unaligned_from_rows(&s.urows, &s.group_owner, k, &rec);
 
         self.return_scratch(scratch);
         self.record_kernels();
@@ -808,14 +689,14 @@ impl AnalysisCenter {
     }
 
     /// Merges the epoch's sidecar sketch payloads into one fused sketch
-    /// and derives the advisory seed columns: the fused top-k of a
+    /// and reports its heaviest columns: the fused top-k of a
     /// content-index Space-Saving sketch, clipped to the matrix width.
+    /// The sketch is a reporting artifact — nothing here feeds detection.
     /// Payloads that fail to decode — or that disagree with the first
-    /// decodable one on kind, domain or shape — are skipped, which only
-    /// loses prefilter hints, never detection. All accounting lands in
-    /// the `sketch_*` metric families (registered every epoch, so the
-    /// keys exist even at zero).
-    fn fuse_sketches(&self, payloads: &[&[u8]], ncols: usize) -> (Vec<usize>, SketchReport) {
+    /// decodable one on kind, domain or shape — are skipped. All
+    /// accounting lands in the `sketch_*` metric families (registered
+    /// every epoch, so the keys exist even at zero).
+    fn fuse_sketches(&self, payloads: &[&[u8]], ncols: usize) -> SketchReport {
         let mut report = SketchReport {
             artifacts: payloads.len(),
             ..SketchReport::default()
@@ -858,32 +739,28 @@ impl AnalysisCenter {
                 _ => report.skipped += 1,
             }
         }
-        let seeds: Vec<usize> = match &fused {
-            Some(SketchWire::SpaceSaving { domain, sketch })
-                if self.cfg.sketch_seed && *domain == SketchDomain::ContentIndex.to_u8() =>
-            {
-                sketch
-                    .top_k(self.cfg.sketch_top_k)
+        if let Some(SketchWire::SpaceSaving { domain, sketch }) = &fused {
+            if *domain == SketchDomain::ContentIndex.to_u8() {
+                report.top_columns = sketch
+                    .top_k(SKETCH_REPORT_TOP_K)
                     .iter()
                     .map(|h| h.key as usize)
                     .filter(|&c| c < ncols)
-                    .collect()
+                    .collect();
             }
-            _ => Vec::new(),
-        };
-        report.seed_columns = seeds.clone();
+        }
         let c = |name: &str, v: u64| self.metrics.counter(name, &[]).add(v);
         c("sketch_artifacts_total", report.artifacts as u64);
         c("sketch_merged_total", report.merged as u64);
         c("sketch_skipped_total", report.skipped as u64);
         c("sketch_payload_bytes_total", report.payload_bytes);
         self.metrics
-            .gauge("sketch_seed_columns", &[])
-            .set(seeds.len() as u64);
+            .gauge("sketch_top_columns", &[])
+            .set(report.top_columns.len() as u64);
         self.metrics
             .histogram("sketch_payload_bytes", &[])
             .observe(report.payload_bytes);
-        (seeds, report)
+        report
     }
 
     /// Feeds one epoch's ingest accounting into the counter families.
@@ -931,24 +808,19 @@ impl AnalysisCenter {
 
     /// Capacities of the most recently recycled epoch scratch:
     /// fused-matrix words, weight slots, stacked unaligned words,
-    /// group-owner slots, the stacking pass's signature buffer, the
-    /// prescreen's weight and signature buffers, then the aligned
-    /// search's [`SearchScratch::capacities`].
+    /// group-owner slots, then the aligned search's
+    /// [`SearchScratch::capacities`].
     /// Steady-state epochs of one deployment shape must not grow any of
     /// these — the no-allocation invariant the zero-copy fusion path is
     /// built around.
-    pub fn scratch_capacities(&self) -> [usize; 11] {
+    pub fn scratch_capacities(&self) -> [usize; 8] {
         let s = self.take_scratch();
         let [order, shard_orders, work, fanouts] = s.search.capacities();
-        let [screen_weights, screen_sigs] = s.screen.capacities();
         let caps = [
             s.matrix.word_capacity(),
             s.col_weights.capacity(),
             s.urows.word_capacity(),
             s.group_owner.capacity(),
-            s.stack_sigs.capacity(),
-            screen_weights,
-            screen_sigs,
             order,
             shard_orders,
             work,
@@ -958,101 +830,29 @@ impl AnalysisCenter {
         caps
     }
 
-    /// The aligned pipeline: fuse per-router bitmaps into the m×n matrix
-    /// and run the refined ASID search.
-    ///
-    /// Assumes a validated batch (equal bitmap widths); prefer
-    /// [`Self::analyze_epoch`], which validates first.
-    pub fn analyze_aligned(&self, digests: &[RouterDigest]) -> AlignedReport {
-        let refs: Vec<&RouterDigest> = digests.iter().collect();
-        let mut scratch = self.take_scratch();
-        let s = &mut scratch;
-        RouterDigest::fuse_aligned(&refs, &mut s.matrix, &mut s.col_weights, &self.cfg.compute);
-        let (det, _) =
-            refined_detect_cached(&s.matrix, &s.col_weights, &self.cfg.search, &mut s.search);
-        self.return_scratch(scratch);
-        AlignedReport {
-            found: det.found,
-            routers: det
-                .rows
-                .iter()
-                .map(|&r| digests[r as usize].router_id)
-                .collect(),
-            content_packets: det.cols.len(),
-            signature_indices: det.cols,
-        }
-    }
-
-    /// The unaligned pipeline: fuse rows vertically, build the test graph,
-    /// run the ER test, and — on alarm — localise with the detection
-    /// graph.
-    ///
-    /// Assumes a validated batch (consistent group shapes); prefer
-    /// [`Self::analyze_epoch`], which validates first. An empty batch is
-    /// the typed [`IngestError::NoDigests`], never a panic.
-    pub fn analyze_unaligned(
-        &self,
-        digests: &[RouterDigest],
-    ) -> Result<UnalignedReport, IngestError> {
-        let first = digests.first().ok_or(IngestError::NoDigests)?;
-        let k = first.unaligned.arrays_per_group;
-        for d in digests {
-            assert_eq!(
-                d.unaligned.arrays_per_group, k,
-                "digests disagree on arrays per group"
-            );
-        }
-        let refs: Vec<&RouterDigest> = digests.iter().collect();
-        let rec = StageRecorder::new(&self.metrics);
-        let mut scratch = self.take_scratch();
-        let s = &mut scratch;
-        let (_, _) = rec.run(Stage::StackRows, || {
-            RouterDigest::stack_unaligned(
-                &refs,
-                &mut s.urows,
-                self.cfg.ugraph.prescreen_bands,
-                &mut s.stack_sigs,
-                &self.cfg.compute,
-            );
-            s.group_owner.clear();
-            for d in digests {
-                s.group_owner
-                    .extend(std::iter::repeat_n(d.router_id, d.unaligned.groups()));
-            }
-        });
-        let report = self.unaligned_from_rows(
-            &s.urows,
-            &mut s.screen,
-            &mut s.stack_sigs,
-            &s.group_owner,
-            k,
-            &rec,
-        );
-        self.return_scratch(scratch);
-        Ok(report)
+    /// Panics the way a pipeline bug would: mid-epoch, holding a scratch
+    /// and a correlator checked out of their pools.
+    #[cfg(test)]
+    fn panic_mid_epoch(&self) {
+        let _scratch = self.take_scratch();
+        let _correlator = self.take_correlator();
+        panic!("injected mid-epoch panic");
     }
 
     /// ER test + core finding over an already-stacked row matrix, staged
-    /// as `prescreen → graph_build → er_test → peel` through `rec`.
-    /// `rows` holds every accepted router's arrays vertically
-    /// concatenated; `group_owner[g]` is the router owning global group
-    /// `g`; `screen` is the epoch scratch's reusable prescreen.
+    /// as `graph_build → er_test → peel` through `rec`. `rows` holds
+    /// every accepted router's arrays vertically concatenated;
+    /// `group_owner[g]` is the router owning global group `g`.
     ///
-    /// The test graph comes from the prescreened engine — incrementally
-    /// maintained across epochs when
-    /// [`incremental`](UnalignedGraphConfig::incremental) is on, rebuilt
-    /// fresh each epoch otherwise — and is bit-identical to the all-pairs
-    /// oracle either way. Per-epoch engine accounting lands in the
-    /// `pairs_screened_total` / `pairs_exact_total` /
+    /// The test graph is maintained incrementally across epochs and is
+    /// bit-identical to the all-pairs oracle. Per-epoch engine
+    /// accounting lands in the `pairs_exact_total` /
     /// `graph_full_rebuilds_total` / `graph_audit_runs_total` counters
     /// and the `graph_edges_live` / `graph_groups_changed` gauges (all
     /// registered every epoch, so the keys exist even at zero).
-    #[allow(clippy::too_many_arguments)]
     fn unaligned_from_rows(
         &self,
         rows: &RowMatrix,
-        screen: &mut PreScreen,
-        stack_sigs: &mut Vec<u64>,
         group_owner: &[usize],
         k: usize,
         rec: &StageRecorder<'_>,
@@ -1069,39 +869,16 @@ impl AnalysisCenter {
             None => ErTestConfig::scaled(n_groups, self.cfg.test_p1),
         };
 
-        // Prescreen: λ table for the test graph, then weights, classes
-        // and band signatures for every row.
-        let (test_table, _) = rec.run(Stage::Prescreen, || {
-            let p_star_test = p_star_for_edge_prob(self.cfg.test_p1, pairs);
-            let table = LambdaTable::new(ncols, p_star_test);
-            screen.rebuild_with_sigs(rows, &table, self.cfg.ugraph.screen(), workers, stack_sigs);
-            table
-        });
-
-        // Statistical-test graph through the prescreened engine.
+        // Statistical-test graph through the incremental engine.
         let ((test_graph, gstats), _) = rec.run(Stage::GraphBuild, || {
-            if self.cfg.ugraph.incremental {
-                let mut corr = self.take_correlator();
-                let (graph, es) = corr.epoch(rows, layout, &test_table, screen, workers);
-                self.return_correlator(corr);
-                (graph, es)
-            } else {
-                let (graph, bs) =
-                    build_group_graph_prescreened(rows, layout, &test_table, screen, workers);
-                let es = dcs_unaligned::EpochStats {
-                    pairs_screened: bs.pairs_screened,
-                    pairs_exact: bs.pairs_exact,
-                    rows_changed: rows.nrows(),
-                    groups_changed: n_groups,
-                    edges_live: graph.m(),
-                    full_rebuild: true,
-                    audited: false,
-                };
-                (graph, es)
-            }
+            let p_star_test = p_star_for_edge_prob(self.cfg.test_p1, pairs);
+            let test_table = LambdaTable::new(ncols, p_star_test);
+            let mut corr = self.take_correlator();
+            let out = corr.epoch(rows, layout, &test_table, workers);
+            self.return_correlator(corr);
+            out
         });
         let c = |name: &str, v: u64| self.metrics.counter(name, &[]).add(v);
-        c("pairs_screened_total", gstats.pairs_screened);
         c("pairs_exact_total", gstats.pairs_exact);
         c("graph_full_rebuilds_total", u64::from(gstats.full_rebuild));
         c("graph_audit_runs_total", u64::from(gstats.audited));
@@ -1114,18 +891,12 @@ impl AnalysisCenter {
         // trivial one — so the stage is present in every snapshot.
         let ((suspected_groups, suspected_routers), _) = rec.run(Stage::Peel, || {
             if test.alarm {
-                // Detection graph with the laxer λ′ table — built by the
-                // retained all-pairs reference path: alarms are rare, and
-                // running the oracle here keeps localisation independent
-                // of the screened/incremental engine.
+                // Detection graph with the laxer λ′ table — built all-pairs:
+                // alarms are rare, and this keeps localisation independent
+                // of the incremental engine's cross-epoch state.
                 let p_star_det = p_star_for_edge_prob(self.cfg.detect_p1.min(0.999), pairs);
                 let det_table = LambdaTable::new(ncols, p_star_det);
-                let det_graph = build_group_graph_parallel(
-                    rows,
-                    layout,
-                    &det_table,
-                    self.cfg.compute.workers_for(n_groups),
-                );
+                let (det_graph, _) = build_group_graph_parallel(rows, layout, &det_table, workers);
                 let pattern = find_pattern(&det_graph, self.cfg.corefind);
                 let groups: Vec<usize> = pattern.vertices().iter().map(|&g| g as usize).collect();
                 let mut routers: Vec<usize> = groups.iter().map(|&g| group_owner[g]).collect();
@@ -1386,17 +1157,13 @@ mod tests {
 
     /// After warm-up the scratch must hold steady: re-analysing epochs
     /// of the same shape regrows no internal buffer (the zero
-    /// per-epoch-allocation invariant of the fusion path). Two warm-up
-    /// epochs: the stacking-pass signature buffer and the prescreen's
-    /// swap roles each epoch, so both reach capacity only after the
-    /// second.
+    /// per-epoch-allocation invariant of the fusion path).
     #[test]
     fn epoch_scratch_holds_steady_across_epochs() {
         let center = AnalysisCenter::new(AnalysisConfig::for_groups(32));
-        for warmup in 0..2 {
-            let frames = wire_frames(9 + warmup, 8);
-            center.analyze_epoch_wire(&frames).expect("quorum");
-        }
+        center
+            .analyze_epoch_wire(&wire_frames(9, 8))
+            .expect("quorum");
         let warm = center.scratch_capacities();
         assert!(warm[0] > 0, "fused matrix never materialised");
         assert!(warm[2] > 0, "unaligned rows never materialised");
@@ -1463,43 +1230,37 @@ mod tests {
         }
     }
 
-    /// A panic inside a pipeline (here: mismatched bitmap widths fed to
-    /// `analyze_aligned` directly, which asserts mid-fusion) unwinds with
-    /// the checked-out scratch, dropping it instead of poisoning any
-    /// lock. The centre must keep analysing — the next epoch simply
-    /// checks a fresh scratch out of the pool.
+    /// A panic inside a pipeline unwinds with the checked-out scratch and
+    /// correlator, dropping them instead of poisoning any lock. The
+    /// centre must keep analysing — the next epoch simply checks fresh
+    /// ones out of the pools.
     #[test]
     fn panicked_epoch_drops_its_scratch_and_the_centre_keeps_serving() {
         use std::panic::{catch_unwind, AssertUnwindSafe};
 
         let mut r = StdRng::seed_from_u64(13);
-        let mcfg_a = MonitorConfig::small(7, 1 << 12, 4);
-        let mcfg_b = MonitorConfig::small(7, 1 << 10, 4);
+        let mcfg = MonitorConfig::small(7, 1 << 12, 4);
         let bg = BackgroundConfig {
             packets: 200,
             flows: 50,
             zipf_exponent: 1.0,
             size_mix: SizeMix::constant(536),
         };
-        let mk = |id: usize, cfg: &MonitorConfig, r: &mut StdRng| {
-            let traffic = gen::generate_epoch(r, &bg);
-            let mut mp = MonitoringPoint::new(id, cfg);
-            mp.observe_all(&traffic);
-            mp.finish_epoch()
-        };
-        let mismatched = vec![mk(0, &mcfg_a, &mut r), mk(1, &mcfg_b, &mut r)];
         let center = AnalysisCenter::new(AnalysisConfig::for_groups(8));
-        let panicked =
-            catch_unwind(AssertUnwindSafe(|| center.analyze_aligned(&mismatched))).is_err();
-        assert!(
-            panicked,
-            "mismatched widths should have tripped the fuse assert"
-        );
+        let panicked = catch_unwind(AssertUnwindSafe(|| center.panic_mid_epoch())).is_err();
+        assert!(panicked, "the injected panic never fired");
 
         // The panicking epoch's scratch is gone; every entry point must
         // still work on a freshly pooled scratch. (Two routers × 4
         // groups matches the centre's for_groups(8).)
-        let clean: Vec<RouterDigest> = (0..2).map(|id| mk(id, &mcfg_a, &mut r)).collect();
+        let clean: Vec<RouterDigest> = (0..2)
+            .map(|id| {
+                let traffic = gen::generate_epoch(&mut r, &bg);
+                let mut mp = MonitoringPoint::new(id, &mcfg);
+                mp.observe_all(&traffic);
+                mp.finish_epoch()
+            })
+            .collect();
         let report = center
             .analyze_epoch(&clean)
             .expect("centre must keep serving after a panicked epoch");
@@ -1793,17 +1554,16 @@ mod tests {
         assert!(report.transport.chunks_received > 0, "stats not stamped");
     }
 
-    /// Sketch-carrying bundles seed the aligned search, but seeding is
-    /// advisory: a centre with seeding off produces byte-identical
-    /// verdicts, while both account the artifacts and the seeded one
-    /// derives columns. The `sketch_fuse` stage records a span either way.
+    /// Sketch-carrying bundles are merged in the `sketch_fuse` stage and
+    /// the fused top-k lands in the report: every artifact is accounted,
+    /// and the column of a genuinely heavy content key is listed.
     #[test]
-    fn sketch_seeding_is_advisory() {
+    fn sketch_fuse_reports_the_heavy_columns() {
         use crate::monitor::SketchSpec;
         let mut r = StdRng::seed_from_u64(71);
         let mcfg = MonitorConfig::small(7, 1 << 14, 4).with_sketch(SketchSpec::heavy_content(32));
         // One single-packet object replayed 40× per router: a genuinely
-        // heavy content-index key, so the fused top-k seeds its column.
+        // heavy content-index key, so the fused top-k lists its column.
         let heavy = ContentObject::random_with_packets(&mut r, 1, 536);
         let heavy_plant = Planting::aligned(heavy, 536);
         let obj = ContentObject::random_with_packets(&mut r, 30, 536);
@@ -1836,28 +1596,23 @@ mod tests {
         let mut acfg = AnalysisConfig::for_groups(routers * 4);
         acfg.search.n_prime = 400;
         acfg.search.hopefuls = 300;
-        let on = AnalysisCenter::new(acfg.clone());
-        let off = AnalysisCenter::new(acfg.with_sketch_seed(false));
-        let a = on.analyze_epoch(&digests).expect("quorum");
-        let b = off.analyze_epoch(&digests).expect("quorum");
+        let center = AnalysisCenter::new(acfg);
+        let a = center.analyze_epoch(&digests).expect("quorum");
         assert!(a.aligned.found, "planted content missed");
-        assert_eq!(a.aligned.found, b.aligned.found);
-        assert_eq!(a.aligned.routers, b.aligned.routers);
-        assert_eq!(a.aligned.signature_indices, b.aligned.signature_indices);
-        assert_eq!(a.aligned.content_packets, b.aligned.content_packets);
-        assert_eq!(a.unaligned.alarm, b.unaligned.alarm);
-        assert_eq!(a.unaligned.largest_component, b.unaligned.largest_component);
-        assert_eq!(a.unaligned.suspected_groups, b.unaligned.suspected_groups);
 
         assert_eq!(a.sketch.artifacts, routers);
         assert_eq!(a.sketch.merged, routers);
         assert_eq!(a.sketch.skipped, 0);
         assert!(a.sketch.payload_bytes > 0);
-        assert!(!a.sketch.seed_columns.is_empty(), "no seed columns derived");
-        assert_eq!(b.sketch.artifacts, routers, "accounting survives seed-off");
-        assert!(b.sketch.seed_columns.is_empty(), "seed-off centre seeded");
+        assert!(!a.sketch.top_columns.is_empty(), "no top columns reported");
+        assert!(
+            a.aligned
+                .signature_indices
+                .contains(&a.sketch.top_columns[0]),
+            "the heaviest sketched column is in every router's bitmap"
+        );
 
-        let snap = on.metrics();
+        let snap = center.metrics();
         assert!(
             snap.gauge("epoch_stage_ns{pipeline=aligned,stage=sketch_fuse}")
                 .unwrap_or(0)
@@ -1866,17 +1621,17 @@ mod tests {
         );
         assert_eq!(snap.counter("sketch_artifacts_total"), Some(routers as u64));
         assert_eq!(snap.counter("sketch_merged_total"), Some(routers as u64));
-        assert!(snap.gauge("sketch_seed_columns").unwrap_or(0) > 0);
+        assert!(snap.gauge("sketch_top_columns").unwrap_or(0) > 0);
         assert!(snap.counter("search_candidates_total").unwrap_or(0) > 0);
         assert!(snap.gauge("search_pairs_scanned").unwrap_or(0) > 0);
     }
 
     /// The incremental test-graph engine must be invisible in the
     /// results: across epochs of persisting traffic with partial churn,
-    /// a centre with incremental maintenance on and one with it off
-    /// (full prescreened rebuild each epoch — itself identical to the
-    /// all-pairs oracle) produce byte-identical unaligned reports, while
-    /// the incremental centre pays the full build only once.
+    /// a long-lived centre and a fresh one per epoch (whose cold
+    /// correlator pays the full all-pairs build) produce byte-identical
+    /// unaligned reports, while the long-lived centre pays the full build
+    /// only once.
     #[test]
     fn incremental_and_rebuild_centres_agree_across_epochs() {
         let mut r = StdRng::seed_from_u64(41);
@@ -1899,10 +1654,8 @@ mod tests {
 
         let mut inc_cfg = AnalysisConfig::for_groups(routers * 4);
         inc_cfg.ugraph.audit_every = 2;
-        let mut full_cfg = inc_cfg.clone();
-        full_cfg.ugraph.incremental = false;
-        let inc = AnalysisCenter::new(inc_cfg);
-        let full = AnalysisCenter::new(full_cfg);
+        let inc = AnalysisCenter::new(inc_cfg.clone());
+        let mut full_pairs = 0;
 
         for epoch in 0..5u64 {
             // Churn one router per epoch; the rest persist verbatim.
@@ -1915,7 +1668,11 @@ mod tests {
                 d.epoch_id = epoch;
             }
             let a = inc.analyze_epoch(&digests).expect("quorum").unaligned;
-            let b = full.analyze_epoch(&digests).expect("quorum").unaligned;
+            let cold = AnalysisCenter::new(inc_cfg.clone());
+            let b = cold.analyze_epoch(&digests).expect("quorum").unaligned;
+            let cold_snap = cold.metrics();
+            assert_eq!(cold_snap.counter("graph_full_rebuilds_total"), Some(1));
+            full_pairs += cold_snap.counter("pairs_exact_total").unwrap();
             assert_eq!(a.alarm, b.alarm, "epoch {epoch}");
             assert_eq!(a.largest_component, b.largest_component, "epoch {epoch}");
             assert_eq!(a.suspected_groups, b.suspected_groups, "epoch {epoch}");
@@ -1933,21 +1690,15 @@ mod tests {
             Some(2),
             "audit cadence 2 over 5 epochs"
         );
-        assert!(snap.counter("pairs_screened_total").is_some());
         assert!(snap.counter("pairs_exact_total").unwrap_or(0) > 0);
         assert!(snap.gauge("graph_edges_live").is_some());
         assert!(snap.gauge("graph_groups_changed").is_some());
-        // The delta epochs re-tested far fewer pairs than the full-build
-        // centre paid for the same traffic.
-        let full_snap = full.metrics();
-        let inc_pairs = snap.counter("pairs_exact_total").unwrap()
-            + snap.counter("pairs_screened_total").unwrap();
-        let full_pairs = full_snap.counter("pairs_exact_total").unwrap()
-            + full_snap.counter("pairs_screened_total").unwrap();
+        // The delta epochs re-tested far fewer pairs than the cold
+        // centres paid for the same traffic.
+        let inc_pairs = snap.counter("pairs_exact_total").unwrap();
         assert!(
             inc_pairs * 2 < full_pairs,
-            "incremental engine did {inc_pairs} pair visits vs {full_pairs} for full rebuilds"
+            "incremental engine did {inc_pairs} pair tests vs {full_pairs} for full rebuilds"
         );
-        assert_eq!(full_snap.counter("graph_full_rebuilds_total"), Some(5));
     }
 }

@@ -35,7 +35,7 @@ pub use aggregate::{
     AggregateBundle, AggregateError, Aggregator, ChildExclusion, ChildWeight, AGGREGATE_MAGIC,
 };
 pub use capture::{GroupCapture, SignatureCapture};
-pub use center::{AnalysisCenter, AnalysisConfig, UnalignedGraphConfig};
+pub use center::{AnalysisCenter, AnalysisConfig};
 pub use clock::{Clock, ManualClock, TickClock};
 pub use deployment::{Deployment, DeploymentVerdict};
 pub use epochs::{catch_probability, AlarmTracker, EpochSampler};

@@ -37,8 +37,8 @@ pub struct UnalignedReport {
 
 /// Sidecar-sketch accounting for one epoch: how many accepted bundles
 /// shipped a `DCSS` artifact, how the merge went, and which columns the
-/// fused content-index top-k seeded into the aligned search. Seeding is
-/// advisory — these fields describe prefilter work, never the verdict.
+/// fused content-index sketch ranks heaviest. The sketch is a reporting
+/// artifact — these fields never feed the verdict.
 #[derive(Debug, Clone, Default, PartialEq, Eq, Serialize, Deserialize)]
 pub struct SketchReport {
     /// Accepted bundles carrying a sketch artifact.
@@ -50,10 +50,10 @@ pub struct SketchReport {
     pub skipped: usize,
     /// Total sketch payload bytes across the accepted bundles.
     pub payload_bytes: u64,
-    /// Seed columns handed to the aligned core search (empty when
-    /// seeding is off, no sketch arrived, or the fused sketch is not in
-    /// the content-index domain).
-    pub seed_columns: Vec<usize>,
+    /// Heaviest columns of the fused sketch, heaviest first (empty when
+    /// no sketch arrived or the fused sketch is not in the content-index
+    /// domain).
+    pub top_columns: Vec<usize>,
 }
 
 /// Wall-clock nanoseconds spent in the analysis stages of one epoch.
@@ -134,6 +134,17 @@ pub struct TransportStats {
     pub checkpoint_resumes: u64,
 }
 
+impl std::ops::AddAssign for TransportStats {
+    fn add_assign(&mut self, s: TransportStats) {
+        self.chunks_received += s.chunks_received;
+        self.retransmits += s.retransmits;
+        self.late_chunks += s.late_chunks;
+        self.duplicate_chunks += s.duplicate_chunks;
+        self.corrupt_chunks += s.corrupt_chunks;
+        self.checkpoint_resumes += s.checkpoint_resumes;
+    }
+}
+
 /// The per-epoch report bundle.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct EpochReport {
@@ -206,7 +217,7 @@ mod tests {
                 merged: 4,
                 skipped: 0,
                 payload_bytes: 640,
-                seed_columns: vec![5, 17],
+                top_columns: vec![5, 17],
             },
             timings: EpochTimings {
                 fuse_ns: 1_000,

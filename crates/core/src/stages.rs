@@ -3,7 +3,7 @@
 //! Both detection pipelines of the [`AnalysisCenter`] run as a fixed
 //! sequence of named [`Stage`]s driven through one [`StageRecorder`]:
 //! the aligned pipeline as `fuse → sketch_fuse → screen → core_find →
-//! sweep → terminate`, the unaligned pipeline as `stack_rows → prescreen →
+//! sweep → terminate`, the unaligned pipeline as `stack_rows →
 //! graph_build → er_test → peel`. Every stage span lands in three metric
 //! families of the centre's [`MetricsRegistry`]:
 //!
@@ -27,9 +27,9 @@ pub enum Stage {
     /// Aligned: fuse per-router bitmaps into the m×n column matrix,
     /// accumulating column weights.
     Fuse,
-    /// Aligned: merge the epoch's sidecar heavy-hitter sketches and map
-    /// top-k content-index keys to seed columns for the core search.
-    /// Runs (and records a span) every epoch, even with no sketches.
+    /// Aligned: merge the epoch's sidecar heavy-hitter sketches and list
+    /// the fused top-k content-index columns in the report. Runs (and
+    /// records a span) every epoch, even with no sketches.
     SketchFuse,
     /// Aligned: rank columns and materialise the n′ heaviest.
     Screen,
@@ -43,10 +43,6 @@ pub enum Stage {
     /// Unaligned: stack per-router arrays vertically and map group
     /// ownership.
     StackRows,
-    /// Unaligned: conservative pair screen — per-row weight classes and
-    /// band signatures that discharge row pairs provably unable to pass
-    /// the λ test, leaving the graph bit-identical.
-    Prescreen,
     /// Unaligned: pairwise λ-similarity graph construction.
     GraphBuild,
     /// Unaligned: Erdős–Rényi giant-component statistical test.
@@ -68,9 +64,8 @@ impl Stage {
     ];
 
     /// The unaligned pipeline's stages, in execution order.
-    pub const UNALIGNED: [Stage; 5] = [
+    pub const UNALIGNED: [Stage; 4] = [
         Stage::StackRows,
-        Stage::Prescreen,
         Stage::GraphBuild,
         Stage::ErTest,
         Stage::Peel,
@@ -86,7 +81,6 @@ impl Stage {
             Stage::Sweep => "sweep",
             Stage::Terminate => "terminate",
             Stage::StackRows => "stack_rows",
-            Stage::Prescreen => "prescreen",
             Stage::GraphBuild => "graph_build",
             Stage::ErTest => "er_test",
             Stage::Peel => "peel",
@@ -102,11 +96,7 @@ impl Stage {
             | Stage::CoreFind
             | Stage::Sweep
             | Stage::Terminate => "aligned",
-            Stage::StackRows
-            | Stage::Prescreen
-            | Stage::GraphBuild
-            | Stage::ErTest
-            | Stage::Peel => "unaligned",
+            Stage::StackRows | Stage::GraphBuild | Stage::ErTest | Stage::Peel => "unaligned",
         }
     }
 
@@ -176,7 +166,7 @@ mod tests {
             .collect();
         names.sort_unstable();
         names.dedup();
-        assert_eq!(names.len(), 11, "stage names must be distinct");
+        assert_eq!(names.len(), 10, "stage names must be distinct");
     }
 
     #[test]

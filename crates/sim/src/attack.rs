@@ -8,8 +8,8 @@
 //! * **DNS amplification** — every attacked leaf forwards the same
 //!   amplified multi-packet response to spoofed victims, many times per
 //!   epoch. The content-index Space-Saving sketch surfaces exactly the
-//!   bitmap columns the response hashes to, which double as the aligned
-//!   search's seed columns.
+//!   bitmap columns the response hashes to, which the epoch report
+//!   lists beside the aligned verdict.
 //! * **DRDoS reflection** — thousands of spoofed *sources* bounce one
 //!   reflector payload at a single victim AS. The distinct-HH sketch
 //!   keyed on (src-port, dst-AS) counts distinct sources per key, so
@@ -21,20 +21,15 @@
 //! The harness replays the tiered soak's topology — leaves chunk their
 //! bundles over a [`LossyChannel`] to regional [`Aggregator`]s, which
 //! pre-fuse and ship DCSG bundles over a second lossy hop to the
-//! centre — and analyses every delivered epoch **twice**: once with
-//! sketch seeding on and once with it off. Seeding is advisory, so the
-//! two detection fingerprints must be identical every epoch; the
-//! harness records the pairs and [`AttackResult::seeding_equivalent`]
-//! is the suite's central acceptance check. Transport faults never
+//! centre — and checks that the planted keys rank in the sketch merged
+//! from the artifacts that survived both hops. Transport faults never
 //! panic: a failed quorum is a typed [`EpochOutcome`].
 
 use crate::channel::{ChannelConfig, LossyChannel};
 use crate::soak::EpochOutcome;
-use crate::tiered::outcome_fingerprint;
 use dcs_collect::{AlignedCollector, ARTIFACT_KIND_SKETCH};
 use dcs_core::aggregate::{AggregateBundle, Aggregator};
 use dcs_core::center::{AnalysisCenter, AnalysisConfig};
-use dcs_core::ingest::IngestError;
 use dcs_core::monitor::{
     src_port_dst_as_key, MonitorConfig, MonitoringPoint, RouterDigest, SketchSpec,
 };
@@ -170,11 +165,8 @@ impl AttackConfig {
 /// One epoch's record in the attack soak.
 #[derive(Debug)]
 pub struct AttackEpoch {
-    /// The sketch-seeded centre's outcome.
+    /// The centre's outcome.
     pub outcome: EpochOutcome,
-    /// `(seeded, unseeded)` detection fingerprints of the same
-    /// delivered epoch — equal strings = seeding stayed advisory.
-    pub fingerprints: (String, String),
     /// Ranks (0 = heaviest) of the expected attack keys in the
     /// reference sketch merged from the leaf artifacts that survived
     /// both hops. One entry per expected key; `None` = key fell out.
@@ -192,19 +184,11 @@ pub struct AttackResult {
     pub leaf_totals: TransportStats,
     /// Upstream-hop delivery stats summed over all epochs.
     pub up_totals: TransportStats,
-    /// The seeded centre's metrics.
+    /// The centre's metrics.
     pub metrics: dcs_core::MetricsSnapshot,
 }
 
 impl AttackResult {
-    /// Whether every epoch's seeded and unseeded fingerprints matched
-    /// (the seeding-is-advisory soak check).
-    pub fn seeding_equivalent(&self) -> bool {
-        self.epochs
-            .iter()
-            .all(|e| e.fingerprints.0 == e.fingerprints.1)
-    }
-
     /// Epochs that reached quorum.
     pub fn quorum_epochs(&self) -> usize {
         self.epochs
@@ -382,35 +366,9 @@ fn rank_attack_keys(
     (ranks, delivered)
 }
 
-fn accumulate(totals: &mut TransportStats, s: TransportStats) {
-    totals.chunks_received += s.chunks_received;
-    totals.retransmits += s.retransmits;
-    totals.late_chunks += s.late_chunks;
-    totals.duplicate_chunks += s.duplicate_chunks;
-    totals.corrupt_chunks += s.corrupt_chunks;
-    totals.checkpoint_resumes += s.checkpoint_resumes;
-}
-
-fn to_outcome(
-    min_quorum: usize,
-    result: Result<dcs_core::report::EpochReport, IngestError>,
-) -> EpochOutcome {
-    match result {
-        Ok(report) => EpochOutcome::Report(Box::new(report)),
-        Err(IngestError::QuorumTooSmall { required, report }) => EpochOutcome::QuorumTooSmall {
-            required,
-            accepted: report.accepted.len(),
-        },
-        Err(IngestError::NoDigests) => EpochOutcome::QuorumTooSmall {
-            required: min_quorum,
-            accepted: 0,
-        },
-    }
-}
-
 /// Runs the attack soak: scenario traffic at the leaves, sketches in
 /// every bundle, two lossy hops through the aggregation tier, then the
-/// same delivered epoch analysed with sketch seeding on and off.
+/// delivered epoch analysed at the centre.
 /// Deterministic in `cfg`; transport and quorum failures are typed
 /// outcomes, never panics.
 pub fn run_attack_soak(cfg: &AttackConfig) -> AttackResult {
@@ -422,14 +380,10 @@ pub fn run_attack_soak(cfg: &AttackConfig) -> AttackResult {
         .map(|id| MonitoringPoint::new(id, &mcfg))
         .collect();
 
-    let make_acfg = || {
-        let mut acfg = AnalysisConfig::for_groups(cfg.leaves * 4).with_min_quorum(cfg.min_quorum);
-        acfg.search.n_prime = 400;
-        acfg.search.hopefuls = 300;
-        acfg
-    };
-    let seeded = AnalysisCenter::new(make_acfg());
-    let unseeded = AnalysisCenter::new(make_acfg().with_sketch_seed(false));
+    let mut acfg = AnalysisConfig::for_groups(cfg.leaves * 4).with_min_quorum(cfg.min_quorum);
+    acfg.search.n_prime = 400;
+    acfg.search.hopefuls = 300;
+    let center = AnalysisCenter::new(acfg);
     let agg_metrics = MetricsRegistry::new();
 
     let mut leaf_channels: Vec<LossyChannel> = (0..cfg.aggregators)
@@ -533,7 +487,7 @@ pub fn run_attack_soak(cfg: &AttackConfig) -> AttackResult {
             now,
         );
         for agg in &mut aggs {
-            accumulate(&mut leaf_totals, agg.stats());
+            leaf_totals += agg.stats();
             let bundle = agg.finalize(now, &agg_metrics);
             let chunks = chunk_bundle(agg.id(), epoch_id, &bundle.encode_wire(), cfg.max_payload);
             for chunk in &chunks {
@@ -570,7 +524,7 @@ pub fn run_attack_soak(cfg: &AttackConfig) -> AttackResult {
         }
 
         let epoch = up_collector.finalize(now);
-        accumulate(&mut up_totals, epoch.stats);
+        up_totals += epoch.stats;
 
         // Reference sketch merge over the leaf frames that survived.
         let leaf_frames: Vec<Vec<u8>> = epoch
@@ -586,17 +540,9 @@ pub fn run_attack_soak(cfg: &AttackConfig) -> AttackResult {
             &plan.expected_keys,
         );
 
-        // The same delivered epoch, analysed seeded and unseeded.
-        let on = seeded.analyze_epoch_aggregated_collected(&epoch);
-        let off = unseeded.analyze_epoch_aggregated_collected(&epoch);
-        let outcome_on = to_outcome(cfg.min_quorum, on);
-        let outcome_off = to_outcome(cfg.min_quorum, off);
+        let result = center.analyze_epoch_aggregated_collected(&epoch);
         epochs.push(AttackEpoch {
-            fingerprints: (
-                outcome_fingerprint(&outcome_on),
-                outcome_fingerprint(&outcome_off),
-            ),
-            outcome: outcome_on,
+            outcome: EpochOutcome::from(cfg.min_quorum, result),
             attack_key_ranks,
             artifacts_delivered,
         });
@@ -607,7 +553,7 @@ pub fn run_attack_soak(cfg: &AttackConfig) -> AttackResult {
         epochs,
         leaf_totals,
         up_totals,
-        metrics: seeded.metrics(),
+        metrics: center.metrics(),
     }
 }
 
@@ -620,15 +566,6 @@ mod tests {
             result.quorum_epochs(),
             cfg.epochs,
             "standard regime reaches quorum every epoch"
-        );
-        assert!(
-            result.seeding_equivalent(),
-            "sketch seeding changed the verdict: {:?}",
-            result
-                .epochs
-                .iter()
-                .map(|e| &e.fingerprints)
-                .collect::<Vec<_>>()
         );
         assert!(
             result.attack_detected_in_all_quorum_epochs(),
@@ -649,7 +586,7 @@ mod tests {
     }
 
     #[test]
-    fn dns_amplification_detected_with_advisory_seeding() {
+    fn dns_amplification_detected_and_top_columns_reported() {
         let cfg = AttackConfig::standard(AttackScenario::DnsAmplification, 2, 41);
         let result = run_attack_soak(&cfg);
         assert_suite_invariants(&result, &cfg);
@@ -667,15 +604,15 @@ mod tests {
             assert_eq!(r.sketch.merged, r.sketch.artifacts);
             assert_eq!(r.sketch.skipped, 0);
             assert!(
-                !r.sketch.seed_columns.is_empty(),
-                "content-index sketch must seed the search"
+                !r.sketch.top_columns.is_empty(),
+                "content-index sketch must report its top columns"
             );
-            // Seed columns are real heavy columns: every one is part of
-            // the detected signature.
-            for c in &r.sketch.seed_columns {
+            // The reported columns are real heavy columns: every one is
+            // part of the detected signature.
+            for c in &r.sketch.top_columns {
                 assert!(
                     r.aligned.signature_indices.contains(c),
-                    "seed column {c} not in the detected signature"
+                    "top column {c} not in the detected signature"
                 );
             }
         }
@@ -702,11 +639,12 @@ mod tests {
             let EpochOutcome::Report(r) = &e.outcome else {
                 unreachable!()
             };
-            // Non-content domains still ship and merge, but never seed.
+            // Non-content domains still ship and merge, but their keys
+            // are not bitmap columns.
             assert_eq!(r.sketch.merged, r.sketch.artifacts);
             assert!(
-                r.sketch.seed_columns.is_empty(),
-                "a distinct sketch must not seed the aligned search"
+                r.sketch.top_columns.is_empty(),
+                "a distinct sketch has no content-index columns to report"
             );
         }
     }
@@ -730,7 +668,7 @@ mod tests {
                 unreachable!()
             };
             assert_eq!(r.sketch.merged, r.sketch.artifacts);
-            assert!(r.sketch.seed_columns.is_empty());
+            assert!(r.sketch.top_columns.is_empty());
         }
     }
 
@@ -749,6 +687,5 @@ mod tests {
             result.epochs[0].outcome,
             EpochOutcome::QuorumTooSmall { accepted: 0, .. }
         ));
-        assert!(result.seeding_equivalent());
     }
 }

@@ -26,7 +26,7 @@
 //!   equivalence checking;
 //! * [`attack`] — the attack-scenario suite: DNS amplification, DRDoS
 //!   reflection and elephant flows driven through the tier with sidecar
-//!   sketches, plus per-epoch sketch-seeding-on/off detection parity;
+//!   sketches, checking the planted keys rank in the merged sketch;
 //! * [`table`] — plain-text row/series formatting for the `repro_*`
 //!   binaries.
 

@@ -107,6 +107,37 @@ pub enum EpochOutcome {
 }
 
 impl EpochOutcome {
+    /// Maps one analysed epoch's result onto the typed outcome; an empty
+    /// epoch counts as zero survivors against the `min_quorum` floor.
+    pub(crate) fn from(min_quorum: usize, result: Result<EpochReport, IngestError>) -> Self {
+        match result {
+            Ok(report) => EpochOutcome::Report(Box::new(report)),
+            Err(IngestError::QuorumTooSmall { required, report }) => EpochOutcome::QuorumTooSmall {
+                required,
+                accepted: report.accepted.len(),
+            },
+            Err(IngestError::NoDigests) => EpochOutcome::QuorumTooSmall {
+                required: min_quorum,
+                accepted: 0,
+            },
+        }
+    }
+
+    /// [`EpochOutcome::from`] for an epoch analysed by the pipelined
+    /// runtime. Panics only on harness bugs (a panicked analysis body).
+    pub(crate) fn from_pipeline(
+        min_quorum: usize,
+        result: Result<EpochReport, PipelineError>,
+    ) -> Self {
+        Self::from(
+            min_quorum,
+            result.map_err(|e| match e {
+                PipelineError::Ingest(e) => e,
+                PipelineError::Panicked(msg) => panic!("soak epoch analysis panicked: {msg}"),
+            }),
+        )
+    }
+
     /// The detection verdicts of this epoch, serialized to a canonical
     /// JSON string — the unit of the kill/restart byte-identity check.
     /// Transport stats and timings are deliberately excluded: a crashed
@@ -160,34 +191,6 @@ impl SoakResult {
             .iter()
             .filter(|o| matches!(o, EpochOutcome::Report(_)))
             .count()
-    }
-}
-
-fn accumulate(totals: &mut TransportStats, s: TransportStats) {
-    totals.chunks_received += s.chunks_received;
-    totals.retransmits += s.retransmits;
-    totals.late_chunks += s.late_chunks;
-    totals.duplicate_chunks += s.duplicate_chunks;
-    totals.corrupt_chunks += s.corrupt_chunks;
-    totals.checkpoint_resumes += s.checkpoint_resumes;
-}
-
-/// Maps one analysed epoch's result onto the soak's typed outcome.
-/// Panics only on harness bugs (a panicked analysis body).
-fn to_outcome(min_quorum: usize, result: Result<EpochReport, PipelineError>) -> EpochOutcome {
-    match result {
-        Ok(report) => EpochOutcome::Report(Box::new(report)),
-        Err(PipelineError::Ingest(IngestError::QuorumTooSmall { required, report })) => {
-            EpochOutcome::QuorumTooSmall {
-                required,
-                accepted: report.accepted.len(),
-            }
-        }
-        Err(PipelineError::Ingest(IngestError::NoDigests)) => EpochOutcome::QuorumTooSmall {
-            required: min_quorum,
-            accepted: 0,
-        },
-        Err(PipelineError::Panicked(msg)) => panic!("soak epoch analysis panicked: {msg}"),
     }
 }
 
@@ -305,13 +308,11 @@ pub fn run_soak(cfg: &SoakConfig) -> SoakResult {
         }
 
         let epoch = collector.finalize(now);
-        accumulate(&mut totals, epoch.stats);
+        totals += epoch.stats;
         match &driver {
             Driver::Sequential(center) => {
-                let result = center
-                    .analyze_epoch_collected(&epoch)
-                    .map_err(PipelineError::Ingest);
-                outcomes.push(to_outcome(cfg.min_quorum, result));
+                let result = center.analyze_epoch_collected(&epoch);
+                outcomes.push(EpochOutcome::from(cfg.min_quorum, result));
             }
             Driver::Pipelined(pipe) => {
                 // Hold the worker across the first two submissions so the
@@ -328,7 +329,7 @@ pub fn run_soak(cfg: &SoakConfig) -> SoakResult {
                     pipe.resume();
                 }
                 while let Some((_, result)) = pipe.try_recv() {
-                    outcomes.push(to_outcome(cfg.min_quorum, result));
+                    outcomes.push(EpochOutcome::from_pipeline(cfg.min_quorum, result));
                 }
             }
         }
@@ -340,7 +341,7 @@ pub fn run_soak(cfg: &SoakConfig) -> SoakResult {
         Driver::Pipelined(pipe) => {
             pipe.resume(); // a 1-epoch pipelined run never hit the e == 1 unpause
             for (_, result) in pipe.drain() {
-                outcomes.push(to_outcome(cfg.min_quorum, result));
+                outcomes.push(EpochOutcome::from_pipeline(cfg.min_quorum, result));
             }
             pipe.center().metrics()
         }

@@ -159,7 +159,7 @@ pub fn run_stress(cfg: &StressConfig) -> StressOutcome {
     let layout = GroupLayout { rows_per_group: k };
     let p_star = p_star_for_edge_prob(cfg.detect_p1, k * k);
     let table = LambdaTable::new(1024, p_star);
-    let graph = build_group_graph_parallel(&rows, layout, &table, cfg.threads);
+    let (graph, _) = build_group_graph_parallel(&rows, layout, &table, cfg.threads);
     let result = find_pattern(&graph, cfg.corefind);
     let reported_groups = result.vertices();
     let (precision, recall) = precision_recall(&reported_groups, &truth_groups);

@@ -22,10 +22,9 @@ use crate::channel::{ChannelConfig, LossyChannel};
 use crate::soak::EpochOutcome;
 use dcs_core::aggregate::{AggregateBundle, Aggregator};
 use dcs_core::center::{AnalysisCenter, AnalysisConfig};
-use dcs_core::ingest::IngestError;
 use dcs_core::monitor::{MonitorConfig, MonitoringPoint};
 use dcs_core::report::{EpochReport, TransportStats};
-use dcs_core::runtime::{EpochInput, EpochPipeline, PipelineConfig, PipelineError};
+use dcs_core::runtime::{EpochInput, EpochPipeline, PipelineConfig};
 use dcs_core::session::{
     ChunkDisposition, CollectorConfig, EpochCollector, Missing, RetransmitRequest,
 };
@@ -113,12 +112,9 @@ impl TieredSoakConfig {
 
     /// A wide-deployment regime: `leaves` (1,000+) tiny-digest leaves
     /// behind `aggregators` regions. Digest shapes are reduced from the
-    /// paper's, but the budget is sized for the *prescreened* unaligned
-    /// graph engine: the weight-class/band screen discharges most of
-    /// the quadratic group-pair work on this null traffic, which is
-    /// what lets a wide run keep paper-width 1,024-bit arrays. (The
-    /// pre-PR-8 all-pairs engine forced 256-bit arrays here.) The point
-    /// of a wide run is topology accounting, not detection power.
+    /// paper's (one group of two paper-width 1,024-bit arrays per
+    /// leaf). The point of a wide run is topology accounting, not
+    /// detection power.
     pub fn wide(leaves: usize, aggregators: usize, epochs: usize, seed: u64) -> Self {
         TieredSoakConfig {
             leaves,
@@ -194,15 +190,6 @@ impl TieredSoakResult {
     }
 }
 
-fn accumulate(totals: &mut TransportStats, s: TransportStats) {
-    totals.chunks_received += s.chunks_received;
-    totals.retransmits += s.retransmits;
-    totals.late_chunks += s.late_chunks;
-    totals.duplicate_chunks += s.duplicate_chunks;
-    totals.corrupt_chunks += s.corrupt_chunks;
-    totals.checkpoint_resumes += s.checkpoint_resumes;
-}
-
 /// Detection-only fingerprint of an analysed epoch: exactly the fields
 /// that must agree between the tiered and flat ingest paths. Ingest
 /// indices and transport stats are deliberately excluded — the two
@@ -229,23 +216,6 @@ pub fn outcome_fingerprint(o: &EpochOutcome) -> String {
         EpochOutcome::QuorumTooSmall { accepted, .. } => {
             format!("{{\"quorum_too_small\":{accepted}}}")
         }
-    }
-}
-
-fn to_outcome(min_quorum: usize, result: Result<EpochReport, PipelineError>) -> EpochOutcome {
-    match result {
-        Ok(report) => EpochOutcome::Report(Box::new(report)),
-        Err(PipelineError::Ingest(IngestError::QuorumTooSmall { required, report })) => {
-            EpochOutcome::QuorumTooSmall {
-                required,
-                accepted: report.accepted.len(),
-            }
-        }
-        Err(PipelineError::Ingest(IngestError::NoDigests)) => EpochOutcome::QuorumTooSmall {
-            required: min_quorum,
-            accepted: 0,
-        },
-        Err(PipelineError::Panicked(msg)) => panic!("tiered soak analysis panicked: {msg}"),
     }
 }
 
@@ -392,7 +362,7 @@ pub fn run_tiered_soak(cfg: &TieredSoakConfig) -> TieredSoakResult {
             now,
         );
         for agg in &mut aggs {
-            accumulate(&mut leaf_totals, agg.stats());
+            leaf_totals += agg.stats();
             let bundle = agg.finalize(now, &agg_metrics);
             let wire = bundle.encode_wire();
             let chunks = chunk_bundle(agg.id(), epoch_id, &wire, cfg.max_payload);
@@ -432,7 +402,7 @@ pub fn run_tiered_soak(cfg: &TieredSoakConfig) -> TieredSoakResult {
         }
 
         let epoch = up_collector.finalize(now);
-        accumulate(&mut up_totals, epoch.stats);
+        up_totals += epoch.stats;
 
         // Flat replay: the child frames that actually reached the centre,
         // straight into a flat wire-ingest run.
@@ -442,22 +412,21 @@ pub fn run_tiered_soak(cfg: &TieredSoakConfig) -> TieredSoakResult {
             .filter_map(|(_, bytes)| AggregateBundle::decode_wire(bytes).ok())
             .flat_map(|(bundle, _)| bundle.frames)
             .collect();
-        let flat = flat_center
-            .analyze_epoch_wire(&flat_frames)
-            .map_err(PipelineError::Ingest);
-        flat_queue.push_back(outcome_fingerprint(&to_outcome(cfg.min_quorum, flat)));
+        let flat = flat_center.analyze_epoch_wire(&flat_frames);
+        flat_queue.push_back(outcome_fingerprint(&EpochOutcome::from(
+            cfg.min_quorum,
+            flat,
+        )));
 
         match &driver {
             Driver::Sequential(center) => {
-                let result = center
-                    .analyze_epoch_aggregated_collected(&epoch)
-                    .map_err(PipelineError::Ingest);
-                outcomes.push(to_outcome(cfg.min_quorum, result));
+                let result = center.analyze_epoch_aggregated_collected(&epoch);
+                outcomes.push(EpochOutcome::from(cfg.min_quorum, result));
             }
             Driver::Pipelined(pipe) => {
                 pipe.submit(EpochInput::AggregatedCollected(epoch));
                 while let Some((_, result)) = pipe.try_recv() {
-                    outcomes.push(to_outcome(cfg.min_quorum, result));
+                    outcomes.push(EpochOutcome::from_pipeline(cfg.min_quorum, result));
                 }
             }
         }
@@ -473,7 +442,7 @@ pub fn run_tiered_soak(cfg: &TieredSoakConfig) -> TieredSoakResult {
         Driver::Sequential(center) => center.metrics(),
         Driver::Pipelined(pipe) => {
             for (_, result) in pipe.drain() {
-                outcomes.push(to_outcome(cfg.min_quorum, result));
+                outcomes.push(EpochOutcome::from_pipeline(cfg.min_quorum, result));
             }
             while detection_pairs.len() < outcomes.len() {
                 let flat_fp = flat_queue.pop_front().expect("one flat run per epoch");
@@ -637,7 +606,7 @@ pub fn run_tiered_soak_deep(cfg: &TieredSoakConfig) -> TieredSoakResult {
         );
         let mut mid_store: Vec<Vec<Vec<u8>>> = Vec::with_capacity(cfg.aggregators);
         for agg in &mut aggs {
-            accumulate(&mut leaf_totals, agg.stats());
+            leaf_totals += agg.stats();
             let bundle = agg.finalize(now, &agg_metrics);
             let chunks = chunk_bundle(agg.id(), epoch_id, &bundle.encode_wire(), cfg.max_payload);
             for chunk in &chunks {
@@ -671,7 +640,7 @@ pub fn run_tiered_soak_deep(cfg: &TieredSoakConfig) -> TieredSoakResult {
         }
 
         // Hop 3: the flattened super-bundle → centre.
-        accumulate(&mut up_totals, agg2.stats());
+        up_totals += agg2.stats();
         let bundle2 = agg2.finalize(now, &agg_metrics);
         let up_chunks = chunk_bundle(AGG2_ID, epoch_id, &bundle2.encode_wire(), cfg.max_payload);
         let mut up_collector = EpochCollector::new(
@@ -708,7 +677,7 @@ pub fn run_tiered_soak_deep(cfg: &TieredSoakConfig) -> TieredSoakResult {
         }
 
         let epoch = up_collector.finalize(now);
-        accumulate(&mut up_totals, epoch.stats);
+        up_totals += epoch.stats;
 
         // Flat replay: the leaf frames that actually survived all three
         // hops, straight into a flat wire-ingest run.
@@ -718,15 +687,11 @@ pub fn run_tiered_soak_deep(cfg: &TieredSoakConfig) -> TieredSoakResult {
             .filter_map(|(_, bytes)| AggregateBundle::decode_wire(bytes).ok())
             .flat_map(|(bundle, _)| bundle.frames)
             .collect();
-        let flat = flat_center
-            .analyze_epoch_wire(&flat_frames)
-            .map_err(PipelineError::Ingest);
-        let flat_fp = outcome_fingerprint(&to_outcome(cfg.min_quorum, flat));
+        let flat = flat_center.analyze_epoch_wire(&flat_frames);
+        let flat_fp = outcome_fingerprint(&EpochOutcome::from(cfg.min_quorum, flat));
 
-        let result = center
-            .analyze_epoch_aggregated_collected(&epoch)
-            .map_err(PipelineError::Ingest);
-        let outcome = to_outcome(cfg.min_quorum, result);
+        let result = center.analyze_epoch_aggregated_collected(&epoch);
+        let outcome = EpochOutcome::from(cfg.min_quorum, result);
         detection_pairs.push((outcome_fingerprint(&outcome), flat_fp));
         outcomes.push(outcome);
         now += 1;
@@ -775,17 +740,11 @@ mod tests {
                 .is_some(),
             "aggregator tier must record its fuse span"
         );
-        // The centre's unaligned graph ran through the prescreened
-        // engine: both pair-accounting counters exist and work happened.
-        let screened = result.metrics.counter("pairs_screened_total");
-        let exact = result.metrics.counter("pairs_exact_total");
+        // The centre's unaligned graph engine ran: the pair-accounting
+        // counter exists and work happened.
         assert!(
-            screened.is_some() && exact.is_some(),
-            "prescreen pair counters missing from the tiered snapshot"
-        );
-        assert!(
-            screened.unwrap() + exact.unwrap() > 0,
-            "tiered soak visited no unaligned group pairs"
+            result.metrics.counter("pairs_exact_total").unwrap_or(0) > 0,
+            "tiered soak tested no unaligned row pairs"
         );
     }
 

@@ -3,26 +3,23 @@
 //! "The vast majority of the computational complexity … comes from
 //! computing, for any two rows in the matrix, the number of indices in
 //! which both rows have value 1" (Section IV-D). The paper lists coping
-//! strategies; this module implements three of them:
+//! strategies; this module implements two of them beside the serial
+//! reference:
 //!
-//! * [`build_group_graph`] — the straight serial sweep;
+//! * [`build_group_graph`] — the straight serial sweep (the test oracle);
 //! * [`build_group_graph_parallel`] — possibility 3, "distribute the load
 //!   to a large number of CPUs" (scoped worker threads via
-//!   `dcs-parallel`, embarrassingly parallel over group pairs);
+//!   `dcs-parallel`, embarrassingly parallel over group pairs), with the
+//!   count of exact row-pair tests it ran;
 //! * [`build_group_graph_sampled`] — possibility 2, "sample 10 % of the
-//!   vertices and find a core only in this subset";
-//! * [`build_group_graph_prescreened`] — the conservative-screen build:
-//!   identical graph, but pairs provably unable to pass the λ test
-//!   ([`crate::prescreen`]) skip the AND-popcount, with per-pair
-//!   accounting in [`GraphBuildStats`].
+//!   vertices and find a core only in this subset".
 //!
-//! Parallel variants stride the outer index with
+//! The parallel build strides the outer index with
 //! [`balanced_outer_indices`] (zigzag pairing), which keeps per-worker
 //! pair counts within `threads − 1` of each other for every `n` — the
 //! triangular loop's heavy low indices and light high indices cancel.
 
 use crate::lambda::LambdaTable;
-use crate::prescreen::PreScreen;
 use dcs_bitmap::RowMatrix;
 use dcs_graph::{Graph, GraphBuilder};
 use dcs_parallel::map_workers;
@@ -50,33 +47,6 @@ impl GroupLayout {
             self.rows_per_group
         );
         rows.nrows() / self.rows_per_group
-    }
-}
-
-/// Pair-level accounting of a screened graph build: how many row pairs
-/// the conservative prescreen discharged without an exact test, and how
-/// many paid the AND-popcount. Both are pure functions of the row data
-/// (never of the thread/shard partition), so they are deterministic
-/// across compute budgets and feed the `pairs_screened_total` /
-/// `pairs_exact_total` metrics directly.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct GraphBuildStats {
-    /// Row pairs pruned by the conservative screen (no exact test run).
-    pub pairs_screened: u64,
-    /// Row pairs that ran the exact AND-popcount λ test.
-    pub pairs_exact: u64,
-}
-
-impl GraphBuildStats {
-    /// Folds another worker's tally into this one.
-    pub fn merge(&mut self, other: GraphBuildStats) {
-        self.pairs_screened += other.pairs_screened;
-        self.pairs_exact += other.pairs_exact;
-    }
-
-    /// Total row pairs considered.
-    pub fn total(&self) -> u64 {
-        self.pairs_screened + self.pairs_exact
     }
 }
 
@@ -113,14 +83,19 @@ pub fn balanced_outer_indices(n: usize, threads: usize, t: usize) -> Vec<usize> 
 }
 
 /// Whether groups `ga` and `gb` are connected: does any row pair exceed
-/// its λ threshold?
-fn groups_connected(
+/// its λ threshold? Every row pair that pays the AND-popcount is tallied
+/// into `pairs_exact`; zero-weight rows share no ones and are skipped
+/// untallied, as are pairs after an early edge hit (the cut-off point is
+/// a pure function of the row data, so the tally is the same under any
+/// thread partition).
+pub(crate) fn groups_connected(
     rows: &RowMatrix,
     weights: &[u32],
     layout: GroupLayout,
     table: &LambdaTable,
     ga: usize,
     gb: usize,
+    pairs_exact: &mut u64,
 ) -> bool {
     let k = layout.rows_per_group;
     for ra in ga * k..(ga + 1) * k {
@@ -132,8 +107,8 @@ fn groups_connected(
             if wb == 0 {
                 continue;
             }
-            let lam = table.lambda(wa, wb);
-            if rows.common_ones(ra, rb) > lam {
+            *pairs_exact += 1;
+            if rows.common_ones(ra, rb) > table.lambda(wa, wb) {
                 return true;
             }
         }
@@ -148,7 +123,7 @@ pub fn build_group_graph(rows: &RowMatrix, layout: GroupLayout, table: &LambdaTa
     let mut b = GraphBuilder::new(n);
     for ga in 0..n {
         for gb in (ga + 1)..n {
-            if groups_connected(rows, &weights, layout, table, ga, gb) {
+            if groups_connected(rows, &weights, layout, table, ga, gb, &mut 0) {
                 b.add_edge(ga as u32, gb as u32);
             }
         }
@@ -161,7 +136,8 @@ pub fn build_group_graph(rows: &RowMatrix, layout: GroupLayout, table: &LambdaTa
 /// ([`balanced_outer_indices`]), which balances the triangular loop to
 /// within `threads − 1` pairs per worker; each worker collects a private
 /// edge list and the lists are concatenated in worker order, so the
-/// resulting graph is identical for any thread count.
+/// resulting graph — and the returned count of exact row-pair tests — is
+/// identical for any thread count.
 ///
 /// # Panics
 /// Panics if `threads == 0`.
@@ -170,7 +146,7 @@ pub fn build_group_graph_parallel(
     layout: GroupLayout,
     table: &LambdaTable,
     threads: usize,
-) -> Graph {
+) -> (Graph, u64) {
     assert!(threads > 0, "need at least one thread");
     let n = layout.groups(rows);
     let weights = rows.row_weights();
@@ -180,106 +156,27 @@ pub fn build_group_graph_parallel(
             table.lambda(w, w);
         }
     }
-    let edge_lists: Vec<Vec<(u32, u32)>> = map_workers(threads, |t| {
+    let results: Vec<(Vec<(u32, u32)>, u64)> = map_workers(threads, |t| {
         let mut local = Vec::new();
+        let mut pairs_exact = 0;
         for ga in balanced_outer_indices(n, threads, t) {
             for gb in (ga + 1)..n {
-                if groups_connected(rows, &weights, layout, table, ga, gb) {
+                if groups_connected(rows, &weights, layout, table, ga, gb, &mut pairs_exact) {
                     local.push((ga as u32, gb as u32));
                 }
             }
         }
-        local
+        (local, pairs_exact)
     });
-    let mut b = GraphBuilder::with_capacity(n, edge_lists.iter().map(Vec::len).sum());
-    for list in edge_lists {
-        for (u, v) in list {
-            b.add_edge(u, v);
-        }
-    }
-    b.build()
-}
-
-/// Whether groups `ga` and `gb` are connected, consulting the
-/// conservative prescreen before each exact test. Tallies every row pair
-/// inspected into `stats`; pairs after an early edge hit are not counted
-/// (the cut-off point is a pure function of the row data, so the tallies
-/// stay partition-invariant).
-pub(crate) fn groups_connected_screened(
-    rows: &RowMatrix,
-    screen: &PreScreen,
-    layout: GroupLayout,
-    table: &LambdaTable,
-    ga: usize,
-    gb: usize,
-    stats: &mut GraphBuildStats,
-) -> bool {
-    let k = layout.rows_per_group;
-    let weights = screen.weights();
-    for ra in ga * k..(ga + 1) * k {
-        for rb in gb * k..(gb + 1) * k {
-            if !screen.needs_exact(ra, rb) {
-                stats.pairs_screened += 1;
-                continue;
-            }
-            stats.pairs_exact += 1;
-            if rows.common_ones(ra, rb) > table.lambda(weights[ra], weights[rb]) {
-                return true;
-            }
-        }
-    }
-    false
-}
-
-/// Prescreened parallel conversion: the same graph as
-/// [`build_group_graph`] / [`build_group_graph_parallel`] — guaranteed,
-/// because the screen only prunes pairs it can *prove* cannot pass the λ
-/// test — plus the screened/exact pair tally. The screen must have been
-/// [rebuilt](PreScreen::rebuild) against `rows` and `table`.
-///
-/// # Panics
-/// Panics if `threads == 0` or the screen's row count does not match.
-pub fn build_group_graph_prescreened(
-    rows: &RowMatrix,
-    layout: GroupLayout,
-    table: &LambdaTable,
-    screen: &PreScreen,
-    threads: usize,
-) -> (Graph, GraphBuildStats) {
-    assert!(threads > 0, "need at least one thread");
-    assert_eq!(
-        screen.nrows(),
-        rows.nrows(),
-        "prescreen was built for a different matrix"
-    );
-    let n = layout.groups(rows);
-    // Pre-warm the λ memo serially so worker threads mostly read.
-    for &w in screen.weights() {
-        if w > 0 {
-            table.lambda(w, w);
-        }
-    }
-    let results: Vec<(Vec<(u32, u32)>, GraphBuildStats)> = map_workers(threads, |t| {
-        let mut local = Vec::new();
-        let mut stats = GraphBuildStats::default();
-        for ga in balanced_outer_indices(n, threads, t) {
-            for gb in (ga + 1)..n {
-                if groups_connected_screened(rows, screen, layout, table, ga, gb, &mut stats) {
-                    local.push((ga as u32, gb as u32));
-                }
-            }
-        }
-        (local, stats)
-    });
-    let mut stats = GraphBuildStats::default();
+    let mut pairs_exact = 0;
     let mut b = GraphBuilder::with_capacity(n, results.iter().map(|(l, _)| l.len()).sum());
-    for (list, s) in results {
-        stats.merge(s);
+    for (list, pairs) in results {
+        pairs_exact += pairs;
         for (u, v) in list {
             b.add_edge(u, v);
         }
     }
-    (b.build(), stats)
+    (b.build(), pairs_exact)
 }
 
 /// Vertex-sampled conversion (paper's possibility 2): keep every
@@ -302,7 +199,15 @@ pub fn build_group_graph_sampled(
     let mut b = GraphBuilder::new(sampled.len());
     for (ia, &ga) in sampled.iter().enumerate() {
         for (ib, &gb) in sampled.iter().enumerate().skip(ia + 1) {
-            if groups_connected(rows, &weights, layout, table, ga as usize, gb as usize) {
+            if groups_connected(
+                rows,
+                &weights,
+                layout,
+                table,
+                ga as usize,
+                gb as usize,
+                &mut 0,
+            ) {
                 b.add_edge(ia as u32, ib as u32);
             }
         }
@@ -336,7 +241,9 @@ pub fn expand_core_over_groups(
         }
         let mut links = 0usize;
         for &c in core {
-            if groups_connected(rows, &weights, layout, table, g as usize, c as usize) {
+            if groups_connected(
+                rows, &weights, layout, table, g as usize, c as usize, &mut 0,
+            ) {
                 links += 1;
                 if links >= d {
                     break;
@@ -449,9 +356,15 @@ mod tests {
         let layout = GroupLayout { rows_per_group: K };
         let t = table();
         let gs = build_group_graph(&m, layout, &t);
-        for threads in [1usize, 2, 4] {
-            let gp = build_group_graph_parallel(&m, layout, &t, threads);
+        let (_, pairs_1) = build_group_graph_parallel(&m, layout, &t, 1);
+        assert!(pairs_1 > 0, "no row pair was tested");
+        for threads in [1usize, 2, 4, 8] {
+            let (gp, pairs) = build_group_graph_parallel(&m, layout, &t, threads);
             assert_eq!(gs.m(), gp.m(), "edge count differs at {threads} threads");
+            assert_eq!(
+                pairs, pairs_1,
+                "exact-pair tally drifted at {threads} threads"
+            );
             let mut es: Vec<_> = gs.edges().collect();
             let mut ep: Vec<_> = gp.edges().collect();
             es.sort_unstable();
@@ -537,76 +450,6 @@ mod tests {
         let mut m = RowMatrix::new(NBITS);
         m.push_bitmap(&Bitmap::new(NBITS));
         GroupLayout { rows_per_group: 4 }.groups(&m);
-    }
-
-    /// Matrix whose groups span wildly different weight regimes — the
-    /// shape where the class/band prunes actually fire.
-    fn skewed_matrix(rng: &mut StdRng, groups: usize) -> RowMatrix {
-        let mut m = RowMatrix::new(NBITS);
-        for g in 0..groups {
-            for r in 0..K {
-                let w = match g % 4 {
-                    0 => 0,
-                    1 => 5 + r,
-                    2 => 120 + 17 * r,
-                    _ => 480 + 16 * r,
-                };
-                let mut bm = Bitmap::new(NBITS);
-                while (bm.weight() as usize) < w {
-                    bm.set(rng.gen_range(0..NBITS));
-                }
-                m.push_bitmap(&bm);
-            }
-        }
-        m
-    }
-
-    fn screen_for(m: &RowMatrix, t: &LambdaTable) -> crate::prescreen::PreScreen {
-        let mut s = crate::prescreen::PreScreen::new();
-        s.rebuild(m, t, crate::prescreen::ScreenConfig::default(), 2);
-        s
-    }
-
-    #[test]
-    fn prescreened_matches_serial_oracle() {
-        let layout = GroupLayout { rows_per_group: K };
-        let t = table();
-        let mut r = StdRng::seed_from_u64(21);
-        for m in [
-            test_matrix(&mut r, 12, 512, &[1, 4, 9], 220),
-            test_matrix(&mut r, 16, 512, &[], 0),
-            skewed_matrix(&mut r, 12),
-        ] {
-            let oracle = build_group_graph(&m, layout, &t);
-            let screen = screen_for(&m, &t);
-            for threads in [1usize, 2, 4] {
-                let (g, stats) = build_group_graph_prescreened(&m, layout, &t, &screen, threads);
-                let mut es: Vec<_> = oracle.edges().collect();
-                let mut ep: Vec<_> = g.edges().collect();
-                es.sort_unstable();
-                ep.sort_unstable();
-                assert_eq!(es, ep, "screened graph differs at {threads} threads");
-                assert!(stats.total() > 0);
-            }
-        }
-    }
-
-    #[test]
-    fn prescreened_stats_are_thread_invariant_and_prune_skew() {
-        let layout = GroupLayout { rows_per_group: K };
-        let t = table();
-        let mut r = StdRng::seed_from_u64(22);
-        let m = skewed_matrix(&mut r, 16);
-        let screen = screen_for(&m, &t);
-        let (_, base) = build_group_graph_prescreened(&m, layout, &t, &screen, 1);
-        for threads in [2usize, 4, 8] {
-            let (_, s) = build_group_graph_prescreened(&m, layout, &t, &screen, threads);
-            assert_eq!(s, base, "pair tallies drifted at {threads} threads");
-        }
-        assert!(
-            base.pairs_screened > base.pairs_exact,
-            "skewed matrix should be mostly screened: {base:?}"
-        );
     }
 
     #[test]

@@ -7,13 +7,12 @@
 //! [`IncrementalCorrelator`] instead:
 //!
 //! 1. diffs the incoming matrix against the previous epoch's rows
-//!    (exact word comparison — signatures are never trusted for
-//!    equality, a hash collision would silently break the identity
+//!    (exact word comparison — a row hash is never trusted for
+//!    equality, a collision would silently break the identity
 //!    guarantee) to find the **changed groups**;
 //! 2. re-tests only `changed × all` group pairs (deduplicating
-//!    changed–changed pairs) through the conservative prescreen,
-//!    confirming surviving edges into an [`IncrementalGraph`] with the
-//!    current epoch stamp;
+//!    changed–changed pairs), confirming surviving edges into an
+//!    [`IncrementalGraph`] with the current epoch stamp;
 //! 3. expires incident edges that were *not* re-confirmed
 //!    ([`IncrementalGraph::expire_incident_before`]) — edges between
 //!    untouched groups keep their old stamps and never re-pay the test.
@@ -22,16 +21,14 @@
 //! instead of `O(n²/2)` — the headline subquadratic win on persisting
 //! traffic. Correctness does not rest on trust: every
 //! [`IncrementalConfig::audit_every`]-th epoch the engine runs the full
-//! prescreened build anyway and asserts the edge sets are identical
-//! (audit work is kept out of the pair tallies so the metrics keep
+//! all-pairs build anyway and asserts the edge sets are identical
+//! (audit work is kept out of the pair tally so the metrics keep
 //! describing the incremental path).
 
 use crate::graphbuild::{
-    balanced_outer_indices, build_group_graph_prescreened, groups_connected_screened,
-    GraphBuildStats, GroupLayout,
+    balanced_outer_indices, build_group_graph_parallel, groups_connected, GroupLayout,
 };
 use crate::lambda::LambdaTable;
-use crate::prescreen::PreScreen;
 use dcs_bitmap::RowMatrix;
 use dcs_graph::{Graph, IncrementalGraph};
 use dcs_parallel::{map_chunks, map_workers};
@@ -54,8 +51,6 @@ impl Default for IncrementalConfig {
 /// per-epoch metrics.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct EpochStats {
-    /// Row pairs discharged by the conservative prescreen.
-    pub pairs_screened: u64,
     /// Row pairs that ran the exact AND-popcount test.
     pub pairs_exact: u64,
     /// Rows that differed from the previous epoch.
@@ -84,7 +79,7 @@ struct Shape {
 
 /// Epoch-incremental group-graph correlator. Owns the previous epoch's
 /// rows and the live stamped graph; feed it one matrix per epoch and it
-/// returns the same [`Graph`] the from-scratch prescreened build would
+/// returns the same [`Graph`] the from-scratch all-pairs build would
 /// produce, for delta cost on persisting traffic.
 #[derive(Debug)]
 pub struct IncrementalCorrelator {
@@ -127,20 +122,17 @@ impl IncrementalCorrelator {
 
     /// Processes one epoch: returns the group graph for `rows` —
     /// bit-identical to `build_group_graph(rows, layout, table)` — and
-    /// the epoch's work accounting. `screen` must already be
-    /// [rebuilt](PreScreen::rebuild) against `rows` and `table` (the
-    /// centre does this in its `prescreen` stage).
+    /// the epoch's work accounting.
     ///
     /// # Panics
-    /// Panics if `threads == 0`, if the screen does not match `rows`, or
-    /// if the equality audit detects divergence (an engine bug by
-    /// definition — the audit exists to turn silent wrongness loud).
+    /// Panics if `threads == 0` or if the equality audit detects
+    /// divergence (an engine bug by definition — the audit exists to turn
+    /// silent wrongness loud).
     pub fn epoch(
         &mut self,
         rows: &RowMatrix,
         layout: GroupLayout,
         table: &LambdaTable,
-        screen: &PreScreen,
         threads: usize,
     ) -> (Graph, EpochStats) {
         assert!(threads > 0, "need at least one thread");
@@ -157,18 +149,17 @@ impl IncrementalCorrelator {
 
         let mut stats = EpochStats::default();
         if self.shape != Some(shape) {
-            // Cold start or shape change: one full prescreened build,
+            // Cold start or shape change: one full all-pairs build,
             // loaded into the incremental graph as the new baseline.
             self.shape = Some(shape);
             self.graph.reset(n);
             self.graph.begin_epoch(stamp);
-            let (full, bs) = build_group_graph_prescreened(rows, layout, table, screen, threads);
+            let (full, pairs_exact) = build_group_graph_parallel(rows, layout, table, threads);
             for (u, v) in full.edges() {
                 self.graph.add_edge(u, v);
             }
             self.prev_rows.clone_from(rows);
-            stats.pairs_screened = bs.pairs_screened;
-            stats.pairs_exact = bs.pairs_exact;
+            stats.pairs_exact = pairs_exact;
             stats.rows_changed = rows.nrows();
             stats.groups_changed = n;
             stats.full_rebuild = true;
@@ -203,13 +194,14 @@ impl IncrementalCorrelator {
         if !changed_list.is_empty() {
             let changed = &self.changed_groups;
             let list = &changed_list;
+            let weights = rows.row_weights();
             // changed × all, deduplicating changed–changed pairs: the
             // pair {gc, g} with both changed is tested only by the
             // larger side. Outer cost is triangular over the changed
             // list, so zigzag-stride it like the full build.
-            let results: Vec<(Vec<(u32, u32)>, GraphBuildStats)> = map_workers(threads, |t| {
+            let results: Vec<(Vec<(u32, u32)>, u64)> = map_workers(threads, |t| {
                 let mut local = Vec::new();
-                let mut bs = GraphBuildStats::default();
+                let mut pairs_exact = 0;
                 for li in balanced_outer_indices(list.len(), threads, t) {
                     let gc = list[li];
                     for (g, &g_changed) in changed.iter().enumerate() {
@@ -217,16 +209,16 @@ impl IncrementalCorrelator {
                             continue;
                         }
                         let (ga, gb) = (gc.min(g), gc.max(g));
-                        if groups_connected_screened(rows, screen, layout, table, ga, gb, &mut bs) {
+                        if groups_connected(rows, &weights, layout, table, ga, gb, &mut pairs_exact)
+                        {
                             local.push((ga as u32, gb as u32));
                         }
                     }
                 }
-                (local, bs)
+                (local, pairs_exact)
             });
-            for (list, bs) in results {
-                stats.pairs_screened += bs.pairs_screened;
-                stats.pairs_exact += bs.pairs_exact;
+            for (list, pairs_exact) in results {
+                stats.pairs_exact += pairs_exact;
                 for (u, v) in list {
                     self.graph.add_edge(u, v);
                 }
@@ -239,9 +231,9 @@ impl IncrementalCorrelator {
 
         if self.cfg.audit_every > 0 && self.epochs_seen.is_multiple_of(self.cfg.audit_every) {
             // Full-rebuild audit: recompute from scratch and demand edge
-            // equality. Deliberately outside the pair tallies — metrics
+            // equality. Deliberately outside the pair tally — metrics
             // describe the incremental path, not the safety net.
-            let (full, _) = build_group_graph_prescreened(rows, layout, table, screen, threads);
+            let (full, _) = build_group_graph_parallel(rows, layout, table, threads);
             let mut want: Vec<(u32, u32)> = full.edges().collect();
             want.sort_unstable();
             let got = self.graph.sorted_edges();
@@ -260,7 +252,6 @@ impl IncrementalCorrelator {
 mod tests {
     use super::*;
     use crate::graphbuild::build_group_graph;
-    use crate::prescreen::ScreenConfig;
     use dcs_bitmap::Bitmap;
     use proptest::prelude::*;
     use rand::rngs::StdRng;
@@ -269,33 +260,48 @@ mod tests {
     const NBITS: usize = 1024;
     const K: usize = 2;
 
-    fn random_matrix(rng: &mut StdRng, groups: usize, weight: usize) -> RowMatrix {
+    fn random_row(rng: &mut StdRng, weight: usize) -> Bitmap {
+        let mut bm = Bitmap::new(NBITS);
+        while (bm.weight() as usize) < weight {
+            bm.set(rng.gen_range(0..NBITS));
+        }
+        bm
+    }
+
+    /// Row weight of row `r` of group `g` under a regime: `Some(w)` is
+    /// the paper's near-uniform fill; `None` cycles the groups through
+    /// empty rows, 5–8-bit sparse rows, 120–137-bit rows and
+    /// 480–530-bit rows, all in one matrix.
+    fn row_weight(uniform: Option<usize>, g: usize, r: usize) -> usize {
+        uniform.unwrap_or(match g % 4 {
+            0 => 0,
+            1 => 5 + 3 * r,
+            2 => 120 + 17 * r,
+            _ => 480 + 50 * r,
+        })
+    }
+
+    fn random_matrix(rng: &mut StdRng, groups: usize, uniform: Option<usize>) -> RowMatrix {
         let mut m = RowMatrix::new(NBITS);
-        for _ in 0..groups * K {
-            let mut bm = Bitmap::new(NBITS);
-            while (bm.weight() as usize) < weight {
-                bm.set(rng.gen_range(0..NBITS));
+        for g in 0..groups {
+            for r in 0..K {
+                m.push_bitmap(&random_row(rng, row_weight(uniform, g, r)));
             }
-            m.push_bitmap(&bm);
         }
         m
     }
 
     /// Mutates `frac`-worth of groups in place (rewrites their rows).
-    fn churn(rng: &mut StdRng, m: &RowMatrix, frac: f64, weight: usize) -> RowMatrix {
+    fn churn(rng: &mut StdRng, m: &RowMatrix, frac: f64, uniform: Option<usize>) -> RowMatrix {
         let mut out = RowMatrix::new(NBITS);
         let groups = m.nrows() / K;
         for g in 0..groups {
             let mutate = rng.gen_bool(frac);
-            for r in g * K..(g + 1) * K {
+            for r in 0..K {
                 if mutate {
-                    let mut bm = Bitmap::new(NBITS);
-                    while (bm.weight() as usize) < weight {
-                        bm.set(rng.gen_range(0..NBITS));
-                    }
-                    out.push_bitmap(&bm);
+                    out.push_bitmap(&random_row(rng, row_weight(uniform, g, r)));
                 } else {
-                    out.push_words(m.row(r));
+                    out.push_words(m.row(g * K + r));
                 }
             }
         }
@@ -317,23 +323,20 @@ mod tests {
         let table = LambdaTable::new(NBITS, 1e-4);
         let cfg = IncrementalConfig { audit_every: 3 };
         let mut corr = IncrementalCorrelator::new(cfg);
-        let mut screen = PreScreen::new();
-        let mut m = random_matrix(&mut rng, 14, 460);
+        let mut m = random_matrix(&mut rng, 14, Some(460));
         for epoch in 0..8u64 {
-            screen.rebuild(&m, &table, ScreenConfig::default(), 2);
-            let (g, stats) = corr.epoch(&m, layout, &table, &screen, 2);
+            let (g, stats) = corr.epoch(&m, layout, &table, 2);
             let oracle = build_group_graph(&m, layout, &table);
             assert_same_edges(&g, &oracle, &format!("epoch {epoch}"));
             assert_eq!(stats.full_rebuild, epoch == 0);
             assert_eq!(stats.edges_live, oracle.m());
             if epoch > 0 {
                 assert!(
-                    stats.pairs_exact + stats.pairs_screened
-                        <= (stats.groups_changed * 14) as u64 * (K * K) as u64,
+                    stats.pairs_exact <= (stats.groups_changed * 14) as u64 * (K * K) as u64,
                     "delta epoch did more than changed × all work: {stats:?}"
                 );
             }
-            m = churn(&mut rng, &m, 0.3, 460);
+            m = churn(&mut rng, &m, 0.3, Some(460));
         }
     }
 
@@ -343,14 +346,12 @@ mod tests {
         let layout = GroupLayout { rows_per_group: K };
         let table = LambdaTable::new(NBITS, 1e-4);
         let mut corr = IncrementalCorrelator::new(IncrementalConfig { audit_every: 0 });
-        let mut screen = PreScreen::new();
-        let m = random_matrix(&mut rng, 10, 460);
-        screen.rebuild(&m, &table, ScreenConfig::default(), 1);
-        let (g0, s0) = corr.epoch(&m, layout, &table, &screen, 1);
+        let m = random_matrix(&mut rng, 10, Some(460));
+        let (g0, s0) = corr.epoch(&m, layout, &table, 1);
         assert!(s0.full_rebuild);
-        let (g1, s1) = corr.epoch(&m, layout, &table, &screen, 1);
+        let (g1, s1) = corr.epoch(&m, layout, &table, 1);
         assert_eq!(s1.rows_changed, 0);
-        assert_eq!(s1.pairs_exact + s1.pairs_screened, 0, "no work on no churn");
+        assert_eq!(s1.pairs_exact, 0, "no work on no churn");
         assert_same_edges(&g0, &g1, "unchanged epoch altered the graph");
     }
 
@@ -360,40 +361,40 @@ mod tests {
         let layout = GroupLayout { rows_per_group: K };
         let table = LambdaTable::new(NBITS, 1e-4);
         let mut corr = IncrementalCorrelator::new(IncrementalConfig::default());
-        let mut screen = PreScreen::new();
-        let m = random_matrix(&mut rng, 8, 460);
-        screen.rebuild(&m, &table, ScreenConfig::default(), 1);
-        corr.epoch(&m, layout, &table, &screen, 1);
-        let bigger = random_matrix(&mut rng, 12, 460);
-        screen.rebuild(&bigger, &table, ScreenConfig::default(), 1);
-        let (g, s) = corr.epoch(&bigger, layout, &table, &screen, 1);
+        let m = random_matrix(&mut rng, 8, Some(460));
+        corr.epoch(&m, layout, &table, 1);
+        let bigger = random_matrix(&mut rng, 12, Some(460));
+        let (g, s) = corr.epoch(&bigger, layout, &table, 1);
         assert!(s.full_rebuild, "group-count change must rebuild");
         assert_same_edges(&g, &build_group_graph(&bigger, layout, &table), "rebuild");
     }
 
+    /// Edges and the exact-pair tally are the same for 1, 2 and 8
+    /// threads, on the paper's uniform fill and on mixed weight regimes.
     #[test]
     fn thread_count_invariance() {
         let mut rng = StdRng::seed_from_u64(35);
         let layout = GroupLayout { rows_per_group: K };
         let table = LambdaTable::new(NBITS, 1e-4);
-        let m0 = random_matrix(&mut rng, 12, 460);
-        let m1 = churn(&mut rng, &m0, 0.25, 460);
-        let mut runs = Vec::new();
-        for threads in [1usize, 2, 8] {
-            let mut corr = IncrementalCorrelator::new(IncrementalConfig { audit_every: 1 });
-            let mut screen = PreScreen::new();
-            let mut out = Vec::new();
-            for m in [&m0, &m1] {
-                screen.rebuild(m, &table, ScreenConfig::default(), threads);
-                let (g, s) = corr.epoch(m, layout, &table, &screen, threads);
-                let mut es: Vec<_> = g.edges().collect();
-                es.sort_unstable();
-                out.push((es, s.pairs_screened, s.pairs_exact));
+        for uniform in [Some(460), None] {
+            let m0 = random_matrix(&mut rng, 12, uniform);
+            let m1 = churn(&mut rng, &m0, 0.25, uniform);
+            let mut runs = Vec::new();
+            for threads in [1usize, 2, 8] {
+                let mut corr = IncrementalCorrelator::new(IncrementalConfig { audit_every: 1 });
+                let mut out = Vec::new();
+                for m in [&m0, &m1] {
+                    let (g, s) = corr.epoch(m, layout, &table, threads);
+                    let mut es: Vec<_> = g.edges().collect();
+                    es.sort_unstable();
+                    out.push((es, s.pairs_exact));
+                }
+                runs.push((threads, out));
             }
-            runs.push((threads, out));
-        }
-        for (threads, out) in &runs[1..] {
-            assert_eq!(out, &runs[0].1, "divergence at {threads} threads");
+            assert!(runs[0].1[0].1 > 0, "cold epoch tested no pair");
+            for (threads, out) in &runs[1..] {
+                assert_eq!(out, &runs[0].1, "divergence at {threads} threads");
+            }
         }
     }
 
@@ -403,31 +404,32 @@ mod tests {
         /// Satellite pin: rows churn (add/expire/mutate) across epochs;
         /// the incremental components must equal the from-scratch build
         /// every epoch, including after heavy churn that exercises the
-        /// expiry-watermark rebuild path.
+        /// expiry-watermark rebuild path — on uniform dense rows and on a
+        /// matrix mixing empty, sparse, medium and dense rows.
         #[test]
         fn churned_epochs_match_from_scratch(
             seed in any::<u64>(),
             groups in 6usize..14,
+            mixed in any::<bool>(),
             fracs in proptest::collection::vec(0.0f64..1.0, 1..5),
         ) {
             let mut rng = StdRng::seed_from_u64(seed);
             let layout = GroupLayout { rows_per_group: K };
+            let uniform = (!mixed).then_some(470);
             // p* high enough that random matrices grow real edges, so
             // expiry has something to chew on.
             let table = LambdaTable::new(NBITS, 1e-2);
             let mut corr = IncrementalCorrelator::new(IncrementalConfig { audit_every: 2 });
-            let mut screen = PreScreen::new();
-            let mut m = random_matrix(&mut rng, groups, 470);
+            let mut m = random_matrix(&mut rng, groups, uniform);
             for (i, &frac) in fracs.iter().enumerate() {
-                screen.rebuild(&m, &table, ScreenConfig::default(), 2);
-                let (g, _) = corr.epoch(&m, layout, &table, &screen, 2);
+                let (g, _) = corr.epoch(&m, layout, &table, 2);
                 let oracle = build_group_graph(&m, layout, &table);
                 let mut ea: Vec<_> = g.edges().collect();
                 let mut eb: Vec<_> = oracle.edges().collect();
                 ea.sort_unstable();
                 eb.sort_unstable();
                 prop_assert_eq!(ea, eb, "epoch {} diverged", i);
-                m = churn(&mut rng, &m, frac, 470);
+                m = churn(&mut rng, &m, frac, uniform);
             }
         }
     }

@@ -114,11 +114,8 @@ mod tests {
     proptest::proptest! {
         #![proptest_config(proptest::prelude::ProptestConfig::with_cases(32))]
 
-        /// Soundness pin for the prescreen's weight-class prune: λ must
-        /// be monotone non-decreasing in *each* weight separately
-        /// (hypergeometric stochastic dominance), off the diagonal too —
-        /// the class prune lower-bounds λ(wa, wb) by λ(lo_a, lo_b) and
-        /// is conservative only if this holds everywhere.
+        /// λ must be monotone non-decreasing in *each* weight separately
+        /// (hypergeometric stochastic dominance), off the diagonal too.
         #[test]
         fn lambda_monotone_off_diagonal(i in 0u32..=256, j in 0u32..=256, di in 0u32..=16) {
             let t = LambdaTable::new(256, 1e-4);

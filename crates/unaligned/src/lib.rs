@@ -15,9 +15,6 @@
 //! * [`corefind`] — the 3-step greedy detection (Figure 10): peel to a
 //!   core, keep outsiders with ≥ d edges into the core, peel again, report
 //!   the union;
-//! * [`prescreen`] — the conservative pair screen (weight classes +
-//!   band signatures) that prunes row pairs provably unable to pass the
-//!   λ test, leaving the graph bit-identical;
 //! * [`incremental`] — the cross-epoch delta engine: persisting rows
 //!   keep their previous edge results, only changed groups are
 //!   re-tested, with a periodic full-rebuild equality audit;
@@ -38,19 +35,16 @@ pub mod incremental;
 pub mod lambda;
 pub mod matchmodel;
 pub mod multi;
-pub mod prescreen;
 pub mod thresholds;
 
 pub use corefind::{find_pattern, CoreFindConfig, PatternResult};
 pub use ertest::{er_test, ErTestConfig, ErTestResult};
 pub use graphbuild::{
-    build_group_graph, build_group_graph_parallel, build_group_graph_prescreened,
-    build_group_graph_sampled, expand_core_over_groups, sampled_find_pattern, GraphBuildStats,
-    GroupLayout,
+    build_group_graph, build_group_graph_parallel, build_group_graph_sampled,
+    expand_core_over_groups, sampled_find_pattern, GroupLayout,
 };
 pub use incremental::{EpochStats, IncrementalConfig, IncrementalCorrelator};
 pub use lambda::LambdaTable;
-pub use matchmodel::{expected_null_overlap, offset_match_prob, pattern_edge_prob, MatchModel};
+pub use matchmodel::{offset_match_prob, pattern_edge_prob, MatchModel};
 pub use multi::{find_patterns_multi, split_clusters, SeparatedPattern};
-pub use prescreen::{PreScreen, ScreenConfig};
 pub use thresholds::{cluster_threshold, ClusterThreshold};

@@ -105,21 +105,6 @@ pub fn pattern_edge_prob(g: usize, lambda: u32, p_star: f64) -> f64 {
     MatchModel::paper_default(g).pattern_edge_prob(lambda, p_star)
 }
 
-/// Mean null overlap of two independent rows with weights `wa`, `wb` over
-/// `n_bits` indices: `E[Hypergeometric(N, wa, wb)] = wa·wb/N`. This is
-/// where the prescreen's pruning power lives or dies: at the paper's
-/// dense fill (w ≈ 446, N = 1024) the mean ≈ 194 sits only ~4.7σ under
-/// λ, so near-equal-weight pairs rarely prune and the engine leans on
-/// delta maintenance instead; weight-skewed pairs push the mean (and the
-/// class bound `min(wa, wb)`) under λ and prune outright.
-///
-/// # Panics
-/// Panics if `n_bits == 0`.
-pub fn expected_null_overlap(wa: u32, wb: u32, n_bits: usize) -> f64 {
-    assert!(n_bits > 0, "rows must be non-empty");
-    f64::from(wa) * f64::from(wb) / n_bits as f64
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -193,15 +178,6 @@ mod tests {
             "p2 = {p2} must dwarf the background p1 = {p1}"
         );
         assert!(p2 < offset_match_prob(10, 536) + 1e-6);
-    }
-
-    #[test]
-    fn null_overlap_mean_anchor() {
-        // Paper fill: two 446-weight rows over 1,024 bits overlap ~194 on
-        // average — the figure the prescreen doc-comments lean on.
-        let mu = expected_null_overlap(446, 446, 1024);
-        assert!((mu - 194.25).abs() < 0.1, "mu = {mu}");
-        assert_eq!(expected_null_overlap(0, 446, 1024), 0.0);
     }
 
     #[test]

@@ -5,7 +5,7 @@
 //! dcs-cli serve   --print-config              # JSON config template
 //! dcs-cli serve   [--config serve.json] [--bind 127.0.0.1:7400]
 //!                 [--transport udp|tcp] [--routers N] [--epochs N]
-//!                 [--no-sketch-seed] [--resume ckpt.dcsk]
+//!                 [--resume ckpt.dcsk]
 //! dcs-cli monitor [--config monitor.json] [--center 127.0.0.1:7400]
 //!                 [--router N] [--epochs N] [--infected]
 //!                 [--sketch-cap N] [--sketch-domain content|drdos|elephant]
@@ -132,9 +132,6 @@ pub struct ServeConfig {
     pub nack_retries: u32,
     /// Collector retransmit seed.
     pub seed: u64,
-    /// Seed the aligned search from fused sidecar sketches (advisory
-    /// only — verdicts are identical either way).
-    pub sketch_seed: bool,
 }
 
 impl Default for ServeConfig {
@@ -158,7 +155,6 @@ impl Default for ServeConfig {
             nack_cap_ticks: 512,
             nack_retries: 1_000,
             seed: 42,
-            sketch_seed: true,
         }
     }
 }
@@ -263,8 +259,8 @@ struct ReportLine {
     sketch_merged: usize,
     /// Total sketch payload bytes across the epoch.
     sketch_bytes: u64,
-    /// Columns the fused sketch seeded into the aligned search.
-    sketch_seed_columns: Vec<usize>,
+    /// Heaviest columns of the fused content-index sketch.
+    sketch_top_columns: Vec<usize>,
 }
 
 fn write_atomic(path: &str, bytes: &[u8]) -> std::io::Result<()> {
@@ -306,9 +302,6 @@ pub fn serve(args: &[String]) -> CliResult {
     cfg.epochs = parse_or(take_flag(&mut args, "--epochs"), cfg.epochs)?;
     cfg.min_quorum = parse_or(take_flag(&mut args, "--quorum"), cfg.min_quorum)?;
     cfg.wait_all = parse_or(take_flag(&mut args, "--wait-all"), cfg.wait_all)?;
-    if crate::take_switch(&mut args, "--no-sketch-seed") {
-        cfg.sketch_seed = false;
-    }
     if let Some(v) = take_flag(&mut args, "--checkpoint") {
         cfg.checkpoint_path = v;
     }
@@ -355,7 +348,6 @@ pub fn serve(args: &[String]) -> CliResult {
     }
     acfg.search.n_prime = 400.min(cfg.aligned_bits);
     acfg.search.hopefuls = 300.min(cfg.aligned_bits);
-    acfg = acfg.with_sketch_seed(cfg.sketch_seed);
     let center = AnalysisCenter::new(acfg);
 
     // Resume an interrupted epoch from its DCSK checkpoint, or start
@@ -454,7 +446,7 @@ fn analyse_epoch(center: &AnalysisCenter, epoch: &CollectedEpoch) -> ReportLine 
             sketch_artifacts: report.sketch.artifacts,
             sketch_merged: report.sketch.merged,
             sketch_bytes: report.sketch.payload_bytes,
-            sketch_seed_columns: report.sketch.seed_columns.clone(),
+            sketch_top_columns: report.sketch.top_columns.clone(),
         },
         Err(IngestError::QuorumTooSmall { required, report }) => ReportLine {
             epoch: epoch.epoch_id,
@@ -464,7 +456,7 @@ fn analyse_epoch(center: &AnalysisCenter, epoch: &CollectedEpoch) -> ReportLine 
             sketch_artifacts: 0,
             sketch_merged: 0,
             sketch_bytes: 0,
-            sketch_seed_columns: Vec::new(),
+            sketch_top_columns: Vec::new(),
         },
         Err(IngestError::NoDigests) => ReportLine {
             epoch: epoch.epoch_id,
@@ -474,7 +466,7 @@ fn analyse_epoch(center: &AnalysisCenter, epoch: &CollectedEpoch) -> ReportLine 
             sketch_artifacts: 0,
             sketch_merged: 0,
             sketch_bytes: 0,
-            sketch_seed_columns: Vec::new(),
+            sketch_top_columns: Vec::new(),
         },
     }
 }

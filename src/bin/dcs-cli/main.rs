@@ -7,8 +7,7 @@
 //!                   [--groups N] [--sketch-cap N]
 //!                   [--sketch-domain content|drdos|elephant]
 //!                   [--out digest.json]
-//! dcs-cli analyze   <digest.json>... [--threshold N] [--no-sketch-seed]
-//!                   [--metrics-json path]
+//! dcs-cli analyze   <digest.json>... [--threshold N] [--metrics-json path]
 //! dcs-cli serve     [--config serve.json] [--bind addr] [--resume ckpt] …
 //! dcs-cli monitor   [--config monitor.json] [--center addr] [--router N] …
 //! dcs-cli demo
@@ -76,17 +75,6 @@ fn parse_or<T: std::str::FromStr>(v: Option<String>, default: T) -> Result<T, St
     match v {
         None => Ok(default),
         Some(s) => s.parse().map_err(|_| format!("bad numeric value {s:?}")),
-    }
-}
-
-/// Removes a bare `--name` switch, returning whether it was present.
-fn take_switch(args: &mut Vec<String>, name: &str) -> bool {
-    match args.iter().position(|a| a == name) {
-        Some(pos) => {
-            args.remove(pos);
-            true
-        }
-        None => false,
     }
 }
 
@@ -218,11 +206,8 @@ fn analyze(args: &[String]) -> CliResult {
         .map(|t| t.parse::<usize>())
         .transpose()?;
     let metrics_out = take_flag(&mut args, "--metrics-json");
-    let no_sketch_seed = take_switch(&mut args, "--no-sketch-seed");
     if args.is_empty() {
-        return Err("usage: analyze <digest.json>... [--threshold N] \
-                    [--no-sketch-seed] [--metrics-json path]"
-            .into());
+        return Err("usage: analyze <digest.json>... [--threshold N] [--metrics-json path]".into());
     }
     let mut digests: Vec<RouterDigest> = Vec::new();
     for path in &args {
@@ -234,9 +219,6 @@ fn analyze(args: &[String]) -> CliResult {
     cfg.search.n_prime = 4_000.min(digests[0].aligned.bitmap.len());
     if let Some(t) = threshold {
         cfg.component_threshold = Some(t);
-    }
-    if no_sketch_seed {
-        cfg = cfg.with_sketch_seed(false);
     }
     let center = AnalysisCenter::new(cfg);
     let report = center.analyze_epoch(&digests)?;

@@ -23,7 +23,7 @@ fn correlation_variants(c: &mut Criterion) {
     }
     let layout = GroupLayout { rows_per_group: 10 };
     let table = LambdaTable::new(1024, 1e-6);
-    // Warm the λ memo so all variants measure the sweep, not table setup.
+    // Fill the λ table so all variants measure the sweep, not quantiles.
     build_group_graph(&m, layout, &table);
 
     let mut g = c.benchmark_group("correlation_200groups");

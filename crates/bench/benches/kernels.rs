@@ -9,6 +9,7 @@ use dcs_graph::er::gnp;
 use dcs_graph::peel::peel_to_size;
 use dcs_hash::{IndexHasher, RabinFingerprinter, RollingRabin, DEFAULT_POLY};
 use dcs_traffic::{gen, BackgroundConfig, SizeMix};
+use dcs_unaligned::LambdaTable;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -64,6 +65,41 @@ fn bench_words(c: &mut Criterion) {
     let r2 = Bitmap::from_indices(1024, (0..512).map(|i| i * 2 + 1));
     c.bench_function("words/common_ones_1024b", |bch| {
         bch.iter(|| black_box(&r1).common_ones(black_box(&r2)))
+    });
+
+    // The λ threshold that popcount is compared against: an indexed load
+    // once the cell is filled, a hypergeometric quantile the first time.
+    // Both walk `i` in 384..512 against `j` in 512..640 — 16,384 distinct
+    // unordered pairs around the half-full row.
+    const BAND: u32 = 128;
+    let pair = |n: u32| (384 + n / BAND % BAND, 512 + n % BAND);
+    let warm = LambdaTable::new(1024, 1e-7);
+    for n in 0..BAND * BAND {
+        let (i, j) = pair(n);
+        warm.lambda(i, j);
+    }
+    let mut n = 0u32;
+    c.bench_function("words/lambda_hit", |bch| {
+        bch.iter(|| {
+            n = n.wrapping_add(1);
+            let (i, j) = pair(n);
+            warm.row(black_box(i)).get(black_box(j))
+        })
+    });
+    // A fresh table every 16,384 lookups keeps every lookup a miss; its
+    // construction is amortised to under a nanosecond a lookup.
+    let mut cold = LambdaTable::new(1024, 1e-7);
+    let mut n = 0u32;
+    c.bench_function("words/lambda_miss", |bch| {
+        bch.iter(|| {
+            if n == BAND * BAND {
+                cold = LambdaTable::new(1024, 1e-7);
+                n = 0;
+            }
+            let (i, j) = pair(n);
+            n += 1;
+            cold.lambda(black_box(i), black_box(j))
+        })
     });
 }
 

@@ -12,10 +12,9 @@ use dcs_bitmap::{Bitmap, BitmapView, ColMatrix, RowMatrix};
 use dcs_obs::{MetricsRegistry, MetricsSnapshot};
 use dcs_parallel::ComputeBudget;
 use dcs_sketch::{decode_sketch, SketchDomain, SketchWire};
-use dcs_unaligned::lambda::p_star_for_edge_prob;
 use dcs_unaligned::{
     build_group_graph_parallel, er_test, find_pattern, CoreFindConfig, ErTestConfig, GroupLayout,
-    IncrementalConfig, IncrementalCorrelator, LambdaTable,
+    IncrementalConfig, IncrementalCorrelator, LambdaStore,
 };
 use std::sync::{Mutex, PoisonError};
 use std::time::Instant;
@@ -247,6 +246,11 @@ pub struct AnalysisCenter {
     /// produces a correct (merely colder) graph, because a correlator
     /// re-tests exactly what differs from the last epoch *it* saw.
     correlators: Mutex<Vec<IncrementalCorrelator>>,
+    /// The Λ/Λ′ threshold tables, kept across epochs (a quantile costs
+    /// about a thousand of the popcounts it gates) and shared with every
+    /// in-flight epoch; replaced only when the array width, the arrays
+    /// per group or an edge probability changes.
+    lambda: LambdaStore,
     metrics: MetricsRegistry,
 }
 
@@ -258,6 +262,7 @@ impl AnalysisCenter {
             cfg,
             scratch: Mutex::new(vec![EpochScratch::new()]),
             correlators: Mutex::new(vec![correlator]),
+            lambda: LambdaStore::default(),
             metrics: MetricsRegistry::new(),
         }
     }
@@ -848,8 +853,11 @@ impl AnalysisCenter {
     /// bit-identical to the all-pairs oracle. Per-epoch engine
     /// accounting lands in the `pairs_exact_total` /
     /// `graph_full_rebuilds_total` / `graph_audit_runs_total` counters
-    /// and the `graph_edges_live` / `graph_groups_changed` gauges (all
-    /// registered every epoch, so the keys exist even at zero).
+    /// and the `graph_edges_live` / `graph_groups_changed` gauges; the λ
+    /// tables report `lambda_quantiles_computed_total` (cells this epoch
+    /// had to compute — zero once the tables are warm) and
+    /// `lambda_cells_filled` (cells the current pair holds). All are
+    /// registered every epoch, so the keys exist even at zero.
     fn unaligned_from_rows(
         &self,
         rows: &RowMatrix,
@@ -860,7 +868,6 @@ impl AnalysisCenter {
         let ncols = rows.ncols();
         let layout = GroupLayout { rows_per_group: k };
         let n_groups = group_owner.len();
-        let pairs = k * k;
         let workers = self.cfg.compute.workers_for(n_groups);
         let er_cfg = match self.cfg.component_threshold {
             Some(t) => ErTestConfig {
@@ -869,12 +876,14 @@ impl AnalysisCenter {
             None => ErTestConfig::scaled(n_groups, self.cfg.test_p1),
         };
 
+        let tables = self
+            .lambda
+            .for_shape(ncols, k, self.cfg.test_p1, self.cfg.detect_p1);
+
         // Statistical-test graph through the incremental engine.
         let ((test_graph, gstats), _) = rec.run(Stage::GraphBuild, || {
-            let p_star_test = p_star_for_edge_prob(self.cfg.test_p1, pairs);
-            let test_table = LambdaTable::new(ncols, p_star_test);
             let mut corr = self.take_correlator();
-            let out = corr.epoch(rows, layout, &test_table, workers);
+            let out = corr.epoch(rows, layout, &tables.test, workers);
             self.return_correlator(corr);
             out
         });
@@ -894,9 +903,8 @@ impl AnalysisCenter {
                 // Detection graph with the laxer λ′ table — built all-pairs:
                 // alarms are rare, and this keeps localisation independent
                 // of the incremental engine's cross-epoch state.
-                let p_star_det = p_star_for_edge_prob(self.cfg.detect_p1.min(0.999), pairs);
-                let det_table = LambdaTable::new(ncols, p_star_det);
-                let (det_graph, _) = build_group_graph_parallel(rows, layout, &det_table, workers);
+                let (det_graph, _) =
+                    build_group_graph_parallel(rows, layout, &tables.detect, workers);
                 let pattern = find_pattern(&det_graph, self.cfg.corefind);
                 let groups: Vec<usize> = pattern.vertices().iter().map(|&g| g as usize).collect();
                 let mut routers: Vec<usize> = groups.iter().map(|&g| group_owner[g]).collect();
@@ -907,6 +915,15 @@ impl AnalysisCenter {
                 (Vec::new(), Vec::new())
             }
         });
+
+        c(
+            "lambda_quantiles_computed_total",
+            tables.test.take_new_fills() + tables.detect.take_new_fills(),
+        );
+        g(
+            "lambda_cells_filled",
+            (tables.test.memo_len() + tables.detect.memo_len()) as u64,
+        );
 
         UnalignedReport {
             alarm: test.alarm,
@@ -1700,5 +1717,91 @@ mod tests {
             inc_pairs * 2 < full_pairs,
             "incremental engine did {inc_pairs} pair tests vs {full_pairs} for full rebuilds"
         );
+    }
+    /// The λ tables outlive the epoch and follow the deployment shape: a
+    /// repeated epoch computes no quantile, and an epoch whose array
+    /// width, arrays per group or test edge probability differs gets
+    /// fresh tables and the report a fresh centre returns. The component
+    /// threshold of 0 alarms every epoch, so the λ′ table is on the path
+    /// throughout.
+    #[test]
+    fn lambda_tables_persist_across_epochs_and_follow_the_shape() {
+        let bg = BackgroundConfig {
+            packets: 300,
+            flows: 80,
+            zipf_exponent: 1.0,
+            size_mix: SizeMix::constant(536),
+        };
+        let routers = 4;
+        let digests = |mcfg: &MonitorConfig| -> Vec<RouterDigest> {
+            let mut r = StdRng::seed_from_u64(43);
+            (0..routers)
+                .map(|id| {
+                    let traffic = gen::generate_epoch(&mut r, &bg);
+                    let mut mp = MonitoringPoint::new(id, mcfg);
+                    mp.observe_all(&traffic);
+                    mp.finish_epoch()
+                })
+                .collect()
+        };
+        let base_mcfg = MonitorConfig::small(7, 1 << 12, 2);
+        let mut base_cfg = AnalysisConfig::for_groups(routers * 2);
+        base_cfg.component_threshold = Some(0);
+        // The aligned search is not under test; keep it short.
+        base_cfg.search.n_prime = 100;
+        base_cfg.search.hopefuls = 50;
+        let computed = |c: &AnalysisCenter| {
+            c.metrics()
+                .counter("lambda_quantiles_computed_total")
+                .expect("registered every epoch")
+        };
+        let filled = |c: &AnalysisCenter| {
+            c.metrics()
+                .gauge("lambda_cells_filled")
+                .expect("registered every epoch")
+        };
+        let verdict = |r: &EpochReport| format!("{:?} {:?}", r.aligned, r.unaligned);
+
+        let mut narrow = base_mcfg.clone();
+        narrow.unaligned.array_bits = 512;
+        let mut fewer_arrays = base_mcfg.clone();
+        fewer_arrays.unaligned.arrays_per_group = 5;
+        for (what, next_mcfg, test_p1_factor) in [
+            ("ncols", &narrow, 1.0),
+            ("rows_per_group", &fewer_arrays, 1.0),
+            ("test_p1", &base_mcfg, 0.5),
+        ] {
+            let mut center = AnalysisCenter::new(base_cfg.clone());
+            let base = digests(&base_mcfg);
+            let first = center.analyze_epoch(&base).expect("quorum");
+            assert!(first.unaligned.alarm, "{what}: threshold 0 must alarm");
+            let cold = computed(&center);
+            assert!(cold > 0, "{what}: a cold table computes quantiles");
+            assert_eq!(filled(&center), cold, "{what}: every fill is still held");
+            let again = center.analyze_epoch(&base).expect("quorum");
+            assert_eq!(verdict(&again), verdict(&first), "{what}: repeat epoch");
+            assert_eq!(
+                computed(&center),
+                cold,
+                "{what}: a repeated epoch must compute no quantile"
+            );
+
+            center.cfg.test_p1 *= test_p1_factor;
+            let next = digests(next_mcfg);
+            let got = center.analyze_epoch(&next).expect("quorum");
+            let fresh = AnalysisCenter::new(center.cfg.clone());
+            let want = fresh.analyze_epoch(&next).expect("quorum");
+            assert_eq!(verdict(&got), verdict(&want), "{what}: changed shape");
+            assert_eq!(
+                filled(&center),
+                filled(&fresh),
+                "{what}: the tables were not replaced"
+            );
+            assert_eq!(
+                computed(&center),
+                cold + computed(&fresh),
+                "{what}: the replaced tables start cold"
+            );
+        }
     }
 }

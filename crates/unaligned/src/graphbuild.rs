@@ -103,12 +103,13 @@ pub(crate) fn groups_connected(
         if wa == 0 {
             continue;
         }
+        let lambda_wa = table.row(wa);
         for (rb, &wb) in weights.iter().enumerate().take((gb + 1) * k).skip(gb * k) {
             if wb == 0 {
                 continue;
             }
             *pairs_exact += 1;
-            if rows.common_ones(ra, rb) > table.lambda(wa, wb) {
+            if rows.common_ones(ra, rb) > lambda_wa.get(wb) {
                 return true;
             }
         }
@@ -150,12 +151,6 @@ pub fn build_group_graph_parallel(
     assert!(threads > 0, "need at least one thread");
     let n = layout.groups(rows);
     let weights = rows.row_weights();
-    // Pre-warm the λ memo serially so worker threads mostly read.
-    for &w in &weights {
-        if w > 0 {
-            table.lambda(w, w);
-        }
-    }
     let results: Vec<(Vec<(u32, u32)>, u64)> = map_workers(threads, |t| {
         let mut local = Vec::new();
         let mut pairs_exact = 0;
@@ -371,6 +366,53 @@ mod tests {
             ep.sort_unstable();
             assert_eq!(es, ep, "edge sets differ at {threads} threads");
         }
+    }
+
+    /// A lock-free table has no warm-up step, so a build must not depend
+    /// on one: from a cold table each, every thread count produces the
+    /// serial graph and tally and fills exactly the serial build's cells.
+    #[test]
+    fn cold_table_builds_agree_at_any_thread_count() {
+        let mut r = StdRng::seed_from_u64(7);
+        let layout = GroupLayout { rows_per_group: K };
+        // Spread row weights so the builds touch many distinct cells.
+        let mut m = RowMatrix::new(NBITS);
+        for g in 0..12 {
+            for row in 0..K {
+                let mut bm = Bitmap::new(NBITS);
+                let shared = if row == 0 && g % 5 == 1 { 220 } else { 0 };
+                for c in 0..shared {
+                    bm.set(c * 3);
+                }
+                while (bm.weight() as usize) < 380 + 13 * g + 5 * row {
+                    bm.set(r.gen_range(0..NBITS));
+                }
+                m.push_bitmap(&bm);
+            }
+        }
+        let serial_table = table();
+        let serial = build_group_graph(&m, layout, &serial_table);
+        assert!(serial.m() > 0, "the matrix must grow an edge");
+        let filled = serial_table.filled_pairs();
+        assert!(filled.len() > 100, "only {} cells touched", filled.len());
+        let mut want: Vec<_> = serial.edges().collect();
+        want.sort_unstable();
+        let mut tallies = Vec::new();
+        for threads in [1usize, 2, 8] {
+            let cold = table();
+            let (g, pairs) = build_group_graph_parallel(&m, layout, &cold, threads);
+            let mut got: Vec<_> = g.edges().collect();
+            got.sort_unstable();
+            assert_eq!(got, want, "edge sets differ at {threads} threads");
+            assert_eq!(
+                cold.filled_pairs(),
+                filled,
+                "filled cells differ at {threads} threads"
+            );
+            assert_eq!(cold.memo_len(), filled.len());
+            tallies.push(pairs);
+        }
+        assert!(tallies[0] > 0 && tallies.iter().all(|&p| p == tallies[0]));
     }
 
     #[test]

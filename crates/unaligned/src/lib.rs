@@ -6,7 +6,8 @@
 //!
 //! * [`lambda`] — the weight-aware hypergeometric threshold tables
 //!   Λ = {λᵢⱼ} that make the null graph Erdős–Rényi with a uniform edge
-//!   probability;
+//!   probability, lock-free and kept across epochs by a
+//!   [`LambdaStore`];
 //! * [`graphbuild`] — pairwise row correlation (the dominant cost the
 //!   paper analyses in Section IV-D) in serial, crossbeam-parallel and
 //!   vertex-sampled variants;
@@ -44,7 +45,7 @@ pub use graphbuild::{
     expand_core_over_groups, sampled_find_pattern, GroupLayout,
 };
 pub use incremental::{EpochStats, IncrementalConfig, IncrementalCorrelator};
-pub use lambda::LambdaTable;
+pub use lambda::{LambdaStore, LambdaTable, LambdaTables};
 pub use matchmodel::{offset_match_prob, pattern_edge_prob, MatchModel};
 pub use multi::{find_patterns_multi, split_clusters, SeparatedPattern};
 pub use thresholds::{cluster_threshold, ClusterThreshold};

@@ -18,7 +18,7 @@ use dcs_collect::{AlignedDigest, UnalignedDigest};
 use dcs_core::center::{AnalysisCenter, AnalysisConfig};
 use dcs_core::ingest;
 use dcs_core::{
-    EpochInput, EpochPipeline, EpochTimings, MetricsSnapshot, PipelineConfig, RouterDigest,
+    CollectedEpoch, EpochInput, EpochPipeline, MetricsSnapshot, PipelineConfig, RouterDigest,
     RouterDigestView,
 };
 use rand::rngs::StdRng;
@@ -72,11 +72,11 @@ struct Report {
     note: String,
     shape: Shape,
     variants: Vec<Variant>,
-    /// `EpochReport::timings` of a full `analyze_epoch_wire` call on a
+    /// The centre's stage gauges after a full epoch of bare frames on a
     /// fresh centre (first epoch allocates the scratch)…
-    epoch_timings_cold: EpochTimings,
+    epoch_timings_cold: EpochNs,
     /// …and on the same centre at steady state (scratch reused).
-    epoch_timings_steady: EpochTimings,
+    epoch_timings_steady: EpochNs,
     /// Per-stage breakdown of the centre's final sampled epoch — all
     /// ten stages of both pipelines, from the metrics registry.
     center_stage_ns: StageGauges,
@@ -84,6 +84,26 @@ struct Report {
     /// (cumulative histograms/counters; gauges hold the last epoch).
     metrics: MetricsSnapshot,
     headline_speedup: f64,
+}
+
+/// One analysed epoch as the centre's registry timed it.
+#[derive(Clone, Copy, serde::Serialize)]
+struct EpochNs {
+    total_ns: u64,
+    stages: StageGauges,
+}
+
+/// Analyses `frames` as one epoch of bare leaf frames and reads back the
+/// registry's timings of it.
+fn timed_epoch(center: &AnalysisCenter, frames: &[Vec<u8>]) -> EpochNs {
+    center
+        .analyze_epoch_collected(&CollectedEpoch::from_frames(frames.iter().cloned()))
+        .expect("clean frames form a quorum");
+    let snap = center.metrics();
+    EpochNs {
+        total_ns: snap.gauge("epoch_total_ns").unwrap_or(0),
+        stages: StageGauges::from_snapshot(&snap),
+    }
 }
 
 fn cpu_model() -> String {
@@ -154,8 +174,8 @@ fn synth_epoch(rng: &mut StdRng, shape: &Shape) -> Vec<RouterDigest> {
         .collect()
 }
 
-/// The retained baseline: what `analyze_epoch_wire`'s aligned half did
-/// before the zero-copy pipeline — owned decode of every frame, owned
+/// The retained baseline: what the centre's aligned half did before the
+/// zero-copy pipeline — owned decode of every frame, owned
 /// validation, per-bit fusion of cloned bitmaps, and the uncached search
 /// (fresh screen + weight pass + allocations every epoch).
 fn baseline_epoch(
@@ -163,14 +183,18 @@ fn baseline_epoch(
     cfg: &dcs_aligned::SearchConfig,
 ) -> (dcs_aligned::AlignedDetection, StageNs) {
     let t0 = Instant::now();
-    let decoded: Vec<(usize, RouterDigest)> = frames
+    let accepted: Vec<RouterDigest> = frames
         .iter()
-        .enumerate()
-        .map(|(i, f)| (i, RouterDigest::decode_wire(f).expect("clean frame").0))
+        .map(|f| RouterDigest::decode_wire(f).expect("clean frame").0)
         .collect();
-    let candidates: Vec<(usize, &RouterDigest)> = decoded.iter().map(|(i, d)| (*i, d)).collect();
-    let (accepted, _) =
-        ingest::validate_batch(frames.len(), candidates, Vec::new(), 1).expect("quorum");
+    let views = frames
+        .iter()
+        .map(|f| RouterDigestView::parse(f).expect("clean frame").0)
+        .enumerate()
+        .collect();
+    let (validated, _) =
+        ingest::validate_batch(frames.len(), views, Vec::new(), 1).expect("quorum");
+    assert_eq!(validated.len(), accepted.len(), "clean frames all validate");
     let ingest_ns = t0.elapsed().as_nanos() as f64;
 
     let t1 = Instant::now();
@@ -212,10 +236,7 @@ fn fused_epoch(
         .enumerate()
         .map(|(i, f)| (i, RouterDigestView::parse(f).expect("clean frame").0))
         .collect();
-    let candidates: Vec<(usize, &RouterDigestView<'_>)> =
-        views.iter().map(|(i, v)| (*i, v)).collect();
-    let (accepted, _) =
-        ingest::validate_batch(frames.len(), candidates, Vec::new(), 1).expect("quorum");
+    let (accepted, _) = ingest::validate_batch(frames.len(), views, Vec::new(), 1).expect("quorum");
     let ingest_ns = t0.elapsed().as_nanos() as f64;
 
     let t1 = Instant::now();
@@ -430,16 +451,10 @@ fn run() -> Result<(), BenchError> {
     let mut acfg = AnalysisConfig::for_groups(shape.routers * shape.groups_per_router);
     acfg.search = cfg.clone();
     let center = AnalysisCenter::new(acfg);
-    let epoch_timings_cold = center
-        .analyze_epoch_wire(&frames)
-        .expect("clean frames form a quorum")
-        .timings;
+    let epoch_timings_cold = timed_epoch(&center, &frames);
     let mut epoch_timings_steady = epoch_timings_cold;
     for _ in 0..samples {
-        let t = center
-            .analyze_epoch_wire(&frames)
-            .expect("clean frames form a quorum")
-            .timings;
+        let t = timed_epoch(&center, &frames);
         if t.total_ns < epoch_timings_steady.total_ns {
             epoch_timings_steady = t;
         }
@@ -454,13 +469,17 @@ fn run() -> Result<(), BenchError> {
     let mut pcfg = AnalysisConfig::for_groups(shape.routers * shape.groups_per_router);
     pcfg.search = cfg.clone();
     let pipe = EpochPipeline::new(AnalysisCenter::new(pcfg), PipelineConfig::default());
-    pipe.submit(EpochInput::Frames(frames.clone()));
+    pipe.submit(EpochInput::Collected(CollectedEpoch::from_frames(
+        frames.iter().cloned(),
+    )));
     for (_, r) in pipe.drain() {
         r.expect("clean frames form a quorum");
     }
     let t = Instant::now();
     for _ in 0..samples {
-        pipe.submit(EpochInput::Frames(frames.clone()));
+        pipe.submit(EpochInput::Collected(CollectedEpoch::from_frames(
+            frames.iter().cloned(),
+        )));
     }
     let mut analyzed = 0usize;
     for (_, r) in pipe.drain() {
@@ -503,9 +522,9 @@ fn run() -> Result<(), BenchError> {
          (fuse {:.2} ms, screen {:.2} ms, sweep {:.2} ms)",
         epoch_timings_cold.total_ns as f64 / 1e6,
         epoch_timings_steady.total_ns as f64 / 1e6,
-        epoch_timings_steady.fuse_ns as f64 / 1e6,
-        epoch_timings_steady.screen_ns as f64 / 1e6,
-        epoch_timings_steady.sweep_ns as f64 / 1e6,
+        epoch_timings_steady.stages.fuse_ns as f64 / 1e6,
+        epoch_timings_steady.stages.screen_ns as f64 / 1e6,
+        epoch_timings_steady.stages.sweep_ns as f64 / 1e6,
     );
     println!(
         "per-stage (last epoch): aligned fuse {:.2} / screen {:.2} / core_find {:.2} / \

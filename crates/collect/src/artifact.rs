@@ -122,10 +122,24 @@ pub fn encode_section(artifacts: &[Artifact], buf: &mut BytesMut) -> Result<(), 
     Ok(())
 }
 
-/// Decodes an artifact section from the front of `buf`, advancing it.
-/// Call only when the containing frame says a section is present; an
-/// empty `buf` is a missing count, i.e. [`WireError::Truncated`].
+/// Decodes an artifact section from the front of `buf`, advancing it:
+/// owned copies of what [`decode_section_views`] validates.
 pub fn decode_section(buf: &mut &[u8]) -> Result<Vec<Artifact>, WireError> {
+    let views = decode_section_views(buf)?;
+    Ok(views
+        .into_iter()
+        .map(|(kind, payload)| Artifact {
+            kind,
+            payload: payload.to_vec(),
+        })
+        .collect())
+}
+
+/// Validates an artifact section at the front of `buf`, advancing it;
+/// payloads stay slices into the frame. Call only when the containing
+/// frame says a section is present; an empty `buf` is a missing count,
+/// i.e. [`WireError::Truncated`].
+pub fn decode_section_views<'a>(buf: &mut &'a [u8]) -> Result<Vec<(u32, &'a [u8])>, WireError> {
     if buf.len() < 2 {
         return Err(WireError::Truncated);
     }
@@ -135,43 +149,6 @@ pub fn decode_section(buf: &mut &[u8]) -> Result<Vec<Artifact>, WireError> {
     }
     // Caps are tiny, but keep the discipline: the declared count must
     // fit the remaining bytes before reserving the output vector.
-    if count.saturating_mul(PER_ARTIFACT_OVERHEAD) > buf.len() {
-        return Err(WireError::Truncated);
-    }
-    let mut out = Vec::with_capacity(count);
-    for _ in 0..count {
-        if buf.len() < 8 {
-            return Err(WireError::Truncated);
-        }
-        let kind = buf.get_u32_le();
-        let len = buf.get_u32_le() as usize;
-        if len > MAX_ARTIFACT_PAYLOAD {
-            return Err(WireError::Malformed("artifact payload length"));
-        }
-        if buf.len() < len + 4 {
-            return Err(WireError::Truncated);
-        }
-        let payload = buf[..len].to_vec();
-        buf.advance(len);
-        let crc = buf.get_u32_le();
-        if crc != artifact_crc(kind, &payload) {
-            return Err(WireError::Malformed("artifact checksum"));
-        }
-        out.push(Artifact { kind, payload });
-    }
-    Ok(out)
-}
-
-/// Borrowing variant of [`decode_section`] for the zero-copy view
-/// path: payloads stay slices into the frame.
-pub fn decode_section_views<'a>(buf: &mut &'a [u8]) -> Result<Vec<(u32, &'a [u8])>, WireError> {
-    if buf.len() < 2 {
-        return Err(WireError::Truncated);
-    }
-    let count = get_u16_le(buf) as usize;
-    if count == 0 || count > MAX_ARTIFACTS {
-        return Err(WireError::Malformed("artifact count"));
-    }
     if count.saturating_mul(PER_ARTIFACT_OVERHEAD) > buf.len() {
         return Err(WireError::Truncated);
     }

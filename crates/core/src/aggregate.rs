@@ -45,9 +45,7 @@
 use crate::ingest::RouterFault;
 use crate::monitor::RouterDigestView;
 use crate::report::TransportStats;
-use crate::session::{
-    ChunkDisposition, CollectedEpoch, CollectorConfig, EpochCollector, RetransmitRequest,
-};
+use crate::session::{ChunkDisposition, CollectorConfig, EpochCollector, RetransmitRequest};
 use dcs_bitmap::{Bitmap, WordSource};
 use dcs_collect::{artifact, Artifact, MAX_ARTIFACT_PAYLOAD};
 use dcs_hash::crc32::crc32;
@@ -936,17 +934,6 @@ pub(crate) fn level_label(level: u8) -> &'static str {
         3 => "3",
         _ => "4+",
     }
-}
-
-/// Convenience for simulations: drives a whole [`CollectedEpoch`] worth
-/// of already-reassembled aggregate bundles out of a centre-side
-/// collector, pairing each frame with its aggregator id. Returns
-/// `(aggregator_id, bundle bytes)` in router order plus the lost
-/// aggregators' exclusions untouched — see
-/// [`AnalysisCenter::analyze_epoch_aggregated_collected`](crate::center::AnalysisCenter::analyze_epoch_aggregated_collected)
-/// for the ingest side.
-pub fn collected_bundles(epoch: &CollectedEpoch) -> Vec<&[u8]> {
-    epoch.frames.iter().map(|(_, b)| b.as_slice()).collect()
 }
 
 #[cfg(test)]

@@ -1,16 +1,15 @@
 //! The central analysis module: fuses digests, runs both detection
 //! pipelines, emits reports.
 
-use crate::ingest::{self, DigestShape, Exclusion, IngestError, IngestReport, RouterFault};
+use crate::ingest::{self, Exclusion, IngestError, IngestReport, RouterFault};
 use crate::monitor::{RouterDigest, RouterDigestView};
 use crate::report::SketchReport;
-use crate::report::{AlignedReport, EpochReport, EpochTimings, TransportStats, UnalignedReport};
+use crate::report::{AlignedReport, EpochReport, TransportStats, UnalignedReport};
 use crate::session::CollectedEpoch;
 use crate::stages::{Stage, StageRecorder};
 use dcs_aligned::{refined_detect_cached, SearchConfig, SearchScratch};
-use dcs_bitmap::{Bitmap, BitmapView, ColMatrix, RowMatrix};
+use dcs_bitmap::{BitmapView, ColMatrix, RowMatrix};
 use dcs_obs::{MetricsRegistry, MetricsSnapshot};
-use dcs_parallel::ComputeBudget;
 use dcs_sketch::{decode_sketch, SketchDomain, SketchWire};
 use dcs_unaligned::{
     build_group_graph_parallel, er_test, find_pattern, CoreFindConfig, ErTestConfig, GroupLayout,
@@ -128,102 +127,6 @@ impl EpochScratch {
     }
 }
 
-/// The per-digest access the fused pipelines need — implemented by owned
-/// bundles and zero-copy wire views, so both ingest paths run one shared
-/// analysis body.
-trait EpochSource: DigestShape {
-    /// Raw traffic bytes summarised by this bundle.
-    fn src_raw_bytes(&self) -> u64;
-    /// Encoded digest bytes of this bundle.
-    fn src_encoded_len(&self) -> usize;
-    /// Number of unaligned flow-split groups.
-    fn groups(&self) -> usize;
-    /// The bundle's sidecar sketch payload (`DCSS` bytes), if it ships one.
-    fn src_sketch_payload(&self) -> Option<&[u8]>;
-    /// Fuses the aligned bitmaps of `digests` into `matrix`, accumulating
-    /// per-column weights in `weights`, sharded per `budget`.
-    fn fuse_aligned(
-        digests: &[&Self],
-        matrix: &mut ColMatrix,
-        weights: &mut Vec<u32>,
-        budget: &ComputeBudget,
-    );
-    /// Stacks the unaligned arrays of `digests` vertically into `rows`,
-    /// sharded per `budget`.
-    fn stack_unaligned(digests: &[&Self], rows: &mut RowMatrix, budget: &ComputeBudget);
-}
-
-impl EpochSource for RouterDigest {
-    fn src_raw_bytes(&self) -> u64 {
-        self.raw_bytes()
-    }
-    fn src_encoded_len(&self) -> usize {
-        self.encoded_len()
-    }
-    fn groups(&self) -> usize {
-        self.unaligned.groups()
-    }
-    fn src_sketch_payload(&self) -> Option<&[u8]> {
-        self.sketch_payload()
-    }
-    fn fuse_aligned(
-        digests: &[&Self],
-        matrix: &mut ColMatrix,
-        weights: &mut Vec<u32>,
-        budget: &ComputeBudget,
-    ) {
-        let rows: Vec<&Bitmap> = digests.iter().map(|d| &d.aligned.bitmap).collect();
-        let shards = budget.effective_shards();
-        matrix.fuse_rows_into_sharded(&rows, weights, shards, budget.workers_for(shards));
-    }
-    fn stack_unaligned(digests: &[&Self], rows: &mut RowMatrix, budget: &ComputeBudget) {
-        let ncols = digests
-            .first()
-            .and_then(|d| d.unaligned.arrays.first())
-            .map_or(0, Bitmap::len);
-        let flat: Vec<&Bitmap> = digests.iter().flat_map(|d| &d.unaligned.arrays).collect();
-        let shards = budget.effective_shards();
-        rows.fill_rows_sharded(ncols, &flat, shards, budget.workers_for(shards));
-    }
-}
-
-impl EpochSource for RouterDigestView<'_> {
-    fn src_raw_bytes(&self) -> u64 {
-        self.raw_bytes()
-    }
-    fn src_encoded_len(&self) -> usize {
-        self.encoded_len()
-    }
-    fn groups(&self) -> usize {
-        self.unaligned.groups()
-    }
-    fn src_sketch_payload(&self) -> Option<&[u8]> {
-        self.sketch_payload()
-    }
-    fn fuse_aligned(
-        digests: &[&Self],
-        matrix: &mut ColMatrix,
-        weights: &mut Vec<u32>,
-        budget: &ComputeBudget,
-    ) {
-        let rows: Vec<BitmapView<'_>> = digests.iter().map(|d| d.aligned.bitmap).collect();
-        let shards = budget.effective_shards();
-        matrix.fuse_rows_into_sharded(&rows, weights, shards, budget.workers_for(shards));
-    }
-    fn stack_unaligned(digests: &[&Self], rows: &mut RowMatrix, budget: &ComputeBudget) {
-        let ncols = digests
-            .first()
-            .filter(|d| d.unaligned.array_count() > 0)
-            .map_or(0, |d| d.unaligned.array(0).len());
-        let flat: Vec<BitmapView<'_>> = digests
-            .iter()
-            .flat_map(|d| (0..d.unaligned.array_count()).map(move |i| d.unaligned.array(i)))
-            .collect();
-        let shards = budget.effective_shards();
-        rows.fill_rows_sharded(ncols, &flat, shards, budget.workers_for(shards));
-    }
-}
-
 /// The analysis centre.
 #[derive(Debug)]
 pub struct AnalysisCenter {
@@ -328,176 +231,87 @@ impl AnalysisCenter {
             .push(corr);
     }
 
-    /// Runs both pipelines over one epoch's digests.
-    ///
-    /// The batch is validated first (see [`crate::ingest`]): bundles with
-    /// the wrong shape, duplicate router ids or a desynced epoch id are
-    /// excluded — with per-bundle accounting in the returned report's
-    /// `ingest` field — and the pipelines run on the surviving quorum.
-    /// An empty batch or one below the configured
-    /// [`min_quorum`](AnalysisConfig::min_quorum) is a typed
-    /// [`IngestError`], never a panic.
+    /// Runs both pipelines over one epoch of in-process digests: the
+    /// convenience door for callers that hold [`RouterDigest`]s rather
+    /// than frames. The digests are encoded to the wire
+    /// ([`CollectedEpoch::from_digests`]) and take the same path as
+    /// everything a transport delivered, so a hand-built digest the wire
+    /// parser rejects is a typed [`RouterFault::Wire`] exclusion.
     pub fn analyze_epoch(&self, digests: &[RouterDigest]) -> Result<EpochReport, IngestError> {
-        let t0 = Instant::now();
-        let (accepted, report) = ingest::validate(digests, self.cfg.min_quorum)?;
-        Ok(self.analyze_validated(&accepted, report, t0))
+        self.analyze_epoch_collected(&CollectedEpoch::from_digests(digests))
     }
 
-    /// Runs both pipelines over one epoch of *wire frames*, as shipped by
-    /// [`RouterDigest::encode_wire`] — the zero-copy fast path. Each frame
-    /// is validated in place and viewed through [`RouterDigestView`];
-    /// accepted digests are fused into the centre's reusable scratch
-    /// straight from the frame bytes, with no intermediate owned digest.
-    /// Frames that fail to parse are excluded with a [`RouterFault::Wire`]
-    /// entry; the rest go through byte-for-byte the same validation and
-    /// quorum policy as [`Self::analyze_epoch`].
-    pub fn analyze_epoch_wire<B: AsRef<[u8]>>(
-        &self,
-        frames: &[B],
-    ) -> Result<EpochReport, IngestError> {
-        let t0 = Instant::now();
-        let mut views: Vec<(usize, RouterDigestView<'_>)> = Vec::new();
-        let mut excluded: Vec<Exclusion> = Vec::new();
-        for (index, frame) in frames.iter().enumerate() {
-            match RouterDigestView::parse(frame.as_ref()) {
-                Ok((view, _)) => views.push((index, view)),
-                Err(e) => excluded.push(Exclusion {
-                    index,
-                    router_id: None,
-                    fault: RouterFault::Wire(e.to_string()),
-                }),
-            }
-        }
-        let candidates: Vec<(usize, &RouterDigestView<'_>)> =
-            views.iter().map(|(i, v)| (*i, v)).collect();
-        let (accepted, report) =
-            ingest::validate_batch(frames.len(), candidates, excluded, self.cfg.min_quorum)?;
-        Ok(self.analyze_validated(&accepted, report, t0))
-    }
-
-    /// Runs both pipelines over an epoch delivered through the transport
-    /// layer: the reassembled bundles of a finalized
-    /// [`EpochCollector`](crate::session::EpochCollector), with its
-    /// transport exclusions (timed-out, checksum-dead or incomplete
-    /// sessions) carried into the ingest accounting ahead of the usual
-    /// shape/consensus validation, and its delivery stats stamped onto
-    /// the report. Quorum is judged over *all* exclusions, so a
-    /// transport-degraded epoch degrades exactly like a content-degraded
-    /// one.
+    /// Runs both pipelines over one epoch of DCSR leaf frames, as
+    /// finalized by an
+    /// [`EpochCollector`](crate::session::EpochCollector) or built by
+    /// [`CollectedEpoch::from_frames`]. Each frame is validated in place
+    /// and viewed through [`RouterDigestView`]; accepted digests are
+    /// fused into the centre's reusable scratch straight from the frame
+    /// bytes, with no intermediate owned digest.
+    ///
+    /// The epoch's transport exclusions (timed-out, checksum-dead or
+    /// incomplete sessions) enter the ingest accounting ahead of the
+    /// frames that fail to parse ([`RouterFault::Wire`]) and the
+    /// shape/consensus validation (see [`crate::ingest`]); its delivery
+    /// stats are stamped onto the report. Quorum is judged over *all*
+    /// exclusions, so a transport-degraded epoch degrades exactly like a
+    /// content-degraded one, and an empty epoch or one below the
+    /// configured [`min_quorum`](AnalysisConfig::min_quorum) is a typed
+    /// [`IngestError`], never a panic.
     pub fn analyze_epoch_collected(
         &self,
         epoch: &CollectedEpoch,
     ) -> Result<EpochReport, IngestError> {
         let t0 = Instant::now();
-        let mut views: Vec<(usize, RouterDigestView<'_>)> = Vec::new();
-        let mut excluded: Vec<Exclusion> = epoch.exclusions.clone();
-        for (index, bundle) in &epoch.frames {
-            match RouterDigestView::parse(bundle) {
-                Ok((view, _)) => views.push((*index, view)),
-                Err(e) => excluded.push(Exclusion {
-                    index: *index,
-                    router_id: None,
-                    fault: RouterFault::Wire(e.to_string()),
-                }),
-            }
-        }
-        let candidates: Vec<(usize, &RouterDigestView<'_>)> =
-            views.iter().map(|(i, v)| (*i, v)).collect();
-        let (accepted, report) =
-            ingest::validate_batch(epoch.submitted, candidates, excluded, self.cfg.min_quorum)?;
-        let mut out = self.analyze_validated(&accepted, report, t0);
-        out.transport = epoch.stats;
-        self.record_transport(&epoch.stats);
-        Ok(out)
+        self.analyze_frames(
+            epoch.frames.iter().map(|(i, b)| (*i, b.as_slice())),
+            epoch.exclusions.clone(),
+            epoch.submitted,
+            &epoch.stats,
+            t0,
+        )
     }
 
     /// Runs both pipelines over an epoch delivered through an
-    /// aggregation tier (see [`crate::aggregate`]): each element of
-    /// `bundles` is one encoded [`AggregateBundle`](crate::aggregate::AggregateBundle) from a regional
-    /// aggregator. The embedded child frames — the same DCSR bytes a
-    /// flat deployment would have shipped — are parsed and validated
-    /// globally, so the detection output is byte-identical to
-    /// [`Self::analyze_epoch_wire`] over the union of the delivered
+    /// aggregation tier (see [`crate::aggregate`]): each frame of `epoch`
+    /// is one encoded
+    /// [`AggregateBundle`](crate::aggregate::AggregateBundle) from a
+    /// regional aggregator. The embedded child frames — the same DCSR
+    /// bytes a flat deployment would have shipped — are parsed and
+    /// validated globally, so the detection output is byte-identical to
+    /// [`Self::analyze_epoch_collected`] over the union of the delivered
     /// child frames.
     ///
     /// Cross-level accounting: every child the aggregators excluded
     /// surfaces in the report's ingest section wrapped in
     /// [`RouterFault::AtLevel`] (keeping its original fault kind and the
-    /// level it was lost at), and a bundle that fails to decode counts
-    /// as one excluded submission with an `AtLevel`-wrapped wire fault.
-    /// `submitted` — and therefore [`min_quorum`](AnalysisConfig::min_quorum)
-    /// — counts reachable *leaves*, never bundles.
-    pub fn analyze_epoch_aggregated<B: AsRef<[u8]>>(
-        &self,
-        bundles: &[B],
-    ) -> Result<EpochReport, IngestError> {
-        let t0 = Instant::now();
-        self.analyze_aggregated_inner(bundles.iter().map(|b| b.as_ref()), Vec::new(), None, t0)
-    }
-
-    /// [`Self::analyze_epoch_aggregated`] for an epoch collected off the
-    /// upstream transport hop: the reassembled frames of `epoch` are
-    /// aggregate bundles, and an aggregator the transport lost becomes a
-    /// single excluded submission wrapped in [`RouterFault::AtLevel`]
-    /// with the aggregator's id (its whole subtree is unreachable, but
-    /// its leaf count is unknown here — quorum degrades by at least
-    /// one). Delivery stats of the upstream hop are stamped onto the
-    /// report like [`Self::analyze_epoch_collected`].
+    /// level it was lost at); a bundle that fails to decode counts as one
+    /// excluded submission with an `AtLevel`-wrapped wire fault; and an
+    /// aggregator the upstream hop lost becomes a single excluded
+    /// submission wrapped in `AtLevel` with the aggregator's id (its whole
+    /// subtree is unreachable, but its leaf count is unknown here —
+    /// quorum degrades by at least one). `submitted` — and therefore
+    /// [`min_quorum`](AnalysisConfig::min_quorum) — counts reachable
+    /// *leaves*, never bundles.
     pub fn analyze_epoch_aggregated_collected(
         &self,
         epoch: &CollectedEpoch,
     ) -> Result<EpochReport, IngestError> {
-        let t0 = Instant::now();
-        let lost: Vec<(Option<u64>, RouterFault)> = epoch
-            .exclusions
-            .iter()
-            .map(|e| {
-                let agg = e.router_id.map(|r| r as u64);
-                (
-                    agg,
-                    RouterFault::AtLevel {
-                        level: 1,
-                        aggregator_id: agg,
-                        fault: Box::new(e.fault.clone()),
-                    },
-                )
-            })
-            .collect();
-        let mut out = self.analyze_aggregated_inner(
-            epoch.frames.iter().map(|(_, b)| b.as_slice()),
-            lost,
-            Some(epoch.stats),
-            t0,
-        )?;
-        out.transport = epoch.stats;
-        Ok(out)
-    }
-
-    /// Shared body of the aggregated ingest paths: decodes the bundles,
-    /// flattens their embedded child frames into one globally-validated
-    /// batch, and folds every below-centre exclusion into the ingest
-    /// accounting with its level.
-    fn analyze_aggregated_inner<'b>(
-        &self,
-        bundles: impl Iterator<Item = &'b [u8]>,
-        lost_aggregators: Vec<(Option<u64>, RouterFault)>,
-        stats: Option<TransportStats>,
-        t0: Instant,
-    ) -> Result<EpochReport, IngestError> {
         use crate::aggregate::{level_label, AggregateBundle};
-        let fuse_t0 = Instant::now();
+        let t0 = Instant::now();
+        let at_level_1 = |aggregator_id: Option<u64>, fault: RouterFault| RouterFault::AtLevel {
+            level: 1,
+            aggregator_id,
+            fault: Box::new(fault),
+        };
         let mut decoded: Vec<AggregateBundle> = Vec::new();
         let mut rejected: Vec<RouterFault> = Vec::new();
         let mut received_bytes = 0u64;
-        for bytes in bundles {
+        for (_, bytes) in &epoch.frames {
             received_bytes += bytes.len() as u64;
             match AggregateBundle::decode_wire(bytes) {
                 Ok((bundle, _)) => decoded.push(bundle),
-                Err(e) => rejected.push(RouterFault::AtLevel {
-                    level: 1,
-                    aggregator_id: None,
-                    fault: Box::new(RouterFault::Wire(e.to_string())),
-                }),
+                Err(e) => rejected.push(at_level_1(None, RouterFault::Wire(e.to_string()))),
             }
         }
 
@@ -506,22 +320,13 @@ impl AnalysisCenter {
         // wrapped with the level it was recorded at. Validation — shape,
         // duplicates, epoch consensus, quorum — then runs ONCE over the
         // global batch, exactly as flat ingest would.
-        let mut views: Vec<(usize, RouterDigestView<'_>)> = Vec::new();
+        let mut leaves: Vec<(usize, &[u8])> = Vec::new();
         let mut excluded: Vec<Exclusion> = Vec::new();
         let mut index = 0usize;
-        let mut leaves = 0usize;
         for bundle in &decoded {
             for frame in &bundle.frames {
-                match RouterDigestView::parse(frame) {
-                    Ok((view, _)) => views.push((index, view)),
-                    Err(e) => excluded.push(Exclusion {
-                        index,
-                        router_id: None,
-                        fault: RouterFault::Wire(e.to_string()),
-                    }),
-                }
+                leaves.push((index, frame));
                 index += 1;
-                leaves += 1;
             }
             for excl in &bundle.exclusions {
                 excluded.push(Exclusion {
@@ -534,27 +339,22 @@ impl AnalysisCenter {
                     },
                 });
                 index += 1;
-                leaves += 1;
             }
         }
+        let reachable_leaves = index;
         let rejected_bundles = rejected.len() as u64;
-        for fault in rejected {
+        let lost = epoch.exclusions.iter().map(|e| {
+            let agg = e.router_id.map(|r| r as u64);
+            (e.router_id, at_level_1(agg, e.fault.clone()))
+        });
+        for (router_id, fault) in rejected.into_iter().map(|f| (None, f)).chain(lost) {
             excluded.push(Exclusion {
                 index,
-                router_id: None,
+                router_id,
                 fault,
             });
             index += 1;
         }
-        for (agg, fault) in lost_aggregators {
-            excluded.push(Exclusion {
-                index,
-                router_id: agg.map(|a| a as usize),
-                fault,
-            });
-            index += 1;
-        }
-        let submitted = index;
 
         self.metrics
             .counter("aggregate_bundles_total", &[])
@@ -568,73 +368,103 @@ impl AnalysisCenter {
         if !decoded.is_empty() {
             self.metrics
                 .gauge("aggregate_children_per_bundle", &[("level", "0")])
-                .set((leaves / decoded.len().max(1)) as u64);
+                .set((reachable_leaves / decoded.len()) as u64);
         }
         self.metrics
             .gauge("aggregate_fuse_ns", &[("level", level_label(0))])
-            .set((fuse_t0.elapsed().as_nanos() as u64).max(1));
+            .set((t0.elapsed().as_nanos() as u64).max(1));
 
-        let candidates: Vec<(usize, &RouterDigestView<'_>)> =
-            views.iter().map(|(i, v)| (*i, v)).collect();
-        let (accepted, report) =
-            ingest::validate_batch(submitted, candidates, excluded, self.cfg.min_quorum)?;
-        let out = self.analyze_validated(&accepted, report, t0);
-        if let Some(stats) = stats {
-            self.record_transport(&stats);
+        self.analyze_frames(leaves.into_iter(), excluded, index, &epoch.stats, t0)
+    }
+
+    /// The one way in: parses `(batch index, DCSR frame)` pairs into
+    /// views, validates them against each other on top of the exclusions
+    /// recorded below the centre, and runs both pipelines on the quorum.
+    /// `submitted` counts every leaf that was expected, `stats` is the
+    /// last hop's delivery accounting, `t0` the start of the public call.
+    fn analyze_frames<'a>(
+        &self,
+        frames: impl Iterator<Item = (usize, &'a [u8])>,
+        mut excluded: Vec<Exclusion>,
+        submitted: usize,
+        stats: &TransportStats,
+        t0: Instant,
+    ) -> Result<EpochReport, IngestError> {
+        let mut views: Vec<(usize, RouterDigestView<'a>)> = Vec::new();
+        for (index, frame) in frames {
+            match RouterDigestView::parse(frame) {
+                Ok((view, _)) => views.push((index, view)),
+                Err(e) => excluded.push(Exclusion {
+                    index,
+                    router_id: None,
+                    fault: RouterFault::Wire(e.to_string()),
+                }),
+            }
         }
+        let (accepted, report) =
+            ingest::validate_batch(submitted, views, excluded, self.cfg.min_quorum)?;
+        let mut out = self.analyze_validated(&accepted, report, t0);
+        out.transport = *stats;
+        self.record_transport(stats);
         Ok(out)
     }
 
-    /// Both pipelines over an already-validated batch (owned digests or
-    /// zero-copy views), through the centre's reusable epoch scratch.
+    /// Both pipelines over an already-validated batch of zero-copy views,
+    /// through the centre's reusable epoch scratch.
     ///
     /// This is the staged pipeline driver: every aligned stage
     /// ([`Stage::ALIGNED`]) and unaligned stage ([`Stage::UNALIGNED`])
-    /// runs as one recorded span of the centre's metrics registry, and
-    /// the report's [`EpochTimings`] view is assembled from exactly the
-    /// recorded values — instrumentation observes the pipelines, it
-    /// never changes their results.
-    fn analyze_validated<D: EpochSource>(
+    /// runs as one recorded span of the centre's metrics registry —
+    /// instrumentation observes the pipelines, it never changes their
+    /// results.
+    fn analyze_validated(
         &self,
-        digests: &[&D],
+        digests: &[RouterDigestView<'_>],
         ingest: IngestReport,
         t0: Instant,
     ) -> EpochReport {
-        let raw_bytes: u64 = digests.iter().map(|d| d.src_raw_bytes()).sum();
-        let digest_bytes: u64 = digests.iter().map(|d| d.src_encoded_len() as u64).sum();
+        let raw_bytes: u64 = digests.iter().map(|d| d.raw_bytes()).sum();
+        let digest_bytes: u64 = digests.iter().map(|d| d.encoded_len() as u64).sum();
         self.record_ingest(&ingest);
         let rec = StageRecorder::new(&self.metrics);
         let mut scratch = self.take_scratch();
         let s = &mut scratch;
+        let budget = &self.cfg.compute;
+        let shards = budget.effective_shards();
 
         // Aligned pipeline, stage 1: fuse per-router bitmaps into the
         // m×n matrix with incremental column weights, over column shards.
-        let (_, fuse_ns) = rec.run(Stage::Fuse, || {
-            D::fuse_aligned(
-                digests,
-                &mut s.matrix,
+        rec.run(Stage::Fuse, || {
+            let rows: Vec<BitmapView<'_>> = digests.iter().map(|d| d.aligned.bitmap).collect();
+            s.matrix.fuse_rows_into_sharded(
+                &rows,
                 &mut s.col_weights,
-                &self.cfg.compute,
+                shards,
+                budget.workers_for(shards),
             );
         });
         // Unaligned pipeline, stage 1: stack arrays and map ownership.
-        let k = digests.first().map_or(1, |d| d.arrays_per_group());
-        let (_, stack_ns) = rec.run(Stage::StackRows, || {
-            D::stack_unaligned(digests, &mut s.urows, &self.cfg.compute);
+        // Validation left only non-empty digests of one array width.
+        let k = digests.first().map_or(1, |d| d.unaligned.arrays_per_group);
+        rec.run(Stage::StackRows, || {
+            let ncols = digests.first().map_or(0, |d| d.unaligned.array(0).len());
+            let flat: Vec<BitmapView<'_>> = digests
+                .iter()
+                .flat_map(|d| (0..d.unaligned.array_count()).map(move |i| d.unaligned.array(i)))
+                .collect();
+            s.urows
+                .fill_rows_sharded(ncols, &flat, shards, budget.workers_for(shards));
             s.group_owner.clear();
             for d in digests {
                 s.group_owner
-                    .extend(std::iter::repeat_n(d.router_id(), d.groups()));
+                    .extend(std::iter::repeat_n(d.router_id, d.unaligned.groups()));
             }
         });
 
         // Aligned pipeline, stage 2: merge the bundles' sidecar sketches
         // for the report. Runs (and records its span) every epoch,
         // sketches or not, so the stage keys exist in every snapshot.
-        let payloads: Vec<&[u8]> = digests
-            .iter()
-            .filter_map(|d| d.src_sketch_payload())
-            .collect();
+        let payloads: Vec<&[u8]> = digests.iter().filter_map(|d| d.sketch_payload()).collect();
         let ncols = s.matrix.ncols();
         let (sketch, _) = rec.run(Stage::SketchFuse, || self.fuse_sketches(&payloads, ncols));
 
@@ -652,16 +482,16 @@ impl AnalysisCenter {
         let g = |name: &str, v: u64| self.metrics.gauge(name, &[]).set(v);
         g("search_pairs_scanned", work.pairs_scanned);
         g("search_pairs_pruned", work.pairs_pruned);
-        let screen_ns = rec.record(Stage::Screen, search_t.screen_ns);
-        let core_ns = rec.record(Stage::CoreFind, search_t.core_ns);
-        let expand_ns = rec.record(Stage::Sweep, search_t.expand_ns);
-        let verdict_ns = rec.record(Stage::Terminate, search_t.verdict_ns);
+        rec.record(Stage::Screen, search_t.screen_ns);
+        rec.record(Stage::CoreFind, search_t.core_ns);
+        rec.record(Stage::Sweep, search_t.expand_ns);
+        rec.record(Stage::Terminate, search_t.verdict_ns);
         let aligned = AlignedReport {
             found: det.found,
             routers: det
                 .rows
                 .iter()
-                .map(|&r| digests[r as usize].router_id())
+                .map(|&r| digests[r as usize].router_id)
                 .collect(),
             content_packets: det.cols.len(),
             signature_indices: det.cols,
@@ -683,12 +513,6 @@ impl AnalysisCenter {
             unaligned,
             ingest,
             sketch,
-            timings: EpochTimings {
-                fuse_ns: fuse_ns + stack_ns,
-                screen_ns,
-                sweep_ns: core_ns + expand_ns + verdict_ns,
-                total_ns,
-            },
             transport: TransportStats::default(),
         }
     }
@@ -943,15 +767,15 @@ mod tests {
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 
-    /// Runs a small end-to-end epoch: `routers` routers, the first
-    /// `infected` of which carry an aligned common content of `g` packets.
-    fn run_epoch(
+    /// One small epoch of digests: `routers` routers, the first `infected`
+    /// of which carry a common content of `g` packets.
+    fn planted_digests(
         seed: u64,
         routers: usize,
         infected: usize,
         g: usize,
         unaligned_plant: bool,
-    ) -> EpochReport {
+    ) -> Vec<RouterDigest> {
         let mut r = StdRng::seed_from_u64(seed);
         let mcfg = MonitorConfig::small(7, 1 << 14, 4);
         let obj = ContentObject::random_with_packets(&mut r, g, 536);
@@ -976,11 +800,33 @@ mod tests {
             mp.observe_all(&traffic);
             digests.push(mp.finish_epoch());
         }
+        digests
+    }
+
+    /// A centre for `routers` routers of [`planted_digests`].
+    fn search_center(routers: usize) -> AnalysisCenter {
         let mut acfg = AnalysisConfig::for_groups(routers * 4);
         acfg.search.n_prime = 400;
         acfg.search.hopefuls = 300;
         AnalysisCenter::new(acfg)
-            .analyze_epoch(&digests)
+    }
+
+    /// Runs a small end-to-end epoch of [`planted_digests`].
+    fn run_epoch(
+        seed: u64,
+        routers: usize,
+        infected: usize,
+        g: usize,
+        unaligned_plant: bool,
+    ) -> EpochReport {
+        search_center(routers)
+            .analyze_epoch(&planted_digests(
+                seed,
+                routers,
+                infected,
+                g,
+                unaligned_plant,
+            ))
             .expect("clean digests form a quorum")
     }
 
@@ -1028,27 +874,7 @@ mod tests {
     /// the exclusions accounted for.
     #[test]
     fn degraded_epoch_still_detects_on_the_quorum() {
-        let mut r = StdRng::seed_from_u64(6);
-        let mcfg = MonitorConfig::small(7, 1 << 14, 4);
-        let obj = ContentObject::random_with_packets(&mut r, 30, 536);
-        let plant = Planting::aligned(obj, 536);
-        let bg = BackgroundConfig {
-            packets: 800,
-            flows: 200,
-            zipf_exponent: 1.0,
-            size_mix: SizeMix::constant(536),
-        };
-        let routers = 24;
-        let mut digests = Vec::new();
-        for id in 0..routers {
-            let mut traffic = gen::generate_epoch(&mut r, &bg);
-            if id < 20 {
-                plant.plant_into(&mut r, &mut traffic);
-            }
-            let mut mp = MonitoringPoint::new(id, &mcfg);
-            mp.observe_all(&traffic);
-            digests.push(mp.finish_epoch());
-        }
+        let mut digests = planted_digests(6, 24, 20, 30, false);
         // Fault 6 of 24: wrong aligned width, desync, empty arrays — and
         // a duplicate of router 1 appended on top.
         digests[0].aligned.bitmap = dcs_bitmap::Bitmap::new(1 << 10);
@@ -1059,10 +885,7 @@ mod tests {
         let dup = digests[1].clone();
         digests.push(dup);
 
-        let mut acfg = AnalysisConfig::for_groups(routers * 4);
-        acfg.search.n_prime = 400;
-        acfg.search.hopefuls = 300;
-        let report = AnalysisCenter::new(acfg)
+        let report = search_center(24)
             .analyze_epoch(&digests)
             .expect("19 surviving routers are a quorum");
         assert_eq!(report.ingest.submitted, 25);
@@ -1084,22 +907,7 @@ mod tests {
 
     #[test]
     fn quorum_floor_is_enforced() {
-        let mut r = StdRng::seed_from_u64(5);
-        let mcfg = MonitorConfig::small(7, 1 << 12, 4);
-        let bg = BackgroundConfig {
-            packets: 200,
-            flows: 50,
-            zipf_exponent: 1.0,
-            size_mix: SizeMix::constant(536),
-        };
-        let mut digests: Vec<RouterDigest> = (0..4)
-            .map(|id| {
-                let traffic = gen::generate_epoch(&mut r, &bg);
-                let mut mp = MonitoringPoint::new(id, &mcfg);
-                mp.observe_all(&traffic);
-                mp.finish_epoch()
-            })
-            .collect();
+        let mut digests = clean_digests(5, 4);
         for d in digests.iter_mut().take(3) {
             d.unaligned.arrays.clear();
         }
@@ -1116,8 +924,8 @@ mod tests {
         }
     }
 
-    /// Builds one epoch of encoded wire frames from clean digests.
-    fn wire_frames(seed: u64, routers: usize) -> Vec<Vec<u8>> {
+    /// One epoch of clean digests from small monitoring points.
+    fn clean_digests(seed: u64, routers: usize) -> Vec<RouterDigest> {
         let mut r = StdRng::seed_from_u64(seed);
         let mcfg = MonitorConfig::small(7, 1 << 12, 4);
         let bg = BackgroundConfig {
@@ -1132,44 +940,55 @@ mod tests {
                 let mut mp = MonitoringPoint::new(id, &mcfg);
                 mp.observe_all(&traffic);
                 mp.finish_epoch()
-                    .encode_wire()
-                    .expect("bundle fits the wire format")
-                    .to_vec()
             })
             .collect()
     }
 
-    /// The zero-copy wire path and the owned-digest path must agree on
-    /// every verdict and on the ingest accounting.
+    /// [`clean_digests`] as encoded wire frames.
+    fn wire_frames(seed: u64, routers: usize) -> Vec<Vec<u8>> {
+        CollectedEpoch::from_digests(&clean_digests(seed, routers))
+            .frames
+            .into_iter()
+            .map(|(_, frame)| frame)
+            .collect()
+    }
+
+    /// `frames` as routers `first..` behind level-1 aggregator `agg`, as
+    /// one encoded bundle.
+    fn bundle(
+        agg: u64,
+        first: u64,
+        frames: &[Vec<u8>],
+        exclusions: Vec<crate::aggregate::ChildExclusion>,
+    ) -> Vec<u8> {
+        let children = (first..).zip(frames.iter().cloned()).collect();
+        crate::aggregate::AggregateBundle::assemble(agg, 0, 1, children, exclusions).encode_wire()
+    }
+
+    /// Analyses bare leaf frames that crossed no transport hop.
+    fn analyze_bare(
+        center: &AnalysisCenter,
+        frames: &[Vec<u8>],
+    ) -> Result<EpochReport, IngestError> {
+        center.analyze_epoch_collected(&CollectedEpoch::from_frames(frames.iter().cloned()))
+    }
+
+    /// `from_digests(d)` is `from_frames(d.map(encode_wire))`: in-process
+    /// digests reach the centre as exactly the epoch their frames would.
     #[test]
-    fn wire_and_owned_paths_agree() {
-        let frames = wire_frames(8, 8);
-        let digests: Vec<RouterDigest> = frames
+    fn digests_enter_as_their_wire_frames() {
+        let digests = clean_digests(8, 8);
+        let frames = digests
             .iter()
-            .map(|f| RouterDigest::decode_wire(f).expect("clean frame").0)
-            .collect();
-        let center = AnalysisCenter::new(AnalysisConfig::for_groups(32));
-        let via_wire = center.analyze_epoch_wire(&frames).expect("quorum");
-        let via_owned = center.analyze_epoch(&digests).expect("quorum");
-        assert_eq!(via_wire.routers, via_owned.routers);
-        assert_eq!(via_wire.raw_bytes, via_owned.raw_bytes);
-        assert_eq!(via_wire.digest_bytes, via_owned.digest_bytes);
-        assert_eq!(via_wire.ingest, via_owned.ingest);
-        assert_eq!(via_wire.aligned.found, via_owned.aligned.found);
-        assert_eq!(via_wire.aligned.routers, via_owned.aligned.routers);
-        assert_eq!(
-            via_wire.aligned.signature_indices,
-            via_owned.aligned.signature_indices
+            .map(|d| d.encode_wire().expect("clean digest").to_vec());
+        let (a, b) = (
+            CollectedEpoch::from_digests(&digests),
+            CollectedEpoch::from_frames(frames),
         );
-        assert_eq!(via_wire.unaligned.alarm, via_owned.unaligned.alarm);
-        assert_eq!(
-            via_wire.unaligned.largest_component,
-            via_owned.unaligned.largest_component
-        );
-        assert_eq!(
-            via_wire.unaligned.suspected_routers,
-            via_owned.unaligned.suspected_routers
-        );
+        assert_eq!(a.submitted, 8);
+        assert_eq!((a.submitted, &a.frames), (b.submitted, &b.frames));
+        assert!(a.exclusions.is_empty() && b.exclusions.is_empty());
+        assert_eq!((a.stats, a.epoch_id), (b.stats, b.epoch_id));
     }
 
     /// After warm-up the scratch must hold steady: re-analysing epochs
@@ -1178,15 +997,13 @@ mod tests {
     #[test]
     fn epoch_scratch_holds_steady_across_epochs() {
         let center = AnalysisCenter::new(AnalysisConfig::for_groups(32));
-        center
-            .analyze_epoch_wire(&wire_frames(9, 8))
-            .expect("quorum");
+        analyze_bare(&center, &wire_frames(9, 8)).expect("quorum");
         let warm = center.scratch_capacities();
         assert!(warm[0] > 0, "fused matrix never materialised");
         assert!(warm[2] > 0, "unaligned rows never materialised");
         for epoch in 0..3 {
             let frames = wire_frames(10 + epoch, 8);
-            center.analyze_epoch_wire(&frames).expect("quorum");
+            analyze_bare(&center, &frames).expect("quorum");
             assert_eq!(
                 center.scratch_capacities(),
                 warm,
@@ -1195,16 +1012,25 @@ mod tests {
         }
     }
 
-    /// Per-stage timings are populated and consistent.
+    /// Every stage records a span, and the spans fit inside the epoch.
     #[test]
     fn timings_are_populated() {
-        let report = run_epoch(11, 8, 0, 10, false);
-        let t = report.timings;
-        assert!(t.total_ns > 0, "total_ns empty");
-        assert!(t.sweep_ns > 0, "sweep_ns empty");
+        let center = AnalysisCenter::new(AnalysisConfig::for_groups(32));
+        analyze_bare(&center, &wire_frames(11, 8)).expect("quorum");
+        let snap = center.metrics();
+        let total = snap.gauge("epoch_total_ns").expect("epoch_total_ns");
+        let stages: u64 = Stage::ALIGNED
+            .iter()
+            .chain(&Stage::UNALIGNED)
+            .map(|s| {
+                let ns = snap.gauge(&s.gauge_key()).unwrap_or(0);
+                assert!(ns > 0, "stage {} recorded no span", s.name());
+                ns
+            })
+            .sum();
         assert!(
-            t.fuse_ns + t.screen_ns + t.sweep_ns <= t.total_ns,
-            "stages {t:?} exceed the total"
+            stages <= total,
+            "stages {stages} ns exceed the {total} ns epoch"
         );
     }
 
@@ -1212,38 +1038,66 @@ mod tests {
     /// are excluded as wire faults; the rest analyse normally.
     #[test]
     fn wire_ingest_excludes_undecodable_frames() {
-        let mut r = StdRng::seed_from_u64(6);
-        let mcfg = MonitorConfig::small(7, 1 << 12, 4);
-        let bg = BackgroundConfig {
-            packets: 300,
-            flows: 80,
-            zipf_exponent: 1.0,
-            size_mix: SizeMix::constant(536),
-        };
-        let mut frames: Vec<Vec<u8>> = (0..6)
-            .map(|id| {
-                let traffic = gen::generate_epoch(&mut r, &bg);
-                let mut mp = MonitoringPoint::new(id, &mcfg);
-                mp.observe_all(&traffic);
-                mp.finish_epoch()
-                    .encode_wire()
-                    .expect("bundle fits the wire format")
-                    .to_vec()
-            })
-            .collect();
+        let mut frames = wire_frames(6, 6);
         let cut = frames[2].len() / 2;
         frames[2].truncate(cut);
         frames[4] = vec![0xAB; 40];
 
-        let report = AnalysisCenter::new(AnalysisConfig::for_groups(24))
-            .analyze_epoch_wire(&frames)
-            .expect("four surviving frames are a quorum");
+        let center = AnalysisCenter::new(AnalysisConfig::for_groups(24));
+        let report = analyze_bare(&center, &frames).expect("four surviving frames are a quorum");
         assert_eq!(report.routers, 4);
         assert_eq!(report.ingest.accepted, vec![0, 1, 3, 5]);
         assert_eq!(report.ingest.excluded.len(), 2);
         for e in &report.ingest.excluded {
             assert_eq!(e.router_id, None);
             assert!(matches!(e.fault, RouterFault::Wire(_)), "{:?}", e.fault);
+        }
+        // Bare frames crossed no transport hop: the transport counters
+        // are registered, at zero.
+        assert_eq!(report.transport, TransportStats::default());
+        assert_eq!(
+            center.metrics().counter("transport_chunks_received_total"),
+            Some(0)
+        );
+    }
+
+    /// A hand-built digest whose layout the wire parser rejects — zero
+    /// arrays per group, or arrays of mixed widths — is a typed wire
+    /// exclusion, and still counts against the quorum.
+    #[test]
+    fn digests_the_wire_rejects_are_typed_exclusions() {
+        let mut digests = clean_digests(14, 4);
+        digests[1].unaligned.arrays_per_group = 0;
+        digests[3].unaligned.arrays[2] = dcs_bitmap::Bitmap::new(64);
+
+        let report = AnalysisCenter::new(AnalysisConfig::for_groups(16))
+            .analyze_epoch(&digests)
+            .expect("two survivors are a quorum of one");
+        assert_eq!(report.ingest.submitted, 4);
+        assert_eq!(report.ingest.accepted, vec![0, 2]);
+        let faults: Vec<(usize, &RouterFault)> = report
+            .ingest
+            .excluded
+            .iter()
+            .map(|e| (e.index, &e.fault))
+            .collect();
+        let wire = |msg: &str| RouterFault::Wire(format!("malformed digest frame: {msg}"));
+        assert_eq!(
+            faults,
+            vec![
+                (1, &wire("arrays_per_group = 0")),
+                (3, &wire("mixed array widths"))
+            ]
+        );
+
+        let strict = AnalysisCenter::new(AnalysisConfig::for_groups(16).with_min_quorum(3));
+        match strict.analyze_epoch(&digests) {
+            Err(IngestError::QuorumTooSmall { required, report }) => {
+                assert_eq!(required, 3);
+                assert_eq!(report.submitted, 4);
+                assert_eq!(report.accepted.len(), 2);
+            }
+            other => panic!("expected QuorumTooSmall, got {other:?}"),
         }
     }
 
@@ -1255,14 +1109,6 @@ mod tests {
     fn panicked_epoch_drops_its_scratch_and_the_centre_keeps_serving() {
         use std::panic::{catch_unwind, AssertUnwindSafe};
 
-        let mut r = StdRng::seed_from_u64(13);
-        let mcfg = MonitorConfig::small(7, 1 << 12, 4);
-        let bg = BackgroundConfig {
-            packets: 200,
-            flows: 50,
-            zipf_exponent: 1.0,
-            size_mix: SizeMix::constant(536),
-        };
         let center = AnalysisCenter::new(AnalysisConfig::for_groups(8));
         let panicked = catch_unwind(AssertUnwindSafe(|| center.panic_mid_epoch())).is_err();
         assert!(panicked, "the injected panic never fired");
@@ -1270,24 +1116,15 @@ mod tests {
         // The panicking epoch's scratch is gone; every entry point must
         // still work on a freshly pooled scratch. (Two routers × 4
         // groups matches the centre's for_groups(8).)
-        let clean: Vec<RouterDigest> = (0..2)
-            .map(|id| {
-                let traffic = gen::generate_epoch(&mut r, &bg);
-                let mut mp = MonitoringPoint::new(id, &mcfg);
-                mp.observe_all(&traffic);
-                mp.finish_epoch()
-            })
-            .collect();
         let report = center
-            .analyze_epoch(&clean)
+            .analyze_epoch(&clean_digests(13, 2))
             .expect("centre must keep serving after a panicked epoch");
         assert_eq!(report.routers, 2);
         let _ = center.scratch_capacities();
     }
 
-    /// Chunked transport delivery feeding `analyze_epoch_collected` must
-    /// agree verdict-for-verdict with the direct wire path on the same
-    /// frames.
+    /// Chunked transport delivery over a perfect channel must agree
+    /// verdict-for-verdict with `from_frames` over the same frames.
     #[test]
     fn collected_and_wire_paths_agree() {
         use crate::session::{CollectorConfig, EpochCollector};
@@ -1295,7 +1132,7 @@ mod tests {
 
         let frames = wire_frames(21, 6);
         let center = AnalysisCenter::new(AnalysisConfig::for_groups(24));
-        let via_wire = center.analyze_epoch_wire(&frames).expect("quorum");
+        let via_wire = analyze_bare(&center, &frames).expect("quorum");
 
         // Transport epoch 1 (the chunk envelopes' id); the bundles' own
         // epoch ids only need to agree among themselves.
@@ -1388,29 +1225,15 @@ mod tests {
     /// byte-identical aligned and unaligned verdicts.
     #[test]
     fn aggregated_and_flat_ingest_agree_byte_for_byte() {
-        use crate::aggregate::AggregateBundle;
-
         let frames = wire_frames(31, 12);
         let center = AnalysisCenter::new(AnalysisConfig::for_groups(48));
-        let flat = center
-            .analyze_epoch_wire(&frames)
-            .expect("12 clean frames form a quorum");
+        let flat = analyze_bare(&center, &frames).expect("12 clean frames form a quorum");
 
-        let bundles: Vec<Vec<u8>> = frames
-            .chunks(4)
-            .enumerate()
-            .map(|(agg, chunk)| {
-                let child_frames: Vec<(u64, Vec<u8>)> = chunk
-                    .iter()
-                    .enumerate()
-                    .map(|(i, f)| ((agg * 4 + i) as u64, f.clone()))
-                    .collect();
-                AggregateBundle::assemble(900 + agg as u64, 0, 1, child_frames, Vec::new())
-                    .encode_wire()
-            })
-            .collect();
+        let bundles = (0u64..)
+            .zip(frames.chunks(4))
+            .map(|(agg, chunk)| bundle(900 + agg, agg * 4, chunk, Vec::new()));
         let tiered = center
-            .analyze_epoch_aggregated(&bundles)
+            .analyze_epoch_aggregated_collected(&CollectedEpoch::from_frames(bundles))
             .expect("same 12 leaves through 3 bundles");
 
         assert_eq!(tiered.routers, 12);
@@ -1443,32 +1266,20 @@ mod tests {
     /// reachable leaves, not bundles.
     #[test]
     fn aggregated_ingest_composes_exclusions_across_levels() {
-        use crate::aggregate::{AggregateBundle, ChildExclusion};
-
-        let frames = wire_frames(32, 6);
-        let good = AggregateBundle::assemble(
-            1000,
-            0,
-            1,
-            frames[..4]
-                .iter()
-                .enumerate()
-                .map(|(i, f)| (i as u64, f.clone()))
-                .collect(),
-            vec![ChildExclusion {
-                router_id: 4,
-                fault: RouterFault::TimedOut {
-                    received: 2,
-                    total: 5,
-                },
-            }],
-        )
-        .encode_wire();
+        let timed_out = crate::aggregate::ChildExclusion {
+            router_id: 4,
+            fault: RouterFault::TimedOut {
+                received: 2,
+                total: 5,
+            },
+        };
+        let good = bundle(1000, 0, &wire_frames(32, 4), vec![timed_out]);
         let garbage = vec![0x55u8; 80];
 
         let center = AnalysisCenter::new(AnalysisConfig::for_groups(24));
+        let epoch = CollectedEpoch::from_frames([good, garbage]);
         let report = center
-            .analyze_epoch_aggregated(&[good.clone(), garbage.clone()])
+            .analyze_epoch_aggregated_collected(&epoch)
             .expect("four surviving leaves are a quorum");
         // 4 delivered leaves + 1 child exclusion + 1 dead bundle.
         assert_eq!(report.ingest.submitted, 6);
@@ -1511,7 +1322,7 @@ mod tests {
         // Leaf-based quorum: 5 reachable leaves is not enough when the
         // floor is 5 delivered... the 4 survivors miss a floor of 5.
         let strict = AnalysisCenter::new(AnalysisConfig::for_groups(24).with_min_quorum(5));
-        match strict.analyze_epoch_aggregated(&[good, garbage]) {
+        match strict.analyze_epoch_aggregated_collected(&epoch) {
             Err(IngestError::QuorumTooSmall { required, report }) => {
                 assert_eq!(required, 5);
                 assert_eq!(report.accepted.len(), 4);
@@ -1525,23 +1336,10 @@ mod tests {
     /// lost entirely becomes one `AtLevel` exclusion carrying its id.
     #[test]
     fn lost_aggregator_surfaces_with_its_id() {
-        use crate::aggregate::AggregateBundle;
         use crate::session::{CollectorConfig, EpochCollector};
         use crate::transport::chunk_bundle;
 
-        let frames = wire_frames(33, 4);
-        let bundle = AggregateBundle::assemble(
-            700,
-            0,
-            1,
-            frames
-                .iter()
-                .enumerate()
-                .map(|(i, f)| (i as u64, f.clone()))
-                .collect(),
-            Vec::new(),
-        )
-        .encode_wire();
+        let bundle = bundle(700, 0, &wire_frames(33, 4), Vec::new());
 
         // Upstream hop expects aggregators 700 and 701; only 700 ships.
         let mut coll = EpochCollector::new(0, [700u64, 701], CollectorConfig::default(), 9, 0);

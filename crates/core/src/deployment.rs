@@ -268,7 +268,6 @@ mod tests {
                 },
                 ingest: Default::default(),
                 sketch: Default::default(),
-                timings: Default::default(),
                 transport: Default::default(),
             },
             stable_aligned: false,

@@ -21,71 +21,10 @@
 //! configured quorum of bundles survive does ingest fail as a whole, with
 //! a typed [`IngestError`] instead of a panic.
 
-use crate::monitor::{RouterDigest, RouterDigestView};
+use crate::monitor::RouterDigestView;
 use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
 use std::fmt;
-
-/// What validation needs to know about one digest bundle — implemented by
-/// owned [`RouterDigest`]s and borrowed [`RouterDigestView`]s so the copying
-/// and the zero-copy ingest paths share one validator and therefore one
-/// exclusion accounting.
-pub trait DigestShape {
-    /// The shipping router's id.
-    fn router_id(&self) -> usize;
-    /// The bundle's epoch id.
-    fn epoch_id(&self) -> u64;
-    /// Aligned bitmap width in bits.
-    fn aligned_bits(&self) -> usize;
-    /// Claimed arrays per flow-split group.
-    fn arrays_per_group(&self) -> usize;
-    /// Total unaligned arrays shipped.
-    fn array_count(&self) -> usize;
-    /// Width in bits of unaligned array `i` (`i < array_count()`).
-    fn array_bits(&self, i: usize) -> usize;
-}
-
-impl DigestShape for RouterDigest {
-    fn router_id(&self) -> usize {
-        self.router_id
-    }
-    fn epoch_id(&self) -> u64 {
-        self.epoch_id
-    }
-    fn aligned_bits(&self) -> usize {
-        self.aligned.bitmap.len()
-    }
-    fn arrays_per_group(&self) -> usize {
-        self.unaligned.arrays_per_group
-    }
-    fn array_count(&self) -> usize {
-        self.unaligned.arrays.len()
-    }
-    fn array_bits(&self, i: usize) -> usize {
-        self.unaligned.arrays[i].len()
-    }
-}
-
-impl DigestShape for RouterDigestView<'_> {
-    fn router_id(&self) -> usize {
-        self.router_id
-    }
-    fn epoch_id(&self) -> u64 {
-        self.epoch_id
-    }
-    fn aligned_bits(&self) -> usize {
-        self.aligned.bitmap.len()
-    }
-    fn arrays_per_group(&self) -> usize {
-        self.unaligned.arrays_per_group
-    }
-    fn array_count(&self) -> usize {
-        self.unaligned.array_count()
-    }
-    fn array_bits(&self, i: usize) -> usize {
-        self.unaligned.array(i).len()
-    }
-}
 
 /// Why one submitted digest bundle was excluded from an epoch's fusion.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -101,6 +40,9 @@ pub enum RouterFault {
     /// The unaligned digest ships no arrays at all.
     EmptyUnaligned,
     /// `arrays_per_group` is zero or does not divide the array count.
+    /// The wire parser rejects such a frame, so the centre reports it as
+    /// [`RouterFault::Wire`]; the variant stays for aggregate bundles in
+    /// flight that carry it.
     GroupLayout {
         /// Arrays shipped.
         arrays: usize,
@@ -525,75 +467,41 @@ struct Shape {
 }
 
 impl Shape {
-    fn of<D: DigestShape>(d: &D) -> Shape {
+    fn of(d: &RouterDigestView<'_>) -> Shape {
         Shape {
-            aligned_bits: d.aligned_bits(),
-            arrays_per_group: d.arrays_per_group(),
-            array_bits: if d.array_count() > 0 {
-                d.array_bits(0)
+            aligned_bits: d.aligned.bitmap.len(),
+            arrays_per_group: d.unaligned.arrays_per_group,
+            array_bits: if d.unaligned.array_count() > 0 {
+                d.unaligned.array(0).len()
             } else {
                 0
             },
-            epoch_id: d.epoch_id(),
+            epoch_id: d.epoch_id,
         }
     }
 }
 
-/// Checks one bundle in isolation; `None` means internally coherent.
-fn internal_fault<D: DigestShape>(d: &D) -> Option<RouterFault> {
-    let arrays = d.array_count();
-    if arrays == 0 {
-        return Some(RouterFault::EmptyUnaligned);
-    }
-    let arrays_per_group = d.arrays_per_group();
-    if arrays_per_group == 0 || !arrays.is_multiple_of(arrays_per_group) {
-        return Some(RouterFault::GroupLayout {
-            arrays,
-            arrays_per_group,
-        });
-    }
-    let width = d.array_bits(0);
-    for i in 1..arrays {
-        let got = d.array_bits(i);
-        if got != width {
-            return Some(RouterFault::ArrayWidth {
-                expected: width,
-                got,
-            });
-        }
-    }
-    None
+/// Checks one bundle in isolation; `None` means internally coherent. A
+/// parsed view already has whole groups of uniform-width arrays — the
+/// wire parser rejects anything else — so an empty digest is the one
+/// incoherence left to catch here.
+fn internal_fault(d: &RouterDigestView<'_>) -> Option<RouterFault> {
+    (d.unaligned.array_count() == 0).then_some(RouterFault::EmptyUnaligned)
 }
 
-/// Validates a batch of already-decoded digests against each other and
-/// the quorum floor. See [`validate_batch`] for the full-control variant.
-pub fn validate(
-    digests: &[RouterDigest],
-    min_quorum: usize,
-) -> Result<(Vec<&RouterDigest>, IngestReport), IngestError> {
-    validate_batch(
-        digests.len(),
-        digests.iter().enumerate().collect(),
-        Vec::new(),
-        min_quorum,
-    )
-}
-
-/// Validates candidate digests (batch index, digest) plus exclusions
-/// already recorded upstream (e.g. wire frames that failed to decode).
+/// Validates candidate digests (batch index, parsed frame) against each
+/// other and the quorum floor, on top of the exclusions already recorded
+/// upstream (frames the transport lost or that failed to parse).
 /// `submitted` is the original batch size including those prior rejects.
-///
-/// Generic over [`DigestShape`], so owned bundles and zero-copy
-/// [`RouterDigestView`]s go through byte-for-byte identical validation.
 ///
 /// Returns the accepted digests (in batch order) and the full accounting,
 /// or a typed error when the batch is empty or the quorum is missed.
-pub fn validate_batch<D: DigestShape>(
+pub fn validate_batch<'a>(
     submitted: usize,
-    candidates: Vec<(usize, &D)>,
+    candidates: Vec<(usize, RouterDigestView<'a>)>,
     prior_exclusions: Vec<Exclusion>,
     min_quorum: usize,
-) -> Result<(Vec<&D>, IngestReport), IngestError> {
+) -> Result<(Vec<RouterDigestView<'a>>, IngestReport), IngestError> {
     if submitted == 0 {
         return Err(IngestError::NoDigests);
     }
@@ -603,8 +511,8 @@ pub fn validate_batch<D: DigestShape>(
     // ties break towards the earliest-seen shape.
     let mut votes: HashMap<Shape, (usize, usize)> = HashMap::new();
     for (order, (_, d)) in candidates.iter().enumerate() {
-        if internal_fault(*d).is_none() {
-            let entry = votes.entry(Shape::of(*d)).or_insert((0, order));
+        if internal_fault(d).is_none() {
+            let entry = votes.entry(Shape::of(d)).or_insert((0, order));
             entry.0 += 1;
         }
     }
@@ -613,12 +521,12 @@ pub fn validate_batch<D: DigestShape>(
         .max_by(|(_, (ca, fa)), (_, (cb, fb))| ca.cmp(cb).then(fb.cmp(fa)))
         .map(|(shape, _)| *shape);
 
-    let mut accepted: Vec<&D> = Vec::new();
+    let mut accepted: Vec<RouterDigestView<'a>> = Vec::new();
     let mut accepted_ids: Vec<usize> = Vec::new();
     let mut first_seen: HashMap<usize, usize> = HashMap::new();
     for (index, d) in candidates {
-        let fault = internal_fault(d).or_else(|| {
-            let shape = Shape::of(d);
+        let fault = internal_fault(&d).or_else(|| {
+            let shape = Shape::of(&d);
             // `consensus` exists whenever at least one bundle passed the
             // internal checks — which this one did.
             let c = consensus.expect("coherent bundle implies a consensus shape");
@@ -644,20 +552,20 @@ pub fn validate_batch<D: DigestShape>(
                 })
             } else {
                 first_seen
-                    .get(&d.router_id())
+                    .get(&d.router_id)
                     .map(|&first_index| RouterFault::DuplicateRouter { first_index })
             }
         });
         match fault {
             Some(fault) => excluded.push(Exclusion {
                 index,
-                router_id: Some(d.router_id()),
+                router_id: Some(d.router_id),
                 fault,
             }),
             None => {
-                first_seen.insert(d.router_id(), index);
+                first_seen.insert(d.router_id, index);
+                accepted_ids.push(d.router_id);
                 accepted.push(d);
-                accepted_ids.push(d.router_id());
             }
         }
     }
@@ -678,6 +586,7 @@ pub fn validate_batch<D: DigestShape>(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::monitor::RouterDigest;
     use dcs_bitmap::Bitmap;
     use dcs_collect::{AlignedDigest, UnalignedDigest};
 
@@ -704,11 +613,24 @@ mod tests {
         }
     }
 
+    /// Validates the wire frames of `digests` (each must parse).
+    fn validate(digests: &[RouterDigest], min_quorum: usize) -> Result<IngestReport, IngestError> {
+        let frames: Vec<_> = digests
+            .iter()
+            .map(|d| d.encode_wire().expect("test bundles encode"))
+            .collect();
+        let views = frames
+            .iter()
+            .map(|f| RouterDigestView::parse(f).expect("test bundles parse").0)
+            .enumerate()
+            .collect();
+        validate_batch(digests.len(), views, Vec::new(), min_quorum).map(|(_, report)| report)
+    }
+
     #[test]
     fn clean_batch_accepts_everything() {
         let digests: Vec<_> = (0..5).map(|r| bundle(r, 3)).collect();
-        let (accepted, report) = validate(&digests, 1).unwrap();
-        assert_eq!(accepted.len(), 5);
+        let report = validate(&digests, 1).unwrap();
         assert_eq!(report.accepted, vec![0, 1, 2, 3, 4]);
         assert!(!report.is_degraded());
         assert_eq!(report.accepted_fraction(), 1.0);
@@ -724,8 +646,7 @@ mod tests {
         // The first digest has a wrong aligned width; majority wins.
         let mut digests: Vec<_> = (0..4).map(|r| bundle(r, 0)).collect();
         digests[0].aligned.bitmap = Bitmap::new(128);
-        let (accepted, report) = validate(&digests, 1).unwrap();
-        assert_eq!(accepted.len(), 3);
+        let report = validate(&digests, 1).unwrap();
         assert_eq!(report.accepted, vec![1, 2, 3]);
         assert_eq!(report.excluded.len(), 1);
         assert_eq!(report.excluded[0].index, 0);
@@ -743,7 +664,7 @@ mod tests {
     fn duplicate_router_keeps_the_first_copy() {
         let mut digests: Vec<_> = (0..3).map(|r| bundle(r, 0)).collect();
         digests.push(bundle(1, 0));
-        let (_, report) = validate(&digests, 1).unwrap();
+        let report = validate(&digests, 1).unwrap();
         assert_eq!(report.accepted, vec![0, 1, 2]);
         assert_eq!(
             report.excluded[0].fault,
@@ -755,7 +676,7 @@ mod tests {
     fn desynced_epoch_is_excluded() {
         let mut digests: Vec<_> = (0..4).map(|r| bundle(r, 7)).collect();
         digests[2].epoch_id = 6;
-        let (_, report) = validate(&digests, 1).unwrap();
+        let report = validate(&digests, 1).unwrap();
         assert_eq!(report.accepted, vec![0, 1, 3]);
         assert_eq!(
             report.excluded[0].fault,
@@ -767,20 +688,28 @@ mod tests {
     }
 
     #[test]
-    fn incoherent_group_layout_and_empty_arrays_are_flagged() {
-        let mut digests: Vec<_> = (0..4).map(|r| bundle(r, 0)).collect();
-        digests[1].unaligned.arrays.pop(); // 3 arrays, 2 per group
+    fn off_consensus_layouts_and_empty_arrays_are_flagged() {
+        let mut digests: Vec<_> = (0..5).map(|r| bundle(r, 0)).collect();
+        digests[1].unaligned.arrays_per_group = 4; // one group of four
         digests[3].unaligned.arrays.clear();
-        let (_, report) = validate(&digests, 1).unwrap();
+        digests[4].unaligned.arrays = vec![Bitmap::from_indices(64, [1]); 4];
+        let report = validate(&digests, 1).unwrap();
         assert_eq!(report.accepted, vec![0, 2]);
         assert_eq!(
             report.excluded[0].fault,
-            RouterFault::GroupLayout {
-                arrays: 3,
-                arrays_per_group: 2
+            RouterFault::ArraysPerGroup {
+                expected: 2,
+                got: 4
             }
         );
         assert_eq!(report.excluded[1].fault, RouterFault::EmptyUnaligned);
+        assert_eq!(
+            report.excluded[2].fault,
+            RouterFault::ArrayWidth {
+                expected: 32,
+                got: 64
+            }
+        );
     }
 
     #[test]
@@ -849,7 +778,7 @@ mod tests {
     fn report_serde_roundtrip() {
         let mut digests: Vec<_> = (0..3).map(|r| bundle(r, 0)).collect();
         digests[1].epoch_id = 9;
-        let (_, report) = validate(&digests, 1).unwrap();
+        let report = validate(&digests, 1).unwrap();
         let json = serde_json::to_string(&report).unwrap();
         let back: IngestReport = serde_json::from_str(&json).unwrap();
         assert_eq!(back, report);

@@ -39,14 +39,14 @@ pub use center::{AnalysisCenter, AnalysisConfig};
 pub use clock::{Clock, ManualClock, TickClock};
 pub use deployment::{Deployment, DeploymentVerdict};
 pub use epochs::{catch_probability, AlarmTracker, EpochSampler};
-pub use ingest::{DigestShape, Exclusion, IngestError, IngestReport, RouterFault};
+pub use ingest::{Exclusion, IngestError, IngestReport, RouterFault};
 pub use monitor::{MonitorConfig, MonitoringPoint, RouterDigest, RouterDigestView};
 pub use net::{
     run_center_epoch, run_monitor_epoch, CenterEpochEnd, CenterSocket, ControlError, ControlFrame,
     ImpairmentConfig, ImpairmentShim, MonitorEpochConfig, MonitorEpochEnd, MonitorSocket,
     Transport,
 };
-pub use report::{AlignedReport, EpochReport, EpochTimings, TransportStats, UnalignedReport};
+pub use report::{AlignedReport, EpochReport, TransportStats, UnalignedReport};
 pub use runtime::{EpochInput, EpochPipeline, PipelineConfig, PipelineError, PipelineResult};
 pub use session::{
     CollectedEpoch, CollectorConfig, EpochCollector, RetransmitRequest, SessionConfig,
@@ -77,7 +77,7 @@ pub mod prelude {
         Transport,
     };
     pub use crate::report::{
-        AlignedReport, EpochReport, EpochTimings, SketchReport, TransportStats, UnalignedReport,
+        AlignedReport, EpochReport, SketchReport, TransportStats, UnalignedReport,
     };
     pub use crate::runtime::{
         EpochInput, EpochPipeline, PipelineConfig, PipelineError, PipelineResult,

@@ -56,64 +56,11 @@ pub struct SketchReport {
     pub top_columns: Vec<usize>,
 }
 
-/// Wall-clock nanoseconds spent in the analysis stages of one epoch.
-///
-/// **Deprecated view**: since the staged-pipeline refactor the source of
-/// truth is the centre's metrics registry
-/// ([`AnalysisCenter::metrics`](crate::center::AnalysisCenter::metrics));
-/// this struct is a coarse last-epoch view over those per-stage gauges,
-/// kept (with identical values) for existing report consumers and
-/// derivable from any snapshot via [`EpochTimings::from_snapshot`].
-///
-/// `fuse_ns` covers turning validated digests into the fused matrices
-/// (the aligned `fuse` stage plus the unaligned `stack_rows` stage);
-/// `screen_ns` is the aligned `screen` stage; `sweep_ns` aggregates the
-/// aligned `core_find`, `sweep` and `terminate` stages; `total_ns`
-/// clocks the whole call, ingest to report. The paper's 1-s epoch budget
-/// makes these the primary scalability figure of merit for the analysis
-/// centre.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
-pub struct EpochTimings {
-    /// Fusing validated digests into the column/row matrices.
-    pub fuse_ns: u64,
-    /// Aligned-search screening (rank columns, materialise the n′ heaviest).
-    pub screen_ns: u64,
-    /// Aligned product search, expansion sweep and verdict.
-    pub sweep_ns: u64,
-    /// The whole analysis call, ingest through report assembly.
-    pub total_ns: u64,
-}
-
-impl EpochTimings {
-    /// Derives the coarse last-epoch view from a metrics snapshot's
-    /// `epoch_stage_ns{pipeline,stage}` gauges (zeros for stages the
-    /// snapshot has never seen). For a snapshot taken right after an
-    /// `analyze_epoch*` call this equals the report's `timings` field
-    /// exactly.
-    pub fn from_snapshot(snap: &dcs_obs::MetricsSnapshot) -> EpochTimings {
-        let stage = |pipeline: &str, stage: &str| {
-            snap.gauge(&dcs_obs::metric_key(
-                "epoch_stage_ns",
-                &[("pipeline", pipeline), ("stage", stage)],
-            ))
-            .unwrap_or(0)
-        };
-        EpochTimings {
-            fuse_ns: stage("aligned", "fuse") + stage("unaligned", "stack_rows"),
-            screen_ns: stage("aligned", "screen"),
-            sweep_ns: stage("aligned", "core_find")
-                + stage("aligned", "sweep")
-                + stage("aligned", "terminate"),
-            total_ns: snap.gauge("epoch_total_ns").unwrap_or(0),
-        }
-    }
-}
-
 /// Per-epoch transport accounting, recorded by the
 /// [`EpochCollector`](crate::session::EpochCollector) while the epoch's
 /// chunk frames were being received and reassembled. All zeros when the
-/// epoch was ingested without the transport layer (in-memory batches or
-/// whole wire frames handed straight to the centre).
+/// epoch crossed no transport hop (in-process digests or whole wire
+/// frames handed straight to the centre).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
 pub struct TransportStats {
     /// Chunk frames accepted into reassembly buffers.
@@ -163,8 +110,6 @@ pub struct EpochReport {
     pub ingest: IngestReport,
     /// Sidecar-sketch accounting (all zeros when no bundle shipped one).
     pub sketch: SketchReport,
-    /// Per-stage wall-clock timings of the analysis.
-    pub timings: EpochTimings,
     /// Delivery accounting from the transport layer (zeros when the epoch
     /// bypassed it).
     pub transport: TransportStats,
@@ -219,12 +164,6 @@ mod tests {
                 payload_bytes: 640,
                 top_columns: vec![5, 17],
             },
-            timings: EpochTimings {
-                fuse_ns: 1_000,
-                screen_ns: 2_000,
-                sweep_ns: 3_000,
-                total_ns: 10_000,
-            },
             transport: TransportStats {
                 chunks_received: 80,
                 retransmits: 3,
@@ -253,8 +192,6 @@ mod tests {
         assert_eq!(back.unaligned.component_threshold, 100);
         assert_eq!(back.ingest, r.ingest);
         assert!(back.ingest.is_degraded());
-        assert_eq!(back.timings, r.timings);
-        assert_eq!(back.timings.total_ns, 10_000);
         assert_eq!(back.transport, r.transport);
         assert_eq!(back.transport.retransmits, 3);
         assert_eq!(back.transport.checkpoint_resumes, 1);

@@ -22,11 +22,11 @@
 //! `epochs_in_flight_peak` its high-water mark.
 //!
 //! Determinism: a single worker analyses strictly in submission order
-//! through the same `analyze_*` entry points as the sequential driver,
-//! so pipelining changes *when* an epoch is analysed, never its result —
-//! reports are byte-identical to the sequential path, and per-epoch
-//! stage timings stay per-epoch (they time the analysis body, which
-//! never overlaps another analysis).
+//! through the same two doors as the sequential driver
+//! ([`EpochInput::analyze`]), so pipelining changes *when* an epoch is
+//! analysed, never its result — reports are byte-identical to the
+//! sequential path, and per-epoch stage timings stay per-epoch (they
+//! time the analysis body, which never overlaps another analysis).
 //!
 //! [`submit`]: EpochPipeline::submit
 //! [`try_recv`]: EpochPipeline::try_recv
@@ -35,7 +35,6 @@
 
 use crate::center::AnalysisCenter;
 use crate::ingest::IngestError;
-use crate::monitor::RouterDigest;
 use crate::report::EpochReport;
 use crate::session::CollectedEpoch;
 use std::collections::VecDeque;
@@ -59,22 +58,15 @@ impl Default for PipelineConfig {
     }
 }
 
-/// One epoch's worth of input, in any of the centre's ingest formats.
+/// One epoch's worth of input: a [`CollectedEpoch`], tagged with what its
+/// frames are.
 #[derive(Debug)]
 pub enum EpochInput {
-    /// Owned digest bundles (`AnalysisCenter::analyze_epoch`).
-    Digests(Vec<RouterDigest>),
-    /// Encoded wire frames (`AnalysisCenter::analyze_epoch_wire`).
-    Frames(Vec<Vec<u8>>),
-    /// A finalized transport epoch
+    /// The frames are DCSR leaf bundles
     /// (`AnalysisCenter::analyze_epoch_collected`).
     Collected(CollectedEpoch),
-    /// Encoded aggregate bundles from a regional aggregation tier
-    /// (`AnalysisCenter::analyze_epoch_aggregated`).
-    Aggregated(Vec<Vec<u8>>),
-    /// A finalized transport epoch whose reassembled frames are
-    /// aggregate bundles
-    /// (`AnalysisCenter::analyze_epoch_aggregated_collected`).
+    /// The frames are DCSG aggregate bundles from a regional aggregation
+    /// tier (`AnalysisCenter::analyze_epoch_aggregated_collected`).
     AggregatedCollected(CollectedEpoch),
     /// Test-only: panics inside the analysis body, exercising the
     /// worker's panic containment (the public ingest paths validate
@@ -83,6 +75,21 @@ pub enum EpochInput {
     #[cfg(test)]
     #[doc(hidden)]
     PanicForTest,
+}
+
+impl EpochInput {
+    /// Analyses the epoch inline through the door its variant names — what
+    /// the pipeline's worker does with it, for callers without a pipeline.
+    pub fn analyze(&self, center: &AnalysisCenter) -> Result<EpochReport, IngestError> {
+        match self {
+            EpochInput::Collected(epoch) => center.analyze_epoch_collected(epoch),
+            EpochInput::AggregatedCollected(epoch) => {
+                center.analyze_epoch_aggregated_collected(epoch)
+            }
+            #[cfg(test)]
+            EpochInput::PanicForTest => panic!("injected pipeline panic"),
+        }
+    }
 }
 
 /// Why a submitted epoch produced no report.
@@ -315,18 +322,6 @@ fn publish_in_flight(center: &AnalysisCenter, st: &mut State) {
         .set(st.peak_in_flight as u64);
 }
 
-fn analyze(center: &AnalysisCenter, input: &EpochInput) -> Result<EpochReport, IngestError> {
-    match input {
-        EpochInput::Digests(digests) => center.analyze_epoch(digests),
-        EpochInput::Frames(frames) => center.analyze_epoch_wire(frames),
-        EpochInput::Collected(epoch) => center.analyze_epoch_collected(epoch),
-        EpochInput::Aggregated(bundles) => center.analyze_epoch_aggregated(bundles),
-        EpochInput::AggregatedCollected(epoch) => center.analyze_epoch_aggregated_collected(epoch),
-        #[cfg(test)]
-        EpochInput::PanicForTest => panic!("injected pipeline panic"),
-    }
-}
-
 fn worker_loop(center: &AnalysisCenter, shared: &Shared) {
     loop {
         let (seq, input) = {
@@ -348,7 +343,7 @@ fn worker_loop(center: &AnalysisCenter, shared: &Shared) {
         };
         // Analysis runs without any pipeline lock held; a panic drops the
         // checked-out scratch and surfaces as a typed per-epoch error.
-        let outcome = catch_unwind(AssertUnwindSafe(|| analyze(center, &input)))
+        let outcome = catch_unwind(AssertUnwindSafe(|| input.analyze(center)))
             .map_err(|payload| {
                 let msg = payload
                     .downcast_ref::<&str>()
@@ -374,13 +369,15 @@ fn worker_loop(center: &AnalysisCenter, shared: &Shared) {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::aggregate::AggregateBundle;
     use crate::center::AnalysisConfig;
     use crate::monitor::{MonitorConfig, MonitoringPoint};
     use dcs_traffic::{gen, BackgroundConfig, SizeMix};
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 
-    fn make_digests(seed: u64, routers: usize) -> Vec<RouterDigest> {
+    /// One epoch of `routers` clean leaf bundles, as bare frames.
+    fn make_epoch(seed: u64, routers: usize) -> CollectedEpoch {
         let mut r = StdRng::seed_from_u64(seed);
         let mcfg = MonitorConfig::small(7, 1 << 12, 4);
         let bg = BackgroundConfig {
@@ -389,33 +386,53 @@ mod tests {
             zipf_exponent: 1.0,
             size_mix: SizeMix::constant(536),
         };
-        (0..routers)
+        let digests: Vec<_> = (0..routers)
             .map(|id| {
                 let traffic = gen::generate_epoch(&mut r, &bg);
                 let mut mp = MonitoringPoint::new(id, &mcfg);
                 mp.observe_all(&traffic);
                 mp.finish_epoch()
             })
-            .collect()
+            .collect();
+        CollectedEpoch::from_digests(&digests)
+    }
+
+    /// The same leaves behind one regional aggregator, as a bare bundle.
+    fn aggregated(epoch: &CollectedEpoch) -> CollectedEpoch {
+        let children = epoch
+            .frames
+            .iter()
+            .map(|(i, f)| (*i as u64, f.clone()))
+            .collect();
+        let bundle = AggregateBundle::assemble(900, 0, 1, children, Vec::new());
+        CollectedEpoch::from_frames([bundle.encode_wire()])
     }
 
     fn center() -> AnalysisCenter {
         AnalysisCenter::new(AnalysisConfig::for_groups(16))
     }
 
+    /// Both input variants round-trip: the pipeline's reports match the
+    /// door each variant names, in submission order.
     #[test]
     fn pipelined_reports_match_the_sequential_path() {
         let reference = center();
-        let expected: Vec<EpochReport> = (0..3)
-            .map(|e| reference.analyze_epoch(&make_digests(60 + e, 4)).unwrap())
-            .collect();
-
+        let mut expected: Vec<EpochReport> = Vec::new();
         let pipe = EpochPipeline::new(center(), PipelineConfig::default());
         for e in 0..3u64 {
-            pipe.submit(EpochInput::Digests(make_digests(60 + e, 4)));
+            let flat = make_epoch(60 + e, 4);
+            let tiered = aggregated(&flat);
+            expected.push(reference.analyze_epoch_collected(&flat).unwrap());
+            expected.push(
+                reference
+                    .analyze_epoch_aggregated_collected(&tiered)
+                    .unwrap(),
+            );
+            pipe.submit(EpochInput::Collected(flat));
+            pipe.submit(EpochInput::AggregatedCollected(tiered));
         }
         let results = pipe.drain();
-        assert_eq!(results.len(), 3);
+        assert_eq!(results.len(), 6);
         for ((seq, got), (e, want)) in results.into_iter().zip(expected.iter().enumerate()) {
             assert_eq!(seq, e as u64, "results must come back in submission order");
             let got = got.expect("clean epoch");
@@ -437,15 +454,15 @@ mod tests {
     fn paused_pipeline_admits_the_in_flight_bound_and_records_backpressure() {
         let pipe = EpochPipeline::new(center(), PipelineConfig { max_in_flight: 2 });
         pipe.pause();
-        pipe.submit(EpochInput::Digests(make_digests(70, 4)));
-        pipe.submit(EpochInput::Digests(make_digests(71, 4)));
+        pipe.submit(EpochInput::Collected(make_epoch(70, 4)));
+        pipe.submit(EpochInput::Collected(make_epoch(71, 4)));
         assert_eq!(pipe.in_flight(), 2, "both epochs must be admitted");
 
         // A third submission from another thread must stall until the
         // worker resumes and frees a slot.
         std::thread::scope(|scope| {
             let submitter = scope.spawn(|| {
-                pipe.submit(EpochInput::Digests(make_digests(72, 4)));
+                pipe.submit(EpochInput::Collected(make_epoch(72, 4)));
             });
             std::thread::sleep(std::time::Duration::from_millis(30));
             assert!(
@@ -469,7 +486,7 @@ mod tests {
     #[test]
     fn ingest_errors_come_back_as_typed_results() {
         let pipe = EpochPipeline::new(center(), PipelineConfig::default());
-        pipe.submit(EpochInput::Digests(Vec::new()));
+        pipe.submit(EpochInput::Collected(CollectedEpoch::from_frames([])));
         let (seq, outcome) = pipe.recv().expect("one result");
         assert_eq!(seq, 0);
         match outcome {
@@ -483,7 +500,7 @@ mod tests {
     fn panicked_epoch_is_contained_and_the_worker_keeps_going() {
         let pipe = EpochPipeline::new(center(), PipelineConfig::default());
         pipe.submit(EpochInput::PanicForTest);
-        pipe.submit(EpochInput::Digests(make_digests(74, 4)));
+        pipe.submit(EpochInput::Collected(make_epoch(74, 4)));
         let results = pipe.drain();
         assert_eq!(results.len(), 2);
         match &results[0].1 {

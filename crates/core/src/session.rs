@@ -44,6 +44,7 @@
 //! reproducible.
 
 use crate::ingest::{Exclusion, RouterFault};
+use crate::monitor::RouterDigest;
 use crate::report::TransportStats;
 use crate::transport::{ChunkError, ChunkFrame, MAX_CHUNKS};
 use dcs_hash::crc32::crc32;
@@ -148,6 +149,21 @@ pub enum Missing {
     All,
     /// Specific chunk sequence numbers.
     Seqs(Vec<u32>),
+}
+
+impl Missing {
+    /// The entries of `chunks` (indexed by chunk sequence number) this
+    /// request asks for, in request order. A request is outside input: a
+    /// sequence number beyond `chunks` selects nothing, and a repeated one
+    /// selects its chunk again.
+    pub fn select<'a, T>(&'a self, chunks: &'a [T]) -> impl Iterator<Item = &'a T> {
+        let (all, seqs): (&[T], &[u32]) = match self {
+            Missing::All => (chunks, &[]),
+            Missing::Seqs(seqs) => (&[], seqs),
+        };
+        all.iter()
+            .chain(seqs.iter().filter_map(move |&s| chunks.get(s as usize)))
+    }
 }
 
 /// One retransmit request, addressed to a monitoring point.
@@ -402,8 +418,15 @@ impl RouterSession {
 }
 
 /// One finalized epoch of transport: reassembled bundles in router order,
-/// transport-level exclusions, and the delivery stats — ready for
-/// [`AnalysisCenter::analyze_epoch_collected`](crate::center::AnalysisCenter::analyze_epoch_collected).
+/// transport-level exclusions, and the delivery stats — the analysis
+/// centre's one input type
+/// ([`AnalysisCenter::analyze_epoch_collected`](crate::center::AnalysisCenter::analyze_epoch_collected)
+/// when the frames are leaf bundles,
+/// [`analyze_epoch_aggregated_collected`](crate::center::AnalysisCenter::analyze_epoch_aggregated_collected)
+/// when they are aggregate bundles). An [`EpochCollector`] finalizes into
+/// one; [`CollectedEpoch::from_frames`] and
+/// [`CollectedEpoch::from_digests`] build one for frames that crossed no
+/// transport hop.
 #[derive(Debug, Clone)]
 pub struct CollectedEpoch {
     /// The collected epoch's id.
@@ -418,6 +441,47 @@ pub struct CollectedEpoch {
     pub exclusions: Vec<Exclusion>,
     /// Delivery accounting for the epoch.
     pub stats: TransportStats,
+}
+
+impl CollectedEpoch {
+    /// An epoch of whole frames that crossed no transport hop: batch
+    /// indices `0..n`, every frame submitted, nothing excluded, zero
+    /// delivery stats (and transport epoch id 0).
+    pub fn from_frames(frames: impl IntoIterator<Item = Vec<u8>>) -> Self {
+        let frames: Vec<(usize, Vec<u8>)> = frames.into_iter().enumerate().collect();
+        CollectedEpoch {
+            epoch_id: 0,
+            submitted: frames.len(),
+            frames,
+            exclusions: Vec::new(),
+            stats: TransportStats::default(),
+        }
+    }
+
+    /// [`CollectedEpoch::from_frames`] over the wire encoding of
+    /// in-process digests. A digest the wire format cannot carry is
+    /// excluded as a [`RouterFault::Wire`] and still counts as submitted.
+    pub fn from_digests(digests: &[RouterDigest]) -> Self {
+        let mut frames = Vec::with_capacity(digests.len());
+        let mut exclusions = Vec::new();
+        for (index, d) in digests.iter().enumerate() {
+            match d.encode_wire() {
+                Ok(frame) => frames.push((index, frame.to_vec())),
+                Err(e) => exclusions.push(Exclusion {
+                    index,
+                    router_id: Some(d.router_id),
+                    fault: RouterFault::Wire(e.to_string()),
+                }),
+            }
+        }
+        CollectedEpoch {
+            epoch_id: 0,
+            submitted: digests.len(),
+            frames,
+            exclusions,
+            stats: TransportStats::default(),
+        }
+    }
 }
 
 /// Errors from decoding a collector checkpoint.
@@ -863,6 +927,23 @@ mod tests {
 
     fn bundle_bytes(router: u64, len: usize) -> Vec<u8> {
         (0..len).map(|i| (i as u8) ^ (router as u8)).collect()
+    }
+
+    #[test]
+    fn missing_select_is_bounds_checked() {
+        let chunks = ["c0", "c1", "c2"];
+        assert_eq!(
+            Missing::All.select(&chunks).collect::<Vec<_>>(),
+            [&"c0", &"c1", &"c2"]
+        );
+        // An out-of-range seq (a NACK is outside input) selects nothing;
+        // a duplicate selects its chunk again, in request order.
+        let nack = Missing::Seqs(vec![2, 7, 0, 2, u32::MAX]);
+        assert_eq!(
+            nack.select(&chunks).collect::<Vec<_>>(),
+            [&"c2", &"c0", &"c2"]
+        );
+        assert_eq!(Missing::Seqs(vec![0]).select::<u8>(&[]).count(), 0);
     }
 
     #[test]

@@ -7,8 +7,7 @@
 //! graph_build → er_test → peel`. Every stage span lands in three metric
 //! families of the centre's [`MetricsRegistry`]:
 //!
-//! * gauge `epoch_stage_ns{pipeline,stage}` — the last epoch's span (the
-//!   view behind [`EpochTimings`](crate::report::EpochTimings));
+//! * gauge `epoch_stage_ns{pipeline,stage}` — the last epoch's span;
 //! * histogram `stage_ns{pipeline,stage}` — every span ever recorded;
 //! * counter `stage_runs_total{pipeline,stage}` — how often the stage ran.
 //!

@@ -8,8 +8,7 @@
 //! * monotonic **counters** ([`Counter`]) — events since process start
 //!   (`stage_runs_total`, `ingest_excluded_total{fault=…}`);
 //! * **gauges** ([`Gauge`]) — last-written values (`epoch_stage_ns{…}`,
-//!   the per-epoch stage clocks the deprecated `EpochTimings` view is
-//!   derived from);
+//!   the per-epoch stage clocks);
 //! * fixed-bucket **latency histograms** ([`Histogram`]) — power-of-two
 //!   nanosecond buckets accumulating every stage span ever timed.
 //!

@@ -19,34 +19,29 @@
 //!   sketch, weighted by payload length, ranks those flows first.
 //!
 //! The harness replays the tiered soak's topology — leaves chunk their
-//! bundles over a [`LossyChannel`] to regional [`Aggregator`]s, which
-//! pre-fuse and ship DCSG bundles over a second lossy hop to the
-//! centre — and checks that the planted keys rank in the sketch merged
-//! from the artifacts that survived both hops. Transport faults never
-//! panic: a failed quorum is a typed [`EpochOutcome`].
+//! bundles over a lossy channel to regional aggregators, which pre-fuse
+//! and ship DCSG bundles over a second lossy hop to the centre (the same
+//! tiers as [`crate::tiered`]) — and checks that the planted keys rank in
+//! the sketch merged from the artifacts that survived both hops.
+//! Transport faults never panic: a failed quorum is a typed
+//! [`EpochOutcome`].
 
-use crate::channel::{ChannelConfig, LossyChannel};
+use crate::channel::ChannelConfig;
+use crate::hop::{epoch_seed, TierDriver};
 use crate::soak::EpochOutcome;
-use dcs_collect::{AlignedCollector, ARTIFACT_KIND_SKETCH};
-use dcs_core::aggregate::{AggregateBundle, Aggregator};
+use crate::tiered::{aggregated_tiers, delivered_leaf_frames};
+use dcs_collect::AlignedCollector;
 use dcs_core::center::{AnalysisCenter, AnalysisConfig};
 use dcs_core::monitor::{
-    src_port_dst_as_key, MonitorConfig, MonitoringPoint, RouterDigest, SketchSpec,
+    src_port_dst_as_key, MonitorConfig, MonitoringPoint, RouterDigestView, SketchSpec,
 };
 use dcs_core::report::TransportStats;
-use dcs_core::session::{
-    ChunkDisposition, CollectorConfig, EpochCollector, Missing, RetransmitRequest,
-};
-use dcs_core::transport::chunk_bundle;
-use dcs_core::MetricsRegistry;
+use dcs_core::session::CollectorConfig;
 use dcs_hash::IndexHasher;
 use dcs_sketch::{decode_sketch, DistinctSketch, SketchWire, SpaceSaving};
 use dcs_traffic::{gen, BackgroundConfig, ContentObject, FlowLabel, Packet, SizeMix};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-
-/// Aggregator router ids live far above any leaf id.
-const AGG_ID_BASE: u64 = 1 << 20;
 
 /// The three attack scenarios of the suite.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -147,18 +142,6 @@ impl AttackConfig {
             max_payload: 1024,
             min_quorum: 16,
         }
-    }
-
-    /// The contiguous child range of aggregator `a`.
-    fn region(&self, a: usize) -> std::ops::Range<usize> {
-        let per = self.leaves / self.aggregators;
-        let start = a * per;
-        let end = if a + 1 == self.aggregators {
-            self.leaves
-        } else {
-            start + per
-        };
-        start..end
     }
 }
 
@@ -323,18 +306,10 @@ fn rank_attack_keys(
     let mut distinct: Option<DistinctSketch> = None;
     let mut delivered = 0usize;
     for frame in leaf_frames {
-        let Ok((digest, _)) = RouterDigest::decode_wire(frame) else {
+        let Ok((digest, _)) = RouterDigestView::parse(frame) else {
             continue;
         };
-        let Some(payload) = digest
-            .artifacts
-            .iter()
-            .find(|a| a.kind == ARTIFACT_KIND_SKETCH)
-            .map(|a| a.payload.clone())
-        else {
-            continue;
-        };
-        let Ok(wire) = decode_sketch(&payload) else {
+        let Some(Ok(wire)) = digest.sketch_payload().map(decode_sketch) else {
             continue;
         };
         delivered += 1;
@@ -384,12 +359,15 @@ pub fn run_attack_soak(cfg: &AttackConfig) -> AttackResult {
     acfg.search.n_prime = 400;
     acfg.search.hopefuls = 300;
     let center = AnalysisCenter::new(acfg);
-    let agg_metrics = MetricsRegistry::new();
-
-    let mut leaf_channels: Vec<LossyChannel> = (0..cfg.aggregators)
-        .map(|a| LossyChannel::new(cfg.leaf_channel, cfg.seed ^ (a as u64)))
-        .collect();
-    let mut up_channel = LossyChannel::new(cfg.up_channel, cfg.seed ^ 0xA55A);
+    let mut tiers = TierDriver::new(
+        &aggregated_tiers(
+            cfg.aggregators,
+            (cfg.leaf_collector, cfg.leaf_channel),
+            (cfg.up_collector, cfg.up_channel),
+            false,
+        ),
+        cfg.max_payload,
+    );
 
     let bg = BackgroundConfig {
         packets: cfg.bg_packets,
@@ -404,31 +382,9 @@ pub fn run_attack_soak(cfg: &AttackConfig) -> AttackResult {
     let mut now: u64 = 0;
 
     for e in 0..cfg.epochs {
-        let epoch_seed = cfg
-            .seed
-            .wrapping_add((e as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15));
-        for (a, ch) in leaf_channels.iter_mut().enumerate() {
-            ch.reseed(epoch_seed ^ (a as u64).wrapping_mul(0x517C_C1B7_2722_0A95));
-        }
-        up_channel.reseed(epoch_seed ^ 0xA55A);
+        let epoch_seed = epoch_seed(cfg.seed, e);
         let mut rng = StdRng::seed_from_u64(epoch_seed);
         let plan = plan_attack(cfg, &mcfg, &mut rng);
-        let epoch_id = monitors[0].epochs_finished();
-
-        let mut aggs: Vec<Aggregator> = (0..cfg.aggregators)
-            .map(|a| {
-                Aggregator::new(
-                    AGG_ID_BASE + a as u64,
-                    1,
-                    epoch_id,
-                    cfg.region(a).map(|l| l as u64),
-                    cfg.leaf_collector,
-                    epoch_seed ^ (a as u64),
-                    now,
-                )
-            })
-            .collect();
-
         for (id, mp) in monitors.iter_mut().enumerate() {
             let mut traffic = gen::generate_epoch(&mut rng, &bg);
             if id < cfg.attacked {
@@ -440,103 +396,17 @@ pub fn run_attack_soak(cfg: &AttackConfig) -> AttackResult {
                 traffic.splice(at..at, plan.injections[id].iter().cloned());
             }
             mp.observe_all(&traffic);
-            let chunks = mp
-                .finish_epoch_chunks(cfg.max_payload)
-                .expect("leaf bundles fit the wire format");
-            let owner = (0..cfg.aggregators)
-                .find(|&a| cfg.region(a).contains(&id))
-                .expect("regions partition the leaves");
-            for chunk in chunks {
-                leaf_channels[owner].send(&chunk, now);
-            }
         }
 
-        // Hop 1: leaves → regional aggregators, retransmit-driven.
-        let cap = now + cfg.leaf_collector.deadline * 4;
-        loop {
-            for (a, agg) in aggs.iter_mut().enumerate() {
-                for frame in leaf_channels[a].deliver_due(now) {
-                    if let ChunkDisposition::Accepted {
-                        router_id,
-                        cumulative_ack,
-                    } = agg.offer(&frame, now)
-                    {
-                        monitors[router_id as usize].ack(epoch_id, cumulative_ack);
-                    }
-                }
-                for req in agg.poll(now) {
-                    for frame in monitors[req.router_id as usize].resend(req.epoch_id, &req.missing)
-                    {
-                        leaf_channels[a].send(&frame, now);
-                    }
-                }
-            }
-            if aggs.iter().all(|a| a.ready(now)) || now >= cap {
-                break;
-            }
-            now += 1;
-        }
-
-        // Hop 2: pre-fused DCSG bundles → centre.
-        let mut resend_store: Vec<Vec<Vec<u8>>> = Vec::with_capacity(cfg.aggregators);
-        let mut up_collector = EpochCollector::new(
-            epoch_id,
-            (0..cfg.aggregators).map(|a| AGG_ID_BASE + a as u64),
-            cfg.up_collector,
-            epoch_seed ^ 0x5A5A,
-            now,
-        );
-        for agg in &mut aggs {
-            leaf_totals += agg.stats();
-            let bundle = agg.finalize(now, &agg_metrics);
-            let chunks = chunk_bundle(agg.id(), epoch_id, &bundle.encode_wire(), cfg.max_payload);
-            for chunk in &chunks {
-                up_channel.send(chunk, now);
-            }
-            resend_store.push(chunks);
-        }
-        let cap = now + cfg.up_collector.deadline * 4;
-        loop {
-            for frame in up_channel.deliver_due(now) {
-                up_collector.offer(&frame, now);
-            }
-            for RetransmitRequest {
-                router_id, missing, ..
-            } in up_collector.poll(now)
-            {
-                let a = (router_id - AGG_ID_BASE) as usize;
-                let chunks = &resend_store[a];
-                let frames: Vec<&Vec<u8>> = match &missing {
-                    Missing::All => chunks.iter().collect(),
-                    Missing::Seqs(seqs) => seqs
-                        .iter()
-                        .filter_map(|&s| chunks.get(s as usize))
-                        .collect(),
-                };
-                for frame in frames {
-                    up_channel.send(frame, now);
-                }
-            }
-            if up_collector.ready(now) || now >= cap {
-                break;
-            }
-            now += 1;
-        }
-
-        let epoch = up_collector.finalize(now);
-        up_totals += epoch.stats;
+        let (epoch, stats) = tiers.ship_epoch(&mut monitors, epoch_seed, &mut now, |_, _, _| {});
+        leaf_totals += stats[0];
+        up_totals += stats[1];
 
         // Reference sketch merge over the leaf frames that survived.
-        let leaf_frames: Vec<Vec<u8>> = epoch
-            .frames
-            .iter()
-            .filter_map(|(_, bytes)| AggregateBundle::decode_wire(bytes).ok())
-            .flat_map(|(bundle, _)| bundle.frames)
-            .collect();
         let (attack_key_ranks, artifacts_delivered) = rank_attack_keys(
             cfg.scenario,
             cfg.sketch_cap,
-            &leaf_frames,
+            &delivered_leaf_frames(&epoch),
             &plan.expected_keys,
         );
 

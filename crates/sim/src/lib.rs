@@ -18,6 +18,9 @@
 //!   exercising the analysis centre's ingest layer;
 //! * [`channel`] — a seeded lossy-channel model (drop, delay, reorder,
 //!   duplicate, corrupt) for the chunked digest transport;
+//! * [`hop`] — the one loop that drives frames across a lossy hop to a
+//!   collector or an aggregator, and the tier driver every soak below is
+//!   a configuration of;
 //! * [`soak`] — the transport soak harness: many epochs of monitors →
 //!   lossy channel → epoch collector → analysis centre, with optional
 //!   mid-soak centre kill/restart through the checkpoint path;
@@ -38,6 +41,7 @@ pub mod attack;
 pub mod baseline;
 pub mod channel;
 pub mod faults;
+pub mod hop;
 pub mod soak;
 pub mod stress;
 pub mod table;

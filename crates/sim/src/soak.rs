@@ -1,7 +1,7 @@
 //! Transport soak harness: many epochs of the full digest path —
-//! monitoring points chunking their bundles, a [`LossyChannel`]
-//! impairing delivery, the [`EpochCollector`] reassembling, acking and
-//! re-requesting, the analysis centre detecting — under configurable
+//! monitoring points chunking their bundles, a
+//! [`LossyChannel`](crate::channel::LossyChannel) impairing delivery, the
+//! [`EpochCollector`] reassembling, acking and re-requesting, the analysis centre detecting — under configurable
 //! fault regimes, with an optional mid-soak centre kill/restart that
 //! exercises checkpoint recovery.
 //!
@@ -10,13 +10,15 @@
 //! whether the centre crashed can be compared detection-set for
 //! detection-set.
 
-use crate::channel::{ChannelConfig, LossyChannel};
+use crate::channel::ChannelConfig;
+use crate::hop::{epoch_seed, Tier, TierDriver};
 use dcs_core::center::{AnalysisCenter, AnalysisConfig};
 use dcs_core::ingest::IngestError;
 use dcs_core::monitor::{MonitorConfig, MonitoringPoint};
 use dcs_core::report::{EpochReport, TransportStats};
 use dcs_core::runtime::{EpochInput, EpochPipeline, PipelineConfig, PipelineError};
-use dcs_core::session::{ChunkDisposition, CollectorConfig, EpochCollector};
+use dcs_core::session::{CollectorConfig, EpochCollector};
+use dcs_core::MetricsSnapshot;
 use dcs_traffic::{gen, BackgroundConfig, ContentObject, Planting, SizeMix};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -194,11 +196,81 @@ impl SoakResult {
     }
 }
 
-/// How the soak drives the centre: inline per-epoch analysis, or the
-/// continuously running pipeline.
-enum Driver {
+/// How a soak drives its centre: inline per-epoch analysis, or the
+/// continuously running pipeline. Outcomes come back in submission order
+/// either way.
+pub(crate) enum Driver {
     Sequential(Box<AnalysisCenter>),
-    Pipelined(EpochPipeline),
+    Pipelined {
+        pipe: EpochPipeline,
+        submitted: usize,
+    },
+}
+
+impl Driver {
+    pub(crate) fn new(center: AnalysisCenter, pipelined: bool) -> Self {
+        if pipelined {
+            Driver::Pipelined {
+                pipe: EpochPipeline::new(center, PipelineConfig::default()),
+                submitted: 0,
+            }
+        } else {
+            Driver::Sequential(Box::new(center))
+        }
+    }
+
+    /// Analyses `input` inline, or queues it behind the epochs still in
+    /// flight; appends every outcome that is ready to `outcomes`.
+    pub(crate) fn submit(
+        &mut self,
+        input: EpochInput,
+        min_quorum: usize,
+        outcomes: &mut Vec<EpochOutcome>,
+    ) {
+        match self {
+            Driver::Sequential(center) => {
+                outcomes.push(EpochOutcome::from(min_quorum, input.analyze(center)));
+            }
+            Driver::Pipelined { pipe, submitted } => {
+                // Hold the worker across the first two submissions so the
+                // double buffer is deterministically exercised — the
+                // `epochs_in_flight_peak ≥ 2` acceptance signal cannot
+                // depend on scheduler luck on a single-CPU host. From
+                // epoch 2 on, overlap is natural: collection of epoch
+                // N+1 proceeds while the worker analyses epoch N.
+                if *submitted == 0 {
+                    pipe.pause();
+                }
+                pipe.submit(input);
+                if *submitted == 1 {
+                    pipe.resume();
+                }
+                *submitted += 1;
+                while let Some((_, result)) = pipe.try_recv() {
+                    outcomes.push(EpochOutcome::from_pipeline(min_quorum, result));
+                }
+            }
+        }
+    }
+
+    /// Waits for the epochs still in flight and returns the centre's
+    /// final metrics.
+    pub(crate) fn finish(
+        self,
+        min_quorum: usize,
+        outcomes: &mut Vec<EpochOutcome>,
+    ) -> MetricsSnapshot {
+        match self {
+            Driver::Sequential(center) => center.metrics(),
+            Driver::Pipelined { pipe, .. } => {
+                pipe.resume(); // a 1-epoch run never reached the second submit
+                for (_, result) in pipe.drain() {
+                    outcomes.push(EpochOutcome::from_pipeline(min_quorum, result));
+                }
+                pipe.center().metrics()
+            }
+        }
+    }
 }
 
 /// Runs the soak. Deterministic in `cfg`; panics only on harness bugs —
@@ -212,13 +284,18 @@ pub fn run_soak(cfg: &SoakConfig) -> SoakResult {
     let mut acfg = AnalysisConfig::for_groups(cfg.routers * 4).with_min_quorum(cfg.min_quorum);
     acfg.search.n_prime = 400;
     acfg.search.hopefuls = 300;
-    let center = AnalysisCenter::new(acfg);
-    let driver = if cfg.pipelined {
-        Driver::Pipelined(EpochPipeline::new(center, PipelineConfig::default()))
-    } else {
-        Driver::Sequential(Box::new(center))
-    };
-    let mut channel = LossyChannel::new(cfg.channel, cfg.seed);
+    let mut driver = Driver::new(AnalysisCenter::new(acfg), cfg.pipelined);
+    // Flat: the monitors' link to the centre is the only tier.
+    let mut tiers = TierDriver::new(
+        &[Tier {
+            fan_in: 1,
+            collector: cfg.collector,
+            channel: cfg.channel,
+            channel_salt: 0,
+            collector_salt: 0,
+        }],
+        cfg.max_payload,
+    );
 
     let bg = BackgroundConfig {
         packets: cfg.bg_packets,
@@ -233,120 +310,41 @@ pub fn run_soak(cfg: &SoakConfig) -> SoakResult {
     let mut crashed = false;
 
     for e in 0..cfg.epochs {
-        // Per-epoch derived seed: traffic, channel impairments and
-        // retransmit jitter all replay from it, so a divergence in one
-        // epoch (e.g. a centre crash) cannot cascade into the next
-        // epoch's fault pattern.
-        let epoch_seed = cfg
-            .seed
-            .wrapping_add((e as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15));
-        channel.reseed(epoch_seed);
+        let epoch_seed = epoch_seed(cfg.seed, e);
         let mut rng = StdRng::seed_from_u64(epoch_seed);
-
         let obj = ContentObject::random_with_packets(&mut rng, cfg.content_packets, 536);
         let plant = Planting::aligned(obj, 536);
-        let epoch_id = monitors[0].epochs_finished();
-        let mut collector = EpochCollector::new(
-            epoch_id,
-            (0..cfg.routers as u64).collect::<Vec<_>>(),
-            cfg.collector,
-            epoch_seed,
-            now,
-        );
-
         for (id, mp) in monitors.iter_mut().enumerate() {
             let mut traffic = gen::generate_epoch(&mut rng, &bg);
             if id < cfg.infected {
                 plant.plant_into(&mut rng, &mut traffic);
             }
             mp.observe_all(&traffic);
-            let chunks = mp
-                .finish_epoch_chunks(cfg.max_payload)
-                .expect("collector bundles fit the wire format");
-            for chunk in chunks {
-                channel.send(&chunk, now);
-            }
         }
 
-        // Drive ticks until the straggler policy says the epoch is done
-        // (hard-capped at 4× the deadline so a pathological regime still
-        // terminates and finalizes with typed exclusions).
-        let cap = now + cfg.collector.deadline * 4;
-        loop {
-            for frame in channel.deliver_due(now) {
-                if let ChunkDisposition::Accepted {
-                    router_id,
-                    cumulative_ack,
-                } = collector.offer(&frame, now)
-                {
-                    // The ack path: senders prune their resend buffers
-                    // below the cumulative ack.
-                    monitors[router_id as usize].ack(epoch_id, cumulative_ack);
-                }
-            }
-            if let Some(kill) = cfg.kill {
-                if !crashed && kill.epoch == e && now >= collector.started_at() + kill.tick {
+        let kill = cfg.kill.filter(|k| k.epoch == e);
+        let (epoch, _) = tiers.ship_epoch(
+            &mut monitors,
+            epoch_seed,
+            &mut now,
+            |channel, collector, now| {
+                if kill.is_some_and(|k| !crashed && now >= collector.started_at() + k.tick) {
                     crashed = true;
                     // The centre dies: progress survives only through the
                     // checkpoint; frames addressed to it are lost.
                     let ckpt = collector.checkpoint();
-                    drop(collector);
                     channel.clear();
-                    collector = EpochCollector::resume(&ckpt, cfg.collector, epoch_seed, now)
+                    *collector = EpochCollector::resume(&ckpt, cfg.collector, epoch_seed, now)
                         .expect("own checkpoint must resume");
                 }
-            }
-            for req in collector.poll(now) {
-                for frame in monitors[req.router_id as usize].resend(req.epoch_id, &req.missing) {
-                    channel.send(&frame, now);
-                }
-            }
-            if collector.ready(now) || now >= cap {
-                break;
-            }
-            now += 1;
-        }
-
-        let epoch = collector.finalize(now);
+            },
+        );
         totals += epoch.stats;
-        match &driver {
-            Driver::Sequential(center) => {
-                let result = center.analyze_epoch_collected(&epoch);
-                outcomes.push(EpochOutcome::from(cfg.min_quorum, result));
-            }
-            Driver::Pipelined(pipe) => {
-                // Hold the worker across the first two submissions so the
-                // double buffer is deterministically exercised — the
-                // `epochs_in_flight_peak ≥ 2` acceptance signal cannot
-                // depend on scheduler luck on a single-CPU host. From
-                // epoch 2 on, overlap is natural: collection of epoch
-                // N+1 proceeds while the worker analyses epoch N.
-                if e == 0 {
-                    pipe.pause();
-                }
-                pipe.submit(EpochInput::Collected(epoch));
-                if e == 1 {
-                    pipe.resume();
-                }
-                while let Some((_, result)) = pipe.try_recv() {
-                    outcomes.push(EpochOutcome::from_pipeline(cfg.min_quorum, result));
-                }
-            }
-        }
+        driver.submit(EpochInput::Collected(epoch), cfg.min_quorum, &mut outcomes);
         now += 1;
     }
 
-    let metrics = match driver {
-        Driver::Sequential(center) => center.metrics(),
-        Driver::Pipelined(pipe) => {
-            pipe.resume(); // a 1-epoch pipelined run never hit the e == 1 unpause
-            for (_, result) in pipe.drain() {
-                outcomes.push(EpochOutcome::from_pipeline(cfg.min_quorum, result));
-            }
-            pipe.center().metrics()
-        }
-    };
-
+    let metrics = driver.finish(cfg.min_quorum, &mut outcomes);
     SoakResult {
         outcomes,
         totals,

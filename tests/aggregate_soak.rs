@@ -4,7 +4,7 @@
 //! * every epoch reaches quorum or returns a typed `QuorumTooSmall` —
 //!   zero panics by construction;
 //! * the tiered path's detection set is byte-identical to a flat
-//!   `analyze_epoch_wire` run over the same delivered child frames
+//!   `CollectedEpoch::from_frames` run over the same delivered child frames
 //!   (the verbatim-forwarding equivalence argument of DESIGN.md §10);
 //! * the pipelined runtime (`EpochInput::AggregatedCollected`) computes
 //!   the same outcomes as inline analysis;

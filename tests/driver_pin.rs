@@ -1,0 +1,104 @@
+//! Replay pin of the `dcs-sim` soak drivers.
+//!
+//! Every driver is a pure function of its config: channel impairments,
+//! retransmit jitter and traffic all draw from seeded RNGs on a virtual
+//! clock. A change to how a hop is driven — the order of deliver, offer,
+//! ack, poll and resend within a tick, or when the clock advances — moves
+//! a channel RNG's draw sequence and with it the delivered frames. These
+//! constants were captured before the drivers shared one hop loop; they
+//! change only when a driver's behaviour does. Wall-clock metrics are
+//! left out.
+
+use dcs_core::report::TransportStats;
+use dcs_hash::Fnv1a;
+use dcs_sim::attack::{run_attack_soak, AttackConfig, AttackScenario};
+use dcs_sim::soak::{run_soak, EpochOutcome, KillPlan, SoakConfig};
+use dcs_sim::tiered::{
+    outcome_fingerprint, run_tiered_soak, run_tiered_soak_deep, TieredSoakConfig, TieredSoakResult,
+};
+
+fn pin_outcomes<'a>(h: &mut Fnv1a, outcomes: impl Iterator<Item = &'a EpochOutcome>) {
+    for o in outcomes {
+        h.update(outcome_fingerprint(o).as_bytes());
+    }
+}
+
+fn pin_stats(h: &mut Fnv1a, s: &TransportStats) {
+    for v in [
+        s.chunks_received,
+        s.retransmits,
+        s.late_chunks,
+        s.duplicate_chunks,
+        s.corrupt_chunks,
+        s.checkpoint_resumes,
+    ] {
+        h.update(&v.to_le_bytes());
+    }
+}
+
+fn soak_pin(cfg: &SoakConfig) -> u64 {
+    let r = run_soak(cfg);
+    let mut h = Fnv1a::new();
+    pin_outcomes(&mut h, r.outcomes.iter());
+    pin_stats(&mut h, &r.totals);
+    h.update(&r.ticks.to_le_bytes());
+    h.finish()
+}
+
+fn tiered_pin(r: &TieredSoakResult) -> u64 {
+    let mut h = Fnv1a::new();
+    pin_outcomes(&mut h, r.outcomes.iter());
+    pin_stats(&mut h, &r.leaf_totals);
+    pin_stats(&mut h, &r.up_totals);
+    h.update(&r.ticks.to_le_bytes());
+    h.finish()
+}
+
+#[test]
+fn soak_drivers_replay_their_pinned_runs() {
+    let sequential = SoakConfig::standard(6, 7);
+    let mut pipelined = sequential;
+    pipelined.pipelined = true;
+    let mut killed = sequential;
+    killed.kill = Some(KillPlan { epoch: 2, tick: 4 });
+    assert_eq!(soak_pin(&sequential), SOAK_PIN, "sequential soak");
+    assert_eq!(soak_pin(&pipelined), SOAK_PIN, "pipelined soak");
+    assert_eq!(soak_pin(&killed), KILLED_SOAK_PIN, "killed soak");
+}
+
+#[test]
+fn tiered_drivers_replay_their_pinned_runs() {
+    let cfg = TieredSoakConfig::standard(4, 7);
+    assert_eq!(tiered_pin(&run_tiered_soak(&cfg)), TIERED_PIN, "two-level");
+    assert_eq!(
+        tiered_pin(&run_tiered_soak_deep(&cfg)),
+        DEEP_PIN,
+        "three-level"
+    );
+}
+
+#[test]
+fn attack_driver_replays_its_pinned_run() {
+    let r = run_attack_soak(&AttackConfig::standard(
+        AttackScenario::DnsAmplification,
+        3,
+        7,
+    ));
+    let mut h = Fnv1a::new();
+    pin_outcomes(&mut h, r.epochs.iter().map(|e| &e.outcome));
+    for e in &r.epochs {
+        for rank in &e.attack_key_ranks {
+            h.update(&rank.map_or(u64::MAX, |r| r as u64).to_le_bytes());
+        }
+        h.update(&(e.artifacts_delivered as u64).to_le_bytes());
+    }
+    pin_stats(&mut h, &r.leaf_totals);
+    pin_stats(&mut h, &r.up_totals);
+    assert_eq!(h.finish(), ATTACK_PIN);
+}
+
+const SOAK_PIN: u64 = 0x1e0f_8618_ac30_ab76;
+const KILLED_SOAK_PIN: u64 = 0x794c_1191_31df_c546;
+const TIERED_PIN: u64 = 0x561b_9723_d1a3_5474;
+const DEEP_PIN: u64 = 0x565d_8672_9277_cb45;
+const ATTACK_PIN: u64 = 0xb633_57c4_3c6b_bff4;

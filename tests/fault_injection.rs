@@ -6,7 +6,7 @@
 
 use dcs::prelude::*;
 use dcs::sim::faults::{ship_with_faults, FaultKind, FaultPlan, ALL_FAULTS};
-use dcs_core::{Exclusion, IngestError, RouterFault};
+use dcs_core::{IngestError, RouterFault};
 use dcs_traffic::gen::{self, SizeMix};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -49,6 +49,17 @@ fn center() -> AnalysisCenter {
     AnalysisCenter::new(cfg)
 }
 
+/// Analyses an epoch of bare frames — leaf bundles, or aggregate bundles
+/// when `aggregated` — on a fresh centre.
+fn analyze(frames: &[Vec<u8>], aggregated: bool) -> Result<EpochReport, IngestError> {
+    let epoch = CollectedEpoch::from_frames(frames.iter().cloned());
+    if aggregated {
+        center().analyze_epoch_aggregated_collected(&epoch)
+    } else {
+        center().analyze_epoch_collected(&epoch)
+    }
+}
+
 /// Runs one matrix entry and applies the invariants every fault kind must
 /// satisfy: the epoch analyses, accounting balances, and the content is
 /// still found on the quorum.
@@ -57,8 +68,7 @@ fn run_entry(seed: u64, kind: FaultKind) -> EpochReport {
     let plan = FaultPlan::uniform(&VICTIMS, kind);
     let mut rng = StdRng::seed_from_u64(seed ^ 0xFA01);
     let frames = ship_with_faults(&mut rng, &digests, &plan);
-    let report = center()
-        .analyze_epoch_wire(&frames)
+    let report = analyze(&frames, false)
         .unwrap_or_else(|e| panic!("{kind:?}: quorum of 18+ must analyse, got {e}"));
     assert_eq!(report.ingest.submitted, frames.len(), "{kind:?}");
     assert_eq!(
@@ -148,9 +158,8 @@ fn fault_matrix_mixed_random_plan() {
     let mut rng = StdRng::seed_from_u64(26 ^ 0xFA01);
     let plan = FaultPlan::random(&mut rng, ROUTERS, 6);
     let frames = ship_with_faults(&mut rng, &digests, &plan);
-    let report = center()
-        .analyze_epoch_wire(&frames)
-        .expect("mixed faults on 25% of routers must still analyse");
+    let report =
+        analyze(&frames, false).expect("mixed faults on 25% of routers must still analyse");
     assert!(report.aligned.found);
     assert!(report.ingest.accepted.len() >= ROUTERS - 6);
 }
@@ -162,7 +171,7 @@ fn all_routers_truncated_is_a_typed_quorum_failure() {
     let plan = FaultPlan::uniform(&victims, FaultKind::Truncate);
     let mut rng = StdRng::seed_from_u64(27);
     let frames = ship_with_faults(&mut rng, &digests, &plan);
-    let err = center().analyze_epoch_wire(&frames).unwrap_err();
+    let err = analyze(&frames, false).unwrap_err();
     match err {
         IngestError::QuorumTooSmall { required, report } => {
             assert_eq!(required, 1);
@@ -170,51 +179,6 @@ fn all_routers_truncated_is_a_typed_quorum_failure() {
             assert_eq!(report.excluded.len(), ROUTERS);
         }
         other => panic!("expected QuorumTooSmall, got {other:?}"),
-    }
-}
-
-/// The zero-copy view ingest must produce exclusion accounting identical
-/// to decoding every frame into an owned digest and validating those —
-/// for every fault kind, including frames the view validator rejects
-/// mid-parse.
-#[test]
-fn view_exclusion_accounting_matches_owned_decode() {
-    for (i, &kind) in ALL_FAULTS.iter().enumerate() {
-        let seed = 31 + i as u64;
-        let digests = collect_epoch(seed);
-        let plan = FaultPlan::uniform(&VICTIMS, kind);
-        let mut rng = StdRng::seed_from_u64(seed ^ 0xFA01);
-        let frames = ship_with_faults(&mut rng, &digests, &plan);
-
-        // The production path: borrowed views all the way down.
-        let view_report = match center().analyze_epoch_wire(&frames) {
-            Ok(r) => r.ingest,
-            Err(IngestError::QuorumTooSmall { report, .. }) => report,
-            Err(e) => panic!("{kind:?}: {e}"),
-        };
-
-        // Reference replica: decode owned digests, validate those.
-        let mut decoded: Vec<(usize, RouterDigest)> = Vec::new();
-        let mut excluded: Vec<Exclusion> = Vec::new();
-        for (index, frame) in frames.iter().enumerate() {
-            match RouterDigest::decode_wire(frame) {
-                Ok((d, _)) => decoded.push((index, d)),
-                Err(e) => excluded.push(Exclusion {
-                    index,
-                    router_id: None,
-                    fault: RouterFault::Wire(e.to_string()),
-                }),
-            }
-        }
-        let candidates: Vec<(usize, &RouterDigest)> =
-            decoded.iter().map(|(i, d)| (*i, d)).collect();
-        let owned_report =
-            match dcs_core::ingest::validate_batch(frames.len(), candidates, excluded, 1) {
-                Ok((_, r)) => r,
-                Err(IngestError::QuorumTooSmall { report, .. }) => report,
-                Err(e) => panic!("{kind:?}: {e}"),
-            };
-        assert_eq!(view_report, owned_report, "{kind:?}: accounting diverged");
     }
 }
 
@@ -228,9 +192,7 @@ fn corrupt_frames_leave_no_trace_in_fusion() {
         let plan = FaultPlan::uniform(&VICTIMS, kind);
         let mut rng = StdRng::seed_from_u64(41 ^ 0xFA01);
         let frames = ship_with_faults(&mut rng, &digests, &plan);
-        let full = center()
-            .analyze_epoch_wire(&frames)
-            .expect("quorum survives 25% faults");
+        let full = analyze(&frames, false).expect("quorum survives 25% faults");
         let excluded: std::collections::HashSet<usize> =
             full.ingest.excluded.iter().map(|e| e.index).collect();
         let survivors: Vec<Vec<u8>> = frames
@@ -239,9 +201,7 @@ fn corrupt_frames_leave_no_trace_in_fusion() {
             .filter(|(i, _)| !excluded.contains(i))
             .map(|(_, f)| f.clone())
             .collect();
-        let clean = center()
-            .analyze_epoch_wire(&survivors)
-            .expect("survivors are a quorum");
+        let clean = analyze(&survivors, false).expect("survivors are a quorum");
         assert_eq!(full.routers, clean.routers, "{kind:?}");
         assert_eq!(full.aligned.found, clean.aligned.found, "{kind:?}");
         assert_eq!(full.aligned.routers, clean.aligned.routers, "{kind:?}");
@@ -308,9 +268,7 @@ fn faulted_aggregator_children_surface_as_its_subtree_exclusions() {
         bundles.push(bundle.encode_wire());
     }
 
-    let report = center()
-        .analyze_epoch_aggregated(&bundles)
-        .expect("20 of 24 leaves is a quorum");
+    let report = analyze(&bundles, true).expect("20 of 24 leaves is a quorum");
     assert_eq!(report.ingest.submitted, ROUTERS);
     assert_eq!(report.ingest.accepted.len(), ROUTERS - lost.len());
     let excluded: Vec<u64> = report
@@ -341,9 +299,7 @@ fn faulted_aggregator_children_surface_as_its_subtree_exclusions() {
         .filter(|(id, _)| !lost.contains(id))
         .map(|(_, f)| f.clone())
         .collect();
-    let flat = center()
-        .analyze_epoch_wire(&delivered)
-        .expect("same quorum flat");
+    let flat = analyze(&delivered, false).expect("same quorum flat");
     assert_eq!(report.aligned.found, flat.aligned.found);
     assert_eq!(report.aligned.routers, flat.aligned.routers);
     assert_eq!(
@@ -365,7 +321,7 @@ fn all_aggregators_faulted_is_quorum_too_small_never_panic() {
     let garbage: Vec<Vec<u8>> = (0..3)
         .map(|i| vec![0xA5u8 ^ i as u8; 80 + i * 13])
         .collect();
-    match center().analyze_epoch_aggregated(&garbage) {
+    match analyze(&garbage, true) {
         Err(IngestError::QuorumTooSmall { report, .. }) => {
             assert_eq!(report.accepted.len(), 0);
             assert_eq!(report.submitted, garbage.len());
@@ -390,8 +346,7 @@ fn all_aggregators_faulted_is_quorum_too_small_never_panic() {
     }
 
     // Zero bundles is the same typed failure, not a panic.
-    let none: Vec<Vec<u8>> = Vec::new();
-    match center().analyze_epoch_aggregated(&none) {
+    match analyze(&[], true) {
         Err(IngestError::NoDigests) => {}
         Err(IngestError::QuorumTooSmall { report, .. }) => {
             assert_eq!(report.accepted.len(), 0)

@@ -25,10 +25,11 @@ use dcs_core::net::{
     run_center_epoch, run_monitor_epoch, CenterEpochEnd, CenterSocket, ImpairmentConfig,
     ImpairmentShim, MonitorEpochConfig, MonitorEpochEnd, MonitorSocket, Transport,
 };
-use dcs_core::session::{CollectorConfig, EpochCollector, Missing, StragglerPolicy};
+use dcs_core::session::{CollectorConfig, EpochCollector, StragglerPolicy};
 use dcs_core::transport::{chunk_bundle, DATAGRAM_SAFE_PAYLOAD};
 use dcs_core::{AnalysisCenter, AnalysisConfig, IngestError, MetricsRegistry, MetricsSnapshot};
 use dcs_sim::channel::{ChannelConfig, LossyChannel};
+use dcs_sim::hop::{drive_hop, Senders};
 use dcs_sim::tiered::detection_fingerprint;
 use dcs_traffic::{gen, BackgroundConfig, ContentObject, Planting, SizeMix};
 use rand::rngs::StdRng;
@@ -127,40 +128,26 @@ fn reference_fingerprint(frames: &[Vec<u8>], seed: u64, bits: usize) -> String {
         .enumerate()
         .map(|(id, f)| chunk_bundle(id as u64, 0, f, DATAGRAM_SAFE_PAYLOAD))
         .collect();
-    let mut channel = LossyChannel::new(ChannelConfig::soak(), seed ^ 0x10CA);
-    let mut coll = EpochCollector::new(0, all_ids(), collector_cfg(), seed, 0);
+    let mut channel = [LossyChannel::new(ChannelConfig::soak(), seed ^ 0x10CA)];
+    let mut coll = [EpochCollector::new(0, all_ids(), collector_cfg(), seed, 0)];
     let mut now = 0u64;
-    for per_router in &chunks {
-        for c in per_router {
-            channel.send(c, now);
-        }
+    for c in chunks.iter().flatten() {
+        channel[0].send(c, now);
     }
-    loop {
-        for frame in channel.deliver_due(now) {
-            coll.offer(&frame, now);
-        }
-        for req in coll.poll(now) {
-            let per_router = &chunks[req.router_id as usize];
-            match &req.missing {
-                Missing::All => {
-                    for c in per_router {
-                        channel.send(c, now);
-                    }
-                }
-                Missing::Seqs(seqs) => {
-                    for &s in seqs {
-                        channel.send(&per_router[s as usize], now);
-                    }
-                }
-            }
-        }
-        if coll.ready(now) {
-            break;
-        }
-        now += 1;
-        assert!(now < 1_000_000, "in-memory reference failed to converge");
-    }
-    let epoch = coll.finalize(now);
+    let senders = Senders::Stored {
+        first_id: 0,
+        chunks: &chunks,
+    };
+    let converged = drive_hop(
+        &mut channel,
+        &mut coll,
+        senders,
+        &mut now,
+        1_000_000,
+        |_, _, _| {},
+    );
+    assert!(converged, "in-memory reference failed to converge");
+    let epoch = coll[0].finalize(now);
     assert!(epoch.exclusions.is_empty());
     let report = center(bits)
         .analyze_epoch_collected(&epoch)

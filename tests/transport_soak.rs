@@ -16,7 +16,9 @@
 
 use dcs_core::ingest::RouterFault;
 use dcs_core::monitor::{MonitorConfig, MonitoringPoint, RouterDigest};
-use dcs_core::session::{ChunkDisposition, CollectorConfig, EpochCollector, StragglerPolicy};
+use dcs_core::session::{
+    ChunkDisposition, CollectedEpoch, CollectorConfig, EpochCollector, StragglerPolicy,
+};
 use dcs_core::transport::{chunk_bundle, ChunkFrame};
 use dcs_core::{AnalysisCenter, AnalysisConfig};
 use dcs_sim::soak::{run_soak, EpochOutcome, KillPlan, SoakConfig};
@@ -205,7 +207,9 @@ fn duplicate_and_overlapping_delivery_detects_identically() {
     let routers = 24;
     let frames = epoch_frames(31, routers, 20);
     let center = center(routers);
-    let clean = center.analyze_epoch_wire(&frames).expect("quorum");
+    let clean = center
+        .analyze_epoch_collected(&CollectedEpoch::from_frames(frames.clone()))
+        .expect("quorum");
 
     let mut coll = EpochCollector::new(
         0,
@@ -279,7 +283,9 @@ fn late_digest_is_timed_out_and_detection_matches_survivor_baseline() {
         .map(|(_, f)| f.clone())
         .collect();
     let center_a = center(routers);
-    let baseline = center_a.analyze_epoch_wire(&survivors).expect("quorum");
+    let baseline = center_a
+        .analyze_epoch_collected(&CollectedEpoch::from_frames(survivors))
+        .expect("quorum");
 
     let ccfg = CollectorConfig {
         deadline: 50,

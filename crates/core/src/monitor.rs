@@ -159,9 +159,20 @@ impl SketchCollector {
     /// Feeds one packet, reusing the aligned collector's hashing rule
     /// for the content-index domain.
     pub fn observe(&mut self, pkt: &Packet, aligned: &AlignedCollector) {
+        let idx = match self.domain {
+            SketchDomain::ContentIndex => aligned.index_of(pkt),
+            SketchDomain::FlowBytes | SketchDomain::SrcPortDstAs => None,
+        };
+        self.observe_at(pkt, idx);
+    }
+
+    /// [`observe`](Self::observe) for a caller that already holds the
+    /// packet's aligned bitmap column (`AlignedCollector::index_of`); only
+    /// the content-index domain reads it.
+    pub fn observe_at(&mut self, pkt: &Packet, idx: Option<usize>) {
         match (&mut self.kernel, self.domain) {
             (SketchKernel::Heavy(ss), SketchDomain::ContentIndex) => {
-                if let Some(idx) = aligned.index_of(pkt) {
+                if let Some(idx) = idx {
                     ss.offer(idx as u64, 1);
                 }
             }
@@ -466,20 +477,29 @@ impl MonitoringPoint {
     }
 
     /// Feeds one packet through both streaming modules (and the sidecar
-    /// sketch when enabled).
-    pub fn observe(&mut self, pkt: &Packet) {
+    /// sketch when enabled), hashing its aligned prefix once for both.
+    /// Returns `true` when the aligned bitmap has reached its target fill
+    /// — the paper's signal to close the epoch.
+    pub fn observe(&mut self, pkt: &Packet) -> bool {
+        let idx = self.aligned.index_of(pkt);
         if let Some(s) = self.sketch.as_mut() {
-            s.observe(pkt, &self.aligned);
+            s.observe_at(pkt, idx);
         }
-        self.aligned.observe(pkt);
+        let full = self.aligned.observe_at(pkt, idx);
         self.unaligned.observe(pkt);
+        full
     }
 
-    /// Feeds a whole epoch of packets.
-    pub fn observe_all<'a>(&mut self, pkts: impl IntoIterator<Item = &'a Packet>) {
+    /// Feeds a whole epoch of packets; returns whether the aligned bitmap
+    /// reached its target fill. Every packet is observed regardless —
+    /// callers cut their epochs beforehand — so a `true` means the digest
+    /// about to ship is at or past the fill the analysis thresholds
+    /// assume.
+    pub fn observe_all<'a>(&mut self, pkts: impl IntoIterator<Item = &'a Packet>) -> bool {
         for p in pkts {
             self.observe(p);
         }
+        self.aligned.epoch_full()
     }
 
     /// Read access to the aligned collector (diagnostics).
@@ -602,6 +622,30 @@ mod tests {
         // The next epoch's bundle carries the next id.
         assert_eq!(mp.epochs_finished(), 1);
         assert_eq!(mp.finish_epoch().epoch_id, 1);
+    }
+
+    #[test]
+    fn observe_reports_target_fill() {
+        let mut r = StdRng::seed_from_u64(14);
+        let cfg = MonitorConfig::small(7, 256, 1);
+        let mut mp = MonitoringPoint::new(0, &cfg);
+        let pkts = background(&mut r, 400, 50);
+        // A short epoch stays under half fill …
+        assert!(!mp.observe_all(&pkts[..40]));
+        // … the signal rises with the fill and, once up, stays up.
+        let mut closed = false;
+        for p in &pkts[40..] {
+            let full = mp.observe(p);
+            assert_eq!(full, mp.aligned().fill_ratio() >= 0.5);
+            assert!(full || !closed, "close signal dropped again");
+            closed = full;
+        }
+        assert!(closed, "400 packets fill 256 bits past half");
+        // An empty batch still reports the fill already reached.
+        assert!(mp.observe_all(std::iter::empty()));
+        assert!(mp.finish_epoch().aligned.bitmap.fill_ratio() >= 0.5);
+        // The next epoch starts empty.
+        assert!(!mp.observe_all(&pkts[..40]));
     }
 
     #[test]

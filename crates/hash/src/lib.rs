@@ -33,6 +33,16 @@ pub use fnv::Fnv1a;
 pub use rabin::{RabinFingerprinter, RollingRabin, DEFAULT_POLY};
 
 use mix::{reduce, splitmix64};
+use std::sync::OnceLock;
+
+/// The process-wide [`DEFAULT_POLY`] fingerprinter. Every [`IndexHasher`]
+/// borrows this one, so its 16 KiB of fold tables exist once however many
+/// hashers a deployment builds (a monitoring point alone builds three, and
+/// three private copies would compete for the same L1 lines).
+fn default_fingerprinter() -> &'static RabinFingerprinter {
+    static FP: OnceLock<RabinFingerprinter> = OnceLock::new();
+    FP.get_or_init(|| RabinFingerprinter::new(DEFAULT_POLY))
+}
 
 /// Hashes byte strings to bitmap indices: the collectors' `hash(...)` in
 /// Figures 3, 8 and 9 of the paper.
@@ -43,7 +53,7 @@ use mix::{reduce, splitmix64};
 /// unbiased multiply-high trick.
 #[derive(Debug, Clone)]
 pub struct IndexHasher {
-    fp: RabinFingerprinter,
+    fp: &'static RabinFingerprinter,
     seed: u64,
 }
 
@@ -52,7 +62,7 @@ impl IndexHasher {
     /// given seed.
     pub fn new(seed: u64) -> Self {
         IndexHasher {
-            fp: RabinFingerprinter::new(DEFAULT_POLY),
+            fp: default_fingerprinter(),
             seed,
         }
     }

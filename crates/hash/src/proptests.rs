@@ -72,6 +72,28 @@ proptest! {
     }
 
     #[test]
+    fn word_fold_equals_byte_fold(
+        data in proptest::collection::vec(any::<u8>(), 303..304),
+        poly_seed in any::<u64>(),
+    ) {
+        // Every length 0..=300 at start offsets 0, 1 and 3, so the 8-byte
+        // words fall on every alignment of the buffer; `append_byte` is
+        // the byte-serial reference.
+        let default = RabinFingerprinter::new(DEFAULT_POLY);
+        let custom = RabinFingerprinter::new(crate::gf2::find_irreducible64(poly_seed));
+        for fp in [&default, &custom] {
+            for start in [0usize, 1, 3] {
+                for len in 0..=300 {
+                    let b = &data[start..start + len];
+                    let serial = |init: u64| b.iter().fold(init, |f, &x| fp.append_byte(f, x));
+                    prop_assert_eq!(fp.fingerprint(b), serial(1), "start {} len {}", start, len);
+                    prop_assert_eq!(fp.window_fingerprint(b), serial(0), "start {} len {}", start, len);
+                }
+            }
+        }
+    }
+
+    #[test]
     fn index_hasher_range(bytes in proptest::collection::vec(any::<u8>(), 0..64), n in 1usize..1_000_000) {
         let h = crate::IndexHasher::new(5);
         prop_assert!(h.index(&bytes, n) < n);

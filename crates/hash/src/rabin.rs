@@ -17,12 +17,19 @@ use std::collections::VecDeque;
 pub const DEFAULT_POLY: u64 = 0x1B;
 
 /// Table-driven Rabin fingerprinter for whole byte strings.
+///
+/// Holds eight 256-entry fold tables — 16 KiB on the heap — so a message
+/// is folded eight bytes at a time. Build one per modulus and share it:
+/// [`IndexHasher`](crate::IndexHasher) borrows a single process-wide
+/// instance for [`DEFAULT_POLY`].
 #[derive(Clone)]
 pub struct RabinFingerprinter {
     poly: u64,
-    /// `table[t]` = residue of `t(x) · x^64` modulo the modulus, used to fold
-    /// the 8 bits that overflow on each byte shift back into the state.
-    table: Box<[u64; 256]>,
+    /// `tables[k][v]` = residue of `v(x) · x^(64+8k)` modulo the modulus:
+    /// where byte `k` of the state lands after the state is shifted up by
+    /// one 64-bit word. `tables[0]` alone folds the 8 bits that overflow
+    /// on a single byte shift.
+    tables: Box<[[u64; 256]; 8]>,
 }
 
 impl std::fmt::Debug for RabinFingerprinter {
@@ -42,13 +49,14 @@ impl RabinFingerprinter {
             is_irreducible64(poly),
             "Rabin modulus x^64 + {poly:#x} is not irreducible"
         );
-        let mut table = Box::new([0u64; 256]);
-        // Residue of x^64.
-        let x64 = x_pow_mod(64, poly);
-        for t in 0u64..256 {
-            table[t as usize] = mulmod(t, x64, poly);
+        let mut tables = Box::new([[0u64; 256]; 8]);
+        for (k, table) in tables.iter_mut().enumerate() {
+            let shift = x_pow_mod(64 + 8 * k as u64, poly);
+            for (v, slot) in table.iter_mut().enumerate() {
+                *slot = mulmod(v as u64, shift, poly);
+            }
         }
-        RabinFingerprinter { poly, table }
+        RabinFingerprinter { poly, tables }
     }
 
     /// The low bits of the modulus.
@@ -59,8 +67,36 @@ impl RabinFingerprinter {
     /// Appends one byte to a fingerprint state.
     #[inline]
     pub fn append_byte(&self, f: u64, byte: u8) -> u64 {
-        let top = (f >> 56) as usize;
-        (f << 8 | u64::from(byte)) ^ self.table[top]
+        (f << 8 | u64::from(byte)) ^ self.tables[0][(f >> 56) as usize]
+    }
+
+    /// Appends `bytes` to the state `f`, a 64-bit word at a time.
+    ///
+    /// Appending eight bytes takes `f` to `f·x^64 + B` (`B` = the bytes as
+    /// a big-endian word). Splitting `f` into its bytes `f_k`,
+    /// `f·x^64 = Σ f_k·x^(64+8k)`, and each term is one look-up in
+    /// `tables[k]` — eight independent loads where the byte-serial fold
+    /// chains eight dependent ones, for the identical residue.
+    #[inline]
+    fn fold(&self, mut f: u64, bytes: &[u8]) -> u64 {
+        let t = &*self.tables;
+        let mut words = bytes.chunks_exact(8);
+        for w in &mut words {
+            let b = u64::from_be_bytes(w.try_into().expect("chunks_exact(8) yields 8 bytes"));
+            f = b
+                ^ t[0][usize::from(f as u8)]
+                ^ t[1][usize::from((f >> 8) as u8)]
+                ^ t[2][usize::from((f >> 16) as u8)]
+                ^ t[3][usize::from((f >> 24) as u8)]
+                ^ t[4][usize::from((f >> 32) as u8)]
+                ^ t[5][usize::from((f >> 40) as u8)]
+                ^ t[6][usize::from((f >> 48) as u8)]
+                ^ t[7][usize::from((f >> 56) as u8)];
+        }
+        for &b in words.remainder() {
+            f = self.append_byte(f, b);
+        }
+        f
     }
 
     /// Fingerprint of a whole message.
@@ -68,11 +104,7 @@ impl RabinFingerprinter {
     /// The state starts at 1 so messages differing only in leading zero
     /// bytes do not collide.
     pub fn fingerprint(&self, bytes: &[u8]) -> u64 {
-        let mut f = 1u64;
-        for &b in bytes {
-            f = self.append_byte(f, b);
-        }
-        f
+        self.fold(1, bytes)
     }
 
     /// Fingerprint of a fixed-length window, with zero initial state (the
@@ -80,11 +112,7 @@ impl RabinFingerprinter {
     /// the leading-zero ambiguity cannot arise). Use this to compare against
     /// rolling fingerprints.
     pub fn window_fingerprint(&self, bytes: &[u8]) -> u64 {
-        let mut f = 0u64;
-        for &b in bytes {
-            f = self.append_byte(f, b);
-        }
-        f
+        self.fold(0, bytes)
     }
 }
 

@@ -181,9 +181,20 @@ fn collect(args: &[String]) -> CliResult {
     let mut point = MonitoringPoint::new(router, &cfg);
     let reader = TraceReader::new(BufReader::new(File::open(input)?))?;
     let mut count = 0u64;
+    let mut full = false;
     for pkt in reader {
-        point.observe(&pkt?);
+        full = point.observe(&pkt?);
         count += 1;
+    }
+    if full {
+        // The whole trace is one epoch here; past the target fill the
+        // centre's thresholds no longer describe this bitmap.
+        eprintln!(
+            "router {router}: aligned bitmap reached {:.3} fill (target {:.3}); \
+             cut the trace into shorter epochs or raise --bits",
+            point.aligned().fill_ratio(),
+            point.aligned().config().target_fill
+        );
     }
     let digest = point.finish_epoch();
     let json = serde_json::to_string(&digest)?;

@@ -15,8 +15,9 @@ use rand::{Rng, SeedableRng};
 
 fn bench_words(c: &mut Criterion) {
     let mut rng = StdRng::seed_from_u64(1);
-    // Scalar vs blocked kernels at the aligned column size (16 words =
-    // 1000 routers) and at a size where blocking matters (4096 words).
+    // Scalar vs runtime-dispatched kernels at the aligned column size
+    // (16 words = 1000 routers) and at a size where blocking matters
+    // (4096 words).
     for nw in [16usize, 4096] {
         let a: Vec<u64> = (0..nw).map(|_| rng.gen()).collect();
         let b: Vec<u64> = (0..nw).map(|_| rng.gen()).collect();
@@ -25,13 +26,13 @@ fn bench_words(c: &mut Criterion) {
         g.bench_function(format!("weight_scalar_{nw}w"), |bch| {
             bch.iter(|| words::weight_scalar(black_box(&a)))
         });
-        g.bench_function(format!("weight_blocked_{nw}w"), |bch| {
+        g.bench_function(format!("weight_dispatched_{nw}w"), |bch| {
             bch.iter(|| words::weight(black_box(&a)))
         });
         g.bench_function(format!("and_weight_scalar_{nw}w"), |bch| {
             bch.iter(|| words::and_weight_scalar(black_box(&a), black_box(&b)))
         });
-        g.bench_function(format!("and_weight_blocked_{nw}w"), |bch| {
+        g.bench_function(format!("and_weight_dispatched_{nw}w"), |bch| {
             bch.iter(|| words::and_weight(black_box(&a), black_box(&b)))
         });
         g.finish();

@@ -38,4 +38,4 @@ pub use col_matrix::ColMatrix;
 pub use digest::{BitmapView, DecodeError, DIGEST_MAGIC};
 pub use row_matrix::RowMatrix;
 pub use source::WordSource;
-pub use words::{active_kernel, dispatch_counts, reset_dispatch_counts, Kernel};
+pub use words::{active_kernel, Kernel};

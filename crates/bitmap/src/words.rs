@@ -39,7 +39,7 @@
 //! lengths to `zip`, which silently truncates — so keep the invariant at
 //! the boundary.
 
-use std::sync::atomic::{AtomicU64, AtomicU8, Ordering};
+use std::sync::atomic::{AtomicU8, Ordering};
 
 /// Number of bits in one storage word.
 pub const WORD_BITS: usize = 64;
@@ -68,42 +68,10 @@ impl Kernel {
             Kernel::Avx2 => "avx2",
         }
     }
-
-    #[inline]
-    fn index(self) -> usize {
-        self as usize - 1
-    }
 }
 
 /// Cached dispatch decision: 0 = unresolved, else a `Kernel` discriminant.
 static ACTIVE: AtomicU8 = AtomicU8::new(0);
-
-/// Per-kernel dispatched-call tallies, indexed by `Kernel::index()`.
-/// Batched reductions ([`and_weight_many_into`]) count one call per
-/// (block, column) kernel invocation, added in bulk per batch.
-static DISPATCHED: [AtomicU64; 3] = [AtomicU64::new(0), AtomicU64::new(0), AtomicU64::new(0)];
-
-#[inline]
-pub(crate) fn tally(kernel: Kernel, calls: u64) {
-    DISPATCHED[kernel.index()].fetch_add(calls, Ordering::Relaxed);
-}
-
-/// Calls routed through the runtime dispatcher since process start (or
-/// the last [`reset_dispatch_counts`]), per kernel. Explicit-kernel
-/// entry points (`*_with`, `*_scalar`, …) are not counted — only calls
-/// that went through [`weight`] / [`and_weight`] / [`or_weight`] /
-/// [`and_weight_many`].
-pub fn dispatch_counts() -> [(Kernel, u64); 3] {
-    [Kernel::Scalar, Kernel::Blocked, Kernel::Avx2]
-        .map(|k| (k, DISPATCHED[k.index()].load(Ordering::Relaxed)))
-}
-
-/// Zeroes the dispatched-call tallies (tests and per-run benches).
-pub fn reset_dispatch_counts() {
-    for c in &DISPATCHED {
-        c.store(0, Ordering::Relaxed);
-    }
-}
 
 /// The kernel the dispatcher currently routes [`weight`] /
 /// [`and_weight`] / [`or_weight`] (and through them
@@ -237,9 +205,7 @@ fn csa_reduce(chunks: impl Iterator<Item = [u64; LANES]>) -> u64 {
 /// Population count of a word slice (runtime-dispatched kernel).
 #[inline]
 pub fn weight(words: &[u64]) -> u32 {
-    let k = active_kernel();
-    tally(k, 1);
-    weight_with(k, words)
+    weight_with(active_kernel(), words)
 }
 
 /// [`weight`] through an explicitly chosen kernel (tests and benches).
@@ -291,9 +257,7 @@ pub fn weight_scalar(words: &[u64]) -> u32 {
 /// Runtime-dispatched kernel; see the module docs for the length invariant.
 #[inline]
 pub fn and_weight(a: &[u64], b: &[u64]) -> u32 {
-    let k = active_kernel();
-    tally(k, 1);
-    and_weight_with(k, a, b)
+    and_weight_with(active_kernel(), a, b)
 }
 
 /// [`and_weight`] through an explicitly chosen kernel (tests and benches).
@@ -354,9 +318,7 @@ pub fn and_weight_scalar(a: &[u64], b: &[u64]) -> u32 {
 /// Runtime-dispatched kernel; see the module docs for the length invariant.
 #[inline]
 pub fn or_weight(a: &[u64], b: &[u64]) -> u32 {
-    let k = active_kernel();
-    tally(k, 1);
-    or_weight_with(k, a, b)
+    or_weight_with(active_kernel(), a, b)
 }
 
 /// [`or_weight`] through an explicitly chosen kernel (tests and benches).
@@ -436,7 +398,6 @@ pub fn and_weight_many_into(base: &[u64], cols: &[&[u64]], out: &mut [u32]) {
         "and_weight_many_into: out too short"
     );
     let kernel = active_kernel();
-    let mut calls = 0u64;
     let mut start = 0;
     while start < base.len() {
         let end = (start + BLOCK_WORDS).min(base.len());
@@ -445,12 +406,8 @@ pub fn and_weight_many_into(base: &[u64], cols: &[&[u64]], out: &mut [u32]) {
             debug_assert_eq!(col.len(), base.len(), "and_weight_many: length mismatch");
             *o += and_weight_with(kernel, base_block, &col[start..end]);
         }
-        calls += cols.len() as u64;
         start = end;
     }
-    // One batched tally keeps the per-(block, column) hot loop free of
-    // atomic traffic.
-    tally(kernel, calls);
 }
 
 /// In-place bitwise AND: `dst &= src`.
@@ -631,23 +588,6 @@ mod tests {
         }
         force_kernel(None);
         assert_eq!(active_kernel(), detect_kernel());
-    }
-
-    #[test]
-    fn dispatch_counts_track_routed_calls() {
-        // Counters are process-global and other tests dispatch too, so
-        // assert growth rather than absolute values.
-        let k = active_kernel();
-        let before = dispatch_counts()[k.index()].1;
-        let a = splitmix_fill(64, 40);
-        let b = splitmix_fill(64, 41);
-        weight(&a);
-        and_weight(&a, &b);
-        or_weight(&a, &b);
-        let cols = [a.as_slice()];
-        and_weight_many(&b, &cols); // 64 words = 1 block x 1 col = 1 call
-        let after = dispatch_counts()[k.index()].1;
-        assert!(after >= before + 4, "dispatched {before} -> {after}");
     }
 
     #[test]

@@ -618,19 +618,14 @@ impl AnalysisCenter {
         add("transport_checkpoint_resumes_total", t.checkpoint_resumes);
     }
 
-    /// Mirrors the bitmap layer's kernel dispatch state into gauges:
-    /// which kernel is live (`kernel_active{kernel}` ∈ {0, 1}) and how
-    /// many calls the dispatcher has routed to each
-    /// (`kernel_dispatched_calls{kernel}`, process-wide).
+    /// Mirrors which popcount kernel the bitmap layer dispatches to into
+    /// gauges (`kernel_active{kernel}` ∈ {0, 1}).
     fn record_kernels(&self) {
+        use dcs_bitmap::Kernel;
         let active = dcs_bitmap::active_kernel();
-        for (k, calls) in dcs_bitmap::dispatch_counts() {
-            let labels = [("kernel", k.name())];
+        for k in [Kernel::Scalar, Kernel::Blocked, Kernel::Avx2] {
             self.metrics
-                .gauge("kernel_dispatched_calls", &labels)
-                .set(calls);
-            self.metrics
-                .gauge("kernel_active", &labels)
+                .gauge("kernel_active", &[("kernel", k.name())])
                 .set(u64::from(k == active));
         }
     }

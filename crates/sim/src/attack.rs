@@ -293,6 +293,45 @@ fn plan_attack(cfg: &AttackConfig, mcfg: &MonitorConfig, rng: &mut StdRng) -> At
     }
 }
 
+/// The leaves' monitoring configuration: the suite's 16-Kbit bitmaps
+/// with the scenario's sidecar sketch.
+fn monitor_config(cfg: &AttackConfig) -> MonitorConfig {
+    MonitorConfig::small(7, 1 << 14, 4).with_sketch(cfg.scenario.sketch_spec(cfg.sketch_cap))
+}
+
+/// Epoch `e`'s traffic at every leaf — background with the attack
+/// spliced in at leaves `0..attacked` — plus the sketch keys the attack
+/// is expected to dominate. Deterministic in `(cfg, e)`.
+fn epoch_traffic(
+    cfg: &AttackConfig,
+    mcfg: &MonitorConfig,
+    e: usize,
+) -> (Vec<Vec<Packet>>, Vec<u64>) {
+    let mut rng = StdRng::seed_from_u64(epoch_seed(cfg.seed, e));
+    let plan = plan_attack(cfg, mcfg, &mut rng);
+    let bg = BackgroundConfig {
+        packets: cfg.bg_packets,
+        flows: cfg.bg_flows,
+        zipf_exponent: 1.0,
+        size_mix: SizeMix::constant(536),
+    };
+    let traffic = (0..cfg.leaves)
+        .map(|id| {
+            let mut traffic = gen::generate_epoch(&mut rng, &bg);
+            if id < cfg.attacked {
+                let at = if traffic.is_empty() {
+                    0
+                } else {
+                    rng.gen_range(0..=traffic.len())
+                };
+                traffic.splice(at..at, plan.injections[id].iter().cloned());
+            }
+            traffic
+        })
+        .collect();
+    (traffic, plan.expected_keys)
+}
+
 /// Reference merge of the leaf sketches that survived both hops, in the
 /// scenario's own kernel. Returns per-expected-key ranks plus how many
 /// bundles carried a decodable sketch.
@@ -349,8 +388,7 @@ fn rank_attack_keys(
 pub fn run_attack_soak(cfg: &AttackConfig) -> AttackResult {
     assert!(cfg.aggregators >= 1 && cfg.leaves >= cfg.aggregators);
     assert!(cfg.attacked <= cfg.leaves);
-    let mcfg =
-        MonitorConfig::small(7, 1 << 14, 4).with_sketch(cfg.scenario.sketch_spec(cfg.sketch_cap));
+    let mcfg = monitor_config(cfg);
     let mut monitors: Vec<MonitoringPoint> = (0..cfg.leaves)
         .map(|id| MonitoringPoint::new(id, &mcfg))
         .collect();
@@ -369,13 +407,6 @@ pub fn run_attack_soak(cfg: &AttackConfig) -> AttackResult {
         cfg.max_payload,
     );
 
-    let bg = BackgroundConfig {
-        packets: cfg.bg_packets,
-        flows: cfg.bg_flows,
-        zipf_exponent: 1.0,
-        size_mix: SizeMix::constant(536),
-    };
-
     let mut epochs: Vec<AttackEpoch> = Vec::with_capacity(cfg.epochs);
     let mut leaf_totals = TransportStats::default();
     let mut up_totals = TransportStats::default();
@@ -383,19 +414,9 @@ pub fn run_attack_soak(cfg: &AttackConfig) -> AttackResult {
 
     for e in 0..cfg.epochs {
         let epoch_seed = epoch_seed(cfg.seed, e);
-        let mut rng = StdRng::seed_from_u64(epoch_seed);
-        let plan = plan_attack(cfg, &mcfg, &mut rng);
-        for (id, mp) in monitors.iter_mut().enumerate() {
-            let mut traffic = gen::generate_epoch(&mut rng, &bg);
-            if id < cfg.attacked {
-                let at = if traffic.is_empty() {
-                    0
-                } else {
-                    rng.gen_range(0..=traffic.len())
-                };
-                traffic.splice(at..at, plan.injections[id].iter().cloned());
-            }
-            mp.observe_all(&traffic);
+        let (traffic, expected_keys) = epoch_traffic(cfg, &mcfg, e);
+        for (mp, traffic) in monitors.iter_mut().zip(&traffic) {
+            mp.observe_all(traffic);
         }
 
         let (epoch, stats) = tiers.ship_epoch(&mut monitors, epoch_seed, &mut now, |_, _, _| {});
@@ -407,7 +428,7 @@ pub fn run_attack_soak(cfg: &AttackConfig) -> AttackResult {
             cfg.scenario,
             cfg.sketch_cap,
             &delivered_leaf_frames(&epoch),
-            &plan.expected_keys,
+            &expected_keys,
         );
 
         let result = center.analyze_epoch_aggregated_collected(&epoch);
@@ -430,6 +451,7 @@ pub fn run_attack_soak(cfg: &AttackConfig) -> AttackResult {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::collections::HashMap;
 
     fn assert_suite_invariants(result: &AttackResult, cfg: &AttackConfig) {
         assert_eq!(
@@ -490,6 +512,38 @@ mod tests {
             result.metrics.counter("sketch_merged_total").unwrap_or(0) > 0,
             "centre never merged a sketch"
         );
+
+        // Recall against exact column counts of epoch 0's traffic: the
+        // heavy set is every column whose count reaches the k-th largest
+        // (ties included), and ≥ 90 % of the fused top-k must be in it.
+        let mcfg = monitor_config(&cfg);
+        let probe = AlignedCollector::new(mcfg.aligned.clone());
+        let mut exact: HashMap<usize, u64> = HashMap::new();
+        for pkt in epoch_traffic(&cfg, &mcfg, 0).0.iter().flatten() {
+            if let Some(c) = probe.index_of(pkt) {
+                *exact.entry(c).or_default() += 1;
+            }
+        }
+        let EpochOutcome::Report(r) = &result.epochs[0].outcome else {
+            unreachable!()
+        };
+        let top = &r.sketch.top_columns;
+        let mut counts: Vec<u64> = exact.values().copied().collect();
+        counts.sort_unstable_by(|a, b| b.cmp(a));
+        let kth = counts[top.len() - 1];
+        let hits = top
+            .iter()
+            .filter(|c| exact.get(c).is_some_and(|&n| n >= kth));
+        let recall = hits.count() as f64 / top.len() as f64;
+        assert!(recall >= 0.9, "fused top-k recall {recall:.2} < 0.9");
+        // Sketch bytes follow the cap, not the bitmap width: a leaf's
+        // sidecar must fit in 5 % of a 128-Kbit bitmap, the narrowest
+        // width that ceiling was calibrated at (this suite's 16-Kbit
+        // bitmaps are too small for a ratio to their digest to mean
+        // anything; at the paper's 4 Mbit the sidecar is 0.14 %).
+        let per_leaf = r.sketch.payload_bytes as f64 / r.sketch.artifacts as f64;
+        let ratio = per_leaf / f64::from((1u32 << 17) / 8);
+        assert!(ratio <= 0.05, "sketch is {ratio:.3} of a 128-Kbit bitmap");
     }
 
     #[test]

@@ -398,6 +398,45 @@ mod tests {
         }
     }
 
+    /// 64 groups × 10 rows of null traffic at the design fill, 8 % of the
+    /// groups rewritten an epoch: a delta epoch's exact row pairs sit
+    /// ≥ 5× below the all-pairs tally of the same matrix (changed × all
+    /// is ≈ 2·churn of the triangle; exact counts, no clock).
+    #[test]
+    fn steady_state_exact_pairs_are_5x_below_all_pairs() {
+        const GROUPS: usize = 64;
+        const ROWS: usize = 10;
+        let mut rng = StdRng::seed_from_u64(36);
+        let layout = GroupLayout {
+            rows_per_group: ROWS,
+        };
+        let table = LambdaTable::new(NBITS, 2e-7);
+        let mut rows: Vec<Bitmap> = (0..GROUPS * ROWS)
+            .map(|_| random_row(&mut rng, 446))
+            .collect();
+        let stack = |rows: &[Bitmap]| {
+            let mut m = RowMatrix::new(NBITS);
+            rows.iter().for_each(|r| m.push_bitmap(r));
+            m
+        };
+        let mut corr = IncrementalCorrelator::new(IncrementalConfig { audit_every: 0 });
+        corr.epoch(&stack(&rows), layout, &table, 2);
+        for epoch in 0..4 {
+            for g in (0..5).map(|i| (epoch * 5 + i) % GROUPS) {
+                rows[g * ROWS..(g + 1) * ROWS].fill_with(|| random_row(&mut rng, 446));
+            }
+            let m = stack(&rows);
+            let (_, stats) = corr.epoch(&m, layout, &table, 2);
+            let (_, all_pairs) = build_group_graph_parallel(&m, layout, &table, 2);
+            assert!(!stats.full_rebuild, "steady state must not rebuild");
+            assert!(
+                stats.pairs_exact * 5 <= all_pairs,
+                "epoch {epoch}: {} exact pairs vs {all_pairs} all-pairs",
+                stats.pairs_exact
+            );
+        }
+    }
+
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(12))]
 

@@ -106,14 +106,13 @@ fn real_epoch_snapshot_roundtrips_through_json() {
     assert_eq!(back, snap);
 }
 
-/// Strips the wall-clock and process-global metrics from a snapshot,
-/// leaving only its deterministic content: counters (minus the kernel
-/// dispatch family) plus the sorted key sets of every family.
+/// Strips the wall-clock values from a snapshot, leaving only its
+/// deterministic content: counters plus the sorted key sets of every
+/// family.
 fn deterministic_view(snap: &MetricsSnapshot) -> (Vec<(String, u64)>, Vec<String>, Vec<String>) {
     let counters = snap
         .counters
         .iter()
-        .filter(|c| !c.key.starts_with("kernel_"))
         .map(|c| (c.key.clone(), c.value))
         .collect();
     let gauge_keys = snap.gauges.iter().map(|g| g.key.clone()).collect();
@@ -131,6 +130,13 @@ fn deterministic_metrics_are_identical_across_thread_counts() {
     };
     let (seq_report, seq_snap) = run(1);
     let seq_view = deterministic_view(&seq_snap);
+    // A popcount keeps no call tally: the only kernel metric is which
+    // one is live.
+    let kernel_keys: Vec<&String> = (seq_view.1.iter())
+        .filter(|k| k.starts_with("kernel_"))
+        .collect();
+    assert_eq!(kernel_keys.len(), 3, "{kernel_keys:?}");
+    assert!(kernel_keys.iter().all(|k| k.starts_with("kernel_active{")));
     for threads in [2, 8] {
         let (report, snap) = run(threads);
         // Detection results are thread-count-invariant…
@@ -146,8 +152,8 @@ fn deterministic_metrics_are_identical_across_thread_counts() {
             seq_report.unaligned.suspected_routers
         );
         // …and so is every deterministic metric: same counters with the
-        // same values, same instrument key sets. (Wall-clock gauges and
-        // the process-global kernel dispatch tallies legitimately vary.)
+        // same values, same instrument key sets. (Wall-clock gauges
+        // legitimately vary.)
         assert_eq!(
             deterministic_view(&snap),
             seq_view,

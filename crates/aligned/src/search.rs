@@ -16,13 +16,13 @@
 //!   size O(n));
 //! * the candidate fan-outs (all 2-products, per-hopeful extensions, the
 //!   heaviest-column screen, and the full-matrix expansion sweep) are cut
-//!   into independent column shards ([`ComputeBudget::effective_shards`])
-//!   executed by scoped worker threads per [`SearchConfig::compute`].
-//!   Candidates are ranked by the *full* `(weight, parent, column)`
-//!   tuple — a total order — so each shard's bounded heap merged into a
-//!   global bounded heap yields exactly the canonical top-H set. The
-//!   search result is therefore bit-identical for every thread count
-//!   *and* every shard count (see the determinism tests).
+//!   into one independent piece per worker
+//!   ([`ComputeBudget::workers_for`]) and executed by scoped threads per
+//!   [`SearchConfig::compute`]. Candidates are ranked by the *full*
+//!   `(weight, parent, column)` tuple — a total order — so each worker's
+//!   bounded heap merged into a global bounded heap yields exactly the
+//!   canonical top-H set. The search result is therefore bit-identical
+//!   for every thread count (see the determinism test).
 
 use crate::termination::{stop_point, TerminationConfig};
 use crate::thresholds::ln_natural_occurrence;
@@ -45,12 +45,12 @@ use std::time::Instant;
 pub struct SearchScratch {
     /// Column indices ranked by descending weight (truncated to n′).
     order: Vec<usize>,
-    /// Per-shard screening buffers: shard-local top-n′ candidates,
-    /// merged into `order` before the global cut.
-    shard_orders: Vec<Vec<usize>>,
+    /// Per-worker screening buffers: each worker's local top-n′
+    /// candidates, merged into `order` before the global cut.
+    worker_orders: Vec<Vec<usize>>,
     /// The screened working matrix (the n′ heaviest columns).
     work: ColMatrix,
-    /// Per-shard fan-out buffers of the product search.
+    /// Per-worker fan-out buffers of the product search.
     fanouts: Vec<Vec<u32>>,
 }
 
@@ -58,7 +58,7 @@ impl Default for SearchScratch {
     fn default() -> Self {
         SearchScratch {
             order: Vec::new(),
-            shard_orders: Vec::new(),
+            worker_orders: Vec::new(),
             work: ColMatrix::new(0, 0),
             fanouts: Vec::new(),
         }
@@ -71,14 +71,14 @@ impl SearchScratch {
         SearchScratch::default()
     }
 
-    /// Capacities of the internal buffers (column order, summed shard
+    /// Capacities of the internal buffers (column order, summed worker
     /// screening slots, screened matrix words, summed fan-out slots) —
     /// diagnostic hook for steady-state reuse tests: across epochs of
     /// equal shape these must not grow.
     pub fn capacities(&self) -> [usize; 4] {
         [
             self.order.capacity(),
-            self.shard_orders.iter().map(Vec::capacity).sum(),
+            self.worker_orders.iter().map(Vec::capacity).sum(),
             self.work.word_capacity(),
             self.fanouts.iter().map(Vec::capacity).sum(),
         ]
@@ -116,7 +116,7 @@ impl SearchTimings {
 /// candidates are exactly those that provably cannot enter the bounded
 /// candidate heap (their weight upper bound sits strictly below the
 /// full heap's minimum), so the detection set never depends on them.
-/// The counters do depend on shard/worker partitioning, so they are
+/// The counters do depend on the worker partitioning, so they are
 /// excluded from cross-thread metric determinism checks.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct SearchWork {
@@ -127,14 +127,14 @@ pub struct SearchWork {
 }
 
 impl SearchWork {
-    /// Accumulates another shard's counters.
+    /// Accumulates another worker's counters.
     pub fn absorb(&mut self, other: SearchWork) {
         self.pairs_scanned += other.pairs_scanned;
         self.pairs_pruned += other.pairs_pruned;
     }
 
     /// Total candidates considered (scanned + pruned) — invariant
-    /// across shard partitions of an identical search.
+    /// across worker partitions of an identical search.
     pub fn candidates(&self) -> u64 {
         self.pairs_scanned + self.pairs_pruned
     }
@@ -157,7 +157,7 @@ pub struct SearchConfig {
     pub epsilon: f64,
     /// Weight-curve reader configuration.
     pub termination: TerminationConfig,
-    /// Threads and kernel blocking for the parallel sections.
+    /// Threads for the parallel sections.
     pub compute: ComputeBudget,
 }
 
@@ -207,6 +207,11 @@ impl AlignedDetection {
     }
 }
 
+/// Columns per blocked-kernel call of the expansion sweep: 8 columns ×
+/// up to 64 KiB per 4 Mbit column keeps a batch inside L2, and matches
+/// the 8-wide unroll of the word kernels.
+const SWEEP_BATCH_COLS: usize = 8;
+
 /// Bounded-heap entry order: the full `(weight, parent, column)` tuple
 /// (a total order, so the retained top-H set is canonical for any
 /// candidate partition).
@@ -235,7 +240,7 @@ fn heap_bar(heap: &CandidateHeap, cap: usize) -> u32 {
 
 /// Runs the greedy core search on `work` (a column subset of the original
 /// matrix). Returns the best product per iteration. `fanouts` provides
-/// per-shard fan-out buffers, reused across iterations and calls.
+/// per-worker fan-out buffers, reused across iterations and calls.
 ///
 /// The bounded heaps retain a canonical top-H for any offer order, so
 /// the conservative weight-bound break is lossless: a candidate whose
@@ -266,49 +271,45 @@ fn product_search(
         suffix_max[j] = suffix_max[j].max(suffix_max[j + 1]);
     }
 
-    // Iteration 1: all 2-products, keep the H heaviest. Shard s owns the
-    // outer indices congruent to s modulo the shard count (the pair loop
-    // is triangular, striding balances the shards) and fills a private
-    // bounded heap; merging them reproduces the canonical global top-H
-    // because candidates are totally ordered — for any shard count and
-    // any worker count.
-    let shards = search_shards(&cfg.compute, n);
-    let mut shard_heaps: Vec<CandidateHeap> = (0..shards).map(|_| BinaryHeap::new()).collect();
-    let mut shard_stats: Vec<SearchWork> = vec![SearchWork::default(); shards];
-    let jobs: Vec<((usize, &mut CandidateHeap), &mut SearchWork)> = shard_heaps
+    // Iteration 1: all 2-products, keep the H heaviest. Worker s owns
+    // the outer indices congruent to s modulo the worker count (the pair
+    // loop is triangular, striding balances the workers) and fills a
+    // private bounded heap; merging them reproduces the canonical global
+    // top-H because candidates are totally ordered — for any worker
+    // count.
+    let workers = cfg.compute.workers_for(n);
+    let mut worker_heaps: Vec<CandidateHeap> = (0..workers).map(|_| BinaryHeap::new()).collect();
+    let mut worker_stats: Vec<SearchWork> = vec![SearchWork::default(); workers];
+    let jobs: Vec<((usize, &mut CandidateHeap), &mut SearchWork)> = worker_heaps
         .iter_mut()
         .enumerate()
-        .zip(shard_stats.iter_mut())
+        .zip(worker_stats.iter_mut())
         .collect();
-    run_jobs(
-        jobs,
-        cfg.compute.workers_for(shards),
-        |((s, heap), stats)| {
-            for i in (s..n).step_by(shards) {
-                let start = i + 1;
-                if start >= n {
-                    continue;
-                }
-                let bar = heap_bar(heap, cfg.hopefuls);
-                if w[i] < bar {
-                    stats.pairs_pruned += (n - start) as u64;
-                    continue;
-                }
-                let end = start + suffix_max[start..].partition_point(|&sm| sm >= bar);
-                stats.pairs_pruned += (n - end) as u64;
-                let ci = cols[i];
-                for (j, cj) in cols[..end].iter().enumerate().skip(start) {
-                    let wc = and_weight(ci, cj);
-                    push_bounded(heap, cfg.hopefuls, (wc, i as u32, j as u32));
-                }
-                stats.pairs_scanned += (end - start) as u64;
+    run_jobs(jobs, workers, |((s, heap), stats)| {
+        for i in (s..n).step_by(workers) {
+            let start = i + 1;
+            if start >= n {
+                continue;
             }
-        },
-    );
-    for s in shard_stats {
+            let bar = heap_bar(heap, cfg.hopefuls);
+            if w[i] < bar {
+                stats.pairs_pruned += (n - start) as u64;
+                continue;
+            }
+            let end = start + suffix_max[start..].partition_point(|&sm| sm >= bar);
+            stats.pairs_pruned += (n - end) as u64;
+            let ci = cols[i];
+            for (j, cj) in cols[..end].iter().enumerate().skip(start) {
+                let wc = and_weight(ci, cj);
+                push_bounded(heap, cfg.hopefuls, (wc, i as u32, j as u32));
+            }
+            stats.pairs_scanned += (end - start) as u64;
+        }
+    });
+    for s in worker_stats {
         work_stats.absorb(s);
     }
-    let heap = merge_bounded(shard_heaps, cfg.hopefuls);
+    let heap = merge_bounded(worker_heaps, cfg.hopefuls);
     let mut hopefuls: Vec<Product> = heap
         .into_sorted_vec()
         .into_iter()
@@ -328,7 +329,7 @@ fn product_search(
     record_best(&hopefuls, &mut curve, &mut best_per_iter);
 
     // Iterations 2..: extend each hopeful with columns after its max
-    // member. Shards stride the hopefuls list; each shard batches the
+    // member. Workers stride the hopefuls list; each batches the
     // AND-popcounts of one hopeful against all its candidate columns
     // through the blocked many-columns kernel, reusing its persistent
     // fan-out buffer across iterations and epochs.
@@ -336,64 +337,57 @@ fn product_search(
         if hopefuls.is_empty() || curve.last() == Some(&0) {
             break;
         }
-        let shards = search_shards(&cfg.compute, hopefuls.len());
-        fanouts.resize_with(shards.max(fanouts.len()), Vec::new);
+        let workers = cfg.compute.workers_for(hopefuls.len());
+        fanouts.resize_with(workers.max(fanouts.len()), Vec::new);
         let hopefuls_ref = &hopefuls;
         let cols_ref = &cols;
         let suffix_ref = &suffix_max;
-        let mut shard_heaps: Vec<CandidateHeap> = (0..shards).map(|_| BinaryHeap::new()).collect();
-        let mut shard_stats: Vec<SearchWork> = vec![SearchWork::default(); shards];
+        let mut worker_heaps: Vec<CandidateHeap> =
+            (0..workers).map(|_| BinaryHeap::new()).collect();
+        let mut worker_stats: Vec<SearchWork> = vec![SearchWork::default(); workers];
         type SweepJob<'a> = (
             ((usize, &'a mut CandidateHeap), &'a mut SearchWork),
             &'a mut Vec<u32>,
         );
-        let jobs: Vec<SweepJob> = shard_heaps
+        let jobs: Vec<SweepJob> = worker_heaps
             .iter_mut()
             .enumerate()
-            .zip(shard_stats.iter_mut())
+            .zip(worker_stats.iter_mut())
             .zip(fanouts.iter_mut())
             .collect();
-        run_jobs(
-            jobs,
-            cfg.compute.workers_for(shards),
-            |(((s, heap), stats), fanout)| {
-                let mut pi = s;
-                while pi < hopefuls_ref.len() {
-                    let p = &hopefuls_ref[pi];
-                    let start = p.members.last().copied().unwrap_or(0) as usize + 1;
-                    if start < n {
-                        // An extension of p weighs at most min(p.weight,
-                        // w[j]) — skip what cannot enter the full heap.
-                        let bar = heap_bar(heap, cfg.hopefuls);
-                        if p.weight < bar {
-                            stats.pairs_pruned += (n - start) as u64;
-                            pi += shards;
-                            continue;
-                        }
-                        let end = start + suffix_ref[start..].partition_point(|&sm| sm >= bar);
-                        stats.pairs_pruned += (n - end) as u64;
-                        if end > start {
-                            fanout.clear();
-                            fanout.resize(end - start, 0);
-                            and_weight_many_into(&p.words, &cols_ref[start..end], fanout);
-                            for (off, &w) in fanout.iter().enumerate() {
-                                push_bounded(
-                                    heap,
-                                    cfg.hopefuls,
-                                    (w, pi as u32, (start + off) as u32),
-                                );
-                            }
-                            stats.pairs_scanned += (end - start) as u64;
-                        }
+        run_jobs(jobs, workers, |(((s, heap), stats), fanout)| {
+            let mut pi = s;
+            while pi < hopefuls_ref.len() {
+                let p = &hopefuls_ref[pi];
+                let start = p.members.last().copied().unwrap_or(0) as usize + 1;
+                if start < n {
+                    // An extension of p weighs at most min(p.weight,
+                    // w[j]) — skip what cannot enter the full heap.
+                    let bar = heap_bar(heap, cfg.hopefuls);
+                    if p.weight < bar {
+                        stats.pairs_pruned += (n - start) as u64;
+                        pi += workers;
+                        continue;
                     }
-                    pi += shards;
+                    let end = start + suffix_ref[start..].partition_point(|&sm| sm >= bar);
+                    stats.pairs_pruned += (n - end) as u64;
+                    if end > start {
+                        fanout.clear();
+                        fanout.resize(end - start, 0);
+                        and_weight_many_into(&p.words, &cols_ref[start..end], fanout);
+                        for (off, &w) in fanout.iter().enumerate() {
+                            push_bounded(heap, cfg.hopefuls, (w, pi as u32, (start + off) as u32));
+                        }
+                        stats.pairs_scanned += (end - start) as u64;
+                    }
                 }
-            },
-        );
-        for s in shard_stats {
+                pi += workers;
+            }
+        });
+        for s in worker_stats {
             work_stats.absorb(s);
         }
-        let heap = merge_bounded(shard_heaps, cfg.hopefuls);
+        let heap = merge_bounded(worker_heaps, cfg.hopefuls);
         if heap.is_empty() {
             break;
         }
@@ -426,25 +420,6 @@ fn product_search(
         }
     }
     (curve, best_per_iter)
-}
-
-/// Shard count for a product-search fan-out of `items` work units.
-///
-/// A sharded plan only pays off when more than one worker executes it:
-/// each per-shard bounded heap sees a fraction of the candidates, so its
-/// eviction threshold sits below the single global heap's and it accepts
-/// (then churns) more entries. Run sequentially that is strictly extra
-/// heap work for the same canonical result — so with one worker the plan
-/// collapses to one shard. Legal because the merged top-H is
-/// shard-count-invariant (see the determinism tests): shards only ever
-/// change where time is spent, never what is detected.
-fn search_shards(budget: &ComputeBudget, items: usize) -> usize {
-    let shards = budget.effective_shards().min(items).max(1);
-    if budget.workers_for(shards) == 1 {
-        1
-    } else {
-        shards
-    }
 }
 
 fn record_best(hopefuls: &[Product], curve: &mut Vec<u32>, best: &mut Vec<Product>) {
@@ -565,11 +540,12 @@ pub fn refined_detect(matrix: &ColMatrix, cfg: &SearchConfig) -> AlignedDetectio
 /// the product search's work accounting.
 ///
 /// Screening selects the n′ heaviest columns by the total order
-/// `(weight desc, index asc)`: each column shard partitions out its
-/// local top-n′ (`O(n/s)` per shard, in parallel), the shard survivors
-/// merge, and a global partition + `O(n′ log n′)` sort makes the final
-/// cut. Every member of the global top-n′ is in its own shard's local
-/// top-n′, so the screened set is identical for any shard count.
+/// `(weight desc, index asc)`: each worker partitions out the local
+/// top-n′ of its column range (`O(n/w)` per worker, in parallel), the
+/// survivors merge, and a global partition + `O(n′ log n′)` sort makes
+/// the final cut. Every member of the global top-n′ is in its own
+/// range's local top-n′, so the screened set is identical for any worker
+/// count.
 ///
 /// # Panics
 /// Panics if `weights.len() != matrix.ncols()`.
@@ -585,33 +561,26 @@ pub fn refined_detect_cached(
     let t0 = Instant::now();
     let SearchScratch {
         order,
-        shard_orders,
+        worker_orders,
         work,
         fanouts,
     } = scratch;
     order.clear();
-    let shards = cfg.compute.effective_shards();
-    if n_prime < n && shards > 1 {
-        let ranges = split_range(n, shards);
-        shard_orders.resize_with(ranges.len().max(shard_orders.len()), Vec::new);
-        let jobs: Vec<(std::ops::Range<usize>, &mut Vec<usize>)> = ranges
-            .iter()
-            .cloned()
-            .zip(shard_orders.iter_mut())
-            .collect();
-        run_jobs(
-            jobs,
-            cfg.compute.workers_for(ranges.len()),
-            |(range, buf)| {
-                buf.clear();
-                buf.extend(range);
-                if n_prime < buf.len() {
-                    buf.select_nth_unstable_by_key(n_prime, |&j| (Reverse(weights[j]), j));
-                    buf.truncate(n_prime);
-                }
-            },
-        );
-        for buf in &shard_orders[..ranges.len()] {
+    let workers = cfg.compute.workers_for(n);
+    if n_prime < n && workers > 1 {
+        let ranges = split_range(n, workers);
+        worker_orders.resize_with(workers.max(worker_orders.len()), Vec::new);
+        let jobs: Vec<(std::ops::Range<usize>, &mut Vec<usize>)> =
+            ranges.into_iter().zip(worker_orders.iter_mut()).collect();
+        run_jobs(jobs, workers, |(range, buf)| {
+            buf.clear();
+            buf.extend(range);
+            if n_prime < buf.len() {
+                buf.select_nth_unstable_by_key(n_prime, |&j| (Reverse(weights[j]), j));
+                buf.truncate(n_prime);
+            }
+        });
+        for buf in &worker_orders[..workers] {
             order.extend_from_slice(buf);
         }
     } else {
@@ -656,43 +625,39 @@ fn detect_inner(
 
     // Witness set: the core plus (refined only) every other column sharing
     // ≥ weight(core) − γ ones with the core row vector. This is the O(n)
-    // full-matrix sweep: each column shard scans its contiguous range,
-    // batching `block_cols` columns per blocked-kernel call so the core
-    // row vector stays cache-hot across the batch. Survivor sets from
-    // disjoint ranges are sorted after the merge, so the witness set is
-    // shard-count-invariant.
+    // full-matrix sweep: each worker scans its contiguous column range,
+    // batching `SWEEP_BATCH_COLS` columns per blocked-kernel call so the
+    // core row vector stays cache-hot across the batch. Survivor sets
+    // from disjoint ranges are sorted after the merge, so the witness set
+    // is worker-count-invariant.
     let mut cols = core_cols.clone();
     if expand {
         let t_expand = Instant::now();
         let thresh = core.weight.saturating_sub(cfg.gamma);
         let core_set: std::collections::HashSet<usize> = core_cols.iter().copied().collect();
-        let block_cols = cfg.compute.effective_block_cols();
         let n = matrix.ncols();
-        let ranges = split_range(n, cfg.compute.effective_shards());
+        let workers = cfg.compute.workers_for(n);
+        let ranges = split_range(n, workers);
         let mut survivors: Vec<Vec<usize>> = ranges.iter().map(|_| Vec::new()).collect();
         let jobs: Vec<(std::ops::Range<usize>, &mut Vec<usize>)> =
-            ranges.iter().cloned().zip(survivors.iter_mut()).collect();
-        run_jobs(
-            jobs,
-            cfg.compute.workers_for(ranges.len()),
-            |(range, out)| {
-                let mut batch_weights = vec![0u32; block_cols];
-                let mut start = range.start;
-                while start < range.end {
-                    let end = (start + block_cols).min(range.end);
-                    let batch: Vec<&[u64]> = (start..end).map(|j| matrix.column(j)).collect();
-                    batch_weights[..batch.len()].fill(0);
-                    and_weight_many_into(&core.words, &batch, &mut batch_weights);
-                    for (off, &w) in batch_weights[..batch.len()].iter().enumerate() {
-                        let j = start + off;
-                        if w >= thresh && !core_set.contains(&j) {
-                            out.push(j);
-                        }
+            ranges.into_iter().zip(survivors.iter_mut()).collect();
+        run_jobs(jobs, workers, |(range, out)| {
+            let mut batch_weights = [0u32; SWEEP_BATCH_COLS];
+            let mut start = range.start;
+            while start < range.end {
+                let end = (start + SWEEP_BATCH_COLS).min(range.end);
+                let batch: Vec<&[u64]> = (start..end).map(|j| matrix.column(j)).collect();
+                batch_weights[..batch.len()].fill(0);
+                and_weight_many_into(&core.words, &batch, &mut batch_weights);
+                for (off, &w) in batch_weights[..batch.len()].iter().enumerate() {
+                    let j = start + off;
+                    if w >= thresh && !core_set.contains(&j) {
+                        out.push(j);
                     }
-                    start = end;
                 }
-            },
-        );
+                start = end;
+            }
+        });
         cols.extend(survivors.into_iter().flatten());
         cols.sort_unstable();
         timings.expand_ns = t_expand.elapsed().as_nanos() as u64;
@@ -973,86 +938,66 @@ mod tests {
         assert_eq!(scratch.order.capacity(), order_cap);
     }
 
+    fn assert_same_detection(par: &AlignedDetection, seq: &AlignedDetection, what: &str) {
+        assert_eq!(par.found, seq.found, "{what}: found differs");
+        assert_eq!(par.rows, seq.rows, "{what}: rows differ");
+        assert_eq!(par.cols, seq.cols, "{what}: cols differ");
+        assert_eq!(par.core_cols, seq.core_cols, "{what}: core differs");
+        assert_eq!(
+            par.weight_curve, seq.weight_curve,
+            "{what}: weight curve differs"
+        );
+        assert_eq!(
+            par.stopped_at, seq.stopped_at,
+            "{what}: termination differs"
+        );
+    }
+
     #[test]
-    fn refined_detect_is_shard_count_invariant() {
-        // Shards decide only how the screen, pair scan, hopeful
-        // extensions, and expansion sweep are partitioned; the bounded
-        // heaps merge by the full candidate tuple, so the detection must
-        // be bit-identical for any shard count — at any worker count.
+    fn refined_detect_is_thread_count_invariant() {
+        // Threads decide only how the screen, pair scan, hopeful
+        // extensions and expansion sweep are partitioned; the bounded
+        // heaps merge by the full (weight, parent, column) tuple, so the
+        // detection must be bit-identical for any worker count.
         let mut r = StdRng::seed_from_u64(53);
         let (mat, _, _) = planted_matrix(&mut r, 96, 800, 30, 14);
-        let run = |threads: usize, shards: usize| {
+        let run = |mat: &ColMatrix, base: &SearchConfig, threads: usize| {
             let cfg = SearchConfig {
-                compute: ComputeBudget::with_threads(threads).with_shards(shards),
-                ..small_cfg()
+                compute: ComputeBudget::with_threads(threads),
+                ..base.clone()
             };
             let weights = mat.col_weights();
             let mut scratch = SearchScratch::new();
-            let (det, _, work) = refined_detect_cached(&mat, &weights, &cfg, &mut scratch);
+            let (det, _, work) = refined_detect_cached(mat, &weights, &cfg, &mut scratch);
             (det, work)
         };
-        let (seq, seq_work) = run(1, 1);
+        let (seq, seq_work) = run(&mat, &small_cfg(), 1);
         assert!(seq.found, "planted pattern not found");
-        for (threads, shards) in [(1, 2), (2, 2), (2, 8), (4, 3), (1, 8)] {
-            let (par, work) = run(threads, shards);
+        for threads in [2, 4, 8] {
+            let (par, work) = run(&mat, &small_cfg(), threads);
             // The split between scanned and pruned shifts with the
             // partition, but their sum counts every candidate exactly
             // once per iteration.
             assert_eq!(
                 work.candidates(),
                 seq_work.candidates(),
-                "t={threads} s={shards}: candidate total differs"
+                "threads={threads}: candidate total differs"
             );
-            assert_eq!(par.rows, seq.rows, "t={threads} s={shards}: rows differ");
-            assert_eq!(par.cols, seq.cols, "t={threads} s={shards}: cols differ");
-            assert_eq!(
-                par.core_cols, seq.core_cols,
-                "t={threads} s={shards}: core differs"
-            );
-            assert_eq!(
-                par.weight_curve, seq.weight_curve,
-                "t={threads} s={shards}: weight curve differs"
-            );
-            assert_eq!(
-                par.stopped_at, seq.stopped_at,
-                "t={threads} s={shards}: termination differs"
-            );
+            assert_same_detection(&par, &seq, &format!("threads={threads}"));
         }
-    }
 
-    #[test]
-    fn refined_detect_is_thread_count_invariant() {
-        // The parallel fan-outs use bounded heaps ordered by the full
-        // (weight, i, j) tuple, so the merged top-H — and therefore the
-        // whole search — must not depend on how work was partitioned.
-        let mut r = StdRng::seed_from_u64(51);
-        let (mat, _, _) = planted_matrix(&mut r, 96, 800, 30, 14);
-        let run = |threads: usize| {
-            let cfg = SearchConfig {
-                compute: ComputeBudget::with_threads(threads),
-                ..small_cfg()
-            };
-            refined_detect(&mat, &cfg)
+        // More workers than work items: 8 threads over a 3-column matrix
+        // and a 3-entry hopefuls list fall back to one worker per item.
+        let (tiny, _, _) = planted_matrix(&mut r, 64, 3, 40, 3);
+        let tiny_cfg = SearchConfig {
+            hopefuls: 3,
+            n_prime: 2,
+            ..small_cfg()
         };
-        let seq = run(1);
-        assert!(seq.found, "planted pattern not found");
-        for threads in [2, 8] {
-            let par = run(threads);
-            assert_eq!(par.found, seq.found, "threads={threads}: found differs");
-            assert_eq!(par.rows, seq.rows, "threads={threads}: rows differ");
-            assert_eq!(par.cols, seq.cols, "threads={threads}: cols differ");
-            assert_eq!(
-                par.core_cols, seq.core_cols,
-                "threads={threads}: core differs"
-            );
-            assert_eq!(
-                par.weight_curve, seq.weight_curve,
-                "threads={threads}: weight curve differs"
-            );
-            assert_eq!(
-                par.stopped_at, seq.stopped_at,
-                "threads={threads}: termination differs"
-            );
-        }
+        let (seq, seq_work) = run(&tiny, &tiny_cfg, 1);
+        assert!(!seq.weight_curve.is_empty(), "tiny search must iterate");
+        let (par, work) = run(&tiny, &tiny_cfg, 8);
+        assert_eq!(work.candidates(), seq_work.candidates());
+        assert_same_detection(&par, &seq, "8 threads over 3 columns");
     }
 }

@@ -129,14 +129,14 @@ impl ColMatrix {
         );
     }
 
-    /// [`ColMatrix::fuse_rows_into`] over independent column-range
-    /// shards driven by up to `workers` threads.
+    /// [`ColMatrix::fuse_rows_into`] over independent column ranges,
+    /// one per worker thread.
     ///
-    /// The column space is cut into `shards` contiguous ranges aligned
-    /// to 64-column word tiles ([`dcs_parallel::shard_columns`]), so a
-    /// transpose tile never straddles two shards and each shard writes
-    /// a disjoint contiguous slice of the column-major store — the
-    /// result is bit-identical to the single-shard fuse for any shard
+    /// The column space is cut into at most `workers` contiguous ranges
+    /// aligned to 64-column word tiles ([`dcs_parallel::shard_columns`]),
+    /// so a transpose tile never straddles two ranges and each worker
+    /// writes a disjoint contiguous slice of the column-major store —
+    /// the result is bit-identical to the sequential fuse for any worker
     /// count.
     ///
     /// # Panics
@@ -145,12 +145,11 @@ impl ColMatrix {
         &mut self,
         rows: &[S],
         weights: &mut Vec<u32>,
-        shards: usize,
         workers: usize,
     ) {
         let ncols = self.prepare_fuse(rows, weights);
-        let ranges = dcs_parallel::shard_columns(ncols, shards, WORD_BITS);
-        if ranges.len() <= 1 || workers <= 1 {
+        let ranges = dcs_parallel::shard_columns(ncols, workers, WORD_BITS);
+        if ranges.len() <= 1 {
             fuse_column_range(
                 rows,
                 ncols,
@@ -503,24 +502,24 @@ mod tests {
     }
 
     #[test]
-    fn sharded_fusion_is_bit_identical_for_any_shard_count() {
-        // Widths around word-tile boundaries so shard edges land both
+    fn sharded_fusion_is_bit_identical_for_any_worker_count() {
+        // Widths around word-tile boundaries so range edges land both
         // on and off the final partial tile.
         for &(nrows, bits) in &[(3usize, 64usize), (65, 127), (70, 200), (130, 513)] {
             let bitmaps = splitmix_bitmaps(nrows, bits, (nrows * bits + 1) as u64);
             let single = ColMatrix::from_router_bitmaps(&bitmaps);
             let expect_w = single.col_weights();
-            // Shard counts far beyond ncols/64 exercise the degenerate
+            // Worker counts far beyond ncols/64 exercise the degenerate
             // plans: shard_columns must collapse to at most one range per
             // word tile (never an empty range — the split_at_mut carving
-            // below would still be sound, but every shard must own
+            // below would still be sound, but every worker must own
             // columns for the plan to cover the matrix).
-            for shards in [1usize, 2, 3, 8, 10_000, 1 << 20] {
+            for workers in [1usize, 2, 3, 8, 10_000, 1 << 20] {
                 let mut m = ColMatrix::new(0, 0);
                 let mut weights = Vec::new();
-                m.fuse_rows_into_sharded(&bitmaps, &mut weights, shards, 4);
-                assert_eq!(m, single, "shape {nrows}x{bits} shards {shards}");
-                assert_eq!(weights, expect_w, "shape {nrows}x{bits} shards {shards}");
+                m.fuse_rows_into_sharded(&bitmaps, &mut weights, workers);
+                assert_eq!(m, single, "shape {nrows}x{bits} workers {workers}");
+                assert_eq!(weights, expect_w, "shape {nrows}x{bits} workers {workers}");
             }
         }
     }

@@ -96,11 +96,11 @@ impl RowMatrix {
         self.nrows += 1;
     }
 
-    /// Replaces the matrix contents with `rows`, copying row ranges on
-    /// up to `workers` threads across `shards` contiguous row shards.
+    /// Replaces the matrix contents with `rows`, copying one contiguous
+    /// row range on each of up to `workers` threads.
     ///
     /// Stacking is pure data movement — row `i` of the result is
-    /// `rows[i]` regardless of the shard partition — so the result is
+    /// `rows[i]` regardless of the partition — so the result is
     /// bit-identical to pushing each row with
     /// [`RowMatrix::push_row_from`] in order. The backing allocation is
     /// reused as in [`RowMatrix::reset`].
@@ -111,7 +111,6 @@ impl RowMatrix {
         &mut self,
         ncols: usize,
         rows: &[S],
-        shards: usize,
         workers: usize,
     ) {
         self.reset(ncols);
@@ -121,7 +120,7 @@ impl RowMatrix {
         let wpr = self.words_per_row;
         self.nrows = rows.len();
         self.data.resize(rows.len() * wpr, 0);
-        if shards <= 1 || workers <= 1 || rows.len() <= 1 {
+        if workers <= 1 || rows.len() <= 1 {
             for (r, row) in rows.iter().enumerate() {
                 for w in 0..wpr {
                     self.data[r * wpr + w] = row.word(w);
@@ -129,7 +128,7 @@ impl RowMatrix {
             }
             return;
         }
-        let ranges = dcs_parallel::split_range(rows.len(), shards);
+        let ranges = dcs_parallel::split_range(rows.len(), workers);
         let mut jobs = Vec::with_capacity(ranges.len());
         let mut rest: &mut [u64] = &mut self.data;
         for range in ranges {
@@ -329,7 +328,7 @@ mod tests {
     }
 
     #[test]
-    fn fill_rows_sharded_matches_sequential_push_for_any_shard_count() {
+    fn fill_rows_sharded_matches_sequential_push_for_any_worker_count() {
         let rows: Vec<Bitmap> = (0..13)
             .map(|i| Bitmap::from_indices(130, [i, i + 7, 129 - i]))
             .collect();
@@ -337,13 +336,13 @@ mod tests {
         for r in &rows {
             expect.push_bitmap(r);
         }
-        // 10_000 and 1<<20 shards on a 130-column matrix: the plan must
-        // degrade to ≤ 3 word-tile ranges, never hand a worker an empty
+        // 32, 10_000 and 1<<20 workers over 13 rows: the plan must
+        // degrade to one row a worker, never hand one an empty
         // (zero-width split_at_mut) slice.
-        for shards in [1usize, 2, 3, 8, 32, 10_000, 1 << 20] {
+        for workers in [1usize, 2, 3, 8, 32, 10_000, 1 << 20] {
             let mut m = RowMatrix::new(0);
-            m.fill_rows_sharded(130, &rows, shards, 4);
-            assert_eq!(m, expect, "shards {shards}");
+            m.fill_rows_sharded(130, &rows, workers);
+            assert_eq!(m, expect, "workers {workers}");
         }
     }
 

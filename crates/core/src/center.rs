@@ -10,6 +10,7 @@ use crate::stages::{Stage, StageRecorder};
 use dcs_aligned::{refined_detect_cached, SearchConfig, SearchScratch};
 use dcs_bitmap::{BitmapView, ColMatrix, RowMatrix};
 use dcs_obs::{MetricsRegistry, MetricsSnapshot};
+use dcs_parallel::ComputeBudget;
 use dcs_sketch::{decode_sketch, SketchDomain, SketchWire};
 use dcs_unaligned::{
     build_group_graph_parallel, er_test, find_pattern, CoreFindConfig, ErTestConfig, GroupLayout,
@@ -34,10 +35,6 @@ pub struct AnalysisConfig {
     pub component_threshold: Option<usize>,
     /// Core-finding settings (β and d).
     pub corefind: CoreFindConfig,
-    /// Threads and kernel blocking for the analysis sweeps (the aligned
-    /// search reads its own copy from `search.compute`; keeping one budget
-    /// here keeps both pipelines on the same setting).
-    pub compute: dcs_parallel::ComputeBudget,
     /// Minimum number of validated digest bundles required to analyse an
     /// epoch (the graceful-degradation floor): with fewer survivors,
     /// [`AnalysisCenter::analyze_epoch`] returns
@@ -75,7 +72,6 @@ impl AnalysisConfig {
             detect_p1: 8.0 / n,
             component_threshold: None,
             corefind: CoreFindConfig::default(),
-            compute: dcs_parallel::ComputeBudget::default(),
             min_quorum: default_min_quorum(),
             ugraph: IncrementalConfig::default(),
         }
@@ -84,14 +80,6 @@ impl AnalysisConfig {
     /// Sets the minimum surviving-bundle count required to analyse.
     pub fn with_min_quorum(mut self, min_quorum: usize) -> Self {
         self.min_quorum = min_quorum;
-        self
-    }
-
-    /// Applies one compute budget to both pipelines (the unaligned sweeps
-    /// and the aligned search).
-    pub fn with_compute(mut self, compute: dcs_parallel::ComputeBudget) -> Self {
-        self.compute = compute;
-        self.search.compute = compute;
         self
     }
 }
@@ -136,18 +124,18 @@ pub struct AnalysisCenter {
     /// lock is held only for the pop/push — never across an analysis —
     /// and a panicking epoch simply drops its scratch instead of
     /// poisoning a lock: the next epoch pays one warm-up regrowth and the
-    /// centre keeps serving. Under the pipelined runtime
-    /// ([`crate::runtime::EpochPipeline`]) the pool holds one warm
-    /// scratch per in-flight epoch (double-buffering).
+    /// centre keeps serving. Callers that analyse epochs concurrently
+    /// (the entry points take `&self`) grow the pool to one warm scratch
+    /// per epoch in flight.
     scratch: Mutex<Vec<EpochScratch>>,
     /// Pool of incremental test-graph correlators, checked out per epoch
     /// like the scratches. Kept separate from [`EpochScratch`]: scratch
     /// contents are per-epoch throwaway, correlator state must persist
-    /// *across* epochs to be worth anything. Under the pipelined runtime
-    /// analysis is serialised, so one correlator sees every epoch in
-    /// order; if epochs ever run concurrently each checkout still
-    /// produces a correct (merely colder) graph, because a correlator
-    /// re-tests exactly what differs from the last epoch *it* saw.
+    /// *across* epochs to be worth anything. One epoch at a time, one
+    /// correlator sees every epoch in order; if epochs run concurrently
+    /// each checkout still produces a correct (merely colder) graph,
+    /// because a correlator re-tests exactly what differs from the last
+    /// epoch *it* saw.
     correlators: Mutex<Vec<IncrementalCorrelator>>,
     /// The Λ/Λ′ threshold tables, kept across epochs (a quantile costs
     /// about a thousand of the popcounts it gates) and shared with every
@@ -429,19 +417,23 @@ impl AnalysisCenter {
         let rec = StageRecorder::new(&self.metrics);
         let mut scratch = self.take_scratch();
         let s = &mut scratch;
-        let budget = &self.cfg.compute;
-        let shards = budget.effective_shards();
+        // `threads: 0` asks the OS for the CPU count on every
+        // `workers_for`; ask once per epoch. Not once per process: a
+        // caller may re-pin its thread between epochs, and a count taken
+        // before the pin would spawn workers the pin cannot run.
+        let search = SearchConfig {
+            compute: self.cfg.search.compute.resolved(),
+            ..self.cfg.search.clone()
+        };
+        let budget = search.compute;
+        let threads = budget.effective_threads();
 
         // Aligned pipeline, stage 1: fuse per-router bitmaps into the
-        // m×n matrix with incremental column weights, over column shards.
+        // m×n matrix with incremental column weights.
         rec.run(Stage::Fuse, || {
             let rows: Vec<BitmapView<'_>> = digests.iter().map(|d| d.aligned.bitmap).collect();
-            s.matrix.fuse_rows_into_sharded(
-                &rows,
-                &mut s.col_weights,
-                shards,
-                budget.workers_for(shards),
-            );
+            s.matrix
+                .fuse_rows_into_sharded(&rows, &mut s.col_weights, threads);
         });
         // Unaligned pipeline, stage 1: stack arrays and map ownership.
         // Validation left only non-empty digests of one array width.
@@ -452,8 +444,7 @@ impl AnalysisCenter {
                 .iter()
                 .flat_map(|d| (0..d.unaligned.array_count()).map(move |i| d.unaligned.array(i)))
                 .collect();
-            s.urows
-                .fill_rows_sharded(ncols, &flat, shards, budget.workers_for(shards));
+            s.urows.fill_rows_sharded(ncols, &flat, threads);
             s.group_owner.clear();
             for d in digests {
                 s.group_owner
@@ -471,9 +462,9 @@ impl AnalysisCenter {
         // Aligned stages 3–6 are timed inside the search layer; record
         // its per-stage split under the stage names.
         let (det, search_t, work) =
-            refined_detect_cached(&s.matrix, &s.col_weights, &self.cfg.search, &mut s.search);
+            refined_detect_cached(&s.matrix, &s.col_weights, &search, &mut s.search);
         // Scan-work accounting. The scanned/pruned split depends on the
-        // shard partition, so those land in last-epoch gauges; their sum
+        // worker partition, so those land in last-epoch gauges; their sum
         // covers the same candidate set under any partition and is safe
         // to count.
         self.metrics
@@ -496,7 +487,7 @@ impl AnalysisCenter {
             content_packets: det.cols.len(),
             signature_indices: det.cols,
         };
-        let unaligned = self.unaligned_from_rows(&s.urows, &s.group_owner, k, &rec);
+        let unaligned = self.unaligned_from_rows(&s.urows, &s.group_owner, k, budget, &rec);
 
         self.return_scratch(scratch);
         self.record_kernels();
@@ -639,14 +630,14 @@ impl AnalysisCenter {
     /// built around.
     pub fn scratch_capacities(&self) -> [usize; 8] {
         let s = self.take_scratch();
-        let [order, shard_orders, work, fanouts] = s.search.capacities();
+        let [order, worker_orders, work, fanouts] = s.search.capacities();
         let caps = [
             s.matrix.word_capacity(),
             s.col_weights.capacity(),
             s.urows.word_capacity(),
             s.group_owner.capacity(),
             order,
-            shard_orders,
+            worker_orders,
             work,
             fanouts,
         ];
@@ -682,12 +673,13 @@ impl AnalysisCenter {
         rows: &RowMatrix,
         group_owner: &[usize],
         k: usize,
+        budget: ComputeBudget,
         rec: &StageRecorder<'_>,
     ) -> UnalignedReport {
         let ncols = rows.ncols();
         let layout = GroupLayout { rows_per_group: k };
         let n_groups = group_owner.len();
-        let workers = self.cfg.compute.workers_for(n_groups);
+        let workers = budget.workers_for(n_groups);
         let er_cfg = match self.cfg.component_threshold {
             Some(t) => ErTestConfig {
                 component_threshold: t,

@@ -26,7 +26,6 @@ pub mod ingest;
 pub mod monitor;
 pub mod net;
 pub mod report;
-pub mod runtime;
 pub mod session;
 pub mod stages;
 pub mod transport;
@@ -47,7 +46,6 @@ pub use net::{
     Transport,
 };
 pub use report::{AlignedReport, EpochReport, TransportStats, UnalignedReport};
-pub use runtime::{EpochInput, EpochPipeline, PipelineConfig, PipelineError, PipelineResult};
 pub use session::{
     CollectedEpoch, CollectorConfig, EpochCollector, RetransmitRequest, SessionConfig,
     StragglerPolicy,
@@ -78,9 +76,6 @@ pub mod prelude {
     };
     pub use crate::report::{
         AlignedReport, EpochReport, SketchReport, TransportStats, UnalignedReport,
-    };
-    pub use crate::runtime::{
-        EpochInput, EpochPipeline, PipelineConfig, PipelineError, PipelineResult,
     };
     pub use crate::session::{
         CollectedEpoch, CollectorConfig, EpochCollector, RetransmitRequest, SessionConfig,

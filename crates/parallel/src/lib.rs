@@ -21,66 +21,22 @@ use std::ops::Range;
 ///
 /// Threaded through [`SearchConfig`](../dcs_aligned) and the unaligned
 /// pipeline so every layer splits work the same way.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
 pub struct ComputeBudget {
     /// Worker threads for parallel sections. `0` means "use all
     /// available CPUs" (resolved by [`ComputeBudget::effective_threads`]).
     pub threads: usize,
-    /// Column-block width for blocked kernel sweeps. Bounds the working
-    /// set of batched AND-popcount passes so a block of columns stays
-    /// cache-resident; `0` falls back to [`DEFAULT_BLOCK_COLS`].
-    pub block_cols: usize,
-    /// Column shards the fused-matrix stages partition their work into
-    /// (see [`shard_columns`]). Every stage result is bit-identical for
-    /// every shard count — shards only decide how the column space is
-    /// cut, never what is computed — so this is purely a throughput
-    /// knob. `0` means "one shard per worker thread" (resolved by
-    /// [`ComputeBudget::effective_shards`]).
-    pub shards: usize,
-}
-
-/// Default column-block width for batched kernels.
-///
-/// 8 columns × up to 64 KiB per 4 Mbit column keeps a block inside L2 on
-/// everything we run on, and matches the 8-wide unroll of the word
-/// kernels.
-pub const DEFAULT_BLOCK_COLS: usize = 8;
-
-impl Default for ComputeBudget {
-    fn default() -> Self {
-        ComputeBudget {
-            threads: 0,
-            block_cols: DEFAULT_BLOCK_COLS,
-            shards: 0,
-        }
-    }
 }
 
 impl ComputeBudget {
-    /// Budget pinned to a single thread and a single shard (fully
-    /// sequential).
+    /// Budget pinned to a single thread (fully sequential).
     pub fn sequential() -> Self {
-        ComputeBudget {
-            threads: 1,
-            block_cols: DEFAULT_BLOCK_COLS,
-            shards: 1,
-        }
+        ComputeBudget { threads: 1 }
     }
 
-    /// Budget pinned to exactly `threads` workers (shards follow the
-    /// thread count).
+    /// Budget pinned to exactly `threads` workers.
     pub fn with_threads(threads: usize) -> Self {
-        ComputeBudget {
-            threads,
-            block_cols: DEFAULT_BLOCK_COLS,
-            shards: 0,
-        }
-    }
-
-    /// This budget with the column-shard count pinned to `shards`.
-    pub fn with_shards(mut self, shards: usize) -> Self {
-        self.shards = shards;
-        self
+        ComputeBudget { threads }
     }
 
     /// Resolves `threads == 0` to the machine's available parallelism.
@@ -94,28 +50,22 @@ impl ComputeBudget {
         }
     }
 
-    /// Resolves `block_cols == 0` to [`DEFAULT_BLOCK_COLS`].
-    pub fn effective_block_cols(&self) -> usize {
-        if self.block_cols > 0 {
-            self.block_cols
-        } else {
-            DEFAULT_BLOCK_COLS
+    /// This budget with `threads == 0` replaced by the machine's
+    /// available parallelism as of now, so that no later
+    /// [`workers_for`](Self::workers_for) consults the OS (the query
+    /// re-reads the affinity mask and the cgroup quota on every call).
+    /// An explicit count is returned unchanged.
+    pub fn resolved(self) -> Self {
+        ComputeBudget {
+            threads: self.effective_threads(),
         }
     }
 
-    /// Workers to actually spawn for `items` units of work: never more
-    /// threads than items, never zero.
+    /// Workers to actually spawn for `items` units of work — and the
+    /// number of pieces a parallel section cuts that work into: never
+    /// more threads than items, never zero.
     pub fn workers_for(&self, items: usize) -> usize {
         self.effective_threads().min(items).max(1)
-    }
-
-    /// Resolves `shards == 0` to one shard per effective worker thread.
-    pub fn effective_shards(&self) -> usize {
-        if self.shards > 0 {
-            self.shards
-        } else {
-            self.effective_threads()
-        }
     }
 }
 
@@ -214,46 +164,6 @@ where
         let handles: Vec<_> = (1..workers).map(|w| scope.spawn(move || f(w))).collect();
         let mut out = Vec::with_capacity(workers);
         out.push(f(0));
-        for h in handles {
-            out.push(h.join().expect("dcs-parallel worker panicked"));
-        }
-        out
-    })
-}
-
-/// [`map_workers`] with a persistent per-worker scratch buffer.
-///
-/// `scratch` is grown to `workers` entries with `mk` (existing entries
-/// are kept — this is the epoch-scratch reuse path: buffers allocated in
-/// epoch 1 are handed back to workers in every later epoch), and worker
-/// `w` receives exclusive `&mut` access to `scratch[w]` for the duration
-/// of the call. Worker 0 runs on the calling thread, as in
-/// [`map_workers`].
-///
-/// Panics in a worker propagate to the caller.
-pub fn map_workers_scratch<S, T, F, M>(workers: usize, scratch: &mut Vec<S>, mk: M, f: F) -> Vec<T>
-where
-    S: Send,
-    T: Send,
-    F: Fn(usize, &mut S) -> T + Sync,
-    M: FnMut() -> S,
-{
-    let workers = workers.max(1);
-    scratch.resize_with(workers.max(scratch.len()), mk);
-    if workers == 1 {
-        return vec![f(0, &mut scratch[0])];
-    }
-    std::thread::scope(|scope| {
-        let f = &f;
-        let mut slots = scratch.iter_mut();
-        let first = slots.next().expect("scratch grown to worker count");
-        let handles: Vec<_> = slots
-            .take(workers - 1)
-            .enumerate()
-            .map(|(i, s)| scope.spawn(move || f(i + 1, s)))
-            .collect();
-        let mut out = Vec::with_capacity(workers);
-        out.push(f(0, first));
         for h in handles {
             out.push(h.join().expect("dcs-parallel worker panicked"));
         }
@@ -363,18 +273,14 @@ mod proptests {
             prop_assert!(ranges.len() <= parts.min(len.max(1)));
         }
 
-        // effective_shards / workers_for never resolve to zero, whatever
-        // the budget says.
+        // workers_for never resolves to zero, whatever the budget says.
         #[test]
         fn budget_resolution_never_yields_zero(
             threads in 0usize..10_000,
-            shards in 0usize..10_000,
             items in 0usize..10_000,
         ) {
-            let b = ComputeBudget { threads, block_cols: 0, shards };
+            let b = ComputeBudget { threads };
             prop_assert!(b.effective_threads() >= 1);
-            prop_assert!(b.effective_shards() >= 1);
-            prop_assert!(b.effective_block_cols() >= 1);
             let w = b.workers_for(items);
             prop_assert!(w >= 1);
             prop_assert!(w <= items.max(1));
@@ -390,7 +296,6 @@ mod tests {
     fn default_budget_resolves() {
         let b = ComputeBudget::default();
         assert!(b.effective_threads() >= 1);
-        assert_eq!(b.effective_block_cols(), DEFAULT_BLOCK_COLS);
         assert_eq!(ComputeBudget::with_threads(3).effective_threads(), 3);
         assert_eq!(ComputeBudget::sequential().effective_threads(), 1);
     }
@@ -434,27 +339,6 @@ mod tests {
     }
 
     #[test]
-    fn map_workers_scratch_reuses_buffers() {
-        let mut scratch: Vec<Vec<u64>> = Vec::new();
-        let out = map_workers_scratch(3, &mut scratch, Vec::new, |w, buf| {
-            buf.resize(100, w as u64);
-            buf.iter().sum::<u64>()
-        });
-        assert_eq!(out, vec![0, 100, 200]);
-        assert_eq!(scratch.len(), 3);
-        let caps: Vec<usize> = scratch.iter().map(Vec::capacity).collect();
-        // Second call hands the same buffers back: no capacity changes,
-        // and worker count can shrink without dropping scratch.
-        let out = map_workers_scratch(2, &mut scratch, Vec::new, |w, buf| {
-            assert_eq!(buf.len(), 100, "worker {w} got a fresh buffer");
-            buf.iter().sum::<u64>()
-        });
-        assert_eq!(out, vec![0, 100]);
-        assert_eq!(scratch.len(), 3);
-        assert_eq!(scratch.iter().map(Vec::capacity).collect::<Vec<_>>(), caps);
-    }
-
-    #[test]
     fn map_chunks_sums_match() {
         let data: Vec<u64> = (0..1000).collect();
         let expect: u64 = data.iter().sum();
@@ -466,27 +350,23 @@ mod tests {
 
     #[test]
     fn budget_serde_round_trip() {
-        let b = ComputeBudget {
-            threads: 4,
-            block_cols: 16,
-            shards: 2,
-        };
+        let b = ComputeBudget { threads: 4 };
         let v = serde::Serialize::to_value(&b);
         let back: ComputeBudget = serde::Deserialize::from_value(&v).unwrap();
         assert_eq!(back, b);
     }
 
     #[test]
-    fn effective_shards_follows_threads_by_default() {
-        assert_eq!(ComputeBudget::with_threads(3).effective_shards(), 3);
-        assert_eq!(ComputeBudget::sequential().effective_shards(), 1);
-        assert_eq!(
-            ComputeBudget::with_threads(3)
-                .with_shards(5)
-                .effective_shards(),
-            5
-        );
-        assert!(ComputeBudget::default().effective_shards() >= 1);
+    fn resolved_budget_never_consults_the_os() {
+        // `effective_threads` asks the OS only when `threads == 0`, so a
+        // non-zero count after `resolved()` is the whole property.
+        let r = ComputeBudget::default().resolved();
+        assert!(r.threads > 0);
+        assert_eq!(r.workers_for(usize::MAX), r.threads);
+        for threads in [1usize, 3, 64] {
+            let b = ComputeBudget::with_threads(threads);
+            assert_eq!(b.resolved(), b, "explicit count must be the identity");
+        }
     }
 
     #[test]

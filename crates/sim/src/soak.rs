@@ -16,9 +16,7 @@ use dcs_core::center::{AnalysisCenter, AnalysisConfig};
 use dcs_core::ingest::IngestError;
 use dcs_core::monitor::{MonitorConfig, MonitoringPoint};
 use dcs_core::report::{EpochReport, TransportStats};
-use dcs_core::runtime::{EpochInput, EpochPipeline, PipelineConfig, PipelineError};
 use dcs_core::session::{CollectorConfig, EpochCollector};
-use dcs_core::MetricsSnapshot;
 use dcs_traffic::{gen, BackgroundConfig, ContentObject, Planting, SizeMix};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -63,12 +61,6 @@ pub struct SoakConfig {
     pub bg_flows: usize,
     /// Optional mid-soak centre crash.
     pub kill: Option<KillPlan>,
-    /// Drive the centre through the pipelined runtime
-    /// ([`EpochPipeline`]) instead of analysing inline: epoch N's
-    /// analysis overlaps epoch N+1's collection. Detection outcomes are
-    /// byte-identical either way — the pipeline reorders *when* work
-    /// happens, never what it computes.
-    pub pipelined: bool,
 }
 
 impl SoakConfig {
@@ -88,7 +80,6 @@ impl SoakConfig {
             bg_packets: 800,
             bg_flows: 200,
             kill: None,
-            pipelined: false,
         }
     }
 }
@@ -123,21 +114,6 @@ impl EpochOutcome {
                 accepted: 0,
             },
         }
-    }
-
-    /// [`EpochOutcome::from`] for an epoch analysed by the pipelined
-    /// runtime. Panics only on harness bugs (a panicked analysis body).
-    pub(crate) fn from_pipeline(
-        min_quorum: usize,
-        result: Result<EpochReport, PipelineError>,
-    ) -> Self {
-        Self::from(
-            min_quorum,
-            result.map_err(|e| match e {
-                PipelineError::Ingest(e) => e,
-                PipelineError::Panicked(msg) => panic!("soak epoch analysis panicked: {msg}"),
-            }),
-        )
     }
 
     /// The detection verdicts of this epoch, serialized to a canonical
@@ -196,83 +172,6 @@ impl SoakResult {
     }
 }
 
-/// How a soak drives its centre: inline per-epoch analysis, or the
-/// continuously running pipeline. Outcomes come back in submission order
-/// either way.
-pub(crate) enum Driver {
-    Sequential(Box<AnalysisCenter>),
-    Pipelined {
-        pipe: EpochPipeline,
-        submitted: usize,
-    },
-}
-
-impl Driver {
-    pub(crate) fn new(center: AnalysisCenter, pipelined: bool) -> Self {
-        if pipelined {
-            Driver::Pipelined {
-                pipe: EpochPipeline::new(center, PipelineConfig::default()),
-                submitted: 0,
-            }
-        } else {
-            Driver::Sequential(Box::new(center))
-        }
-    }
-
-    /// Analyses `input` inline, or queues it behind the epochs still in
-    /// flight; appends every outcome that is ready to `outcomes`.
-    pub(crate) fn submit(
-        &mut self,
-        input: EpochInput,
-        min_quorum: usize,
-        outcomes: &mut Vec<EpochOutcome>,
-    ) {
-        match self {
-            Driver::Sequential(center) => {
-                outcomes.push(EpochOutcome::from(min_quorum, input.analyze(center)));
-            }
-            Driver::Pipelined { pipe, submitted } => {
-                // Hold the worker across the first two submissions so the
-                // double buffer is deterministically exercised — the
-                // `epochs_in_flight_peak ≥ 2` acceptance signal cannot
-                // depend on scheduler luck on a single-CPU host. From
-                // epoch 2 on, overlap is natural: collection of epoch
-                // N+1 proceeds while the worker analyses epoch N.
-                if *submitted == 0 {
-                    pipe.pause();
-                }
-                pipe.submit(input);
-                if *submitted == 1 {
-                    pipe.resume();
-                }
-                *submitted += 1;
-                while let Some((_, result)) = pipe.try_recv() {
-                    outcomes.push(EpochOutcome::from_pipeline(min_quorum, result));
-                }
-            }
-        }
-    }
-
-    /// Waits for the epochs still in flight and returns the centre's
-    /// final metrics.
-    pub(crate) fn finish(
-        self,
-        min_quorum: usize,
-        outcomes: &mut Vec<EpochOutcome>,
-    ) -> MetricsSnapshot {
-        match self {
-            Driver::Sequential(center) => center.metrics(),
-            Driver::Pipelined { pipe, .. } => {
-                pipe.resume(); // a 1-epoch run never reached the second submit
-                for (_, result) in pipe.drain() {
-                    outcomes.push(EpochOutcome::from_pipeline(min_quorum, result));
-                }
-                pipe.center().metrics()
-            }
-        }
-    }
-}
-
 /// Runs the soak. Deterministic in `cfg`; panics only on harness bugs —
 /// every transport or quorum failure is a typed [`EpochOutcome`].
 pub fn run_soak(cfg: &SoakConfig) -> SoakResult {
@@ -284,7 +183,7 @@ pub fn run_soak(cfg: &SoakConfig) -> SoakResult {
     let mut acfg = AnalysisConfig::for_groups(cfg.routers * 4).with_min_quorum(cfg.min_quorum);
     acfg.search.n_prime = 400;
     acfg.search.hopefuls = 300;
-    let mut driver = Driver::new(AnalysisCenter::new(acfg), cfg.pipelined);
+    let center = AnalysisCenter::new(acfg);
     // Flat: the monitors' link to the centre is the only tier.
     let mut tiers = TierDriver::new(
         &[Tier {
@@ -340,16 +239,18 @@ pub fn run_soak(cfg: &SoakConfig) -> SoakResult {
             },
         );
         totals += epoch.stats;
-        driver.submit(EpochInput::Collected(epoch), cfg.min_quorum, &mut outcomes);
+        outcomes.push(EpochOutcome::from(
+            cfg.min_quorum,
+            center.analyze_epoch_collected(&epoch),
+        ));
         now += 1;
     }
 
-    let metrics = driver.finish(cfg.min_quorum, &mut outcomes);
     SoakResult {
         outcomes,
         totals,
         ticks: now,
-        metrics,
+        metrics: center.metrics(),
     }
 }
 

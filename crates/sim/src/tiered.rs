@@ -21,12 +21,11 @@
 
 use crate::channel::ChannelConfig;
 use crate::hop::{epoch_seed, Tier, TierDriver};
-use crate::soak::{Driver, EpochOutcome};
+use crate::soak::EpochOutcome;
 use dcs_core::aggregate::AggregateBundle;
 use dcs_core::center::{AnalysisCenter, AnalysisConfig};
 use dcs_core::monitor::{MonitorConfig, MonitoringPoint};
 use dcs_core::report::{EpochReport, TransportStats};
-use dcs_core::runtime::EpochInput;
 use dcs_core::session::{CollectedEpoch, CollectorConfig};
 use dcs_traffic::{gen, BackgroundConfig, ContentObject, Planting, SizeMix};
 use rand::rngs::StdRng;
@@ -72,10 +71,6 @@ pub struct TieredSoakConfig {
     pub arrays_per_group: usize,
     /// Bits per unaligned array (paper: 1,024; shrink for wide runs).
     pub array_bits: usize,
-    /// Drive the centre through
-    /// [`EpochPipeline`](dcs_core::runtime::EpochPipeline) with
-    /// `EpochInput::AggregatedCollected` instead of analysing inline.
-    pub pipelined: bool,
 }
 
 impl TieredSoakConfig {
@@ -101,7 +96,6 @@ impl TieredSoakConfig {
             groups_per_leaf: 4,
             arrays_per_group: 10,
             array_bits: 1024,
-            pipelined: false,
         }
     }
 
@@ -263,7 +257,7 @@ fn run(cfg: &TieredSoakConfig, deep: bool) -> TieredSoakResult {
         acfg.search.hopefuls = 300.min(cfg.aligned_bits);
         AnalysisCenter::new(acfg)
     };
-    let mut driver = Driver::new(make_center(), cfg.pipelined);
+    let center = make_center();
     // The flat-replay centre: identical configuration, fed the same
     // delivered child frames without the tier in between.
     let flat_center = make_center();
@@ -321,15 +315,13 @@ fn run(cfg: &TieredSoakConfig, deep: bool) -> TieredSoakResult {
             flat_center.analyze_epoch_collected(&flat),
         )));
 
-        driver.submit(
-            EpochInput::AggregatedCollected(epoch),
+        outcomes.push(EpochOutcome::from(
             cfg.min_quorum,
-            &mut outcomes,
-        );
+            center.analyze_epoch_aggregated_collected(&epoch),
+        ));
         now += 1;
     }
 
-    let metrics = driver.finish(cfg.min_quorum, &mut outcomes);
     let detection_pairs = outcomes
         .iter()
         .map(outcome_fingerprint)
@@ -342,7 +334,7 @@ fn run(cfg: &TieredSoakConfig, deep: bool) -> TieredSoakResult {
         up_totals,
         ticks: now,
         agg_metrics: tiers.agg_metrics.snapshot(),
-        metrics,
+        metrics: center.metrics(),
     }
 }
 

@@ -6,8 +6,6 @@
 //! * the tiered path's detection set is byte-identical to a flat
 //!   `CollectedEpoch::from_frames` run over the same delivered child frames
 //!   (the verbatim-forwarding equivalence argument of DESIGN.md §10);
-//! * the pipelined runtime (`EpochInput::AggregatedCollected`) computes
-//!   the same outcomes as inline analysis;
 //! * cross-level accounting: every leaf the aggregation tier lost
 //!   surfaces at the centre as an `AtLevel`-wrapped fault.
 
@@ -179,30 +177,6 @@ fn deep_wide_soak_composes_leaf_quorum_through_three_levels() {
         .agg_metrics
         .gauge("aggregate_fuse_ns{level=2}")
         .is_some());
-}
-
-/// The pipelined runtime drives `EpochInput::AggregatedCollected`
-/// through the worker thread; outcomes must match the inline path
-/// epoch for epoch.
-#[test]
-fn pipelined_tiered_soak_matches_sequential() {
-    let mut sequential = TieredSoakConfig::standard(2, 0x717E_11ED);
-    sequential.leaf_channel = ChannelConfig::soak();
-    let mut pipelined = sequential;
-    pipelined.pipelined = true;
-
-    let a = run_tiered_soak(&sequential);
-    let b = run_tiered_soak(&pipelined);
-    assert_eq!(a.outcomes.len(), b.outcomes.len());
-    let fp = |r: &dcs_sim::tiered::TieredSoakResult| -> Vec<String> {
-        r.detection_pairs.iter().map(|(t, _)| t.clone()).collect()
-    };
-    assert_eq!(
-        fp(&a),
-        fp(&b),
-        "pipelined and sequential tiered outcomes diverged"
-    );
-    assert!(a.detection_equivalent() && b.detection_equivalent());
 }
 
 /// Losing every aggregate bundle upstream must degrade to a typed

@@ -57,12 +57,9 @@ fn tiered_pin(r: &TieredSoakResult) -> u64 {
 #[test]
 fn soak_drivers_replay_their_pinned_runs() {
     let sequential = SoakConfig::standard(6, 7);
-    let mut pipelined = sequential;
-    pipelined.pipelined = true;
     let mut killed = sequential;
     killed.kill = Some(KillPlan { epoch: 2, tick: 4 });
     assert_eq!(soak_pin(&sequential), SOAK_PIN, "sequential soak");
-    assert_eq!(soak_pin(&pipelined), SOAK_PIN, "pipelined soak");
     assert_eq!(soak_pin(&killed), KILLED_SOAK_PIN, "killed soak");
 }
 

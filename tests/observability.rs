@@ -38,15 +38,12 @@ fn make_digests(seed: u64, infected: usize) -> Vec<RouterDigest> {
         .collect()
 }
 
-fn center_with_budget(budget: ComputeBudget) -> AnalysisCenter {
-    let mut cfg = AnalysisConfig::for_groups(ROUTERS * 4).with_compute(budget);
+fn center_with_threads(threads: usize) -> AnalysisCenter {
+    let mut cfg = AnalysisConfig::for_groups(ROUTERS * 4);
+    cfg.search.compute = ComputeBudget::with_threads(threads);
     cfg.search.n_prime = 300;
     cfg.search.hopefuls = 200;
     AnalysisCenter::new(cfg)
-}
-
-fn center_with_threads(threads: usize) -> AnalysisCenter {
-    center_with_budget(ComputeBudget::with_threads(threads))
 }
 
 #[test]
@@ -79,8 +76,16 @@ fn every_stage_of_both_pipelines_records_nonzero() {
 #[test]
 fn stage_timer_sums_stay_within_epoch_total() {
     let center = center_with_threads(2);
-    center.analyze_epoch(&make_digests(33, 6)).expect("quorum");
+    // Three epochs back to back: the stage gauges hold the most recent
+    // epoch, not a sum over the batch, so their sum still fits inside
+    // the last epoch's own total.
+    for seed in [33, 40, 41] {
+        center
+            .analyze_epoch(&make_digests(seed, 6))
+            .expect("quorum");
+    }
     let snap = center.metrics();
+    assert_eq!(snap.counter("epochs_analyzed_total"), Some(3));
     let total = snap.gauge("epoch_total_ns").expect("total gauge");
     let staged: u64 = Stage::ALIGNED
         .iter()
@@ -163,74 +168,6 @@ fn deterministic_metrics_are_identical_across_thread_counts() {
 }
 
 #[test]
-fn deterministic_metrics_are_identical_across_shard_counts() {
-    let digests = make_digests(37, 6);
-    let run = |shards: usize| {
-        let center = center_with_budget(
-            ComputeBudget::with_threads(2.min(shards.max(1))).with_shards(shards),
-        );
-        let report = center.analyze_epoch(&digests).expect("quorum");
-        (report, center.metrics())
-    };
-    let (base_report, base_snap) = run(1);
-    let base_view = deterministic_view(&base_snap);
-    for shards in [2, 8] {
-        let (report, snap) = run(shards);
-        // Detection results — aligned and unaligned — are
-        // shard-count-invariant: fusion writes disjoint column ranges and
-        // every reduction merges through total-ordered bounded heaps.
-        assert_eq!(report.aligned.found, base_report.aligned.found);
-        assert_eq!(report.aligned.routers, base_report.aligned.routers);
-        assert_eq!(
-            report.aligned.signature_indices,
-            base_report.aligned.signature_indices
-        );
-        assert_eq!(report.unaligned.alarm, base_report.unaligned.alarm);
-        assert_eq!(
-            report.unaligned.suspected_routers,
-            base_report.unaligned.suspected_routers
-        );
-        assert_eq!(
-            deterministic_view(&snap),
-            base_view,
-            "shards={shards}: deterministic metrics diverged"
-        );
-    }
-}
-
-#[test]
-fn pipelined_epochs_report_per_epoch_stage_times() {
-    let center = center_with_threads(2);
-    let pipe = EpochPipeline::new(center, PipelineConfig { max_in_flight: 3 });
-    // Queue all three epochs behind a paused worker so their analyses run
-    // back-to-back — if stage timers leaked across overlapped epochs the
-    // accumulated values would betray it below.
-    pipe.pause();
-    for seed in [40, 41, 42] {
-        let epoch = CollectedEpoch::from_digests(&make_digests(seed, 4));
-        pipe.submit(EpochInput::Collected(epoch));
-    }
-    pipe.resume();
-    let mut reports = Vec::new();
-    for (seq, result) in pipe.drain() {
-        reports.push((seq, result.expect("clean epoch")));
-    }
-    assert_eq!(reports.len(), 3);
-    // The stage gauges hold the most recent epoch, not a sum over the
-    // batch: every stage ran, and the per-stage sum fits inside the last
-    // epoch's own total, which an overlap-aggregated view would exceed.
-    let snap = pipe.center().metrics();
-    let staged: u64 = Stage::ALIGNED
-        .iter()
-        .chain(Stage::UNALIGNED.iter())
-        .map(|s| snap.gauge(&s.gauge_key()).unwrap_or(0))
-        .sum();
-    assert!(staged > 0);
-    assert!(staged <= snap.gauge("epoch_total_ns").expect("total gauge"));
-    assert_eq!(snap.counter("epochs_analyzed_total"), Some(3));
-}
-
-#[test]
 fn excluded_bundles_feed_fault_labeled_counters() {
     let mut digests = make_digests(36, 0);
     digests[1].epoch_id = 99;
@@ -248,4 +185,53 @@ fn excluded_bundles_feed_fault_labeled_counters() {
         Some(1)
     );
     assert_eq!(snap.counter("ingest_accepted_total"), Some(6));
+}
+
+/// Every metric family the centre emits — through either door — is named
+/// in backticks somewhere in DESIGN.md. A documented name with one `*`
+/// (`transport_*_total`) covers a family by prefix and suffix.
+#[test]
+fn every_emitted_metric_family_is_documented() {
+    let epoch = CollectedEpoch::from_digests(&make_digests(38, 6));
+    let center = center_with_threads(1);
+    center.analyze_epoch_collected(&epoch).expect("quorum");
+    let children = (0u64..).zip(epoch.frames.into_iter().map(|(_, f)| f));
+    let bundle = AggregateBundle::assemble(0, 0, 1, children.collect(), Vec::new());
+    center
+        .analyze_epoch_aggregated_collected(&CollectedEpoch::from_frames(
+            vec![bundle.encode_wire()],
+        ))
+        .expect("quorum");
+
+    let documented: Vec<&str> = include_str!("../DESIGN.md")
+        .split('`')
+        .skip(1)
+        .step_by(2)
+        .map(|code| code.split('{').next().unwrap_or(code))
+        .collect();
+    let is_documented = |family: &str| {
+        documented.iter().any(|doc| match doc.split_once('*') {
+            Some((prefix, suffix)) => {
+                !prefix.is_empty()
+                    && family.len() >= prefix.len() + suffix.len()
+                    && family.starts_with(prefix)
+                    && family.ends_with(suffix)
+            }
+            None => *doc == family,
+        })
+    };
+    let snap = center.metrics();
+    let keys = (snap.counters.iter().map(|c| &c.key))
+        .chain(snap.gauges.iter().map(|g| &g.key))
+        .chain(snap.histograms.iter().map(|h| &h.key));
+    let mut undocumented: Vec<&str> = keys
+        .map(|key| key.split('{').next().unwrap_or(key))
+        .filter(|family| !is_documented(family))
+        .collect();
+    undocumented.sort_unstable();
+    undocumented.dedup();
+    assert!(
+        undocumented.is_empty(),
+        "metric families emitted but not named in DESIGN.md: {undocumented:?}"
+    );
 }

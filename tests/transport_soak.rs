@@ -122,46 +122,6 @@ fn mid_soak_kill_restart_is_detection_identical() {
     assert!(a.iter().any(|s| s.contains("\"found\":true")));
 }
 
-/// Tentpole acceptance: the pipelined runtime drives the same soak as the
-/// sequential centre with byte-identical detection sets, while the
-/// double-buffered scheduler provably admits ≥2 epochs in flight
-/// (collection of epoch N+1 overlapping analysis of epoch N).
-#[test]
-fn pipelined_soak_is_detection_identical_and_overlaps_epochs() {
-    let epochs = 8;
-    let seed = 0x0DD_B17E5;
-    let sequential = run_soak(&SoakConfig::standard(epochs, seed));
-
-    let mut pipelined_cfg = SoakConfig::standard(epochs, seed);
-    pipelined_cfg.pipelined = true;
-    let pipelined = run_soak(&pipelined_cfg);
-
-    let a = sequential.detection_sets();
-    let b = pipelined.detection_sets();
-    assert_eq!(a.len(), b.len());
-    for (e, (x, y)) in a.iter().zip(&b).enumerate() {
-        assert_eq!(x, y, "epoch {e} detection set diverged under pipelining");
-    }
-    assert!(
-        sequential.quorum_epochs() == epochs && pipelined.quorum_epochs() == epochs,
-        "the comparison must not be vacuous over quorum failures"
-    );
-    assert!(a.iter().any(|s| s.contains("\"found\":true")));
-
-    // The pipeline instruments prove the overlap happened: every epoch
-    // went through the worker, at least two were simultaneously in
-    // flight, and the run drained back to empty.
-    let snap = &pipelined.metrics;
-    assert_eq!(snap.counter("pipeline_epochs_total"), Some(epochs as u64));
-    assert!(
-        snap.gauge("epochs_in_flight_peak").unwrap_or(0) >= 2,
-        "steady state never admitted 2 epochs in flight"
-    );
-    assert_eq!(snap.gauge("epochs_in_flight"), Some(0));
-    // The sequential run, by contrast, never touches the pipeline family.
-    assert_eq!(sequential.metrics.counter("pipeline_epochs_total"), None);
-}
-
 /// One epoch of real wire frames for `routers` monitoring points, with
 /// the planted content on the first `infected`.
 fn epoch_frames(seed: u64, routers: usize, infected: usize) -> Vec<Vec<u8>> {

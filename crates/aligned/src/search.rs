@@ -14,9 +14,13 @@
 //! * the per-iteration "hopefuls" list keeps the H heaviest candidates in
 //!   a bounded min-heap, exactly as in the paper (a priority queue of
 //!   size O(n));
-//! * the candidate fan-outs (all 2-products, per-hopeful extensions, the
-//!   heaviest-column screen, and the full-matrix expansion sweep) are cut
-//!   into one independent piece per worker
+//! * the heaviest-column screen is one serial counting pass (column
+//!   weights take only `nrows + 1` values, so a histogram finds the cut
+//!   and no column is ever compared with another until the n′ survivors
+//!   are sorted);
+//! * the candidate fan-outs (all 2-products, per-hopeful extensions and
+//!   the full-matrix expansion sweep) are cut into one independent piece
+//!   per worker
 //!   ([`ComputeBudget::workers_for`]) and executed by scoped threads per
 //!   [`SearchConfig::compute`]. Candidates are ranked by the *full*
 //!   `(weight, parent, column)` tuple — a total order — so each worker's
@@ -26,7 +30,9 @@
 
 use crate::termination::{stop_point, TerminationConfig};
 use crate::thresholds::ln_natural_occurrence;
-use dcs_bitmap::words::{and_weight, and_weight_many_into, iter_ones, weight};
+use dcs_bitmap::words::{
+    active_kernel, and_weight, and_weight_many_into, and_weight_with, iter_ones, weight,
+};
 use dcs_bitmap::ColMatrix;
 use dcs_parallel::{map_chunks, run_jobs, split_range, ComputeBudget};
 use std::cmp::Reverse;
@@ -36,18 +42,15 @@ use std::time::Instant;
 /// Reusable buffers for repeated refined detections (one per epoch).
 ///
 /// Holds everything [`refined_detect_cached`] needs between the fused
-/// matrix and the detection report: the column ranking, the screened
-/// working matrix, and the per-worker fan-out buffers of the product
-/// search. All of it is allocated on the first epoch and reused —
+/// matrix and the detection report: the screened column order, the
+/// screened working matrix, and the per-worker fan-out buffers of the
+/// product search. All of it is allocated on the first epoch and reused —
 /// steady-state detection performs no per-epoch screening allocations
 /// beyond what the candidate products themselves need.
 #[derive(Debug)]
 pub struct SearchScratch {
     /// Column indices ranked by descending weight (truncated to n′).
     order: Vec<usize>,
-    /// Per-worker screening buffers: each worker's local top-n′
-    /// candidates, merged into `order` before the global cut.
-    worker_orders: Vec<Vec<usize>>,
     /// The screened working matrix (the n′ heaviest columns).
     work: ColMatrix,
     /// Per-worker fan-out buffers of the product search.
@@ -58,7 +61,6 @@ impl Default for SearchScratch {
     fn default() -> Self {
         SearchScratch {
             order: Vec::new(),
-            worker_orders: Vec::new(),
             work: ColMatrix::new(0, 0),
             fanouts: Vec::new(),
         }
@@ -71,14 +73,12 @@ impl SearchScratch {
         SearchScratch::default()
     }
 
-    /// Capacities of the internal buffers (column order, summed worker
-    /// screening slots, screened matrix words, summed fan-out slots) —
-    /// diagnostic hook for steady-state reuse tests: across epochs of
-    /// equal shape these must not grow.
-    pub fn capacities(&self) -> [usize; 4] {
+    /// Capacities of the internal buffers (column order, screened matrix
+    /// words, summed fan-out slots) — diagnostic hook for steady-state
+    /// reuse tests: across epochs of equal shape these must not grow.
+    pub fn capacities(&self) -> [usize; 3] {
         [
             self.order.capacity(),
-            self.worker_orders.iter().map(Vec::capacity).sum(),
             self.work.word_capacity(),
             self.fanouts.iter().map(Vec::capacity).sum(),
         ]
@@ -207,10 +207,10 @@ impl AlignedDetection {
     }
 }
 
-/// Columns per blocked-kernel call of the expansion sweep: 8 columns ×
-/// up to 64 KiB per 4 Mbit column keeps a batch inside L2, and matches
-/// the 8-wide unroll of the word kernels.
-const SWEEP_BATCH_COLS: usize = 8;
+/// Independent counters per weight in the screen's histogram pass. Most
+/// columns of a sparse epoch share one weight; a single counter would
+/// make every increment wait on the store before it.
+const SCREEN_LANES: usize = 4;
 
 /// Bounded-heap entry order: the full `(weight, parent, column)` tuple
 /// (a total order, so the retained top-H set is canonical for any
@@ -540,15 +540,13 @@ pub fn refined_detect(matrix: &ColMatrix, cfg: &SearchConfig) -> AlignedDetectio
 /// the product search's work accounting.
 ///
 /// Screening selects the n′ heaviest columns by the total order
-/// `(weight desc, index asc)`: each worker partitions out the local
-/// top-n′ of its column range (`O(n/w)` per worker, in parallel), the
-/// survivors merge, and a global partition + `O(n′ log n′)` sort makes
-/// the final cut. Every member of the global top-n′ is in its own
-/// range's local top-n′, so the screened set is identical for any worker
-/// count.
+/// `(weight desc, index asc)` in two linear passes over `weights` and an
+/// `O(n′ log n′)` sort ([`screen_order`]); it is serial and memory-bound,
+/// so the screened set cannot depend on the thread count.
 ///
 /// # Panics
-/// Panics if `weights.len() != matrix.ncols()`.
+/// Panics if `weights.len() != matrix.ncols()`, or if a weight exceeds
+/// `matrix.nrows()`.
 pub fn refined_detect_cached(
     matrix: &ColMatrix,
     weights: &[u32],
@@ -557,46 +555,67 @@ pub fn refined_detect_cached(
 ) -> (AlignedDetection, SearchTimings, SearchWork) {
     let n = matrix.ncols();
     assert_eq!(weights.len(), n, "one weight per column");
-    let n_prime = cfg.n_prime.min(n);
     let t0 = Instant::now();
     let SearchScratch {
         order,
-        worker_orders,
         work,
         fanouts,
     } = scratch;
-    order.clear();
-    let workers = cfg.compute.workers_for(n);
-    if n_prime < n && workers > 1 {
-        let ranges = split_range(n, workers);
-        worker_orders.resize_with(workers.max(worker_orders.len()), Vec::new);
-        let jobs: Vec<(std::ops::Range<usize>, &mut Vec<usize>)> =
-            ranges.into_iter().zip(worker_orders.iter_mut()).collect();
-        run_jobs(jobs, workers, |(range, buf)| {
-            buf.clear();
-            buf.extend(range);
-            if n_prime < buf.len() {
-                buf.select_nth_unstable_by_key(n_prime, |&j| (Reverse(weights[j]), j));
-                buf.truncate(n_prime);
-            }
-        });
-        for buf in &worker_orders[..workers] {
-            order.extend_from_slice(buf);
-        }
-    } else {
-        order.extend(0..n);
-    }
-    if n_prime < order.len() {
-        order.select_nth_unstable_by_key(n_prime, |&j| (Reverse(weights[j]), j));
-        order.truncate(n_prime);
-    }
-    order.sort_unstable_by_key(|&j| (Reverse(weights[j]), j));
+    screen_order(weights, matrix.nrows(), cfg.n_prime, order);
     matrix.select_columns_into(order, work);
     let screen_ns = t0.elapsed().as_nanos() as u64;
     let mut work_stats = SearchWork::default();
     let (det, mut timings) = detect_inner(matrix, work, order, cfg, true, fanouts, &mut work_stats);
     timings.screen_ns = screen_ns;
     (det, timings, work_stats)
+}
+
+/// Fills `order` with the `n_prime` heaviest columns (all of them if
+/// there are fewer), sorted by `(weight desc, index asc)`.
+///
+/// A weight is a popcount of `nrows` bits, so it takes one of
+/// `nrows + 1` values and ranking needs no comparisons: a histogram pass
+/// finds the cut weight w* with `count(w > w*) < n′ ≤ count(w ≥ w*)`,
+/// and one ordered pass keeps every column heavier than w* plus the
+/// first `n′ − count(w > w*)` columns that weigh exactly w* — the lowest
+/// indices, as the tie-break asks. Only the survivors are sorted.
+///
+/// # Panics
+/// Panics if a weight exceeds `nrows`.
+pub fn screen_order(weights: &[u32], nrows: usize, n_prime: usize, order: &mut Vec<usize>) {
+    let n_prime = n_prime.min(weights.len());
+    let buckets = nrows + 1;
+    let mut lanes = vec![0usize; SCREEN_LANES * buckets];
+    for (j, &w) in weights.iter().enumerate() {
+        assert!(
+            w as usize <= nrows,
+            "screen: column {j} weighs {w}, more than the matrix's {nrows} rows"
+        );
+        lanes[(j % SCREEN_LANES) * buckets + w as usize] += 1;
+    }
+    let mut above = 0;
+    let mut cut = nrows;
+    while cut > 0 {
+        let at_cut: usize = lanes.iter().skip(cut).step_by(buckets).sum();
+        if above + at_cut >= n_prime {
+            break;
+        }
+        above += at_cut;
+        cut -= 1;
+    }
+    let mut ties = n_prime - above;
+    let cut = cut as u32;
+    order.clear();
+    order.reserve(n_prime);
+    for (j, &w) in weights.iter().enumerate() {
+        if w > cut {
+            order.push(j);
+        } else if w == cut && ties > 0 {
+            order.push(j);
+            ties -= 1;
+        }
+    }
+    order.sort_unstable_by_key(|&j| (Reverse(weights[j]), j));
 }
 
 /// Shared tail: search `work` (whose column `k` is original column
@@ -625,11 +644,11 @@ fn detect_inner(
 
     // Witness set: the core plus (refined only) every other column sharing
     // ≥ weight(core) − γ ones with the core row vector. This is the O(n)
-    // full-matrix sweep: each worker scans its contiguous column range,
-    // batching `SWEEP_BATCH_COLS` columns per blocked-kernel call so the
-    // core row vector stays cache-hot across the batch. Survivor sets
-    // from disjoint ranges are sorted after the merge, so the witness set
-    // is worker-count-invariant.
+    // full-matrix sweep: each worker walks the words of its contiguous
+    // column range one column at a time (the core row vector is a few
+    // words and stays in registers). Survivor sets from disjoint ranges
+    // are sorted after the merge, so the witness set is
+    // worker-count-invariant.
     let mut cols = core_cols.clone();
     if expand {
         let t_expand = Instant::now();
@@ -641,21 +660,15 @@ fn detect_inner(
         let mut survivors: Vec<Vec<usize>> = ranges.iter().map(|_| Vec::new()).collect();
         let jobs: Vec<(std::ops::Range<usize>, &mut Vec<usize>)> =
             ranges.into_iter().zip(survivors.iter_mut()).collect();
+        let kernel = active_kernel();
+        let wpc = matrix.words_per_col();
         run_jobs(jobs, workers, |(range, out)| {
-            let mut batch_weights = [0u32; SWEEP_BATCH_COLS];
-            let mut start = range.start;
-            while start < range.end {
-                let end = (start + SWEEP_BATCH_COLS).min(range.end);
-                let batch: Vec<&[u64]> = (start..end).map(|j| matrix.column(j)).collect();
-                batch_weights[..batch.len()].fill(0);
-                and_weight_many_into(&core.words, &batch, &mut batch_weights);
-                for (off, &w) in batch_weights[..batch.len()].iter().enumerate() {
-                    let j = start + off;
-                    if w >= thresh && !core_set.contains(&j) {
-                        out.push(j);
-                    }
+            let words = matrix.column_range(range.clone());
+            for (off, j) in range.enumerate() {
+                let col = &words[off * wpc..(off + 1) * wpc];
+                if and_weight_with(kernel, &core.words, col) >= thresh && !core_set.contains(&j) {
+                    out.push(j);
                 }
-                start = end;
             }
         });
         cols.extend(survivors.into_iter().flatten());
@@ -938,6 +951,59 @@ mod tests {
         assert_eq!(scratch.order.capacity(), order_cap);
     }
 
+    /// The screen this crate ran before it counted: partition the n′
+    /// smallest keys of `(weight desc, index asc)` to the front, sort them.
+    fn screen_order_reference(weights: &[u32], n_prime: usize) -> Vec<usize> {
+        let mut order: Vec<usize> = (0..weights.len()).collect();
+        let n_prime = n_prime.min(order.len());
+        if n_prime < order.len() {
+            order.select_nth_unstable_by_key(n_prime, |&j| (Reverse(weights[j]), j));
+            order.truncate(n_prime);
+        }
+        order.sort_unstable_by_key(|&j| (Reverse(weights[j]), j));
+        order
+    }
+
+    #[test]
+    fn counting_screen_equals_select_nth_reference() {
+        let mut r = StdRng::seed_from_u64(54);
+        let mut order = Vec::new();
+        for nrows in [1usize, 2, 24, 64, 130] {
+            for n in [1usize, 2, 7, 300, 1_001] {
+                // Few distinct weights, so the cut always lands inside a
+                // run of ties; every third matrix also piles most columns
+                // onto one weight, the sparse-epoch shape.
+                for round in 0..6 {
+                    let span = r.gen_range(1..=nrows.min(4)) as u32;
+                    let base = r.gen_range(0..=nrows as u32 - span);
+                    let weights: Vec<u32> = (0..n)
+                        .map(|_| {
+                            if round % 3 == 0 && r.gen_range(0..10) > 0 {
+                                base
+                            } else {
+                                base + r.gen_range(0..=span)
+                            }
+                        })
+                        .collect();
+                    for n_prime in [0, 1, n - 1, n, n + 5] {
+                        screen_order(&weights, nrows, n_prime, &mut order);
+                        assert_eq!(
+                            order,
+                            screen_order_reference(&weights, n_prime),
+                            "nrows {nrows}, n {n}, n_prime {n_prime}, weights {weights:?}"
+                        );
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "more than the matrix's 24 rows")]
+    fn screen_rejects_a_weight_above_the_row_count() {
+        screen_order(&[3, 25, 0], 24, 2, &mut Vec::new());
+    }
+
     fn assert_same_detection(par: &AlignedDetection, seq: &AlignedDetection, what: &str) {
         assert_eq!(par.found, seq.found, "{what}: found differs");
         assert_eq!(par.rows, seq.rows, "{what}: rows differ");
@@ -955,8 +1021,8 @@ mod tests {
 
     #[test]
     fn refined_detect_is_thread_count_invariant() {
-        // Threads decide only how the screen, pair scan, hopeful
-        // extensions and expansion sweep are partitioned; the bounded
+        // Threads decide only how the pair scan, hopeful extensions and
+        // expansion sweep are partitioned (the screen is serial); the bounded
         // heaps merge by the full (weight, parent, column) tuple, so the
         // detection must be bit-identical for any worker count.
         let mut r = StdRng::seed_from_u64(53);

@@ -1,13 +1,14 @@
 //! Microbenchmarks of the hot kernels: word AND/popcount, row
-//! correlation, collectors at line rate, Rabin fingerprinting, ER
-//! generation and peeling.
+//! correlation, collectors at line rate, Rabin fingerprinting, the
+//! transport CRC, the n′ screen, ER generation and peeling.
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion, Throughput};
+use dcs_aligned::search::screen_order;
 use dcs_bitmap::{words, Bitmap, RowMatrix};
 use dcs_collect::{AlignedCollector, AlignedConfig, UnalignedCollector, UnalignedConfig};
 use dcs_graph::er::gnp;
 use dcs_graph::peel::peel_to_size;
-use dcs_hash::{IndexHasher, RabinFingerprinter, RollingRabin, DEFAULT_POLY};
+use dcs_hash::{crc32, IndexHasher, RabinFingerprinter, RollingRabin, DEFAULT_POLY};
 use dcs_traffic::{gen, BackgroundConfig, SizeMix};
 use dcs_unaligned::LambdaTable;
 use rand::rngs::StdRng;
@@ -179,6 +180,49 @@ fn bench_hashing(c: &mut Criterion) {
     g.finish();
 }
 
+/// CRC-32 at the sizes the transport checksums: a datagram chunk, a
+/// stream chunk and a whole digest (checkpoints, aggregate bundles).
+fn bench_crc32(c: &mut Criterion) {
+    let mut rng = StdRng::seed_from_u64(6);
+    let mut buf = vec![0u8; 1 << 20];
+    rng.fill(buf.as_mut_slice());
+    for (name, len) in [("1367B", 1_367), ("16KiB", 16 << 10), ("1MiB", 1 << 20)] {
+        let mut g = c.benchmark_group("crc32");
+        g.throughput(Throughput::Bytes(len as u64));
+        g.bench_function(name, |bch| bch.iter(|| crc32(black_box(&buf[..len]))));
+        g.finish();
+    }
+}
+
+/// The n′ screen over column weights alone: a sparse two-router epoch
+/// (almost every column weighs 0) and the paper's half-full 24 routers
+/// (25 weights, the cut inside a tie of tens of thousands).
+fn bench_screen(c: &mut Criterion) {
+    let mut rng = StdRng::seed_from_u64(7);
+    let sparse: Vec<u32> = (0..4 << 20)
+        .map(|_| u32::from(rng.gen_range(0..20) == 0) + u32::from(rng.gen_range(0..20) == 0))
+        .collect();
+    let half_full: Vec<u32> = (0..1 << 20)
+        .map(|_| (rng.gen::<u32>() >> 8).count_ones())
+        .collect();
+    let mut order = Vec::new();
+    let mut g = c.benchmark_group("screen");
+    for (name, weights, nrows) in [
+        ("2x4Mi_sparse", &sparse, 2),
+        ("24x1Mi_half_full", &half_full, 24),
+    ] {
+        for n_prime in [200, 1_000] {
+            g.bench_function(format!("{name}_n{n_prime}"), |bch| {
+                bch.iter(|| {
+                    screen_order(black_box(weights), nrows, n_prime, &mut order);
+                    order.len()
+                })
+            });
+        }
+    }
+    g.finish();
+}
+
 fn bench_graph(c: &mut Criterion) {
     let mut rng = StdRng::seed_from_u64(5);
     c.bench_function("graph/gnp_100k_subcritical", |bch| {
@@ -200,6 +244,7 @@ fn config() -> Criterion {
 criterion_group! {
     name = benches;
     config = config();
-    targets = bench_words, bench_row_sweep, bench_collectors, bench_hashing, bench_graph
+    targets = bench_words, bench_row_sweep, bench_collectors, bench_hashing, bench_crc32,
+        bench_screen, bench_graph
 }
 criterion_main!(benches);

@@ -244,6 +244,21 @@ impl ColMatrix {
         &self.data[j * self.words_per_col..(j + 1) * self.words_per_col]
     }
 
+    /// Words of the contiguous columns `cols`, `words_per_col` apiece —
+    /// for linear sweeps that would otherwise slice one column at a time.
+    ///
+    /// # Panics
+    /// Panics if the range reaches past `ncols`.
+    #[inline]
+    pub fn column_range(&self, cols: Range<usize>) -> &[u64] {
+        assert!(
+            cols.end <= self.ncols,
+            "cols {cols:?} out of range {}",
+            self.ncols
+        );
+        &self.data[cols.start * self.words_per_col..cols.end * self.words_per_col]
+    }
+
     /// Weight (number of 1's) of column `j` — how many routers saw a packet
     /// hashing to index `j`.
     #[inline]

@@ -30,7 +30,7 @@
 
 use crate::wire::WireError;
 use bytes::{Buf, BufMut, BytesMut};
-use dcs_hash::crc32;
+use dcs_hash::Crc32;
 
 /// Maximum artifacts per section.
 pub const MAX_ARTIFACTS: usize = 8;
@@ -90,11 +90,11 @@ fn get_u16_le(buf: &mut &[u8]) -> u16 {
 }
 
 fn artifact_crc(kind: u32, payload: &[u8]) -> u32 {
-    let mut covered = Vec::with_capacity(8 + payload.len());
-    covered.extend_from_slice(&kind.to_le_bytes());
-    covered.extend_from_slice(&(payload.len() as u32).to_le_bytes());
-    covered.extend_from_slice(payload);
-    crc32(&covered)
+    Crc32::new()
+        .update(&kind.to_le_bytes())
+        .update(&(payload.len() as u32).to_le_bytes())
+        .update(payload)
+        .finish()
 }
 
 /// Appends an artifact section to `buf`. Empty sections emit nothing.

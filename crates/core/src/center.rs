@@ -628,16 +628,15 @@ impl AnalysisCenter {
     /// Steady-state epochs of one deployment shape must not grow any of
     /// these — the no-allocation invariant the zero-copy fusion path is
     /// built around.
-    pub fn scratch_capacities(&self) -> [usize; 8] {
+    pub fn scratch_capacities(&self) -> [usize; 7] {
         let s = self.take_scratch();
-        let [order, worker_orders, work, fanouts] = s.search.capacities();
+        let [order, work, fanouts] = s.search.capacities();
         let caps = [
             s.matrix.word_capacity(),
             s.col_weights.capacity(),
             s.urows.word_capacity(),
             s.group_owner.capacity(),
             order,
-            worker_orders,
             work,
             fanouts,
         ];

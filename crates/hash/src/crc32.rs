@@ -9,16 +9,23 @@
 //! adversaries — the structural validation in `dcs-collect::wire` and
 //! `dcs-core::ingest` remains the backstop either way.
 //!
-//! The table is computed at compile time (`const fn`), one entry per byte
-//! value; [`Crc32`] streams over split buffers, [`crc32`] is the one-shot
-//! convenience.
+//! The kernel is slicing-by-16: sixteen 256-entry tables computed at
+//! compile time (16 KiB), where `TABLES[k][b]` is the remainder of byte
+//! `b` followed by `k` zero bytes. A 16-byte block is two `u64` loads and
+//! sixteen lookups that do not depend on one another, so the serial
+//! chain is one XOR tree per block instead of one lookup per byte. The
+//! byte-at-a-time loop over `TABLES[0]` handles the < 16-byte tail (and
+//! is the oracle the tests compare against). [`Crc32`] streams over split
+//! buffers, [`crc32`] is the one-shot convenience.
 
 /// The reflected IEEE 802.3 generator polynomial.
 pub const POLY: u32 = 0xEDB8_8320;
 
-/// Byte-indexed remainder table for [`POLY`], built at compile time.
-const TABLE: [u32; 256] = {
-    let mut table = [0u32; 256];
+/// Remainder tables for [`POLY`], built at compile time: `TABLES[0]` is
+/// the classic byte-indexed table, `TABLES[k][b]` advances `TABLES[k - 1][b]`
+/// past one more zero byte.
+const TABLES: [[u32; 256]; 16] = {
+    let mut tables = [[0u32; 256]; 16];
     let mut byte = 0usize;
     while byte < 256 {
         let mut crc = byte as u32;
@@ -31,11 +38,29 @@ const TABLE: [u32; 256] = {
             };
             bit += 1;
         }
-        table[byte] = crc;
+        tables[0][byte] = crc;
         byte += 1;
     }
-    table
+    let mut k = 1;
+    while k < 16 {
+        let mut byte = 0usize;
+        while byte < 256 {
+            let prev = tables[k - 1][byte];
+            tables[k][byte] = (prev >> 8) ^ tables[0][(prev & 0xFF) as usize];
+            byte += 1;
+        }
+        k += 1;
+    }
+    tables
 };
+
+/// Folds `bytes` into the raw (pre-inversion) state one byte at a time.
+fn fold_bytes(mut crc: u32, bytes: &[u8]) -> u32 {
+    for &b in bytes {
+        crc = (crc >> 8) ^ TABLES[0][((crc ^ u32::from(b)) & 0xFF) as usize];
+    }
+    crc
+}
 
 /// Streaming CRC-32 over arbitrarily split input.
 #[derive(Debug, Clone, Copy)]
@@ -52,10 +77,17 @@ impl Crc32 {
     /// Folds `bytes` into the checksum; chainable.
     pub fn update(&mut self, bytes: &[u8]) -> &mut Self {
         let mut crc = self.state;
-        for &b in bytes {
-            crc = (crc >> 8) ^ TABLE[((crc ^ u32::from(b)) & 0xFF) as usize];
+        let mut blocks = bytes.chunks_exact(16);
+        for block in &mut blocks {
+            let word = |half: &[u8]| u64::from_le_bytes(half.try_into().expect("8-byte half"));
+            let lo = (word(&block[..8]) ^ u64::from(crc)).to_le_bytes();
+            let hi = word(&block[8..]).to_le_bytes();
+            crc = 0;
+            for i in 0..8 {
+                crc ^= TABLES[15 - i][usize::from(lo[i])] ^ TABLES[7 - i][usize::from(hi[i])];
+            }
         }
-        self.state = crc;
+        self.state = fold_bytes(crc, blocks.remainder());
         self
     }
 
@@ -81,6 +113,37 @@ pub fn crc32(bytes: &[u8]) -> u32 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+
+    /// The byte-at-a-time reference the sliced kernel must equal.
+    fn oracle(bytes: &[u8]) -> u32 {
+        !fold_bytes(!0, bytes)
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        #[test]
+        fn sliced_kernel_equals_bytewise_oracle(
+            buf in proptest::collection::vec(any::<u8>(), 4_112..4_113),
+            misalign in 0usize..16,
+            len in 0usize..=4_096,
+            cut_a in any::<usize>(),
+            cut_b in any::<usize>(),
+        ) {
+            let data = &buf[misalign..misalign + len];
+            let want = oracle(data);
+            prop_assert_eq!(crc32(data), want);
+            let (a, b) = (cut_a % (data.len() + 1), cut_b % (data.len() + 1));
+            let (a, b) = (a.min(b), a.max(b));
+            let mut two = Crc32::new();
+            two.update(&data[..a]).update(&data[a..]);
+            prop_assert_eq!(two.finish(), want, "split at {}", a);
+            let mut three = Crc32::new();
+            three.update(&data[..a]).update(&data[a..b]).update(&data[b..]);
+            prop_assert_eq!(three.finish(), want, "splits at {} and {}", a, b);
+        }
+    }
 
     #[test]
     fn known_vectors() {

@@ -11,40 +11,44 @@
 //! * products are extended only by columns *after* their largest member
 //!   (canonical combinatorial order), which enumerates every column set at
 //!   most once — the paper's `w ∉ A_v` rule plus duplicate suppression;
-//! * the per-iteration "hopefuls" list keeps the H heaviest candidates in
-//!   a bounded min-heap, exactly as in the paper (a priority queue of
-//!   size O(n));
+//! * the per-iteration "hopefuls" list keeps the H heaviest candidates —
+//!   the paper's priority queue of size O(n) — as a bucket queue: a
+//!   product weight takes one of `nrows + 1` values, so candidates are
+//!   grouped by weight (one FIFO each) and neither an offer nor an
+//!   eviction compares two of them, however many tie at the bar;
 //! * the heaviest-column screen is one serial counting pass (column
 //!   weights take only `nrows + 1` values, so a histogram finds the cut
 //!   and no column is ever compared with another until the n′ survivors
 //!   are sorted);
-//! * the candidate fan-outs (all 2-products, per-hopeful extensions and
-//!   the full-matrix expansion sweep) are cut into one independent piece
-//!   per worker
-//!   ([`ComputeBudget::workers_for`]) and executed by scoped threads per
-//!   [`SearchConfig::compute`]. Candidates are ranked by the *full*
-//!   `(weight, parent, column)` tuple — a total order — so each worker's
-//!   bounded heap merged into a global bounded heap yields exactly the
-//!   canonical top-H set. The search result is therefore bit-identical
-//!   for every thread count (see the determinism test).
+//! * every AND-popcount — the per-iteration fan-out of each hopeful
+//!   over the columns after it (iteration 1 fans out the single columns,
+//!   i.e. all 2-products) and the full-matrix expansion sweep — goes
+//!   through one batched kernel over the matrix's contiguous column
+//!   store ([`and_weight_each_into`]);
+//! * the fan-outs and the sweep are cut into one independent piece per
+//!   worker ([`ComputeBudget::workers_for`]) and executed by scoped
+//!   threads per [`SearchConfig::compute`]. Candidates are ranked by the
+//!   *full* `(weight, parent, column)` tuple — a total order — so the
+//!   workers' queues, merged weight class by weight class from the top,
+//!   yield exactly the canonical top-H list. The search result is
+//!   therefore bit-identical for every thread count (see the determinism
+//!   test).
 
 use crate::termination::{stop_point, TerminationConfig};
 use crate::thresholds::ln_natural_occurrence;
-use dcs_bitmap::words::{
-    active_kernel, and_weight, and_weight_many_into, and_weight_with, iter_ones, weight,
-};
+use dcs_bitmap::words::{and_assign, and_weight_each_into, iter_ones, weight};
 use dcs_bitmap::ColMatrix;
 use dcs_parallel::{map_chunks, run_jobs, split_range, ComputeBudget};
 use std::cmp::Reverse;
-use std::collections::BinaryHeap;
+use std::collections::VecDeque;
 use std::time::Instant;
 
 /// Reusable buffers for repeated refined detections (one per epoch).
 ///
 /// Holds everything [`refined_detect_cached`] needs between the fused
 /// matrix and the detection report: the screened column order, the
-/// screened working matrix, and the per-worker fan-out buffers of the
-/// product search. All of it is allocated on the first epoch and reused —
+/// screened working matrix, and the per-worker popcount buffers of the
+/// product search and the expansion sweep. All of it is allocated on the first epoch and reused —
 /// steady-state detection performs no per-epoch screening allocations
 /// beyond what the candidate products themselves need.
 #[derive(Debug)]
@@ -53,7 +57,8 @@ pub struct SearchScratch {
     order: Vec<usize>,
     /// The screened working matrix (the n′ heaviest columns).
     work: ColMatrix,
-    /// Per-worker fan-out buffers of the product search.
+    /// Per-worker popcount buffers of the product search's fan-outs and
+    /// of the expansion sweep.
     fanouts: Vec<Vec<u32>>,
 }
 
@@ -113,9 +118,9 @@ impl SearchTimings {
 /// break discarded without computing.
 ///
 /// These are *effort* numbers, not detection inputs: the pruned
-/// candidates are exactly those that provably cannot enter the bounded
-/// candidate heap (their weight upper bound sits strictly below the
-/// full heap's minimum), so the detection set never depends on them.
+/// candidates are exactly those that provably cannot enter the hopefuls
+/// list (their weight upper bound sits strictly below the lightest
+/// candidate a full list holds), so the detection set never depends on them.
 /// The counters do depend on the worker partitioning, so they are
 /// excluded from cross-thread metric determinism checks.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -212,10 +217,9 @@ impl AlignedDetection {
 /// make every increment wait on the store before it.
 const SCREEN_LANES: usize = 4;
 
-/// Bounded-heap entry order: the full `(weight, parent, column)` tuple
-/// (a total order, so the retained top-H set is canonical for any
-/// candidate partition).
-type CandidateHeap = BinaryHeap<Reverse<(u32, u32, u32)>>;
+/// Columns per batch of the expansion sweep: its popcount buffer holds
+/// this many weights however wide the matrix is.
+const SWEEP_BLOCK_COLS: usize = 4_096;
 
 /// A k-product under construction.
 #[derive(Debug, Clone)]
@@ -226,27 +230,158 @@ struct Product {
     members: Vec<u32>,
 }
 
-/// The weight below which no candidate can enter `heap` once it is
-/// full: candidates are ordered by the full `(weight, parent, column)`
-/// tuple, so a weight *strictly* below the heap minimum's weight loses
-/// to it for any tie-break — while an equal weight may still win.
-fn heap_bar(heap: &CandidateHeap, cap: usize) -> u32 {
-    if heap.len() == cap {
-        heap.peek().map_or(0, |Reverse((w, _, _))| *w)
-    } else {
-        0
+/// A candidate product: `(weight, parent, column)`, compared as a tuple.
+type Candidate = (u32, u32, u32);
+
+/// The `cap` greatest candidates offered so far, as a bucket queue: a
+/// product weight takes one of `nrows + 1` values, so candidates are
+/// grouped by weight — one FIFO each — instead of compared.
+///
+/// Within one queue offers must arrive in ascending `(parent, column)`
+/// order (every fan-out worker walks its parents, and each parent's
+/// columns, upwards). The front of the lightest non-empty FIFO is then
+/// the least candidate held, and evicting it costs no comparison however
+/// many candidates tie at the bar.
+struct CandidateQueue {
+    cap: usize,
+    len: usize,
+    /// Lightest non-empty weight class (`classes.len()` while empty).
+    floor: usize,
+    /// `classes[w]`: the `(parent, column)` of the held candidates of
+    /// weight `w`, oldest first.
+    classes: Vec<VecDeque<(u32, u32)>>,
+}
+
+impl CandidateQueue {
+    fn new(nrows: usize, cap: usize) -> Self {
+        CandidateQueue {
+            cap,
+            len: 0,
+            floor: nrows + 1,
+            classes: vec![VecDeque::new(); nrows + 1],
+        }
     }
+
+    /// The weight below which no candidate can enter: once the queue is
+    /// full, a weight *strictly* below the lightest one held loses to it
+    /// for any tie-break — while an equal weight may still win.
+    fn bar(&self) -> u32 {
+        if self.len == self.cap && self.cap > 0 {
+            self.floor as u32
+        } else {
+            0
+        }
+    }
+
+    /// Offers a candidate; the queue keeps the `cap` greatest.
+    #[inline]
+    fn offer(&mut self, weight: u32, parent: u32, column: u32) {
+        if weight < self.bar() || self.cap == 0 {
+            return;
+        }
+        let class = &mut self.classes[weight as usize];
+        debug_assert!(
+            class.back().is_none_or(|&held| held < (parent, column)),
+            "offers must ascend in (parent, column)"
+        );
+        class.push_back((parent, column));
+        self.floor = self.floor.min(weight as usize);
+        if self.len < self.cap {
+            self.len += 1;
+            return;
+        }
+        self.classes[self.floor].pop_front();
+        while self.classes[self.floor].is_empty() {
+            self.floor += 1;
+        }
+    }
+}
+
+/// The `cap` greatest candidates held by `queues`, greatest first. Whole
+/// weight classes are taken from the top and each is sorted on its own,
+/// so the result is a function of the candidates alone — not of how the
+/// fan-out dealt them to workers.
+fn ranked(queues: &[CandidateQueue], cap: usize) -> Vec<Candidate> {
+    let mut out = Vec::new();
+    let mut class: Vec<(u32, u32)> = Vec::new();
+    let nclasses = queues.first().map_or(0, |q| q.classes.len());
+    for w in (0..nclasses).rev() {
+        class.clear();
+        for q in queues {
+            class.extend(&q.classes[w]);
+        }
+        class.sort_unstable();
+        let greatest = class.iter().rev().take(cap - out.len());
+        out.extend(greatest.map(|&(p, c)| (w as u32, p, c)));
+        if out.len() == cap {
+            break;
+        }
+    }
+    out
+}
+
+/// One iteration of the product search: every parent is ANDed with every
+/// column after its largest member, and the `cfg.hopefuls` heaviest
+/// `(weight, parent index, column)` come back ranked.
+///
+/// Workers stride the parents and each keeps a private [`CandidateQueue`];
+/// a queue retains its top-H for any offer order, so the conservative
+/// weight-bound break is lossless: a candidate whose
+/// `min(parent weight, max w_remaining)` upper bound sits strictly below
+/// a full queue's bar can never enter and is skipped unscanned.
+/// `work_stats` accumulates the scanned/pruned candidate counts.
+fn fan_out(
+    work: &ColMatrix,
+    cfg: &SearchConfig,
+    suffix_max: &[u32],
+    parents: &[Product],
+    fanouts: &mut Vec<Vec<u32>>,
+    work_stats: &mut SearchWork,
+) -> Vec<Candidate> {
+    let n = work.ncols();
+    let workers = cfg.compute.workers_for(parents.len());
+    fanouts.resize_with(workers.max(fanouts.len()), Vec::new);
+    let mut queues: Vec<CandidateQueue> = (0..workers)
+        .map(|_| CandidateQueue::new(work.nrows(), cfg.hopefuls))
+        .collect();
+    let mut worker_stats = vec![SearchWork::default(); workers];
+    let jobs: Vec<_> = queues
+        .iter_mut()
+        .enumerate()
+        .zip(worker_stats.iter_mut())
+        .zip(fanouts.iter_mut())
+        .collect();
+    run_jobs(jobs, workers, |(((s, queue), stats), fanout)| {
+        for (pi, p) in parents.iter().enumerate().skip(s).step_by(workers) {
+            let start = p.members.last().map_or(0, |&j| j as usize + 1);
+            if start >= n {
+                continue;
+            }
+            let bar = queue.bar();
+            if p.weight < bar {
+                stats.pairs_pruned += (n - start) as u64;
+                continue;
+            }
+            let end = start + suffix_max[start..].partition_point(|&sm| sm >= bar);
+            stats.pairs_pruned += (n - end) as u64;
+            fanout.resize(fanout.len().max(end - start), 0);
+            let weights = &mut fanout[..end - start];
+            and_weight_each_into(&p.words, work.column_range(start..end), weights);
+            for (j, &w) in (start..end).zip(weights.iter()) {
+                queue.offer(w, pi as u32, j as u32);
+            }
+            stats.pairs_scanned += (end - start) as u64;
+        }
+    });
+    for s in worker_stats {
+        work_stats.absorb(s);
+    }
+    ranked(&queues, cfg.hopefuls)
 }
 
 /// Runs the greedy core search on `work` (a column subset of the original
 /// matrix). Returns the best product per iteration. `fanouts` provides
 /// per-worker fan-out buffers, reused across iterations and calls.
-///
-/// The bounded heaps retain a canonical top-H for any offer order, so
-/// the conservative weight-bound break is lossless: a candidate whose
-/// `min(w_outer, max w_remaining)` upper bound sits strictly below a
-/// full heap's minimum weight can never enter and is skipped unscanned.
-/// `work_stats` accumulates the scanned/pruned candidate counts.
 fn product_search(
     work: &ColMatrix,
     cfg: &SearchConfig,
@@ -256,211 +391,54 @@ fn product_search(
     let n = work.ncols();
     let mut curve = Vec::new();
     let mut best_per_iter: Vec<Product> = Vec::new();
-    if n < 2 {
+    if n < 2 || cfg.hopefuls == 0 {
         return (curve, best_per_iter);
     }
-    let cols: Vec<&[u64]> = (0..n).map(|j| work.column(j)).collect();
     // Per-column weight upper bounds for the conservative break: a
     // product with column j weighs at most w[j], and any candidate
     // drawn from columns ≥ j weighs at most suffix_max[j]. (On the
     // refined path the columns arrive weight-sorted so suffix_max[j]
     // == w[j]; the naive path is unsorted and needs the real suffix.)
-    let w: Vec<u32> = cols.iter().map(|c| weight(c)).collect();
+    let w = work.col_weights();
     let mut suffix_max = w.clone();
     for j in (0..n - 1).rev() {
         suffix_max[j] = suffix_max[j].max(suffix_max[j + 1]);
     }
 
-    // Iteration 1: all 2-products, keep the H heaviest. Worker s owns
-    // the outer indices congruent to s modulo the worker count (the pair
-    // loop is triangular, striding balances the workers) and fills a
-    // private bounded heap; merging them reproduces the canonical global
-    // top-H because candidates are totally ordered — for any worker
-    // count.
-    let workers = cfg.compute.workers_for(n);
-    let mut worker_heaps: Vec<CandidateHeap> = (0..workers).map(|_| BinaryHeap::new()).collect();
-    let mut worker_stats: Vec<SearchWork> = vec![SearchWork::default(); workers];
-    let jobs: Vec<((usize, &mut CandidateHeap), &mut SearchWork)> = worker_heaps
-        .iter_mut()
-        .enumerate()
-        .zip(worker_stats.iter_mut())
-        .collect();
-    run_jobs(jobs, workers, |((s, heap), stats)| {
-        for i in (s..n).step_by(workers) {
-            let start = i + 1;
-            if start >= n {
-                continue;
-            }
-            let bar = heap_bar(heap, cfg.hopefuls);
-            if w[i] < bar {
-                stats.pairs_pruned += (n - start) as u64;
-                continue;
-            }
-            let end = start + suffix_max[start..].partition_point(|&sm| sm >= bar);
-            stats.pairs_pruned += (n - end) as u64;
-            let ci = cols[i];
-            for (j, cj) in cols[..end].iter().enumerate().skip(start) {
-                let wc = and_weight(ci, cj);
-                push_bounded(heap, cfg.hopefuls, (wc, i as u32, j as u32));
-            }
-            stats.pairs_scanned += (end - start) as u64;
-        }
-    });
-    for s in worker_stats {
-        work_stats.absorb(s);
-    }
-    let heap = merge_bounded(worker_heaps, cfg.hopefuls);
-    let mut hopefuls: Vec<Product> = heap
-        .into_sorted_vec()
-        .into_iter()
-        .map(|Reverse((w, i, j))| {
-            let mut words = cols[i as usize].to_vec();
-            dcs_bitmap::words::and_assign(&mut words, cols[j as usize]);
-            Product {
-                words,
-                weight: w,
-                members: vec![i, j],
-            }
+    // The search starts from the single columns, so its first iteration
+    // ranks all 2-products; each later one extends the hopefuls the last
+    // one kept.
+    let mut hopefuls: Vec<Product> = (0..n)
+        .map(|j| Product {
+            words: work.column(j).to_vec(),
+            weight: w[j],
+            members: vec![j as u32],
         })
         .collect();
-    // into_sorted_vec of Reverse is descending by Reverse => ascending by
-    // weight reversed... make the heaviest first explicitly.
-    hopefuls.sort_by_key(|p| Reverse(p.weight));
-    record_best(&hopefuls, &mut curve, &mut best_per_iter);
-
-    // Iterations 2..: extend each hopeful with columns after its max
-    // member. Workers stride the hopefuls list; each batches the
-    // AND-popcounts of one hopeful against all its candidate columns
-    // through the blocked many-columns kernel, reusing its persistent
-    // fan-out buffer across iterations and epochs.
-    for _ in 1..cfg.max_iterations {
-        if hopefuls.is_empty() || curve.last() == Some(&0) {
-            break;
-        }
-        let workers = cfg.compute.workers_for(hopefuls.len());
-        fanouts.resize_with(workers.max(fanouts.len()), Vec::new);
-        let hopefuls_ref = &hopefuls;
-        let cols_ref = &cols;
-        let suffix_ref = &suffix_max;
-        let mut worker_heaps: Vec<CandidateHeap> =
-            (0..workers).map(|_| BinaryHeap::new()).collect();
-        let mut worker_stats: Vec<SearchWork> = vec![SearchWork::default(); workers];
-        type SweepJob<'a> = (
-            ((usize, &'a mut CandidateHeap), &'a mut SearchWork),
-            &'a mut Vec<u32>,
-        );
-        let jobs: Vec<SweepJob> = worker_heaps
-            .iter_mut()
-            .enumerate()
-            .zip(worker_stats.iter_mut())
-            .zip(fanouts.iter_mut())
-            .collect();
-        run_jobs(jobs, workers, |(((s, heap), stats), fanout)| {
-            let mut pi = s;
-            while pi < hopefuls_ref.len() {
-                let p = &hopefuls_ref[pi];
-                let start = p.members.last().copied().unwrap_or(0) as usize + 1;
-                if start < n {
-                    // An extension of p weighs at most min(p.weight,
-                    // w[j]) — skip what cannot enter the full heap.
-                    let bar = heap_bar(heap, cfg.hopefuls);
-                    if p.weight < bar {
-                        stats.pairs_pruned += (n - start) as u64;
-                        pi += workers;
-                        continue;
-                    }
-                    let end = start + suffix_ref[start..].partition_point(|&sm| sm >= bar);
-                    stats.pairs_pruned += (n - end) as u64;
-                    if end > start {
-                        fanout.clear();
-                        fanout.resize(end - start, 0);
-                        and_weight_many_into(&p.words, &cols_ref[start..end], fanout);
-                        for (off, &w) in fanout.iter().enumerate() {
-                            push_bounded(heap, cfg.hopefuls, (w, pi as u32, (start + off) as u32));
-                        }
-                        stats.pairs_scanned += (end - start) as u64;
-                    }
-                }
-                pi += workers;
-            }
-        });
-        for s in worker_stats {
-            work_stats.absorb(s);
-        }
-        let heap = merge_bounded(worker_heaps, cfg.hopefuls);
-        if heap.is_empty() {
-            break;
-        }
-        let mut next: Vec<Product> = heap
-            .into_sorted_vec()
+    for _ in 0..cfg.max_iterations.max(1) {
+        hopefuls = fan_out(work, cfg, &suffix_max, &hopefuls, fanouts, work_stats)
             .into_iter()
-            .map(|Reverse((w, pi, j))| {
-                let parent = &hopefuls[pi as usize];
-                let mut words = parent.words.clone();
-                dcs_bitmap::words::and_assign(&mut words, cols[j as usize]);
-                let mut members = parent.members.clone();
-                members.push(j);
-                Product {
-                    words,
-                    weight: w,
-                    members,
-                }
+            .map(|(weight, pi, j)| {
+                let mut next = hopefuls[pi as usize].clone();
+                and_assign(&mut next.words, work.column(j as usize));
+                next.weight = weight;
+                next.members.push(j);
+                next
             })
             .collect();
-        next.sort_by_key(|p| Reverse(p.weight));
-        hopefuls = next;
-        record_best(&hopefuls, &mut curve, &mut best_per_iter);
-
+        let Some(best) = hopefuls.first() else {
+            break;
+        };
+        curve.push(best.weight);
+        best_per_iter.push(best.clone());
         // Early exit: once the curve shows a plateau followed by a dive we
         // already have everything the termination procedure needs.
-        if let Some(stop) = stop_point(&curve, cfg.termination) {
-            if curve.len() - stop > 3 {
-                break;
-            }
+        let dived = stop_point(&curve, cfg.termination).is_some_and(|stop| curve.len() - stop > 3);
+        if best.weight == 0 || dived {
+            break;
         }
     }
     (curve, best_per_iter)
-}
-
-fn record_best(hopefuls: &[Product], curve: &mut Vec<u32>, best: &mut Vec<Product>) {
-    let b = hopefuls.first().expect("hopefuls non-empty");
-    curve.push(b.weight);
-    best.push(b.clone());
-}
-
-/// Offers `item` to a bounded min-heap keeping the `cap` largest
-/// candidates.
-///
-/// Eviction compares the *full* tuple, not just the weight: candidates
-/// form a total order, so the retained set is a canonical function of the
-/// candidate multiset — independent of offer order, and hence of how the
-/// fan-out was partitioned across workers.
-fn push_bounded(heap: &mut CandidateHeap, cap: usize, item: (u32, u32, u32)) {
-    if cap == 0 {
-        return;
-    }
-    if heap.len() < cap {
-        heap.push(Reverse(item));
-    } else if let Some(Reverse(min)) = heap.peek() {
-        if item > *min {
-            heap.pop();
-            heap.push(Reverse(item));
-        }
-    }
-}
-
-/// Merges per-worker bounded heaps into the canonical global top-`cap`
-/// heap. Correct because every member of the global top-`cap` is in its
-/// worker's local top-`cap`.
-fn merge_bounded(heaps: Vec<CandidateHeap>, cap: usize) -> CandidateHeap {
-    let mut iter = heaps.into_iter();
-    let mut acc = iter.next().unwrap_or_default();
-    for heap in iter {
-        for Reverse(item) in heap {
-            push_bounded(&mut acc, cap, item);
-        }
-    }
-    acc
 }
 
 /// Iterated multi-pattern detection (the Section II-D layering for the
@@ -644,10 +622,10 @@ fn detect_inner(
 
     // Witness set: the core plus (refined only) every other column sharing
     // ≥ weight(core) − γ ones with the core row vector. This is the O(n)
-    // full-matrix sweep: each worker walks the words of its contiguous
-    // column range one column at a time (the core row vector is a few
-    // words and stays in registers). Survivor sets from disjoint ranges
-    // are sorted after the merge, so the witness set is
+    // full-matrix sweep: each worker popcounts its contiguous column
+    // range a block at a time against the core row vector (a few words
+    // that stay in registers). Survivor sets from disjoint ranges are
+    // sorted after the merge, so the witness set is
     // worker-count-invariant.
     let mut cols = core_cols.clone();
     if expand {
@@ -657,17 +635,23 @@ fn detect_inner(
         let n = matrix.ncols();
         let workers = cfg.compute.workers_for(n);
         let ranges = split_range(n, workers);
+        fanouts.resize_with(ranges.len().max(fanouts.len()), Vec::new);
         let mut survivors: Vec<Vec<usize>> = ranges.iter().map(|_| Vec::new()).collect();
-        let jobs: Vec<(std::ops::Range<usize>, &mut Vec<usize>)> =
-            ranges.into_iter().zip(survivors.iter_mut()).collect();
-        let kernel = active_kernel();
-        let wpc = matrix.words_per_col();
-        run_jobs(jobs, workers, |(range, out)| {
-            let words = matrix.column_range(range.clone());
-            for (off, j) in range.enumerate() {
-                let col = &words[off * wpc..(off + 1) * wpc];
-                if and_weight_with(kernel, &core.words, col) >= thresh && !core_set.contains(&j) {
-                    out.push(j);
+        let jobs: Vec<_> = ranges
+            .into_iter()
+            .zip(survivors.iter_mut())
+            .zip(fanouts.iter_mut())
+            .collect();
+        run_jobs(jobs, workers, |((range, out), weights)| {
+            weights.resize(weights.len().max(SWEEP_BLOCK_COLS.min(range.len())), 0);
+            for start in range.clone().step_by(SWEEP_BLOCK_COLS) {
+                let block = start..range.end.min(start + SWEEP_BLOCK_COLS);
+                let weights = &mut weights[..block.len()];
+                and_weight_each_into(&core.words, matrix.column_range(block.clone()), weights);
+                for (j, &w) in block.zip(weights.iter()) {
+                    if w >= thresh && !core_set.contains(&j) {
+                        out.push(j);
+                    }
                 }
             }
         });
@@ -714,6 +698,7 @@ mod tests {
     use super::*;
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
+    use std::collections::BinaryHeap;
 
     /// m×n Bernoulli(1/2) matrix with an optional planted a×b pattern.
     /// Returns (matrix, pattern_rows, pattern_cols).
@@ -1004,6 +989,153 @@ mod tests {
         screen_order(&[3, 25, 0], 24, 2, &mut Vec::new());
     }
 
+    /// The hopefuls list this crate kept before it bucketed by weight: a
+    /// bounded min-heap comparing the full `(weight, parent, column)`
+    /// tuple, whose retained set is a canonical function of the candidate
+    /// multiset for any offer order.
+    type CandidateHeap = BinaryHeap<Reverse<Candidate>>;
+
+    fn heap_bar(heap: &CandidateHeap, cap: usize) -> u32 {
+        if heap.len() == cap {
+            heap.peek().map_or(0, |Reverse((w, _, _))| *w)
+        } else {
+            0
+        }
+    }
+
+    fn push_bounded(heap: &mut CandidateHeap, cap: usize, item: Candidate) {
+        if cap == 0 {
+            return;
+        }
+        if heap.len() < cap {
+            heap.push(Reverse(item));
+        } else if let Some(Reverse(min)) = heap.peek() {
+            if item > *min {
+                heap.pop();
+                heap.push(Reverse(item));
+            }
+        }
+    }
+
+    fn merge_bounded(heaps: Vec<CandidateHeap>, cap: usize) -> CandidateHeap {
+        let mut iter = heaps.into_iter();
+        let mut acc = iter.next().unwrap_or_default();
+        for heap in iter {
+            for Reverse(item) in heap {
+                push_bounded(&mut acc, cap, item);
+            }
+        }
+        acc
+    }
+
+    fn heap_ranked(heap: CandidateHeap) -> Vec<Candidate> {
+        let mut ranked: Vec<Candidate> = heap
+            .into_sorted_vec()
+            .into_iter()
+            .map(|Reverse(c)| c)
+            .collect();
+        ranked.sort_by_key(|&(w, _, _)| Reverse(w));
+        ranked
+    }
+
+    /// Offers in ascending `(parent, column)` order whose weights take at
+    /// most four values in `0..=nrows`, so most of them tie at the bar.
+    fn offer_stream(r: &mut StdRng, nrows: usize) -> Vec<Candidate> {
+        let span = r.gen_range(0..=nrows.min(3)) as u32;
+        let base = r.gen_range(0..=nrows as u32 - span);
+        let mut offers = Vec::new();
+        for parent in 0..r.gen_range(1..40u32) {
+            for column in parent + 1..parent + 1 + r.gen_range(0..40u32) {
+                if r.gen_range(0..4) > 0 {
+                    offers.push((base + r.gen_range(0..=span), parent, column));
+                }
+            }
+        }
+        offers
+    }
+
+    #[test]
+    fn bucket_queue_equals_bounded_heap_after_every_offer() {
+        let mut r = StdRng::seed_from_u64(55);
+        for nrows in [1usize, 2, 12, 24, 130] {
+            for cap in [0usize, 1, 2, 7, 250] {
+                for _ in 0..8 {
+                    let mut queue = CandidateQueue::new(nrows, cap);
+                    let mut heap = CandidateHeap::new();
+                    for (w, parent, column) in offer_stream(&mut r, nrows) {
+                        queue.offer(w, parent, column);
+                        push_bounded(&mut heap, cap, (w, parent, column));
+                        assert_eq!(
+                            queue.bar(),
+                            heap_bar(&heap, cap),
+                            "nrows {nrows}, cap {cap}, after {:?}",
+                            (w, parent, column)
+                        );
+                    }
+                    assert_eq!(
+                        ranked(&[queue], cap),
+                        heap_ranked(heap),
+                        "nrows {nrows}, cap {cap}"
+                    );
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn merged_worker_queues_equal_the_single_queue() {
+        let mut r = StdRng::seed_from_u64(56);
+        for nrows in [1usize, 2, 12, 24, 130] {
+            for cap in [0usize, 1, 2, 7, 250] {
+                let offers = offer_stream(&mut r, nrows);
+                let mut single = CandidateQueue::new(nrows, cap);
+                for &(w, parent, column) in &offers {
+                    single.offer(w, parent, column);
+                }
+                let want = ranked(&[single], cap);
+                for workers in [1usize, 2, 3, 8] {
+                    let mut queues: Vec<CandidateQueue> = (0..workers)
+                        .map(|_| CandidateQueue::new(nrows, cap))
+                        .collect();
+                    let mut heaps = vec![CandidateHeap::new(); workers];
+                    for (k, &(w, parent, column)) in offers.iter().enumerate() {
+                        queues[k % workers].offer(w, parent, column);
+                        push_bounded(&mut heaps[k % workers], cap, (w, parent, column));
+                    }
+                    let what = format!("nrows {nrows}, cap {cap}, {workers} workers");
+                    assert_eq!(ranked(&queues, cap), want, "{what}");
+                    assert_eq!(heap_ranked(merge_bounded(heaps, cap)), want, "{what}");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn a_hopefuls_list_of_zero_or_one_does_not_panic() {
+        let mut r = StdRng::seed_from_u64(57);
+        let (mat, _, _) = planted_matrix(&mut r, 64, 150, 24, 10);
+        for detect in [refined_detect, naive_detect] {
+            let none = detect(
+                &mat,
+                &SearchConfig {
+                    hopefuls: 0,
+                    ..small_cfg()
+                },
+            );
+            assert!(!none.found && none.weight_curve.is_empty() && none.stopped_at.is_none());
+            let one = detect(
+                &mat,
+                &SearchConfig {
+                    hopefuls: 1,
+                    ..small_cfg()
+                },
+            );
+            // One hopeful is a pure greedy walk from the heaviest pair.
+            assert!(one.weight_curve.len() > 1, "{:?}", one.weight_curve);
+            assert!(one.weight_curve.windows(2).all(|w| w[0] >= w[1]));
+        }
+    }
+
     fn assert_same_detection(par: &AlignedDetection, seq: &AlignedDetection, what: &str) {
         assert_eq!(par.found, seq.found, "{what}: found differs");
         assert_eq!(par.rows, seq.rows, "{what}: rows differ");
@@ -1021,10 +1153,11 @@ mod tests {
 
     #[test]
     fn refined_detect_is_thread_count_invariant() {
-        // Threads decide only how the pair scan, hopeful extensions and
-        // expansion sweep are partitioned (the screen is serial); the bounded
-        // heaps merge by the full (weight, parent, column) tuple, so the
-        // detection must be bit-identical for any worker count.
+        // Threads decide only how the product fan-outs and the expansion
+        // sweep are partitioned (the screen is serial); the workers'
+        // candidate queues merge by the full (weight, parent, column)
+        // tuple, so the detection must be bit-identical for any worker
+        // count.
         let mut r = StdRng::seed_from_u64(53);
         let (mat, _, _) = planted_matrix(&mut r, 96, 800, 30, 14);
         let run = |mat: &ColMatrix, base: &SearchConfig, threads: usize| {

@@ -1,10 +1,12 @@
 //! Microbenchmarks of the hot kernels: word AND/popcount, row
 //! correlation, collectors at line rate, Rabin fingerprinting, the
-//! transport CRC, the n′ screen, ER generation and peeling.
+//! transport CRC, the n′ screen, the aligned product search, ER
+//! generation and peeling.
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion, Throughput};
 use dcs_aligned::search::screen_order;
-use dcs_bitmap::{words, Bitmap, RowMatrix};
+use dcs_aligned::{refined_detect_cached, SearchConfig, SearchScratch};
+use dcs_bitmap::{words, Bitmap, ColMatrix, RowMatrix};
 use dcs_collect::{AlignedCollector, AlignedConfig, UnalignedCollector, UnalignedConfig};
 use dcs_graph::er::gnp;
 use dcs_graph::peel::peel_to_size;
@@ -39,28 +41,39 @@ fn bench_words(c: &mut Criterion) {
         g.finish();
     }
 
-    // The batched sweep kernel vs a pairwise loop — the expansion sweep's
-    // access pattern (one base column against a block of candidates).
-    let nw = 4096;
-    let ncols = 16;
-    let base: Vec<u64> = (0..nw).map(|_| rng.gen()).collect();
-    let cols: Vec<Vec<u64>> = (0..ncols)
-        .map(|_| (0..nw).map(|_| rng.gen()).collect())
-        .collect();
-    let refs: Vec<&[u64]> = cols.iter().map(Vec::as_slice).collect();
-    let mut g = c.benchmark_group("words");
-    g.throughput(Throughput::Bytes((nw * 8 * (ncols + 1)) as u64));
-    g.bench_function(format!("and_weight_pairwise_x{ncols}_4096w"), |bch| {
-        bch.iter(|| {
-            refs.iter()
-                .map(|col| words::and_weight_scalar(black_box(&base), col))
-                .sum::<u32>()
-        })
-    });
-    g.bench_function(format!("and_weight_many_x{ncols}_4096w"), |bch| {
-        bch.iter(|| words::and_weight_many(black_box(&base), black_box(&refs)))
-    });
-    g.finish();
+    // One base against a run of contiguous columns — the access pattern of
+    // the aligned search's fan-outs (a thousand screened columns) and of
+    // its expansion sweep (every column) — at 24, 100 and 1,000 routers,
+    // batched kernel against a pairwise scalar loop.
+    for (wpc, ncols) in [
+        (1usize, 1_000usize),
+        (1, 1 << 20),
+        (2, 1_000),
+        (2, 1 << 20),
+        (16, 1_000),
+        (16, 1 << 16),
+    ] {
+        let base: Vec<u64> = (0..wpc).map(|_| rng.gen()).collect();
+        let cols: Vec<u64> = (0..wpc * ncols).map(|_| rng.gen()).collect();
+        let mut out = vec![0u32; ncols];
+        let mut g = c.benchmark_group("and_weight_each");
+        g.throughput(Throughput::Bytes((wpc * 8 * ncols) as u64));
+        g.bench_function(format!("pairwise_scalar_{wpc}w_x{ncols}"), |bch| {
+            bch.iter(|| {
+                for (o, col) in out.iter_mut().zip(cols.chunks_exact(wpc)) {
+                    *o = words::and_weight_scalar(black_box(&base), col);
+                }
+                out[ncols - 1]
+            })
+        });
+        g.bench_function(format!("batched_{wpc}w_x{ncols}"), |bch| {
+            bch.iter(|| {
+                words::and_weight_each_into(black_box(&base), black_box(&cols), &mut out);
+                out[ncols - 1]
+            })
+        });
+        g.finish();
+    }
 
     // 1024-bit rows — the unaligned case's unit of work.
     let r1 = Bitmap::from_indices(1024, (0..512).map(|i| i * 2));
@@ -223,6 +236,46 @@ fn bench_screen(c: &mut Criterion) {
     g.finish();
 }
 
+/// The whole refined detection (screen, product search, expansion sweep)
+/// where the search's inner loops dominate: the paper's half-full 24
+/// routers, 12 routers where every candidate ties at the hopefuls bar,
+/// and a sparse epoch whose products weigh 0–3.
+fn bench_product_search(c: &mut Criterion) {
+    let mut rng = StdRng::seed_from_u64(8);
+    let mut g = c.benchmark_group("product_search");
+    for (name, nrows, ncols, one_in, n_prime, hopefuls) in [
+        ("24x1Mi_half_full", 24, 1 << 20, 2, 1_000, 250),
+        ("12x1Mi_half_full", 12, 1 << 20, 2, 1_000, 250),
+        ("24x256Ki_sparse", 24, 1 << 18, 250, 400, 300),
+    ] {
+        let mut mat = ColMatrix::new(nrows, ncols);
+        for col in 0..ncols {
+            for row in 0..nrows {
+                if rng.gen_range(0..one_in) == 0 {
+                    mat.set(row, col);
+                }
+            }
+        }
+        let weights = mat.col_weights();
+        let mut cfg = SearchConfig {
+            n_prime,
+            hopefuls,
+            ..SearchConfig::default()
+        };
+        cfg.compute.threads = 1;
+        let mut scratch = SearchScratch::new();
+        g.bench_function(name, |bch| {
+            bch.iter(|| {
+                refined_detect_cached(black_box(&mat), &weights, &cfg, &mut scratch)
+                    .0
+                    .weight_curve
+                    .len()
+            })
+        });
+    }
+    g.finish();
+}
+
 fn bench_graph(c: &mut Criterion) {
     let mut rng = StdRng::seed_from_u64(5);
     c.bench_function("graph/gnp_100k_subcritical", |bch| {
@@ -245,6 +298,6 @@ criterion_group! {
     name = benches;
     config = config();
     targets = bench_words, bench_row_sweep, bench_collectors, bench_hashing, bench_crc32,
-        bench_screen, bench_graph
+        bench_screen, bench_product_search, bench_graph
 }
 criterion_main!(benches);

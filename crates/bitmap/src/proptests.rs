@@ -4,8 +4,9 @@
 //! remainder, and masked tails alike).
 
 use crate::words::{
-    and_weight_many, and_weight_scalar, and_weight_with, available_kernels, or_weight_scalar,
-    or_weight_with, tail_mask, weight_scalar, weight_with, words_for,
+    and_weight_each_into, and_weight_each_with, and_weight_scalar, and_weight_with,
+    available_kernels, or_weight_scalar, or_weight_with, tail_mask, weight_scalar, weight_with,
+    words_for,
 };
 use crate::{Bitmap, BitmapView, ColMatrix, RowMatrix, WordSource};
 use proptest::prelude::*;
@@ -205,23 +206,35 @@ proptest! {
     }
 
     #[test]
-    fn and_weight_many_matches_pairwise_scalar(
-        base in proptest::collection::vec(any::<u64>(), 0..40),
-        ncols in 0usize..12,
-        fill in proptest::collection::vec(any::<u64>(), 0..480),
+    fn and_weight_each_matches_pairwise_scalar(
+        ncols in 0usize..=70,
+        tail_bits in 1usize..=64,
+        fill in proptest::collection::vec(any::<u64>(), 71 * 40..71 * 40 + 1),
     ) {
-        let cols: Vec<Vec<u64>> = (0..ncols)
-            .map(|c| {
-                (0..base.len())
-                    .map(|w| fill.get(c * base.len() + w).copied().unwrap_or(!0))
-                    .collect()
-            })
-            .collect();
-        let refs: Vec<&[u64]> = cols.iter().map(Vec::as_slice).collect();
-        let many = and_weight_many(&base, &refs);
-        prop_assert_eq!(many.len(), ncols);
-        for (k, col) in cols.iter().enumerate() {
-            prop_assert_eq!(many[k], and_weight_scalar(&base, col), "column {}", k);
+        // Columns of 1..=40 words sit on both sides of the vector
+        // threshold; the base is the first column of `fill`, and every
+        // column's last word is masked like a
+        // `(64 * (wpc - 1) + tail_bits)`-row matrix's.
+        let mut fill = fill;
+        for wpc in 1..=40 {
+            let tails = fill.iter_mut().skip(wpc - 1).step_by(wpc);
+            tails.for_each(|w| *w &= tail_mask(tail_bits));
+            let (base, words) = fill[..(1 + ncols) * wpc].split_at(wpc);
+            let want: Vec<u32> = words
+                .chunks_exact(wpc)
+                .map(|col| and_weight_scalar(base, col))
+                .collect();
+            for &k in available_kernels() {
+                let mut out = vec![u32::MAX; ncols];
+                and_weight_each_with(k, base, words, &mut out);
+                prop_assert_eq!(&out, &want, "{:?}, {} words a column", k, wpc);
+            }
         }
     }
+}
+
+#[test]
+#[should_panic(expected = "`words` must hold out.len() columns of base.len() words")]
+fn and_weight_each_rejects_a_ragged_run() {
+    and_weight_each_into(&[1, 2], &[0; 5], &mut [0; 2]);
 }

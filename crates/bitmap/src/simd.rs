@@ -7,10 +7,17 @@
 //! [`SAD_EVERY`] vectors — each vector adds at most 8 to a byte lane, so
 //! 31 × 8 = 248 stays under the `u8` ceiling.
 //!
+//! Slices below [`AVX2_MIN_WORDS`] never reach the vector bodies: single
+//! calls fall back to the scalar loop in [`crate::words`], and the batched
+//! [`and_weight_each_into`] — one base against a run of short columns,
+//! the aligned search's shape at a few dozen routers — runs a `popcnt`
+//! per word instead, compiled here because the instruction needs its
+//! `#[target_feature]` just as the vector ones do.
+//!
 //! This is the only module in the crate allowed to use `unsafe`: the
-//! intrinsics require it. Every public entry point re-checks AVX2
-//! availability at runtime (a cached atomic load inside `std`), so the
-//! functions exposed to the dispatcher are safe — the
+//! intrinsics require it. Every public entry point re-checks at runtime
+//! that the features its body enables are there (a cached atomic load
+//! inside `std`), so the functions exposed to the dispatcher are safe — the
 //! `#[target_feature]` bodies are unreachable on hosts without the
 //! feature, even if [`force_kernel`](crate::words::force_kernel) is
 //! misused.
@@ -49,6 +56,19 @@ pub(crate) fn and_weight(a: &[u64], b: &[u64]) -> u32 {
     assert_avx2!();
     // SAFETY: AVX2 availability verified above.
     unsafe { binary_weight_impl::<OP_AND>(a, b) }
+}
+
+/// `out[k]` = population count of `base &` column `k`, the columns lying
+/// back to back in `words` (the caller has checked
+/// `words.len() == base.len() * out.len()` and `base` non-empty).
+pub(crate) fn and_weight_each_into(base: &[u64], words: &[u64], out: &mut [u32]) {
+    assert_avx2!();
+    assert!(
+        std::arch::is_x86_feature_detected!("popcnt"),
+        "AVX2 kernel invoked on a host without POPCNT (force_kernel misuse?)"
+    );
+    // SAFETY: AVX2 and POPCNT availability verified above.
+    unsafe { and_weight_each_impl(base, words, out) }
 }
 
 /// Population count of `a | b` (equal-length slices).
@@ -112,6 +132,7 @@ unsafe fn weight_impl(words: &[u64]) -> u32 {
     total
 }
 
+#[inline]
 #[target_feature(enable = "avx2")]
 unsafe fn binary_weight_impl<const OP: u8>(a: &[u64], b: &[u64]) -> u32 {
     let pa = a.as_ptr().cast::<__m256i>();
@@ -142,4 +163,45 @@ unsafe fn binary_weight_impl<const OP: u8>(a: &[u64], b: &[u64]) -> u32 {
         total += v.count_ones();
     }
     total
+}
+
+/// One column at a time: at or above [`AVX2_MIN_WORDS`] the vector body
+/// (inlined here, so a run of columns pays one call), below it a
+/// straight-line loop whose `count_ones` compiles to one `popcnt` a word
+/// because this function enables the feature — the same loop built for
+/// baseline x86-64 is a twelve-operation bit-twiddle.
+///
+/// # Safety
+/// The host must support AVX2 and POPCNT.
+#[target_feature(enable = "avx2,popcnt")]
+unsafe fn and_weight_each_impl(base: &[u64], words: &[u64], out: &mut [u32]) {
+    match base.len() {
+        1 => each_short::<1>(base, words, out),
+        2 => each_short::<2>(base, words, out),
+        3 => each_short::<3>(base, words, out),
+        4 => each_short::<4>(base, words, out),
+        5 => each_short::<5>(base, words, out),
+        6 => each_short::<6>(base, words, out),
+        7 => each_short::<7>(base, words, out),
+        _ => {
+            for (o, col) in out.iter_mut().zip(words.chunks_exact(base.len())) {
+                *o = binary_weight_impl::<OP_AND>(base, col);
+            }
+        }
+    }
+}
+
+/// [`and_weight_each_impl`] for columns of exactly `W` words, `W` below
+/// [`AVX2_MIN_WORDS`]: the trip count is a constant, so the per-column
+/// loop unrolls into `W` `popcnt`s.
+///
+/// # Safety
+/// The host must support AVX2 and POPCNT.
+#[inline]
+#[target_feature(enable = "avx2,popcnt")]
+unsafe fn each_short<const W: usize>(base: &[u64], words: &[u64], out: &mut [u32]) {
+    let base: [u64; W] = core::array::from_fn(|i| base[i]);
+    for (o, col) in out.iter_mut().zip(words.chunks_exact(W)) {
+        *o = (0..W).map(|i| (base[i] & col[i]).count_ones()).sum();
+    }
 }

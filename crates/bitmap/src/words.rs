@@ -21,6 +21,14 @@
 //! [`or_weight_scalar`]; the property tests assert every dispatch
 //! target is bit-identical to them.
 //!
+//! [`and_weight_each_into`] is the batched form — one base slice against
+//! a run of equal-length columns stored back to back, as a
+//! [`ColMatrix`](crate::ColMatrix) stores them — and is what the aligned
+//! search calls: it dispatches once per run, and on the AVX2 target its
+//! columns shorter than `AVX2_MIN_WORDS` cost one hardware `popcnt` per
+//! word (a matrix of 24 routers has one-word columns, which no vector
+//! body helps).
+//!
 //! The dispatch decision is made once and cached in an atomic
 //! ([`active_kernel`]). `DCS_FORCE_SCALAR=1` in the environment pins the
 //! scalar reference path (CI uses this to keep the portable fallback
@@ -74,9 +82,8 @@ impl Kernel {
 static ACTIVE: AtomicU8 = AtomicU8::new(0);
 
 /// The kernel the dispatcher currently routes [`weight`] /
-/// [`and_weight`] / [`or_weight`] (and through them
-/// [`and_weight_many`]) to. Resolved once via feature detection on
-/// first use, then served from an atomic.
+/// [`and_weight`] / [`or_weight`] / [`and_weight_each_into`] to. Resolved
+/// once via feature detection on first use, then served from an atomic.
 #[inline]
 pub fn active_kernel() -> Kernel {
     match ACTIVE.load(Ordering::Relaxed) {
@@ -101,19 +108,27 @@ pub fn detect_kernel() -> Kernel {
     if std::env::var_os("DCS_FORCE_SCALAR").is_some_and(|v| v != "0") {
         return Kernel::Scalar;
     }
-    #[cfg(target_arch = "x86_64")]
-    if std::arch::is_x86_feature_detected!("avx2") {
+    if has_avx2() {
         return Kernel::Avx2;
     }
     Kernel::Blocked
+}
+
+/// Whether [`Kernel::Avx2`] may run here: AVX2 for the vector bodies and
+/// POPCNT for [`and_weight_each_into`]'s short columns.
+fn has_avx2() -> bool {
+    #[cfg(target_arch = "x86_64")]
+    return std::arch::is_x86_feature_detected!("avx2")
+        && std::arch::is_x86_feature_detected!("popcnt");
+    #[cfg(not(target_arch = "x86_64"))]
+    false
 }
 
 /// Kernels usable on this host: always [`Kernel::Scalar`] and
 /// [`Kernel::Blocked`]; [`Kernel::Avx2`] when the CPU has it. Tests
 /// iterate this list to assert bit-identity across dispatch targets.
 pub fn available_kernels() -> &'static [Kernel] {
-    #[cfg(target_arch = "x86_64")]
-    if std::arch::is_x86_feature_detected!("avx2") {
+    if has_avx2() {
         return &[Kernel::Scalar, Kernel::Blocked, Kernel::Avx2];
     }
     &[Kernel::Scalar, Kernel::Blocked]
@@ -163,10 +178,6 @@ pub const LANES: usize = 8;
 /// slices use the straight-line kernels, which win below the tree's
 /// fixed setup/flush overhead (measured crossover ≈ 3 chunks).
 pub const CSA_MIN_WORDS: usize = 4 * LANES;
-
-/// Words per cache block of [`and_weight_many`]: 4 KiB of the base slice,
-/// small enough to stay L1-resident while the batched columns stream by.
-const BLOCK_WORDS: usize = 512;
 
 /// Carry-save adder: adds three bit-columns, returning (sum, carry).
 #[inline(always)]
@@ -372,41 +383,42 @@ pub fn or_weight_scalar(a: &[u64], b: &[u64]) -> u32 {
     a.iter().zip(b).map(|(x, y)| (x | y).count_ones()).sum()
 }
 
-/// AND-weight of one base slice against a batch of columns:
-/// `out[i] = and_weight(base, cols[i])`.
+/// AND-weight of one base slice against a run of contiguous columns:
+/// `out[k] = and_weight(base, column k)`, where column `k` is the
+/// `base.len()` words of `words` starting at `k * base.len()` — the
+/// layout of [`ColMatrix::column_range`](crate::ColMatrix::column_range).
 ///
-/// The base is walked in `BLOCK_WORDS`-word cache blocks and each block
-/// is reused across the whole batch before moving on, so for wide batches
-/// the base costs one cache fill per block instead of one per column.
-/// This is the kernel under the aligned search's candidate fan-out, where
-/// one core product is intersected with every remaining column.
-pub fn and_weight_many(base: &[u64], cols: &[&[u64]]) -> Vec<u32> {
-    let mut out = vec![0u32; cols.len()];
-    and_weight_many_into(base, cols, &mut out);
-    out
-}
-
-/// [`and_weight_many`] accumulating into a caller-provided buffer
-/// (`out[i] += …`), letting sweep loops reuse one allocation.
+/// This is the kernel under the aligned search's candidate fan-outs and
+/// its expansion sweep, where one product is intersected with every
+/// remaining column. The dispatch is paid once per run, not per column,
+/// and on [`Kernel::Avx2`] a column shorter than the vector threshold
+/// costs one hardware `popcnt` per word.
 ///
 /// # Panics
-/// Panics if `out` is shorter than `cols` (debug builds only: mismatched
-/// column lengths).
-pub fn and_weight_many_into(base: &[u64], cols: &[&[u64]], out: &mut [u32]) {
-    assert!(
-        out.len() >= cols.len(),
-        "and_weight_many_into: out too short"
+/// Panics if `words` is not exactly `out.len()` columns of `base.len()`
+/// words.
+#[inline]
+pub fn and_weight_each_into(base: &[u64], words: &[u64], out: &mut [u32]) {
+    and_weight_each_with(active_kernel(), base, words, out);
+}
+
+/// [`and_weight_each_into`] through an explicitly chosen kernel (tests
+/// and benches).
+pub fn and_weight_each_with(kernel: Kernel, base: &[u64], words: &[u64], out: &mut [u32]) {
+    assert_eq!(
+        words.len(),
+        base.len() * out.len(),
+        "and_weight_each_into: `words` must hold out.len() columns of base.len() words"
     );
-    let kernel = active_kernel();
-    let mut start = 0;
-    while start < base.len() {
-        let end = (start + BLOCK_WORDS).min(base.len());
-        let base_block = &base[start..end];
-        for (o, col) in out.iter_mut().zip(cols) {
-            debug_assert_eq!(col.len(), base.len(), "and_weight_many: length mismatch");
-            *o += and_weight_with(kernel, base_block, &col[start..end]);
-        }
-        start = end;
+    if base.is_empty() {
+        return out.fill(0);
+    }
+    #[cfg(target_arch = "x86_64")]
+    if kernel == Kernel::Avx2 {
+        return crate::simd::and_weight_each_into(base, words, out);
+    }
+    for (o, col) in out.iter_mut().zip(words.chunks_exact(base.len())) {
+        *o = and_weight_with(kernel, base, col);
     }
 }
 
@@ -588,33 +600,5 @@ mod tests {
         }
         force_kernel(None);
         assert_eq!(active_kernel(), detect_kernel());
-    }
-
-    #[test]
-    fn and_weight_many_crosses_block_boundary() {
-        // 1200 words spans two full cache blocks plus a partial third, so
-        // the per-block accumulation in `and_weight_many_into` is covered.
-        let len = 2 * BLOCK_WORDS + 176;
-        let base = splitmix_fill(len, 3);
-        let cols: Vec<Vec<u64>> = (0..5).map(|c| splitmix_fill(len, 10 + c)).collect();
-        let refs: Vec<&[u64]> = cols.iter().map(Vec::as_slice).collect();
-        let many = and_weight_many(&base, &refs);
-        for (k, col) in cols.iter().enumerate() {
-            assert_eq!(many[k], and_weight_scalar(&base, col), "column {k}");
-        }
-    }
-
-    #[test]
-    fn and_weight_many_into_leaves_prefix_only() {
-        let base = splitmix_fill(100, 7);
-        let cols: Vec<Vec<u64>> = (0..3).map(|c| splitmix_fill(100, 20 + c)).collect();
-        let refs: Vec<&[u64]> = cols.iter().map(Vec::as_slice).collect();
-        let mut out = [0, 0, 0, u32::MAX, u32::MAX];
-        and_weight_many_into(&base, &refs, &mut out);
-        for (k, col) in cols.iter().enumerate() {
-            assert_eq!(out[k], and_weight_scalar(&base, col));
-        }
-        // Slots past `cols.len()` are untouched.
-        assert_eq!(&out[3..], &[u32::MAX, u32::MAX]);
     }
 }

@@ -16,55 +16,67 @@
 //!   product weight takes one of `nrows + 1` values, so candidates are
 //!   grouped by weight (one FIFO each) and neither an offer nor an
 //!   eviction compares two of them, however many tie at the bar;
-//! * the heaviest-column screen is one serial counting pass (column
-//!   weights take only `nrows + 1` values, so a histogram finds the cut
-//!   and no column is ever compared with another until the n′ survivors
-//!   are sorted);
-//! * every AND-popcount — the per-iteration fan-out of each hopeful
-//!   over the columns after it (iteration 1 fans out the single columns,
-//!   i.e. all 2-products) and the full-matrix expansion sweep — goes
-//!   through one batched kernel over the matrix's contiguous column
-//!   store ([`and_weight_each_into`]);
-//! * the fan-outs and the sweep are cut into one independent piece per
-//!   worker ([`ComputeBudget::workers_for`]) and executed by scoped
-//!   threads per [`SearchConfig::compute`]. Candidates are ranked by the
-//!   *full* `(weight, parent, column)` tuple — a total order — so the
-//!   workers' queues, merged weight class by weight class from the top,
-//!   yield exactly the canonical top-H list. The search result is
-//!   therefore bit-identical for every thread count (see the determinism
-//!   test).
+//! * the refined search works on the rows it is given (owned bitmaps or
+//!   borrowed wire views) and never transposes them: one pass counts
+//!   every column's weight into bit-sliced counters
+//!   ([`ColumnCounts`]: plane k = bit k of 64 columns' counts a word);
+//! * the heaviest-column screen compares no two columns until the n′
+//!   survivors are sorted: a weight takes one of `nrows + 1` values, so
+//!   a binary search over the threshold — each probe one bit-sliced
+//!   comparator pass over the planes — finds the cut weight, and only
+//!   the n′ columns at or above it are decoded and gathered, bit by bit
+//!   from the rows, into the column-major working matrix;
+//! * the expansion sweep is the same count over only the core's rows,
+//!   thresholded at `weight(core) − γ`;
+//! * the per-iteration fan-out of each hopeful over the screened columns
+//!   after it (iteration 1 fans out the single columns, i.e. all
+//!   2-products) goes through one batched AND-popcount kernel over the
+//!   working matrix's contiguous column store ([`and_weight_each_into`]);
+//! * the count passes are cut into independent column blocks and the
+//!   fan-outs into one piece per worker
+//!   ([`ComputeBudget::workers_for`]), executed by scoped threads per
+//!   [`SearchConfig::compute`]. The counts are the same integers for any
+//!   partition, and candidates are ranked by the *full*
+//!   `(weight, parent, column)` tuple — a total order — so the workers'
+//!   queues, merged weight class by weight class from the top, yield
+//!   exactly the canonical top-H list. The search result is therefore
+//!   bit-identical for every thread count (see the determinism test).
 
 use crate::termination::{stop_point, TerminationConfig};
 use crate::thresholds::ln_natural_occurrence;
-use dcs_bitmap::words::{and_assign, and_weight_each_into, iter_ones, weight};
-use dcs_bitmap::ColMatrix;
-use dcs_parallel::{map_chunks, run_jobs, split_range, ComputeBudget};
+use dcs_bitmap::words::{and_assign, and_weight_each_into, iter_ones, WORD_BITS};
+use dcs_bitmap::{ColMatrix, ColumnCounts, WordSource};
+use dcs_parallel::{run_jobs, ComputeBudget};
 use std::cmp::Reverse;
 use std::collections::VecDeque;
 use std::time::Instant;
 
 /// Reusable buffers for repeated refined detections (one per epoch).
 ///
-/// Holds everything [`refined_detect_cached`] needs between the fused
-/// matrix and the detection report: the screened column order, the
-/// screened working matrix, and the per-worker popcount buffers of the
-/// product search and the expansion sweep. All of it is allocated on the first epoch and reused —
-/// steady-state detection performs no per-epoch screening allocations
-/// beyond what the candidate products themselves need.
+/// Holds everything [`refined_detect_cached`] needs between the row
+/// stack and the detection report: the column-count planes, the screened
+/// column order, the screened working matrix, and the per-worker
+/// popcount buffers of the product search. All of it is allocated on the
+/// first epoch and reused — steady-state detection performs no per-epoch
+/// counting or screening allocations beyond what the candidate products
+/// themselves need.
 #[derive(Debug)]
 pub struct SearchScratch {
+    /// Per-column counts: over every row for the screen, then over the
+    /// core's rows for the expansion sweep.
+    counts: ColumnCounts,
     /// Column indices ranked by descending weight (truncated to n′).
     order: Vec<usize>,
     /// The screened working matrix (the n′ heaviest columns).
     work: ColMatrix,
-    /// Per-worker popcount buffers of the product search's fan-outs and
-    /// of the expansion sweep.
+    /// Per-worker popcount buffers of the product search's fan-outs.
     fanouts: Vec<Vec<u32>>,
 }
 
 impl Default for SearchScratch {
     fn default() -> Self {
         SearchScratch {
+            counts: ColumnCounts::default(),
             order: Vec::new(),
             work: ColMatrix::new(0, 0),
             fanouts: Vec::new(),
@@ -78,11 +90,13 @@ impl SearchScratch {
         SearchScratch::default()
     }
 
-    /// Capacities of the internal buffers (column order, screened matrix
-    /// words, summed fan-out slots) — diagnostic hook for steady-state
-    /// reuse tests: across epochs of equal shape these must not grow.
-    pub fn capacities(&self) -> [usize; 3] {
+    /// Capacities of the internal buffers (count-plane words, column
+    /// order, screened matrix words, summed fan-out slots) — diagnostic
+    /// hook for steady-state reuse tests: across epochs of equal shape
+    /// these must not grow.
+    pub fn capacities(&self) -> [usize; 4] {
         [
+            self.counts.word_capacity(),
             self.order.capacity(),
             self.work.word_capacity(),
             self.fanouts.iter().map(Vec::capacity).sum(),
@@ -94,23 +108,19 @@ impl SearchScratch {
 /// [`refined_detect_cached`], one field per pipeline stage.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct SearchTimings {
-    /// Ranking the columns and materialising the n′ heaviest (screening).
+    /// Counting every column's weight across the row stack.
+    pub count_ns: u64,
+    /// Finding the cut weight, ranking the n′ heaviest columns and
+    /// gathering them from the rows (screening).
     pub screen_ns: u64,
     /// Greedy product search plus the termination-procedure read
     /// (core-finding).
     pub core_ns: u64,
-    /// Expansion sweep of the core row vector across all columns.
+    /// Expansion sweep: counting the core's rows in every column and
+    /// thresholding.
     pub expand_ns: u64,
     /// Natural-occurrence verdict and report assembly.
     pub verdict_ns: u64,
-}
-
-impl SearchTimings {
-    /// Everything after screening — the historical "sweep" aggregate
-    /// (core search + expansion + verdict).
-    pub fn sweep_ns(&self) -> u64 {
-        self.core_ns + self.expand_ns + self.verdict_ns
-    }
 }
 
 /// Work accounting of one product search: how many candidate products
@@ -211,15 +221,6 @@ impl AlignedDetection {
         }
     }
 }
-
-/// Independent counters per weight in the screen's histogram pass. Most
-/// columns of a sparse epoch share one weight; a single counter would
-/// make every increment wait on the store before it.
-const SCREEN_LANES: usize = 4;
-
-/// Columns per batch of the expansion sweep: its popcount buffer holds
-/// this many weights however wide the matrix is.
-const SWEEP_BLOCK_COLS: usize = 4_096;
 
 /// A k-product under construction.
 #[derive(Debug, Clone)]
@@ -479,223 +480,157 @@ pub fn refined_detect_multi(
 /// The naive algorithm (Figure 5): product search over the whole matrix,
 /// no screening, no expansion sweep.
 pub fn naive_detect(matrix: &ColMatrix, cfg: &SearchConfig) -> AlignedDetection {
-    let identity: Vec<usize> = (0..matrix.ncols()).collect();
-    detect_inner(
-        matrix,
-        matrix,
-        &identity,
-        cfg,
-        false,
-        &mut Vec::new(),
-        &mut SearchWork::default(),
-    )
-    .0
+    let (curve, core) = find_core(matrix, cfg, &mut Vec::new(), &mut SearchWork::default());
+    let Some((stop, core)) = core else {
+        return AlignedDetection::not_found(curve);
+    };
+    let cols: Vec<usize> = core.members.iter().map(|&k| k as usize).collect();
+    let shape = (matrix.nrows(), matrix.ncols());
+    conclude(shape, &core, cols.clone(), cols, curve, stop, cfg)
 }
 
-/// The refined algorithm (Figure 6): screen the n′ heaviest columns, find
-/// a core there, then sweep all columns with the core row vector.
+/// The refined algorithm (Figure 6) on a column-major matrix: the
+/// offline door of experiments and tests, which hands the matrix's rows
+/// to [`refined_detect_cached`].
 pub fn refined_detect(matrix: &ColMatrix, cfg: &SearchConfig) -> AlignedDetection {
-    let n = matrix.ncols();
-    // The weight pass is a full-matrix popcount, split over contiguous
-    // column chunks. (The streaming ingest path skips it entirely: the
-    // fusion transpose hands [`refined_detect_cached`] the weights it
-    // accumulated while scattering.)
-    let weights: Vec<u32> = map_chunks(n, cfg.compute.workers_for(n), |range| {
-        range
-            .map(|j| weight(matrix.column(j)))
-            .collect::<Vec<u32>>()
-    })
-    .into_iter()
-    .flatten()
-    .collect();
-    let mut scratch = SearchScratch::new();
-    refined_detect_cached(matrix, &weights, cfg, &mut scratch).0
+    let rows = matrix.row_bitmaps();
+    refined_detect_cached(&rows, cfg, &mut SearchScratch::new()).0
 }
 
-/// [`refined_detect`] with the column weights precomputed (by the fusion
-/// transpose) and every screening buffer drawn from `scratch` — the
-/// steady-state epoch path. Returns the detection, per-stage timings and
-/// the product search's work accounting.
-///
-/// Screening selects the n′ heaviest columns by the total order
-/// `(weight desc, index asc)` in two linear passes over `weights` and an
-/// `O(n′ log n′)` sort ([`screen_order`]); it is serial and memory-bound,
-/// so the screened set cannot depend on the thread count.
+/// The refined algorithm (Figure 6) on the stacked router bitmaps, one
+/// row each, with every buffer drawn from `scratch` — the steady-state
+/// epoch path: count every column's weight, screen the n′ heaviest, find
+/// a core there, then sweep all columns with the core row vector.
+/// Returns the detection, per-stage timings and the product search's
+/// work accounting.
 ///
 /// # Panics
-/// Panics if `weights.len() != matrix.ncols()`, or if a weight exceeds
-/// `matrix.nrows()`.
-pub fn refined_detect_cached(
-    matrix: &ColMatrix,
-    weights: &[u32],
+/// Panics if the rows do not all share the same bit length.
+pub fn refined_detect_cached<S: WordSource + Sync>(
+    rows: &[S],
     cfg: &SearchConfig,
     scratch: &mut SearchScratch,
 ) -> (AlignedDetection, SearchTimings, SearchWork) {
-    let n = matrix.ncols();
-    assert_eq!(weights.len(), n, "one weight per column");
-    let t0 = Instant::now();
     let SearchScratch {
+        counts,
         order,
         work,
         fanouts,
     } = scratch;
-    screen_order(weights, matrix.nrows(), cfg.n_prime, order);
-    matrix.select_columns_into(order, work);
-    let screen_ns = t0.elapsed().as_nanos() as u64;
+    let threads = cfg.compute.effective_threads();
+    let mut timings = SearchTimings::default();
     let mut work_stats = SearchWork::default();
-    let (det, mut timings) = detect_inner(matrix, work, order, cfg, true, fanouts, &mut work_stats);
-    timings.screen_ns = screen_ns;
+    let mut lap = Instant::now();
+    let mut split = || {
+        std::mem::replace(&mut lap, Instant::now())
+            .elapsed()
+            .as_nanos() as u64
+    };
+
+    counts.count(rows, |_| true, threads);
+    timings.count_ns = split();
+    screen(counts, cfg.n_prime, order);
+    work.gather_from_rows(rows, order);
+    timings.screen_ns = split();
+    let (curve, core) = find_core(work, cfg, fanouts, &mut work_stats);
+    timings.core_ns = split();
+    let Some((stop, core)) = core else {
+        return (AlignedDetection::not_found(curve), timings, work_stats);
+    };
+
+    // Witness set: every column sharing ≥ weight(core) − γ ones with the
+    // core row vector — a count over the core's rows alone. Each core
+    // column holds all of them, so the core is among the survivors, and
+    // they come out in ascending column order for any worker count.
+    let in_core = |r: usize| core.words[r / WORD_BITS] >> (r % WORD_BITS) & 1 == 1;
+    counts.count(rows, in_core, threads);
+    let thresh = core.weight.saturating_sub(cfg.gamma);
+    let cols: Vec<usize> = counts.iter_ge(thresh).collect();
+    timings.expand_ns = split();
+
+    let core_cols: Vec<usize> = core.members.iter().map(|&k| order[k as usize]).collect();
+    let shape = (rows.len(), counts.ncols());
+    let det = conclude(shape, &core, core_cols, cols, curve, stop, cfg);
+    timings.verdict_ns = split();
     (det, timings, work_stats)
 }
 
-/// Fills `order` with the `n_prime` heaviest columns (all of them if
-/// there are fewer), sorted by `(weight desc, index asc)`.
+/// Fills `order` with the `n_prime` heaviest columns of `counts` (all of
+/// them if there are fewer), sorted by `(weight desc, index asc)`.
 ///
-/// A weight is a popcount of `nrows` bits, so it takes one of
-/// `nrows + 1` values and ranking needs no comparisons: a histogram pass
-/// finds the cut weight w* with `count(w > w*) < n′ ≤ count(w ≥ w*)`,
-/// and one ordered pass keeps every column heavier than w* plus the
-/// first `n′ − count(w > w*)` columns that weigh exactly w* — the lowest
-/// indices, as the tie-break asks. Only the survivors are sorted.
-///
-/// # Panics
-/// Panics if a weight exceeds `nrows`.
-pub fn screen_order(weights: &[u32], nrows: usize, n_prime: usize, order: &mut Vec<usize>) {
-    let n_prime = n_prime.min(weights.len());
-    let buckets = nrows + 1;
-    let mut lanes = vec![0usize; SCREEN_LANES * buckets];
-    for (j, &w) in weights.iter().enumerate() {
-        assert!(
-            w as usize <= nrows,
-            "screen: column {j} weighs {w}, more than the matrix's {nrows} rows"
-        );
-        lanes[(j % SCREEN_LANES) * buckets + w as usize] += 1;
-    }
-    let mut above = 0;
-    let mut cut = nrows;
-    while cut > 0 {
-        let at_cut: usize = lanes.iter().skip(cut).step_by(buckets).sum();
-        if above + at_cut >= n_prime {
-            break;
+/// A weight is at most `counts.rows()`, so ranking needs no comparisons
+/// between columns: a binary search finds the cut weight w* — the
+/// greatest t with `count_ge(t) ≥ n′` — every column heavier than w* is
+/// kept, and of those that weigh exactly w* the first
+/// `n′ − count(w > w*)`: the lowest indices, as the tie-break asks. Only
+/// the survivors' weights are read, and only they are sorted.
+pub fn screen(counts: &ColumnCounts, n_prime: usize, order: &mut Vec<usize>) {
+    let n_prime = n_prime.min(counts.ncols());
+    let (mut cut, mut hi) = (0, counts.rows() as u32);
+    while cut < hi {
+        let mid = cut + (hi - cut).div_ceil(2);
+        if counts.count_ge(mid) >= n_prime {
+            cut = mid;
+        } else {
+            hi = mid - 1;
         }
-        above += at_cut;
-        cut -= 1;
     }
-    let mut ties = n_prime - above;
-    let cut = cut as u32;
     order.clear();
-    order.reserve(n_prime);
-    for (j, &w) in weights.iter().enumerate() {
-        if w > cut {
-            order.push(j);
-        } else if w == cut && ties > 0 {
-            order.push(j);
-            ties -= 1;
-        }
-    }
-    order.sort_unstable_by_key(|&j| (Reverse(weights[j]), j));
+    order.extend(counts.iter_ge(cut + 1));
+    let ties = counts.iter_ge(cut).filter(|&j| counts.at(j) == cut);
+    order.extend(ties.take(n_prime - order.len()));
+    // Both runs ascend in index and the ties weigh least, so a stable
+    // sort by weight alone leaves equal weights in index order.
+    order.sort_by_cached_key(|&j| Reverse(counts.at(j)));
 }
 
-/// Shared tail: search `work` (whose column `k` is original column
-/// `mapping[k]`), read the curve, optionally expand across `matrix`.
-/// Returns the detection plus per-stage timings (`screen_ns` left zero —
-/// screening happens in the caller).
-fn detect_inner(
-    matrix: &ColMatrix,
+/// Runs the product search on `work` and reads its curve: the weight
+/// curve, and where the termination procedure stops the best product
+/// (the core) of that iteration.
+fn find_core(
     work: &ColMatrix,
-    mapping: &[usize],
     cfg: &SearchConfig,
-    expand: bool,
     fanouts: &mut Vec<Vec<u32>>,
     work_stats: &mut SearchWork,
-) -> (AlignedDetection, SearchTimings) {
-    let mut timings = SearchTimings::default();
-    let t_core = Instant::now();
-    let (curve, best) = product_search(work, cfg, fanouts, work_stats);
-    let stopped = stop_point(&curve, cfg.termination);
-    timings.core_ns = t_core.elapsed().as_nanos() as u64;
-    let Some(stop) = stopped else {
-        return (AlignedDetection::not_found(curve), timings);
-    };
-    let core = &best[stop];
-    let core_cols: Vec<usize> = core.members.iter().map(|&k| mapping[k as usize]).collect();
+) -> (Vec<u32>, Option<(usize, Product)>) {
+    let (curve, mut best) = product_search(work, cfg, fanouts, work_stats);
+    let core = stop_point(&curve, cfg.termination).map(|stop| (stop, best.swap_remove(stop)));
+    (curve, core)
+}
 
-    // Witness set: the core plus (refined only) every other column sharing
-    // ≥ weight(core) − γ ones with the core row vector. This is the O(n)
-    // full-matrix sweep: each worker popcounts its contiguous column
-    // range a block at a time against the core row vector (a few words
-    // that stay in registers). Survivor sets from disjoint ranges are
-    // sorted after the merge, so the witness set is
-    // worker-count-invariant.
-    let mut cols = core_cols.clone();
-    if expand {
-        let t_expand = Instant::now();
-        let thresh = core.weight.saturating_sub(cfg.gamma);
-        let core_set: std::collections::HashSet<usize> = core_cols.iter().copied().collect();
-        let n = matrix.ncols();
-        let workers = cfg.compute.workers_for(n);
-        let ranges = split_range(n, workers);
-        fanouts.resize_with(ranges.len().max(fanouts.len()), Vec::new);
-        let mut survivors: Vec<Vec<usize>> = ranges.iter().map(|_| Vec::new()).collect();
-        let jobs: Vec<_> = ranges
-            .into_iter()
-            .zip(survivors.iter_mut())
-            .zip(fanouts.iter_mut())
-            .collect();
-        run_jobs(jobs, workers, |((range, out), weights)| {
-            weights.resize(weights.len().max(SWEEP_BLOCK_COLS.min(range.len())), 0);
-            for start in range.clone().step_by(SWEEP_BLOCK_COLS) {
-                let block = start..range.end.min(start + SWEEP_BLOCK_COLS);
-                let weights = &mut weights[..block.len()];
-                and_weight_each_into(&core.words, matrix.column_range(block.clone()), weights);
-                for (j, &w) in block.zip(weights.iter()) {
-                    if w >= thresh && !core_set.contains(&j) {
-                        out.push(j);
-                    }
-                }
-            }
-        });
-        cols.extend(survivors.into_iter().flatten());
-        cols.sort_unstable();
-        timings.expand_ns = t_expand.elapsed().as_nanos() as u64;
-    }
-
-    // Verdict: is (weight(core) × |cols|) non-naturally-occurring in the
-    // full matrix?
-    let t_verdict = Instant::now();
+/// Verdict: is the `weight(core) × |cols|` witness non-naturally-occurring
+/// in a matrix of `shape` = (rows, columns)?
+fn conclude(
+    shape: (usize, usize),
+    core: &Product,
+    core_cols: Vec<usize>,
+    cols: Vec<usize>,
+    weight_curve: Vec<u32>,
+    stop: usize,
+    cfg: &SearchConfig,
+) -> AlignedDetection {
     let ln_p = ln_natural_occurrence(
-        matrix.nrows() as u64,
-        matrix.ncols() as u64,
+        shape.0 as u64,
+        shape.1 as u64,
         u64::from(core.weight),
         cols.len() as u64,
     );
     let found = ln_p <= cfg.epsilon.ln();
-    let det = if found {
-        AlignedDetection {
-            found,
-            rows: iter_ones(&core.words).map(|r| r as u32).collect(),
-            cols,
-            core_cols,
-            weight_curve: curve,
-            stopped_at: Some(stop),
-        }
-    } else {
-        AlignedDetection {
-            found: false,
-            rows: Vec::new(),
-            cols: Vec::new(),
-            core_cols,
-            weight_curve: curve,
-            stopped_at: Some(stop),
-        }
-    };
-    timings.verdict_ns = t_verdict.elapsed().as_nanos() as u64;
-    (det, timings)
+    let rows = iter_ones(&core.words).map(|r| r as u32);
+    AlignedDetection {
+        found,
+        rows: if found { rows.collect() } else { Vec::new() },
+        cols: if found { cols } else { Vec::new() },
+        core_cols,
+        weight_curve,
+        stopped_at: Some(stop),
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use dcs_bitmap::Bitmap;
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
     use std::collections::BinaryHeap;
@@ -918,27 +853,24 @@ mod tests {
         let (mat, _, _) = planted_matrix(&mut r, 96, 800, 30, 12);
         let cfg = small_cfg();
         let plain = refined_detect(&mat, &cfg);
-        let weights = mat.col_weights();
+        let rows = mat.row_bitmaps();
         let mut scratch = SearchScratch::new();
-        let (cached, timings, _) = refined_detect_cached(&mat, &weights, &cfg, &mut scratch);
-        assert_eq!(cached.found, plain.found);
-        assert_eq!(cached.rows, plain.rows);
-        assert_eq!(cached.cols, plain.cols);
-        assert_eq!(cached.core_cols, plain.core_cols);
-        assert_eq!(cached.weight_curve, plain.weight_curve);
-        assert!(timings.sweep_ns() > 0);
+        let (cached, timings, _) = refined_detect_cached(&rows, &cfg, &mut scratch);
+        assert_same_detection(&cached, &plain, "cached");
+        assert!(timings.count_ns > 0, "the count pass must be timed");
         assert!(timings.core_ns > 0, "core search must be timed");
         // A second epoch through the same scratch must not regrow the
-        // screening buffers.
-        let order_cap = scratch.order.capacity();
-        let (again, _, _) = refined_detect_cached(&mat, &weights, &cfg, &mut scratch);
+        // counting or screening buffers.
+        let warm = scratch.capacities();
+        assert!(warm[0] > 0, "the count planes never materialised");
+        let (again, _, _) = refined_detect_cached(&rows, &cfg, &mut scratch);
         assert_eq!(again.cols, plain.cols);
-        assert_eq!(scratch.order.capacity(), order_cap);
+        assert_eq!(scratch.capacities(), warm);
     }
 
     /// The screen this crate ran before it counted: partition the n′
     /// smallest keys of `(weight desc, index asc)` to the front, sort them.
-    fn screen_order_reference(weights: &[u32], n_prime: usize) -> Vec<usize> {
+    fn screen_reference(weights: &[u32], n_prime: usize) -> Vec<usize> {
         let mut order: Vec<usize> = (0..weights.len()).collect();
         let n_prime = n_prime.min(order.len());
         if n_prime < order.len() {
@@ -949,32 +881,51 @@ mod tests {
         order
     }
 
+    /// `nrows` rows of `weights.len()` bits whose column `j` holds
+    /// `weights[j]` ones, on randomly chosen rows.
+    fn rows_with_weights(r: &mut StdRng, nrows: usize, weights: &[u32]) -> Vec<Bitmap> {
+        use rand::seq::SliceRandom;
+        let mut rows = vec![Bitmap::new(weights.len()); nrows];
+        let mut pick: Vec<usize> = (0..nrows).collect();
+        for (j, &w) in weights.iter().enumerate() {
+            pick.shuffle(r);
+            for &row in &pick[..w as usize] {
+                rows[row].set(j);
+            }
+        }
+        rows
+    }
+
     #[test]
     fn counting_screen_equals_select_nth_reference() {
         let mut r = StdRng::seed_from_u64(54);
+        let mut counts = ColumnCounts::default();
         let mut order = Vec::new();
         for nrows in [1usize, 2, 24, 64, 130] {
-            for n in [1usize, 2, 7, 300, 1_001] {
+            // 8,300 columns: more than one counting block.
+            for n in [1usize, 2, 7, 300, 1_001, 8_300] {
                 // Few distinct weights, so the cut always lands inside a
                 // run of ties; every third matrix also piles most columns
-                // onto one weight, the sparse-epoch shape.
-                for round in 0..6 {
+                // onto one weight, the sparse-epoch shape, and the last
+                // round makes all weights equal — ties decide every pick.
+                for round in 0..7 {
                     let span = r.gen_range(1..=nrows.min(4)) as u32;
                     let base = r.gen_range(0..=nrows as u32 - span);
                     let weights: Vec<u32> = (0..n)
                         .map(|_| {
-                            if round % 3 == 0 && r.gen_range(0..10) > 0 {
+                            if round == 6 || round % 3 == 0 && r.gen_range(0..10) > 0 {
                                 base
                             } else {
                                 base + r.gen_range(0..=span)
                             }
                         })
                         .collect();
+                    counts.count(&rows_with_weights(&mut r, nrows, &weights), |_| true, 1);
                     for n_prime in [0, 1, n - 1, n, n + 5] {
-                        screen_order(&weights, nrows, n_prime, &mut order);
+                        screen(&counts, n_prime, &mut order);
                         assert_eq!(
                             order,
-                            screen_order_reference(&weights, n_prime),
+                            screen_reference(&weights, n_prime),
                             "nrows {nrows}, n {n}, n_prime {n_prime}, weights {weights:?}"
                         );
                     }
@@ -983,10 +934,29 @@ mod tests {
         }
     }
 
+    /// The sweep's survivors are the columns whose AND with the core
+    /// weighs at least the threshold — every real column at threshold 0,
+    /// and never a phantom past a ragged tail.
     #[test]
-    #[should_panic(expected = "more than the matrix's 24 rows")]
-    fn screen_rejects_a_weight_above_the_row_count() {
-        screen_order(&[3, 25, 0], 24, 2, &mut Vec::new());
+    fn sweep_survivors_equal_per_column_and_weights() {
+        use dcs_bitmap::words::and_weight;
+        let mut r = StdRng::seed_from_u64(58);
+        let mut counts = ColumnCounts::default();
+        for (m, n) in [(1usize, 1usize), (24, 200), (70, 513), (130, 8_300)] {
+            let (mat, _, _) = planted_matrix(&mut r, m, n, 0, 0);
+            let rows = mat.row_bitmaps();
+            let core = Bitmap::from_indices(m, (0..m).filter(|_| r.gen_range(0..3) > 0));
+            for workers in [1, 3] {
+                counts.count(&rows, |row| core.get(row), workers);
+                for thresh in 0..=core.weight() + 1 {
+                    let want: Vec<usize> = (0..n)
+                        .filter(|&j| and_weight(core.words(), mat.column(j)) >= thresh)
+                        .collect();
+                    let got: Vec<usize> = counts.iter_ge(thresh).collect();
+                    assert_eq!(got, want, "{m} x {n}, thresh {thresh}, {workers} workers");
+                }
+            }
+        }
     }
 
     /// The hopefuls list this crate kept before it bucketed by weight: a
@@ -1153,11 +1123,11 @@ mod tests {
 
     #[test]
     fn refined_detect_is_thread_count_invariant() {
-        // Threads decide only how the product fan-outs and the expansion
-        // sweep are partitioned (the screen is serial); the workers'
-        // candidate queues merge by the full (weight, parent, column)
-        // tuple, so the detection must be bit-identical for any worker
-        // count.
+        // Threads decide only how the count passes and the product
+        // fan-outs are partitioned; the counts are the same integers for
+        // any partition and the workers' candidate queues merge by the
+        // full (weight, parent, column) tuple, so the detection must be
+        // bit-identical for any worker count.
         let mut r = StdRng::seed_from_u64(53);
         let (mat, _, _) = planted_matrix(&mut r, 96, 800, 30, 14);
         let run = |mat: &ColMatrix, base: &SearchConfig, threads: usize| {
@@ -1165,9 +1135,8 @@ mod tests {
                 compute: ComputeBudget::with_threads(threads),
                 ..base.clone()
             };
-            let weights = mat.col_weights();
             let mut scratch = SearchScratch::new();
-            let (det, _, work) = refined_detect_cached(mat, &weights, &cfg, &mut scratch);
+            let (det, _, work) = refined_detect_cached(&mat.row_bitmaps(), &cfg, &mut scratch);
             (det, work)
         };
         let (seq, seq_work) = run(&mat, &small_cfg(), 1);

@@ -1,12 +1,12 @@
 //! Microbenchmarks of the hot kernels: word AND/popcount, row
 //! correlation, collectors at line rate, Rabin fingerprinting, the
-//! transport CRC, the n′ screen, the aligned product search, ER
-//! generation and peeling.
+//! transport CRC, the bit-sliced column counts and the n′ screen over
+//! them, the aligned product search, ER generation and peeling.
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion, Throughput};
-use dcs_aligned::search::screen_order;
+use dcs_aligned::search::screen;
 use dcs_aligned::{refined_detect_cached, SearchConfig, SearchScratch};
-use dcs_bitmap::{words, Bitmap, ColMatrix, RowMatrix};
+use dcs_bitmap::{words, Bitmap, ColumnCounts, RowMatrix};
 use dcs_collect::{AlignedCollector, AlignedConfig, UnalignedCollector, UnalignedConfig};
 use dcs_graph::er::gnp;
 use dcs_graph::peel::peel_to_size;
@@ -207,56 +207,61 @@ fn bench_crc32(c: &mut Criterion) {
     }
 }
 
-/// The n′ screen over column weights alone: a sparse two-router epoch
-/// (almost every column weighs 0) and the paper's half-full 24 routers
-/// (25 weights, the cut inside a tie of tens of thousands).
-fn bench_screen(c: &mut Criterion) {
+/// `nrows` seeded router bitmaps of `bits` bits (a multiple of 64), each
+/// bit set with probability 2^-`halvings`.
+fn row_stack(rng: &mut StdRng, nrows: usize, bits: usize, halvings: u32) -> Vec<Bitmap> {
+    let word = |rng: &mut StdRng| (0..halvings).fold(u64::MAX, |w, _| w & rng.gen::<u64>());
+    (0..nrows)
+        .map(|_| Bitmap::from_words(bits, (0..bits / 64).map(|_| word(rng)).collect()))
+        .collect()
+}
+
+/// What the centre does to every epoch's row stack before the product
+/// search: the count pass (the `fuse` stage; the expansion sweep is the
+/// same pass over the core's rows) and the n′ screen over the counts —
+/// on a sparse two-router epoch (almost every column weighs 0), the
+/// paper's half-full 24 routers (25 weights, the cut inside a tie of
+/// tens of thousands), and stacks of 2 and 16 words a column.
+fn bench_column_counts(c: &mut Criterion) {
     let mut rng = StdRng::seed_from_u64(7);
-    let sparse: Vec<u32> = (0..4 << 20)
-        .map(|_| u32::from(rng.gen_range(0..20) == 0) + u32::from(rng.gen_range(0..20) == 0))
-        .collect();
-    let half_full: Vec<u32> = (0..1 << 20)
-        .map(|_| (rng.gen::<u32>() >> 8).count_ones())
-        .collect();
-    let mut order = Vec::new();
-    let mut g = c.benchmark_group("screen");
-    for (name, weights, nrows) in [
-        ("2x4Mi_sparse", &sparse, 2),
-        ("24x1Mi_half_full", &half_full, 24),
+    let mut g = c.benchmark_group("column_counts");
+    for (name, nrows, bits, halvings) in [
+        ("2x4Mi_sparse", 2, 4 << 20, 4),
+        ("24x1Mi_half_full", 24, 1 << 20, 1),
+        ("100x256Ki", 100, 1 << 18, 1),
+        ("1000x64Ki", 1_000, 1 << 16, 1),
     ] {
-        for n_prime in [200, 1_000] {
-            g.bench_function(format!("{name}_n{n_prime}"), |bch| {
-                bch.iter(|| {
-                    screen_order(black_box(weights), nrows, n_prime, &mut order);
-                    order.len()
-                })
-            });
-        }
+        let rows = row_stack(&mut rng, nrows, bits, halvings);
+        let mut counts = ColumnCounts::default();
+        g.bench_function(format!("{name}_count"), |bch| {
+            bch.iter(|| counts.count(black_box(&rows), |_| true, 1))
+        });
+        let mut order = Vec::new();
+        g.bench_function(format!("{name}_screen_n1000"), |bch| {
+            bch.iter(|| {
+                screen(black_box(&counts), 1_000, &mut order);
+                order.len()
+            })
+        });
     }
     g.finish();
 }
 
-/// The whole refined detection (screen, product search, expansion sweep)
-/// where the search's inner loops dominate: the paper's half-full 24
-/// routers, 12 routers where every candidate ties at the hopefuls bar,
-/// and a sparse epoch whose products weigh 0–3.
+/// The whole refined detection (count, screen, product search, expansion
+/// sweep) where the search's inner loops dominate: the paper's half-full
+/// 24 routers at a quarter of and at its full width, 12 routers where
+/// every candidate ties at the hopefuls bar, and a sparse epoch whose
+/// products weigh 0–3.
 fn bench_product_search(c: &mut Criterion) {
     let mut rng = StdRng::seed_from_u64(8);
     let mut g = c.benchmark_group("product_search");
-    for (name, nrows, ncols, one_in, n_prime, hopefuls) in [
-        ("24x1Mi_half_full", 24, 1 << 20, 2, 1_000, 250),
-        ("12x1Mi_half_full", 12, 1 << 20, 2, 1_000, 250),
-        ("24x256Ki_sparse", 24, 1 << 18, 250, 400, 300),
+    for (name, nrows, bits, halvings, n_prime, hopefuls) in [
+        ("24x1Mi_half_full", 24, 1 << 20, 1, 1_000, 250),
+        ("24x4Mi_half_full_n4000", 24, 4 << 20, 1, 4_000, 1_000),
+        ("12x1Mi_half_full", 12, 1 << 20, 1, 1_000, 250),
+        ("24x256Ki_sparse", 24, 1 << 18, 8, 400, 300),
     ] {
-        let mut mat = ColMatrix::new(nrows, ncols);
-        for col in 0..ncols {
-            for row in 0..nrows {
-                if rng.gen_range(0..one_in) == 0 {
-                    mat.set(row, col);
-                }
-            }
-        }
-        let weights = mat.col_weights();
+        let rows = row_stack(&mut rng, nrows, bits, halvings);
         let mut cfg = SearchConfig {
             n_prime,
             hopefuls,
@@ -266,7 +271,7 @@ fn bench_product_search(c: &mut Criterion) {
         let mut scratch = SearchScratch::new();
         g.bench_function(name, |bch| {
             bch.iter(|| {
-                refined_detect_cached(black_box(&mat), &weights, &cfg, &mut scratch)
+                refined_detect_cached(black_box(&rows), &cfg, &mut scratch)
                     .0
                     .weight_curve
                     .len()
@@ -298,6 +303,6 @@ criterion_group! {
     name = benches;
     config = config();
     targets = bench_words, bench_row_sweep, bench_collectors, bench_hashing, bench_crc32,
-        bench_screen, bench_product_search, bench_graph
+        bench_column_counts, bench_product_search, bench_graph
 }
 criterion_main!(benches);

@@ -1,4 +1,4 @@
-//! Column-major 0-1 matrix: the fused digest store of the aligned case.
+//! Column-major 0-1 matrix: the working store of the aligned search.
 //!
 //! In the aligned case (Section III) the analysis centre stacks one n-bit
 //! bitmap per router into an m×n matrix and then operates on *columns*:
@@ -6,6 +6,12 @@
 //! rank them by weight. Storing the matrix column-major makes a column a
 //! contiguous `&[u64]` of `ceil(m/64)` words, so a product step over
 //! thousands of columns is a linear scan.
+//!
+//! Only the n′ screened columns are ever held this way on the ingest
+//! path ([`ColMatrix::gather_from_rows`]; the other n − n′ are counted
+//! where they lie, see [`ColumnCounts`](crate::ColumnCounts)). The
+//! whole-stack transpose ([`ColMatrix::from_router_bitmaps`]) is the
+//! offline constructor of experiments and tests.
 
 use crate::words::{self, words_for, WORD_BITS};
 use crate::{Bitmap, WordSource};
@@ -62,18 +68,60 @@ impl ColMatrix {
         }
     }
 
-    /// Fuses one n-bit digest per router into an m×n column-major matrix.
+    /// Stacks one n-bit digest per router into an m×n column-major
+    /// matrix: row r of the result is router r's bitmap.
     ///
-    /// Row r of the result is router r's bitmap; the transpose runs at
-    /// word level through [`ColMatrix::fuse_rows_into`].
+    /// The transpose runs on 64-row × 64-column word tiles: gather one
+    /// word from each of 64 rows, `transpose64` the block in registers,
+    /// scatter the 64 resulting column-words.
     ///
     /// # Panics
     /// Panics if the bitmaps do not all share the same length.
     pub fn from_router_bitmaps(bitmaps: &[Bitmap]) -> Self {
-        let mut m = ColMatrix::new(0, 0);
-        let mut weights = Vec::new();
-        m.fuse_rows_into(bitmaps, &mut weights);
+        let ncols = bitmaps.first().map_or(0, Bitmap::len);
+        for bm in bitmaps {
+            assert_eq!(bm.len(), ncols, "router digests must have equal width");
+        }
+        let mut m = ColMatrix::new(bitmaps.len(), ncols);
+        let wpc = m.words_per_col;
+        for (rb, band) in bitmaps.chunks(WORD_BITS).enumerate() {
+            for cw in 0..words_for(ncols) {
+                let mut block = [0u64; WORD_BITS];
+                for (slot, bm) in block.iter_mut().zip(band) {
+                    *slot = bm.words()[cw];
+                }
+                transpose64(&mut block);
+                let columns = m.data[cw * WORD_BITS * wpc..].chunks_exact_mut(wpc);
+                for (col, w) in columns.zip(block) {
+                    col[rb] = w;
+                }
+            }
+        }
         m
+    }
+
+    /// The matrix as its rows — one `ncols`-bit bitmap per router, the
+    /// inverse of [`ColMatrix::from_router_bitmaps`] and by the same
+    /// tiles. The refined search reads its input as rows.
+    pub fn row_bitmaps(&self) -> Vec<Bitmap> {
+        let wpc = self.words_per_col;
+        let mut rows = vec![vec![0u64; words_for(self.ncols)]; self.nrows];
+        for (rb, band) in rows.chunks_mut(WORD_BITS).enumerate() {
+            for cw in 0..words_for(self.ncols) {
+                let mut block = [0u64; WORD_BITS];
+                let columns = self.data[cw * WORD_BITS * wpc..].chunks_exact(wpc);
+                for (slot, col) in block.iter_mut().zip(columns) {
+                    *slot = col[rb];
+                }
+                transpose64(&mut block);
+                for (row, w) in band.iter_mut().zip(block) {
+                    row[cw] = w;
+                }
+            }
+        }
+        let rows = rows.into_iter();
+        rows.map(|words| Bitmap::from_words(self.ncols, words))
+            .collect()
     }
 
     /// Reference implementation of [`ColMatrix::from_router_bitmaps`]:
@@ -103,96 +151,33 @@ impl ColMatrix {
         self.data.resize(self.words_per_col * ncols, 0);
     }
 
-    /// Fuses `rows` (one n-bit digest per router, owned bitmaps or
-    /// borrowed wire views — anything [`WordSource`]) into this matrix,
-    /// replacing its previous contents and reusing its allocation.
-    ///
-    /// The transpose runs on 64-row × 64-column word tiles: gather one
-    /// word from each of 64 rows, `transpose64` the block in
-    /// registers, scatter the 64 resulting row-words into their
-    /// columns. Column weights are accumulated into `weights` during
-    /// the scatter (`weights[c]` = number of 1s in column `c`), so
-    /// callers get the screening pass's input for free — no separate
-    /// whole-matrix popcount sweep.
+    /// Reshapes this matrix to `rows.len()` rows and fills column `k`
+    /// with column `cols[k]` of the row stack, read bit by bit where the
+    /// rows lie (owned bitmaps or borrowed wire views) and reusing this
+    /// matrix's allocation: how the refined search materialises the n′
+    /// heaviest columns without transposing the other n − n′.
     ///
     /// # Panics
-    /// Panics if the rows do not all share the same bit length.
-    pub fn fuse_rows_into<S: WordSource>(&mut self, rows: &[S], weights: &mut Vec<u32>) {
-        let ncols = self.prepare_fuse(rows, weights);
-        fuse_column_range(
-            rows,
-            ncols,
-            self.words_per_col,
-            0..ncols,
-            &mut self.data,
-            weights,
+    /// Panics if the rows do not all share the same bit length or a
+    /// column index reaches past it.
+    pub fn gather_from_rows<S: WordSource>(&mut self, rows: &[S], cols: &[usize]) {
+        let width = rows.first().map_or(0, WordSource::bit_len);
+        assert!(
+            cols.iter().all(|&j| j < width),
+            "a gathered column is out of range {width}"
         );
-    }
-
-    /// [`ColMatrix::fuse_rows_into`] over independent column ranges,
-    /// one per worker thread.
-    ///
-    /// The column space is cut into at most `workers` contiguous ranges
-    /// aligned to 64-column word tiles ([`dcs_parallel::shard_columns`]),
-    /// so a transpose tile never straddles two ranges and each worker
-    /// writes a disjoint contiguous slice of the column-major store —
-    /// the result is bit-identical to the sequential fuse for any worker
-    /// count.
-    ///
-    /// # Panics
-    /// Panics if the rows do not all share the same bit length.
-    pub fn fuse_rows_into_sharded<S: WordSource + Sync>(
-        &mut self,
-        rows: &[S],
-        weights: &mut Vec<u32>,
-        workers: usize,
-    ) {
-        let ncols = self.prepare_fuse(rows, weights);
-        let ranges = dcs_parallel::shard_columns(ncols, workers, WORD_BITS);
-        if ranges.len() <= 1 {
-            fuse_column_range(
-                rows,
-                ncols,
-                self.words_per_col,
-                0..ncols,
-                &mut self.data,
-                weights,
-            );
-            return;
+        self.reset(rows.len(), cols.len());
+        for (r, row) in rows.iter().enumerate() {
+            assert_eq!(row.bit_len(), width, "router digests must have equal width");
+            let words = self
+                .data
+                .iter_mut()
+                .skip(r / WORD_BITS)
+                .step_by(self.words_per_col);
+            for (word, &j) in words.zip(cols) {
+                *word |= (row.word(j / WORD_BITS) >> (j % WORD_BITS) & 1) << (r % WORD_BITS);
+            }
         }
-        let wpc = self.words_per_col;
-        // Carve the backing store and the weight vector into per-shard
-        // disjoint slices: column j's words are contiguous at
-        // `j * wpc`, so shard [lo, hi) owns `data[lo*wpc..hi*wpc]`.
-        let mut jobs = Vec::with_capacity(ranges.len());
-        let mut data_rest: &mut [u64] = &mut self.data;
-        let mut weights_rest: &mut [u32] = weights;
-        for range in ranges {
-            let cols = range.end - range.start;
-            let (shard_data, rest) = data_rest.split_at_mut(cols * wpc);
-            data_rest = rest;
-            let (shard_weights, rest) = weights_rest.split_at_mut(cols);
-            weights_rest = rest;
-            jobs.push((range, shard_data, shard_weights));
-        }
-        dcs_parallel::run_jobs(jobs, workers, |(range, shard_data, shard_weights)| {
-            fuse_column_range(rows, ncols, wpc, range, shard_data, shard_weights);
-        });
-    }
-
-    /// Shared validation/reset prologue of the fuse entry points:
-    /// checks row widths, reshapes the matrix, and zeroes `weights` to
-    /// `ncols` entries. Returns `ncols`.
-    fn prepare_fuse<S: WordSource>(&mut self, rows: &[S], weights: &mut Vec<u32>) -> usize {
-        let nrows = rows.len();
-        let ncols = rows.first().map_or(0, WordSource::bit_len);
-        for r in rows {
-            assert_eq!(r.bit_len(), ncols, "router digests must have equal width");
-        }
-        self.reset(nrows, ncols);
-        weights.clear();
-        weights.resize(ncols, 0);
-        ncols
     }
 
     /// Number of rows (routers).
@@ -279,25 +264,12 @@ impl ColMatrix {
     /// # Panics
     /// Panics if any index is out of range.
     pub fn select_columns(&self, cols: &[usize]) -> ColMatrix {
-        let mut out = ColMatrix::new(0, 0);
-        self.select_columns_into(cols, &mut out);
-        out
-    }
-
-    /// [`ColMatrix::select_columns`] into a caller-provided matrix,
-    /// reusing its allocation (the epoch scratch path).
-    ///
-    /// # Panics
-    /// Panics if any index is out of range.
-    pub fn select_columns_into(&self, cols: &[usize], out: &mut ColMatrix) {
-        out.nrows = self.nrows;
+        let mut out = ColMatrix::new(self.nrows, 0);
         out.ncols = cols.len();
-        out.words_per_col = self.words_per_col;
-        out.data.clear();
-        out.data.reserve(self.words_per_col * cols.len());
         for &j in cols {
             out.data.extend_from_slice(self.column(j));
         }
+        out
     }
 
     /// Number of rows where columns `i` and `j` are both 1 (weight of the
@@ -316,60 +288,6 @@ impl ColMatrix {
     /// steady-state reuse tests (a reused matrix must not regrow).
     pub fn word_capacity(&self) -> usize {
         self.data.capacity()
-    }
-}
-
-/// The word-tile transpose body of the fuse, restricted to columns
-/// `col_range` of the full matrix.
-///
-/// `data` and `weights` are the *shard-local* slices: `data` holds
-/// `(col_range.len()) * wpc` words starting at global column
-/// `col_range.start`, `weights` one entry per shard column. The
-/// transpose runs on 64-row × 64-column tiles: gather one word from
-/// each of 64 rows, [`transpose64`] the block in registers, scatter the
-/// 64 resulting column-words. Column weights accumulate during the
-/// scatter, so callers get the screening pass's input for free.
-///
-/// `col_range.start` must be a multiple of 64 (shard boundaries align
-/// to word tiles) so no tile straddles the shard edge.
-fn fuse_column_range<S: WordSource>(
-    rows: &[S],
-    ncols: usize,
-    wpc: usize,
-    col_range: Range<usize>,
-    data: &mut [u64],
-    weights: &mut [u32],
-) {
-    debug_assert_eq!(col_range.start % WORD_BITS, 0);
-    debug_assert!(col_range.end <= ncols);
-    let nrows = rows.len();
-    let cw_lo = col_range.start / WORD_BITS;
-    let cw_hi = col_range.end.div_ceil(WORD_BITS);
-    for rb in 0..wpc {
-        let row0 = rb * WORD_BITS;
-        let band = &rows[row0..(row0 + WORD_BITS).min(nrows)];
-        for cw in cw_lo..cw_hi {
-            let mut block = [0u64; WORD_BITS];
-            let mut any = 0u64;
-            for (i, r) in band.iter().enumerate() {
-                let w = r.word(cw);
-                block[i] = w;
-                any |= w;
-            }
-            if any == 0 {
-                // The matrix was reset to zero: nothing to scatter,
-                // and the weights gain nothing.
-                continue;
-            }
-            transpose64(&mut block);
-            let c0 = cw * WORD_BITS;
-            let cols_here = (col_range.end - c0).min(WORD_BITS);
-            for (c, &w) in block[..cols_here].iter().enumerate() {
-                let local = c0 + c - col_range.start;
-                data[local * wpc + rb] = w;
-                weights[local] += w.count_ones();
-            }
-        }
     }
 }
 
@@ -508,64 +426,39 @@ mod tests {
     }
 
     #[test]
-    fn fuse_rows_into_weights_match_col_weights() {
-        let bitmaps = splitmix_bitmaps(70, 500, 7);
-        let mut m = ColMatrix::new(0, 0);
-        let mut weights = Vec::new();
-        m.fuse_rows_into(&bitmaps, &mut weights);
-        assert_eq!(weights, m.col_weights());
-    }
-
-    #[test]
-    fn sharded_fusion_is_bit_identical_for_any_worker_count() {
-        // Widths around word-tile boundaries so range edges land both
-        // on and off the final partial tile.
-        for &(nrows, bits) in &[(3usize, 64usize), (65, 127), (70, 200), (130, 513)] {
-            let bitmaps = splitmix_bitmaps(nrows, bits, (nrows * bits + 1) as u64);
-            let single = ColMatrix::from_router_bitmaps(&bitmaps);
-            let expect_w = single.col_weights();
-            // Worker counts far beyond ncols/64 exercise the degenerate
-            // plans: shard_columns must collapse to at most one range per
-            // word tile (never an empty range — the split_at_mut carving
-            // below would still be sound, but every worker must own
-            // columns for the plan to cover the matrix).
-            for workers in [1usize, 2, 3, 8, 10_000, 1 << 20] {
-                let mut m = ColMatrix::new(0, 0);
-                let mut weights = Vec::new();
-                m.fuse_rows_into_sharded(&bitmaps, &mut weights, workers);
-                assert_eq!(m, single, "shape {nrows}x{bits} workers {workers}");
-                assert_eq!(weights, expect_w, "shape {nrows}x{bits} workers {workers}");
-            }
+    fn row_bitmaps_inverts_the_transpose() {
+        for &(nrows, bits) in &[
+            (0usize, 0usize),
+            (1, 1),
+            (3, 64),
+            (63, 65),
+            (65, 127),
+            (130, 513),
+        ] {
+            let bitmaps = splitmix_bitmaps(nrows, bits, (nrows * bits + 2) as u64);
+            let rows = ColMatrix::from_router_bitmaps(&bitmaps).row_bitmaps();
+            assert_eq!(rows, bitmaps, "shape {nrows}x{bits}");
         }
     }
 
     #[test]
-    fn fuse_rows_into_reuses_capacity_across_epochs() {
-        let mut m = ColMatrix::new(0, 0);
-        let mut weights = Vec::new();
-        m.fuse_rows_into(&splitmix_bitmaps(70, 500, 1), &mut weights);
-        let data_cap = m.data.capacity();
-        let w_cap = weights.capacity();
-        // A same-shape refuse must not grow either allocation.
-        m.fuse_rows_into(&splitmix_bitmaps(70, 500, 2), &mut weights);
-        assert_eq!(m.data.capacity(), data_cap);
-        assert_eq!(weights.capacity(), w_cap);
-        assert_eq!(
-            ColMatrix::from_router_bitmaps_per_bit(&splitmix_bitmaps(70, 500, 2)),
-            m
-        );
+    fn gather_from_rows_is_select_columns_and_reuses_allocation() {
+        let bitmaps = splitmix_bitmaps(70, 200, 3);
+        let m = ColMatrix::from_router_bitmaps(&bitmaps);
+        let mut out = ColMatrix::new(0, 0);
+        out.gather_from_rows(&bitmaps, &[1, 5, 199, 64, 5]);
+        assert_eq!(out, m.select_columns(&[1, 5, 199, 64, 5]));
+        let cap = out.data.capacity();
+        out.gather_from_rows(&bitmaps, &[0, 2, 198]);
+        assert_eq!(out.data.capacity(), cap);
+        assert_eq!(out, m.select_columns(&[0, 2, 198]));
+        out.gather_from_rows(&bitmaps, &[]);
+        assert_eq!((out.nrows(), out.ncols()), (70, 0));
     }
 
     #[test]
-    fn select_columns_into_reuses_allocation() {
-        let m = ColMatrix::from_router_bitmaps(&splitmix_bitmaps(10, 100, 3));
-        let mut out = ColMatrix::new(0, 0);
-        m.select_columns_into(&[1, 5, 99], &mut out);
-        let cap = out.data.capacity();
-        m.select_columns_into(&[0, 2, 98], &mut out);
-        assert_eq!(out.data.capacity(), cap);
-        assert_eq!(out.column(0), m.column(0));
-        assert_eq!(out.column(1), m.column(2));
-        assert_eq!(out.column(2), m.column(98));
+    #[should_panic(expected = "out of range 200")]
+    fn gather_rejects_a_column_past_the_width() {
+        ColMatrix::new(0, 0).gather_from_rows(&splitmix_bitmaps(2, 200, 4), &[200]);
     }
 }

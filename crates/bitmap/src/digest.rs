@@ -114,8 +114,8 @@ impl Bitmap {
 /// ([`u64::from_le_bytes`]): wire frames carry variable-length headers,
 /// so the word region has no alignment guarantee.
 ///
-/// This is the zero-copy leaf of the streaming ingest path: the fusion
-/// transpose reads router digests straight out of the received frame
+/// This is the zero-copy leaf of the streaming ingest path: the centre
+/// counts and stacks router digests straight out of the received frame
 /// bytes through the [`WordSource`] impl, with no intermediate digest
 /// allocation.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]

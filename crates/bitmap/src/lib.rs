@@ -6,10 +6,12 @@
 //! * the **data-collection modules** fill a [`Bitmap`] per measurement epoch
 //!   (one hashed bit per packet payload, Section III-A of the paper) or a
 //!   bank of small bitmaps (offset sampling + flow splitting, Section IV-A);
-//! * the **analysis module** fuses shipped digests into a [`RowMatrix`]
-//!   (unaligned case: thousands of 1,024-bit rows) or a [`ColMatrix`]
-//!   (aligned case: millions of m-bit columns) and runs word-level
-//!   AND/popcount kernels over them.
+//! * the **analysis module** stacks shipped digests into a [`RowMatrix`]
+//!   (unaligned case: thousands of 1,024-bit rows) or, in the aligned
+//!   case, counts the m router bitmaps column by column where they lie
+//!   ([`ColumnCounts`]: bit-sliced counters, 64 columns a word) and
+//!   gathers only the n′ heaviest columns into a [`ColMatrix`]; both run
+//!   word-level AND/popcount kernels.
 //!
 //! Everything is stored as packed `u64` words. The crate-wide invariant is
 //! that **bits past the logical length are always zero**, so `count_ones`
@@ -22,6 +24,7 @@
 
 mod bitmap;
 mod col_matrix;
+mod column_counts;
 mod digest;
 mod row_matrix;
 #[cfg(target_arch = "x86_64")]
@@ -35,6 +38,7 @@ mod proptests;
 
 pub use bitmap::Bitmap;
 pub use col_matrix::ColMatrix;
+pub use column_counts::ColumnCounts;
 pub use digest::{BitmapView, DecodeError, DIGEST_MAGIC};
 pub use row_matrix::RowMatrix;
 pub use source::WordSource;

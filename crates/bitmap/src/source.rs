@@ -1,12 +1,16 @@
 //! Read-only word-level access to bit-vector rows.
 //!
-//! The fusion transpose ([`ColMatrix::fuse_rows_into`]) consumes rows
-//! word by word and does not care whether they are owned [`Bitmap`]s or
-//! borrowed wire views ([`BitmapView`]); this trait is the one seam
-//! between the two, so the zero-copy ingest path and the owned path
-//! share a single transpose implementation.
+//! The centre's aligned path works on the rows it receives: the column
+//! counts ([`ColumnCounts::count`]), the gather of the n′ screened
+//! columns ([`ColMatrix::gather_from_rows`]) and the unaligned row
+//! stacking ([`RowMatrix::fill_rows_sharded`]) read rows word by word
+//! and do not care whether they are owned [`Bitmap`]s or borrowed wire
+//! views ([`BitmapView`]); this trait is the one seam between the two,
+//! so the zero-copy ingest path and the owned path share every kernel.
 //!
-//! [`ColMatrix::fuse_rows_into`]: crate::ColMatrix::fuse_rows_into
+//! [`ColumnCounts::count`]: crate::ColumnCounts::count
+//! [`ColMatrix::gather_from_rows`]: crate::ColMatrix::gather_from_rows
+//! [`RowMatrix::fill_rows_sharded`]: crate::RowMatrix::fill_rows_sharded
 //! [`BitmapView`]: crate::BitmapView
 
 use crate::words::words_for;

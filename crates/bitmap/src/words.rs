@@ -472,7 +472,7 @@ pub fn iter_ones(words: &[u64]) -> impl Iterator<Item = usize> + '_ {
 }
 
 /// Iterator over set-bit positions inside a single word.
-struct OnesInWord(u64);
+pub(crate) struct OnesInWord(pub(crate) u64);
 
 impl Iterator for OnesInWord {
     type Item = usize;

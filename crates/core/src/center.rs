@@ -8,7 +8,7 @@ use crate::report::{AlignedReport, EpochReport, TransportStats, UnalignedReport}
 use crate::session::CollectedEpoch;
 use crate::stages::{Stage, StageRecorder};
 use dcs_aligned::{refined_detect_cached, SearchConfig, SearchScratch};
-use dcs_bitmap::{BitmapView, ColMatrix, RowMatrix};
+use dcs_bitmap::{BitmapView, RowMatrix};
 use dcs_obs::{MetricsRegistry, MetricsSnapshot};
 use dcs_parallel::ComputeBudget;
 use dcs_sketch::{decode_sketch, SketchDomain, SketchWire};
@@ -85,17 +85,14 @@ impl AnalysisConfig {
 }
 
 /// Reusable per-epoch buffers, owned by the centre and recycled across
-/// epochs: after the first epoch of a given deployment shape, fusing an
-/// epoch allocates nothing — digests stream from the wire frames straight
-/// into these buffers.
+/// epochs: after the first epoch of a given deployment shape, counting
+/// and stacking an epoch allocates nothing — digests are read where they
+/// lie in the wire frames, and only what is derived from them lands in
+/// these buffers.
 #[derive(Debug)]
 struct EpochScratch {
-    /// The fused aligned m×n column matrix.
-    matrix: ColMatrix,
-    /// Per-column weights, accumulated incrementally during fusion (spares
-    /// the search its screening popcount pass).
-    col_weights: Vec<u32>,
-    /// Aligned-search scratch (screen order, work matrix, fan-out buffers).
+    /// Aligned-search scratch (column-count planes, screen order, work
+    /// matrix, fan-out buffers).
     search: SearchScratch,
     /// The vertically stacked unaligned arrays.
     urows: RowMatrix,
@@ -106,8 +103,6 @@ struct EpochScratch {
 impl EpochScratch {
     fn new() -> Self {
         EpochScratch {
-            matrix: ColMatrix::new(0, 0),
-            col_weights: Vec::new(),
             search: SearchScratch::new(),
             urows: RowMatrix::new(0),
             group_owner: Vec::new(),
@@ -234,8 +229,8 @@ impl AnalysisCenter {
     /// [`EpochCollector`](crate::session::EpochCollector) or built by
     /// [`CollectedEpoch::from_frames`]. Each frame is validated in place
     /// and viewed through [`RouterDigestView`]; accepted digests are
-    /// fused into the centre's reusable scratch straight from the frame
-    /// bytes, with no intermediate owned digest.
+    /// counted and stacked into the centre's reusable scratch straight
+    /// from the frame bytes, with no intermediate owned digest.
     ///
     /// The epoch's transport exclusions (timed-out, checksum-dead or
     /// incomplete sessions) enter the ingest accounting ahead of the
@@ -428,13 +423,6 @@ impl AnalysisCenter {
         let budget = search.compute;
         let threads = budget.effective_threads();
 
-        // Aligned pipeline, stage 1: fuse per-router bitmaps into the
-        // m×n matrix with incremental column weights.
-        rec.run(Stage::Fuse, || {
-            let rows: Vec<BitmapView<'_>> = digests.iter().map(|d| d.aligned.bitmap).collect();
-            s.matrix
-                .fuse_rows_into_sharded(&rows, &mut s.col_weights, threads);
-        });
         // Unaligned pipeline, stage 1: stack arrays and map ownership.
         // Validation left only non-empty digests of one array width.
         let k = digests.first().map_or(1, |d| d.unaligned.arrays_per_group);
@@ -456,13 +444,14 @@ impl AnalysisCenter {
         // for the report. Runs (and records its span) every epoch,
         // sketches or not, so the stage keys exist in every snapshot.
         let payloads: Vec<&[u8]> = digests.iter().filter_map(|d| d.sketch_payload()).collect();
-        let ncols = s.matrix.ncols();
+        let rows: Vec<BitmapView<'_>> = digests.iter().map(|d| d.aligned.bitmap).collect();
+        let ncols = rows.first().map_or(0, BitmapView::len);
         let (sketch, _) = rec.run(Stage::SketchFuse, || self.fuse_sketches(&payloads, ncols));
 
-        // Aligned stages 3–6 are timed inside the search layer; record
-        // its per-stage split under the stage names.
-        let (det, search_t, work) =
-            refined_detect_cached(&s.matrix, &s.col_weights, &search, &mut s.search);
+        // The other aligned stages run on the router bitmaps where they
+        // lie in the frames and are timed inside the search layer;
+        // record its per-stage split under the stage names.
+        let (det, search_t, work) = refined_detect_cached(&rows, &search, &mut s.search);
         // Scan-work accounting. The scanned/pruned split depends on the
         // worker partition, so those land in last-epoch gauges; their sum
         // covers the same candidate set under any partition and is safe
@@ -473,6 +462,7 @@ impl AnalysisCenter {
         let g = |name: &str, v: u64| self.metrics.gauge(name, &[]).set(v);
         g("search_pairs_scanned", work.pairs_scanned);
         g("search_pairs_pruned", work.pairs_pruned);
+        rec.record(Stage::Fuse, search_t.count_ns);
         rec.record(Stage::Screen, search_t.screen_ns);
         rec.record(Stage::CoreFind, search_t.core_ns);
         rec.record(Stage::Sweep, search_t.expand_ns);
@@ -621,21 +611,19 @@ impl AnalysisCenter {
         }
     }
 
-    /// Capacities of the most recently recycled epoch scratch:
-    /// fused-matrix words, weight slots, stacked unaligned words,
-    /// group-owner slots, then the aligned search's
-    /// [`SearchScratch::capacities`].
+    /// Capacities of the most recently recycled epoch scratch: stacked
+    /// unaligned words, group-owner slots, then the aligned search's
+    /// [`SearchScratch::capacities`] (count-plane words first).
     /// Steady-state epochs of one deployment shape must not grow any of
-    /// these — the no-allocation invariant the zero-copy fusion path is
+    /// these — the no-allocation invariant the zero-copy ingest path is
     /// built around.
-    pub fn scratch_capacities(&self) -> [usize; 7] {
+    pub fn scratch_capacities(&self) -> [usize; 6] {
         let s = self.take_scratch();
-        let [order, work, fanouts] = s.search.capacities();
+        let [planes, order, work, fanouts] = s.search.capacities();
         let caps = [
-            s.matrix.word_capacity(),
-            s.col_weights.capacity(),
             s.urows.word_capacity(),
             s.group_owner.capacity(),
+            planes,
             order,
             work,
             fanouts,
@@ -979,14 +967,14 @@ mod tests {
 
     /// After warm-up the scratch must hold steady: re-analysing epochs
     /// of the same shape regrows no internal buffer (the zero
-    /// per-epoch-allocation invariant of the fusion path).
+    /// per-epoch-allocation invariant of the ingest path).
     #[test]
     fn epoch_scratch_holds_steady_across_epochs() {
         let center = AnalysisCenter::new(AnalysisConfig::for_groups(32));
         analyze_bare(&center, &wire_frames(9, 8)).expect("quorum");
         let warm = center.scratch_capacities();
-        assert!(warm[0] > 0, "fused matrix never materialised");
-        assert!(warm[2] > 0, "unaligned rows never materialised");
+        assert!(warm[0] > 0, "unaligned rows never materialised");
+        assert!(warm[2] > 0, "column-count planes never materialised");
         for epoch in 0..3 {
             let frames = wire_frames(10 + epoch, 8);
             analyze_bare(&center, &frames).expect("quorum");

@@ -23,19 +23,21 @@ use std::time::Instant;
 /// One named stage of a detection pipeline.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Stage {
-    /// Aligned: fuse per-router bitmaps into the m×n column matrix,
-    /// accumulating column weights.
+    /// Aligned: count every column's weight across the per-router
+    /// bitmaps, where they lie in the frames, into bit-sliced counters.
     Fuse,
     /// Aligned: merge the epoch's sidecar heavy-hitter sketches and list
     /// the fused top-k content-index columns in the report. Runs (and
     /// records a span) every epoch, even with no sketches.
     SketchFuse,
-    /// Aligned: rank columns and materialise the n′ heaviest.
+    /// Aligned: find the cut weight over the counters, rank the n′
+    /// heaviest columns and gather them from the rows.
     Screen,
     /// Aligned: greedy product search for the core, including the
     /// termination-procedure read of the weight curve.
     CoreFind,
-    /// Aligned: expansion sweep of the core row vector across all columns.
+    /// Aligned: expansion sweep — count the core's rows in every column
+    /// and keep the columns within γ of the core's weight.
     Sweep,
     /// Aligned: natural-occurrence verdict and report assembly.
     Terminate,

@@ -69,28 +69,6 @@ impl ComputeBudget {
     }
 }
 
-/// Partitions the column range `0..ncols` into at most `shards`
-/// contiguous ranges whose interior boundaries are multiples of `align`
-/// (pass 1 for unconstrained cuts, 64 to keep 64-column word tiles whole
-/// so a tile never straddles two shards).
-///
-/// The plan is a pure function of `(ncols, shards, align)` — it never
-/// consults the machine — and the ranges cover `0..ncols` exactly, in
-/// ascending order, with no empty range. Shard *contents* being
-/// position-independent is what lets every sharded stage merge results
-/// deterministically.
-pub fn shard_columns(ncols: usize, shards: usize, align: usize) -> Vec<Range<usize>> {
-    let align = align.max(1);
-    if ncols == 0 {
-        return Vec::new();
-    }
-    let units = ncols.div_ceil(align);
-    split_range(units, shards.max(1))
-        .into_iter()
-        .map(|r| (r.start * align)..(r.end * align).min(ncols))
-        .collect()
-}
-
 /// Runs `jobs` across at most `workers` scoped threads, assigning each
 /// worker a contiguous block of jobs (the [`split_range`] split) and
 /// consuming every job exactly once. Jobs carry their own inputs and
@@ -228,35 +206,6 @@ mod proptests {
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(96))]
 
-        // The degenerate regimes tiered fusion leans on: `shards` far
-        // beyond `ncols / align` must still yield an exact, ascending,
-        // aligned cover of `0..ncols` with NO empty range — a zero-width
-        // range would hand `split_at_mut` carving (ColMatrix /
-        // RowMatrix sharded fills) an empty slice and a worker no work.
-        #[test]
-        fn shard_columns_plan_is_sound_at_extreme_shard_counts(
-            ncols in 0usize..5000,
-            shards in 1usize..2_000_000,
-            align_pick in 0usize..4,
-        ) {
-            let align = [1usize, 3, 64, 1000][align_pick];
-            let ranges = shard_columns(ncols, shards, align);
-            if ncols == 0 {
-                prop_assert!(ranges.is_empty());
-                return Ok(());
-            }
-            let mut next = 0;
-            for r in &ranges {
-                prop_assert_eq!(r.start, next, "gap/overlap at {}", r.start);
-                prop_assert!(!r.is_empty(), "empty range at {}", r.start);
-                prop_assert_eq!(r.start % align, 0, "unaligned cut at {}", r.start);
-                next = r.end;
-            }
-            prop_assert_eq!(next, ncols, "cover must end at ncols");
-            prop_assert!(ranges.len() <= shards);
-            prop_assert!(ranges.len() <= ncols.div_ceil(align));
-        }
-
         #[test]
         fn split_range_never_returns_empty_ranges(
             len in 0usize..10_000,
@@ -366,31 +315,6 @@ mod tests {
         for threads in [1usize, 3, 64] {
             let b = ComputeBudget::with_threads(threads);
             assert_eq!(b.resolved(), b, "explicit count must be the identity");
-        }
-    }
-
-    #[test]
-    fn shard_columns_cover_exactly_and_respect_alignment() {
-        for &(ncols, shards, align) in &[
-            (0usize, 4usize, 64usize),
-            (1, 4, 64),
-            (64, 4, 64),
-            (100, 3, 1),
-            (1000, 4, 64),
-            (4096, 8, 64),
-            (4097, 8, 64),
-            (130, 200, 64),
-        ] {
-            let ranges = shard_columns(ncols, shards, align);
-            let mut next = 0;
-            for r in &ranges {
-                assert_eq!(r.start, next, "{ncols}/{shards}/{align}");
-                assert!(!r.is_empty(), "{ncols}/{shards}/{align}");
-                assert_eq!(r.start % align, 0, "unaligned cut at {}", r.start);
-                next = r.end;
-            }
-            assert_eq!(next, ncols, "{ncols}/{shards}/{align}");
-            assert!(ranges.len() <= shards.max(1));
         }
     }
 

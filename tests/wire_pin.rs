@@ -102,7 +102,7 @@ fn screened_detection_is_pinned() {
             mat.set(r, c);
         }
     }
-    let weights = mat.col_weights();
+    let rows = mat.row_bitmaps();
     for threads in [1, 2] {
         let cfg = SearchConfig {
             n_prime: 1_000,
@@ -111,7 +111,7 @@ fn screened_detection_is_pinned() {
             ..SearchConfig::default()
         };
         let mut scratch = SearchScratch::new();
-        let (det, _, _) = refined_detect_cached(&mat, &weights, &cfg, &mut scratch);
+        let (det, _, _) = refined_detect_cached(&rows, &cfg, &mut scratch);
         assert!(det.found, "planted 20 x 30 pattern not found");
         let mut h = Fnv1a::new();
         hash_detection(&det, &mut h);
@@ -197,7 +197,7 @@ fn search_results_are_pinned() {
         ),
     ];
     for (name, mat, want, want_work) in &cases {
-        let weights = mat.col_weights();
+        let rows = mat.row_bitmaps();
         for threads in [1, 2, 8] {
             let cfg = SearchConfig {
                 n_prime: 1_000,
@@ -206,7 +206,7 @@ fn search_results_are_pinned() {
                 ..SearchConfig::default()
             };
             let mut scratch = SearchScratch::new();
-            let (det, _, work) = refined_detect_cached(mat, &weights, &cfg, &mut scratch);
+            let (det, _, work) = refined_detect_cached(&rows, &cfg, &mut scratch);
             let got = detection_pin(&det);
             assert_eq!(got, *want, "{name}, threads {threads}: got {got:#018x}");
             if threads == 1 {

@@ -1,7 +1,7 @@
 //! Typed, capped, CRC-covered **sidecar artifacts**.
 //!
 //! The epoch refactor that lets a bundle carry more than one summary:
-//! a DCSR (and DCSG) bundle ends in an optional *artifact section* —
+//! a DCSR bundle ends in an optional *artifact section* —
 //! a short list of `(kind, payload)` pairs, each individually
 //! CRC-guarded — so companion summaries (the `dcs-sketch` heavy-hitter
 //! sketch today, anything else tomorrow) ride beside the bitmap digest

@@ -30,9 +30,7 @@ pub mod session;
 pub mod stages;
 pub mod transport;
 
-pub use aggregate::{
-    AggregateBundle, AggregateError, Aggregator, ChildExclusion, ChildWeight, AGGREGATE_MAGIC,
-};
+pub use aggregate::{AggregateBundle, AggregateError, Aggregator, ChildExclusion, AGGREGATE_MAGIC};
 pub use capture::{GroupCapture, SignatureCapture};
 pub use center::{AnalysisCenter, AnalysisConfig};
 pub use clock::{Clock, ManualClock, TickClock};
@@ -57,9 +55,7 @@ pub use dcs_obs::{MetricsRegistry, MetricsSnapshot};
 
 /// Convenient glob-import surface.
 pub mod prelude {
-    pub use crate::aggregate::{
-        AggregateBundle, AggregateError, Aggregator, ChildExclusion, ChildWeight,
-    };
+    pub use crate::aggregate::{AggregateBundle, AggregateError, Aggregator, ChildExclusion};
     pub use crate::capture::{GroupCapture, SignatureCapture};
     pub use crate::center::{AnalysisCenter, AnalysisConfig};
     pub use crate::clock::{Clock, ManualClock, TickClock};

@@ -19,10 +19,11 @@
 //!   sketch, weighted by payload length, ranks those flows first.
 //!
 //! The harness replays the tiered soak's topology — leaves chunk their
-//! bundles over a lossy channel to regional aggregators, which pre-fuse
-//! and ship DCSG bundles over a second lossy hop to the centre (the same
-//! tiers as [`crate::tiered`]) — and checks that the planted keys rank in
-//! the sketch merged from the artifacts that survived both hops.
+//! bundles over a lossy channel to regional aggregators, which forward
+//! them verbatim in DCSG bundles over a second lossy hop to the centre
+//! (the same tiers as [`crate::tiered`]) — and checks that the planted
+//! keys rank in the sketch merged from the artifacts that survived both
+//! hops.
 //! Transport faults never panic: a failed quorum is a typed
 //! [`EpochOutcome`].
 

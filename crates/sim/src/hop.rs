@@ -197,15 +197,15 @@ pub(crate) struct Tier {
 
 /// Carries epochs up a list of tiers. The last tier is the centre's
 /// [`EpochCollector`]; every tier before it is a row of [`Aggregator`]s
-/// (level 1, 2, …) that pre-fuse what they collected and ship it up as
+/// (level 1, 2, …) that bundle what they collected and ship it up as
 /// ordinary chunks. Channels outlive the epoch: frames still in flight
 /// when an epoch closes arrive in the next one, late.
 #[derive(Debug)]
 pub(crate) struct TierDriver {
     tiers: Vec<(Tier, Vec<LossyChannel>)>,
     max_payload: usize,
-    /// What the aggregation tiers report (fuse spans, forwarded bytes,
-    /// per-fault child exclusions).
+    /// What the aggregation tiers report (finalize spans, forwarded
+    /// bytes, per-fault child exclusions).
     pub agg_metrics: MetricsRegistry,
 }
 

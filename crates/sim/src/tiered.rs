@@ -6,7 +6,7 @@
 //! instead: each epoch, every leaf chunks its digest bundle onto its
 //! region's [`LossyChannel`](crate::channel::LossyChannel); a per-region
 //! [`Aggregator`](dcs_core::aggregate::Aggregator) reassembles the child
-//! hop, pre-fuses the epoch into one [`AggregateBundle`] and ships it —
+//! hop, forwards the epoch as one [`AggregateBundle`] and ships it —
 //! as ordinary DCSC chunks — over a second lossy hop to the centre's
 //! [`EpochCollector`](dcs_core::session::EpochCollector), which feeds
 //! `analyze_epoch_aggregated_collected`. The hops are tiers of the
@@ -137,8 +137,8 @@ pub struct TieredSoakResult {
     pub up_totals: TransportStats,
     /// Ticks the virtual clock advanced.
     pub ticks: u64,
-    /// The aggregation tier's metrics (per-level fuse spans, forwarded
-    /// bytes, per-fault child exclusions).
+    /// The aggregation tier's metrics (per-level finalize spans,
+    /// forwarded bytes, per-fault child exclusions).
     pub agg_metrics: dcs_core::MetricsSnapshot,
     /// The centre's metrics.
     pub metrics: dcs_core::MetricsSnapshot,
@@ -232,8 +232,8 @@ pub fn run_tiered_soak(cfg: &TieredSoakConfig) -> TieredSoakResult {
 /// Runs the *deep* soak: leaves → level-1 regional aggregators → one
 /// level-2 super-aggregator → centre, with an independent lossy hop
 /// between every tier. The level-2 aggregator receives whole DCSG
-/// bundles as its child frames and flattens them (leaf frames spliced,
-/// fused bitmaps OR-merged, exclusions re-wrapped one
+/// bundles as its child frames and flattens them (leaf frames spliced
+/// verbatim, exclusions re-wrapped one
 /// [`dcs_core::ingest::RouterFault::AtLevel`] deeper), so the centre
 /// still counts quorum in *leaves* after three aggregation levels.
 pub fn run_tiered_soak_deep(cfg: &TieredSoakConfig) -> TieredSoakResult {
@@ -368,7 +368,7 @@ mod tests {
                 .agg_metrics
                 .gauge("aggregate_fuse_ns{level=1}")
                 .is_some(),
-            "aggregator tier must record its fuse span"
+            "aggregator tier must record its finalize span"
         );
         // The centre's unaligned graph engine ran: the pair-accounting
         // counter exists and work happened.
@@ -399,20 +399,20 @@ mod tests {
             assert!(r.ingest.submitted <= cfg.leaves);
             assert!(r.ingest.accepted.len() >= cfg.min_quorum);
         }
-        // Both aggregation levels recorded fuse spans.
+        // Both aggregation levels recorded finalize spans.
         assert!(
             result
                 .agg_metrics
                 .gauge("aggregate_fuse_ns{level=1}")
                 .is_some(),
-            "level-1 fuse span missing"
+            "level-1 finalize span missing"
         );
         assert!(
             result
                 .agg_metrics
                 .gauge("aggregate_fuse_ns{level=2}")
                 .is_some(),
-            "level-2 fuse span missing"
+            "level-2 finalize span missing"
         );
     }
 

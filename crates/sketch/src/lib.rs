@@ -33,7 +33,7 @@
 //! produce byte-equal sketches regardless of arrival order interleaving
 //! across merges of the same partition. The wire codec ([`wire`])
 //! serialises either sketch into the `DCSS` artifact payload carried by
-//! DCSR/DCSG bundles, with every count capped and pre-checked before
+//! DCSR bundles, with every count capped and pre-checked before
 //! allocation, mirroring `dcs-collect`'s decoder discipline.
 
 #![forbid(unsafe_code)]

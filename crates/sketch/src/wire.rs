@@ -1,6 +1,6 @@
 //! `DCSS` — the sketch artifact payload format.
 //!
-//! A sketch rides inside the generic artifact section of a DCSR/DCSG
+//! A sketch rides inside the generic artifact section of a DCSR
 //! bundle (`dcs-collect::artifact` frames it with a length cap and a
 //! CRC-32 trailer); this codec only defines the payload itself:
 //!

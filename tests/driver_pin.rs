@@ -8,6 +8,16 @@
 //! constants were captured before the drivers shared one hop loop; they
 //! change only when a driver's behaviour does. Wall-clock metrics are
 //! left out.
+//!
+//! A tiered pin comes in two halves. [`Pin::verdicts`] hashes what the
+//! aggregation tier must never move: the epoch outcomes, the child-hop
+//! stats and (attack) the key ranks and delivered artifacts.
+//! [`Pin::upstream`] hashes the upstream-hop stats (and ticks), which
+//! move whenever a bundle's size does: a bundle of a different length is
+//! a different number of chunks through the seeded upstream channel.
+//! The upstream halves were last re-captured when bundles stopped
+//! carrying the OR-fused bitmap, the weight sidecar and the merged
+//! sketch; the verdict halves are the parent's, byte for byte.
 
 use dcs_core::report::TransportStats;
 use dcs_hash::Fnv1a;
@@ -45,13 +55,26 @@ fn soak_pin(cfg: &SoakConfig) -> u64 {
     h.finish()
 }
 
-fn tiered_pin(r: &TieredSoakResult) -> u64 {
-    let mut h = Fnv1a::new();
-    pin_outcomes(&mut h, r.outcomes.iter());
-    pin_stats(&mut h, &r.leaf_totals);
-    pin_stats(&mut h, &r.up_totals);
-    h.update(&r.ticks.to_le_bytes());
-    h.finish()
+/// The two halves of a tiered driver's pin.
+#[derive(Debug, PartialEq, Eq)]
+struct Pin {
+    /// Outcomes, child-hop stats (and attack ranks / artifacts).
+    verdicts: u64,
+    /// Upstream-hop stats (and ticks).
+    upstream: u64,
+}
+
+fn tiered_pin(r: &TieredSoakResult) -> Pin {
+    let mut verdicts = Fnv1a::new();
+    pin_outcomes(&mut verdicts, r.outcomes.iter());
+    pin_stats(&mut verdicts, &r.leaf_totals);
+    let mut upstream = Fnv1a::new();
+    pin_stats(&mut upstream, &r.up_totals);
+    upstream.update(&r.ticks.to_le_bytes());
+    Pin {
+        verdicts: verdicts.finish(),
+        upstream: upstream.finish(),
+    }
 }
 
 #[test]
@@ -81,21 +104,35 @@ fn attack_driver_replays_its_pinned_run() {
         3,
         7,
     ));
-    let mut h = Fnv1a::new();
-    pin_outcomes(&mut h, r.epochs.iter().map(|e| &e.outcome));
+    let mut verdicts = Fnv1a::new();
+    pin_outcomes(&mut verdicts, r.epochs.iter().map(|e| &e.outcome));
     for e in &r.epochs {
         for rank in &e.attack_key_ranks {
-            h.update(&rank.map_or(u64::MAX, |r| r as u64).to_le_bytes());
+            verdicts.update(&rank.map_or(u64::MAX, |r| r as u64).to_le_bytes());
         }
-        h.update(&(e.artifacts_delivered as u64).to_le_bytes());
+        verdicts.update(&(e.artifacts_delivered as u64).to_le_bytes());
     }
-    pin_stats(&mut h, &r.leaf_totals);
-    pin_stats(&mut h, &r.up_totals);
-    assert_eq!(h.finish(), ATTACK_PIN);
+    pin_stats(&mut verdicts, &r.leaf_totals);
+    let mut upstream = Fnv1a::new();
+    pin_stats(&mut upstream, &r.up_totals);
+    let pin = Pin {
+        verdicts: verdicts.finish(),
+        upstream: upstream.finish(),
+    };
+    assert_eq!(pin, ATTACK_PIN);
 }
 
 const SOAK_PIN: u64 = 0x1e0f_8618_ac30_ab76;
 const KILLED_SOAK_PIN: u64 = 0x794c_1191_31df_c546;
-const TIERED_PIN: u64 = 0x561b_9723_d1a3_5474;
-const DEEP_PIN: u64 = 0x565d_8672_9277_cb45;
-const ATTACK_PIN: u64 = 0xb633_57c4_3c6b_bff4;
+const TIERED_PIN: Pin = Pin {
+    verdicts: 0x42fa_e671_9563_98a1,
+    upstream: 0x9d6f_a63d_6b3e_b7f5,
+};
+const DEEP_PIN: Pin = Pin {
+    verdicts: 0x42fa_e671_9563_98a1,
+    upstream: 0x3009_c9d6_8cee_2298,
+};
+const ATTACK_PIN: Pin = Pin {
+    verdicts: 0xf631_f0e3_ed63_3743,
+    upstream: 0x088a_9f40_f239_e6b2,
+};

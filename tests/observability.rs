@@ -187,16 +187,27 @@ fn excluded_bundles_feed_fault_labeled_counters() {
     assert_eq!(snap.counter("ingest_accepted_total"), Some(6));
 }
 
-/// Every metric family the centre emits — through either door — is named
-/// in backticks somewhere in DESIGN.md. A documented name with one `*`
-/// (`transport_*_total`) covers a family by prefix and suffix.
+/// Every metric family the centre emits — through either door — and
+/// every family an aggregator emits is named in backticks somewhere in
+/// DESIGN.md. A documented name with one `*` (`transport_*_total`)
+/// covers a family by prefix and suffix.
 #[test]
 fn every_emitted_metric_family_is_documented() {
     let epoch = CollectedEpoch::from_digests(&make_digests(38, 6));
     let center = center_with_threads(1);
     center.analyze_epoch_collected(&epoch).expect("quorum");
-    let children = (0u64..).zip(epoch.frames.into_iter().map(|(_, f)| f));
-    let bundle = AggregateBundle::assemble(0, 0, 1, children.collect(), Vec::new());
+    // One real aggregator over the same frames, finalizing into its own
+    // registry, feeds the aggregated door.
+    let children = 0..ROUTERS as u64;
+    let mut aggregator = Aggregator::new(0, 1, 0, children, CollectorConfig::default(), 1, 0);
+    for (index, frame) in &epoch.frames {
+        for chunk in chunk_bundle(*index as u64, 0, frame, DATAGRAM_SAFE_PAYLOAD) {
+            aggregator.offer(&chunk, 0);
+        }
+    }
+    let aggregator_metrics = MetricsRegistry::new();
+    let bundle = aggregator.finalize(0, &aggregator_metrics);
+    assert_eq!(bundle.frames.len(), ROUTERS, "every child delivered");
     center
         .analyze_epoch_aggregated_collected(&CollectedEpoch::from_frames(
             vec![bundle.encode_wire()],
@@ -220,10 +231,12 @@ fn every_emitted_metric_family_is_documented() {
             None => *doc == family,
         })
     };
-    let snap = center.metrics();
-    let keys = (snap.counters.iter().map(|c| &c.key))
-        .chain(snap.gauges.iter().map(|g| &g.key))
-        .chain(snap.histograms.iter().map(|h| &h.key));
+    let snaps = [center.metrics(), aggregator_metrics.snapshot()];
+    let keys = snaps.iter().flat_map(|snap| {
+        (snap.counters.iter().map(|c| &c.key))
+            .chain(snap.gauges.iter().map(|g| &g.key))
+            .chain(snap.histograms.iter().map(|h| &h.key))
+    });
     let mut undocumented: Vec<&str> = keys
         .map(|key| key.split('{').next().unwrap_or(key))
         .filter(|family| !is_documented(family))

@@ -336,7 +336,7 @@ mod fuzz {
                     }
                     3 => {
                         soup[..4].copy_from_slice(b"DCSG");
-                        soup[4] = 1;
+                        soup[4] = dcs_core::aggregate::AGGREGATE_VERSION;
                     }
                     _ => {
                         soup[..4].copy_from_slice(b"DCSK");

@@ -16,8 +16,7 @@
 //!   allocation (the same discipline as the digest decoders).
 //! * **CRC-covered** — each artifact carries a CRC-32 over
 //!   `kind ‖ len ‖ payload`; a flipped bit in one artifact drops that
-//!   bundle at the ingest boundary instead of feeding a corrupt sketch
-//!   into fusion.
+//!   bundle at the ingest boundary as a typed wire fault.
 //!
 //! ```text
 //! count u16 | count × ( kind u32 | len u32 | payload | crc32 u32 )
@@ -34,8 +33,8 @@ use dcs_hash::Crc32;
 
 /// Maximum artifacts per section.
 pub const MAX_ARTIFACTS: usize = 8;
-/// Maximum payload bytes per artifact (a sketch at the decoder cap is
-/// ~1 MiB of entries; digests themselves run far larger).
+/// Maximum payload bytes per artifact (the monitoring point's sketch cap
+/// is derived from it; digests themselves run far larger).
 pub const MAX_ARTIFACT_PAYLOAD: usize = 1 << 20;
 /// FourCC of the `dcs-sketch` heavy-hitter sketch payload.
 pub const ARTIFACT_KIND_SKETCH: u32 = u32::from_le_bytes(*b"DCSS");

@@ -3,7 +3,6 @@
 
 use crate::ingest::{self, Exclusion, IngestError, IngestReport, RouterFault};
 use crate::monitor::{RouterDigest, RouterDigestView};
-use crate::report::SketchReport;
 use crate::report::{AlignedReport, EpochReport, TransportStats, UnalignedReport};
 use crate::session::CollectedEpoch;
 use crate::stages::{Stage, StageRecorder};
@@ -11,7 +10,6 @@ use dcs_aligned::{refined_detect_cached, SearchConfig, SearchScratch};
 use dcs_bitmap::{BitmapView, RowMatrix};
 use dcs_obs::{MetricsRegistry, MetricsSnapshot};
 use dcs_parallel::ComputeBudget;
-use dcs_sketch::{decode_sketch, SketchDomain, SketchWire};
 use dcs_unaligned::{
     build_group_graph_parallel, er_test, find_pattern, CoreFindConfig, ErTestConfig, GroupLayout,
     IncrementalConfig, IncrementalCorrelator, LambdaStore,
@@ -48,10 +46,6 @@ pub struct AnalysisConfig {
     /// all-pairs build ([`dcs_unaligned::build_group_graph_parallel`]).
     pub ugraph: IncrementalConfig,
 }
-
-/// How many of the fused content-index sketch's heaviest columns an
-/// epoch report lists ([`SketchReport::top_columns`]).
-const SKETCH_REPORT_TOP_K: usize = 16;
 
 fn default_min_quorum() -> usize {
     1
@@ -440,17 +434,10 @@ impl AnalysisCenter {
             }
         });
 
-        // Aligned pipeline, stage 2: merge the bundles' sidecar sketches
-        // for the report. Runs (and records its span) every epoch,
-        // sketches or not, so the stage keys exist in every snapshot.
-        let payloads: Vec<&[u8]> = digests.iter().filter_map(|d| d.sketch_payload()).collect();
+        // The aligned stages run on the router bitmaps where they lie in
+        // the frames and are timed inside the search layer; record its
+        // per-stage split under the stage names.
         let rows: Vec<BitmapView<'_>> = digests.iter().map(|d| d.aligned.bitmap).collect();
-        let ncols = rows.first().map_or(0, BitmapView::len);
-        let (sketch, _) = rec.run(Stage::SketchFuse, || self.fuse_sketches(&payloads, ncols));
-
-        // The other aligned stages run on the router bitmaps where they
-        // lie in the frames and are timed inside the search layer;
-        // record its per-stage split under the stage names.
         let (det, search_t, work) = refined_detect_cached(&rows, &search, &mut s.search);
         // Scan-work accounting. The scanned/pruned split depends on the
         // worker partition, so those land in last-epoch gauges; their sum
@@ -493,84 +480,8 @@ impl AnalysisCenter {
             aligned,
             unaligned,
             ingest,
-            sketch,
             transport: TransportStats::default(),
         }
-    }
-
-    /// Merges the epoch's sidecar sketch payloads into one fused sketch
-    /// and reports its heaviest columns: the fused top-k of a
-    /// content-index Space-Saving sketch, clipped to the matrix width.
-    /// The sketch is a reporting artifact — nothing here feeds detection.
-    /// Payloads that fail to decode — or that disagree with the first
-    /// decodable one on kind, domain or shape — are skipped. All
-    /// accounting lands in the `sketch_*` metric families (registered
-    /// every epoch, so the keys exist even at zero).
-    fn fuse_sketches(&self, payloads: &[&[u8]], ncols: usize) -> SketchReport {
-        let mut report = SketchReport {
-            artifacts: payloads.len(),
-            ..SketchReport::default()
-        };
-        let mut fused: Option<SketchWire> = None;
-        for payload in payloads {
-            report.payload_bytes += payload.len() as u64;
-            let Ok(wire) = decode_sketch(payload) else {
-                report.skipped += 1;
-                continue;
-            };
-            match (&mut fused, wire) {
-                (None, wire) => {
-                    fused = Some(wire);
-                    report.merged += 1;
-                }
-                (
-                    Some(SketchWire::SpaceSaving { domain, sketch }),
-                    SketchWire::SpaceSaving {
-                        domain: d2,
-                        sketch: other,
-                    },
-                ) if *domain == d2 && sketch.cap() == other.cap() => {
-                    sketch.merge(&other);
-                    report.merged += 1;
-                }
-                (
-                    Some(SketchWire::Distinct { domain, sketch }),
-                    SketchWire::Distinct {
-                        domain: d2,
-                        sketch: other,
-                    },
-                ) if *domain == d2
-                    && sketch.cap() == other.cap()
-                    && sketch.kmv_size() == other.kmv_size() =>
-                {
-                    sketch.merge(&other);
-                    report.merged += 1;
-                }
-                _ => report.skipped += 1,
-            }
-        }
-        if let Some(SketchWire::SpaceSaving { domain, sketch }) = &fused {
-            if *domain == SketchDomain::ContentIndex.to_u8() {
-                report.top_columns = sketch
-                    .top_k(SKETCH_REPORT_TOP_K)
-                    .iter()
-                    .map(|h| h.key as usize)
-                    .filter(|&c| c < ncols)
-                    .collect();
-            }
-        }
-        let c = |name: &str, v: u64| self.metrics.counter(name, &[]).add(v);
-        c("sketch_artifacts_total", report.artifacts as u64);
-        c("sketch_merged_total", report.merged as u64);
-        c("sketch_skipped_total", report.skipped as u64);
-        c("sketch_payload_bytes_total", report.payload_bytes);
-        self.metrics
-            .gauge("sketch_top_columns", &[])
-            .set(report.top_columns.len() as u64);
-        self.metrics
-            .histogram("sketch_payload_bytes", &[])
-            .observe(report.payload_bytes);
-        report
     }
 
     /// Feeds one epoch's ingest accounting into the counter families.
@@ -1343,20 +1254,20 @@ mod tests {
         assert!(report.transport.chunks_received > 0, "stats not stamped");
     }
 
-    /// Sketch-carrying bundles are merged in the `sketch_fuse` stage and
-    /// the fused top-k lands in the report: every artifact is accounted,
-    /// and the column of a genuinely heavy content key is listed.
+    /// Detection never reads the artifact section: one epoch shipped as
+    /// v2 frames carrying each monitor's `heavy_content` sketch, as the
+    /// same digests' v1 frames, and as v2 frames whose `DCSS` payload is
+    /// CRC-valid garbage gives one report and one deterministic metric
+    /// view (counters plus the key sets of every family), with no frame
+    /// excluded.
     #[test]
-    fn sketch_fuse_reports_the_heavy_columns() {
+    fn detection_ignores_the_artifact_section() {
         use crate::monitor::SketchSpec;
+        use dcs_collect::Artifact;
+
         let mut r = StdRng::seed_from_u64(71);
         let mcfg = MonitorConfig::small(7, 1 << 14, 4).with_sketch(SketchSpec::heavy_content(32));
-        // One single-packet object replayed 40× per router: a genuinely
-        // heavy content-index key, so the fused top-k lists its column.
-        let heavy = ContentObject::random_with_packets(&mut r, 1, 536);
-        let heavy_plant = Planting::aligned(heavy, 536);
-        let obj = ContentObject::random_with_packets(&mut r, 30, 536);
-        let plant = Planting::aligned(obj, 536);
+        let plant = Planting::aligned(ContentObject::random_with_packets(&mut r, 30, 536), 536);
         let bg = BackgroundConfig {
             packets: 800,
             flows: 200,
@@ -1364,55 +1275,60 @@ mod tests {
             size_mix: SizeMix::constant(536),
         };
         let routers = 24;
-        let mut digests = Vec::new();
-        for id in 0..routers {
-            let mut traffic = gen::generate_epoch(&mut r, &bg);
-            if id < 20 {
-                plant.plant_into(&mut r, &mut traffic);
-            }
-            for _ in 0..40 {
-                heavy_plant.plant_into(&mut r, &mut traffic);
-            }
-            let mut mp = MonitoringPoint::new(id, &mcfg);
-            mp.observe_all(&traffic);
-            digests.push(mp.finish_epoch());
+        let sketched: Vec<RouterDigest> = (0..routers)
+            .map(|id| {
+                let mut traffic = gen::generate_epoch(&mut r, &bg);
+                if id < 20 {
+                    plant.plant_into(&mut r, &mut traffic);
+                }
+                let mut mp = MonitoringPoint::new(id, &mcfg);
+                mp.observe_all(&traffic);
+                mp.finish_epoch()
+            })
+            .collect();
+        let with_artifacts = |artifacts: fn(&RouterDigest) -> Vec<Artifact>| {
+            let digests: Vec<RouterDigest> = (sketched.iter())
+                .map(|d| RouterDigest {
+                    artifacts: artifacts(d),
+                    ..d.clone()
+                })
+                .collect();
+            CollectedEpoch::from_digests(&digests)
+        };
+        let epochs = [
+            (with_artifacts(|d| d.artifacts.clone()), 2),
+            (with_artifacts(|_| Vec::new()), 1),
+            (
+                with_artifacts(|d| vec![Artifact::sketch(vec![0xA5; 19 + d.router_id])]),
+                2,
+            ),
+        ];
+        let run = |epoch: &CollectedEpoch| {
+            let center = search_center(routers);
+            let report = center.analyze_epoch_collected(epoch).expect("quorum");
+            let snap = center.metrics();
+            let counters: Vec<(String, u64)> = snap
+                .counters
+                .iter()
+                .map(|c| (c.key.clone(), c.value))
+                .collect();
+            let gauges: Vec<String> = snap.gauges.iter().map(|g| g.key.clone()).collect();
+            let hists: Vec<String> = snap.histograms.iter().map(|h| h.key.clone()).collect();
+            (report, (counters, gauges, hists))
+        };
+        let (want, want_metrics) = run(&epochs[0].0);
+        assert!(want.aligned.found, "planted content missed");
+        for (epoch, version) in &epochs {
+            assert!(epoch.frames.iter().all(|(_, f)| f[4] == *version));
+            let (got, metrics) = run(epoch);
+            assert!(got.ingest.excluded.is_empty(), "{:?}", got.ingest.excluded);
+            assert_eq!(
+                serde_json::to_string(&got).unwrap(),
+                serde_json::to_string(&want).unwrap(),
+                "v{version} frames"
+            );
+            assert_eq!(metrics, want_metrics, "v{version} frames");
         }
-        assert!(
-            digests[0].sketch_payload().is_some(),
-            "sketch not collected"
-        );
-
-        let mut acfg = AnalysisConfig::for_groups(routers * 4);
-        acfg.search.n_prime = 400;
-        acfg.search.hopefuls = 300;
-        let center = AnalysisCenter::new(acfg);
-        let a = center.analyze_epoch(&digests).expect("quorum");
-        assert!(a.aligned.found, "planted content missed");
-
-        assert_eq!(a.sketch.artifacts, routers);
-        assert_eq!(a.sketch.merged, routers);
-        assert_eq!(a.sketch.skipped, 0);
-        assert!(a.sketch.payload_bytes > 0);
-        assert!(!a.sketch.top_columns.is_empty(), "no top columns reported");
-        assert!(
-            a.aligned
-                .signature_indices
-                .contains(&a.sketch.top_columns[0]),
-            "the heaviest sketched column is in every router's bitmap"
-        );
-
-        let snap = center.metrics();
-        assert!(
-            snap.gauge("epoch_stage_ns{pipeline=aligned,stage=sketch_fuse}")
-                .unwrap_or(0)
-                >= 1,
-            "sketch_fuse stage never recorded"
-        );
-        assert_eq!(snap.counter("sketch_artifacts_total"), Some(routers as u64));
-        assert_eq!(snap.counter("sketch_merged_total"), Some(routers as u64));
-        assert!(snap.gauge("sketch_top_columns").unwrap_or(0) > 0);
-        assert!(snap.counter("search_candidates_total").unwrap_or(0) > 0);
-        assert!(snap.gauge("search_pairs_scanned").unwrap_or(0) > 0);
     }
 
     /// The incremental test-graph engine must be invisible in the

@@ -267,7 +267,6 @@ mod tests {
                     suspected_groups: vec![9, 11],
                 },
                 ingest: Default::default(),
-                sketch: Default::default(),
                 transport: Default::default(),
             },
             stable_aligned: false,

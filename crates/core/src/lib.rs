@@ -70,9 +70,7 @@ pub mod prelude {
         ImpairmentConfig, ImpairmentShim, MonitorEpochConfig, MonitorEpochEnd, MonitorSocket,
         Transport,
     };
-    pub use crate::report::{
-        AlignedReport, EpochReport, SketchReport, TransportStats, UnalignedReport,
-    };
+    pub use crate::report::{AlignedReport, EpochReport, TransportStats, UnalignedReport};
     pub use crate::session::{
         CollectedEpoch, CollectorConfig, EpochCollector, RetransmitRequest, SessionConfig,
         StragglerPolicy,

@@ -5,13 +5,12 @@ use dcs_collect::{
     artifact, AlignedCollector, AlignedConfig, AlignedDigest, AlignedDigestView, Artifact,
     UnalignedCollector, UnalignedConfig, UnalignedDigest, UnalignedDigestView, WireError,
 };
-use dcs_hash::IndexHasher;
-use dcs_sketch::{DistinctSketch, SketchDomain, SpaceSaving};
-use dcs_traffic::{FlowLabel, Packet};
+use dcs_sketch::{wire, SpaceSaving};
+use dcs_traffic::Packet;
 
-/// Sidecar sketch settings for a monitoring point: a heavy-hitter
-/// summary computed beside the bitmap and shipped as a typed artifact
-/// in the same bundle.
+/// Sidecar sketch settings for a monitoring point: a Space-Saving
+/// summary of the aligned bitmap columns its payloads hash to, shipped as
+/// a `DCSS` artifact in the same bundle.
 ///
 /// `cap == 0` disables the sketch entirely — the bundle then encodes
 /// byte-identically to the pre-artifact wire format.
@@ -19,52 +18,18 @@ use dcs_traffic::{FlowLabel, Packet};
 pub struct SketchSpec {
     /// Tracked keys (0 disables the sketch).
     pub cap: usize,
-    /// What the sketch keys on (must match across routers so the centre
-    /// can merge child sketches).
-    pub domain: SketchDomain,
-    /// KMV sample size for the distinct-counting variant (ignored by
-    /// the counter domains).
-    pub kmv_size: usize,
 }
 
 impl SketchSpec {
     /// No sketch: the bundle stays on the pre-artifact wire format.
     pub fn disabled() -> Self {
-        SketchSpec {
-            cap: 0,
-            domain: SketchDomain::ContentIndex,
-            kmv_size: 16,
-        }
+        SketchSpec { cap: 0 }
     }
 
     /// Heavy *content*: Space-Saving over the aligned bitmap column each
-    /// payload hashes to, so the centre can seed its refined search.
+    /// payload hashes to.
     pub fn heavy_content(cap: usize) -> Self {
-        SketchSpec {
-            cap,
-            domain: SketchDomain::ContentIndex,
-            kmv_size: 16,
-        }
-    }
-
-    /// DRDoS reflection: distinct *sources* per (src-port, dst-AS) key,
-    /// the distinct-heavy-hitter variant.
-    pub fn drdos(cap: usize) -> Self {
-        SketchSpec {
-            cap,
-            domain: SketchDomain::SrcPortDstAs,
-            kmv_size: 16,
-        }
-    }
-
-    /// Elephant flows: Space-Saving over flow labels weighted by payload
-    /// bytes.
-    pub fn elephant_flows(cap: usize) -> Self {
-        SketchSpec {
-            cap,
-            domain: SketchDomain::FlowBytes,
-            kmv_size: 16,
-        }
+        SketchSpec { cap }
     }
 
     /// Whether a sketch is collected at all.
@@ -73,12 +38,9 @@ impl SketchSpec {
     }
 }
 
-/// The (src-port, destination-AS) key of the DRDoS domain. The /16
-/// prefix of the destination address stands in for its AS in this
-/// reproduction's synthetic address space.
-pub fn src_port_dst_as_key(flow: &FlowLabel) -> u64 {
-    (u64::from(flow.src_port) << 32) | u64::from(flow.dst_ip >> 16)
-}
+/// The largest sketch cap whose full payload still fits one artifact
+/// (`MAX_ARTIFACT_PAYLOAD`), so every epoch's bundle encodes.
+const MAX_SKETCH_CAP: usize = (artifact::MAX_ARTIFACT_PAYLOAD - wire::HEADER_LEN) / wire::ENTRY_LEN;
 
 /// Configuration of a monitoring point.
 #[derive(Debug, Clone, serde::Serialize, serde::Deserialize)]
@@ -110,102 +72,52 @@ impl MonitorConfig {
     }
 }
 
-/// Streaming heavy-hitter sketch beside the bitmap collectors. Keys are
-/// derived per [`SketchDomain`]; the kernel is Space-Saving for the
-/// counter domains and the per-key KMV distinct sketch for
-/// [`SketchDomain::SrcPortDstAs`] (distinct *sources* per key is what
-/// identifies a reflection fan-in).
+/// Streaming heavy-hitter sketch beside the bitmap collectors, keyed by
+/// the aligned bitmap column each payload packet hashes to.
 #[derive(Debug)]
 pub struct SketchCollector {
-    domain: SketchDomain,
-    hasher: IndexHasher,
-    kernel: SketchKernel,
-}
-
-#[derive(Debug)]
-enum SketchKernel {
-    Heavy(SpaceSaving),
-    Distinct(DistinctSketch),
+    sketch: SpaceSaving,
 }
 
 impl SketchCollector {
-    /// Builds the collector for `spec`, hashing with the deployment-wide
-    /// `seed` so every router derives identical keys.
+    /// Builds the collector for `spec`. Keys are the aligned collector's
+    /// columns, already hashed under the deployment-wide seed, so `_seed`
+    /// is not read.
     ///
     /// # Panics
-    /// Panics when `spec` is disabled (`cap == 0`).
-    pub fn new(spec: &SketchSpec, seed: u64) -> Self {
+    /// Panics when `spec` is disabled (`cap == 0`), or when its cap
+    /// exceeds 65,534: a full sketch of a larger cap would not fit one
+    /// artifact payload, and the epoch's bundle would fail to encode.
+    pub fn new(spec: &SketchSpec, _seed: u64) -> Self {
         assert!(spec.enabled(), "sketch spec is disabled");
-        let kernel = match spec.domain {
-            SketchDomain::SrcPortDstAs => {
-                SketchKernel::Distinct(DistinctSketch::new(spec.cap, spec.kmv_size.max(2)))
-            }
-            SketchDomain::ContentIndex | SketchDomain::FlowBytes => {
-                SketchKernel::Heavy(SpaceSaving::new(spec.cap))
-            }
-        };
+        assert!(
+            spec.cap <= MAX_SKETCH_CAP,
+            "sketch cap {} exceeds {MAX_SKETCH_CAP}, the most one artifact holds",
+            spec.cap
+        );
         SketchCollector {
-            domain: spec.domain,
-            hasher: IndexHasher::new(seed ^ 0x5C5C_5C5C_5C5C_5C5Cu64),
-            kernel,
+            sketch: SpaceSaving::new(spec.cap),
         }
     }
 
-    /// The domain this sketch keys on.
-    pub fn domain(&self) -> SketchDomain {
-        self.domain
-    }
-
-    /// Feeds one packet, reusing the aligned collector's hashing rule
-    /// for the content-index domain.
+    /// Feeds one packet, keyed by the aligned collector's hashing rule.
     pub fn observe(&mut self, pkt: &Packet, aligned: &AlignedCollector) {
-        let idx = match self.domain {
-            SketchDomain::ContentIndex => aligned.index_of(pkt),
-            SketchDomain::FlowBytes | SketchDomain::SrcPortDstAs => None,
-        };
-        self.observe_at(pkt, idx);
+        self.observe_at(aligned.index_of(pkt));
     }
 
     /// [`observe`](Self::observe) for a caller that already holds the
-    /// packet's aligned bitmap column (`AlignedCollector::index_of`); only
-    /// the content-index domain reads it.
-    pub fn observe_at(&mut self, pkt: &Packet, idx: Option<usize>) {
-        match (&mut self.kernel, self.domain) {
-            (SketchKernel::Heavy(ss), SketchDomain::ContentIndex) => {
-                if let Some(idx) = idx {
-                    ss.offer(idx as u64, 1);
-                }
-            }
-            (SketchKernel::Heavy(ss), SketchDomain::FlowBytes) => {
-                if pkt.has_payload() {
-                    let key = self.hasher.hash64(&pkt.flow.to_bytes());
-                    ss.offer(key, pkt.payload.len() as u64);
-                }
-            }
-            (SketchKernel::Distinct(ds), SketchDomain::SrcPortDstAs) => {
-                let key = src_port_dst_as_key(&pkt.flow);
-                let item = self.hasher.hash64(&pkt.flow.src_ip.to_le_bytes());
-                ds.offer(key, item);
-            }
-            _ => unreachable!("kernel/domain pairing is fixed at construction"),
+    /// packet's aligned bitmap column (`AlignedCollector::index_of`).
+    pub fn observe_at(&mut self, idx: Option<usize>) {
+        if let Some(idx) = idx {
+            self.sketch.offer(idx as u64, 1);
         }
     }
 
     /// Closes the epoch: encodes the `DCSS` payload and resets.
     pub fn finish_epoch(&mut self) -> Vec<u8> {
-        let domain = self.domain.to_u8();
-        match &mut self.kernel {
-            SketchKernel::Heavy(ss) => {
-                let bytes = dcs_sketch::wire::encode_space_saving(ss, domain);
-                ss.clear();
-                bytes
-            }
-            SketchKernel::Distinct(ds) => {
-                let bytes = dcs_sketch::wire::encode_distinct(ds, domain);
-                ds.clear();
-                bytes
-            }
-        }
+        let bytes = wire::encode_space_saving(&self.sketch);
+        self.sketch.clear();
+        bytes
     }
 }
 
@@ -253,14 +165,6 @@ impl RouterDigest {
     /// Raw traffic bytes summarised.
     pub fn raw_bytes(&self) -> u64 {
         self.aligned.raw_bytes
-    }
-
-    /// The first `DCSS` sketch artifact payload, if any.
-    pub fn sketch_payload(&self) -> Option<&[u8]> {
-        self.artifacts
-            .iter()
-            .find(|a| a.kind == dcs_collect::ARTIFACT_KIND_SKETCH)
-            .map(|a| &a.payload[..])
     }
 
     /// Encodes the whole bundle as one wire frame: bundle header (magic,
@@ -395,14 +299,6 @@ impl<'a> RouterDigestView<'a> {
         artifact::decode_section_views(&mut cursor).expect("section validated at parse")
     }
 
-    /// The first `DCSS` sketch artifact payload, if any.
-    pub fn sketch_payload(&self) -> Option<&'a [u8]> {
-        self.artifacts()
-            .into_iter()
-            .find(|&(kind, _)| kind == dcs_collect::ARTIFACT_KIND_SKETCH)
-            .map(|(_, payload)| payload)
-    }
-
     /// Copies the view into an owned [`RouterDigest`].
     pub fn to_owned(&self) -> RouterDigest {
         RouterDigest {
@@ -483,7 +379,7 @@ impl MonitoringPoint {
     pub fn observe(&mut self, pkt: &Packet) -> bool {
         let idx = self.aligned.index_of(pkt);
         if let Some(s) = self.sketch.as_mut() {
-            s.observe_at(pkt, idx);
+            s.observe_at(idx);
         }
         let full = self.aligned.observe_at(pkt, idx);
         self.unaligned.observe(pkt);
@@ -744,22 +640,14 @@ mod tests {
         mp.observe_all(&pkts);
         let d = mp.finish_epoch();
         assert_eq!(d.artifacts.len(), 1);
-        let payload = d.sketch_payload().expect("sketch artifact present");
-        let decoded = dcs_sketch::decode_sketch(payload).expect("valid DCSS payload");
-        match decoded {
-            dcs_sketch::SketchWire::SpaceSaving { domain, sketch } => {
-                assert_eq!(domain, dcs_sketch::SketchDomain::ContentIndex.to_u8());
-                assert_eq!(sketch.total(), 400, "every payload packet counted");
-            }
-            other => panic!("wrong sketch kind: {other:?}"),
-        }
+        assert_eq!(d.artifacts[0].kind, dcs_collect::ARTIFACT_KIND_SKETCH);
+        assert!(d.artifacts[0].payload.starts_with(&dcs_sketch::DCSS_MAGIC));
 
         // v2 wire round trip; prefixes die.
         let wire = d.encode_wire().expect("encodes");
         assert_eq!(wire[4], 2, "artifact-bearing bundles are v2");
         let (view, used) = RouterDigestView::parse(&wire).expect("parses");
         assert_eq!(used, wire.len());
-        assert_eq!(view.sketch_payload(), d.sketch_payload());
         assert_eq!(view.artifact_bytes(), d.artifact_bytes());
         assert_eq!(view.to_owned().artifacts, d.artifacts);
         for cut in 0..wire.len() {
@@ -786,34 +674,30 @@ mod tests {
         assert_eq!(owned.encode_wire().expect("re-encodes"), wire);
     }
 
+    /// The cap bound is tight: a sketch at `MAX_SKETCH_CAP` holding a key
+    /// in every counter still encodes, and one more entry would not fit.
     #[test]
-    fn sketch_finds_the_planted_heavy_column() {
-        use dcs_traffic::{ContentObject, Planting};
-        let mut r = StdRng::seed_from_u64(13);
-        let cfg = MonitorConfig::small(7, 1 << 14, 4).with_sketch(SketchSpec::heavy_content(8));
-        let mut mp = MonitoringPoint::new(0, &cfg);
-        let mut pkts = background(&mut r, 500, 100);
-        // Plant 60 instances of a one-packet object: its single payload
-        // hashes to one column, hit 60 times — a clear heavy column.
-        let object = ContentObject::random_with_packets(&mut r, 1, 536);
-        let planting = Planting::aligned(object.clone(), 536);
-        for _ in 0..60 {
-            planting.plant_into(&mut r, &mut pkts);
+    fn a_full_sketch_at_the_cap_bound_encodes() {
+        let mut sketch = SketchCollector::new(&SketchSpec::heavy_content(MAX_SKETCH_CAP), 7);
+        for idx in 0..MAX_SKETCH_CAP {
+            sketch.observe_at(Some(idx));
         }
-        let first_payload = object.packetize(&[], 536)[0].clone();
-        let probe = dcs_traffic::Packet::new(dcs_traffic::FlowLabel::random(&mut r), first_payload);
-        let expect_idx = mp.aligned().index_of(&probe).expect("payload packet");
-        mp.observe_all(&pkts);
-        let d = mp.finish_epoch();
-        let decoded = dcs_sketch::decode_sketch(d.sketch_payload().unwrap()).unwrap();
-        let dcs_sketch::SketchWire::SpaceSaving { sketch, .. } = decoded else {
-            panic!("wrong sketch kind");
-        };
-        let top: Vec<u64> = sketch.top_k(3).into_iter().map(|h| h.key).collect();
-        assert!(
-            top.contains(&(expect_idx as u64)),
-            "planted column {expect_idx} missing from top-3 {top:?}"
+        let payload = sketch.finish_epoch();
+        assert_eq!(
+            payload.len(),
+            wire::HEADER_LEN + MAX_SKETCH_CAP * wire::ENTRY_LEN
         );
+        assert!(payload.len() + wire::ENTRY_LEN > artifact::MAX_ARTIFACT_PAYLOAD);
+        let mut d = MonitoringPoint::new(0, &MonitorConfig::small(7, 1 << 10, 1)).finish_epoch();
+        d.artifacts = vec![Artifact::sketch(payload)];
+        d.encode_wire()
+            .expect("a full sketch at the cap bound fits the wire");
+    }
+
+    #[test]
+    #[should_panic(expected = "exceeds 65534")]
+    fn a_cap_past_the_bound_is_rejected_at_construction() {
+        SketchCollector::new(&SketchSpec::heavy_content(65_535), 7);
     }
 
     proptest::proptest! {

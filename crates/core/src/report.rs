@@ -35,27 +35,6 @@ pub struct UnalignedReport {
     pub suspected_groups: Vec<usize>,
 }
 
-/// Sidecar-sketch accounting for one epoch: how many accepted bundles
-/// shipped a `DCSS` artifact, how the merge went, and which columns the
-/// fused content-index sketch ranks heaviest. The sketch is a reporting
-/// artifact — these fields never feed the verdict.
-#[derive(Debug, Clone, Default, PartialEq, Eq, Serialize, Deserialize)]
-pub struct SketchReport {
-    /// Accepted bundles carrying a sketch artifact.
-    pub artifacts: usize,
-    /// Artifacts merged into the fused epoch sketch.
-    pub merged: usize,
-    /// Artifacts skipped: undecodable, or disagreeing with the first
-    /// decodable one on kind, domain or shape.
-    pub skipped: usize,
-    /// Total sketch payload bytes across the accepted bundles.
-    pub payload_bytes: u64,
-    /// Heaviest columns of the fused sketch, heaviest first (empty when
-    /// no sketch arrived or the fused sketch is not in the content-index
-    /// domain).
-    pub top_columns: Vec<usize>,
-}
-
 /// Per-epoch transport accounting, recorded by the
 /// [`EpochCollector`](crate::session::EpochCollector) while the epoch's
 /// chunk frames were being received and reassembled. All zeros when the
@@ -108,8 +87,6 @@ pub struct EpochReport {
     /// Ingest accounting: which routers were fused, which bundles were
     /// excluded and why. A degraded (but analysable) epoch shows up here.
     pub ingest: IngestReport,
-    /// Sidecar-sketch accounting (all zeros when no bundle shipped one).
-    pub sketch: SketchReport,
     /// Delivery accounting from the transport layer (zeros when the epoch
     /// bypassed it).
     pub transport: TransportStats,
@@ -156,13 +133,6 @@ mod tests {
                     router_id: None,
                     fault: crate::ingest::RouterFault::Wire("digest frame truncated".into()),
                 }],
-            },
-            sketch: SketchReport {
-                artifacts: 4,
-                merged: 4,
-                skipped: 0,
-                payload_bytes: 640,
-                top_columns: vec![5, 17],
             },
             transport: TransportStats {
                 chunks_received: 80,

@@ -2,9 +2,9 @@
 //!
 //! Both detection pipelines of the [`AnalysisCenter`] run as a fixed
 //! sequence of named [`Stage`]s driven through one [`StageRecorder`]:
-//! the aligned pipeline as `fuse → sketch_fuse → screen → core_find →
-//! sweep → terminate`, the unaligned pipeline as `stack_rows →
-//! graph_build → er_test → peel`. Every stage span lands in three metric
+//! the aligned pipeline as `fuse → screen → core_find → sweep →
+//! terminate`, the unaligned pipeline as `stack_rows → graph_build →
+//! er_test → peel`. Every stage span lands in three metric
 //! families of the centre's [`MetricsRegistry`]:
 //!
 //! * gauge `epoch_stage_ns{pipeline,stage}` — the last epoch's span;
@@ -26,10 +26,6 @@ pub enum Stage {
     /// Aligned: count every column's weight across the per-router
     /// bitmaps, where they lie in the frames, into bit-sliced counters.
     Fuse,
-    /// Aligned: merge the epoch's sidecar heavy-hitter sketches and list
-    /// the fused top-k content-index columns in the report. Runs (and
-    /// records a span) every epoch, even with no sketches.
-    SketchFuse,
     /// Aligned: find the cut weight over the counters, rank the n′
     /// heaviest columns and gather them from the rows.
     Screen,
@@ -55,9 +51,8 @@ pub enum Stage {
 
 impl Stage {
     /// The aligned pipeline's stages, in execution order.
-    pub const ALIGNED: [Stage; 6] = [
+    pub const ALIGNED: [Stage; 5] = [
         Stage::Fuse,
-        Stage::SketchFuse,
         Stage::Screen,
         Stage::CoreFind,
         Stage::Sweep,
@@ -76,7 +71,6 @@ impl Stage {
     pub fn name(self) -> &'static str {
         match self {
             Stage::Fuse => "fuse",
-            Stage::SketchFuse => "sketch_fuse",
             Stage::Screen => "screen",
             Stage::CoreFind => "core_find",
             Stage::Sweep => "sweep",
@@ -91,12 +85,9 @@ impl Stage {
     /// The `pipeline` label value.
     pub fn pipeline(self) -> &'static str {
         match self {
-            Stage::Fuse
-            | Stage::SketchFuse
-            | Stage::Screen
-            | Stage::CoreFind
-            | Stage::Sweep
-            | Stage::Terminate => "aligned",
+            Stage::Fuse | Stage::Screen | Stage::CoreFind | Stage::Sweep | Stage::Terminate => {
+                "aligned"
+            }
             Stage::StackRows | Stage::GraphBuild | Stage::ErTest | Stage::Peel => "unaligned",
         }
     }
@@ -167,7 +158,7 @@ mod tests {
             .collect();
         names.sort_unstable();
         names.dedup();
-        assert_eq!(names.len(), 10, "stage names must be distinct");
+        assert_eq!(names.len(), 9, "stage names must be distinct");
     }
 
     #[test]

@@ -27,9 +27,9 @@
 //! * [`tiered`] — the two-level topology soak: leaves → regional
 //!   aggregators → centre, with per-epoch flat-replay detection
 //!   equivalence checking;
-//! * [`attack`] — the attack-scenario suite: DNS amplification, DRDoS
-//!   reflection and elephant flows driven through the tier with sidecar
-//!   sketches, checking the planted keys rank in the merged sketch;
+//! * [`attack`] — the attack-scenario suite: DNS amplification and
+//!   elephant flows driven through the tier, checking the centre detects
+//!   the planted content in every quorum epoch;
 //! * [`table`] — plain-text row/series formatting for the `repro_*`
 //!   binaries.
 

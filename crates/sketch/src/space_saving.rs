@@ -1,11 +1,10 @@
-//! Weighted Space-Saving heavy hitters with an explicit mergeable
-//! deficit.
+//! Weighted Space-Saving heavy hitters with an explicit deficit.
 //!
 //! State is a weighted Misra–Gries summary: at most `cap` keys, each
 //! holding a **lower bound** on its true weight, plus one global
 //! `deficit` — the total mass every surviving counter may undercount
-//! by. Two invariants hold after every operation (stream update *or*
-//! merge) and are pinned by proptests:
+//! by. Two invariants hold after every update and are pinned by the
+//! tests:
 //!
 //! 1. `lower(x) ≤ true(x) ≤ lower(x) + deficit` for tracked keys, and
 //!    `true(x) ≤ deficit` for untracked keys;
@@ -19,32 +18,10 @@
 //! Each unit of deficit removes `cap + 1` units of counter mass, which
 //! is exactly invariant 2.
 //!
-//! *Merge* (Agarwal–Cormode–Huang–Phillips–Wei–Yi subtract-merge):
-//! values sum over the key union; if the union exceeds `cap`, the
-//! `(cap+1)`-th largest value `t` is subtracted from every counter
-//! (non-positives drop — at most `cap` values exceed `t`, so the cap is
-//! restored) and `deficit' = deficit_a + deficit_b + t`. At least
-//! `cap + 1` counters were `≥ t`, so at least `(cap+1)·t` mass leaves
-//! the table and invariant 2 survives; invariant 1 follows because each
-//! key lost at most `t` of its summed lower bound.
-//!
-//! Determinism: values live in a `BTreeMap`, subtraction is uniform,
-//! and [`SpaceSaving::top_k`] orders by `(value desc, key asc)` — equal
-//! input multisets yield byte-equal state however they were partitioned
-//! into merges, and merge is exactly commutative.
+//! Determinism: values live in a `BTreeMap` and subtraction is uniform,
+//! so equal input streams yield byte-equal state.
 
 use std::collections::BTreeMap;
-
-/// One reported heavy-hitter candidate.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, serde::Serialize, serde::Deserialize)]
-pub struct HeavyKey {
-    /// The key.
-    pub key: u64,
-    /// Hard lower bound on the key's true weight.
-    pub lower: u64,
-    /// Hard upper bound (`lower + deficit` of the reporting sketch).
-    pub upper: u64,
-}
 
 /// Deterministic weighted Space-Saving summary (see module docs).
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -70,21 +47,6 @@ impl SpaceSaving {
         }
     }
 
-    /// Rebuilds a sketch from decoded wire parts.
-    ///
-    /// # Panics
-    /// Panics if `cap == 0` or more than `cap` entries are given.
-    pub fn from_parts(cap: usize, entries: BTreeMap<u64, u64>, deficit: u64, total: u64) -> Self {
-        assert!(cap > 0, "SpaceSaving needs at least one counter");
-        assert!(entries.len() <= cap, "more entries than counters");
-        SpaceSaving {
-            cap,
-            entries,
-            deficit,
-            total,
-        }
-    }
-
     /// Counter budget.
     pub fn cap(&self) -> usize {
         self.cap
@@ -100,7 +62,7 @@ impl SpaceSaving {
         self.entries.is_empty()
     }
 
-    /// Total weight observed (stream mass, summed across merges).
+    /// Total weight observed.
     pub fn total(&self) -> u64 {
         self.total
     }
@@ -110,12 +72,6 @@ impl SpaceSaving {
     /// weight exceeds it.
     pub fn error_bound(&self) -> u64 {
         self.deficit
-    }
-
-    /// The analytic worst-case deficit `total / (cap + 1)`; the actual
-    /// [`SpaceSaving::error_bound`] never exceeds it.
-    pub fn analytic_bound(&self) -> u64 {
-        self.total / (self.cap as u64 + 1)
     }
 
     /// Tracked entries in key order (`key → lower bound`).
@@ -140,55 +96,13 @@ impl SpaceSaving {
         }
     }
 
-    /// Two-sided bound for `key`: `Some((lower, upper))` when tracked;
-    /// untracked keys are bounded by `(0, deficit)`.
+    /// Two-sided bound `(lower, upper)` for `key`; untracked keys are
+    /// bounded by `(0, deficit)`.
     pub fn estimate(&self, key: u64) -> (u64, u64) {
         match self.entries.get(&key) {
             Some(&v) => (v, v + self.deficit),
             None => (0, self.deficit),
         }
-    }
-
-    /// Folds `other` into `self` (subtract-merge; see module docs).
-    ///
-    /// # Panics
-    /// Panics if the caps differ — a deployment fixes one counter
-    /// budget, and mixed-cap merges would void the error bound.
-    pub fn merge(&mut self, other: &SpaceSaving) {
-        assert_eq!(self.cap, other.cap, "merging sketches of different caps");
-        self.total += other.total;
-        self.deficit += other.deficit;
-        for (&k, &v) in &other.entries {
-            *self.entries.entry(k).or_insert(0) += v;
-        }
-        if self.entries.len() > self.cap {
-            let mut values: Vec<u64> = self.entries.values().copied().collect();
-            values.sort_unstable_by(|a, b| b.cmp(a));
-            let t = values[self.cap];
-            self.deficit += t;
-            self.entries.retain(|_, v| {
-                *v -= t.min(*v);
-                *v > 0
-            });
-        }
-    }
-
-    /// The `k` heaviest candidates, ordered by `(lower desc, key asc)`
-    /// — the canonical top-k order every equal-content sketch reports
-    /// identically.
-    pub fn top_k(&self, k: usize) -> Vec<HeavyKey> {
-        let mut all: Vec<HeavyKey> = self
-            .entries
-            .iter()
-            .map(|(&key, &lower)| HeavyKey {
-                key,
-                lower,
-                upper: lower + self.deficit,
-            })
-            .collect();
-        all.sort_unstable_by(|a, b| b.lower.cmp(&a.lower).then(a.key.cmp(&b.key)));
-        all.truncate(k);
-        all
     }
 
     /// Resets to empty, keeping the cap (per-epoch reuse).
@@ -265,8 +179,8 @@ mod tests {
 
     #[test]
     fn heavy_key_always_tracked() {
-        // A key with true weight > 2·analytic bound must survive: its
-        // lower bound stays positive.
+        // A key with true weight > 2·total/(cap+1) must survive as the
+        // heaviest tracked counter.
         let mut s = SpaceSaving::new(4);
         for i in 0..200u64 {
             s.offer(i % 40, 1);
@@ -274,58 +188,6 @@ mod tests {
         }
         let (lo, _) = s.estimate(7);
         assert!(lo > 0, "heavy key evicted");
-        let top = s.top_k(1);
-        assert_eq!(top[0].key, 7);
-    }
-
-    #[test]
-    fn merge_is_commutative_exactly() {
-        let mut a = SpaceSaving::new(3);
-        let mut b = SpaceSaving::new(3);
-        for i in 0..50u64 {
-            a.offer(i % 9, i % 4 + 1);
-            b.offer(i % 5, i % 3 + 1);
-        }
-        let mut ab = a.clone();
-        ab.merge(&b);
-        let mut ba = b.clone();
-        ba.merge(&a);
-        assert_eq!(ab, ba);
-    }
-
-    #[test]
-    fn merge_trims_to_cap_and_sums_bounds() {
-        let mut a = SpaceSaving::new(2);
-        let mut b = SpaceSaving::new(2);
-        a.offer(1, 10);
-        a.offer(2, 4);
-        b.offer(3, 8);
-        b.offer(4, 2);
-        let mut m = a.clone();
-        m.merge(&b);
-        assert!(m.len() <= 2);
-        assert_eq!(m.total(), 24);
-        // t = 3rd largest of {10, 8, 4, 2} = 4.
-        assert_eq!(m.error_bound(), 4);
-        assert_eq!(m.estimate(1), (6, 10));
-        let truth = exact(&[(1, 10), (2, 4), (3, 8), (4, 2)]);
-        check_invariants(&m, &truth);
-    }
-
-    #[test]
-    fn top_k_order_is_canonical() {
-        let mut s = SpaceSaving::new(8);
-        s.offer(5, 3);
-        s.offer(2, 3);
-        s.offer(9, 7);
-        let keys: Vec<u64> = s.top_k(3).iter().map(|h| h.key).collect();
-        assert_eq!(keys, vec![9, 2, 5], "ties break by ascending key");
-    }
-
-    #[test]
-    #[should_panic(expected = "different caps")]
-    fn mixed_cap_merge_rejected() {
-        let mut a = SpaceSaving::new(2);
-        a.merge(&SpaceSaving::new(3));
+        assert!(s.entries().values().all(|&v| v <= lo));
     }
 }

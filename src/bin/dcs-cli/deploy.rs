@@ -8,7 +8,6 @@
 //!                 [--resume ckpt.dcsk]
 //! dcs-cli monitor [--config monitor.json] [--center 127.0.0.1:7400]
 //!                 [--router N] [--epochs N] [--infected]
-//!                 [--sketch-cap N] [--sketch-domain content|drdos|elephant]
 //! ```
 //!
 //! The centre runs one [`EpochCollector`] epoch at a time over a
@@ -187,12 +186,6 @@ pub struct MonitorCliConfig {
     pub aligned_bits: usize,
     /// Flow-split groups.
     pub groups: usize,
-    /// Sidecar-sketch capacity (0 = no sketch; bundles stay on the
-    /// pre-artifact wire format).
-    pub sketch_cap: usize,
-    /// Sketch domain: `content`, `drdos` or `elephant`. Must match the
-    /// other monitors so the centre can merge the artifacts.
-    pub sketch_domain: String,
     /// Chunk payload bound; the default stays datagram-safe.
     pub max_payload: usize,
     /// Real duration of one tick, in microseconds.
@@ -230,8 +223,6 @@ impl Default for MonitorCliConfig {
             digest_seed: 7,
             aligned_bits: 1 << 14,
             groups: 4,
-            sketch_cap: 0,
-            sketch_domain: "content".into(),
             max_payload: DATAGRAM_SAFE_PAYLOAD,
             tick_micros: 1_000,
             resend_after: 64,
@@ -253,14 +244,6 @@ struct ReportLine {
     outcome: String,
     detection: String,
     accepted: usize,
-    /// Accepted bundles that shipped a sketch artifact.
-    sketch_artifacts: usize,
-    /// Artifacts merged into the fused epoch sketch.
-    sketch_merged: usize,
-    /// Total sketch payload bytes across the epoch.
-    sketch_bytes: u64,
-    /// Heaviest columns of the fused content-index sketch.
-    sketch_top_columns: Vec<usize>,
 }
 
 fn write_atomic(path: &str, bytes: &[u8]) -> std::io::Result<()> {
@@ -443,30 +426,18 @@ fn analyse_epoch(center: &AnalysisCenter, epoch: &CollectedEpoch) -> ReportLine 
             outcome: "report".into(),
             detection: detection_fingerprint(&report),
             accepted: report.ingest.accepted.len(),
-            sketch_artifacts: report.sketch.artifacts,
-            sketch_merged: report.sketch.merged,
-            sketch_bytes: report.sketch.payload_bytes,
-            sketch_top_columns: report.sketch.top_columns.clone(),
         },
         Err(IngestError::QuorumTooSmall { required, report }) => ReportLine {
             epoch: epoch.epoch_id,
             outcome: format!("quorum_too_small(required {required})"),
             detection: String::new(),
             accepted: report.accepted.len(),
-            sketch_artifacts: 0,
-            sketch_merged: 0,
-            sketch_bytes: 0,
-            sketch_top_columns: Vec::new(),
         },
         Err(IngestError::NoDigests) => ReportLine {
             epoch: epoch.epoch_id,
             outcome: "no_digests".into(),
             detection: String::new(),
             accepted: 0,
-            sketch_artifacts: 0,
-            sketch_merged: 0,
-            sketch_bytes: 0,
-            sketch_top_columns: Vec::new(),
         },
     }
 }
@@ -523,10 +494,6 @@ pub fn monitor(args: &[String]) -> CliResult {
     cfg.router_id = parse_or(take_flag(&mut args, "--router"), cfg.router_id)?;
     cfg.epochs = parse_or(take_flag(&mut args, "--epochs"), cfg.epochs)?;
     cfg.seed = parse_or(take_flag(&mut args, "--seed"), cfg.router_id)?;
-    cfg.sketch_cap = parse_or(take_flag(&mut args, "--sketch-cap"), cfg.sketch_cap)?;
-    if let Some(v) = take_flag(&mut args, "--sketch-domain") {
-        cfg.sketch_domain = v;
-    }
     // `--infected` plants the shared content object into this monitor's
     // traffic at the soak's standard 30 packets.
     if let Some(pos) = args.iter().position(|a| a == "--infected") {
@@ -552,10 +519,7 @@ pub fn monitor(args: &[String]) -> CliResult {
         sock.set_shim(ImpairmentShim::new(impair, cfg.impair_seed));
     }
 
-    let mut mcfg = MonitorConfig::small(cfg.digest_seed, cfg.aligned_bits, cfg.groups);
-    if cfg.sketch_cap > 0 {
-        mcfg = mcfg.with_sketch(crate::sketch_spec(cfg.sketch_cap, &cfg.sketch_domain)?);
-    }
+    let mcfg = MonitorConfig::small(cfg.digest_seed, cfg.aligned_bits, cfg.groups);
     let mut mp = MonitoringPoint::new(cfg.router_id as usize, &mcfg);
     println!("monitor {}: shipping to {}", cfg.router_id, cfg.center);
 

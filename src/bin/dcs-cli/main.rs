@@ -4,8 +4,7 @@
 //! dcs-cli gen-trace <out.trace> [--packets N] [--flows N] [--zipf S]
 //!                   [--seed N] [--plant g,size[,unaligned]]
 //! dcs-cli collect   <in.trace> --router N [--seed N] [--bits N]
-//!                   [--groups N] [--sketch-cap N]
-//!                   [--sketch-domain content|drdos|elephant]
+//!                   [--groups N] [--config monitor.json]
 //!                   [--out digest.json]
 //! dcs-cli analyze   <digest.json>... [--threshold N] [--metrics-json path]
 //! dcs-cli serve     [--config serve.json] [--bind addr] [--resume ckpt] …
@@ -78,21 +77,6 @@ fn parse_or<T: std::str::FromStr>(v: Option<String>, default: T) -> Result<T, St
     }
 }
 
-/// Builds the sidecar-sketch spec from `--sketch-cap`/`--sketch-domain`
-/// values (cap 0 = disabled, the wire-compatible default).
-fn sketch_spec(cap: usize, domain: &str) -> Result<SketchSpec, String> {
-    Ok(match domain {
-        "content" => SketchSpec::heavy_content(cap),
-        "drdos" => SketchSpec::drdos(cap),
-        "elephant" => SketchSpec::elephant_flows(cap),
-        other => {
-            return Err(format!(
-                "unknown sketch domain {other:?} (expected content|drdos|elephant)"
-            ))
-        }
-    })
-}
-
 fn gen_trace(args: &[String]) -> CliResult {
     let mut args = args.to_vec();
     let packets = parse_or(take_flag(&mut args, "--packets"), 20_000usize)?;
@@ -156,28 +140,21 @@ fn collect(args: &[String]) -> CliResult {
     let seed = parse_or(take_flag(&mut args, "--seed"), 0u64)?;
     let bits = parse_or(take_flag(&mut args, "--bits"), 1usize << 20)?;
     let groups = parse_or(take_flag(&mut args, "--groups"), 32usize)?;
-    let sketch_cap = parse_or(take_flag(&mut args, "--sketch-cap"), 0usize)?;
-    let sketch_domain = take_flag(&mut args, "--sketch-domain").unwrap_or_else(|| "content".into());
     let config_file = take_flag(&mut args, "--config");
     let out = take_flag(&mut args, "--out");
     let [input] = args.as_slice() else {
         return Err("usage: collect <in.trace> [--router N] [--seed N] \
-                    [--bits N] [--groups N] [--sketch-cap N] \
-                    [--sketch-domain content|drdos|elephant] \
-                    [--config monitor.json] [--out digest.json]"
+                    [--bits N] [--groups N] [--config monitor.json] \
+                    [--out digest.json]"
             .into());
     };
 
     // A config file (as printed by `dcs-cli config`) overrides the
-    // individual flags wholesale; the sketch flags still override the
-    // file so a sidecar can be toggled per run.
-    let mut cfg: MonitorConfig = match config_file {
+    // individual flags wholesale.
+    let cfg: MonitorConfig = match config_file {
         Some(path) => serde_json::from_str(&std::fs::read_to_string(path)?)?,
         None => MonitorConfig::small(seed, bits, groups),
     };
-    if sketch_cap > 0 {
-        cfg = cfg.with_sketch(sketch_spec(sketch_cap, &sketch_domain)?);
-    }
     let mut point = MonitoringPoint::new(router, &cfg);
     let reader = TraceReader::new(BufReader::new(File::open(input)?))?;
     let mut count = 0u64;

@@ -10,14 +10,20 @@
 //! left out.
 //!
 //! A tiered pin comes in two halves. [`Pin::verdicts`] hashes what the
-//! aggregation tier must never move: the epoch outcomes, the child-hop
-//! stats and (attack) the key ranks and delivered artifacts.
+//! aggregation tier must never move: the epoch outcomes and the child-hop
+//! stats.
 //! [`Pin::upstream`] hashes the upstream-hop stats (and ticks), which
 //! move whenever a bundle's size does: a bundle of a different length is
 //! a different number of chunks through the seeded upstream channel.
 //! The upstream halves were last re-captured when bundles stopped
 //! carrying the OR-fused bitmap, the weight sidecar and the merged
 //! sketch; the verdict halves are the parent's, byte for byte.
+//!
+//! `ATTACK_PIN` was re-captured, both halves, when attack leaves stopped
+//! carrying a sketch: their bundles are smaller, so fewer chunks draw the
+//! seeded channel RNGs and different frames are lost and resent. The DNS
+//! plan also stopped drawing the probe flow that located the expected
+//! sketch keys, which shifts the background traffic drawn after it.
 
 use dcs_core::report::TransportStats;
 use dcs_hash::Fnv1a;
@@ -58,7 +64,7 @@ fn soak_pin(cfg: &SoakConfig) -> u64 {
 /// The two halves of a tiered driver's pin.
 #[derive(Debug, PartialEq, Eq)]
 struct Pin {
-    /// Outcomes, child-hop stats (and attack ranks / artifacts).
+    /// Outcomes and child-hop stats.
     verdicts: u64,
     /// Upstream-hop stats (and ticks).
     upstream: u64,
@@ -105,13 +111,7 @@ fn attack_driver_replays_its_pinned_run() {
         7,
     ));
     let mut verdicts = Fnv1a::new();
-    pin_outcomes(&mut verdicts, r.epochs.iter().map(|e| &e.outcome));
-    for e in &r.epochs {
-        for rank in &e.attack_key_ranks {
-            verdicts.update(&rank.map_or(u64::MAX, |r| r as u64).to_le_bytes());
-        }
-        verdicts.update(&(e.artifacts_delivered as u64).to_le_bytes());
-    }
+    pin_outcomes(&mut verdicts, r.outcomes.iter());
     pin_stats(&mut verdicts, &r.leaf_totals);
     let mut upstream = Fnv1a::new();
     pin_stats(&mut upstream, &r.up_totals);
@@ -133,6 +133,6 @@ const DEEP_PIN: Pin = Pin {
     upstream: 0x3009_c9d6_8cee_2298,
 };
 const ATTACK_PIN: Pin = Pin {
-    verdicts: 0xf631_f0e3_ed63_3743,
-    upstream: 0x088a_9f40_f239_e6b2,
+    verdicts: 0xeb76_e5fa_b76a_f1a0,
+    upstream: 0x6226_1a32_811b_e9dc,
 };

@@ -187,15 +187,34 @@ fn excluded_bundles_feed_fault_labeled_counters() {
     assert_eq!(snap.counter("ingest_accepted_total"), Some(6));
 }
 
-/// Every metric family the centre emits — through either door — and
-/// every family an aggregator emits is named in backticks somewhere in
-/// DESIGN.md. A documented name with one `*` (`transport_*_total`)
-/// covers a family by prefix and suffix.
+/// `family` is the documented `name`, or `name` holds one `*`
+/// (`transport_*_total`) and `family` matches it by prefix and suffix.
+fn names_family(name: &str, family: &str) -> bool {
+    match name.split_once('*') {
+        Some((prefix, suffix)) => {
+            !prefix.is_empty()
+                && family.len() >= prefix.len() + suffix.len()
+                && family.starts_with(prefix)
+                && family.ends_with(suffix)
+        }
+        None => name == family,
+    }
+}
+
+/// The metric catalogue both ways. Every metric family the centre emits
+/// — through either door — and every family an aggregator emits is named
+/// in backticks somewhere in DESIGN.md; and every family a row of
+/// DESIGN §8's metric table names is emitted by one of those registries.
 #[test]
 fn every_emitted_metric_family_is_documented() {
     let epoch = CollectedEpoch::from_digests(&make_digests(38, 6));
     let center = center_with_threads(1);
-    center.analyze_epoch_collected(&epoch).expect("quorum");
+    // One undecodable frame beside the good ones, so the exclusion
+    // family is emitted too.
+    let frames = epoch.frames.iter().map(|(_, frame)| frame.clone());
+    center
+        .analyze_epoch_collected(&CollectedEpoch::from_frames(frames.chain([vec![0xAB; 40]])))
+        .expect("quorum");
     // One real aggregator over the same frames, finalizing into its own
     // registry, feeds the aggregated door.
     let children = 0..ROUTERS as u64;
@@ -214,37 +233,45 @@ fn every_emitted_metric_family_is_documented() {
         ))
         .expect("quorum");
 
-    let documented: Vec<&str> = include_str!("../DESIGN.md")
-        .split('`')
-        .skip(1)
-        .step_by(2)
-        .map(|code| code.split('{').next().unwrap_or(code))
-        .collect();
-    let is_documented = |family: &str| {
-        documented.iter().any(|doc| match doc.split_once('*') {
-            Some((prefix, suffix)) => {
-                !prefix.is_empty()
-                    && family.len() >= prefix.len() + suffix.len()
-                    && family.starts_with(prefix)
-                    && family.ends_with(suffix)
-            }
-            None => *doc == family,
-        })
-    };
+    let design = include_str!("../DESIGN.md");
+    let family = |code: &'static str| code.split('{').next().unwrap_or(code);
+    let documented: Vec<&str> = design.split('`').skip(1).step_by(2).map(family).collect();
     let snaps = [center.metrics(), aggregator_metrics.snapshot()];
     let keys = snaps.iter().flat_map(|snap| {
         (snap.counters.iter().map(|c| &c.key))
             .chain(snap.gauges.iter().map(|g| &g.key))
             .chain(snap.histograms.iter().map(|h| &h.key))
     });
-    let mut undocumented: Vec<&str> = keys
+    let mut emitted: Vec<&str> = keys
         .map(|key| key.split('{').next().unwrap_or(key))
-        .filter(|family| !is_documented(family))
         .collect();
-    undocumented.sort_unstable();
-    undocumented.dedup();
+    emitted.sort_unstable();
+    emitted.dedup();
+    let undocumented: Vec<&str> = (emitted.iter().copied())
+        .filter(|f| !documented.iter().any(|doc| names_family(doc, f)))
+        .collect();
     assert!(
         undocumented.is_empty(),
         "metric families emitted but not named in DESIGN.md: {undocumented:?}"
+    );
+
+    let section = design
+        .split("\n## ")
+        .find(|s| s.starts_with("8. "))
+        .expect("DESIGN.md has a §8");
+    let table: Vec<&str> = (section.lines())
+        .filter_map(|line| line.strip_prefix("| ").filter(|row| row.starts_with('`')))
+        .flat_map(|row| {
+            let metric = row.split('|').next().unwrap_or(row);
+            metric.split('`').skip(1).step_by(2).map(family)
+        })
+        .collect();
+    assert!(table.len() > 10, "§8's metric table not found: {table:?}");
+    let unemitted: Vec<&str> = (table.iter().copied())
+        .filter(|name| !emitted.iter().any(|f| names_family(name, f)))
+        .collect();
+    assert!(
+        unemitted.is_empty(),
+        "DESIGN §8 documents metric families nothing emits: {unemitted:?}"
     );
 }

@@ -1,4 +1,4 @@
-//! Accuracy ablations for the design choices DESIGN.md calls out:
+//! Accuracy ablations of four design choices (DESIGN.md §10):
 //!
 //! 1. offset-sampling k — the k² match-probability amplification (§IV-A);
 //! 2. flow-split group count — signal magnification from narrower arrays

@@ -27,7 +27,7 @@
 //! the detection-equivalence guarantee: the centre parses exactly the
 //! bytes a flat deployment would have shipped it, so every detection
 //! verdict is byte-identical to flat ingest by construction (see
-//! DESIGN.md §10).
+//! DESIGN.md §7.1).
 //!
 //! Children the aggregator could not deliver (timed out, checksum-dead,
 //! unparseable) ride along as typed [`ChildExclusion`]s; the centre

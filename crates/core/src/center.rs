@@ -12,9 +12,9 @@ use dcs_obs::{MetricsRegistry, MetricsSnapshot};
 use dcs_parallel::ComputeBudget;
 use dcs_unaligned::{
     build_group_graph_parallel, er_test, find_pattern, CoreFindConfig, ErTestConfig, GroupLayout,
-    IncrementalConfig, IncrementalCorrelator, LambdaStore,
+    IncrementalConfig, IncrementalCorrelator, LambdaTables,
 };
-use std::sync::{Mutex, PoisonError};
+use std::sync::{Mutex, MutexGuard};
 use std::time::Instant;
 
 /// Configuration of the analysis centre.
@@ -104,33 +104,25 @@ impl EpochScratch {
     }
 }
 
+/// What the centre carries from one epoch to the next.
+#[derive(Debug)]
+struct CenterState {
+    scratch: EpochScratch,
+    /// The incremental test-graph engine; its state must see every epoch
+    /// in order to be worth anything.
+    correlator: IncrementalCorrelator,
+    /// The Λ/Λ′ threshold tables (a quantile costs about a thousand of
+    /// the popcounts it gates); replaced only when the array width, the
+    /// arrays per group or an edge probability changes.
+    lambda: Option<LambdaTables>,
+}
+
 /// The analysis centre.
 #[derive(Debug)]
 pub struct AnalysisCenter {
     cfg: AnalysisConfig,
-    /// Pool of reusable epoch scratches. Analysis *checks a scratch out*
-    /// (taking ownership) and returns it when the epoch completes, so the
-    /// lock is held only for the pop/push — never across an analysis —
-    /// and a panicking epoch simply drops its scratch instead of
-    /// poisoning a lock: the next epoch pays one warm-up regrowth and the
-    /// centre keeps serving. Callers that analyse epochs concurrently
-    /// (the entry points take `&self`) grow the pool to one warm scratch
-    /// per epoch in flight.
-    scratch: Mutex<Vec<EpochScratch>>,
-    /// Pool of incremental test-graph correlators, checked out per epoch
-    /// like the scratches. Kept separate from [`EpochScratch`]: scratch
-    /// contents are per-epoch throwaway, correlator state must persist
-    /// *across* epochs to be worth anything. One epoch at a time, one
-    /// correlator sees every epoch in order; if epochs run concurrently
-    /// each checkout still produces a correct (merely colder) graph,
-    /// because a correlator re-tests exactly what differs from the last
-    /// epoch *it* saw.
-    correlators: Mutex<Vec<IncrementalCorrelator>>,
-    /// The Λ/Λ′ threshold tables, kept across epochs (a quantile costs
-    /// about a thousand of the popcounts it gates) and shared with every
-    /// in-flight epoch; replaced only when the array width, the arrays
-    /// per group or an edge probability changes.
-    lambda: LambdaStore,
+    /// Locked once per epoch, for the whole analysis.
+    state: Mutex<CenterState>,
     metrics: MetricsRegistry,
 }
 
@@ -140,9 +132,11 @@ impl AnalysisCenter {
         let correlator = IncrementalCorrelator::new(cfg.ugraph);
         AnalysisCenter {
             cfg,
-            scratch: Mutex::new(vec![EpochScratch::new()]),
-            correlators: Mutex::new(vec![correlator]),
-            lambda: LambdaStore::default(),
+            state: Mutex::new(CenterState {
+                scratch: EpochScratch::new(),
+                correlator,
+                lambda: None,
+            }),
             metrics: MetricsRegistry::new(),
         }
     }
@@ -166,46 +160,19 @@ impl AnalysisCenter {
         &self.metrics
     }
 
-    /// Checks a warm scratch out of the pool (or allocates a cold one if
-    /// the pool is empty — first use, every scratch currently in flight,
-    /// or a previous epoch panicked and dropped its checkout). The pool
-    /// lock guards only the `Vec` pop, which cannot panic mid-update, so
-    /// a [`PoisonError`] here can safely be bypassed.
-    fn take_scratch(&self) -> EpochScratch {
-        self.scratch
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner)
-            .pop()
-            .unwrap_or_else(EpochScratch::new)
-    }
-
-    /// Returns a scratch to the pool after a completed epoch. Panicking
-    /// epochs never get here — their scratch (whose contents are suspect)
-    /// unwinds out of existence instead of being recycled.
-    fn return_scratch(&self, scratch: EpochScratch) {
-        self.scratch
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner)
-            .push(scratch);
-    }
-
-    /// Checks an incremental correlator out of the pool (a cold one if
-    /// every warm correlator is in flight — correct, just a full build).
-    fn take_correlator(&self) -> IncrementalCorrelator {
-        self.correlators
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner)
-            .pop()
-            .unwrap_or_else(|| IncrementalCorrelator::new(self.cfg.ugraph))
-    }
-
-    /// Returns a correlator (with its warm cross-epoch state) to the
-    /// pool. Like scratches, a panicking epoch drops its checkout.
-    fn return_correlator(&self, corr: IncrementalCorrelator) {
-        self.correlators
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner)
-            .push(corr);
+    /// Locks the cross-epoch state. A poisoned lock means an epoch
+    /// panicked mid-analysis: its scratch and correlator are suspect, so
+    /// both restart cold (the next epoch pays one warm-up and the centre
+    /// keeps serving). The λ tables are kept — every cell is a pure
+    /// function of the shape, and a half-replaced pair is never stored.
+    fn lock_state(&self) -> MutexGuard<'_, CenterState> {
+        self.state.lock().unwrap_or_else(|poisoned| {
+            let mut state = poisoned.into_inner();
+            state.scratch = EpochScratch::new();
+            state.correlator = IncrementalCorrelator::new(self.cfg.ugraph);
+            self.state.clear_poison();
+            state
+        })
     }
 
     /// Runs both pipelines over one epoch of in-process digests: the
@@ -404,8 +371,9 @@ impl AnalysisCenter {
         let digest_bytes: u64 = digests.iter().map(|d| d.encoded_len() as u64).sum();
         self.record_ingest(&ingest);
         let rec = StageRecorder::new(&self.metrics);
-        let mut scratch = self.take_scratch();
-        let s = &mut scratch;
+        let mut guard = self.lock_state();
+        let state = &mut *guard;
+        let s = &mut state.scratch;
         // `threads: 0` asks the OS for the CPU count on every
         // `workers_for`; ask once per epoch. Not once per process: a
         // caller may re-pin its thread between epochs, and a count taken
@@ -464,9 +432,8 @@ impl AnalysisCenter {
             content_packets: det.cols.len(),
             signature_indices: det.cols,
         };
-        let unaligned = self.unaligned_from_rows(&s.urows, &s.group_owner, k, budget, &rec);
+        let unaligned = self.unaligned_from_rows(state, k, budget, &rec);
 
-        self.return_scratch(scratch);
         self.record_kernels();
         let total_ns = (t0.elapsed().as_nanos() as u64).max(1);
         self.metrics.gauge("epoch_total_ns", &[]).set(total_ns);
@@ -522,40 +489,39 @@ impl AnalysisCenter {
         }
     }
 
-    /// Capacities of the most recently recycled epoch scratch: stacked
-    /// unaligned words, group-owner slots, then the aligned search's
+    /// Capacities of the epoch scratch: stacked unaligned words,
+    /// group-owner slots, then the aligned search's
     /// [`SearchScratch::capacities`] (count-plane words first).
     /// Steady-state epochs of one deployment shape must not grow any of
     /// these — the no-allocation invariant the zero-copy ingest path is
     /// built around.
     pub fn scratch_capacities(&self) -> [usize; 6] {
-        let s = self.take_scratch();
+        let state = self.lock_state();
+        let s = &state.scratch;
         let [planes, order, work, fanouts] = s.search.capacities();
-        let caps = [
+        [
             s.urows.word_capacity(),
             s.group_owner.capacity(),
             planes,
             order,
             work,
             fanouts,
-        ];
-        self.return_scratch(s);
-        caps
+        ]
     }
 
-    /// Panics the way a pipeline bug would: mid-epoch, holding a scratch
-    /// and a correlator checked out of their pools.
+    /// Panics the way a pipeline bug would: mid-epoch, holding the
+    /// centre's state.
     #[cfg(test)]
     fn panic_mid_epoch(&self) {
-        let _scratch = self.take_scratch();
-        let _correlator = self.take_correlator();
+        let _state = self.lock_state();
         panic!("injected mid-epoch panic");
     }
 
-    /// ER test + core finding over an already-stacked row matrix, staged
-    /// as `graph_build → er_test → peel` through `rec`. `rows` holds
-    /// every accepted router's arrays vertically concatenated;
-    /// `group_owner[g]` is the router owning global group `g`.
+    /// ER test + core finding over the stacked row matrix in
+    /// `state.scratch`, staged as `graph_build → er_test → peel` through
+    /// `rec`. The scratch's `urows` holds every accepted router's arrays
+    /// vertically concatenated; `group_owner[g]` is the router owning
+    /// global group `g`.
     ///
     /// The test graph is maintained incrementally across epochs and is
     /// bit-identical to the all-pairs oracle. Per-epoch engine
@@ -568,12 +534,13 @@ impl AnalysisCenter {
     /// registered every epoch, so the keys exist even at zero.
     fn unaligned_from_rows(
         &self,
-        rows: &RowMatrix,
-        group_owner: &[usize],
+        state: &mut CenterState,
         k: usize,
         budget: ComputeBudget,
         rec: &StageRecorder<'_>,
     ) -> UnalignedReport {
+        let rows = &state.scratch.urows;
+        let group_owner = &state.scratch.group_owner;
         let ncols = rows.ncols();
         let layout = GroupLayout { rows_per_group: k };
         let n_groups = group_owner.len();
@@ -585,16 +552,18 @@ impl AnalysisCenter {
             None => ErTestConfig::scaled(n_groups, self.cfg.test_p1),
         };
 
-        let tables = self
-            .lambda
-            .for_shape(ncols, k, self.cfg.test_p1, self.cfg.detect_p1);
+        let tables = LambdaTables::for_shape(
+            &mut state.lambda,
+            ncols,
+            k,
+            self.cfg.test_p1,
+            self.cfg.detect_p1,
+        );
 
         // Statistical-test graph through the incremental engine.
+        let correlator = &mut state.correlator;
         let ((test_graph, gstats), _) = rec.run(Stage::GraphBuild, || {
-            let mut corr = self.take_correlator();
-            let out = corr.epoch(rows, layout, &tables.test, workers);
-            self.return_correlator(corr);
-            out
+            correlator.epoch(rows, layout, &tables.test, workers)
         });
         let c = |name: &str, v: u64| self.metrics.counter(name, &[]).add(v);
         c("pairs_exact_total", gstats.pairs_exact);
@@ -986,10 +955,9 @@ mod tests {
         }
     }
 
-    /// A panic inside a pipeline unwinds with the checked-out scratch and
-    /// correlator, dropping them instead of poisoning any lock. The
-    /// centre must keep analysing — the next epoch simply checks fresh
-    /// ones out of the pools.
+    /// A panic inside a pipeline poisons the state lock. The centre must
+    /// keep analysing — the next epoch resets the scratch and the
+    /// correlator to cold and carries on.
     #[test]
     fn panicked_epoch_drops_its_scratch_and_the_centre_keeps_serving() {
         use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -999,8 +967,8 @@ mod tests {
         assert!(panicked, "the injected panic never fired");
 
         // The panicking epoch's scratch is gone; every entry point must
-        // still work on a freshly pooled scratch. (Two routers × 4
-        // groups matches the centre's for_groups(8).)
+        // still work on a fresh one. (Two routers × 4 groups matches the
+        // centre's for_groups(8).)
         let report = center
             .analyze_epoch(&clean_digests(13, 2))
             .expect("centre must keep serving after a panicked epoch");

@@ -20,7 +20,6 @@ pub mod aggregate;
 pub mod capture;
 pub mod center;
 pub mod clock;
-pub mod deployment;
 pub mod epochs;
 pub mod ingest;
 pub mod monitor;
@@ -34,7 +33,6 @@ pub use aggregate::{AggregateBundle, AggregateError, Aggregator, ChildExclusion,
 pub use capture::{GroupCapture, SignatureCapture};
 pub use center::{AnalysisCenter, AnalysisConfig};
 pub use clock::{Clock, ManualClock, TickClock};
-pub use deployment::{Deployment, DeploymentVerdict};
 pub use epochs::{catch_probability, AlarmTracker, EpochSampler};
 pub use ingest::{Exclusion, IngestError, IngestReport, RouterFault};
 pub use monitor::{MonitorConfig, MonitoringPoint, RouterDigest, RouterDigestView};
@@ -59,7 +57,6 @@ pub mod prelude {
     pub use crate::capture::{GroupCapture, SignatureCapture};
     pub use crate::center::{AnalysisCenter, AnalysisConfig};
     pub use crate::clock::{Clock, ManualClock, TickClock};
-    pub use crate::deployment::{Deployment, DeploymentVerdict};
     pub use crate::epochs::{AlarmTracker, EpochSampler};
     pub use crate::ingest::{Exclusion, IngestError, IngestReport, RouterFault};
     pub use crate::monitor::{

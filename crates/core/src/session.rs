@@ -83,10 +83,6 @@ pub enum StragglerPolicy {
     /// Wait until every session completes or gives up; the deadline is
     /// advisory only.
     WaitAll,
-    /// Hold the epoch open until the deadline; finalize then if at least
-    /// this many sessions completed, otherwise keep waiting until every
-    /// session completes or gives up.
-    Quorum(usize),
     /// Finalize at the deadline with whatever completed (early if
     /// everything did). The deadline is a hard arrival cutoff: a chunk
     /// offered at or after the deadline tick is late, whether or not
@@ -123,13 +119,14 @@ impl CollectorConfig {
         let mut h = Fnv1a::with_seed(0x1D_C5C0);
         h.update(&epoch_id.to_le_bytes());
         h.update(&self.deadline.to_le_bytes());
-        let (tag, q) = match self.straggler {
-            StragglerPolicy::WaitAll => (0u8, 0u64),
-            StragglerPolicy::Quorum(q) => (1, q as u64),
-            StragglerPolicy::Deadline => (2, 0),
+        // Tag 1 and the u64 after the tag belonged to a quorum-size
+        // policy; both stay in the hash so existing checkpoints resume.
+        let tag = match self.straggler {
+            StragglerPolicy::WaitAll => 0u8,
+            StragglerPolicy::Deadline => 2,
         };
         h.update(&[tag]);
-        h.update(&q.to_le_bytes());
+        h.update(&0u64.to_le_bytes());
         h.update(&self.session.base_backoff.to_le_bytes());
         h.update(&self.session.max_backoff.to_le_bytes());
         h.update(&self.session.max_retries.to_le_bytes());
@@ -643,8 +640,8 @@ impl EpochCollector {
                 // `now >= deadline` as expired, so accepting a chunk at the
                 // boundary tick would make the outcome depend on whether
                 // the driver finalized before or after offering it.
-                // WaitAll/Quorum keep the advisory-deadline semantics
-                // (they legitimately accept past-deadline stragglers).
+                // WaitAll keeps the advisory-deadline semantics (it
+                // legitimately accepts past-deadline stragglers).
                 if matches!(self.cfg.straggler, StragglerPolicy::Deadline) && now >= self.deadline()
                 {
                     self.stats.late_chunks += 1;
@@ -688,15 +685,12 @@ impl EpochCollector {
 
     /// Whether the straggler policy says to stop waiting at `now`.
     pub fn ready(&self, now: u64) -> bool {
-        let complete = self.complete_sessions();
-        if complete == self.sessions.len() {
+        if self.complete_sessions() == self.sessions.len() {
             return true;
         }
-        let decided = self.sessions.values().all(|s| s.is_complete() || s.gave_up);
         match self.cfg.straggler {
-            StragglerPolicy::WaitAll => decided,
-            StragglerPolicy::Quorum(q) => {
-                (now >= self.deadline() && complete >= q) || (decided && now >= self.deadline())
+            StragglerPolicy::WaitAll => {
+                self.sessions.values().all(|s| s.is_complete() || s.gave_up)
             }
             StragglerPolicy::Deadline => now >= self.deadline(),
         }
@@ -1163,24 +1157,39 @@ mod tests {
     }
 
     #[test]
-    fn advisory_deadline_policies_still_accept_past_deadline_chunks() {
-        // WaitAll and Quorum hold epochs open past the deadline by
-        // design; the hard cutoff must apply to the Deadline policy only.
-        for straggler in [StragglerPolicy::WaitAll, StragglerPolicy::Quorum(1)] {
+    fn wait_all_still_accepts_past_deadline_chunks() {
+        // WaitAll holds epochs open past the deadline by design; the hard
+        // cutoff must apply to the Deadline policy only.
+        let ccfg = CollectorConfig {
+            deadline: 10,
+            straggler: StragglerPolicy::WaitAll,
+            session: cfg().session,
+        };
+        let mut coll = EpochCollector::new(1, [1], ccfg, 1, 0);
+        let chunks = chunk_bundle(1, 1, &bundle_bytes(1, 100), 128);
+        assert!(
+            matches!(
+                coll.offer(&chunks[0], 10),
+                ChunkDisposition::Accepted { .. }
+            ),
+            "WaitAll must accept at the (advisory) deadline"
+        );
+    }
+
+    /// The config fingerprint a DCSK checkpoint carries: values captured
+    /// while a third, quorum-size policy still shared the tag byte, so
+    /// checkpoints written then still resume.
+    #[test]
+    fn config_fingerprints_are_pinned() {
+        for (straggler, want) in [
+            (StragglerPolicy::WaitAll, 0x8046_1ce6_f6b8_9162),
+            (StragglerPolicy::Deadline, 0xea72_774f_2b68_2c2c),
+        ] {
             let ccfg = CollectorConfig {
-                deadline: 10,
                 straggler,
-                session: cfg().session,
+                ..CollectorConfig::default()
             };
-            let mut coll = EpochCollector::new(1, [1], ccfg, 1, 0);
-            let chunks = chunk_bundle(1, 1, &bundle_bytes(1, 100), 128);
-            assert!(
-                matches!(
-                    coll.offer(&chunks[0], 10),
-                    ChunkDisposition::Accepted { .. }
-                ),
-                "{straggler:?} must accept at the (advisory) deadline"
-            );
+            assert_eq!(ccfg.fingerprint(7, &[1, 2, 3]), want, "{straggler:?}");
         }
     }
 
@@ -1308,28 +1317,6 @@ mod tests {
             coll.offer(&b[1], 0),
             ChunkDisposition::Inconsistent { router_id: 1 }
         );
-    }
-
-    #[test]
-    fn quorum_policy_waits_past_deadline_for_quorum() {
-        let ccfg = CollectorConfig {
-            deadline: 10,
-            straggler: StragglerPolicy::Quorum(1),
-            session: SessionConfig {
-                base_backoff: 2,
-                max_backoff: 4,
-                max_retries: 2,
-                jitter: 0,
-            },
-        };
-        let mut coll = EpochCollector::new(1, [1, 2], ccfg, 1, 0);
-        // Nothing at the deadline → quorum 1 not met → not ready.
-        assert!(!coll.ready(10));
-        let chunks = chunk_bundle(1, 1, &bundle_bytes(1, 100), 128);
-        coll.offer(&chunks[0], 11);
-        // Quorum met, but only past the deadline.
-        assert!(coll.ready(11));
-        assert!(!coll.ready(5));
     }
 
     #[test]

@@ -8,13 +8,13 @@
 //!
 //! **Owner and lifetime.** The paper compares against a *precomputed*
 //! table, and a quantile costs microseconds where the AND-popcount it
-//! gates costs nanoseconds, so a table must outlive the epoch. A
-//! [`LambdaStore`] (one per analysis centre) owns the current
-//! [`LambdaTables`] pair — Λ for the statistical-test graph, Λ′ for the
-//! detection graph — hands it to every epoch as an `Arc`, and replaces it
-//! only when the row width, the rows per group or an edge probability
-//! changes. A table is still filled lazily: real digests exercise a
-//! narrow weight band around the target fill.
+//! gates costs nanoseconds, so a table must outlive the epoch. The
+//! analysis centre holds one [`LambdaTables`] pair — Λ for the
+//! statistical-test graph, Λ′ for the detection graph — and
+//! [`LambdaTables::for_shape`] replaces it only when the row width, the
+//! rows per group or an edge probability changes. A table is still
+//! filled lazily: real digests exercise a narrow weight band around the
+//! target fill.
 //!
 //! **Layout and memory bound.** A [`LambdaTable`] is a directory of
 //! `N + 1` rows indexed by the first weight; row `i` is allocated the
@@ -34,7 +34,7 @@
 
 use dcs_stats::hypergeom_tail_quantile;
 use std::sync::atomic::{AtomicU16, AtomicU64, Ordering::Relaxed};
-use std::sync::{Arc, Mutex, OnceLock, PoisonError};
+use std::sync::OnceLock;
 
 /// Cell value meaning "not computed yet". λ never exceeds the row width,
 /// and [`LambdaTable::new`] keeps the row width below this.
@@ -182,8 +182,8 @@ impl LambdaTable {
     }
 
     /// Fills since the previous call — each fill is returned by exactly
-    /// one call, so concurrent epochs sharing the table can feed one
-    /// counter without double counting.
+    /// one call, so every epoch on the table can feed one counter without
+    /// double counting.
     pub fn take_new_fills(&self) -> u64 {
         self.unreported.swap(0, Relaxed)
     }
@@ -199,55 +199,39 @@ pub struct LambdaTables {
     pub detect: LambdaTable,
 }
 
-/// Owner of the current [`LambdaTables`] pair. Tables are built for the
-/// shape asked for and kept until a different shape is asked for, so the
-/// quantiles one epoch computed serve every later epoch. Starts empty;
-/// the first [`for_shape`](Self::for_shape) builds.
-#[derive(Debug, Default)]
-pub struct LambdaStore {
-    current: Mutex<Option<Arc<LambdaTables>>>,
-}
-
-impl LambdaStore {
+impl LambdaTables {
     /// The tables for rows of `n_bits` bits compared `rows_per_group²`
     /// row pairs per group pair, at group-edge probabilities `test_p1`
     /// (test graph) and `detect_p1` (detection graph, capped at 0.999).
-    /// Returns the pair already held when it was built for the same
-    /// values, and replaces it otherwise.
+    /// Keeps the pair `slot` holds when it was built for the same values,
+    /// so the quantiles one epoch computed serve every later epoch, and
+    /// replaces it otherwise.
     ///
     /// # Panics
     /// Panics on a shape [`LambdaTable::new`] or
-    /// [`p_star_for_edge_prob`] rejects.
+    /// [`p_star_for_edge_prob`] rejects, leaving `slot` empty.
     pub fn for_shape(
-        &self,
+        slot: &mut Option<LambdaTables>,
         n_bits: usize,
         rows_per_group: usize,
         test_p1: f64,
         detect_p1: f64,
-    ) -> Arc<LambdaTables> {
+    ) -> &LambdaTables {
         let pairs = rows_per_group * rows_per_group;
         let p_star_test = p_star_for_edge_prob(test_p1, pairs);
         let p_star_detect = p_star_for_edge_prob(detect_p1.min(0.999), pairs);
-        // The slot only ever holds a complete pair, so a panic while it
-        // was locked (a rejected shape) leaves it valid.
-        let mut current = self.current.lock().unwrap_or_else(PoisonError::into_inner);
-        match &*current {
-            Some(t)
-                if t.test.n_bits == n_bits
-                    && t.test.p_star == p_star_test
-                    && t.detect.p_star == p_star_detect =>
-            {
-                Arc::clone(t)
-            }
-            _ => {
-                let fresh = Arc::new(LambdaTables {
-                    test: LambdaTable::new(n_bits, p_star_test),
-                    detect: LambdaTable::new(n_bits, p_star_detect),
-                });
-                *current = Some(Arc::clone(&fresh));
-                fresh
-            }
+        let fits = |t: &LambdaTables| {
+            t.test.n_bits == n_bits
+                && t.test.p_star == p_star_test
+                && t.detect.p_star == p_star_detect
+        };
+        if !slot.as_ref().is_some_and(fits) {
+            *slot = None;
         }
+        slot.get_or_insert_with(|| LambdaTables {
+            test: LambdaTable::new(n_bits, p_star_test),
+            detect: LambdaTable::new(n_bits, p_star_detect),
+        })
     }
 }
 
@@ -425,29 +409,30 @@ mod tests {
     }
 
     #[test]
-    fn store_keeps_the_pair_until_the_shape_changes() {
-        let store = LambdaStore::default();
-        let a = store.for_shape(1024, 10, 1e-4, 1e-2);
+    fn for_shape_keeps_the_pair_until_the_shape_changes() {
+        let mut slot = None;
+        let a = LambdaTables::for_shape(&mut slot, 1024, 10, 1e-4, 1e-2);
         assert_eq!(a.test.p_star(), p_star_for_edge_prob(1e-4, 100));
         assert_eq!(a.detect.p_star(), p_star_for_edge_prob(1e-2, 100));
         a.test.lambda(500, 510);
-        let b = store.for_shape(1024, 10, 1e-4, 1e-2);
-        assert!(Arc::ptr_eq(&a, &b), "same shape must share one pair");
-        assert_eq!(b.test.memo_len(), 1, "the fill outlived the first handle");
+        let b = LambdaTables::for_shape(&mut slot, 1024, 10, 1e-4, 1e-2);
+        assert_eq!(b.test.memo_len(), 1, "same shape must keep the pair");
         for (n_bits, k, test_p1, detect_p1) in [
             (512, 10, 1e-4, 1e-2),
             (1024, 4, 1e-4, 1e-2),
             (1024, 10, 2e-4, 1e-2),
             (1024, 10, 1e-4, 2e-2),
         ] {
-            let before = store.for_shape(1024, 10, 1e-4, 1e-2);
-            let c = store.for_shape(n_bits, k, test_p1, detect_p1);
-            assert!(
-                !Arc::ptr_eq(&before, &c),
-                "({n_bits}, {k}, {test_p1}, {detect_p1})"
-            );
+            LambdaTables::for_shape(&mut slot, 1024, 10, 1e-4, 1e-2)
+                .test
+                .lambda(500, 510);
+            let c = LambdaTables::for_shape(&mut slot, n_bits, k, test_p1, detect_p1);
             assert_eq!(c.test.n_bits(), n_bits);
-            assert_eq!(c.test.memo_len(), 0, "a replaced pair starts cold");
+            assert_eq!(
+                c.test.memo_len(),
+                0,
+                "({n_bits}, {k}, {test_p1}, {detect_p1}): a replaced pair starts cold"
+            );
         }
     }
 }

@@ -5,7 +5,7 @@
 //!   zero panics by construction;
 //! * the tiered path's detection set is byte-identical to a flat
 //!   `CollectedEpoch::from_frames` run over the same delivered child frames
-//!   (the verbatim-forwarding equivalence argument of DESIGN.md §10);
+//!   (the verbatim-forwarding equivalence argument of DESIGN.md §7.1);
 //! * cross-level accounting: every leaf the aggregation tier lost
 //!   surfaces at the centre as an `AtLevel`-wrapped fault.
 

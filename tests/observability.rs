@@ -275,3 +275,113 @@ fn every_emitted_metric_family_is_documented() {
         "DESIGN §8 documents metric families nothing emits: {unemitted:?}"
     );
 }
+
+/// The section number `N` or `N.M` at the start of `text`, if any.
+fn section_number(text: &str) -> Option<&str> {
+    let digits = |s: &str| s.find(|c: char| !c.is_ascii_digit()).unwrap_or(s.len());
+    let mut len = digits(text);
+    if len > 0 && text[len..].starts_with('.') {
+        let sub = digits(&text[len + 1..]);
+        if sub > 0 {
+            len += 1 + sub;
+        }
+    }
+    (len > 0).then(|| &text[..len])
+}
+
+/// The sections of every `DESIGN §N[.M]` / `DESIGN.md §N[.M]` in `text`.
+/// Whitespace and comment markers may sit before the `§`, so a reference
+/// wrapped across comment lines still counts.
+fn design_refs(text: &str) -> Vec<&str> {
+    (text.match_indices("DESIGN"))
+        .filter_map(|(at, _)| {
+            let rest = &text[at + "DESIGN".len()..];
+            let rest = rest.strip_prefix(".md").unwrap_or(rest);
+            let rest = rest.trim_start_matches(|c: char| c.is_whitespace() || "/!#".contains(c));
+            section_number(rest.strip_prefix('§')?)
+        })
+        .collect()
+}
+
+/// Every `.rs` file under `dir`, recursively.
+fn rust_files(dir: &std::path::Path, out: &mut Vec<std::path::PathBuf>) {
+    let entries = std::fs::read_dir(dir).unwrap_or_else(|e| panic!("{}: {e}", dir.display()));
+    for entry in entries {
+        let path = entry.expect("directory entry").path();
+        if path.is_dir() {
+            rust_files(&path, out);
+        } else if path.extension().is_some_and(|ext| ext == "rs") {
+            out.push(path);
+        }
+    }
+}
+
+/// Every `DESIGN §N[.M]` / `DESIGN.md §N[.M]` in the code, the README,
+/// the verify skill and the CI workflow — and every `§N[.M]` DESIGN.md
+/// makes to itself — names one of its headings; every relative Markdown
+/// link in README.md and DESIGN.md names a file in the repository.
+#[test]
+fn doc_cross_references_resolve() {
+    let root = std::path::Path::new(env!("CARGO_MANIFEST_DIR"));
+    let design = include_str!("../DESIGN.md");
+    let readme = include_str!("../README.md");
+    let headings: Vec<&str> = (design.lines())
+        .filter_map(|line| line.strip_prefix("## ").or(line.strip_prefix("### ")))
+        .filter_map(|heading| heading.split(' ').next())
+        .map(|number| number.trim_end_matches('.'))
+        .collect();
+
+    let mut files = vec![
+        root.join("README.md"),
+        root.join(".claude/skills/verify/SKILL.md"),
+        root.join(".github/workflows/ci.yml"),
+    ];
+    for dir in ["crates", "src", "tests", "examples"] {
+        rust_files(&root.join(dir), &mut files);
+    }
+    // DESIGN.md cites the paper's sections in roman numerals, so every
+    // `§` and a digit in it is a reference to itself.
+    let mut refs: Vec<(String, String)> = (design.split('§').skip(1))
+        .filter_map(section_number)
+        .map(|section| ("DESIGN.md".to_string(), section.to_string()))
+        .collect();
+    for path in &files {
+        let text =
+            std::fs::read_to_string(path).unwrap_or_else(|e| panic!("{}: {e}", path.display()));
+        let name = path
+            .strip_prefix(root)
+            .unwrap_or(path)
+            .display()
+            .to_string();
+        for section in design_refs(&text) {
+            refs.push((name.clone(), section.to_string()));
+        }
+    }
+    assert!(
+        refs.iter().filter(|(file, _)| file != "DESIGN.md").count() > 5,
+        "cross-references not found: {refs:?}"
+    );
+    let dangling: Vec<_> = (refs.iter())
+        .filter(|(_, section)| !headings.contains(&section.as_str()))
+        .collect();
+    assert!(
+        dangling.is_empty(),
+        "references to sections DESIGN.md does not have (headings {headings:?}): {dangling:?}"
+    );
+
+    let mut missing = Vec::new();
+    for (name, text) in [("README.md", readme), ("DESIGN.md", design)] {
+        for (at, _) in text.match_indices("](") {
+            let target = &text[at + 2..];
+            let target = &target[..target.find(')').unwrap_or(target.len())];
+            let file = target.split('#').next().unwrap_or(target);
+            if file.is_empty() || file.contains("://") || file.starts_with("mailto:") {
+                continue;
+            }
+            if !root.join(file).exists() {
+                missing.push(format!("{name}: {target}"));
+            }
+        }
+    }
+    assert!(missing.is_empty(), "links to missing files: {missing:?}");
+}

@@ -8,7 +8,7 @@
 //!   checkpoint and produces byte-identical detection sets vs the
 //!   uninterrupted run;
 //! * straggler-policy coverage: a digest delayed past the deadline is
-//!   excluded as `TimedOut` under `Quorum`, and detection matches the
+//!   excluded as `TimedOut` under `Deadline`, and detection matches the
 //!   survivor-only baseline;
 //! * arbitrary-bytes fuzz over the bundle decoder, the chunk decoder and
 //!   the checkpoint decoder — up to 64 KiB of soup, always a typed
@@ -225,10 +225,9 @@ fn duplicate_and_overlapping_delivery_detects_identically() {
     assert_eq!(via_chunks.ingest.accepted, clean.ingest.accepted);
 }
 
-/// Satellite (c), part 2: under `Quorum`, a digest whose chunks arrive
-/// past the deadline is excluded as `TimedOut`, and detection matches
-/// the survivor-only baseline (the same epoch analysed without the
-/// straggler at all).
+/// Under `Deadline`, a digest whose chunks arrive past the deadline is
+/// excluded as `TimedOut`, and detection matches the survivor-only
+/// baseline (the same epoch analysed without the straggler at all).
 #[test]
 fn late_digest_is_timed_out_and_detection_matches_survivor_baseline() {
     let routers = 24;
@@ -249,7 +248,7 @@ fn late_digest_is_timed_out_and_detection_matches_survivor_baseline() {
 
     let ccfg = CollectorConfig {
         deadline: 50,
-        straggler: StragglerPolicy::Quorum(16),
+        straggler: StragglerPolicy::Deadline,
         ..Default::default()
     };
     let mut coll = EpochCollector::new(0, (0..routers as u64).collect::<Vec<_>>(), ccfg, 9, 0);
@@ -263,9 +262,9 @@ fn late_digest_is_timed_out_and_detection_matches_survivor_baseline() {
     }
     assert!(
         !coll.ready(10),
-        "quorum policy must hold until the deadline"
+        "a missing session holds the epoch until the deadline"
     );
-    assert!(coll.ready(50), "23 complete sessions beat the quorum of 16");
+    assert!(coll.ready(50), "the deadline cuts the straggler off");
 
     let epoch = coll.finalize(50);
     // The straggler's chunks show up only now — past finalize they are

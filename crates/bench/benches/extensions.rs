@@ -1,47 +1,14 @@
-//! Benches for the extension layers: capture filters, multi-pattern
-//! detection, sampled correlation + expansion, wire codecs and the
-//! baseline comparators.
+//! Benches for the extension layers: multi-pattern detection, wire
+//! codecs and the baseline comparators.
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion, Throughput};
 use dcs_aligned::{refined_detect_multi, SearchConfig};
-use dcs_collect::{AlignedConfig, UnalignedConfig};
-use dcs_core::capture::{GroupCapture, SignatureCapture};
+use dcs_collect::UnalignedConfig;
 use dcs_sim::aligned::planted_matrix;
 use dcs_sim::baseline::{LocalPrevalenceDetector, RawAggregationDetector};
 use dcs_traffic::gen::{generate_epoch, BackgroundConfig, SizeMix};
-use dcs_unaligned::multi::find_patterns_multi;
-use dcs_unaligned::CoreFindConfig;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-
-fn capture_filters(c: &mut Criterion) {
-    let mut rng = StdRng::seed_from_u64(1);
-    let epoch = generate_epoch(
-        &mut rng,
-        &BackgroundConfig {
-            packets: 2_000,
-            flows: 400,
-            zipf_exponent: 1.0,
-            size_mix: SizeMix::constant(536),
-        },
-    );
-    let bytes: usize = epoch.iter().map(|p| p.wire_len()).sum();
-    let acfg = AlignedConfig::small(1 << 20, 7);
-    let sig: Vec<usize> = (0..30).map(|i| i * 1000).collect();
-    let sig_filter = SignatureCapture::new(&acfg, &sig);
-    let ucfg = UnalignedConfig::small(32, 7, 3);
-    let grp_filter = GroupCapture::new(&ucfg, &[1, 5, 9]);
-
-    let mut g = c.benchmark_group("capture");
-    g.throughput(Throughput::Bytes(bytes as u64));
-    g.bench_function("signature_2k_pkts", |b| {
-        b.iter(|| sig_filter.capture(black_box(&epoch)).len())
-    });
-    g.bench_function("group_2k_pkts", |b| {
-        b.iter(|| grp_filter.capture(black_box(&epoch)).len())
-    });
-    g.finish();
-}
 
 fn multi_pattern(c: &mut Criterion) {
     let mut rng = StdRng::seed_from_u64(2);
@@ -57,20 +24,6 @@ fn multi_pattern(c: &mut Criterion) {
     };
     c.bench_function("multi/aligned_detect_multi", |b| {
         b.iter(|| refined_detect_multi(&p.matrix, &cfg, 3).len())
-    });
-
-    let mut r2 = StdRng::seed_from_u64(3);
-    let (g, _) = dcs_graph::er::gnp_planted(
-        &mut r2,
-        dcs_graph::er::PlantedConfig {
-            n: 10_000,
-            p1: 2.0 / 10_000.0,
-            n1: 80,
-            p2: 0.3,
-        },
-    );
-    c.bench_function("multi/unaligned_find_patterns", |b| {
-        b.iter(|| find_patterns_multi(&g, CoreFindConfig { beta: 40, d: 2 }, 3, 1.0).len())
     });
 }
 
@@ -148,6 +101,6 @@ fn config() -> Criterion {
 criterion_group! {
     name = benches;
     config = config();
-    targets = capture_filters, multi_pattern, baselines, wire_codec
+    targets = multi_pattern, baselines, wire_codec
 }
 criterion_main!(benches);

@@ -17,7 +17,6 @@
 #![warn(missing_docs)]
 
 pub mod aggregate;
-pub mod capture;
 pub mod center;
 pub mod clock;
 pub mod epochs;
@@ -30,7 +29,6 @@ pub mod stages;
 pub mod transport;
 
 pub use aggregate::{AggregateBundle, AggregateError, Aggregator, ChildExclusion, AGGREGATE_MAGIC};
-pub use capture::{GroupCapture, SignatureCapture};
 pub use center::{AnalysisCenter, AnalysisConfig};
 pub use clock::{Clock, ManualClock, TickClock};
 pub use epochs::{catch_probability, AlarmTracker, EpochSampler};
@@ -54,7 +52,6 @@ pub use dcs_obs::{MetricsRegistry, MetricsSnapshot};
 /// Convenient glob-import surface.
 pub mod prelude {
     pub use crate::aggregate::{AggregateBundle, AggregateError, Aggregator, ChildExclusion};
-    pub use crate::capture::{GroupCapture, SignatureCapture};
     pub use crate::center::{AnalysisCenter, AnalysisConfig};
     pub use crate::clock::{Clock, ManualClock, TickClock};
     pub use crate::epochs::{AlarmTracker, EpochSampler};

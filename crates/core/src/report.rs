@@ -101,6 +101,25 @@ impl EpochReport {
             self.raw_bytes as f64 / self.digest_bytes as f64
         }
     }
+
+    /// The verdicts of this epoch as one canonical JSON string: exactly
+    /// the fields that must agree between the flat and aggregated ingest
+    /// paths, and the `detection` field of a `dcs-cli serve` report line.
+    /// Ingest indices and transport stats are deliberately excluded — the
+    /// two paths account those differently by design.
+    pub fn detection_fingerprint(&self) -> String {
+        format!(
+            "{{\"found\":{},\"routers\":{:?},\"packets\":{},\"signature\":{:?},\"alarm\":{},\"component\":{},\"suspected\":{:?},\"groups\":{:?}}}",
+            self.aligned.found,
+            self.aligned.routers,
+            self.aligned.content_packets,
+            self.aligned.signature_indices,
+            self.unaligned.alarm,
+            self.unaligned.largest_component,
+            self.unaligned.suspected_routers,
+            self.unaligned.suspected_groups,
+        )
+    }
 }
 
 #[cfg(test)]
@@ -151,6 +170,21 @@ mod tests {
         let mut r = sample();
         r.digest_bytes = 0;
         assert_eq!(r.compression_ratio(), 0.0);
+    }
+
+    /// The string is the `detection` field of every `serve` report line:
+    /// its bytes are a contract, not a debug aid.
+    #[test]
+    fn detection_fingerprint_is_pinned() {
+        let mut r = sample();
+        r.unaligned.alarm = true;
+        r.unaligned.suspected_routers = vec![1, 3];
+        r.unaligned.suspected_groups = vec![4, 13];
+        assert_eq!(
+            r.detection_fingerprint(),
+            "{\"found\":true,\"routers\":[0, 2],\"packets\":12,\"signature\":[5, 17],\
+             \"alarm\":true,\"component\":9,\"suspected\":[1, 3],\"groups\":[4, 13]}"
+        );
     }
 
     #[test]

@@ -6,9 +6,10 @@
 //! route cumulative acks back, fire retransmit timers, put the resent
 //! chunks back on the channel. [`drive_hop`] is that loop, for any
 //! [`Receiver`]: an [`EpochCollector`] at the centre or an [`Aggregator`]
-//! in between. Every soak in this crate, two-level, three-level or flat,
-//! is a list of `Tier`s handed to one `TierDriver`: an aggregator is a
-//! receiver whose `finalize` emits a bundle onto the next tier's links.
+//! in between. Every topology the soak driver runs, flat, two-level or
+//! three-level, is a list of `Tier`s handed to one `TierDriver`: an
+//! aggregator is a receiver whose `finalize` emits a bundle onto the next
+//! tier's links.
 
 use crate::channel::{ChannelConfig, LossyChannel};
 use dcs_core::aggregate::Aggregator;

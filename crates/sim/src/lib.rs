@@ -19,17 +19,14 @@
 //! * [`channel`] — a seeded lossy-channel model (drop, delay, reorder,
 //!   duplicate, corrupt) for the chunked digest transport;
 //! * [`hop`] — the one loop that drives frames across a lossy hop to a
-//!   collector or an aggregator, and the tier driver every soak below is
-//!   a configuration of;
-//! * [`soak`] — the transport soak harness: many epochs of monitors →
-//!   lossy channel → epoch collector → analysis centre, with optional
-//!   mid-soak centre kill/restart through the checkpoint path;
-//! * [`tiered`] — the two-level topology soak: leaves → regional
-//!   aggregators → centre, with per-epoch flat-replay detection
-//!   equivalence checking;
-//! * [`attack`] — the attack-scenario suite: DNS amplification and
-//!   elephant flows driven through the tier, checking the centre detects
-//!   the planted content in every quorum epoch;
+//!   collector or an aggregator, and the tier driver that carries an
+//!   epoch up a topology;
+//! * [`soak`] — the soak driver: many epochs of monitors → lossy hops →
+//!   (flat, two-level or three-level) → analysis centre, carrying the
+//!   aligned plant or an attack scenario (DNS amplification, elephant
+//!   flows), with an optional mid-soak centre kill/restart through the
+//!   checkpoint path and, through the tiers, per-epoch flat-replay
+//!   detection equivalence;
 //! * [`table`] — plain-text row/series formatting for the `repro_*`
 //!   binaries.
 
@@ -37,7 +34,6 @@
 #![warn(missing_docs)]
 
 pub mod aligned;
-pub mod attack;
 pub mod baseline;
 pub mod channel;
 pub mod faults;
@@ -45,5 +41,4 @@ pub mod hop;
 pub mod soak;
 pub mod stress;
 pub mod table;
-pub mod tiered;
 pub mod unaligned;

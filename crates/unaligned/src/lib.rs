@@ -22,9 +22,7 @@
 //! * [`matchmodel`] — the offset-sampling match-probability model
 //!   (`1 − e^(−k²/536)`) and the resulting pattern edge probability p₂;
 //! * [`thresholds`] — the non-naturally-occurring cluster bound of
-//!   eqs. (2)–(3) with brute-force co-tuning of (p₁, d);
-//! * [`multi`] — sub-cluster separation on top of the single-cluster
-//!   detector (the layered technique Section II-D assumes).
+//!   eqs. (2)–(3) with brute-force co-tuning of (p₁, d).
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -35,7 +33,6 @@ pub mod graphbuild;
 pub mod incremental;
 pub mod lambda;
 pub mod matchmodel;
-pub mod multi;
 pub mod thresholds;
 
 pub use corefind::{find_pattern, CoreFindConfig, PatternResult};
@@ -47,5 +44,4 @@ pub use graphbuild::{
 pub use incremental::{EpochStats, IncrementalConfig, IncrementalCorrelator};
 pub use lambda::{LambdaTable, LambdaTables};
 pub use matchmodel::{offset_match_prob, pattern_edge_prob, MatchModel};
-pub use multi::{find_patterns_multi, split_clusters, SeparatedPattern};
 pub use thresholds::{cluster_threshold, ClusterThreshold};

@@ -31,7 +31,6 @@ use dcs::core::net::{
 };
 use dcs::core::prelude::*;
 use dcs::core::transport::DATAGRAM_SAFE_PAYLOAD;
-use dcs::sim::tiered::detection_fingerprint;
 use dcs::traffic::gen::{generate_epoch, BackgroundConfig, SizeMix};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -424,7 +423,7 @@ fn analyse_epoch(center: &AnalysisCenter, epoch: &CollectedEpoch) -> ReportLine 
         Ok(report) => ReportLine {
             epoch: epoch.epoch_id,
             outcome: "report".into(),
-            detection: detection_fingerprint(&report),
+            detection: report.detection_fingerprint(),
             accepted: report.ingest.accepted.len(),
         },
         Err(IngestError::QuorumTooSmall { required, report }) => ReportLine {

@@ -10,8 +10,7 @@
 //!   surfaces at the centre as an `AtLevel`-wrapped fault.
 
 use dcs_sim::channel::ChannelConfig;
-use dcs_sim::soak::EpochOutcome;
-use dcs_sim::tiered::{run_tiered_soak, run_tiered_soak_deep, TieredSoakConfig};
+use dcs_sim::soak::{run_soak, EpochOutcome, SoakConfig, Topology};
 
 fn wide_epochs() -> usize {
     match std::env::var("DCS_WIDE_EPOCHS") {
@@ -26,8 +25,9 @@ fn wide_epochs() -> usize {
 /// ingest of the delivered frames byte for byte.
 #[test]
 fn wide_tiered_soak_survives_at_thousand_plus_leaves() {
-    let cfg = TieredSoakConfig::wide(1040, 16, wide_epochs(), 0x7EAF_50AC);
-    let result = run_tiered_soak(&cfg);
+    let aggregators = 16;
+    let cfg = SoakConfig::wide(1040, aggregators, wide_epochs(), 0x7EAF_50AC);
+    let result = run_soak(&cfg);
     assert_eq!(result.outcomes.len(), cfg.epochs);
     assert!(
         result.detection_equivalent(),
@@ -53,7 +53,7 @@ fn wide_tiered_soak_survives_at_thousand_plus_leaves() {
                         Some(id) => id >= (1 << 20),
                     })
                     .count();
-                let per_region = cfg.leaves / cfg.aggregators;
+                let per_region = cfg.leaves / aggregators;
                 assert_eq!(
                     r.ingest.submitted,
                     cfg.leaves - lost_bundles * per_region + lost_bundles,
@@ -102,7 +102,7 @@ fn wide_tiered_soak_survives_at_thousand_plus_leaves() {
     assert!(result
         .metrics
         .counter("aggregate_bundles_total")
-        .is_some_and(|v| v >= cfg.aggregators as u64));
+        .is_some_and(|v| v >= aggregators as u64));
     // The unaligned graph engine ran at this width.
     let exact = result
         .metrics
@@ -119,8 +119,11 @@ fn wide_tiered_soak_survives_at_thousand_plus_leaves() {
 /// ingest of the delivered frames.
 #[test]
 fn deep_wide_soak_composes_leaf_quorum_through_three_levels() {
-    let cfg = TieredSoakConfig::wide(520, 8, wide_epochs().min(2), 0xDEE9_50AC);
-    let result = run_tiered_soak_deep(&cfg);
+    let cfg = SoakConfig {
+        topology: Topology::Deep { aggregators: 8 },
+        ..SoakConfig::wide(520, 8, wide_epochs().min(2), 0xDEE9_50AC)
+    };
+    let result = run_soak(&cfg);
     assert_eq!(result.outcomes.len(), cfg.epochs);
     assert!(
         result.detection_equivalent(),
@@ -184,13 +187,13 @@ fn deep_wide_soak_composes_leaf_quorum_through_three_levels() {
 /// second hop starves the centre of all leaves.
 #[test]
 fn all_bundles_lost_is_a_typed_quorum_error() {
-    let mut cfg = TieredSoakConfig::standard(1, 0x00DE_AD11);
+    let mut cfg = SoakConfig::tiered(1, 0x00DE_AD11);
     cfg.leaf_channel = ChannelConfig::perfect();
     cfg.up_channel = ChannelConfig {
         drop_prob: 1.0,
         ..ChannelConfig::perfect()
     };
-    let result = run_tiered_soak(&cfg);
+    let result = run_soak(&cfg);
     assert_eq!(result.outcomes.len(), 1);
     match &result.outcomes[0] {
         EpochOutcome::QuorumTooSmall { accepted, .. } => assert_eq!(*accepted, 0),

@@ -1,6 +1,7 @@
-//! Replay pin of the `dcs-sim` soak drivers.
+//! Replay pin of the `dcs-sim` soak driver on its flat, killed, two-level,
+//! three-level and attack regimes.
 //!
-//! Every driver is a pure function of its config: channel impairments,
+//! Every run is a pure function of its config: channel impairments,
 //! retransmit jitter and traffic all draw from seeded RNGs on a virtual
 //! clock. A change to how a hop is driven — the order of deliver, offer,
 //! ack, poll and resend within a tick, or when the clock advances — moves
@@ -27,14 +28,12 @@
 
 use dcs_core::report::TransportStats;
 use dcs_hash::Fnv1a;
-use dcs_sim::attack::{run_attack_soak, AttackConfig, AttackScenario};
-use dcs_sim::soak::{run_soak, EpochOutcome, KillPlan, SoakConfig};
-use dcs_sim::tiered::{
-    outcome_fingerprint, run_tiered_soak, run_tiered_soak_deep, TieredSoakConfig, TieredSoakResult,
+use dcs_sim::soak::{
+    outcome_fingerprint, run_soak, AttackScenario, KillPlan, SoakConfig, SoakResult, Topology,
 };
 
-fn pin_outcomes<'a>(h: &mut Fnv1a, outcomes: impl Iterator<Item = &'a EpochOutcome>) {
-    for o in outcomes {
+fn pin_outcomes(h: &mut Fnv1a, r: &SoakResult) {
+    for o in &r.outcomes {
         h.update(outcome_fingerprint(o).as_bytes());
     }
 }
@@ -55,8 +54,8 @@ fn pin_stats(h: &mut Fnv1a, s: &TransportStats) {
 fn soak_pin(cfg: &SoakConfig) -> u64 {
     let r = run_soak(cfg);
     let mut h = Fnv1a::new();
-    pin_outcomes(&mut h, r.outcomes.iter());
-    pin_stats(&mut h, &r.totals);
+    pin_outcomes(&mut h, &r);
+    pin_stats(&mut h, &r.leaf_totals);
     h.update(&r.ticks.to_le_bytes());
     h.finish()
 }
@@ -70,13 +69,17 @@ struct Pin {
     upstream: u64,
 }
 
-fn tiered_pin(r: &TieredSoakResult) -> Pin {
+/// `ticks`: whether the upstream half also hashes the run's ticks (the
+/// attack pin was captured without them).
+fn tiered_pin(r: &SoakResult, ticks: bool) -> Pin {
     let mut verdicts = Fnv1a::new();
-    pin_outcomes(&mut verdicts, r.outcomes.iter());
+    pin_outcomes(&mut verdicts, r);
     pin_stats(&mut verdicts, &r.leaf_totals);
     let mut upstream = Fnv1a::new();
     pin_stats(&mut upstream, &r.up_totals);
-    upstream.update(&r.ticks.to_le_bytes());
+    if ticks {
+        upstream.update(&r.ticks.to_le_bytes());
+    }
     Pin {
         verdicts: verdicts.finish(),
         upstream: upstream.finish(),
@@ -94,32 +97,19 @@ fn soak_drivers_replay_their_pinned_runs() {
 
 #[test]
 fn tiered_drivers_replay_their_pinned_runs() {
-    let cfg = TieredSoakConfig::standard(4, 7);
-    assert_eq!(tiered_pin(&run_tiered_soak(&cfg)), TIERED_PIN, "two-level");
-    assert_eq!(
-        tiered_pin(&run_tiered_soak_deep(&cfg)),
-        DEEP_PIN,
-        "three-level"
-    );
+    let cfg = SoakConfig::tiered(4, 7);
+    let deep = SoakConfig {
+        topology: Topology::Deep { aggregators: 3 },
+        ..cfg
+    };
+    assert_eq!(tiered_pin(&run_soak(&cfg), true), TIERED_PIN, "two-level");
+    assert_eq!(tiered_pin(&run_soak(&deep), true), DEEP_PIN, "three-level");
 }
 
 #[test]
 fn attack_driver_replays_its_pinned_run() {
-    let r = run_attack_soak(&AttackConfig::standard(
-        AttackScenario::DnsAmplification,
-        3,
-        7,
-    ));
-    let mut verdicts = Fnv1a::new();
-    pin_outcomes(&mut verdicts, r.outcomes.iter());
-    pin_stats(&mut verdicts, &r.leaf_totals);
-    let mut upstream = Fnv1a::new();
-    pin_stats(&mut upstream, &r.up_totals);
-    let pin = Pin {
-        verdicts: verdicts.finish(),
-        upstream: upstream.finish(),
-    };
-    assert_eq!(pin, ATTACK_PIN);
+    let cfg = SoakConfig::attack(AttackScenario::DnsAmplification, 3, 7);
+    assert_eq!(tiered_pin(&run_soak(&cfg), false), ATTACK_PIN);
 }
 
 const SOAK_PIN: u64 = 0x1e0f_8618_ac30_ab76;

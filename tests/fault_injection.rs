@@ -6,8 +6,8 @@
 
 use dcs::prelude::*;
 use dcs::sim::faults::{ship_with_faults, FaultKind, FaultPlan, ALL_FAULTS};
+use dcs::sim::soak::SoakConfig;
 use dcs_core::{IngestError, RouterFault};
-use dcs_traffic::gen::{self, SizeMix};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
@@ -16,47 +16,40 @@ const INFECTED: usize = 20;
 /// 6 of 24 = 25% of the deployment faulted.
 const VICTIMS: [usize; 6] = [0, 5, 10, 15, 20, 23];
 
-/// One clean epoch: the first `INFECTED` routers carry a common aligned
-/// content object on top of distinct background traffic.
+/// The soak's standard regime — `ROUTERS` routers, the first `INFECTED`
+/// carrying a common aligned content object on top of distinct
+/// background traffic — analysed with the default one-digest quorum.
+fn regime() -> SoakConfig {
+    SoakConfig {
+        min_quorum: 1,
+        ..SoakConfig::standard(1, 0)
+    }
+}
+
+/// One clean epoch of the regime, its traffic drawn from `seed`.
 fn collect_epoch(seed: u64) -> Vec<RouterDigest> {
-    let mut rng = StdRng::seed_from_u64(seed);
-    let mcfg = MonitorConfig::small(7, 1 << 14, 4);
-    let object = ContentObject::random_with_packets(&mut rng, 30, 536);
-    let plant = Planting::aligned(object, 536);
-    let bg = BackgroundConfig {
-        packets: 800,
-        flows: 200,
-        zipf_exponent: 1.0,
-        size_mix: SizeMix::constant(536),
-    };
-    (0..ROUTERS)
-        .map(|id| {
-            let mut traffic = gen::generate_epoch(&mut rng, &bg);
-            if id < INFECTED {
-                plant.plant_into(&mut rng, &mut traffic);
-            }
+    let cfg = regime();
+    let mcfg = cfg.monitor_config();
+    cfg.leaf_traffic(&mut StdRng::seed_from_u64(seed))
+        .iter()
+        .enumerate()
+        .map(|(id, traffic)| {
             let mut point = MonitoringPoint::new(id, &mcfg);
-            point.observe_all(&traffic);
+            point.observe_all(traffic);
             point.finish_epoch()
         })
         .collect()
-}
-
-fn center() -> AnalysisCenter {
-    let mut cfg = AnalysisConfig::for_groups(ROUTERS * 4);
-    cfg.search.n_prime = 400;
-    cfg.search.hopefuls = 300;
-    AnalysisCenter::new(cfg)
 }
 
 /// Analyses an epoch of bare frames — leaf bundles, or aggregate bundles
 /// when `aggregated` — on a fresh centre.
 fn analyze(frames: &[Vec<u8>], aggregated: bool) -> Result<EpochReport, IngestError> {
     let epoch = CollectedEpoch::from_frames(frames.iter().cloned());
+    let center = AnalysisCenter::new(regime().analysis_config());
     if aggregated {
-        center().analyze_epoch_aggregated_collected(&epoch)
+        center.analyze_epoch_aggregated_collected(&epoch)
     } else {
-        center().analyze_epoch_collected(&epoch)
+        center.analyze_epoch_collected(&epoch)
     }
 }
 

@@ -20,25 +20,23 @@
 //! `DCS_SOCKET_EPOCHS` (default 2) trade runtime for coverage.
 
 use dcs_core::clock::{Clock, TickClock};
-use dcs_core::monitor::{MonitorConfig, MonitoringPoint};
+use dcs_core::monitor::MonitoringPoint;
 use dcs_core::net::{
     run_center_epoch, run_monitor_epoch, CenterEpochEnd, CenterSocket, ImpairmentConfig,
     ImpairmentShim, MonitorEpochConfig, MonitorEpochEnd, MonitorSocket, Transport,
 };
 use dcs_core::session::{CollectorConfig, EpochCollector, StragglerPolicy};
 use dcs_core::transport::{chunk_bundle, DATAGRAM_SAFE_PAYLOAD};
-use dcs_core::{AnalysisCenter, AnalysisConfig, IngestError, MetricsRegistry, MetricsSnapshot};
+use dcs_core::{AnalysisCenter, IngestError, MetricsRegistry, MetricsSnapshot};
 use dcs_sim::channel::{ChannelConfig, LossyChannel};
 use dcs_sim::hop::{drive_hop, Senders};
-use dcs_sim::tiered::detection_fingerprint;
-use dcs_traffic::{gen, BackgroundConfig, ContentObject, Planting, SizeMix};
+use dcs_sim::soak::SoakConfig;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::net::SocketAddr;
 use std::time::Duration;
 
 const ROUTERS: usize = 24;
-const INFECTED: usize = 20;
 /// One wall-clock tick of the real-socket tests.
 const TICK: Duration = Duration::from_micros(200);
 /// Harness cap: a socket epoch that has not converged after this many
@@ -60,40 +58,31 @@ fn socket_epochs() -> usize {
     }
 }
 
-/// One epoch of wire bundles: 24 monitoring points, the planted content
-/// on the first `INFECTED`, aligned bitmaps `bits` wide.
-fn epoch_frames(seed: u64, bits: usize) -> Vec<Vec<u8>> {
-    let mut rng = StdRng::seed_from_u64(seed);
-    let mcfg = MonitorConfig::small(7, bits, 4);
-    let obj = ContentObject::random_with_packets(&mut rng, 30, 536);
-    let plant = Planting::aligned(obj, 536);
-    let bg = BackgroundConfig {
-        packets: 800,
-        flows: 200,
-        zipf_exponent: 1.0,
-        size_mix: SizeMix::constant(536),
-    };
-    (0..ROUTERS)
-        .map(|id| {
-            let mut traffic = gen::generate_epoch(&mut rng, &bg);
-            if id < INFECTED {
-                plant.plant_into(&mut rng, &mut traffic);
-            }
+/// The standard soak regime — `ROUTERS` monitoring points, the planted
+/// content on the first 20 — with aligned bitmaps `bits` wide.
+fn regime(bits: usize) -> SoakConfig {
+    SoakConfig {
+        aligned_bits: bits,
+        ..SoakConfig::standard(1, 0)
+    }
+}
+
+/// One epoch of wire bundles: `cfg`'s leaf traffic drawn from `seed`,
+/// observed by fresh monitoring points.
+fn epoch_frames(cfg: &SoakConfig, seed: u64) -> Vec<Vec<u8>> {
+    let mcfg = cfg.monitor_config();
+    cfg.leaf_traffic(&mut StdRng::seed_from_u64(seed))
+        .iter()
+        .enumerate()
+        .map(|(id, traffic)| {
             let mut mp = MonitoringPoint::new(id, &mcfg);
-            mp.observe_all(&traffic);
+            mp.observe_all(traffic);
             mp.finish_epoch()
                 .encode_wire()
                 .expect("bundle fits the wire format")
                 .to_vec()
         })
         .collect()
-}
-
-fn center(bits: usize) -> AnalysisCenter {
-    let mut acfg = AnalysisConfig::for_groups(ROUTERS * 4);
-    acfg.search.n_prime = 400.min(bits);
-    acfg.search.hopefuls = 300.min(bits);
-    AnalysisCenter::new(acfg)
 }
 
 /// WaitAll with an effectively-infinite deadline and retransmit budget:
@@ -122,7 +111,7 @@ fn all_ids() -> Vec<u64> {
 /// The in-memory reference: the same frames through the virtual-tick
 /// `LossyChannel` under the soak impairment regime, with session-layer
 /// NACK recovery, analysed by the same centre shape.
-fn reference_fingerprint(frames: &[Vec<u8>], seed: u64, bits: usize) -> String {
+fn reference_fingerprint(frames: &[Vec<u8>], seed: u64, cfg: &SoakConfig) -> String {
     let chunks: Vec<Vec<Vec<u8>>> = frames
         .iter()
         .enumerate()
@@ -149,10 +138,10 @@ fn reference_fingerprint(frames: &[Vec<u8>], seed: u64, bits: usize) -> String {
     assert!(converged, "in-memory reference failed to converge");
     let epoch = coll[0].finalize(now);
     assert!(epoch.exclusions.is_empty());
-    let report = center(bits)
+    let report = AnalysisCenter::new(cfg.analysis_config())
         .analyze_epoch_collected(&epoch)
         .expect("reference epoch reaches quorum");
-    detection_fingerprint(&report)
+    report.detection_fingerprint()
 }
 
 /// Spawns one monitoring-point thread: connect, impair ≥10% of outgoing
@@ -208,7 +197,7 @@ fn spawn_monitor(
 fn socket_epoch(
     frames: &[Vec<u8>],
     seed: u64,
-    bits: usize,
+    cfg: &SoakConfig,
     transport: Transport,
     impair: ImpairmentConfig,
     kill_at: Option<usize>,
@@ -256,10 +245,10 @@ fn socket_epoch(
     assert_eq!(epoch.exclusions.len(), 0);
     assert_eq!(resumes, usize::from(kill_at.is_some()));
 
-    let report = center(bits)
+    let report = AnalysisCenter::new(cfg.analysis_config())
         .analyze_epoch_collected(&epoch)
         .expect("socket epoch reaches quorum");
-    let fp = detection_fingerprint(&report);
+    let fp = report.detection_fingerprint();
     let monitor_snaps: Vec<MetricsSnapshot> = handles
         .into_iter()
         .map(|h| h.join().expect("monitor thread panicked"))
@@ -276,19 +265,19 @@ fn sum_counter(snaps: &[MetricsSnapshot], key: &str) -> u64 {
 /// the impairment shim provably biting ≥10% of outgoing frames.
 #[test]
 fn wire_soak_at_paper_scale_matches_the_in_memory_path() {
-    let bits = socket_bits();
+    let cfg = regime(socket_bits());
     let epochs = socket_epochs();
     let mut sent = 0u64;
     let mut impaired = 0u64;
     let (mut chunks, mut center_sent, mut center_stalls) = (0u64, 0u64, 0u64);
     for e in 0..epochs {
         let seed = 0x0050_C4E7_u64.wrapping_add(e as u64 * 0x9E37_79B9_7F4A_7C15);
-        let frames = epoch_frames(seed, bits);
-        let reference = reference_fingerprint(&frames, seed, bits);
+        let frames = epoch_frames(&cfg, seed);
+        let reference = reference_fingerprint(&frames, seed, &cfg);
         let (fp, center_snap, monitor_snaps) = socket_epoch(
             &frames,
             seed,
-            bits,
+            &cfg,
             Transport::Udp,
             ImpairmentConfig::soak(),
             None,
@@ -352,14 +341,14 @@ fn wire_soak_at_paper_scale_matches_the_in_memory_path() {
 /// wire, and detection is byte-identical to the in-memory reference.
 #[test]
 fn mid_soak_centre_kill_restart_recovers_over_the_socket() {
-    let bits = socket_bits();
+    let cfg = regime(socket_bits());
     let seed = 0x0C4A_54ED_u64;
-    let frames = epoch_frames(seed, bits);
-    let reference = reference_fingerprint(&frames, seed, bits);
+    let frames = epoch_frames(&cfg, seed);
+    let reference = reference_fingerprint(&frames, seed, &cfg);
     let (fp, _, _) = socket_epoch(
         &frames,
         seed,
-        bits,
+        &cfg,
         Transport::Udp,
         ImpairmentConfig::soak(),
         Some(ROUTERS / 4),
@@ -376,17 +365,17 @@ fn mid_soak_centre_kill_restart_recovers_over_the_socket() {
 /// (stream corruption is the CRC's job and is covered at the UDP layer).
 #[test]
 fn tcp_stream_soak_matches_the_in_memory_path() {
-    let bits = 1 << 16;
+    let cfg = regime(1 << 16);
     let seed = 0x7C9;
-    let frames = epoch_frames(seed, bits);
-    let reference = reference_fingerprint(&frames, seed, bits);
+    let frames = epoch_frames(&cfg, seed);
+    let reference = reference_fingerprint(&frames, seed, &cfg);
     let impair = ImpairmentConfig {
         drop_per_mille: 100,
         duplicate_per_mille: 30,
         reorder_per_mille: 50,
         corrupt_per_mille: 0,
     };
-    let (fp, _, monitor_snaps) = socket_epoch(&frames, seed, bits, Transport::Tcp, impair, None);
+    let (fp, _, monitor_snaps) = socket_epoch(&frames, seed, &cfg, Transport::Tcp, impair, None);
     assert_eq!(
         fp, reference,
         "TCP detection diverged from the in-memory path"
@@ -402,9 +391,9 @@ fn tcp_stream_soak_matches_the_in_memory_path() {
 /// typed `QuorumTooSmall` — no panic anywhere on the socket path.
 #[test]
 fn undersubscribed_epoch_yields_typed_quorum_too_small_over_the_socket() {
-    let bits = 1 << 14;
+    let cfg = regime(1 << 14);
     let seed = 0x0DD;
-    let frames = epoch_frames(seed, bits);
+    let frames = epoch_frames(&cfg, seed);
     let metrics = MetricsRegistry::new();
     let clock = TickClock::new(TICK);
     let mut sock = CenterSocket::bind("127.0.0.1:0", Transport::Udp).expect("bind centre");
@@ -441,8 +430,7 @@ fn undersubscribed_epoch_yields_typed_quorum_too_small_over_the_socket() {
     };
     assert_eq!(epoch.exclusions.len(), ROUTERS - 2, "22 typed exclusions");
 
-    let acfg = AnalysisConfig::for_groups(ROUTERS * 4).with_min_quorum(16);
-    match AnalysisCenter::new(acfg).analyze_epoch_collected(&epoch) {
+    match AnalysisCenter::new(cfg.analysis_config()).analyze_epoch_collected(&epoch) {
         Err(IngestError::QuorumTooSmall { required, report }) => {
             assert_eq!(required, 16);
             assert_eq!(report.accepted.len(), 2);

@@ -15,14 +15,15 @@
 //!   error, never a panic.
 
 use dcs_core::ingest::RouterFault;
-use dcs_core::monitor::{MonitorConfig, MonitoringPoint, RouterDigest};
+use dcs_core::monitor::{MonitoringPoint, RouterDigest};
 use dcs_core::session::{
     ChunkDisposition, CollectedEpoch, CollectorConfig, EpochCollector, StragglerPolicy,
 };
 use dcs_core::transport::{chunk_bundle, ChunkFrame};
-use dcs_core::{AnalysisCenter, AnalysisConfig};
-use dcs_sim::soak::{run_soak, EpochOutcome, KillPlan, SoakConfig};
-use dcs_traffic::{gen, BackgroundConfig, ContentObject, Planting, SizeMix};
+use dcs_core::AnalysisCenter;
+use dcs_sim::soak::{
+    outcome_fingerprint, run_soak, EpochOutcome, KillPlan, SoakConfig, SoakResult,
+};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
@@ -84,14 +85,29 @@ fn soak_survives_the_fault_regime() {
     // The fault regime actually bit: losses forced retransmits and the
     // CRC trailer caught in-flight corruption.
     assert!(
-        result.totals.retransmits > 0,
+        result.leaf_totals.retransmits > 0,
         "no retransmits under 10% loss"
     );
     assert!(
-        result.totals.corrupt_chunks > 0,
+        result.leaf_totals.corrupt_chunks > 0,
         "no corruption detected at 2%"
     );
-    assert_eq!(result.totals.checkpoint_resumes, 0);
+    assert_eq!(result.leaf_totals.checkpoint_resumes, 0);
+}
+
+/// Each epoch's outcome fingerprint with the leaves it accepted:
+/// everything a centre restart must leave unchanged.
+fn detection_sets(r: &SoakResult) -> Vec<(String, Vec<usize>)> {
+    r.outcomes
+        .iter()
+        .map(|o| {
+            let accepted = match o {
+                EpochOutcome::Report(r) => r.ingest.accepted.clone(),
+                EpochOutcome::QuorumTooSmall { .. } => Vec::new(),
+            };
+            (outcome_fingerprint(o), accepted)
+        })
+        .collect()
 }
 
 /// Kill the centre mid-epoch; the resumed run's detection sets must be
@@ -107,11 +123,11 @@ fn mid_soak_kill_restart_is_detection_identical() {
     let killed = run_soak(&killed_cfg);
 
     assert_eq!(
-        killed.totals.checkpoint_resumes, 1,
+        killed.leaf_totals.checkpoint_resumes, 1,
         "the crash must recover through exactly one checkpoint resume"
     );
-    let a = baseline.detection_sets();
-    let b = killed.detection_sets();
+    let a = detection_sets(&baseline);
+    let b = detection_sets(&killed);
     assert_eq!(a.len(), b.len());
     for (e, (x, y)) in a.iter().zip(&b).enumerate() {
         assert_eq!(x, y, "epoch {e} detection set diverged after kill/restart");
@@ -119,30 +135,19 @@ fn mid_soak_kill_restart_is_detection_identical() {
     // Both runs actually detected things (the comparison is not
     // vacuously over empty reports).
     assert!(baseline.quorum_epochs() == epochs && killed.quorum_epochs() == epochs);
-    assert!(a.iter().any(|s| s.contains("\"found\":true")));
+    assert!(a.iter().any(|(s, _)| s.contains("\"found\":true")));
 }
 
-/// One epoch of real wire frames for `routers` monitoring points, with
-/// the planted content on the first `infected`.
-fn epoch_frames(seed: u64, routers: usize, infected: usize) -> Vec<Vec<u8>> {
-    let mut rng = StdRng::seed_from_u64(seed);
-    let mcfg = MonitorConfig::small(7, 1 << 14, 4);
-    let obj = ContentObject::random_with_packets(&mut rng, 30, 536);
-    let plant = Planting::aligned(obj, 536);
-    let bg = BackgroundConfig {
-        packets: 800,
-        flows: 200,
-        zipf_exponent: 1.0,
-        size_mix: SizeMix::constant(536),
-    };
-    (0..routers)
-        .map(|id| {
-            let mut traffic = gen::generate_epoch(&mut rng, &bg);
-            if id < infected {
-                plant.plant_into(&mut rng, &mut traffic);
-            }
+/// One epoch of real wire frames: `cfg`'s leaf traffic drawn from
+/// `seed`, observed by fresh monitoring points.
+fn epoch_frames(cfg: &SoakConfig, seed: u64) -> Vec<Vec<u8>> {
+    let mcfg = cfg.monitor_config();
+    cfg.leaf_traffic(&mut StdRng::seed_from_u64(seed))
+        .iter()
+        .enumerate()
+        .map(|(id, traffic)| {
             let mut mp = MonitoringPoint::new(id, &mcfg);
-            mp.observe_all(&traffic);
+            mp.observe_all(traffic);
             mp.finish_epoch()
                 .encode_wire()
                 .expect("bundle fits the wire format")
@@ -151,22 +156,16 @@ fn epoch_frames(seed: u64, routers: usize, infected: usize) -> Vec<Vec<u8>> {
         .collect()
 }
 
-fn center(routers: usize) -> AnalysisCenter {
-    let mut acfg = AnalysisConfig::for_groups(routers * 4);
-    acfg.search.n_prime = 400;
-    acfg.search.hopefuls = 300;
-    AnalysisCenter::new(acfg)
-}
-
 /// Satellite (c), part 1: duplicate and overlapping chunk deliveries —
 /// every chunk sent three times, interleaved across routers, out of
 /// order — reassemble byte-exactly and detect identically to a clean
 /// single-copy delivery.
 #[test]
 fn duplicate_and_overlapping_delivery_detects_identically() {
-    let routers = 24;
-    let frames = epoch_frames(31, routers, 20);
-    let center = center(routers);
+    let cfg = SoakConfig::standard(1, 0);
+    let routers = cfg.leaves;
+    let frames = epoch_frames(&cfg, 31);
+    let center = AnalysisCenter::new(cfg.analysis_config());
     let clean = center
         .analyze_epoch_collected(&CollectedEpoch::from_frames(frames.clone()))
         .expect("quorum");
@@ -230,9 +229,10 @@ fn duplicate_and_overlapping_delivery_detects_identically() {
 /// baseline (the same epoch analysed without the straggler at all).
 #[test]
 fn late_digest_is_timed_out_and_detection_matches_survivor_baseline() {
-    let routers = 24;
+    let cfg = SoakConfig::standard(1, 0);
+    let routers = cfg.leaves;
     let straggler = 21usize; // an uninfected router, so detection sets align
-    let frames = epoch_frames(32, routers, 20);
+    let frames = epoch_frames(&cfg, 32);
 
     // Survivor-only baseline: the same frames minus the straggler.
     let survivors: Vec<Vec<u8>> = frames
@@ -241,7 +241,7 @@ fn late_digest_is_timed_out_and_detection_matches_survivor_baseline() {
         .filter(|(id, _)| *id != straggler)
         .map(|(_, f)| f.clone())
         .collect();
-    let center_a = center(routers);
+    let center_a = AnalysisCenter::new(cfg.analysis_config());
     let baseline = center_a
         .analyze_epoch_collected(&CollectedEpoch::from_frames(survivors))
         .expect("quorum");
@@ -289,7 +289,7 @@ fn late_digest_is_timed_out_and_detection_matches_survivor_baseline() {
     // CollectedEpoch's stats snapshot predates them by construction).
     assert!(coll.stats().late_chunks > 0);
 
-    let report = center(routers)
+    let report = AnalysisCenter::new(cfg.analysis_config())
         .analyze_epoch_collected(&epoch)
         .expect("quorum");
     assert_eq!(report.routers, routers - 1);

@@ -8,7 +8,7 @@
 
 use crate::words::{tail_mask, words_for};
 use crate::{Bitmap, WordSource};
-use bytes::{Buf, BufMut, Bytes, BytesMut};
+use bytes::{BufMut, Bytes, BytesMut};
 use std::fmt;
 
 /// Magic bytes prefixed to every encoded digest (`b"DCSB"`).
@@ -67,50 +67,19 @@ impl Bitmap {
         13 + self.words().len() * 8
     }
 
-    /// Decodes a frame produced by [`Bitmap::encode`].
-    pub fn decode(mut buf: &[u8]) -> Result<Bitmap, DecodeError> {
-        if buf.len() < 13 {
-            return Err(DecodeError::Truncated {
-                needed: 13,
-                got: buf.len(),
-            });
-        }
-        let mut magic = [0u8; 4];
-        buf.copy_to_slice(&mut magic);
-        if magic != DIGEST_MAGIC {
-            return Err(DecodeError::BadMagic(magic));
-        }
-        let version = buf.get_u8();
-        if version != VERSION {
-            return Err(DecodeError::BadVersion(version));
-        }
-        let len = buf.get_u64_le() as usize;
-        let nwords = words_for(len);
-        if buf.len() < nwords * 8 {
-            return Err(DecodeError::Truncated {
-                needed: 13 + nwords * 8,
-                got: 13 + buf.len(),
-            });
-        }
-        let mut words = Vec::with_capacity(nwords);
-        for _ in 0..nwords {
-            words.push(buf.get_u64_le());
-        }
-        if let Some(&last) = words.last() {
-            if last & !tail_mask(len) != 0 {
-                return Err(DecodeError::DirtyTail);
-            }
-        }
-        Ok(Bitmap::from_words(len, words))
+    /// Decodes a frame produced by [`Bitmap::encode`]: an owned copy of
+    /// what [`BitmapView::parse`] validates.
+    pub fn decode(buf: &[u8]) -> Result<Bitmap, DecodeError> {
+        BitmapView::parse(buf).map(|v| v.to_bitmap())
     }
 }
 
 /// A validated, borrowed view over one encoded bitmap frame.
 ///
-/// [`BitmapView::parse`] performs exactly the validation of
-/// [`Bitmap::decode`] — magic, version, truncation, tail hygiene — but
-/// borrows the word bytes in place instead of copying them into an
-/// owned `Vec<u64>`. Words are read with unaligned little-endian loads
+/// [`BitmapView::parse`] is the one parser of the frame — magic, version,
+/// truncation, tail hygiene — and borrows the word bytes in place;
+/// [`Bitmap::decode`] copies them into an owned `Vec<u64>`. Words are
+/// read with unaligned little-endian loads
 /// ([`u64::from_le_bytes`]): wire frames carry variable-length headers,
 /// so the word region has no alignment guarantee.
 ///
@@ -127,8 +96,8 @@ pub struct BitmapView<'a> {
 
 impl<'a> BitmapView<'a> {
     /// Validates the frame at the front of `buf` and returns a view over
-    /// it. Trailing bytes beyond the frame are ignored, exactly as in
-    /// [`Bitmap::decode`]; use [`BitmapView::encoded_len`] to advance.
+    /// it. Trailing bytes beyond the frame are ignored; use
+    /// [`BitmapView::encoded_len`] to advance.
     pub fn parse(buf: &'a [u8]) -> Result<BitmapView<'a>, DecodeError> {
         if buf.len() < 13 {
             return Err(DecodeError::Truncated {

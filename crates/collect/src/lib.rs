@@ -30,4 +30,4 @@ pub use artifact::{Artifact, ARTIFACT_KIND_SKETCH, MAX_ARTIFACTS, MAX_ARTIFACT_P
 pub use sized::{SizeClass, SizedAlignedCollector, SizedAlignedDigest};
 pub use unaligned::{UnalignedCollector, UnalignedConfig, UnalignedDigest};
 pub use view::{AlignedDigestView, UnalignedDigestView};
-pub use wire::WireError;
+pub use wire::{WireError, MAX_ARRAY_BITS};

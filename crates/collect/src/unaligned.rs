@@ -65,7 +65,10 @@ impl UnalignedConfig {
     fn validate(&self) {
         assert!(self.groups > 0, "need at least one group");
         assert!(self.arrays_per_group > 0, "need at least one array");
-        assert!(self.array_bits > 0, "arrays must be non-empty");
+        assert!(
+            (1..=crate::MAX_ARRAY_BITS).contains(&self.array_bits),
+            "array width must be 1 to MAX_ARRAY_BITS bits"
+        );
         assert!(self.fragment_len > 0, "fragments must be non-empty");
         assert!(
             self.fragment_len <= self.payload_modulus.min(self.min_payload),

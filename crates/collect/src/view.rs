@@ -9,7 +9,9 @@
 //! steady-state ingest path allocates nothing per digest; the owned
 //! `decode_wire`s are `parse` followed by `to_owned`.
 
-use crate::wire::{check_header, get_u32, get_u64, ALIGNED_MAGIC, UNALIGNED_MAGIC};
+use crate::wire::{
+    check_array_width, check_header, get_u32, get_u64, ALIGNED_MAGIC, UNALIGNED_MAGIC,
+};
 use crate::{AlignedDigest, UnalignedDigest, WireError};
 use dcs_bitmap::{Bitmap, BitmapView};
 
@@ -90,7 +92,9 @@ impl<'a> UnalignedDigestView<'a> {
     /// Validates the frame at the front of `buf`, returning the view and
     /// the bytes it covers. Width agreement is checked as arrays are
     /// parsed, so a frame mixing widths is rejected without parsing the
-    /// rest.
+    /// rest; so is a first array outside `1..=`[`MAX_ARRAY_BITS`].
+    ///
+    /// [`MAX_ARRAY_BITS`]: crate::MAX_ARRAY_BITS
     pub fn parse(buf: &'a [u8]) -> Result<(UnalignedDigestView<'a>, usize), WireError> {
         let mut rest = buf;
         check_header(&mut rest, UNALIGNED_MAGIC)?;
@@ -119,6 +123,7 @@ impl<'a> UnalignedDigestView<'a> {
         for i in 0..count {
             let bm = BitmapView::parse(&rest[offset..])?;
             if i == 0 {
+                check_array_width(bm.len())?;
                 frame_len = bm.encoded_len();
                 width = bm.len();
             } else if bm.len() != width {

@@ -19,6 +19,23 @@ pub const UNALIGNED_MAGIC: [u8; 4] = *b"DCSU";
 
 const VERSION: u8 = 1;
 
+/// Widest unaligned array the wire carries. The centre λ-tests array
+/// pairs against a table of 16-bit cells whose largest value marks
+/// "unset", so an array is 1 to `u16::MAX − 1` bits wide; the encoder
+/// refuses and the parser rejects any other width.
+pub const MAX_ARRAY_BITS: usize = u16::MAX as usize - 1;
+
+/// [`WireError::Malformed`] unless `bits` is a width an unaligned array
+/// may have on the wire (see [`MAX_ARRAY_BITS`]).
+pub(crate) fn check_array_width(bits: usize) -> Result<(), WireError> {
+    match bits {
+        1..=MAX_ARRAY_BITS => Ok(()),
+        _ => Err(WireError::Malformed(
+            "array width outside 1..=MAX_ARRAY_BITS",
+        )),
+    }
+}
+
 /// Errors from decoding digest frames.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum WireError {
@@ -117,12 +134,17 @@ impl UnalignedDigest {
     ///
     /// Fails with [`WireError::TooLarge`] when `arrays_per_group` or the
     /// array count exceeds the format's `u32` fields — emitting a frame
-    /// with truncated counts would decode to the wrong group layout.
+    /// with truncated counts would decode to the wrong group layout — and
+    /// with [`WireError::Malformed`] on an array width the parser rejects
+    /// ([`MAX_ARRAY_BITS`]).
     pub fn encode_wire(&self) -> Result<Bytes, WireError> {
         let arrays_per_group = u32::try_from(self.arrays_per_group)
             .map_err(|_| WireError::TooLarge("arrays_per_group exceeds u32"))?;
         let count = u32::try_from(self.arrays.len())
             .map_err(|_| WireError::TooLarge("array count exceeds u32"))?;
+        for a in &self.arrays {
+            check_array_width(a.len())?;
+        }
         let body: usize = self.arrays.iter().map(Bitmap::encoded_len).sum();
         let mut buf = BytesMut::with_capacity(37 + body);
         buf.put_slice(&UNALIGNED_MAGIC);
@@ -266,6 +288,37 @@ mod tests {
         };
         assert!(matches!(bad.encode_wire(), Err(WireError::TooLarge(_))));
         assert!(u.encode_wire().is_ok(), "well-formed digest still encodes");
+    }
+
+    /// Arrays 0 bits wide or wider than [`MAX_ARRAY_BITS`] are refused
+    /// by the encoder and rejected by the parser; the widest allowed
+    /// round-trips.
+    #[test]
+    fn array_widths_outside_the_bound_are_refused_both_ways() {
+        let digest = |bits: usize| UnalignedDigest {
+            arrays: vec![Bitmap::new(bits); 2],
+            arrays_per_group: 1,
+            packets_seen: 0,
+            packets_sampled: 0,
+            raw_bytes: 0,
+        };
+        let widest = digest(MAX_ARRAY_BITS);
+        let wire = widest.encode_wire().unwrap();
+        assert_eq!(UnalignedDigest::decode_wire(&wire).unwrap().0, widest);
+        let bad = WireError::Malformed("array width outside 1..=MAX_ARRAY_BITS");
+        for bits in [0, MAX_ARRAY_BITS + 1, 1 << 20] {
+            assert_eq!(digest(bits).encode_wire().unwrap_err(), bad, "{bits}");
+            // The 37-byte header of a two-array frame, then the arrays.
+            let mut hand = wire[..37].to_vec();
+            for _ in 0..2 {
+                hand.extend_from_slice(&Bitmap::new(bits).encode());
+            }
+            assert_eq!(
+                UnalignedDigest::decode_wire(&hand).unwrap_err(),
+                bad,
+                "{bits}"
+            );
+        }
     }
 
     #[test]

@@ -955,6 +955,49 @@ mod tests {
         }
     }
 
+    /// The λ table holds rows 1 to 65,534 bits wide (a cell is 16 bits).
+    /// Frames whose unaligned arrays are 0 bits, or 65,535 bits and more,
+    /// are typed wire exclusions that count against the quorum — even
+    /// when every router sends one — and 65,534-bit arrays still analyse.
+    #[test]
+    fn array_widths_a_lambda_cell_cannot_hold_are_typed_exclusions() {
+        let digests = clean_digests(15, 3);
+        let frames = |bits: usize| -> Vec<Vec<u8>> {
+            digests
+                .iter()
+                .map(|d| {
+                    // The bundle with its unaligned digest replaced by two
+                    // one-array groups (zero counters, 1 array a group).
+                    let mut frame = d.encode_wire().expect("clean digest").to_vec();
+                    frame.truncate(frame.len() - d.unaligned.encoded_len() - 37);
+                    frame.extend_from_slice(b"DCSU\x01");
+                    frame.extend_from_slice(&[0; 24]);
+                    frame.extend_from_slice(&[1, 0, 0, 0, 2, 0, 0, 0]);
+                    for _ in 0..2 {
+                        frame.extend_from_slice(&dcs_bitmap::Bitmap::new(bits).encode());
+                    }
+                    frame
+                })
+                .collect()
+        };
+        let center = AnalysisCenter::new(AnalysisConfig::for_groups(6));
+        let widest = analyze_bare(&center, &frames(65_534)).expect("65,534 bits analyse");
+        assert_eq!(widest.ingest.accepted, vec![0, 1, 2]);
+        for bits in [0, 65_535, 100_000] {
+            match analyze_bare(&center, &frames(bits)) {
+                Err(IngestError::QuorumTooSmall { report, .. }) => {
+                    assert_eq!(report.submitted, 3);
+                    assert!(report.accepted.is_empty(), "{bits} bits accepted");
+                    assert_eq!(report.accepted.len() + report.excluded.len(), 3);
+                    for e in &report.excluded {
+                        assert!(matches!(e.fault, RouterFault::Wire(_)), "{:?}", e.fault);
+                    }
+                }
+                other => panic!("{bits} bits: expected QuorumTooSmall, got {other:?}"),
+            }
+        }
+    }
+
     /// A panic inside a pipeline poisons the state lock. The centre must
     /// keep analysing — the next epoch resets the scratch and the
     /// correlator to cold and carries on.

@@ -53,11 +53,6 @@ impl UnionFind {
         let r = self.find(x);
         self.size[r as usize]
     }
-
-    /// Whether `a` and `b` share a set.
-    pub fn connected(&mut self, a: u32, b: u32) -> bool {
-        self.find(a) == self.find(b)
-    }
 }
 
 /// Sizes of all connected components, in descending order.
@@ -119,10 +114,10 @@ mod tests {
     #[test]
     fn union_find_basics() {
         let mut uf = UnionFind::new(4);
-        assert!(!uf.connected(0, 1));
+        assert_ne!(uf.find(0), uf.find(1));
         assert!(uf.union(0, 1));
         assert!(!uf.union(1, 0), "repeat union reports already joined");
-        assert!(uf.connected(0, 1));
+        assert_eq!(uf.find(0), uf.find(1));
         assert_eq!(uf.set_size(0), 2);
         uf.union(2, 3);
         uf.union(0, 3);

@@ -10,15 +10,6 @@ use dcs_stats::sample::sample_geometric;
 use rand::seq::SliceRandom;
 use rand::Rng;
 
-/// The ER phase-transition threshold `1/n` for a graph of `n` vertices.
-///
-/// # Panics
-/// Panics if `n == 0`.
-pub fn phase_transition_p(n: usize) -> f64 {
-    assert!(n > 0, "phase transition undefined for empty graph");
-    1.0 / n as f64
-}
-
 /// The asymptotic giant-component fraction of G(n, c/n) for mean degree
 /// `c`: the largest root `s` of `s = 1 − e^(−c·s)`, found by fixed-point
 /// iteration. Zero for `c ≤ 1` (subcritical — the phase-transition fact
@@ -285,11 +276,6 @@ mod tests {
         let (g, pattern) = gnp_planted(&mut r, cfg);
         assert!(pattern.is_empty());
         assert!(g.n() == 500);
-    }
-
-    #[test]
-    fn phase_transition_p_value() {
-        assert!((phase_transition_p(102_400) - 9.765625e-6).abs() < 1e-12);
     }
 
     #[test]

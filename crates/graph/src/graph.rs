@@ -103,11 +103,6 @@ impl GraphBuilder {
         self.edges.push(if u < v { (u, v) } else { (v, u) });
     }
 
-    /// Number of edges added so far (before dedup).
-    pub fn raw_edge_count(&self) -> usize {
-        self.edges.len()
-    }
-
     /// Builds the simple graph: sort, dedup, materialise adjacency lists.
     pub fn build(mut self) -> Graph {
         self.edges.sort_unstable();

@@ -10,9 +10,7 @@
 //!   — which is the paper's stochastically optimal `FindCore` strategy.
 //!
 //! This crate supplies the machinery: a compact undirected [`Graph`], exact
-//! connected components, an epoch-incremental mutable graph
-//! ([`IncrementalGraph`]: stamped edges, expiry, components rebuilt lazily
-//! behind a watermark), an O(E) expected-time G(n, p) sampler
+//! connected components, an O(E) expected-time G(n, p) sampler
 //! ([`er::gnp`]) with planted dense subgraphs ([`er::gnp_planted`]), and a
 //! bucket-queue peeling kernel ([`peel::peel_to_size`]).
 
@@ -22,7 +20,6 @@
 mod components;
 pub mod er;
 mod graph;
-mod incremental;
 pub mod peel;
 
 #[cfg(test)]
@@ -30,4 +27,3 @@ mod proptests;
 
 pub use components::{component_sizes, largest_component, UnionFind};
 pub use graph::{Graph, GraphBuilder};
-pub use incremental::IncrementalGraph;

@@ -208,9 +208,9 @@ pub fn paper_scale_trial(
     let sm = screened_planted_matrix(&mut rng, m, n, a, b, n_prime);
     let mut search = cfg.clone();
     search.n_prime = sm.matrix.ncols();
-    // The verdict must be judged against the full-matrix dimensions: use
-    // naive_detect on the screened matrix but keep the non-natural check
-    // meaningful by running the refined entry (screening is a no-op here).
+    // The refined search over the m × n′ screened matrix; its own n′
+    // screen keeps every column. The verdict's non-natural bound is
+    // judged at these dimensions, (m, n′), not the full matrix's (m, n).
     let det = refined_detect(&sm.matrix, &search);
     (det, sm.rows)
 }

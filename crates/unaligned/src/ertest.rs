@@ -51,29 +51,6 @@ impl ErTestConfig {
             component_threshold: threshold.ceil() as usize,
         }
     }
-
-    /// Monte-Carlo calibration (how the paper actually tunes parameters):
-    /// sample `trials` null graphs G(n, p₁) and set the threshold to
-    /// `headroom ×` the largest component observed.
-    pub fn calibrated<R: rand::Rng + ?Sized>(
-        rng: &mut R,
-        n: usize,
-        p1: f64,
-        trials: usize,
-        headroom: f64,
-    ) -> Self {
-        assert!(trials > 0, "need at least one trial");
-        let max_null = (0..trials)
-            .map(|_| {
-                let g = dcs_graph::er::gnp(rng, n, p1);
-                component_sizes(&g).first().copied().unwrap_or(0)
-            })
-            .max()
-            .expect("at least one trial");
-        ErTestConfig {
-            component_threshold: (max_null as f64 * headroom).ceil() as usize,
-        }
-    }
 }
 
 /// Outcome of the ER test.

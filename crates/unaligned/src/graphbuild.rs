@@ -7,17 +7,20 @@
 //! reference:
 //!
 //! * [`build_group_graph`] — the straight serial sweep (the test oracle);
-//! * [`build_group_graph_parallel`] — possibility 3, "distribute the load
-//!   to a large number of CPUs" (scoped worker threads via
-//!   `dcs-parallel`, embarrassingly parallel over group pairs), with the
-//!   count of exact row-pair tests it ran;
+//! * `edges_touching` — possibility 3, "distribute the load to a large
+//!   number of CPUs": the one parallel pair loop (scoped worker threads
+//!   via `dcs-parallel`), over every group pair with a touched end, with
+//!   the count of exact row-pair tests it ran. Every group graph the
+//!   centre uses comes out of it: [`build_group_graph_parallel`] touches
+//!   every group, the incremental correlator only the changed ones;
 //! * [`build_group_graph_sampled`] — possibility 2, "sample 10 % of the
 //!   vertices and find a core only in this subset".
 //!
-//! The parallel build strides the outer index with
+//! The pair loop strides the touched groups with
 //! [`balanced_outer_indices`] (zigzag pairing), which keeps per-worker
-//! pair counts within `threads − 1` of each other for every `n` — the
-//! triangular loop's heavy low indices and light high indices cancel.
+//! pair counts of an all-pairs build within `threads − 1` of each other
+//! for every `n` — the triangular loop's heavy low indices and light high
+//! indices cancel.
 
 use crate::lambda::LambdaTable;
 use dcs_bitmap::RowMatrix;
@@ -88,7 +91,7 @@ pub fn balanced_outer_indices(n: usize, threads: usize, t: usize) -> Vec<usize> 
 /// untallied, as are pairs after an early edge hit (the cut-off point is
 /// a pure function of the row data, so the tally is the same under any
 /// thread partition).
-pub(crate) fn groups_connected(
+fn groups_connected(
     rows: &RowMatrix,
     weights: &[u32],
     layout: GroupLayout,
@@ -132,13 +135,63 @@ pub fn build_group_graph(rows: &RowMatrix, layout: GroupLayout, table: &LambdaTa
     b.build()
 }
 
-/// Parallel conversion using `threads` scoped worker threads. Group
-/// pairs are split by zigzag-striding the outer index
-/// ([`balanced_outer_indices`]), which balances the triangular loop to
-/// within `threads − 1` pairs per worker; each worker collects a private
-/// edge list and the lists are concatenated in worker order, so the
-/// resulting graph — and the returned count of exact row-pair tests — is
-/// identical for any thread count.
+/// The parallel group-pair loop: λ-tests every group pair with at least
+/// one `touched` end exactly once, by its smaller touched end, and
+/// returns the connected pairs as `(u, v)` with `u < v` plus the count of
+/// exact row-pair tests. The touched groups are the outer index, split
+/// across `threads` scoped workers by [`balanced_outer_indices`] (with
+/// every group touched that balances the triangular loop to within
+/// `threads − 1` pairs per worker); each worker collects a private edge
+/// list and the lists are concatenated in worker order, so the edges and
+/// the tally are identical for any thread count.
+///
+/// # Panics
+/// Panics if `threads == 0` or `touched` does not have one flag per group.
+pub(crate) fn edges_touching(
+    rows: &RowMatrix,
+    layout: GroupLayout,
+    table: &LambdaTable,
+    touched: &[bool],
+    threads: usize,
+) -> (Vec<(u32, u32)>, u64) {
+    assert!(threads > 0, "need at least one thread");
+    assert_eq!(touched.len(), layout.groups(rows), "one flag per group");
+    let outer: Vec<usize> = (0..touched.len()).filter(|&g| touched[g]).collect();
+    let weights = rows.row_weights();
+    let (edges, pairs): (Vec<Vec<(u32, u32)>>, Vec<u64>) = map_workers(threads, |t| {
+        let mut local = Vec::new();
+        let mut pairs_exact = 0;
+        for i in balanced_outer_indices(outer.len(), threads, t) {
+            let ga = outer[i];
+            for (gb, &gb_touched) in touched.iter().enumerate() {
+                if gb == ga || (gb_touched && gb < ga) {
+                    continue;
+                }
+                let (lo, hi) = (ga.min(gb), ga.max(gb));
+                if groups_connected(rows, &weights, layout, table, lo, hi, &mut pairs_exact) {
+                    local.push((lo as u32, hi as u32));
+                }
+            }
+        }
+        (local, pairs_exact)
+    })
+    .into_iter()
+    .unzip();
+    (edges.concat(), pairs.iter().sum())
+}
+
+/// The graph over `n` vertices with exactly `edges`.
+pub(crate) fn graph_of(n: usize, edges: &[(u32, u32)]) -> Graph {
+    let mut b = GraphBuilder::with_capacity(n, edges.len());
+    for &(u, v) in edges {
+        b.add_edge(u, v);
+    }
+    b.build()
+}
+
+/// Parallel all-pairs conversion: `edges_touching` with every group
+/// touched. Returns the graph and the count of exact row-pair tests,
+/// both identical for any thread count.
 ///
 /// # Panics
 /// Panics if `threads == 0`.
@@ -148,30 +201,9 @@ pub fn build_group_graph_parallel(
     table: &LambdaTable,
     threads: usize,
 ) -> (Graph, u64) {
-    assert!(threads > 0, "need at least one thread");
     let n = layout.groups(rows);
-    let weights = rows.row_weights();
-    let results: Vec<(Vec<(u32, u32)>, u64)> = map_workers(threads, |t| {
-        let mut local = Vec::new();
-        let mut pairs_exact = 0;
-        for ga in balanced_outer_indices(n, threads, t) {
-            for gb in (ga + 1)..n {
-                if groups_connected(rows, &weights, layout, table, ga, gb, &mut pairs_exact) {
-                    local.push((ga as u32, gb as u32));
-                }
-            }
-        }
-        (local, pairs_exact)
-    });
-    let mut pairs_exact = 0;
-    let mut b = GraphBuilder::with_capacity(n, results.iter().map(|(l, _)| l.len()).sum());
-    for (list, pairs) in results {
-        pairs_exact += pairs;
-        for (u, v) in list {
-            b.add_edge(u, v);
-        }
-    }
-    (b.build(), pairs_exact)
+    let (edges, pairs_exact) = edges_touching(rows, layout, table, &vec![true; n], threads);
+    (graph_of(n, &edges), pairs_exact)
 }
 
 /// Vertex-sampled conversion (paper's possibility 2): keep every
@@ -342,30 +374,6 @@ mod tests {
         let m = test_matrix(&mut r, 16, 512, &[], 0);
         let g = build_group_graph(&m, GroupLayout { rows_per_group: K }, &table());
         assert!(g.m() <= 1, "null graph has {} edges", g.m());
-    }
-
-    #[test]
-    fn parallel_matches_serial() {
-        let mut r = StdRng::seed_from_u64(3);
-        let m = test_matrix(&mut r, 12, 512, &[1, 4, 9], 220);
-        let layout = GroupLayout { rows_per_group: K };
-        let t = table();
-        let gs = build_group_graph(&m, layout, &t);
-        let (_, pairs_1) = build_group_graph_parallel(&m, layout, &t, 1);
-        assert!(pairs_1 > 0, "no row pair was tested");
-        for threads in [1usize, 2, 4, 8] {
-            let (gp, pairs) = build_group_graph_parallel(&m, layout, &t, threads);
-            assert_eq!(gs.m(), gp.m(), "edge count differs at {threads} threads");
-            assert_eq!(
-                pairs, pairs_1,
-                "exact-pair tally drifted at {threads} threads"
-            );
-            let mut es: Vec<_> = gs.edges().collect();
-            let mut ep: Vec<_> = gp.edges().collect();
-            es.sort_unstable();
-            ep.sort_unstable();
-            assert_eq!(es, ep, "edge sets differ at {threads} threads");
-        }
     }
 
     /// A lock-free table has no warm-up step, so a build must not depend

@@ -4,34 +4,31 @@
 //! when a group's rows did not change between epochs every edge decision
 //! involving only such groups is already known — rebuilding the graph
 //! from scratch each epoch repeats `n²/2` group tests to rediscover it.
-//! [`IncrementalCorrelator`] instead:
+//! [`IncrementalCorrelator`] keeps the graph as its sorted edge list and,
+//! each epoch:
 //!
 //! 1. diffs the incoming matrix against the previous epoch's rows
 //!    (exact word comparison — a row hash is never trusted for
 //!    equality, a collision would silently break the identity
-//!    guarantee) to find the **changed groups**;
-//! 2. re-tests only `changed × all` group pairs (deduplicating
-//!    changed–changed pairs), confirming surviving edges into an
-//!    [`IncrementalGraph`] with the current epoch stamp;
-//! 3. expires incident edges that were *not* re-confirmed
-//!    ([`IncrementalGraph::expire_incident_before`]) — edges between
-//!    untouched groups keep their old stamps and never re-pay the test.
+//!    guarantee) to find the **changed groups** — every group on a cold
+//!    start or a deployment-shape change;
+//! 2. keeps the edges whose two ends are both unchanged, and re-tests
+//!    every pair with a changed end through the one pair loop,
+//!    `graphbuild::edges_touching`.
 //!
 //! Steady-state work is `O(c · n)` group tests for churn fraction `c`
 //! instead of `O(n²/2)` — the headline subquadratic win on persisting
 //! traffic. Correctness does not rest on trust: every
 //! [`IncrementalConfig::audit_every`]-th epoch the engine runs the full
-//! all-pairs build anyway and asserts the edge sets are identical
+//! all-pairs build anyway and asserts the edge lists are identical
 //! (audit work is kept out of the pair tally so the metrics keep
 //! describing the incremental path).
 
-use crate::graphbuild::{
-    balanced_outer_indices, build_group_graph_parallel, groups_connected, GroupLayout,
-};
+use crate::graphbuild::{edges_touching, graph_of, GroupLayout};
 use crate::lambda::LambdaTable;
 use dcs_bitmap::RowMatrix;
-use dcs_graph::{Graph, IncrementalGraph};
-use dcs_parallel::{map_chunks, map_workers};
+use dcs_graph::Graph;
+use dcs_parallel::map_chunks;
 
 /// Knobs for the incremental engine.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, serde::Serialize, serde::Deserialize)]
@@ -78,7 +75,7 @@ struct Shape {
 }
 
 /// Epoch-incremental group-graph correlator. Owns the previous epoch's
-/// rows and the live stamped graph; feed it one matrix per epoch and it
+/// rows and the live edge list; feed it one matrix per epoch and it
 /// returns the same [`Graph`] the from-scratch all-pairs build would
 /// produce, for delta cost on persisting traffic.
 #[derive(Debug)]
@@ -87,8 +84,8 @@ pub struct IncrementalCorrelator {
     epochs_seen: u64,
     shape: Option<Shape>,
     prev_rows: RowMatrix,
-    graph: IncrementalGraph,
-    changed_groups: Vec<bool>,
+    /// The live edges, `(u, v)` with `u < v`, sorted ascending.
+    edges: Vec<(u32, u32)>,
 }
 
 impl IncrementalCorrelator {
@@ -99,25 +96,8 @@ impl IncrementalCorrelator {
             epochs_seen: 0,
             shape: None,
             prev_rows: RowMatrix::new(64),
-            graph: IncrementalGraph::new(0),
-            changed_groups: Vec::new(),
+            edges: Vec::new(),
         }
-    }
-
-    /// Epochs processed since construction (or the last shape change —
-    /// the counter keeps running across rebuilds).
-    pub fn epochs_seen(&self) -> u64 {
-        self.epochs_seen
-    }
-
-    /// Live edges in the maintained graph.
-    pub fn edges_live(&self) -> usize {
-        self.graph.live_edges()
-    }
-
-    /// Drops all state; the next epoch is a full rebuild.
-    pub fn invalidate(&mut self) {
-        self.shape = None;
     }
 
     /// Processes one epoch: returns the group graph for `rows` —
@@ -145,113 +125,74 @@ impl IncrementalCorrelator {
             p_star_bits: table.p_star().to_bits(),
         };
         self.epochs_seen += 1;
-        let stamp = self.epochs_seen;
+        let full_rebuild = self.shape != Some(shape);
 
-        let mut stats = EpochStats::default();
-        if self.shape != Some(shape) {
-            // Cold start or shape change: one full all-pairs build,
-            // loaded into the incremental graph as the new baseline.
+        // Changed rows: all of them after a cold start or shape change,
+        // else an exact word-diff against the stored previous rows.
+        let changed_rows: Vec<usize> = if full_rebuild {
             self.shape = Some(shape);
-            self.graph.reset(n);
-            self.graph.begin_epoch(stamp);
-            let (full, pairs_exact) = build_group_graph_parallel(rows, layout, table, threads);
-            for (u, v) in full.edges() {
-                self.graph.add_edge(u, v);
-            }
+            self.edges.clear();
+            (0..rows.nrows()).collect()
+        } else {
+            let wpr = rows.words_per_row();
+            let (cur, prev) = (rows.as_words(), self.prev_rows.as_words());
+            map_chunks(rows.nrows(), threads, |range| {
+                range
+                    .filter(|&r| cur[r * wpr..(r + 1) * wpr] != prev[r * wpr..(r + 1) * wpr])
+                    .collect::<Vec<usize>>()
+            })
+            .into_iter()
+            .flatten()
+            .collect()
+        };
+        let mut changed = vec![false; n];
+        for &r in &changed_rows {
+            changed[r / layout.rows_per_group] = true;
+        }
+        let mut stats = EpochStats {
+            rows_changed: changed_rows.len(),
+            groups_changed: changed.iter().filter(|&&c| c).count(),
+            full_rebuild,
+            ..EpochStats::default()
+        };
+
+        if !changed_rows.is_empty() {
+            self.edges
+                .retain(|&(u, v)| !changed[u as usize] && !changed[v as usize]);
+            let (fresh, pairs_exact) = edges_touching(rows, layout, table, &changed, threads);
+            self.edges.extend(fresh);
+            self.edges.sort_unstable();
             self.prev_rows.clone_from(rows);
             stats.pairs_exact = pairs_exact;
-            stats.rows_changed = rows.nrows();
-            stats.groups_changed = n;
-            stats.full_rebuild = true;
-            stats.edges_live = self.graph.live_edges();
-            return (full, stats);
         }
+        stats.edges_live = self.edges.len();
 
-        // Delta epoch: exact word-diff against the stored previous rows.
-        let k = layout.rows_per_group;
-        let wpr = rows.words_per_row();
-        let cur = rows.as_words();
-        let prev = self.prev_rows.as_words();
-        let changed_rows: Vec<usize> = map_chunks(rows.nrows(), threads, |range| {
-            range
-                .filter(|&r| cur[r * wpr..(r + 1) * wpr] != prev[r * wpr..(r + 1) * wpr])
-                .collect::<Vec<usize>>()
-        })
-        .into_iter()
-        .flatten()
-        .collect();
-        self.changed_groups.clear();
-        self.changed_groups.resize(n, false);
-        for &r in &changed_rows {
-            self.changed_groups[r / k] = true;
-        }
-        // Ascending, so the dedup skip below forms a triangle over it.
-        let changed_list: Vec<usize> = (0..n).filter(|&g| self.changed_groups[g]).collect();
-        stats.rows_changed = changed_rows.len();
-        stats.groups_changed = changed_list.len();
-
-        self.graph.begin_epoch(stamp);
-        if !changed_list.is_empty() {
-            let changed = &self.changed_groups;
-            let list = &changed_list;
-            let weights = rows.row_weights();
-            // changed × all, deduplicating changed–changed pairs: the
-            // pair {gc, g} with both changed is tested only by the
-            // larger side. Outer cost is triangular over the changed
-            // list, so zigzag-stride it like the full build.
-            let results: Vec<(Vec<(u32, u32)>, u64)> = map_workers(threads, |t| {
-                let mut local = Vec::new();
-                let mut pairs_exact = 0;
-                for li in balanced_outer_indices(list.len(), threads, t) {
-                    let gc = list[li];
-                    for (g, &g_changed) in changed.iter().enumerate() {
-                        if g == gc || (g_changed && g < gc) {
-                            continue;
-                        }
-                        let (ga, gb) = (gc.min(g), gc.max(g));
-                        if groups_connected(rows, &weights, layout, table, ga, gb, &mut pairs_exact)
-                        {
-                            local.push((ga as u32, gb as u32));
-                        }
-                    }
-                }
-                (local, pairs_exact)
-            });
-            for (list, pairs_exact) in results {
-                stats.pairs_exact += pairs_exact;
-                for (u, v) in list {
-                    self.graph.add_edge(u, v);
-                }
-            }
-            self.graph
-                .expire_incident_before(&self.changed_groups, stamp);
-            self.prev_rows.clone_from(rows);
-        }
-        stats.edges_live = self.graph.live_edges();
-
-        if self.cfg.audit_every > 0 && self.epochs_seen.is_multiple_of(self.cfg.audit_every) {
+        // An all-pairs epoch has nothing to audit.
+        if !full_rebuild
+            && self.cfg.audit_every > 0
+            && self.epochs_seen.is_multiple_of(self.cfg.audit_every)
+        {
             // Full-rebuild audit: recompute from scratch and demand edge
             // equality. Deliberately outside the pair tally — metrics
             // describe the incremental path, not the safety net.
-            let (full, _) = build_group_graph_parallel(rows, layout, table, threads);
-            let mut want: Vec<(u32, u32)> = full.edges().collect();
+            let (mut want, _) = edges_touching(rows, layout, table, &vec![true; n], threads);
             want.sort_unstable();
-            let got = self.graph.sorted_edges();
             assert_eq!(
-                got, want,
-                "incremental graph diverged from full rebuild at epoch {stamp}"
+                self.edges, want,
+                "incremental graph diverged from full rebuild at epoch {}",
+                self.epochs_seen
             );
             stats.audited = true;
         }
 
-        (self.graph.to_graph(), stats)
+        (graph_of(n, &self.edges), stats)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::graphbuild::build_group_graph;
+    use crate::graphbuild::{build_group_graph, build_group_graph_parallel};
     use dcs_bitmap::Bitmap;
     use proptest::prelude::*;
     use rand::rngs::StdRng;
@@ -369,35 +310,6 @@ mod tests {
         assert_same_edges(&g, &build_group_graph(&bigger, layout, &table), "rebuild");
     }
 
-    /// Edges and the exact-pair tally are the same for 1, 2 and 8
-    /// threads, on the paper's uniform fill and on mixed weight regimes.
-    #[test]
-    fn thread_count_invariance() {
-        let mut rng = StdRng::seed_from_u64(35);
-        let layout = GroupLayout { rows_per_group: K };
-        let table = LambdaTable::new(NBITS, 1e-4);
-        for uniform in [Some(460), None] {
-            let m0 = random_matrix(&mut rng, 12, uniform);
-            let m1 = churn(&mut rng, &m0, 0.25, uniform);
-            let mut runs = Vec::new();
-            for threads in [1usize, 2, 8] {
-                let mut corr = IncrementalCorrelator::new(IncrementalConfig { audit_every: 1 });
-                let mut out = Vec::new();
-                for m in [&m0, &m1] {
-                    let (g, s) = corr.epoch(m, layout, &table, threads);
-                    let mut es: Vec<_> = g.edges().collect();
-                    es.sort_unstable();
-                    out.push((es, s.pairs_exact));
-                }
-                runs.push((threads, out));
-            }
-            assert!(runs[0].1[0].1 > 0, "cold epoch tested no pair");
-            for (threads, out) in &runs[1..] {
-                assert_eq!(out, &runs[0].1, "divergence at {threads} threads");
-            }
-        }
-    }
-
     /// 64 groups × 10 rows of null traffic at the design fill, 8 % of the
     /// groups rewritten an epoch: a delta epoch's exact row pairs sit
     /// ≥ 5× below the all-pairs tally of the same matrix (changed × all
@@ -440,10 +352,9 @@ mod tests {
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(12))]
 
-        /// Satellite pin: rows churn (add/expire/mutate) across epochs;
-        /// the incremental components must equal the from-scratch build
-        /// every epoch, including after heavy churn that exercises the
-        /// expiry-watermark rebuild path — on uniform dense rows and on a
+        /// Rows churn across epochs; the incremental edges must equal the
+        /// from-scratch build every epoch, including after heavy churn
+        /// that drops most carried edges — on uniform dense rows and on a
         /// matrix mixing empty, sparse, medium and dense rows.
         #[test]
         fn churned_epochs_match_from_scratch(
@@ -456,7 +367,7 @@ mod tests {
             let layout = GroupLayout { rows_per_group: K };
             let uniform = (!mixed).then_some(470);
             // p* high enough that random matrices grow real edges, so
-            // expiry has something to chew on.
+            // churn has edges to drop.
             let table = LambdaTable::new(NBITS, 1e-2);
             let mut corr = IncrementalCorrelator::new(IncrementalConfig { audit_every: 2 });
             let mut m = random_matrix(&mut rng, groups, uniform);

@@ -86,7 +86,9 @@ impl LambdaTable {
     ///
     /// # Panics
     /// Panics unless `0 < p_star < 1` and `0 < n_bits < 65 535` (a cell
-    /// is 16 bits wide and its largest value marks "unset").
+    /// is 16 bits wide and its largest value marks "unset"). The digest
+    /// wire refuses any other array width (`dcs_collect::MAX_ARRAY_BITS`),
+    /// so no frame reaches this panic.
     pub fn new(n_bits: usize, p_star: f64) -> Self {
         assert!(n_bits > 0, "rows must be non-empty");
         assert!(

@@ -9,16 +9,17 @@
 //!   probability, lock-free and kept across epochs
 //!   ([`LambdaTables::for_shape`]);
 //! * [`graphbuild`] — pairwise row correlation (the dominant cost the
-//!   paper analyses in Section IV-D) in serial, crossbeam-parallel and
-//!   vertex-sampled variants;
+//!   paper analyses in Section IV-D): the serial oracle, the one parallel
+//!   pair loop every centre graph goes through, and a vertex-sampled
+//!   variant;
 //! * [`ertest`] — the phase-transition statistical test: alarm when the
 //!   largest connected component outgrows what G(n, p₁) can produce;
 //! * [`corefind`] — the 3-step greedy detection (Figure 10): peel to a
 //!   core, keep outsiders with ≥ d edges into the core, peel again, report
 //!   the union;
-//! * [`incremental`] — the cross-epoch delta engine: persisting rows
-//!   keep their previous edge results, only changed groups are
-//!   re-tested, with a periodic full-rebuild equality audit;
+//! * [`incremental`] — the cross-epoch delta engine: a sorted edge list
+//!   whose edges between unchanged groups carry over, while pairs with a
+//!   changed end are re-tested, with a periodic all-pairs equality audit;
 //! * [`matchmodel`] — the offset-sampling match-probability model
 //!   (`1 − e^(−k²/536)`) and the resulting pattern edge probability p₂;
 //! * [`thresholds`] — the non-naturally-occurring cluster bound of

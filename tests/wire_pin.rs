@@ -14,11 +14,15 @@
 use dcs_aligned::{
     naive_detect, refined_detect_cached, AlignedDetection, SearchConfig, SearchScratch,
 };
-use dcs_bitmap::ColMatrix;
+use dcs_bitmap::{Bitmap, ColMatrix, RowMatrix};
 use dcs_core::transport::{chunk_bundle, DATAGRAM_SAFE_PAYLOAD};
+use dcs_graph::Graph;
 use dcs_hash::crc32::crc32;
 use dcs_hash::Fnv1a;
 use dcs_parallel::ComputeBudget;
+use dcs_unaligned::{
+    build_group_graph_parallel, GroupLayout, IncrementalConfig, IncrementalCorrelator, LambdaTable,
+};
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
 use rand::{Rng, SeedableRng};
@@ -229,6 +233,103 @@ fn search_results_are_pinned() {
     assert_eq!(got, NAIVE_PIN, "naive 64 x 150: got {got:#018x}");
 }
 
+/// `groups` groups of `GRAPH_K` 1,024-bit rows. A row weighs 446 (the
+/// paper's fill) when `uniform`, else its group cycles through empty,
+/// sparse, medium and dense rows; a group of `prev` survives verbatim
+/// unless a `churn` coin rewrites all of its rows.
+fn churned_matrix(
+    rng: &mut StdRng,
+    prev: Option<&RowMatrix>,
+    groups: usize,
+    uniform: bool,
+    churn: f64,
+) -> RowMatrix {
+    let mut m = RowMatrix::new(GRAPH_BITS);
+    for g in 0..groups {
+        let keep = prev.filter(|_| !rng.gen_bool(churn));
+        for r in 0..GRAPH_K {
+            if let Some(p) = keep {
+                m.push_words(p.row(g * GRAPH_K + r));
+                continue;
+            }
+            let weight = match (uniform, g % 4) {
+                (true, _) => 446,
+                (false, 0) => 0,
+                (false, 1) => 5 + 3 * r,
+                (false, 2) => 120 + 17 * r,
+                _ => 480 + 50 * r,
+            };
+            let mut row = Bitmap::new(GRAPH_BITS);
+            while (row.weight() as usize) < weight {
+                row.set(rng.gen_range(0..GRAPH_BITS));
+            }
+            m.push_bitmap(&row);
+        }
+    }
+    m
+}
+
+fn hash_edges(graph: &Graph, h: &mut Fnv1a) {
+    h.update(&(graph.m() as u64).to_le_bytes());
+    for (u, v) in graph.edges() {
+        h.update(&u.to_le_bytes());
+        h.update(&v.to_le_bytes());
+    }
+}
+
+/// The unaligned group graph, epoch by epoch: an `IncrementalCorrelator`
+/// auditing every third epoch over nine seeded epochs — six at 48 groups,
+/// then three at 44 (a shape change) — at 8 % and 100 % group churn, on
+/// the uniform and the mixed weight regime. Each epoch feeds the sorted
+/// edge list and every `EpochStats` field, then the all-pairs
+/// `build_group_graph_parallel` edges and `pairs_exact` of the same
+/// matrix, into one hash per case; threads 1, 2 and 8 must agree.
+#[test]
+fn group_graph_is_pinned() {
+    let layout = GroupLayout {
+        rows_per_group: GRAPH_K,
+    };
+    let cases = [
+        ("uniform, 8 % churn", true, 0.08, 0x1434_119b_0b4a_5ec0_u64),
+        ("uniform, 100 % churn", true, 1.0, 0x0f24_b24c_b97a_869c),
+        ("mixed, 8 % churn", false, 0.08, 0x5324_2f33_e5cf_4b0c),
+        ("mixed, 100 % churn", false, 1.0, 0xc2f2_4bba_bc34_a69d),
+    ];
+    for (seed, (name, uniform, churn, want)) in (41..).zip(cases) {
+        let mut rng = StdRng::seed_from_u64(seed);
+        let mut epochs = Vec::new();
+        for groups in [48, 48, 48, 48, 48, 48, 44, 44, 44] {
+            let next = churned_matrix(&mut rng, epochs.last(), groups, uniform, churn);
+            epochs.push(next);
+        }
+        for threads in [1, 2, 8] {
+            let table = LambdaTable::new(GRAPH_BITS, 1e-3);
+            let mut corr = IncrementalCorrelator::new(IncrementalConfig { audit_every: 3 });
+            let mut h = Fnv1a::new();
+            for m in &epochs {
+                let (graph, s) = corr.epoch(m, layout, &table, threads);
+                hash_edges(&graph, &mut h);
+                for v in [
+                    s.pairs_exact,
+                    s.rows_changed as u64,
+                    s.groups_changed as u64,
+                ] {
+                    h.update(&v.to_le_bytes());
+                }
+                h.update(&(s.edges_live as u64).to_le_bytes());
+                h.update(&[u8::from(s.full_rebuild), u8::from(s.audited)]);
+                let (full, pairs_exact) = build_group_graph_parallel(m, layout, &table, threads);
+                hash_edges(&full, &mut h);
+                h.update(&pairs_exact.to_le_bytes());
+            }
+            let got = h.finish();
+            assert_eq!(got, want, "{name}, threads {threads}: got {got:#018x}");
+        }
+    }
+}
+
+const GRAPH_BITS: usize = 1_024;
+const GRAPH_K: usize = 4;
 const CRC_PIN: u64 = 0xbee2_6e3d_9349_d6f7;
 const DATAGRAM_FRAMES_PIN: u64 = 0x6459_89b9_c362_2c58;
 const STREAM_FRAMES_PIN: u64 = 0x392d_129e_a8f2_80a1;

@@ -20,6 +20,7 @@
 
 pub mod aligned;
 pub mod artifact;
+pub mod frame;
 pub mod sized;
 pub mod unaligned;
 pub mod view;

@@ -9,9 +9,8 @@
 //! steady-state ingest path allocates nothing per digest; the owned
 //! `decode_wire`s are `parse` followed by `to_owned`.
 
-use crate::wire::{
-    check_array_width, check_header, get_u32, get_u64, ALIGNED_MAGIC, UNALIGNED_MAGIC,
-};
+use crate::frame::Reader;
+use crate::wire::{check_array_width, ALIGNED_MAGIC, UNALIGNED_MAGIC, VERSION};
 use crate::{AlignedDigest, UnalignedDigest, WireError};
 use dcs_bitmap::{Bitmap, BitmapView};
 
@@ -35,13 +34,13 @@ impl<'a> AlignedDigestView<'a> {
     /// Validates the frame at the front of `buf`, returning the view and
     /// the bytes it covers.
     pub fn parse(buf: &'a [u8]) -> Result<(AlignedDigestView<'a>, usize), WireError> {
-        let mut rest = buf;
-        check_header(&mut rest, ALIGNED_MAGIC)?;
-        let packets_seen = get_u64(&mut rest)?;
-        let packets_hashed = get_u64(&mut rest)?;
-        let raw_bytes = get_u64(&mut rest)?;
-        let bitmap = BitmapView::parse(rest)?;
-        let used = buf.len() - rest.len() + bitmap.encoded_len();
+        let mut r = Reader::new(buf);
+        r.magic_version(ALIGNED_MAGIC, &[VERSION])?;
+        let packets_seen = r.u64()?;
+        let packets_hashed = r.u64()?;
+        let raw_bytes = r.u64()?;
+        let bitmap = BitmapView::parse(r.rest())?;
+        r.bytes(bitmap.encoded_len())?;
         Ok((
             AlignedDigestView {
                 bitmap,
@@ -49,7 +48,7 @@ impl<'a> AlignedDigestView<'a> {
                 packets_hashed,
                 raw_bytes,
             },
-            used,
+            r.used(),
         ))
     }
 
@@ -96,27 +95,21 @@ impl<'a> UnalignedDigestView<'a> {
     ///
     /// [`MAX_ARRAY_BITS`]: crate::MAX_ARRAY_BITS
     pub fn parse(buf: &'a [u8]) -> Result<(UnalignedDigestView<'a>, usize), WireError> {
-        let mut rest = buf;
-        check_header(&mut rest, UNALIGNED_MAGIC)?;
-        let packets_seen = get_u64(&mut rest)?;
-        let packets_sampled = get_u64(&mut rest)?;
-        let raw_bytes = get_u64(&mut rest)?;
-        let arrays_per_group = get_u32(&mut rest)? as usize;
-        let count = get_u32(&mut rest)? as usize;
+        let mut r = Reader::new(buf);
+        r.magic_version(UNALIGNED_MAGIC, &[VERSION])?;
+        let packets_seen = r.u64()?;
+        let packets_sampled = r.u64()?;
+        let raw_bytes = r.u64()?;
+        let arrays_per_group = r.u32()? as usize;
+        // Every bitmap frame costs at least its 13-byte header.
+        let count = r.count(usize::MAX, 13, "array count")?;
         if arrays_per_group == 0 {
             return Err(WireError::Malformed("arrays_per_group = 0"));
         }
         if !count.is_multiple_of(arrays_per_group) {
             return Err(WireError::Malformed("array count not a group multiple"));
         }
-        // The declared count is attacker-controlled: every bitmap frame
-        // costs at least its 13-byte header, so a count the remaining
-        // bytes cannot possibly hold is rejected up front.
-        const MIN_BITMAP_FRAME: usize = 13;
-        if count.saturating_mul(MIN_BITMAP_FRAME) > rest.len() {
-            return Err(WireError::Truncated);
-        }
-        let body_start = buf.len() - rest.len();
+        let rest = r.rest();
         let mut frame_len = 0;
         let mut width = 0;
         let mut offset = 0;
@@ -131,6 +124,7 @@ impl<'a> UnalignedDigestView<'a> {
             }
             offset += bm.encoded_len();
         }
+        let body = r.bytes(offset)?;
         Ok((
             UnalignedDigestView {
                 arrays_per_group,
@@ -139,9 +133,9 @@ impl<'a> UnalignedDigestView<'a> {
                 raw_bytes,
                 count,
                 frame_len,
-                body: &rest[..offset],
+                body,
             },
-            body_start + offset,
+            r.used(),
         ))
     }
 

@@ -46,9 +46,9 @@ use crate::ingest::RouterFault;
 use crate::monitor::RouterDigestView;
 use crate::report::TransportStats;
 use crate::session::{ChunkDisposition, CollectorConfig, EpochCollector, RetransmitRequest};
-use dcs_hash::crc32::crc32;
+use bytes::BufMut;
+use dcs_collect::frame::{seal, FrameError, Reader};
 use dcs_obs::MetricsRegistry;
-use std::fmt;
 use std::time::Instant;
 
 /// Magic for aggregate bundle frames (`b"DCSG"`).
@@ -56,7 +56,7 @@ pub const AGGREGATE_MAGIC: [u8; 4] = *b"DCSG";
 
 /// The one aggregate bundle version decoders accept. Versions 1 and 2
 /// carried an OR-fused bitmap, a weight sidecar and a merged sketch;
-/// a frame in that layout fails as [`AggregateError::BadVersion`].
+/// a frame in that layout fails as [`FrameError::BadVersion`].
 pub const AGGREGATE_VERSION: u8 = 3;
 
 /// Fixed header bytes: magic + version + aggregator id + epoch id +
@@ -75,44 +75,6 @@ const MAX_FAULT_STRING: usize = 1024;
 
 /// Cap on [`RouterFault::AtLevel`] nesting in the fault encoding.
 const MAX_FAULT_DEPTH: usize = 4;
-
-/// Errors from decoding aggregate bundle frames.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum AggregateError {
-    /// Buffer too short for the declared structure.
-    Truncated,
-    /// Unexpected magic bytes.
-    BadMagic([u8; 4]),
-    /// Unsupported bundle version.
-    BadVersion(u8),
-    /// The CRC-32 trailer disagrees with the frame bytes.
-    ChecksumMismatch {
-        /// Checksum carried in the trailer.
-        declared: u32,
-        /// Checksum of the bytes as received.
-        computed: u32,
-    },
-    /// Structurally impossible field (count or length beyond its cap or
-    /// the remaining buffer).
-    Malformed(&'static str),
-}
-
-impl fmt::Display for AggregateError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            AggregateError::Truncated => write!(f, "aggregate bundle truncated"),
-            AggregateError::BadMagic(m) => write!(f, "bad aggregate magic {m:02x?}"),
-            AggregateError::BadVersion(v) => write!(f, "unsupported aggregate version {v}"),
-            AggregateError::ChecksumMismatch { declared, computed } => write!(
-                f,
-                "aggregate checksum mismatch: trailer {declared:#010x}, computed {computed:#010x}"
-            ),
-            AggregateError::Malformed(what) => write!(f, "malformed aggregate bundle: {what}"),
-        }
-    }
-}
-
-impl std::error::Error for AggregateError {}
 
 /// One child excluded at the aggregator, with the transport- or
 /// wire-level reason. The centre wraps the fault in
@@ -209,7 +171,7 @@ impl AggregateBundle {
                 Err(e) => {
                     exclusions.push(ChildExclusion {
                         router_id,
-                        fault: RouterFault::Wire(e.to_string()),
+                        fault: RouterFault::Wire(format!("aggregate bundle: {e}")),
                     });
                     continue;
                 }
@@ -273,25 +235,24 @@ impl AggregateBundle {
         );
         let total = self.encoded_len();
         let mut buf = Vec::with_capacity(total);
-        buf.extend_from_slice(&AGGREGATE_MAGIC);
-        buf.push(AGGREGATE_VERSION);
-        buf.extend_from_slice(&self.aggregator_id.to_le_bytes());
-        buf.extend_from_slice(&self.epoch_id.to_le_bytes());
-        buf.push(self.level);
-        buf.extend_from_slice(&(total as u32).to_le_bytes());
-        buf.extend_from_slice(&(self.frames.len() as u32).to_le_bytes());
+        buf.put_slice(&AGGREGATE_MAGIC);
+        buf.put_u8(AGGREGATE_VERSION);
+        buf.put_u64_le(self.aggregator_id);
+        buf.put_u64_le(self.epoch_id);
+        buf.put_u8(self.level);
+        buf.put_u32_le(total as u32);
+        buf.put_u32_le(self.frames.len() as u32);
         for f in &self.frames {
             assert!(f.len() <= MAX_CHILD_FRAME, "child frame over cap");
-            buf.extend_from_slice(&(f.len() as u32).to_le_bytes());
-            buf.extend_from_slice(f);
+            buf.put_u32_le(f.len() as u32);
+            buf.put_slice(f);
         }
-        buf.extend_from_slice(&(self.exclusions.len() as u32).to_le_bytes());
+        buf.put_u32_le(self.exclusions.len() as u32);
         for e in &self.exclusions {
-            buf.extend_from_slice(&e.router_id.to_le_bytes());
+            buf.put_u64_le(e.router_id);
             encode_fault(&mut buf, &e.fault, 0);
         }
-        let crc = crc32(&buf);
-        buf.extend_from_slice(&crc.to_le_bytes());
+        seal(&mut buf);
         debug_assert_eq!(buf.len(), total, "encoded_len out of sync");
         buf
     }
@@ -302,70 +263,33 @@ impl AggregateBundle {
     /// checked against its cap and the remaining buffer before any
     /// allocation, and the CRC-32 trailer is verified before the body is
     /// parsed.
-    pub fn decode_wire(buf: &[u8]) -> Result<(AggregateBundle, usize), AggregateError> {
-        if buf.len() < AGGREGATE_HEADER {
-            return Err(AggregateError::Truncated);
-        }
-        if buf[..4] != AGGREGATE_MAGIC {
-            let mut m = [0u8; 4];
-            m.copy_from_slice(&buf[..4]);
-            return Err(AggregateError::BadMagic(m));
-        }
-        if buf[4] != AGGREGATE_VERSION {
-            return Err(AggregateError::BadVersion(buf[4]));
-        }
-        let aggregator_id = u64::from_le_bytes(buf[5..13].try_into().expect("8-byte slice"));
-        let epoch_id = u64::from_le_bytes(buf[13..21].try_into().expect("8-byte slice"));
-        let level = buf[21];
-        let total = u32::from_le_bytes(buf[22..26].try_into().expect("4-byte slice")) as usize;
+    pub fn decode_wire(buf: &[u8]) -> Result<(AggregateBundle, usize), FrameError> {
+        let mut r = Reader::new(buf);
+        r.magic_version(AGGREGATE_MAGIC, &[AGGREGATE_VERSION])?;
+        let aggregator_id = r.u64()?;
+        let epoch_id = r.u64()?;
+        let level = r.u8()?;
+        let total = r.u32()? as usize;
         if total < AGGREGATE_HEADER + 2 * 4 + 4 {
-            return Err(AggregateError::Malformed("declared length below minimum"));
+            return Err(FrameError::Malformed("declared length below minimum"));
         }
-        if total > buf.len() {
-            return Err(AggregateError::Truncated);
-        }
-        let body = &buf[..total - 4];
-        let declared = u32::from_le_bytes(buf[total - 4..total].try_into().expect("4-byte slice"));
-        let computed = crc32(body);
-        if declared != computed {
-            return Err(AggregateError::ChecksumMismatch { declared, computed });
-        }
-
-        let mut off = AGGREGATE_HEADER;
-        let get_u32 = |s: &[u8]| u32::from_le_bytes(s.try_into().expect("4-byte slice"));
-        let get_u64 = |s: &[u8]| u64::from_le_bytes(s.try_into().expect("8-byte slice"));
-
-        let n_frames = get_u32(take(body, &mut off, 4)?);
-        if n_frames > MAX_AGGREGATE_CHILDREN {
-            return Err(AggregateError::Malformed("frame count over cap"));
-        }
-        if (n_frames as usize).saturating_mul(4) > body.len() - off {
-            return Err(AggregateError::Malformed("frame count beyond buffer"));
-        }
-        let mut frames = Vec::with_capacity(n_frames as usize);
+        let mut r = r.sealed(total)?;
+        let cap = MAX_AGGREGATE_CHILDREN as usize;
+        let n_frames = r.count(cap, 4, "frame count over cap")?;
+        let mut frames = Vec::with_capacity(n_frames);
         for _ in 0..n_frames {
-            let len = get_u32(take(body, &mut off, 4)?) as usize;
-            if len > MAX_CHILD_FRAME {
-                return Err(AggregateError::Malformed("child frame over cap"));
-            }
-            frames.push(take(body, &mut off, len)?.to_vec());
+            let len = r.count(MAX_CHILD_FRAME, 1, "child frame over cap")?;
+            frames.push(r.bytes(len)?.to_vec());
         }
-
-        let n_excl = get_u32(take(body, &mut off, 4)?);
-        if n_excl > MAX_AGGREGATE_CHILDREN {
-            return Err(AggregateError::Malformed("exclusion count over cap"));
-        }
-        if (n_excl as usize).saturating_mul(9) > body.len() - off {
-            return Err(AggregateError::Malformed("exclusion count beyond buffer"));
-        }
-        let mut exclusions = Vec::with_capacity(n_excl as usize);
+        let n_excl = r.count(cap, 9, "exclusion count over cap")?;
+        let mut exclusions = Vec::with_capacity(n_excl);
         for _ in 0..n_excl {
-            let router_id = get_u64(take(body, &mut off, 8)?);
-            let fault = decode_fault(body, &mut off, 0)?;
+            let router_id = r.u64()?;
+            let fault = decode_fault(&mut r, 0)?;
             exclusions.push(ChildExclusion { router_id, fault });
         }
-        if off != body.len() {
-            return Err(AggregateError::Malformed("trailing bytes"));
+        if !r.rest().is_empty() {
+            return Err(FrameError::Malformed("trailing bytes"));
         }
         Ok((
             AggregateBundle {
@@ -378,15 +302,6 @@ impl AggregateBundle {
             total,
         ))
     }
-}
-
-fn take<'b>(body: &'b [u8], off: &mut usize, n: usize) -> Result<&'b [u8], AggregateError> {
-    if n > body.len() - *off {
-        return Err(AggregateError::Truncated);
-    }
-    let s = &body[*off..*off + n];
-    *off += n;
-    Ok(s)
 }
 
 // Compact tagged binary encoding of RouterFault for the exclusion
@@ -442,22 +357,22 @@ fn fault_encoded_len(fault: &RouterFault) -> usize {
 fn encode_fault(buf: &mut Vec<u8>, fault: &RouterFault, depth: usize) {
     assert!(depth < MAX_FAULT_DEPTH, "fault nesting over cap");
     let two = |buf: &mut Vec<u8>, tag: u8, a: u64, b: u64| {
-        buf.push(tag);
-        buf.extend_from_slice(&a.to_le_bytes());
-        buf.extend_from_slice(&b.to_le_bytes());
+        buf.put_u8(tag);
+        buf.put_u64_le(a);
+        buf.put_u64_le(b);
     };
     match fault {
         RouterFault::Wire(e) => {
             let s = clip_fault_string(e);
-            buf.push(FT_WIRE);
-            buf.extend_from_slice(&(s.len() as u32).to_le_bytes());
-            buf.extend_from_slice(s.as_bytes());
+            buf.put_u8(FT_WIRE);
+            buf.put_u32_le(s.len() as u32);
+            buf.put_slice(s.as_bytes());
         }
         RouterFault::DuplicateRouter { first_index } => {
-            buf.push(FT_DUPLICATE);
-            buf.extend_from_slice(&(*first_index as u64).to_le_bytes());
+            buf.put_u8(FT_DUPLICATE);
+            buf.put_u64_le(*first_index as u64);
         }
-        RouterFault::EmptyUnaligned => buf.push(FT_EMPTY_UNALIGNED),
+        RouterFault::EmptyUnaligned => buf.put_u8(FT_EMPTY_UNALIGNED),
         RouterFault::GroupLayout {
             arrays,
             arrays_per_group,
@@ -481,8 +396,8 @@ fn encode_fault(buf: &mut Vec<u8>, fault: &RouterFault, depth: usize) {
             two(buf, FT_TIMED_OUT, *received as u64, *total as u64)
         }
         RouterFault::ChecksumMismatch { seq } => {
-            buf.push(FT_CHECKSUM);
-            buf.extend_from_slice(&seq.to_le_bytes());
+            buf.put_u8(FT_CHECKSUM);
+            buf.put_u32_le(*seq);
         }
         RouterFault::Incomplete { received, total } => {
             two(buf, FT_INCOMPLETE, *received as u64, *total as u64)
@@ -492,112 +407,86 @@ fn encode_fault(buf: &mut Vec<u8>, fault: &RouterFault, depth: usize) {
             aggregator_id,
             fault,
         } => {
-            buf.push(FT_AT_LEVEL);
-            buf.push(*level);
+            buf.put_u8(FT_AT_LEVEL);
+            buf.put_u8(*level);
             match aggregator_id {
                 Some(agg) => {
-                    buf.push(1);
-                    buf.extend_from_slice(&agg.to_le_bytes());
+                    buf.put_u8(1);
+                    buf.put_u64_le(*agg);
                 }
-                None => buf.push(0),
+                None => buf.put_u8(0),
             }
             encode_fault(buf, fault, depth + 1);
         }
     }
 }
 
-fn decode_fault(body: &[u8], off: &mut usize, depth: usize) -> Result<RouterFault, AggregateError> {
+fn decode_fault(r: &mut Reader<'_>, depth: usize) -> Result<RouterFault, FrameError> {
     if depth >= MAX_FAULT_DEPTH {
-        return Err(AggregateError::Malformed("fault nesting over cap"));
+        return Err(FrameError::Malformed("fault nesting over cap"));
     }
-    let get_u32 = |s: &[u8]| u32::from_le_bytes(s.try_into().expect("4-byte slice"));
-    let get_u64 = |s: &[u8]| u64::from_le_bytes(s.try_into().expect("8-byte slice"));
-    let tag = take(body, off, 1)?[0];
-    let two = |off: &mut usize| -> Result<(u64, u64), AggregateError> {
-        let a = get_u64(take(body, off, 8)?);
-        let b = get_u64(take(body, off, 8)?);
-        Ok((a, b))
+    let as_usize =
+        |v: u64| usize::try_from(v).map_err(|_| FrameError::Malformed("fault field exceeds usize"));
+    let two = |r: &mut Reader<'_>| -> Result<(usize, usize), FrameError> {
+        Ok((as_usize(r.u64()?)?, as_usize(r.u64()?)?))
     };
-    let as_usize = |v: u64| {
-        usize::try_from(v).map_err(|_| AggregateError::Malformed("fault field exceeds usize"))
-    };
-    Ok(match tag {
+    Ok(match r.u8()? {
         FT_WIRE => {
-            let len = get_u32(take(body, off, 4)?) as usize;
-            if len > MAX_FAULT_STRING {
-                return Err(AggregateError::Malformed("fault string over cap"));
-            }
-            let s = std::str::from_utf8(take(body, off, len)?)
-                .map_err(|_| AggregateError::Malformed("fault string not UTF-8"))?;
+            let len = r.count(MAX_FAULT_STRING, 1, "fault string over cap")?;
+            let s = std::str::from_utf8(r.bytes(len)?)
+                .map_err(|_| FrameError::Malformed("fault string not UTF-8"))?;
             RouterFault::Wire(s.to_string())
         }
         FT_DUPLICATE => RouterFault::DuplicateRouter {
-            first_index: as_usize(get_u64(take(body, off, 8)?))?,
+            first_index: as_usize(r.u64()?)?,
         },
         FT_EMPTY_UNALIGNED => RouterFault::EmptyUnaligned,
         FT_GROUP_LAYOUT => {
-            let (a, b) = two(off)?;
+            let (arrays, arrays_per_group) = two(r)?;
             RouterFault::GroupLayout {
-                arrays: as_usize(a)?,
-                arrays_per_group: as_usize(b)?,
+                arrays,
+                arrays_per_group,
             }
         }
         FT_ALIGNED_WIDTH => {
-            let (a, b) = two(off)?;
-            RouterFault::AlignedWidth {
-                expected: as_usize(a)?,
-                got: as_usize(b)?,
-            }
+            let (expected, got) = two(r)?;
+            RouterFault::AlignedWidth { expected, got }
         }
         FT_ARRAYS_PER_GROUP => {
-            let (a, b) = two(off)?;
-            RouterFault::ArraysPerGroup {
-                expected: as_usize(a)?,
-                got: as_usize(b)?,
-            }
+            let (expected, got) = two(r)?;
+            RouterFault::ArraysPerGroup { expected, got }
         }
         FT_ARRAY_WIDTH => {
-            let (a, b) = two(off)?;
-            RouterFault::ArrayWidth {
-                expected: as_usize(a)?,
-                got: as_usize(b)?,
-            }
+            let (expected, got) = two(r)?;
+            RouterFault::ArrayWidth { expected, got }
         }
-        FT_EPOCH_DESYNC => {
-            let (expected, got) = two(off)?;
-            RouterFault::EpochDesync { expected, got }
-        }
-        FT_TIMED_OUT => {
-            let (a, b) = two(off)?;
-            RouterFault::TimedOut {
-                received: as_usize(a)?,
-                total: as_usize(b)?,
-            }
-        }
-        FT_CHECKSUM => RouterFault::ChecksumMismatch {
-            seq: get_u32(take(body, off, 4)?),
+        FT_EPOCH_DESYNC => RouterFault::EpochDesync {
+            expected: r.u64()?,
+            got: r.u64()?,
         },
+        FT_TIMED_OUT => {
+            let (received, total) = two(r)?;
+            RouterFault::TimedOut { received, total }
+        }
+        FT_CHECKSUM => RouterFault::ChecksumMismatch { seq: r.u32()? },
         FT_INCOMPLETE => {
-            let (a, b) = two(off)?;
-            RouterFault::Incomplete {
-                received: as_usize(a)?,
-                total: as_usize(b)?,
-            }
+            let (received, total) = two(r)?;
+            RouterFault::Incomplete { received, total }
         }
         FT_AT_LEVEL => {
-            let level = take(body, off, 1)?[0];
-            let aggregator_id = match take(body, off, 1)?[0] {
+            let level = r.u8()?;
+            let aggregator_id = match r.u8()? {
                 0 => None,
-                1 => Some(get_u64(take(body, off, 8)?)),
-                _ => return Err(AggregateError::Malformed("bad aggregator-id presence byte")),
+                1 => Some(r.u64()?),
+                _ => return Err(FrameError::Malformed("bad aggregator-id presence byte")),
             };
             RouterFault::AtLevel {
                 level,
                 aggregator_id,
-                fault: Box::new(decode_fault(body, off, depth + 1)?),
+                fault: Box::new(decode_fault(r, depth + 1)?),
             }
         }
-        _ => return Err(AggregateError::Malformed("unknown fault tag")),
+        _ => return Err(FrameError::Malformed("unknown fault tag")),
     })
 }
 
@@ -759,6 +648,7 @@ mod tests {
     use crate::monitor::{MonitorConfig, MonitoringPoint};
     use crate::session::StragglerPolicy;
     use crate::transport::chunk_bundle;
+    use dcs_hash::crc32::crc32;
     use dcs_traffic::{gen, BackgroundConfig, SizeMix};
     use rand::rngs::StdRng;
     use rand::SeedableRng;
@@ -949,7 +839,7 @@ mod tests {
         assert_eq!(wire.len(), AGGREGATE_HEADER + 2 * 4 + 4);
         assert_eq!(
             AggregateBundle::decode_wire(&wire[..wire.len() - 1]),
-            Err(AggregateError::Truncated)
+            Err(FrameError::Truncated)
         );
         // The same frame re-sealed one byte shorter: a CRC-valid frame
         // whose declared length cannot hold both counts.
@@ -959,7 +849,7 @@ mod tests {
         short.extend_from_slice(&crc.to_le_bytes());
         assert_eq!(
             AggregateBundle::decode_wire(&short),
-            Err(AggregateError::Malformed("declared length below minimum"))
+            Err(FrameError::Malformed("declared length below minimum"))
         );
     }
 
@@ -984,7 +874,7 @@ mod tests {
         bad[0] = b'X';
         assert!(matches!(
             AggregateBundle::decode_wire(&bad),
-            Err(AggregateError::BadMagic(_))
+            Err(FrameError::BadMagic(_))
         ));
         // The fused layouts of versions 1 and 2 fail typed, as does any
         // other version byte.
@@ -993,7 +883,7 @@ mod tests {
             bad[4] = version;
             assert_eq!(
                 AggregateBundle::decode_wire(&bad),
-                Err(AggregateError::BadVersion(version))
+                Err(FrameError::BadVersion(version))
             );
         }
     }

@@ -255,7 +255,10 @@ impl AnalysisCenter {
             received_bytes += bytes.len() as u64;
             match AggregateBundle::decode_wire(bytes) {
                 Ok((bundle, _)) => decoded.push(bundle),
-                Err(e) => rejected.push(at_level_1(None, RouterFault::Wire(e.to_string()))),
+                Err(e) => rejected.push(at_level_1(
+                    None,
+                    RouterFault::Wire(format!("aggregate bundle: {e}")),
+                )),
             }
         }
 

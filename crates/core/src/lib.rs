@@ -28,14 +28,14 @@ pub mod session;
 pub mod stages;
 pub mod transport;
 
-pub use aggregate::{AggregateBundle, AggregateError, Aggregator, ChildExclusion, AGGREGATE_MAGIC};
+pub use aggregate::{AggregateBundle, Aggregator, ChildExclusion, AGGREGATE_MAGIC};
 pub use center::{AnalysisCenter, AnalysisConfig};
 pub use clock::{Clock, ManualClock, TickClock};
 pub use epochs::{catch_probability, AlarmTracker, EpochSampler};
 pub use ingest::{Exclusion, IngestError, IngestReport, RouterFault};
 pub use monitor::{MonitorConfig, MonitoringPoint, RouterDigest, RouterDigestView};
 pub use net::{
-    run_center_epoch, run_monitor_epoch, CenterEpochEnd, CenterSocket, ControlError, ControlFrame,
+    run_center_epoch, run_monitor_epoch, CenterEpochEnd, CenterSocket, ControlFrame,
     ImpairmentConfig, ImpairmentShim, MonitorEpochConfig, MonitorEpochEnd, MonitorSocket,
     Transport,
 };
@@ -45,13 +45,14 @@ pub use session::{
     StragglerPolicy,
 };
 pub use stages::{Stage, StageRecorder};
-pub use transport::{chunk_bundle, ChunkError, ChunkFrame, DATAGRAM_SAFE_PAYLOAD};
+pub use transport::{chunk_bundle, ChunkFrame, DATAGRAM_SAFE_PAYLOAD};
 
+pub use dcs_collect::frame::FrameError;
 pub use dcs_obs::{MetricsRegistry, MetricsSnapshot};
 
 /// Convenient glob-import surface.
 pub mod prelude {
-    pub use crate::aggregate::{AggregateBundle, AggregateError, Aggregator, ChildExclusion};
+    pub use crate::aggregate::{AggregateBundle, Aggregator, ChildExclusion};
     pub use crate::center::{AnalysisCenter, AnalysisConfig};
     pub use crate::clock::{Clock, ManualClock, TickClock};
     pub use crate::epochs::{AlarmTracker, EpochSampler};
@@ -70,8 +71,9 @@ pub mod prelude {
         StragglerPolicy,
     };
     pub use crate::stages::{Stage, StageRecorder};
-    pub use crate::transport::{chunk_bundle, ChunkError, ChunkFrame, DATAGRAM_SAFE_PAYLOAD};
+    pub use crate::transport::{chunk_bundle, ChunkFrame, DATAGRAM_SAFE_PAYLOAD};
     pub use dcs_aligned::{refined_detect, SearchConfig};
+    pub use dcs_collect::frame::FrameError;
     pub use dcs_collect::{AlignedConfig, UnalignedConfig};
     pub use dcs_obs::{MetricsRegistry, MetricsSnapshot};
     pub use dcs_traffic::{BackgroundConfig, ContentObject, FlowLabel, Packet, Planting};

@@ -7,13 +7,13 @@
 //! retransmit requests and trips straggler deadlines — it just reads
 //! time from a [`Clock`] and exchanges frames over
 //! real sockets instead of a simulated channel. The module adds one new
-//! wire format, the **DCSA control frame**, for the centre→monitor
+//! wire format, the **DCSN control frame**, for the centre→monitor
 //! direction (acks, retransmit requests, epoch advance, shutdown):
 //!
 //! ```text
 //!  ┌───────┬───┬──────┬───────────┬──────────┬─────┬───────┬────────┬───────┐
 //!  │ magic │ v │ kind │ router id │ epoch id │ arg │ nseqs │ seqs…  │ CRC32 │
-//!  │ DCSA  │ 1 │  u8  │    u64    │   u64    │ u32 │  u32  │ u32×n  │  u32  │
+//!  │ DCSN  │ 1 │  u8  │    u64    │   u64    │ u32 │  u32  │ u32×n  │  u32  │
 //!  └───────┴───┴──────┴───────────┴──────────┴─────┴───────┴────────┴───────┘
 //! ```
 //!
@@ -39,16 +39,16 @@
 
 use crate::clock::Clock;
 use crate::session::{ChunkDisposition, CollectedEpoch, EpochCollector, Missing};
-use crate::transport::{ChunkFrame, MAX_CHUNKS, MAX_CHUNK_PAYLOAD};
-use dcs_hash::crc32::crc32;
+use crate::transport::{ChunkFrame, MAX_CHUNK_PAYLOAD};
+use bytes::BufMut;
+use dcs_collect::frame::{seal, FrameError, Reader};
 use dcs_obs::MetricsRegistry;
 use std::collections::{BTreeMap, VecDeque};
-use std::fmt;
 use std::io::{ErrorKind, Read as _, Write as _};
 use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs, UdpSocket};
 
-/// Magic for control frames (`b"DCSA"`).
-pub const CONTROL_MAGIC: [u8; 4] = *b"DCSA";
+/// Magic for control frames (`b"DCSN"`).
+pub const CONTROL_MAGIC: [u8; 4] = *b"DCSN";
 
 /// Control frame version.
 pub const CONTROL_VERSION: u8 = 1;
@@ -62,6 +62,21 @@ pub const CONTROL_HEADER: usize = 4 + 1 + 1 + 8 + 8 + 4 + 4;
 /// the connection.
 pub const MAX_STREAM_FRAME: usize = MAX_CHUNK_PAYLOAD + 128;
 
+/// Largest UDP payload over IPv4: 65,535 bytes less the 20-byte IP and
+/// 8-byte UDP headers.
+const MAX_DATAGRAM: usize = 65_507;
+
+/// Most seqs one [`ControlFrame::NackSeqs`] carries (16,368), so that the
+/// largest control frame fits one UDP datagram and one TCP stream frame.
+/// The centre clips a longer NACK to its first `MAX_NACK_SEQS` missing
+/// seqs; the session's next timer asks for the rest.
+pub const MAX_NACK_SEQS: usize = (MAX_DATAGRAM - CONTROL_HEADER - 4) / 4;
+
+const _: () = assert!(
+    CONTROL_HEADER + 4 * MAX_NACK_SEQS + 4 <= MAX_DATAGRAM
+        && CONTROL_HEADER + 4 * MAX_NACK_SEQS + 4 <= MAX_STREAM_FRAME
+);
+
 const KIND_HELLO: u8 = 0;
 const KIND_ACK: u8 = 1;
 const KIND_NACK_ALL: u8 = 2;
@@ -69,7 +84,7 @@ const KIND_NACK_SEQS: u8 = 3;
 const KIND_ADVANCE: u8 = 4;
 const KIND_SHUTDOWN: u8 = 5;
 
-/// A decoded DCSA control frame.
+/// A decoded DCSN control frame.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum ControlFrame {
     /// Monitor → centre: register this router's address before (or
@@ -118,38 +133,6 @@ pub enum ControlFrame {
     },
 }
 
-/// Errors from decoding control frames.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum ControlError {
-    /// Buffer too short for the declared structure.
-    Truncated,
-    /// Unexpected magic bytes.
-    BadMagic([u8; 4]),
-    /// Unsupported control version.
-    BadVersion(u8),
-    /// Unknown control kind.
-    BadKind(u8),
-    /// The CRC-32 trailer disagrees with the frame bytes.
-    ChecksumMismatch,
-    /// Structurally impossible field.
-    Malformed(&'static str),
-}
-
-impl fmt::Display for ControlError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            ControlError::Truncated => write!(f, "control frame truncated"),
-            ControlError::BadMagic(m) => write!(f, "bad control magic {m:02x?}"),
-            ControlError::BadVersion(v) => write!(f, "unsupported control version {v}"),
-            ControlError::BadKind(k) => write!(f, "unknown control kind {k}"),
-            ControlError::ChecksumMismatch => write!(f, "control checksum mismatch"),
-            ControlError::Malformed(what) => write!(f, "malformed control frame: {what}"),
-        }
-    }
-}
-
-impl std::error::Error for ControlError {}
-
 impl ControlFrame {
     /// The addressed router.
     pub fn router_id(&self) -> u64 {
@@ -164,6 +147,9 @@ impl ControlFrame {
     }
 
     /// Encodes the frame with its CRC-32 trailer.
+    ///
+    /// # Panics
+    /// Panics if a `NackSeqs` list is longer than [`MAX_NACK_SEQS`].
     pub fn encode(&self) -> Vec<u8> {
         let (kind, router_id, epoch_id, arg, seqs): (u8, u64, u64, u32, &[u32]) = match self {
             ControlFrame::Hello { router_id } => (KIND_HELLO, *router_id, 0, 0, &[]),
@@ -187,59 +173,35 @@ impl ControlFrame {
             } => (KIND_ADVANCE, *router_id, *epoch_id, 0, &[]),
             ControlFrame::Shutdown { router_id } => (KIND_SHUTDOWN, *router_id, 0, 0, &[]),
         };
-        assert!(seqs.len() <= MAX_CHUNKS as usize, "seq list over cap");
+        assert!(seqs.len() <= MAX_NACK_SEQS, "seq list over cap");
         let mut buf = Vec::with_capacity(CONTROL_HEADER + seqs.len() * 4 + 4);
-        buf.extend_from_slice(&CONTROL_MAGIC);
-        buf.push(CONTROL_VERSION);
-        buf.push(kind);
-        buf.extend_from_slice(&router_id.to_le_bytes());
-        buf.extend_from_slice(&epoch_id.to_le_bytes());
-        buf.extend_from_slice(&arg.to_le_bytes());
-        buf.extend_from_slice(&(seqs.len() as u32).to_le_bytes());
-        for s in seqs {
-            buf.extend_from_slice(&s.to_le_bytes());
+        buf.put_slice(&CONTROL_MAGIC);
+        buf.put_u8(CONTROL_VERSION);
+        buf.put_u8(kind);
+        buf.put_u64_le(router_id);
+        buf.put_u64_le(epoch_id);
+        buf.put_u32_le(arg);
+        buf.put_u32_le(seqs.len() as u32);
+        for &s in seqs {
+            buf.put_u32_le(s);
         }
-        let crc = crc32(&buf);
-        buf.extend_from_slice(&crc.to_le_bytes());
+        seal(&mut buf);
         buf
     }
 
-    /// Decodes a control frame. Never panics on arbitrary input; every
-    /// declared count is capped before allocation and the CRC-32 trailer
-    /// is verified first.
-    pub fn decode(buf: &[u8]) -> Result<ControlFrame, ControlError> {
-        if buf.len() < CONTROL_HEADER + 4 {
-            return Err(ControlError::Truncated);
-        }
-        if buf[..4] != CONTROL_MAGIC {
-            let mut m = [0u8; 4];
-            m.copy_from_slice(&buf[..4]);
-            return Err(ControlError::BadMagic(m));
-        }
-        if buf[4] != CONTROL_VERSION {
-            return Err(ControlError::BadVersion(buf[4]));
-        }
-        let kind = buf[5];
-        let router_id = u64::from_le_bytes(buf[6..14].try_into().expect("8-byte slice"));
-        let epoch_id = u64::from_le_bytes(buf[14..22].try_into().expect("8-byte slice"));
-        let arg = u32::from_le_bytes(buf[22..26].try_into().expect("4-byte slice"));
-        let nseqs = u32::from_le_bytes(buf[26..30].try_into().expect("4-byte slice"));
-        if nseqs > MAX_CHUNKS {
-            return Err(ControlError::Malformed("seq count over cap"));
-        }
-        let total = CONTROL_HEADER + nseqs as usize * 4 + 4;
-        if buf.len() < total {
-            return Err(ControlError::Truncated);
-        }
-        let body = &buf[..total - 4];
-        let declared = u32::from_le_bytes(buf[total - 4..total].try_into().expect("4-byte slice"));
-        if crc32(body) != declared {
-            return Err(ControlError::ChecksumMismatch);
-        }
-        let seqs: Vec<u32> = body[CONTROL_HEADER..]
-            .chunks_exact(4)
-            .map(|c| u32::from_le_bytes(c.try_into().expect("4-byte slice")))
-            .collect();
+    /// Decodes a control frame. Never panics on arbitrary input; the seq
+    /// count is capped before allocation and the CRC-32 trailer is
+    /// verified before the kind is trusted.
+    pub fn decode(buf: &[u8]) -> Result<ControlFrame, FrameError> {
+        let mut r = Reader::new(buf);
+        r.magic_version(CONTROL_MAGIC, &[CONTROL_VERSION])?;
+        let kind = r.u8()?;
+        let router_id = r.u64()?;
+        let epoch_id = r.u64()?;
+        let arg = r.u32()?;
+        let nseqs = r.count(MAX_NACK_SEQS, 4, "seq count over cap")?;
+        let seqs = (0..nseqs).map(|_| r.u32()).collect::<Result<Vec<_>, _>>()?;
+        r.crc_trailer()?;
         Ok(match kind {
             KIND_HELLO => ControlFrame::Hello { router_id },
             KIND_ACK => ControlFrame::Ack {
@@ -261,7 +223,7 @@ impl ControlFrame {
                 epoch_id,
             },
             KIND_SHUTDOWN => ControlFrame::Shutdown { router_id },
-            other => return Err(ControlError::BadKind(other)),
+            _ => return Err(FrameError::Malformed("unknown control kind")),
         })
     }
 }
@@ -457,22 +419,28 @@ impl TcpConn {
                 }
             }
         }
-        let mut off = 0;
-        while self.rdbuf.len() - off >= 4 {
-            let len =
-                u32::from_le_bytes(self.rdbuf[off..off + 4].try_into().expect("4 bytes")) as usize;
-            if len > MAX_STREAM_FRAME {
+        let mut r = Reader::new(&self.rdbuf);
+        loop {
+            let mut next = r;
+            match next
+                .count(MAX_STREAM_FRAME, 1, "stream frame over cap")
+                .and_then(|len| next.bytes(len))
+            {
+                Ok(frame) => {
+                    frames.push(frame.to_vec());
+                    r = next;
+                }
+                // Wait for the rest of the frame.
+                Err(FrameError::Truncated) => break,
                 // Protocol violation: drop the connection, typed.
-                self.dead = true;
-                break;
+                Err(_) => {
+                    self.dead = true;
+                    break;
+                }
             }
-            if self.rdbuf.len() - off - 4 < len {
-                break;
-            }
-            frames.push(self.rdbuf[off + 4..off + 4 + len].to_vec());
-            off += 4 + len;
         }
-        self.rdbuf.drain(..off);
+        let used = r.used();
+        self.rdbuf.drain(..used);
         frames
     }
 
@@ -510,9 +478,9 @@ impl TcpConn {
 }
 
 /// Extracts the routing identity of a received frame: DCSC chunk headers
-/// and DCSA control frames both carry the router id up front.
+/// and DCSN control frames both carry the router id up front.
 fn frame_router_id(frame: &[u8]) -> Option<u64> {
-    if frame.len() >= 4 && frame[..4] == CONTROL_MAGIC {
+    if frame.starts_with(&CONTROL_MAGIC) {
         return ControlFrame::decode(frame).ok().map(|c| c.router_id());
     }
     ChunkFrame::salvage_header(frame).map(|(router_id, _, _)| router_id)
@@ -898,7 +866,7 @@ pub fn run_center_epoch(
         let frames = sock.poll(metrics);
         let idle = frames.is_empty();
         for frame in frames {
-            if frame.len() >= 4 && frame[..4] == CONTROL_MAGIC {
+            if frame.starts_with(&CONTROL_MAGIC) {
                 // Monitors only send Hello; anything else is ignored.
                 continue;
             }
@@ -956,11 +924,14 @@ pub fn run_center_epoch(
                     router_id: req.router_id,
                     epoch_id: req.epoch_id,
                 },
-                Missing::Seqs(seqs) => ControlFrame::NackSeqs {
-                    router_id: req.router_id,
-                    epoch_id: req.epoch_id,
-                    seqs,
-                },
+                Missing::Seqs(mut seqs) => {
+                    seqs.truncate(MAX_NACK_SEQS);
+                    ControlFrame::NackSeqs {
+                        router_id: req.router_id,
+                        epoch_id: req.epoch_id,
+                        seqs,
+                    }
+                }
             };
             sock.send_control(&control, metrics);
         }
@@ -1320,6 +1291,65 @@ mod tests {
         // Impairing the shim on a TCP link loses frames before the
         // stream, so retransmits still matter.
         socket_roundtrip(Transport::Tcp, ImpairmentConfig::soak());
+    }
+
+    /// A session missing more chunks than one datagram or one stream
+    /// frame can name still reaches its monitor: the NACK arrives clipped
+    /// to the first `MAX_NACK_SEQS` missing seqs, over UDP and over TCP.
+    #[test]
+    fn an_oversized_nack_is_clipped_to_fit_the_transport() {
+        for transport in [Transport::Udp, Transport::Tcp] {
+            let clock = ManualClock::new(0);
+            let mut center = CenterSocket::bind("127.0.0.1:0", transport).unwrap();
+            let mut monitor =
+                MonitorSocket::connect(center.local_addr().unwrap(), transport).unwrap();
+            // Seq 0 of a 20,000-chunk bundle: the centre learns the total
+            // and misses 19,999 chunks, 80 KB of seqs.
+            let first = ChunkFrame {
+                router_id: 1,
+                epoch_id: 0,
+                seq: 0,
+                total: 20_000,
+                payload: b"x",
+            };
+            monitor.send(&first.encode(), &MetricsRegistry::new());
+            let mut collector = quick_collector(0, &[1], clock.now());
+            let done = std::sync::atomic::AtomicBool::new(false);
+            let nack = std::thread::scope(|s| {
+                s.spawn(|| {
+                    run_center_epoch(
+                        &mut center,
+                        &mut collector,
+                        &clock,
+                        &MetricsRegistry::new(),
+                        |_| {
+                            clock.advance(10);
+                            done.load(std::sync::atomic::Ordering::Relaxed)
+                        },
+                    )
+                });
+                let metrics = MetricsRegistry::new();
+                let give_up = std::time::Instant::now() + Duration::from_secs(5);
+                let nack = loop {
+                    let seqs = monitor.poll(&metrics).into_iter().find_map(|c| match c {
+                        ControlFrame::NackSeqs { seqs, .. } => Some(seqs),
+                        _ => None,
+                    });
+                    if seqs.is_some() || std::time::Instant::now() > give_up {
+                        break seqs;
+                    }
+                    std::thread::sleep(Duration::from_millis(1));
+                };
+                done.store(true, std::sync::atomic::Ordering::Relaxed);
+                nack
+            });
+            let want: Vec<u32> = (1..=MAX_NACK_SEQS as u32).collect();
+            assert!(
+                nack.as_ref() == Some(&want),
+                "{transport:?}: NACK of {:?} seqs",
+                nack.map(|s| s.len())
+            );
+        }
     }
 
     #[test]

@@ -46,8 +46,9 @@
 use crate::ingest::{Exclusion, RouterFault};
 use crate::monitor::RouterDigest;
 use crate::report::TransportStats;
-use crate::transport::{ChunkError, ChunkFrame, MAX_CHUNKS};
-use dcs_hash::crc32::crc32;
+use crate::transport::{ChunkFrame, MAX_CHUNKS, MAX_CHUNK_PAYLOAD};
+use bytes::BufMut;
+use dcs_collect::frame::{seal, FrameError, Reader};
 use dcs_hash::Fnv1a;
 use std::collections::BTreeMap;
 use std::fmt;
@@ -522,6 +523,18 @@ impl fmt::Display for CheckpointError {
 
 impl std::error::Error for CheckpointError {}
 
+impl From<FrameError> for CheckpointError {
+    fn from(e: FrameError) -> Self {
+        match e {
+            FrameError::Truncated => CheckpointError::Truncated,
+            FrameError::BadMagic(m) => CheckpointError::BadMagic(m),
+            FrameError::BadVersion(v) => CheckpointError::BadVersion(v),
+            FrameError::ChecksumMismatch { .. } => CheckpointError::ChecksumMismatch,
+            FrameError::Malformed(what) => CheckpointError::Malformed(what),
+        }
+    }
+}
+
 /// Magic for collector checkpoints (`b"DCSK"`).
 pub const CHECKPOINT_MAGIC: [u8; 4] = *b"DCSK";
 const CHECKPOINT_VERSION: u8 = 1;
@@ -611,7 +624,7 @@ impl EpochCollector {
         match ChunkFrame::decode(frame) {
             Err(e) => {
                 self.stats.corrupt_chunks += 1;
-                if matches!(e, ChunkError::ChecksumMismatch { .. }) {
+                if matches!(e, FrameError::ChecksumMismatch { .. }) {
                     if let Some((router_id, epoch_id, seq)) = ChunkFrame::salvage_header(frame) {
                         if epoch_id == self.epoch_id && !self.finalized {
                             if let Some(s) = self.sessions.get_mut(&router_id) {
@@ -731,10 +744,10 @@ impl EpochCollector {
     pub fn checkpoint(&self) -> Vec<u8> {
         let routers: Vec<u64> = self.sessions.keys().copied().collect();
         let mut buf = Vec::new();
-        buf.extend_from_slice(&CHECKPOINT_MAGIC);
-        buf.push(CHECKPOINT_VERSION);
-        buf.extend_from_slice(&self.epoch_id.to_le_bytes());
-        buf.extend_from_slice(&self.cfg.fingerprint(self.epoch_id, &routers).to_le_bytes());
+        buf.put_slice(&CHECKPOINT_MAGIC);
+        buf.put_u8(CHECKPOINT_VERSION);
+        buf.put_u64_le(self.epoch_id);
+        buf.put_u64_le(self.cfg.fingerprint(self.epoch_id, &routers));
         let stats = [
             self.stats.chunks_received,
             self.stats.retransmits,
@@ -744,15 +757,15 @@ impl EpochCollector {
             self.stats.checkpoint_resumes,
         ];
         for s in stats {
-            buf.extend_from_slice(&s.to_le_bytes());
+            buf.put_u64_le(s);
         }
-        buf.extend_from_slice(&(self.sessions.len() as u32).to_le_bytes());
+        buf.put_u32_le(self.sessions.len() as u32);
         for s in self.sessions.values() {
-            buf.extend_from_slice(&s.router_id.to_le_bytes());
-            buf.extend_from_slice(&s.total.unwrap_or(0).to_le_bytes());
-            buf.extend_from_slice(&(s.crc_failed_seqs.len() as u32).to_le_bytes());
+            buf.put_u64_le(s.router_id);
+            buf.put_u32_le(s.total.unwrap_or(0));
+            buf.put_u32_le(s.crc_failed_seqs.len() as u32);
             for &seq in &s.crc_failed_seqs {
-                buf.extend_from_slice(&seq.to_le_bytes());
+                buf.put_u32_le(seq);
             }
             if let Some(total) = s.total {
                 // Received-chunk bitmap, then each held payload in seq
@@ -764,15 +777,14 @@ impl EpochCollector {
                         bitmap[i / 8] |= 1 << (i % 8);
                     }
                 }
-                buf.extend_from_slice(&bitmap);
+                buf.put_slice(&bitmap);
                 for c in s.chunks.iter().flatten() {
-                    buf.extend_from_slice(&(c.len() as u32).to_le_bytes());
-                    buf.extend_from_slice(c);
+                    buf.put_u32_le(c.len() as u32);
+                    buf.put_slice(c);
                 }
             }
         }
-        let crc = crc32(&buf);
-        buf.extend_from_slice(&crc.to_le_bytes());
+        seal(&mut buf);
         buf
     }
 
@@ -786,89 +798,36 @@ impl EpochCollector {
         seed: u64,
         now: u64,
     ) -> Result<EpochCollector, CheckpointError> {
-        if bytes.len() < 4 {
-            return Err(CheckpointError::Truncated);
-        }
-        if bytes[..4] != CHECKPOINT_MAGIC {
-            let mut m = [0u8; 4];
-            m.copy_from_slice(&bytes[..4]);
-            return Err(CheckpointError::BadMagic(m));
-        }
-        if bytes.len() < 5 + 8 + 8 + 48 + 4 + 4 {
-            return Err(CheckpointError::Truncated);
-        }
-        if bytes[4] != CHECKPOINT_VERSION {
-            return Err(CheckpointError::BadVersion(bytes[4]));
-        }
-        let body = &bytes[..bytes.len() - 4];
-        let declared =
-            u32::from_le_bytes(bytes[bytes.len() - 4..].try_into().expect("4-byte slice"));
-        if crc32(body) != declared {
-            return Err(CheckpointError::ChecksumMismatch);
-        }
-
-        let mut off = 5usize;
-        fn take<'b>(
-            body: &'b [u8],
-            off: &mut usize,
-            n: usize,
-        ) -> Result<&'b [u8], CheckpointError> {
-            if *off + n > body.len() {
-                return Err(CheckpointError::Truncated);
-            }
-            let s = &body[*off..*off + n];
-            *off += n;
-            Ok(s)
-        }
-        let get_u64 = |s: &[u8]| u64::from_le_bytes(s.try_into().expect("8-byte slice"));
-        let get_u32 = |s: &[u8]| u32::from_le_bytes(s.try_into().expect("4-byte slice"));
-
-        let epoch_id = get_u64(take(body, &mut off, 8)?);
-        let stored_fingerprint = get_u64(take(body, &mut off, 8)?);
+        let mut r = Reader::new(bytes);
+        r.magic_version(CHECKPOINT_MAGIC, &[CHECKPOINT_VERSION])?;
+        let mut r = r.sealed(bytes.len())?;
+        let epoch_id = r.u64()?;
+        let stored_fingerprint = r.u64()?;
         let mut stats = TransportStats {
-            chunks_received: get_u64(take(body, &mut off, 8)?),
-            retransmits: get_u64(take(body, &mut off, 8)?),
-            late_chunks: get_u64(take(body, &mut off, 8)?),
-            duplicate_chunks: get_u64(take(body, &mut off, 8)?),
-            corrupt_chunks: get_u64(take(body, &mut off, 8)?),
-            checkpoint_resumes: get_u64(take(body, &mut off, 8)?),
+            chunks_received: r.u64()?,
+            retransmits: r.u64()?,
+            late_chunks: r.u64()?,
+            duplicate_chunks: r.u64()?,
+            corrupt_chunks: r.u64()?,
+            checkpoint_resumes: r.u64()?,
         };
-        let n_sessions = get_u32(take(body, &mut off, 4)?) as usize;
-        // Every session costs at least its fixed fields; reject a count
-        // the remaining bytes cannot hold before allocating.
-        if n_sessions.saturating_mul(16) > body.len() - off {
-            return Err(CheckpointError::Malformed("session count beyond buffer"));
-        }
-
+        // Every session costs at least its 16 bytes of fixed fields.
+        let n_sessions = r.count(usize::MAX, 16, "session count")?;
         let mut sessions = BTreeMap::new();
         for _ in 0..n_sessions {
-            let router_id = get_u64(take(body, &mut off, 8)?);
-            let total_raw = get_u32(take(body, &mut off, 4)?);
-            let n_failed = get_u32(take(body, &mut off, 4)?) as usize;
-            if n_failed.saturating_mul(4) > body.len() - off {
-                return Err(CheckpointError::Malformed("failed-seq count beyond buffer"));
-            }
-            let mut crc_failed_seqs = Vec::with_capacity(n_failed);
-            for _ in 0..n_failed {
-                crc_failed_seqs.push(get_u32(take(body, &mut off, 4)?));
-            }
+            let router_id = r.u64()?;
+            let total = r.count(MAX_CHUNKS as usize, 0, "total over cap")?;
+            let n_failed = r.count(usize::MAX, 4, "failed-seq count")?;
             let mut session = RouterSession::new(router_id, &cfg.session, seed, now);
-            session.crc_failed_seqs = crc_failed_seqs;
-            if total_raw > 0 {
-                if total_raw > MAX_CHUNKS {
-                    return Err(CheckpointError::Malformed("total over cap"));
-                }
-                let total = total_raw as usize;
-                let bitmap = take(body, &mut off, total.div_ceil(8))?.to_vec();
-                session.total = Some(total_raw);
+            session.crc_failed_seqs = (0..n_failed).map(|_| r.u32()).collect::<Result<_, _>>()?;
+            if total > 0 {
+                let bitmap = r.bytes(total.div_ceil(8))?;
+                session.total = Some(total as u32);
                 session.chunks = vec![None; total];
                 for seq in 0..total {
                     if bitmap[seq / 8] & (1 << (seq % 8)) != 0 {
-                        let len = get_u32(take(body, &mut off, 4)?) as usize;
-                        if len > crate::transport::MAX_CHUNK_PAYLOAD {
-                            return Err(CheckpointError::Malformed("payload length over cap"));
-                        }
-                        session.chunks[seq] = Some(take(body, &mut off, len)?.to_vec());
+                        let len = r.count(MAX_CHUNK_PAYLOAD, 1, "payload length over cap")?;
+                        session.chunks[seq] = Some(r.bytes(len)?.to_vec());
                         session.received += 1;
                     }
                 }
@@ -877,7 +836,7 @@ impl EpochCollector {
                 return Err(CheckpointError::Malformed("duplicate router session"));
             }
         }
-        if off != body.len() {
+        if !r.rest().is_empty() {
             return Err(CheckpointError::Malformed("trailing bytes"));
         }
         let routers: Vec<u64> = sessions.keys().copied().collect();

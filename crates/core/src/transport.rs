@@ -18,14 +18,14 @@
 //! reordering corruption and bit-flips are detected before a single
 //! payload byte reaches the reassembly buffer. Every declared length is
 //! checked against the remaining buffer and against hard caps
-//! ([`MAX_CHUNK_PAYLOAD`], [`MAX_CHUNKS`]) before any allocation, in the
-//! same spirit as `dcs-collect::wire`'s count caps.
+//! ([`MAX_CHUNK_PAYLOAD`], [`MAX_CHUNKS`]) before any allocation, through
+//! the one [`Reader`] every wire decoder shares.
 //!
 //! Reassembly, acknowledgement and retransmission live one layer up, in
 //! [`crate::session`].
 
-use dcs_hash::crc32::crc32;
-use std::fmt;
+use bytes::BufMut;
+use dcs_collect::frame::{seal, FrameError, Reader};
 
 /// Magic for chunk frames (`b"DCSC"`).
 pub const CHUNK_MAGIC: [u8; 4] = *b"DCSC";
@@ -55,44 +55,6 @@ pub const MAX_CHUNKS: u32 = 1 << 16;
 /// overhead. The socket path defaults to this; in-memory and TCP paths
 /// may still use payloads up to [`MAX_CHUNK_PAYLOAD`].
 pub const DATAGRAM_SAFE_PAYLOAD: usize = 1400 - CHUNK_HEADER - CHUNK_TRAILER;
-
-/// Errors from decoding chunk frames.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum ChunkError {
-    /// Buffer too short for the fixed header, declared payload or trailer.
-    Truncated,
-    /// Unexpected magic bytes.
-    BadMagic([u8; 4]),
-    /// Unsupported envelope version.
-    BadVersion(u8),
-    /// The CRC-32 trailer disagrees with the received header + payload.
-    ChecksumMismatch {
-        /// Checksum carried in the trailer.
-        declared: u32,
-        /// Checksum of the bytes as received.
-        computed: u32,
-    },
-    /// Structurally impossible field (zero total, seq ≥ total, payload or
-    /// total beyond the hard caps).
-    Malformed(&'static str),
-}
-
-impl fmt::Display for ChunkError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            ChunkError::Truncated => write!(f, "chunk frame truncated"),
-            ChunkError::BadMagic(m) => write!(f, "bad chunk magic {m:02x?}"),
-            ChunkError::BadVersion(v) => write!(f, "unsupported chunk version {v}"),
-            ChunkError::ChecksumMismatch { declared, computed } => write!(
-                f,
-                "chunk checksum mismatch: trailer {declared:#010x}, computed {computed:#010x}"
-            ),
-            ChunkError::Malformed(what) => write!(f, "malformed chunk frame: {what}"),
-        }
-    }
-}
-
-impl std::error::Error for ChunkError {}
 
 /// One decoded chunk frame, payload borrowed from the receive buffer.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -128,16 +90,15 @@ impl<'a> ChunkFrame<'a> {
         );
         assert!(self.seq < self.total, "chunk seq beyond total");
         let mut buf = Vec::with_capacity(CHUNK_HEADER + self.payload.len() + CHUNK_TRAILER);
-        buf.extend_from_slice(&CHUNK_MAGIC);
-        buf.push(CHUNK_VERSION);
-        buf.extend_from_slice(&self.router_id.to_le_bytes());
-        buf.extend_from_slice(&self.epoch_id.to_le_bytes());
-        buf.extend_from_slice(&self.seq.to_le_bytes());
-        buf.extend_from_slice(&self.total.to_le_bytes());
-        buf.extend_from_slice(&(self.payload.len() as u32).to_le_bytes());
-        buf.extend_from_slice(self.payload);
-        let crc = crc32(&buf);
-        buf.extend_from_slice(&crc.to_le_bytes());
+        buf.put_slice(&CHUNK_MAGIC);
+        buf.put_u8(CHUNK_VERSION);
+        buf.put_u64_le(self.router_id);
+        buf.put_u64_le(self.epoch_id);
+        buf.put_u32_le(self.seq);
+        buf.put_u32_le(self.total);
+        buf.put_u32_le(self.payload.len() as u32);
+        buf.put_slice(self.payload);
+        seal(&mut buf);
         buf
     }
 
@@ -145,49 +106,24 @@ impl<'a> ChunkFrame<'a> {
     /// (payload borrowed) and the bytes consumed. Never panics on
     /// arbitrary input, and rejects every declared length against the
     /// remaining buffer and the hard caps *before* touching the payload.
-    pub fn decode(buf: &'a [u8]) -> Result<(ChunkFrame<'a>, usize), ChunkError> {
-        if buf.len() < CHUNK_HEADER + CHUNK_TRAILER {
-            return Err(ChunkError::Truncated);
-        }
-        if buf[..4] != CHUNK_MAGIC {
-            let mut m = [0u8; 4];
-            m.copy_from_slice(&buf[..4]);
-            return Err(ChunkError::BadMagic(m));
-        }
-        if buf[4] != CHUNK_VERSION {
-            return Err(ChunkError::BadVersion(buf[4]));
-        }
-        let router_id = u64::from_le_bytes(buf[5..13].try_into().expect("8-byte slice"));
-        let epoch_id = u64::from_le_bytes(buf[13..21].try_into().expect("8-byte slice"));
-        let seq = u32::from_le_bytes(buf[21..25].try_into().expect("4-byte slice"));
-        let total = u32::from_le_bytes(buf[25..29].try_into().expect("4-byte slice"));
-        let payload_len =
-            u32::from_le_bytes(buf[29..33].try_into().expect("4-byte slice")) as usize;
-        if payload_len > MAX_CHUNK_PAYLOAD {
-            return Err(ChunkError::Malformed("payload length over cap"));
-        }
-        let used = CHUNK_HEADER + payload_len + CHUNK_TRAILER;
-        if buf.len() < used {
-            return Err(ChunkError::Truncated);
-        }
-        let body = &buf[..CHUNK_HEADER + payload_len];
-        let declared = u32::from_le_bytes(
-            buf[CHUNK_HEADER + payload_len..used]
-                .try_into()
-                .expect("4-byte slice"),
-        );
-        let computed = crc32(body);
-        if declared != computed {
-            return Err(ChunkError::ChecksumMismatch { declared, computed });
-        }
+    pub fn decode(buf: &'a [u8]) -> Result<(ChunkFrame<'a>, usize), FrameError> {
+        let mut r = Reader::new(buf);
+        r.magic_version(CHUNK_MAGIC, &[CHUNK_VERSION])?;
+        let router_id = r.u64()?;
+        let epoch_id = r.u64()?;
+        let seq = r.u32()?;
+        let total = r.u32()?;
+        let payload_len = r.count(MAX_CHUNK_PAYLOAD, 1, "payload length over cap")?;
+        let payload = r.bytes(payload_len)?;
+        r.crc_trailer()?;
         if total == 0 {
-            return Err(ChunkError::Malformed("total = 0"));
+            return Err(FrameError::Malformed("total = 0"));
         }
         if total > MAX_CHUNKS {
-            return Err(ChunkError::Malformed("total over cap"));
+            return Err(FrameError::Malformed("total over cap"));
         }
         if seq >= total {
-            return Err(ChunkError::Malformed("seq beyond total"));
+            return Err(FrameError::Malformed("seq beyond total"));
         }
         Ok((
             ChunkFrame {
@@ -195,9 +131,9 @@ impl<'a> ChunkFrame<'a> {
                 epoch_id,
                 seq,
                 total,
-                payload: &buf[CHUNK_HEADER..CHUNK_HEADER + payload_len],
+                payload,
             },
-            used,
+            r.used(),
         ))
     }
 
@@ -208,13 +144,9 @@ impl<'a> ChunkFrame<'a> {
     /// these very fields routes the NACK nowhere — which is exactly the
     /// timer fallback's job.
     pub fn salvage_header(buf: &[u8]) -> Option<(u64, u64, u32)> {
-        if buf.len() < CHUNK_HEADER || buf[..4] != CHUNK_MAGIC || buf[4] != CHUNK_VERSION {
-            return None;
-        }
-        let router_id = u64::from_le_bytes(buf[5..13].try_into().expect("8-byte slice"));
-        let epoch_id = u64::from_le_bytes(buf[13..21].try_into().expect("8-byte slice"));
-        let seq = u32::from_le_bytes(buf[21..25].try_into().expect("4-byte slice"));
-        Some((router_id, epoch_id, seq))
+        let mut r = Reader::new(buf.get(..CHUNK_HEADER)?);
+        r.magic_version(CHUNK_MAGIC, &[CHUNK_VERSION]).ok()?;
+        Some((r.u64().ok()?, r.u64().ok()?, r.u32().ok()?))
     }
 }
 
@@ -351,12 +283,12 @@ mod tests {
         frame[29..33].copy_from_slice(&(u32::MAX).to_le_bytes());
         assert_eq!(
             ChunkFrame::decode(&frame),
-            Err(ChunkError::Malformed("payload length over cap"))
+            Err(FrameError::Malformed("payload length over cap"))
         );
         // Declare a payload inside the cap but beyond the buffer.
         let mut frame = chunk_bundle(1, 1, &[1u8; 100], 64)[0].clone();
         frame[29..33].copy_from_slice(&(MAX_CHUNK_PAYLOAD as u32).to_le_bytes());
-        assert_eq!(ChunkFrame::decode(&frame), Err(ChunkError::Truncated));
+        assert_eq!(ChunkFrame::decode(&frame), Err(FrameError::Truncated));
     }
 
     #[test]
@@ -370,7 +302,7 @@ mod tests {
         frame[body_len..].copy_from_slice(&crc.to_le_bytes());
         assert_eq!(
             ChunkFrame::decode(&frame),
-            Err(ChunkError::Malformed("total over cap"))
+            Err(FrameError::Malformed("total over cap"))
         );
     }
 
@@ -381,13 +313,13 @@ mod tests {
         bad[0] = b'X';
         assert!(matches!(
             ChunkFrame::decode(&bad),
-            Err(ChunkError::BadMagic(_))
+            Err(FrameError::BadMagic(_))
         ));
         let mut bad = frame;
         bad[4] = 9;
         assert!(matches!(
             ChunkFrame::decode(&bad),
-            Err(ChunkError::BadVersion(9))
+            Err(FrameError::BadVersion(9))
         ));
     }
 
@@ -455,7 +387,7 @@ mod tests {
         mangled[p] ^= 0x40; // corrupt payload only
         assert!(matches!(
             ChunkFrame::decode(&mangled),
-            Err(ChunkError::ChecksumMismatch { .. })
+            Err(FrameError::ChecksumMismatch { .. })
         ));
         assert_eq!(ChunkFrame::salvage_header(&mangled), Some((42, 7, 1)));
         // Corrupted magic is unsalvageable.

@@ -15,11 +15,17 @@ use dcs_aligned::{
     naive_detect, refined_detect_cached, AlignedDetection, SearchConfig, SearchScratch,
 };
 use dcs_bitmap::{Bitmap, ColMatrix, RowMatrix};
-use dcs_core::transport::{chunk_bundle, DATAGRAM_SAFE_PAYLOAD};
+use dcs_core::aggregate::{AggregateBundle, ChildExclusion};
+use dcs_core::ingest::RouterFault;
+use dcs_core::monitor::{MonitorConfig, MonitoringPoint};
+use dcs_core::net::ControlFrame;
+use dcs_core::session::{CollectorConfig, EpochCollector};
+use dcs_core::transport::{chunk_bundle, CHUNK_HEADER, DATAGRAM_SAFE_PAYLOAD};
 use dcs_graph::Graph;
 use dcs_hash::crc32::crc32;
 use dcs_hash::Fnv1a;
 use dcs_parallel::ComputeBudget;
+use dcs_traffic::{gen, BackgroundConfig, SizeMix};
 use dcs_unaligned::{
     build_group_graph_parallel, GroupLayout, IncrementalConfig, IncrementalCorrelator, LambdaTable,
 };
@@ -64,6 +70,145 @@ fn crc32_values_are_pinned() {
     }
     let got = h.finish();
     assert_eq!(got, CRC_PIN, "got {got:#018x}");
+}
+
+/// One seeded leaf's DCSR frame.
+fn leaf_frame(seed: u64, router_id: usize) -> Vec<u8> {
+    let mut rng = StdRng::seed_from_u64(seed);
+    let pkts = gen::generate_epoch(
+        &mut rng,
+        &BackgroundConfig {
+            packets: 200,
+            flows: 50,
+            zipf_exponent: 1.0,
+            size_mix: SizeMix::constant(536),
+        },
+    );
+    let mut mp = MonitoringPoint::new(router_id, &MonitorConfig::small(7, 1 << 10, 2));
+    mp.observe_all(&pkts);
+    mp.finish_epoch()
+        .encode_wire()
+        .expect("a small digest fits the wire")
+        .to_vec()
+}
+
+/// The DCSG, DCSK and control encoders' bytes: (a) a level-2 bundle of
+/// seeded leaf frames, one spliced level-1 bundle and one exclusion of
+/// every `RouterFault` variant (nested `AtLevel` with and without an
+/// aggregator id); (b) a checkpoint holding one complete session, one
+/// partial session with a CRC-failed seq and one that never sent;
+/// (c) every control frame kind.
+#[test]
+fn frames_are_pinned() {
+    let excluded = |router_id, fault| ChildExclusion { router_id, fault };
+    let timed_out = RouterFault::TimedOut {
+        received: 1,
+        total: 4,
+    };
+    let faults = vec![
+        RouterFault::Wire("digest frame truncated".into()),
+        RouterFault::DuplicateRouter { first_index: 3 },
+        RouterFault::EmptyUnaligned,
+        RouterFault::GroupLayout {
+            arrays: 10,
+            arrays_per_group: 3,
+        },
+        RouterFault::AlignedWidth {
+            expected: 1024,
+            got: 2048,
+        },
+        RouterFault::ArraysPerGroup {
+            expected: 5,
+            got: 4,
+        },
+        RouterFault::ArrayWidth {
+            expected: 64,
+            got: 128,
+        },
+        RouterFault::EpochDesync {
+            expected: 9,
+            got: 8,
+        },
+        timed_out.clone(),
+        RouterFault::ChecksumMismatch { seq: 2 },
+        RouterFault::Incomplete {
+            received: 3,
+            total: 7,
+        },
+        RouterFault::AtLevel {
+            level: 2,
+            aggregator_id: None,
+            fault: Box::new(RouterFault::AtLevel {
+                level: 1,
+                aggregator_id: Some(77),
+                fault: Box::new(timed_out.clone()),
+            }),
+        },
+    ];
+    let lower = AggregateBundle::assemble(
+        300,
+        5,
+        1,
+        vec![(10, leaf_frame(31, 10)), (11, leaf_frame(32, 11))],
+        vec![excluded(12, timed_out)],
+    );
+    let bundle = AggregateBundle::assemble(
+        400,
+        5,
+        2,
+        vec![(1, leaf_frame(33, 1)), (300, lower.encode_wire())],
+        (20..).zip(faults).map(|(r, f)| excluded(r, f)).collect(),
+    );
+    let aggregate = bundle.encode_wire();
+
+    let mut collector = EpochCollector::new(4, [1, 2, 3], CollectorConfig::default(), 5, 0);
+    for chunk in chunk_bundle(1, 4, &leaf_frame(34, 1), 256) {
+        collector.offer(&chunk, 0);
+    }
+    let partial = chunk_bundle(2, 4, &leaf_frame(35, 2), 256);
+    let mut corrupt = partial[1].clone();
+    corrupt[CHUNK_HEADER + 3] ^= 0x40;
+    for chunk in [&partial[0], &corrupt, &partial[2]] {
+        collector.offer(chunk, 1);
+    }
+    let checkpoint = collector.checkpoint();
+
+    let control: Vec<u8> = [
+        ControlFrame::Hello { router_id: 7 },
+        ControlFrame::Ack {
+            router_id: 1,
+            epoch_id: 9,
+            cumulative_ack: 42,
+        },
+        ControlFrame::NackAll {
+            router_id: 2,
+            epoch_id: 9,
+        },
+        ControlFrame::NackSeqs {
+            router_id: 3,
+            epoch_id: 9,
+            seqs: vec![0, 5, 17, 65_535],
+        },
+        ControlFrame::Advance {
+            router_id: u64::MAX,
+            epoch_id: 10,
+        },
+        ControlFrame::Shutdown { router_id: 4 },
+    ]
+    .iter()
+    .flat_map(ControlFrame::encode)
+    .collect();
+
+    for (name, bytes, want) in [
+        ("DCSG", aggregate, AGGREGATE_PIN),
+        ("DCSK", checkpoint, CHECKPOINT_PIN),
+        ("control", control, CONTROL_PIN),
+    ] {
+        let mut h = Fnv1a::new();
+        h.update(&bytes);
+        let got = h.finish();
+        assert_eq!(got, want, "{name}: got {got:#018x}");
+    }
 }
 
 #[test]
@@ -335,3 +480,9 @@ const DATAGRAM_FRAMES_PIN: u64 = 0x6459_89b9_c362_2c58;
 const STREAM_FRAMES_PIN: u64 = 0x392d_129e_a8f2_80a1;
 const SCREEN_PIN: u64 = 0xa70d_f29f_5071_8d5a;
 const NAIVE_PIN: u64 = 0x4ef5_137b_0ae3_809b;
+const AGGREGATE_PIN: u64 = 0x0fc5_6d11_7dc2_51b9;
+const CHECKPOINT_PIN: u64 = 0x55a6_5332_9a5c_a473;
+/// Re-captured once when control frames moved from the `DCSA` magic
+/// they shared with aligned digests to `DCSN`: the magic and the CRC-32
+/// trailer over it changed, every other byte did not.
+const CONTROL_PIN: u64 = 0xbe5d_5def_ff32_9d46;

@@ -11,8 +11,8 @@ use dcs_bitmap::{BitmapView, RowMatrix};
 use dcs_obs::{MetricsRegistry, MetricsSnapshot};
 use dcs_parallel::ComputeBudget;
 use dcs_unaligned::{
-    build_group_graph_parallel, er_test, find_pattern, CoreFindConfig, ErTestConfig, GroupLayout,
-    IncrementalConfig, IncrementalCorrelator, LambdaTables,
+    er_test, find_pattern, CoreFindConfig, ErTestConfig, GroupLayout, IncrementalConfig,
+    IncrementalCorrelator, LambdaTables,
 };
 use std::sync::{Mutex, MutexGuard};
 use std::time::Instant;
@@ -39,11 +39,12 @@ pub struct AnalysisConfig {
     /// [`IngestError::QuorumTooSmall`] instead of running the pipelines
     /// on a sliver of the deployment. 1 = run on whatever survives.
     pub min_quorum: usize,
-    /// Unaligned test-graph engine settings: the graph is maintained
-    /// incrementally across epochs (delta re-test of changed groups
-    /// only) and audited against a full all-pairs rebuild at this
-    /// cadence. The detection graph raised on an alarm always uses the
-    /// all-pairs build ([`dcs_unaligned::build_group_graph_parallel`]).
+    /// Unaligned graph engine settings: the test graph and the detection
+    /// graph an alarm reads are maintained incrementally across epochs
+    /// by one pair loop (delta re-test of changed groups only, one
+    /// popcount a row pair for both), and each is audited against its
+    /// all-pairs build ([`dcs_unaligned::build_group_graph_parallel`]) at
+    /// this cadence.
     pub ugraph: IncrementalConfig,
 }
 
@@ -108,8 +109,8 @@ impl EpochScratch {
 #[derive(Debug)]
 struct CenterState {
     scratch: EpochScratch,
-    /// The incremental test-graph engine; its state must see every epoch
-    /// in order to be worth anything.
+    /// The incremental engine of the test and detection graphs; its
+    /// state must see every epoch in order to be worth anything.
     correlator: IncrementalCorrelator,
     /// The Λ/Λ′ threshold tables (a quantile costs about a thousand of
     /// the popcounts it gates); replaced only when the array width, the
@@ -526,15 +527,16 @@ impl AnalysisCenter {
     /// vertically concatenated; `group_owner[g]` is the router owning
     /// global group `g`.
     ///
-    /// The test graph is maintained incrementally across epochs and is
-    /// bit-identical to the all-pairs oracle. Per-epoch engine
-    /// accounting lands in the `pairs_exact_total` /
+    /// The test and detection graphs are maintained incrementally across
+    /// epochs and are bit-identical to their all-pairs oracles. Per-epoch
+    /// engine accounting lands in the `pairs_exact_total` /
     /// `graph_full_rebuilds_total` / `graph_audit_runs_total` counters
     /// and the `graph_edges_live` / `graph_groups_changed` gauges; the λ
     /// tables report `lambda_quantiles_computed_total` (cells this epoch
-    /// had to compute — zero once the tables are warm) and
-    /// `lambda_cells_filled` (cells the current pair holds). All are
-    /// registered every epoch, so the keys exist even at zero.
+    /// had to compute: those its re-tested row pairs read that no earlier
+    /// epoch did) and `lambda_cells_filled` (cells the current pair
+    /// holds). All are registered every epoch, so the keys exist even at
+    /// zero.
     fn unaligned_from_rows(
         &self,
         state: &mut CenterState,
@@ -563,11 +565,13 @@ impl AnalysisCenter {
             self.cfg.detect_p1,
         );
 
-        // Statistical-test graph through the incremental engine.
+        // Statistical-test and detection graphs through the incremental
+        // engine, in one pass.
         let correlator = &mut state.correlator;
         let ((test_graph, gstats), _) = rec.run(Stage::GraphBuild, || {
-            correlator.epoch(rows, layout, &tables.test, workers)
+            correlator.epoch(rows, layout, tables, workers)
         });
+        let correlator = &state.correlator;
         let c = |name: &str, v: u64| self.metrics.counter(name, &[]).add(v);
         c("pairs_exact_total", gstats.pairs_exact);
         c("graph_full_rebuilds_total", u64::from(gstats.full_rebuild));
@@ -581,12 +585,10 @@ impl AnalysisCenter {
         // trivial one — so the stage is present in every snapshot.
         let ((suspected_groups, suspected_routers), _) = rec.run(Stage::Peel, || {
             if test.alarm {
-                // Detection graph with the laxer λ′ table — built all-pairs:
-                // alarms are rare, and this keeps localisation independent
-                // of the incremental engine's cross-epoch state.
-                let (det_graph, _) =
-                    build_group_graph_parallel(rows, layout, &tables.detect, workers);
-                let pattern = find_pattern(&det_graph, self.cfg.corefind);
+                // The detection graph under the laxer Λ′, kept by the
+                // correlator beside the test graph: no row pair is
+                // counted again.
+                let pattern = find_pattern(&correlator.detection_graph(), self.cfg.corefind);
                 let groups: Vec<usize> = pattern.vertices().iter().map(|&g| g as usize).collect();
                 let mut routers: Vec<usize> = groups.iter().map(|&g| group_owner[g]).collect();
                 routers.sort_unstable();

@@ -219,6 +219,9 @@ pub struct RouterSession {
     chunks: Vec<Option<Vec<u8>>>,
     /// Held chunk count (= number of `Some` entries).
     received: usize,
+    /// Length of the held prefix: `chunks[..acked]` are all `Some`, and
+    /// `chunks[acked]` (if any) is `None`.
+    acked: usize,
     /// Retransmit rounds fired so far.
     attempts: u32,
     /// Next tick the retransmit timer fires.
@@ -237,6 +240,7 @@ impl RouterSession {
             total: None,
             chunks: Vec::new(),
             received: 0,
+            acked: 0,
             attempts: 0,
             next_request_at: 0,
             gave_up: false,
@@ -288,12 +292,18 @@ impl RouterSession {
     /// receiver-side counterpart of TCP's cumulative acknowledgement —
     /// a sender may prune its resend buffer below this point.
     pub fn cumulative_ack(&self) -> u32 {
-        self.chunks
-            .iter()
-            .take_while(|c| c.is_some())
-            .count()
+        self.acked
             .try_into()
             .expect("chunk count bounded by MAX_CHUNKS")
+    }
+
+    /// Moves the ack cursor past every held chunk it now reaches: each
+    /// slot is passed once a session, so acking costs O(1) amortised
+    /// instead of a scan of the held prefix per chunk.
+    fn advance_ack(&mut self) {
+        while self.chunks.get(self.acked).is_some_and(Option::is_some) {
+            self.acked += 1;
+        }
     }
 
     /// Still-missing chunk seqs (empty when complete or total unknown).
@@ -333,6 +343,7 @@ impl RouterSession {
         }
         *slot = Some(frame.payload.to_vec());
         self.received += 1;
+        self.advance_ack();
         self.crc_failed_seqs.retain(|&s| s != frame.seq);
         ChunkDisposition::Accepted {
             router_id: self.router_id,
@@ -831,6 +842,7 @@ impl EpochCollector {
                         session.received += 1;
                     }
                 }
+                session.advance_ack();
             }
             if sessions.insert(router_id, session).is_some() {
                 return Err(CheckpointError::Malformed("duplicate router session"));
@@ -965,6 +977,40 @@ mod tests {
             d => panic!("{d:?}"),
         }
         assert_eq!(coll.session(5).unwrap().missing(), vec![3]);
+    }
+
+    /// The ack cursor equals a scan of the held prefix after every offer,
+    /// over random arrival orders with duplicates and a checkpoint resume
+    /// at a random point of the session.
+    #[test]
+    fn cumulative_ack_cursor_matches_a_prefix_scan() {
+        use rand::seq::SliceRandom;
+        use rand::{Rng, SeedableRng};
+        let scan = |s: &RouterSession| s.chunks.iter().take_while(|c| c.is_some()).count() as u32;
+        let chunks = chunk_bundle(3, 1, &bundle_bytes(3, 2_000), 64);
+        for seed in 0..40u64 {
+            let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
+            let mut order: Vec<usize> = (0..chunks.len()).chain(0..chunks.len() / 4).collect();
+            order.shuffle(&mut rng);
+            let resume_at = rng.gen_range(0..order.len());
+            let mut coll = EpochCollector::new(1, [3], cfg(), 1, 0);
+            for (step, &i) in order.iter().enumerate() {
+                if step == resume_at {
+                    coll = EpochCollector::resume(&coll.checkpoint(), cfg(), 1, 0)
+                        .expect("a collector's own checkpoint resumes");
+                    let s = coll.session(3).unwrap();
+                    assert_eq!(s.cumulative_ack(), scan(s), "seed {seed}: resumed");
+                }
+                let d = coll.offer(&chunks[i], step as u64);
+                let s = coll.session(3).unwrap();
+                assert_eq!(s.cumulative_ack(), scan(s), "seed {seed}, step {step}");
+                if let ChunkDisposition::Accepted { cumulative_ack, .. } = d {
+                    assert_eq!(cumulative_ack, scan(s), "seed {seed}, step {step}");
+                }
+            }
+            let done = coll.session(3).unwrap().cumulative_ack();
+            assert_eq!(done as usize, chunks.len(), "seed {seed}");
+        }
     }
 
     #[test]

@@ -119,6 +119,31 @@ pub fn hypergeom_tail_quantile(p_star: f64, n_total: u64, i: u64, j: u64) -> u64
     b
 }
 
+/// [`hypergeom_tail_quantile`] found by walking from `guess` (clamped to
+/// the support) instead of bisecting: the same `t` for any guess, at
+/// `|t − guess| + 2` survival evaluations at most. One more one in either
+/// row moves the overlap by at most 1, so the quantiles of weight pairs
+/// `d` apart differ by at most `d`: seeded from the neighbouring pair's
+/// quantile, the walk costs about two evaluations against the
+/// bisection's log₂ of the support.
+pub fn hypergeom_tail_quantile_near(p_star: f64, n_total: u64, i: u64, j: u64, guess: u64) -> u64 {
+    assert!(p_star > 0.0 && p_star < 1.0, "p* must be in (0,1)");
+    let (lo, hi) = hypergeom_support(n_total, i, j);
+    let within = |t: u64| hypergeom_sf(t as i64, n_total, i, j) <= p_star;
+    let mut t = guess.clamp(lo, hi);
+    if within(t) {
+        while t > lo && within(t - 1) {
+            t -= 1;
+        }
+    } else {
+        // sf(hi) = 0 ends the walk.
+        while !within(t) {
+            t += 1;
+        }
+    }
+    t
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

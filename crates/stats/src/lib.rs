@@ -30,5 +30,7 @@ mod proptests;
 
 pub use binomial::{binocdf, binomial_sf, ln_binomial_pmf};
 pub use ecdf::{ks_critical, Ecdf};
-pub use hypergeom::{hypergeom_pmf, hypergeom_sf, hypergeom_tail_quantile};
+pub use hypergeom::{
+    hypergeom_pmf, hypergeom_sf, hypergeom_tail_quantile, hypergeom_tail_quantile_near,
+};
 pub use special::{ln_choose, ln_factorial, ln_gamma};

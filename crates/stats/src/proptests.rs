@@ -1,7 +1,10 @@
 //! Property-based tests for the statistics substrate.
 
 use crate::binomial::{binocdf, binomial_quantile, binomial_sf, ln_binomial_pmf};
-use crate::hypergeom::{hypergeom_pmf, hypergeom_sf, hypergeom_support, hypergeom_tail_quantile};
+use crate::hypergeom::{
+    hypergeom_pmf, hypergeom_sf, hypergeom_support, hypergeom_tail_quantile,
+    hypergeom_tail_quantile_near,
+};
 use crate::special::ln_choose;
 use proptest::prelude::*;
 
@@ -93,5 +96,39 @@ proptest! {
         let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
         let k = crate::sample::sample_binomial(&mut rng, n, p);
         prop_assert!(k <= n);
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(1024))]
+
+    /// The walk from any guess, in or out of the support, lands where
+    /// the bisection does: weights 0 and N included, weights within 4 of
+    /// either end (where λ often sits at the support's low end), p* from
+    /// 1e-8 to 0.5.
+    #[test]
+    fn quantile_walk_equals_bisection(
+        n in 1u64..=300,
+        i_frac in 0.0f64..=1.0,
+        j_frac in 0.0f64..=1.0,
+        edge_i in 0u8..6,
+        edge_j in 0u8..6,
+        p_exp in 0.301f64..8.0,
+        guess in 0u64..=320,
+    ) {
+        let pick = |frac: f64, edge: u8| match edge {
+            0 => 0,
+            1 => n,
+            2 => ((frac * 4.0) as u64).min(n),
+            3 => n - ((frac * 4.0) as u64).min(n),
+            _ => (frac * n as f64) as u64,
+        };
+        let (i, j) = (pick(i_frac, edge_i), pick(j_frac, edge_j));
+        let p_star = 10f64.powf(-p_exp);
+        prop_assert_eq!(
+            hypergeom_tail_quantile_near(p_star, n, i, j, guess),
+            hypergeom_tail_quantile(p_star, n, i, j),
+            "N={} ({}, {}) p*={} guess {}", n, i, j, p_star, guess
+        );
     }
 }

@@ -10,9 +10,12 @@
 //! * `edges_touching` — possibility 3, "distribute the load to a large
 //!   number of CPUs": the one parallel pair loop (scoped worker threads
 //!   via `dcs-parallel`), over every group pair with a touched end, with
-//!   the count of exact row-pair tests it ran. Every group graph the
-//!   centre uses comes out of it: [`build_group_graph_parallel`] touches
-//!   every group, the incremental correlator only the changed ones;
+//!   the count of exact row-pair tests it ran. It tests each row pair's
+//!   one popcount against one λ table or several, so the incremental
+//!   correlator decides the test graph (Λ) and the detection graph (Λ′)
+//!   of the changed groups in one pass; [`build_group_graph_parallel`] is
+//!   the loop over every group under one table, the oracle both graphs
+//!   are audited against;
 //! * [`build_group_graph_sampled`] — possibility 2, "sample 10 % of the
 //!   vertices and find a core only in this subset".
 //!
@@ -85,39 +88,63 @@ pub fn balanced_outer_indices(n: usize, threads: usize, t: usize) -> Vec<usize> 
     out
 }
 
-/// Whether groups `ga` and `gb` are connected: does any row pair exceed
-/// its λ threshold? Every row pair that pays the AND-popcount is tallied
-/// into `pairs_exact`; zero-weight rows share no ones and are skipped
-/// untallied, as are pairs after an early edge hit (the cut-off point is
-/// a pure function of the row data, so the tally is the same under any
-/// thread partition).
-fn groups_connected(
+/// Which of the graphs of `tables` connect groups `ga` and `gb`: does
+/// any row pair exceed its λ threshold in that table? The tables are
+/// taken laxest (largest p\*) first. λ is non-increasing in p\* cell by
+/// cell — a larger p\* admits every `t` a smaller one does — so a count
+/// over one table's λ is over every laxer table's, and the edges found
+/// are always a prefix of that order. One AND-popcount a row pair is
+/// compared with the laxest table whose edge is still open, and with the
+/// next only when it exceeds that one: most row pairs read, and fill,
+/// one cell. The scan stops once every edge is found — with Λ and a
+/// laxer Λ′ that is the first Λ exceedance, where a Λ-only scan stops
+/// too. Every row pair that pays the popcount is tallied into
+/// `pairs_exact`; zero-weight rows share no ones and are skipped
+/// untallied, as are pairs after the stop (the stop point is a pure
+/// function of the row data, so the tally is the same under any thread
+/// partition).
+fn group_edges<const T: usize>(
     rows: &RowMatrix,
     weights: &[u32],
     layout: GroupLayout,
-    table: &LambdaTable,
+    tables: [&LambdaTable; T],
     ga: usize,
     gb: usize,
     pairs_exact: &mut u64,
-) -> bool {
+) -> [bool; T] {
     let k = layout.rows_per_group;
-    for ra in ga * k..(ga + 1) * k {
+    let mut laxest_first: [usize; T] = std::array::from_fn(|t| t);
+    laxest_first.sort_by(|&a, &b| tables[b].p_star().total_cmp(&tables[a].p_star()));
+    // Edges found so far: those of `laxest_first[..found]`.
+    let mut found = 0;
+    'scan: for ra in ga * k..(ga + 1) * k {
         let wa = weights[ra];
         if wa == 0 {
             continue;
         }
-        let lambda_wa = table.row(wa);
+        let lambda_wa = laxest_first.map(|t| tables[t].row(wa));
         for (rb, &wb) in weights.iter().enumerate().take((gb + 1) * k).skip(gb * k) {
             if wb == 0 {
                 continue;
             }
             *pairs_exact += 1;
-            if rows.common_ones(ra, rb) > lambda_wa.get(wb) {
-                return true;
+            let common = rows.common_ones(ra, rb);
+            for lambda in &lambda_wa[found..] {
+                if common <= lambda.get(wb) {
+                    break;
+                }
+                found += 1;
+            }
+            if found == T {
+                break 'scan;
             }
         }
     }
-    false
+    let mut edge = [false; T];
+    for &t in &laxest_first[..found] {
+        edge[t] = true;
+    }
+    edge
 }
 
 /// Serial conversion of the fused row matrix into the group graph.
@@ -127,7 +154,7 @@ pub fn build_group_graph(rows: &RowMatrix, layout: GroupLayout, table: &LambdaTa
     let mut b = GraphBuilder::new(n);
     for ga in 0..n {
         for gb in (ga + 1)..n {
-            if groups_connected(rows, &weights, layout, table, ga, gb, &mut 0) {
+            if group_edges(rows, &weights, layout, [table], ga, gb, &mut 0) == [true] {
                 b.add_edge(ga as u32, gb as u32);
             }
         }
@@ -136,30 +163,31 @@ pub fn build_group_graph(rows: &RowMatrix, layout: GroupLayout, table: &LambdaTa
 }
 
 /// The parallel group-pair loop: λ-tests every group pair with at least
-/// one `touched` end exactly once, by its smaller touched end, and
-/// returns the connected pairs as `(u, v)` with `u < v` plus the count of
-/// exact row-pair tests. The touched groups are the outer index, split
-/// across `threads` scoped workers by [`balanced_outer_indices`] (with
-/// every group touched that balances the triangular loop to within
-/// `threads − 1` pairs per worker); each worker collects a private edge
-/// list and the lists are concatenated in worker order, so the edges and
-/// the tally are identical for any thread count.
+/// one `touched` end exactly once, by its smaller touched end, against
+/// every table of `tables` at once, and returns each table's connected
+/// pairs as `(u, v)` with `u < v` plus the count of exact row-pair tests.
+/// The touched groups are the outer index, split across `threads` scoped
+/// workers by [`balanced_outer_indices`] (with every group touched that
+/// balances the triangular loop to within `threads − 1` pairs per
+/// worker); each worker collects private edge lists and the lists are
+/// concatenated in worker order, so the edges and the tally are
+/// identical for any thread count.
 ///
 /// # Panics
 /// Panics if `threads == 0` or `touched` does not have one flag per group.
-pub(crate) fn edges_touching(
+pub(crate) fn edges_touching<const T: usize>(
     rows: &RowMatrix,
     layout: GroupLayout,
-    table: &LambdaTable,
+    tables: [&LambdaTable; T],
     touched: &[bool],
     threads: usize,
-) -> (Vec<(u32, u32)>, u64) {
+) -> ([Vec<(u32, u32)>; T], u64) {
     assert!(threads > 0, "need at least one thread");
     assert_eq!(touched.len(), layout.groups(rows), "one flag per group");
     let outer: Vec<usize> = (0..touched.len()).filter(|&g| touched[g]).collect();
     let weights = rows.row_weights();
-    let (edges, pairs): (Vec<Vec<(u32, u32)>>, Vec<u64>) = map_workers(threads, |t| {
-        let mut local = Vec::new();
+    let per_worker = map_workers(threads, |t| {
+        let mut local: [Vec<(u32, u32)>; T] = std::array::from_fn(|_| Vec::new());
         let mut pairs_exact = 0;
         for i in balanced_outer_indices(outer.len(), threads, t) {
             let ga = outer[i];
@@ -168,16 +196,23 @@ pub(crate) fn edges_touching(
                     continue;
                 }
                 let (lo, hi) = (ga.min(gb), ga.max(gb));
-                if groups_connected(rows, &weights, layout, table, lo, hi, &mut pairs_exact) {
-                    local.push((lo as u32, hi as u32));
+                let edge = group_edges(rows, &weights, layout, tables, lo, hi, &mut pairs_exact);
+                for (list, _) in local.iter_mut().zip(edge).filter(|(_, e)| *e) {
+                    list.push((lo as u32, hi as u32));
                 }
             }
         }
         (local, pairs_exact)
-    })
-    .into_iter()
-    .unzip();
-    (edges.concat(), pairs.iter().sum())
+    });
+    let mut edges: [Vec<(u32, u32)>; T] = std::array::from_fn(|_| Vec::new());
+    let mut pairs_exact = 0;
+    for (local, pairs) in per_worker {
+        for (list, part) in edges.iter_mut().zip(local) {
+            list.extend(part);
+        }
+        pairs_exact += pairs;
+    }
+    (edges, pairs_exact)
 }
 
 /// The graph over `n` vertices with exactly `edges`.
@@ -202,7 +237,7 @@ pub fn build_group_graph_parallel(
     threads: usize,
 ) -> (Graph, u64) {
     let n = layout.groups(rows);
-    let (edges, pairs_exact) = edges_touching(rows, layout, table, &vec![true; n], threads);
+    let ([edges], pairs_exact) = edges_touching(rows, layout, [table], &vec![true; n], threads);
     (graph_of(n, &edges), pairs_exact)
 }
 
@@ -226,15 +261,8 @@ pub fn build_group_graph_sampled(
     let mut b = GraphBuilder::new(sampled.len());
     for (ia, &ga) in sampled.iter().enumerate() {
         for (ib, &gb) in sampled.iter().enumerate().skip(ia + 1) {
-            if groups_connected(
-                rows,
-                &weights,
-                layout,
-                table,
-                ga as usize,
-                gb as usize,
-                &mut 0,
-            ) {
+            let (ga, gb) = (ga as usize, gb as usize);
+            if group_edges(rows, &weights, layout, [table], ga, gb, &mut 0) == [true] {
                 b.add_edge(ia as u32, ib as u32);
             }
         }
@@ -268,9 +296,8 @@ pub fn expand_core_over_groups(
         }
         let mut links = 0usize;
         for &c in core {
-            if groups_connected(
-                rows, &weights, layout, table, g as usize, c as usize, &mut 0,
-            ) {
+            let (g, c) = (g as usize, c as usize);
+            if group_edges(rows, &weights, layout, [table], g, c, &mut 0) == [true] {
                 links += 1;
                 if links >= d {
                     break;

@@ -4,8 +4,9 @@
 //! when a group's rows did not change between epochs every edge decision
 //! involving only such groups is already known — rebuilding the graph
 //! from scratch each epoch repeats `n²/2` group tests to rediscover it.
-//! [`IncrementalCorrelator`] keeps the graph as its sorted edge list and,
-//! each epoch:
+//! [`IncrementalCorrelator`] keeps both graphs the centre reads — the
+//! statistical-test graph under Λ and the detection graph under Λ′ — as
+//! two sorted edge lists and, each epoch:
 //!
 //! 1. diffs the incoming matrix against the previous epoch's rows
 //!    (exact word comparison — a row hash is never trusted for
@@ -14,18 +15,20 @@
 //!    start or a deployment-shape change;
 //! 2. keeps the edges whose two ends are both unchanged, and re-tests
 //!    every pair with a changed end through the one pair loop,
-//!    `graphbuild::edges_touching`.
+//!    `graphbuild::edges_touching`, which decides the pair's Λ and Λ′
+//!    edges from one popcount a row pair.
 //!
 //! Steady-state work is `O(c · n)` group tests for churn fraction `c`
 //! instead of `O(n²/2)` — the headline subquadratic win on persisting
-//! traffic. Correctness does not rest on trust: every
-//! [`IncrementalConfig::audit_every`]-th epoch the engine runs the full
-//! all-pairs build anyway and asserts the edge lists are identical
-//! (audit work is kept out of the pair tally so the metrics keep
-//! describing the incremental path).
+//! traffic — and an alarm epoch, which reads the detection graph, costs
+//! no more. Correctness does not rest on trust: every
+//! [`IncrementalConfig::audit_every`]-th epoch the engine runs the
+//! all-pairs build of each graph anyway and asserts both edge lists are
+//! identical (audit work is kept out of the pair tally so the metrics
+//! keep describing the incremental path).
 
 use crate::graphbuild::{edges_touching, graph_of, GroupLayout};
-use crate::lambda::LambdaTable;
+use crate::lambda::LambdaTables;
 use dcs_bitmap::RowMatrix;
 use dcs_graph::Graph;
 use dcs_parallel::map_chunks;
@@ -54,7 +57,7 @@ pub struct EpochStats {
     pub rows_changed: usize,
     /// Groups owning at least one changed row.
     pub groups_changed: usize,
-    /// Live edges after the epoch.
+    /// Live test-graph edges after the epoch.
     pub edges_live: usize,
     /// Whether this epoch paid a full from-scratch build (cold start or
     /// deployment-shape change).
@@ -70,22 +73,24 @@ struct Shape {
     nrows: usize,
     ncols: usize,
     rows_per_group: usize,
-    n_bits: usize,
-    p_star_bits: u64,
+    /// Row width and p\* of Λ, then of Λ′.
+    tables: [(usize, u64); 2],
 }
 
 /// Epoch-incremental group-graph correlator. Owns the previous epoch's
-/// rows and the live edge list; feed it one matrix per epoch and it
-/// returns the same [`Graph`] the from-scratch all-pairs build would
-/// produce, for delta cost on persisting traffic.
+/// rows and the live edge lists of the test and the detection graph;
+/// feed it one matrix per epoch and it returns the same [`Graph`]s the
+/// from-scratch all-pairs builds would produce, for delta cost on
+/// persisting traffic.
 #[derive(Debug)]
 pub struct IncrementalCorrelator {
     cfg: IncrementalConfig,
     epochs_seen: u64,
     shape: Option<Shape>,
     prev_rows: RowMatrix,
-    /// The live edges, `(u, v)` with `u < v`, sorted ascending.
-    edges: Vec<(u32, u32)>,
+    /// The live edges under Λ, then under Λ′: `(u, v)` with `u < v`,
+    /// sorted ascending.
+    edges: [Vec<(u32, u32)>; 2],
 }
 
 impl IncrementalCorrelator {
@@ -96,13 +101,15 @@ impl IncrementalCorrelator {
             epochs_seen: 0,
             shape: None,
             prev_rows: RowMatrix::new(64),
-            edges: Vec::new(),
+            edges: [Vec::new(), Vec::new()],
         }
     }
 
-    /// Processes one epoch: returns the group graph for `rows` —
-    /// bit-identical to `build_group_graph(rows, layout, table)` — and
-    /// the epoch's work accounting.
+    /// Processes one epoch: returns the test graph for `rows` —
+    /// bit-identical to `build_group_graph(rows, layout, &tables.test)` —
+    /// and the epoch's work accounting. The same pass brings the
+    /// detection graph under `tables.detect` up to date for
+    /// [`detection_graph`](Self::detection_graph).
     ///
     /// # Panics
     /// Panics if `threads == 0` or if the equality audit detects
@@ -112,17 +119,17 @@ impl IncrementalCorrelator {
         &mut self,
         rows: &RowMatrix,
         layout: GroupLayout,
-        table: &LambdaTable,
+        tables: &LambdaTables,
         threads: usize,
     ) -> (Graph, EpochStats) {
         assert!(threads > 0, "need at least one thread");
         let n = layout.groups(rows);
+        let both = [&tables.test, &tables.detect];
         let shape = Shape {
             nrows: rows.nrows(),
             ncols: rows.ncols(),
             rows_per_group: layout.rows_per_group,
-            n_bits: table.n_bits(),
-            p_star_bits: table.p_star().to_bits(),
+            tables: both.map(|t| (t.n_bits(), t.p_star().to_bits())),
         };
         self.epochs_seen += 1;
         let full_rebuild = self.shape != Some(shape);
@@ -131,7 +138,7 @@ impl IncrementalCorrelator {
         // else an exact word-diff against the stored previous rows.
         let changed_rows: Vec<usize> = if full_rebuild {
             self.shape = Some(shape);
-            self.edges.clear();
+            self.edges.iter_mut().for_each(Vec::clear);
             (0..rows.nrows()).collect()
         } else {
             let wpr = rows.words_per_row();
@@ -157,35 +164,50 @@ impl IncrementalCorrelator {
         };
 
         if !changed_rows.is_empty() {
-            self.edges
-                .retain(|&(u, v)| !changed[u as usize] && !changed[v as usize]);
-            let (fresh, pairs_exact) = edges_touching(rows, layout, table, &changed, threads);
-            self.edges.extend(fresh);
-            self.edges.sort_unstable();
+            let (fresh, pairs_exact) = edges_touching(rows, layout, both, &changed, threads);
+            for (edges, fresh) in self.edges.iter_mut().zip(fresh) {
+                edges.retain(|&(u, v)| !changed[u as usize] && !changed[v as usize]);
+                edges.extend(fresh);
+                edges.sort_unstable();
+            }
             self.prev_rows.clone_from(rows);
             stats.pairs_exact = pairs_exact;
         }
-        stats.edges_live = self.edges.len();
+        stats.edges_live = self.edges[0].len();
 
         // An all-pairs epoch has nothing to audit.
         if !full_rebuild
             && self.cfg.audit_every > 0
             && self.epochs_seen.is_multiple_of(self.cfg.audit_every)
         {
-            // Full-rebuild audit: recompute from scratch and demand edge
-            // equality. Deliberately outside the pair tally — metrics
-            // describe the incremental path, not the safety net.
-            let (mut want, _) = edges_touching(rows, layout, table, &vec![true; n], threads);
-            want.sort_unstable();
-            assert_eq!(
-                self.edges, want,
-                "incremental graph diverged from full rebuild at epoch {}",
-                self.epochs_seen
-            );
+            // Full-rebuild audit: recompute each graph from scratch under
+            // its own table alone and demand edge equality. Deliberately
+            // outside the pair tally — metrics describe the incremental
+            // path, not the safety net.
+            for (table, edges) in both.into_iter().zip(&self.edges) {
+                let ([mut want], _) =
+                    edges_touching(rows, layout, [table], &vec![true; n], threads);
+                want.sort_unstable();
+                assert_eq!(
+                    *edges,
+                    want,
+                    "incremental graph (p* {}) diverged from full rebuild at epoch {}",
+                    table.p_star(),
+                    self.epochs_seen
+                );
+            }
             stats.audited = true;
         }
 
-        (graph_of(n, &self.edges), stats)
+        (graph_of(n, &self.edges[0]), stats)
+    }
+
+    /// The detection graph under Λ′ as of the last [`epoch`](Self::epoch)
+    /// — bit-identical to `build_group_graph(rows, layout,
+    /// &tables.detect)` of that epoch; empty before the first.
+    pub fn detection_graph(&self) -> Graph {
+        let n = self.shape.map_or(0, |s| s.nrows / s.rows_per_group);
+        graph_of(n, &self.edges[1])
     }
 }
 
@@ -193,6 +215,7 @@ impl IncrementalCorrelator {
 mod tests {
     use super::*;
     use crate::graphbuild::{build_group_graph, build_group_graph_parallel};
+    use crate::lambda::LambdaTable;
     use dcs_bitmap::Bitmap;
     use proptest::prelude::*;
     use rand::rngs::StdRng;
@@ -200,6 +223,14 @@ mod tests {
 
     const NBITS: usize = 1024;
     const K: usize = 2;
+
+    /// Λ at `test` and Λ′ at `detect` (per-row-pair p\*).
+    fn tables(test: f64, detect: f64) -> LambdaTables {
+        LambdaTables {
+            test: LambdaTable::new(NBITS, test),
+            detect: LambdaTable::new(NBITS, detect),
+        }
+    }
 
     fn random_row(rng: &mut StdRng, weight: usize) -> Bitmap {
         let mut bm = Bitmap::new(NBITS);
@@ -261,14 +292,20 @@ mod tests {
     fn incremental_tracks_oracle_over_epochs() {
         let mut rng = StdRng::seed_from_u64(31);
         let layout = GroupLayout { rows_per_group: K };
-        let table = LambdaTable::new(NBITS, 1e-4);
+        let t = tables(1e-4, 1e-3);
         let cfg = IncrementalConfig { audit_every: 3 };
         let mut corr = IncrementalCorrelator::new(cfg);
         let mut m = random_matrix(&mut rng, 14, Some(460));
         for epoch in 0..8u64 {
-            let (g, stats) = corr.epoch(&m, layout, &table, 2);
-            let oracle = build_group_graph(&m, layout, &table);
+            let (g, stats) = corr.epoch(&m, layout, &t, 2);
+            let oracle = build_group_graph(&m, layout, &t.test);
             assert_same_edges(&g, &oracle, &format!("epoch {epoch}"));
+            let detect = build_group_graph(&m, layout, &t.detect);
+            assert_same_edges(
+                &corr.detection_graph(),
+                &detect,
+                &format!("Λ′ epoch {epoch}"),
+            );
             assert_eq!(stats.full_rebuild, epoch == 0);
             assert_eq!(stats.edges_live, oracle.m());
             if epoch > 0 {
@@ -285,29 +322,41 @@ mod tests {
     fn unchanged_epoch_is_free() {
         let mut rng = StdRng::seed_from_u64(33);
         let layout = GroupLayout { rows_per_group: K };
-        let table = LambdaTable::new(NBITS, 1e-4);
+        let t = tables(1e-4, 1e-3);
         let mut corr = IncrementalCorrelator::new(IncrementalConfig { audit_every: 0 });
         let m = random_matrix(&mut rng, 10, Some(460));
-        let (g0, s0) = corr.epoch(&m, layout, &table, 1);
+        let (g0, s0) = corr.epoch(&m, layout, &t, 1);
         assert!(s0.full_rebuild);
-        let (g1, s1) = corr.epoch(&m, layout, &table, 1);
+        let d0 = corr.detection_graph();
+        let (g1, s1) = corr.epoch(&m, layout, &t, 1);
         assert_eq!(s1.rows_changed, 0);
         assert_eq!(s1.pairs_exact, 0, "no work on no churn");
         assert_same_edges(&g0, &g1, "unchanged epoch altered the graph");
+        assert_same_edges(&d0, &corr.detection_graph(), "unchanged epoch altered Λ′");
     }
 
+    /// A new group count, and a new p\* for either table, each rebuild
+    /// both graphs from scratch.
     #[test]
     fn shape_change_forces_full_rebuild() {
         let mut rng = StdRng::seed_from_u64(34);
         let layout = GroupLayout { rows_per_group: K };
-        let table = LambdaTable::new(NBITS, 1e-4);
         let mut corr = IncrementalCorrelator::new(IncrementalConfig::default());
         let m = random_matrix(&mut rng, 8, Some(460));
-        corr.epoch(&m, layout, &table, 1);
+        corr.epoch(&m, layout, &tables(1e-4, 1e-3), 1);
         let bigger = random_matrix(&mut rng, 12, Some(460));
-        let (g, s) = corr.epoch(&bigger, layout, &table, 1);
-        assert!(s.full_rebuild, "group-count change must rebuild");
-        assert_same_edges(&g, &build_group_graph(&bigger, layout, &table), "rebuild");
+        for (what, t) in [
+            ("group count", tables(1e-4, 1e-3)),
+            ("Λ′ p*", tables(1e-4, 1e-2)),
+            ("Λ p*", tables(1e-3, 1e-2)),
+        ] {
+            let (g, s) = corr.epoch(&bigger, layout, &t, 1);
+            assert!(s.full_rebuild, "{what} change must rebuild");
+            let want = build_group_graph(&bigger, layout, &t.test);
+            assert_same_edges(&g, &want, what);
+            let want = build_group_graph(&bigger, layout, &t.detect);
+            assert_same_edges(&corr.detection_graph(), &want, what);
+        }
     }
 
     /// 64 groups × 10 rows of null traffic at the design fill, 8 % of the
@@ -322,7 +371,7 @@ mod tests {
         let layout = GroupLayout {
             rows_per_group: ROWS,
         };
-        let table = LambdaTable::new(NBITS, 2e-7);
+        let t = tables(2e-7, 2e-5);
         let mut rows: Vec<Bitmap> = (0..GROUPS * ROWS)
             .map(|_| random_row(&mut rng, 446))
             .collect();
@@ -332,14 +381,14 @@ mod tests {
             m
         };
         let mut corr = IncrementalCorrelator::new(IncrementalConfig { audit_every: 0 });
-        corr.epoch(&stack(&rows), layout, &table, 2);
+        corr.epoch(&stack(&rows), layout, &t, 2);
         for epoch in 0..4 {
             for g in (0..5).map(|i| (epoch * 5 + i) % GROUPS) {
                 rows[g * ROWS..(g + 1) * ROWS].fill_with(|| random_row(&mut rng, 446));
             }
             let m = stack(&rows);
-            let (_, stats) = corr.epoch(&m, layout, &table, 2);
-            let (_, all_pairs) = build_group_graph_parallel(&m, layout, &table, 2);
+            let (_, stats) = corr.epoch(&m, layout, &t, 2);
+            let (_, all_pairs) = build_group_graph_parallel(&m, layout, &t.test, 2);
             assert!(!stats.full_rebuild, "steady state must not rebuild");
             assert!(
                 stats.pairs_exact * 5 <= all_pairs,
@@ -352,15 +401,19 @@ mod tests {
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(12))]
 
-        /// Rows churn across epochs; the incremental edges must equal the
-        /// from-scratch build every epoch, including after heavy churn
-        /// that drops most carried edges — on uniform dense rows and on a
-        /// matrix mixing empty, sparse, medium and dense rows.
+        /// Rows churn across epochs; both incremental edge lists must
+        /// equal the from-scratch builds every epoch, including after
+        /// heavy churn that drops most carried edges — on uniform dense
+        /// rows and on a matrix mixing empty, sparse, medium and dense
+        /// rows, with Λ′ laxer than, equal to or stricter than Λ (where a
+        /// Λ edge no longer implies a Λ′ edge and the pair loop scans on
+        /// past the first Λ hit).
         #[test]
         fn churned_epochs_match_from_scratch(
             seed in any::<u64>(),
             groups in 6usize..14,
             mixed in any::<bool>(),
+            detect_exp in 1i32..=3,
             fracs in proptest::collection::vec(0.0f64..1.0, 1..5),
         ) {
             let mut rng = StdRng::seed_from_u64(seed);
@@ -368,17 +421,19 @@ mod tests {
             let uniform = (!mixed).then_some(470);
             // p* high enough that random matrices grow real edges, so
             // churn has edges to drop.
-            let table = LambdaTable::new(NBITS, 1e-2);
+            let t = tables(1e-2, 10f64.powi(-detect_exp));
             let mut corr = IncrementalCorrelator::new(IncrementalConfig { audit_every: 2 });
             let mut m = random_matrix(&mut rng, groups, uniform);
             for (i, &frac) in fracs.iter().enumerate() {
-                let (g, _) = corr.epoch(&m, layout, &table, 2);
-                let oracle = build_group_graph(&m, layout, &table);
-                let mut ea: Vec<_> = g.edges().collect();
-                let mut eb: Vec<_> = oracle.edges().collect();
-                ea.sort_unstable();
-                eb.sort_unstable();
-                prop_assert_eq!(ea, eb, "epoch {} diverged", i);
+                let (g, _) = corr.epoch(&m, layout, &t, 2);
+                for (name, got, table) in [("Λ", g, &t.test), ("Λ′", corr.detection_graph(), &t.detect)] {
+                    let oracle = build_group_graph(&m, layout, table);
+                    let mut ea: Vec<_> = got.edges().collect();
+                    let mut eb: Vec<_> = oracle.edges().collect();
+                    ea.sort_unstable();
+                    eb.sort_unstable();
+                    prop_assert_eq!(ea, eb, "{} epoch {} diverged", name, i);
+                }
                 m = churn(&mut rng, &m, frac, uniform);
             }
         }

@@ -14,7 +14,8 @@
 //! [`LambdaTables::for_shape`] replaces it only when the row width, the
 //! rows per group or an edge probability changes. A table is still
 //! filled lazily: real digests exercise a narrow weight band around the
-//! target fill.
+//! target fill, so most fills find a filled neighbour cell to walk from
+//! instead of bisecting.
 //!
 //! **Layout and memory bound.** A [`LambdaTable`] is a directory of
 //! `N + 1` rows indexed by the first weight; row `i` is allocated the
@@ -32,13 +33,19 @@
 //! (Row allocation goes through `OnceLock`, which does publish the row
 //! with acquire/release.)
 
-use dcs_stats::hypergeom_tail_quantile;
+use dcs_stats::{hypergeom_tail_quantile, hypergeom_tail_quantile_near};
 use std::sync::atomic::{AtomicU16, AtomicU64, Ordering::Relaxed};
 use std::sync::OnceLock;
 
 /// Cell value meaning "not computed yet". λ never exceeds the row width,
 /// and [`LambdaTable::new`] keeps the row width below this.
 const UNSET: u16 = u16::MAX;
+
+/// How far along its two rows a fill looks for a filled cell to walk
+/// from. A seed `d` cells away is within `d` of the quantile, so the walk
+/// costs at most `d + 2` tail evaluations, under the ≈ 9 a bisection
+/// spends at N = 1,024.
+const SEED_REACH: u32 = 6;
 
 /// Lazily-filled, lock-free λ table for a fixed row width and p\*.
 #[derive(Debug)]
@@ -144,16 +151,19 @@ impl LambdaTable {
 
     /// The miss path: computes `λ(i, j)` and stores it under both
     /// argument orders. Racing fills of one pair store equal values; the
-    /// swap on the `(min, max)` cell picks the one that counts.
+    /// swap on the `(min, max)` cell picks the one that counts. The
+    /// quantile is walked from the nearest filled cell of row `i` or row
+    /// `j` (see [`hypergeom_tail_quantile_near`]: exact from any start,
+    /// so the fill order changes only the cost) and bisected when neither
+    /// row has one within [`SEED_REACH`].
     #[cold]
     fn fill(&self, i: u32, j: u32) -> u32 {
         let (lo, hi) = (i.min(j), i.max(j));
-        let lam = hypergeom_tail_quantile(
-            self.p_star,
-            self.n_bits as u64,
-            u64::from(lo),
-            u64::from(hi),
-        );
+        let (n, wlo, whi) = (self.n_bits as u64, u64::from(lo), u64::from(hi));
+        let lam = match self.filled_near(lo, hi) {
+            Some(guess) => hypergeom_tail_quantile_near(self.p_star, n, wlo, whi, guess.into()),
+            None => hypergeom_tail_quantile(self.p_star, n, wlo, whi),
+        };
         let v = u16::try_from(lam).expect("λ is at most the row width");
         if self.cells(lo)[hi as usize].swap(v, Relaxed) == UNSET {
             self.filled.fetch_add(1, Relaxed);
@@ -161,6 +171,21 @@ impl LambdaTable {
         }
         self.cells(hi)[lo as usize].store(v, Relaxed);
         u32::from(v)
+    }
+
+    /// The value of the filled cell nearest `(i, j)` along row `i` or row
+    /// `j`, at most [`SEED_REACH`] cells away; rows not yet allocated have
+    /// none.
+    fn filled_near(&self, i: u32, j: u32) -> Option<u16> {
+        let cell = |row: u32, col: Option<u32>| {
+            let v = self.rows[row as usize].get()?.get(col? as usize)?;
+            Some(v.load(Relaxed)).filter(|&v| v != UNSET)
+        };
+        (1..=SEED_REACH).find_map(|d| {
+            [(i, j), (j, i)].into_iter().find_map(|(row, col)| {
+                cell(row, col.checked_sub(d)).or_else(|| cell(row, col.checked_add(d)))
+            })
+        })
     }
 
     /// Number of distinct unordered weight pairs filled so far.
@@ -294,6 +319,20 @@ mod tests {
                 "λ decreased when raising one weight ({i},{j})+{di}"
             );
         }
+
+        /// λ is non-increasing in p\* cell by cell: the pair loop's
+        /// laxest-table-first compare is exact only because of this.
+        #[test]
+        fn lambda_non_increasing_in_p_star(
+            i in 0u32..=256,
+            j in 0u32..=256,
+            lax_exp in 0.301f64..8.0,
+            gap in 0.0f64..4.0,
+        ) {
+            let lax = LambdaTable::new(256, 10f64.powf(-lax_exp));
+            let strict = LambdaTable::new(256, 10f64.powf(-lax_exp - gap));
+            proptest::prop_assert!(lax.lambda(i, j) <= strict.lambda(i, j), "({}, {})", i, j);
+        }
     }
 
     #[test]
@@ -365,6 +404,49 @@ mod tests {
             proptest::prop_assert_eq!(t.lambda(j, i), want, "swapped ({}, {})", j, i);
             proptest::prop_assert_eq!(t.row(i).get(j), want, "hit ({}, {})", i, j);
             proptest::prop_assert_eq!(t.memo_len(), 1);
+        }
+
+        /// A band of up to 20 weights — starting at 0, ending at N, or
+        /// anywhere between — filled in a random order, so most fills
+        /// walk from a neighbour another order would not have filled yet:
+        /// every cell equals the bisected quantile, and each weight pair
+        /// counts as one fill, once.
+        #[test]
+        fn random_fill_order_equals_quantile(
+            n in 1usize..=300,
+            p_exp in 0.301f64..8.0,
+            at in 0.0f64..=1.0,
+            edge in 0u8..3,
+            seed in proptest::prelude::any::<u64>(),
+        ) {
+            use rand::seq::SliceRandom;
+            use rand::SeedableRng;
+            let n32 = n as u32;
+            let start = match edge {
+                0 => 0,
+                1 => n32.saturating_sub(19),
+                _ => ((at * f64::from(n32)) as u32).min(n32.saturating_sub(19)),
+            };
+            let band = start..=(start + 19).min(n32);
+            let mut cells: Vec<(u32, u32)> = band
+                .clone()
+                .flat_map(|i| band.clone().map(move |j| (i, j)))
+                .collect();
+            cells.shuffle(&mut rand::rngs::StdRng::seed_from_u64(seed));
+            let p_star = 10f64.powf(-p_exp);
+            let t = LambdaTable::new(n, p_star);
+            for &(i, j) in &cells {
+                let want = hypergeom_tail_quantile(p_star, n as u64, u64::from(i), u64::from(j));
+                proptest::prop_assert_eq!(u64::from(t.lambda(i, j)), want, "({}, {})", i, j);
+            }
+            let width = band.count();
+            let pairs = (width * (width + 1) / 2) as u64;
+            proptest::prop_assert_eq!(t.memo_len() as u64, pairs);
+            proptest::prop_assert_eq!(t.take_new_fills(), pairs);
+            for &(i, j) in &cells {
+                t.lambda(i, j);
+            }
+            proptest::prop_assert_eq!(t.take_new_fills(), 0, "a hit is not a fill");
         }
     }
 

@@ -17,9 +17,11 @@
 //! * [`corefind`] — the 3-step greedy detection (Figure 10): peel to a
 //!   core, keep outsiders with ≥ d edges into the core, peel again, report
 //!   the union;
-//! * [`incremental`] — the cross-epoch delta engine: a sorted edge list
-//!   whose edges between unchanged groups carry over, while pairs with a
-//!   changed end are re-tested, with a periodic all-pairs equality audit;
+//! * [`incremental`] — the cross-epoch delta engine: sorted edge lists of
+//!   the test graph (Λ) and the detection graph (Λ′) whose edges between
+//!   unchanged groups carry over, while pairs with a changed end are
+//!   re-tested for both at once, with a periodic all-pairs equality audit
+//!   of each;
 //! * [`matchmodel`] — the offset-sampling match-probability model
 //!   (`1 − e^(−k²/536)`) and the resulting pattern edge probability p₂;
 //! * [`thresholds`] — the non-naturally-occurring cluster bound of

@@ -4,18 +4,22 @@
 //! bundle and artifact on the wire; the n′ screen of
 //! `refined_detect_cached` decides which columns the product search ever
 //! sees; the search's hopefuls list and AND-popcount fan-outs decide the
-//! core, and the expansion sweep the witness set. All were rewritten for
-//! speed (sixteen bytes a step; counting instead of selecting; buckets
-//! instead of a heap, one batched popcount kernel); each constant was
-//! captured before its code was touched, in debug, release and under
-//! `DCS_FORCE_SCALAR=1`. They change only when a checksum, a shipped
-//! frame byte, a screened column, a candidate or a search count does.
+//! core, and the expansion sweep the witness set; the unaligned pair
+//! loop decides the test and detection group graphs from λ cells. All
+//! were rewritten for speed (sixteen bytes a step; counting instead of
+//! selecting; buckets instead of a heap, one batched popcount kernel;
+//! one popcount for both graphs, fills walked from a neighbour cell);
+//! each constant was captured before its code was touched, in debug,
+//! release and under `DCS_FORCE_SCALAR=1`. They change only when a
+//! checksum, a shipped frame byte, a screened column, a candidate, a
+//! search count, a group edge, a row-pair tally or a λ cell does.
 
 use dcs_aligned::{
     naive_detect, refined_detect_cached, AlignedDetection, SearchConfig, SearchScratch,
 };
 use dcs_bitmap::{Bitmap, ColMatrix, RowMatrix};
 use dcs_core::aggregate::{AggregateBundle, ChildExclusion};
+use dcs_core::center::AnalysisConfig;
 use dcs_core::ingest::RouterFault;
 use dcs_core::monitor::{MonitorConfig, MonitoringPoint};
 use dcs_core::net::ControlFrame;
@@ -28,6 +32,7 @@ use dcs_parallel::ComputeBudget;
 use dcs_traffic::{gen, BackgroundConfig, SizeMix};
 use dcs_unaligned::{
     build_group_graph_parallel, GroupLayout, IncrementalConfig, IncrementalCorrelator, LambdaTable,
+    LambdaTables,
 };
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
@@ -422,37 +427,60 @@ fn hash_edges(graph: &Graph, h: &mut Fnv1a) {
     }
 }
 
+/// The nine seeded epochs of one group-graph case: six at 48 groups, then
+/// three at 44 (a shape change), each churned from the one before.
+fn graph_epochs(seed: u64, uniform: bool, churn: f64) -> Vec<RowMatrix> {
+    let mut rng = StdRng::seed_from_u64(seed);
+    let mut epochs = Vec::new();
+    for groups in [48, 48, 48, 48, 48, 48, 44, 44, 44] {
+        let next = churned_matrix(&mut rng, epochs.last(), groups, uniform, churn);
+        epochs.push(next);
+    }
+    epochs
+}
+
+/// Λ and the laxer Λ′ of the group-graph pins (p* = 1e-3 and 1e-2).
+fn graph_tables() -> LambdaTables {
+    LambdaTables {
+        test: LambdaTable::new(GRAPH_BITS, 1e-3),
+        detect: LambdaTable::new(GRAPH_BITS, 1e-2),
+    }
+}
+
+/// The group-graph cases: (name, uniform weights, churn), seeded 41….
+const GRAPH_CASES: [(&str, bool, f64); 4] = [
+    ("uniform, 8 % churn", true, 0.08),
+    ("uniform, 100 % churn", true, 1.0),
+    ("mixed, 8 % churn", false, 0.08),
+    ("mixed, 100 % churn", false, 1.0),
+];
+
 /// The unaligned group graph, epoch by epoch: an `IncrementalCorrelator`
-/// auditing every third epoch over nine seeded epochs — six at 48 groups,
-/// then three at 44 (a shape change) — at 8 % and 100 % group churn, on
-/// the uniform and the mixed weight regime. Each epoch feeds the sorted
-/// edge list and every `EpochStats` field, then the all-pairs
-/// `build_group_graph_parallel` edges and `pairs_exact` of the same
-/// matrix, into one hash per case; threads 1, 2 and 8 must agree.
+/// auditing every third epoch over the nine epochs of [`graph_epochs`]
+/// at 8 % and 100 % group churn, on the uniform and the mixed weight
+/// regime. Each epoch feeds the sorted edge list and every `EpochStats`
+/// field, then the all-pairs `build_group_graph_parallel` edges and
+/// `pairs_exact` of the same matrix, into one hash per case; threads 1,
+/// 2 and 8 must agree.
 #[test]
 fn group_graph_is_pinned() {
     let layout = GroupLayout {
         rows_per_group: GRAPH_K,
     };
-    let cases = [
-        ("uniform, 8 % churn", true, 0.08, 0x1434_119b_0b4a_5ec0_u64),
-        ("uniform, 100 % churn", true, 1.0, 0x0f24_b24c_b97a_869c),
-        ("mixed, 8 % churn", false, 0.08, 0x5324_2f33_e5cf_4b0c),
-        ("mixed, 100 % churn", false, 1.0, 0xc2f2_4bba_bc34_a69d),
+    let pins = [
+        0x1434_119b_0b4a_5ec0_u64,
+        0x0f24_b24c_b97a_869c,
+        0x5324_2f33_e5cf_4b0c,
+        0xc2f2_4bba_bc34_a69d,
     ];
-    for (seed, (name, uniform, churn, want)) in (41..).zip(cases) {
-        let mut rng = StdRng::seed_from_u64(seed);
-        let mut epochs = Vec::new();
-        for groups in [48, 48, 48, 48, 48, 48, 44, 44, 44] {
-            let next = churned_matrix(&mut rng, epochs.last(), groups, uniform, churn);
-            epochs.push(next);
-        }
+    for (seed, ((name, uniform, churn), want)) in (41..).zip(GRAPH_CASES.into_iter().zip(pins)) {
+        let epochs = graph_epochs(seed, uniform, churn);
         for threads in [1, 2, 8] {
-            let table = LambdaTable::new(GRAPH_BITS, 1e-3);
+            let tables = graph_tables();
             let mut corr = IncrementalCorrelator::new(IncrementalConfig { audit_every: 3 });
             let mut h = Fnv1a::new();
             for m in &epochs {
-                let (graph, s) = corr.epoch(m, layout, &table, threads);
+                let (graph, s) = corr.epoch(m, layout, &tables, threads);
                 hash_edges(&graph, &mut h);
                 for v in [
                     s.pairs_exact,
@@ -463,13 +491,90 @@ fn group_graph_is_pinned() {
                 }
                 h.update(&(s.edges_live as u64).to_le_bytes());
                 h.update(&[u8::from(s.full_rebuild), u8::from(s.audited)]);
-                let (full, pairs_exact) = build_group_graph_parallel(m, layout, &table, threads);
+                let (full, pairs_exact) =
+                    build_group_graph_parallel(m, layout, &tables.test, threads);
                 hash_edges(&full, &mut h);
                 h.update(&pairs_exact.to_le_bytes());
             }
             let got = h.finish();
             assert_eq!(got, want, "{name}, threads {threads}: got {got:#018x}");
         }
+    }
+}
+
+/// The detection graph of the same epochs: `build_group_graph_parallel`
+/// under the Λ′ of [`graph_tables`] — each epoch's edges and
+/// `pairs_exact` in one hash per case, at threads 1, 2 and 8 — and the
+/// correlator's Λ′ edge list, kept beside its test graph, equal to that
+/// build on every epoch.
+#[test]
+fn detection_graph_is_pinned() {
+    let layout = GroupLayout {
+        rows_per_group: GRAPH_K,
+    };
+    let pins = [
+        0xc228_a1a9_8b95_ae42_u64,
+        0xe29e_6243_c3db_5e34,
+        0x7d54_db8d_8747_425a,
+        0x1636_b620_1998_55c9,
+    ];
+    for (seed, ((name, uniform, churn), want)) in (41..).zip(GRAPH_CASES.into_iter().zip(pins)) {
+        let epochs = graph_epochs(seed, uniform, churn);
+        for threads in [1, 2, 8] {
+            let tables = graph_tables();
+            let mut corr = IncrementalCorrelator::new(IncrementalConfig { audit_every: 3 });
+            let mut h = Fnv1a::new();
+            for (epoch, m) in epochs.iter().enumerate() {
+                corr.epoch(m, layout, &tables, threads);
+                let (full, pairs_exact) =
+                    build_group_graph_parallel(m, layout, &tables.detect, threads);
+                let kept: Vec<_> = corr.detection_graph().edges().collect();
+                assert_eq!(
+                    kept,
+                    full.edges().collect::<Vec<_>>(),
+                    "{name}, threads {threads}: epoch {epoch}"
+                );
+                hash_edges(&full, &mut h);
+                h.update(&pairs_exact.to_le_bytes());
+            }
+            let got = h.finish();
+            assert_eq!(got, want, "{name}, threads {threads}: got {got:#018x}");
+        }
+    }
+}
+
+/// λ(i, j) at N = 1,024 for every weight pair in 64..=320, at the Λ and
+/// Λ′ levels `AnalysisConfig::for_groups(144)` derives for 10 arrays a
+/// group. The cells are filled in a seeded shuffled order, so a fill
+/// sees a different set of filled neighbours than a row-by-row sweep
+/// would, and read back row by row into the hash.
+#[test]
+fn lambda_table_is_pinned() {
+    let cfg = AnalysisConfig::for_groups(144);
+    let mut slot = None;
+    let tables = LambdaTables::for_shape(&mut slot, GRAPH_BITS, 10, cfg.test_p1, cfg.detect_p1);
+    let weights = 64..=320u32;
+    let mut cells: Vec<(u32, u32)> = weights
+        .clone()
+        .flat_map(|i| weights.clone().map(move |j| (i, j)))
+        .collect();
+    cells.shuffle(&mut StdRng::seed_from_u64(24));
+    for (name, table, want) in [
+        ("Λ", &tables.test, 0xb3e9_cd1e_8d7d_7374_u64),
+        ("Λ′", &tables.detect, 0x4c1c_c827_3a88_6497),
+    ] {
+        for &(i, j) in &cells {
+            table.lambda(i, j);
+        }
+        assert_eq!(table.memo_len(), 257 * 258 / 2, "{name}");
+        let mut h = Fnv1a::new();
+        for i in weights.clone() {
+            for j in weights.clone() {
+                h.update(&table.lambda(i, j).to_le_bytes());
+            }
+        }
+        let got = h.finish();
+        assert_eq!(got, want, "{name}: got {got:#018x}");
     }
 }
 

@@ -49,17 +49,32 @@ impl fmt::Display for DecodeError {
 
 impl std::error::Error for DecodeError {}
 
+/// Words converted to little-endian bytes per `put_slice` by
+/// [`Bitmap::encode_into`].
+const ENCODE_BLOCK_WORDS: usize = 64;
+
 impl Bitmap {
     /// Encodes the bitmap into a self-describing binary frame.
     pub fn encode(&self) -> Bytes {
-        let mut buf = BytesMut::with_capacity(13 + self.words().len() * 8);
+        let mut buf = BytesMut::with_capacity(self.encoded_len());
+        self.encode_into(&mut buf);
+        buf.freeze()
+    }
+
+    /// Appends the frame [`Bitmap::encode`] returns to `buf`: exactly
+    /// [`encoded_len`](Self::encoded_len) bytes, the words written a
+    /// block at a time.
+    pub fn encode_into(&self, buf: &mut impl BufMut) {
         buf.put_slice(&DIGEST_MAGIC);
         buf.put_u8(VERSION);
         buf.put_u64_le(self.len() as u64);
-        for &w in self.words() {
-            buf.put_u64_le(w);
+        let mut block = [[0u8; 8]; ENCODE_BLOCK_WORDS];
+        for words in self.words().chunks(ENCODE_BLOCK_WORDS) {
+            for (bytes, w) in block.iter_mut().zip(words) {
+                *bytes = w.to_le_bytes();
+            }
+            buf.put_slice(block[..words.len()].as_flattened());
         }
-        buf.freeze()
     }
 
     /// Size in bytes of the encoded frame (header + body).
@@ -181,6 +196,33 @@ mod tests {
         assert_eq!(bytes.len(), bm.encoded_len());
         let back = Bitmap::decode(&bytes).unwrap();
         assert_eq!(bm, back);
+    }
+
+    /// `encode_into` appends exactly `encoded_len()` bytes after what the
+    /// buffer already holds — the header, then each word little-endian —
+    /// at word counts on and around the block size.
+    #[test]
+    fn encode_into_appends_exactly_the_frame() {
+        for bits in [
+            0,
+            1,
+            64,
+            65,
+            64 * ENCODE_BLOCK_WORDS,
+            64 * ENCODE_BLOCK_WORDS + 1,
+            10_000,
+        ] {
+            let bm = Bitmap::from_indices(bits, (0..bits).step_by(3));
+            let mut want = b"prefix".to_vec();
+            want.extend_from_slice(&DIGEST_MAGIC);
+            want.push(VERSION);
+            want.extend_from_slice(&(bits as u64).to_le_bytes());
+            want.extend(bm.words().iter().flat_map(|w| w.to_le_bytes()));
+            let mut buf = b"prefix".to_vec();
+            bm.encode_into(&mut buf);
+            assert_eq!(buf.len(), 6 + bm.encoded_len(), "{bits} bits");
+            assert_eq!(buf, want, "{bits} bits");
+        }
     }
 
     #[test]

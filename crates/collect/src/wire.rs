@@ -10,7 +10,7 @@
 use crate::frame::FrameError;
 use crate::{AlignedDigest, AlignedDigestView, UnalignedDigest, UnalignedDigestView};
 use bytes::{BufMut, Bytes, BytesMut};
-use dcs_bitmap::{Bitmap, DecodeError as BitmapError};
+use dcs_bitmap::DecodeError as BitmapError;
 use std::fmt;
 
 /// Magic for aligned digest frames (`b"DCSA"`).
@@ -91,17 +91,31 @@ impl From<FrameError> for WireError {
     }
 }
 
+/// Bytes an aligned digest frame holds before its bitmap: magic, version
+/// and three `u64` counters.
+pub const ALIGNED_HEADER: usize = 4 + 1 + 3 * 8;
+
+/// Bytes an unaligned digest frame holds before its arrays: magic,
+/// version, three `u64` counters, arrays per group and array count.
+pub const UNALIGNED_HEADER: usize = 4 + 1 + 3 * 8 + 2 * 4;
+
 impl AlignedDigest {
     /// Encodes the digest into a binary frame.
     pub fn encode_wire(&self) -> Bytes {
-        let mut buf = BytesMut::with_capacity(29 + self.bitmap.encoded_len());
+        let mut buf = BytesMut::with_capacity(ALIGNED_HEADER + self.bitmap.encoded_len());
+        self.encode_into(&mut buf);
+        buf.freeze()
+    }
+
+    /// Appends the frame [`AlignedDigest::encode_wire`] returns to `buf`:
+    /// [`ALIGNED_HEADER`] bytes, then the bitmap frame.
+    pub fn encode_into(&self, buf: &mut impl BufMut) {
         buf.put_slice(&ALIGNED_MAGIC);
         buf.put_u8(VERSION);
         buf.put_u64_le(self.packets_seen);
         buf.put_u64_le(self.packets_hashed);
         buf.put_u64_le(self.raw_bytes);
-        buf.put_slice(&self.bitmap.encode());
-        buf.freeze()
+        self.bitmap.encode_into(buf);
     }
 
     /// Decodes a frame produced by [`AlignedDigest::encode_wire`],
@@ -121,6 +135,16 @@ impl UnalignedDigest {
     /// with [`WireError::Malformed`] on an array width the parser rejects
     /// ([`MAX_ARRAY_BITS`]).
     pub fn encode_wire(&self) -> Result<Bytes, WireError> {
+        let mut buf = BytesMut::with_capacity(UNALIGNED_HEADER + self.encoded_len());
+        self.encode_into(&mut buf)?;
+        Ok(buf.freeze())
+    }
+
+    /// Appends the frame [`UnalignedDigest::encode_wire`] returns to
+    /// `buf`: [`UNALIGNED_HEADER`] bytes, then each array's bitmap frame.
+    /// Every check runs before the first byte is written, so on an error
+    /// `buf` is left as it was.
+    pub fn encode_into(&self, buf: &mut impl BufMut) -> Result<(), WireError> {
         let arrays_per_group = u32::try_from(self.arrays_per_group)
             .map_err(|_| WireError::TooLarge("arrays_per_group exceeds u32"))?;
         let count = u32::try_from(self.arrays.len())
@@ -128,8 +152,6 @@ impl UnalignedDigest {
         for a in &self.arrays {
             check_array_width(a.len())?;
         }
-        let body: usize = self.arrays.iter().map(Bitmap::encoded_len).sum();
-        let mut buf = BytesMut::with_capacity(37 + body);
         buf.put_slice(&UNALIGNED_MAGIC);
         buf.put_u8(VERSION);
         buf.put_u64_le(self.packets_seen);
@@ -138,9 +160,9 @@ impl UnalignedDigest {
         buf.put_u32_le(arrays_per_group);
         buf.put_u32_le(count);
         for a in &self.arrays {
-            buf.put_slice(&a.encode());
+            a.encode_into(buf);
         }
-        Ok(buf.freeze())
+        Ok(())
     }
 
     /// Decodes a frame produced by [`UnalignedDigest::encode_wire`],
@@ -177,6 +199,7 @@ pub(crate) fn sample_digests(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use dcs_bitmap::Bitmap;
 
     fn digests() -> (AlignedDigest, UnalignedDigest) {
         sample_digests(1, 1 << 12, 4, 2000)
@@ -203,6 +226,46 @@ mod tests {
         assert_eq!(back.arrays, u.arrays);
         assert_eq!(back.arrays_per_group, u.arrays_per_group);
         assert_eq!(back.packets_sampled, u.packets_sampled);
+    }
+
+    /// Each `encode_into` appends its header and its bitmap frames,
+    /// nothing else, after what the buffer already holds.
+    #[test]
+    fn encode_into_appends_header_and_bitmaps_exactly() {
+        let (a, u) = digests();
+        assert_eq!((ALIGNED_HEADER, UNALIGNED_HEADER), (29, 37));
+        let mut buf = b"prefix".to_vec();
+        a.encode_into(&mut buf);
+        assert_eq!(buf.len(), 6 + 29 + a.bitmap.encoded_len());
+        let mid = buf.len();
+        u.encode_into(&mut buf).unwrap();
+        assert_eq!(buf.len() - mid, 37 + u.encoded_len());
+        assert_eq!(&buf[..6], b"prefix");
+        assert_eq!(AlignedDigest::decode_wire(&buf[6..]).unwrap().0, a);
+        assert_eq!(UnalignedDigest::decode_wire(&buf[mid..]).unwrap().0, u);
+    }
+
+    /// A digest the encoder refuses, for its width or for either count,
+    /// writes nothing.
+    #[test]
+    fn refused_unaligned_digest_leaves_the_buffer_untouched() {
+        let (_, u) = digests();
+        let mut wide = u.clone();
+        wide.arrays.push(Bitmap::new(MAX_ARRAY_BITS + 1));
+        let bad_group = UnalignedDigest {
+            arrays_per_group: (u32::MAX as usize) + 1,
+            ..u.clone()
+        };
+        let zero_width = UnalignedDigest {
+            arrays: vec![Bitmap::new(0)],
+            arrays_per_group: 1,
+            ..u
+        };
+        for bad in [wide, bad_group, zero_width] {
+            let mut buf = b"prefix".to_vec();
+            assert!(bad.encode_into(&mut buf).is_err());
+            assert_eq!(buf, b"prefix");
+        }
     }
 
     #[test]

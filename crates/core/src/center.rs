@@ -622,6 +622,7 @@ impl AnalysisCenter {
 mod tests {
     use super::*;
     use crate::monitor::{MonitorConfig, MonitoringPoint};
+    use dcs_collect::wire::UNALIGNED_HEADER;
     use dcs_traffic::{gen, BackgroundConfig, ContentObject, Planting, SizeMix};
     use rand::rngs::StdRng;
     use rand::SeedableRng;
@@ -974,7 +975,7 @@ mod tests {
                     // The bundle with its unaligned digest replaced by two
                     // one-array groups (zero counters, 1 array a group).
                     let mut frame = d.encode_wire().expect("clean digest").to_vec();
-                    frame.truncate(frame.len() - d.unaligned.encoded_len() - 37);
+                    frame.truncate(frame.len() - d.unaligned.encoded_len() - UNALIGNED_HEADER);
                     frame.extend_from_slice(b"DCSU\x01");
                     frame.extend_from_slice(&[0; 24]);
                     frame.extend_from_slice(&[1, 0, 0, 0, 2, 0, 0, 0]);

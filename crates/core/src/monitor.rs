@@ -1,7 +1,9 @@
 //! One monitoring point: both collectors wired to a router's traffic.
 
+use crate::transport::{MAX_CHUNKS, MAX_CHUNK_PAYLOAD};
 use bytes::{BufMut, Bytes, BytesMut};
 use dcs_collect::frame::Reader;
+use dcs_collect::wire::{ALIGNED_HEADER, UNALIGNED_HEADER};
 use dcs_collect::{
     artifact, AlignedCollector, AlignedConfig, AlignedDigest, AlignedDigestView, Artifact,
     UnalignedCollector, UnalignedConfig, UnalignedDigest, UnalignedDigestView, WireError,
@@ -168,17 +170,26 @@ impl RouterDigest {
         self.aligned.raw_bytes
     }
 
+    /// Bytes [`encode_wire`](Self::encode_wire) returns: the bundle
+    /// header, both digest frames and the artifact section.
+    pub fn wire_len(&self) -> usize {
+        BUNDLE_HEADER
+            + ALIGNED_HEADER
+            + self.aligned.bitmap.encoded_len()
+            + UNALIGNED_HEADER
+            + self.unaligned.encoded_len()
+            + artifact::section_len(&self.artifacts)
+    }
+
     /// Encodes the whole bundle as one wire frame: bundle header (magic,
     /// version, router id, epoch id), the aligned and unaligned digest
     /// frames, then — v2 only — the artifact section. This is what the
     /// measurement plane ships. Bundles without artifacts encode as v1,
-    /// byte-identical to the pre-artifact format.
+    /// byte-identical to the pre-artifact format. Everything is written
+    /// straight into one buffer of exactly [`wire_len`](Self::wire_len)
+    /// bytes.
     pub fn encode_wire(&self) -> Result<Bytes, WireError> {
-        let aligned = self.aligned.encode_wire();
-        let unaligned = self.unaligned.encode_wire()?;
-        let section = artifact::section_len(&self.artifacts);
-        let mut buf =
-            BytesMut::with_capacity(BUNDLE_HEADER + aligned.len() + unaligned.len() + section);
+        let mut buf = BytesMut::with_capacity(self.wire_len());
         buf.put_slice(&BUNDLE_MAGIC);
         buf.put_u8(if self.artifacts.is_empty() {
             BUNDLE_VERSION_V1
@@ -187,8 +198,8 @@ impl RouterDigest {
         });
         buf.put_u64_le(self.router_id as u64);
         buf.put_u64_le(self.epoch_id);
-        buf.put_slice(&aligned);
-        buf.put_slice(&unaligned);
+        self.aligned.encode_into(&mut buf);
+        self.unaligned.encode_into(&mut buf)?;
         artifact::encode_section(&self.artifacts, &mut buf)?;
         Ok(buf.freeze())
     }
@@ -420,9 +431,26 @@ impl MonitoringPoint {
     /// replacing the previous epoch's — so the analysis centre can
     /// [`resend`](Self::resend) lost or corrupted chunks until the next
     /// epoch closes.
+    ///
+    /// # Errors
+    /// [`WireError::Malformed`] when `max_payload` is outside
+    /// `1..=MAX_CHUNK_PAYLOAD`, checked before the epoch closes, so the
+    /// epoch stays open. Once it has closed, any error of
+    /// [`RouterDigest::encode_wire`], and [`WireError::TooLarge`] for a
+    /// bundle that needs more than `MAX_CHUNKS` chunks.
     pub fn finish_epoch_chunks(&mut self, max_payload: usize) -> Result<Vec<Vec<u8>>, WireError> {
+        if !(1..=MAX_CHUNK_PAYLOAD).contains(&max_payload) {
+            return Err(WireError::Malformed(
+                "chunk payload size outside 1..=MAX_CHUNK_PAYLOAD",
+            ));
+        }
         let digest = self.finish_epoch();
         let wire = digest.encode_wire()?;
+        if wire.len().div_ceil(max_payload) > MAX_CHUNKS as usize {
+            return Err(WireError::TooLarge(
+                "bundle needs more than MAX_CHUNKS chunks",
+            ));
+        }
         let chunks = crate::transport::chunk_bundle(
             self.router_id as u64,
             digest.epoch_id,
@@ -551,6 +579,55 @@ mod tests {
         let (back, _) = RouterDigest::decode_wire(&wire).expect("roundtrip");
         assert_eq!(back.aligned, d.aligned);
         assert_eq!(back.unaligned, d.unaligned);
+    }
+
+    /// `encode_wire` fills exactly the buffer it sized up front, with and
+    /// without an artifact section, so a bundle is one allocation.
+    #[test]
+    fn bundle_is_encoded_into_one_buffer_sized_up_front() {
+        let mut r = StdRng::seed_from_u64(3);
+        let pkts = background(&mut r, 300, 60);
+        for cfg in [
+            MonitorConfig::small(7, 1 << 12, 4),
+            MonitorConfig::small(7, 1 << 12, 4).with_sketch(SketchSpec::heavy_content(16)),
+        ] {
+            let mut mp = MonitoringPoint::new(4, &cfg);
+            mp.observe_all(&pkts);
+            let d = mp.finish_epoch();
+            let wire = d.encode_wire().expect("bundle fits the wire format");
+            assert_eq!(wire.len(), d.wire_len());
+            let (view, used) = RouterDigestView::parse(&wire).expect("parses");
+            assert_eq!(used, wire.len());
+            assert_eq!(view.artifact_bytes(), d.artifact_bytes());
+        }
+    }
+
+    /// A chunk size the wire cannot carry is refused before the epoch
+    /// closes; a bundle that needs more than `MAX_CHUNKS` chunks is a
+    /// typed error, not a panic.
+    #[test]
+    fn unshippable_chunking_is_a_typed_error() {
+        let mut mp = MonitoringPoint::new(5, &MonitorConfig::small(7, 1 << 20, 1));
+        for bad in [0, MAX_CHUNK_PAYLOAD + 1] {
+            assert!(matches!(
+                mp.finish_epoch_chunks(bad),
+                Err(WireError::Malformed(_))
+            ));
+            assert_eq!(
+                mp.epochs_finished(),
+                0,
+                "max_payload {bad} closed the epoch"
+            );
+        }
+        // A 1 Mbit bitmap is over 128 KiB: more than 65,536 one-byte chunks.
+        assert_eq!(
+            mp.finish_epoch_chunks(1).unwrap_err(),
+            WireError::TooLarge("bundle needs more than MAX_CHUNKS chunks")
+        );
+        assert_eq!(mp.epochs_finished(), 1);
+        let chunks = mp.finish_epoch_chunks(MAX_CHUNK_PAYLOAD).expect("fits");
+        assert_eq!(chunks.len(), 3);
+        assert_eq!(mp.resend(1, &crate::session::Missing::All), chunks);
     }
 
     #[test]

@@ -15,8 +15,13 @@
 //! * [`IndexHasher`] — the composition used by the collectors: fingerprint
 //!   a payload fragment, finalise with a per-epoch seed, and reduce to a
 //!   bitmap index without modulo bias.
+//!
+//! `unsafe` is denied crate-wide. One module, the carry-less CRC-32
+//! folding kernel inside [`crc32`](mod@crc32), is allowed it, for one
+//! block: the call into its `#[target_feature]` body after the runtime
+//! check that the host has those features.
 
-#![forbid(unsafe_code)]
+#![deny(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod crc32;

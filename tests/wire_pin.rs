@@ -6,7 +6,8 @@
 //! sees; the search's hopefuls list and AND-popcount fan-outs decide the
 //! core, and the expansion sweep the witness set; the unaligned pair
 //! loop decides the test and detection group graphs from λ cells. All
-//! were rewritten for speed (sixteen bytes a step; counting instead of
+//! were rewritten for speed (sixteen bytes a step, then 64 bytes a step
+//! by carry-less multiply; counting instead of
 //! selecting; buckets instead of a heap, one batched popcount kernel;
 //! one popcount for both graphs, fills walked from a neighbour cell);
 //! each constant was captured before its code was touched, in debug,
@@ -26,7 +27,7 @@ use dcs_core::net::ControlFrame;
 use dcs_core::session::{CollectorConfig, EpochCollector};
 use dcs_core::transport::{chunk_bundle, CHUNK_HEADER, DATAGRAM_SAFE_PAYLOAD};
 use dcs_graph::Graph;
-use dcs_hash::crc32::crc32;
+use dcs_hash::crc32::{crc32, Crc32};
 use dcs_hash::Fnv1a;
 use dcs_parallel::ComputeBudget;
 use dcs_traffic::{gen, BackgroundConfig, SizeMix};
@@ -75,6 +76,41 @@ fn crc32_values_are_pinned() {
     }
     let got = h.finish();
     assert_eq!(got, CRC_PIN, "got {got:#018x}");
+}
+
+/// The CRC-32 streams a folding kernel can treat differently: every
+/// length 0..=320 (the 64-byte entry, the 16-byte loop and every tail)
+/// from every start offset 0..16, then a seeded 4 KiB buffer streamed
+/// through `Crc32::update` in two and in three pieces, cut at every
+/// 16-byte boundary ± 1.
+#[test]
+fn crc32_streams_are_pinned() {
+    const LEN: usize = 4_096;
+    let short = seeded_bytes(25, 320 + 16);
+    let mut h = Fnv1a::new();
+    for off in 0..16 {
+        for len in 0..=320 {
+            h.update(&crc32(&short[off..off + len]).to_le_bytes());
+        }
+    }
+    let buf = seeded_bytes(26, LEN);
+    let mut cuts: Vec<usize> = (0..=LEN / 16)
+        .flat_map(|k| [16 * k - usize::from(k > 0), 16 * k, 16 * k + 1])
+        .filter(|&c| c <= LEN)
+        .collect();
+    cuts.dedup();
+    for &a in &cuts {
+        let mut two = Crc32::new();
+        two.update(&buf[..a]).update(&buf[a..]);
+        h.update(&two.finish().to_le_bytes());
+        for &b in cuts.iter().filter(|&&b| b >= a) {
+            let mut three = Crc32::new();
+            three.update(&buf[..a]).update(&buf[a..b]).update(&buf[b..]);
+            h.update(&three.finish().to_le_bytes());
+        }
+    }
+    let got = h.finish();
+    assert_eq!(got, CRC_STREAM_PIN, "got {got:#018x}");
 }
 
 /// One seeded leaf's DCSR frame.
@@ -581,6 +617,9 @@ fn lambda_table_is_pinned() {
 const GRAPH_BITS: usize = 1_024;
 const GRAPH_K: usize = 4;
 const CRC_PIN: u64 = 0xbee2_6e3d_9349_d6f7;
+/// Captured on the slicing-by-16 kernel alone, before the carry-less
+/// folding kernel existed.
+const CRC_STREAM_PIN: u64 = 0xcae3_a990_04b5_6dde;
 const DATAGRAM_FRAMES_PIN: u64 = 0x6459_89b9_c362_2c58;
 const STREAM_FRAMES_PIN: u64 = 0x392d_129e_a8f2_80a1;
 const SCREEN_PIN: u64 = 0xa70d_f29f_5071_8d5a;

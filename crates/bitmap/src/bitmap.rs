@@ -12,7 +12,7 @@ use std::fmt;
 /// 4-Mbit instance holds roughly one second of OC-48 traffic at 50 % fill.
 ///
 /// Invariant: bits at positions `>= len` are always zero.
-#[derive(Clone, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Clone, PartialEq, Eq, Hash, Serialize)]
 pub struct Bitmap {
     len: usize,
     words: Vec<u64>,
@@ -45,13 +45,8 @@ impl Bitmap {
     /// Panics if `words` is not exactly `words_for(len)` long or if any bit
     /// beyond `len` is set (which would break the crate invariant).
     pub fn from_words(len: usize, words: Vec<u64>) -> Self {
-        assert_eq!(words.len(), words_for(len), "from_words: wrong word count");
-        if let Some(last) = words.last() {
-            assert_eq!(
-                last & !tail_mask(len),
-                0,
-                "from_words: bits set past logical length"
-            );
+        if let Err(e) = check_words(len, &words) {
+            panic!("from_words: {e}");
         }
         Bitmap { len, words }
     }
@@ -86,16 +81,6 @@ impl Bitmap {
         let fresh = *w & mask == 0;
         *w |= mask;
         fresh
-    }
-
-    /// Clears bit `i`.
-    ///
-    /// # Panics
-    /// Panics if `i >= len`.
-    #[inline]
-    pub fn clear(&mut self, i: usize) {
-        assert!(i < self.len, "bit index {i} out of range {}", self.len);
-        self.words[i / WORD_BITS] &= !(1u64 << (i % WORD_BITS));
     }
 
     /// Reads bit `i`.
@@ -163,6 +148,30 @@ impl Bitmap {
     }
 }
 
+/// The checks that keep the crate invariant on words from outside: exactly
+/// `words_for(len)` of them, and no bit set at or past `len`.
+fn check_words(len: usize, words: &[u64]) -> Result<(), &'static str> {
+    if words.len() != words_for(len) {
+        return Err("wrong word count");
+    }
+    match words.last() {
+        Some(last) if last & !tail_mask(len) != 0 => Err("bits set past logical length"),
+        _ => Ok(()),
+    }
+}
+
+/// Digest JSON comes from user-supplied files (`dcs-cli analyze`), so a
+/// bitmap is rebuilt through [`Bitmap::from_words`]'s checks, and a
+/// malformed one is a deserialisation error.
+impl Deserialize for Bitmap {
+    fn from_value(v: &serde::Value) -> Result<Self, serde::Error> {
+        let len = usize::from_value(v.field("len")?)?;
+        let words = Vec::<u64>::from_value(v.field("words")?)?;
+        check_words(len, &words).map_err(|e| serde::Error::new(format!("bitmap: {e}")))?;
+        Ok(Bitmap { len, words })
+    }
+}
+
 impl fmt::Debug for Bitmap {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(
@@ -190,7 +199,7 @@ mod tests {
     }
 
     #[test]
-    fn set_get_clear_roundtrip() {
+    fn set_get_roundtrip() {
         let mut bm = Bitmap::new(100);
         assert!(bm.set(63));
         assert!(bm.set(64));
@@ -198,9 +207,7 @@ mod tests {
         assert!(bm.get(63));
         assert!(bm.get(64));
         assert!(!bm.get(65));
-        bm.clear(64);
-        assert!(!bm.get(64));
-        assert_eq!(bm.weight(), 1);
+        assert_eq!(bm.weight(), 2);
     }
 
     #[test]
@@ -256,6 +263,19 @@ mod tests {
         assert_eq!(bm, back);
     }
 
+    #[test]
+    fn deserialize_rejects_what_from_words_rejects() {
+        let parse = |json: &str| serde_json::from_str::<Bitmap>(json).map_err(|e| e.to_string());
+        let err = parse(r#"{"len":4,"words":[16]}"#).unwrap_err();
+        assert!(err.contains("bits set past logical length"), "{err}");
+        for json in [r#"{"len":65,"words":[1]}"#, r#"{"len":4,"words":[1,0]}"#] {
+            let err = parse(json).unwrap_err();
+            assert!(err.contains("wrong word count"), "{err}");
+        }
+        let ok = parse(r#"{"len":65,"words":[1,1]}"#).unwrap();
+        assert_eq!(ok, Bitmap::from_indices(65, [0, 64]));
+    }
+
     proptest! {
         #[test]
         fn prop_set_then_get(len in 1usize..512, idxs in proptest::collection::vec(0usize..512, 0..32)) {
@@ -286,7 +306,7 @@ mod tests {
         }
 
         #[test]
-        fn prop_or_weight_inclusion_exclusion(
+        fn prop_or_assign_inclusion_exclusion(
             len in 1usize..300,
             a in proptest::collection::vec(0usize..300, 0..64),
             b in proptest::collection::vec(0usize..300, 0..64),

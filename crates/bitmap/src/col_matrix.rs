@@ -9,42 +9,14 @@
 //!
 //! Only the n′ screened columns are ever held this way on the ingest
 //! path ([`ColMatrix::gather_from_rows`]; the other n − n′ are counted
-//! where they lie, see [`ColumnCounts`](crate::ColumnCounts)). The
-//! whole-stack transpose ([`ColMatrix::from_router_bitmaps`]) is the
+//! where they lie, see [`ColumnCounts`](crate::ColumnCounts)). The same
+//! gather over every column ([`ColMatrix::from_router_bitmaps`]) is the
 //! offline constructor of experiments and tests.
 
 use crate::words::{self, words_for, WORD_BITS};
 use crate::{Bitmap, WordSource};
 use serde::{Deserialize, Serialize};
 use std::ops::Range;
-
-/// In-place transpose of a 64×64 bit block.
-///
-/// On entry `a[r]` holds row `r` with column `c` at bit position `c`
-/// (LSB-first, the crate's bit order); on exit `a[c]` holds column `c`
-/// with row `r` at bit position `r`. Classic recursive block-swap
-/// butterfly (Hacker's Delight §7-3, adapted to LSB-first): at block
-/// size `j`, bits of the low rows' high-column halves swap with the
-/// high rows' low-column halves.
-fn transpose64(a: &mut [u64; 64]) {
-    let mut j = 32;
-    // Mask with bit p set iff p & j == 0 (the low-column half of each
-    // 2j-wide block); recomputed as j halves.
-    let mut m: u64 = 0x0000_0000_FFFF_FFFF;
-    while j != 0 {
-        let mut k = 0;
-        while k < 64 {
-            let t = ((a[k] >> j) ^ a[k + j]) & m;
-            a[k] ^= t << j;
-            a[k + j] ^= t;
-            // Skip k values with the j bit set: those are high rows,
-            // already handled as partners.
-            k = (k + j + 1) & !j;
-        }
-        j >>= 1;
-        m ^= m << j;
-    }
-}
 
 /// A column-major bit matrix with `nrows` (routers) and `ncols` (hash
 /// indices) — the aligned-case fused digest.
@@ -69,76 +41,29 @@ impl ColMatrix {
     }
 
     /// Stacks one n-bit digest per router into an m×n column-major
-    /// matrix: row r of the result is router r's bitmap.
-    ///
-    /// The transpose runs on 64-row × 64-column word tiles: gather one
-    /// word from each of 64 rows, `transpose64` the block in registers,
-    /// scatter the 64 resulting column-words.
+    /// matrix: row r of the result is router r's bitmap. This is
+    /// [`ColMatrix::gather_from_rows`] over every column.
     ///
     /// # Panics
     /// Panics if the bitmaps do not all share the same length.
     pub fn from_router_bitmaps(bitmaps: &[Bitmap]) -> Self {
         let ncols = bitmaps.first().map_or(0, Bitmap::len);
-        for bm in bitmaps {
-            assert_eq!(bm.len(), ncols, "router digests must have equal width");
-        }
-        let mut m = ColMatrix::new(bitmaps.len(), ncols);
-        let wpc = m.words_per_col;
-        for (rb, band) in bitmaps.chunks(WORD_BITS).enumerate() {
-            for cw in 0..words_for(ncols) {
-                let mut block = [0u64; WORD_BITS];
-                for (slot, bm) in block.iter_mut().zip(band) {
-                    *slot = bm.words()[cw];
-                }
-                transpose64(&mut block);
-                let columns = m.data[cw * WORD_BITS * wpc..].chunks_exact_mut(wpc);
-                for (col, w) in columns.zip(block) {
-                    col[rb] = w;
-                }
-            }
-        }
+        let mut m = ColMatrix::new(0, 0);
+        m.gather_from_rows(bitmaps, &(0..ncols).collect::<Vec<_>>());
         m
     }
 
     /// The matrix as its rows — one `ncols`-bit bitmap per router, the
-    /// inverse of [`ColMatrix::from_router_bitmaps`] and by the same
-    /// tiles. The refined search reads its input as rows.
+    /// inverse of [`ColMatrix::from_router_bitmaps`]. The refined search
+    /// reads its input as rows.
     pub fn row_bitmaps(&self) -> Vec<Bitmap> {
-        let wpc = self.words_per_col;
-        let mut rows = vec![vec![0u64; words_for(self.ncols)]; self.nrows];
-        for (rb, band) in rows.chunks_mut(WORD_BITS).enumerate() {
-            for cw in 0..words_for(self.ncols) {
-                let mut block = [0u64; WORD_BITS];
-                let columns = self.data[cw * WORD_BITS * wpc..].chunks_exact(wpc);
-                for (slot, col) in block.iter_mut().zip(columns) {
-                    *slot = col[rb];
-                }
-                transpose64(&mut block);
-                for (row, w) in band.iter_mut().zip(block) {
-                    row[cw] = w;
-                }
+        let mut rows = vec![Bitmap::new(self.ncols); self.nrows];
+        for j in 0..self.ncols {
+            for r in words::iter_ones(self.column(j)) {
+                rows[r].set(j);
             }
         }
-        let rows = rows.into_iter();
-        rows.map(|words| Bitmap::from_words(self.ncols, words))
-            .collect()
-    }
-
-    /// Reference implementation of [`ColMatrix::from_router_bitmaps`]:
-    /// the original per-bit `iter_ones`/`set` transpose, kept only as
-    /// the oracle the word-level path is tested against.
-    #[cfg(test)]
-    pub(crate) fn from_router_bitmaps_per_bit(bitmaps: &[Bitmap]) -> Self {
-        let nrows = bitmaps.len();
-        let ncols = bitmaps.first().map_or(0, Bitmap::len);
-        let mut m = ColMatrix::new(nrows, ncols);
-        for (r, bm) in bitmaps.iter().enumerate() {
-            assert_eq!(bm.len(), ncols, "router digests must have equal width");
-            for j in bm.iter_ones() {
-                m.set(r, j);
-            }
-        }
-        m
+        rows
     }
 
     /// Reshapes to an all-zero `nrows × ncols` matrix, reusing the
@@ -190,12 +115,6 @@ impl ColMatrix {
     #[inline]
     pub fn ncols(&self) -> usize {
         self.ncols
-    }
-
-    /// Words per column in the backing store.
-    #[inline]
-    pub fn words_per_col(&self) -> usize {
-        self.words_per_col
     }
 
     /// Sets the bit at (`row`, `col`).
@@ -272,18 +191,6 @@ impl ColMatrix {
         out
     }
 
-    /// Number of rows where columns `i` and `j` are both 1 (weight of the
-    /// 2-product).
-    #[inline]
-    pub fn col_and_weight(&self, i: usize, j: usize) -> u32 {
-        words::and_weight(self.column(i), self.column(j))
-    }
-
-    /// Approximate heap footprint in bytes.
-    pub fn byte_size(&self) -> usize {
-        self.data.len() * 8
-    }
-
     /// Capacity of the backing word store — diagnostic hook for
     /// steady-state reuse tests (a reused matrix must not regrow).
     pub fn word_capacity(&self) -> usize {
@@ -335,19 +242,6 @@ mod tests {
     }
 
     #[test]
-    fn col_and_weight_counts_shared_rows() {
-        let r0 = Bitmap::from_indices(4, [0, 1]);
-        let r1 = Bitmap::from_indices(4, [0, 1]);
-        let r2 = Bitmap::from_indices(4, [1, 2]);
-        let m = ColMatrix::from_router_bitmaps(&[r0, r1, r2]);
-        // column 0: rows {0,1}; column 1: rows {0,1,2}; column 2: rows {2}
-        assert_eq!(m.col_and_weight(0, 1), 2);
-        assert_eq!(m.col_and_weight(0, 2), 0);
-        assert_eq!(m.col_and_weight(1, 2), 1);
-        assert_eq!(m.col_and_weight(0, 3), 0);
-    }
-
-    #[test]
     #[should_panic(expected = "equal width")]
     fn mismatched_digests_panic() {
         let r0 = Bitmap::new(8);
@@ -382,56 +276,15 @@ mod tests {
     }
 
     #[test]
-    fn transpose64_matches_per_bit_definition() {
-        let mut block = [0u64; 64];
-        let mut seed = 42u64;
-        for w in &mut block {
-            seed = seed.wrapping_mul(6364136223846793005).wrapping_add(1);
-            *w = seed;
-        }
-        let original = block;
-        transpose64(&mut block);
-        for (r, &orig_row) in original.iter().enumerate() {
-            for (c, &new_row) in block.iter().enumerate() {
-                assert_eq!(
-                    new_row >> r & 1,
-                    orig_row >> c & 1,
-                    "transpose mismatch at ({r}, {c})"
-                );
-            }
-        }
-        // The transpose is an involution.
-        transpose64(&mut block);
-        assert_eq!(block, original);
-    }
-
-    #[test]
-    fn word_level_fusion_matches_per_bit_oracle() {
-        // Shapes straddling every boundary: row counts around the 64-row
-        // band edge, widths around the 64-column word edge.
-        for &(nrows, bits) in &[
-            (1usize, 1usize),
-            (3, 64),
-            (63, 65),
-            (64, 64),
-            (65, 127),
-            (70, 200),
-            (130, 300),
-        ] {
-            let bitmaps = splitmix_bitmaps(nrows, bits, (nrows * bits) as u64);
-            let fused = ColMatrix::from_router_bitmaps(&bitmaps);
-            let oracle = ColMatrix::from_router_bitmaps_per_bit(&bitmaps);
-            assert_eq!(fused, oracle, "shape {nrows}x{bits}");
-        }
-    }
-
-    #[test]
-    fn row_bitmaps_inverts_the_transpose() {
+    fn row_bitmaps_inverts_from_router_bitmaps() {
+        // Row counts around the 64-row word edge, widths around the
+        // 64-column word edge.
         for &(nrows, bits) in &[
             (0usize, 0usize),
             (1, 1),
             (3, 64),
             (63, 65),
+            (64, 64),
             (65, 127),
             (130, 513),
         ] {

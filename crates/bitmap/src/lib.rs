@@ -13,6 +13,10 @@
 //!   gathers only the n′ heaviest columns into a [`ColMatrix`]; both run
 //!   word-level AND/popcount kernels.
 //!
+//! The popcount kernels ([`words`]) dispatch once per process to one
+//! kernel per platform: AVX2 where the CPU has it, the scalar
+//! `count_ones` loop everywhere else.
+//!
 //! Everything is stored as packed `u64` words. The crate-wide invariant is
 //! that **bits past the logical length are always zero**, so `count_ones`
 //! and the AND/popcount kernels never need trailing masks.

@@ -1,13 +1,12 @@
-//! Property-based tests for the matrix types, wire format, the blocked
+//! Property-based tests for the matrix types, wire format, the AVX2
 //! popcount kernels (which must be bit-identical to their `*_scalar`
-//! references for every slice length — unrolled body, lane remainder,
+//! references for every slice length — vector body, vector remainder,
 //! and masked tails alike) and the bit-sliced column counts (against
-//! the transpose they replace on the ingest path).
+//! the weights of the gathered columns).
 
 use crate::words::{
     and_weight_each_into, and_weight_each_with, and_weight_scalar, and_weight_with,
-    available_kernels, or_weight_scalar, or_weight_with, tail_mask, weight_scalar, weight_with,
-    words_for,
+    available_kernels, tail_mask, weight_scalar, weight_with, words_for,
 };
 use crate::{Bitmap, BitmapView, ColMatrix, ColumnCounts, RowMatrix, WordSource};
 use proptest::prelude::*;
@@ -121,15 +120,14 @@ proptest! {
     }
 
     #[test]
-    fn every_kernel_and_or_match_scalar(
+    fn every_kernel_and_weight_matches_scalar(
         pairs in proptest::collection::vec((any::<u64>(), any::<u64>()), 0..80),
     ) {
-        // Lengths 0..80 cover each kernel's short-slice fallback, the
-        // carry-save body, the lane/vector remainder, and the empty slice.
+        // Lengths 0..80 cover the short-slice fallback, the vector body,
+        // the vector remainder, and the empty slice.
         let (a, b): (Vec<u64>, Vec<u64>) = pairs.into_iter().unzip();
         for &k in available_kernels() {
             prop_assert_eq!(and_weight_with(k, &a, &b), and_weight_scalar(&a, &b), "{:?}", k);
-            prop_assert_eq!(or_weight_with(k, &a, &b), or_weight_scalar(&a, &b), "{:?}", k);
         }
     }
 
@@ -151,15 +149,7 @@ proptest! {
         for &k in available_kernels() {
             prop_assert_eq!(weight_with(k, &a), weight_scalar(&a), "{:?}", k);
             prop_assert_eq!(and_weight_with(k, &a, &b), and_weight_scalar(&a, &b), "{:?}", k);
-            prop_assert_eq!(or_weight_with(k, &a, &b), or_weight_scalar(&a, &b), "{:?}", k);
         }
-    }
-
-    #[test]
-    fn word_level_fusion_matches_per_bit_oracle(bitmaps in arb_bitmaps(130, 300)) {
-        let fused = ColMatrix::from_router_bitmaps(&bitmaps);
-        let oracle = ColMatrix::from_router_bitmaps_per_bit(&bitmaps);
-        prop_assert_eq!(&fused, &oracle);
     }
 
     #[test]
@@ -250,7 +240,7 @@ fn seeded_rows(rng: &mut StdRng, nrows: usize, bits: usize, fill: f64) -> Vec<Bi
 /// band, widths on both sides of every word edge (ragged tails) and one
 /// past a counting block; all rows and random subsets of them.
 #[test]
-fn column_counts_match_the_transpose_they_replace() {
+fn column_counts_match_the_gathered_column_weights() {
     let mut rng = StdRng::seed_from_u64(61);
     let mut counts = ColumnCounts::default();
     for nrows in [0usize, 1, 2, 3, 7, 8, 63, 64, 65, 130] {

@@ -30,17 +30,6 @@ impl RowMatrix {
         }
     }
 
-    /// Creates an empty matrix with capacity reserved for `rows` rows.
-    pub fn with_capacity(ncols: usize, rows: usize) -> Self {
-        let words_per_row = words_for(ncols);
-        RowMatrix {
-            ncols,
-            words_per_row,
-            nrows: 0,
-            data: Vec::with_capacity(rows * words_per_row),
-        }
-    }
-
     /// Builds a matrix by stacking equal-length bitmaps as rows.
     ///
     /// # Panics
@@ -227,11 +216,6 @@ impl RowMatrix {
         &self.data
     }
 
-    /// Approximate heap footprint in bytes (digest-size accounting).
-    pub fn byte_size(&self) -> usize {
-        self.data.len() * 8
-    }
-
     /// Capacity of the backing word store — diagnostic hook for
     /// steady-state reuse tests (a reused matrix must not regrow).
     pub fn word_capacity(&self) -> usize {
@@ -304,12 +288,6 @@ mod tests {
     fn push_words_dirty_tail_panics() {
         let mut m = RowMatrix::new(4);
         m.push_words(&[0b10000]);
-    }
-
-    #[test]
-    fn byte_size_tracks_rows() {
-        let m = sample();
-        assert_eq!(m.byte_size(), 3 * 2 * 8);
     }
 
     #[test]

@@ -55,7 +55,7 @@ pub(crate) fn and_weight(a: &[u64], b: &[u64]) -> u32 {
     debug_assert_eq!(a.len(), b.len(), "and_weight: length mismatch");
     assert_avx2!();
     // SAFETY: AVX2 availability verified above.
-    unsafe { binary_weight_impl::<OP_AND>(a, b) }
+    unsafe { and_weight_impl(a, b) }
 }
 
 /// `out[k]` = population count of `base &` column `k`, the columns lying
@@ -70,17 +70,6 @@ pub(crate) fn and_weight_each_into(base: &[u64], words: &[u64], out: &mut [u32])
     // SAFETY: AVX2 and POPCNT availability verified above.
     unsafe { and_weight_each_impl(base, words, out) }
 }
-
-/// Population count of `a | b` (equal-length slices).
-pub(crate) fn or_weight(a: &[u64], b: &[u64]) -> u32 {
-    debug_assert_eq!(a.len(), b.len(), "or_weight: length mismatch");
-    assert_avx2!();
-    // SAFETY: AVX2 availability verified above.
-    unsafe { binary_weight_impl::<OP_OR>(a, b) }
-}
-
-const OP_AND: u8 = 0;
-const OP_OR: u8 = 1;
 
 /// Per-byte popcount of a 256-bit vector: nibble-split + table shuffle.
 #[inline]
@@ -134,7 +123,7 @@ unsafe fn weight_impl(words: &[u64]) -> u32 {
 
 #[inline]
 #[target_feature(enable = "avx2")]
-unsafe fn binary_weight_impl<const OP: u8>(a: &[u64], b: &[u64]) -> u32 {
+unsafe fn and_weight_impl(a: &[u64], b: &[u64]) -> u32 {
     let pa = a.as_ptr().cast::<__m256i>();
     let pb = b.as_ptr().cast::<__m256i>();
     let nvec = a.len() / 4;
@@ -147,20 +136,14 @@ unsafe fn binary_weight_impl<const OP: u8>(a: &[u64], b: &[u64]) -> u32 {
         for k in 0..run {
             let x = _mm256_loadu_si256(pa.add(i + k));
             let y = _mm256_loadu_si256(pb.add(i + k));
-            let v = if OP == OP_AND {
-                _mm256_and_si256(x, y)
-            } else {
-                _mm256_or_si256(x, y)
-            };
-            bytes = _mm256_add_epi8(bytes, popcount_epi8(v));
+            bytes = _mm256_add_epi8(bytes, popcount_epi8(_mm256_and_si256(x, y)));
         }
         acc = _mm256_add_epi64(acc, _mm256_sad_epu8(bytes, zero));
         i += run;
     }
     let mut total = hsum_epi64(acc) as u32;
     for (&x, &y) in a[4 * nvec..].iter().zip(&b[4 * nvec..]) {
-        let v = if OP == OP_AND { x & y } else { x | y };
-        total += v.count_ones();
+        total += (x & y).count_ones();
     }
     total
 }
@@ -185,7 +168,7 @@ unsafe fn and_weight_each_impl(base: &[u64], words: &[u64], out: &mut [u32]) {
         7 => each_short::<7>(base, words, out),
         _ => {
             for (o, col) in out.iter_mut().zip(words.chunks_exact(base.len())) {
-                *o = binary_weight_impl::<OP_AND>(base, col);
+                *o = and_weight_impl(base, col);
             }
         }
     }

@@ -4,22 +4,17 @@
 //! aligned-case product iterations and the unaligned-case pairwise row
 //! correlation both reduce to "AND two word slices and count the ones".
 //!
-//! The popcount reductions ([`weight`], [`and_weight`], [`or_weight`])
-//! dispatch at runtime to the best kernel the host supports (see
-//! [`Kernel`]): an AVX2 nibble-lookup vector popcount on x86-64 CPUs
-//! that have it, otherwise the portable *blocked* kernels
-//! ([`weight_blocked`] and friends), which walk the slices in
-//! [`LANES`]-word chunks and merge each chunk through a Harley–Seal
-//! carry-save adder tree, so eight words cost two `count_ones` calls
-//! (plus cheap bitwise ops) instead of eight. The carry registers
-//! (`ones`, `twos`) are independent accumulators carried across chunks
-//! and flushed once at the end. Slices shorter than [`CSA_MIN_WORDS`]
-//! (blocked) or `AVX2_MIN_WORDS` (vector) take the straight-line path,
-//! which the optimiser auto-vectorises well and which wins below each
-//! kernel's fixed overhead. The straight-line reference versions are
-//! kept as [`weight_scalar`] / [`and_weight_scalar`] /
-//! [`or_weight_scalar`]; the property tests assert every dispatch
-//! target is bit-identical to them.
+//! The popcount reductions ([`weight`], [`and_weight`]) dispatch at
+//! runtime to one kernel per platform (see [`Kernel`]): an AVX2
+//! nibble-lookup vector popcount on x86-64 CPUs with AVX2 and POPCNT,
+//! otherwise the straight-line `count_ones` loops [`weight_scalar`] /
+//! [`and_weight_scalar`], which the optimiser auto-vectorises. The
+//! vector kernel, too, hands slices shorter than `AVX2_MIN_WORDS` to the
+//! scalar loop. Every AND-popcount of the pipeline is 16 words or
+//! shorter — a 1,024-bit unaligned array, an aligned column of m ≤ 1,000
+//! routers — so the shapes that matter are short ones. The scalar loops
+//! are the reference: the property tests assert the vector kernel is
+//! bit-identical to them.
 //!
 //! [`and_weight_each_into`] is the batched form — one base slice against
 //! a run of equal-length columns stored back to back, as a
@@ -31,9 +26,9 @@
 //!
 //! The dispatch decision is made once and cached in an atomic
 //! ([`active_kernel`]). `DCS_FORCE_SCALAR=1` in the environment pins the
-//! scalar reference path (CI uses this to keep the portable fallback
-//! green on AVX2 hosts); [`force_kernel`] overrides the cache from
-//! tests and benches.
+//! scalar kernel, the one a host without AVX2 runs (CI uses this to run
+//! that fallback on AVX2 hosts); [`force_kernel`] overrides the cache
+//! from tests and benches.
 //!
 //! # Length invariant
 //!
@@ -54,17 +49,16 @@ pub const WORD_BITS: usize = 64;
 
 /// A popcount kernel implementation the runtime dispatcher can select.
 ///
-/// All three produce bit-identical results (asserted by the property
-/// tests); they differ only in speed and portability.
+/// Both produce bit-identical results (asserted by the property tests);
+/// they differ only in speed and portability.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 #[repr(u8)]
 pub enum Kernel {
-    /// Straight-line portable loop (`*_scalar`): the reference semantics.
+    /// Straight-line portable loop (`*_scalar`): the reference semantics
+    /// and the kernel of every host without AVX2.
     Scalar = 1,
-    /// Harley–Seal carry-save blocked kernels: the portable default.
-    Blocked = 2,
     /// AVX2 nibble-lookup vector popcount (x86-64 with AVX2 only).
-    Avx2 = 3,
+    Avx2 = 2,
 }
 
 impl Kernel {
@@ -72,7 +66,6 @@ impl Kernel {
     pub fn name(self) -> &'static str {
         match self {
             Kernel::Scalar => "scalar",
-            Kernel::Blocked => "blocked",
             Kernel::Avx2 => "avx2",
         }
     }
@@ -82,14 +75,13 @@ impl Kernel {
 static ACTIVE: AtomicU8 = AtomicU8::new(0);
 
 /// The kernel the dispatcher currently routes [`weight`] /
-/// [`and_weight`] / [`or_weight`] / [`and_weight_each_into`] to. Resolved
-/// once via feature detection on first use, then served from an atomic.
+/// [`and_weight`] / [`and_weight_each_into`] to. Resolved once via
+/// feature detection on first use, then served from an atomic.
 #[inline]
 pub fn active_kernel() -> Kernel {
     match ACTIVE.load(Ordering::Relaxed) {
         1 => Kernel::Scalar,
-        2 => Kernel::Blocked,
-        3 => Kernel::Avx2,
+        2 => Kernel::Avx2,
         _ => resolve_and_cache(),
     }
 }
@@ -105,13 +97,12 @@ fn resolve_and_cache() -> Kernel {
 /// `DCS_FORCE_SCALAR` environment override (any value other than `0`
 /// pins [`Kernel::Scalar`]).
 pub fn detect_kernel() -> Kernel {
-    if std::env::var_os("DCS_FORCE_SCALAR").is_some_and(|v| v != "0") {
-        return Kernel::Scalar;
+    let forced = std::env::var_os("DCS_FORCE_SCALAR").is_some_and(|v| v != "0");
+    if has_avx2() && !forced {
+        Kernel::Avx2
+    } else {
+        Kernel::Scalar
     }
-    if has_avx2() {
-        return Kernel::Avx2;
-    }
-    Kernel::Blocked
 }
 
 /// Whether [`Kernel::Avx2`] may run here: AVX2 for the vector bodies and
@@ -124,14 +115,15 @@ fn has_avx2() -> bool {
     false
 }
 
-/// Kernels usable on this host: always [`Kernel::Scalar`] and
-/// [`Kernel::Blocked`]; [`Kernel::Avx2`] when the CPU has it. Tests
-/// iterate this list to assert bit-identity across dispatch targets.
+/// Kernels usable on this host: always [`Kernel::Scalar`];
+/// [`Kernel::Avx2`] too when the CPU has it. Tests iterate this list to
+/// assert bit-identity across dispatch targets.
 pub fn available_kernels() -> &'static [Kernel] {
     if has_avx2() {
-        return &[Kernel::Scalar, Kernel::Blocked, Kernel::Avx2];
+        &[Kernel::Scalar, Kernel::Avx2]
+    } else {
+        &[Kernel::Scalar]
     }
-    &[Kernel::Scalar, Kernel::Blocked]
 }
 
 /// Overrides the dispatch cache (tests and benches); `None` clears the
@@ -142,10 +134,7 @@ pub fn available_kernels() -> &'static [Kernel] {
 /// vector kernels would be unsound to execute there.
 pub fn force_kernel(kernel: Option<Kernel>) {
     if kernel == Some(Kernel::Avx2) {
-        assert!(
-            available_kernels().contains(&Kernel::Avx2),
-            "cannot force the AVX2 kernel: host lacks AVX2"
-        );
+        assert!(has_avx2(), "cannot force the AVX2 kernel: host lacks AVX2");
     }
     ACTIVE.store(kernel.map_or(0, |k| k as u8), Ordering::Relaxed);
 }
@@ -170,49 +159,6 @@ pub const fn tail_mask(bits: usize) -> u64 {
     }
 }
 
-/// Words per unrolled chunk of the blocked popcount kernels; one chunk is
-/// merged through the carry-save tree in a single loop iteration.
-pub const LANES: usize = 8;
-
-/// Minimum slice length (in words) for the carry-save path; shorter
-/// slices use the straight-line kernels, which win below the tree's
-/// fixed setup/flush overhead (measured crossover ≈ 3 chunks).
-pub const CSA_MIN_WORDS: usize = 4 * LANES;
-
-/// Carry-save adder: adds three bit-columns, returning (sum, carry).
-#[inline(always)]
-fn csa(x: u64, y: u64, z: u64) -> (u64, u64) {
-    let u = x ^ y;
-    (u ^ z, (x & y) | (u & z))
-}
-
-/// Harley–Seal reduction: total population count of all words produced by
-/// `chunks`, using two `count_ones` per [`LANES`]-word chunk.
-///
-/// Each chunk's eight words are compressed through a CSA tree: four CSAs
-/// at the ones level, two at the twos level; the resulting "fours" carries
-/// are popcounted immediately (weight 4) while `ones`/`twos` ride across
-/// chunks and are flushed once at the end.
-#[inline(always)]
-fn csa_reduce(chunks: impl Iterator<Item = [u64; LANES]>) -> u64 {
-    let mut total = 0u64;
-    let mut ones = 0u64;
-    let mut twos = 0u64;
-    for w in chunks {
-        let (o1, t1) = csa(ones, w[0], w[1]);
-        let (o2, t2) = csa(o1, w[2], w[3]);
-        let (o3, t3) = csa(o2, w[4], w[5]);
-        let (o4, t4) = csa(o3, w[6], w[7]);
-        ones = o4;
-        let (tw1, f1) = csa(twos, t1, t2);
-        let (tw2, f2) = csa(tw1, t3, t4);
-        twos = tw2;
-        // popcount(f1) + popcount(f2) via two disjoint popcounts.
-        total += 4 * u64::from((f1 | f2).count_ones()) + 4 * u64::from((f1 & f2).count_ones());
-    }
-    total + 2 * u64::from(twos.count_ones()) + u64::from(ones.count_ones())
-}
-
 /// Population count of a word slice (runtime-dispatched kernel).
 #[inline]
 pub fn weight(words: &[u64]) -> u32 {
@@ -223,38 +169,10 @@ pub fn weight(words: &[u64]) -> u32 {
 #[inline]
 pub fn weight_with(kernel: Kernel, words: &[u64]) -> u32 {
     match kernel {
-        Kernel::Scalar => weight_scalar(words),
-        Kernel::Blocked => weight_blocked(words),
-        Kernel::Avx2 => weight_avx2(words),
+        #[cfg(target_arch = "x86_64")]
+        Kernel::Avx2 if words.len() >= crate::simd::AVX2_MIN_WORDS => crate::simd::weight(words),
+        _ => weight_scalar(words),
     }
-}
-
-#[cfg(target_arch = "x86_64")]
-#[inline]
-fn weight_avx2(words: &[u64]) -> u32 {
-    if words.len() < crate::simd::AVX2_MIN_WORDS {
-        weight_scalar(words)
-    } else {
-        crate::simd::weight(words)
-    }
-}
-
-#[cfg(not(target_arch = "x86_64"))]
-#[inline]
-fn weight_avx2(words: &[u64]) -> u32 {
-    weight_blocked(words)
-}
-
-/// Population count of a word slice (portable blocked kernel).
-#[inline]
-pub fn weight_blocked(words: &[u64]) -> u32 {
-    if words.len() < CSA_MIN_WORDS {
-        return weight_scalar(words);
-    }
-    let chunks = words.chunks_exact(LANES);
-    let tail = chunks.remainder();
-    let main = csa_reduce(chunks.map(|c| core::array::from_fn(|l| c[l])));
-    main as u32 + weight_scalar(tail)
 }
 
 /// Straight-line reference implementation of [`weight`].
@@ -275,44 +193,10 @@ pub fn and_weight(a: &[u64], b: &[u64]) -> u32 {
 #[inline]
 pub fn and_weight_with(kernel: Kernel, a: &[u64], b: &[u64]) -> u32 {
     match kernel {
-        Kernel::Scalar => and_weight_scalar(a, b),
-        Kernel::Blocked => and_weight_blocked(a, b),
-        Kernel::Avx2 => and_weight_avx2(a, b),
+        #[cfg(target_arch = "x86_64")]
+        Kernel::Avx2 if a.len() >= crate::simd::AVX2_MIN_WORDS => crate::simd::and_weight(a, b),
+        _ => and_weight_scalar(a, b),
     }
-}
-
-#[cfg(target_arch = "x86_64")]
-#[inline]
-fn and_weight_avx2(a: &[u64], b: &[u64]) -> u32 {
-    debug_assert_eq!(a.len(), b.len(), "and_weight: length mismatch");
-    if a.len() < crate::simd::AVX2_MIN_WORDS {
-        and_weight_scalar(a, b)
-    } else {
-        crate::simd::and_weight(a, b)
-    }
-}
-
-#[cfg(not(target_arch = "x86_64"))]
-#[inline]
-fn and_weight_avx2(a: &[u64], b: &[u64]) -> u32 {
-    and_weight_blocked(a, b)
-}
-
-/// Portable blocked implementation of [`and_weight`].
-#[inline]
-pub fn and_weight_blocked(a: &[u64], b: &[u64]) -> u32 {
-    debug_assert_eq!(a.len(), b.len(), "and_weight: length mismatch");
-    if a.len() < CSA_MIN_WORDS {
-        return and_weight_scalar(a, b);
-    }
-    let ca = a.chunks_exact(LANES);
-    let cb = b.chunks_exact(LANES);
-    let (ta, tb) = (ca.remainder(), cb.remainder());
-    let main = csa_reduce(
-        ca.zip(cb)
-            .map(|(x, y)| core::array::from_fn(|l| x[l] & y[l])),
-    );
-    main as u32 + and_weight_scalar(ta, tb)
 }
 
 /// Straight-line reference implementation of [`and_weight`].
@@ -323,64 +207,6 @@ pub fn and_weight_blocked(a: &[u64], b: &[u64]) -> u32 {
 pub fn and_weight_scalar(a: &[u64], b: &[u64]) -> u32 {
     debug_assert_eq!(a.len(), b.len(), "and_weight_scalar: length mismatch");
     a.iter().zip(b).map(|(x, y)| (x & y).count_ones()).sum()
-}
-
-/// Population count of the bitwise OR of two equal-length slices.
-/// Runtime-dispatched kernel; see the module docs for the length invariant.
-#[inline]
-pub fn or_weight(a: &[u64], b: &[u64]) -> u32 {
-    or_weight_with(active_kernel(), a, b)
-}
-
-/// [`or_weight`] through an explicitly chosen kernel (tests and benches).
-#[inline]
-pub fn or_weight_with(kernel: Kernel, a: &[u64], b: &[u64]) -> u32 {
-    match kernel {
-        Kernel::Scalar => or_weight_scalar(a, b),
-        Kernel::Blocked => or_weight_blocked(a, b),
-        Kernel::Avx2 => or_weight_avx2(a, b),
-    }
-}
-
-#[cfg(target_arch = "x86_64")]
-#[inline]
-fn or_weight_avx2(a: &[u64], b: &[u64]) -> u32 {
-    debug_assert_eq!(a.len(), b.len(), "or_weight: length mismatch");
-    if a.len() < crate::simd::AVX2_MIN_WORDS {
-        or_weight_scalar(a, b)
-    } else {
-        crate::simd::or_weight(a, b)
-    }
-}
-
-#[cfg(not(target_arch = "x86_64"))]
-#[inline]
-fn or_weight_avx2(a: &[u64], b: &[u64]) -> u32 {
-    or_weight_blocked(a, b)
-}
-
-/// Portable blocked implementation of [`or_weight`].
-#[inline]
-pub fn or_weight_blocked(a: &[u64], b: &[u64]) -> u32 {
-    debug_assert_eq!(a.len(), b.len(), "or_weight: length mismatch");
-    if a.len() < CSA_MIN_WORDS {
-        return or_weight_scalar(a, b);
-    }
-    let ca = a.chunks_exact(LANES);
-    let cb = b.chunks_exact(LANES);
-    let (ta, tb) = (ca.remainder(), cb.remainder());
-    let main = csa_reduce(
-        ca.zip(cb)
-            .map(|(x, y)| core::array::from_fn(|l| x[l] | y[l])),
-    );
-    main as u32 + or_weight_scalar(ta, tb)
-}
-
-/// Straight-line reference implementation of [`or_weight`].
-#[inline]
-pub fn or_weight_scalar(a: &[u64], b: &[u64]) -> u32 {
-    debug_assert_eq!(a.len(), b.len(), "or_weight_scalar: length mismatch");
-    a.iter().zip(b).map(|(x, y)| (x | y).count_ones()).sum()
 }
 
 /// AND-weight of one base slice against a run of contiguous columns:
@@ -446,23 +272,6 @@ pub fn or_assign(dst: &mut [u64], src: &[u64]) {
     }
 }
 
-/// Write `a & b` into `dst` and return the weight of the result in one pass.
-///
-/// # Panics
-/// Panics if the slices have different lengths.
-#[inline]
-pub fn and_into(dst: &mut [u64], a: &[u64], b: &[u64]) -> u32 {
-    assert_eq!(a.len(), b.len(), "and_into: length mismatch");
-    assert_eq!(dst.len(), a.len(), "and_into: dst length mismatch");
-    let mut weight = 0;
-    for ((d, x), y) in dst.iter_mut().zip(a).zip(b) {
-        let v = x & y;
-        weight += v.count_ones();
-        *d = v;
-    }
-    weight
-}
-
 /// Iterator over the indices of set bits in a word slice.
 pub fn iter_ones(words: &[u64]) -> impl Iterator<Item = usize> + '_ {
     words.iter().enumerate().flat_map(|(wi, &w)| {
@@ -517,25 +326,6 @@ mod tests {
     }
 
     #[test]
-    fn or_weight_counts_union() {
-        let a = [0b1010u64];
-        let b = [0b0110u64];
-        assert_eq!(or_weight(&a, &b), 3);
-    }
-
-    #[test]
-    fn and_into_matches_and_assign() {
-        let a = [0xDEAD_BEEF_u64, 0x1234];
-        let b = [0xF0F0_F0F0_u64, 0xFFFF];
-        let mut dst = [0u64; 2];
-        let w = and_into(&mut dst, &a, &b);
-        let mut manual = a;
-        and_assign(&mut manual, &b);
-        assert_eq!(dst, manual);
-        assert_eq!(w, weight(&manual));
-    }
-
-    #[test]
     fn iter_ones_positions() {
         let words = [1u64 << 3 | 1 << 63, 1u64];
         let ones: Vec<usize> = iter_ones(&words).collect();
@@ -563,11 +353,11 @@ mod tests {
 
     #[test]
     fn every_kernel_matches_scalar_across_lane_remainders() {
-        // Lengths from 0 to well past CSA_MIN_WORDS exercise each
-        // kernel's short-slice fallback, its dispatch threshold, its
-        // main body, and all possible remainder sizes.
+        // Lengths from 0 to five times the vector threshold exercise the
+        // short-slice fallback, the dispatch threshold, the vector body
+        // and every remainder past a whole 4-word vector.
         for &k in available_kernels() {
-            for len in 0..=CSA_MIN_WORDS + 3 * LANES {
+            for len in 0..=40 {
                 let a = splitmix_fill(len, 1);
                 let b = splitmix_fill(len, 2);
                 assert_eq!(
@@ -579,11 +369,6 @@ mod tests {
                     and_weight_with(k, &a, &b),
                     and_weight_scalar(&a, &b),
                     "{k:?} and_weight len={len}"
-                );
-                assert_eq!(
-                    or_weight_with(k, &a, &b),
-                    or_weight_scalar(&a, &b),
-                    "{k:?} or_weight len={len}"
                 );
             }
         }

@@ -200,7 +200,12 @@ fn analyze(args: &[String]) -> CliResult {
     let mut digests: Vec<RouterDigest> = Vec::new();
     for path in &args {
         let data = std::fs::read_to_string(path)?;
-        digests.push(serde_json::from_str(&data)?);
+        let digest: RouterDigest = serde_json::from_str(&data)?;
+        // `groups()` below divides by it before the centre validates.
+        if digest.unaligned.arrays_per_group == 0 {
+            return Err(format!("{path}: unaligned.arrays_per_group is 0").into());
+        }
+        digests.push(digest);
     }
     let total_groups: usize = digests.iter().map(|d| d.unaligned.groups()).sum();
     let mut cfg = AnalysisConfig::for_groups(total_groups.max(2));

@@ -2,7 +2,8 @@
 //! centre's wire ingest path, proving graceful degradation — the epoch
 //! still analyses on the surviving quorum, the planted content is still
 //! detected with ≤ 25% of routers faulted, and every exclusion is
-//! accounted for. No fault may panic the centre.
+//! accounted for. No fault may panic the centre, and no hostile digest
+//! file may panic `dcs-cli analyze`.
 
 use dcs::prelude::*;
 use dcs::sim::faults::{ship_with_faults, FaultKind, FaultPlan, ALL_FAULTS};
@@ -346,6 +347,27 @@ fn all_aggregators_faulted_is_quorum_too_small_never_panic() {
         }
         Ok(_) => panic!("empty bundle set must not analyse"),
     }
+}
+
+/// A digest file with zero arrays per group is a typed `dcs-cli analyze`
+/// error, not a panic: the CLI sizes the centre from the group count,
+/// which divides by that field, before the centre validates anything.
+#[test]
+fn cli_analyze_rejects_zero_arrays_per_group() {
+    let mut point = MonitoringPoint::new(0, &MonitorConfig::small(1, 1 << 12, 4));
+    let mut digest = point.finish_epoch();
+    digest.unaligned.arrays_per_group = 0;
+    let path = std::env::temp_dir().join(format!("dcs-apg0-{}.json", std::process::id()));
+    std::fs::write(&path, serde_json::to_string(&digest).unwrap()).unwrap();
+    let out = std::process::Command::new(env!("CARGO_BIN_EXE_dcs-cli"))
+        .arg("analyze")
+        .arg(&path)
+        .output()
+        .expect("run dcs-cli analyze");
+    std::fs::remove_file(&path).unwrap();
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(1), "{stderr}");
+    assert!(stderr.contains("arrays_per_group is 0"), "{stderr}");
 }
 
 #[test]

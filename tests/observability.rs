@@ -3,6 +3,7 @@
 //! timer sums stay within the epoch total, and the deterministic
 //! parts of a snapshot are identical across thread counts.
 
+use dcs::bitmap::{active_kernel, Kernel};
 use dcs::core::stages::Stage;
 use dcs::prelude::*;
 use dcs_parallel::ComputeBudget;
@@ -136,12 +137,30 @@ fn deterministic_metrics_are_identical_across_thread_counts() {
     let (seq_report, seq_snap) = run(1);
     let seq_view = deterministic_view(&seq_snap);
     // A popcount keeps no call tally: the only kernel metric is which
-    // one is live.
-    let kernel_keys: Vec<&String> = (seq_view.1.iter())
+    // one is live, one `kernel_active` gauge per `Kernel` variant.
+    let variants = [Kernel::Scalar, Kernel::Avx2];
+    let key = |k: Kernel| {
+        // Irrefutable only while it names every variant: a new one stops
+        // this compiling until it joins `variants`.
+        let (Kernel::Scalar | Kernel::Avx2) = k;
+        dcs::obs::metric_key("kernel_active", &[("kernel", k.name())])
+    };
+    let mut kernel_keys: Vec<String> = (seq_view.1.iter())
         .filter(|k| k.starts_with("kernel_"))
+        .cloned()
         .collect();
-    assert_eq!(kernel_keys.len(), 3, "{kernel_keys:?}");
-    assert!(kernel_keys.iter().all(|k| k.starts_with("kernel_active{")));
+    kernel_keys.sort();
+    let mut want = variants.map(key).to_vec();
+    want.sort();
+    assert_eq!(kernel_keys, want);
+    let live: Vec<Kernel> = (variants.into_iter())
+        .filter(|&k| seq_snap.gauge(&key(k)) == Some(1))
+        .collect();
+    assert_eq!(
+        live,
+        [active_kernel()],
+        "exactly the dispatched kernel reads 1"
+    );
     for threads in [2, 8] {
         let (report, snap) = run(threads);
         // Detection results are thread-count-invariant…

@@ -32,21 +32,19 @@
 //!   after it (iteration 1 fans out the single columns, i.e. all
 //!   2-products) goes through one batched AND-popcount kernel over the
 //!   working matrix's contiguous column store ([`and_weight_each_into`]);
-//! * the count passes are cut into independent column blocks and the
-//!   fan-outs into one piece per worker
-//!   ([`ComputeBudget::workers_for`]), executed by scoped threads per
-//!   [`SearchConfig::compute`]. The counts are the same integers for any
-//!   partition, and candidates are ranked by the *full*
-//!   `(weight, parent, column)` tuple — a total order — so the workers'
-//!   queues, merged weight class by weight class from the top, yield
-//!   exactly the canonical top-H list. The search result is therefore
-//!   bit-identical for every thread count (see the determinism test).
+//! * the whole search runs on the caller's thread. One candidate queue
+//!   sees every offer in ascending `(parent, column)` order, so each
+//!   weight class already holds its candidates sorted, and the top-H
+//!   list is read off the classes from the heaviest down: the canonical
+//!   order of the full `(weight, parent, column)` tuple. The queue's bar
+//!   rises with every offer it keeps, so the weight-bound break prunes
+//!   against one bar and the scanned/pruned split is a function of the
+//!   input.
 
 use crate::termination::{stop_point, TerminationConfig};
 use crate::thresholds::ln_natural_occurrence;
 use dcs_bitmap::words::{and_assign, and_weight_each_into, iter_ones, WORD_BITS};
 use dcs_bitmap::{ColMatrix, ColumnCounts, WordSource};
-use dcs_parallel::{run_jobs, ComputeBudget};
 use std::cmp::Reverse;
 use std::collections::VecDeque;
 use std::time::Instant;
@@ -55,8 +53,8 @@ use std::time::Instant;
 ///
 /// Holds everything [`refined_detect_cached`] needs between the row
 /// stack and the detection report: the column-count planes, the screened
-/// column order, the screened working matrix, and the per-worker
-/// popcount buffers of the product search. All of it is allocated on the
+/// column order, the screened working matrix, and the popcount buffer
+/// of the product search's fan-outs. All of it is allocated on the
 /// first epoch and reused — steady-state detection performs no per-epoch
 /// counting or screening allocations beyond what the candidate products
 /// themselves need.
@@ -69,8 +67,8 @@ pub struct SearchScratch {
     order: Vec<usize>,
     /// The screened working matrix (the n′ heaviest columns).
     work: ColMatrix,
-    /// Per-worker popcount buffers of the product search's fan-outs.
-    fanouts: Vec<Vec<u32>>,
+    /// Popcount buffer of the product search's fan-outs.
+    fanout: Vec<u32>,
 }
 
 impl Default for SearchScratch {
@@ -79,7 +77,7 @@ impl Default for SearchScratch {
             counts: ColumnCounts::default(),
             order: Vec::new(),
             work: ColMatrix::new(0, 0),
-            fanouts: Vec::new(),
+            fanout: Vec::new(),
         }
     }
 }
@@ -91,7 +89,7 @@ impl SearchScratch {
     }
 
     /// Capacities of the internal buffers (count-plane words, column
-    /// order, screened matrix words, summed fan-out slots) — diagnostic
+    /// order, screened matrix words, fan-out slots) — diagnostic
     /// hook for steady-state reuse tests: across epochs of equal shape
     /// these must not grow.
     pub fn capacities(&self) -> [usize; 4] {
@@ -99,7 +97,7 @@ impl SearchScratch {
             self.counts.word_capacity(),
             self.order.capacity(),
             self.work.word_capacity(),
-            self.fanouts.iter().map(Vec::capacity).sum(),
+            self.fanout.capacity(),
         ]
     }
 }
@@ -131,8 +129,6 @@ pub struct SearchTimings {
 /// candidates are exactly those that provably cannot enter the hopefuls
 /// list (their weight upper bound sits strictly below the lightest
 /// candidate a full list holds), so the detection set never depends on them.
-/// The counters do depend on the worker partitioning, so they are
-/// excluded from cross-thread metric determinism checks.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct SearchWork {
     /// Candidate products AND-popcounted.
@@ -142,14 +138,7 @@ pub struct SearchWork {
 }
 
 impl SearchWork {
-    /// Accumulates another worker's counters.
-    pub fn absorb(&mut self, other: SearchWork) {
-        self.pairs_scanned += other.pairs_scanned;
-        self.pairs_pruned += other.pairs_pruned;
-    }
-
-    /// Total candidates considered (scanned + pruned) — invariant
-    /// across worker partitions of an identical search.
+    /// Total candidates considered (scanned + pruned).
     pub fn candidates(&self) -> u64 {
         self.pairs_scanned + self.pairs_pruned
     }
@@ -172,8 +161,6 @@ pub struct SearchConfig {
     pub epsilon: f64,
     /// Weight-curve reader configuration.
     pub termination: TerminationConfig,
-    /// Threads for the parallel sections.
-    pub compute: ComputeBudget,
 }
 
 impl Default for SearchConfig {
@@ -185,7 +172,6 @@ impl Default for SearchConfig {
             gamma: 2,
             epsilon: 1e-3,
             termination: TerminationConfig::default(),
-            compute: ComputeBudget::default(),
         }
     }
 }
@@ -238,11 +224,11 @@ type Candidate = (u32, u32, u32);
 /// product weight takes one of `nrows + 1` values, so candidates are
 /// grouped by weight — one FIFO each — instead of compared.
 ///
-/// Within one queue offers must arrive in ascending `(parent, column)`
-/// order (every fan-out worker walks its parents, and each parent's
-/// columns, upwards). The front of the lightest non-empty FIFO is then
-/// the least candidate held, and evicting it costs no comparison however
-/// many candidates tie at the bar.
+/// Offers must arrive in ascending `(parent, column)` order (the fan-out
+/// walks its parents, and each parent's columns, upwards). Every FIFO
+/// is then sorted, the front of the lightest non-empty one is the least
+/// candidate held, and evicting it costs no comparison however many
+/// candidates tie at the bar.
 struct CandidateQueue {
     cap: usize,
     len: usize,
@@ -296,38 +282,23 @@ impl CandidateQueue {
             self.floor += 1;
         }
     }
-}
 
-/// The `cap` greatest candidates held by `queues`, greatest first. Whole
-/// weight classes are taken from the top and each is sorted on its own,
-/// so the result is a function of the candidates alone — not of how the
-/// fan-out dealt them to workers.
-fn ranked(queues: &[CandidateQueue], cap: usize) -> Vec<Candidate> {
-    let mut out = Vec::new();
-    let mut class: Vec<(u32, u32)> = Vec::new();
-    let nclasses = queues.first().map_or(0, |q| q.classes.len());
-    for w in (0..nclasses).rev() {
-        class.clear();
-        for q in queues {
-            class.extend(&q.classes[w]);
-        }
-        class.sort_unstable();
-        let greatest = class.iter().rev().take(cap - out.len());
-        out.extend(greatest.map(|&(p, c)| (w as u32, p, c)));
-        if out.len() == cap {
-            break;
-        }
+    /// The candidates held, greatest first: the weight classes from the
+    /// heaviest down, each already in `(parent, column)` order.
+    fn ranked(&self) -> Vec<Candidate> {
+        let classes = self.classes.iter().enumerate().rev();
+        classes
+            .flat_map(|(w, class)| class.iter().rev().map(move |&(p, c)| (w as u32, p, c)))
+            .collect()
     }
-    out
 }
 
 /// One iteration of the product search: every parent is ANDed with every
 /// column after its largest member, and the `cfg.hopefuls` heaviest
 /// `(weight, parent index, column)` come back ranked.
 ///
-/// Workers stride the parents and each keeps a private [`CandidateQueue`];
-/// a queue retains its top-H for any offer order, so the conservative
-/// weight-bound break is lossless: a candidate whose
+/// The [`CandidateQueue`] retains its top-H for any offer order, so the
+/// conservative weight-bound break is lossless: a candidate whose
 /// `min(parent weight, max w_remaining)` upper bound sits strictly below
 /// a full queue's bar can never enter and is skipped unscanned.
 /// `work_stats` accumulates the scanned/pruned candidate counts.
@@ -336,57 +307,41 @@ fn fan_out(
     cfg: &SearchConfig,
     suffix_max: &[u32],
     parents: &[Product],
-    fanouts: &mut Vec<Vec<u32>>,
+    fanout: &mut Vec<u32>,
     work_stats: &mut SearchWork,
 ) -> Vec<Candidate> {
     let n = work.ncols();
-    let workers = cfg.compute.workers_for(parents.len());
-    fanouts.resize_with(workers.max(fanouts.len()), Vec::new);
-    let mut queues: Vec<CandidateQueue> = (0..workers)
-        .map(|_| CandidateQueue::new(work.nrows(), cfg.hopefuls))
-        .collect();
-    let mut worker_stats = vec![SearchWork::default(); workers];
-    let jobs: Vec<_> = queues
-        .iter_mut()
-        .enumerate()
-        .zip(worker_stats.iter_mut())
-        .zip(fanouts.iter_mut())
-        .collect();
-    run_jobs(jobs, workers, |(((s, queue), stats), fanout)| {
-        for (pi, p) in parents.iter().enumerate().skip(s).step_by(workers) {
-            let start = p.members.last().map_or(0, |&j| j as usize + 1);
-            if start >= n {
-                continue;
-            }
-            let bar = queue.bar();
-            if p.weight < bar {
-                stats.pairs_pruned += (n - start) as u64;
-                continue;
-            }
-            let end = start + suffix_max[start..].partition_point(|&sm| sm >= bar);
-            stats.pairs_pruned += (n - end) as u64;
-            fanout.resize(fanout.len().max(end - start), 0);
-            let weights = &mut fanout[..end - start];
-            and_weight_each_into(&p.words, work.column_range(start..end), weights);
-            for (j, &w) in (start..end).zip(weights.iter()) {
-                queue.offer(w, pi as u32, j as u32);
-            }
-            stats.pairs_scanned += (end - start) as u64;
+    let mut queue = CandidateQueue::new(work.nrows(), cfg.hopefuls);
+    for (pi, p) in parents.iter().enumerate() {
+        let start = p.members.last().map_or(0, |&j| j as usize + 1);
+        if start >= n {
+            continue;
         }
-    });
-    for s in worker_stats {
-        work_stats.absorb(s);
+        let bar = queue.bar();
+        if p.weight < bar {
+            work_stats.pairs_pruned += (n - start) as u64;
+            continue;
+        }
+        let end = start + suffix_max[start..].partition_point(|&sm| sm >= bar);
+        work_stats.pairs_pruned += (n - end) as u64;
+        fanout.resize(fanout.len().max(end - start), 0);
+        let weights = &mut fanout[..end - start];
+        and_weight_each_into(&p.words, work.column_range(start..end), weights);
+        for (j, &w) in (start..end).zip(weights.iter()) {
+            queue.offer(w, pi as u32, j as u32);
+        }
+        work_stats.pairs_scanned += (end - start) as u64;
     }
-    ranked(&queues, cfg.hopefuls)
+    queue.ranked()
 }
 
 /// Runs the greedy core search on `work` (a column subset of the original
-/// matrix). Returns the best product per iteration. `fanouts` provides
-/// per-worker fan-out buffers, reused across iterations and calls.
+/// matrix). Returns the best product per iteration. `fanout` is the
+/// fan-out buffer, reused across iterations and calls.
 fn product_search(
     work: &ColMatrix,
     cfg: &SearchConfig,
-    fanouts: &mut Vec<Vec<u32>>,
+    fanout: &mut Vec<u32>,
     work_stats: &mut SearchWork,
 ) -> (Vec<u32>, Vec<Product>) {
     let n = work.ncols();
@@ -417,7 +372,7 @@ fn product_search(
         })
         .collect();
     for _ in 0..cfg.max_iterations.max(1) {
-        hopefuls = fan_out(work, cfg, &suffix_max, &hopefuls, fanouts, work_stats)
+        hopefuls = fan_out(work, cfg, &suffix_max, &hopefuls, fanout, work_stats)
             .into_iter()
             .map(|(weight, pi, j)| {
                 let mut next = hopefuls[pi as usize].clone();
@@ -506,7 +461,7 @@ pub fn refined_detect(matrix: &ColMatrix, cfg: &SearchConfig) -> AlignedDetectio
 ///
 /// # Panics
 /// Panics if the rows do not all share the same bit length.
-pub fn refined_detect_cached<S: WordSource + Sync>(
+pub fn refined_detect_cached<S: WordSource>(
     rows: &[S],
     cfg: &SearchConfig,
     scratch: &mut SearchScratch,
@@ -515,9 +470,8 @@ pub fn refined_detect_cached<S: WordSource + Sync>(
         counts,
         order,
         work,
-        fanouts,
+        fanout,
     } = scratch;
-    let threads = cfg.compute.effective_threads();
     let mut timings = SearchTimings::default();
     let mut work_stats = SearchWork::default();
     let mut lap = Instant::now();
@@ -527,12 +481,12 @@ pub fn refined_detect_cached<S: WordSource + Sync>(
             .as_nanos() as u64
     };
 
-    counts.count(rows, |_| true, threads);
+    counts.count(rows, |_| true);
     timings.count_ns = split();
     screen(counts, cfg.n_prime, order);
     work.gather_from_rows(rows, order);
     timings.screen_ns = split();
-    let (curve, core) = find_core(work, cfg, fanouts, &mut work_stats);
+    let (curve, core) = find_core(work, cfg, fanout, &mut work_stats);
     timings.core_ns = split();
     let Some((stop, core)) = core else {
         return (AlignedDetection::not_found(curve), timings, work_stats);
@@ -541,9 +495,9 @@ pub fn refined_detect_cached<S: WordSource + Sync>(
     // Witness set: every column sharing ≥ weight(core) − γ ones with the
     // core row vector — a count over the core's rows alone. Each core
     // column holds all of them, so the core is among the survivors, and
-    // they come out in ascending column order for any worker count.
+    // they come out in ascending column order.
     let in_core = |r: usize| core.words[r / WORD_BITS] >> (r % WORD_BITS) & 1 == 1;
-    counts.count(rows, in_core, threads);
+    counts.count(rows, in_core);
     let thresh = core.weight.saturating_sub(cfg.gamma);
     let cols: Vec<usize> = counts.iter_ge(thresh).collect();
     timings.expand_ns = split();
@@ -590,10 +544,10 @@ pub fn screen(counts: &ColumnCounts, n_prime: usize, order: &mut Vec<usize>) {
 fn find_core(
     work: &ColMatrix,
     cfg: &SearchConfig,
-    fanouts: &mut Vec<Vec<u32>>,
+    fanout: &mut Vec<u32>,
     work_stats: &mut SearchWork,
 ) -> (Vec<u32>, Option<(usize, Product)>) {
-    let (curve, mut best) = product_search(work, cfg, fanouts, work_stats);
+    let (curve, mut best) = product_search(work, cfg, fanout, work_stats);
     let core = stop_point(&curve, cfg.termination).map(|stop| (stop, best.swap_remove(stop)));
     (curve, core)
 }
@@ -678,7 +632,6 @@ mod tests {
             gamma: 2,
             epsilon: 1e-3,
             termination: TerminationConfig::default(),
-            compute: ComputeBudget::sequential(),
         }
     }
 
@@ -920,7 +873,7 @@ mod tests {
                             }
                         })
                         .collect();
-                    counts.count(&rows_with_weights(&mut r, nrows, &weights), |_| true, 1);
+                    counts.count(&rows_with_weights(&mut r, nrows, &weights), |_| true);
                     for n_prime in [0, 1, n - 1, n, n + 5] {
                         screen(&counts, n_prime, &mut order);
                         assert_eq!(
@@ -946,15 +899,13 @@ mod tests {
             let (mat, _, _) = planted_matrix(&mut r, m, n, 0, 0);
             let rows = mat.row_bitmaps();
             let core = Bitmap::from_indices(m, (0..m).filter(|_| r.gen_range(0..3) > 0));
-            for workers in [1, 3] {
-                counts.count(&rows, |row| core.get(row), workers);
-                for thresh in 0..=core.weight() + 1 {
-                    let want: Vec<usize> = (0..n)
-                        .filter(|&j| and_weight(core.words(), mat.column(j)) >= thresh)
-                        .collect();
-                    let got: Vec<usize> = counts.iter_ge(thresh).collect();
-                    assert_eq!(got, want, "{m} x {n}, thresh {thresh}, {workers} workers");
-                }
+            counts.count(&rows, |row| core.get(row));
+            for thresh in 0..=core.weight() + 1 {
+                let want: Vec<usize> = (0..n)
+                    .filter(|&j| and_weight(core.words(), mat.column(j)) >= thresh)
+                    .collect();
+                let got: Vec<usize> = counts.iter_ge(thresh).collect();
+                assert_eq!(got, want, "{m} x {n}, thresh {thresh}");
             }
         }
     }
@@ -985,17 +936,6 @@ mod tests {
                 heap.push(Reverse(item));
             }
         }
-    }
-
-    fn merge_bounded(heaps: Vec<CandidateHeap>, cap: usize) -> CandidateHeap {
-        let mut iter = heaps.into_iter();
-        let mut acc = iter.next().unwrap_or_default();
-        for heap in iter {
-            for Reverse(item) in heap {
-                push_bounded(&mut acc, cap, item);
-            }
-        }
-        acc
     }
 
     fn heap_ranked(heap: CandidateHeap) -> Vec<Candidate> {
@@ -1043,38 +983,10 @@ mod tests {
                         );
                     }
                     assert_eq!(
-                        ranked(&[queue], cap),
+                        queue.ranked(),
                         heap_ranked(heap),
                         "nrows {nrows}, cap {cap}"
                     );
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn merged_worker_queues_equal_the_single_queue() {
-        let mut r = StdRng::seed_from_u64(56);
-        for nrows in [1usize, 2, 12, 24, 130] {
-            for cap in [0usize, 1, 2, 7, 250] {
-                let offers = offer_stream(&mut r, nrows);
-                let mut single = CandidateQueue::new(nrows, cap);
-                for &(w, parent, column) in &offers {
-                    single.offer(w, parent, column);
-                }
-                let want = ranked(&[single], cap);
-                for workers in [1usize, 2, 3, 8] {
-                    let mut queues: Vec<CandidateQueue> = (0..workers)
-                        .map(|_| CandidateQueue::new(nrows, cap))
-                        .collect();
-                    let mut heaps = vec![CandidateHeap::new(); workers];
-                    for (k, &(w, parent, column)) in offers.iter().enumerate() {
-                        queues[k % workers].offer(w, parent, column);
-                        push_bounded(&mut heaps[k % workers], cap, (w, parent, column));
-                    }
-                    let what = format!("nrows {nrows}, cap {cap}, {workers} workers");
-                    assert_eq!(ranked(&queues, cap), want, "{what}");
-                    assert_eq!(heap_ranked(merge_bounded(heaps, cap)), want, "{what}");
                 }
             }
         }
@@ -1106,66 +1018,18 @@ mod tests {
         }
     }
 
-    fn assert_same_detection(par: &AlignedDetection, seq: &AlignedDetection, what: &str) {
-        assert_eq!(par.found, seq.found, "{what}: found differs");
-        assert_eq!(par.rows, seq.rows, "{what}: rows differ");
-        assert_eq!(par.cols, seq.cols, "{what}: cols differ");
-        assert_eq!(par.core_cols, seq.core_cols, "{what}: core differs");
+    fn assert_same_detection(got: &AlignedDetection, want: &AlignedDetection, what: &str) {
+        assert_eq!(got.found, want.found, "{what}: found differs");
+        assert_eq!(got.rows, want.rows, "{what}: rows differ");
+        assert_eq!(got.cols, want.cols, "{what}: cols differ");
+        assert_eq!(got.core_cols, want.core_cols, "{what}: core differs");
         assert_eq!(
-            par.weight_curve, seq.weight_curve,
+            got.weight_curve, want.weight_curve,
             "{what}: weight curve differs"
         );
         assert_eq!(
-            par.stopped_at, seq.stopped_at,
+            got.stopped_at, want.stopped_at,
             "{what}: termination differs"
         );
-    }
-
-    #[test]
-    fn refined_detect_is_thread_count_invariant() {
-        // Threads decide only how the count passes and the product
-        // fan-outs are partitioned; the counts are the same integers for
-        // any partition and the workers' candidate queues merge by the
-        // full (weight, parent, column) tuple, so the detection must be
-        // bit-identical for any worker count.
-        let mut r = StdRng::seed_from_u64(53);
-        let (mat, _, _) = planted_matrix(&mut r, 96, 800, 30, 14);
-        let run = |mat: &ColMatrix, base: &SearchConfig, threads: usize| {
-            let cfg = SearchConfig {
-                compute: ComputeBudget::with_threads(threads),
-                ..base.clone()
-            };
-            let mut scratch = SearchScratch::new();
-            let (det, _, work) = refined_detect_cached(&mat.row_bitmaps(), &cfg, &mut scratch);
-            (det, work)
-        };
-        let (seq, seq_work) = run(&mat, &small_cfg(), 1);
-        assert!(seq.found, "planted pattern not found");
-        for threads in [2, 4, 8] {
-            let (par, work) = run(&mat, &small_cfg(), threads);
-            // The split between scanned and pruned shifts with the
-            // partition, but their sum counts every candidate exactly
-            // once per iteration.
-            assert_eq!(
-                work.candidates(),
-                seq_work.candidates(),
-                "threads={threads}: candidate total differs"
-            );
-            assert_same_detection(&par, &seq, &format!("threads={threads}"));
-        }
-
-        // More workers than work items: 8 threads over a 3-column matrix
-        // and a 3-entry hopefuls list fall back to one worker per item.
-        let (tiny, _, _) = planted_matrix(&mut r, 64, 3, 40, 3);
-        let tiny_cfg = SearchConfig {
-            hopefuls: 3,
-            n_prime: 2,
-            ..small_cfg()
-        };
-        let (seq, seq_work) = run(&tiny, &tiny_cfg, 1);
-        assert!(!seq.weight_curve.is_empty(), "tiny search must iterate");
-        let (par, work) = run(&tiny, &tiny_cfg, 8);
-        assert_eq!(work.candidates(), seq_work.candidates());
-        assert_same_detection(&par, &seq, "8 threads over 3 columns");
     }
 }

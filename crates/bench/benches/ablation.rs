@@ -76,7 +76,6 @@ fn hopefuls_sizing(c: &mut Criterion) {
                 gamma: 2,
                 epsilon: 1e-3,
                 termination: Default::default(),
-                compute: Default::default(),
             };
             b.iter(|| refined_detect(&p.matrix, &cfg).found)
         });

@@ -20,7 +20,6 @@ fn multi_pattern(c: &mut Criterion) {
         gamma: 2,
         epsilon: 1e-3,
         termination: Default::default(),
-        compute: Default::default(),
     };
     c.bench_function("multi/aligned_detect_multi", |b| {
         b.iter(|| refined_detect_multi(&p.matrix, &cfg, 3).len())

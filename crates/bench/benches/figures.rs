@@ -23,7 +23,6 @@ fn search_cfg() -> SearchConfig {
         gamma: 2,
         epsilon: 1e-3,
         termination: Default::default(),
-        compute: Default::default(),
     }
 }
 

@@ -234,7 +234,7 @@ fn bench_column_counts(c: &mut Criterion) {
         let rows = row_stack(&mut rng, nrows, bits, halvings);
         let mut counts = ColumnCounts::default();
         g.bench_function(format!("{name}_count"), |bch| {
-            bch.iter(|| counts.count(black_box(&rows), |_| true, 1))
+            bch.iter(|| counts.count(black_box(&rows), |_| true))
         });
         let mut order = Vec::new();
         g.bench_function(format!("{name}_screen_n1000"), |bch| {
@@ -262,12 +262,11 @@ fn bench_product_search(c: &mut Criterion) {
         ("24x256Ki_sparse", 24, 1 << 18, 8, 400, 300),
     ] {
         let rows = row_stack(&mut rng, nrows, bits, halvings);
-        let mut cfg = SearchConfig {
+        let cfg = SearchConfig {
             n_prime,
             hopefuls,
             ..SearchConfig::default()
         };
-        cfg.compute.threads = 1;
         let mut scratch = SearchScratch::new();
         g.bench_function(name, |bch| {
             bch.iter(|| {

@@ -77,7 +77,6 @@ pub fn repro_search_config() -> SearchConfig {
         gamma: 2,
         epsilon: 1e-3,
         termination: Default::default(),
-        compute: Default::default(),
     }
 }
 

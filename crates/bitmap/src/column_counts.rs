@@ -45,17 +45,9 @@ impl ColumnCounts {
     /// Counts, for every column, the rows `r` of `rows` with `pick(r)`
     /// that hold a 1 there, replacing the previous counts.
     ///
-    /// Blocks of columns are independent, so they are dealt to at most
-    /// `workers` threads; the planes are the same for any worker count.
-    ///
     /// # Panics
     /// Panics if the rows do not all share the same bit length.
-    pub fn count<S: WordSource + Sync>(
-        &mut self,
-        rows: &[S],
-        pick: impl Fn(usize) -> bool + Sync,
-        workers: usize,
-    ) {
+    pub fn count<S: WordSource>(&mut self, rows: &[S], pick: impl Fn(usize) -> bool) {
         self.ncols = rows.first().map_or(0, WordSource::bit_len);
         for r in rows {
             assert_eq!(
@@ -74,8 +66,7 @@ impl ColumnCounts {
         if self.store.is_empty() {
             return;
         }
-        let blocks: Vec<_> = self.store.chunks_exact_mut(block_len).enumerate().collect();
-        dcs_parallel::run_jobs(blocks, workers, |(b, block)| {
+        for (b, block) in self.store.chunks_exact_mut(block_len).enumerate() {
             let first = b * BLOCK_WORDS;
             let len = BLOCK_WORDS.min(words - first);
             let mut carry = [0u64; BLOCK_WORDS];
@@ -98,7 +89,7 @@ impl ColumnCounts {
                     }
                 }
             }
-        });
+        }
     }
 
     /// Number of columns counted.

@@ -4,9 +4,10 @@
 //! and masked tails alike) and the bit-sliced column counts (against
 //! the weights of the gathered columns).
 
+use crate::words::tests::available_kernels;
 use crate::words::{
-    and_weight_each_into, and_weight_each_with, and_weight_scalar, and_weight_with,
-    available_kernels, tail_mask, weight_scalar, weight_with, words_for,
+    and_weight_each_into, and_weight_each_with, and_weight_scalar, and_weight_with, tail_mask,
+    weight_scalar, weight_with, words_for,
 };
 use crate::{Bitmap, BitmapView, ColMatrix, ColumnCounts, RowMatrix, WordSource};
 use proptest::prelude::*;
@@ -238,64 +239,47 @@ fn seeded_rows(rng: &mut StdRng, nrows: usize, bits: usize, fill: f64) -> Vec<Bi
 
 /// Row counts on both sides of every plane boundary and of the 64-row
 /// band, widths on both sides of every word edge (ragged tails) and one
-/// past a counting block; all rows and random subsets of them.
+/// past a counting block, plus two multi-block widths whose last block
+/// is whole and partial; all rows and random subsets of them.
 #[test]
 fn column_counts_match_the_gathered_column_weights() {
     let mut rng = StdRng::seed_from_u64(61);
     let mut counts = ColumnCounts::default();
-    for nrows in [0usize, 1, 2, 3, 7, 8, 63, 64, 65, 130] {
-        for bits in [1usize, 63, 64, 65, 127, 200, 513, 128 * 64 + 1] {
-            let fill = [0.03, 0.5, 0.97][(nrows + bits) % 3];
-            let rows = seeded_rows(&mut rng, nrows, bits, fill);
-            for subset in [false, true] {
-                let picks: Vec<bool> = (0..nrows).map(|_| !subset || rng.gen()).collect();
-                let picked: Vec<Bitmap> = rows
-                    .iter()
-                    .zip(&picks)
-                    .filter(|(_, &p)| p)
-                    .map(|(r, _)| r.clone())
-                    .collect();
-                let want = if picked.is_empty() {
-                    vec![0; if nrows == 0 { 0 } else { bits }]
-                } else {
-                    ColMatrix::from_router_bitmaps(&picked).col_weights()
-                };
-                counts.count(&rows, |r| picks[r], 1);
-                let what = format!("{nrows} x {bits}, {} picked", picked.len());
-                assert_eq!(counts.ncols(), want.len(), "{what}");
-                let got: Vec<u32> = (0..want.len()).map(|j| counts.at(j)).collect();
-                assert_eq!(got, want, "{what}");
-                // t = 0 on a ragged tail reports every real column and no
-                // phantom; t past what the planes can hold reports none.
-                for t in 0..=nrows as u32 + 2 {
-                    let ge: Vec<usize> = (0..want.len()).filter(|&j| want[j] >= t).collect();
-                    assert_eq!(counts.count_ge(t), ge.len(), "{what}, t {t}");
-                    assert_eq!(counts.iter_ge(t).collect::<Vec<_>>(), ge, "{what}, t {t}");
-                }
-                assert_eq!(counts.count_ge(u32::MAX), 0, "{what}");
+    let grid = [0usize, 1, 2, 3, 7, 8, 63, 64, 65, 130]
+        .into_iter()
+        .flat_map(|nrows| {
+            [1usize, 63, 64, 65, 127, 200, 513, 128 * 64 + 1].map(|bits| (nrows, bits))
+        });
+    let multi_block = [(70, 128 * 64 * 3), (130, 128 * 64 * 5 + 513)];
+    for (nrows, bits) in grid.chain(multi_block) {
+        let fill = [0.03, 0.5, 0.97][(nrows + bits) % 3];
+        let rows = seeded_rows(&mut rng, nrows, bits, fill);
+        for subset in [false, true] {
+            let picks: Vec<bool> = (0..nrows).map(|_| !subset || rng.gen()).collect();
+            let picked: Vec<Bitmap> = rows
+                .iter()
+                .zip(&picks)
+                .filter(|(_, &p)| p)
+                .map(|(r, _)| r.clone())
+                .collect();
+            let want = if picked.is_empty() {
+                vec![0; if nrows == 0 { 0 } else { bits }]
+            } else {
+                ColMatrix::from_router_bitmaps(&picked).col_weights()
+            };
+            counts.count(&rows, |r| picks[r]);
+            let what = format!("{nrows} x {bits}, {} picked", picked.len());
+            assert_eq!(counts.ncols(), want.len(), "{what}");
+            let got: Vec<u32> = (0..want.len()).map(|j| counts.at(j)).collect();
+            assert_eq!(got, want, "{what}");
+            // t = 0 on a ragged tail reports every real column and no
+            // phantom; t past what the planes can hold reports none.
+            for t in 0..=nrows as u32 + 2 {
+                let ge: Vec<usize> = (0..want.len()).filter(|&j| want[j] >= t).collect();
+                assert_eq!(counts.count_ge(t), ge.len(), "{what}, t {t}");
+                assert_eq!(counts.iter_ge(t).collect::<Vec<_>>(), ge, "{what}, t {t}");
             }
-        }
-    }
-}
-
-#[test]
-fn column_counts_are_identical_for_any_worker_count() {
-    let mut rng = StdRng::seed_from_u64(62);
-    // Widths around the counting block, so block edges land both on and
-    // off the final partial block.
-    for (nrows, bits) in [
-        (3usize, 64usize),
-        (65, 127),
-        (70, 128 * 64 * 3),
-        (130, 128 * 64 * 5 + 513),
-    ] {
-        let rows = seeded_rows(&mut rng, nrows, bits, 0.5);
-        let want = ColMatrix::from_router_bitmaps(&rows).col_weights();
-        let mut counts = ColumnCounts::default();
-        for workers in [1usize, 2, 3, 8, 10_000] {
-            counts.count(&rows, |_| true, workers);
-            let got: Vec<u32> = (0..bits).map(|j| counts.at(j)).collect();
-            assert_eq!(got, want, "shape {nrows}x{bits} workers {workers}");
+            assert_eq!(counts.count_ge(u32::MAX), 0, "{what}");
         }
     }
 }
@@ -303,18 +287,18 @@ fn column_counts_are_identical_for_any_worker_count() {
 #[test]
 #[should_panic(expected = "router digests must have equal width")]
 fn column_counts_reject_a_mismatched_row() {
-    ColumnCounts::default().count(&[Bitmap::new(8), Bitmap::new(9)], |_| true, 1);
+    ColumnCounts::default().count(&[Bitmap::new(8), Bitmap::new(9)], |_| true);
 }
 
 #[test]
 fn column_counts_reuse_their_store() {
     let mut rng = StdRng::seed_from_u64(63);
     let mut counts = ColumnCounts::default();
-    counts.count(&seeded_rows(&mut rng, 24, 20_000, 0.5), |_| true, 1);
+    counts.count(&seeded_rows(&mut rng, 24, 20_000, 0.5), |_| true);
     let cap = counts.word_capacity();
     assert!(cap > 0);
     // Same shape, then fewer rows picked (fewer planes): nothing regrows.
-    counts.count(&seeded_rows(&mut rng, 24, 20_000, 0.5), |_| true, 1);
-    counts.count(&seeded_rows(&mut rng, 24, 20_000, 0.5), |r| r % 3 == 0, 1);
+    counts.count(&seeded_rows(&mut rng, 24, 20_000, 0.5), |_| true);
+    counts.count(&seeded_rows(&mut rng, 24, 20_000, 0.5), |r| r % 3 == 0);
     assert_eq!(counts.word_capacity(), cap);
 }

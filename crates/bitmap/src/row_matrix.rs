@@ -78,60 +78,9 @@ impl RowMatrix {
     /// Panics if `row.bit_len() != ncols`.
     pub fn push_row_from<S: WordSource>(&mut self, row: &S) {
         assert_eq!(row.bit_len(), self.ncols, "push_row_from: width mismatch");
-        self.data.reserve(self.words_per_row);
-        for w in 0..self.words_per_row {
-            self.data.push(row.word(w));
-        }
+        self.data
+            .extend((0..self.words_per_row).map(|w| row.word(w)));
         self.nrows += 1;
-    }
-
-    /// Replaces the matrix contents with `rows`, copying one contiguous
-    /// row range on each of up to `workers` threads.
-    ///
-    /// Stacking is pure data movement — row `i` of the result is
-    /// `rows[i]` regardless of the partition — so the result is
-    /// bit-identical to pushing each row with
-    /// [`RowMatrix::push_row_from`] in order. The backing allocation is
-    /// reused as in [`RowMatrix::reset`].
-    ///
-    /// # Panics
-    /// Panics if any row's bit length differs from `ncols`.
-    pub fn fill_rows_sharded<S: WordSource + Sync>(
-        &mut self,
-        ncols: usize,
-        rows: &[S],
-        workers: usize,
-    ) {
-        self.reset(ncols);
-        for r in rows {
-            assert_eq!(r.bit_len(), ncols, "fill_rows_sharded: width mismatch");
-        }
-        let wpr = self.words_per_row;
-        self.nrows = rows.len();
-        self.data.resize(rows.len() * wpr, 0);
-        if workers <= 1 || rows.len() <= 1 {
-            for (r, row) in rows.iter().enumerate() {
-                for w in 0..wpr {
-                    self.data[r * wpr + w] = row.word(w);
-                }
-            }
-            return;
-        }
-        let ranges = dcs_parallel::split_range(rows.len(), workers);
-        let mut jobs = Vec::with_capacity(ranges.len());
-        let mut rest: &mut [u64] = &mut self.data;
-        for range in ranges {
-            let (shard, tail) = rest.split_at_mut((range.end - range.start) * wpr);
-            rest = tail;
-            jobs.push((range, shard));
-        }
-        dcs_parallel::run_jobs(jobs, workers, |(range, shard)| {
-            for (local, r) in range.enumerate() {
-                for w in 0..wpr {
-                    shard[local * wpr + w] = rows[r].word(w);
-                }
-            }
-        });
     }
 
     /// Appends one row given as a bitmap.
@@ -303,25 +252,6 @@ mod tests {
             b.push_row_from(r);
         }
         assert_eq!(a, b);
-    }
-
-    #[test]
-    fn fill_rows_sharded_matches_sequential_push_for_any_worker_count() {
-        let rows: Vec<Bitmap> = (0..13)
-            .map(|i| Bitmap::from_indices(130, [i, i + 7, 129 - i]))
-            .collect();
-        let mut expect = RowMatrix::new(130);
-        for r in &rows {
-            expect.push_bitmap(r);
-        }
-        // 32, 10_000 and 1<<20 workers over 13 rows: the plan must
-        // degrade to one row a worker, never hand one an empty
-        // (zero-width split_at_mut) slice.
-        for workers in [1usize, 2, 3, 8, 32, 10_000, 1 << 20] {
-            let mut m = RowMatrix::new(0);
-            m.fill_rows_sharded(130, &rows, workers);
-            assert_eq!(m, expect, "workers {workers}");
-        }
     }
 
     #[test]

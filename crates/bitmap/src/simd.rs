@@ -19,8 +19,7 @@
 //! that the features its body enables are there (a cached atomic load
 //! inside `std`), so the functions exposed to the dispatcher are safe — the
 //! `#[target_feature]` bodies are unreachable on hosts without the
-//! feature, even if [`force_kernel`](crate::words::force_kernel) is
-//! misused.
+//! feature, even if a test forces the AVX2 kernel where it cannot run.
 //!
 //! Loads are `_mm256_loadu_si256` (no alignment requirement): callers
 //! hand in ordinary `&[u64]` slices with no alignment promise beyond 8.

@@ -3,14 +3,14 @@
 //! The centre's aligned path works on the rows it receives: the column
 //! counts ([`ColumnCounts::count`]), the gather of the n′ screened
 //! columns ([`ColMatrix::gather_from_rows`]) and the unaligned row
-//! stacking ([`RowMatrix::fill_rows_sharded`]) read rows word by word
+//! stacking ([`RowMatrix::push_row_from`]) read rows word by word
 //! and do not care whether they are owned [`Bitmap`]s or borrowed wire
 //! views ([`BitmapView`]); this trait is the one seam between the two,
 //! so the zero-copy ingest path and the owned path share every kernel.
 //!
 //! [`ColumnCounts::count`]: crate::ColumnCounts::count
 //! [`ColMatrix::gather_from_rows`]: crate::ColMatrix::gather_from_rows
-//! [`RowMatrix::fill_rows_sharded`]: crate::RowMatrix::fill_rows_sharded
+//! [`RowMatrix::push_row_from`]: crate::RowMatrix::push_row_from
 //! [`BitmapView`]: crate::BitmapView
 
 use crate::words::words_for;

@@ -27,8 +27,9 @@
 //! The dispatch decision is made once and cached in an atomic
 //! ([`active_kernel`]). `DCS_FORCE_SCALAR=1` in the environment pins the
 //! scalar kernel, the one a host without AVX2 runs (CI uses this to run
-//! that fallback on AVX2 hosts); [`force_kernel`] overrides the cache
-//! from tests and benches.
+//! that fallback on AVX2 hosts). The explicit-kernel forms (`*_with`)
+//! and the cache override are crate-internal: the dispatcher and the
+//! crate's own bit-identity tests are their only callers.
 //!
 //! # Length invariant
 //!
@@ -96,7 +97,7 @@ fn resolve_and_cache() -> Kernel {
 /// The best kernel this host supports, honouring the
 /// `DCS_FORCE_SCALAR` environment override (any value other than `0`
 /// pins [`Kernel::Scalar`]).
-pub fn detect_kernel() -> Kernel {
+pub(crate) fn detect_kernel() -> Kernel {
     let forced = std::env::var_os("DCS_FORCE_SCALAR").is_some_and(|v| v != "0");
     if has_avx2() && !forced {
         Kernel::Avx2
@@ -113,30 +114,6 @@ fn has_avx2() -> bool {
         && std::arch::is_x86_feature_detected!("popcnt");
     #[cfg(not(target_arch = "x86_64"))]
     false
-}
-
-/// Kernels usable on this host: always [`Kernel::Scalar`];
-/// [`Kernel::Avx2`] too when the CPU has it. Tests iterate this list to
-/// assert bit-identity across dispatch targets.
-pub fn available_kernels() -> &'static [Kernel] {
-    if has_avx2() {
-        &[Kernel::Scalar, Kernel::Avx2]
-    } else {
-        &[Kernel::Scalar]
-    }
-}
-
-/// Overrides the dispatch cache (tests and benches); `None` clears the
-/// override so the next call re-detects. The effect is process-global.
-///
-/// # Panics
-/// Panics if `Kernel::Avx2` is forced on a host without AVX2 — the
-/// vector kernels would be unsound to execute there.
-pub fn force_kernel(kernel: Option<Kernel>) {
-    if kernel == Some(Kernel::Avx2) {
-        assert!(has_avx2(), "cannot force the AVX2 kernel: host lacks AVX2");
-    }
-    ACTIVE.store(kernel.map_or(0, |k| k as u8), Ordering::Relaxed);
 }
 
 /// Number of `u64` words needed to store `bits` bits.
@@ -165,9 +142,9 @@ pub fn weight(words: &[u64]) -> u32 {
     weight_with(active_kernel(), words)
 }
 
-/// [`weight`] through an explicitly chosen kernel (tests and benches).
+/// [`weight`] through an explicitly chosen kernel.
 #[inline]
-pub fn weight_with(kernel: Kernel, words: &[u64]) -> u32 {
+pub(crate) fn weight_with(kernel: Kernel, words: &[u64]) -> u32 {
     match kernel {
         #[cfg(target_arch = "x86_64")]
         Kernel::Avx2 if words.len() >= crate::simd::AVX2_MIN_WORDS => crate::simd::weight(words),
@@ -189,9 +166,9 @@ pub fn and_weight(a: &[u64], b: &[u64]) -> u32 {
     and_weight_with(active_kernel(), a, b)
 }
 
-/// [`and_weight`] through an explicitly chosen kernel (tests and benches).
+/// [`and_weight`] through an explicitly chosen kernel.
 #[inline]
-pub fn and_weight_with(kernel: Kernel, a: &[u64], b: &[u64]) -> u32 {
+pub(crate) fn and_weight_with(kernel: Kernel, a: &[u64], b: &[u64]) -> u32 {
     match kernel {
         #[cfg(target_arch = "x86_64")]
         Kernel::Avx2 if a.len() >= crate::simd::AVX2_MIN_WORDS => crate::simd::and_weight(a, b),
@@ -228,9 +205,8 @@ pub fn and_weight_each_into(base: &[u64], words: &[u64], out: &mut [u32]) {
     and_weight_each_with(active_kernel(), base, words, out);
 }
 
-/// [`and_weight_each_into`] through an explicitly chosen kernel (tests
-/// and benches).
-pub fn and_weight_each_with(kernel: Kernel, base: &[u64], words: &[u64], out: &mut [u32]) {
+/// [`and_weight_each_into`] through an explicitly chosen kernel.
+pub(crate) fn and_weight_each_with(kernel: Kernel, base: &[u64], words: &[u64], out: &mut [u32]) {
     assert_eq!(
         words.len(),
         base.len() * out.len(),
@@ -298,8 +274,32 @@ impl Iterator for OnesInWord {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
+
+    /// Kernels usable on this host: always [`Kernel::Scalar`];
+    /// [`Kernel::Avx2`] too when the CPU has it. Tests iterate this list to
+    /// assert bit-identity across dispatch targets.
+    pub(crate) fn available_kernels() -> &'static [Kernel] {
+        if has_avx2() {
+            &[Kernel::Scalar, Kernel::Avx2]
+        } else {
+            &[Kernel::Scalar]
+        }
+    }
+
+    /// Overrides the dispatch cache; `None` clears the override so the
+    /// next call re-detects. The effect is process-global.
+    ///
+    /// # Panics
+    /// Panics if `Kernel::Avx2` is forced on a host without AVX2 — the
+    /// vector kernels would be unsound to execute there.
+    pub(crate) fn force_kernel(kernel: Option<Kernel>) {
+        if kernel == Some(Kernel::Avx2) {
+            assert!(has_avx2(), "cannot force the AVX2 kernel: host lacks AVX2");
+        }
+        ACTIVE.store(kernel.map_or(0, |k| k as u8), Ordering::Relaxed);
+    }
 
     #[test]
     fn words_for_rounds_up() {

@@ -9,7 +9,6 @@ use crate::stages::{Stage, StageRecorder};
 use dcs_aligned::{refined_detect_cached, SearchConfig, SearchScratch};
 use dcs_bitmap::{BitmapView, RowMatrix};
 use dcs_obs::{MetricsRegistry, MetricsSnapshot};
-use dcs_parallel::ComputeBudget;
 use dcs_unaligned::{
     er_test, find_pattern, CoreFindConfig, ErTestConfig, GroupLayout, IncrementalConfig,
     IncrementalCorrelator, LambdaTables,
@@ -44,7 +43,8 @@ pub struct AnalysisConfig {
     /// by one pair loop (delta re-test of changed groups only, one
     /// popcount a row pair for both), and each is audited against its
     /// all-pairs build ([`dcs_unaligned::build_group_graph_parallel`]) at
-    /// this cadence.
+    /// this cadence. Its `threads` is the centre's one thread count: the
+    /// pair loop is the only stage that spawns workers.
     pub ugraph: IncrementalConfig,
 }
 
@@ -87,7 +87,7 @@ impl AnalysisConfig {
 #[derive(Debug)]
 struct EpochScratch {
     /// Aligned-search scratch (column-count planes, screen order, work
-    /// matrix, fan-out buffers).
+    /// matrix, fan-out buffer).
     search: SearchScratch,
     /// The vertically stacked unaligned arrays.
     urows: RowMatrix,
@@ -378,27 +378,18 @@ impl AnalysisCenter {
         let mut guard = self.lock_state();
         let state = &mut *guard;
         let s = &mut state.scratch;
-        // `threads: 0` asks the OS for the CPU count on every
-        // `workers_for`; ask once per epoch. Not once per process: a
-        // caller may re-pin its thread between epochs, and a count taken
-        // before the pin would spawn workers the pin cannot run.
-        let search = SearchConfig {
-            compute: self.cfg.search.compute.resolved(),
-            ..self.cfg.search.clone()
-        };
-        let budget = search.compute;
-        let threads = budget.effective_threads();
 
         // Unaligned pipeline, stage 1: stack arrays and map ownership.
         // Validation left only non-empty digests of one array width.
         let k = digests.first().map_or(1, |d| d.unaligned.arrays_per_group);
         rec.run(Stage::StackRows, || {
             let ncols = digests.first().map_or(0, |d| d.unaligned.array(0).len());
-            let flat: Vec<BitmapView<'_>> = digests
-                .iter()
-                .flat_map(|d| (0..d.unaligned.array_count()).map(move |i| d.unaligned.array(i)))
-                .collect();
-            s.urows.fill_rows_sharded(ncols, &flat, threads);
+            s.urows.reset(ncols);
+            for d in digests {
+                for i in 0..d.unaligned.array_count() {
+                    s.urows.push_row_from(&d.unaligned.array(i));
+                }
+            }
             s.group_owner.clear();
             for d in digests {
                 s.group_owner
@@ -410,11 +401,7 @@ impl AnalysisCenter {
         // the frames and are timed inside the search layer; record its
         // per-stage split under the stage names.
         let rows: Vec<BitmapView<'_>> = digests.iter().map(|d| d.aligned.bitmap).collect();
-        let (det, search_t, work) = refined_detect_cached(&rows, &search, &mut s.search);
-        // Scan-work accounting. The scanned/pruned split depends on the
-        // worker partition, so those land in last-epoch gauges; their sum
-        // covers the same candidate set under any partition and is safe
-        // to count.
+        let (det, search_t, work) = refined_detect_cached(&rows, &self.cfg.search, &mut s.search);
         self.metrics
             .counter("search_candidates_total", &[])
             .add(work.candidates());
@@ -436,7 +423,7 @@ impl AnalysisCenter {
             content_packets: det.cols.len(),
             signature_indices: det.cols,
         };
-        let unaligned = self.unaligned_from_rows(state, k, budget, &rec);
+        let unaligned = self.unaligned_from_rows(state, k, &rec);
 
         self.record_kernels();
         let total_ns = (t0.elapsed().as_nanos() as u64).max(1);
@@ -541,7 +528,6 @@ impl AnalysisCenter {
         &self,
         state: &mut CenterState,
         k: usize,
-        budget: ComputeBudget,
         rec: &StageRecorder<'_>,
     ) -> UnalignedReport {
         let rows = &state.scratch.urows;
@@ -549,7 +535,6 @@ impl AnalysisCenter {
         let ncols = rows.ncols();
         let layout = GroupLayout { rows_per_group: k };
         let n_groups = group_owner.len();
-        let workers = budget.workers_for(n_groups);
         let er_cfg = match self.cfg.component_threshold {
             Some(t) => ErTestConfig {
                 component_threshold: t,
@@ -568,9 +553,8 @@ impl AnalysisCenter {
         // Statistical-test and detection graphs through the incremental
         // engine, in one pass.
         let correlator = &mut state.correlator;
-        let ((test_graph, gstats), _) = rec.run(Stage::GraphBuild, || {
-            correlator.epoch(rows, layout, tables, workers)
-        });
+        let ((test_graph, gstats), _) =
+            rec.run(Stage::GraphBuild, || correlator.epoch(rows, layout, tables));
         let correlator = &state.correlator;
         let c = |name: &str, v: u64| self.metrics.counter(name, &[]).add(v);
         c("pairs_exact_total", gstats.pairs_exact);

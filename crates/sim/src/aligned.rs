@@ -333,7 +333,6 @@ mod tests {
             gamma: 2,
             epsilon: 1e-3,
             termination: Default::default(),
-            compute: Default::default(),
         };
         let (det, truth) = paper_scale_trial(99, 200, 100_000, 40, 20, 300, &cfg);
         assert!(
@@ -352,7 +351,6 @@ mod tests {
             gamma: 2,
             epsilon: 1e-3,
             termination: Default::default(),
-            compute: Default::default(),
         };
         let strong = detection_ratio(7, 200, 100_000, 40, 20, 250, &cfg, 6, 3);
         let none = detection_ratio(8, 200, 100_000, 0, 0, 250, &cfg, 6, 3);

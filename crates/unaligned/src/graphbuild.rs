@@ -9,7 +9,8 @@
 //! * [`build_group_graph`] — the straight serial sweep (the test oracle);
 //! * `edges_touching` — possibility 3, "distribute the load to a large
 //!   number of CPUs": the one parallel pair loop (scoped worker threads
-//!   via `dcs-parallel`), over every group pair with a touched end, with
+//!   via `dcs-parallel`, and the only section of the analysis centre
+//!   that spawns any), over every group pair with a touched end, with
 //!   the count of exact row-pair tests it ran. It tests each row pair's
 //!   one popcount against one λ table or several, so the incremental
 //!   correlator decides the test graph (Λ) and the detection graph (Λ′)
@@ -166,12 +167,13 @@ pub fn build_group_graph(rows: &RowMatrix, layout: GroupLayout, table: &LambdaTa
 /// one `touched` end exactly once, by its smaller touched end, against
 /// every table of `tables` at once, and returns each table's connected
 /// pairs as `(u, v)` with `u < v` plus the count of exact row-pair tests.
-/// The touched groups are the outer index, split across `threads` scoped
-/// workers by [`balanced_outer_indices`] (with every group touched that
-/// balances the triangular loop to within `threads − 1` pairs per
-/// worker); each worker collects private edge lists and the lists are
-/// concatenated in worker order, so the edges and the tally are
-/// identical for any thread count.
+/// The touched groups are the outer index, split across at most
+/// `threads` scoped workers — never more than there are touched groups —
+/// by [`balanced_outer_indices`] (with every group touched that balances
+/// the triangular loop to within `workers − 1` pairs per worker); each
+/// worker collects private edge lists and the lists are concatenated in
+/// worker order, so the edges and the tally are identical for any
+/// thread count.
 ///
 /// # Panics
 /// Panics if `threads == 0` or `touched` does not have one flag per group.
@@ -185,11 +187,12 @@ pub(crate) fn edges_touching<const T: usize>(
     assert!(threads > 0, "need at least one thread");
     assert_eq!(touched.len(), layout.groups(rows), "one flag per group");
     let outer: Vec<usize> = (0..touched.len()).filter(|&g| touched[g]).collect();
+    let workers = threads.min(outer.len()).max(1);
     let weights = rows.row_weights();
-    let per_worker = map_workers(threads, |t| {
+    let per_worker = map_workers(workers, |t| {
         let mut local: [Vec<(u32, u32)>; T] = std::array::from_fn(|_| Vec::new());
         let mut pairs_exact = 0;
-        for i in balanced_outer_indices(outer.len(), threads, t) {
+        for i in balanced_outer_indices(outer.len(), workers, t) {
             let ga = outer[i];
             for (gb, &gb_touched) in touched.iter().enumerate() {
                 if gb == ga || (gb_touched && gb < ga) {
@@ -404,8 +407,9 @@ mod tests {
     }
 
     /// A lock-free table has no warm-up step, so a build must not depend
-    /// on one: from a cold table each, every thread count produces the
-    /// serial graph and tally and fills exactly the serial build's cells.
+    /// on one: from a cold table each, every thread count — more threads
+    /// than groups too — produces the serial graph and tally and fills
+    /// exactly the serial build's cells.
     #[test]
     fn cold_table_builds_agree_at_any_thread_count() {
         let mut r = StdRng::seed_from_u64(7);
@@ -433,7 +437,7 @@ mod tests {
         let mut want: Vec<_> = serial.edges().collect();
         want.sort_unstable();
         let mut tallies = Vec::new();
-        for threads in [1usize, 2, 8] {
+        for threads in [1usize, 2, 8, 64] {
             let cold = table();
             let (g, pairs) = build_group_graph_parallel(&m, layout, &cold, threads);
             let mut got: Vec<_> = g.edges().collect();

@@ -31,7 +31,6 @@ use crate::graphbuild::{edges_touching, graph_of, GroupLayout};
 use crate::lambda::LambdaTables;
 use dcs_bitmap::RowMatrix;
 use dcs_graph::Graph;
-use dcs_parallel::map_chunks;
 
 /// Knobs for the incremental engine.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, serde::Serialize, serde::Deserialize)]
@@ -39,11 +38,19 @@ pub struct IncrementalConfig {
     /// Run the full-rebuild equality audit every this many epochs
     /// (`0` disables the audit; `1` audits every epoch).
     pub audit_every: u64,
+    /// Worker threads of the pair loop, the analysis centre's one
+    /// parallel section; `0` means every CPU the calling thread may run
+    /// on, asked once per [`epoch`](IncrementalCorrelator::epoch). The
+    /// edges and every [`EpochStats`] field are the same for any count.
+    pub threads: usize,
 }
 
 impl Default for IncrementalConfig {
     fn default() -> Self {
-        IncrementalConfig { audit_every: 16 }
+        IncrementalConfig {
+            audit_every: 16,
+            threads: 0,
+        }
     }
 }
 
@@ -112,17 +119,21 @@ impl IncrementalCorrelator {
     /// [`detection_graph`](Self::detection_graph).
     ///
     /// # Panics
-    /// Panics if `threads == 0` or if the equality audit detects
-    /// divergence (an engine bug by definition — the audit exists to turn
-    /// silent wrongness loud).
+    /// Panics if the equality audit detects divergence (an engine bug by
+    /// definition — the audit exists to turn silent wrongness loud).
     pub fn epoch(
         &mut self,
         rows: &RowMatrix,
         layout: GroupLayout,
         tables: &LambdaTables,
-        threads: usize,
     ) -> (Graph, EpochStats) {
-        assert!(threads > 0, "need at least one thread");
+        // Asked every epoch, not once per correlator: a caller may re-pin
+        // its thread between epochs, and a count taken before the pin
+        // would spawn workers the pin cannot run.
+        let threads = match self.cfg.threads {
+            0 => std::thread::available_parallelism().map_or(1, |n| n.get()),
+            t => t,
+        };
         let n = layout.groups(rows);
         let both = [&tables.test, &tables.detect];
         let shape = Shape {
@@ -143,14 +154,9 @@ impl IncrementalCorrelator {
         } else {
             let wpr = rows.words_per_row();
             let (cur, prev) = (rows.as_words(), self.prev_rows.as_words());
-            map_chunks(rows.nrows(), threads, |range| {
-                range
-                    .filter(|&r| cur[r * wpr..(r + 1) * wpr] != prev[r * wpr..(r + 1) * wpr])
-                    .collect::<Vec<usize>>()
-            })
-            .into_iter()
-            .flatten()
-            .collect()
+            (0..rows.nrows())
+                .filter(|&r| cur[r * wpr..(r + 1) * wpr] != prev[r * wpr..(r + 1) * wpr])
+                .collect()
         };
         let mut changed = vec![false; n];
         for &r in &changed_rows {
@@ -293,11 +299,14 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(31);
         let layout = GroupLayout { rows_per_group: K };
         let t = tables(1e-4, 1e-3);
-        let cfg = IncrementalConfig { audit_every: 3 };
+        let cfg = IncrementalConfig {
+            audit_every: 3,
+            threads: 2,
+        };
         let mut corr = IncrementalCorrelator::new(cfg);
         let mut m = random_matrix(&mut rng, 14, Some(460));
         for epoch in 0..8u64 {
-            let (g, stats) = corr.epoch(&m, layout, &t, 2);
+            let (g, stats) = corr.epoch(&m, layout, &t);
             let oracle = build_group_graph(&m, layout, &t.test);
             assert_same_edges(&g, &oracle, &format!("epoch {epoch}"));
             let detect = build_group_graph(&m, layout, &t.detect);
@@ -323,12 +332,15 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(33);
         let layout = GroupLayout { rows_per_group: K };
         let t = tables(1e-4, 1e-3);
-        let mut corr = IncrementalCorrelator::new(IncrementalConfig { audit_every: 0 });
+        let mut corr = IncrementalCorrelator::new(IncrementalConfig {
+            audit_every: 0,
+            threads: 1,
+        });
         let m = random_matrix(&mut rng, 10, Some(460));
-        let (g0, s0) = corr.epoch(&m, layout, &t, 1);
+        let (g0, s0) = corr.epoch(&m, layout, &t);
         assert!(s0.full_rebuild);
         let d0 = corr.detection_graph();
-        let (g1, s1) = corr.epoch(&m, layout, &t, 1);
+        let (g1, s1) = corr.epoch(&m, layout, &t);
         assert_eq!(s1.rows_changed, 0);
         assert_eq!(s1.pairs_exact, 0, "no work on no churn");
         assert_same_edges(&g0, &g1, "unchanged epoch altered the graph");
@@ -341,16 +353,19 @@ mod tests {
     fn shape_change_forces_full_rebuild() {
         let mut rng = StdRng::seed_from_u64(34);
         let layout = GroupLayout { rows_per_group: K };
-        let mut corr = IncrementalCorrelator::new(IncrementalConfig::default());
+        let mut corr = IncrementalCorrelator::new(IncrementalConfig {
+            threads: 1,
+            ..IncrementalConfig::default()
+        });
         let m = random_matrix(&mut rng, 8, Some(460));
-        corr.epoch(&m, layout, &tables(1e-4, 1e-3), 1);
+        corr.epoch(&m, layout, &tables(1e-4, 1e-3));
         let bigger = random_matrix(&mut rng, 12, Some(460));
         for (what, t) in [
             ("group count", tables(1e-4, 1e-3)),
             ("Λ′ p*", tables(1e-4, 1e-2)),
             ("Λ p*", tables(1e-3, 1e-2)),
         ] {
-            let (g, s) = corr.epoch(&bigger, layout, &t, 1);
+            let (g, s) = corr.epoch(&bigger, layout, &t);
             assert!(s.full_rebuild, "{what} change must rebuild");
             let want = build_group_graph(&bigger, layout, &t.test);
             assert_same_edges(&g, &want, what);
@@ -380,14 +395,17 @@ mod tests {
             rows.iter().for_each(|r| m.push_bitmap(r));
             m
         };
-        let mut corr = IncrementalCorrelator::new(IncrementalConfig { audit_every: 0 });
-        corr.epoch(&stack(&rows), layout, &t, 2);
+        let mut corr = IncrementalCorrelator::new(IncrementalConfig {
+            audit_every: 0,
+            threads: 2,
+        });
+        corr.epoch(&stack(&rows), layout, &t);
         for epoch in 0..4 {
             for g in (0..5).map(|i| (epoch * 5 + i) % GROUPS) {
                 rows[g * ROWS..(g + 1) * ROWS].fill_with(|| random_row(&mut rng, 446));
             }
             let m = stack(&rows);
-            let (_, stats) = corr.epoch(&m, layout, &t, 2);
+            let (_, stats) = corr.epoch(&m, layout, &t);
             let (_, all_pairs) = build_group_graph_parallel(&m, layout, &t.test, 2);
             assert!(!stats.full_rebuild, "steady state must not rebuild");
             assert!(
@@ -422,10 +440,10 @@ mod tests {
             // p* high enough that random matrices grow real edges, so
             // churn has edges to drop.
             let t = tables(1e-2, 10f64.powi(-detect_exp));
-            let mut corr = IncrementalCorrelator::new(IncrementalConfig { audit_every: 2 });
+            let mut corr = IncrementalCorrelator::new(IncrementalConfig { audit_every: 2, threads: 2 });
             let mut m = random_matrix(&mut rng, groups, uniform);
             for (i, &frac) in fracs.iter().enumerate() {
-                let (g, _) = corr.epoch(&m, layout, &t, 2);
+                let (g, _) = corr.epoch(&m, layout, &t);
                 for (name, got, table) in [("Λ", g, &t.test), ("Λ′", corr.detection_graph(), &t.detect)] {
                     let oracle = build_group_graph(&m, layout, table);
                     let mut ea: Vec<_> = got.edges().collect();

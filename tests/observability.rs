@@ -6,7 +6,6 @@
 use dcs::bitmap::{active_kernel, Kernel};
 use dcs::core::stages::Stage;
 use dcs::prelude::*;
-use dcs_parallel::ComputeBudget;
 use dcs_traffic::gen::{self, SizeMix};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -41,7 +40,7 @@ fn make_digests(seed: u64, infected: usize) -> Vec<RouterDigest> {
 
 fn center_with_threads(threads: usize) -> AnalysisCenter {
     let mut cfg = AnalysisConfig::for_groups(ROUTERS * 4);
-    cfg.search.compute = ComputeBudget::with_threads(threads);
+    cfg.ugraph.threads = threads;
     cfg.search.n_prime = 300;
     cfg.search.hopefuls = 200;
     AnalysisCenter::new(cfg)
@@ -112,18 +111,29 @@ fn real_epoch_snapshot_roundtrips_through_json() {
     assert_eq!(back, snap);
 }
 
+/// The deterministic content of a snapshot.
+#[derive(Debug, PartialEq)]
+struct DeterministicView {
+    counters: Vec<(String, u64)>,
+    /// The product search's scanned / pruned split: one candidate queue
+    /// makes both a function of the input.
+    search_work: [Option<u64>; 2],
+    gauge_keys: Vec<String>,
+    hist_keys: Vec<String>,
+}
+
 /// Strips the wall-clock values from a snapshot, leaving only its
-/// deterministic content: counters plus the sorted key sets of every
-/// family.
-fn deterministic_view(snap: &MetricsSnapshot) -> (Vec<(String, u64)>, Vec<String>, Vec<String>) {
-    let counters = snap
-        .counters
-        .iter()
-        .map(|c| (c.key.clone(), c.value))
-        .collect();
-    let gauge_keys = snap.gauges.iter().map(|g| g.key.clone()).collect();
-    let hist_keys = snap.histograms.iter().map(|h| h.key.clone()).collect();
-    (counters, gauge_keys, hist_keys)
+/// deterministic content: counters, the search-work gauges and the
+/// sorted key sets of every family.
+fn deterministic_view(snap: &MetricsSnapshot) -> DeterministicView {
+    DeterministicView {
+        counters: (snap.counters.iter())
+            .map(|c| (c.key.clone(), c.value))
+            .collect(),
+        search_work: ["search_pairs_scanned", "search_pairs_pruned"].map(|k| snap.gauge(k)),
+        gauge_keys: snap.gauges.iter().map(|g| g.key.clone()).collect(),
+        hist_keys: snap.histograms.iter().map(|h| h.key.clone()).collect(),
+    }
 }
 
 #[test]
@@ -136,6 +146,7 @@ fn deterministic_metrics_are_identical_across_thread_counts() {
     };
     let (seq_report, seq_snap) = run(1);
     let seq_view = deterministic_view(&seq_snap);
+    assert!(seq_view.search_work.iter().all(Option::is_some));
     // A popcount keeps no call tally: the only kernel metric is which
     // one is live, one `kernel_active` gauge per `Kernel` variant.
     let variants = [Kernel::Scalar, Kernel::Avx2];
@@ -145,7 +156,7 @@ fn deterministic_metrics_are_identical_across_thread_counts() {
         let (Kernel::Scalar | Kernel::Avx2) = k;
         dcs::obs::metric_key("kernel_active", &[("kernel", k.name())])
     };
-    let mut kernel_keys: Vec<String> = (seq_view.1.iter())
+    let mut kernel_keys: Vec<String> = (seq_view.gauge_keys.iter())
         .filter(|k| k.starts_with("kernel_"))
         .cloned()
         .collect();
@@ -176,8 +187,8 @@ fn deterministic_metrics_are_identical_across_thread_counts() {
             seq_report.unaligned.suspected_routers
         );
         // …and so is every deterministic metric: same counters with the
-        // same values, same instrument key sets. (Wall-clock gauges
-        // legitimately vary.)
+        // same values, same search-work gauges, same instrument key sets.
+        // (Wall-clock gauges legitimately vary.)
         assert_eq!(
             deterministic_view(&snap),
             seq_view,

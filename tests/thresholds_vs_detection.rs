@@ -29,7 +29,6 @@ fn search_cfg() -> dcs_aligned::SearchConfig {
         gamma: 2,
         epsilon: 1e-3,
         termination: Default::default(),
-        compute: Default::default(),
     }
 }
 

@@ -29,7 +29,6 @@ use dcs_core::transport::{chunk_bundle, CHUNK_HEADER, DATAGRAM_SAFE_PAYLOAD};
 use dcs_graph::Graph;
 use dcs_hash::crc32::{crc32, Crc32};
 use dcs_hash::Fnv1a;
-use dcs_parallel::ComputeBudget;
 use dcs_traffic::{gen, BackgroundConfig, SizeMix};
 use dcs_unaligned::{
     build_group_graph_parallel, GroupLayout, IncrementalConfig, IncrementalCorrelator, LambdaTable,
@@ -292,22 +291,18 @@ fn screened_detection_is_pinned() {
             mat.set(r, c);
         }
     }
-    let rows = mat.row_bitmaps();
-    for threads in [1, 2] {
-        let cfg = SearchConfig {
-            n_prime: 1_000,
-            hopefuls: 250,
-            compute: ComputeBudget::with_threads(threads),
-            ..SearchConfig::default()
-        };
-        let mut scratch = SearchScratch::new();
-        let (det, _, _) = refined_detect_cached(&rows, &cfg, &mut scratch);
-        assert!(det.found, "planted 20 x 30 pattern not found");
-        let mut h = Fnv1a::new();
-        hash_detection(&det, &mut h);
-        let got = h.finish();
-        assert_eq!(got, SCREEN_PIN, "threads {threads}: got {got:#018x}");
-    }
+    let cfg = SearchConfig {
+        n_prime: 1_000,
+        hopefuls: 250,
+        ..SearchConfig::default()
+    };
+    let mut scratch = SearchScratch::new();
+    let (det, _, _) = refined_detect_cached(&mat.row_bitmaps(), &cfg, &mut scratch);
+    assert!(det.found, "planted 20 x 30 pattern not found");
+    let mut h = Fnv1a::new();
+    hash_detection(&det, &mut h);
+    let got = h.finish();
+    assert_eq!(got, SCREEN_PIN, "got {got:#018x}");
 }
 
 /// `nrows × ncols` seeded matrix, each bit set with probability
@@ -348,9 +343,8 @@ fn detection_pin(det: &AlignedDetection) -> u64 {
 /// The product search and the expansion sweep on the shapes that stress
 /// their inner loops differently: every candidate tying at the hopefuls
 /// bar (12 rows, and the sparse 24 rows whose products weigh 0–3), the
-/// half-full 24-row null, and columns of 2 and 16 words. The detection
-/// must not depend on the thread count; the scanned / pruned split is
-/// pinned where it is defined, at one thread.
+/// half-full 24-row null, and columns of 2 and 16 words: each
+/// detection, and the exact scanned / pruned split of its search.
 #[test]
 fn search_results_are_pinned() {
     // (shape, matrix, detection pin, (pairs_scanned, pairs_pruned)).
@@ -386,24 +380,21 @@ fn search_results_are_pinned() {
             (4_880_547, 0),
         ),
     ];
+    let cfg = SearchConfig {
+        n_prime: 1_000,
+        hopefuls: 250,
+        ..SearchConfig::default()
+    };
     for (name, mat, want, want_work) in &cases {
-        let rows = mat.row_bitmaps();
-        for threads in [1, 2, 8] {
-            let cfg = SearchConfig {
-                n_prime: 1_000,
-                hopefuls: 250,
-                compute: ComputeBudget::with_threads(threads),
-                ..SearchConfig::default()
-            };
-            let mut scratch = SearchScratch::new();
-            let (det, _, work) = refined_detect_cached(&rows, &cfg, &mut scratch);
-            let got = detection_pin(&det);
-            assert_eq!(got, *want, "{name}, threads {threads}: got {got:#018x}");
-            if threads == 1 {
-                let got_work = (work.pairs_scanned, work.pairs_pruned);
-                assert_eq!(got_work, *want_work, "{name}");
-            }
-        }
+        let mut scratch = SearchScratch::new();
+        let (det, _, work) = refined_detect_cached(&mat.row_bitmaps(), &cfg, &mut scratch);
+        let got = detection_pin(&det);
+        assert_eq!(got, *want, "{name}: got {got:#018x}");
+        assert_eq!(
+            (work.pairs_scanned, work.pairs_pruned),
+            *want_work,
+            "{name}"
+        );
     }
 
     // The naive search sees the columns unsorted, so its weight-bound
@@ -412,7 +403,6 @@ fn search_results_are_pinned() {
     let cfg = SearchConfig {
         hopefuls: 150,
         max_iterations: 25,
-        compute: ComputeBudget::sequential(),
         ..SearchConfig::default()
     };
     let got = detection_pin(&naive_detect(&mat, &cfg));
@@ -513,10 +503,13 @@ fn group_graph_is_pinned() {
         let epochs = graph_epochs(seed, uniform, churn);
         for threads in [1, 2, 8] {
             let tables = graph_tables();
-            let mut corr = IncrementalCorrelator::new(IncrementalConfig { audit_every: 3 });
+            let mut corr = IncrementalCorrelator::new(IncrementalConfig {
+                audit_every: 3,
+                threads,
+            });
             let mut h = Fnv1a::new();
             for m in &epochs {
-                let (graph, s) = corr.epoch(m, layout, &tables, threads);
+                let (graph, s) = corr.epoch(m, layout, &tables);
                 hash_edges(&graph, &mut h);
                 for v in [
                     s.pairs_exact,
@@ -558,10 +551,13 @@ fn detection_graph_is_pinned() {
         let epochs = graph_epochs(seed, uniform, churn);
         for threads in [1, 2, 8] {
             let tables = graph_tables();
-            let mut corr = IncrementalCorrelator::new(IncrementalConfig { audit_every: 3 });
+            let mut corr = IncrementalCorrelator::new(IncrementalConfig {
+                audit_every: 3,
+                threads,
+            });
             let mut h = Fnv1a::new();
             for (epoch, m) in epochs.iter().enumerate() {
-                corr.epoch(m, layout, &tables, threads);
+                corr.epoch(m, layout, &tables);
                 let (full, pairs_exact) =
                     build_group_graph_parallel(m, layout, &tables.detect, threads);
                 let kept: Vec<_> = corr.detection_graph().edges().collect();

@@ -30,4 +30,4 @@ pub use search::{
     SearchConfig, SearchScratch, SearchTimings, SearchWork,
 };
 pub use termination::{stop_point, TerminationConfig};
-pub use thresholds::{detectable_min_b, ln_natural_occurrence, non_natural_min_b, NonNaturalCurve};
+pub use thresholds::{detectable_min_b, ln_natural_occurrence, non_natural_min_b};

@@ -101,11 +101,6 @@ pub fn stop_point(weights: &[u32], cfg: TerminationConfig) -> Option<usize> {
     best_end
 }
 
-/// Convenience verdict: does the curve indicate a pattern at all?
-pub fn has_plateau(weights: &[u32], cfg: TerminationConfig) -> bool {
-    stop_point(weights, cfg).is_some()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -31,25 +31,6 @@ pub fn non_natural_min_b(m: u64, n: u64, a: u64, epsilon: f64, b_max: u64) -> Op
     (1..=b_max).find(|&b| ln_natural_occurrence(m, n, a, b) <= ln_eps)
 }
 
-/// The full non-naturally-occurring threshold curve: for each `a` in
-/// `a_range`, the minimum `b`. Points where no `b ≤ b_max` suffices are
-/// omitted. This is the lower curve of Figure 12.
-pub type NonNaturalCurve = Vec<(u64, u64)>;
-
-/// Computes the lower curve of Figure 12.
-pub fn non_natural_curve(
-    m: u64,
-    n: u64,
-    epsilon: f64,
-    a_range: impl IntoIterator<Item = u64>,
-    b_max: u64,
-) -> NonNaturalCurve {
-    a_range
-        .into_iter()
-        .filter_map(|a| non_natural_min_b(m, n, a, epsilon, b_max).map(|b| (a, b)))
-        .collect()
-}
-
 /// Parameters of the detectable-threshold estimate (the Theorem-2 /
 /// Section V-A.2 procedure).
 #[derive(Debug, Clone, Copy)]
@@ -182,18 +163,6 @@ mod tests {
     fn paper_anchor_a70_b10() {
         let b = non_natural_min_b(1_000, 4_000_000, 70, 0.05, 100).unwrap();
         assert!((8..=11).contains(&b), "min b = {b}, paper says 10");
-    }
-
-    #[test]
-    fn curve_is_decreasing_in_a() {
-        let curve = non_natural_curve(1_000, 4_000_000, 1e-3, (10..=100).step_by(10), 4000);
-        assert!(!curve.is_empty());
-        for pair in curve.windows(2) {
-            assert!(
-                pair[1].1 <= pair[0].1,
-                "more routers should need fewer packets: {pair:?}"
-            );
-        }
     }
 
     #[test]

@@ -5,7 +5,7 @@
 //! Paper values: (g, m, avg core) = (100, 150, 56), (125, 80, 50),
 //! (150, 50, 30). Detectability here means the reported set is mostly
 //! correct (precision ≥ 0.9) and recovers a meaningful share of the
-//! pattern (recall ≥ 0.3) — the operational criterion of Section IV-C.
+//! pattern (recall ≥ 0.3) — the operational test of Section IV-C.
 
 use dcs_bench::{banner, unaligned_paper, RunScale};
 use dcs_sim::table::render_table;

@@ -1,5 +1,4 @@
-//! Shared experiment presets for the `repro_*` binaries and Criterion
-//! benches.
+//! Shared experiment presets for the `repro_*` binaries.
 //!
 //! Every binary accepts the environment variables
 //! `DCS_REPS` (Monte-Carlo repetitions), `DCS_THREADS` (worker threads)

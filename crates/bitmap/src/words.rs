@@ -7,8 +7,8 @@
 //! The popcount reductions ([`weight`], [`and_weight`]) dispatch at
 //! runtime to one kernel per platform (see [`Kernel`]): an AVX2
 //! nibble-lookup vector popcount on x86-64 CPUs with AVX2 and POPCNT,
-//! otherwise the straight-line `count_ones` loops [`weight_scalar`] /
-//! [`and_weight_scalar`], which the optimiser auto-vectorises. The
+//! otherwise the straight-line `count_ones` loops `weight_scalar` /
+//! `and_weight_scalar`, which the optimiser auto-vectorises. The
 //! vector kernel, too, hands slices shorter than `AVX2_MIN_WORDS` to the
 //! scalar loop. Every AND-popcount of the pipeline is 16 words or
 //! shorter — a 1,024-bit unaligned array, an aligned column of m ≤ 1,000
@@ -27,9 +27,10 @@
 //! The dispatch decision is made once and cached in an atomic
 //! ([`active_kernel`]). `DCS_FORCE_SCALAR=1` in the environment pins the
 //! scalar kernel, the one a host without AVX2 runs (CI uses this to run
-//! that fallback on AVX2 hosts). The explicit-kernel forms (`*_with`)
-//! and the cache override are crate-internal: the dispatcher and the
-//! crate's own bit-identity tests are their only callers.
+//! that fallback on AVX2 hosts). The scalar loops, the explicit-kernel
+//! forms (`*_with`) and the cache override are crate-internal: the
+//! dispatcher and the crate's own bit-identity tests are their only
+//! callers.
 //!
 //! # Length invariant
 //!
@@ -154,7 +155,7 @@ pub(crate) fn weight_with(kernel: Kernel, words: &[u64]) -> u32 {
 
 /// Straight-line reference implementation of [`weight`].
 #[inline]
-pub fn weight_scalar(words: &[u64]) -> u32 {
+pub(crate) fn weight_scalar(words: &[u64]) -> u32 {
     words.iter().map(|w| w.count_ones()).sum()
 }
 
@@ -181,7 +182,7 @@ pub(crate) fn and_weight_with(kernel: Kernel, a: &[u64], b: &[u64]) -> u32 {
 /// # Panics
 /// Panics if the slices have different lengths (debug builds only).
 #[inline]
-pub fn and_weight_scalar(a: &[u64], b: &[u64]) -> u32 {
+pub(crate) fn and_weight_scalar(a: &[u64], b: &[u64]) -> u32 {
     debug_assert_eq!(a.len(), b.len(), "and_weight_scalar: length mismatch");
     a.iter().zip(b).map(|(x, y)| (x & y).count_ones()).sum()
 }

@@ -226,12 +226,6 @@ impl UnalignedCollector {
         }
     }
 
-    /// Mean fill ratio across all arrays (epoch-closure signal).
-    pub fn mean_fill(&self) -> f64 {
-        let total: u32 = self.arrays.iter().map(Bitmap::weight).sum();
-        total as f64 / (self.arrays.len() * self.cfg.array_bits) as f64
-    }
-
     /// Closes the epoch and resets.
     pub fn finish_epoch(&mut self) -> UnalignedDigest {
         let mut arrays =

@@ -155,12 +155,6 @@ impl AnalysisCenter {
         self.metrics.snapshot()
     }
 
-    /// The live registry the centre reports into (to share with
-    /// co-located layers or to take delta-based rate views).
-    pub fn metrics_registry(&self) -> &MetricsRegistry {
-        &self.metrics
-    }
-
     /// Locks the cross-epoch state. A poisoned lock means an epoch
     /// panicked mid-analysis: its scratch and correlator are suspect, so
     /// both restart cold (the next epoch pays one warm-up and the centre

@@ -87,24 +87,6 @@ impl TickClock {
             tick,
         }
     }
-
-    /// A clock ticking once per millisecond — the serve/monitor default:
-    /// the stock [`CollectorConfig`](crate::session::CollectorConfig)
-    /// deadline of 512 ticks becomes ~half a second.
-    pub fn millis() -> Self {
-        TickClock::new(Duration::from_millis(1))
-    }
-
-    /// The real duration of one tick.
-    pub fn tick(&self) -> Duration {
-        self.tick
-    }
-
-    /// Sleeps just past the start of the next tick — the polling cadence
-    /// for socket drivers that have nothing readable.
-    pub fn sleep_one_tick(&self) {
-        std::thread::sleep(self.tick);
-    }
 }
 
 impl Clock for TickClock {
@@ -218,7 +200,8 @@ mod tests {
     #[test]
     fn tick_clock_is_monotonic_and_times_out_a_stalled_session() {
         // 200 µs ticks, 50-tick deadline: ~10 ms of real time.
-        let clock = TickClock::new(Duration::from_micros(200));
+        let tick = Duration::from_micros(200);
+        let clock = TickClock::new(tick);
         let mut collector = EpochCollector::new(3, [4, 9], cfg(50), 11, clock.now());
 
         // Router 4 delivers immediately; router 9 stalls forever.
@@ -232,7 +215,7 @@ mod tests {
             assert!(now >= last, "TickClock went backwards");
             last = now;
             collector.poll(now);
-            clock.sleep_one_tick();
+            std::thread::sleep(tick);
         }
         let epoch = collector.finalize(clock.now());
         assert_eq!(epoch.frames.len(), 1, "router 4 must survive");

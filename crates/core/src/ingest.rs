@@ -376,15 +376,6 @@ impl IngestReport {
     pub fn is_degraded(&self) -> bool {
         !self.excluded.is_empty()
     }
-
-    /// Fraction of submitted bundles that survived validation.
-    pub fn accepted_fraction(&self) -> f64 {
-        if self.submitted == 0 {
-            0.0
-        } else {
-            self.accepted.len() as f64 / self.submitted as f64
-        }
-    }
 }
 
 /// Fatal ingest failures: nothing (or not enough) left to analyse.
@@ -633,7 +624,6 @@ mod tests {
         let report = validate(&digests, 1).unwrap();
         assert_eq!(report.accepted, vec![0, 1, 2, 3, 4]);
         assert!(!report.is_degraded());
-        assert_eq!(report.accepted_fraction(), 1.0);
     }
 
     #[test]

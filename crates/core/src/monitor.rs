@@ -486,14 +486,6 @@ impl MonitoringPoint {
             }
         }
     }
-
-    /// Chunk frames still held in the resend buffer (diagnostics; bounds
-    /// the buffer's memory in tests).
-    pub fn resend_buffered(&self) -> usize {
-        self.resend
-            .as_ref()
-            .map_or(0, |b| b.chunks.iter().flatten().count())
-    }
 }
 
 #[cfg(test)]
@@ -669,7 +661,6 @@ mod tests {
         mp.observe_all(&pkts);
         let chunks = mp.finish_epoch_chunks(256).expect("bundle fits the wire");
         assert!(chunks.len() > 1, "bundle should need several chunks");
-        assert_eq!(mp.resend_buffered(), chunks.len());
 
         // Reassembling the resent chunks reproduces the original wire
         // bundle exactly.
@@ -682,7 +673,7 @@ mod tests {
 
         // Acks prune; pruned chunks are no longer resendable.
         mp.ack(0, 2);
-        assert_eq!(mp.resend_buffered(), chunks.len() - 2);
+        assert_eq!(mp.resend(0, &Missing::All), chunks[2..]);
         assert_eq!(
             mp.resend(0, &Missing::Seqs(vec![0, 1, 2])),
             vec![chunks[2].clone()]

@@ -45,7 +45,7 @@ use dcs_collect::frame::{seal, FrameError, Reader};
 use dcs_obs::MetricsRegistry;
 use std::collections::{BTreeMap, VecDeque};
 use std::io::{ErrorKind, Read as _, Write as _};
-use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs, UdpSocket};
+use std::net::{Ipv4Addr, Ipv6Addr, SocketAddr, TcpListener, TcpStream, ToSocketAddrs, UdpSocket};
 
 /// Magic for control frames (`b"DCSN"`).
 pub const CONTROL_MAGIC: [u8; 4] = *b"DCSN";
@@ -540,11 +540,6 @@ impl CenterSocket {
         self.udp.local_addr()
     }
 
-    /// Routers with a known return address.
-    pub fn known_peers(&self) -> usize {
-        self.peers.len()
-    }
-
     /// Drains every readable frame (UDP datagrams, TCP streams, new TCP
     /// connections), learns peer addresses from frame headers, flushes
     /// the outgoing queue, and updates the socket gauges.
@@ -695,25 +690,31 @@ enum MonitorInner {
 }
 
 impl MonitorSocket {
-    /// Connects to the centre at `center` over `transport`.
+    /// Connects to the centre at the first address `center` resolves to,
+    /// over `transport`.
     pub fn connect(
         center: impl ToSocketAddrs,
         transport: Transport,
     ) -> std::io::Result<MonitorSocket> {
+        let addr = center
+            .to_socket_addrs()?
+            .next()
+            .ok_or_else(|| std::io::Error::new(ErrorKind::InvalidInput, "no addr"))?;
         let inner = match transport {
             Transport::Udp => {
-                let udp = UdpSocket::bind("127.0.0.1:0")?;
-                udp.connect(center)?;
+                // The unspecified address of the centre's family: the
+                // kernel picks the source address that routes to it.
+                let local: SocketAddr = if addr.is_ipv4() {
+                    (Ipv4Addr::UNSPECIFIED, 0).into()
+                } else {
+                    (Ipv6Addr::UNSPECIFIED, 0).into()
+                };
+                let udp = UdpSocket::bind(local)?;
+                udp.connect(addr)?;
                 udp.set_nonblocking(true)?;
                 MonitorInner::Udp(udp)
             }
-            Transport::Tcp => {
-                let addr = center
-                    .to_socket_addrs()?
-                    .next()
-                    .ok_or_else(|| std::io::Error::new(ErrorKind::InvalidInput, "no addr"))?;
-                MonitorInner::Tcp(TcpConn::new(TcpStream::connect(addr)?)?)
-            }
+            Transport::Tcp => MonitorInner::Tcp(TcpConn::new(TcpStream::connect(addr)?)?),
         };
         Ok(MonitorSocket {
             inner,
@@ -1217,15 +1218,15 @@ mod tests {
     }
 
     /// One epoch, one router, real sockets on localhost: the monitor
-    /// ships a bundle through the shim, the centre reassembles it
-    /// byte-identically.
-    fn socket_roundtrip(transport: Transport, impair: ImpairmentConfig) {
+    /// ships a bundle through the shim to a centre bound on
+    /// `center_addr`, the centre reassembles it byte-identically.
+    fn socket_roundtrip_on(center_addr: &str, transport: Transport, impair: ImpairmentConfig) {
         let bundle: Vec<u8> = (0..40_000u32).map(|i| (i % 251) as u8).collect();
         let chunks = chunk_bundle(3, 0, &bundle, 1200);
         let metrics = MetricsRegistry::new();
         let clock = TickClock::new(Duration::from_micros(500));
 
-        let mut center = CenterSocket::bind("127.0.0.1:0", transport).unwrap();
+        let mut center = CenterSocket::bind(center_addr, transport).unwrap();
         let addr = center.local_addr().unwrap();
         let center_metrics = MetricsRegistry::new();
         let center_clock = clock.clone();
@@ -1271,9 +1272,23 @@ mod tests {
         );
     }
 
+    fn socket_roundtrip(transport: Transport, impair: ImpairmentConfig) {
+        socket_roundtrip_on("127.0.0.1:0", transport, impair);
+    }
+
     #[test]
     fn udp_roundtrip_perfect() {
         socket_roundtrip(Transport::Udp, ImpairmentConfig::perfect());
+    }
+
+    /// A centre on IPv6 loopback is reachable: the monitor binds the
+    /// unspecified address of the centre's family, not IPv4 loopback.
+    #[test]
+    fn udp_roundtrip_to_an_ipv6_center() {
+        if UdpSocket::bind("[::1]:0").is_err() {
+            return; // no IPv6 loopback on this host
+        }
+        socket_roundtrip_on("[::1]:0", Transport::Udp, ImpairmentConfig::perfect());
     }
 
     #[test]

@@ -10,45 +10,6 @@ use dcs_stats::sample::sample_geometric;
 use rand::seq::SliceRandom;
 use rand::Rng;
 
-/// The asymptotic giant-component fraction of G(n, c/n) for mean degree
-/// `c`: the largest root `s` of `s = 1 − e^(−c·s)`, found by fixed-point
-/// iteration. Zero for `c ≤ 1` (subcritical — the phase-transition fact
-/// the ER test rides on).
-pub fn giant_component_fraction(c: f64) -> f64 {
-    assert!(c >= 0.0, "mean degree must be non-negative");
-    if c <= 1.0 {
-        return 0.0;
-    }
-    // The map s ↦ 1 − e^(−cs) is a contraction toward the positive root
-    // when started at s = 1.
-    let mut s = 1.0f64;
-    for _ in 0..200 {
-        let next = 1.0 - (-c * s).exp();
-        if (next - s).abs() < 1e-14 {
-            return next;
-        }
-        s = next;
-    }
-    s
-}
-
-/// Predicted size of the merged component when a pattern of `n1` vertices
-/// with internal edge probability `p2` is planted into a subcritical
-/// G(n, p1) background:
-/// giant-fraction(n1·p2)·n1 pattern vertices, each dragging in its
-/// background tree of expected size `1/(1 − n·p1)`.
-///
-/// This is the analytic skeleton of Figure 13: the planted CDFs separate
-/// from the null exactly when this prediction clears the component
-/// threshold.
-pub fn planted_component_prediction(n: usize, p1: f64, n1: usize, p2: f64) -> f64 {
-    let c_bg = n as f64 * p1;
-    assert!(c_bg < 1.0, "background must be subcritical for the ER test");
-    let core = giant_component_fraction(n1 as f64 * p2) * n1 as f64;
-    let tree = 1.0 / (1.0 - c_bg);
-    core * tree
-}
-
 /// Maps a linear pair index `t ∈ [0, C(n,2))` to the pair `(i, j)`, `i < j`,
 /// in lexicographic order.
 fn unrank_pair(t: u64, n: u64) -> (u32, u32) {
@@ -276,61 +237,5 @@ mod tests {
         let (g, pattern) = gnp_planted(&mut r, cfg);
         assert!(pattern.is_empty());
         assert!(g.n() == 500);
-    }
-
-    #[test]
-    fn giant_fraction_known_values() {
-        assert_eq!(giant_component_fraction(0.5), 0.0);
-        assert_eq!(giant_component_fraction(1.0), 0.0);
-        // c = 2: s ≈ 0.7968.
-        assert!((giant_component_fraction(2.0) - 0.7968).abs() < 1e-3);
-        // Large c: fraction → 1.
-        assert!(giant_component_fraction(10.0) > 0.9999);
-        // Just supercritical: small positive.
-        let s = giant_component_fraction(1.1);
-        assert!(s > 0.0 && s < 0.25, "s(1.1) = {s}");
-    }
-
-    #[test]
-    fn giant_fraction_matches_simulation() {
-        let mut r = rng(9);
-        let n = 30_000;
-        for c in [1.5f64, 2.0, 3.0] {
-            let g = gnp(&mut r, n, c / n as f64);
-            let measured = component_sizes(&g)[0] as f64 / n as f64;
-            let predicted = giant_component_fraction(c);
-            assert!(
-                (measured - predicted).abs() < 0.03,
-                "c={c}: measured {measured} vs predicted {predicted}"
-            );
-        }
-    }
-
-    #[test]
-    fn planted_prediction_tracks_simulation() {
-        let mut r = rng(10);
-        let n = 50_000;
-        let p1 = 0.65 / n as f64;
-        let (n1, p2) = (150usize, 0.1f64);
-        let predicted = planted_component_prediction(n, p1, n1, p2);
-        let mut measured = 0.0;
-        let reps = 5;
-        for _ in 0..reps {
-            let (g, _) = gnp_planted(&mut r, PlantedConfig { n, p1, n1, p2 });
-            measured += component_sizes(&g)[0] as f64;
-        }
-        measured /= reps as f64;
-        // The prediction ignores pattern-vertex tree overlaps and finite-
-        // size effects; it should land within ~35% of the simulation.
-        assert!(
-            (measured - predicted).abs() / predicted < 0.35,
-            "measured {measured} vs predicted {predicted}"
-        );
-    }
-
-    #[test]
-    #[should_panic(expected = "subcritical")]
-    fn planted_prediction_rejects_supercritical_background() {
-        planted_component_prediction(100, 0.05, 10, 0.5);
     }
 }

@@ -5,8 +5,7 @@
 //! graph becomes β. The remaining vertices are the core."
 //!
 //! [`peel_to_size`] implements this with a bucket queue and lazy entries —
-//! O(V + E) amortised — and [`peel_to_size_naive`] is the O(V²) rescan
-//! reference used to cross-check it (and as an ablation baseline).
+//! O(V + E) amortised; its tests cross-check it against an O(V²) rescan.
 
 use crate::Graph;
 
@@ -66,107 +65,6 @@ pub fn peel_to_size(g: &Graph, beta: usize) -> Vec<u32> {
     (0..n as u32).filter(|&v| !removed[v as usize]).collect()
 }
 
-/// Reference implementation: rescan for the minimum degree at every step.
-/// O(V²); used to validate [`peel_to_size`] and as an ablation baseline.
-pub fn peel_to_size_naive(g: &Graph, beta: usize) -> Vec<u32> {
-    let n = g.n();
-    if beta >= n {
-        return (0..n as u32).collect();
-    }
-    let mut degree: Vec<u32> = (0..n as u32).map(|v| g.degree(v) as u32).collect();
-    let mut removed = vec![false; n];
-    let mut remaining = n;
-    while remaining > beta {
-        // Highest-numbered vertex among those with minimum degree, matching
-        // the bucket implementation's initial tie-break.
-        let mut best: Option<u32> = None;
-        for v in 0..n as u32 {
-            if removed[v as usize] {
-                continue;
-            }
-            best = match best {
-                None => Some(v),
-                Some(b) => {
-                    if degree[v as usize] <= degree[b as usize] {
-                        Some(v)
-                    } else {
-                        Some(b)
-                    }
-                }
-            };
-        }
-        let v = best.expect("graph still has vertices");
-        removed[v as usize] = true;
-        remaining -= 1;
-        for &u in g.neighbors(v) {
-            if !removed[u as usize] {
-                degree[u as usize] -= 1;
-            }
-        }
-    }
-    (0..n as u32).filter(|&v| !removed[v as usize]).collect()
-}
-
-/// Alternative deletion strategies for the stochastic-optimality
-/// comparison (paper Appendix): the greedy min-degree rule is claimed
-/// optimal among all strategies that only see the degree sequence; these
-/// are the natural competitors to measure it against.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum PeelStrategy {
-    /// The paper's greedy rule: always delete a minimum-degree vertex.
-    MinDegree,
-    /// Delete a maximum-degree vertex (adversarially bad for dense cores).
-    MaxDegree,
-    /// Delete a uniformly random surviving vertex (seeded).
-    Random(u64),
-}
-
-/// Peels with an arbitrary strategy until `beta` vertices remain —
-/// O(V²)-ish reference machinery for experiments, not a production path.
-pub fn peel_to_size_with(g: &Graph, beta: usize, strategy: PeelStrategy) -> Vec<u32> {
-    let n = g.n();
-    if beta >= n {
-        return (0..n as u32).collect();
-    }
-    let mut degree: Vec<u32> = (0..n as u32).map(|v| g.degree(v) as u32).collect();
-    let mut removed = vec![false; n];
-    let mut remaining = n;
-    // Simple xorshift for the Random strategy (deterministic, no rand dep).
-    let mut state = match strategy {
-        PeelStrategy::Random(seed) => seed | 1,
-        _ => 1,
-    };
-    let mut next_rand = move || {
-        state ^= state << 13;
-        state ^= state >> 7;
-        state ^= state << 17;
-        state
-    };
-    while remaining > beta {
-        let victim = match strategy {
-            PeelStrategy::MinDegree => (0..n as u32)
-                .filter(|&v| !removed[v as usize])
-                .min_by_key(|&v| degree[v as usize]),
-            PeelStrategy::MaxDegree => (0..n as u32)
-                .filter(|&v| !removed[v as usize])
-                .max_by_key(|&v| degree[v as usize]),
-            PeelStrategy::Random(_) => {
-                let k = (next_rand() % remaining as u64) as usize;
-                (0..n as u32).filter(|&v| !removed[v as usize]).nth(k)
-            }
-        }
-        .expect("vertices remain");
-        removed[victim as usize] = true;
-        remaining -= 1;
-        for &u in g.neighbors(victim) {
-            if !removed[u as usize] {
-                degree[u as usize] -= 1;
-            }
-        }
-    }
-    (0..n as u32).filter(|&v| !removed[v as usize]).collect()
-}
-
 /// The k-core of `g`: the unique maximal induced subgraph in which every
 /// vertex has degree ≥ `k`. Unlike [`peel_to_size`], the k-core is
 /// independent of tie-breaking, which makes it the ideal cross-check for
@@ -210,6 +108,47 @@ mod tests {
     use crate::GraphBuilder;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
+
+    /// Reference implementation: rescan for the minimum degree at every step.
+    /// O(V²); used to validate [`peel_to_size`].
+    fn peel_to_size_naive(g: &Graph, beta: usize) -> Vec<u32> {
+        let n = g.n();
+        if beta >= n {
+            return (0..n as u32).collect();
+        }
+        let mut degree: Vec<u32> = (0..n as u32).map(|v| g.degree(v) as u32).collect();
+        let mut removed = vec![false; n];
+        let mut remaining = n;
+        while remaining > beta {
+            // Highest-numbered vertex among those with minimum degree, matching
+            // the bucket implementation's initial tie-break.
+            let mut best: Option<u32> = None;
+            for v in 0..n as u32 {
+                if removed[v as usize] {
+                    continue;
+                }
+                best = match best {
+                    None => Some(v),
+                    Some(b) => {
+                        if degree[v as usize] <= degree[b as usize] {
+                            Some(v)
+                        } else {
+                            Some(b)
+                        }
+                    }
+                };
+            }
+            let v = best.expect("graph still has vertices");
+            removed[v as usize] = true;
+            remaining -= 1;
+            for &u in g.neighbors(v) {
+                if !removed[u as usize] {
+                    degree[u as usize] -= 1;
+                }
+            }
+        }
+        (0..n as u32).filter(|&v| !removed[v as usize]).collect()
+    }
 
     /// A 4-clique {0,1,2,3} with pendant paths hanging off it.
     fn clique_with_tails() -> Graph {
@@ -350,74 +289,5 @@ mod tests {
     fn empty_graph_peel() {
         let g = GraphBuilder::new(0).build();
         assert!(peel_to_size(&g, 0).is_empty());
-    }
-
-    #[test]
-    fn min_degree_strategy_matches_bucket_quality() {
-        // peel_to_size_with(MinDegree) and the bucket implementation may
-        // break ties differently but must recover a planted pattern
-        // equally well.
-        let mut r = StdRng::seed_from_u64(31);
-        let (g, pattern) = gnp_planted(
-            &mut r,
-            PlantedConfig {
-                n: 1_000,
-                p1: 1.0 / 1_000.0,
-                n1: 40,
-                p2: 0.5,
-            },
-        );
-        let hits = |core: &[u32]| {
-            core.iter()
-                .filter(|v| pattern.binary_search(v).is_ok())
-                .count()
-        };
-        let bucket = peel_to_size(&g, 40);
-        let slow = peel_to_size_with(&g, 40, PeelStrategy::MinDegree);
-        assert!(hits(&bucket) >= 36);
-        assert!(hits(&slow) >= 36);
-    }
-
-    #[test]
-    fn stochastic_optimality_empirical() {
-        // The Appendix's Corollary 4: among degree-only strategies, the
-        // greedy min-degree rule maximises the expected number of pattern
-        // vertices surviving the peel. Compare against Random and
-        // MaxDegree over several planted graphs.
-        let mut totals = [0usize; 3]; // min, random, max
-        for seed in 0..6u64 {
-            let mut r = StdRng::seed_from_u64(100 + seed);
-            let (g, pattern) = gnp_planted(
-                &mut r,
-                PlantedConfig {
-                    n: 800,
-                    p1: 2.0 / 800.0,
-                    n1: 30,
-                    p2: 0.4,
-                },
-            );
-            let hits = |core: &[u32]| {
-                core.iter()
-                    .filter(|v| pattern.binary_search(v).is_ok())
-                    .count()
-            };
-            totals[0] += hits(&peel_to_size_with(&g, 30, PeelStrategy::MinDegree));
-            totals[1] += hits(&peel_to_size_with(&g, 30, PeelStrategy::Random(seed + 1)));
-            totals[2] += hits(&peel_to_size_with(&g, 30, PeelStrategy::MaxDegree));
-        }
-        assert!(
-            totals[0] > totals[1],
-            "min-degree ({}) must beat random ({})",
-            totals[0],
-            totals[1]
-        );
-        assert!(
-            totals[1] >= totals[2],
-            "random ({}) should beat max-degree ({})",
-            totals[1],
-            totals[2]
-        );
-        // And the greedy rule should be close to perfect here.
-        assert!(totals[0] >= 6 * 25, "greedy only kept {} of 180", totals[0]);
     }
 }

@@ -6,8 +6,7 @@
 //! so any good 64-bit hash works; we provide, from scratch:
 //!
 //! * [`rabin`] — Rabin fingerprints over GF(2) (the paper's citation \[22\])
-//!   with table-driven byte updates and O(1) rolling windows, plus the
-//!   polynomial arithmetic and irreducibility testing needed to pick safe
+//!   with table-driven byte updates, plus the polynomial arithmetic and irreducibility testing needed to pick safe
 //!   moduli;
 //! * [`fnv`] — FNV-1a, a minimal seedable byte hash;
 //! * [`crc32()`] — CRC-32/IEEE for wire-frame integrity trailers;
@@ -35,7 +34,7 @@ mod proptests;
 
 pub use crc32::{crc32, Crc32};
 pub use fnv::Fnv1a;
-pub use rabin::{RabinFingerprinter, RollingRabin, DEFAULT_POLY};
+pub use rabin::{RabinFingerprinter, DEFAULT_POLY};
 
 use mix::{reduce, splitmix64};
 use std::sync::OnceLock;

@@ -1,16 +1,12 @@
-//! Rabin fingerprints over GF(2) with table-driven updates and rolling
-//! windows.
+//! Rabin fingerprints over GF(2) with table-driven updates.
 //!
 //! A message `b_0 b_1 … b_{k-1}` is interpreted as a polynomial over GF(2)
 //! and reduced modulo a fixed irreducible degree-64 polynomial. Fingerprints
 //! are linear, so equal byte strings always collide and distinct strings
 //! collide with probability ~`k/2^64` — exactly the property the paper's
-//! content-signature bitmaps rely on. The rolling variant supports the
-//! future-work direction of similar-content detection (shingling every
-//! window of a payload, Section VI).
+//! content-signature bitmaps rely on.
 
 use crate::gf2::{is_irreducible64, mulmod, x_pow_mod};
-use std::collections::VecDeque;
 
 /// Default modulus: `x^64 + x^4 + x^3 + x + 1`, irreducible over GF(2)
 /// (validated by `gf2::is_irreducible64` in tests).
@@ -59,14 +55,9 @@ impl RabinFingerprinter {
         RabinFingerprinter { poly, tables }
     }
 
-    /// The low bits of the modulus.
-    pub fn poly(&self) -> u64 {
-        self.poly
-    }
-
     /// Appends one byte to a fingerprint state.
     #[inline]
-    pub fn append_byte(&self, f: u64, byte: u8) -> u64 {
+    pub(crate) fn append_byte(&self, f: u64, byte: u8) -> u64 {
         (f << 8 | u64::from(byte)) ^ self.tables[0][(f >> 56) as usize]
     }
 
@@ -106,90 +97,6 @@ impl RabinFingerprinter {
     pub fn fingerprint(&self, bytes: &[u8]) -> u64 {
         self.fold(1, bytes)
     }
-
-    /// Fingerprint of a fixed-length window, with zero initial state (the
-    /// convention of [`RollingRabin`], where the window length is fixed and
-    /// the leading-zero ambiguity cannot arise). Use this to compare against
-    /// rolling fingerprints.
-    pub fn window_fingerprint(&self, bytes: &[u8]) -> u64 {
-        self.fold(0, bytes)
-    }
-}
-
-/// O(1)-per-byte rolling Rabin fingerprint over a fixed-size window.
-pub struct RollingRabin {
-    fp: RabinFingerprinter,
-    window: usize,
-    /// `out_table[b]` = residue of `b(x) · x^(8·window)`: the contribution of
-    /// the byte about to leave the window.
-    out_table: Box<[u64; 256]>,
-    buf: VecDeque<u8>,
-    f: u64,
-}
-
-impl std::fmt::Debug for RollingRabin {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(
-            f,
-            "RollingRabin {{ poly: {:#x}, window: {}, filled: {} }}",
-            self.fp.poly,
-            self.window,
-            self.buf.len()
-        )
-    }
-}
-
-impl RollingRabin {
-    /// Creates a rolling fingerprinter over windows of `window` bytes.
-    ///
-    /// # Panics
-    /// Panics if `window == 0` or the modulus is not irreducible.
-    pub fn new(poly: u64, window: usize) -> Self {
-        assert!(window > 0, "rolling window must be non-empty");
-        let fp = RabinFingerprinter::new(poly);
-        let xw = x_pow_mod(8 * window as u64, poly);
-        let mut out_table = Box::new([0u64; 256]);
-        for b in 0u64..256 {
-            out_table[b as usize] = mulmod(b, xw, poly);
-        }
-        RollingRabin {
-            fp,
-            window,
-            out_table,
-            buf: VecDeque::with_capacity(window),
-            f: 0,
-        }
-    }
-
-    /// Window length in bytes.
-    pub fn window(&self) -> usize {
-        self.window
-    }
-
-    /// Pushes a byte; returns the fingerprint of the current window once at
-    /// least `window` bytes have been seen, `None` while filling.
-    #[inline]
-    pub fn push(&mut self, byte: u8) -> Option<u64> {
-        self.f = self.fp.append_byte(self.f, byte);
-        self.buf.push_back(byte);
-        if self.buf.len() > self.window {
-            let old = self.buf.pop_front().expect("buffer longer than window");
-            self.f ^= self.out_table[old as usize];
-        }
-        (self.buf.len() == self.window).then_some(self.f)
-    }
-
-    /// Clears the window.
-    pub fn reset(&mut self) {
-        self.buf.clear();
-        self.f = 0;
-    }
-
-    /// Fingerprints of every full window of `bytes`, from scratch.
-    pub fn windows_of(poly: u64, window: usize, bytes: &[u8]) -> Vec<u64> {
-        let mut roll = RollingRabin::new(poly, window);
-        bytes.iter().filter_map(|&b| roll.push(b)).collect()
-    }
 }
 
 #[cfg(test)]
@@ -216,68 +123,19 @@ mod tests {
     #[test]
     fn append_is_linear_in_message_xor() {
         // Rabin fingerprints with the same length are affine: for equal
-        // lengths, fp(a) ^ fp(b) == fp0(a ^ b) where fp0 is the zero-init
-        // window fingerprint of the bytewise XOR.
+        // lengths, fp(a) ^ fp(b) == fp0(a ^ b) where fp0 is the
+        // zero-state fold of the bytewise XOR.
         let fp = RabinFingerprinter::new(DEFAULT_POLY);
         let a = b"abcdefgh";
         let b = b"12345678";
         let x: Vec<u8> = a.iter().zip(b).map(|(p, q)| p ^ q).collect();
-        assert_eq!(
-            fp.fingerprint(a) ^ fp.fingerprint(b),
-            fp.window_fingerprint(&x)
-        );
+        assert_eq!(fp.fingerprint(a) ^ fp.fingerprint(b), fp.fold(0, &x));
     }
 
     #[test]
     #[should_panic(expected = "not irreducible")]
     fn reducible_modulus_rejected() {
         RabinFingerprinter::new(0);
-    }
-
-    #[test]
-    fn rolling_matches_from_scratch() {
-        let data = b"the quick brown fox jumps over the lazy dog";
-        let fp = RabinFingerprinter::new(DEFAULT_POLY);
-        let w = 8;
-        let rolled = RollingRabin::windows_of(DEFAULT_POLY, w, data);
-        assert_eq!(rolled.len(), data.len() - w + 1);
-        for (i, &r) in rolled.iter().enumerate() {
-            assert_eq!(
-                r,
-                fp.window_fingerprint(&data[i..i + w]),
-                "window {i} mismatch"
-            );
-        }
-    }
-
-    #[test]
-    fn rolling_detects_shared_window() {
-        // Two messages sharing a 16-byte substring at different offsets
-        // produce at least one identical window fingerprint — the unaligned
-        // case's core mechanism.
-        let common = b"COMMON-CONTENT!!";
-        let mut m1 = b"prefix-A-".to_vec();
-        m1.extend_from_slice(common);
-        let mut m2 = b"other-longer-prefix-".to_vec();
-        m2.extend_from_slice(common);
-        let f1 = RollingRabin::windows_of(DEFAULT_POLY, 16, &m1);
-        let f2 = RollingRabin::windows_of(DEFAULT_POLY, 16, &m2);
-        assert!(
-            f1.iter().any(|f| f2.contains(f)),
-            "shared window not detected"
-        );
-    }
-
-    #[test]
-    fn rolling_none_while_filling() {
-        let mut r = RollingRabin::new(DEFAULT_POLY, 4);
-        assert_eq!(r.push(1), None);
-        assert_eq!(r.push(2), None);
-        assert_eq!(r.push(3), None);
-        assert!(r.push(4).is_some());
-        assert!(r.push(5).is_some());
-        r.reset();
-        assert_eq!(r.push(6), None);
     }
 
     #[test]

@@ -12,11 +12,6 @@
 //! * fixed-bucket **latency histograms** ([`Histogram`]) — power-of-two
 //!   nanosecond buckets accumulating every stage span ever timed.
 //!
-//! [`StageTimer`] is the cheap span guard: it reads the monotonic clock
-//! ([`std::time::Instant`]) on creation and records the elapsed
-//! nanoseconds into a histogram (and optionally a gauge) when stopped or
-//! dropped.
-//!
 //! Metric identity is `name` plus a small set of `label=value` pairs
 //! (canonically sorted), rendered as `name{label=value,…}` — the
 //! conventional families are `stage`, `pipeline`, `router_id` and
@@ -35,7 +30,7 @@
 mod registry;
 mod snapshot;
 
-pub use registry::{Counter, Gauge, Histogram, MetricsRegistry, StageTimer, HIST_BUCKETS};
+pub use registry::{Counter, Gauge, Histogram, MetricsRegistry, HIST_BUCKETS};
 pub use snapshot::{metric_key, CounterEntry, GaugeEntry, HistogramEntry, MetricsSnapshot};
 
 #[cfg(test)]

@@ -9,7 +9,6 @@ use crate::snapshot::{metric_key, CounterEntry, GaugeEntry, HistogramEntry, Metr
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard};
-use std::time::Instant;
 
 /// Number of latency buckets per [`Histogram`]: bucket `i` counts
 /// observations whose value has bit length `i` (i.e. `2^(i-1) ≤ v < 2^i`,
@@ -136,56 +135,6 @@ impl Histogram {
     }
 }
 
-/// A span guard over the monotonic clock: created at stage entry, it
-/// records the elapsed nanoseconds into its histogram (and optional
-/// gauge) when [`stopped`](StageTimer::stop) — or on drop, so early
-/// returns and panicking stages are still accounted for.
-#[derive(Debug)]
-pub struct StageTimer {
-    hist: Histogram,
-    gauge: Option<Gauge>,
-    start: Instant,
-    armed: bool,
-}
-
-impl StageTimer {
-    /// Starts a span recording into `hist`, mirroring the measured span
-    /// into `gauge` (the "last epoch" view) when given.
-    pub fn start(hist: Histogram, gauge: Option<Gauge>) -> Self {
-        StageTimer {
-            hist,
-            gauge,
-            start: Instant::now(),
-            armed: true,
-        }
-    }
-
-    /// Stops the span, records it, and returns the elapsed nanoseconds
-    /// (floored at 1 ns so a recorded stage is never indistinguishable
-    /// from one that never ran).
-    pub fn stop(mut self) -> u64 {
-        self.record()
-    }
-
-    fn record(&mut self) -> u64 {
-        self.armed = false;
-        let ns = (self.start.elapsed().as_nanos() as u64).max(1);
-        self.hist.observe(ns);
-        if let Some(g) = &self.gauge {
-            g.set(ns);
-        }
-        ns
-    }
-}
-
-impl Drop for StageTimer {
-    fn drop(&mut self) {
-        if self.armed {
-            self.record();
-        }
-    }
-}
-
 #[derive(Debug, Default)]
 struct RegistryInner {
     counters: BTreeMap<String, Counter>,
@@ -247,20 +196,6 @@ impl MetricsRegistry {
             .entry(key)
             .or_insert_with(Histogram::new)
             .clone()
-    }
-
-    /// Starts a [`StageTimer`] recording into the histogram
-    /// `name{labels…}` and mirroring into the gauge `gauge_name{labels…}`
-    /// when given.
-    pub fn stage_timer(
-        &self,
-        name: &str,
-        labels: &[(&str, &str)],
-        gauge_name: Option<&str>,
-    ) -> StageTimer {
-        let hist = self.histogram(name, labels);
-        let gauge = gauge_name.map(|g| self.gauge(g, labels));
-        StageTimer::start(hist, gauge)
     }
 
     /// Captures every instrument into a deterministic, serializable
@@ -344,21 +279,6 @@ mod tests {
         let snap = reg.snapshot();
         assert_eq!(snap.histograms[0].min, 0);
         assert_eq!(snap.histograms[0].count, 0);
-    }
-
-    #[test]
-    fn stage_timer_records_on_stop_and_on_drop() {
-        let reg = MetricsRegistry::new();
-        let ns = reg
-            .stage_timer("stage_ns", &[], Some("epoch_stage_ns"))
-            .stop();
-        assert!(ns >= 1);
-        {
-            let _t = reg.stage_timer("stage_ns", &[], None);
-        } // dropped unarmed -> still recorded
-        let h = reg.histogram("stage_ns", &[]);
-        assert_eq!(h.count(), 2);
-        assert_eq!(reg.gauge("epoch_stage_ns", &[]).get(), ns);
     }
 
     #[test]

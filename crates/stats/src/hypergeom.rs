@@ -93,11 +93,6 @@ pub fn hypergeom_sf(t: i64, n_total: u64, i: u64, j: u64) -> f64 {
     }
 }
 
-/// CDF `P[X ≤ t]`.
-pub fn hypergeom_cdf(t: i64, n_total: u64, i: u64, j: u64) -> f64 {
-    1.0 - hypergeom_sf(t, n_total, i, j)
-}
-
 /// Smallest `t` with `P[X > t] ≤ p_star` — the paper's `λ_{i,j}`.
 ///
 /// Binary search over the support using the monotone survival function.

@@ -29,7 +29,7 @@ pub mod special;
 mod proptests;
 
 pub use binomial::{binocdf, binomial_sf, ln_binomial_pmf};
-pub use ecdf::{ks_critical, Ecdf};
+pub use ecdf::Ecdf;
 pub use hypergeom::{
     hypergeom_pmf, hypergeom_sf, hypergeom_tail_quantile, hypergeom_tail_quantile_near,
 };

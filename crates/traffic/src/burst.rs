@@ -49,21 +49,6 @@ impl BurstModel {
         let xm = (self.alpha - 1.0) / self.alpha;
         sample_pareto(rng, xm, self.alpha)
     }
-
-    /// Packet counts for `epochs` epochs around a base count.
-    pub fn epoch_packet_counts<R: Rng + ?Sized>(
-        &self,
-        rng: &mut R,
-        base: usize,
-        epochs: usize,
-    ) -> Vec<usize> {
-        (0..epochs)
-            .map(|_| {
-                let m = self.epoch_multiplier(rng);
-                ((base as f64 * m).round() as usize).max(1)
-            })
-            .collect()
-    }
 }
 
 /// Coefficient of variation (σ/μ) of a count sequence — the burstiness
@@ -110,7 +95,9 @@ mod tests {
             off_scale: 0.02,
         };
         let mut r = rng();
-        let bursty = m.epoch_packet_counts(&mut r, 10_000, 400);
+        let bursty: Vec<usize> = (0..400)
+            .map(|_| (10_000.0 * m.epoch_multiplier(&mut r)).round() as usize)
+            .collect();
         let smooth: Vec<usize> = vec![10_000; 400];
         assert!(
             coefficient_of_variation(&bursty) > 0.8,
@@ -128,23 +115,10 @@ mod tests {
             off_scale: 0.01,
         };
         let mut r = rng();
-        let counts = m.epoch_packet_counts(&mut r, 1000, 200);
-        let off = counts.iter().filter(|&&c| c <= 20).count();
+        let off = (0..200)
+            .filter(|_| m.epoch_multiplier(&mut r) <= 0.02)
+            .count();
         assert!(off > 50, "expected many OFF epochs, saw {off}");
-    }
-
-    #[test]
-    fn counts_never_zero() {
-        let m = BurstModel {
-            alpha: 1.5,
-            off_prob: 0.9,
-            off_scale: 0.0,
-        };
-        let mut r = rng();
-        assert!(m
-            .epoch_packet_counts(&mut r, 100, 50)
-            .iter()
-            .all(|&c| c >= 1));
     }
 
     #[test]

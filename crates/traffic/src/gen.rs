@@ -109,12 +109,6 @@ pub fn generate_epoch<R: Rng + ?Sized>(rng: &mut R, cfg: &BackgroundConfig) -> V
     out
 }
 
-/// Total wire bytes of a packet sequence (for digest-compression
-/// accounting).
-pub fn wire_bytes(packets: &[Packet]) -> usize {
-    packets.iter().map(Packet::wire_len).sum()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -206,18 +200,5 @@ mod tests {
         let distinct: std::collections::HashSet<&[u8]> =
             pkts.iter().map(|p| p.payload.as_ref()).collect();
         assert_eq!(distinct.len(), 2_000, "background payloads must be unique");
-    }
-
-    #[test]
-    fn wire_bytes_accounting() {
-        let mut r = rng();
-        let cfg = BackgroundConfig {
-            packets: 10,
-            flows: 5,
-            zipf_exponent: 0.0,
-            size_mix: SizeMix::constant(100),
-        };
-        let pkts = generate_epoch(&mut r, &cfg);
-        assert_eq!(wire_bytes(&pkts), 10 * 140);
     }
 }

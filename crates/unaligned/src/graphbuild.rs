@@ -3,10 +3,8 @@
 //! "The vast majority of the computational complexity … comes from
 //! computing, for any two rows in the matrix, the number of indices in
 //! which both rows have value 1" (Section IV-D). The paper lists coping
-//! strategies; this module implements two of them beside the serial
-//! reference:
+//! strategies; this module implements two of them:
 //!
-//! * [`build_group_graph`] — the straight serial sweep (the test oracle);
 //! * `edges_touching` — possibility 3, "distribute the load to a large
 //!   number of CPUs": the one parallel pair loop (scoped worker threads
 //!   via `dcs-parallel`, and the only section of the analysis centre
@@ -146,21 +144,6 @@ fn group_edges<const T: usize>(
         edge[t] = true;
     }
     edge
-}
-
-/// Serial conversion of the fused row matrix into the group graph.
-pub fn build_group_graph(rows: &RowMatrix, layout: GroupLayout, table: &LambdaTable) -> Graph {
-    let n = layout.groups(rows);
-    let weights = rows.row_weights();
-    let mut b = GraphBuilder::new(n);
-    for ga in 0..n {
-        for gb in (ga + 1)..n {
-            if group_edges(rows, &weights, layout, [table], ga, gb, &mut 0) == [true] {
-                b.add_edge(ga as u32, gb as u32);
-            }
-        }
-    }
-    b.build()
 }
 
 /// The parallel group-pair loop: λ-tests every group pair with at least
@@ -341,11 +324,31 @@ pub fn sampled_find_pattern(
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use dcs_bitmap::Bitmap;
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
+
+    /// Serial conversion of the fused row matrix into the group graph:
+    /// the straight sweep every faster build is checked against.
+    pub(crate) fn build_group_graph(
+        rows: &RowMatrix,
+        layout: GroupLayout,
+        table: &LambdaTable,
+    ) -> Graph {
+        let n = layout.groups(rows);
+        let weights = rows.row_weights();
+        let mut b = GraphBuilder::new(n);
+        for ga in 0..n {
+            for gb in (ga + 1)..n {
+                if group_edges(rows, &weights, layout, [table], ga, gb, &mut 0) == [true] {
+                    b.add_edge(ga as u32, gb as u32);
+                }
+            }
+        }
+        b.build()
+    }
 
     const NBITS: usize = 1024;
     const K: usize = 4; // rows per group in tests

@@ -113,9 +113,10 @@ impl IncrementalCorrelator {
     }
 
     /// Processes one epoch: returns the test graph for `rows` —
-    /// bit-identical to `build_group_graph(rows, layout, &tables.test)` —
-    /// and the epoch's work accounting. The same pass brings the
-    /// detection graph under `tables.detect` up to date for
+    /// bit-identical to the all-pairs
+    /// [`build_group_graph_parallel`](crate::build_group_graph_parallel)
+    /// under `tables.test` — and the epoch's work accounting. The same
+    /// pass brings the detection graph under `tables.detect` up to date for
     /// [`detection_graph`](Self::detection_graph).
     ///
     /// # Panics
@@ -209,8 +210,9 @@ impl IncrementalCorrelator {
     }
 
     /// The detection graph under Λ′ as of the last [`epoch`](Self::epoch)
-    /// — bit-identical to `build_group_graph(rows, layout,
-    /// &tables.detect)` of that epoch; empty before the first.
+    /// — bit-identical to the all-pairs
+    /// [`build_group_graph_parallel`](crate::build_group_graph_parallel)
+    /// under `tables.detect` of that epoch; empty before the first.
     pub fn detection_graph(&self) -> Graph {
         let n = self.shape.map_or(0, |s| s.nrows / s.rows_per_group);
         graph_of(n, &self.edges[1])
@@ -220,7 +222,8 @@ impl IncrementalCorrelator {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::graphbuild::{build_group_graph, build_group_graph_parallel};
+    use crate::graphbuild::build_group_graph_parallel;
+    use crate::graphbuild::tests::build_group_graph;
     use crate::lambda::LambdaTable;
     use dcs_bitmap::Bitmap;
     use proptest::prelude::*;

@@ -9,9 +9,8 @@
 //!   probability, lock-free and kept across epochs
 //!   ([`LambdaTables::for_shape`]);
 //! * [`graphbuild`] — pairwise row correlation (the dominant cost the
-//!   paper analyses in Section IV-D): the serial oracle, the one parallel
-//!   pair loop every centre graph goes through, and a vertex-sampled
-//!   variant;
+//!   paper analyses in Section IV-D): the one parallel pair loop every
+//!   centre graph goes through, and a vertex-sampled variant;
 //! * [`ertest`] — the phase-transition statistical test: alarm when the
 //!   largest connected component outgrows what G(n, p₁) can produce;
 //! * [`corefind`] — the 3-step greedy detection (Figure 10): peel to a
@@ -41,8 +40,8 @@ pub mod thresholds;
 pub use corefind::{find_pattern, CoreFindConfig, PatternResult};
 pub use ertest::{er_test, ErTestConfig, ErTestResult};
 pub use graphbuild::{
-    build_group_graph, build_group_graph_parallel, build_group_graph_sampled,
-    expand_core_over_groups, sampled_find_pattern, GroupLayout,
+    build_group_graph_parallel, build_group_graph_sampled, expand_core_over_groups,
+    sampled_find_pattern, GroupLayout,
 };
 pub use incremental::{EpochStats, IncrementalConfig, IncrementalCorrelator};
 pub use lambda::{LambdaTable, LambdaTables};

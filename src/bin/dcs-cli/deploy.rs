@@ -177,8 +177,8 @@ pub struct MonitorCliConfig {
     /// Seed of the planted content — share it across infected monitors
     /// so they all carry the *same* object.
     pub content_seed: u64,
-    /// Background traffic seed (vary per router).
-    pub seed: u64,
+    /// Background traffic seed (vary per router); `null` = the router id.
+    pub seed: Option<u64>,
     /// Digest hash-salt seed — must match every other monitor.
     pub digest_seed: u64,
     /// Aligned bitmap width.
@@ -207,6 +207,13 @@ pub struct MonitorCliConfig {
     pub impair_seed: u64,
 }
 
+impl MonitorCliConfig {
+    /// The background traffic seed: `seed`, else the router id.
+    fn traffic_seed(&self) -> u64 {
+        self.seed.unwrap_or(self.router_id)
+    }
+}
+
 impl Default for MonitorCliConfig {
     fn default() -> Self {
         MonitorCliConfig {
@@ -218,7 +225,7 @@ impl Default for MonitorCliConfig {
             flows: 200,
             content_packets: 0,
             content_seed: 1,
-            seed: 0,
+            seed: None,
             digest_seed: 7,
             aligned_bits: 1 << 14,
             groups: 4,
@@ -470,6 +477,31 @@ fn snapshot_state(
 // monitor
 // ---------------------------------------------------------------------
 
+/// The monitor settings: `--config` (or the defaults) under the flags
+/// that override it, which are taken out of `args`.
+fn monitor_config(args: &mut Vec<String>) -> Result<MonitorCliConfig, Box<dyn std::error::Error>> {
+    let mut cfg: MonitorCliConfig = match take_flag(args, "--config") {
+        Some(path) => serde_json::from_str(&std::fs::read_to_string(path)?)?,
+        None => MonitorCliConfig::default(),
+    };
+    if let Some(v) = take_flag(args, "--center") {
+        cfg.center = v;
+    }
+    if let Some(v) = take_flag(args, "--transport") {
+        cfg.transport = v;
+    }
+    cfg.router_id = parse_or(take_flag(args, "--router"), cfg.router_id)?;
+    cfg.epochs = parse_or(take_flag(args, "--epochs"), cfg.epochs)?;
+    cfg.seed = Some(parse_or(take_flag(args, "--seed"), cfg.traffic_seed())?);
+    // `--infected` plants the shared content object into this monitor's
+    // traffic at the soak's standard 30 packets.
+    if let Some(pos) = args.iter().position(|a| a == "--infected") {
+        args.remove(pos);
+        cfg.content_packets = 30;
+    }
+    Ok(cfg)
+}
+
 /// Runs one monitoring point as a socket process.
 pub fn monitor(args: &[String]) -> CliResult {
     let mut args = args.to_vec();
@@ -480,28 +512,11 @@ pub fn monitor(args: &[String]) -> CliResult {
         );
         return Ok(());
     }
-    let mut cfg: MonitorCliConfig = match take_flag(&mut args, "--config") {
-        Some(path) => serde_json::from_str(&std::fs::read_to_string(path)?)?,
-        None => MonitorCliConfig::default(),
-    };
-    if let Some(v) = take_flag(&mut args, "--center") {
-        cfg.center = v;
-    }
-    if let Some(v) = take_flag(&mut args, "--transport") {
-        cfg.transport = v;
-    }
-    cfg.router_id = parse_or(take_flag(&mut args, "--router"), cfg.router_id)?;
-    cfg.epochs = parse_or(take_flag(&mut args, "--epochs"), cfg.epochs)?;
-    cfg.seed = parse_or(take_flag(&mut args, "--seed"), cfg.router_id)?;
-    // `--infected` plants the shared content object into this monitor's
-    // traffic at the soak's standard 30 packets.
-    if let Some(pos) = args.iter().position(|a| a == "--infected") {
-        args.remove(pos);
-        cfg.content_packets = 30;
-    }
+    let cfg = monitor_config(&mut args)?;
     if !args.is_empty() {
         return Err(format!("monitor: unrecognised arguments {args:?}").into());
     }
+    let seed = cfg.traffic_seed();
 
     sig::install();
     let transport: Transport = cfg.transport.parse()?;
@@ -534,9 +549,7 @@ pub fn monitor(args: &[String]) -> CliResult {
             );
             return Ok(());
         }
-        let epoch_seed = cfg
-            .seed
-            .wrapping_add(epoch_id.wrapping_mul(EPOCH_SEED_STEP));
+        let epoch_seed = seed.wrapping_add(epoch_id.wrapping_mul(EPOCH_SEED_STEP));
         let mut rng = StdRng::seed_from_u64(epoch_seed);
         let mut traffic = generate_epoch(
             &mut rng,
@@ -589,5 +602,35 @@ pub fn monitor(args: &[String]) -> CliResult {
                 return Ok(());
             }
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn args(list: &[&str]) -> Vec<String> {
+        list.iter().map(|a| a.to_string()).collect()
+    }
+
+    #[test]
+    fn monitor_seed_comes_from_the_flag_then_the_config_then_the_router_id() {
+        let path =
+            std::env::temp_dir().join(format!("dcs-monitor-seed-{}.json", std::process::id()));
+        let file = MonitorCliConfig {
+            seed: Some(99),
+            ..MonitorCliConfig::default()
+        };
+        std::fs::write(&path, serde_json::to_string(&file).unwrap()).unwrap();
+        let path = path.to_str().unwrap();
+
+        let configured = monitor_config(&mut args(&["--config", path, "--router", "5"])).unwrap();
+        let flagged = monitor_config(&mut args(&["--config", path, "--seed", "3"])).unwrap();
+        let plain = monitor_config(&mut args(&["--router", "5"])).unwrap();
+        std::fs::remove_file(path).unwrap();
+
+        assert_eq!(configured.traffic_seed(), 99);
+        assert_eq!(flagged.traffic_seed(), 3);
+        assert_eq!(plain.traffic_seed(), 5);
     }
 }

@@ -26,8 +26,8 @@ pub mod termination;
 pub mod thresholds;
 
 pub use search::{
-    naive_detect, refined_detect, refined_detect_cached, refined_detect_multi, AlignedDetection,
-    SearchConfig, SearchScratch, SearchTimings, SearchWork,
+    naive_detect, refined_detect, refined_detect_cached, AlignedDetection, SearchConfig,
+    SearchScratch, SearchTimings, SearchWork,
 };
 pub use termination::{stop_point, TerminationConfig};
 pub use thresholds::{detectable_min_b, ln_natural_occurrence, non_natural_min_b};

@@ -397,41 +397,6 @@ fn product_search(
     (curve, best_per_iter)
 }
 
-/// Iterated multi-pattern detection (the Section II-D layering for the
-/// aligned case): run the refined search, remove the witness columns of
-/// each found pattern, and repeat on the remaining columns until nothing
-/// non-natural is left or `max_patterns` are found.
-///
-/// Distinct contents occupy distinct column sets (two different payload
-/// streams hash to different indices with overwhelming probability), so
-/// column removal cleanly peels one content at a time — including weaker
-/// patterns initially shadowed by a dominant one.
-pub fn refined_detect_multi(
-    matrix: &ColMatrix,
-    cfg: &SearchConfig,
-    max_patterns: usize,
-) -> Vec<AlignedDetection> {
-    let mut remaining: Vec<usize> = (0..matrix.ncols()).collect();
-    let mut found = Vec::new();
-    for _ in 0..max_patterns {
-        if remaining.len() < 2 {
-            break;
-        }
-        let work = matrix.select_columns(&remaining);
-        let mut det = refined_detect(&work, cfg);
-        if !det.found {
-            break;
-        }
-        // Map work-matrix column ids back to the original matrix.
-        det.cols = det.cols.iter().map(|&c| remaining[c]).collect();
-        det.core_cols = det.core_cols.iter().map(|&c| remaining[c]).collect();
-        let taken: std::collections::HashSet<usize> = det.cols.iter().copied().collect();
-        remaining.retain(|c| !taken.contains(c));
-        found.push(det);
-    }
-    found
-}
-
 /// The naive algorithm (Figure 5): product search over the whole matrix,
 /// no screening, no expansion sweep.
 pub fn naive_detect(matrix: &ColMatrix, cfg: &SearchConfig) -> AlignedDetection {
@@ -716,64 +681,6 @@ mod tests {
         m.set(0, 1);
         let det = naive_detect(&m, &cfg);
         assert!(!det.found, "a 1x2 'pattern' is naturally occurring");
-    }
-
-    #[test]
-    fn multi_detection_separates_two_contents() {
-        let mut r = StdRng::seed_from_u64(48);
-        // Two disjoint patterns: rows 0..30 x 12 cols, rows 40..70 x 12
-        // other cols.
-        let m = 96;
-        let n = 800;
-        let mut mat = ColMatrix::new(m, n);
-        for c in 0..n {
-            for row in 0..m {
-                if r.gen::<bool>() {
-                    mat.set(row, c);
-                }
-            }
-        }
-        use rand::seq::SliceRandom;
-        let mut cols: Vec<usize> = (0..n).collect();
-        cols.shuffle(&mut r);
-        let cols_a: Vec<usize> = cols[..12].to_vec();
-        let cols_b: Vec<usize> = cols[12..24].to_vec();
-        for &c in &cols_a {
-            for row in 0..30 {
-                mat.set(row, c);
-            }
-        }
-        for &c in &cols_b {
-            for row in 40..70 {
-                mat.set(row, c);
-            }
-        }
-        let dets = refined_detect_multi(&mat, &small_cfg(), 4);
-        assert!(dets.len() >= 2, "found {} patterns, wanted 2", dets.len());
-        // Each truth pattern should be the best match of some detection.
-        let row_match = |det: &AlignedDetection, lo: u32, hi: u32| {
-            let hits = det.rows.iter().filter(|&&x| x >= lo && x < hi).count();
-            hits * 10 >= det.rows.len() * 8 && hits >= 20
-        };
-        assert!(
-            dets.iter().any(|d| row_match(d, 0, 30)),
-            "pattern A (rows 0..30) not separated"
-        );
-        assert!(
-            dets.iter().any(|d| row_match(d, 40, 70)),
-            "pattern B (rows 40..70) not separated"
-        );
-        // Witness columns must not overlap across the two reports.
-        let all: Vec<usize> = dets.iter().flat_map(|d| d.cols.iter().copied()).collect();
-        let distinct: std::collections::HashSet<usize> = all.iter().copied().collect();
-        assert_eq!(all.len(), distinct.len(), "column sets overlap");
-    }
-
-    #[test]
-    fn multi_detection_on_noise_is_empty() {
-        let mut r = StdRng::seed_from_u64(49);
-        let (mat, _, _) = planted_matrix(&mut r, 96, 600, 0, 0);
-        assert!(refined_detect_multi(&mat, &small_cfg(), 3).is_empty());
     }
 
     #[test]

@@ -9,9 +9,7 @@
 //!
 //! Only the n′ screened columns are ever held this way on the ingest
 //! path ([`ColMatrix::gather_from_rows`]; the other n − n′ are counted
-//! where they lie, see [`ColumnCounts`](crate::ColumnCounts)). The same
-//! gather over every column ([`ColMatrix::from_router_bitmaps`]) is the
-//! offline constructor of experiments and tests.
+//! where they lie, see [`ColumnCounts`](crate::ColumnCounts)).
 
 use crate::words::{self, words_for, WORD_BITS};
 use crate::{Bitmap, WordSource};
@@ -40,22 +38,8 @@ impl ColMatrix {
         }
     }
 
-    /// Stacks one n-bit digest per router into an m×n column-major
-    /// matrix: row r of the result is router r's bitmap. This is
-    /// [`ColMatrix::gather_from_rows`] over every column.
-    ///
-    /// # Panics
-    /// Panics if the bitmaps do not all share the same length.
-    pub fn from_router_bitmaps(bitmaps: &[Bitmap]) -> Self {
-        let ncols = bitmaps.first().map_or(0, Bitmap::len);
-        let mut m = ColMatrix::new(0, 0);
-        m.gather_from_rows(bitmaps, &(0..ncols).collect::<Vec<_>>());
-        m
-    }
-
-    /// The matrix as its rows — one `ncols`-bit bitmap per router, the
-    /// inverse of [`ColMatrix::from_router_bitmaps`]. The refined search
-    /// reads its input as rows.
+    /// The matrix as its rows — one `ncols`-bit bitmap per router. The
+    /// refined search reads its input as rows.
     pub fn row_bitmaps(&self) -> Vec<Bitmap> {
         let mut rows = vec![Bitmap::new(self.ncols); self.nrows];
         for j in 0..self.ncols {
@@ -175,26 +159,41 @@ impl ColMatrix {
         (0..self.ncols).map(|j| self.col_weight(j)).collect()
     }
 
-    /// Extracts the listed columns into a new matrix (used by the refined
-    /// algorithm to materialise the n′ heaviest columns).
+    /// Capacity of the backing word store — diagnostic hook for
+    /// steady-state reuse tests (a reused matrix must not regrow).
+    pub fn word_capacity(&self) -> usize {
+        self.data.capacity()
+    }
+}
+
+/// Test oracles: whole-matrix constructors the ingest path never uses.
+#[cfg(test)]
+impl ColMatrix {
+    /// Stacks one n-bit digest per router into an m×n column-major
+    /// matrix: row r of the result is router r's bitmap. This is
+    /// [`ColMatrix::gather_from_rows`] over every column.
     ///
-    /// Column `k` of the result is column `cols[k]` of `self`.
+    /// # Panics
+    /// Panics if the bitmaps do not all share the same length.
+    pub(crate) fn from_router_bitmaps(bitmaps: &[Bitmap]) -> Self {
+        let ncols = bitmaps.first().map_or(0, Bitmap::len);
+        let mut m = ColMatrix::new(0, 0);
+        m.gather_from_rows(bitmaps, &(0..ncols).collect::<Vec<_>>());
+        m
+    }
+
+    /// Extracts the listed columns into a new matrix: column `k` of the
+    /// result is column `cols[k]` of `self`.
     ///
     /// # Panics
     /// Panics if any index is out of range.
-    pub fn select_columns(&self, cols: &[usize]) -> ColMatrix {
+    pub(crate) fn select_columns(&self, cols: &[usize]) -> ColMatrix {
         let mut out = ColMatrix::new(self.nrows, 0);
         out.ncols = cols.len();
         for &j in cols {
             out.data.extend_from_slice(self.column(j));
         }
         out
-    }
-
-    /// Capacity of the backing word store — diagnostic hook for
-    /// steady-state reuse tests (a reused matrix must not regrow).
-    pub fn word_capacity(&self) -> usize {
-        self.data.capacity()
     }
 }
 

@@ -21,14 +21,12 @@
 pub mod aligned;
 pub mod artifact;
 pub mod frame;
-pub mod sized;
 pub mod unaligned;
 pub mod view;
 pub mod wire;
 
 pub use aligned::{AlignedCollector, AlignedConfig, AlignedDigest};
 pub use artifact::{Artifact, ARTIFACT_KIND_SKETCH, MAX_ARTIFACTS, MAX_ARTIFACT_PAYLOAD};
-pub use sized::{SizeClass, SizedAlignedCollector, SizedAlignedDigest};
 pub use unaligned::{UnalignedCollector, UnalignedConfig, UnalignedDigest};
 pub use view::{AlignedDigestView, UnalignedDigestView};
 pub use wire::{WireError, MAX_ARRAY_BITS};

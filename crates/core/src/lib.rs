@@ -19,7 +19,6 @@
 pub mod aggregate;
 pub mod center;
 pub mod clock;
-pub mod epochs;
 pub mod ingest;
 pub mod monitor;
 pub mod net;
@@ -31,7 +30,6 @@ pub mod transport;
 pub use aggregate::{AggregateBundle, Aggregator, ChildExclusion, AGGREGATE_MAGIC};
 pub use center::{AnalysisCenter, AnalysisConfig};
 pub use clock::{Clock, ManualClock, TickClock};
-pub use epochs::{catch_probability, AlarmTracker, EpochSampler};
 pub use ingest::{Exclusion, IngestError, IngestReport, RouterFault};
 pub use monitor::{MonitorConfig, MonitoringPoint, RouterDigest, RouterDigestView};
 pub use net::{
@@ -55,7 +53,6 @@ pub mod prelude {
     pub use crate::aggregate::{AggregateBundle, Aggregator, ChildExclusion};
     pub use crate::center::{AnalysisCenter, AnalysisConfig};
     pub use crate::clock::{Clock, ManualClock, TickClock};
-    pub use crate::epochs::{AlarmTracker, EpochSampler};
     pub use crate::ingest::{Exclusion, IngestError, IngestReport, RouterFault};
     pub use crate::monitor::{
         MonitorConfig, MonitoringPoint, RouterDigest, RouterDigestView, SketchSpec,

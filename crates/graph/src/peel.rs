@@ -65,33 +65,6 @@ pub fn peel_to_size(g: &Graph, beta: usize) -> Vec<u32> {
     (0..n as u32).filter(|&v| !removed[v as usize]).collect()
 }
 
-/// The k-core of `g`: the unique maximal induced subgraph in which every
-/// vertex has degree ≥ `k`. Unlike [`peel_to_size`], the k-core is
-/// independent of tie-breaking, which makes it the ideal cross-check for
-/// the bucket machinery (and a useful detector primitive in its own
-/// right: a planted dense pattern survives in a high k-core).
-pub fn k_core(g: &Graph, k: usize) -> Vec<u32> {
-    let n = g.n();
-    let mut degree: Vec<usize> = (0..n as u32).map(|v| g.degree(v)).collect();
-    let mut removed = vec![false; n];
-    let mut queue: Vec<u32> = (0..n as u32).filter(|&v| degree[v as usize] < k).collect();
-    for v in &queue {
-        removed[*v as usize] = true;
-    }
-    while let Some(v) = queue.pop() {
-        for &u in g.neighbors(v) {
-            if !removed[u as usize] {
-                degree[u as usize] -= 1;
-                if degree[u as usize] < k {
-                    removed[u as usize] = true;
-                    queue.push(u);
-                }
-            }
-        }
-    }
-    (0..n as u32).filter(|&v| !removed[v as usize]).collect()
-}
-
 /// Degrees of `vertices` counted inside the sub-graph they induce in `g`.
 pub fn induced_degrees(g: &Graph, vertices: &[u32]) -> Vec<usize> {
     let set: std::collections::HashSet<u32> = vertices.iter().copied().collect();
@@ -213,46 +186,6 @@ mod tests {
         assert_eq!(b.len(), 30);
         assert!(hits(&a) >= 28, "bucket peel missed pattern: {}", hits(&a));
         assert!(hits(&b) >= 28, "naive peel missed pattern: {}", hits(&b));
-    }
-
-    #[test]
-    fn k_core_is_order_independent_and_correct() {
-        // Exact property-style check: every k-core vertex has induced
-        // degree >= k, and no removed vertex could be added back.
-        let mut r = StdRng::seed_from_u64(21);
-        let (g, _) = gnp_planted(
-            &mut r,
-            PlantedConfig {
-                n: 600,
-                p1: 3.0 / 600.0,
-                n1: 40,
-                p2: 0.7,
-            },
-        );
-        for k in 1..=6usize {
-            let core = k_core(&g, k);
-            let degs = induced_degrees(&g, &core);
-            assert!(
-                degs.iter().all(|&d| d >= k),
-                "k-core violates degree bound at k={k}"
-            );
-            // Maximality: every vertex outside has < k neighbours in the core.
-            let set: std::collections::HashSet<u32> = core.iter().copied().collect();
-            for v in 0..g.n() as u32 {
-                if !set.contains(&v) {
-                    let d = g.neighbors(v).iter().filter(|u| set.contains(u)).count();
-                    assert!(d < k, "vertex {v} should be in the {k}-core");
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn k_core_on_clique() {
-        let g = clique_with_tails();
-        assert_eq!(k_core(&g, 3), vec![0, 1, 2, 3]);
-        assert_eq!(k_core(&g, 4), Vec::<u32>::new());
-        assert_eq!(k_core(&g, 1).len(), 10);
     }
 
     #[test]

@@ -1,7 +1,7 @@
 //! Property-based tests for the graph substrate.
 
 use crate::components::{component_sizes, largest_component, UnionFind};
-use crate::peel::{induced_degrees, k_core, peel_to_size};
+use crate::peel::peel_to_size;
 use crate::{Graph, GraphBuilder};
 use proptest::prelude::*;
 
@@ -101,33 +101,5 @@ proptest! {
         // Sorted unique vertex ids in range.
         prop_assert!(core.windows(2).all(|w| w[0] < w[1]));
         prop_assert!(core.iter().all(|&v| (v as usize) < g.n()));
-    }
-
-    #[test]
-    fn k_core_properties(g in arb_graph(), k in 0usize..8) {
-        let core = k_core(&g, k);
-        let degs = induced_degrees(&g, &core);
-        prop_assert!(degs.iter().all(|&d| d >= k), "degree bound violated");
-        // Maximality: no excluded vertex has >= k neighbours in the core.
-        let set: std::collections::HashSet<u32> = core.iter().copied().collect();
-        for v in 0..g.n() as u32 {
-            if !set.contains(&v) {
-                let d = g.neighbors(v).iter().filter(|u| set.contains(u)).count();
-                prop_assert!(d < k, "vertex {v} wrongly excluded from {k}-core");
-            }
-        }
-    }
-
-    #[test]
-    fn k_core_nested(g in arb_graph()) {
-        // (k+1)-core ⊆ k-core.
-        let mut prev: Option<std::collections::HashSet<u32>> = None;
-        for k in 0..6usize {
-            let core: std::collections::HashSet<u32> = k_core(&g, k).into_iter().collect();
-            if let Some(p) = &prev {
-                prop_assert!(core.is_subset(p), "{k}-core not nested");
-            }
-            prev = Some(core);
-        }
     }
 }

@@ -2,7 +2,7 @@
 
 use crate::packet::{FlowLabel, Packet};
 use crate::plant::{ContentObject, Planting};
-use crate::trace::{segment_epochs, TraceReader, TraceWriter};
+use crate::trace::{TraceReader, TraceWriter};
 use bytes::Bytes;
 use proptest::prelude::*;
 
@@ -87,19 +87,6 @@ proptest! {
         prop_assert!(inst.len() >= base && inst.len() <= base + 1);
         // All packets of one instance share a flow.
         prop_assert!(inst.iter().all(|p| p.flow == inst[0].flow));
-    }
-
-    #[test]
-    fn segmentation_covers_whole_prefix(
-        pkts in proptest::collection::vec(arb_packet(), 0..60),
-        epoch in 1usize..20,
-    ) {
-        let segs = segment_epochs(&pkts, epoch);
-        prop_assert_eq!(segs.len(), pkts.len() / epoch);
-        for (i, s) in segs.iter().enumerate() {
-            prop_assert_eq!(s.len(), epoch);
-            prop_assert_eq!(&s[0], &pkts[i * epoch]);
-        }
     }
 
     #[test]

@@ -87,14 +87,20 @@ impl<R: Read> TraceReader<R> {
         Ok(TraceReader { inner })
     }
 
-    /// Reads the next packet; `Ok(None)` at a clean end of file.
+    /// Reads the next packet; `Ok(None)` at a clean end of file, that is
+    /// when no byte follows the last whole record. A file that ends inside
+    /// a record is an `UnexpectedEof` error.
     pub fn read_packet(&mut self) -> io::Result<Option<Packet>> {
         let mut flow = [0u8; 13];
-        match self.inner.read_exact(&mut flow) {
-            Ok(()) => {}
-            Err(e) if e.kind() == io::ErrorKind::UnexpectedEof => return Ok(None),
-            Err(e) => return Err(e),
+        loop {
+            match self.inner.read(&mut flow[..1]) {
+                Ok(0) => return Ok(None),
+                Ok(_) => break,
+                Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
+                Err(e) => return Err(e),
+            }
         }
+        self.inner.read_exact(&mut flow[1..])?;
         let mut len = [0u8; 4];
         self.inner.read_exact(&mut len)?;
         let len = u32::from_le_bytes(len) as usize;
@@ -113,16 +119,6 @@ impl<R: Read> Iterator for TraceReader<R> {
     fn next(&mut self) -> Option<Self::Item> {
         self.read_packet().transpose()
     }
-}
-
-/// Splits a packet sequence into epochs of `epoch_packets` packets — the
-/// paper's "trace is cut into segments of certain number of packets each;
-/// each segment corresponds approximately to one second worth of traffic".
-/// The final short segment (if any) is dropped, as the paper's methodology
-/// implies whole segments.
-pub fn segment_epochs(packets: &[Packet], epoch_packets: usize) -> Vec<&[Packet]> {
-    assert!(epoch_packets > 0, "epoch size must be positive");
-    packets.chunks_exact(epoch_packets).collect()
 }
 
 #[cfg(test)]
@@ -176,27 +172,27 @@ mod tests {
 
     #[test]
     fn truncated_record_errors() {
+        // Cut after every byte past the file header: a cut on a record
+        // boundary reads as that prefix of packets, any other cut (inside
+        // a flow label, a length or a payload) is an error.
         let pkts = sample_packets(3);
         let mut w = TraceWriter::new(Vec::new()).unwrap();
-        w.write_all_packets(&pkts).unwrap();
-        let mut buf = w.finish().unwrap();
-        buf.truncate(buf.len() - 1);
-        let result: io::Result<Vec<Packet>> = TraceReader::new(&buf[..]).unwrap().collect();
-        assert!(result.is_err(), "truncated payload must surface an error");
-    }
-
-    #[test]
-    fn segmentation() {
-        let pkts = sample_packets(105);
-        let segs = segment_epochs(&pkts, 25);
-        assert_eq!(segs.len(), 4, "final short segment dropped");
-        assert!(segs.iter().all(|s| s.len() == 25));
-        assert_eq!(segs[1][0], pkts[25]);
-    }
-
-    #[test]
-    #[should_panic(expected = "positive")]
-    fn zero_epoch_size_panics() {
-        segment_epochs(&[], 0);
+        let mut boundaries = vec![w.inner.len()];
+        for p in &pkts {
+            w.write_packet(p).unwrap();
+            boundaries.push(w.inner.len());
+        }
+        let buf = w.finish().unwrap();
+        for cut in boundaries[0]..=buf.len() {
+            let result: io::Result<Vec<Packet>> = TraceReader::new(&buf[..cut]).unwrap().collect();
+            match boundaries.iter().position(|&b| b == cut) {
+                Some(whole) => assert_eq!(result.unwrap(), pkts[..whole], "cut at {cut}"),
+                None => assert_eq!(
+                    result.unwrap_err().kind(),
+                    io::ErrorKind::UnexpectedEof,
+                    "cut at {cut} must surface an error"
+                ),
+            }
+        }
     }
 }

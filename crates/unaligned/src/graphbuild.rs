@@ -3,20 +3,17 @@
 //! "The vast majority of the computational complexity … comes from
 //! computing, for any two rows in the matrix, the number of indices in
 //! which both rows have value 1" (Section IV-D). The paper lists coping
-//! strategies; this module implements two of them:
+//! strategies; this module implements possibility 3, "distribute the load
+//! to a large number of CPUs".
 //!
-//! * `edges_touching` — possibility 3, "distribute the load to a large
-//!   number of CPUs": the one parallel pair loop (scoped worker threads
-//!   via `dcs-parallel`, and the only section of the analysis centre
-//!   that spawns any), over every group pair with a touched end, with
-//!   the count of exact row-pair tests it ran. It tests each row pair's
-//!   one popcount against one λ table or several, so the incremental
-//!   correlator decides the test graph (Λ) and the detection graph (Λ′)
-//!   of the changed groups in one pass; [`build_group_graph_parallel`] is
-//!   the loop over every group under one table, the oracle both graphs
-//!   are audited against;
-//! * [`build_group_graph_sampled`] — possibility 2, "sample 10 % of the
-//!   vertices and find a core only in this subset".
+//! `edges_touching` is the one parallel pair loop (scoped worker threads
+//! via `dcs-parallel`, and the only section of the analysis centre that
+//! spawns any), over every group pair with a touched end, with the count
+//! of exact row-pair tests it ran. It tests each row pair's one popcount
+//! against one λ table or several, so the incremental correlator decides
+//! the test graph (Λ) and the detection graph (Λ′) of the changed groups
+//! in one pass; [`build_group_graph_parallel`] is the loop over every
+//! group under one table, the oracle both graphs are audited against.
 //!
 //! The pair loop strides the touched groups with
 //! [`balanced_outer_indices`] (zigzag pairing), which keeps per-worker
@@ -227,102 +224,6 @@ pub fn build_group_graph_parallel(
     (graph_of(n, &edges), pairs_exact)
 }
 
-/// Vertex-sampled conversion (paper's possibility 2): keep every
-/// `1/sample_div`-th group, build the graph only among the sample.
-/// Returns the graph over sampled groups and the mapping from sampled
-/// vertex id to original group id.
-///
-/// # Panics
-/// Panics if `sample_div == 0`.
-pub fn build_group_graph_sampled(
-    rows: &RowMatrix,
-    layout: GroupLayout,
-    table: &LambdaTable,
-    sample_div: usize,
-) -> (Graph, Vec<u32>) {
-    assert!(sample_div > 0, "sample divisor must be positive");
-    let n = layout.groups(rows);
-    let sampled: Vec<u32> = (0..n as u32).step_by(sample_div).collect();
-    let weights = rows.row_weights();
-    let mut b = GraphBuilder::new(sampled.len());
-    for (ia, &ga) in sampled.iter().enumerate() {
-        for (ib, &gb) in sampled.iter().enumerate().skip(ia + 1) {
-            let (ga, gb) = (ga as usize, gb as usize);
-            if group_edges(rows, &weights, layout, [table], ga, gb, &mut 0) == [true] {
-                b.add_edge(ia as u32, ib as u32);
-            }
-        }
-    }
-    (b.build(), sampled)
-}
-
-/// Expands a core over *all* groups: for every group outside `core`,
-/// count how many core groups it connects to (λ-exceeding row pair) and
-/// keep those with at least `d` connections.
-///
-/// This is the paper's recipe for making vertex sampling viable: "this
-/// core will be used to find other vertices in the pattern, which has
-/// O(n) complexity since the core is relatively small" — the sweep costs
-/// `O(n_groups · |core| · k²)` row comparisons instead of the full
-/// quadratic correlation.
-pub fn expand_core_over_groups(
-    rows: &RowMatrix,
-    layout: GroupLayout,
-    table: &LambdaTable,
-    core: &[u32],
-    d: usize,
-) -> Vec<u32> {
-    let n = layout.groups(rows);
-    let weights = rows.row_weights();
-    let core_set: std::collections::HashSet<u32> = core.iter().copied().collect();
-    let mut out = Vec::new();
-    for g in 0..n as u32 {
-        if core_set.contains(&g) {
-            continue;
-        }
-        let mut links = 0usize;
-        for &c in core {
-            let (g, c) = (g as usize, c as usize);
-            if group_edges(rows, &weights, layout, [table], g, c, &mut 0) == [true] {
-                links += 1;
-                if links >= d {
-                    break;
-                }
-            }
-        }
-        if links >= d {
-            out.push(g);
-        }
-    }
-    out
-}
-
-/// End-to-end sampled detection (paper §IV-D possibility 2): build the
-/// detection graph over every `sample_div`-th group only, run the 3-step
-/// core finding there, then expand the found core across all groups.
-/// Returns the sorted union of the (re-mapped) sampled cores and the
-/// expansion survivors.
-pub fn sampled_find_pattern(
-    rows: &RowMatrix,
-    layout: GroupLayout,
-    table: &LambdaTable,
-    sample_div: usize,
-    cfg: crate::corefind::CoreFindConfig,
-    expand_d: usize,
-) -> Vec<u32> {
-    let (graph, mapping) = build_group_graph_sampled(rows, layout, table, sample_div);
-    let result = crate::corefind::find_pattern(&graph, cfg);
-    let mut core: Vec<u32> = result
-        .vertices()
-        .into_iter()
-        .map(|v| mapping[v as usize])
-        .collect();
-    let expanded = expand_core_over_groups(rows, layout, table, &core, expand_d);
-    core.extend(expanded);
-    core.sort_unstable();
-    core
-}
-
 #[cfg(test)]
 pub(crate) mod tests {
     use super::*;
@@ -455,67 +356,6 @@ pub(crate) mod tests {
             tallies.push(pairs);
         }
         assert!(tallies[0] > 0 && tallies.iter().all(|&p| p == tallies[0]));
-    }
-
-    #[test]
-    fn sampled_build_keeps_every_divth_group() {
-        let mut r = StdRng::seed_from_u64(4);
-        // Correlate groups 0 and 2 (both survive div-2 sampling).
-        let m = test_matrix(&mut r, 10, 512, &[0, 2], 220);
-        let layout = GroupLayout { rows_per_group: K };
-        let t = table();
-        let (g, mapping) = build_group_graph_sampled(&m, layout, &t, 2);
-        assert_eq!(mapping, vec![0, 2, 4, 6, 8]);
-        assert_eq!(g.n(), 5);
-        assert!(g.has_edge(0, 1), "sampled graph keeps the 0–2 edge");
-    }
-
-    #[test]
-    fn expansion_recovers_unsampled_pattern_groups() {
-        let mut r = StdRng::seed_from_u64(5);
-        // Groups 0..8 all share a strong signal; sample every 2nd group so
-        // odd pattern groups are invisible to the sampled graph.
-        let correlated: Vec<usize> = (0..8).collect();
-        let m = test_matrix(&mut r, 24, 512, &correlated, 220);
-        let layout = GroupLayout { rows_per_group: K };
-        let t = table();
-        let core: Vec<u32> = vec![0, 2, 4, 6]; // the sampled half
-        let expanded = expand_core_over_groups(&m, layout, &t, &core, 2);
-        for odd in [1u32, 3, 5, 7] {
-            assert!(
-                expanded.contains(&odd),
-                "unsampled pattern group {odd} not recovered: {expanded:?}"
-            );
-        }
-        // Background groups stay out.
-        assert!(
-            expanded.iter().all(|&g| g < 8),
-            "background leaked into the expansion: {expanded:?}"
-        );
-    }
-
-    #[test]
-    fn sampled_find_pattern_end_to_end() {
-        let mut r = StdRng::seed_from_u64(6);
-        let correlated: Vec<usize> = (0..10).collect();
-        let m = test_matrix(&mut r, 30, 512, &correlated, 220);
-        let layout = GroupLayout { rows_per_group: K };
-        let t = table();
-        let found = sampled_find_pattern(
-            &m,
-            layout,
-            &t,
-            2,
-            crate::corefind::CoreFindConfig { beta: 5, d: 1 },
-            2,
-        );
-        let hits = found.iter().filter(|&&g| g < 10).count();
-        assert!(
-            hits >= 8,
-            "recovered only {hits}/10 pattern groups: {found:?}"
-        );
-        let fps = found.len() - hits;
-        assert!(fps <= 2, "{fps} background groups reported");
     }
 
     #[test]

@@ -10,7 +10,7 @@
 //!   ([`LambdaTables::for_shape`]);
 //! * [`graphbuild`] — pairwise row correlation (the dominant cost the
 //!   paper analyses in Section IV-D): the one parallel pair loop every
-//!   centre graph goes through, and a vertex-sampled variant;
+//!   centre graph goes through;
 //! * [`ertest`] — the phase-transition statistical test: alarm when the
 //!   largest connected component outgrows what G(n, p₁) can produce;
 //! * [`corefind`] — the 3-step greedy detection (Figure 10): peel to a
@@ -39,10 +39,7 @@ pub mod thresholds;
 
 pub use corefind::{find_pattern, CoreFindConfig, PatternResult};
 pub use ertest::{er_test, ErTestConfig, ErTestResult};
-pub use graphbuild::{
-    build_group_graph_parallel, build_group_graph_sampled, expand_core_over_groups,
-    sampled_find_pattern, GroupLayout,
-};
+pub use graphbuild::{build_group_graph_parallel, GroupLayout};
 pub use incremental::{EpochStats, IncrementalConfig, IncrementalCorrelator};
 pub use lambda::{LambdaTable, LambdaTables};
 pub use matchmodel::{offset_match_prob, pattern_edge_prob, MatchModel};

@@ -23,7 +23,7 @@
 //! from the shared `content_seed`), so two runs with the same configs
 //! produce byte-identical digests — the property the restart tests pin.
 
-use crate::{parse_or, take_flag, CliResult};
+use crate::{parse_or, positive, take_flag, CliResult};
 use dcs::core::clock::{Clock, TickClock};
 use dcs::core::net::{
     run_center_epoch, run_monitor_epoch, CenterEpochEnd, CenterSocket, ImpairmentConfig,
@@ -499,6 +499,8 @@ fn monitor_config(args: &mut Vec<String>) -> Result<MonitorCliConfig, Box<dyn st
         args.remove(pos);
         cfg.content_packets = 30;
     }
+    positive("aligned_bits", cfg.aligned_bits)?;
+    positive("groups", cfg.groups)?;
     Ok(cfg)
 }
 
@@ -608,6 +610,7 @@ pub fn monitor(args: &[String]) -> CliResult {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::ZeroShape;
 
     fn args(list: &[&str]) -> Vec<String> {
         list.iter().map(|a| a.to_string()).collect()
@@ -632,5 +635,29 @@ mod tests {
         assert_eq!(configured.traffic_seed(), 99);
         assert_eq!(flagged.traffic_seed(), 3);
         assert_eq!(plain.traffic_seed(), 5);
+    }
+
+    /// The [`ZeroShape`] `monitor_config` fails with on the default
+    /// config with `edit` applied.
+    fn monitor_zero_shape(name: &str, edit: impl FnOnce(&mut MonitorCliConfig)) -> ZeroShape {
+        let path = std::env::temp_dir().join(format!("dcs-{name}-{}.json", std::process::id()));
+        let mut file = MonitorCliConfig::default();
+        edit(&mut file);
+        std::fs::write(&path, serde_json::to_string(&file).unwrap()).unwrap();
+        let result = monitor_config(&mut args(&["--config", path.to_str().unwrap()]));
+        std::fs::remove_file(&path).unwrap();
+        *result.unwrap_err().downcast::<ZeroShape>().unwrap()
+    }
+
+    #[test]
+    fn monitor_rejects_a_config_with_zero_aligned_bits() {
+        let shape = monitor_zero_shape("monitor-zero-bits", |c| c.aligned_bits = 0);
+        assert_eq!(shape, ZeroShape("aligned_bits"));
+    }
+
+    #[test]
+    fn monitor_rejects_a_config_with_zero_groups() {
+        let shape = monitor_zero_shape("monitor-zero-groups", |c| c.groups = 0);
+        assert_eq!(shape, ZeroShape("groups"));
     }
 }

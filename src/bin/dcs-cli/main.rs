@@ -77,6 +77,28 @@ fn parse_or<T: std::str::FromStr>(v: Option<String>, default: T) -> Result<T, St
     }
 }
 
+/// A shape input of zero — a bitmap width, a group count or a packet
+/// size the collectors or the planter cannot build on — named by the
+/// flag or config field it came from.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+struct ZeroShape(&'static str);
+
+impl std::fmt::Display for ZeroShape {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        write!(f, "{} must be positive", self.0)
+    }
+}
+
+impl std::error::Error for ZeroShape {}
+
+/// `value`, or a [`ZeroShape`] naming `name` if it is zero.
+fn positive(name: &'static str, value: usize) -> Result<usize, ZeroShape> {
+    match value {
+        0 => Err(ZeroShape(name)),
+        v => Ok(v),
+    }
+}
+
 fn gen_trace(args: &[String]) -> CliResult {
     let mut args = args.to_vec();
     let packets = parse_or(take_flag(&mut args, "--packets"), 20_000usize)?;
@@ -111,7 +133,7 @@ fn gen_trace(args: &[String]) -> CliResult {
             return Err("--plant expects g,size[,unaligned]".into());
         }
         let g: usize = parts[0].parse()?;
-        let size: usize = parts[1].parse()?;
+        let size = positive("--plant size", parts[1].parse()?)?;
         let unaligned = parts.get(2).is_some_and(|&m| m == "unaligned");
         let mut content_rng = rand::rngs::StdRng::seed_from_u64(content_seed);
         let object = ContentObject::random(&mut content_rng, g * size);
@@ -152,8 +174,17 @@ fn collect(args: &[String]) -> CliResult {
     // A config file (as printed by `dcs-cli config`) overrides the
     // individual flags wholesale.
     let cfg: MonitorConfig = match config_file {
-        Some(path) => serde_json::from_str(&std::fs::read_to_string(path)?)?,
-        None => MonitorConfig::small(seed, bits, groups),
+        Some(path) => {
+            let cfg: MonitorConfig = serde_json::from_str(&std::fs::read_to_string(path)?)?;
+            positive("aligned.bitmap_bits", cfg.aligned.bitmap_bits)?;
+            positive("unaligned.groups", cfg.unaligned.groups)?;
+            cfg
+        }
+        None => MonitorConfig::small(
+            seed,
+            positive("--bits", bits)?,
+            positive("--groups", groups)?,
+        ),
     };
     let mut point = MonitoringPoint::new(router, &cfg);
     let reader = TraceReader::new(BufReader::new(File::open(input)?))?;
@@ -279,4 +310,69 @@ fn print_default_config() -> CliResult {
     let cfg = MonitorConfig::small(/*epoch_seed=*/ 0, 1 << 20, 32);
     println!("{}", serde_json::to_string_pretty(&cfg)?);
     Ok(())
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn args(list: &[&str]) -> Vec<String> {
+        list.iter().map(|a| a.to_string()).collect()
+    }
+
+    /// The [`ZeroShape`] a subcommand failed with.
+    fn zero_shape(result: CliResult) -> ZeroShape {
+        *result.unwrap_err().downcast::<ZeroShape>().unwrap()
+    }
+
+    /// `collect --config` on the default config with `edit` applied.
+    fn collect_with_config(name: &str, edit: impl FnOnce(&mut MonitorConfig)) -> CliResult {
+        let path = std::env::temp_dir().join(format!("dcs-{name}-{}.json", std::process::id()));
+        let mut cfg = MonitorConfig::small(0, 1 << 10, 4);
+        edit(&mut cfg);
+        std::fs::write(&path, serde_json::to_string(&cfg).unwrap()).unwrap();
+        let result = collect(&args(&[
+            "missing.trace",
+            "--config",
+            path.to_str().unwrap(),
+        ]));
+        std::fs::remove_file(&path).unwrap();
+        result
+    }
+
+    #[test]
+    fn gen_trace_rejects_a_zero_plant_size() {
+        let result = gen_trace(&args(&[
+            "missing.trace",
+            "--packets",
+            "10",
+            "--plant",
+            "30,0",
+        ]));
+        assert_eq!(zero_shape(result), ZeroShape("--plant size"));
+    }
+
+    #[test]
+    fn collect_rejects_zero_bits() {
+        let result = collect(&args(&["missing.trace", "--bits", "0"]));
+        assert_eq!(zero_shape(result), ZeroShape("--bits"));
+    }
+
+    #[test]
+    fn collect_rejects_zero_groups() {
+        let result = collect(&args(&["missing.trace", "--groups", "0"]));
+        assert_eq!(zero_shape(result), ZeroShape("--groups"));
+    }
+
+    #[test]
+    fn collect_rejects_a_config_with_zero_bitmap_bits() {
+        let result = collect_with_config("zero-bits", |c| c.aligned.bitmap_bits = 0);
+        assert_eq!(zero_shape(result), ZeroShape("aligned.bitmap_bits"));
+    }
+
+    #[test]
+    fn collect_rejects_a_config_with_zero_groups() {
+        let result = collect_with_config("zero-groups", |c| c.unaligned.groups = 0);
+        assert_eq!(zero_shape(result), ZeroShape("unaligned.groups"));
+    }
 }

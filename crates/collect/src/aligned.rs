@@ -43,6 +43,22 @@ impl AlignedConfig {
             ..AlignedConfig::default()
         }
     }
+
+    /// `Ok` if an [`AlignedCollector`] can be built on this
+    /// configuration, else the first field it cannot be built on.
+    pub fn check(&self) -> Result<(), crate::ConfigError> {
+        use crate::require;
+        require(
+            self.bitmap_bits > 0,
+            "aligned.bitmap_bits",
+            "bitmap must be non-empty",
+        )?;
+        require(
+            self.target_fill > 0.0 && self.target_fill <= 1.0,
+            "aligned.target_fill",
+            "target fill must be in (0,1]",
+        )
+    }
 }
 
 /// The digest shipped to the analysis centre at the end of an epoch.
@@ -84,13 +100,11 @@ impl AlignedCollector {
     /// Creates a collector.
     ///
     /// # Panics
-    /// Panics if `bitmap_bits == 0` or `target_fill` is not in `(0, 1]`.
+    /// Panics if [`AlignedConfig::check`] fails.
     pub fn new(cfg: AlignedConfig) -> Self {
-        assert!(cfg.bitmap_bits > 0, "bitmap must be non-empty");
-        assert!(
-            cfg.target_fill > 0.0 && cfg.target_fill <= 1.0,
-            "target fill must be in (0,1]"
-        );
+        if let Err(e) = cfg.check() {
+            panic!("{e}");
+        }
         let hasher = IndexHasher::new(cfg.seed);
         let bitmap = Bitmap::new(cfg.bitmap_bits);
         AlignedCollector {

@@ -62,19 +62,36 @@ impl UnalignedConfig {
         }
     }
 
-    fn validate(&self) {
-        assert!(self.groups > 0, "need at least one group");
-        assert!(self.arrays_per_group > 0, "need at least one array");
-        assert!(
+    /// `Ok` if an [`UnalignedCollector`] can be built on this
+    /// configuration, else the first field it cannot be built on.
+    pub fn check(&self) -> Result<(), crate::ConfigError> {
+        use crate::require;
+        require(
+            self.groups > 0,
+            "unaligned.groups",
+            "need at least one group",
+        )?;
+        require(
+            self.arrays_per_group > 0,
+            "unaligned.arrays_per_group",
+            "need at least one array",
+        )?;
+        require(
             (1..=crate::MAX_ARRAY_BITS).contains(&self.array_bits),
-            "array width must be 1 to MAX_ARRAY_BITS bits"
-        );
-        assert!(self.fragment_len > 0, "fragments must be non-empty");
-        assert!(
+            "unaligned.array_bits",
+            "array width must be 1 to MAX_ARRAY_BITS bits",
+        )?;
+        require(
+            self.fragment_len > 0,
+            "unaligned.fragment_len",
+            "fragments must be non-empty",
+        )?;
+        require(
             self.fragment_len <= self.payload_modulus.min(self.min_payload),
+            "unaligned.fragment_len",
             "fragment must fit inside both the offset modulus and the \
-             smallest sampled payload"
-        );
+             smallest sampled payload",
+        )
     }
 
     /// Largest usable offset + 1: offsets are drawn in
@@ -161,8 +178,13 @@ impl UnalignedCollector {
     /// Creates a collector; offsets are fixed for the epoch from
     /// `router_seed` ("chosen beforehand and fixed for a measurement
     /// epoch").
+    ///
+    /// # Panics
+    /// Panics if [`UnalignedConfig::check`] fails.
     pub fn new(cfg: UnalignedConfig) -> Self {
-        cfg.validate();
+        if let Err(e) = cfg.check() {
+            panic!("{e}");
+        }
         let hasher = IndexHasher::new(cfg.seed);
         let k = cfg.arrays_per_group;
         let span = cfg.offset_span() as u64;

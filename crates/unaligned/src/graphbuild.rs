@@ -9,11 +9,15 @@
 //! `edges_touching` is the one parallel pair loop (scoped worker threads
 //! via `dcs-parallel`, and the only section of the analysis centre that
 //! spawns any), over every group pair with a touched end, with the count
-//! of exact row-pair tests it ran. It tests each row pair's one popcount
+//! of exact row-pair tests it ran. It popcounts one row against the
+//! other group's rows in one batched kernel call and tests each count
 //! against one λ table or several, so the incremental correlator decides
 //! the test graph (Λ) and the detection graph (Λ′) of the changed groups
 //! in one pass; [`build_group_graph_parallel`] is the loop over every
 //! group under one table, the oracle both graphs are audited against.
+//! A count is compared with a coarse-grid λ cell first (`GRID`), so
+//! the λ quantiles the loop computes are mostly the grid's, shared by
+//! every pair whose weights round to it.
 //!
 //! The pair loop strides the touched groups with
 //! [`balanced_outer_indices`] (zigzag pairing), which keeps per-worker
@@ -22,6 +26,7 @@
 //! indices cancel.
 
 use crate::lambda::LambdaTable;
+use dcs_bitmap::words::and_weight_each_into;
 use dcs_bitmap::RowMatrix;
 use dcs_graph::{Graph, GraphBuilder};
 use dcs_parallel::map_workers;
@@ -84,63 +89,107 @@ pub fn balanced_outer_indices(n: usize, threads: usize, t: usize) -> Vec<usize> 
     out
 }
 
-/// Which of the graphs of `tables` connect groups `ga` and `gb`: does
-/// any row pair exceed its λ threshold in that table? The tables are
-/// taken laxest (largest p\*) first. λ is non-increasing in p\* cell by
-/// cell — a larger p\* admits every `t` a smaller one does — so a count
-/// over one table's λ is over every laxer table's, and the edges found
-/// are always a prefix of that order. One AND-popcount a row pair is
-/// compared with the laxest table whose edge is still open, and with the
-/// next only when it exceeds that one: most row pairs read, and fill,
-/// one cell. The scan stops once every edge is found — with Λ and a
-/// laxer Λ′ that is the first Λ exceedance, where a Λ-only scan stops
-/// too. Every row pair that pays the popcount is tallied into
-/// `pairs_exact`; zero-weight rows share no ones and are skipped
-/// untallied, as are pairs after the stop (the stop point is a pure
-/// function of the row data, so the tally is the same under any thread
-/// partition).
+/// Step of the coarse weight grid a row pair is first compared on. λ is
+/// non-decreasing in each weight (hypergeometric stochastic order), so
+/// `common ≤ λ(⌊wa⌋, ⌊wb⌋)`, weights rounded down to a multiple of the
+/// step, proves `common ≤ λ(wa, wb)`. A larger step means fewer grid
+/// cells but a looser bound, so more pairs read their exact cell too.
+/// Chosen on twelve fresh `tiered-chan`-shaped epochs (48 groups of 10
+/// rows, weights 240–870, the Λ and Λ′ of `for_groups(48)`, one thread
+/// of an Intel Xeon): after the first epoch, steps 1 (no grid), 2, 4, 8
+/// and 16 took 17.1, 6.4, 2.5, 4.2 and 6.8 ms an epoch; by the twelfth,
+/// step 4 filled ≈ 420 cells an epoch and step 8, whose looser grid
+/// sends more pairs to their exact cells, ≈ 1,050.
+const GRID: u32 = 4;
+
+/// `w` rounded down to a multiple of [`GRID`].
+#[inline]
+fn grid_floor(w: u32) -> u32 {
+    w - w % GRID
+}
+
+/// The rows of a matrix cut into groups of `k` contiguous rows, beside
+/// the row weights.
+struct Groups<'a> {
+    rows: &'a RowMatrix,
+    weights: Vec<u32>,
+    k: usize,
+}
+
+impl<'a> Groups<'a> {
+    fn new(rows: &'a RowMatrix, layout: GroupLayout) -> Self {
+        Groups {
+            rows,
+            weights: rows.row_weights(),
+            k: layout.rows_per_group,
+        }
+    }
+
+    /// Group `g`'s rows, their words back to back, and their weights.
+    fn get(&self, g: usize) -> (&[u64], &[u32]) {
+        let (k, wpr) = (self.k, self.rows.words_per_row());
+        (
+            &self.rows.as_words()[g * k * wpr..(g + 1) * k * wpr],
+            &self.weights[g * k..(g + 1) * k],
+        )
+    }
+}
+
+/// How many of the graphs of `laxest_first` connect groups `ga` and
+/// `gb`: does any row pair exceed its λ threshold in that table? The
+/// tables come laxest (largest p\*) first. λ is non-increasing in p\*
+/// cell by cell — a larger p\* admits every `t` a smaller one does — so
+/// a count over one table's λ is over every laxer table's, and the edges
+/// found are always a prefix of that order. Each row of `ga` is
+/// AND-popcounted against `gb`'s contiguous rows in one kernel call
+/// (into `common`, one slot a row of `gb`), and each count is compared
+/// with the laxest table whose edge is still open, and with the next only
+/// when it exceeds that one. Against one table a pair reads the grid
+/// cell λ(⌊wa⌋, ⌊wb⌋) (see [`GRID`]), and the exact cell λ(wa, wb) only
+/// when the count exceeds the grid cell; both are ordinary table cells,
+/// filled on first read. The scan stops once every edge is found — with
+/// Λ and a laxer Λ′ that is the first Λ exceedance, where a Λ-only scan
+/// stops too. Every nonzero-weight row pair up to the stop is tallied
+/// into `pairs_exact`; zero-weight rows share no ones and are skipped
+/// untallied (the stop point is a pure function of the row data, so the
+/// tally and the cells read are the same under any thread partition).
 fn group_edges<const T: usize>(
-    rows: &RowMatrix,
-    weights: &[u32],
-    layout: GroupLayout,
-    tables: [&LambdaTable; T],
+    groups: &Groups,
+    laxest_first: [&LambdaTable; T],
     ga: usize,
     gb: usize,
+    common: &mut [u32],
     pairs_exact: &mut u64,
-) -> [bool; T] {
-    let k = layout.rows_per_group;
-    let mut laxest_first: [usize; T] = std::array::from_fn(|t| t);
-    laxest_first.sort_by(|&a, &b| tables[b].p_star().total_cmp(&tables[a].p_star()));
-    // Edges found so far: those of `laxest_first[..found]`.
+) -> usize {
+    let (a_words, a_weights) = groups.get(ga);
+    let (b_words, b_weights) = groups.get(gb);
     let mut found = 0;
-    'scan: for ra in ga * k..(ga + 1) * k {
-        let wa = weights[ra];
+    for (a_row, &wa) in a_words
+        .chunks_exact(groups.rows.words_per_row())
+        .zip(a_weights)
+    {
         if wa == 0 {
             continue;
         }
-        let lambda_wa = laxest_first.map(|t| tables[t].row(wa));
-        for (rb, &wb) in weights.iter().enumerate().take((gb + 1) * k).skip(gb * k) {
+        and_weight_each_into(a_row, b_words, common);
+        let grid = laxest_first.map(|t| t.row(grid_floor(wa)));
+        for (&wb, &c) in b_weights.iter().zip(&*common) {
             if wb == 0 {
                 continue;
             }
             *pairs_exact += 1;
-            let common = rows.common_ones(ra, rb);
-            for lambda in &lambda_wa[found..] {
-                if common <= lambda.get(wb) {
-                    break;
-                }
+            while found < T
+                && c > grid[found].get(grid_floor(wb))
+                && c > laxest_first[found].lambda(wa, wb)
+            {
                 found += 1;
             }
             if found == T {
-                break 'scan;
+                return T;
             }
         }
     }
-    let mut edge = [false; T];
-    for &t in &laxest_first[..found] {
-        edge[t] = true;
-    }
-    edge
+    found
 }
 
 /// The parallel group-pair loop: λ-tests every group pair with at least
@@ -168,10 +217,14 @@ pub(crate) fn edges_touching<const T: usize>(
     assert_eq!(touched.len(), layout.groups(rows), "one flag per group");
     let outer: Vec<usize> = (0..touched.len()).filter(|&g| touched[g]).collect();
     let workers = threads.min(outer.len()).max(1);
-    let weights = rows.row_weights();
+    let groups = Groups::new(rows, layout);
+    let mut order: [usize; T] = std::array::from_fn(|t| t);
+    order.sort_by(|&a, &b| tables[b].p_star().total_cmp(&tables[a].p_star()));
+    let laxest_first = order.map(|t| tables[t]);
     let per_worker = map_workers(workers, |t| {
         let mut local: [Vec<(u32, u32)>; T] = std::array::from_fn(|_| Vec::new());
         let mut pairs_exact = 0;
+        let mut common = vec![0; layout.rows_per_group];
         for i in balanced_outer_indices(outer.len(), workers, t) {
             let ga = outer[i];
             for (gb, &gb_touched) in touched.iter().enumerate() {
@@ -179,9 +232,10 @@ pub(crate) fn edges_touching<const T: usize>(
                     continue;
                 }
                 let (lo, hi) = (ga.min(gb), ga.max(gb));
-                let edge = group_edges(rows, &weights, layout, tables, lo, hi, &mut pairs_exact);
-                for (list, _) in local.iter_mut().zip(edge).filter(|(_, e)| *e) {
-                    list.push((lo as u32, hi as u32));
+                let found =
+                    group_edges(&groups, laxest_first, lo, hi, &mut common, &mut pairs_exact);
+                for &t in &order[..found] {
+                    local[t].push((lo as u32, hi as u32));
                 }
             }
         }
@@ -227,23 +281,54 @@ pub fn build_group_graph_parallel(
 #[cfg(test)]
 pub(crate) mod tests {
     use super::*;
+    use crate::lambda::p_star_for_edge_prob;
     use dcs_bitmap::Bitmap;
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
 
-    /// Serial conversion of the fused row matrix into the group graph:
-    /// the straight sweep every faster build is checked against.
+    /// Serial sweep of every group pair through the pair loop's
+    /// `group_edges`: the reference the parallel builds' edges, tallies
+    /// and filled cells are compared with.
     pub(crate) fn build_group_graph(
         rows: &RowMatrix,
         layout: GroupLayout,
         table: &LambdaTable,
     ) -> Graph {
         let n = layout.groups(rows);
-        let weights = rows.row_weights();
+        let groups = Groups::new(rows, layout);
+        let mut common = vec![0; layout.rows_per_group];
         let mut b = GraphBuilder::new(n);
         for ga in 0..n {
             for gb in (ga + 1)..n {
-                if group_edges(rows, &weights, layout, [table], ga, gb, &mut 0) == [true] {
+                if group_edges(&groups, [table], ga, gb, &mut common, &mut 0) == 1 {
+                    b.add_edge(ga as u32, gb as u32);
+                }
+            }
+        }
+        b.build()
+    }
+
+    /// The group graph straight from its definition, sharing no code with
+    /// the pair loop: groups connect iff some row pair's common ones
+    /// exceed `table.lambda` of the pair's two weights. Every build is
+    /// checked against it.
+    pub(crate) fn oracle_group_graph(
+        rows: &RowMatrix,
+        layout: GroupLayout,
+        table: &LambdaTable,
+    ) -> Graph {
+        let n = layout.groups(rows);
+        let k = layout.rows_per_group;
+        let mut b = GraphBuilder::new(n);
+        for ga in 0..n {
+            for gb in (ga + 1)..n {
+                let edge = (ga * k..(ga + 1) * k).any(|ra| {
+                    (gb * k..(gb + 1) * k).any(|rb| {
+                        let lambda = table.lambda(rows.row_weight(ra), rows.row_weight(rb));
+                        rows.common_ones(ra, rb) > lambda
+                    })
+                });
+                if edge {
                     b.add_edge(ga as u32, gb as u32);
                 }
             }
@@ -356,6 +441,103 @@ pub(crate) mod tests {
             tallies.push(pairs);
         }
         assert!(tallies[0] > 0 && tallies.iter().all(|&p| p == tallies[0]));
+    }
+
+    /// The grid cells take the λ fills off the pair loop: a cold
+    /// all-pairs build over 48 groups of 10 rows, weights spread over
+    /// 240–870 (the band a `tiered-chan` epoch spans) at the Λ level
+    /// `AnalysisConfig::for_groups(48)` derives, fills at most a quarter
+    /// of the cells the oracle's pair-by-pair reads fill, for the same
+    /// edges. Exact counts, no clock.
+    #[test]
+    fn grid_cells_cut_the_fills_of_a_cold_build() {
+        const ROWS: usize = 10;
+        let mut r = StdRng::seed_from_u64(38);
+        let layout = GroupLayout {
+            rows_per_group: ROWS,
+        };
+        let mut m = RowMatrix::new(NBITS);
+        for _ in 0..48 * ROWS {
+            let weight = r.gen_range(240..=870);
+            let mut bm = Bitmap::new(NBITS);
+            while (bm.weight() as usize) < weight {
+                bm.set(r.gen_range(0..NBITS));
+            }
+            m.push_bitmap(&bm);
+        }
+        let table = || LambdaTable::new(NBITS, p_star_for_edge_prob(0.65 / 48.0, ROWS * ROWS));
+        let (bracketed, oracle) = (table(), table());
+        let (g, _) = build_group_graph_parallel(&m, layout, &bracketed, 1);
+        let want = oracle_group_graph(&m, layout, &oracle);
+        assert_eq!(
+            g.edges().collect::<Vec<_>>(),
+            want.edges().collect::<Vec<_>>()
+        );
+        assert!(want.m() > 0, "the matrix must grow an edge");
+        assert_eq!((bracketed.memo_len(), oracle.memo_len()), (11_199, 57_812));
+        assert!(bracketed.memo_len() * 4 <= oracle.memo_len());
+    }
+
+    /// A row of `NBITS` bits with exactly `weight` random ones.
+    fn row_of_weight(rng: &mut StdRng, n_bits: usize, weight: u32) -> Bitmap {
+        let mut bm = Bitmap::new(n_bits);
+        while bm.weight() < weight {
+            bm.set(rng.gen_range(0..n_bits));
+        }
+        bm
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(48))]
+
+        /// The bracketed pair loop decides both graphs as the oracle
+        /// does: row weights from up to three bands anywhere in 0..=N
+        /// (empty and full rows included), optionally snapped onto a grid
+        /// point or one above it, with Λ′ laxer than, equal to or
+        /// stricter than Λ, at one to three threads. The oracle reads
+        /// tables of its own, so no cell the loop filled is reused.
+        #[test]
+        fn bracketed_loop_matches_the_oracle(
+            seed in proptest::prelude::any::<u64>(),
+            groups in 2usize..10,
+            bands in proptest::collection::vec((0u32..=256, 0u32..=40), 1..4),
+            snap in 0u8..3,
+            test_exp in 1.0f64..4.0,
+            relation in 0u8..3,
+            threads in 1usize..4,
+        ) {
+            const N: usize = 256;
+            let mut r = StdRng::seed_from_u64(seed);
+            let layout = GroupLayout { rows_per_group: K };
+            let mut m = RowMatrix::new(N);
+            for _ in 0..groups * K {
+                let (start, width) = bands[r.gen_range(0..bands.len())];
+                let w = r.gen_range(start..=start + width).min(N as u32);
+                let w = match snap {
+                    0 => w,
+                    1 => grid_floor(w),
+                    _ => (grid_floor(w) + 1).min(N as u32),
+                };
+                m.push_bitmap(&row_of_weight(&mut r, N, w));
+            }
+            let test_p = 10f64.powf(-test_exp);
+            let detect_p = test_p * [10.0, 1.0, 0.1][usize::from(relation)];
+            let tables = || (LambdaTable::new(N, test_p), LambdaTable::new(N, detect_p));
+            let (test, detect) = tables();
+            let (edges, _) =
+                edges_touching(&m, layout, [&test, &detect], &vec![true; groups], threads);
+            let (oracle_test, oracle_detect) = tables();
+            for (name, got, table) in [
+                ("Λ", &edges[0], &oracle_test),
+                ("Λ′", &edges[1], &oracle_detect),
+            ] {
+                let mut got = got.clone();
+                got.sort_unstable();
+                let mut want: Vec<_> = oracle_group_graph(&m, layout, table).edges().collect();
+                want.sort_unstable();
+                proptest::prop_assert_eq!(got, want, "{} edges", name);
+            }
+        }
     }
 
     #[test]

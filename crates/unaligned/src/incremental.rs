@@ -223,7 +223,7 @@ impl IncrementalCorrelator {
 mod tests {
     use super::*;
     use crate::graphbuild::build_group_graph_parallel;
-    use crate::graphbuild::tests::build_group_graph;
+    use crate::graphbuild::tests::oracle_group_graph;
     use crate::lambda::LambdaTable;
     use dcs_bitmap::Bitmap;
     use proptest::prelude::*;
@@ -310,9 +310,9 @@ mod tests {
         let mut m = random_matrix(&mut rng, 14, Some(460));
         for epoch in 0..8u64 {
             let (g, stats) = corr.epoch(&m, layout, &t);
-            let oracle = build_group_graph(&m, layout, &t.test);
+            let oracle = oracle_group_graph(&m, layout, &t.test);
             assert_same_edges(&g, &oracle, &format!("epoch {epoch}"));
-            let detect = build_group_graph(&m, layout, &t.detect);
+            let detect = oracle_group_graph(&m, layout, &t.detect);
             assert_same_edges(
                 &corr.detection_graph(),
                 &detect,
@@ -370,9 +370,9 @@ mod tests {
         ] {
             let (g, s) = corr.epoch(&bigger, layout, &t);
             assert!(s.full_rebuild, "{what} change must rebuild");
-            let want = build_group_graph(&bigger, layout, &t.test);
+            let want = oracle_group_graph(&bigger, layout, &t.test);
             assert_same_edges(&g, &want, what);
-            let want = build_group_graph(&bigger, layout, &t.detect);
+            let want = oracle_group_graph(&bigger, layout, &t.detect);
             assert_same_edges(&corr.detection_graph(), &want, what);
         }
     }
@@ -448,7 +448,7 @@ mod tests {
             for (i, &frac) in fracs.iter().enumerate() {
                 let (g, _) = corr.epoch(&m, layout, &t);
                 for (name, got, table) in [("Λ", g, &t.test), ("Λ′", corr.detection_graph(), &t.detect)] {
-                    let oracle = build_group_graph(&m, layout, table);
+                    let oracle = oracle_group_graph(&m, layout, table);
                     let mut ea: Vec<_> = got.edges().collect();
                     let mut eb: Vec<_> = oracle.edges().collect();
                     ea.sort_unstable();

@@ -13,9 +13,13 @@
 //! statistical-test graph, Λ′ for the detection graph — and
 //! [`LambdaTables::for_shape`] replaces it only when the row width, the
 //! rows per group or an edge probability changes. A table is still
-//! filled lazily: real digests exercise a narrow weight band around the
-//! target fill, so most fills find a filled neighbour cell to walk from
-//! instead of bisecting.
+//! filled lazily, but off the pair loop's common path: the loop rules a
+//! row pair out on a coarse grid cell most pairs share and reads the
+//! pair's own cell only when the count exceeds it (`graphbuild`'s
+//! `GRID`). The weight band is wide — `tiered-chan` rows hold 240–870 of
+//! 1,024 bits, 220–260 distinct weights an epoch — but grid cells lie
+//! within `SEED_REACH` of each other along a row, so most fills still
+//! walk from a filled neighbour instead of bisecting.
 //!
 //! **Layout and memory bound.** A [`LambdaTable`] is a directory of
 //! `N + 1` rows indexed by the first weight; row `i` is allocated the

@@ -176,8 +176,8 @@ fn collect(args: &[String]) -> CliResult {
     let cfg: MonitorConfig = match config_file {
         Some(path) => {
             let cfg: MonitorConfig = serde_json::from_str(&std::fs::read_to_string(path)?)?;
-            positive("aligned.bitmap_bits", cfg.aligned.bitmap_bits)?;
-            positive("unaligned.groups", cfg.unaligned.groups)?;
+            cfg.aligned.check()?;
+            cfg.unaligned.check()?;
             cfg
         }
         None => MonitorConfig::small(
@@ -315,6 +315,7 @@ fn print_default_config() -> CliResult {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use dcs::collect::ConfigError;
 
     fn args(list: &[&str]) -> Vec<String> {
         list.iter().map(|a| a.to_string()).collect()
@@ -323,6 +324,11 @@ mod tests {
     /// The [`ZeroShape`] a subcommand failed with.
     fn zero_shape(result: CliResult) -> ZeroShape {
         *result.unwrap_err().downcast::<ZeroShape>().unwrap()
+    }
+
+    /// The config field a subcommand failed on.
+    fn config_field(result: CliResult) -> &'static str {
+        result.unwrap_err().downcast::<ConfigError>().unwrap().field
     }
 
     /// `collect --config` on the default config with `edit` applied.
@@ -367,12 +373,36 @@ mod tests {
     #[test]
     fn collect_rejects_a_config_with_zero_bitmap_bits() {
         let result = collect_with_config("zero-bits", |c| c.aligned.bitmap_bits = 0);
-        assert_eq!(zero_shape(result), ZeroShape("aligned.bitmap_bits"));
+        assert_eq!(config_field(result), "aligned.bitmap_bits");
     }
 
     #[test]
     fn collect_rejects_a_config_with_zero_groups() {
         let result = collect_with_config("zero-groups", |c| c.unaligned.groups = 0);
-        assert_eq!(zero_shape(result), ZeroShape("unaligned.groups"));
+        assert_eq!(config_field(result), "unaligned.groups");
+    }
+
+    #[test]
+    fn collect_rejects_a_config_with_zero_arrays_per_group() {
+        let result = collect_with_config("zero-arrays", |c| c.unaligned.arrays_per_group = 0);
+        assert_eq!(config_field(result), "unaligned.arrays_per_group");
+    }
+
+    #[test]
+    fn collect_rejects_a_config_with_zero_target_fill() {
+        let result = collect_with_config("zero-fill", |c| c.aligned.target_fill = 0.0);
+        assert_eq!(config_field(result), "aligned.target_fill");
+    }
+
+    #[test]
+    fn collect_rejects_a_config_with_zero_array_bits() {
+        let result = collect_with_config("zero-array-bits", |c| c.unaligned.array_bits = 0);
+        assert_eq!(config_field(result), "unaligned.array_bits");
+    }
+
+    #[test]
+    fn collect_rejects_a_config_with_zero_fragment_len() {
+        let result = collect_with_config("zero-fragment", |c| c.unaligned.fragment_len = 0);
+        assert_eq!(config_field(result), "unaligned.fragment_len");
     }
 }

@@ -610,6 +610,49 @@ fn lambda_table_is_pinned() {
     }
 }
 
+/// λ is non-decreasing in each weight at N = 1,024, checked on every
+/// cell: λ(i, j) ≥ λ(i − 1, j) and λ(i, j) ≥ λ(i, j − 1) at the Λ and Λ′
+/// levels `AnalysisConfig::for_groups(48)` and `for_groups(144)` derive
+/// for 10 arrays a group. The pair loop rules a row pair out on the
+/// coarse grid cell λ(⌊wa⌋, ⌊wb⌋) alone, which is exact only because of
+/// this order. Fills all 525,825 cells of four tables, so it runs with
+/// the release tests.
+#[test]
+#[cfg_attr(
+    debug_assertions,
+    ignore = "fills four full tables; runs with the release tests"
+)]
+fn lambda_is_monotone_in_each_weight() {
+    let n = GRAPH_BITS as u32;
+    for groups in [48, 144] {
+        let cfg = AnalysisConfig::for_groups(groups);
+        let mut slot = None;
+        let tables = LambdaTables::for_shape(&mut slot, GRAPH_BITS, 10, cfg.test_p1, cfg.detect_p1);
+        for (name, table) in [("Λ", &tables.test), ("Λ′", &tables.detect)] {
+            let cells: Vec<Vec<u32>> = (0..=n)
+                .map(|i| {
+                    let row = table.row(i);
+                    (0..=n).map(|j| row.get(j)).collect()
+                })
+                .collect();
+            // λ(i, j) < λ(i − 1, j), and λ(i, j) < λ(i, j − 1).
+            let down_i: usize = cells
+                .windows(2)
+                .map(|w| w[0].iter().zip(&w[1]).filter(|(lo, hi)| hi < lo).count())
+                .sum();
+            let down_j: usize = cells
+                .iter()
+                .map(|row| row.windows(2).filter(|w| w[1] < w[0]).count())
+                .sum();
+            assert_eq!(
+                (down_i, down_j),
+                (0, 0),
+                "for_groups({groups}) {name}: cells where λ falls as a weight rises"
+            );
+        }
+    }
+}
+
 const GRAPH_BITS: usize = 1_024;
 const GRAPH_K: usize = 4;
 const CRC_PIN: u64 = 0xbee2_6e3d_9349_d6f7;

@@ -26,6 +26,23 @@
 //! the resumed centre (restored from a DCSK checkpoint) NACKs or acks
 //! them over the new socket.
 //!
+//! ## Delivery
+//!
+//! Sends are clocked by acks, so a monitor never puts more datagrams in
+//! flight than the centre's receive buffer holds:
+//!
+//! * a chunk goes out for the first time only while its seq is below the
+//!   centre's cumulative ack plus [`SEND_WINDOW`];
+//! * after each batch it drains, the centre NACKs the holes below each
+//!   router's highest delivered seq, for the routers whose highest seq
+//!   rose ([`EpochCollector::gap_requests`]), and the session timers stay
+//!   the backstop;
+//! * a monitor whose wait ends with no control frame re-sends the chunk
+//!   at its cumulative ack as a tail probe, and its resend timer counts
+//!   ticks without ack progress;
+//! * an idle driver waits on its UDP socket until a datagram is readable
+//!   or a 200 µs tick passes (TCP endpoints sleep the tick).
+//!
 //! ## Transports
 //!
 //! * **UDP** — one frame per datagram. Chunk payloads must stay
@@ -38,7 +55,9 @@
 //!   survives connection resets.
 
 use crate::clock::Clock;
-use crate::session::{ChunkDisposition, CollectedEpoch, EpochCollector, Missing};
+use crate::session::{
+    ChunkDisposition, CollectedEpoch, EpochCollector, Missing, RetransmitRequest,
+};
 use crate::transport::{ChunkFrame, MAX_CHUNK_PAYLOAD};
 use bytes::BufMut;
 use dcs_collect::frame::{seal, FrameError, Reader};
@@ -46,6 +65,7 @@ use dcs_obs::MetricsRegistry;
 use std::collections::{BTreeMap, VecDeque};
 use std::io::{ErrorKind, Read as _, Write as _};
 use std::net::{Ipv4Addr, Ipv6Addr, SocketAddr, TcpListener, TcpStream, ToSocketAddrs, UdpSocket};
+use std::time::{Duration, Instant};
 
 /// Magic for control frames (`b"DCSN"`).
 pub const CONTROL_MAGIC: [u8; 4] = *b"DCSN";
@@ -76,6 +96,18 @@ const _: () = assert!(
     CONTROL_HEADER + 4 * MAX_NACK_SEQS + 4 <= MAX_DATAGRAM
         && CONTROL_HEADER + 4 * MAX_NACK_SEQS + 4 <= MAX_STREAM_FRAME
 );
+
+/// Chunks a monitor sends ahead of the centre's cumulative ack: a chunk
+/// goes out for the first time only while its seq is below
+/// `cumulative_ack + SEND_WINDOW`. 64 datagrams of up to 1.4 KB sit well
+/// inside one default Linux receive buffer (212,992 B, about 92 such
+/// datagrams by the kernel's accounting), so a window the centre has not
+/// drained yet is queued, not dropped.
+pub const SEND_WINDOW: usize = 64;
+
+/// The longest an idle driver waits for a frame before it looks at its
+/// timers again.
+const WAIT_TICK: Duration = Duration::from_micros(200);
 
 const KIND_HELLO: u8 = 0;
 const KIND_ACK: u8 = 1;
@@ -486,6 +518,27 @@ fn frame_router_id(frame: &[u8]) -> Option<u64> {
     ChunkFrame::salvage_header(frame).map(|(router_id, _, _)| router_id)
 }
 
+/// Waits until a datagram is readable on `udp` or [`WAIT_TICK`] passes,
+/// leaving the datagram queued (`peek`) and the socket nonblocking. The
+/// socket's read timeout is `WAIT_TICK` (set when it is opened). An error
+/// that returns at once, such as a refusal reported back from a dead
+/// peer, sleeps out the rest of the tick, so a dead peer cannot spin a
+/// driver.
+fn wait_readable(udp: &UdpSocket) {
+    let started = Instant::now();
+    let waited = udp.set_nonblocking(false).is_ok()
+        && match udp.peek_from(&mut [0u8; 1]) {
+            Ok(_) => true,
+            Err(e) => matches!(e.kind(), ErrorKind::WouldBlock | ErrorKind::TimedOut),
+        };
+    // A socket left blocking would still return from every read within
+    // the read timeout, so a failure here slows a driver, never hangs it.
+    let _ = udp.set_nonblocking(true);
+    if !waited {
+        std::thread::sleep(WAIT_TICK.saturating_sub(started.elapsed()));
+    }
+}
+
 /// The analysis centre's socket endpoint: binds UDP (and, for
 /// [`Transport::Tcp`], a listener on the same port), learns peer
 /// addresses from received frames, and queues outgoing control frames
@@ -504,6 +557,24 @@ pub struct CenterSocket {
 const ROLE_CENTER: [(&str, &str); 1] = [("role", "center")];
 const ROLE_MONITOR: [(&str, &str); 1] = [("role", "monitor")];
 
+/// The counter families both ends count under their `role` label.
+const ROLE_COUNTERS: [&str; 5] = [
+    "socket_frames_sent_total",
+    "socket_frames_received_total",
+    "socket_send_stalls_total",
+    "socket_send_errors_total",
+    "socket_recv_errors_total",
+];
+
+/// Registers `names` under `role` at zero: a driver does this when it
+/// starts an epoch, so a snapshot names every family it can count before
+/// the first event, as the centre's registry does (DESIGN §8).
+fn register_counters(metrics: &MetricsRegistry, role: &[(&str, &str)], names: &[&str]) {
+    for name in names {
+        metrics.counter(name, role);
+    }
+}
+
 impl CenterSocket {
     /// Binds the centre endpoint on `addr` (e.g. `127.0.0.1:0`). With
     /// [`Transport::Tcp`] a listener is opened on the same port as the
@@ -511,6 +582,7 @@ impl CenterSocket {
     pub fn bind(addr: impl ToSocketAddrs, transport: Transport) -> std::io::Result<CenterSocket> {
         let udp = UdpSocket::bind(addr)?;
         udp.set_nonblocking(true)?;
+        udp.set_read_timeout(Some(WAIT_TICK))?;
         let listener = match transport {
             Transport::Udp => None,
             Transport::Tcp => {
@@ -599,6 +671,16 @@ impl CenterSocket {
             .add(frames.len() as u64);
         self.flush(metrics);
         frames
+    }
+
+    /// Waits for the next frame: until a datagram is readable or
+    /// [`WAIT_TICK`] passes over UDP, the whole tick when a TCP listener
+    /// is open (its streams are polled, not waited on).
+    fn wait(&self) {
+        match self.listener {
+            None => wait_readable(&self.udp),
+            Some(_) => std::thread::sleep(WAIT_TICK),
+        }
     }
 
     /// Queues a control frame to `router_id`'s learned address. Returns
@@ -712,6 +794,7 @@ impl MonitorSocket {
                 let udp = UdpSocket::bind(local)?;
                 udp.connect(addr)?;
                 udp.set_nonblocking(true)?;
+                udp.set_read_timeout(Some(WAIT_TICK))?;
                 MonitorInner::Udp(udp)
             }
             Transport::Tcp => MonitorInner::Tcp(TcpConn::new(TcpStream::connect(addr)?)?),
@@ -790,6 +873,15 @@ impl MonitorSocket {
         controls
     }
 
+    /// Waits for the centre's next frame: until a datagram is readable or
+    /// [`WAIT_TICK`] passes over UDP, the whole tick over TCP.
+    fn wait(&self) {
+        match &self.inner {
+            MonitorInner::Udp(udp) => wait_readable(udp),
+            MonitorInner::Tcp(_) => std::thread::sleep(WAIT_TICK),
+        }
+    }
+
     fn flush(&mut self, metrics: &MetricsRegistry) {
         while let Some(frame) = self.outq.pop_front() {
             match &mut self.inner {
@@ -850,10 +942,16 @@ pub enum CenterEpochEnd {
 /// Drives one epoch of the centre's collector over `sock` until the
 /// straggler policy is satisfied or `should_abort` returns true.
 ///
-/// Each iteration: drain frames (chunks are offered to the collector,
-/// acks flow back; `Hello` registers peers; late chunks of an older
-/// epoch are answered with `Advance`), fire due retransmit NACKs, update
-/// the `socket_reassembly_backlog` gauge, and nap briefly when idle.
+/// Each iteration drains a batch of frames: chunks are offered to the
+/// collector and acked (a duplicate repeats the ack, since ours may have
+/// been lost), `Hello` registers a peer, and a late chunk of an older
+/// epoch is answered with `Advance`. After the batch, each router whose
+/// highest delivered seq rose is sent one `NackSeqs` naming the holes
+/// below it ([`EpochCollector::gap_requests`]); then the collector's due
+/// retransmit timers fire as NACKs, the backstop for silent routers and
+/// lost tails, and the `socket_reassembly_backlog` gauge is updated.
+/// An idle iteration waits on the UDP socket until a datagram arrives
+/// or a 200 µs tick passes (a TCP centre sleeps the tick).
 /// `should_abort` is called once per iteration — the serve CLI uses it
 /// for periodic checkpoints and signal-triggered shutdown.
 pub fn run_center_epoch(
@@ -863,9 +961,16 @@ pub fn run_center_epoch(
     metrics: &MetricsRegistry,
     mut should_abort: impl FnMut(&EpochCollector) -> bool,
 ) -> CenterEpochEnd {
+    register_counters(metrics, &ROLE_CENTER, &ROLE_COUNTERS);
+    register_counters(metrics, &[], &["socket_unknown_peer_total"]);
     loop {
         let frames = sock.poll(metrics);
         let idle = frames.is_empty();
+        let marks = if idle {
+            Vec::new()
+        } else {
+            collector.high_marks()
+        };
         for frame in frames {
             if frame.starts_with(&CONTROL_MAGIC) {
                 // Monitors only send Hello; anything else is ignored.
@@ -918,23 +1023,13 @@ pub fn run_center_epoch(
                 | ChunkDisposition::Inconsistent { .. } => {}
             }
         }
-        let now = clock.now();
-        for req in collector.poll(now) {
-            let control = match req.missing {
-                Missing::All => ControlFrame::NackAll {
-                    router_id: req.router_id,
-                    epoch_id: req.epoch_id,
-                },
-                Missing::Seqs(mut seqs) => {
-                    seqs.truncate(MAX_NACK_SEQS);
-                    ControlFrame::NackSeqs {
-                        router_id: req.router_id,
-                        epoch_id: req.epoch_id,
-                        seqs,
-                    }
-                }
-            };
-            sock.send_control(&control, metrics);
+        let gaps = if idle {
+            Vec::new()
+        } else {
+            collector.gap_requests(&marks, MAX_NACK_SEQS)
+        };
+        for req in gaps.into_iter().chain(collector.poll(clock.now())) {
+            sock.send_control(&nack(req), metrics);
         }
         let backlog: u64 = collector
             .sessions()
@@ -959,7 +1054,27 @@ pub fn run_center_epoch(
             return CenterEpochEnd::Collected(Box::new(epoch));
         }
         if idle {
-            std::thread::sleep(std::time::Duration::from_micros(200));
+            sock.wait();
+        }
+    }
+}
+
+/// The control frame that carries a retransmit request, its seq list
+/// clipped to [`MAX_NACK_SEQS`] (the session's next timer asks for the
+/// rest).
+fn nack(req: RetransmitRequest) -> ControlFrame {
+    match req.missing {
+        Missing::All => ControlFrame::NackAll {
+            router_id: req.router_id,
+            epoch_id: req.epoch_id,
+        },
+        Missing::Seqs(mut seqs) => {
+            seqs.truncate(MAX_NACK_SEQS);
+            ControlFrame::NackSeqs {
+                router_id: req.router_id,
+                epoch_id: req.epoch_id,
+                seqs,
+            }
         }
     }
 }
@@ -987,17 +1102,30 @@ pub struct MonitorEpochConfig {
     pub resend_after: u64,
     /// Cap on the resend backoff (doubles from `resend_after`).
     pub max_backoff: u64,
-    /// Ticks before the epoch is abandoned entirely.
+    /// Ticks without ack progress before the epoch is abandoned.
     pub give_up: u64,
 }
 
 /// Ships one epoch's chunk frames to the centre and drives the ack /
 /// NACK / advance dialogue until delivery, shutdown or give-up.
 ///
-/// The monitor re-pushes unacked chunks on capped exponential backoff —
-/// this is the client half of crash recovery: when a restarted centre
-/// resumes from its checkpoint, these re-pushed frames re-teach it the
-/// monitor's address and fill the holes its NACKs ask for.
+/// Sends are clocked by the centre's cumulative acks. A chunk goes out
+/// for the first time only while its seq is below `cumulative_ack +`
+/// [`SEND_WINDOW`], so the monitor never has more unacked datagrams in
+/// flight than the centre's receive buffer holds. A `NackSeqs` is
+/// answered for the seqs already sent, a `NackAll` with the sent prefix.
+/// When the wait for the centre's next frame (on arrival or after a
+/// 200 µs tick) ends with no control frame, the monitor re-sends the
+/// chunk at its cumulative ack as a tail probe: one datagram a silent
+/// tick, which recovers a lost tail or a lost ack in one round trip.
+///
+/// The resend timer restarts whenever an ack advances or a NACK is
+/// answered. When it fires, after `resend_after` ticks without either
+/// and doubling up to `max_backoff`, the monitor re-pushes every chunk it
+/// has sent past the cumulative ack. That is the client half of crash
+/// recovery: when a restarted centre resumes from its checkpoint, these
+/// re-pushed frames re-teach it the monitor's address and fill the holes
+/// its NACKs ask for.
 pub fn run_monitor_epoch(
     sock: &mut MonitorSocket,
     chunks: &[Vec<u8>],
@@ -1005,11 +1133,24 @@ pub fn run_monitor_epoch(
     clock: &dyn Clock,
     metrics: &MetricsRegistry,
 ) -> MonitorEpochEnd {
-    let started = clock.now();
+    let resend_after = cfg.resend_after.max(1);
     let mut cumulative: u32 = 0;
-    let mut backoff = cfg.resend_after.max(1);
-    let mut last_progress = started;
-    let mut next_resend = started.saturating_add(backoff);
+    // `chunks[..sent]` have gone out at least once.
+    let mut sent = 0usize;
+    let mut backoff = resend_after;
+    let mut last_progress = clock.now();
+    let mut next_resend = last_progress.saturating_add(backoff);
+    let mut waited = false;
+    register_counters(metrics, &ROLE_MONITOR, &ROLE_COUNTERS);
+    register_counters(
+        metrics,
+        &ROLE_MONITOR,
+        &[
+            "socket_control_corrupt_total",
+            "socket_resend_bursts_total",
+            "socket_epochs_abandoned_total",
+        ],
+    );
 
     sock.send(
         &ControlFrame::Hello {
@@ -1018,14 +1159,14 @@ pub fn run_monitor_epoch(
         .encode(),
         metrics,
     );
-    for chunk in chunks {
-        sock.send(chunk, metrics);
-    }
-    sock.flush_shim(metrics);
 
     loop {
+        // Controls queued before the first send (a NACK fired before this
+        // monitor started) are answered with what has been sent: nothing.
+        let controls = sock.poll(metrics);
+        let silent = waited && controls.is_empty();
         let mut resent = false;
-        for control in sock.poll(metrics) {
+        for control in controls {
             match control {
                 ControlFrame::Ack {
                     router_id,
@@ -1037,16 +1178,17 @@ pub fn run_monitor_epoch(
                 {
                     cumulative = cumulative_ack;
                     last_progress = clock.now();
-                    backoff = cfg.resend_after.max(1);
+                    backoff = resend_after;
+                    next_resend = last_progress.saturating_add(backoff);
                 }
                 ControlFrame::NackAll {
                     router_id,
                     epoch_id,
                 } if router_id == cfg.router_id && epoch_id == cfg.epoch_id => {
-                    for chunk in chunks {
+                    for chunk in &chunks[..sent] {
                         sock.send(chunk, metrics);
                     }
-                    resent = true;
+                    resent |= sent > 0;
                 }
                 ControlFrame::NackSeqs {
                     router_id,
@@ -1054,11 +1196,11 @@ pub fn run_monitor_epoch(
                     seqs,
                 } if router_id == cfg.router_id && epoch_id == cfg.epoch_id => {
                     for &seq in &seqs {
-                        if let Some(chunk) = chunks.get(seq as usize) {
+                        if let Some(chunk) = chunks[..sent].get(seq as usize) {
                             sock.send(chunk, metrics);
+                            resent = true;
                         }
                     }
-                    resent = true;
                 }
                 ControlFrame::Advance { epoch_id, .. } if epoch_id > cfg.epoch_id => {
                     return MonitorEpochEnd::Delivered;
@@ -1067,8 +1209,17 @@ pub fn run_monitor_epoch(
                 _ => {}
             }
         }
-        if cumulative as usize >= chunks.len() {
+        let acked = cumulative as usize;
+        if acked >= chunks.len() {
             return MonitorEpochEnd::Delivered;
+        }
+        let window_end = acked.saturating_add(SEND_WINDOW).min(chunks.len());
+        let opened = sent < window_end;
+        if opened {
+            for chunk in &chunks[sent..window_end] {
+                sock.send(chunk, metrics);
+            }
+            sent = window_end;
         }
         let now = clock.now();
         if now.saturating_sub(last_progress) >= cfg.give_up {
@@ -1077,22 +1228,29 @@ pub fn run_monitor_epoch(
                 .inc();
             return MonitorEpochEnd::TimedOut;
         }
-        if now >= next_resend && !resent {
-            // No ack progress: re-push everything past the cumulative
-            // ack (the centre may have died and restarted).
-            for chunk in chunks.iter().skip(cumulative as usize) {
+        let timer = now >= next_resend;
+        if timer && !resent {
+            // No ack progress and no NACK: re-push everything sent past
+            // the cumulative ack (the centre may have died and restarted).
+            for chunk in &chunks[acked..sent] {
                 sock.send(chunk, metrics);
             }
             metrics
                 .counter("socket_resend_bursts_total", &ROLE_MONITOR)
                 .inc();
             backoff = (backoff * 2).min(cfg.max_backoff.max(1));
+        } else if silent && !resent {
+            // Tail probe: the chunk the centre's cumulative ack waits for.
+            sock.send(&chunks[acked], metrics);
         }
-        if resent || now >= next_resend {
-            sock.flush_shim(metrics);
+        if resent || timer {
             next_resend = now.saturating_add(backoff);
         }
-        std::thread::sleep(std::time::Duration::from_micros(200));
+        if resent || timer || opened || silent {
+            sock.flush_shim(metrics);
+        }
+        waited = true;
+        sock.wait();
     }
 }
 
@@ -1306,6 +1464,138 @@ mod tests {
         // Impairing the shim on a TCP link loses frames before the
         // stream, so retransmits still matter.
         socket_roundtrip(Transport::Tcp, ImpairmentConfig::soak());
+    }
+
+    /// The 0 % gate: over a perfect link one monitor puts each chunk on
+    /// the wire about once — at most 1.5 frames a chunk, the Hello
+    /// counted — and its resend timer never fires. Four windows of chunks
+    /// make the window open three times on acks. Both ends' timers are a
+    /// second long, so the frames counted are the window's and the tail
+    /// probes', not a backstop's.
+    #[test]
+    fn a_perfect_link_sends_each_chunk_about_once() {
+        let bundle: Vec<u8> = (0..4 * SEND_WINDOW as u32 * 1000)
+            .map(|i| (i % 251) as u8)
+            .collect();
+        let chunks = chunk_bundle(3, 0, &bundle, 1000);
+        assert!(chunks.len() >= 3 * SEND_WINDOW);
+        let metrics = MetricsRegistry::new();
+        let clock = TickClock::new(Duration::from_micros(500));
+        let mut center = CenterSocket::bind("127.0.0.1:0", Transport::Udp).unwrap();
+        let mut sock =
+            MonitorSocket::connect(center.local_addr().unwrap(), Transport::Udp).unwrap();
+        sock.set_shim(ImpairmentShim::new(ImpairmentConfig::perfect(), 7));
+        let (end, epoch) = std::thread::scope(|s| {
+            let centre = s.spawn(|| {
+                let session = SessionConfig {
+                    base_backoff: 2_000,
+                    max_backoff: 2_000,
+                    ..SessionConfig::default()
+                };
+                let cfg = CollectorConfig {
+                    deadline: 1 << 40,
+                    straggler: StragglerPolicy::WaitAll,
+                    session,
+                };
+                let mut collector = EpochCollector::new(0, [3], cfg, 42, clock.now());
+                let center_metrics = MetricsRegistry::new();
+                run_center_epoch(&mut center, &mut collector, &clock, &center_metrics, |_| {
+                    false
+                })
+            });
+            let end = run_monitor_epoch(
+                &mut sock,
+                &chunks,
+                &MonitorEpochConfig {
+                    router_id: 3,
+                    epoch_id: 0,
+                    resend_after: 2_000,
+                    max_backoff: 2_000,
+                    give_up: 20_000,
+                },
+                &clock,
+                &metrics,
+            );
+            (end, centre.join().unwrap())
+        });
+        assert_eq!(end, MonitorEpochEnd::Delivered);
+        let CenterEpochEnd::Collected(epoch) = epoch else {
+            unreachable!("the abort hook never fires");
+        };
+        assert_eq!(epoch.frames[0].1, bundle);
+        let snapshot = metrics.snapshot();
+        let sent = snapshot
+            .counter("socket_frames_sent_total{role=monitor}")
+            .unwrap();
+        assert!(
+            2 * sent <= 3 * (chunks.len() as u64 + 1),
+            "{sent} frames for {} chunks",
+            chunks.len()
+        );
+        assert_eq!(
+            snapshot.counter("socket_resend_bursts_total{role=monitor}"),
+            Some(0)
+        );
+    }
+
+    /// The resend timer counts ticks without progress: a centre whose
+    /// acks advance one chunk a tick for three `resend_after` periods
+    /// never sees a resend burst. A plain `UdpSocket` plays the centre,
+    /// and a manual clock ticks once per ack.
+    #[test]
+    fn advancing_acks_hold_off_the_resend_timer() {
+        const RESEND_AFTER: u64 = 8;
+        let bundle: Vec<u8> = (0..40_000u32).map(|i| (i % 251) as u8).collect();
+        let chunks = chunk_bundle(5, 0, &bundle, 400);
+        assert!(chunks.len() as u64 > 3 * RESEND_AFTER);
+        let metrics = MetricsRegistry::new();
+        let clock = ManualClock::new(0);
+        let center = UdpSocket::bind("127.0.0.1:0").unwrap();
+        center
+            .set_read_timeout(Some(Duration::from_secs(5)))
+            .unwrap();
+        let mut sock =
+            MonitorSocket::connect(center.local_addr().unwrap(), Transport::Udp).unwrap();
+        let end = std::thread::scope(|s| {
+            let monitor = s.spawn(|| {
+                run_monitor_epoch(
+                    &mut sock,
+                    &chunks,
+                    &MonitorEpochConfig {
+                        router_id: 5,
+                        epoch_id: 0,
+                        resend_after: RESEND_AFTER,
+                        max_backoff: 64,
+                        give_up: 1_000,
+                    },
+                    &clock,
+                    &metrics,
+                )
+            });
+            // The monitor's first frame, its Hello, gives its address.
+            let mut buf = vec![0u8; MAX_DATAGRAM];
+            let (_, monitor_addr) = center.recv_from(&mut buf).unwrap();
+            let ack = |cumulative_ack: u32| {
+                let frame = ControlFrame::Ack {
+                    router_id: 5,
+                    epoch_id: 0,
+                    cumulative_ack,
+                };
+                center.send_to(&frame.encode(), monitor_addr).unwrap();
+            };
+            for tick in 1..=3 * RESEND_AFTER {
+                clock.set(tick);
+                ack(tick as u32);
+                std::thread::sleep(Duration::from_millis(2));
+            }
+            ack(chunks.len() as u32);
+            monitor.join().unwrap()
+        });
+        assert_eq!(end, MonitorEpochEnd::Delivered);
+        let bursts = metrics
+            .snapshot()
+            .counter("socket_resend_bursts_total{role=monitor}");
+        assert_eq!(bursts.unwrap_or(0), 0, "acks were advancing every tick");
     }
 
     /// A session missing more chunks than one datagram or one stream

@@ -21,7 +21,8 @@
 //! ```
 //!
 //! * [`RouterSession`] reassembles one router's chunk frames
-//!   (duplicate/overlap-safe), exposes a cumulative ack, and drives a
+//!   (duplicate/overlap-safe), exposes a cumulative ack and the holes
+//!   below its highest held seq, and drives a
 //!   capped-exponential-backoff retransmit timer with deterministic
 //!   seeded jitter.
 //! * [`EpochCollector`] owns one session per expected router, routes
@@ -222,6 +223,8 @@ pub struct RouterSession {
     /// Length of the held prefix: `chunks[..acked]` are all `Some`, and
     /// `chunks[acked]` (if any) is `None`.
     acked: usize,
+    /// One past the highest held seq (0 when nothing is held).
+    high: usize,
     /// Retransmit rounds fired so far.
     attempts: u32,
     /// Next tick the retransmit timer fires.
@@ -241,6 +244,7 @@ impl RouterSession {
             chunks: Vec::new(),
             received: 0,
             acked: 0,
+            high: 0,
             attempts: 0,
             next_request_at: 0,
             gave_up: false,
@@ -306,6 +310,25 @@ impl RouterSession {
         }
     }
 
+    /// One past the highest seq held so far (0 before the first chunk).
+    pub fn high_mark(&self) -> u32 {
+        self.high
+            .try_into()
+            .expect("chunk count bounded by MAX_CHUNKS")
+    }
+
+    /// The missing seqs below [`Self::high_mark`], lowest first, at most
+    /// `limit` of them: the chunks a later-sent chunk has overtaken. A
+    /// hole above the highest held seq is not named, since its chunk may
+    /// still be in flight. Empty for a complete session.
+    pub fn gaps(&self, limit: usize) -> Vec<u32> {
+        (self.acked..self.high)
+            .filter(|&seq| self.chunks[seq].is_none())
+            .take(limit)
+            .map(|seq| seq as u32)
+            .collect()
+    }
+
     /// Still-missing chunk seqs (empty when complete or total unknown).
     pub fn missing(&self) -> Vec<u32> {
         self.chunks
@@ -343,6 +366,7 @@ impl RouterSession {
         }
         *slot = Some(frame.payload.to_vec());
         self.received += 1;
+        self.high = self.high.max(frame.seq as usize + 1);
         self.advance_ack();
         self.crc_failed_seqs.retain(|&s| s != frame.seq);
         ChunkDisposition::Accepted {
@@ -707,6 +731,40 @@ impl EpochCollector {
         out
     }
 
+    /// Every session's [`RouterSession::high_mark`], in router-id order:
+    /// the snapshot [`Self::gap_requests`] compares a batch against.
+    pub fn high_marks(&self) -> Vec<u32> {
+        self.sessions
+            .values()
+            .map(RouterSession::high_mark)
+            .collect()
+    }
+
+    /// The gap NACKs a batch of arrivals calls for: one request for each
+    /// session whose high mark rose above `before` (taken with
+    /// [`Self::high_marks`] ahead of the batch) and that still misses a
+    /// seq below it, naming at most `limit` of those holes
+    /// ([`RouterSession::gaps`]). A chunk that a later-sent one overtook
+    /// is taken as lost, with the batch as the reorder window, so a frame
+    /// reordered inside one batch is never named. A hole that a batch of
+    /// resends alone leaves open is not named again, since its resend may
+    /// still be in flight. Reads no timer and counts nothing: the
+    /// retransmit timers of [`Self::poll`] stay the backstop for silent
+    /// routers and lost tails.
+    pub fn gap_requests(&self, before: &[u32], limit: usize) -> Vec<RetransmitRequest> {
+        (self.sessions.values().zip(before))
+            .filter(|(s, &was)| s.high_mark() > was)
+            .filter_map(|(s, _)| {
+                let seqs = s.gaps(limit);
+                (!seqs.is_empty()).then_some(RetransmitRequest {
+                    router_id: s.router_id,
+                    epoch_id: self.epoch_id,
+                    missing: Missing::Seqs(seqs),
+                })
+            })
+            .collect()
+    }
+
     /// Whether the straggler policy says to stop waiting at `now`.
     pub fn ready(&self, now: u64) -> bool {
         if self.complete_sessions() == self.sessions.len() {
@@ -840,6 +898,7 @@ impl EpochCollector {
                         let len = r.count(MAX_CHUNK_PAYLOAD, 1, "payload length over cap")?;
                         session.chunks[seq] = Some(r.bytes(len)?.to_vec());
                         session.received += 1;
+                        session.high = seq + 1;
                     }
                 }
                 session.advance_ack();
@@ -1295,6 +1354,81 @@ mod tests {
         );
     }
 
+    /// Offers `seqs` of `chunks` as one batch and returns the gap NACKs
+    /// the batch calls for, as seq lists.
+    fn gap_batch(coll: &mut EpochCollector, chunks: &[Vec<u8>], seqs: &[usize]) -> Vec<Vec<u32>> {
+        let marks = coll.high_marks();
+        for &seq in seqs {
+            coll.offer(&chunks[seq], 0);
+        }
+        (coll.gap_requests(&marks, usize::MAX).into_iter())
+            .map(|req| match req.missing {
+                Missing::Seqs(seqs) => seqs,
+                Missing::All => panic!("a gap NACK names its seqs"),
+            })
+            .collect()
+    }
+
+    #[test]
+    fn gap_nacks_name_the_holes_below_the_highest_delivered_seq() {
+        let mut coll = EpochCollector::new(0, [4], cfg(), 1, 0);
+        let chunks = chunk_bundle(4, 0, &bundle_bytes(4, 1000), 100);
+        assert_eq!(chunks.len(), 10);
+        // 2 and 5 were overtaken; 7, 8 and 9, above the highest seq held,
+        // may still be in flight and are not named.
+        assert_eq!(gap_batch(&mut coll, &chunks, &[0, 1, 3, 4, 6]), [[2, 5]]);
+        assert_eq!(coll.session(4).unwrap().high_mark(), 7);
+        // A batch that only fills a hole raises nothing: the other
+        // hole's resend may still be in flight.
+        assert!(gap_batch(&mut coll, &chunks, &[2]).is_empty());
+        // The next batch above the highest seq names what is still open.
+        assert_eq!(gap_batch(&mut coll, &chunks, &[8]), [[5, 7]]);
+        // The tail below the highest seq filled in: nothing is named, and
+        // 9 is still above it.
+        assert!(gap_batch(&mut coll, &chunks, &[7, 5]).is_empty());
+        assert_eq!(coll.session(4).unwrap().missing(), [9]);
+    }
+
+    #[test]
+    fn a_chunk_reordered_inside_its_batch_is_not_nacked() {
+        let mut coll = EpochCollector::new(0, [4, 5], cfg(), 1, 0);
+        let chunks = chunk_bundle(4, 0, &bundle_bytes(4, 1000), 100);
+        assert!(gap_batch(&mut coll, &chunks, &[0, 2, 1, 3]).is_empty());
+        assert!(gap_batch(&mut coll, &chunks, &[5, 4, 6]).is_empty());
+    }
+
+    #[test]
+    fn a_complete_session_is_never_gap_nacked() {
+        let mut coll = EpochCollector::new(0, [4], cfg(), 1, 0);
+        let chunks = chunk_bundle(4, 0, &bundle_bytes(4, 1000), 100);
+        let all: Vec<usize> = (0..chunks.len()).rev().collect();
+        assert!(gap_batch(&mut coll, &chunks, &all).is_empty());
+        assert!(coll.session(4).unwrap().is_complete());
+        assert!(coll.session(4).unwrap().gaps(usize::MAX).is_empty());
+    }
+
+    #[test]
+    fn a_gap_nack_is_clipped_to_one_control_frame() {
+        use crate::net::MAX_NACK_SEQS;
+        let mut coll = EpochCollector::new(0, [1], cfg(), 1, 0);
+        let marks = coll.high_marks();
+        for seq in [0, 19_999] {
+            let chunk = ChunkFrame {
+                router_id: 1,
+                epoch_id: 0,
+                seq,
+                total: 20_000,
+                payload: b"x",
+            };
+            coll.offer(&chunk.encode(), 0);
+        }
+        let reqs = coll.gap_requests(&marks, MAX_NACK_SEQS);
+        let want: Vec<u32> = (1..=MAX_NACK_SEQS as u32).collect();
+        assert_eq!(reqs.len(), 1);
+        assert_eq!(reqs[0].missing, Missing::Seqs(want));
+        assert_eq!((reqs[0].router_id, reqs[0].epoch_id), (1, 0));
+    }
+
     #[test]
     fn wrong_epoch_and_post_finalize_chunks_count_late() {
         let mut coll = EpochCollector::new(5, [1], cfg(), 1, 0);
@@ -1348,6 +1482,8 @@ mod tests {
         let s2 = resumed.session(2).unwrap();
         assert_eq!(s2.received(), 3);
         assert_eq!(s2.missing(), vec![1, 2, 4, 6, 7]);
+        // The gap rule picks up where it was: holes below seq 5 only.
+        assert_eq!((s2.high_mark(), s2.gaps(usize::MAX)), (6, vec![1, 2, 4]));
         assert_eq!(
             resumed.stats().checkpoint_resumes,
             stats_before.checkpoint_resumes + 1

@@ -189,7 +189,7 @@ pub struct MonitorCliConfig {
     pub max_payload: usize,
     /// Real duration of one tick, in microseconds.
     pub tick_micros: u64,
-    /// Ticks of silence before re-pushing unacked chunks.
+    /// Ticks without ack progress before re-pushing unacked chunks.
     pub resend_after: u64,
     /// Resend backoff cap, in ticks.
     pub max_backoff: u64,

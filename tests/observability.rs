@@ -231,10 +231,45 @@ fn names_family(name: &str, family: &str) -> bool {
     }
 }
 
+/// The centre's and the monitor's socket registries after one loopback
+/// UDP epoch: one router's bundle through a soak-impaired monitor socket.
+fn socket_epoch_snapshots(frame: &[u8]) -> [MetricsSnapshot; 2] {
+    let chunks = chunk_bundle(0, 0, frame, DATAGRAM_SAFE_PAYLOAD);
+    let clock = TickClock::new(std::time::Duration::from_micros(500));
+    let mut center = CenterSocket::bind("127.0.0.1:0", Transport::Udp).expect("bind centre");
+    let addr = center.local_addr().expect("centre address");
+    let center_metrics = MetricsRegistry::new();
+    let monitor_metrics = MetricsRegistry::new();
+    std::thread::scope(|s| {
+        s.spawn(|| {
+            let mut collector =
+                EpochCollector::new(0, [0], CollectorConfig::default(), 1, clock.now());
+            let end =
+                run_center_epoch(&mut center, &mut collector, &clock, &center_metrics, |_| {
+                    false
+                });
+            assert!(matches!(end, CenterEpochEnd::Collected(_)));
+        });
+        let mut sock = MonitorSocket::connect(addr, Transport::Udp).expect("connect");
+        sock.set_shim(ImpairmentShim::new(ImpairmentConfig::soak(), 3));
+        let cfg = MonitorEpochConfig {
+            router_id: 0,
+            epoch_id: 0,
+            resend_after: 32,
+            max_backoff: 256,
+            give_up: 4_000,
+        };
+        let end = run_monitor_epoch(&mut sock, &chunks, &cfg, &clock, &monitor_metrics);
+        assert_eq!(end, MonitorEpochEnd::Delivered);
+    });
+    [center_metrics.snapshot(), monitor_metrics.snapshot()]
+}
+
 /// The metric catalogue both ways. Every metric family the centre emits
-/// — through either door — and every family an aggregator emits is named
-/// in backticks somewhere in DESIGN.md; and every family a row of
-/// DESIGN §8's metric table names is emitted by one of those registries.
+/// — through either door — every family an aggregator emits, and every
+/// family both ends of a socket epoch emit, is named in backticks
+/// somewhere in DESIGN.md; and every family a row of DESIGN §8's metric
+/// table names is emitted by one of those registries.
 #[test]
 fn every_emitted_metric_family_is_documented() {
     let epoch = CollectedEpoch::from_digests(&make_digests(38, 6));
@@ -266,7 +301,13 @@ fn every_emitted_metric_family_is_documented() {
     let design = include_str!("../DESIGN.md");
     let family = |code: &'static str| code.split('{').next().unwrap_or(code);
     let documented: Vec<&str> = design.split('`').skip(1).step_by(2).map(family).collect();
-    let snaps = [center.metrics(), aggregator_metrics.snapshot()];
+    let [socket_center, socket_monitor] = socket_epoch_snapshots(&epoch.frames[0].1);
+    let snaps = [
+        center.metrics(),
+        aggregator_metrics.snapshot(),
+        socket_center,
+        socket_monitor,
+    ];
     let keys = snaps.iter().flat_map(|snap| {
         (snap.counters.iter().map(|c| &c.key))
             .chain(snap.gauges.iter().map(|g| &g.key))

@@ -53,7 +53,6 @@ fn main() {
             beta: (n1 / 2).max(10),
             d: 2,
         },
-        threads: scale.threads,
         seed: 0x57E55,
     };
 

@@ -42,9 +42,9 @@ pub struct AnalysisConfig {
     /// graph an alarm reads are maintained incrementally across epochs
     /// by one pair loop (delta re-test of changed groups only, one
     /// popcount a row pair for both), and each is audited against its
-    /// all-pairs build ([`dcs_unaligned::build_group_graph_parallel`]) at
-    /// this cadence. Its `threads` is the centre's one thread count: the
-    /// pair loop is the only stage that spawns workers.
+    /// all-pairs build ([`dcs_unaligned::build_group_graph`]) at this
+    /// cadence. The pair loop, like every stage, runs on the thread that
+    /// analyses the epoch.
     pub ugraph: IncrementalConfig,
 }
 
@@ -122,10 +122,18 @@ struct CenterState {
 #[derive(Debug)]
 pub struct AnalysisCenter {
     cfg: AnalysisConfig,
-    /// Locked once per epoch, for the whole analysis.
+    /// Locked once per epoch, for the whole analysis. The lock is what
+    /// lets callers share a centre: the analysis itself is one thread,
+    /// and the λ tables inside are not `Sync`.
     state: Mutex<CenterState>,
     metrics: MetricsRegistry,
 }
+
+// Callers share a centre across threads; the λ tables alone would not let them.
+const _: () = {
+    const fn shareable<T: Send + Sync>() {}
+    shareable::<AnalysisCenter>();
+};
 
 impl AnalysisCenter {
     /// Creates the centre.

@@ -1,15 +1,12 @@
-//! Scoped-thread fan-out for the one parallel section of the analysis
-//! engine.
+//! Scoped-thread fan-out for `dcs-sim`'s independent Monte-Carlo trials.
 //!
-//! Section IV-D names one cost worth spreading over CPUs: the pairwise
-//! row correlation of the unaligned case ("distribute the load to a large
-//! number of CPUs"). `dcs-unaligned`'s group-pair loop spreads it with
-//! [`map_workers`], and so do `dcs-sim`'s independent Monte-Carlo trials;
-//! everything else runs on the caller's thread. Rather than pull in a
-//! work-stealing runtime, [`map_workers`] wraps [`std::thread::scope`]
-//! and hands back per-worker results in worker-index order, so
-//! reductions are reproducible regardless of scheduling. One worker is a
-//! plain inline call with no spawn.
+//! The analysis centre spawns nothing: Section IV-D's "distribute the
+//! load to a large number of CPUs" is not taken, because no benchmark
+//! host has shown a second worker paying for the pair loop (DESIGN §2).
+//! Rather than pull in a work-stealing runtime, [`map_workers`] wraps
+//! [`std::thread::scope`] and hands back per-worker results in
+//! worker-index order, so reductions are reproducible regardless of
+//! scheduling. One worker is a plain inline call with no spawn.
 
 #![forbid(unsafe_code)]
 
@@ -18,8 +15,7 @@
 ///
 /// Worker 0 runs on the calling thread, so `workers == 1` is exactly an
 /// inline call with no spawn. Results are collected positionally, which
-/// makes any fold over them independent of completion order — the
-/// foundation for the pipeline's thread-count-invariant output.
+/// makes any fold over them independent of completion order.
 ///
 /// Panics in a worker propagate to the caller.
 pub fn map_workers<T, F>(workers: usize, f: F) -> Vec<T>

@@ -14,7 +14,7 @@ use dcs_traffic::burst::{coefficient_of_variation, BurstModel};
 use dcs_traffic::{gen, BackgroundConfig, ContentObject, Planting, SizeMix};
 use dcs_unaligned::corefind::precision_recall;
 use dcs_unaligned::lambda::{p_star_for_edge_prob, LambdaTable};
-use dcs_unaligned::{build_group_graph_parallel, find_pattern, CoreFindConfig, GroupLayout};
+use dcs_unaligned::{build_group_graph, find_pattern, CoreFindConfig, GroupLayout};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -41,8 +41,6 @@ pub struct StressConfig {
     pub detect_p1: f64,
     /// Core-finding parameters.
     pub corefind: CoreFindConfig,
-    /// Correlation worker threads.
-    pub threads: usize,
     /// Master seed.
     pub seed: u64,
 }
@@ -61,7 +59,6 @@ impl StressConfig {
             burst: BurstModel::default(),
             detect_p1: 2.0 / n_groups as f64,
             corefind: CoreFindConfig { beta: 30, d: 2 },
-            threads: 4,
             seed: 0xD05,
         }
     }
@@ -159,7 +156,7 @@ pub fn run_stress(cfg: &StressConfig) -> StressOutcome {
     let layout = GroupLayout { rows_per_group: k };
     let p_star = p_star_for_edge_prob(cfg.detect_p1, k * k);
     let table = LambdaTable::new(1024, p_star);
-    let (graph, _) = build_group_graph_parallel(&rows, layout, &table, cfg.threads);
+    let (graph, _) = build_group_graph(&rows, layout, &table);
     let result = find_pattern(&graph, cfg.corefind);
     let reported_groups = result.vertices();
     let (precision, recall) = precision_recall(&reported_groups, &truth_groups);

@@ -2,34 +2,29 @@
 //!
 //! "The vast majority of the computational complexity … comes from
 //! computing, for any two rows in the matrix, the number of indices in
-//! which both rows have value 1" (Section IV-D). The paper lists coping
-//! strategies; this module implements possibility 3, "distribute the load
-//! to a large number of CPUs".
+//! which both rows have value 1" (Section IV-D). Of the paper's ways to
+//! pay for that, this module does not take "distribute the load to a
+//! large number of CPUs": no benchmark host has shown a second worker
+//! paying, so the loop runs on the caller's thread. It pays instead by
+//! re-testing only the groups that changed (`incremental`) and by ruling
+//! most pairs out on a shared λ cell.
 //!
-//! `edges_touching` is the one parallel pair loop (scoped worker threads
-//! via `dcs-parallel`, and the only section of the analysis centre that
-//! spawns any), over every group pair with a touched end, with the count
-//! of exact row-pair tests it ran. It popcounts one row against the
-//! other group's rows in one batched kernel call and tests each count
-//! against one λ table or several, so the incremental correlator decides
-//! the test graph (Λ) and the detection graph (Λ′) of the changed groups
-//! in one pass; [`build_group_graph_parallel`] is the loop over every
-//! group under one table, the oracle both graphs are audited against.
-//! A count is compared with a coarse-grid λ cell first (`GRID`), so
-//! the λ quantiles the loop computes are mostly the grid's, shared by
-//! every pair whose weights round to it.
-//!
-//! The pair loop strides the touched groups with
-//! [`balanced_outer_indices`] (zigzag pairing), which keeps per-worker
-//! pair counts of an all-pairs build within `threads − 1` of each other
-//! for every `n` — the triangular loop's heavy low indices and light high
-//! indices cancel.
+//! `edges_touching` is the one pair loop, over every group pair with a
+//! touched end, with the count of exact row-pair tests it ran. It
+//! popcounts one row against the other group's rows in one batched
+//! kernel call and tests each count against one λ table or several, so
+//! the incremental correlator decides the test graph (Λ) and the
+//! detection graph (Λ′) of the changed groups in one pass;
+//! [`build_group_graph`] is the loop over every group under one table,
+//! the all-pairs build both graphs are audited against. A count is
+//! compared with a coarse-grid λ cell first (`GRID`), so the λ quantiles
+//! the loop computes are mostly the grid's, shared by every pair whose
+//! weights round to it.
 
 use crate::lambda::LambdaTable;
 use dcs_bitmap::words::and_weight_each_into;
 use dcs_bitmap::RowMatrix;
 use dcs_graph::{Graph, GraphBuilder};
-use dcs_parallel::map_workers;
 
 /// How rows map to group-vertices: rows are stored group-major, group `g`
 /// owning rows `g*rows_per_group .. (g+1)*rows_per_group`.
@@ -55,38 +50,6 @@ impl GroupLayout {
         );
         rows.nrows() / self.rows_per_group
     }
-}
-
-/// Outer indices owned by worker `t` of `threads` under zigzag striding:
-/// each block of `2 × threads` consecutive outer indices gives worker
-/// `t` the pair `base + t` and `base + 2·threads − 1 − t`. In the
-/// triangular pair loop outer index `i` costs `n − 1 − i` inner
-/// iterations, so the two indices of a full block sum to the same pair
-/// count for every worker; only the final partial block differs, by at
-/// most `threads − 1` pairs total (proptested below). The plain
-/// `t, t + threads, …` stride this replaces skewed by
-/// `Θ(n · (threads − 1) / threads)` pairs whenever `n % threads != 0`.
-///
-/// # Panics
-/// Panics if `threads == 0` or `t >= threads`.
-pub fn balanced_outer_indices(n: usize, threads: usize, t: usize) -> Vec<usize> {
-    assert!(threads > 0, "need at least one thread");
-    assert!(t < threads, "worker {t} out of range for {threads} threads");
-    let span = 2 * threads;
-    let mut out = Vec::with_capacity(n / threads + 2);
-    let mut base = 0;
-    while base < n {
-        let lo = base + t;
-        if lo < n {
-            out.push(lo);
-        }
-        let hi = base + span - 1 - t;
-        if hi != lo && hi < n {
-            out.push(hi);
-        }
-        base += span;
-    }
-    out
 }
 
 /// Step of the coarse weight grid a row pair is first compared on. λ is
@@ -151,8 +114,7 @@ impl<'a> Groups<'a> {
 /// Λ and a laxer Λ′ that is the first Λ exceedance, where a Λ-only scan
 /// stops too. Every nonzero-weight row pair up to the stop is tallied
 /// into `pairs_exact`; zero-weight rows share no ones and are skipped
-/// untallied (the stop point is a pure function of the row data, so the
-/// tally and the cells read are the same under any thread partition).
+/// untallied.
 fn group_edges<const T: usize>(
     groups: &Groups,
     laxest_first: [&LambdaTable; T],
@@ -192,62 +154,38 @@ fn group_edges<const T: usize>(
     found
 }
 
-/// The parallel group-pair loop: λ-tests every group pair with at least
-/// one `touched` end exactly once, by its smaller touched end, against
-/// every table of `tables` at once, and returns each table's connected
-/// pairs as `(u, v)` with `u < v` plus the count of exact row-pair tests.
-/// The touched groups are the outer index, split across at most
-/// `threads` scoped workers — never more than there are touched groups —
-/// by [`balanced_outer_indices`] (with every group touched that balances
-/// the triangular loop to within `workers − 1` pairs per worker); each
-/// worker collects private edge lists and the lists are concatenated in
-/// worker order, so the edges and the tally are identical for any
-/// thread count.
+/// The group-pair loop: λ-tests every group pair with at least one
+/// `touched` end exactly once, by its smaller touched end, against every
+/// table of `tables` at once, and returns each table's connected pairs
+/// as `(u, v)` with `u < v` plus the count of exact row-pair tests.
 ///
 /// # Panics
-/// Panics if `threads == 0` or `touched` does not have one flag per group.
+/// Panics if `touched` does not have one flag per group.
 pub(crate) fn edges_touching<const T: usize>(
     rows: &RowMatrix,
     layout: GroupLayout,
     tables: [&LambdaTable; T],
     touched: &[bool],
-    threads: usize,
 ) -> ([Vec<(u32, u32)>; T], u64) {
-    assert!(threads > 0, "need at least one thread");
     assert_eq!(touched.len(), layout.groups(rows), "one flag per group");
-    let outer: Vec<usize> = (0..touched.len()).filter(|&g| touched[g]).collect();
-    let workers = threads.min(outer.len()).max(1);
     let groups = Groups::new(rows, layout);
     let mut order: [usize; T] = std::array::from_fn(|t| t);
     order.sort_by(|&a, &b| tables[b].p_star().total_cmp(&tables[a].p_star()));
     let laxest_first = order.map(|t| tables[t]);
-    let per_worker = map_workers(workers, |t| {
-        let mut local: [Vec<(u32, u32)>; T] = std::array::from_fn(|_| Vec::new());
-        let mut pairs_exact = 0;
-        let mut common = vec![0; layout.rows_per_group];
-        for i in balanced_outer_indices(outer.len(), workers, t) {
-            let ga = outer[i];
-            for (gb, &gb_touched) in touched.iter().enumerate() {
-                if gb == ga || (gb_touched && gb < ga) {
-                    continue;
-                }
-                let (lo, hi) = (ga.min(gb), ga.max(gb));
-                let found =
-                    group_edges(&groups, laxest_first, lo, hi, &mut common, &mut pairs_exact);
-                for &t in &order[..found] {
-                    local[t].push((lo as u32, hi as u32));
-                }
-            }
-        }
-        (local, pairs_exact)
-    });
     let mut edges: [Vec<(u32, u32)>; T] = std::array::from_fn(|_| Vec::new());
     let mut pairs_exact = 0;
-    for (local, pairs) in per_worker {
-        for (list, part) in edges.iter_mut().zip(local) {
-            list.extend(part);
+    let mut common = vec![0; layout.rows_per_group];
+    for ga in (0..touched.len()).filter(|&g| touched[g]) {
+        for (gb, &gb_touched) in touched.iter().enumerate() {
+            if gb == ga || (gb_touched && gb < ga) {
+                continue;
+            }
+            let (lo, hi) = (ga.min(gb), ga.max(gb));
+            let found = group_edges(&groups, laxest_first, lo, hi, &mut common, &mut pairs_exact);
+            for &t in &order[..found] {
+                edges[t].push((lo as u32, hi as u32));
+            }
         }
-        pairs_exact += pairs;
     }
     (edges, pairs_exact)
 }
@@ -261,20 +199,15 @@ pub(crate) fn graph_of(n: usize, edges: &[(u32, u32)]) -> Graph {
     b.build()
 }
 
-/// Parallel all-pairs conversion: `edges_touching` with every group
-/// touched. Returns the graph and the count of exact row-pair tests,
-/// both identical for any thread count.
-///
-/// # Panics
-/// Panics if `threads == 0`.
-pub fn build_group_graph_parallel(
+/// All-pairs conversion: `edges_touching` with every group touched.
+/// Returns the graph and the count of exact row-pair tests.
+pub fn build_group_graph(
     rows: &RowMatrix,
     layout: GroupLayout,
     table: &LambdaTable,
-    threads: usize,
 ) -> (Graph, u64) {
     let n = layout.groups(rows);
-    let ([edges], pairs_exact) = edges_touching(rows, layout, [table], &vec![true; n], threads);
+    let ([edges], pairs_exact) = edges_touching(rows, layout, [table], &vec![true; n]);
     (graph_of(n, &edges), pairs_exact)
 }
 
@@ -285,28 +218,6 @@ pub(crate) mod tests {
     use dcs_bitmap::Bitmap;
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
-
-    /// Serial sweep of every group pair through the pair loop's
-    /// `group_edges`: the reference the parallel builds' edges, tallies
-    /// and filled cells are compared with.
-    pub(crate) fn build_group_graph(
-        rows: &RowMatrix,
-        layout: GroupLayout,
-        table: &LambdaTable,
-    ) -> Graph {
-        let n = layout.groups(rows);
-        let groups = Groups::new(rows, layout);
-        let mut common = vec![0; layout.rows_per_group];
-        let mut b = GraphBuilder::new(n);
-        for ga in 0..n {
-            for gb in (ga + 1)..n {
-                if group_edges(&groups, [table], ga, gb, &mut common, &mut 0) == 1 {
-                    b.add_edge(ga as u32, gb as u32);
-                }
-            }
-        }
-        b.build()
-    }
 
     /// The group graph straight from its definition, sharing no code with
     /// the pair loop: groups connect iff some row pair's common ones
@@ -378,7 +289,7 @@ pub(crate) mod tests {
     fn correlated_groups_get_edges_others_do_not() {
         let mut r = StdRng::seed_from_u64(2);
         let m = test_matrix(&mut r, 10, 512, &[2, 7], 200);
-        let g = build_group_graph(&m, GroupLayout { rows_per_group: K }, &table());
+        let (g, _) = build_group_graph(&m, GroupLayout { rows_per_group: K }, &table());
         assert!(g.has_edge(2, 7), "correlated pair must connect");
         assert!(
             g.m() <= 2,
@@ -391,56 +302,8 @@ pub(crate) mod tests {
     fn null_matrix_is_sparse() {
         let mut r = StdRng::seed_from_u64(2);
         let m = test_matrix(&mut r, 16, 512, &[], 0);
-        let g = build_group_graph(&m, GroupLayout { rows_per_group: K }, &table());
+        let (g, _) = build_group_graph(&m, GroupLayout { rows_per_group: K }, &table());
         assert!(g.m() <= 1, "null graph has {} edges", g.m());
-    }
-
-    /// A lock-free table has no warm-up step, so a build must not depend
-    /// on one: from a cold table each, every thread count — more threads
-    /// than groups too — produces the serial graph and tally and fills
-    /// exactly the serial build's cells.
-    #[test]
-    fn cold_table_builds_agree_at_any_thread_count() {
-        let mut r = StdRng::seed_from_u64(7);
-        let layout = GroupLayout { rows_per_group: K };
-        // Spread row weights so the builds touch many distinct cells.
-        let mut m = RowMatrix::new(NBITS);
-        for g in 0..12 {
-            for row in 0..K {
-                let mut bm = Bitmap::new(NBITS);
-                let shared = if row == 0 && g % 5 == 1 { 220 } else { 0 };
-                for c in 0..shared {
-                    bm.set(c * 3);
-                }
-                while (bm.weight() as usize) < 380 + 13 * g + 5 * row {
-                    bm.set(r.gen_range(0..NBITS));
-                }
-                m.push_bitmap(&bm);
-            }
-        }
-        let serial_table = table();
-        let serial = build_group_graph(&m, layout, &serial_table);
-        assert!(serial.m() > 0, "the matrix must grow an edge");
-        let filled = serial_table.filled_pairs();
-        assert!(filled.len() > 100, "only {} cells touched", filled.len());
-        let mut want: Vec<_> = serial.edges().collect();
-        want.sort_unstable();
-        let mut tallies = Vec::new();
-        for threads in [1usize, 2, 8, 64] {
-            let cold = table();
-            let (g, pairs) = build_group_graph_parallel(&m, layout, &cold, threads);
-            let mut got: Vec<_> = g.edges().collect();
-            got.sort_unstable();
-            assert_eq!(got, want, "edge sets differ at {threads} threads");
-            assert_eq!(
-                cold.filled_pairs(),
-                filled,
-                "filled cells differ at {threads} threads"
-            );
-            assert_eq!(cold.memo_len(), filled.len());
-            tallies.push(pairs);
-        }
-        assert!(tallies[0] > 0 && tallies.iter().all(|&p| p == tallies[0]));
     }
 
     /// The grid cells take the λ fills off the pair loop: a cold
@@ -467,7 +330,7 @@ pub(crate) mod tests {
         }
         let table = || LambdaTable::new(NBITS, p_star_for_edge_prob(0.65 / 48.0, ROWS * ROWS));
         let (bracketed, oracle) = (table(), table());
-        let (g, _) = build_group_graph_parallel(&m, layout, &bracketed, 1);
+        let (g, _) = build_group_graph(&m, layout, &bracketed);
         let want = oracle_group_graph(&m, layout, &oracle);
         assert_eq!(
             g.edges().collect::<Vec<_>>(),
@@ -494,7 +357,7 @@ pub(crate) mod tests {
         /// does: row weights from up to three bands anywhere in 0..=N
         /// (empty and full rows included), optionally snapped onto a grid
         /// point or one above it, with Λ′ laxer than, equal to or
-        /// stricter than Λ, at one to three threads. The oracle reads
+        /// stricter than Λ. The oracle reads
         /// tables of its own, so no cell the loop filled is reused.
         #[test]
         fn bracketed_loop_matches_the_oracle(
@@ -504,7 +367,6 @@ pub(crate) mod tests {
             snap in 0u8..3,
             test_exp in 1.0f64..4.0,
             relation in 0u8..3,
-            threads in 1usize..4,
         ) {
             const N: usize = 256;
             let mut r = StdRng::seed_from_u64(seed);
@@ -524,8 +386,7 @@ pub(crate) mod tests {
             let detect_p = test_p * [10.0, 1.0, 0.1][usize::from(relation)];
             let tables = || (LambdaTable::new(N, test_p), LambdaTable::new(N, detect_p));
             let (test, detect) = tables();
-            let (edges, _) =
-                edges_touching(&m, layout, [&test, &detect], &vec![true; groups], threads);
+            let (edges, _) = edges_touching(&m, layout, [&test, &detect], &vec![true; groups]);
             let (oracle_test, oracle_detect) = tables();
             for (name, got, table) in [
                 ("Λ", &edges[0], &oracle_test),
@@ -546,7 +407,7 @@ pub(crate) mod tests {
         for _ in 0..(2 * K) {
             m.push_bitmap(&Bitmap::new(NBITS));
         }
-        let g = build_group_graph(&m, GroupLayout { rows_per_group: K }, &table());
+        let (g, _) = build_group_graph(&m, GroupLayout { rows_per_group: K }, &table());
         assert_eq!(g.m(), 0);
     }
 
@@ -556,56 +417,5 @@ pub(crate) mod tests {
         let mut m = RowMatrix::new(NBITS);
         m.push_bitmap(&Bitmap::new(NBITS));
         GroupLayout { rows_per_group: 4 }.groups(&m);
-    }
-
-    #[test]
-    fn balanced_indices_cover_disjointly() {
-        for n in [0usize, 1, 2, 5, 7, 8, 16, 31] {
-            for threads in 1..=6usize {
-                let mut seen = vec![false; n];
-                for t in 0..threads {
-                    for i in balanced_outer_indices(n, threads, t) {
-                        assert!(!seen[i], "index {i} assigned twice (n={n}, T={threads})");
-                        seen[i] = true;
-                    }
-                }
-                assert!(seen.iter().all(|&s| s), "gap in cover (n={n}, T={threads})");
-            }
-        }
-    }
-}
-
-#[cfg(test)]
-mod striding_proptests {
-    use super::balanced_outer_indices;
-    use proptest::prelude::*;
-
-    proptest! {
-        /// Satellite balance pin: under zigzag striding the per-worker
-        /// *pair* counts of the triangular loop (outer index `i` costs
-        /// `n − 1 − i` inner iterations) differ by at most `threads − 1`
-        /// — far under the one-outer-stride (`n − 1`) skew the old
-        /// `t, t + threads, …` striding allowed to accumulate.
-        #[test]
-        fn zigzag_pair_counts_balanced(n in 0usize..200, threads in 1usize..9) {
-            let counts: Vec<u64> = (0..threads)
-                .map(|t| {
-                    balanced_outer_indices(n, threads, t)
-                        .into_iter()
-                        .map(|i| (n - 1 - i) as u64)
-                        .sum()
-                })
-                .collect();
-            let max = counts.iter().copied().max().unwrap_or(0);
-            let min = counts.iter().copied().min().unwrap_or(0);
-            prop_assert!(
-                max - min <= (threads - 1) as u64,
-                "pair counts {counts:?} spread {} > threads − 1 (n={n})",
-                max - min
-            );
-            let total: u64 = counts.iter().sum();
-            let expect = if n == 0 { 0 } else { (n as u64) * (n as u64 - 1) / 2 };
-            prop_assert_eq!(total, expect, "triangle pair total mismatch");
-        }
     }
 }

@@ -38,19 +38,11 @@ pub struct IncrementalConfig {
     /// Run the full-rebuild equality audit every this many epochs
     /// (`0` disables the audit; `1` audits every epoch).
     pub audit_every: u64,
-    /// Worker threads of the pair loop, the analysis centre's one
-    /// parallel section; `0` means every CPU the calling thread may run
-    /// on, asked once per [`epoch`](IncrementalCorrelator::epoch). The
-    /// edges and every [`EpochStats`] field are the same for any count.
-    pub threads: usize,
 }
 
 impl Default for IncrementalConfig {
     fn default() -> Self {
-        IncrementalConfig {
-            audit_every: 16,
-            threads: 0,
-        }
+        IncrementalConfig { audit_every: 16 }
     }
 }
 
@@ -114,7 +106,7 @@ impl IncrementalCorrelator {
 
     /// Processes one epoch: returns the test graph for `rows` —
     /// bit-identical to the all-pairs
-    /// [`build_group_graph_parallel`](crate::build_group_graph_parallel)
+    /// [`build_group_graph`](crate::build_group_graph)
     /// under `tables.test` — and the epoch's work accounting. The same
     /// pass brings the detection graph under `tables.detect` up to date for
     /// [`detection_graph`](Self::detection_graph).
@@ -128,13 +120,6 @@ impl IncrementalCorrelator {
         layout: GroupLayout,
         tables: &LambdaTables,
     ) -> (Graph, EpochStats) {
-        // Asked every epoch, not once per correlator: a caller may re-pin
-        // its thread between epochs, and a count taken before the pin
-        // would spawn workers the pin cannot run.
-        let threads = match self.cfg.threads {
-            0 => std::thread::available_parallelism().map_or(1, |n| n.get()),
-            t => t,
-        };
         let n = layout.groups(rows);
         let both = [&tables.test, &tables.detect];
         let shape = Shape {
@@ -171,7 +156,7 @@ impl IncrementalCorrelator {
         };
 
         if !changed_rows.is_empty() {
-            let (fresh, pairs_exact) = edges_touching(rows, layout, both, &changed, threads);
+            let (fresh, pairs_exact) = edges_touching(rows, layout, both, &changed);
             for (edges, fresh) in self.edges.iter_mut().zip(fresh) {
                 edges.retain(|&(u, v)| !changed[u as usize] && !changed[v as usize]);
                 edges.extend(fresh);
@@ -192,8 +177,7 @@ impl IncrementalCorrelator {
             // outside the pair tally — metrics describe the incremental
             // path, not the safety net.
             for (table, edges) in both.into_iter().zip(&self.edges) {
-                let ([mut want], _) =
-                    edges_touching(rows, layout, [table], &vec![true; n], threads);
+                let ([mut want], _) = edges_touching(rows, layout, [table], &vec![true; n]);
                 want.sort_unstable();
                 assert_eq!(
                     *edges,
@@ -211,7 +195,7 @@ impl IncrementalCorrelator {
 
     /// The detection graph under Λ′ as of the last [`epoch`](Self::epoch)
     /// — bit-identical to the all-pairs
-    /// [`build_group_graph_parallel`](crate::build_group_graph_parallel)
+    /// [`build_group_graph`](crate::build_group_graph)
     /// under `tables.detect` of that epoch; empty before the first.
     pub fn detection_graph(&self) -> Graph {
         let n = self.shape.map_or(0, |s| s.nrows / s.rows_per_group);
@@ -222,7 +206,7 @@ impl IncrementalCorrelator {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::graphbuild::build_group_graph_parallel;
+    use crate::graphbuild::build_group_graph;
     use crate::graphbuild::tests::oracle_group_graph;
     use crate::lambda::LambdaTable;
     use dcs_bitmap::Bitmap;
@@ -302,11 +286,7 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(31);
         let layout = GroupLayout { rows_per_group: K };
         let t = tables(1e-4, 1e-3);
-        let cfg = IncrementalConfig {
-            audit_every: 3,
-            threads: 2,
-        };
-        let mut corr = IncrementalCorrelator::new(cfg);
+        let mut corr = IncrementalCorrelator::new(IncrementalConfig { audit_every: 3 });
         let mut m = random_matrix(&mut rng, 14, Some(460));
         for epoch in 0..8u64 {
             let (g, stats) = corr.epoch(&m, layout, &t);
@@ -335,10 +315,7 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(33);
         let layout = GroupLayout { rows_per_group: K };
         let t = tables(1e-4, 1e-3);
-        let mut corr = IncrementalCorrelator::new(IncrementalConfig {
-            audit_every: 0,
-            threads: 1,
-        });
+        let mut corr = IncrementalCorrelator::new(IncrementalConfig { audit_every: 0 });
         let m = random_matrix(&mut rng, 10, Some(460));
         let (g0, s0) = corr.epoch(&m, layout, &t);
         assert!(s0.full_rebuild);
@@ -356,10 +333,7 @@ mod tests {
     fn shape_change_forces_full_rebuild() {
         let mut rng = StdRng::seed_from_u64(34);
         let layout = GroupLayout { rows_per_group: K };
-        let mut corr = IncrementalCorrelator::new(IncrementalConfig {
-            threads: 1,
-            ..IncrementalConfig::default()
-        });
+        let mut corr = IncrementalCorrelator::new(IncrementalConfig::default());
         let m = random_matrix(&mut rng, 8, Some(460));
         corr.epoch(&m, layout, &tables(1e-4, 1e-3));
         let bigger = random_matrix(&mut rng, 12, Some(460));
@@ -398,10 +372,7 @@ mod tests {
             rows.iter().for_each(|r| m.push_bitmap(r));
             m
         };
-        let mut corr = IncrementalCorrelator::new(IncrementalConfig {
-            audit_every: 0,
-            threads: 2,
-        });
+        let mut corr = IncrementalCorrelator::new(IncrementalConfig { audit_every: 0 });
         corr.epoch(&stack(&rows), layout, &t);
         for epoch in 0..4 {
             for g in (0..5).map(|i| (epoch * 5 + i) % GROUPS) {
@@ -409,7 +380,7 @@ mod tests {
             }
             let m = stack(&rows);
             let (_, stats) = corr.epoch(&m, layout, &t);
-            let (_, all_pairs) = build_group_graph_parallel(&m, layout, &t.test, 2);
+            let (_, all_pairs) = build_group_graph(&m, layout, &t.test);
             assert!(!stats.full_rebuild, "steady state must not rebuild");
             assert!(
                 stats.pairs_exact * 5 <= all_pairs,
@@ -443,7 +414,7 @@ mod tests {
             // p* high enough that random matrices grow real edges, so
             // churn has edges to drop.
             let t = tables(1e-2, 10f64.powi(-detect_exp));
-            let mut corr = IncrementalCorrelator::new(IncrementalConfig { audit_every: 2, threads: 2 });
+            let mut corr = IncrementalCorrelator::new(IncrementalConfig { audit_every: 2 });
             let mut m = random_matrix(&mut rng, groups, uniform);
             for (i, &frac) in fracs.iter().enumerate() {
                 let (g, _) = corr.epoch(&m, layout, &t);

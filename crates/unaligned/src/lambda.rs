@@ -29,17 +29,13 @@
 //! 2 MiB at the 1,024-bit rows every deployment uses — so there is no
 //! capacity and no eviction.
 //!
-//! **Why relaxed atomics are sound.** A cell is either `UNSET` or
-//! `λ(i, j)`, and `λ` is a pure function of the table's `(N, p*)` and the
-//! cell's `(i, j)`: every writer of a cell stores the same value, a
-//! reader that sees `UNSET` computes that value itself, and a cell
-//! publishes no other memory. No ordering between cells is needed.
-//! (Row allocation goes through `OnceLock`, which does publish the row
-//! with acquire/release.)
+//! **One thread at a time.** Cells are plain [`Cell`]s filled through a
+//! shared reference, so a table is `Send` but not `Sync`: the pair loop
+//! runs on the caller's thread, and the centre shares its tables only
+//! behind the lock that guards the rest of its cross-epoch state.
 
 use dcs_stats::{hypergeom_tail_quantile, hypergeom_tail_quantile_near};
-use std::sync::atomic::{AtomicU16, AtomicU64, Ordering::Relaxed};
-use std::sync::OnceLock;
+use std::cell::{Cell, OnceCell};
 
 /// Cell value meaning "not computed yet". λ never exceeds the row width,
 /// and [`LambdaTable::new`] keeps the row width below this.
@@ -51,18 +47,21 @@ const UNSET: u16 = u16::MAX;
 /// spends at N = 1,024.
 const SEED_REACH: u32 = 6;
 
-/// Lazily-filled, lock-free λ table for a fixed row width and p\*.
+/// One row of λ cells, allocated the first time its weight is looked up.
+type Row = OnceCell<Box<[Cell<u16>]>>;
+
+/// Lazily-filled λ table for a fixed row width and p\*.
 #[derive(Debug)]
 pub struct LambdaTable {
     n_bits: usize,
     p_star: f64,
     /// `rows[i][j]` is `λ(i, j)` or [`UNSET`]; both `(i, j)` and `(j, i)`
     /// are written on a fill.
-    rows: Box<[OnceLock<Box<[AtomicU16]>>]>,
+    rows: Box<[Row]>,
     /// Distinct unordered weight pairs filled so far.
-    filled: AtomicU64,
+    filled: Cell<u64>,
     /// Fills not yet handed out by [`take_new_fills`](Self::take_new_fills).
-    unreported: AtomicU64,
+    unreported: Cell<u64>,
 }
 
 /// Row `i` of a [`LambdaTable`]: resolves `λ(i, ·)` with one indexed load
@@ -70,7 +69,7 @@ pub struct LambdaTable {
 pub struct LambdaRow<'a> {
     table: &'a LambdaTable,
     i: u32,
-    cells: &'a [AtomicU16],
+    cells: &'a [Cell<u16>],
 }
 
 impl LambdaRow<'_> {
@@ -84,7 +83,7 @@ impl LambdaRow<'_> {
             .cells
             .get(j as usize)
             .expect("weights exceed row width");
-        match cell.load(Relaxed) {
+        match cell.get() {
             UNSET => self.table.fill(self.i, j),
             v => u32::from(v),
         }
@@ -110,9 +109,9 @@ impl LambdaTable {
         LambdaTable {
             n_bits,
             p_star,
-            rows: (0..=n_bits).map(|_| OnceLock::new()).collect(),
-            filled: AtomicU64::new(0),
-            unreported: AtomicU64::new(0),
+            rows: (0..=n_bits).map(|_| OnceCell::new()).collect(),
+            filled: Cell::new(0),
+            unreported: Cell::new(0),
         }
     }
 
@@ -126,11 +125,11 @@ impl LambdaTable {
         self.p_star
     }
 
-    fn cells(&self, i: u32) -> &[AtomicU16] {
+    fn cells(&self, i: u32) -> &[Cell<u16>] {
         self.rows
             .get(i as usize)
             .expect("weights exceed row width")
-            .get_or_init(|| (0..=self.n_bits).map(|_| AtomicU16::new(UNSET)).collect())
+            .get_or_init(|| (0..=self.n_bits).map(|_| Cell::new(UNSET)).collect())
     }
 
     /// The λ row for first weight `i` (allocated on first use).
@@ -154,9 +153,7 @@ impl LambdaTable {
     }
 
     /// The miss path: computes `λ(i, j)` and stores it under both
-    /// argument orders. Racing fills of one pair store equal values; the
-    /// swap on the `(min, max)` cell picks the one that counts. The
-    /// quantile is walked from the nearest filled cell of row `i` or row
+    /// argument orders, which are only ever unset together. The quantile is walked from the nearest filled cell of row `i` or row
     /// `j` (see [`hypergeom_tail_quantile_near`]: exact from any start,
     /// so the fill order changes only the cost) and bisected when neither
     /// row has one within [`SEED_REACH`].
@@ -169,11 +166,11 @@ impl LambdaTable {
             None => hypergeom_tail_quantile(self.p_star, n, wlo, whi),
         };
         let v = u16::try_from(lam).expect("λ is at most the row width");
-        if self.cells(lo)[hi as usize].swap(v, Relaxed) == UNSET {
-            self.filled.fetch_add(1, Relaxed);
-            self.unreported.fetch_add(1, Relaxed);
-        }
-        self.cells(hi)[lo as usize].store(v, Relaxed);
+        let (lo_row, hi_row) = (self.cells(lo), self.cells(hi));
+        lo_row[hi as usize].set(v);
+        hi_row[lo as usize].set(v);
+        self.filled.set(self.filled.get() + 1);
+        self.unreported.set(self.unreported.get() + 1);
         u32::from(v)
     }
 
@@ -183,7 +180,7 @@ impl LambdaTable {
     fn filled_near(&self, i: u32, j: u32) -> Option<u16> {
         let cell = |row: u32, col: Option<u32>| {
             let v = self.rows[row as usize].get()?.get(col? as usize)?;
-            Some(v.load(Relaxed)).filter(|&v| v != UNSET)
+            Some(v.get()).filter(|&v| v != UNSET)
         };
         (1..=SEED_REACH).find_map(|d| {
             [(i, j), (j, i)].into_iter().find_map(|(row, col)| {
@@ -194,7 +191,7 @@ impl LambdaTable {
 
     /// Number of distinct unordered weight pairs filled so far.
     pub fn memo_len(&self) -> usize {
-        self.filled.load(Relaxed) as usize
+        self.filled.get() as usize
     }
 
     /// The filled `(i ≤ j)` weight pairs in ascending order.
@@ -204,7 +201,7 @@ impl LambdaTable {
         for (i, row) in self.rows.iter().enumerate() {
             let Some(cells) = row.get() else { continue };
             for (j, cell) in cells.iter().enumerate().skip(i) {
-                if cell.load(Relaxed) != UNSET {
+                if cell.get() != UNSET {
                     out.push((i as u32, j as u32));
                 }
             }
@@ -216,7 +213,7 @@ impl LambdaTable {
     /// one call, so every epoch on the table can feed one counter without
     /// double counting.
     pub fn take_new_fills(&self) -> u64 {
-        self.unreported.swap(0, Relaxed)
+        self.unreported.replace(0)
     }
 }
 

@@ -6,11 +6,11 @@
 //!
 //! * [`lambda`] — the weight-aware hypergeometric threshold tables
 //!   Λ = {λᵢⱼ} that make the null graph Erdős–Rényi with a uniform edge
-//!   probability, lock-free and kept across epochs
+//!   probability, filled lazily and kept across epochs
 //!   ([`LambdaTables::for_shape`]);
 //! * [`graphbuild`] — pairwise row correlation (the dominant cost the
-//!   paper analyses in Section IV-D): the one parallel pair loop every
-//!   centre graph goes through;
+//!   paper analyses in Section IV-D): the one pair loop every centre
+//!   graph goes through, on the caller's thread;
 //! * [`ertest`] — the phase-transition statistical test: alarm when the
 //!   largest connected component outgrows what G(n, p₁) can produce;
 //! * [`corefind`] — the 3-step greedy detection (Figure 10): peel to a
@@ -39,7 +39,7 @@ pub mod thresholds;
 
 pub use corefind::{find_pattern, CoreFindConfig, PatternResult};
 pub use ertest::{er_test, ErTestConfig, ErTestResult};
-pub use graphbuild::{build_group_graph_parallel, GroupLayout};
+pub use graphbuild::{build_group_graph, GroupLayout};
 pub use incremental::{EpochStats, IncrementalConfig, IncrementalCorrelator};
 pub use lambda::{LambdaTable, LambdaTables};
 pub use matchmodel::{offset_match_prob, pattern_edge_prob, MatchModel};

@@ -270,6 +270,40 @@ fn append_line(path: &str, line: &str) -> std::io::Result<()> {
 // serve
 // ---------------------------------------------------------------------
 
+/// The centre settings: `--config` (or the defaults) under the flags
+/// that override it, which are taken out of `args`. A centre expecting
+/// no routers would find every epoch ready at once and spin through
+/// empty ones, so zero routers is refused with the analysis shape.
+fn serve_config(args: &mut Vec<String>) -> Result<ServeConfig, Box<dyn std::error::Error>> {
+    let mut cfg: ServeConfig = match take_flag(args, "--config") {
+        Some(path) => serde_json::from_str(&std::fs::read_to_string(path)?)?,
+        None => ServeConfig::default(),
+    };
+    if let Some(v) = take_flag(args, "--bind") {
+        cfg.bind = v;
+    }
+    if let Some(v) = take_flag(args, "--transport") {
+        cfg.transport = v;
+    }
+    cfg.routers = parse_or(take_flag(args, "--routers"), cfg.routers)?;
+    cfg.epochs = parse_or(take_flag(args, "--epochs"), cfg.epochs)?;
+    cfg.min_quorum = parse_or(take_flag(args, "--quorum"), cfg.min_quorum)?;
+    cfg.wait_all = parse_or(take_flag(args, "--wait-all"), cfg.wait_all)?;
+    if let Some(v) = take_flag(args, "--checkpoint") {
+        cfg.checkpoint_path = v;
+    }
+    if let Some(v) = take_flag(args, "--metrics-json") {
+        cfg.metrics_path = v;
+    }
+    if let Some(v) = take_flag(args, "--report") {
+        cfg.report_path = v;
+    }
+    positive("routers", cfg.routers)?;
+    positive("groups_per_router", cfg.groups_per_router)?;
+    positive("aligned_bits", cfg.aligned_bits)?;
+    Ok(cfg)
+}
+
 /// Runs the analysis centre as a socket process.
 pub fn serve(args: &[String]) -> CliResult {
     let mut args = args.to_vec();
@@ -277,29 +311,7 @@ pub fn serve(args: &[String]) -> CliResult {
         println!("{}", serde_json::to_string_pretty(&ServeConfig::default())?);
         return Ok(());
     }
-    let mut cfg: ServeConfig = match take_flag(&mut args, "--config") {
-        Some(path) => serde_json::from_str(&std::fs::read_to_string(path)?)?,
-        None => ServeConfig::default(),
-    };
-    if let Some(v) = take_flag(&mut args, "--bind") {
-        cfg.bind = v;
-    }
-    if let Some(v) = take_flag(&mut args, "--transport") {
-        cfg.transport = v;
-    }
-    cfg.routers = parse_or(take_flag(&mut args, "--routers"), cfg.routers)?;
-    cfg.epochs = parse_or(take_flag(&mut args, "--epochs"), cfg.epochs)?;
-    cfg.min_quorum = parse_or(take_flag(&mut args, "--quorum"), cfg.min_quorum)?;
-    cfg.wait_all = parse_or(take_flag(&mut args, "--wait-all"), cfg.wait_all)?;
-    if let Some(v) = take_flag(&mut args, "--checkpoint") {
-        cfg.checkpoint_path = v;
-    }
-    if let Some(v) = take_flag(&mut args, "--metrics-json") {
-        cfg.metrics_path = v;
-    }
-    if let Some(v) = take_flag(&mut args, "--report") {
-        cfg.report_path = v;
-    }
+    let cfg = serve_config(&mut args)?;
     let resume_path = take_flag(&mut args, "--resume");
     if !args.is_empty() {
         return Err(format!("serve: unrecognised arguments {args:?}").into());
@@ -501,6 +513,8 @@ fn monitor_config(args: &mut Vec<String>) -> Result<MonitorCliConfig, Box<dyn st
     }
     positive("aligned_bits", cfg.aligned_bits)?;
     positive("groups", cfg.groups)?;
+    // A zero budget abandons every epoch at its first check.
+    positive("give_up", cfg.give_up)?;
     Ok(cfg)
 }
 
@@ -637,16 +651,26 @@ mod tests {
         assert_eq!(plain.traffic_seed(), 5);
     }
 
-    /// The [`ZeroShape`] `monitor_config` fails with on the default
-    /// config with `edit` applied.
-    fn monitor_zero_shape(name: &str, edit: impl FnOnce(&mut MonitorCliConfig)) -> ZeroShape {
+    type Parse<C> = fn(&mut Vec<String>) -> Result<C, Box<dyn std::error::Error>>;
+
+    /// The [`ZeroShape`] `parse` fails with on a `--config` file holding
+    /// the default config with `edit` applied.
+    fn config_zero_shape<C: Default + Serialize + std::fmt::Debug>(
+        name: &str,
+        edit: impl FnOnce(&mut C),
+        parse: Parse<C>,
+    ) -> ZeroShape {
         let path = std::env::temp_dir().join(format!("dcs-{name}-{}.json", std::process::id()));
-        let mut file = MonitorCliConfig::default();
+        let mut file = C::default();
         edit(&mut file);
         std::fs::write(&path, serde_json::to_string(&file).unwrap()).unwrap();
-        let result = monitor_config(&mut args(&["--config", path.to_str().unwrap()]));
+        let result = parse(&mut args(&["--config", path.to_str().unwrap()]));
         std::fs::remove_file(&path).unwrap();
         *result.unwrap_err().downcast::<ZeroShape>().unwrap()
+    }
+
+    fn monitor_zero_shape(name: &str, edit: impl FnOnce(&mut MonitorCliConfig)) -> ZeroShape {
+        config_zero_shape(name, edit, monitor_config)
     }
 
     #[test]
@@ -659,5 +683,31 @@ mod tests {
     fn monitor_rejects_a_config_with_zero_groups() {
         let shape = monitor_zero_shape("monitor-zero-groups", |c| c.groups = 0);
         assert_eq!(shape, ZeroShape("groups"));
+    }
+
+    #[test]
+    fn monitor_rejects_a_config_with_zero_give_up() {
+        let shape = monitor_zero_shape("monitor-zero-give-up", |c| c.give_up = 0);
+        assert_eq!(shape, ZeroShape("give_up"));
+    }
+
+    #[test]
+    fn serve_rejects_zero_routers() {
+        let result = serve_config(&mut args(&["--routers", "0"]));
+        assert_eq!(
+            *result.unwrap_err().downcast::<ZeroShape>().unwrap(),
+            ZeroShape("routers")
+        );
+    }
+
+    #[test]
+    fn serve_rejects_a_config_with_a_zero_shape_field() {
+        let rejects = |field: &'static str, edit: fn(&mut ServeConfig)| {
+            let shape = config_zero_shape(&format!("serve-zero-{field}"), edit, serve_config);
+            assert_eq!(shape, ZeroShape(field));
+        };
+        rejects("routers", |c| c.routers = 0);
+        rejects("groups_per_router", |c| c.groups_per_router = 0);
+        rejects("aligned_bits", |c| c.aligned_bits = 0);
     }
 }

@@ -77,8 +77,8 @@ fn parse_or<T: std::str::FromStr>(v: Option<String>, default: T) -> Result<T, St
     }
 }
 
-/// A shape input of zero — a bitmap width, a group count or a packet
-/// size the collectors or the planter cannot build on — named by the
+/// An input of zero the program cannot run on — a bitmap width, a group
+/// or router count, a packet size, or a give-up budget — named by the
 /// flag or config field it came from.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 struct ZeroShape(&'static str);
@@ -92,10 +92,11 @@ impl std::fmt::Display for ZeroShape {
 impl std::error::Error for ZeroShape {}
 
 /// `value`, or a [`ZeroShape`] naming `name` if it is zero.
-fn positive(name: &'static str, value: usize) -> Result<usize, ZeroShape> {
-    match value {
-        0 => Err(ZeroShape(name)),
-        v => Ok(v),
+fn positive<T: Default + PartialEq>(name: &'static str, value: T) -> Result<T, ZeroShape> {
+    if value == T::default() {
+        Err(ZeroShape(name))
+    } else {
+        Ok(value)
     }
 }
 

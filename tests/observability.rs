@@ -1,7 +1,7 @@
 //! Integration tests of the unified observability layer: every stage of
 //! both pipelines reports into the centre's metrics registry, stage
 //! timer sums stay within the epoch total, and the deterministic
-//! parts of a snapshot are identical across thread counts.
+//! parts of a snapshot are identical from run to run.
 
 use dcs::bitmap::{active_kernel, Kernel};
 use dcs::core::stages::Stage;
@@ -38,9 +38,8 @@ fn make_digests(seed: u64, infected: usize) -> Vec<RouterDigest> {
         .collect()
 }
 
-fn center_with_threads(threads: usize) -> AnalysisCenter {
+fn center() -> AnalysisCenter {
     let mut cfg = AnalysisConfig::for_groups(ROUTERS * 4);
-    cfg.ugraph.threads = threads;
     cfg.search.n_prime = 300;
     cfg.search.hopefuls = 200;
     AnalysisCenter::new(cfg)
@@ -48,7 +47,7 @@ fn center_with_threads(threads: usize) -> AnalysisCenter {
 
 #[test]
 fn every_stage_of_both_pipelines_records_nonzero() {
-    let center = center_with_threads(2);
+    let center = center();
     let report = center
         .analyze_epoch(&make_digests(31, 0))
         .expect("clean quorum");
@@ -75,7 +74,7 @@ fn every_stage_of_both_pipelines_records_nonzero() {
 
 #[test]
 fn stage_timer_sums_stay_within_epoch_total() {
-    let center = center_with_threads(2);
+    let center = center();
     // Three epochs back to back: the stage gauges hold the most recent
     // epoch, not a sum over the batch, so their sum still fits inside
     // the last epoch's own total.
@@ -104,7 +103,7 @@ fn stage_timer_sums_stay_within_epoch_total() {
 
 #[test]
 fn real_epoch_snapshot_roundtrips_through_json() {
-    let center = center_with_threads(1);
+    let center = center();
     center.analyze_epoch(&make_digests(34, 4)).expect("quorum");
     let snap = center.metrics();
     let back = MetricsSnapshot::from_json(&snap.to_json_pretty()).expect("parse back");
@@ -137,14 +136,14 @@ fn deterministic_view(snap: &MetricsSnapshot) -> DeterministicView {
 }
 
 #[test]
-fn deterministic_metrics_are_identical_across_thread_counts() {
+fn deterministic_metrics_are_identical_across_runs() {
     let digests = make_digests(35, 6);
-    let run = |threads: usize| {
-        let center = center_with_threads(threads);
+    let run = || {
+        let center = center();
         let report = center.analyze_epoch(&digests).expect("quorum");
         (report, center.metrics())
     };
-    let (seq_report, seq_snap) = run(1);
+    let (seq_report, seq_snap) = run();
     let seq_view = deterministic_view(&seq_snap);
     assert!(seq_view.search_work.iter().all(Option::is_some));
     // A popcount keeps no call tally: the only kernel metric is which
@@ -172,29 +171,27 @@ fn deterministic_metrics_are_identical_across_thread_counts() {
         [active_kernel()],
         "exactly the dispatched kernel reads 1"
     );
-    for threads in [2, 8] {
-        let (report, snap) = run(threads);
-        // Detection results are thread-count-invariant…
-        assert_eq!(report.aligned.found, seq_report.aligned.found);
-        assert_eq!(report.aligned.routers, seq_report.aligned.routers);
-        assert_eq!(
-            report.aligned.signature_indices,
-            seq_report.aligned.signature_indices
-        );
-        assert_eq!(report.unaligned.alarm, seq_report.unaligned.alarm);
-        assert_eq!(
-            report.unaligned.suspected_routers,
-            seq_report.unaligned.suspected_routers
-        );
-        // …and so is every deterministic metric: same counters with the
-        // same values, same search-work gauges, same instrument key sets.
-        // (Wall-clock gauges legitimately vary.)
-        assert_eq!(
-            deterministic_view(&snap),
-            seq_view,
-            "threads={threads}: deterministic metrics diverged"
-        );
-    }
+    // A second fresh centre on the same digests detects the same…
+    let (report, snap) = run();
+    assert_eq!(report.aligned.found, seq_report.aligned.found);
+    assert_eq!(report.aligned.routers, seq_report.aligned.routers);
+    assert_eq!(
+        report.aligned.signature_indices,
+        seq_report.aligned.signature_indices
+    );
+    assert_eq!(report.unaligned.alarm, seq_report.unaligned.alarm);
+    assert_eq!(
+        report.unaligned.suspected_routers,
+        seq_report.unaligned.suspected_routers
+    );
+    // …and reports every deterministic metric the same: same counters
+    // with the same values, same search-work gauges, same instrument key
+    // sets. (Wall-clock gauges legitimately vary.)
+    assert_eq!(
+        deterministic_view(&snap),
+        seq_view,
+        "deterministic metrics diverged"
+    );
 }
 
 #[test]
@@ -202,7 +199,7 @@ fn excluded_bundles_feed_fault_labeled_counters() {
     let mut digests = make_digests(36, 0);
     digests[1].epoch_id = 99;
     digests[3].unaligned.arrays.clear();
-    let center = center_with_threads(1);
+    let center = center();
     let report = center.analyze_epoch(&digests).expect("quorum of 6");
     assert_eq!(report.ingest.excluded.len(), 2);
     let snap = center.metrics();
@@ -273,7 +270,7 @@ fn socket_epoch_snapshots(frame: &[u8]) -> [MetricsSnapshot; 2] {
 #[test]
 fn every_emitted_metric_family_is_documented() {
     let epoch = CollectedEpoch::from_digests(&make_digests(38, 6));
-    let center = center_with_threads(1);
+    let center = center();
     // One undecodable frame beside the good ones, so the exclusion
     // family is emitted too.
     let frames = epoch.frames.iter().map(|(_, frame)| frame.clone());

@@ -31,7 +31,7 @@ use dcs_hash::crc32::{crc32, Crc32};
 use dcs_hash::Fnv1a;
 use dcs_traffic::{gen, BackgroundConfig, SizeMix};
 use dcs_unaligned::{
-    build_group_graph_parallel, GroupLayout, IncrementalConfig, IncrementalCorrelator, LambdaTable,
+    build_group_graph, GroupLayout, IncrementalConfig, IncrementalCorrelator, LambdaTable,
     LambdaTables,
 };
 use rand::rngs::StdRng;
@@ -485,9 +485,8 @@ const GRAPH_CASES: [(&str, bool, f64); 4] = [
 /// auditing every third epoch over the nine epochs of [`graph_epochs`]
 /// at 8 % and 100 % group churn, on the uniform and the mixed weight
 /// regime. Each epoch feeds the sorted edge list and every `EpochStats`
-/// field, then the all-pairs `build_group_graph_parallel` edges and
-/// `pairs_exact` of the same matrix, into one hash per case; threads 1,
-/// 2 and 8 must agree.
+/// field, then the all-pairs `build_group_graph` edges and `pairs_exact`
+/// of the same matrix, into one hash per case.
 #[test]
 fn group_graph_is_pinned() {
     let layout = GroupLayout {
@@ -501,40 +500,33 @@ fn group_graph_is_pinned() {
     ];
     for (seed, ((name, uniform, churn), want)) in (41..).zip(GRAPH_CASES.into_iter().zip(pins)) {
         let epochs = graph_epochs(seed, uniform, churn);
-        for threads in [1, 2, 8] {
-            let tables = graph_tables();
-            let mut corr = IncrementalCorrelator::new(IncrementalConfig {
-                audit_every: 3,
-                threads,
-            });
-            let mut h = Fnv1a::new();
-            for m in &epochs {
-                let (graph, s) = corr.epoch(m, layout, &tables);
-                hash_edges(&graph, &mut h);
-                for v in [
-                    s.pairs_exact,
-                    s.rows_changed as u64,
-                    s.groups_changed as u64,
-                ] {
-                    h.update(&v.to_le_bytes());
-                }
-                h.update(&(s.edges_live as u64).to_le_bytes());
-                h.update(&[u8::from(s.full_rebuild), u8::from(s.audited)]);
-                let (full, pairs_exact) =
-                    build_group_graph_parallel(m, layout, &tables.test, threads);
-                hash_edges(&full, &mut h);
-                h.update(&pairs_exact.to_le_bytes());
+        let tables = graph_tables();
+        let mut corr = IncrementalCorrelator::new(IncrementalConfig { audit_every: 3 });
+        let mut h = Fnv1a::new();
+        for m in &epochs {
+            let (graph, s) = corr.epoch(m, layout, &tables);
+            hash_edges(&graph, &mut h);
+            for v in [
+                s.pairs_exact,
+                s.rows_changed as u64,
+                s.groups_changed as u64,
+            ] {
+                h.update(&v.to_le_bytes());
             }
-            let got = h.finish();
-            assert_eq!(got, want, "{name}, threads {threads}: got {got:#018x}");
+            h.update(&(s.edges_live as u64).to_le_bytes());
+            h.update(&[u8::from(s.full_rebuild), u8::from(s.audited)]);
+            let (full, pairs_exact) = build_group_graph(m, layout, &tables.test);
+            hash_edges(&full, &mut h);
+            h.update(&pairs_exact.to_le_bytes());
         }
+        let got = h.finish();
+        assert_eq!(got, want, "{name}: got {got:#018x}");
     }
 }
 
-/// The detection graph of the same epochs: `build_group_graph_parallel`
-/// under the Λ′ of [`graph_tables`] — each epoch's edges and
-/// `pairs_exact` in one hash per case, at threads 1, 2 and 8 — and the
-/// correlator's Λ′ edge list, kept beside its test graph, equal to that
+/// The detection graph of the same epochs: `build_group_graph` under the
+/// Λ′ of [`graph_tables`] — each epoch's edges and `pairs_exact` in one
+/// hash per case — and the correlator's Λ′ edge list, kept beside its test graph, equal to that
 /// build on every epoch.
 #[test]
 fn detection_graph_is_pinned() {
@@ -549,29 +541,23 @@ fn detection_graph_is_pinned() {
     ];
     for (seed, ((name, uniform, churn), want)) in (41..).zip(GRAPH_CASES.into_iter().zip(pins)) {
         let epochs = graph_epochs(seed, uniform, churn);
-        for threads in [1, 2, 8] {
-            let tables = graph_tables();
-            let mut corr = IncrementalCorrelator::new(IncrementalConfig {
-                audit_every: 3,
-                threads,
-            });
-            let mut h = Fnv1a::new();
-            for (epoch, m) in epochs.iter().enumerate() {
-                corr.epoch(m, layout, &tables);
-                let (full, pairs_exact) =
-                    build_group_graph_parallel(m, layout, &tables.detect, threads);
-                let kept: Vec<_> = corr.detection_graph().edges().collect();
-                assert_eq!(
-                    kept,
-                    full.edges().collect::<Vec<_>>(),
-                    "{name}, threads {threads}: epoch {epoch}"
-                );
-                hash_edges(&full, &mut h);
-                h.update(&pairs_exact.to_le_bytes());
-            }
-            let got = h.finish();
-            assert_eq!(got, want, "{name}, threads {threads}: got {got:#018x}");
+        let tables = graph_tables();
+        let mut corr = IncrementalCorrelator::new(IncrementalConfig { audit_every: 3 });
+        let mut h = Fnv1a::new();
+        for (epoch, m) in epochs.iter().enumerate() {
+            corr.epoch(m, layout, &tables);
+            let (full, pairs_exact) = build_group_graph(m, layout, &tables.detect);
+            let kept: Vec<_> = corr.detection_graph().edges().collect();
+            assert_eq!(
+                kept,
+                full.edges().collect::<Vec<_>>(),
+                "{name}: epoch {epoch}"
+            );
+            hash_edges(&full, &mut h);
+            h.update(&pairs_exact.to_le_bytes());
         }
+        let got = h.finish();
+        assert_eq!(got, want, "{name}: got {got:#018x}");
     }
 }
 

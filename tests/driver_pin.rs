@@ -3,39 +3,37 @@
 //!
 //! Every run is a pure function of its config: channel impairments,
 //! retransmit jitter and traffic all draw from seeded RNGs on a virtual
-//! clock. A change to how a hop is driven — the order of deliver, offer,
-//! ack, poll and resend within a tick, or when the clock advances — moves
-//! a channel RNG's draw sequence and with it the delivered frames. These
-//! constants were captured before the drivers shared one hop loop; they
-//! change only when a driver's behaviour does. Wall-clock metrics are
-//! left out.
+//! clock. Wall-clock metrics are left out.
 //!
-//! A tiered pin comes in two halves. [`Pin::verdicts`] hashes what the
-//! aggregation tier must never move: the epoch outcomes and the child-hop
-//! stats.
-//! [`Pin::upstream`] hashes the upstream-hop stats (and ticks), which
-//! move whenever a bundle's size does: a bundle of a different length is
-//! a different number of chunks through the seeded upstream channel.
-//! The upstream halves were last re-captured when bundles stopped
-//! carrying the OR-fused bitmap, the weight sidecar and the merged
-//! sketch; the verdict halves are the parent's, byte for byte.
+//! Every pin comes in two halves:
 //!
-//! `ATTACK_PIN` was re-captured, both halves, when attack leaves stopped
-//! carrying a sketch: their bundles are smaller, so fewer chunks draw the
-//! seeded channel RNGs and different frames are lost and resent. The DNS
-//! plan also stopped drawing the probe flow that located the expected
-//! sketch keys, which shifts the background traffic drawn after it.
+//! * [`Pin::outcomes`] hashes each epoch's [`outcome_fingerprint`]: what
+//!   was detected, and which leaves reached the centre. No change to how
+//!   frames are delivered may move it. A moved `outcomes` half is a
+//!   delivery bug to fix, never a pin to re-capture.
+//! * [`Pin::delivery`] hashes the leaf-hop stats, the upstream-hop stats
+//!   and the ticks the run took. It moves whenever a hop sends different
+//!   frames: a sender that windows, probes or times out differently, or
+//!   a bundle of a different size (a different number of chunks through
+//!   the seeded channel). It is re-captured with the cause named here.
+//!
+//! Both halves were captured together, before the simulated hop ran the
+//! deployed sender. A change to what a leaf ships (its traffic or its
+//! digest) moves both.
 
 use dcs_core::report::TransportStats;
 use dcs_hash::Fnv1a;
 use dcs_sim::soak::{
-    outcome_fingerprint, run_soak, AttackScenario, KillPlan, SoakConfig, SoakResult, Topology,
+    outcome_fingerprint, run_soak, AttackScenario, KillPlan, SoakConfig, Topology,
 };
 
-fn pin_outcomes(h: &mut Fnv1a, r: &SoakResult) {
-    for o in &r.outcomes {
-        h.update(outcome_fingerprint(o).as_bytes());
-    }
+/// The two halves of a driver's pin.
+#[derive(Debug, PartialEq, Eq)]
+struct Pin {
+    /// Every epoch's outcome fingerprint.
+    outcomes: u64,
+    /// Leaf-hop stats, upstream-hop stats and ticks.
+    delivery: u64,
 }
 
 fn pin_stats(h: &mut Fnv1a, s: &TransportStats) {
@@ -51,38 +49,19 @@ fn pin_stats(h: &mut Fnv1a, s: &TransportStats) {
     }
 }
 
-fn soak_pin(cfg: &SoakConfig) -> u64 {
+fn pin(cfg: &SoakConfig) -> Pin {
     let r = run_soak(cfg);
-    let mut h = Fnv1a::new();
-    pin_outcomes(&mut h, &r);
-    pin_stats(&mut h, &r.leaf_totals);
-    h.update(&r.ticks.to_le_bytes());
-    h.finish()
-}
-
-/// The two halves of a tiered driver's pin.
-#[derive(Debug, PartialEq, Eq)]
-struct Pin {
-    /// Outcomes and child-hop stats.
-    verdicts: u64,
-    /// Upstream-hop stats (and ticks).
-    upstream: u64,
-}
-
-/// `ticks`: whether the upstream half also hashes the run's ticks (the
-/// attack pin was captured without them).
-fn tiered_pin(r: &SoakResult, ticks: bool) -> Pin {
-    let mut verdicts = Fnv1a::new();
-    pin_outcomes(&mut verdicts, r);
-    pin_stats(&mut verdicts, &r.leaf_totals);
-    let mut upstream = Fnv1a::new();
-    pin_stats(&mut upstream, &r.up_totals);
-    if ticks {
-        upstream.update(&r.ticks.to_le_bytes());
+    let mut outcomes = Fnv1a::new();
+    for o in &r.outcomes {
+        outcomes.update(outcome_fingerprint(o).as_bytes());
     }
+    let mut delivery = Fnv1a::new();
+    pin_stats(&mut delivery, &r.leaf_totals);
+    pin_stats(&mut delivery, &r.up_totals);
+    delivery.update(&r.ticks.to_le_bytes());
     Pin {
-        verdicts: verdicts.finish(),
-        upstream: upstream.finish(),
+        outcomes: outcomes.finish(),
+        delivery: delivery.finish(),
     }
 }
 
@@ -91,8 +70,8 @@ fn soak_drivers_replay_their_pinned_runs() {
     let sequential = SoakConfig::standard(6, 7);
     let mut killed = sequential;
     killed.kill = Some(KillPlan { epoch: 2, tick: 4 });
-    assert_eq!(soak_pin(&sequential), SOAK_PIN, "sequential soak");
-    assert_eq!(soak_pin(&killed), KILLED_SOAK_PIN, "killed soak");
+    assert_eq!(pin(&sequential), SOAK_PIN, "sequential soak");
+    assert_eq!(pin(&killed), KILLED_SOAK_PIN, "killed soak");
 }
 
 #[test]
@@ -102,27 +81,33 @@ fn tiered_drivers_replay_their_pinned_runs() {
         topology: Topology::Deep { aggregators: 3 },
         ..cfg
     };
-    assert_eq!(tiered_pin(&run_soak(&cfg), true), TIERED_PIN, "two-level");
-    assert_eq!(tiered_pin(&run_soak(&deep), true), DEEP_PIN, "three-level");
+    assert_eq!(pin(&cfg), TIERED_PIN, "two-level");
+    assert_eq!(pin(&deep), DEEP_PIN, "three-level");
 }
 
 #[test]
 fn attack_driver_replays_its_pinned_run() {
     let cfg = SoakConfig::attack(AttackScenario::DnsAmplification, 3, 7);
-    assert_eq!(tiered_pin(&run_soak(&cfg), false), ATTACK_PIN);
+    assert_eq!(pin(&cfg), ATTACK_PIN);
 }
 
-const SOAK_PIN: u64 = 0x1e0f_8618_ac30_ab76;
-const KILLED_SOAK_PIN: u64 = 0x794c_1191_31df_c546;
+const SOAK_PIN: Pin = Pin {
+    outcomes: 0x27b6_7e1b_71b4_483f,
+    delivery: 0x891c_cdff_03a3_cf60,
+};
+const KILLED_SOAK_PIN: Pin = Pin {
+    outcomes: 0x27b6_7e1b_71b4_483f,
+    delivery: 0xfb18_4825_213f_9a30,
+};
 const TIERED_PIN: Pin = Pin {
-    verdicts: 0x42fa_e671_9563_98a1,
-    upstream: 0x9d6f_a63d_6b3e_b7f5,
+    outcomes: 0xe170_698b_e4e3_3485,
+    delivery: 0xd7b2_07c7_b619_2259,
 };
 const DEEP_PIN: Pin = Pin {
-    verdicts: 0x42fa_e671_9563_98a1,
-    upstream: 0x3009_c9d6_8cee_2298,
+    outcomes: 0xe170_698b_e4e3_3485,
+    delivery: 0xe5a9_c538_e56f_28ec,
 };
 const ATTACK_PIN: Pin = Pin {
-    verdicts: 0xeb76_e5fa_b76a_f1a0,
-    upstream: 0x6226_1a32_811b_e9dc,
+    outcomes: 0x1252_11a9_fc40_527a,
+    delivery: 0x4004_1082_6cf9_9ae5,
 };

@@ -45,7 +45,9 @@
 use crate::ingest::RouterFault;
 use crate::monitor::RouterDigestView;
 use crate::report::TransportStats;
-use crate::session::{ChunkDisposition, CollectorConfig, EpochCollector, RetransmitRequest};
+use crate::session::{
+    ChunkDisposition, CollectorConfig, ControlFrame, EpochCollector, RetransmitRequest,
+};
 use bytes::BufMut;
 use dcs_collect::frame::{seal, FrameError, Reader};
 use dcs_obs::MetricsRegistry;
@@ -562,6 +564,11 @@ impl Aggregator {
     /// Fires due retransmit timers (see [`EpochCollector::poll`]).
     pub fn poll(&mut self, now: u64) -> Vec<RetransmitRequest> {
         self.collector.poll(now)
+    }
+
+    /// Answers one batch of child frames (see [`EpochCollector::answer`]).
+    pub fn answer(&mut self, frames: &[Vec<u8>], now: u64) -> Vec<ControlFrame> {
+        self.collector.answer(frames, now)
     }
 
     /// Whether the straggler policy says to stop waiting.

@@ -469,6 +469,11 @@ impl MonitoringPoint {
     /// buffer holds a different epoch (the request outlived the buffer's
     /// one-epoch retention) or the requested chunks were pruned by
     /// [`ack`](Self::ack).
+    ///
+    /// No driver of the workspace calls this or [`ack`](Self::ack): a
+    /// sender answers from its own chunks (`session::SendSession`). Both
+    /// stay for the end-to-end benchmark's frozen adapter until it is
+    /// re-baselined (ROADMAP item 6).
     pub fn resend(&self, epoch_id: u64, missing: &crate::session::Missing) -> Vec<Vec<u8>> {
         let Some(buf) = self.resend.as_ref().filter(|b| b.epoch_id == epoch_id) else {
             return Vec::new();

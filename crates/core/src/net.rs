@@ -1,14 +1,20 @@
-//! Real-socket transport: UDP (primary) and TCP (fallback) bindings for
-//! the chunk/session layer, plus the in-process impairment shim the
-//! wire-speed soak injects faults with.
+//! Real-socket transport: the UDP binding of the delivery protocol, plus
+//! the in-process impairment shim the wire-speed soak injects faults
+//! with.
 //!
-//! Everything above this module is unchanged: the same
-//! [`EpochCollector`] state machine collects DCSC chunks, emits
-//! retransmit requests and trips straggler deadlines — it just reads
-//! time from a [`Clock`] and exchanges frames over
-//! real sockets instead of a simulated channel. The module adds one new
-//! wire format, the **DCSN control frame**, for the centre→monitor
-//! direction (acks, retransmit requests, epoch advance, shutdown):
+//! The protocol itself lives in [`crate::session`], as two state machines
+//! that do no IO: the sender ([`SendSession`]) and the receiver
+//! ([`EpochCollector::answer`]). Frames and ticks go in; frames and seqs
+//! come out. This module only moves their frames. [`run_monitor_epoch`]
+//! and [`run_center_epoch`] read time from a [`Clock`], put what the
+//! machines decide on a UDP socket, and feed back what arrives. The
+//! virtual-time hop in `dcs-sim` drives the same two machines over a
+//! simulated channel, so the seeded soaks test the sender that ships
+//! here.
+//!
+//! Centre → monitor traffic is the **DCSN control frame**
+//! ([`ControlFrame`]: acks, retransmit requests, epoch advance,
+//! shutdown), one per datagram:
 //!
 //! ```text
 //!  ┌───────┬───┬──────┬───────────┬──────────┬─────┬───────┬────────┬───────┐
@@ -17,6 +23,11 @@
 //!  └───────┴───┴──────┴───────────┴──────────┴─────┴───────┴────────┴───────┘
 //! ```
 //!
+//! Every chunk frame travels in one datagram too: chunk payloads must
+//! stay datagram-safe ([`crate::transport::DATAGRAM_SAFE_PAYLOAD`]). The
+//! centre learns each router's address from the headers of the frames it
+//! receives, so a centre restart needs no reconfiguration.
+//!
 //! Graceful degradation is the design rule: every socket error becomes a
 //! metric and a typed outcome (a dropped frame, an exclusion, a
 //! `QuorumTooSmall`), never a panic. A dead monitor is indistinguishable
@@ -24,241 +35,26 @@
 //! deadline/backoff machinery already handles; a dead *centre* is
 //! handled by monitors re-pushing unacked chunks on capped backoff until
 //! the resumed centre (restored from a DCSK checkpoint) NACKs or acks
-//! them over the new socket.
-//!
-//! ## Delivery
-//!
-//! Sends are clocked by acks, so a monitor never puts more datagrams in
-//! flight than the centre's receive buffer holds:
-//!
-//! * a chunk goes out for the first time only while its seq is below the
-//!   centre's cumulative ack plus [`SEND_WINDOW`];
-//! * after each batch it drains, the centre NACKs the holes below each
-//!   router's highest delivered seq, for the routers whose highest seq
-//!   rose ([`EpochCollector::gap_requests`]), and the session timers stay
-//!   the backstop;
-//! * a monitor whose wait ends with no control frame re-sends the chunk
-//!   at its cumulative ack as a tail probe, and its resend timer counts
-//!   ticks without ack progress;
-//! * an idle driver waits on its UDP socket until a datagram is readable
-//!   or a 200 µs tick passes (TCP endpoints sleep the tick).
-//!
-//! ## Transports
-//!
-//! * **UDP** — one frame per datagram. Chunk payloads must stay
-//!   datagram-safe ([`crate::transport::DATAGRAM_SAFE_PAYLOAD`]); the
-//!   peer address table is learned from received frame headers, so a
-//!   centre restart needs no reconfiguration.
-//! * **TCP** — a length-prefixed frame stream (`u32` LE length, then the
-//!   frame bytes) for deployments that cannot pass UDP. Reordering and
-//!   loss disappear, but the chunk/ack machinery still bounds memory and
-//!   survives connection resets.
+//! them over the new socket. An idle driver waits on its socket until a
+//! datagram is readable or a 200 µs tick passes.
 
 use crate::clock::Clock;
-use crate::session::{
-    ChunkDisposition, CollectedEpoch, EpochCollector, Missing, RetransmitRequest,
-};
-use crate::transport::{ChunkFrame, MAX_CHUNK_PAYLOAD};
-use bytes::BufMut;
-use dcs_collect::frame::{seal, FrameError, Reader};
+use crate::session::{CollectedEpoch, EpochCollector, SendSession, SendStep, MAX_DATAGRAM};
+use crate::transport::ChunkFrame;
 use dcs_obs::MetricsRegistry;
 use std::collections::{BTreeMap, VecDeque};
-use std::io::{ErrorKind, Read as _, Write as _};
-use std::net::{Ipv4Addr, Ipv6Addr, SocketAddr, TcpListener, TcpStream, ToSocketAddrs, UdpSocket};
+use std::io::ErrorKind;
+use std::net::{Ipv4Addr, Ipv6Addr, SocketAddr, ToSocketAddrs, UdpSocket};
 use std::time::{Duration, Instant};
 
-/// Magic for control frames (`b"DCSN"`).
-pub const CONTROL_MAGIC: [u8; 4] = *b"DCSN";
-
-/// Control frame version.
-pub const CONTROL_VERSION: u8 = 1;
-
-/// Fixed control-frame bytes before the seq list: magic + version +
-/// kind + router id + epoch id + arg + seq count.
-pub const CONTROL_HEADER: usize = 4 + 1 + 1 + 8 + 8 + 4 + 4;
-
-/// Largest frame a TCP stream may declare: a max-payload chunk frame
-/// plus envelope. Anything larger is a protocol violation and resets
-/// the connection.
-pub const MAX_STREAM_FRAME: usize = MAX_CHUNK_PAYLOAD + 128;
-
-/// Largest UDP payload over IPv4: 65,535 bytes less the 20-byte IP and
-/// 8-byte UDP headers.
-const MAX_DATAGRAM: usize = 65_507;
-
-/// Most seqs one [`ControlFrame::NackSeqs`] carries (16,368), so that the
-/// largest control frame fits one UDP datagram and one TCP stream frame.
-/// The centre clips a longer NACK to its first `MAX_NACK_SEQS` missing
-/// seqs; the session's next timer asks for the rest.
-pub const MAX_NACK_SEQS: usize = (MAX_DATAGRAM - CONTROL_HEADER - 4) / 4;
-
-const _: () = assert!(
-    CONTROL_HEADER + 4 * MAX_NACK_SEQS + 4 <= MAX_DATAGRAM
-        && CONTROL_HEADER + 4 * MAX_NACK_SEQS + 4 <= MAX_STREAM_FRAME
-);
-
-/// Chunks a monitor sends ahead of the centre's cumulative ack: a chunk
-/// goes out for the first time only while its seq is below
-/// `cumulative_ack + SEND_WINDOW`. 64 datagrams of up to 1.4 KB sit well
-/// inside one default Linux receive buffer (212,992 B, about 92 such
-/// datagrams by the kernel's accounting), so a window the centre has not
-/// drained yet is queued, not dropped.
-pub const SEND_WINDOW: usize = 64;
+pub use crate::session::{
+    ControlFrame, MonitorEpochConfig, MonitorEpochEnd, CONTROL_HEADER, CONTROL_MAGIC,
+    CONTROL_VERSION, MAX_NACK_SEQS, SEND_WINDOW,
+};
 
 /// The longest an idle driver waits for a frame before it looks at its
 /// timers again.
 const WAIT_TICK: Duration = Duration::from_micros(200);
-
-const KIND_HELLO: u8 = 0;
-const KIND_ACK: u8 = 1;
-const KIND_NACK_ALL: u8 = 2;
-const KIND_NACK_SEQS: u8 = 3;
-const KIND_ADVANCE: u8 = 4;
-const KIND_SHUTDOWN: u8 = 5;
-
-/// A decoded DCSN control frame.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum ControlFrame {
-    /// Monitor → centre: register this router's address before (or
-    /// without) sending data.
-    Hello {
-        /// The registering router.
-        router_id: u64,
-    },
-    /// Centre → monitor: the session's cumulative ack for `epoch_id`.
-    Ack {
-        /// The acked router.
-        router_id: u64,
-        /// The epoch being collected.
-        epoch_id: u64,
-        /// Leading contiguous chunks now held.
-        cumulative_ack: u32,
-    },
-    /// Centre → monitor: resend every chunk of the epoch.
-    NackAll {
-        /// The router whose chunks are missing.
-        router_id: u64,
-        /// The epoch being collected.
-        epoch_id: u64,
-    },
-    /// Centre → monitor: resend these chunk seqs.
-    NackSeqs {
-        /// The router whose chunks are missing.
-        router_id: u64,
-        /// The epoch being collected.
-        epoch_id: u64,
-        /// The missing seqs.
-        seqs: Vec<u32>,
-    },
-    /// Centre → monitor: the centre is now collecting `epoch_id`; stop
-    /// sending older epochs.
-    Advance {
-        /// The addressed router (or `u64::MAX` for broadcast).
-        router_id: u64,
-        /// The epoch the centre collects now.
-        epoch_id: u64,
-    },
-    /// Centre → monitor: stop cleanly.
-    Shutdown {
-        /// The addressed router (or `u64::MAX` for broadcast).
-        router_id: u64,
-    },
-}
-
-impl ControlFrame {
-    /// The addressed router.
-    pub fn router_id(&self) -> u64 {
-        match *self {
-            ControlFrame::Hello { router_id }
-            | ControlFrame::Ack { router_id, .. }
-            | ControlFrame::NackAll { router_id, .. }
-            | ControlFrame::NackSeqs { router_id, .. }
-            | ControlFrame::Advance { router_id, .. }
-            | ControlFrame::Shutdown { router_id } => router_id,
-        }
-    }
-
-    /// Encodes the frame with its CRC-32 trailer.
-    ///
-    /// # Panics
-    /// Panics if a `NackSeqs` list is longer than [`MAX_NACK_SEQS`].
-    pub fn encode(&self) -> Vec<u8> {
-        let (kind, router_id, epoch_id, arg, seqs): (u8, u64, u64, u32, &[u32]) = match self {
-            ControlFrame::Hello { router_id } => (KIND_HELLO, *router_id, 0, 0, &[]),
-            ControlFrame::Ack {
-                router_id,
-                epoch_id,
-                cumulative_ack,
-            } => (KIND_ACK, *router_id, *epoch_id, *cumulative_ack, &[]),
-            ControlFrame::NackAll {
-                router_id,
-                epoch_id,
-            } => (KIND_NACK_ALL, *router_id, *epoch_id, 0, &[]),
-            ControlFrame::NackSeqs {
-                router_id,
-                epoch_id,
-                seqs,
-            } => (KIND_NACK_SEQS, *router_id, *epoch_id, 0, seqs),
-            ControlFrame::Advance {
-                router_id,
-                epoch_id,
-            } => (KIND_ADVANCE, *router_id, *epoch_id, 0, &[]),
-            ControlFrame::Shutdown { router_id } => (KIND_SHUTDOWN, *router_id, 0, 0, &[]),
-        };
-        assert!(seqs.len() <= MAX_NACK_SEQS, "seq list over cap");
-        let mut buf = Vec::with_capacity(CONTROL_HEADER + seqs.len() * 4 + 4);
-        buf.put_slice(&CONTROL_MAGIC);
-        buf.put_u8(CONTROL_VERSION);
-        buf.put_u8(kind);
-        buf.put_u64_le(router_id);
-        buf.put_u64_le(epoch_id);
-        buf.put_u32_le(arg);
-        buf.put_u32_le(seqs.len() as u32);
-        for &s in seqs {
-            buf.put_u32_le(s);
-        }
-        seal(&mut buf);
-        buf
-    }
-
-    /// Decodes a control frame. Never panics on arbitrary input; the seq
-    /// count is capped before allocation and the CRC-32 trailer is
-    /// verified before the kind is trusted.
-    pub fn decode(buf: &[u8]) -> Result<ControlFrame, FrameError> {
-        let mut r = Reader::new(buf);
-        r.magic_version(CONTROL_MAGIC, &[CONTROL_VERSION])?;
-        let kind = r.u8()?;
-        let router_id = r.u64()?;
-        let epoch_id = r.u64()?;
-        let arg = r.u32()?;
-        let nseqs = r.count(MAX_NACK_SEQS, 4, "seq count over cap")?;
-        let seqs = (0..nseqs).map(|_| r.u32()).collect::<Result<Vec<_>, _>>()?;
-        r.crc_trailer()?;
-        Ok(match kind {
-            KIND_HELLO => ControlFrame::Hello { router_id },
-            KIND_ACK => ControlFrame::Ack {
-                router_id,
-                epoch_id,
-                cumulative_ack: arg,
-            },
-            KIND_NACK_ALL => ControlFrame::NackAll {
-                router_id,
-                epoch_id,
-            },
-            KIND_NACK_SEQS => ControlFrame::NackSeqs {
-                router_id,
-                epoch_id,
-                seqs,
-            },
-            KIND_ADVANCE => ControlFrame::Advance {
-                router_id,
-                epoch_id,
-            },
-            KIND_SHUTDOWN => ControlFrame::Shutdown { router_id },
-            _ => return Err(FrameError::Malformed("unknown control kind")),
-        })
-    }
-}
 
 // ---------------------------------------------------------------------
 // Impairment shim
@@ -388,125 +184,14 @@ impl ImpairmentShim {
 // Sockets
 // ---------------------------------------------------------------------
 
-/// Which transport a socket endpoint runs on.
+/// Which transport a socket endpoint runs on: UDP, one frame per
+/// datagram, is the only one. The enum keeps its one variant because the
+/// end-to-end benchmark's frozen adapter names `Transport::Udp`; it goes
+/// when that adapter is re-baselined (ROADMAP item 6).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Transport {
-    /// One frame per datagram (primary).
+    /// One frame per datagram.
     Udp,
-    /// Length-prefixed frame stream (fallback).
-    Tcp,
-}
-
-impl std::str::FromStr for Transport {
-    type Err = String;
-    fn from_str(s: &str) -> Result<Self, Self::Err> {
-        match s {
-            "udp" => Ok(Transport::Udp),
-            "tcp" => Ok(Transport::Tcp),
-            other => Err(format!("unknown transport {other:?} (udp|tcp)")),
-        }
-    }
-}
-
-/// Where a peer can be reached.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum Peer {
-    Udp(SocketAddr),
-    Tcp(usize),
-}
-
-#[derive(Debug)]
-struct TcpConn {
-    stream: TcpStream,
-    rdbuf: Vec<u8>,
-    dead: bool,
-}
-
-impl TcpConn {
-    fn new(stream: TcpStream) -> std::io::Result<Self> {
-        stream.set_nonblocking(true)?;
-        stream.set_nodelay(true)?;
-        Ok(TcpConn {
-            stream,
-            rdbuf: Vec::new(),
-            dead: false,
-        })
-    }
-
-    /// Drains readable bytes and parses complete length-prefixed frames.
-    fn poll_frames(&mut self, scratch: &mut [u8]) -> Vec<Vec<u8>> {
-        let mut frames = Vec::new();
-        loop {
-            match self.stream.read(scratch) {
-                Ok(0) => {
-                    self.dead = true;
-                    break;
-                }
-                Ok(n) => self.rdbuf.extend_from_slice(&scratch[..n]),
-                Err(e) if e.kind() == ErrorKind::WouldBlock => break,
-                Err(e) if e.kind() == ErrorKind::Interrupted => continue,
-                Err(_) => {
-                    self.dead = true;
-                    break;
-                }
-            }
-        }
-        let mut r = Reader::new(&self.rdbuf);
-        loop {
-            let mut next = r;
-            match next
-                .count(MAX_STREAM_FRAME, 1, "stream frame over cap")
-                .and_then(|len| next.bytes(len))
-            {
-                Ok(frame) => {
-                    frames.push(frame.to_vec());
-                    r = next;
-                }
-                // Wait for the rest of the frame.
-                Err(FrameError::Truncated) => break,
-                // Protocol violation: drop the connection, typed.
-                Err(_) => {
-                    self.dead = true;
-                    break;
-                }
-            }
-        }
-        let used = r.used();
-        self.rdbuf.drain(..used);
-        frames
-    }
-
-    /// Writes one length-prefixed frame; returns false when the
-    /// connection died. A short nonblocking write blocks briefly rather
-    /// than splitting frame state across calls — frames are small
-    /// (≤ [`MAX_STREAM_FRAME`]) and localhost TCP buffers absorb them.
-    fn send_frame(&mut self, frame: &[u8]) -> bool {
-        if self.dead {
-            return false;
-        }
-        let mut buf = Vec::with_capacity(4 + frame.len());
-        buf.extend_from_slice(&(frame.len() as u32).to_le_bytes());
-        buf.extend_from_slice(frame);
-        let mut off = 0;
-        while off < buf.len() {
-            match self.stream.write(&buf[off..]) {
-                Ok(0) => {
-                    self.dead = true;
-                    return false;
-                }
-                Ok(n) => off += n,
-                Err(e) if e.kind() == ErrorKind::WouldBlock => {
-                    std::thread::sleep(std::time::Duration::from_micros(50));
-                }
-                Err(e) if e.kind() == ErrorKind::Interrupted => {}
-                Err(_) => {
-                    self.dead = true;
-                    return false;
-                }
-            }
-        }
-        true
-    }
 }
 
 /// Extracts the routing identity of a received frame: DCSC chunk headers
@@ -516,6 +201,15 @@ fn frame_router_id(frame: &[u8]) -> Option<u64> {
         return ControlFrame::decode(frame).ok().map(|c| c.router_id());
     }
     ChunkFrame::salvage_header(frame).map(|(router_id, _, _)| router_id)
+}
+
+/// Opens a nonblocking UDP socket on `addr` whose blocking reads time out
+/// after [`WAIT_TICK`] (see [`wait_readable`]).
+fn open_udp(addr: impl ToSocketAddrs) -> std::io::Result<UdpSocket> {
+    let udp = UdpSocket::bind(addr)?;
+    udp.set_nonblocking(true)?;
+    udp.set_read_timeout(Some(WAIT_TICK))?;
+    Ok(udp)
 }
 
 /// Waits until a datagram is readable on `udp` or [`WAIT_TICK`] passes,
@@ -539,17 +233,14 @@ fn wait_readable(udp: &UdpSocket) {
     }
 }
 
-/// The analysis centre's socket endpoint: binds UDP (and, for
-/// [`Transport::Tcp`], a listener on the same port), learns peer
+/// The analysis centre's socket endpoint: binds UDP, learns peer
 /// addresses from received frames, and queues outgoing control frames
 /// with stall-aware nonblocking sends.
 #[derive(Debug)]
 pub struct CenterSocket {
     udp: UdpSocket,
-    listener: Option<TcpListener>,
-    conns: Vec<TcpConn>,
-    peers: BTreeMap<u64, Peer>,
-    outq: VecDeque<(Peer, Vec<u8>)>,
+    peers: BTreeMap<u64, SocketAddr>,
+    outq: VecDeque<(SocketAddr, Vec<u8>)>,
     scratch: Vec<u8>,
     shim: Option<ImpairmentShim>,
 }
@@ -575,29 +266,38 @@ fn register_counters(metrics: &MetricsRegistry, role: &[(&str, &str)], names: &[
     }
 }
 
+/// Sends one datagram from the front of a send queue. A full socket
+/// buffer leaves the frame queued, counts a stall and returns false; any
+/// other error drops the frame and counts it. `send` puts one frame on
+/// the wire.
+fn send_counted(
+    frame: &[u8],
+    send: impl FnOnce(&[u8]) -> std::io::Result<usize>,
+    role: &[(&str, &str)],
+    metrics: &MetricsRegistry,
+) -> bool {
+    match send(frame) {
+        Ok(_) => metrics.counter("socket_frames_sent_total", role).inc(),
+        Err(e) if e.kind() == ErrorKind::WouldBlock => {
+            metrics.counter("socket_send_stalls_total", role).inc();
+            return false;
+        }
+        // A dead peer refuses datagrams; nothing is lost that the
+        // protocol's timers do not recover.
+        Err(_) => metrics.counter("socket_send_errors_total", role).inc(),
+    }
+    true
+}
+
 impl CenterSocket {
-    /// Binds the centre endpoint on `addr` (e.g. `127.0.0.1:0`). With
-    /// [`Transport::Tcp`] a listener is opened on the same port as the
-    /// UDP socket; UDP remains live so mixed deployments work.
+    /// Binds the centre endpoint on `addr` (e.g. `127.0.0.1:0`).
     pub fn bind(addr: impl ToSocketAddrs, transport: Transport) -> std::io::Result<CenterSocket> {
-        let udp = UdpSocket::bind(addr)?;
-        udp.set_nonblocking(true)?;
-        udp.set_read_timeout(Some(WAIT_TICK))?;
-        let listener = match transport {
-            Transport::Udp => None,
-            Transport::Tcp => {
-                let l = TcpListener::bind(udp.local_addr()?)?;
-                l.set_nonblocking(true)?;
-                Some(l)
-            }
-        };
+        let Transport::Udp = transport;
         Ok(CenterSocket {
-            udp,
-            listener,
-            conns: Vec::new(),
+            udp: open_udp(addr)?,
             peers: BTreeMap::new(),
             outq: VecDeque::new(),
-            scratch: vec![0u8; MAX_STREAM_FRAME + 64],
+            scratch: vec![0u8; MAX_DATAGRAM],
             shim: None,
         })
     }
@@ -612,35 +312,17 @@ impl CenterSocket {
         self.udp.local_addr()
     }
 
-    /// Drains every readable frame (UDP datagrams, TCP streams, new TCP
-    /// connections), learns peer addresses from frame headers, flushes
-    /// the outgoing queue, and updates the socket gauges.
+    /// Drains every readable datagram, learns peer addresses from frame
+    /// headers, flushes the outgoing queue, and updates the socket
+    /// gauges.
     pub fn poll(&mut self, metrics: &MetricsRegistry) -> Vec<Vec<u8>> {
         let mut frames = Vec::new();
-        // New TCP connections.
-        if let Some(listener) = &self.listener {
-            loop {
-                match listener.accept() {
-                    Ok((stream, _)) => match TcpConn::new(stream) {
-                        Ok(conn) => self.conns.push(conn),
-                        Err(_) => {
-                            metrics
-                                .counter("socket_send_errors_total", &ROLE_CENTER)
-                                .inc();
-                        }
-                    },
-                    Err(e) if e.kind() == ErrorKind::WouldBlock => break,
-                    Err(_) => break,
-                }
-            }
-        }
-        // UDP datagrams.
         loop {
             match self.udp.recv_from(&mut self.scratch) {
                 Ok((n, src)) => {
                     let frame = self.scratch[..n].to_vec();
                     if let Some(router_id) = frame_router_id(&frame) {
-                        self.peers.insert(router_id, Peer::Udp(src));
+                        self.peers.insert(router_id, src);
                     }
                     frames.push(frame);
                 }
@@ -656,16 +338,6 @@ impl CenterSocket {
                 }
             }
         }
-        // TCP frame streams.
-        for i in 0..self.conns.len() {
-            let polled = self.conns[i].poll_frames(&mut self.scratch);
-            for frame in polled {
-                if let Some(router_id) = frame_router_id(&frame) {
-                    self.peers.insert(router_id, Peer::Tcp(i));
-                }
-                frames.push(frame);
-            }
-        }
         metrics
             .counter("socket_frames_received_total", &ROLE_CENTER)
             .add(frames.len() as u64);
@@ -673,22 +345,11 @@ impl CenterSocket {
         frames
     }
 
-    /// Waits for the next frame: until a datagram is readable or
-    /// [`WAIT_TICK`] passes over UDP, the whole tick when a TCP listener
-    /// is open (its streams are polled, not waited on).
-    fn wait(&self) {
-        match self.listener {
-            None => wait_readable(&self.udp),
-            Some(_) => std::thread::sleep(WAIT_TICK),
-        }
-    }
-
     /// Queues a control frame to `router_id`'s learned address. Returns
     /// false (and counts `socket_unknown_peer_total`) when the router has
     /// never been heard from — the caller's timers cover that monitor.
     pub fn send_control(&mut self, control: &ControlFrame, metrics: &MetricsRegistry) -> bool {
-        let router_id = control.router_id();
-        let Some(&peer) = self.peers.get(&router_id) else {
+        let Some(&peer) = self.peers.get(&control.router_id()) else {
             metrics.counter("socket_unknown_peer_total", &[]).inc();
             return false;
         };
@@ -714,39 +375,11 @@ impl CenterSocket {
     }
 
     fn flush(&mut self, metrics: &MetricsRegistry) {
-        while let Some((peer, frame)) = self.outq.pop_front() {
-            match peer {
-                Peer::Udp(addr) => match self.udp.send_to(&frame, addr) {
-                    Ok(_) => {
-                        metrics
-                            .counter("socket_frames_sent_total", &ROLE_CENTER)
-                            .inc();
-                    }
-                    Err(e) if e.kind() == ErrorKind::WouldBlock => {
-                        metrics
-                            .counter("socket_send_stalls_total", &ROLE_CENTER)
-                            .inc();
-                        self.outq.push_front((peer, frame));
-                        break;
-                    }
-                    Err(_) => {
-                        metrics
-                            .counter("socket_send_errors_total", &ROLE_CENTER)
-                            .inc();
-                    }
-                },
-                Peer::Tcp(i) => {
-                    if self.conns.get_mut(i).is_some_and(|c| c.send_frame(&frame)) {
-                        metrics
-                            .counter("socket_frames_sent_total", &ROLE_CENTER)
-                            .inc();
-                    } else {
-                        metrics
-                            .counter("socket_send_errors_total", &ROLE_CENTER)
-                            .inc();
-                    }
-                }
+        while let Some((peer, frame)) = self.outq.front() {
+            if !send_counted(frame, |f| self.udp.send_to(f, peer), &ROLE_CENTER, metrics) {
+                break;
             }
+            self.outq.pop_front();
         }
         metrics
             .gauge("socket_send_queue_depth", &ROLE_CENTER)
@@ -754,55 +387,38 @@ impl CenterSocket {
     }
 }
 
-/// A monitoring point's socket endpoint: a connected UDP socket or a TCP
-/// stream to the centre, with the impairment shim (if any) on the
-/// outgoing data path.
+/// A monitoring point's socket endpoint: a UDP socket connected to the
+/// centre, with the impairment shim (if any) on the outgoing data path.
 #[derive(Debug)]
 pub struct MonitorSocket {
-    inner: MonitorInner,
+    udp: UdpSocket,
     outq: VecDeque<Vec<u8>>,
     scratch: Vec<u8>,
     shim: Option<ImpairmentShim>,
 }
 
-#[derive(Debug)]
-enum MonitorInner {
-    Udp(UdpSocket),
-    Tcp(TcpConn),
-}
-
 impl MonitorSocket {
-    /// Connects to the centre at the first address `center` resolves to,
-    /// over `transport`.
+    /// Connects to the centre at the first address `center` resolves to.
     pub fn connect(
         center: impl ToSocketAddrs,
         transport: Transport,
     ) -> std::io::Result<MonitorSocket> {
-        let addr = center
-            .to_socket_addrs()?
-            .next()
+        let Transport::Udp = transport;
+        let addr = (center.to_socket_addrs()?.next())
             .ok_or_else(|| std::io::Error::new(ErrorKind::InvalidInput, "no addr"))?;
-        let inner = match transport {
-            Transport::Udp => {
-                // The unspecified address of the centre's family: the
-                // kernel picks the source address that routes to it.
-                let local: SocketAddr = if addr.is_ipv4() {
-                    (Ipv4Addr::UNSPECIFIED, 0).into()
-                } else {
-                    (Ipv6Addr::UNSPECIFIED, 0).into()
-                };
-                let udp = UdpSocket::bind(local)?;
-                udp.connect(addr)?;
-                udp.set_nonblocking(true)?;
-                udp.set_read_timeout(Some(WAIT_TICK))?;
-                MonitorInner::Udp(udp)
-            }
-            Transport::Tcp => MonitorInner::Tcp(TcpConn::new(TcpStream::connect(addr)?)?),
+        // The unspecified address of the centre's family: the kernel
+        // picks the source address that routes to it.
+        let local: SocketAddr = if addr.is_ipv4() {
+            (Ipv4Addr::UNSPECIFIED, 0).into()
+        } else {
+            (Ipv6Addr::UNSPECIFIED, 0).into()
         };
+        let udp = open_udp(local)?;
+        udp.connect(addr)?;
         Ok(MonitorSocket {
-            inner,
+            udp,
             outq: VecDeque::new(),
-            scratch: vec![0u8; MAX_STREAM_FRAME + 64],
+            scratch: vec![0u8; MAX_DATAGRAM],
             shim: None,
         })
     }
@@ -837,30 +453,24 @@ impl MonitorSocket {
     /// outgoing queue).
     pub fn poll(&mut self, metrics: &MetricsRegistry) -> Vec<ControlFrame> {
         let mut controls = Vec::new();
-        let mut raw = Vec::new();
-        match &mut self.inner {
-            MonitorInner::Udp(udp) => loop {
-                match udp.recv(&mut self.scratch) {
-                    Ok(n) => raw.push(self.scratch[..n].to_vec()),
-                    Err(e) if e.kind() == ErrorKind::WouldBlock => break,
-                    Err(e) if e.kind() == ErrorKind::Interrupted => continue,
-                    Err(_) => {
-                        // ECONNREFUSED from a dead centre: typed count;
-                        // the backoff machinery keeps retrying.
-                        metrics
-                            .counter("socket_recv_errors_total", &ROLE_MONITOR)
-                            .inc();
-                        break;
-                    }
+        loop {
+            let n = match self.udp.recv(&mut self.scratch) {
+                Ok(n) => n,
+                Err(e) if e.kind() == ErrorKind::WouldBlock => break,
+                Err(e) if e.kind() == ErrorKind::Interrupted => continue,
+                Err(_) => {
+                    // ECONNREFUSED from a dead centre: typed count; the
+                    // backoff machinery keeps retrying.
+                    metrics
+                        .counter("socket_recv_errors_total", &ROLE_MONITOR)
+                        .inc();
+                    break;
                 }
-            },
-            MonitorInner::Tcp(conn) => raw = conn.poll_frames(&mut self.scratch),
-        }
-        for frame in raw {
+            };
             metrics
                 .counter("socket_frames_received_total", &ROLE_MONITOR)
                 .inc();
-            match ControlFrame::decode(&frame) {
+            match ControlFrame::decode(&self.scratch[..n]) {
                 Ok(c) => controls.push(c),
                 Err(_) => {
                     metrics
@@ -873,51 +483,12 @@ impl MonitorSocket {
         controls
     }
 
-    /// Waits for the centre's next frame: until a datagram is readable or
-    /// [`WAIT_TICK`] passes over UDP, the whole tick over TCP.
-    fn wait(&self) {
-        match &self.inner {
-            MonitorInner::Udp(udp) => wait_readable(udp),
-            MonitorInner::Tcp(_) => std::thread::sleep(WAIT_TICK),
-        }
-    }
-
     fn flush(&mut self, metrics: &MetricsRegistry) {
-        while let Some(frame) = self.outq.pop_front() {
-            match &mut self.inner {
-                MonitorInner::Udp(udp) => match udp.send(&frame) {
-                    Ok(_) => {
-                        metrics
-                            .counter("socket_frames_sent_total", &ROLE_MONITOR)
-                            .inc();
-                    }
-                    Err(e) if e.kind() == ErrorKind::WouldBlock => {
-                        metrics
-                            .counter("socket_send_stalls_total", &ROLE_MONITOR)
-                            .inc();
-                        self.outq.push_front(frame);
-                        break;
-                    }
-                    Err(_) => {
-                        // A dead centre refuses datagrams; the chunk is
-                        // not lost — the resend schedule re-pushes it.
-                        metrics
-                            .counter("socket_send_errors_total", &ROLE_MONITOR)
-                            .inc();
-                    }
-                },
-                MonitorInner::Tcp(conn) => {
-                    if conn.send_frame(&frame) {
-                        metrics
-                            .counter("socket_frames_sent_total", &ROLE_MONITOR)
-                            .inc();
-                    } else {
-                        metrics
-                            .counter("socket_send_errors_total", &ROLE_MONITOR)
-                            .inc();
-                    }
-                }
+        while let Some(frame) = self.outq.front() {
+            if !send_counted(frame, |f| self.udp.send(f), &ROLE_MONITOR, metrics) {
+                break;
             }
+            self.outq.pop_front();
         }
         metrics
             .gauge("socket_send_queue_depth", &ROLE_MONITOR)
@@ -942,18 +513,16 @@ pub enum CenterEpochEnd {
 /// Drives one epoch of the centre's collector over `sock` until the
 /// straggler policy is satisfied or `should_abort` returns true.
 ///
-/// Each iteration drains a batch of frames: chunks are offered to the
-/// collector and acked (a duplicate repeats the ack, since ours may have
-/// been lost), `Hello` registers a peer, and a late chunk of an older
-/// epoch is answered with `Advance`. After the batch, each router whose
-/// highest delivered seq rose is sent one `NackSeqs` naming the holes
-/// below it ([`EpochCollector::gap_requests`]); then the collector's due
-/// retransmit timers fire as NACKs, the backstop for silent routers and
-/// lost tails, and the `socket_reassembly_backlog` gauge is updated.
-/// An idle iteration waits on the UDP socket until a datagram arrives
-/// or a 200 µs tick passes (a TCP centre sleeps the tick).
+/// Each iteration drains a batch of datagrams (a `Hello` only teaches the
+/// socket its sender's address) and sends back what
+/// [`EpochCollector::answer`] decides about it: acks, `Advance` for late
+/// chunks, gap NACKs and timer NACKs. Then it updates the
+/// `socket_reassembly_backlog` gauge. An idle iteration waits on the
+/// socket until a datagram arrives or a 200 µs tick passes.
 /// `should_abort` is called once per iteration — the serve CLI uses it
-/// for periodic checkpoints and signal-triggered shutdown.
+/// for periodic checkpoints and signal-triggered shutdown. A collected
+/// epoch ends with `Advance` to every monitor heard from; one that
+/// misses it learns it from the reply to its next late chunk.
 pub fn run_center_epoch(
     sock: &mut CenterSocket,
     collector: &mut EpochCollector,
@@ -965,71 +534,8 @@ pub fn run_center_epoch(
     register_counters(metrics, &[], &["socket_unknown_peer_total"]);
     loop {
         let frames = sock.poll(metrics);
-        let idle = frames.is_empty();
-        let marks = if idle {
-            Vec::new()
-        } else {
-            collector.high_marks()
-        };
-        for frame in frames {
-            if frame.starts_with(&CONTROL_MAGIC) {
-                // Monitors only send Hello; anything else is ignored.
-                continue;
-            }
-            let now = clock.now();
-            match collector.offer(&frame, now) {
-                ChunkDisposition::Accepted {
-                    router_id,
-                    cumulative_ack,
-                } => {
-                    sock.send_control(
-                        &ControlFrame::Ack {
-                            router_id,
-                            epoch_id: collector.epoch_id(),
-                            cumulative_ack,
-                        },
-                        metrics,
-                    );
-                }
-                ChunkDisposition::Duplicate { router_id } => {
-                    // Our ack may have been lost; repeat it.
-                    let cumulative_ack = collector
-                        .session(router_id)
-                        .map_or(0, |s| s.cumulative_ack());
-                    sock.send_control(
-                        &ControlFrame::Ack {
-                            router_id,
-                            epoch_id: collector.epoch_id(),
-                            cumulative_ack,
-                        },
-                        metrics,
-                    );
-                }
-                ChunkDisposition::Late => {
-                    // A monitor is still pushing an older epoch: tell it
-                    // where the centre is now.
-                    if let Some((router_id, _, _)) = ChunkFrame::salvage_header(&frame) {
-                        sock.send_control(
-                            &ControlFrame::Advance {
-                                router_id,
-                                epoch_id: collector.epoch_id(),
-                            },
-                            metrics,
-                        );
-                    }
-                }
-                ChunkDisposition::Corrupt
-                | ChunkDisposition::UnknownRouter { .. }
-                | ChunkDisposition::Inconsistent { .. } => {}
-            }
-        }
-        let gaps = if idle {
-            Vec::new()
-        } else {
-            collector.gap_requests(&marks, MAX_NACK_SEQS)
-        };
-        for req in gaps.into_iter().chain(collector.poll(clock.now())) {
-            sock.send_control(&nack(req), metrics);
+        for control in collector.answer(&frames, clock.now()) {
+            sock.send_control(&control, metrics);
         }
         let backlog: u64 = collector
             .sessions()
@@ -1042,8 +548,6 @@ pub fn run_center_epoch(
         }
         if collector.ready(clock.now()) {
             let epoch = collector.finalize(clock.now());
-            // Tell every monitor we heard from to move on; monitors that
-            // miss this learn it from the Late→Advance reply instead.
             sock.broadcast(
                 |router_id| ControlFrame::Advance {
                     router_id,
@@ -1053,79 +557,22 @@ pub fn run_center_epoch(
             );
             return CenterEpochEnd::Collected(Box::new(epoch));
         }
-        if idle {
-            sock.wait();
+        if frames.is_empty() {
+            wait_readable(&sock.udp);
         }
     }
-}
-
-/// The control frame that carries a retransmit request, its seq list
-/// clipped to [`MAX_NACK_SEQS`] (the session's next timer asks for the
-/// rest).
-fn nack(req: RetransmitRequest) -> ControlFrame {
-    match req.missing {
-        Missing::All => ControlFrame::NackAll {
-            router_id: req.router_id,
-            epoch_id: req.epoch_id,
-        },
-        Missing::Seqs(mut seqs) => {
-            seqs.truncate(MAX_NACK_SEQS);
-            ControlFrame::NackSeqs {
-                router_id: req.router_id,
-                epoch_id: req.epoch_id,
-                seqs,
-            }
-        }
-    }
-}
-
-/// How one monitor-side epoch ended.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum MonitorEpochEnd {
-    /// Every chunk was cumulatively acked, or the centre advanced past
-    /// this epoch.
-    Delivered,
-    /// The centre told us to shut down.
-    Shutdown,
-    /// No delivery progress within the give-up horizon.
-    TimedOut,
-}
-
-/// Resend/backoff parameters of the monitor-side epoch driver.
-#[derive(Debug, Clone, Copy)]
-pub struct MonitorEpochConfig {
-    /// This monitor's router id.
-    pub router_id: u64,
-    /// The epoch being shipped.
-    pub epoch_id: u64,
-    /// Ticks of no progress before re-pushing unacked chunks.
-    pub resend_after: u64,
-    /// Cap on the resend backoff (doubles from `resend_after`).
-    pub max_backoff: u64,
-    /// Ticks without ack progress before the epoch is abandoned.
-    pub give_up: u64,
 }
 
 /// Ships one epoch's chunk frames to the centre and drives the ack /
 /// NACK / advance dialogue until delivery, shutdown or give-up.
 ///
-/// Sends are clocked by the centre's cumulative acks. A chunk goes out
-/// for the first time only while its seq is below `cumulative_ack +`
-/// [`SEND_WINDOW`], so the monitor never has more unacked datagrams in
-/// flight than the centre's receive buffer holds. A `NackSeqs` is
-/// answered for the seqs already sent, a `NackAll` with the sent prefix.
-/// When the wait for the centre's next frame (on arrival or after a
-/// 200 µs tick) ends with no control frame, the monitor re-sends the
-/// chunk at its cumulative ack as a tail probe: one datagram a silent
-/// tick, which recovers a lost tail or a lost ack in one round trip.
-///
-/// The resend timer restarts whenever an ack advances or a NACK is
-/// answered. When it fires, after `resend_after` ticks without either
-/// and doubling up to `max_backoff`, the monitor re-pushes every chunk it
-/// has sent past the cumulative ack. That is the client half of crash
-/// recovery: when a restarted centre resumes from its checkpoint, these
-/// re-pushed frames re-teach it the monitor's address and fill the holes
-/// its NACKs ask for.
+/// The decisions are [`SendSession`]'s: which chunks the window opens,
+/// which a NACK asks for, when the resend timer fires and when to give
+/// up. This loop sends a `Hello`, then repeatedly drains the centre's
+/// control frames into the session, steps it, and sends the chunks it
+/// names, releasing the shim's held frame after any step that sent. A
+/// step is silent when the wait for the centre's next frame (on arrival
+/// or after a 200 µs tick) ended with none.
 pub fn run_monitor_epoch(
     sock: &mut MonitorSocket,
     chunks: &[Vec<u8>],
@@ -1133,14 +580,6 @@ pub fn run_monitor_epoch(
     clock: &dyn Clock,
     metrics: &MetricsRegistry,
 ) -> MonitorEpochEnd {
-    let resend_after = cfg.resend_after.max(1);
-    let mut cumulative: u32 = 0;
-    // `chunks[..sent]` have gone out at least once.
-    let mut sent = 0usize;
-    let mut backoff = resend_after;
-    let mut last_progress = clock.now();
-    let mut next_resend = last_progress.saturating_add(backoff);
-    let mut waited = false;
     register_counters(metrics, &ROLE_MONITOR, &ROLE_COUNTERS);
     register_counters(
         metrics,
@@ -1151,106 +590,44 @@ pub fn run_monitor_epoch(
             "socket_epochs_abandoned_total",
         ],
     );
-
-    sock.send(
-        &ControlFrame::Hello {
-            router_id: cfg.router_id,
-        }
-        .encode(),
-        metrics,
-    );
-
+    let hello = ControlFrame::Hello {
+        router_id: cfg.router_id,
+    };
+    sock.send(&hello.encode(), metrics);
+    let mut session = SendSession::new(cfg, chunks.len(), clock.now());
+    let mut seqs = Vec::new();
+    let mut waited = false;
     loop {
-        // Controls queued before the first send (a NACK fired before this
-        // monitor started) are answered with what has been sent: nothing.
         let controls = sock.poll(metrics);
-        let silent = waited && controls.is_empty();
-        let mut resent = false;
-        for control in controls {
-            match control {
-                ControlFrame::Ack {
-                    router_id,
-                    epoch_id,
-                    cumulative_ack,
-                } if router_id == cfg.router_id
-                    && epoch_id == cfg.epoch_id
-                    && cumulative_ack > cumulative =>
-                {
-                    cumulative = cumulative_ack;
-                    last_progress = clock.now();
-                    backoff = resend_after;
-                    next_resend = last_progress.saturating_add(backoff);
-                }
-                ControlFrame::NackAll {
-                    router_id,
-                    epoch_id,
-                } if router_id == cfg.router_id && epoch_id == cfg.epoch_id => {
-                    for chunk in &chunks[..sent] {
-                        sock.send(chunk, metrics);
-                    }
-                    resent |= sent > 0;
-                }
-                ControlFrame::NackSeqs {
-                    router_id,
-                    epoch_id,
-                    seqs,
-                } if router_id == cfg.router_id && epoch_id == cfg.epoch_id => {
-                    for &seq in &seqs {
-                        if let Some(chunk) = chunks[..sent].get(seq as usize) {
-                            sock.send(chunk, metrics);
-                            resent = true;
-                        }
-                    }
-                }
-                ControlFrame::Advance { epoch_id, .. } if epoch_id > cfg.epoch_id => {
-                    return MonitorEpochEnd::Delivered;
-                }
-                ControlFrame::Shutdown { .. } => return MonitorEpochEnd::Shutdown,
-                _ => {}
-            }
-        }
-        let acked = cumulative as usize;
-        if acked >= chunks.len() {
-            return MonitorEpochEnd::Delivered;
-        }
-        let window_end = acked.saturating_add(SEND_WINDOW).min(chunks.len());
-        let opened = sent < window_end;
-        if opened {
-            for chunk in &chunks[sent..window_end] {
-                sock.send(chunk, metrics);
-            }
-            sent = window_end;
-        }
         let now = clock.now();
-        if now.saturating_sub(last_progress) >= cfg.give_up {
-            metrics
-                .counter("socket_epochs_abandoned_total", &ROLE_MONITOR)
-                .inc();
-            return MonitorEpochEnd::TimedOut;
+        for control in &controls {
+            session.take(control, now, &mut seqs);
         }
-        let timer = now >= next_resend;
-        if timer && !resent {
-            // No ack progress and no NACK: re-push everything sent past
-            // the cumulative ack (the centre may have died and restarted).
-            for chunk in &chunks[acked..sent] {
-                sock.send(chunk, metrics);
+        match session.step(waited && controls.is_empty(), now, &mut seqs) {
+            SendStep::End(end) => {
+                if end == MonitorEpochEnd::TimedOut {
+                    metrics
+                        .counter("socket_epochs_abandoned_total", &ROLE_MONITOR)
+                        .inc();
+                }
+                return end;
             }
-            metrics
-                .counter("socket_resend_bursts_total", &ROLE_MONITOR)
-                .inc();
-            backoff = (backoff * 2).min(cfg.max_backoff.max(1));
-        } else if silent && !resent {
-            // Tail probe: the chunk the centre's cumulative ack waits for.
-            sock.send(&chunks[acked], metrics);
+            SendStep::Send { resend_burst } => {
+                if resend_burst {
+                    metrics
+                        .counter("socket_resend_bursts_total", &ROLE_MONITOR)
+                        .inc();
+                }
+            }
         }
-        if resent || timer {
-            next_resend = now.saturating_add(backoff);
-        }
-        if resent || timer || opened || silent {
+        if !seqs.is_empty() {
+            for seq in seqs.drain(..) {
+                sock.send(&chunks[seq as usize], metrics);
+            }
             sock.flush_shim(metrics);
         }
         waited = true;
-        sock.wait();
+        wait_readable(&sock.udp);
     }
 }
 
@@ -1454,18 +831,6 @@ mod tests {
         socket_roundtrip(Transport::Udp, ImpairmentConfig::soak());
     }
 
-    #[test]
-    fn tcp_roundtrip_perfect() {
-        socket_roundtrip(Transport::Tcp, ImpairmentConfig::perfect());
-    }
-
-    #[test]
-    fn tcp_roundtrip_impaired() {
-        // Impairing the shim on a TCP link loses frames before the
-        // stream, so retransmits still matter.
-        socket_roundtrip(Transport::Tcp, ImpairmentConfig::soak());
-    }
-
     /// The 0 % gate: over a perfect link one monitor puts each chunk on
     /// the wire about once — at most 1.5 frames a chunk, the Hello
     /// counted — and its resend timer never fires. Four windows of chunks
@@ -1598,63 +963,127 @@ mod tests {
         assert_eq!(bursts.unwrap_or(0), 0, "acks were advancing every tick");
     }
 
-    /// A session missing more chunks than one datagram or one stream
-    /// frame can name still reaches its monitor: the NACK arrives clipped
-    /// to the first `MAX_NACK_SEQS` missing seqs, over UDP and over TCP.
+    /// A monitor restarted mid-epoch re-ships the epoch from seq 0 to a
+    /// centre that already holds a prefix longer than one window. The
+    /// centre's first ack covers that prefix, and the window opens at the
+    /// ack: no seq below it goes out again. A plain `UdpSocket` plays the
+    /// centre, and the manual clock never moves, so no resend timer fires.
+    #[test]
+    fn an_ack_past_the_window_sends_nothing_below_it() {
+        let bundle: Vec<u8> = (0..4 * SEND_WINDOW as u32 * 100)
+            .map(|i| (i % 251) as u8)
+            .collect();
+        let chunks = chunk_bundle(6, 0, &bundle, 100);
+        let held = 2 * SEND_WINDOW as u32 + 7;
+        assert!(chunks.len() > held as usize + SEND_WINDOW);
+        let metrics = MetricsRegistry::new();
+        let clock = ManualClock::new(0);
+        let center = UdpSocket::bind("127.0.0.1:0").unwrap();
+        center
+            .set_read_timeout(Some(Duration::from_secs(5)))
+            .unwrap();
+        let mut sock =
+            MonitorSocket::connect(center.local_addr().unwrap(), Transport::Udp).unwrap();
+        let seq_of = |frame: &[u8]| ChunkFrame::decode(frame).ok().map(|(c, _)| c.seq);
+        let (end, after_ack) = std::thread::scope(|s| {
+            let monitor = s.spawn(|| {
+                let cfg = MonitorEpochConfig {
+                    router_id: 6,
+                    epoch_id: 0,
+                    resend_after: 1_000,
+                    max_backoff: 1_000,
+                    give_up: 1_000,
+                };
+                run_monitor_epoch(&mut sock, &chunks, &cfg, &clock, &metrics)
+            });
+            // Hello, then the first window: a restarted monitor starts at 0.
+            let mut buf = vec![0u8; MAX_DATAGRAM];
+            let (mut n, monitor_addr) = center.recv_from(&mut buf).unwrap();
+            while seq_of(&buf[..n]).is_none_or(|seq| seq + 1 < SEND_WINDOW as u32) {
+                n = center.recv_from(&mut buf).unwrap().0;
+            }
+            let ack = |cumulative_ack: u32| {
+                let frame = ControlFrame::Ack {
+                    router_id: 6,
+                    epoch_id: 0,
+                    cumulative_ack,
+                };
+                center.send_to(&frame.encode(), monitor_addr).unwrap();
+            };
+            ack(held);
+            // The window past the ack: `held..held + SEND_WINDOW`.
+            let mut after_ack = Vec::new();
+            while !after_ack.contains(&(held + SEND_WINDOW as u32 - 1)) {
+                let (n, _) = center.recv_from(&mut buf).unwrap();
+                after_ack.extend(seq_of(&buf[..n]));
+            }
+            ack(chunks.len() as u32);
+            (monitor.join().unwrap(), after_ack)
+        });
+        assert_eq!(end, MonitorEpochEnd::Delivered);
+        // Seq 0 is the tail probe a monitor may send before the ack
+        // reaches it; every other seq below the ack is already held.
+        let below: Vec<u32> = (after_ack.iter().copied())
+            .filter(|&seq| seq != 0 && seq < held)
+            .collect();
+        assert!(below.is_empty(), "re-sent acked seqs {below:?}");
+    }
+
+    /// A session missing more chunks than one datagram can name still
+    /// reaches its monitor: the NACK arrives clipped to the first
+    /// `MAX_NACK_SEQS` missing seqs.
     #[test]
     fn an_oversized_nack_is_clipped_to_fit_the_transport() {
-        for transport in [Transport::Udp, Transport::Tcp] {
-            let clock = ManualClock::new(0);
-            let mut center = CenterSocket::bind("127.0.0.1:0", transport).unwrap();
-            let mut monitor =
-                MonitorSocket::connect(center.local_addr().unwrap(), transport).unwrap();
-            // Seq 0 of a 20,000-chunk bundle: the centre learns the total
-            // and misses 19,999 chunks, 80 KB of seqs.
-            let first = ChunkFrame {
-                router_id: 1,
-                epoch_id: 0,
-                seq: 0,
-                total: 20_000,
-                payload: b"x",
-            };
-            monitor.send(&first.encode(), &MetricsRegistry::new());
-            let mut collector = quick_collector(0, &[1], clock.now());
-            let done = std::sync::atomic::AtomicBool::new(false);
-            let nack = std::thread::scope(|s| {
-                s.spawn(|| {
-                    run_center_epoch(
-                        &mut center,
-                        &mut collector,
-                        &clock,
-                        &MetricsRegistry::new(),
-                        |_| {
-                            clock.advance(10);
-                            done.load(std::sync::atomic::Ordering::Relaxed)
-                        },
-                    )
-                });
-                let metrics = MetricsRegistry::new();
-                let give_up = std::time::Instant::now() + Duration::from_secs(5);
-                let nack = loop {
-                    let seqs = monitor.poll(&metrics).into_iter().find_map(|c| match c {
-                        ControlFrame::NackSeqs { seqs, .. } => Some(seqs),
-                        _ => None,
-                    });
-                    if seqs.is_some() || std::time::Instant::now() > give_up {
-                        break seqs;
-                    }
-                    std::thread::sleep(Duration::from_millis(1));
-                };
-                done.store(true, std::sync::atomic::Ordering::Relaxed);
-                nack
+        let transport = Transport::Udp;
+        let clock = ManualClock::new(0);
+        let mut center = CenterSocket::bind("127.0.0.1:0", transport).unwrap();
+        let mut monitor = MonitorSocket::connect(center.local_addr().unwrap(), transport).unwrap();
+        // Seq 0 of a 20,000-chunk bundle: the centre learns the total
+        // and misses 19,999 chunks, 80 KB of seqs.
+        let first = ChunkFrame {
+            router_id: 1,
+            epoch_id: 0,
+            seq: 0,
+            total: 20_000,
+            payload: b"x",
+        };
+        monitor.send(&first.encode(), &MetricsRegistry::new());
+        let mut collector = quick_collector(0, &[1], clock.now());
+        let done = std::sync::atomic::AtomicBool::new(false);
+        let nack = std::thread::scope(|s| {
+            s.spawn(|| {
+                run_center_epoch(
+                    &mut center,
+                    &mut collector,
+                    &clock,
+                    &MetricsRegistry::new(),
+                    |_| {
+                        clock.advance(10);
+                        done.load(std::sync::atomic::Ordering::Relaxed)
+                    },
+                )
             });
-            let want: Vec<u32> = (1..=MAX_NACK_SEQS as u32).collect();
-            assert!(
-                nack.as_ref() == Some(&want),
-                "{transport:?}: NACK of {:?} seqs",
-                nack.map(|s| s.len())
-            );
-        }
+            let metrics = MetricsRegistry::new();
+            let give_up = std::time::Instant::now() + Duration::from_secs(5);
+            let nack = loop {
+                let seqs = monitor.poll(&metrics).into_iter().find_map(|c| match c {
+                    ControlFrame::NackSeqs { seqs, .. } => Some(seqs),
+                    _ => None,
+                });
+                if seqs.is_some() || std::time::Instant::now() > give_up {
+                    break seqs;
+                }
+                std::thread::sleep(Duration::from_millis(1));
+            };
+            done.store(true, std::sync::atomic::Ordering::Relaxed);
+            nack
+        });
+        let want: Vec<u32> = (1..=MAX_NACK_SEQS as u32).collect();
+        assert!(
+            nack.as_ref() == Some(&want),
+            "{transport:?}: NACK of {:?} seqs",
+            nack.map(|s| s.len())
+        );
     }
 
     #[test]

@@ -2,43 +2,43 @@
 //! [`LossyChannel`]s on the virtual clock.
 //!
 //! A *hop* is a set of links — a channel with the receiver behind it —
-//! driven in lock-step, one tick at a time: deliver what is due, offer it,
-//! route cumulative acks back, fire retransmit timers, put the resent
-//! chunks back on the channel. [`drive_hop`] is that loop, for any
-//! [`Receiver`]: an [`EpochCollector`] at the centre or an [`Aggregator`]
-//! in between. Every topology the soak driver runs, flat, two-level or
-//! three-level, is a list of `Tier`s handed to one `TierDriver`: an
-//! aggregator is a receiver whose `finalize` emits a bundle onto the next
-//! tier's links.
+//! driven in lock-step, one tick at a time. Both ends run the deployed
+//! protocol's state machines from `dcs_core::session`, the same ones the
+//! socket drivers of `dcs_core::net` run: each [`Sender`] is a
+//! [`SendSession`] over the chunk frames it ships, and each receiver
+//! answers what arrives with [`EpochCollector::answer`]. Control frames
+//! go back unimpaired and on the same tick. [`drive_hop`] is that loop,
+//! for any [`Receiver`]: an [`EpochCollector`] at the centre or an
+//! [`Aggregator`] in between. Every topology the soak driver runs, flat,
+//! two-level or three-level, is a list of `Tier`s handed to one
+//! `TierDriver`: an aggregator is a receiver whose `finalize` emits a
+//! bundle its own sender ships onto the next tier's links.
 
 use crate::channel::{ChannelConfig, LossyChannel};
 use dcs_core::aggregate::Aggregator;
 use dcs_core::monitor::MonitoringPoint;
 use dcs_core::report::TransportStats;
 use dcs_core::session::{
-    ChunkDisposition, CollectedEpoch, CollectorConfig, EpochCollector, RetransmitRequest,
+    CollectedEpoch, CollectorConfig, ControlFrame, EpochCollector, MonitorEpochConfig, SendSession,
+    SendStep,
 };
 use dcs_core::transport::chunk_bundle;
 use dcs_core::MetricsRegistry;
+use std::collections::BTreeMap;
 use std::ops::Range;
 
 /// The receiving end of a link, as [`drive_hop`] sees it. The trait exists
 /// so one loop serves the centre's collector and an aggregator alike.
 pub trait Receiver {
-    /// Offers one frame as it arrives off the channel.
-    fn offer(&mut self, frame: &[u8], now: u64) -> ChunkDisposition;
-    /// Fires due retransmit timers.
-    fn poll(&mut self, now: u64) -> Vec<RetransmitRequest>;
+    /// Answers one batch of arrivals (see [`EpochCollector::answer`]).
+    fn answer(&mut self, frames: &[Vec<u8>], now: u64) -> Vec<ControlFrame>;
     /// Whether the straggler policy says to stop waiting at `now`.
     fn ready(&self, now: u64) -> bool;
 }
 
 impl Receiver for EpochCollector {
-    fn offer(&mut self, frame: &[u8], now: u64) -> ChunkDisposition {
-        EpochCollector::offer(self, frame, now)
-    }
-    fn poll(&mut self, now: u64) -> Vec<RetransmitRequest> {
-        EpochCollector::poll(self, now)
+    fn answer(&mut self, frames: &[Vec<u8>], now: u64) -> Vec<ControlFrame> {
+        EpochCollector::answer(self, frames, now)
     }
     fn ready(&self, now: u64) -> bool {
         EpochCollector::ready(self, now)
@@ -46,104 +46,109 @@ impl Receiver for EpochCollector {
 }
 
 impl Receiver for Aggregator {
-    fn offer(&mut self, frame: &[u8], now: u64) -> ChunkDisposition {
-        Aggregator::offer(self, frame, now)
-    }
-    fn poll(&mut self, now: u64) -> Vec<RetransmitRequest> {
-        Aggregator::poll(self, now)
+    fn answer(&mut self, frames: &[Vec<u8>], now: u64) -> Vec<ControlFrame> {
+        Aggregator::answer(self, frames, now)
     }
     fn ready(&self, now: u64) -> bool {
         Aggregator::ready(self, now)
     }
 }
 
-/// The sending side of a hop: who takes the cumulative acks and answers
-/// the retransmit requests.
+/// One sender of a hop: a [`SendSession`] over the chunk frames it ships
+/// on one link.
 #[derive(Debug)]
-pub enum Senders<'a> {
-    /// Live monitoring points, indexed by router id, serving acks and
-    /// resends from their one-epoch resend buffers.
-    Monitors {
-        /// The monitoring points.
-        points: &'a mut [MonitoringPoint],
-        /// The epoch being shipped (acks carry no epoch id of their own).
-        epoch_id: u64,
-    },
-    /// Chunk frames the driver holds — replayed bundles, or aggregators
-    /// on an upstream hop: `chunks[router_id - first_id]`. Acks are
-    /// ignored.
-    Stored {
-        /// Router id of `chunks[0]`.
-        first_id: u64,
-        /// Every sender's chunk frames, in sequence order.
-        chunks: &'a [Vec<Vec<u8>>],
-    },
+pub struct Sender<'a> {
+    router_id: u64,
+    link: usize,
+    chunks: &'a [Vec<u8>],
+    session: SendSession,
+    /// Seqs to put on the wire at the next step.
+    seqs: Vec<u32>,
+    /// A control frame reached the sender since its last step.
+    heard: bool,
+    /// The sender has stepped at least once.
+    started: bool,
 }
 
-impl Senders<'_> {
-    fn ack(&mut self, router_id: u64, cumulative_ack: u32) {
-        if let Senders::Monitors { points, epoch_id } = self {
-            points[router_id as usize].ack(*epoch_id, cumulative_ack);
+impl<'a> Sender<'a> {
+    /// A sender shipping `chunks` under `cfg` onto link `link` (an index
+    /// into [`drive_hop`]'s channels), starting at tick `now`. Its first
+    /// step puts the first window on the wire.
+    pub fn new(link: usize, chunks: &'a [Vec<u8>], cfg: &MonitorEpochConfig, now: u64) -> Self {
+        Sender {
+            router_id: cfg.router_id,
+            link,
+            chunks,
+            session: SendSession::new(cfg, chunks.len(), now),
+            seqs: Vec::new(),
+            heard: false,
+            started: false,
         }
     }
 
-    /// Answers `req` by putting the requested chunks back on `channel`.
-    fn resend(&self, req: &RetransmitRequest, channel: &mut LossyChannel, now: u64) {
-        match self {
-            Senders::Monitors { points, .. } => {
-                for frame in points[req.router_id as usize].resend(req.epoch_id, &req.missing) {
-                    channel.send(&frame, now);
-                }
-            }
-            Senders::Stored { first_id, chunks } => {
-                let held = req
-                    .router_id
-                    .checked_sub(*first_id)
-                    .and_then(|i| chunks.get(usize::try_from(i).ok()?));
-                for frame in held.into_iter().flat_map(|c| req.missing.select(c)) {
-                    channel.send(frame, now);
-                }
+    fn take(&mut self, control: &ControlFrame, now: u64) {
+        self.heard = true;
+        self.session.take(control, now, &mut self.seqs);
+    }
+
+    /// One step: a step with no control frame since the last one is
+    /// silent, as a socket sender's wait that ended with none is.
+    fn step(&mut self, channel: &mut LossyChannel, now: u64) {
+        let silent = self.started && !self.heard;
+        (self.started, self.heard) = (true, false);
+        if let SendStep::Send { .. } = self.session.step(silent, now, &mut self.seqs) {
+            for &seq in &self.seqs {
+                channel.send(&self.chunks[seq as usize], now);
             }
         }
+        self.seqs.clear();
     }
 }
 
 /// Drives one hop — link `i` is `channels[i]` feeding `receivers[i]` —
 /// tick by tick until every receiver is ready or `max_ticks` have passed,
-/// advancing `now`. Per tick and link: deliver what is due, offer it and
-/// ack the senders, run `hook`, then poll and have `senders` answer each
-/// retransmit request. `hook` sees the link between offer and poll — where
-/// a centre that dies mid-epoch checkpoints and resumes.
+/// advancing `now`. Per tick and link: deliver what is due as one batch,
+/// have the receiver answer it, hand each control frame to the sender it
+/// names, run `hook`, then step every sender of the link and put the
+/// chunks it names on the channel. `hook` sees the link between the
+/// answer and the senders' step — where a centre that dies mid-epoch
+/// checkpoints and resumes.
 ///
 /// Returns whether the hop converged. A hop that ran into the cap still
 /// finalizes: its incomplete sessions become typed exclusions.
 ///
 /// # Panics
-/// Panics if `channels` and `receivers` differ in length.
+/// Panics if `channels` and `receivers` differ in length, or a sender's
+/// link is not one of them.
 pub fn drive_hop<R: Receiver>(
     channels: &mut [LossyChannel],
     receivers: &mut [R],
-    mut senders: Senders<'_>,
+    senders: &mut [Sender<'_>],
     now: &mut u64,
     max_ticks: u64,
     mut hook: impl FnMut(&mut LossyChannel, &mut R, u64),
 ) -> bool {
     assert_eq!(channels.len(), receivers.len(), "one channel per receiver");
+    assert!(
+        senders.iter().all(|s| s.link < channels.len()),
+        "no such link"
+    );
+    let by_id: BTreeMap<u64, usize> = (senders.iter().enumerate())
+        .map(|(i, s)| (s.router_id, i))
+        .collect();
     let cap = now.saturating_add(max_ticks);
     loop {
-        for (channel, receiver) in channels.iter_mut().zip(receivers.iter_mut()) {
-            for frame in channel.deliver_due(*now) {
-                if let ChunkDisposition::Accepted {
-                    router_id,
-                    cumulative_ack,
-                } = receiver.offer(&frame, *now)
-                {
-                    senders.ack(router_id, cumulative_ack);
+        for (link, (channel, receiver)) in channels.iter_mut().zip(receivers.iter_mut()).enumerate()
+        {
+            let frames = channel.deliver_due(*now);
+            for control in receiver.answer(&frames, *now) {
+                if let Some(&i) = by_id.get(&control.router_id()) {
+                    senders[i].take(&control, *now);
                 }
             }
             hook(channel, receiver, *now);
-            for req in receiver.poll(*now) {
-                senders.resend(&req, channel, *now);
+            for sender in senders.iter_mut().filter(|s| s.link == link) {
+                sender.step(channel, *now);
             }
         }
         if receivers.iter().all(|r| r.ready(*now)) {
@@ -230,10 +235,14 @@ impl TierDriver {
     }
 
     /// Closes the epoch at every monitoring point and carries the bundles
-    /// up the tiers on the virtual clock `now`. Each hop is capped at 4×
-    /// its collector deadline, so a pathological regime still terminates
-    /// and finalizes with typed exclusions. `hook` is [`drive_hop`]'s, on
-    /// the centre's link.
+    /// up the tiers on the virtual clock `now`. Every sender, a leaf or an
+    /// aggregator, runs a [`SendSession`] with its tier's collector
+    /// timers: `resend_after` is the session's `base_backoff`,
+    /// `max_backoff` its `max_backoff`. Each hop is capped at 4× its
+    /// collector deadline, and a sender gives up after as many ticks
+    /// without progress, so a pathological regime still terminates and
+    /// finalizes with typed exclusions. `hook` is [`drive_hop`]'s, on the
+    /// centre's link.
     ///
     /// Returns what the centre collected and each tier's delivery stats,
     /// leaves first.
@@ -257,24 +266,22 @@ impl TierDriver {
         let centre = self.tiers.len() - 1;
 
         for (below, (tier, channels)) in self.tiers.iter_mut().enumerate() {
+            let max_ticks = tier.collector.deadline * 4;
+            let mut senders = Vec::with_capacity(ids.len());
             for (a, channel) in channels.iter_mut().enumerate() {
                 channel.reseed(epoch_seed ^ tier.channel_salt ^ (a as u64).wrapping_mul(LINK_SALT));
-                for chunk in chunks[region(ids.len(), tier.fan_in, a)].iter().flatten() {
-                    channel.send(chunk, *now);
+                let region = region(ids.len(), tier.fan_in, a);
+                for (&router_id, chunks) in ids[region.clone()].iter().zip(&chunks[region]) {
+                    let cfg = MonitorEpochConfig {
+                        router_id,
+                        epoch_id,
+                        resend_after: tier.collector.session.base_backoff,
+                        max_backoff: tier.collector.session.max_backoff,
+                        give_up: max_ticks,
+                    };
+                    senders.push(Sender::new(a, chunks, &cfg, *now));
                 }
             }
-            let senders = if below == 0 {
-                Senders::Monitors {
-                    points: &mut *monitors,
-                    epoch_id,
-                }
-            } else {
-                Senders::Stored {
-                    first_id: ids[0],
-                    chunks: &chunks,
-                }
-            };
-            let max_ticks = tier.collector.deadline * 4;
             let seed = epoch_seed ^ tier.collector_salt;
 
             if below == centre {
@@ -285,7 +292,14 @@ impl TierDriver {
                     seed,
                     *now,
                 )];
-                drive_hop(channels, &mut collector, senders, now, max_ticks, &mut hook);
+                drive_hop(
+                    channels,
+                    &mut collector,
+                    &mut senders,
+                    now,
+                    max_ticks,
+                    &mut hook,
+                );
                 let epoch = collector[0].finalize(*now);
                 stats.push(epoch.stats);
                 return (epoch, stats);
@@ -305,7 +319,14 @@ impl TierDriver {
                     )
                 })
                 .collect();
-            drive_hop(channels, &mut aggs, senders, now, max_ticks, |_, _, _| {});
+            drive_hop(
+                channels,
+                &mut aggs,
+                &mut senders,
+                now,
+                max_ticks,
+                |_, _, _| {},
+            );
 
             let mut tier_stats = TransportStats::default();
             ids = aggs.iter().map(Aggregator::id).collect();
@@ -327,25 +348,35 @@ impl TierDriver {
 mod tests {
     use super::*;
     use dcs_core::ingest::RouterFault;
-    use dcs_core::session::Missing;
+    use dcs_core::session::SEND_WINDOW;
     use std::cell::RefCell;
 
-    fn stored_chunks(routers: u64) -> Vec<Vec<Vec<u8>>> {
+    fn stored_chunks(routers: u64, len: usize) -> Vec<Vec<Vec<u8>>> {
         (0..routers)
-            .map(|r| chunk_bundle(r, 0, &vec![r as u8; 700], 256))
+            .map(|r| chunk_bundle(r, 0, &vec![r as u8; len], 256))
             .collect()
     }
 
-    fn send_all(channel: &mut LossyChannel, chunks: &[Vec<Vec<u8>>]) {
-        for chunk in chunks.iter().flatten() {
-            channel.send(chunk, 0);
-        }
+    /// One sender a router, router `r` on link `links[r]`.
+    fn senders<'a>(chunks: &'a [Vec<Vec<u8>>], links: &[usize]) -> Vec<Sender<'a>> {
+        (chunks.iter().zip(links).enumerate())
+            .map(|(r, (chunks, &link))| {
+                let cfg = MonitorEpochConfig {
+                    router_id: r as u64,
+                    epoch_id: 0,
+                    resend_after: 8,
+                    max_backoff: 64,
+                    give_up: 1_000,
+                };
+                Sender::new(link, chunks, &cfg, 0)
+            })
+            .collect()
     }
 
     #[test]
     fn all_links_ready_ends_the_hop() {
         // Two links; the second is slower, and the hop ends with it.
-        let chunks = stored_chunks(4);
+        let chunks = stored_chunks(4, 700);
         let slow = ChannelConfig {
             base_delay: 5,
             ..ChannelConfig::perfect()
@@ -354,21 +385,16 @@ mod tests {
             LossyChannel::new(ChannelConfig::perfect(), 1),
             LossyChannel::new(slow, 2),
         ];
-        send_all(&mut channels[0], &chunks[..2]);
-        send_all(&mut channels[1], &chunks[2..]);
         let mut collectors = [
             EpochCollector::new(0, [0, 1], CollectorConfig::default(), 1, 0),
             EpochCollector::new(0, [2, 3], CollectorConfig::default(), 2, 0),
         ];
         let mut now = 0;
-        let senders = Senders::Stored {
-            first_id: 0,
-            chunks: &chunks,
-        };
+        let mut senders = senders(&chunks, &[0, 0, 1, 1]);
         let converged = drive_hop(
             &mut channels,
             &mut collectors,
-            senders,
+            &mut senders,
             &mut now,
             100,
             |_, _, _| {},
@@ -384,24 +410,19 @@ mod tests {
 
     #[test]
     fn cap_ends_the_hop_with_typed_exclusions() {
-        // Router 1's chunks never arrive and nobody can resend them.
-        let chunks = stored_chunks(1);
+        // Router 1 has no sender: nobody answers its NACKs.
+        let chunks = stored_chunks(1, 700);
         let mut channels = [LossyChannel::new(ChannelConfig::perfect(), 1)];
-        send_all(&mut channels[0], &chunks);
         let cfg = CollectorConfig {
             deadline: 1 << 20,
             ..CollectorConfig::default()
         };
         let mut collector = [EpochCollector::new(0, [0, 1], cfg, 1, 0)];
         let mut now = 3;
-        let senders = Senders::Stored {
-            first_id: 0,
-            chunks: &chunks,
-        };
         let converged = drive_hop(
             &mut channels,
             &mut collector,
-            senders,
+            &mut senders(&chunks, &[0]),
             &mut now,
             40,
             |_, _, _| {},
@@ -418,52 +439,79 @@ mod tests {
         ));
     }
 
+    /// A sender puts one window on the channel up front and opens the
+    /// rest as the acks come back, as a socket sender does: over a link
+    /// one tick long, three windows take three ticks.
+    #[test]
+    fn a_sender_ships_one_window_ahead_of_its_acks() {
+        let chunks = stored_chunks(1, 3 * SEND_WINDOW * 256);
+        assert_eq!(chunks[0].len(), 3 * SEND_WINDOW);
+        let one_tick = ChannelConfig {
+            base_delay: 1,
+            ..ChannelConfig::perfect()
+        };
+        let mut channels = [LossyChannel::new(one_tick, 1)];
+        let cfg = CollectorConfig::default();
+        let mut collector = [EpochCollector::new(0, [0], cfg, 1, 0)];
+        let mut now = 0;
+        let converged = drive_hop(
+            &mut channels,
+            &mut collector,
+            &mut senders(&chunks, &[0]),
+            &mut now,
+            100,
+            |_, _, _| {},
+        );
+        assert!(converged);
+        assert_eq!(now, 3, "one window a tick");
+        // An ack came back every tick, so no step was silent: no probe.
+        let epoch = collector[0].finalize(now);
+        assert_eq!(epoch.stats.chunks_received, 3 * SEND_WINDOW as u64);
+        assert_eq!(epoch.stats.duplicate_chunks, 0);
+    }
+
     /// A receiver that only logs what the loop does to it.
-    struct Logged<'a>(&'a RefCell<Vec<&'static str>>);
+    struct Logged<'a>(&'a RefCell<Vec<String>>);
 
     impl Receiver for Logged<'_> {
-        fn offer(&mut self, _: &[u8], _: u64) -> ChunkDisposition {
-            self.0.borrow_mut().push("offer");
-            ChunkDisposition::Late
-        }
-        fn poll(&mut self, _: u64) -> Vec<RetransmitRequest> {
-            self.0.borrow_mut().push("poll");
-            vec![RetransmitRequest {
+        fn answer(&mut self, frames: &[Vec<u8>], _: u64) -> Vec<ControlFrame> {
+            self.0.borrow_mut().push(format!("answer {}", frames.len()));
+            vec![ControlFrame::NackSeqs {
                 router_id: 0,
                 epoch_id: 0,
-                missing: Missing::Seqs(vec![0, 9]),
+                seqs: vec![0, 9],
             }]
         }
         fn ready(&self, now: u64) -> bool {
-            now >= 1
+            now >= 2
         }
     }
 
     #[test]
-    fn hook_runs_between_offer_and_poll() {
+    fn hook_runs_between_answer_and_the_senders_step() {
         let log = RefCell::new(Vec::new());
         let chunks = vec![vec![vec![7u8; 8]]];
         let mut channels = [LossyChannel::new(ChannelConfig::perfect(), 1)];
-        channels[0].send(&[1], 0);
         let mut now = 0;
-        let senders = Senders::Stored {
-            first_id: 0,
-            chunks: &chunks,
-        };
         drive_hop(
             &mut channels,
             &mut [Logged(&log)],
-            senders,
+            &mut senders(&chunks, &[0]),
             &mut now,
             10,
-            |_, _, _| log.borrow_mut().push("hook"),
+            |channel, _, _| {
+                log.borrow_mut()
+                    .push(format!("hook {}", channel.in_flight()))
+            },
         );
-        // Tick 0 delivers the frame sent before the hop; tick 1 delivers
-        // the chunk tick 0's poll had resent (seq 9 selects nothing).
+        // Tick 0's NACK comes before the first send and is answered with
+        // nothing; the step then sends the chunk. Each later tick delivers
+        // the chunk the last step re-sent for the NACK (seq 9 was never
+        // sent), and the hook sees the channel before this tick's step.
         assert_eq!(
             *log.borrow(),
-            ["offer", "hook", "poll", "offer", "hook", "poll"]
+            ["answer 0", "hook 0", "answer 1", "hook 0", "answer 1", "hook 0"]
         );
-        assert_eq!(now, 1);
+        assert_eq!(now, 2);
     }
 }

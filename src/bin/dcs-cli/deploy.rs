@@ -4,8 +4,7 @@
 //! ```text
 //! dcs-cli serve   --print-config              # JSON config template
 //! dcs-cli serve   [--config serve.json] [--bind 127.0.0.1:7400]
-//!                 [--transport udp|tcp] [--routers N] [--epochs N]
-//!                 [--resume ckpt.dcsk]
+//!                 [--routers N] [--epochs N] [--resume ckpt.dcsk]
 //! dcs-cli monitor [--config monitor.json] [--center 127.0.0.1:7400]
 //!                 [--router N] [--epochs N] [--infected]
 //! ```
@@ -89,11 +88,10 @@ mod sig {
 
 /// `dcs-cli serve` settings. Empty string paths disable that output.
 #[derive(Debug, Clone, Serialize, Deserialize)]
+#[serde(deny_unknown_fields)]
 pub struct ServeConfig {
     /// Bind address, e.g. `127.0.0.1:7400` (port 0 picks one).
     pub bind: String,
-    /// `udp` (primary) or `tcp` (stream fallback).
-    pub transport: String,
     /// Router ids `0..routers` are expected each epoch.
     pub routers: usize,
     /// Epochs to serve; 0 = until SIGINT/SIGTERM.
@@ -136,7 +134,6 @@ impl Default for ServeConfig {
     fn default() -> Self {
         ServeConfig {
             bind: "127.0.0.1:7400".into(),
-            transport: "udp".into(),
             routers: 24,
             epochs: 0,
             deadline_ticks: 512,
@@ -159,11 +156,10 @@ impl Default for ServeConfig {
 
 /// `dcs-cli monitor` settings.
 #[derive(Debug, Clone, Serialize, Deserialize)]
+#[serde(deny_unknown_fields)]
 pub struct MonitorCliConfig {
     /// The centre's address, e.g. `127.0.0.1:7400`.
     pub center: String,
-    /// `udp` or `tcp`; must match the centre.
-    pub transport: String,
     /// This monitoring point's router id.
     pub router_id: u64,
     /// Epochs to ship; 0 = until the centre says shutdown.
@@ -218,7 +214,6 @@ impl Default for MonitorCliConfig {
     fn default() -> Self {
         MonitorCliConfig {
             center: "127.0.0.1:7400".into(),
-            transport: "udp".into(),
             router_id: 0,
             epochs: 0,
             packets: 800,
@@ -282,9 +277,6 @@ fn serve_config(args: &mut Vec<String>) -> Result<ServeConfig, Box<dyn std::erro
     if let Some(v) = take_flag(args, "--bind") {
         cfg.bind = v;
     }
-    if let Some(v) = take_flag(args, "--transport") {
-        cfg.transport = v;
-    }
     cfg.routers = parse_or(take_flag(args, "--routers"), cfg.routers)?;
     cfg.epochs = parse_or(take_flag(args, "--epochs"), cfg.epochs)?;
     cfg.min_quorum = parse_or(take_flag(args, "--quorum"), cfg.min_quorum)?;
@@ -318,16 +310,11 @@ pub fn serve(args: &[String]) -> CliResult {
     }
 
     sig::install();
-    let transport: Transport = cfg.transport.parse()?;
     let clock = TickClock::new(Duration::from_micros(cfg.tick_micros.max(1)));
     let metrics = MetricsRegistry::new();
-    let mut sock = CenterSocket::bind(cfg.bind.as_str(), transport)?;
+    let mut sock = CenterSocket::bind(cfg.bind.as_str(), Transport::Udp)?;
     // Port 0 callers (tests) learn the actual address from this line.
-    println!(
-        "serve: listening on {} ({})",
-        sock.local_addr()?,
-        cfg.transport
-    );
+    println!("serve: listening on {} (udp)", sock.local_addr()?);
 
     let collector_cfg = CollectorConfig {
         deadline: cfg.deadline_ticks,
@@ -499,9 +486,6 @@ fn monitor_config(args: &mut Vec<String>) -> Result<MonitorCliConfig, Box<dyn st
     if let Some(v) = take_flag(args, "--center") {
         cfg.center = v;
     }
-    if let Some(v) = take_flag(args, "--transport") {
-        cfg.transport = v;
-    }
     cfg.router_id = parse_or(take_flag(args, "--router"), cfg.router_id)?;
     cfg.epochs = parse_or(take_flag(args, "--epochs"), cfg.epochs)?;
     cfg.seed = Some(parse_or(take_flag(args, "--seed"), cfg.traffic_seed())?);
@@ -535,10 +519,9 @@ pub fn monitor(args: &[String]) -> CliResult {
     let seed = cfg.traffic_seed();
 
     sig::install();
-    let transport: Transport = cfg.transport.parse()?;
     let clock = TickClock::new(Duration::from_micros(cfg.tick_micros.max(1)));
     let metrics = MetricsRegistry::new();
-    let mut sock = MonitorSocket::connect(cfg.center.as_str(), transport)?;
+    let mut sock = MonitorSocket::connect(cfg.center.as_str(), Transport::Udp)?;
     let impair = ImpairmentConfig {
         drop_per_mille: cfg.impair_drop,
         duplicate_per_mille: cfg.impair_duplicate,
@@ -653,6 +636,19 @@ mod tests {
 
     type Parse<C> = fn(&mut Vec<String>) -> Result<C, Box<dyn std::error::Error>>;
 
+    /// What `parse` makes of a `--config` file holding `json`.
+    fn parse_file<C>(
+        name: &str,
+        json: &str,
+        parse: Parse<C>,
+    ) -> Result<C, Box<dyn std::error::Error>> {
+        let path = std::env::temp_dir().join(format!("dcs-{name}-{}.json", std::process::id()));
+        std::fs::write(&path, json).unwrap();
+        let result = parse(&mut args(&["--config", path.to_str().unwrap()]));
+        std::fs::remove_file(&path).unwrap();
+        result
+    }
+
     /// The [`ZeroShape`] `parse` fails with on a `--config` file holding
     /// the default config with `edit` applied.
     fn config_zero_shape<C: Default + Serialize + std::fmt::Debug>(
@@ -660,13 +656,59 @@ mod tests {
         edit: impl FnOnce(&mut C),
         parse: Parse<C>,
     ) -> ZeroShape {
-        let path = std::env::temp_dir().join(format!("dcs-{name}-{}.json", std::process::id()));
         let mut file = C::default();
         edit(&mut file);
-        std::fs::write(&path, serde_json::to_string(&file).unwrap()).unwrap();
-        let result = parse(&mut args(&["--config", path.to_str().unwrap()]));
-        std::fs::remove_file(&path).unwrap();
+        let result = parse_file(name, &serde_json::to_string(&file).unwrap(), parse);
         *result.unwrap_err().downcast::<ZeroShape>().unwrap()
+    }
+
+    /// The error `parse` refuses the default config with `entry` (a
+    /// `"key":value` pair) added in front of its fields.
+    fn refused_with<C: Default + Serialize + std::fmt::Debug>(
+        name: &str,
+        entry: &str,
+        parse: Parse<C>,
+    ) -> String {
+        let json = serde_json::to_string(&C::default()).unwrap();
+        let json = json.replacen('{', &format!("{{{entry},"), 1);
+        parse_file(name, &json, parse).unwrap_err().to_string()
+    }
+
+    #[test]
+    fn a_config_that_names_a_transport_is_refused_by_each_role() {
+        let entry = r#""transport":"tcp""#;
+        for err in [
+            refused_with("serve-transport", entry, serve_config),
+            refused_with("monitor-transport", entry, monitor_config),
+        ] {
+            assert!(err.contains("unknown field `transport`"), "{err}");
+        }
+    }
+
+    #[test]
+    fn a_misspelt_config_key_is_refused_not_ignored() {
+        let err = refused_with("monitor-seeds", r#""seeds":3"#, monitor_config);
+        assert!(err.contains("unknown field `seeds`"), "{err}");
+    }
+
+    /// `--print-config` prints the pretty default; `--config` reads it
+    /// back as the same settings.
+    #[test]
+    fn each_role_reads_back_the_config_it_prints() {
+        let printed = serde_json::to_string_pretty(&ServeConfig::default()).unwrap();
+        let serve = parse_file("serve-printed", &printed, serve_config).unwrap();
+        assert_eq!(serde_json::to_string_pretty(&serve).unwrap(), printed);
+        let printed = serde_json::to_string_pretty(&MonitorCliConfig::default()).unwrap();
+        let monitor = parse_file("monitor-printed", &printed, monitor_config).unwrap();
+        // The parser resolves the traffic seed; nothing else moves.
+        let resolved = MonitorCliConfig {
+            seed: Some(0),
+            ..MonitorCliConfig::default()
+        };
+        assert_eq!(
+            serde_json::to_string_pretty(&monitor).unwrap(),
+            serde_json::to_string_pretty(&resolved).unwrap()
+        );
     }
 
     fn monitor_zero_shape(name: &str, edit: impl FnOnce(&mut MonitorCliConfig)) -> ZeroShape {

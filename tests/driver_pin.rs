@@ -17,9 +17,12 @@
 //!   a bundle of a different size (a different number of chunks through
 //!   the seeded channel). It is re-captured with the cause named here.
 //!
-//! Both halves were captured together, before the simulated hop ran the
-//! deployed sender. A change to what a leaf ships (its traffic or its
-//! digest) moves both.
+//! The `outcomes` halves were captured before the simulated hop ran the
+//! deployed protocol, and held when it began to. The `delivery` halves
+//! were re-captured then: simulated senders now window, probe and time
+//! out as a socket sender does, and receivers gap-NACK, so each hop
+//! sends different frames through its seeded channel. A change to what a
+//! leaf ships (its traffic or its digest) moves both halves.
 
 use dcs_core::report::TransportStats;
 use dcs_hash::Fnv1a;
@@ -93,21 +96,21 @@ fn attack_driver_replays_its_pinned_run() {
 
 const SOAK_PIN: Pin = Pin {
     outcomes: 0x27b6_7e1b_71b4_483f,
-    delivery: 0x891c_cdff_03a3_cf60,
+    delivery: 0x78e0_2e37_0e5b_7010,
 };
 const KILLED_SOAK_PIN: Pin = Pin {
     outcomes: 0x27b6_7e1b_71b4_483f,
-    delivery: 0xfb18_4825_213f_9a30,
+    delivery: 0x135b_d8b6_340f_e927,
 };
 const TIERED_PIN: Pin = Pin {
     outcomes: 0xe170_698b_e4e3_3485,
-    delivery: 0xd7b2_07c7_b619_2259,
+    delivery: 0x8dc1_eaf2_589f_f5e4,
 };
 const DEEP_PIN: Pin = Pin {
     outcomes: 0xe170_698b_e4e3_3485,
-    delivery: 0xe5a9_c538_e56f_28ec,
+    delivery: 0x16ce_99f1_a5f7_676d,
 };
 const ATTACK_PIN: Pin = Pin {
     outcomes: 0x1252_11a9_fc40_527a,
-    delivery: 0x4004_1082_6cf9_9ae5,
+    delivery: 0x07a6_a211_a593_2b8b,
 };

@@ -26,8 +26,7 @@ use dcs_traffic::{gen, BackgroundConfig, SizeMix};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use std::io::Write as _;
-use std::net::{TcpStream, UdpSocket};
+use std::net::UdpSocket;
 use std::path::Path;
 use std::time::Duration;
 
@@ -275,9 +274,8 @@ proptest! {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(12))]
 
-    /// Soup as one UDP datagram and as raw TCP bytes (half the time
-    /// behind a length prefix that frames it whole) into a bound centre
-    /// socket; whatever `poll` returns goes to an `EpochCollector`.
+    /// Soup as one UDP datagram into a bound centre socket; whatever
+    /// `poll` returns an `EpochCollector` answers.
     #[test]
     fn the_centre_socket_survives_soup(
         bytes in proptest::collection::vec(any::<u8>(), 0..65_507),
@@ -290,23 +288,19 @@ proptest! {
             stamp(&rows[row % rows.len()], &mut soup);
         }
         let metrics = MetricsRegistry::new();
-        let mut center = CenterSocket::bind("127.0.0.1:0", Transport::Tcp).expect("bind");
+        let mut center = CenterSocket::bind("127.0.0.1:0", Transport::Udp).expect("bind");
         let addr = center.local_addr().expect("bound");
         UdpSocket::bind("127.0.0.1:0")
             .and_then(|udp| udp.send_to(&soup, addr))
             .expect("loopback takes one datagram");
-        let mut tcp = TcpStream::connect(addr).expect("connect");
-        if stamped {
-            tcp.write_all(&(soup.len() as u32).to_le_bytes()).expect("write");
-        }
-        tcp.write_all(&soup).expect("write");
-        drop(tcp);
         let mut collector = EpochCollector::new(0, [1], CollectorConfig::default(), 1, 0);
         let mut polled = 0;
         for _ in 0..50 {
-            for frame in center.poll(&metrics) {
-                collector.offer(&frame, 0);
-                polled += 1;
+            let frames = center.poll(&metrics);
+            collector.answer(&frames, 0);
+            polled += frames.len();
+            if polled > 0 {
+                break;
             }
             std::thread::sleep(Duration::from_millis(1));
         }

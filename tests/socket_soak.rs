@@ -8,8 +8,6 @@
 //! * a mid-soak centre kill/restart rebinds the same port, resumes from a
 //!   DCSK checkpoint, and the monitors' resend buffers replay the missing
 //!   chunks over the socket with no detection divergence;
-//! * the TCP fallback carries the same epoch through its length-prefixed
-//!   stream framing;
 //! * an undersubscribed epoch (22 of 24 monitors dead) degrades to the
 //!   typed quorum error through the same socket machinery;
 //! * the `dcs-cli serve`/`monitor` processes produce byte-identical
@@ -29,7 +27,7 @@ use dcs_core::session::{CollectorConfig, EpochCollector, StragglerPolicy};
 use dcs_core::transport::{chunk_bundle, DATAGRAM_SAFE_PAYLOAD};
 use dcs_core::{AnalysisCenter, IngestError, MetricsRegistry, MetricsSnapshot};
 use dcs_sim::channel::{ChannelConfig, LossyChannel};
-use dcs_sim::hop::{drive_hop, Senders};
+use dcs_sim::hop::{drive_hop, Sender};
 use dcs_sim::soak::SoakConfig;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -110,30 +108,38 @@ fn all_ids() -> Vec<u64> {
 }
 
 /// The in-memory reference: the same frames through the virtual-tick
-/// `LossyChannel` under the soak impairment regime, with session-layer
-/// NACK recovery, analysed by the same centre shape.
+/// `LossyChannel` under the soak impairment regime, shipped by the
+/// deployed sender and answered by the deployed receiver, analysed by
+/// the same centre shape.
 fn reference_fingerprint(frames: &[Vec<u8>], seed: u64, cfg: &SoakConfig) -> String {
+    const HOP_CAP: u64 = 1_000_000;
     let chunks: Vec<Vec<Vec<u8>>> = frames
         .iter()
         .enumerate()
         .map(|(id, f)| chunk_bundle(id as u64, 0, f, DATAGRAM_SAFE_PAYLOAD))
         .collect();
+    let timers = collector_cfg().session;
+    let mut senders: Vec<Sender> = (chunks.iter().enumerate())
+        .map(|(id, chunks)| {
+            let cfg = MonitorEpochConfig {
+                router_id: id as u64,
+                epoch_id: 0,
+                resend_after: timers.base_backoff,
+                max_backoff: timers.max_backoff,
+                give_up: HOP_CAP,
+            };
+            Sender::new(0, chunks, &cfg, 0)
+        })
+        .collect();
     let mut channel = [LossyChannel::new(ChannelConfig::soak(), seed ^ 0x10CA)];
     let mut coll = [EpochCollector::new(0, all_ids(), collector_cfg(), seed, 0)];
     let mut now = 0u64;
-    for c in chunks.iter().flatten() {
-        channel[0].send(c, now);
-    }
-    let senders = Senders::Stored {
-        first_id: 0,
-        chunks: &chunks,
-    };
     let converged = drive_hop(
         &mut channel,
         &mut coll,
-        senders,
+        &mut senders,
         &mut now,
-        1_000_000,
+        HOP_CAP,
         |_, _, _| {},
     );
     assert!(converged, "in-memory reference failed to converge");
@@ -152,7 +158,6 @@ fn spawn_monitor(
     id: usize,
     frame: Vec<u8>,
     addr: SocketAddr,
-    transport: Transport,
     impair: ImpairmentConfig,
     seed: u64,
 ) -> std::thread::JoinHandle<MetricsSnapshot> {
@@ -162,7 +167,7 @@ fn spawn_monitor(
         std::thread::sleep(Duration::from_millis(id as u64));
         let metrics = MetricsRegistry::new();
         let clock = TickClock::new(TICK);
-        let mut sock = MonitorSocket::connect(addr, transport).expect("connect to centre");
+        let mut sock = MonitorSocket::connect(addr, Transport::Udp).expect("connect to centre");
         if impair != ImpairmentConfig::perfect() {
             sock.set_shim(ImpairmentShim::new(
                 impair,
@@ -199,19 +204,18 @@ fn socket_epoch(
     frames: &[Vec<u8>],
     seed: u64,
     cfg: &SoakConfig,
-    transport: Transport,
     impair: ImpairmentConfig,
     kill_at: Option<usize>,
 ) -> (String, MetricsSnapshot, Vec<MetricsSnapshot>) {
     let metrics = MetricsRegistry::new();
     let clock = TickClock::new(TICK);
-    let mut sock = CenterSocket::bind("127.0.0.1:0", transport).expect("bind centre");
+    let mut sock = CenterSocket::bind("127.0.0.1:0", Transport::Udp).expect("bind centre");
     let addr = sock.local_addr().expect("local addr");
 
     let handles: Vec<_> = frames
         .iter()
         .enumerate()
-        .map(|(id, f)| spawn_monitor(id, f.clone(), addr, transport, impair, seed))
+        .map(|(id, f)| spawn_monitor(id, f.clone(), addr, impair, seed))
         .collect();
 
     let mut coll = EpochCollector::new(0, all_ids(), collector_cfg(), seed, clock.now());
@@ -231,7 +235,7 @@ fn socket_epoch(
         drop(sock);
         drop(coll);
         std::thread::sleep(Duration::from_millis(5));
-        sock = CenterSocket::bind(addr, transport).expect("rebind after crash");
+        sock = CenterSocket::bind(addr, Transport::Udp).expect("rebind after crash");
         coll = EpochCollector::resume(&ckpt, collector_cfg(), seed, clock.now())
             .expect("own checkpoint must resume");
         resumes += 1;
@@ -275,14 +279,8 @@ fn wire_soak_at_paper_scale_matches_the_in_memory_path() {
         let seed = 0x0050_C4E7_u64.wrapping_add(e as u64 * 0x9E37_79B9_7F4A_7C15);
         let frames = epoch_frames(&cfg, seed);
         let reference = reference_fingerprint(&frames, seed, &cfg);
-        let (fp, center_snap, monitor_snaps) = socket_epoch(
-            &frames,
-            seed,
-            &cfg,
-            Transport::Udp,
-            ImpairmentConfig::soak(),
-            None,
-        );
+        let (fp, center_snap, monitor_snaps) =
+            socket_epoch(&frames, seed, &cfg, ImpairmentConfig::soak(), None);
         assert_eq!(
             fp, reference,
             "epoch {e}: socket detection set diverged from the in-memory path"
@@ -352,7 +350,6 @@ fn mid_soak_centre_kill_restart_recovers_over_the_socket() {
         &frames,
         seed,
         &cfg,
-        Transport::Udp,
         ImpairmentConfig::soak(),
         Some(ROUTERS / 4),
     );
@@ -361,32 +358,6 @@ fn mid_soak_centre_kill_restart_recovers_over_the_socket() {
         "detection diverged across the kill/restart recovery"
     );
     assert!(fp.contains("\"found\":true"));
-}
-
-/// The TCP fallback: the same epoch through length-prefixed stream
-/// framing, with drop/duplicate/reorder impairment at the frame boundary
-/// (stream corruption is the CRC's job and is covered at the UDP layer).
-#[test]
-fn tcp_stream_soak_matches_the_in_memory_path() {
-    let cfg = regime(1 << 16);
-    let seed = 0x7C9;
-    let frames = epoch_frames(&cfg, seed);
-    let reference = reference_fingerprint(&frames, seed, &cfg);
-    let impair = ImpairmentConfig {
-        drop_per_mille: 100,
-        duplicate_per_mille: 30,
-        reorder_per_mille: 50,
-        corrupt_per_mille: 0,
-    };
-    let (fp, _, monitor_snaps) = socket_epoch(&frames, seed, &cfg, Transport::Tcp, impair, None);
-    assert_eq!(
-        fp, reference,
-        "TCP detection diverged from the in-memory path"
-    );
-    assert!(
-        sum_counter(&monitor_snaps, "socket_impaired_total{kind=drop}") > 0,
-        "the TCP path must have been impaired for the test to mean anything"
-    );
 }
 
 /// Graceful degradation end to end: 22 of 24 monitors never start, the
@@ -406,16 +377,7 @@ fn undersubscribed_epoch_yields_typed_quorum_too_small_over_the_socket() {
         .iter()
         .take(2)
         .enumerate()
-        .map(|(id, f)| {
-            spawn_monitor(
-                id,
-                f.clone(),
-                addr,
-                Transport::Udp,
-                ImpairmentConfig::perfect(),
-                seed,
-            )
-        })
+        .map(|(id, f)| spawn_monitor(id, f.clone(), addr, ImpairmentConfig::perfect(), seed))
         .collect();
 
     let ccfg = CollectorConfig {

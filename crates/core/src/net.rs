@@ -266,10 +266,9 @@ fn register_counters(metrics: &MetricsRegistry, role: &[(&str, &str)], names: &[
     }
 }
 
-/// Sends one datagram from the front of a send queue. A full socket
-/// buffer leaves the frame queued, counts a stall and returns false; any
-/// other error drops the frame and counts it. `send` puts one frame on
-/// the wire.
+/// Puts one queued frame on the wire through `send` and counts the
+/// outcome. Returns false on a full socket buffer (a stall), and the
+/// caller keeps the frame queued; any other error drops the frame.
 fn send_counted(
     frame: &[u8],
     send: impl FnOnce(&[u8]) -> std::io::Result<usize>,

@@ -1288,9 +1288,10 @@ impl SendSession {
     }
 
     /// Takes one control frame that reached this sender at tick `now`,
-    /// appending the seqs a NACK asks for to `seqs`. An ack, NACK or
-    /// `Advance` of an earlier (or this) epoch, and an ack or NACK for
-    /// another router or epoch, change nothing.
+    /// appending the seqs a NACK asks for to `seqs`. An ack or NACK for
+    /// another router or epoch, an ack that does not advance, an
+    /// `Advance` to this or an earlier epoch, and anything after the
+    /// epoch ended change nothing.
     pub fn take(&mut self, control: &ControlFrame, now: u64, seqs: &mut Vec<u32>) {
         if self.end.is_some() {
             return;

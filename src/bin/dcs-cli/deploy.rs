@@ -14,8 +14,8 @@
 //! outcome line to `report_path`, and snapshots metrics + a DCSK
 //! checkpoint on a periodic tick. SIGINT/SIGTERM flush a final
 //! checkpoint and metrics snapshot before exit; a later `--resume`
-//! continues the interrupted epoch from that checkpoint, with monitor
-//! resend buffers replaying the missing chunks over the socket.
+//! continues the interrupted epoch from that checkpoint, with the
+//! monitors re-sending the missing chunks over the socket.
 //!
 //! Monitors generate deterministic synthetic traffic per epoch (same
 //! scheme as the soak harnesses: traffic from `seed`, planted content

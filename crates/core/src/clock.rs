@@ -32,6 +32,18 @@ use std::time::{Duration, Instant};
 pub trait Clock: Send + Sync {
     /// The current tick.
     fn now(&self) -> u64;
+
+    /// The real time left until tick `tick` begins: zero once it has, and
+    /// [`Duration::MAX`] when the clock cannot tell (a [`ManualClock`]
+    /// moves only when it is told to). A waiting driver caps a sleep
+    /// with it so that it does not oversleep a timer.
+    fn until(&self, tick: u64) -> Duration {
+        if self.now() >= tick {
+            Duration::ZERO
+        } else {
+            Duration::MAX
+        }
+    }
 }
 
 /// A manually driven clock for deterministic tests.
@@ -93,6 +105,12 @@ impl Clock for TickClock {
     fn now(&self) -> u64 {
         let elapsed = self.start.elapsed();
         (elapsed.as_nanos() / self.tick.as_nanos().max(1)) as u64
+    }
+
+    fn until(&self, tick: u64) -> Duration {
+        let at = u128::from(tick) * self.tick.as_nanos();
+        let left = at.saturating_sub(self.start.elapsed().as_nanos());
+        Duration::from_nanos(u64::try_from(left).unwrap_or(u64::MAX))
     }
 }
 
@@ -226,6 +244,21 @@ mod tests {
              virtual ticks, got {:?}",
             epoch.exclusions[0].fault
         );
+    }
+
+    #[test]
+    fn until_is_the_real_time_left_before_a_tick_begins() {
+        let tick = Duration::from_secs(1);
+        let clock = TickClock::new(tick);
+        assert_eq!(clock.until(0), Duration::ZERO);
+        let left = clock.until(3);
+        assert!(left > 2 * tick && left <= 3 * tick, "{left:?}");
+        // The far future saturates instead of overflowing.
+        assert!(clock.until(u64::MAX) > Duration::from_secs(1 << 30));
+        // A manual clock knows only whether the tick has begun.
+        let manual = ManualClock::new(5);
+        assert_eq!(manual.until(5), Duration::ZERO);
+        assert_eq!(manual.until(6), Duration::MAX);
     }
 
     #[test]

@@ -35,8 +35,18 @@
 //! deadline/backoff machinery already handles; a dead *centre* is
 //! handled by monitors re-pushing unacked chunks on capped backoff until
 //! the resumed centre (restored from a DCSK checkpoint) NACKs or acks
-//! them over the new socket. An idle driver waits on its socket until a
-//! datagram is readable or a 200 µs tick passes.
+//! them over the new socket.
+//!
+//! The two drivers wait differently, because their timers differ. A
+//! monitor's tail probe is due about one round trip after its last send,
+//! so [`run_monitor_epoch`] naps in short sleeps between nonblocking
+//! peeks and wakes at an arrival or at [`SendSession::next_deadline`],
+//! whichever comes first, a sleep's overshoot late (≈ 60 µs on Linux).
+//! The centre's timers are at least `base_backoff` ticks long and only a
+//! backstop, so [`run_center_epoch`] blocks on its socket with a 200 µs
+//! read timeout: it wakes at an arrival at once, but an idle wait can
+//! last about two kernel jiffies (8 ms at `CONFIG_HZ=250`), since Linux
+//! rounds a socket read timeout up to whole jiffies.
 
 use crate::clock::Clock;
 use crate::session::{CollectedEpoch, EpochCollector, SendSession, SendStep, MAX_DATAGRAM};
@@ -52,9 +62,23 @@ pub use crate::session::{
     CONTROL_VERSION, MAX_NACK_SEQS, SEND_WINDOW,
 };
 
-/// The longest an idle driver waits for a frame before it looks at its
-/// timers again.
-const WAIT_TICK: Duration = Duration::from_micros(200);
+/// The read timeout an idle centre waits on its socket with (see
+/// [`wait_readable`]). Linux rounds it up to whole jiffies, so the wait
+/// lasts up to about two jiffies: over 30 waits on a 2-vCPU Xeon it took
+/// 6.4–8.1 ms (median 8.0 ms), where a 200 µs `thread::sleep` took
+/// 265–332 µs. It bounds how late a centre's timer fires, not how late a
+/// frame is handled.
+const CENTER_WAIT: Duration = Duration::from_micros(200);
+
+/// A waiting monitor's first sleep between two peeks at its socket, after
+/// a send or an arrival. Linux sleeps at least ≈ 60 µs however short the
+/// request (its default timer slack is 50 µs).
+const FIRST_NAP: Duration = Duration::from_micros(10);
+
+/// The longest sleep between two peeks: a monitor's sleeps double from
+/// [`FIRST_NAP`] up to this, so a quiet wait costs about one wake-up a
+/// millisecond.
+const MAX_NAP: Duration = Duration::from_millis(1);
 
 // ---------------------------------------------------------------------
 // Impairment shim
@@ -203,21 +227,21 @@ fn frame_router_id(frame: &[u8]) -> Option<u64> {
     ChunkFrame::salvage_header(frame).map(|(router_id, _, _)| router_id)
 }
 
-/// Opens a nonblocking UDP socket on `addr` whose blocking reads time out
-/// after [`WAIT_TICK`] (see [`wait_readable`]).
+/// Opens a nonblocking UDP socket on `addr`.
 fn open_udp(addr: impl ToSocketAddrs) -> std::io::Result<UdpSocket> {
     let udp = UdpSocket::bind(addr)?;
     udp.set_nonblocking(true)?;
-    udp.set_read_timeout(Some(WAIT_TICK))?;
     Ok(udp)
 }
 
-/// Waits until a datagram is readable on `udp` or [`WAIT_TICK`] passes,
-/// leaving the datagram queued (`peek`) and the socket nonblocking. The
-/// socket's read timeout is `WAIT_TICK` (set when it is opened). An error
-/// that returns at once, such as a refusal reported back from a dead
-/// peer, sleeps out the rest of the tick, so a dead peer cannot spin a
-/// driver.
+/// The centre's wait: blocks until a datagram is readable on `udp` or
+/// the socket's read timeout, [`CENTER_WAIT`] (set at bind), runs out,
+/// leaving the datagram queued (`peek`) and the socket nonblocking. An
+/// arrival ends the wait at once; a timeout ends it up to about two
+/// jiffies later (≈ 8 ms at `CONFIG_HZ=250`), as the kernel rounds the
+/// timeout up. An error that returns at once, such as a refusal reported
+/// back from a dead peer, sleeps out the rest of `CENTER_WAIT`, so a dead
+/// peer cannot spin the centre.
 fn wait_readable(udp: &UdpSocket) {
     let started = Instant::now();
     let waited = udp.set_nonblocking(false).is_ok()
@@ -229,7 +253,28 @@ fn wait_readable(udp: &UdpSocket) {
     // the read timeout, so a failure here slows a driver, never hangs it.
     let _ = udp.set_nonblocking(true);
     if !waited {
-        std::thread::sleep(WAIT_TICK.saturating_sub(started.elapsed()));
+        std::thread::sleep(CENTER_WAIT.saturating_sub(started.elapsed()));
+    }
+}
+
+/// A monitor's wait: nonblocking peeks at `udp` between sleeps, until a
+/// datagram is readable or `clock` reaches `deadline`. The sleeps start
+/// at [`FIRST_NAP`] and double up to [`MAX_NAP`], and none is asked to
+/// run past the deadline, so the wait ends within one sleep's overshoot
+/// of either event. A socket error, such as a refusal reported back from
+/// a dead centre, is no arrival: the wait sleeps on. A clock that cannot
+/// say how far the deadline is ([`Clock::until`]) is read again after
+/// every sleep, so a test's [`crate::clock::ManualClock`] that moves past
+/// the deadline ends the wait within [`MAX_NAP`].
+fn wait_until(udp: &UdpSocket, clock: &dyn Clock, deadline: u64) {
+    let mut nap = FIRST_NAP;
+    while udp.peek(&mut [0u8; 1]).is_err() {
+        let left = clock.until(deadline);
+        if left.is_zero() {
+            return;
+        }
+        std::thread::sleep(nap.min(left));
+        nap = (nap * 2).min(MAX_NAP);
     }
 }
 
@@ -292,8 +337,10 @@ impl CenterSocket {
     /// Binds the centre endpoint on `addr` (e.g. `127.0.0.1:0`).
     pub fn bind(addr: impl ToSocketAddrs, transport: Transport) -> std::io::Result<CenterSocket> {
         let Transport::Udp = transport;
+        let udp = open_udp(addr)?;
+        udp.set_read_timeout(Some(CENTER_WAIT))?;
         Ok(CenterSocket {
-            udp: open_udp(addr)?,
+            udp,
             peers: BTreeMap::new(),
             outq: VecDeque::new(),
             scratch: vec![0u8; MAX_DATAGRAM],
@@ -516,8 +563,11 @@ pub enum CenterEpochEnd {
 /// socket its sender's address) and sends back what
 /// [`EpochCollector::answer`] decides about it: acks, `Advance` for late
 /// chunks, gap NACKs and timer NACKs. Then it updates the
-/// `socket_reassembly_backlog` gauge. An idle iteration waits on the
-/// socket until a datagram arrives or a 200 µs tick passes.
+/// `socket_reassembly_backlog` gauge. An idle iteration blocks on the
+/// socket until a datagram arrives, or for at most about two jiffies
+/// (≈ 8 ms at `CONFIG_HZ=250`): the collector's timers are at least
+/// `base_backoff` ticks long and only a backstop, and a wait that woke
+/// sooner would split the arrivals into more, smaller batches.
 /// `should_abort` is called once per iteration — the serve CLI uses it
 /// for periodic checkpoints and signal-triggered shutdown. A collected
 /// epoch ends with `Advance` to every monitor heard from; one that
@@ -569,9 +619,11 @@ pub fn run_center_epoch(
 /// which a NACK asks for, when the resend timer fires and when to give
 /// up. This loop sends a `Hello`, then repeatedly drains the centre's
 /// control frames into the session, steps it, and sends the chunks it
-/// names, releasing the shim's held frame after any step that sent. A
-/// step is silent when the wait for the centre's next frame (on arrival
-/// or after a 200 µs tick) ended with none.
+/// names, releasing the shim's held frame after any step that sent. It
+/// then waits for the centre's next frame, but no later than the
+/// session's [`SendSession::next_deadline`] (the tail probe, the resend
+/// timer or give-up): short sleeps between nonblocking peeks, starting
+/// at 10 µs and doubling up to 1 ms, none past the deadline.
 pub fn run_monitor_epoch(
     sock: &mut MonitorSocket,
     chunks: &[Vec<u8>],
@@ -595,14 +647,13 @@ pub fn run_monitor_epoch(
     sock.send(&hello.encode(), metrics);
     let mut session = SendSession::new(cfg, chunks.len(), clock.now());
     let mut seqs = Vec::new();
-    let mut waited = false;
     loop {
         let controls = sock.poll(metrics);
         let now = clock.now();
         for control in &controls {
             session.take(control, now, &mut seqs);
         }
-        match session.step(waited && controls.is_empty(), now, &mut seqs) {
+        match session.step(now, &mut seqs) {
             SendStep::End(end) => {
                 if end == MonitorEpochEnd::TimedOut {
                     metrics
@@ -625,8 +676,7 @@ pub fn run_monitor_epoch(
             }
             sock.flush_shim(metrics);
         }
-        waited = true;
-        wait_readable(&sock.udp);
+        wait_until(&sock.udp, clock, session.next_deadline());
     }
 }
 
@@ -960,6 +1010,71 @@ mod tests {
             .snapshot()
             .counter("socket_resend_bursts_total{role=monitor}");
         assert_eq!(bursts.unwrap_or(0), 0, "acks were advancing every tick");
+    }
+
+    /// A lost last chunk is probed about one round trip after the ack
+    /// that stops short of it: not when the resend timer (200 ms here)
+    /// fires, nor after a kernel jiffy. A plain `UdpSocket` plays the
+    /// centre: it acks every chunk it holds, drops the first copy of the
+    /// final chunk, and times how long the second copy takes.
+    #[test]
+    fn a_lost_tail_is_probed_within_3_ms() {
+        let bundle: Vec<u8> = (0..8_000u32).map(|i| (i % 251) as u8).collect();
+        let chunks = chunk_bundle(8, 0, &bundle, 1000);
+        let last = chunks.len() as u32 - 1;
+        let metrics = MetricsRegistry::new();
+        let clock = TickClock::new(Duration::from_micros(200));
+        let center = UdpSocket::bind("127.0.0.1:0").unwrap();
+        center
+            .set_read_timeout(Some(Duration::from_secs(5)))
+            .unwrap();
+        let mut sock =
+            MonitorSocket::connect(center.local_addr().unwrap(), Transport::Udp).unwrap();
+        let (end, probed_after) = std::thread::scope(|s| {
+            let monitor = s.spawn(|| {
+                let cfg = MonitorEpochConfig {
+                    router_id: 8,
+                    epoch_id: 0,
+                    resend_after: 1_000,
+                    max_backoff: 1_000,
+                    give_up: 10_000,
+                };
+                run_monitor_epoch(&mut sock, &chunks, &cfg, &clock, &metrics)
+            });
+            let mut buf = vec![0u8; MAX_DATAGRAM];
+            let (_, monitor_addr) = center.recv_from(&mut buf).unwrap();
+            let ack = |cumulative_ack: u32| {
+                let frame = ControlFrame::Ack {
+                    router_id: 8,
+                    epoch_id: 0,
+                    cumulative_ack,
+                };
+                center.send_to(&frame.encode(), monitor_addr).unwrap();
+            };
+            let mut held = 0;
+            let mut dropped_at = None;
+            let probed_after = loop {
+                let n = center.recv(&mut buf).unwrap();
+                let Ok((chunk, _)) = ChunkFrame::decode(&buf[..n]) else {
+                    continue;
+                };
+                match (chunk.seq == last, dropped_at) {
+                    (true, None) => dropped_at = Some(Instant::now()),
+                    (true, Some(at)) => break at.elapsed(),
+                    (false, _) => {
+                        held = held.max(chunk.seq + 1);
+                        ack(held);
+                    }
+                }
+            };
+            ack(last + 1);
+            (monitor.join().unwrap(), probed_after)
+        });
+        assert_eq!(end, MonitorEpochEnd::Delivered);
+        assert!(
+            probed_after < Duration::from_millis(3),
+            "the probe came {probed_after:?} after the tail was lost"
+        );
     }
 
     /// A monitor restarted mid-epoch re-ships the epoch from seq 0 to a

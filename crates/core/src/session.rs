@@ -42,12 +42,13 @@
 //!   starting over — a sender keeps its epoch's chunks until the epoch
 //!   ends precisely so post-restart retransmit requests succeed.
 //! * [`EpochCollector::answer`] is the receiver's whole reply to a batch
-//!   of arrivals: an ack for each chunk accepted or duplicated, `Advance`
-//!   for a late one, then gap NACKs and timer NACKs, as DCSN
-//!   [`ControlFrame`]s.
+//!   of arrivals: one cumulative ack for each router the batch brought a
+//!   chunk from, `Advance` for a late chunk, then gap NACKs and timer
+//!   NACKs, as DCSN [`ControlFrame`]s.
 //! * [`SendSession`] is the sender: a window of [`SEND_WINDOW`] chunks
-//!   ahead of the cumulative ack, NACK answers, tail probes on silent
-//!   steps, a resend timer with capped doubling, and a give-up horizon.
+//!   ahead of the cumulative ack, NACK answers, a tail probe timed by the
+//!   measured round trip, a resend timer with capped doubling, and a
+//!   give-up horizon.
 //!
 //! Time is a caller-supplied virtual tick (`u64`): the state machine
 //! never reads a wall clock, so every test and simulation is exactly
@@ -60,7 +61,7 @@ use crate::transport::{ChunkFrame, MAX_CHUNKS, MAX_CHUNK_PAYLOAD};
 use bytes::BufMut;
 use dcs_collect::frame::{seal, FrameError, Reader};
 use dcs_hash::Fnv1a;
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, BTreeSet};
 use std::fmt;
 
 /// Retransmit/backoff parameters of one router session.
@@ -776,28 +777,31 @@ impl EpochCollector {
 
     /// Everything the receiving end of a hop decides about one batch of
     /// frames that arrived by tick `now`, as the control frames to send
-    /// back. Each chunk is offered ([`Self::offer`]): an accepted one is
-    /// acked with its session's cumulative ack, a duplicate re-acked (the
-    /// first ack may have been lost), and a late one answered with
-    /// `Advance` to the epoch collected now, since its sender is still
-    /// pushing an older epoch. Control frames in the batch (a sender's
-    /// `Hello`) are skipped. Then come the gap NACKs the batch calls for
-    /// ([`Self::gap_requests`]), and then the due retransmit timers
-    /// ([`Self::poll`]), the backstop for silent senders and lost tails;
-    /// every NACK is clipped to [`MAX_NACK_SEQS`] seqs.
+    /// back. Each chunk is offered ([`Self::offer`]). Every router with a
+    /// chunk accepted or duplicated in the batch gets one ack, in
+    /// router-id order, carrying its session's cumulative ack after the
+    /// whole batch: a duplicate-only batch still draws the re-ack its
+    /// sender may be missing, and a sender reads only the largest ack, so
+    /// one a batch says all that one a chunk would. A late chunk is
+    /// answered with `Advance` to the epoch collected now, since its
+    /// sender is still pushing an older epoch. Control frames in the
+    /// batch (a sender's `Hello`) are skipped. Then come the gap NACKs
+    /// the batch calls for ([`Self::gap_requests`]), and then the due
+    /// retransmit timers ([`Self::poll`]), the backstop for silent
+    /// senders and lost tails; every NACK is clipped to
+    /// [`MAX_NACK_SEQS`] seqs.
     pub fn answer(&mut self, frames: &[Vec<u8>], now: u64) -> Vec<ControlFrame> {
         let marks = self.high_marks();
-        let mut answers = Vec::new();
+        let mut heard = BTreeSet::new();
+        let mut advances = Vec::new();
         for frame in frames.iter().filter(|f| !f.starts_with(&CONTROL_MAGIC)) {
             match self.offer(frame, now) {
                 ChunkDisposition::Accepted { router_id, .. }
-                | ChunkDisposition::Duplicate { router_id } => answers.push(ControlFrame::Ack {
-                    router_id,
-                    epoch_id: self.epoch_id,
-                    cumulative_ack: self.sessions[&router_id].cumulative_ack(),
-                }),
+                | ChunkDisposition::Duplicate { router_id } => {
+                    heard.insert(router_id);
+                }
                 ChunkDisposition::Late => {
-                    answers.extend(ChunkFrame::salvage_header(frame).map(|(router_id, _, _)| {
+                    advances.extend(ChunkFrame::salvage_header(frame).map(|(router_id, _, _)| {
                         ControlFrame::Advance {
                             router_id,
                             epoch_id: self.epoch_id,
@@ -809,6 +813,12 @@ impl EpochCollector {
                 | ChunkDisposition::Inconsistent { .. } => {}
             }
         }
+        let acks = heard.into_iter().map(|router_id| ControlFrame::Ack {
+            router_id,
+            epoch_id: self.epoch_id,
+            cumulative_ack: self.sessions[&router_id].cumulative_ack(),
+        });
+        let mut answers: Vec<ControlFrame> = acks.chain(advances).collect();
         let gaps = self.gap_requests(&marks, MAX_NACK_SEQS);
         answers.extend(gaps.into_iter().chain(self.poll(now)).map(nack));
         answers
@@ -1233,16 +1243,24 @@ pub enum SendStep {
 /// epoch of `chunks` chunk frames. It holds no frame and does no IO. The
 /// receiver's control frames go in through [`Self::take`] and the clock
 /// through [`Self::step`]; out come the seqs of the chunks to put on the
-/// wire, which the caller sends from its own `chunks[seq]`.
+/// wire, which the caller sends from its own `chunks[seq]`. The caller
+/// waits for the next control frame no later than [`Self::next_deadline`].
 ///
 /// * A chunk goes out for the first time only while its seq is below the
 ///   cumulative ack plus [`SEND_WINDOW`]. The window opens at the ack:
 ///   a chunk the ack already covers is never sent again.
 /// * A `NackSeqs` is answered for the seqs already sent, a `NackAll` with
 ///   the sent prefix.
-/// * A silent step (one after which no control frame came) re-sends the
-///   chunk at the cumulative ack as a tail probe, which recovers a lost
-///   tail or a lost ack in one round trip.
+/// * Every advancing ack whose newly acked seqs each went out once gives
+///   a round-trip sample, from the send of the last of them (Karn's rule
+///   skips an ack that covers a re-sent seq: it cannot say which copy it
+///   answers). The samples feed RFC 6298's smoothed RTT and variation.
+/// * Once a probe timeout, PTO = SRTT + 4·RTTVAR and at least one tick,
+///   has passed since the last send or ack progress, the chunk at the
+///   cumulative ack is re-sent as a tail probe (RFC 8985's TLP). It
+///   recovers a lost tail or a lost ack in about one round trip. Before
+///   the first sample nothing times a probe, and the resend timer covers
+///   the tail.
 /// * The resend timer restarts whenever an ack advances or a NACK is
 ///   answered. When it fires, after `resend_after` ticks without either
 ///   and doubling up to `max_backoff`, every chunk sent past the
@@ -1260,13 +1278,54 @@ pub struct SendSession {
     acked: usize,
     /// `chunks[..sent]` have gone out at least once.
     sent: usize,
+    /// The tick each seq went out, while it has gone out exactly once;
+    /// `None` for a seq not sent yet or sent again.
+    sent_at: Vec<Option<u64>>,
+    /// The round-trip estimate, once an ack gave a sample.
+    rtt: Option<RttEstimate>,
     backoff: u64,
     last_progress: u64,
+    /// The last tick a chunk went out or the ack advanced: the probe
+    /// timeout counts from it.
+    last_activity: u64,
     next_resend: u64,
     /// A NACK was answered since the last step.
     answered: bool,
     /// Set by `Advance` or `Shutdown`.
     end: Option<MonitorEpochEnd>,
+}
+
+/// RFC 6298's smoothed round-trip time and its variation, in integer
+/// ticks scaled as TCP keeps them so that short round trips do not
+/// round away: `srtt8` is 8·SRTT and `rttvar4` is 4·RTTVAR.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+struct RttEstimate {
+    srtt8: u64,
+    rttvar4: u64,
+}
+
+impl RttEstimate {
+    /// The estimate after the first sample `r`: SRTT = r, RTTVAR = r/2.
+    fn first(r: u64) -> Self {
+        RttEstimate {
+            srtt8: r.saturating_mul(8),
+            rttvar4: r.saturating_mul(2),
+        }
+    }
+
+    /// Folds in sample `r`: RTTVAR ← ¾·RTTVAR + ¼·|SRTT − r|, then
+    /// SRTT ← ⅞·SRTT + ⅛·r.
+    fn update(&mut self, r: u64) {
+        let err = self.srtt8.abs_diff(r.saturating_mul(8)) / 8;
+        self.rttvar4 = (self.rttvar4 - self.rttvar4 / 4).saturating_add(err);
+        self.srtt8 = (self.srtt8 - self.srtt8 / 8).saturating_add(r);
+    }
+
+    /// The probe timeout: SRTT + 4·RTTVAR, rounded up to whole ticks, at
+    /// least one.
+    fn pto(&self) -> u64 {
+        self.srtt8.div_ceil(8).saturating_add(self.rttvar4).max(1)
+    }
 }
 
 impl SendSession {
@@ -1279,8 +1338,11 @@ impl SendSession {
             chunks,
             acked: 0,
             sent: 0,
+            sent_at: vec![None; chunks],
+            rtt: None,
             backoff,
             last_progress: now,
+            last_activity: now,
             next_resend: now.saturating_add(backoff),
             answered: false,
             end: None,
@@ -1298,32 +1360,36 @@ impl SendSession {
         }
         let ours =
             |router_id, epoch_id| router_id == self.cfg.router_id && epoch_id == self.cfg.epoch_id;
+        let before = seqs.len();
         match control {
             &ControlFrame::Ack {
                 router_id,
                 epoch_id,
                 cumulative_ack,
             } if ours(router_id, epoch_id) && cumulative_ack as usize > self.acked => {
-                self.acked = cumulative_ack as usize;
+                let acked = cumulative_ack as usize;
+                if let Some(sample) = self.rtt_sample(acked, now) {
+                    match &mut self.rtt {
+                        Some(rtt) => rtt.update(sample),
+                        None => self.rtt = Some(RttEstimate::first(sample)),
+                    }
+                }
+                self.acked = acked;
                 self.last_progress = now;
+                self.last_activity = now;
                 self.backoff = self.cfg.resend_after.max(1);
                 self.next_resend = now.saturating_add(self.backoff);
             }
             &ControlFrame::NackAll {
                 router_id,
                 epoch_id,
-            } if ours(router_id, epoch_id) => {
-                seqs.extend(0..self.sent as u32);
-                self.answered |= self.sent > 0;
-            }
+            } if ours(router_id, epoch_id) => seqs.extend(0..self.sent as u32),
             ControlFrame::NackSeqs {
                 router_id,
                 epoch_id,
                 seqs: missing,
             } if ours(*router_id, *epoch_id) => {
-                let before = seqs.len();
                 seqs.extend(missing.iter().filter(|&&seq| (seq as usize) < self.sent));
-                self.answered |= seqs.len() > before;
             }
             &ControlFrame::Advance { epoch_id, .. } if epoch_id > self.cfg.epoch_id => {
                 self.end = Some(MonitorEpochEnd::Delivered);
@@ -1331,15 +1397,39 @@ impl SendSession {
             ControlFrame::Shutdown { .. } => self.end = Some(MonitorEpochEnd::Shutdown),
             _ => {}
         }
+        if seqs.len() > before {
+            for &seq in &seqs[before..] {
+                self.sent_at[seq as usize] = None;
+            }
+            self.answered = true;
+            self.last_activity = now;
+        }
+    }
+
+    /// The round trip an ack advancing to `acked` at `now` measures: the
+    /// ticks since the last newly acked seq went out, or `None` when a
+    /// newly acked seq went out more than once or never.
+    fn rtt_sample(&self, acked: usize, now: u64) -> Option<u64> {
+        let newly = self.sent_at.get(self.acked..acked)?;
+        if newly.contains(&None) {
+            return None;
+        }
+        let at = (*newly.last()?)?;
+        Some(now.saturating_sub(at))
+    }
+
+    /// The tick the tail probe is due, once there is a round-trip estimate.
+    fn probe_at(&self) -> Option<u64> {
+        self.rtt
+            .map(|rtt| self.last_activity.saturating_add(rtt.pto()))
     }
 
     /// One step of the sender at tick `now`, after the control frames
-    /// that came since the last step were taken. `silent` says none came
-    /// although the sender waited for them. Appends the seqs to put on
-    /// the wire to `seqs`: the window's new chunks, then either a resend
-    /// burst (the timer fired) or a tail probe (a silent step), unless a
-    /// NACK was answered.
-    pub fn step(&mut self, silent: bool, now: u64, seqs: &mut Vec<u32>) -> SendStep {
+    /// that came since the last step were taken. Appends the seqs to put
+    /// on the wire to `seqs`: the window's new chunks, then either a
+    /// resend burst (the timer fired) or a tail probe (the probe timeout
+    /// passed), unless a NACK was answered.
+    pub fn step(&mut self, now: u64, seqs: &mut Vec<u32>) -> SendStep {
         if let Some(end) = self.end {
             return SendStep::End(end);
         }
@@ -1351,22 +1441,42 @@ impl SendSession {
         }
         let window_end = (self.acked + SEND_WINDOW).min(self.chunks);
         if self.sent < window_end {
-            seqs.extend(self.sent.max(self.acked) as u32..window_end as u32);
+            let first = self.sent.max(self.acked);
+            self.sent_at[first..window_end].fill(Some(now));
+            seqs.extend(first as u32..window_end as u32);
             self.sent = window_end;
+            self.last_activity = now;
         }
         let timer = now >= self.next_resend;
         let answered = std::mem::take(&mut self.answered);
         let resend_burst = timer && !answered;
-        if resend_burst {
-            seqs.extend(self.acked as u32..self.sent as u32);
+        let again = if resend_burst {
             self.backoff = (self.backoff.saturating_mul(2)).min(self.cfg.max_backoff.max(1));
-        } else if silent && !answered {
-            seqs.push(self.acked as u32);
+            self.acked..self.sent
+        } else if !answered && self.probe_at().is_some_and(|at| now >= at) {
+            self.acked..self.acked + 1
+        } else {
+            0..0
+        };
+        if !again.is_empty() {
+            self.sent_at[again.clone()].fill(None);
+            self.last_activity = now;
+            seqs.extend(again.start as u32..again.end as u32);
         }
         if answered || timer {
             self.next_resend = now.saturating_add(self.backoff);
         }
         SendStep::Send { resend_burst }
+    }
+
+    /// The earliest tick at which [`Self::step`] would act without a new
+    /// control frame: the tail probe, the resend timer or give-up. A
+    /// caller steps again by then, or as soon as a control frame comes.
+    pub fn next_deadline(&self) -> u64 {
+        let give_up = self.last_progress.saturating_add(self.cfg.give_up);
+        let deadline = self.next_resend.min(give_up);
+        self.probe_at()
+            .map_or(deadline, |probe| deadline.min(probe))
     }
 }
 
@@ -2013,14 +2123,13 @@ mod tests {
     fn step(
         s: &mut SendSession,
         controls: &[ControlFrame],
-        silent: bool,
         now: u64,
     ) -> Result<Vec<u32>, MonitorEpochEnd> {
         let mut seqs = Vec::new();
         for control in controls {
             s.take(control, now, &mut seqs);
         }
-        match s.step(silent, now, &mut seqs) {
+        match s.step(now, &mut seqs) {
             SendStep::Send { .. } => Ok(seqs),
             SendStep::End(end) => Err(end),
         }
@@ -2033,20 +2142,20 @@ mod tests {
     #[test]
     fn the_window_bounds_what_is_sent_ahead_of_the_ack() {
         let mut s = sender(3 * SEND_WINDOW);
-        assert_eq!(step(&mut s, &[], false, 0), Ok(seqs(0..SEND_WINDOW)));
+        assert_eq!(step(&mut s, &[], 0), Ok(seqs(0..SEND_WINDOW)));
         // Acks inside the window open it by as much as they advance.
         assert_eq!(
-            step(&mut s, &[ack(5)], false, 1),
+            step(&mut s, &[ack(5)], 1),
             Ok(seqs(SEND_WINDOW..SEND_WINDOW + 5))
         );
-        assert_eq!(step(&mut s, &[ack(5)], false, 2), Ok(vec![]));
+        assert_eq!(step(&mut s, &[ack(5)], 2), Ok(vec![]));
         // An ack at the window's end opens a whole new window.
         let sent = SEND_WINDOW + 5;
-        let window = step(&mut s, &[ack(sent as u32)], false, 3);
+        let window = step(&mut s, &[ack(sent as u32)], 3);
         assert_eq!(window, Ok(seqs(sent..sent + SEND_WINDOW)));
         let end = 3 * SEND_WINDOW;
         assert_eq!(
-            step(&mut s, &[ack(end as u32)], false, 4),
+            step(&mut s, &[ack(end as u32)], 4),
             Err(MonitorEpochEnd::Delivered)
         );
     }
@@ -2054,11 +2163,11 @@ mod tests {
     #[test]
     fn an_ack_past_what_was_sent_opens_the_window_at_the_ack() {
         let mut s = sender(4 * SEND_WINDOW);
-        assert_eq!(step(&mut s, &[], false, 0), Ok(seqs(0..SEND_WINDOW)));
+        assert_eq!(step(&mut s, &[], 0), Ok(seqs(0..SEND_WINDOW)));
         // A restarted sender meets a receiver that already holds more
         // than one window: nothing below its ack goes out again.
         let held = 2 * SEND_WINDOW + 7;
-        let sent = step(&mut s, &[ack(held as u32)], false, 1);
+        let sent = step(&mut s, &[ack(held as u32)], 1);
         assert_eq!(sent, Ok(seqs(held..held + SEND_WINDOW)));
     }
 
@@ -2071,49 +2180,158 @@ mod tests {
             epoch_id: 0,
         };
         assert_eq!(
-            step(&mut s, &[all.clone(), nack(&[0, 3])], false, 0),
+            step(&mut s, &[all.clone(), nack(&[0, 3])], 0),
             Ok(seqs(0..SEND_WINDOW))
         );
         // Seq 70 lies past the window, u32::MAX past the bundle.
-        let answered = step(&mut s, &[nack(&[3, 70, 1, u32::MAX])], false, 1);
+        let answered = step(&mut s, &[nack(&[3, 70, 1, u32::MAX])], 1);
         assert_eq!(answered, Ok(vec![3, 1]));
         // NackAll re-sends the sent prefix, not the unsent tail.
-        assert_eq!(step(&mut s, &[all], false, 2), Ok(seqs(0..SEND_WINDOW)));
+        assert_eq!(step(&mut s, &[all], 2), Ok(seqs(0..SEND_WINDOW)));
+    }
+
+    /// A sender of `chunks` chunks at tick 0 whose resend timer (100
+    /// ticks) and give-up (1,000) stay out of the way of its probes.
+    fn patient_sender(chunks: usize) -> SendSession {
+        let cfg = MonitorEpochConfig {
+            router_id: ROUTER,
+            epoch_id: 0,
+            resend_after: 100,
+            max_backoff: 100,
+            give_up: 1_000,
+        };
+        SendSession::new(&cfg, chunks, 0)
     }
 
     #[test]
-    fn a_silent_step_probes_the_chunk_at_the_ack() {
-        let mut s = sender(10);
-        assert_eq!(step(&mut s, &[], false, 0), Ok(seqs(0..10)));
-        assert_eq!(step(&mut s, &[], true, 1), Ok(vec![0]));
-        assert_eq!(step(&mut s, &[ack(6)], false, 2), Ok(vec![]));
-        assert_eq!(step(&mut s, &[], true, 3), Ok(vec![6]));
-        // A step that heard only a NACK answers it and sends no probe.
-        assert_eq!(step(&mut s, &[nack(&[8])], false, 3), Ok(vec![8]));
+    fn the_tail_probe_fires_a_pto_after_the_last_activity_and_not_before() {
+        let mut s = patient_sender(10);
+        assert_eq!(step(&mut s, &[], 0), Ok(seqs(0..10)));
+        // An ack two ticks after the send: SRTT 2, RTTVAR 1, so the PTO
+        // is 2 + 4·1 = 6 ticks from the ack.
+        assert_eq!(step(&mut s, &[ack(6)], 2), Ok(vec![]));
+        assert_eq!(step(&mut s, &[], 7), Ok(vec![]));
+        assert_eq!(step(&mut s, &[], 8), Ok(vec![6]));
+        // The probe is a send: the next one is a PTO after it.
+        assert_eq!(step(&mut s, &[], 13), Ok(vec![]));
+        assert_eq!(step(&mut s, &[], 14), Ok(vec![6]));
+        // A step that answers a NACK sends no probe, and the next probe
+        // counts from that answer.
+        assert_eq!(step(&mut s, &[nack(&[8])], 20), Ok(vec![8]));
+        assert_eq!(step(&mut s, &[], 25), Ok(vec![]));
+        assert_eq!(step(&mut s, &[], 26), Ok(vec![6]));
+    }
+
+    /// RFC 6298's update in TCP's scaled integers: a steady round trip
+    /// shrinks the variation until the integer division stops it, and a
+    /// jump widens it at once.
+    #[test]
+    fn the_rtt_estimate_follows_rfc_6298() {
+        let mut rtt = RttEstimate::first(2);
+        assert_eq!(rtt.pto(), 2 + 4);
+        let mut ptos = Vec::new();
+        for r in [2, 2, 10, 10] {
+            rtt.update(r);
+            ptos.push(rtt.pto());
+        }
+        assert_eq!(ptos, [5, 5, 3 + 11, 4 + 16]);
+        assert_eq!(RttEstimate::first(0).pto(), 1);
+        rtt.update(u64::MAX);
+        assert!(rtt.pto() > 1 << 60, "a huge sample saturates");
+    }
+
+    #[test]
+    fn the_probe_timeout_is_at_least_one_tick() {
+        let mut s = patient_sender(10);
+        assert_eq!(step(&mut s, &[], 0), Ok(seqs(0..10)));
+        // An ack in the tick of the send measures a zero round trip.
+        assert_eq!(step(&mut s, &[ack(3)], 0), Ok(vec![]));
+        assert_eq!(s.next_deadline(), 1);
+        assert_eq!(step(&mut s, &[], 1), Ok(vec![3]));
+        assert_eq!(step(&mut s, &[], 2), Ok(vec![3]));
+    }
+
+    #[test]
+    fn an_ack_over_a_re_sent_seq_gives_no_rtt_sample() {
+        let mut s = patient_sender(10);
+        assert_eq!(step(&mut s, &[], 0), Ok(seqs(0..10)));
+        assert_eq!(step(&mut s, &[nack(&[2])], 1), Ok(vec![2]));
+        // The ack covers seq 2, which went out twice: no sample, so no
+        // probe is timed and only the resend timer, restarted by the
+        // ack, is pending.
+        assert_eq!(step(&mut s, &[ack(5)], 9), Ok(vec![]));
+        assert_eq!(s.next_deadline(), 9 + 100);
+        assert_eq!(step(&mut s, &[], 50), Ok(vec![]));
+        // An ack over seqs that went out once samples from the last of
+        // them: 10 ticks, so the PTO is 10 + 4·5 = 30 from the ack.
+        assert_eq!(step(&mut s, &[ack(6)], 10), Ok(vec![]));
+        assert_eq!(s.next_deadline(), 10 + 30);
+        // A probe is a re-send too: the ack it draws gives no sample,
+        // and the estimate stays as it was.
+        assert_eq!(step(&mut s, &[], 40), Ok(vec![6]));
+        assert_eq!(step(&mut s, &[ack(7)], 45), Ok(vec![]));
+        assert_eq!(s.next_deadline(), 45 + 30);
+        // An ack past what was sent samples nothing either.
+        let mut s = patient_sender(2 * SEND_WINDOW);
+        assert_eq!(step(&mut s, &[], 0), Ok(seqs(0..SEND_WINDOW)));
+        let past = SEND_WINDOW + 3;
+        let window = step(&mut s, &[ack(past as u32)], 5);
+        assert_eq!(window, Ok(seqs(past..2 * SEND_WINDOW)));
+        assert_eq!(s.next_deadline(), 5 + 100);
+    }
+
+    #[test]
+    fn next_deadline_is_the_earliest_of_probe_resend_and_give_up() {
+        let cfg = |resend_after, give_up| MonitorEpochConfig {
+            router_id: ROUTER,
+            epoch_id: 0,
+            resend_after,
+            max_backoff: resend_after,
+            give_up,
+        };
+        // No round-trip sample yet: the resend timer or give-up.
+        let mut s = SendSession::new(&cfg(4, 100), 10, 0);
+        assert_eq!(step(&mut s, &[], 0), Ok(seqs(0..10)));
+        assert_eq!(s.next_deadline(), 4);
+        let mut s = SendSession::new(&cfg(50, 20), 10, 0);
+        assert_eq!(step(&mut s, &[], 0), Ok(seqs(0..10)));
+        assert_eq!(s.next_deadline(), 20);
+        // An ack one tick after the send: the PTO is 1 + 4·½ = 3 ticks,
+        // ahead of the timer (1 + 50) and give-up (1 + 100).
+        let mut s = SendSession::new(&cfg(50, 100), 10, 0);
+        assert_eq!(step(&mut s, &[], 0), Ok(seqs(0..10)));
+        assert_eq!(step(&mut s, &[ack(1)], 1), Ok(vec![]));
+        assert_eq!(s.next_deadline(), 1 + 3);
+        // Each deadline is the tick its step acts.
+        assert_eq!(step(&mut s, &[], 3), Ok(vec![]));
+        assert_eq!(step(&mut s, &[], 4), Ok(vec![1]));
     }
 
     #[test]
     fn the_resend_timer_restarts_on_progress_and_doubles_to_its_cap() {
         let mut s = sender(10);
-        assert_eq!(step(&mut s, &[], false, 0), Ok(seqs(0..10)));
-        // An ack at tick 3 moves the timer from tick 4 to tick 7.
-        assert_eq!(step(&mut s, &[ack(2)], false, 3), Ok(vec![]));
-        assert_eq!(step(&mut s, &[], false, 6), Ok(vec![]));
+        assert_eq!(step(&mut s, &[], 0), Ok(seqs(0..10)));
+        // Re-sent seqs keep the acks below from timing a probe (Karn's
+        // rule), so only the timer acts here. The answered NACK moves it
+        // from tick 4 to 5, and an ack at tick 3 to tick 7.
+        assert_eq!(step(&mut s, &[nack(&[0, 1])], 1), Ok(vec![0, 1]));
+        assert_eq!(step(&mut s, &[ack(2)], 3), Ok(vec![]));
+        assert_eq!(step(&mut s, &[], 6), Ok(vec![]));
         // It fires at 7 and re-pushes everything sent past the ack; then
         // it waits 8, 16 and 16 ticks.
-        assert_eq!(step(&mut s, &[], false, 7), Ok(seqs(2..10)));
+        assert_eq!(step(&mut s, &[], 7), Ok(seqs(2..10)));
         for (quiet, fires) in [(14, 15), (30, 31), (46, 47)] {
-            assert_eq!(step(&mut s, &[], false, quiet), Ok(vec![]));
-            assert_eq!(step(&mut s, &[], false, fires), Ok(seqs(2..10)));
+            assert_eq!(step(&mut s, &[], quiet), Ok(vec![]));
+            assert_eq!(step(&mut s, &[], fires), Ok(seqs(2..10)));
         }
         // An answered NACK restarts it at the current backoff, without
         // a burst.
-        assert_eq!(step(&mut s, &[nack(&[5])], false, 50), Ok(vec![5]));
-        assert_eq!(step(&mut s, &[], false, 65), Ok(vec![]));
-        assert_eq!(step(&mut s, &[], false, 66), Ok(seqs(2..10)));
+        assert_eq!(step(&mut s, &[nack(&[5])], 50), Ok(vec![5]));
+        assert_eq!(step(&mut s, &[], 65), Ok(vec![]));
+        assert_eq!(step(&mut s, &[], 66), Ok(seqs(2..10)));
         // An advancing ack resets the backoff to `resend_after`.
-        assert_eq!(step(&mut s, &[ack(4)], false, 70), Ok(vec![]));
-        assert_eq!(step(&mut s, &[], false, 74), Ok(seqs(4..10)));
+        assert_eq!(step(&mut s, &[ack(4)], 70), Ok(vec![]));
+        assert_eq!(step(&mut s, &[], 74), Ok(seqs(4..10)));
     }
 
     #[test]
@@ -2121,35 +2339,29 @@ mod tests {
         let mut s = sender(3);
         let mut seqs = Vec::new();
         assert_eq!(
-            s.step(false, 0, &mut seqs),
+            s.step(0, &mut seqs),
             SendStep::Send {
                 resend_burst: false
             }
         );
-        assert_eq!(
-            s.step(false, 4, &mut seqs),
-            SendStep::Send { resend_burst: true }
-        );
+        assert_eq!(s.step(4, &mut seqs), SendStep::Send { resend_burst: true });
         assert_eq!(seqs, [0, 1, 2, 0, 1, 2]);
     }
 
     #[test]
     fn give_up_counts_from_the_last_progress() {
         let mut s = sender(10);
-        assert!(step(&mut s, &[], false, 0).is_ok());
-        assert!(step(&mut s, &[ack(1)], false, 60).is_ok());
+        assert!(step(&mut s, &[], 0).is_ok());
+        assert!(step(&mut s, &[ack(1)], 60).is_ok());
         // A duplicate ack or a NACK is not progress.
-        assert!(step(&mut s, &[ack(1), nack(&[2])], false, 159).is_ok());
-        assert_eq!(
-            step(&mut s, &[], false, 160),
-            Err(MonitorEpochEnd::TimedOut)
-        );
+        assert!(step(&mut s, &[ack(1), nack(&[2])], 159).is_ok());
+        assert_eq!(step(&mut s, &[], 160), Err(MonitorEpochEnd::TimedOut));
     }
 
     #[test]
     fn advance_and_shutdown_end_the_epoch_and_strays_are_ignored() {
         let mut s = sender(10);
-        assert!(step(&mut s, &[], false, 0).is_ok());
+        assert!(step(&mut s, &[], 0).is_ok());
         let strays = [
             ControlFrame::Ack {
                 router_id: ROUTER + 1,
@@ -2176,20 +2388,25 @@ mod tests {
             },
             ControlFrame::Hello { router_id: ROUTER },
         ];
-        assert_eq!(step(&mut s, &strays, false, 1), Ok(vec![]));
+        assert_eq!(step(&mut s, &strays, 1), Ok(vec![]));
         let advance = ControlFrame::Advance {
             router_id: ROUTER,
             epoch_id: 1,
         };
         // Nothing a NACK asked for goes out once the epoch has ended.
-        let ended = step(&mut s, &[advance, nack(&[0])], false, 2);
+        let ended = step(&mut s, &[advance, nack(&[0])], 2);
         assert_eq!(ended, Err(MonitorEpochEnd::Delivered));
         let mut s = sender(10);
         let shutdown = ControlFrame::Shutdown { router_id: ROUTER };
-        assert_eq!(
-            step(&mut s, &[shutdown], false, 0),
-            Err(MonitorEpochEnd::Shutdown)
-        );
+        assert_eq!(step(&mut s, &[shutdown], 0), Err(MonitorEpochEnd::Shutdown));
+    }
+
+    fn router_ack(router_id: u64, epoch_id: u64, cumulative_ack: u32) -> ControlFrame {
+        ControlFrame::Ack {
+            router_id,
+            epoch_id,
+            cumulative_ack,
+        }
     }
 
     #[test]
@@ -2200,21 +2417,36 @@ mod tests {
         let hello = ControlFrame::Hello { router_id: 4 }.encode();
         let batch = [
             hello,
-            chunks[0].clone(),
-            chunks[0].clone(),
             stale[2].clone(),
+            chunks[0].clone(),
+            chunks[0].clone(),
         ];
-        let ack = |cumulative_ack| ControlFrame::Ack {
-            router_id: 4,
-            epoch_id: 1,
-            cumulative_ack,
-        };
         let advance = ControlFrame::Advance {
             router_id: 4,
             epoch_id: 1,
         };
-        assert_eq!(coll.answer(&batch, 0), [ack(1), ack(1), advance]);
+        // The ack comes first, then the late chunk's Advance.
+        assert_eq!(coll.answer(&batch, 0), [router_ack(4, 1, 1), advance]);
         assert_eq!(coll.stats().corrupt_chunks, 0, "a Hello is no chunk");
+        // A batch of duplicates alone still draws the re-ack.
+        let again = [chunks[0].clone()];
+        assert_eq!(coll.answer(&again, 1), [router_ack(4, 1, 1)]);
+    }
+
+    #[test]
+    fn a_batch_draws_one_ack_per_router_with_its_final_cumulative_ack() {
+        let mut coll = EpochCollector::new(0, [4, 5], cfg(), 1, 0);
+        let four = chunk_bundle(4, 0, &bundle_bytes(4, 1000), 128);
+        let five = chunk_bundle(5, 0, &bundle_bytes(5, 1000), 128);
+        // Five chunks of router 4, one reordered and one twice: one ack,
+        // carrying the cumulative ack after the whole batch.
+        let batch: Vec<Vec<u8>> = [1, 0, 2, 2, 3].map(|seq| four[seq].clone()).into();
+        assert_eq!(coll.answer(&batch, 0), [router_ack(4, 0, 4)]);
+        // Two routers interleaved in one batch: one ack each, in
+        // router-id order.
+        let batch = [five[0].clone(), four[4].clone(), five[1].clone()];
+        let acks = [router_ack(4, 0, 5), router_ack(5, 0, 2)];
+        assert_eq!(coll.answer(&batch, 1), acks);
     }
 
     #[test]
@@ -2224,7 +2456,6 @@ mod tests {
         // Both timers fire at tick 4: router 5 is silent, and router 4
         // still misses seqs 1 and 3. The same batch overtakes its seq 1.
         let batch = [chunks[0].clone(), chunks[2].clone()];
-        let answers = coll.answer(&batch, 4);
         let gap = ControlFrame::NackSeqs {
             router_id: 4,
             epoch_id: 0,
@@ -2241,7 +2472,7 @@ mod tests {
                 epoch_id: 0,
             },
         ];
-        assert_eq!(answers[2], gap);
-        assert_eq!(answers[3..], timers);
+        let want = [[router_ack(4, 0, 1), gap].as_slice(), &timers].concat();
+        assert_eq!(coll.answer(&batch, 4), want);
     }
 }

@@ -64,10 +64,6 @@ pub struct Sender<'a> {
     session: SendSession,
     /// Seqs to put on the wire at the next step.
     seqs: Vec<u32>,
-    /// A control frame reached the sender since its last step.
-    heard: bool,
-    /// The sender has stepped at least once.
-    started: bool,
 }
 
 impl<'a> Sender<'a> {
@@ -81,22 +77,16 @@ impl<'a> Sender<'a> {
             chunks,
             session: SendSession::new(cfg, chunks.len(), now),
             seqs: Vec::new(),
-            heard: false,
-            started: false,
         }
     }
 
     fn take(&mut self, control: &ControlFrame, now: u64) {
-        self.heard = true;
         self.session.take(control, now, &mut self.seqs);
     }
 
-    /// One step: a step with no control frame since the last one is
-    /// silent, as a socket sender's wait that ended with none is.
+    /// One step: the chunks the session names go on the channel.
     fn step(&mut self, channel: &mut LossyChannel, now: u64) {
-        let silent = self.started && !self.heard;
-        (self.started, self.heard) = (true, false);
-        if let SendStep::Send { .. } = self.session.step(silent, now, &mut self.seqs) {
+        if let SendStep::Send { .. } = self.session.step(now, &mut self.seqs) {
             for &seq in &self.seqs {
                 channel.send(&self.chunks[seq as usize], now);
             }
@@ -464,7 +454,7 @@ mod tests {
         );
         assert!(converged);
         assert_eq!(now, 3, "one window a tick");
-        // An ack came back every tick, so no step was silent: no probe.
+        // An ack came back every tick, so no probe timeout passed.
         let epoch = collector[0].finalize(now);
         assert_eq!(epoch.stats.chunks_received, 3 * SEND_WINDOW as u64);
         assert_eq!(epoch.stats.duplicate_chunks, 0);

@@ -23,6 +23,16 @@
 //! out as a socket sender does, and receivers gap-NACK, so each hop
 //! sends different frames through its seeded channel. A change to what a
 //! leaf ships (its traffic or its digest) moves both halves.
+//!
+//! The `delivery` halves were re-captured again, and every `outcomes`
+//! half held, when the sender's tail probe moved from "every step that
+//! heard nothing" to one probe timeout (SRTT + 4·RTTVAR from its acks,
+//! at least a tick) after its last send or ack progress, and receivers
+//! began to answer a batch with one ack a router. A sender now probes
+//! less often and later, and not at all before its first round-trip
+//! sample, so more tails wait for a timer: the flat pin soak went from
+//! 52 to 79 virtual ticks, its timer NACKs from 20 to 37, duplicate
+//! chunks from 560 to 553; the two-level one from 62 to 97 ticks.
 
 use dcs_core::report::TransportStats;
 use dcs_hash::Fnv1a;
@@ -96,21 +106,21 @@ fn attack_driver_replays_its_pinned_run() {
 
 const SOAK_PIN: Pin = Pin {
     outcomes: 0x27b6_7e1b_71b4_483f,
-    delivery: 0x78e0_2e37_0e5b_7010,
+    delivery: 0xd312_e1e5_3372_ef84,
 };
 const KILLED_SOAK_PIN: Pin = Pin {
     outcomes: 0x27b6_7e1b_71b4_483f,
-    delivery: 0x135b_d8b6_340f_e927,
+    delivery: 0x60b7_720e_3c4e_8cbf,
 };
 const TIERED_PIN: Pin = Pin {
     outcomes: 0xe170_698b_e4e3_3485,
-    delivery: 0x8dc1_eaf2_589f_f5e4,
+    delivery: 0x2b77_73e0_33cd_b7b0,
 };
 const DEEP_PIN: Pin = Pin {
     outcomes: 0xe170_698b_e4e3_3485,
-    delivery: 0x16ce_99f1_a5f7_676d,
+    delivery: 0xe171_7712_b3f0_602f,
 };
 const ATTACK_PIN: Pin = Pin {
     outcomes: 0x1252_11a9_fc40_527a,
-    delivery: 0x07a6_a211_a593_2b8b,
+    delivery: 0x8c86_58ee_85e1_ceac,
 };

@@ -31,6 +31,7 @@ use dcs_sim::hop::{drive_hop, Sender};
 use dcs_sim::soak::SoakConfig;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
+use std::io::Write;
 use std::net::SocketAddr;
 use std::time::Duration;
 
@@ -312,6 +313,15 @@ fn wire_soak_at_paper_scale_matches_the_in_memory_path() {
             );
         }
     }
+    // Written past the test harness's capture, which holds back
+    // `println!` of a passing test, so every run's log carries the trend
+    // of what the gates below bound.
+    let _ = writeln!(
+        std::io::stderr(),
+        "socket soak: {epochs} epochs, {chunks} unique chunks, {sent} monitor frames \
+         (send amplification {:.2}x), {center_sent} centre frames, {center_stalls} centre stalls",
+        sent as f64 / chunks as f64
+    );
     // ≥10% of the monitors' outgoing frames were impaired at the socket
     // boundary (the configured regime is 10% drop + 3/5/2% dup/reo/corr;
     // `sent` already excludes the dropped frames, so the ratio holds).

@@ -686,6 +686,7 @@ mod tests {
     use crate::clock::{ManualClock, TickClock};
     use crate::session::{CollectorConfig, SessionConfig, StragglerPolicy};
     use crate::transport::chunk_bundle;
+    use dcs_obs::MetricsSnapshot;
     use std::time::Duration;
 
     #[test]
@@ -803,8 +804,13 @@ mod tests {
 
     /// One epoch, one router, real sockets on localhost: the monitor
     /// ships a bundle through the shim to a centre bound on
-    /// `center_addr`, the centre reassembles it byte-identically.
-    fn socket_roundtrip_on(center_addr: &str, transport: Transport, impair: ImpairmentConfig) {
+    /// `center_addr`, the centre reassembles it byte-identically. Returns
+    /// the monitor's and the centre's metric snapshots.
+    fn socket_roundtrip_on(
+        center_addr: &str,
+        transport: Transport,
+        impair: ImpairmentConfig,
+    ) -> [MetricsSnapshot; 2] {
         let bundle: Vec<u8> = (0..40_000u32).map(|i| (i % 251) as u8).collect();
         let chunks = chunk_bundle(3, 0, &bundle, 1200);
         let metrics = MetricsRegistry::new();
@@ -854,10 +860,72 @@ mod tests {
                 .unwrap()
                 > 0
         );
+        [metrics.snapshot(), center_snapshot]
     }
 
-    fn socket_roundtrip(transport: Transport, impair: ImpairmentConfig) {
-        socket_roundtrip_on("127.0.0.1:0", transport, impair);
+    fn socket_roundtrip(transport: Transport, impair: ImpairmentConfig) -> [MetricsSnapshot; 2] {
+        socket_roundtrip_on("127.0.0.1:0", transport, impair)
+    }
+
+    /// Every key of a snapshot, counters, gauges and histograms, sorted.
+    fn keys(snapshot: &MetricsSnapshot) -> Vec<&str> {
+        let counters = snapshot.counters.iter().map(|e| e.key.as_str());
+        let gauges = snapshot.gauges.iter().map(|e| e.key.as_str());
+        let histograms = snapshot.histograms.iter().map(|e| e.key.as_str());
+        let mut keys: Vec<&str> = counters.chain(gauges).chain(histograms).collect();
+        keys.sort_unstable();
+        keys
+    }
+
+    /// The key sets both drivers leave in their registries (DESIGN §8):
+    /// every family a role can count is registered at zero when its
+    /// driver starts, and `socket_impaired_total` gains a `kind` with the
+    /// first impairment of that kind. The soak shim's first pass over
+    /// the Hello and the 34 chunks impairs every kind at seed 7, so the
+    /// impaired run's key set does not hang on how many resends it took.
+    #[test]
+    fn socket_drivers_register_a_fixed_key_set() {
+        const CENTER: [&str; 8] = [
+            "socket_frames_received_total{role=center}",
+            "socket_frames_sent_total{role=center}",
+            "socket_reassembly_backlog",
+            "socket_recv_errors_total{role=center}",
+            "socket_send_errors_total{role=center}",
+            "socket_send_queue_depth{role=center}",
+            "socket_send_stalls_total{role=center}",
+            "socket_unknown_peer_total",
+        ];
+        const MONITOR: [&str; 9] = [
+            "socket_control_corrupt_total{role=monitor}",
+            "socket_epochs_abandoned_total{role=monitor}",
+            "socket_frames_received_total{role=monitor}",
+            "socket_frames_sent_total{role=monitor}",
+            "socket_recv_errors_total{role=monitor}",
+            "socket_resend_bursts_total{role=monitor}",
+            "socket_send_errors_total{role=monitor}",
+            "socket_send_queue_depth{role=monitor}",
+            "socket_send_stalls_total{role=monitor}",
+        ];
+        const IMPAIRED: [&str; 4] = [
+            "socket_impaired_total{kind=corrupt}",
+            "socket_impaired_total{kind=drop}",
+            "socket_impaired_total{kind=duplicate}",
+            "socket_impaired_total{kind=reorder}",
+        ];
+        let first_pass = MetricsRegistry::new();
+        let mut shim = ImpairmentShim::new(ImpairmentConfig::soak(), 7);
+        for _ in 0..35 {
+            shim.outgoing(&[0; 8], &first_pass);
+        }
+        assert_eq!(keys(&first_pass.snapshot()), IMPAIRED);
+        let [monitor, center] = socket_roundtrip(Transport::Udp, ImpairmentConfig::perfect());
+        assert_eq!(keys(&center), CENTER);
+        assert_eq!(keys(&monitor), MONITOR);
+        let [monitor, center] = socket_roundtrip(Transport::Udp, ImpairmentConfig::soak());
+        assert_eq!(keys(&center), CENTER);
+        let mut want: Vec<&str> = MONITOR.iter().chain(&IMPAIRED).copied().collect();
+        want.sort_unstable();
+        assert_eq!(keys(&monitor), want);
     }
 
     #[test]

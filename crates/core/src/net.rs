@@ -25,8 +25,14 @@
 //!
 //! Every chunk frame travels in one datagram too: chunk payloads must
 //! stay datagram-safe ([`crate::transport::DATAGRAM_SAFE_PAYLOAD`]). The
-//! centre learns each router's address from the headers of the frames it
-//! receives, so a centre restart needs no reconfiguration.
+//! centre learns each router's address from the frames it receives, so a
+//! centre restart needs no reconfiguration; only a frame that verifies
+//! may move an address.
+//!
+//! Each driver resolves its `socket_*` instruments once per call (DESIGN
+//! §6.2, §8), so sending, receiving and impairing a datagram only add to
+//! atomics. The public [`CenterSocket`] and [`MonitorSocket`] methods
+//! take the registry and resolve them on every call.
 //!
 //! Graceful degradation is the design rule: every socket error becomes a
 //! metric and a typed outcome (a dropped frame, an exclusion, a
@@ -51,7 +57,8 @@
 use crate::clock::Clock;
 use crate::session::{CollectedEpoch, EpochCollector, SendSession, SendStep, MAX_DATAGRAM};
 use crate::transport::ChunkFrame;
-use dcs_obs::MetricsRegistry;
+use dcs_obs::{Counter, Gauge, MetricsRegistry};
+use std::cell::OnceCell;
 use std::collections::{BTreeMap, VecDeque};
 use std::io::ErrorKind;
 use std::net::{Ipv4Addr, Ipv6Addr, SocketAddr, ToSocketAddrs, UdpSocket};
@@ -159,11 +166,15 @@ impl ImpairmentShim {
     /// several, possibly corrupted). Each impairment increments
     /// `socket_impaired_total{kind}` in `metrics`.
     pub fn outgoing(&mut self, frame: &[u8], metrics: &MetricsRegistry) -> Vec<Vec<u8>> {
+        self.impair(frame, &ImpairedCounters::new(metrics))
+    }
+
+    /// [`ImpairmentShim::outgoing`], counting into handles the caller
+    /// holds.
+    fn impair(&mut self, frame: &[u8], counts: &ImpairedCounters) -> Vec<Vec<u8>> {
         let mut out = Vec::with_capacity(2);
         if self.chance(self.cfg.drop_per_mille) {
-            metrics
-                .counter("socket_impaired_total", &[("kind", "drop")])
-                .inc();
+            counts.inc(Impairment::Drop);
             // A drop still releases any held frame: the link stays live.
             out.extend(self.held.take());
             return out;
@@ -172,15 +183,11 @@ impl ImpairmentShim {
         if self.chance(self.cfg.corrupt_per_mille) && !frame.is_empty() {
             let bit = splitmix64(&mut self.state) as usize % (frame.len() * 8);
             frame[bit / 8] ^= 1 << (bit % 8);
-            metrics
-                .counter("socket_impaired_total", &[("kind", "corrupt")])
-                .inc();
+            counts.inc(Impairment::Corrupt);
         }
         let duplicate = self.chance(self.cfg.duplicate_per_mille);
         if self.chance(self.cfg.reorder_per_mille) {
-            metrics
-                .counter("socket_impaired_total", &[("kind", "reorder")])
-                .inc();
+            counts.inc(Impairment::Reorder);
             // Hold this frame back; release the previously held one (if
             // any) in its place.
             out.extend(self.held.replace(frame.clone()));
@@ -189,9 +196,7 @@ impl ImpairmentShim {
             out.extend(self.held.take());
         }
         if duplicate {
-            metrics
-                .counter("socket_impaired_total", &[("kind", "duplicate")])
-                .inc();
+            counts.inc(Impairment::Duplicate);
             out.push(frame);
         }
         out
@@ -201,6 +206,123 @@ impl ImpairmentShim {
     /// ends so nothing is withheld forever.
     pub fn flush(&mut self) -> Option<Vec<u8>> {
         self.held.take()
+    }
+}
+
+// ---------------------------------------------------------------------
+// Metric handles
+// ---------------------------------------------------------------------
+
+/// What the shim did to a frame: the `kind` of `socket_impaired_total`.
+#[derive(Clone, Copy)]
+enum Impairment {
+    Drop,
+    Corrupt,
+    Reorder,
+    Duplicate,
+}
+
+impl Impairment {
+    fn label(self) -> &'static str {
+        match self {
+            Impairment::Drop => "drop",
+            Impairment::Corrupt => "corrupt",
+            Impairment::Reorder => "reorder",
+            Impairment::Duplicate => "duplicate",
+        }
+    }
+}
+
+/// The `socket_impaired_total{kind}` handles of one registry, each
+/// resolved on the first impairment of its kind, so a kind the shim never
+/// applied stays out of the snapshot (DESIGN §8).
+struct ImpairedCounters<'a> {
+    registry: &'a MetricsRegistry,
+    kinds: [OnceCell<Counter>; 4],
+}
+
+impl<'a> ImpairedCounters<'a> {
+    fn new(registry: &'a MetricsRegistry) -> Self {
+        ImpairedCounters {
+            registry,
+            kinds: Default::default(),
+        }
+    }
+
+    fn inc(&self, kind: Impairment) {
+        let labels = [("kind", kind.label())];
+        self.kinds[kind as usize]
+            .get_or_init(|| self.registry.counter("socket_impaired_total", &labels))
+            .inc();
+    }
+}
+
+/// The instruments both ends count under their `role` label. Resolving
+/// them registers each family at zero, so a snapshot names every family a
+/// role can count before the first event, as the centre's registry does
+/// (DESIGN §8).
+struct SocketMetrics<'a> {
+    frames_sent: Counter,
+    frames_received: Counter,
+    send_stalls: Counter,
+    send_errors: Counter,
+    recv_errors: Counter,
+    queue_depth: Gauge,
+    impaired: ImpairedCounters<'a>,
+}
+
+impl<'a> SocketMetrics<'a> {
+    fn new(registry: &'a MetricsRegistry, role: &str) -> Self {
+        let role = [("role", role)];
+        SocketMetrics {
+            frames_sent: registry.counter("socket_frames_sent_total", &role),
+            frames_received: registry.counter("socket_frames_received_total", &role),
+            send_stalls: registry.counter("socket_send_stalls_total", &role),
+            send_errors: registry.counter("socket_send_errors_total", &role),
+            recv_errors: registry.counter("socket_recv_errors_total", &role),
+            queue_depth: registry.gauge("socket_send_queue_depth", &role),
+            impaired: ImpairedCounters::new(registry),
+        }
+    }
+}
+
+/// The centre's instruments, resolved once per [`run_center_epoch`] call
+/// (or per call of a public [`CenterSocket`] method), so the per-datagram
+/// path only adds to atomics.
+struct CenterMetrics<'a> {
+    io: SocketMetrics<'a>,
+    unknown_peer: Counter,
+    backlog: Gauge,
+}
+
+impl<'a> CenterMetrics<'a> {
+    fn new(registry: &'a MetricsRegistry) -> Self {
+        CenterMetrics {
+            io: SocketMetrics::new(registry, "center"),
+            unknown_peer: registry.counter("socket_unknown_peer_total", &[]),
+            backlog: registry.gauge("socket_reassembly_backlog", &[]),
+        }
+    }
+}
+
+/// A monitor's instruments, resolved once per [`run_monitor_epoch`] call
+/// (or per call of a public [`MonitorSocket`] method).
+struct MonitorMetrics<'a> {
+    io: SocketMetrics<'a>,
+    control_corrupt: Counter,
+    resend_bursts: Counter,
+    epochs_abandoned: Counter,
+}
+
+impl<'a> MonitorMetrics<'a> {
+    fn new(registry: &'a MetricsRegistry) -> Self {
+        let role = [("role", "monitor")];
+        MonitorMetrics {
+            io: SocketMetrics::new(registry, "monitor"),
+            control_corrupt: registry.counter("socket_control_corrupt_total", &role),
+            resend_bursts: registry.counter("socket_resend_bursts_total", &role),
+            epochs_abandoned: registry.counter("socket_epochs_abandoned_total", &role),
+        }
     }
 }
 
@@ -218,13 +340,22 @@ pub enum Transport {
     Udp,
 }
 
-/// Extracts the routing identity of a received frame: DCSC chunk headers
-/// and DCSN control frames both carry the router id up front.
-fn frame_router_id(frame: &[u8]) -> Option<u64> {
+/// The router whose address `src` a received frame may teach the centre:
+/// the id of a DCSN control frame that decodes, or of a DCSC chunk whose
+/// CRC checks. A chunk from the address `peers` already holds for its
+/// router would move nothing and is not decoded. A bit flip in a chunk's
+/// router id must not send another router's acks to this sender.
+fn peer_update(frame: &[u8], src: SocketAddr, peers: &BTreeMap<u64, SocketAddr>) -> Option<u64> {
     if frame.starts_with(&CONTROL_MAGIC) {
         return ControlFrame::decode(frame).ok().map(|c| c.router_id());
     }
-    ChunkFrame::salvage_header(frame).map(|(router_id, _, _)| router_id)
+    let (router_id, _, _) = ChunkFrame::salvage_header(frame)?;
+    if peers.get(&router_id) == Some(&src) {
+        return None;
+    }
+    ChunkFrame::decode(frame)
+        .ok()
+        .map(|(chunk, _)| chunk.router_id)
 }
 
 /// Opens a nonblocking UDP socket on `addr`.
@@ -290,45 +421,23 @@ pub struct CenterSocket {
     shim: Option<ImpairmentShim>,
 }
 
-const ROLE_CENTER: [(&str, &str); 1] = [("role", "center")];
-const ROLE_MONITOR: [(&str, &str); 1] = [("role", "monitor")];
-
-/// The counter families both ends count under their `role` label.
-const ROLE_COUNTERS: [&str; 5] = [
-    "socket_frames_sent_total",
-    "socket_frames_received_total",
-    "socket_send_stalls_total",
-    "socket_send_errors_total",
-    "socket_recv_errors_total",
-];
-
-/// Registers `names` under `role` at zero: a driver does this when it
-/// starts an epoch, so a snapshot names every family it can count before
-/// the first event, as the centre's registry does (DESIGN §8).
-fn register_counters(metrics: &MetricsRegistry, role: &[(&str, &str)], names: &[&str]) {
-    for name in names {
-        metrics.counter(name, role);
-    }
-}
-
 /// Puts one queued frame on the wire through `send` and counts the
 /// outcome. Returns false on a full socket buffer (a stall), and the
 /// caller keeps the frame queued; any other error drops the frame.
 fn send_counted(
     frame: &[u8],
     send: impl FnOnce(&[u8]) -> std::io::Result<usize>,
-    role: &[(&str, &str)],
-    metrics: &MetricsRegistry,
+    m: &SocketMetrics,
 ) -> bool {
     match send(frame) {
-        Ok(_) => metrics.counter("socket_frames_sent_total", role).inc(),
+        Ok(_) => m.frames_sent.inc(),
         Err(e) if e.kind() == ErrorKind::WouldBlock => {
-            metrics.counter("socket_send_stalls_total", role).inc();
+            m.send_stalls.inc();
             return false;
         }
         // A dead peer refuses datagrams; nothing is lost that the
         // protocol's timers do not recover.
-        Err(_) => metrics.counter("socket_send_errors_total", role).inc(),
+        Err(_) => m.send_errors.inc(),
     }
     true
 }
@@ -358,16 +467,20 @@ impl CenterSocket {
         self.udp.local_addr()
     }
 
-    /// Drains every readable datagram, learns peer addresses from frame
-    /// headers, flushes the outgoing queue, and updates the socket
-    /// gauges.
+    /// Drains every readable datagram, learns peer addresses from the
+    /// frames that verify, flushes the outgoing queue, and updates the
+    /// socket gauges.
     pub fn poll(&mut self, metrics: &MetricsRegistry) -> Vec<Vec<u8>> {
+        self.poll_with(&CenterMetrics::new(metrics))
+    }
+
+    fn poll_with(&mut self, m: &CenterMetrics) -> Vec<Vec<u8>> {
         let mut frames = Vec::new();
         loop {
             match self.udp.recv_from(&mut self.scratch) {
                 Ok((n, src)) => {
                     let frame = self.scratch[..n].to_vec();
-                    if let Some(router_id) = frame_router_id(&frame) {
+                    if let Some(router_id) = peer_update(&frame, src, &self.peers) {
                         self.peers.insert(router_id, src);
                     }
                     frames.push(frame);
@@ -377,17 +490,13 @@ impl CenterSocket {
                 Err(_) => {
                     // Spurious ICMP-derived errors on Linux; typed count,
                     // keep serving.
-                    metrics
-                        .counter("socket_recv_errors_total", &ROLE_CENTER)
-                        .inc();
+                    m.io.recv_errors.inc();
                     break;
                 }
             }
         }
-        metrics
-            .counter("socket_frames_received_total", &ROLE_CENTER)
-            .add(frames.len() as u64);
-        self.flush(metrics);
+        m.io.frames_received.add(frames.len() as u64);
+        self.flush(&m.io);
         frames
     }
 
@@ -395,41 +504,47 @@ impl CenterSocket {
     /// false (and counts `socket_unknown_peer_total`) when the router has
     /// never been heard from — the caller's timers cover that monitor.
     pub fn send_control(&mut self, control: &ControlFrame, metrics: &MetricsRegistry) -> bool {
+        self.send_control_with(control, &CenterMetrics::new(metrics))
+    }
+
+    fn send_control_with(&mut self, control: &ControlFrame, m: &CenterMetrics) -> bool {
         let Some(&peer) = self.peers.get(&control.router_id()) else {
-            metrics.counter("socket_unknown_peer_total", &[]).inc();
+            m.unknown_peer.inc();
             return false;
         };
         let encoded = control.encode();
         match &mut self.shim {
             Some(shim) => {
-                for frame in shim.outgoing(&encoded, metrics) {
+                for frame in shim.impair(&encoded, &m.io.impaired) {
                     self.outq.push_back((peer, frame));
                 }
             }
             None => self.outq.push_back((peer, encoded)),
         }
-        self.flush(metrics);
+        self.flush(&m.io);
         true
     }
 
     /// Sends `control` to every known peer.
     pub fn broadcast(&mut self, make: impl Fn(u64) -> ControlFrame, metrics: &MetricsRegistry) {
+        self.broadcast_with(make, &CenterMetrics::new(metrics));
+    }
+
+    fn broadcast_with(&mut self, make: impl Fn(u64) -> ControlFrame, m: &CenterMetrics) {
         let routers: Vec<u64> = self.peers.keys().copied().collect();
         for router_id in routers {
-            self.send_control(&make(router_id), metrics);
+            self.send_control_with(&make(router_id), m);
         }
     }
 
-    fn flush(&mut self, metrics: &MetricsRegistry) {
+    fn flush(&mut self, m: &SocketMetrics) {
         while let Some((peer, frame)) = self.outq.front() {
-            if !send_counted(frame, |f| self.udp.send_to(f, peer), &ROLE_CENTER, metrics) {
+            if !send_counted(frame, |f| self.udp.send_to(f, peer), m) {
                 break;
             }
             self.outq.pop_front();
         }
-        metrics
-            .gauge("socket_send_queue_depth", &ROLE_CENTER)
-            .set(self.outq.len() as u64);
+        m.queue_depth.set(self.outq.len() as u64);
     }
 }
 
@@ -477,27 +592,39 @@ impl MonitorSocket {
     /// Queues one frame (data chunk or Hello) through the shim and
     /// flushes what the socket will take.
     pub fn send(&mut self, frame: &[u8], metrics: &MetricsRegistry) {
+        self.send_with(frame, &MonitorMetrics::new(metrics));
+    }
+
+    fn send_with(&mut self, frame: &[u8], m: &MonitorMetrics) {
         match &mut self.shim {
             Some(shim) => {
-                let impaired = shim.outgoing(frame, metrics);
+                let impaired = shim.impair(frame, &m.io.impaired);
                 self.outq.extend(impaired);
             }
             None => self.outq.push_back(frame.to_vec()),
         }
-        self.flush(metrics);
+        self.flush(&m.io);
     }
 
     /// Releases any frame the shim is holding back (end of a burst).
     pub fn flush_shim(&mut self, metrics: &MetricsRegistry) {
+        self.flush_shim_with(&MonitorMetrics::new(metrics));
+    }
+
+    fn flush_shim_with(&mut self, m: &MonitorMetrics) {
         if let Some(frame) = self.shim.as_mut().and_then(|s| s.flush()) {
             self.outq.push_back(frame);
         }
-        self.flush(metrics);
+        self.flush(&m.io);
     }
 
     /// Drains readable control frames from the centre (and flushes the
     /// outgoing queue).
     pub fn poll(&mut self, metrics: &MetricsRegistry) -> Vec<ControlFrame> {
+        self.poll_with(&MonitorMetrics::new(metrics))
+    }
+
+    fn poll_with(&mut self, m: &MonitorMetrics) -> Vec<ControlFrame> {
         let mut controls = Vec::new();
         loop {
             let n = match self.udp.recv(&mut self.scratch) {
@@ -507,38 +634,28 @@ impl MonitorSocket {
                 Err(_) => {
                     // ECONNREFUSED from a dead centre: typed count; the
                     // backoff machinery keeps retrying.
-                    metrics
-                        .counter("socket_recv_errors_total", &ROLE_MONITOR)
-                        .inc();
+                    m.io.recv_errors.inc();
                     break;
                 }
             };
-            metrics
-                .counter("socket_frames_received_total", &ROLE_MONITOR)
-                .inc();
+            m.io.frames_received.inc();
             match ControlFrame::decode(&self.scratch[..n]) {
                 Ok(c) => controls.push(c),
-                Err(_) => {
-                    metrics
-                        .counter("socket_control_corrupt_total", &ROLE_MONITOR)
-                        .inc();
-                }
+                Err(_) => m.control_corrupt.inc(),
             }
         }
-        self.flush(metrics);
+        self.flush(&m.io);
         controls
     }
 
-    fn flush(&mut self, metrics: &MetricsRegistry) {
+    fn flush(&mut self, m: &SocketMetrics) {
         while let Some(frame) = self.outq.front() {
-            if !send_counted(frame, |f| self.udp.send(f), &ROLE_MONITOR, metrics) {
+            if !send_counted(frame, |f| self.udp.send(f), m) {
                 break;
             }
             self.outq.pop_front();
         }
-        metrics
-            .gauge("socket_send_queue_depth", &ROLE_MONITOR)
-            .set(self.outq.len() as u64);
+        m.queue_depth.set(self.outq.len() as u64);
     }
 }
 
@@ -579,30 +696,29 @@ pub fn run_center_epoch(
     metrics: &MetricsRegistry,
     mut should_abort: impl FnMut(&EpochCollector) -> bool,
 ) -> CenterEpochEnd {
-    register_counters(metrics, &ROLE_CENTER, &ROLE_COUNTERS);
-    register_counters(metrics, &[], &["socket_unknown_peer_total"]);
+    let m = CenterMetrics::new(metrics);
     loop {
-        let frames = sock.poll(metrics);
+        let frames = sock.poll_with(&m);
         for control in collector.answer(&frames, clock.now()) {
-            sock.send_control(&control, metrics);
+            sock.send_control_with(&control, &m);
         }
         let backlog: u64 = collector
             .sessions()
             .filter(|s| !s.is_complete())
             .map(|s| s.received() as u64)
             .sum();
-        metrics.gauge("socket_reassembly_backlog", &[]).set(backlog);
+        m.backlog.set(backlog);
         if should_abort(collector) {
             return CenterEpochEnd::Aborted;
         }
         if collector.ready(clock.now()) {
             let epoch = collector.finalize(clock.now());
-            sock.broadcast(
+            sock.broadcast_with(
                 |router_id| ControlFrame::Advance {
                     router_id,
                     epoch_id: epoch.epoch_id + 1,
                 },
-                metrics,
+                &m,
             );
             return CenterEpochEnd::Collected(Box::new(epoch));
         }
@@ -631,24 +747,15 @@ pub fn run_monitor_epoch(
     clock: &dyn Clock,
     metrics: &MetricsRegistry,
 ) -> MonitorEpochEnd {
-    register_counters(metrics, &ROLE_MONITOR, &ROLE_COUNTERS);
-    register_counters(
-        metrics,
-        &ROLE_MONITOR,
-        &[
-            "socket_control_corrupt_total",
-            "socket_resend_bursts_total",
-            "socket_epochs_abandoned_total",
-        ],
-    );
+    let m = MonitorMetrics::new(metrics);
     let hello = ControlFrame::Hello {
         router_id: cfg.router_id,
     };
-    sock.send(&hello.encode(), metrics);
+    sock.send_with(&hello.encode(), &m);
     let mut session = SendSession::new(cfg, chunks.len(), clock.now());
     let mut seqs = Vec::new();
     loop {
-        let controls = sock.poll(metrics);
+        let controls = sock.poll_with(&m);
         let now = clock.now();
         for control in &controls {
             session.take(control, now, &mut seqs);
@@ -656,25 +763,21 @@ pub fn run_monitor_epoch(
         match session.step(now, &mut seqs) {
             SendStep::End(end) => {
                 if end == MonitorEpochEnd::TimedOut {
-                    metrics
-                        .counter("socket_epochs_abandoned_total", &ROLE_MONITOR)
-                        .inc();
+                    m.epochs_abandoned.inc();
                 }
                 return end;
             }
             SendStep::Send { resend_burst } => {
                 if resend_burst {
-                    metrics
-                        .counter("socket_resend_bursts_total", &ROLE_MONITOR)
-                        .inc();
+                    m.resend_bursts.inc();
                 }
             }
         }
         if !seqs.is_empty() {
             for seq in seqs.drain(..) {
-                sock.send(&chunks[seq as usize], metrics);
+                sock.send_with(&chunks[seq as usize], &m);
             }
-            sock.flush_shim(metrics);
+            sock.flush_shim_with(&m);
         }
         wait_until(&sock.udp, clock, session.next_deadline());
     }
@@ -1266,6 +1369,55 @@ mod tests {
             "{transport:?}: NACK of {:?} seqs",
             nack.map(|s| s.len())
         );
+    }
+
+    /// A chunk whose CRC fails cannot re-point a router's address: router
+    /// 0 says Hello from socket A, then socket B sends router 1's chunk
+    /// with bit 0 of its router id flipped, so its header names router 0.
+    /// The centre's next control frame to router 0 still goes to A.
+    #[test]
+    fn a_corrupt_chunk_does_not_re_point_a_router() {
+        let metrics = MetricsRegistry::new();
+        let mut center = CenterSocket::bind("127.0.0.1:0", Transport::Udp).unwrap();
+        let addr = center.local_addr().unwrap();
+        let poll_one = |center: &mut CenterSocket| {
+            let give_up = Instant::now() + Duration::from_secs(5);
+            while center.poll(&metrics).is_empty() {
+                assert!(Instant::now() < give_up, "the centre received nothing");
+                std::thread::sleep(Duration::from_millis(1));
+            }
+        };
+        let a = UdpSocket::bind("127.0.0.1:0").unwrap();
+        let b = UdpSocket::bind("127.0.0.1:0").unwrap();
+        a.send_to(&ControlFrame::Hello { router_id: 0 }.encode(), addr)
+            .unwrap();
+        poll_one(&mut center);
+        let mut chunk = ChunkFrame {
+            router_id: 1,
+            epoch_id: 0,
+            seq: 0,
+            total: 1,
+            payload: b"x",
+        }
+        .encode();
+        // The router id is the u64 after the magic and the version byte.
+        chunk[5] ^= 1;
+        assert_eq!(ChunkFrame::salvage_header(&chunk).map(|h| h.0), Some(0));
+        assert!(ChunkFrame::decode(&chunk).is_err());
+        b.send_to(&chunk, addr).unwrap();
+        poll_one(&mut center);
+        let ack = ControlFrame::Ack {
+            router_id: 0,
+            epoch_id: 0,
+            cumulative_ack: 1,
+        };
+        assert!(center.send_control(&ack, &metrics));
+        a.set_read_timeout(Some(Duration::from_secs(2))).unwrap();
+        let mut buf = vec![0u8; MAX_DATAGRAM];
+        let n = a
+            .recv(&mut buf)
+            .expect("router 0's ack went to another socket");
+        assert_eq!(ControlFrame::decode(&buf[..n]), Ok(ack));
     }
 
     #[test]

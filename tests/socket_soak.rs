@@ -329,14 +329,16 @@ fn wire_soak_at_paper_scale_matches_the_in_memory_path() {
         impaired * 10 >= (sent + impaired),
         "only {impaired} impairments across {sent} sent frames"
     );
-    // Send amplification (monitor frames sent ÷ unique chunks) measures
-    // 2.1–2.6× at this scale: each monitor keeps at most one send window
-    // ahead of its acks, but 24 windows together still overfill the
-    // kernel receive buffer, and the drops come back as gap NACKs and
-    // tail probes. 4× leaves headroom for a loaded runner, and a monitor
-    // that sends its whole bundle at once (≈ 8×) fails it.
+    // Send amplification (monitor frames sent ÷ unique chunks) measured
+    // 1.85–2.02× over ten runs at this scale on a 2-vCPU Xeon, and
+    // 2.08–2.37× with both threads on one CPU: each monitor keeps at
+    // most one send window ahead of its acks, but 24 windows together
+    // still overfill the kernel receive buffer, and the drops come back
+    // as gap NACKs and tail probes. The worst run is under 75 % of the
+    // 3.5× gate, and a monitor that sends its whole bundle at once
+    // (≈ 8×) fails it.
     assert!(
-        sent <= 4 * chunks,
+        2 * sent <= 7 * chunks,
         "{sent} monitor frames for {chunks} unique chunks"
     );
     // The centre's WouldBlock stalls ÷ frames it sent measures 0.0; 0.25

@@ -14,15 +14,17 @@
 //!   word-level AND/popcount kernels.
 //!
 //! The popcount kernels ([`words`]) dispatch once per process to one
-//! kernel per platform: AVX2 where the CPU has it, the scalar
-//! `count_ones` loop everywhere else.
+//! kernel per host: AVX-512 `vpopcntq` where the CPU has AVX512-VPOPCNTDQ,
+//! else AVX2 where it has that, the scalar `count_ones` loop everywhere
+//! else.
 //!
 //! Everything is stored as packed `u64` words. The crate-wide invariant is
 //! that **bits past the logical length are always zero**, so `count_ones`
 //! and the AND/popcount kernels never need trailing masks.
 
 // `unsafe` is denied everywhere except the SIMD module, which needs it
-// for the AVX2 intrinsics and carries the crate's only `allow`.
+// for the AVX2 and AVX-512 intrinsics and carries the crate's only
+// `allow`.
 #![deny(unsafe_code)]
 #![warn(missing_docs)]
 

@@ -1,8 +1,9 @@
-//! Property-based tests for the matrix types, wire format, the AVX2
+//! Property-based tests for the matrix types, wire format, the vector
 //! popcount kernels (which must be bit-identical to their `*_scalar`
 //! references for every slice length — vector body, vector remainder,
-//! and masked tails alike) and the bit-sliced column counts (against
-//! the weights of the gathered columns).
+//! and masked tails alike — and count saturated slices exactly) and the
+//! bit-sliced column counts (against the weights of the gathered
+//! columns).
 
 use crate::words::tests::available_kernels;
 use crate::words::{
@@ -226,6 +227,36 @@ proptest! {
 #[should_panic(expected = "`words` must hold out.len() columns of base.len() words")]
 fn and_weight_each_rejects_a_ragged_run() {
     and_weight_each_into(&[1, 2], &[0; 5], &mut [0; 2]);
+}
+
+/// All-ones slices of 0..=300 words, the last word tail-masked, through
+/// every kernel and entry point. Dense words fill each byte lane of the
+/// AVX2 body to 8 a vector, so the 31-vector `sad` flush is crossed at
+/// its limit (248 a lane), up to two times — random words never get
+/// near that. The expected count is arithmetic, not another kernel's.
+#[test]
+fn saturated_slices_count_every_one() {
+    const COLS: usize = 3;
+    for len in 0..=300usize {
+        let tail_bits = 1 + len % 64;
+        let mut ones = vec![u64::MAX; len];
+        if let Some(last) = ones.last_mut() {
+            *last &= tail_mask(tail_bits);
+        }
+        let want = match len {
+            0 => 0,
+            _ => (64 * (len - 1) + tail_bits) as u32,
+        };
+        let run = ones.repeat(COLS);
+        for &k in available_kernels() {
+            assert_eq!(weight_with(k, &ones), want, "{k:?} weight, {len} words");
+            let both = and_weight_with(k, &ones, &ones);
+            assert_eq!(both, want, "{k:?} and_weight, {len} words");
+            let mut out = [u32::MAX; COLS];
+            and_weight_each_with(k, &ones, &run, &mut out);
+            assert_eq!(out, [want; COLS], "{k:?} and_weight_each_into, {len} words");
+        }
+    }
 }
 
 /// `nrows` seeded bitmaps of `bits` bits, each bit set with probability

@@ -5,29 +5,32 @@
 //! correlation both reduce to "AND two word slices and count the ones".
 //!
 //! The popcount reductions ([`weight`], [`and_weight`]) dispatch at
-//! runtime to one kernel per platform (see [`Kernel`]): an AVX2
-//! nibble-lookup vector popcount on x86-64 CPUs with AVX2 and POPCNT,
-//! otherwise the straight-line `count_ones` loops `weight_scalar` /
-//! `and_weight_scalar`, which the optimiser auto-vectorises. The
-//! vector kernel, too, hands slices shorter than `AVX2_MIN_WORDS` to the
-//! scalar loop. Every AND-popcount of the pipeline is 16 words or
-//! shorter — a 1,024-bit unaligned array, an aligned column of m ≤ 1,000
-//! routers — so the shapes that matter are short ones. The scalar loops
-//! are the reference: the property tests assert the vector kernel is
+//! runtime to one kernel per host (see [`Kernel`]): an AVX-512
+//! `vpopcntq` body on x86-64 CPUs with AVX-512F and AVX512-VPOPCNTDQ, an
+//! AVX2 nibble-lookup body on those with AVX2 and POPCNT only, otherwise
+//! the straight-line `count_ones` loops `weight_scalar` /
+//! `and_weight_scalar`, which the optimiser auto-vectorises. Both vector
+//! kernels hand slices shorter than `VECTOR_MIN_WORDS` (8) to the scalar
+//! loop. Every AND-popcount of the pipeline is 16 words or shorter — a
+//! 1,024-bit unaligned array, an aligned column of m ≤ 1,000 routers —
+//! so the shapes that matter are short ones. The scalar loops are the
+//! reference: the property tests assert both vector kernels are
 //! bit-identical to them.
 //!
 //! [`and_weight_each_into`] is the batched form — one base slice against
 //! a run of equal-length columns stored back to back, as a
 //! [`ColMatrix`](crate::ColMatrix) stores them — and is what the aligned
-//! search calls: it dispatches once per run, and on the AVX2 target its
-//! columns shorter than `AVX2_MIN_WORDS` cost one hardware `popcnt` per
-//! word (a matrix of 24 routers has one-word columns, which no vector
-//! body helps).
+//! search and the unaligned pair loop call: it dispatches once per run.
+//! On either vector kernel its columns shorter than `VECTOR_MIN_WORDS`
+//! cost one hardware `popcnt` per word (a matrix of 24 routers has
+//! one-word columns, which no vector body helps), and on
+//! [`Kernel::Avx512`] a base of exactly 16 words stays in registers for
+//! the whole run.
 //!
 //! The dispatch decision is made once and cached in an atomic
 //! ([`active_kernel`]). `DCS_FORCE_SCALAR=1` in the environment pins the
 //! scalar kernel, the one a host without AVX2 runs (CI uses this to run
-//! that fallback on AVX2 hosts). The scalar loops, the explicit-kernel
+//! that fallback on vector hosts). The scalar loops, the explicit-kernel
 //! forms (`*_with`) and the cache override are crate-internal: the
 //! dispatcher and the crate's own bit-identity tests are their only
 //! callers.
@@ -51,7 +54,7 @@ pub const WORD_BITS: usize = 64;
 
 /// A popcount kernel implementation the runtime dispatcher can select.
 ///
-/// Both produce bit-identical results (asserted by the property tests);
+/// All produce bit-identical results (asserted by the property tests);
 /// they differ only in speed and portability.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 #[repr(u8)]
@@ -59,16 +62,24 @@ pub enum Kernel {
     /// Straight-line portable loop (`*_scalar`): the reference semantics
     /// and the kernel of every host without AVX2.
     Scalar = 1,
-    /// AVX2 nibble-lookup vector popcount (x86-64 with AVX2 only).
+    /// AVX2 nibble-lookup vector popcount (x86-64 with AVX2 and POPCNT).
     Avx2 = 2,
+    /// AVX-512 `vpopcntq` vector popcount (x86-64 with AVX-512F and
+    /// AVX512-VPOPCNTDQ, besides what [`Kernel::Avx2`] needs).
+    Avx512 = 3,
 }
 
 impl Kernel {
+    /// Every kernel, each needing the features of the one before it and
+    /// more.
+    pub const ALL: [Kernel; 3] = [Kernel::Scalar, Kernel::Avx2, Kernel::Avx512];
+
     /// Lowercase label for metric families (`kernel=scalar` etc.).
     pub fn name(self) -> &'static str {
         match self {
             Kernel::Scalar => "scalar",
             Kernel::Avx2 => "avx2",
+            Kernel::Avx512 => "avx512",
         }
     }
 }
@@ -84,6 +95,7 @@ pub fn active_kernel() -> Kernel {
     match ACTIVE.load(Ordering::Relaxed) {
         1 => Kernel::Scalar,
         2 => Kernel::Avx2,
+        3 => Kernel::Avx512,
         _ => resolve_and_cache(),
     }
 }
@@ -100,21 +112,30 @@ fn resolve_and_cache() -> Kernel {
 /// pins [`Kernel::Scalar`]).
 pub(crate) fn detect_kernel() -> Kernel {
     let forced = std::env::var_os("DCS_FORCE_SCALAR").is_some_and(|v| v != "0");
-    if has_avx2() && !forced {
-        Kernel::Avx2
-    } else {
-        Kernel::Scalar
+    match Kernel::ALL.into_iter().rev().find(|&k| runs_here(k)) {
+        Some(k) if !forced => k,
+        _ => Kernel::Scalar,
     }
 }
 
-/// Whether [`Kernel::Avx2`] may run here: AVX2 for the vector bodies and
-/// POPCNT for [`and_weight_each_into`]'s short columns.
-fn has_avx2() -> bool {
+/// Whether `kernel` may run here: AVX2 for the 256-bit bodies and POPCNT
+/// for [`and_weight_each_into`]'s short columns, which [`Kernel::Avx512`]
+/// shares, plus AVX-512F and AVX512-VPOPCNTDQ for the 512-bit bodies.
+pub(crate) fn runs_here(kernel: Kernel) -> bool {
     #[cfg(target_arch = "x86_64")]
-    return std::arch::is_x86_feature_detected!("avx2")
-        && std::arch::is_x86_feature_detected!("popcnt");
+    {
+        use std::arch::is_x86_feature_detected as has;
+        let avx2 = || has!("avx2") && has!("popcnt");
+        match kernel {
+            Kernel::Scalar => true,
+            Kernel::Avx2 => avx2(),
+            Kernel::Avx512 => avx2() && has!("avx512f") && has!("avx512vpopcntdq"),
+        }
+    }
     #[cfg(not(target_arch = "x86_64"))]
-    false
+    {
+        kernel == Kernel::Scalar
+    }
 }
 
 /// Number of `u64` words needed to store `bits` bits.
@@ -148,7 +169,11 @@ pub fn weight(words: &[u64]) -> u32 {
 pub(crate) fn weight_with(kernel: Kernel, words: &[u64]) -> u32 {
     match kernel {
         #[cfg(target_arch = "x86_64")]
-        Kernel::Avx2 if words.len() >= crate::simd::AVX2_MIN_WORDS => crate::simd::weight(words),
+        Kernel::Avx2 if words.len() >= crate::simd::VECTOR_MIN_WORDS => crate::simd::weight(words),
+        #[cfg(target_arch = "x86_64")]
+        Kernel::Avx512 if words.len() >= crate::simd::VECTOR_MIN_WORDS => {
+            crate::simd::weight_avx512(words)
+        }
         _ => weight_scalar(words),
     }
 }
@@ -172,7 +197,11 @@ pub fn and_weight(a: &[u64], b: &[u64]) -> u32 {
 pub(crate) fn and_weight_with(kernel: Kernel, a: &[u64], b: &[u64]) -> u32 {
     match kernel {
         #[cfg(target_arch = "x86_64")]
-        Kernel::Avx2 if a.len() >= crate::simd::AVX2_MIN_WORDS => crate::simd::and_weight(a, b),
+        Kernel::Avx2 if a.len() >= crate::simd::VECTOR_MIN_WORDS => crate::simd::and_weight(a, b),
+        #[cfg(target_arch = "x86_64")]
+        Kernel::Avx512 if a.len() >= crate::simd::VECTOR_MIN_WORDS => {
+            crate::simd::and_weight_avx512(a, b)
+        }
         _ => and_weight_scalar(a, b),
     }
 }
@@ -194,9 +223,10 @@ pub(crate) fn and_weight_scalar(a: &[u64], b: &[u64]) -> u32 {
 ///
 /// This is the kernel under the aligned search's candidate fan-outs and
 /// its expansion sweep, where one product is intersected with every
-/// remaining column. The dispatch is paid once per run, not per column,
-/// and on [`Kernel::Avx2`] a column shorter than the vector threshold
-/// costs one hardware `popcnt` per word.
+/// remaining column, and under the unaligned pair loop, where one row is
+/// intersected with another group's rows. The dispatch is paid once per
+/// run, not per column; on either vector kernel a column shorter than
+/// the vector threshold costs one hardware `popcnt` per word.
 ///
 /// # Panics
 /// Panics if `words` is not exactly `out.len()` columns of `base.len()`
@@ -217,8 +247,10 @@ pub(crate) fn and_weight_each_with(kernel: Kernel, base: &[u64], words: &[u64], 
         return out.fill(0);
     }
     #[cfg(target_arch = "x86_64")]
-    if kernel == Kernel::Avx2 {
-        return crate::simd::and_weight_each_into(base, words, out);
+    match kernel {
+        Kernel::Avx2 => return crate::simd::and_weight_each_into(base, words, out),
+        Kernel::Avx512 => return crate::simd::and_weight_each_into_avx512(base, words, out),
+        Kernel::Scalar => {}
     }
     for (o, col) in out.iter_mut().zip(words.chunks_exact(base.len())) {
         *o = and_weight_with(kernel, base, col);
@@ -278,26 +310,24 @@ impl Iterator for OnesInWord {
 pub(crate) mod tests {
     use super::*;
 
-    /// Kernels usable on this host: always [`Kernel::Scalar`];
-    /// [`Kernel::Avx2`] too when the CPU has it. Tests iterate this list to
-    /// assert bit-identity across dispatch targets.
+    /// Kernels usable on this host: always [`Kernel::Scalar`], then
+    /// every vector kernel the CPU has. Tests iterate this list to assert
+    /// bit-identity across dispatch targets.
     pub(crate) fn available_kernels() -> &'static [Kernel] {
-        if has_avx2() {
-            &[Kernel::Scalar, Kernel::Avx2]
-        } else {
-            &[Kernel::Scalar]
-        }
+        // Each kernel needs every feature the one before it needs.
+        let n = Kernel::ALL.iter().take_while(|&&k| runs_here(k)).count();
+        &Kernel::ALL[..n]
     }
 
     /// Overrides the dispatch cache; `None` clears the override so the
     /// next call re-detects. The effect is process-global.
     ///
     /// # Panics
-    /// Panics if `Kernel::Avx2` is forced on a host without AVX2 — the
+    /// Panics if a kernel is forced on a host that cannot run it — the
     /// vector kernels would be unsound to execute there.
     pub(crate) fn force_kernel(kernel: Option<Kernel>) {
-        if kernel == Some(Kernel::Avx2) {
-            assert!(has_avx2(), "cannot force the AVX2 kernel: host lacks AVX2");
+        if let Some(k) = kernel {
+            assert!(runs_here(k), "cannot force the {k:?} kernel: host lacks it");
         }
         ACTIVE.store(kernel.map_or(0, |k| k as u8), Ordering::Relaxed);
     }
@@ -371,6 +401,23 @@ pub(crate) mod tests {
                     and_weight_scalar(&a, &b),
                     "{k:?} and_weight len={len}"
                 );
+            }
+        }
+    }
+
+    /// Release builds skip the length `debug_assert`: a mismatched pair
+    /// counts over the shorter slice on every kernel, as the scalar `zip`
+    /// does, and no vector body reads past either slice.
+    #[test]
+    #[cfg_attr(debug_assertions, ignore = "the length debug_assert fires first")]
+    fn mismatched_lengths_count_the_shorter_prefix() {
+        for len in [8, 13, 16, 40] {
+            let a = splitmix_fill(len + 5, 3);
+            let b = splitmix_fill(len, 4);
+            let want = and_weight_scalar(&a[..len], &b);
+            for &k in available_kernels() {
+                assert_eq!(and_weight_with(k, &a, &b), want, "{k:?} len={len}");
+                assert_eq!(and_weight_with(k, &b, &a), want, "{k:?} len={len}");
             }
         }
     }

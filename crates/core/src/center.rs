@@ -475,7 +475,7 @@ impl AnalysisCenter {
     fn record_kernels(&self) {
         use dcs_bitmap::Kernel;
         let active = dcs_bitmap::active_kernel();
-        for k in [Kernel::Scalar, Kernel::Avx2] {
+        for k in Kernel::ALL {
             self.metrics
                 .gauge("kernel_active", &[("kernel", k.name())])
                 .set(u64::from(k == active));

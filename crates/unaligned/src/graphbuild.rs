@@ -221,8 +221,10 @@ pub(crate) mod tests {
 
     /// The group graph straight from its definition, sharing no code with
     /// the pair loop: groups connect iff some row pair's common ones
-    /// exceed `table.lambda` of the pair's two weights. Every build is
-    /// checked against it.
+    /// exceed `table.lambda` of the pair's two weights. Weights and
+    /// common ones are `u64::count_ones` over the rows' words, never the
+    /// dispatched popcount kernel the loop runs. Every build is checked
+    /// against it.
     pub(crate) fn oracle_group_graph(
         rows: &RowMatrix,
         layout: GroupLayout,
@@ -230,14 +232,17 @@ pub(crate) mod tests {
     ) -> Graph {
         let n = layout.groups(rows);
         let k = layout.rows_per_group;
+        let ones = |r: usize| rows.row(r).iter().map(|w| w.count_ones()).sum::<u32>();
+        let common = |ra: usize, rb: usize| {
+            let pairs = rows.row(ra).iter().zip(rows.row(rb));
+            pairs.map(|(x, y)| (x & y).count_ones()).sum::<u32>()
+        };
         let mut b = GraphBuilder::new(n);
         for ga in 0..n {
             for gb in (ga + 1)..n {
                 let edge = (ga * k..(ga + 1) * k).any(|ra| {
-                    (gb * k..(gb + 1) * k).any(|rb| {
-                        let lambda = table.lambda(rows.row_weight(ra), rows.row_weight(rb));
-                        rows.common_ones(ra, rb) > lambda
-                    })
+                    (gb * k..(gb + 1) * k)
+                        .any(|rb| common(ra, rb) > table.lambda(ones(ra), ones(rb)))
                 });
                 if edge {
                     b.add_edge(ga as u32, gb as u32);

@@ -148,11 +148,11 @@ fn deterministic_metrics_are_identical_across_runs() {
     assert!(seq_view.search_work.iter().all(Option::is_some));
     // A popcount keeps no call tally: the only kernel metric is which
     // one is live, one `kernel_active` gauge per `Kernel` variant.
-    let variants = [Kernel::Scalar, Kernel::Avx2];
+    let variants = Kernel::ALL;
     let key = |k: Kernel| {
         // Irrefutable only while it names every variant: a new one stops
-        // this compiling until it joins `variants`.
-        let (Kernel::Scalar | Kernel::Avx2) = k;
+        // this compiling until it joins `Kernel::ALL` and this pattern.
+        let (Kernel::Scalar | Kernel::Avx2 | Kernel::Avx512) = k;
         dcs::obs::metric_key("kernel_active", &[("kernel", k.name())])
     };
     let mut kernel_keys: Vec<String> = (seq_view.gauge_keys.iter())

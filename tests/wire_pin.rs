@@ -14,6 +14,9 @@
 //! release and under `DCS_FORCE_SCALAR=1`. They change only when a
 //! checksum, a shipped frame byte, a screened column, a candidate, a
 //! search count, a group edge, a row-pair tally or a λ cell does.
+//! `group_graph_is_pinned` writes one `kernel pins: <kernel>` line to
+//! stderr, past the harness's capture, naming the popcount kernel the
+//! run dispatched to.
 
 use dcs_aligned::{
     naive_detect, refined_detect_cached, AlignedDetection, SearchConfig, SearchScratch,
@@ -37,6 +40,7 @@ use dcs_unaligned::{
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
 use rand::{Rng, SeedableRng};
+use std::io::Write;
 
 fn seeded_bytes(seed: u64, len: usize) -> Vec<u8> {
     let mut rng = StdRng::seed_from_u64(seed);
@@ -489,6 +493,10 @@ const GRAPH_CASES: [(&str, bool, f64); 4] = [
 /// of the same matrix, into one hash per case.
 #[test]
 fn group_graph_is_pinned() {
+    // One line past the harness's capture naming the popcount kernel the
+    // pins ran on: a host without AVX512-VPOPCNTDQ runs no `Avx512` body.
+    let kernel = dcs_bitmap::active_kernel().name();
+    let _ = writeln!(std::io::stderr(), "kernel pins: {kernel}");
     let layout = GroupLayout {
         rows_per_group: GRAPH_K,
     };

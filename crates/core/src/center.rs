@@ -10,8 +10,8 @@ use dcs_aligned::{refined_detect_cached, SearchConfig, SearchScratch};
 use dcs_bitmap::{BitmapView, RowMatrix};
 use dcs_obs::{MetricsRegistry, MetricsSnapshot};
 use dcs_unaligned::{
-    er_test, find_pattern, CoreFindConfig, ErTestConfig, GroupLayout, IncrementalConfig,
-    IncrementalCorrelator, LambdaTables,
+    er_test, find_pattern, CoreFindConfig, GroupLayout, IncrementalConfig, IncrementalCorrelator,
+    LambdaTables,
 };
 use std::sync::{Mutex, MutexGuard};
 use std::time::Instant;
@@ -27,8 +27,13 @@ pub struct AnalysisConfig {
     /// Edge probability of the *detection* graph (deliberately above 1/n;
     /// the paper uses ~8/n).
     pub detect_p1: f64,
-    /// Largest-component alarm threshold; `None` derives it from
-    /// [`ErTestConfig::scaled`].
+    /// The unaligned verdict alarms when the test graph's largest
+    /// component is larger than this. `None` derives it each epoch from
+    /// the number of groups n, `test_p1` and `search.epsilon` (the ε the
+    /// aligned verdict reads): the size a null graph's largest component
+    /// exceeds with probability at most ε
+    /// ([`dcs_stats::component_threshold`]). It is n, so the verdict never
+    /// alarms, when n·`test_p1` ≥ 1. `Some` is an operator's override.
     pub component_threshold: Option<usize>,
     /// Core-finding settings (β and d).
     pub corefind: CoreFindConfig,
@@ -537,12 +542,6 @@ impl AnalysisCenter {
         let ncols = rows.ncols();
         let layout = GroupLayout { rows_per_group: k };
         let n_groups = group_owner.len();
-        let er_cfg = match self.cfg.component_threshold {
-            Some(t) => ErTestConfig {
-                component_threshold: t,
-            },
-            None => ErTestConfig::scaled(n_groups, self.cfg.test_p1),
-        };
 
         let tables = LambdaTables::for_shape(
             &mut state.lambda,
@@ -565,7 +564,14 @@ impl AnalysisCenter {
         let g = |name: &str, v: u64| self.metrics.gauge(name, &[]).set(v);
         g("graph_edges_live", gstats.edges_live as u64);
         g("graph_groups_changed", gstats.groups_changed as u64);
-        let (test, _) = rec.run(Stage::ErTest, || er_test(&test_graph, er_cfg));
+        // A derived threshold sums a few hundred progeny terms, tens of
+        // microseconds, so it is timed with the test it sets.
+        let ((threshold, test), _) = rec.run(Stage::ErTest, || {
+            let threshold = self.cfg.component_threshold.unwrap_or_else(|| {
+                dcs_stats::component_threshold(n_groups, self.cfg.test_p1, self.cfg.search.epsilon)
+            });
+            (threshold, er_test(&test_graph, threshold))
+        });
 
         // Peel always runs as a recorded span — a quiet epoch records a
         // trivial one — so the stage is present in every snapshot.
@@ -597,7 +603,7 @@ impl AnalysisCenter {
         UnalignedReport {
             alarm: test.alarm,
             largest_component: test.largest_component,
-            component_threshold: er_cfg.component_threshold,
+            component_threshold: threshold,
             suspected_routers,
             suspected_groups,
         }
@@ -1494,5 +1500,82 @@ mod tests {
                 "{what}: the replaced tables start cold"
             );
         }
+    }
+
+    /// `serve`'s default centre, `for_groups(96)` (24 routers × 4
+    /// groups), fed 24 monitors that ship 8 groups each: 192 groups at an
+    /// edge probability set for 96 puts the test graph above the phase
+    /// transition. The derived threshold is then every group, so the
+    /// epoch's unaligned verdict is quiet rather than a panic.
+    #[test]
+    fn more_groups_than_configured_is_a_quiet_verdict_not_a_panic() {
+        let mut r = StdRng::seed_from_u64(45);
+        let mcfg = MonitorConfig::small(7, 1 << 14, 8);
+        let bg = BackgroundConfig {
+            packets: 300,
+            flows: 80,
+            zipf_exponent: 1.0,
+            size_mix: SizeMix::constant(536),
+        };
+        let digests: Vec<RouterDigest> = (0..24)
+            .map(|id| {
+                let mut mp = MonitoringPoint::new(id, &mcfg);
+                mp.observe_all(&gen::generate_epoch(&mut r, &bg));
+                mp.finish_epoch()
+            })
+            .collect();
+        let report = AnalysisCenter::new(AnalysisConfig::for_groups(96))
+            .analyze_epoch(&digests)
+            .expect("clean digests form a quorum");
+        assert_eq!(report.unaligned.component_threshold, 192);
+        assert!(!report.unaligned.alarm);
+    }
+
+    /// The bound's null model through the deployed Λ and pair loop.
+    /// Edges that share a group are not independent, so that the largest
+    /// component of the Λ graph is dominated by the branching process is
+    /// an assumption; this checks it at `tiered-chan`'s shape, 48 groups ×
+    /// 10 rows × 1,024 bits, on uniformly random rows of fill 7/16 (≈ 448
+    /// ones a row against the digests' ≈ 446), built by
+    /// `build_group_graph` under the centre's test table. A loose
+    /// ε′ = 0.2 makes exceedances common enough to count: if the bound
+    /// holds, the epochs over the threshold are at most Bin(N, ε′), and
+    /// the count stays under that law's upper 10⁻⁶ quantile.
+    #[test]
+    fn null_component_tail_stays_under_the_bound() {
+        use dcs_unaligned::build_group_graph;
+        use rand::Rng;
+        const EPOCHS: u64 = 1_000;
+        const EPS: f64 = 0.2;
+        let (groups, rows_per_group, bits) = (48, 10, 1_024);
+        let cfg = AnalysisConfig::for_groups(groups);
+        let threshold = dcs_stats::component_threshold(groups, cfg.test_p1, EPS);
+        let mut slot = None;
+        let tables =
+            LambdaTables::for_shape(&mut slot, bits, rows_per_group, cfg.test_p1, cfg.detect_p1);
+        let layout = GroupLayout { rows_per_group };
+        let mut r = StdRng::seed_from_u64(0x4E55_0045);
+        let mut rows = RowMatrix::new(bits);
+        let mut words = vec![0u64; bits / 64];
+        let mut over = 0;
+        for _ in 0..EPOCHS {
+            rows.reset(bits);
+            for _ in 0..groups * rows_per_group {
+                // Each bit is set with probability ½·(1 − ⅛) = 7/16.
+                for w in &mut words {
+                    *w = r.gen::<u64>() & (r.gen::<u64>() | r.gen::<u64>() | r.gen::<u64>());
+                }
+                rows.push_words(&words);
+            }
+            let (graph, _) = build_group_graph(&rows, layout, &tables.test);
+            over += u64::from(er_test(&graph, threshold).alarm);
+        }
+        let limit = dcs_stats::binomial::binomial_quantile(1.0 - 1e-6, EPOCHS, EPS);
+        eprintln!("null tail: {over} of {EPOCHS} epochs over {threshold} (limit {limit})");
+        assert!(
+            over <= limit,
+            "{over} of {EPOCHS} null epochs had a component over {threshold}, \
+             above the Bin({EPOCHS}, {EPS}) 1e-6 quantile {limit}"
+        );
     }
 }

@@ -74,5 +74,5 @@ pub mod prelude {
     pub use dcs_collect::{AlignedConfig, UnalignedConfig};
     pub use dcs_obs::{MetricsRegistry, MetricsSnapshot};
     pub use dcs_traffic::{BackgroundConfig, ContentObject, FlowLabel, Packet, Planting};
-    pub use dcs_unaligned::{CoreFindConfig, ErTestConfig};
+    pub use dcs_unaligned::CoreFindConfig;
 }

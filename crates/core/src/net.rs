@@ -31,8 +31,11 @@
 //!
 //! Each driver resolves its `socket_*` instruments once per call (DESIGN
 //! §6.2, §8), so sending, receiving and impairing a datagram only add to
-//! atomics. The public [`CenterSocket`] and [`MonitorSocket`] methods
-//! take the registry and resolve them on every call.
+//! atomics. A [`MonitorSocket`] moves frames only inside
+//! [`run_monitor_epoch`]. The three public [`CenterSocket`] methods the
+//! `serve` loop and the benchmark adapter call between epochs (`poll`,
+//! `send_control`, `broadcast`) take the registry and resolve the
+//! instruments on every call.
 //!
 //! Graceful degradation is the design rule: every socket error becomes a
 //! metric and a typed outcome (a dropped frame, an exclusion, a
@@ -163,14 +166,8 @@ impl ImpairmentShim {
 
     /// Applies the impairment schedule to one outgoing frame, returning
     /// the frames to actually put on the wire (possibly none, possibly
-    /// several, possibly corrupted). Each impairment increments
-    /// `socket_impaired_total{kind}` in `metrics`.
-    pub fn outgoing(&mut self, frame: &[u8], metrics: &MetricsRegistry) -> Vec<Vec<u8>> {
-        self.impair(frame, &ImpairedCounters::new(metrics))
-    }
-
-    /// [`ImpairmentShim::outgoing`], counting into handles the caller
-    /// holds.
+    /// several, possibly corrupted). Each impairment increments its
+    /// `socket_impaired_total{kind}` handle in `counts`.
     fn impair(&mut self, frame: &[u8], counts: &ImpairedCounters) -> Vec<Vec<u8>> {
         let mut out = Vec::with_capacity(2);
         if self.chance(self.cfg.drop_per_mille) {
@@ -591,11 +588,7 @@ impl MonitorSocket {
 
     /// Queues one frame (data chunk or Hello) through the shim and
     /// flushes what the socket will take.
-    pub fn send(&mut self, frame: &[u8], metrics: &MetricsRegistry) {
-        self.send_with(frame, &MonitorMetrics::new(metrics));
-    }
-
-    fn send_with(&mut self, frame: &[u8], m: &MonitorMetrics) {
+    fn send(&mut self, frame: &[u8], m: &MonitorMetrics) {
         match &mut self.shim {
             Some(shim) => {
                 let impaired = shim.impair(frame, &m.io.impaired);
@@ -607,11 +600,7 @@ impl MonitorSocket {
     }
 
     /// Releases any frame the shim is holding back (end of a burst).
-    pub fn flush_shim(&mut self, metrics: &MetricsRegistry) {
-        self.flush_shim_with(&MonitorMetrics::new(metrics));
-    }
-
-    fn flush_shim_with(&mut self, m: &MonitorMetrics) {
+    fn flush_shim(&mut self, m: &MonitorMetrics) {
         if let Some(frame) = self.shim.as_mut().and_then(|s| s.flush()) {
             self.outq.push_back(frame);
         }
@@ -620,11 +609,7 @@ impl MonitorSocket {
 
     /// Drains readable control frames from the centre (and flushes the
     /// outgoing queue).
-    pub fn poll(&mut self, metrics: &MetricsRegistry) -> Vec<ControlFrame> {
-        self.poll_with(&MonitorMetrics::new(metrics))
-    }
-
-    fn poll_with(&mut self, m: &MonitorMetrics) -> Vec<ControlFrame> {
+    fn poll(&mut self, m: &MonitorMetrics) -> Vec<ControlFrame> {
         let mut controls = Vec::new();
         loop {
             let n = match self.udp.recv(&mut self.scratch) {
@@ -751,11 +736,11 @@ pub fn run_monitor_epoch(
     let hello = ControlFrame::Hello {
         router_id: cfg.router_id,
     };
-    sock.send_with(&hello.encode(), &m);
+    sock.send(&hello.encode(), &m);
     let mut session = SendSession::new(cfg, chunks.len(), clock.now());
     let mut seqs = Vec::new();
     loop {
-        let controls = sock.poll_with(&m);
+        let controls = sock.poll(&m);
         let now = clock.now();
         for control in &controls {
             session.take(control, now, &mut seqs);
@@ -775,9 +760,9 @@ pub fn run_monitor_epoch(
         }
         if !seqs.is_empty() {
             for seq in seqs.drain(..) {
-                sock.send_with(&chunks[seq as usize], &m);
+                sock.send(&chunks[seq as usize], &m);
             }
-            sock.flush_shim_with(&m);
+            sock.flush_shim(&m);
         }
         wait_until(&sock.udp, clock, session.next_deadline());
     }
@@ -845,12 +830,13 @@ mod tests {
     #[test]
     fn shim_is_deterministic_and_impairs_at_the_configured_rate() {
         let metrics = MetricsRegistry::new();
+        let counts = ImpairedCounters::new(&metrics);
         let run = |seed: u64| {
             let mut shim = ImpairmentShim::new(ImpairmentConfig::soak(), seed);
             let mut sent = Vec::new();
             for i in 0..1000u32 {
                 let frame = i.to_le_bytes().to_vec();
-                sent.extend(shim.outgoing(&frame, &metrics));
+                sent.extend(shim.impair(&frame, &counts));
             }
             sent.extend(shim.flush());
             sent
@@ -878,10 +864,11 @@ mod tests {
     #[test]
     fn perfect_shim_is_a_passthrough() {
         let metrics = MetricsRegistry::new();
+        let counts = ImpairedCounters::new(&metrics);
         let mut shim = ImpairmentShim::new(ImpairmentConfig::perfect(), 0);
         for i in 0..100u32 {
             let frame = i.to_le_bytes().to_vec();
-            assert_eq!(shim.outgoing(&frame, &metrics), vec![frame]);
+            assert_eq!(shim.impair(&frame, &counts), vec![frame]);
         }
         assert_eq!(shim.flush(), None);
     }
@@ -1016,9 +1003,10 @@ mod tests {
             "socket_impaired_total{kind=reorder}",
         ];
         let first_pass = MetricsRegistry::new();
+        let counts = ImpairedCounters::new(&first_pass);
         let mut shim = ImpairmentShim::new(ImpairmentConfig::soak(), 7);
         for _ in 0..35 {
-            shim.outgoing(&[0; 8], &first_pass);
+            shim.impair(&[0; 8], &counts);
         }
         assert_eq!(keys(&first_pass.snapshot()), IMPAIRED);
         let [monitor, center] = socket_roundtrip(Transport::Udp, ImpairmentConfig::perfect());
@@ -1332,7 +1320,10 @@ mod tests {
             total: 20_000,
             payload: b"x",
         };
-        monitor.send(&first.encode(), &MetricsRegistry::new());
+        monitor.send(
+            &first.encode(),
+            &MonitorMetrics::new(&MetricsRegistry::new()),
+        );
         let mut collector = quick_collector(0, &[1], clock.now());
         let done = std::sync::atomic::AtomicBool::new(false);
         let nack = std::thread::scope(|s| {
@@ -1349,9 +1340,10 @@ mod tests {
                 )
             });
             let metrics = MetricsRegistry::new();
+            let m = MonitorMetrics::new(&metrics);
             let give_up = std::time::Instant::now() + Duration::from_secs(5);
             let nack = loop {
-                let seqs = monitor.poll(&metrics).into_iter().find_map(|c| match c {
+                let seqs = monitor.poll(&m).into_iter().find_map(|c| match c {
                     ControlFrame::NackSeqs { seqs, .. } => Some(seqs),
                     _ => None,
                 });

@@ -10,7 +10,9 @@
 //! * the unaligned-case Λ threshold tables are hypergeometric quantiles
 //!   (Section IV-B) — [`hypergeom`];
 //! * the unaligned-case cluster bounds co-tune `binocdf` expressions
-//!   (eqs. 2–3).
+//!   (eqs. 2–3);
+//! * the unaligned-case ER alarm threshold is a branching process's
+//!   progeny tail (Section IV-B) — [`progeny`].
 //!
 //! [`sample`] provides the random-variate generators the Monte-Carlo
 //! harness and the synthetic-traffic substrate need (binomial, geometric,
@@ -22,6 +24,7 @@
 pub mod binomial;
 pub mod ecdf;
 pub mod hypergeom;
+pub mod progeny;
 pub mod sample;
 pub mod special;
 
@@ -33,4 +36,5 @@ pub use ecdf::Ecdf;
 pub use hypergeom::{
     hypergeom_pmf, hypergeom_sf, hypergeom_tail_quantile, hypergeom_tail_quantile_near,
 };
+pub use progeny::{component_threshold, progeny_sf};
 pub use special::{ln_choose, ln_factorial, ln_gamma};

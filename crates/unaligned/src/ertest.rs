@@ -5,75 +5,28 @@
 //! is O(log n). Alternative: some subset of vertices attaches
 //! preferentially (edge probability p₂ ≫ p₁), merging the small components
 //! into a giant one. The test statistic is simply the size of the largest
-//! connected component.
+//! connected component, and the alarm threshold on it is
+//! [`dcs_stats::component_threshold`]: the size the null graph's largest
+//! component exceeds with probability at most ε.
 
 use dcs_graph::{component_sizes, Graph};
-
-/// Configuration of the ER test.
-#[derive(Debug, Clone, Copy)]
-pub struct ErTestConfig {
-    /// Alarm threshold on the largest-component size (the paper sets 100
-    /// for n = 102,400 — comfortably above the O(log n) null range and
-    /// below the pattern-merged giant).
-    pub component_threshold: usize,
-}
-
-impl ErTestConfig {
-    /// The paper's Figure-13 threshold.
-    pub fn paper_default() -> Self {
-        ErTestConfig {
-            component_threshold: 100,
-        }
-    }
-
-    /// A threshold scaled for a graph of `n` vertices at null edge
-    /// probability `p1`.
-    ///
-    /// The asymptotic subcritical bound `ln n / (c − 1 − ln c)` (c = n·p₁)
-    /// overshoots the empirical null maximum by ~3× at these sizes, so the
-    /// constant here is calibrated against measurement: at the paper's
-    /// operating point c = 0.65 the null largest component tops out near
-    /// 6·ln n, and 9·ln n gives the same ~1.5× headroom the paper's fixed
-    /// threshold of 100 has at n = 102,400. Other c values scale by the
-    /// subcritical rate ratio.
-    ///
-    /// # Panics
-    /// Panics if `n == 0` or p₁ is not in `(0, 1)`.
-    pub fn scaled(n: usize, p1: f64) -> Self {
-        assert!(n > 0, "empty graph");
-        assert!(p1 > 0.0 && p1 < 1.0, "p1 must be in (0,1)");
-        let c = n as f64 * p1; // mean degree; < 1 below the transition
-        assert!(c < 1.0, "p1 = {p1} is at or above the phase transition 1/n");
-        let rate_ref = 0.65_f64 - 1.0 - 0.65_f64.ln(); // ≈ 0.0808
-        let rate = c - 1.0 - c.ln();
-        let threshold = 9.0 * (n as f64).ln() * rate_ref / rate;
-        ErTestConfig {
-            component_threshold: threshold.ceil() as usize,
-        }
-    }
-}
 
 /// Outcome of the ER test.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ErTestResult {
     /// Size of the largest connected component.
     pub largest_component: usize,
-    /// Size of the second-largest component (diagnostic: under the
-    /// alternative the gap between first and second is large).
-    pub second_component: usize,
     /// Whether the alarm fired (largest > threshold).
     pub alarm: bool,
 }
 
-/// Runs the test on a group graph.
-pub fn er_test(graph: &Graph, cfg: ErTestConfig) -> ErTestResult {
-    let sizes = component_sizes(graph);
-    let largest = sizes.first().copied().unwrap_or(0);
-    let second = sizes.get(1).copied().unwrap_or(0);
+/// Runs the test on a group graph: alarm when the largest component is
+/// larger than `threshold`.
+pub fn er_test(graph: &Graph, threshold: usize) -> ErTestResult {
+    let largest = component_sizes(graph).first().copied().unwrap_or(0);
     ErTestResult {
         largest_component: largest,
-        second_component: second,
-        alarm: largest > cfg.component_threshold,
+        alarm: largest > threshold,
     }
 }
 
@@ -81,6 +34,7 @@ pub fn er_test(graph: &Graph, cfg: ErTestConfig) -> ErTestResult {
 mod tests {
     use super::*;
     use dcs_graph::er::{gnp, gnp_planted, PlantedConfig};
+    use dcs_stats::component_threshold;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 
@@ -89,14 +43,14 @@ mod tests {
         let mut r = StdRng::seed_from_u64(1);
         let n = 50_000;
         let p1 = 0.65 / n as f64; // same margin below 1/n as the paper
-        let cfg = ErTestConfig::scaled(n, p1);
+        let threshold = component_threshold(n, p1, 1e-3);
         for _ in 0..5 {
             let g = gnp(&mut r, n, p1);
-            let res = er_test(&g, cfg);
+            let res = er_test(&g, threshold);
             assert!(
                 !res.alarm,
-                "false alarm: largest {} vs threshold {}",
-                res.largest_component, cfg.component_threshold
+                "false alarm: largest {} vs threshold {threshold}",
+                res.largest_component
             );
         }
     }
@@ -106,7 +60,7 @@ mod tests {
         let mut r = StdRng::seed_from_u64(2);
         let n = 50_000;
         let p1 = 0.65 / n as f64;
-        let cfg = ErTestConfig::scaled(n, p1);
+        let threshold = component_threshold(n, p1, 1e-3);
         let (g, _) = gnp_planted(
             &mut r,
             PlantedConfig {
@@ -116,14 +70,15 @@ mod tests {
                 p2: 0.17,
             },
         );
-        let res = er_test(&g, cfg);
+        let res = er_test(&g, threshold);
         assert!(
             res.alarm,
-            "missed pattern: largest {} vs threshold {}",
-            res.largest_component, cfg.component_threshold
+            "missed pattern: largest {} vs threshold {threshold}",
+            res.largest_component
         );
         // The giant dwarfs the runner-up.
-        assert!(res.largest_component > 3 * res.second_component.max(1));
+        let second = component_sizes(&g).get(1).copied().unwrap_or(0);
+        assert!(res.largest_component > 3 * second.max(1));
     }
 
     #[test]
@@ -132,12 +87,7 @@ mod tests {
         b.add_edge(0, 1);
         b.add_edge(1, 2);
         let g = b.build();
-        let res = er_test(
-            &g,
-            ErTestConfig {
-                component_threshold: 3,
-            },
-        );
+        let res = er_test(&g, 3);
         assert_eq!(res.largest_component, 3);
         assert!(!res.alarm, "component == threshold must not alarm");
     }
@@ -145,19 +95,8 @@ mod tests {
     #[test]
     fn empty_graph() {
         let g = dcs_graph::GraphBuilder::new(0).build();
-        let res = er_test(&g, ErTestConfig::paper_default());
+        let res = er_test(&g, component_threshold(0, 0.5, 1e-3));
         assert_eq!(res.largest_component, 0);
         assert!(!res.alarm);
-    }
-
-    #[test]
-    #[should_panic(expected = "phase transition")]
-    fn supercritical_p1_rejected() {
-        ErTestConfig::scaled(100, 0.02);
-    }
-
-    #[test]
-    fn paper_threshold_value() {
-        assert_eq!(ErTestConfig::paper_default().component_threshold, 100);
     }
 }

@@ -38,7 +38,7 @@ pub mod matchmodel;
 pub mod thresholds;
 
 pub use corefind::{find_pattern, CoreFindConfig, PatternResult};
-pub use ertest::{er_test, ErTestConfig, ErTestResult};
+pub use ertest::{er_test, ErTestResult};
 pub use graphbuild::{build_group_graph, GroupLayout};
 pub use incremental::{EpochStats, IncrementalConfig, IncrementalCorrelator};
 pub use lambda::{LambdaTable, LambdaTables};

@@ -1532,9 +1532,10 @@ mod tests {
     }
 
     /// The bound's null model through the deployed Λ and pair loop.
-    /// Edges that share a group are not independent, so that the largest
-    /// component of the Λ graph is dominated by the branching process is
-    /// an assumption; this checks it at `tiered-chan`'s shape, 48 groups ×
+    /// Edges that share a group are not independent, so the bound's
+    /// premise, that the branching process dominates the Λ graph's
+    /// components, is an assumption. This checks it at `tiered-chan`'s
+    /// shape, 48 groups ×
     /// 10 rows × 1,024 bits, on uniformly random rows of fill 7/16 (≈ 448
     /// ones a row against the digests' ≈ 446), built by
     /// `build_group_graph` under the centre's test table. A loose

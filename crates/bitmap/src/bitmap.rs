@@ -2,7 +2,6 @@
 //! point (Section III-A of the paper).
 
 use crate::words::{self, tail_mask, words_for, WORD_BITS};
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// A fixed-length bit vector packed into `u64` words.
@@ -12,7 +11,7 @@ use std::fmt;
 /// 4-Mbit instance holds roughly one second of OC-48 traffic at 50 % fill.
 ///
 /// Invariant: bits at positions `>= len` are always zero.
-#[derive(Clone, PartialEq, Eq, Hash, Serialize)]
+#[derive(Clone, PartialEq, Eq, Hash)]
 pub struct Bitmap {
     len: usize,
     words: Vec<u64>,
@@ -45,9 +44,11 @@ impl Bitmap {
     /// Panics if `words` is not exactly `words_for(len)` long or if any bit
     /// beyond `len` is set (which would break the crate invariant).
     pub fn from_words(len: usize, words: Vec<u64>) -> Self {
-        if let Err(e) = check_words(len, &words) {
-            panic!("from_words: {e}");
-        }
+        assert_eq!(words.len(), words_for(len), "from_words: wrong word count");
+        assert!(
+            words.last().is_none_or(|w| w & !tail_mask(len) == 0),
+            "from_words: bits set past logical length"
+        );
         Bitmap { len, words }
     }
 
@@ -148,30 +149,6 @@ impl Bitmap {
     }
 }
 
-/// The checks that keep the crate invariant on words from outside: exactly
-/// `words_for(len)` of them, and no bit set at or past `len`.
-fn check_words(len: usize, words: &[u64]) -> Result<(), &'static str> {
-    if words.len() != words_for(len) {
-        return Err("wrong word count");
-    }
-    match words.last() {
-        Some(last) if last & !tail_mask(len) != 0 => Err("bits set past logical length"),
-        _ => Ok(()),
-    }
-}
-
-/// Digest JSON comes from user-supplied files (`dcs-cli analyze`), so a
-/// bitmap is rebuilt through [`Bitmap::from_words`]'s checks, and a
-/// malformed one is a deserialisation error.
-impl Deserialize for Bitmap {
-    fn from_value(v: &serde::Value) -> Result<Self, serde::Error> {
-        let len = usize::from_value(v.field("len")?)?;
-        let words = Vec::<u64>::from_value(v.field("words")?)?;
-        check_words(len, &words).map_err(|e| serde::Error::new(format!("bitmap: {e}")))?;
-        Ok(Bitmap { len, words })
-    }
-}
-
 impl fmt::Debug for Bitmap {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(
@@ -253,27 +230,6 @@ mod tests {
         let mut bm = Bitmap::from_indices(65, [0, 64]);
         bm.reset();
         assert_eq!(bm.weight(), 0);
-    }
-
-    #[test]
-    fn serde_roundtrip() {
-        let bm = Bitmap::from_indices(200, [0, 77, 199]);
-        let json = serde_json::to_string(&bm).unwrap();
-        let back: Bitmap = serde_json::from_str(&json).unwrap();
-        assert_eq!(bm, back);
-    }
-
-    #[test]
-    fn deserialize_rejects_what_from_words_rejects() {
-        let parse = |json: &str| serde_json::from_str::<Bitmap>(json).map_err(|e| e.to_string());
-        let err = parse(r#"{"len":4,"words":[16]}"#).unwrap_err();
-        assert!(err.contains("bits set past logical length"), "{err}");
-        for json in [r#"{"len":65,"words":[1]}"#, r#"{"len":4,"words":[1,0]}"#] {
-            let err = parse(json).unwrap_err();
-            assert!(err.contains("wrong word count"), "{err}");
-        }
-        let ok = parse(r#"{"len":65,"words":[1,1]}"#).unwrap();
-        assert_eq!(ok, Bitmap::from_indices(65, [0, 64]));
     }
 
     proptest! {

@@ -13,12 +13,11 @@
 
 use crate::words::{self, words_for, WORD_BITS};
 use crate::{Bitmap, WordSource};
-use serde::{Deserialize, Serialize};
 use std::ops::Range;
 
 /// A column-major bit matrix with `nrows` (routers) and `ncols` (hash
 /// indices) — the aligned-case fused digest.
-#[derive(Clone, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq, Eq)]
 pub struct ColMatrix {
     nrows: usize,
     ncols: usize,

@@ -45,7 +45,7 @@ mod proptests;
 pub use bitmap::Bitmap;
 pub use col_matrix::ColMatrix;
 pub use column_counts::ColumnCounts;
-pub use digest::{BitmapView, DecodeError, DIGEST_MAGIC};
+pub use digest::{BitmapView, DIGEST_HEADER, DIGEST_MAGIC, DIGEST_VERSION};
 pub use row_matrix::RowMatrix;
 pub use source::WordSource;
 pub use words::{active_kernel, Kernel};

@@ -10,7 +10,7 @@ use crate::words::{
     and_weight_each_into, and_weight_each_with, and_weight_scalar, and_weight_with, tail_mask,
     weight_scalar, weight_with, words_for,
 };
-use crate::{Bitmap, BitmapView, ColMatrix, ColumnCounts, RowMatrix, WordSource};
+use crate::{Bitmap, ColMatrix, ColumnCounts, RowMatrix};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -94,27 +94,6 @@ proptest! {
     }
 
     #[test]
-    fn decode_never_panics_on_garbage(bytes in proptest::collection::vec(any::<u8>(), 0..256)) {
-        // Arbitrary input must produce Ok or Err, never a panic — the
-        // decoder faces the network.
-        let _ = Bitmap::decode(&bytes);
-    }
-
-    #[test]
-    fn decode_never_panics_on_corrupted_frames(
-        idxs in proptest::collection::vec(0usize..512, 0..16),
-        pos in 0usize..64,
-        val in any::<u8>(),
-    ) {
-        let bm = Bitmap::from_indices(512, idxs);
-        let mut bytes = bm.encode().to_vec();
-        if pos < bytes.len() {
-            bytes[pos] ^= val;
-        }
-        let _ = Bitmap::decode(&bytes);
-    }
-
-    #[test]
     fn every_kernel_weight_matches_scalar(words in proptest::collection::vec(any::<u64>(), 0..80)) {
         for &k in available_kernels() {
             prop_assert_eq!(weight_with(k, &words), weight_scalar(&words), "{:?}", k);
@@ -151,47 +130,6 @@ proptest! {
         for &k in available_kernels() {
             prop_assert_eq!(weight_with(k, &a), weight_scalar(&a), "{:?}", k);
             prop_assert_eq!(and_weight_with(k, &a, &b), and_weight_scalar(&a, &b), "{:?}", k);
-        }
-    }
-
-    #[test]
-    fn bitmap_view_agrees_with_owned_decode(
-        len in 0usize..4_000,
-        idxs in proptest::collection::vec(any::<usize>(), 0..64),
-    ) {
-        let bm = Bitmap::from_indices(len.max(1), idxs.into_iter().map(|i| i % len.max(1)));
-        let bytes = bm.encode();
-        let owned = Bitmap::decode(&bytes).unwrap();
-        let view = BitmapView::parse(&bytes).unwrap();
-        prop_assert_eq!(view.len(), owned.len());
-        prop_assert_eq!(view.encoded_len(), owned.encoded_len());
-        prop_assert_eq!(&view.to_bitmap(), &owned);
-        for (i, &w) in owned.words().iter().enumerate() {
-            prop_assert_eq!(view.word(i), w, "word {}", i);
-        }
-    }
-
-    #[test]
-    fn bitmap_view_errors_match_owned_decode_on_mutations(
-        idxs in proptest::collection::vec(0usize..512, 0..16),
-        pos in 0usize..64,
-        val in any::<u8>(),
-        cut_ppm in 0u32..=1_000_000,
-    ) {
-        // View parsing and owned decoding face the same wire: on any
-        // mutated frame they must agree exactly — both Ok with equal
-        // content, or the same typed error. Neither may panic.
-        let bm = Bitmap::from_indices(512, idxs);
-        let mut bytes = bm.encode().to_vec();
-        if pos < bytes.len() {
-            bytes[pos] ^= val;
-        }
-        let cut = (bytes.len() as u64 * u64::from(cut_ppm) / 1_000_000) as usize;
-        let mangled = &bytes[..cut];
-        match (Bitmap::decode(mangled), BitmapView::parse(mangled)) {
-            (Ok(owned), Ok(view)) => prop_assert_eq!(view.to_bitmap(), owned),
-            (Err(e_owned), Err(e_view)) => prop_assert_eq!(e_owned, e_view),
-            (owned, view) => prop_assert!(false, "decode {:?} but view {:?}", owned.is_ok(), view.is_ok()),
         }
     }
 

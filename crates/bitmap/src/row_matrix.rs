@@ -8,10 +8,9 @@
 
 use crate::words::{self, tail_mask, words_for};
 use crate::{Bitmap, WordSource};
-use serde::{Deserialize, Serialize};
 
 /// A row-major bit matrix with fixed row width.
-#[derive(Clone, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq, Eq)]
 pub struct RowMatrix {
     ncols: usize,
     words_per_row: usize,

@@ -21,7 +21,7 @@ use crate::Bitmap;
 /// Implementations must uphold the crate-wide invariant: bits at
 /// positions `>= bit_len()` in the final word are zero. Both
 /// implementations in this crate validate that at their boundary
-/// ([`Bitmap::from_words`] and `BitmapView::parse`).
+/// ([`Bitmap::from_words`] and [`BitmapView::new`](crate::BitmapView::new)).
 pub trait WordSource {
     /// Logical length in bits.
     fn bit_len(&self) -> usize;

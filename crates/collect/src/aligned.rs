@@ -62,7 +62,7 @@ impl AlignedConfig {
 }
 
 /// The digest shipped to the analysis centre at the end of an epoch.
-#[derive(Debug, Clone, PartialEq, Eq, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct AlignedDigest {
     /// The hashed bitmap.
     pub bitmap: Bitmap,

@@ -27,7 +27,7 @@
 //! byte-identical to the previous format — the compatibility invariant
 //! the existing transport and checkpoint byte-identity tests pin.
 
-use crate::wire::WireError;
+use crate::frame::FrameError;
 use bytes::{Buf, BufMut, BytesMut};
 use dcs_hash::Crc32;
 
@@ -43,7 +43,7 @@ pub const ARTIFACT_KIND_SKETCH: u32 = u32::from_le_bytes(*b"DCSS");
 const PER_ARTIFACT_OVERHEAD: usize = 12;
 
 /// One typed sidecar artifact.
-#[derive(Debug, Clone, PartialEq, Eq, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Artifact {
     /// FourCC describing the payload (e.g. [`ARTIFACT_KIND_SKETCH`]).
     pub kind: u32,
@@ -99,19 +99,19 @@ fn artifact_crc(kind: u32, payload: &[u8]) -> u32 {
 /// Appends an artifact section to `buf`. Empty sections emit nothing.
 ///
 /// # Errors
-/// [`WireError::TooLarge`] when a cap is exceeded — a frame must never
+/// [`FrameError::TooLarge`] when a cap is exceeded — a frame must never
 /// ship a section its own decoder would reject.
-pub fn encode_section(artifacts: &[Artifact], buf: &mut BytesMut) -> Result<(), WireError> {
+pub fn encode_section(artifacts: &[Artifact], buf: &mut BytesMut) -> Result<(), FrameError> {
     if artifacts.is_empty() {
         return Ok(());
     }
     if artifacts.len() > MAX_ARTIFACTS {
-        return Err(WireError::TooLarge("too many artifacts"));
+        return Err(FrameError::TooLarge("too many artifacts"));
     }
     put_u16_le(buf, artifacts.len() as u16);
     for a in artifacts {
         if a.payload.len() > MAX_ARTIFACT_PAYLOAD {
-            return Err(WireError::TooLarge("artifact payload"));
+            return Err(FrameError::TooLarge("artifact payload"));
         }
         buf.put_u32_le(a.kind);
         buf.put_u32_le(a.payload.len() as u32);
@@ -123,7 +123,7 @@ pub fn encode_section(artifacts: &[Artifact], buf: &mut BytesMut) -> Result<(), 
 
 /// Decodes an artifact section from the front of `buf`, advancing it:
 /// owned copies of what [`decode_section_views`] validates.
-pub fn decode_section(buf: &mut &[u8]) -> Result<Vec<Artifact>, WireError> {
+pub fn decode_section(buf: &mut &[u8]) -> Result<Vec<Artifact>, FrameError> {
     let views = decode_section_views(buf)?;
     Ok(views
         .into_iter()
@@ -137,38 +137,38 @@ pub fn decode_section(buf: &mut &[u8]) -> Result<Vec<Artifact>, WireError> {
 /// Validates an artifact section at the front of `buf`, advancing it;
 /// payloads stay slices into the frame. Call only when the containing
 /// frame says a section is present; an empty `buf` is a missing count,
-/// i.e. [`WireError::Truncated`].
-pub fn decode_section_views<'a>(buf: &mut &'a [u8]) -> Result<Vec<(u32, &'a [u8])>, WireError> {
+/// i.e. [`FrameError::Truncated`].
+pub fn decode_section_views<'a>(buf: &mut &'a [u8]) -> Result<Vec<(u32, &'a [u8])>, FrameError> {
     if buf.len() < 2 {
-        return Err(WireError::Truncated);
+        return Err(FrameError::Truncated);
     }
     let count = get_u16_le(buf) as usize;
     if count == 0 || count > MAX_ARTIFACTS {
-        return Err(WireError::Malformed("artifact count"));
+        return Err(FrameError::Malformed("artifact count"));
     }
     // Caps are tiny, but keep the discipline: the declared count must
     // fit the remaining bytes before reserving the output vector.
     if count.saturating_mul(PER_ARTIFACT_OVERHEAD) > buf.len() {
-        return Err(WireError::Truncated);
+        return Err(FrameError::Truncated);
     }
     let mut out = Vec::with_capacity(count);
     for _ in 0..count {
         if buf.len() < 8 {
-            return Err(WireError::Truncated);
+            return Err(FrameError::Truncated);
         }
         let kind = buf.get_u32_le();
         let len = buf.get_u32_le() as usize;
         if len > MAX_ARTIFACT_PAYLOAD {
-            return Err(WireError::Malformed("artifact payload length"));
+            return Err(FrameError::Malformed("artifact payload length"));
         }
         if buf.len() < len + 4 {
-            return Err(WireError::Truncated);
+            return Err(FrameError::Truncated);
         }
         let payload = &buf[..len];
         buf.advance(len);
         let crc = buf.get_u32_le();
         if crc != artifact_crc(kind, payload) {
-            return Err(WireError::Malformed("artifact checksum"));
+            return Err(FrameError::Malformed("artifact checksum"));
         }
         out.push((kind, payload));
     }
@@ -255,7 +255,7 @@ mod tests {
         let mut buf = BytesMut::new();
         assert_eq!(
             encode_section(&many, &mut buf),
-            Err(WireError::TooLarge("too many artifacts"))
+            Err(FrameError::TooLarge("too many artifacts"))
         );
 
         let huge = vec![Artifact {
@@ -265,7 +265,7 @@ mod tests {
         let mut buf = BytesMut::new();
         assert_eq!(
             encode_section(&huge, &mut buf),
-            Err(WireError::TooLarge("artifact payload"))
+            Err(FrameError::TooLarge("artifact payload"))
         );
 
         // Decoder: a hostile count dies on the remaining-length

@@ -30,6 +30,9 @@ pub enum FrameError {
     /// Structurally impossible field (a count or length over its cap, an
     /// unknown tag, bytes left over).
     Malformed(&'static str),
+    /// Encode-side failure: a field exceeds what the frame format can
+    /// carry. A frame is never emitted with a silently truncated count.
+    TooLarge(&'static str),
 }
 
 impl fmt::Display for FrameError {
@@ -43,6 +46,7 @@ impl fmt::Display for FrameError {
                 "checksum mismatch: trailer {declared:#010x}, computed {computed:#010x}"
             ),
             FrameError::Malformed(what) => write!(f, "malformed frame: {what}"),
+            FrameError::TooLarge(what) => write!(f, "does not fit the wire format: {what}"),
         }
     }
 }

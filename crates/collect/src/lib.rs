@@ -29,7 +29,7 @@ pub use aligned::{AlignedCollector, AlignedConfig, AlignedDigest};
 pub use artifact::{Artifact, ARTIFACT_KIND_SKETCH, MAX_ARTIFACTS, MAX_ARTIFACT_PAYLOAD};
 pub use unaligned::{UnalignedCollector, UnalignedConfig, UnalignedDigest};
 pub use view::{AlignedDigestView, UnalignedDigestView};
-pub use wire::{WireError, MAX_ARRAY_BITS};
+pub use wire::MAX_ARRAY_BITS;
 
 /// A collector configuration field no collector can be built on, named
 /// as it appears in a monitor config file (`dcs-cli config`).

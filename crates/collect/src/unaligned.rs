@@ -107,7 +107,7 @@ impl UnalignedConfig {
 
 /// The digest shipped at the end of an epoch: `groups × arrays_per_group`
 /// small bitmaps plus accounting.
-#[derive(Debug, Clone, PartialEq, Eq, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct UnalignedDigest {
     /// Arrays in group-major order: group `g`, offset-array `a` lives at
     /// `g * arrays_per_group + a`.

@@ -6,18 +6,17 @@
 //! bytes borrowed in place instead of copying them into owned
 //! `Vec<u64>`s. The analysis centre fuses digests straight out of the
 //! received frame bytes through these views (validate-then-view), so the
-//! steady-state ingest path allocates nothing per digest; the owned
-//! `decode_wire`s are `parse` followed by `to_owned`.
+//! steady-state ingest path allocates nothing per digest.
 
-use crate::frame::Reader;
-use crate::wire::{check_array_width, ALIGNED_MAGIC, UNALIGNED_MAGIC, VERSION};
-use crate::{AlignedDigest, UnalignedDigest, WireError};
-use dcs_bitmap::{Bitmap, BitmapView};
+use crate::frame::{FrameError, Reader};
+use crate::wire::{check_array_width, read_bitmap, ALIGNED_MAGIC, UNALIGNED_MAGIC, VERSION};
+use dcs_bitmap::words::words_for;
+use dcs_bitmap::{BitmapView, DIGEST_HEADER};
 
 /// Borrowed view of one aligned-digest frame (`b"DCSA"`).
 ///
-/// Field-for-field mirror of [`AlignedDigest`], with the bitmap left on
-/// the wire as a [`BitmapView`].
+/// Field-for-field mirror of [`AlignedDigest`](crate::AlignedDigest),
+/// with the bitmap left on the wire as a [`BitmapView`].
 #[derive(Clone, Copy, Debug)]
 pub struct AlignedDigestView<'a> {
     /// The epoch's n-bit bitmap, borrowed from the frame.
@@ -33,14 +32,13 @@ pub struct AlignedDigestView<'a> {
 impl<'a> AlignedDigestView<'a> {
     /// Validates the frame at the front of `buf`, returning the view and
     /// the bytes it covers.
-    pub fn parse(buf: &'a [u8]) -> Result<(AlignedDigestView<'a>, usize), WireError> {
+    pub fn parse(buf: &'a [u8]) -> Result<(AlignedDigestView<'a>, usize), FrameError> {
         let mut r = Reader::new(buf);
         r.magic_version(ALIGNED_MAGIC, &[VERSION])?;
         let packets_seen = r.u64()?;
         let packets_hashed = r.u64()?;
         let raw_bytes = r.u64()?;
-        let bitmap = BitmapView::parse(r.rest())?;
-        r.bytes(bitmap.encoded_len())?;
+        let bitmap = read_bitmap(&mut r)?;
         Ok((
             AlignedDigestView {
                 bitmap,
@@ -51,24 +49,13 @@ impl<'a> AlignedDigestView<'a> {
             r.used(),
         ))
     }
-
-    /// Copies the view into an owned [`AlignedDigest`].
-    pub fn to_owned(&self) -> AlignedDigest {
-        AlignedDigest {
-            bitmap: self.bitmap.to_bitmap(),
-            packets_seen: self.packets_seen,
-            packets_hashed: self.packets_hashed,
-            raw_bytes: self.raw_bytes,
-        }
-    }
 }
 
 /// Borrowed view of one unaligned-digest frame (`b"DCSU"`).
 ///
 /// Because `parse` enforces uniform array widths, every embedded bitmap
-/// frame has the same encoded length; arrays are
-/// addressed by computed offset into the borrowed body, with no
-/// per-array bookkeeping.
+/// frame has the same encoded length; arrays are cut from the borrowed
+/// body at that stride, with no per-array bookkeeping.
 #[derive(Clone, Copy, Debug)]
 pub struct UnalignedDigestView<'a> {
     /// Arrays per group (rows per group when fused into a matrix).
@@ -81,9 +68,9 @@ pub struct UnalignedDigestView<'a> {
     pub raw_bytes: u64,
     /// Total number of arrays.
     count: usize,
-    /// Encoded bytes of each array frame (uniform — widths agree).
-    frame_len: usize,
-    /// `count * frame_len` bytes of concatenated array frames.
+    /// Width in bits of every array (0 when the digest ships none).
+    array_bits: usize,
+    /// `count` concatenated bitmap frames of `array_bits` bits each.
     body: &'a [u8],
 }
 
@@ -94,46 +81,40 @@ impl<'a> UnalignedDigestView<'a> {
     /// rest; so is a first array outside `1..=`[`MAX_ARRAY_BITS`].
     ///
     /// [`MAX_ARRAY_BITS`]: crate::MAX_ARRAY_BITS
-    pub fn parse(buf: &'a [u8]) -> Result<(UnalignedDigestView<'a>, usize), WireError> {
+    pub fn parse(buf: &'a [u8]) -> Result<(UnalignedDigestView<'a>, usize), FrameError> {
         let mut r = Reader::new(buf);
         r.magic_version(UNALIGNED_MAGIC, &[VERSION])?;
         let packets_seen = r.u64()?;
         let packets_sampled = r.u64()?;
         let raw_bytes = r.u64()?;
         let arrays_per_group = r.u32()? as usize;
-        // Every bitmap frame costs at least its 13-byte header.
-        let count = r.count(usize::MAX, 13, "array count")?;
+        let count = r.count(usize::MAX, DIGEST_HEADER, "array count")?;
         if arrays_per_group == 0 {
-            return Err(WireError::Malformed("arrays_per_group = 0"));
+            return Err(FrameError::Malformed("arrays_per_group = 0"));
         }
         if !count.is_multiple_of(arrays_per_group) {
-            return Err(WireError::Malformed("array count not a group multiple"));
+            return Err(FrameError::Malformed("array count not a group multiple"));
         }
-        let rest = r.rest();
-        let mut frame_len = 0;
-        let mut width = 0;
-        let mut offset = 0;
+        let (rest, start) = (r.rest(), r.used());
+        let mut array_bits = 0;
         for i in 0..count {
-            let bm = BitmapView::parse(&rest[offset..])?;
+            let bm = read_bitmap(&mut r)?;
             if i == 0 {
                 check_array_width(bm.len())?;
-                frame_len = bm.encoded_len();
-                width = bm.len();
-            } else if bm.len() != width {
-                return Err(WireError::Malformed("mixed array widths"));
+                array_bits = bm.len();
+            } else if bm.len() != array_bits {
+                return Err(FrameError::Malformed("mixed array widths"));
             }
-            offset += bm.encoded_len();
         }
-        let body = r.bytes(offset)?;
         Ok((
             UnalignedDigestView {
                 arrays_per_group,
+                array_bits,
                 packets_seen,
                 packets_sampled,
                 raw_bytes,
                 count,
-                frame_len,
-                body,
+                body: &rest[..r.used() - start],
             },
             r.used(),
         ))
@@ -145,11 +126,17 @@ impl<'a> UnalignedDigestView<'a> {
         self.count
     }
 
+    /// Width in bits of every array (0 when the digest ships none).
+    #[inline]
+    pub fn array_bits(&self) -> usize {
+        self.array_bits
+    }
+
     /// Total encoded bytes of the array bitmaps, as counted by
-    /// [`UnalignedDigest::encoded_len`].
+    /// [`UnalignedDigest::encoded_len`](crate::UnalignedDigest::encoded_len).
     #[inline]
     pub fn encoded_len(&self) -> usize {
-        self.count * self.frame_len
+        self.body.len()
     }
 
     /// Number of groups.
@@ -158,34 +145,21 @@ impl<'a> UnalignedDigestView<'a> {
         self.count / self.arrays_per_group
     }
 
-    /// View of array `i` (group-major order, as in
-    /// [`UnalignedDigest::arrays`]).
-    ///
-    /// # Panics
-    /// Panics if `i >= array_count()`.
-    #[inline]
-    pub fn array(&self, i: usize) -> BitmapView<'a> {
-        assert!(i < self.count, "array {i} out of range {}", self.count);
-        let frame = &self.body[i * self.frame_len..(i + 1) * self.frame_len];
-        BitmapView::parse(frame).expect("frames validated by UnalignedDigestView::parse")
-    }
-
-    /// Copies the view into an owned [`UnalignedDigest`].
-    pub fn to_owned(&self) -> UnalignedDigest {
-        let arrays: Vec<Bitmap> = (0..self.count).map(|i| self.array(i).to_bitmap()).collect();
-        UnalignedDigest {
-            arrays,
-            arrays_per_group: self.arrays_per_group,
-            packets_seen: self.packets_seen,
-            packets_sampled: self.packets_sampled,
-            raw_bytes: self.raw_bytes,
-        }
+    /// Views of the arrays in group-major order, as in
+    /// [`UnalignedDigest::arrays`](crate::UnalignedDigest::arrays): each
+    /// one's words, cut from the body at the stride `parse` checked.
+    pub fn arrays(&self) -> impl Iterator<Item = BitmapView<'a>> + 'a {
+        let bits = self.array_bits;
+        self.body
+            .chunks_exact(DIGEST_HEADER + words_for(bits) * 8)
+            .filter_map(move |frame| BitmapView::new(bits, &frame[DIGEST_HEADER..]).ok())
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::wire::same_bits;
 
     #[test]
     fn unaligned_view_round_trips_the_digest() {
@@ -196,9 +170,9 @@ mod tests {
         assert_eq!(view.array_count(), u.arrays.len());
         assert_eq!(view.groups(), u.groups());
         assert_eq!(view.encoded_len(), u.encoded_len());
-        for (i, bm) in u.arrays.iter().enumerate() {
-            assert_eq!(&view.array(i).to_bitmap(), bm, "array {i}");
+        assert_eq!(view.arrays().count(), u.arrays.len());
+        for (i, (v, bm)) in view.arrays().zip(&u.arrays).enumerate() {
+            assert!(same_bits(v, bm), "array {i}");
         }
-        assert_eq!(view.to_owned(), u);
     }
 }

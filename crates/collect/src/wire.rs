@@ -1,17 +1,20 @@
-//! Binary wire framing for whole digest bundles.
+//! Binary wire framing for digests: the `DCSB` bitmap, `DCSA` aligned
+//! and `DCSU` unaligned frames.
 //!
-//! JSON (via serde) is convenient for tooling, but a real deployment ships
-//! digests on the measurement plane where every byte counts — the whole
-//! point of DCS is the digest-size budget. This module frames
-//! [`AlignedDigest`] and [`UnalignedDigest`] in the same dense
-//! little-endian style as [`dcs_bitmap`]'s bitmap frames, with magic and
-//! version bytes so streams are self-describing.
+//! A deployment ships digests on the measurement plane, where every
+//! byte counts — the whole point of DCS is the digest-size budget. This
+//! module frames [`AlignedDigest`] and [`UnalignedDigest`] in the same
+//! dense little-endian style as [`dcs_bitmap`]'s bitmap frames, with magic
+//! and version bytes so streams are self-describing, and holds the bitmap
+//! frame's parser ([`parse_bitmap`]) beside the digest parsers of
+//! [`crate::view`]. Every parser reads through [`Reader`] and fails with a
+//! [`FrameError`].
 
-use crate::frame::FrameError;
-use crate::{AlignedDigest, AlignedDigestView, UnalignedDigest, UnalignedDigestView};
+use crate::frame::{FrameError, Reader};
+use crate::{AlignedDigest, UnalignedDigest};
 use bytes::{BufMut, Bytes, BytesMut};
-use dcs_bitmap::DecodeError as BitmapError;
-use std::fmt;
+use dcs_bitmap::words::words_for;
+use dcs_bitmap::{BitmapView, DIGEST_MAGIC, DIGEST_VERSION};
 
 /// Magic for aligned digest frames (`b"DCSA"`).
 pub const ALIGNED_MAGIC: [u8; 4] = *b"DCSA";
@@ -26,69 +29,34 @@ pub(crate) const VERSION: u8 = 1;
 /// refuses and the parser rejects any other width.
 pub const MAX_ARRAY_BITS: usize = u16::MAX as usize - 1;
 
-/// [`WireError::Malformed`] unless `bits` is a width an unaligned array
+/// [`FrameError::Malformed`] unless `bits` is a width an unaligned array
 /// may have on the wire (see [`MAX_ARRAY_BITS`]).
-pub(crate) fn check_array_width(bits: usize) -> Result<(), WireError> {
+pub(crate) fn check_array_width(bits: usize) -> Result<(), FrameError> {
     match bits {
         1..=MAX_ARRAY_BITS => Ok(()),
-        _ => Err(WireError::Malformed(
+        _ => Err(FrameError::Malformed(
             "array width outside 1..=MAX_ARRAY_BITS",
         )),
     }
 }
 
-/// Errors from decoding digest frames.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum WireError {
-    /// Buffer too short for the fixed header or declared body.
-    Truncated,
-    /// Unexpected magic bytes.
-    BadMagic([u8; 4]),
-    /// Unsupported version.
-    BadVersion(u8),
-    /// A contained bitmap failed to decode.
-    Bitmap(BitmapError),
-    /// Structurally impossible field (e.g. zero arrays-per-group).
-    Malformed(&'static str),
-    /// Encode-side failure: a field exceeds what the frame format can
-    /// carry (a frame must never be emitted with silently truncated
-    /// counts — it would decode to the wrong group layout).
-    TooLarge(&'static str),
+/// Reads one `DCSB` bitmap frame (magic, version, `u64` bit length,
+/// words) at the reader's position and views its words in place.
+pub(crate) fn read_bitmap<'a>(r: &mut Reader<'a>) -> Result<BitmapView<'a>, FrameError> {
+    r.magic_version(DIGEST_MAGIC, &[DIGEST_VERSION])?;
+    let len = usize::try_from(r.u64()?)
+        .map_err(|_| FrameError::Malformed("bitmap length exceeds usize"))?;
+    let body = r.bytes(words_for(len) * 8)?;
+    BitmapView::new(len, body).map_err(FrameError::Malformed)
 }
 
-impl fmt::Display for WireError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            WireError::Truncated => write!(f, "digest frame truncated"),
-            WireError::BadMagic(m) => write!(f, "bad digest magic {m:02x?}"),
-            WireError::BadVersion(v) => write!(f, "unsupported digest version {v}"),
-            WireError::Bitmap(e) => write!(f, "embedded bitmap: {e}"),
-            WireError::Malformed(what) => write!(f, "malformed digest frame: {what}"),
-            WireError::TooLarge(what) => {
-                write!(f, "digest does not fit the wire format: {what}")
-            }
-        }
-    }
-}
-
-impl std::error::Error for WireError {}
-
-impl From<BitmapError> for WireError {
-    fn from(e: BitmapError) -> Self {
-        WireError::Bitmap(e)
-    }
-}
-
-impl From<FrameError> for WireError {
-    fn from(e: FrameError) -> Self {
-        match e {
-            FrameError::Truncated => WireError::Truncated,
-            FrameError::BadMagic(m) => WireError::BadMagic(m),
-            FrameError::BadVersion(v) => WireError::BadVersion(v),
-            FrameError::ChecksumMismatch { .. } => WireError::Malformed("checksum mismatch"),
-            FrameError::Malformed(what) => WireError::Malformed(what),
-        }
-    }
+/// Validates the `DCSB` frame [`dcs_bitmap::Bitmap::encode`] writes at
+/// the front of `buf`, returning a view of its words and the bytes the
+/// frame covers. Trailing bytes are ignored.
+pub fn parse_bitmap(buf: &[u8]) -> Result<(BitmapView<'_>, usize), FrameError> {
+    let mut r = Reader::new(buf);
+    let view = read_bitmap(&mut r)?;
+    Ok((view, r.used()))
 }
 
 /// Bytes an aligned digest frame holds before its bitmap: magic, version
@@ -117,24 +85,17 @@ impl AlignedDigest {
         buf.put_u64_le(self.raw_bytes);
         self.bitmap.encode_into(buf);
     }
-
-    /// Decodes a frame produced by [`AlignedDigest::encode_wire`],
-    /// returning the digest and the bytes consumed: an owned copy of what
-    /// [`AlignedDigestView::parse`] validates.
-    pub fn decode_wire(buf: &[u8]) -> Result<(AlignedDigest, usize), WireError> {
-        AlignedDigestView::parse(buf).map(|(view, used)| (view.to_owned(), used))
-    }
 }
 
 impl UnalignedDigest {
     /// Encodes the digest into a binary frame.
     ///
-    /// Fails with [`WireError::TooLarge`] when `arrays_per_group` or the
+    /// Fails with [`FrameError::TooLarge`] when `arrays_per_group` or the
     /// array count exceeds the format's `u32` fields — emitting a frame
     /// with truncated counts would decode to the wrong group layout — and
-    /// with [`WireError::Malformed`] on an array width the parser rejects
+    /// with [`FrameError::Malformed`] on an array width the parser rejects
     /// ([`MAX_ARRAY_BITS`]).
-    pub fn encode_wire(&self) -> Result<Bytes, WireError> {
+    pub fn encode_wire(&self) -> Result<Bytes, FrameError> {
         let mut buf = BytesMut::with_capacity(UNALIGNED_HEADER + self.encoded_len());
         self.encode_into(&mut buf)?;
         Ok(buf.freeze())
@@ -144,11 +105,11 @@ impl UnalignedDigest {
     /// `buf`: [`UNALIGNED_HEADER`] bytes, then each array's bitmap frame.
     /// Every check runs before the first byte is written, so on an error
     /// `buf` is left as it was.
-    pub fn encode_into(&self, buf: &mut impl BufMut) -> Result<(), WireError> {
+    pub fn encode_into(&self, buf: &mut impl BufMut) -> Result<(), FrameError> {
         let arrays_per_group = u32::try_from(self.arrays_per_group)
-            .map_err(|_| WireError::TooLarge("arrays_per_group exceeds u32"))?;
+            .map_err(|_| FrameError::TooLarge("arrays_per_group exceeds u32"))?;
         let count = u32::try_from(self.arrays.len())
-            .map_err(|_| WireError::TooLarge("array count exceeds u32"))?;
+            .map_err(|_| FrameError::TooLarge("array count exceeds u32"))?;
         for a in &self.arrays {
             check_array_width(a.len())?;
         }
@@ -163,13 +124,6 @@ impl UnalignedDigest {
             a.encode_into(buf);
         }
         Ok(())
-    }
-
-    /// Decodes a frame produced by [`UnalignedDigest::encode_wire`],
-    /// returning the digest and the bytes consumed: an owned copy of what
-    /// [`UnalignedDigestView::parse`] validates.
-    pub fn decode_wire(buf: &[u8]) -> Result<(UnalignedDigest, usize), WireError> {
-        UnalignedDigestView::parse(buf).map(|(view, used)| (view.to_owned(), used))
     }
 }
 
@@ -196,36 +150,109 @@ pub(crate) fn sample_digests(
     (a.finish_epoch(), u.finish_epoch())
 }
 
+/// Whether `view` holds exactly the bits of `bm`.
+#[cfg(test)]
+pub(crate) fn same_bits(view: BitmapView<'_>, bm: &dcs_bitmap::Bitmap) -> bool {
+    use dcs_bitmap::WordSource as _;
+    view.len() == bm.len() && (0..view.word_len()).all(|i| view.word(i) == bm.words()[i])
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::{AlignedDigestView, UnalignedDigestView};
     use dcs_bitmap::Bitmap;
 
     fn digests() -> (AlignedDigest, UnalignedDigest) {
         sample_digests(1, 1 << 12, 4, 2000)
     }
 
+    /// Whether `view` carries exactly the fields and bits of `d`.
+    fn aligned_is(view: &AlignedDigestView<'_>, d: &AlignedDigest) -> bool {
+        same_bits(view.bitmap, &d.bitmap)
+            && (view.packets_seen, view.packets_hashed, view.raw_bytes)
+                == (d.packets_seen, d.packets_hashed, d.raw_bytes)
+    }
+
+    /// Whether `view` carries exactly the fields and arrays of `d`.
+    fn unaligned_is(view: &UnalignedDigestView<'_>, d: &UnalignedDigest) -> bool {
+        view.array_count() == d.arrays.len()
+            && view.arrays().zip(&d.arrays).all(|(v, a)| same_bits(v, a))
+            && (
+                view.arrays_per_group,
+                view.packets_seen,
+                view.packets_sampled,
+                view.raw_bytes,
+            ) == (
+                d.arrays_per_group,
+                d.packets_seen,
+                d.packets_sampled,
+                d.raw_bytes,
+            )
+    }
+
+    #[test]
+    fn bitmap_roundtrip() {
+        for bm in [Bitmap::from_indices(1000, [0, 512, 999]), Bitmap::new(0)] {
+            let bytes = bm.encode();
+            let (view, used) = parse_bitmap(&bytes).unwrap();
+            assert_eq!((used, view.encoded_len()), (bytes.len(), bm.encoded_len()));
+            assert!(same_bits(view, &bm));
+        }
+    }
+
+    #[test]
+    fn bitmap_frames_ignore_trailing_bytes() {
+        let bm = Bitmap::from_indices(128, [7]);
+        let mut bytes = bm.encode().to_vec();
+        bytes.extend_from_slice(&[0xAB; 9]);
+        let (view, used) = parse_bitmap(&bytes).unwrap();
+        assert_eq!(used, bm.encoded_len());
+        assert!(same_bits(view, &bm));
+    }
+
+    #[test]
+    fn bad_bitmap_frames_are_typed_errors() {
+        let bytes = Bitmap::from_indices(128, [5]).encode();
+        for cut in [0, 4, 12, bytes.len() - 1] {
+            assert_eq!(
+                parse_bitmap(&bytes[..cut]).unwrap_err(),
+                FrameError::Truncated
+            );
+        }
+        let mut bad = bytes.to_vec();
+        bad[0] = b'X';
+        assert!(matches!(parse_bitmap(&bad), Err(FrameError::BadMagic(_))));
+        let mut bad = bytes.to_vec();
+        bad[4] = 9;
+        assert_eq!(parse_bitmap(&bad).unwrap_err(), FrameError::BadVersion(9));
+        // Dirty tail: declare 4 bits but set bit 10.
+        let mut dirty = DIGEST_MAGIC.to_vec();
+        dirty.push(DIGEST_VERSION);
+        dirty.extend_from_slice(&4u64.to_le_bytes());
+        dirty.extend_from_slice(&(1u64 << 10).to_le_bytes());
+        assert_eq!(
+            parse_bitmap(&dirty).unwrap_err(),
+            FrameError::Malformed("bits set past logical length")
+        );
+    }
+
     #[test]
     fn aligned_roundtrip() {
         let (a, _) = digests();
         let wire = a.encode_wire();
-        let (back, used) = AlignedDigest::decode_wire(&wire).unwrap();
+        let (view, used) = AlignedDigestView::parse(&wire).unwrap();
         assert_eq!(used, wire.len());
-        assert_eq!(back.bitmap, a.bitmap);
-        assert_eq!(back.packets_seen, a.packets_seen);
-        assert_eq!(back.packets_hashed, a.packets_hashed);
-        assert_eq!(back.raw_bytes, a.raw_bytes);
+        assert!(aligned_is(&view, &a));
     }
 
     #[test]
     fn unaligned_roundtrip() {
         let (_, u) = digests();
         let wire = u.encode_wire().unwrap();
-        let (back, used) = UnalignedDigest::decode_wire(&wire).unwrap();
+        let (view, used) = UnalignedDigestView::parse(&wire).unwrap();
         assert_eq!(used, wire.len());
-        assert_eq!(back.arrays, u.arrays);
-        assert_eq!(back.arrays_per_group, u.arrays_per_group);
-        assert_eq!(back.packets_sampled, u.packets_sampled);
+        assert!(unaligned_is(&view, &u));
     }
 
     /// Each `encode_into` appends its header and its bitmap frames,
@@ -241,8 +268,14 @@ mod tests {
         u.encode_into(&mut buf).unwrap();
         assert_eq!(buf.len() - mid, 37 + u.encoded_len());
         assert_eq!(&buf[..6], b"prefix");
-        assert_eq!(AlignedDigest::decode_wire(&buf[6..]).unwrap().0, a);
-        assert_eq!(UnalignedDigest::decode_wire(&buf[mid..]).unwrap().0, u);
+        assert!(aligned_is(
+            &AlignedDigestView::parse(&buf[6..]).unwrap().0,
+            &a
+        ));
+        assert!(unaligned_is(
+            &UnalignedDigestView::parse(&buf[mid..]).unwrap().0,
+            &u
+        ));
     }
 
     /// A digest the encoder refuses, for its width or for either count,
@@ -274,23 +307,23 @@ mod tests {
         let mut stream = Vec::new();
         stream.extend_from_slice(&a.encode_wire());
         stream.extend_from_slice(&u.encode_wire().unwrap());
-        let (a2, used) = AlignedDigest::decode_wire(&stream).unwrap();
-        let (u2, used2) = UnalignedDigest::decode_wire(&stream[used..]).unwrap();
+        let (a2, used) = AlignedDigestView::parse(&stream).unwrap();
+        let (u2, used2) = UnalignedDigestView::parse(&stream[used..]).unwrap();
         assert_eq!(used + used2, stream.len());
-        assert_eq!(a2.bitmap, a.bitmap);
-        assert_eq!(u2.arrays.len(), u.arrays.len());
+        assert!(aligned_is(&a2, &a));
+        assert!(unaligned_is(&u2, &u));
     }
 
     #[test]
     fn wrong_magic_rejected() {
         let (a, u) = digests();
         assert!(matches!(
-            UnalignedDigest::decode_wire(&a.encode_wire()),
-            Err(WireError::BadMagic(_))
+            UnalignedDigestView::parse(&a.encode_wire()),
+            Err(FrameError::BadMagic(_))
         ));
         assert!(matches!(
-            AlignedDigest::decode_wire(&u.encode_wire().unwrap()),
-            Err(WireError::BadMagic(_))
+            AlignedDigestView::parse(&u.encode_wire().unwrap()),
+            Err(FrameError::BadMagic(_))
         ));
     }
 
@@ -299,8 +332,8 @@ mod tests {
         let (a, u) = digests();
         for wire in [a.encode_wire(), u.encode_wire().unwrap()] {
             for cut in [0usize, 3, 5, 12, 29, wire.len() - 1] {
-                let a_res = AlignedDigest::decode_wire(&wire[..cut]);
-                let u_res = UnalignedDigest::decode_wire(&wire[..cut]);
+                let a_res = AlignedDigestView::parse(&wire[..cut]);
+                let u_res = UnalignedDigestView::parse(&wire[..cut]);
                 assert!(
                     a_res.is_err() && u_res.is_err(),
                     "cut at {cut} of {} decoded",
@@ -318,8 +351,8 @@ mod tests {
         // not a multiple of 3).
         wire[29] = 3;
         assert!(matches!(
-            UnalignedDigest::decode_wire(&wire),
-            Err(WireError::Malformed(_))
+            UnalignedDigestView::parse(&wire),
+            Err(FrameError::Malformed(_))
         ));
     }
 
@@ -332,7 +365,7 @@ mod tests {
             arrays_per_group: (u32::MAX as usize) + 1,
             ..u.clone()
         };
-        assert!(matches!(bad.encode_wire(), Err(WireError::TooLarge(_))));
+        assert!(matches!(bad.encode_wire(), Err(FrameError::TooLarge(_))));
         assert!(u.encode_wire().is_ok(), "well-formed digest still encodes");
     }
 
@@ -350,8 +383,11 @@ mod tests {
         };
         let widest = digest(MAX_ARRAY_BITS);
         let wire = widest.encode_wire().unwrap();
-        assert_eq!(UnalignedDigest::decode_wire(&wire).unwrap().0, widest);
-        let bad = WireError::Malformed("array width outside 1..=MAX_ARRAY_BITS");
+        assert!(unaligned_is(
+            &UnalignedDigestView::parse(&wire).unwrap().0,
+            &widest
+        ));
+        let bad = FrameError::Malformed("array width outside 1..=MAX_ARRAY_BITS");
         for bits in [0, MAX_ARRAY_BITS + 1, 1 << 20] {
             assert_eq!(digest(bits).encode_wire().unwrap_err(), bad, "{bits}");
             // The 37-byte header of a two-array frame, then the arrays.
@@ -360,7 +396,7 @@ mod tests {
                 hand.extend_from_slice(&Bitmap::new(bits).encode());
             }
             assert_eq!(
-                UnalignedDigest::decode_wire(&hand).unwrap_err(),
+                UnalignedDigestView::parse(&hand).unwrap_err(),
                 bad,
                 "{bits}"
             );
@@ -377,8 +413,8 @@ mod tests {
         wire[29..33].copy_from_slice(&1u32.to_le_bytes());
         wire[33..37].copy_from_slice(&u32::MAX.to_le_bytes());
         assert_eq!(
-            UnalignedDigest::decode_wire(&wire),
-            Err(WireError::Truncated),
+            UnalignedDigestView::parse(&wire).unwrap_err(),
+            FrameError::Truncated,
             "declared count far beyond the buffer must be refused"
         );
     }
@@ -398,21 +434,8 @@ mod tests {
         wire.extend_from_slice(&a.encode());
         wire.extend_from_slice(&b.encode());
         assert_eq!(
-            UnalignedDigest::decode_wire(&wire),
-            Err(WireError::Malformed("mixed array widths"))
-        );
-    }
-
-    #[test]
-    fn wire_is_compact() {
-        // The binary frame must beat JSON by a wide margin (JSON encodes
-        // words as decimal numbers in arrays).
-        let (a, _) = digests();
-        let wire_len = a.encode_wire().len();
-        let json_len = serde_json::to_string(&a).unwrap().len();
-        assert!(
-            wire_len * 2 < json_len,
-            "wire {wire_len} not much smaller than JSON {json_len}"
+            UnalignedDigestView::parse(&wire).unwrap_err(),
+            FrameError::Malformed("mixed array widths")
         );
     }
 }
@@ -420,6 +443,8 @@ mod tests {
 #[cfg(test)]
 mod fuzz {
     use super::*;
+    use crate::{AlignedDigestView, UnalignedDigestView};
+    use dcs_bitmap::Bitmap;
     use proptest::prelude::*;
 
     /// One valid frame of each kind, built from real collectors.
@@ -428,27 +453,29 @@ mod fuzz {
         (a.encode_wire().to_vec(), u.encode_wire().unwrap().to_vec())
     }
 
-    /// A decoded unaligned digest, however the bytes were mangled, must be
+    /// A parsed unaligned view, however the bytes were mangled, must be
     /// structurally sound: consistent group layout, uniform widths, and a
     /// consumed length inside the buffer (no wrap-around).
-    fn assert_sound_unaligned(res: Result<(UnalignedDigest, usize), WireError>, len: usize) {
-        if let Ok((d, used)) = res {
+    fn assert_sound_unaligned(
+        res: Result<(UnalignedDigestView<'_>, usize), FrameError>,
+        len: usize,
+    ) {
+        if let Ok((v, used)) = res {
             assert!(used <= len, "consumed {used} of a {len}-byte buffer");
-            assert!(d.arrays_per_group > 0);
-            assert!(d.arrays.len().is_multiple_of(d.arrays_per_group));
-            if let Some(first) = d.arrays.first() {
-                assert!(d.arrays.iter().all(|a| a.len() == first.len()));
-            }
+            assert!(v.arrays_per_group > 0);
+            assert!(v.array_count().is_multiple_of(v.arrays_per_group));
+            assert_eq!(v.arrays().count(), v.array_count());
+            assert!(v.arrays().all(|a| a.len() == v.array_bits()));
         }
     }
 
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(64))]
 
-        /// Satellite coverage: every mutation of a valid frame —
-        /// truncation, multi-bit flips, spliced header bytes (magic,
-        /// version, counts) — decodes to a `WireError` or to a digest
-        /// whose structure is consistent; never a panic or wrap-around.
+        /// Every mutation of a valid frame — truncation, multi-bit flips,
+        /// spliced header bytes (magic, version, counts) — parses to a
+        /// `FrameError` or to a view whose structure is consistent; never
+        /// a panic or wrap-around.
         #[test]
         fn mutated_frames_error_or_stay_sound(
             cut_ppm in 0u32..1_000_000,
@@ -460,8 +487,8 @@ mod fuzz {
             for wire in [aligned, unaligned] {
                 // Strict-prefix truncation must always be an error.
                 let cut = (wire.len() as u64 * u64::from(cut_ppm) / 1_000_000) as usize;
-                prop_assert!(AlignedDigest::decode_wire(&wire[..cut]).is_err());
-                prop_assert!(UnalignedDigest::decode_wire(&wire[..cut]).is_err());
+                prop_assert!(AlignedDigestView::parse(&wire[..cut]).is_err());
+                prop_assert!(UnalignedDigestView::parse(&wire[..cut]).is_err());
 
                 // Bit flips + a spliced run anywhere (this covers bad
                 // magic, bad version and inconsistent count fields).
@@ -474,9 +501,9 @@ mod fuzz {
                     let p = (splice_at.wrapping_add(i)) % mangled.len();
                     mangled[p] = b;
                 }
-                let _ = AlignedDigest::decode_wire(&mangled);
+                let _ = AlignedDigestView::parse(&mangled);
                 assert_sound_unaligned(
-                    UnalignedDigest::decode_wire(&mangled),
+                    UnalignedDigestView::parse(&mangled),
                     mangled.len(),
                 );
             }
@@ -489,7 +516,29 @@ mod fuzz {
             if pos < wire.len() {
                 wire[pos] ^= val;
             }
-            let _ = UnalignedDigest::decode_wire(&wire);
+            let _ = UnalignedDigestView::parse(&wire);
+        }
+
+        /// The bitmap parser faces the network too: a mutated or
+        /// truncated frame is a view of a clean bitmap inside the buffer
+        /// or a typed error.
+        #[test]
+        fn bitmap_frames_error_or_stay_clean(
+            idxs in proptest::collection::vec(0usize..512, 0..16),
+            pos in 0usize..64,
+            val in any::<u8>(),
+            cut_ppm in 0u32..=1_000_000,
+        ) {
+            let bm = Bitmap::from_indices(512, idxs);
+            let mut bytes = bm.encode().to_vec();
+            if pos < bytes.len() {
+                bytes[pos] ^= val;
+            }
+            let cut = (bytes.len() as u64 * u64::from(cut_ppm) / 1_000_000) as usize;
+            if let Ok((view, used)) = parse_bitmap(&bytes[..cut]) {
+                prop_assert!(used <= cut);
+                prop_assert_eq!(used, view.encoded_len());
+            }
         }
     }
 }

@@ -28,12 +28,14 @@ pub struct AnalysisConfig {
     /// the paper uses ~8/n).
     pub detect_p1: f64,
     /// The unaligned verdict alarms when the test graph's largest
-    /// component is larger than this. `None` derives it each epoch from
-    /// the number of groups n, `test_p1` and `search.epsilon` (the ε the
+    /// component is larger than this. `None` derives it from the number
+    /// of groups n, `test_p1` and `search.epsilon` (the ε the
     /// aligned verdict reads): the size a null graph's largest component
     /// exceeds with probability at most ε
-    /// ([`dcs_stats::component_threshold`]). It is n, so the verdict never
-    /// alarms, when n·`test_p1` ≥ 1. `Some` is an operator's override.
+    /// ([`dcs_stats::component_threshold`]), once per group count: the
+    /// centre keeps it until an epoch brings a different n. It is n, so
+    /// the verdict never alarms, when n·`test_p1` ≥ 1. `Some` is an
+    /// operator's override.
     pub component_threshold: Option<usize>,
     /// Core-finding settings (β and d).
     pub corefind: CoreFindConfig,
@@ -121,6 +123,10 @@ struct CenterState {
     /// the popcounts it gates); replaced only when the array width, the
     /// arrays per group or an edge probability changes.
     lambda: Option<LambdaTables>,
+    /// `(n_groups, threshold)`: the derived component threshold of the
+    /// last group count seen (a few hundred progeny terms, tens of
+    /// microseconds), re-derived when the count changes.
+    threshold: Option<(usize, usize)>,
 }
 
 /// The analysis centre.
@@ -150,6 +156,7 @@ impl AnalysisCenter {
                 scratch: EpochScratch::new(),
                 correlator,
                 lambda: None,
+                threshold: None,
             }),
             metrics: MetricsRegistry::new(),
         }
@@ -390,11 +397,11 @@ impl AnalysisCenter {
         // Validation left only non-empty digests of one array width.
         let k = digests.first().map_or(1, |d| d.unaligned.arrays_per_group);
         rec.run(Stage::StackRows, || {
-            let ncols = digests.first().map_or(0, |d| d.unaligned.array(0).len());
-            s.urows.reset(ncols);
+            s.urows
+                .reset(digests.first().map_or(0, |d| d.unaligned.array_bits()));
             for d in digests {
-                for i in 0..d.unaligned.array_count() {
-                    s.urows.push_row_from(&d.unaligned.array(i));
+                for array in d.unaligned.arrays() {
+                    s.urows.push_row_from(&array);
                 }
             }
             s.group_owner.clear();
@@ -564,12 +571,22 @@ impl AnalysisCenter {
         let g = |name: &str, v: u64| self.metrics.gauge(name, &[]).set(v);
         g("graph_edges_live", gstats.edges_live as u64);
         g("graph_groups_changed", gstats.groups_changed as u64);
-        // A derived threshold sums a few hundred progeny terms, tens of
-        // microseconds, so it is timed with the test it sets.
+        // A threshold derived for a new group count is timed with the
+        // test it sets.
+        let cached = &mut state.threshold;
         let ((threshold, test), _) = rec.run(Stage::ErTest, || {
-            let threshold = self.cfg.component_threshold.unwrap_or_else(|| {
-                dcs_stats::component_threshold(n_groups, self.cfg.test_p1, self.cfg.search.epsilon)
-            });
+            let threshold = self
+                .cfg
+                .component_threshold
+                .unwrap_or_else(|| match *cached {
+                    Some((n, t)) if n == n_groups => t,
+                    _ => {
+                        let (p1, eps) = (self.cfg.test_p1, self.cfg.search.epsilon);
+                        let t = dcs_stats::component_threshold(n_groups, p1, eps);
+                        *cached = Some((n_groups, t));
+                        t
+                    }
+                });
             (threshold, er_test(&test_graph, threshold))
         });
 
@@ -933,7 +950,7 @@ mod tests {
             .iter()
             .map(|e| (e.index, &e.fault))
             .collect();
-        let wire = |msg: &str| RouterFault::Wire(format!("malformed digest frame: {msg}"));
+        let wire = |msg: &str| RouterFault::Wire(format!("malformed frame: {msg}"));
         assert_eq!(
             faults,
             vec![
@@ -1529,6 +1546,26 @@ mod tests {
             .expect("clean digests form a quorum");
         assert_eq!(report.unaligned.component_threshold, 192);
         assert!(!report.unaligned.alarm);
+    }
+
+    /// The derived threshold is kept per group count: one centre fed
+    /// epochs of 48, then 96, then 48 groups again reports
+    /// `component_threshold(n, test_p1, ε)` for each count.
+    #[test]
+    fn the_derived_threshold_follows_the_group_count() {
+        let cfg = AnalysisConfig::for_groups(48);
+        let center = AnalysisCenter::new(cfg.clone());
+        for routers in [12, 24, 12] {
+            let n = routers * 4;
+            let report = center
+                .analyze_epoch(&clean_digests(routers as u64, routers))
+                .expect("clean digests form a quorum");
+            assert_eq!(
+                report.unaligned.component_threshold,
+                dcs_stats::component_threshold(n, cfg.test_p1, cfg.search.epsilon),
+                "{n} groups"
+            );
+        }
     }
 
     /// The bound's null model through the deployed Λ and pair loop.

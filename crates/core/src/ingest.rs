@@ -30,7 +30,7 @@ use std::fmt;
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum RouterFault {
     /// The wire frame failed to decode (rendered
-    /// [`WireError`](dcs_collect::WireError)).
+    /// [`FrameError`](dcs_collect::frame::FrameError)).
     Wire(String),
     /// A bundle for the same router id was already accepted this epoch.
     DuplicateRouter {
@@ -462,11 +462,7 @@ impl Shape {
         Shape {
             aligned_bits: d.aligned.bitmap.len(),
             arrays_per_group: d.unaligned.arrays_per_group,
-            array_bits: if d.unaligned.array_count() > 0 {
-                d.unaligned.array(0).len()
-            } else {
-                0
-            },
+            array_bits: d.unaligned.array_bits(),
             epoch_id: d.epoch_id,
         }
     }

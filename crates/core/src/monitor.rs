@@ -2,11 +2,11 @@
 
 use crate::transport::{MAX_CHUNKS, MAX_CHUNK_PAYLOAD};
 use bytes::{BufMut, Bytes, BytesMut};
-use dcs_collect::frame::Reader;
+use dcs_collect::frame::{FrameError, Reader};
 use dcs_collect::wire::{ALIGNED_HEADER, UNALIGNED_HEADER};
 use dcs_collect::{
     artifact, AlignedCollector, AlignedConfig, AlignedDigest, AlignedDigestView, Artifact,
-    UnalignedCollector, UnalignedConfig, UnalignedDigest, UnalignedDigestView, WireError,
+    UnalignedCollector, UnalignedConfig, UnalignedDigest, UnalignedDigestView,
 };
 use dcs_sketch::{wire, SpaceSaving};
 use dcs_traffic::Packet;
@@ -124,8 +124,10 @@ impl SketchCollector {
     }
 }
 
-/// The digest bundle one router ships per epoch.
-#[derive(Debug, Clone, serde::Serialize, serde::Deserialize)]
+/// The digest bundle one router ships per epoch. Its one external form
+/// is the `DCSR` frame [`RouterDigest::encode_wire`] writes, and its one
+/// decoder is [`RouterDigestView::parse`].
+#[derive(Debug, Clone)]
 pub struct RouterDigest {
     /// The shipping router's index.
     pub router_id: usize,
@@ -155,19 +157,9 @@ const BUNDLE_HEADER: usize = 21; // magic + version + router_id + epoch_id
 
 impl RouterDigest {
     /// Total encoded digest bytes (both cases; excludes sidecar
-    /// artifacts — see [`RouterDigest::artifact_bytes`]).
+    /// artifacts).
     pub fn encoded_len(&self) -> usize {
         self.aligned.bitmap.encoded_len() + self.unaligned.encoded_len()
-    }
-
-    /// Wire bytes of the sidecar artifact section (0 when empty).
-    pub fn artifact_bytes(&self) -> usize {
-        artifact::section_len(&self.artifacts)
-    }
-
-    /// Raw traffic bytes summarised.
-    pub fn raw_bytes(&self) -> u64 {
-        self.aligned.raw_bytes
     }
 
     /// Bytes [`encode_wire`](Self::encode_wire) returns: the bundle
@@ -188,7 +180,7 @@ impl RouterDigest {
     /// byte-identical to the pre-artifact format. Everything is written
     /// straight into one buffer of exactly [`wire_len`](Self::wire_len)
     /// bytes.
-    pub fn encode_wire(&self) -> Result<Bytes, WireError> {
+    pub fn encode_wire(&self) -> Result<Bytes, FrameError> {
         let mut buf = BytesMut::with_capacity(self.wire_len());
         buf.put_slice(&BUNDLE_MAGIC);
         buf.put_u8(if self.artifacts.is_empty() {
@@ -202,14 +194,6 @@ impl RouterDigest {
         self.unaligned.encode_into(&mut buf)?;
         artifact::encode_section(&self.artifacts, &mut buf)?;
         Ok(buf.freeze())
-    }
-
-    /// Decodes a frame produced by [`RouterDigest::encode_wire`],
-    /// returning the bundle and the bytes consumed: an owned copy of what
-    /// [`RouterDigestView::parse`] validates. Never panics on arbitrary
-    /// input — every failure is a typed [`WireError`].
-    pub fn decode_wire(buf: &[u8]) -> Result<(RouterDigest, usize), WireError> {
-        RouterDigestView::parse(buf).map(|(view, used)| (view.to_owned(), used))
     }
 }
 
@@ -232,31 +216,30 @@ pub struct RouterDigestView<'a> {
     pub aligned: AlignedDigestView<'a>,
     /// Unaligned-case digest view.
     pub unaligned: UnalignedDigestView<'a>,
-    /// Raw wire bytes of the artifact section (empty on v1 frames);
-    /// validated during [`RouterDigestView::parse`], decoded on demand
-    /// by [`RouterDigestView::artifacts`] so the view stays `Copy`.
-    artifact_section: &'a [u8],
+    /// Wire bytes of the artifact section (0 on v1 frames), validated
+    /// during [`RouterDigestView::parse`]; detection reads nothing in it.
+    artifact_bytes: usize,
 }
 
 impl<'a> RouterDigestView<'a> {
     /// Validates the frame at the front of `buf`, returning the view and
     /// the bytes it covers. Never panics on arbitrary input — every
-    /// failure is a typed [`WireError`].
-    pub fn parse(buf: &'a [u8]) -> Result<(RouterDigestView<'a>, usize), WireError> {
+    /// failure is a typed [`FrameError`].
+    pub fn parse(buf: &'a [u8]) -> Result<(RouterDigestView<'a>, usize), FrameError> {
         let mut r = Reader::new(buf);
         let version = r.magic_version(BUNDLE_MAGIC, &[BUNDLE_VERSION_V1, BUNDLE_VERSION_V2])?;
         let router_id = usize::try_from(r.u64()?)
-            .map_err(|_| WireError::Malformed("router id exceeds usize"))?;
+            .map_err(|_| FrameError::Malformed("router id exceeds usize"))?;
         let epoch_id = r.u64()?;
         let (aligned, used) = AlignedDigestView::parse(r.rest())?;
         r.bytes(used)?;
         let (unaligned, used) = UnalignedDigestView::parse(r.rest())?;
         r.bytes(used)?;
-        let mut artifact_section: &[u8] = &[];
+        let mut artifact_bytes = 0;
         if version == BUNDLE_VERSION_V2 {
             let mut cursor = r.rest();
             artifact::decode_section_views(&mut cursor)?;
-            artifact_section = r.bytes(r.rest().len() - cursor.len())?;
+            artifact_bytes = r.bytes(r.rest().len() - cursor.len())?.len();
         }
         Ok((
             RouterDigestView {
@@ -264,7 +247,7 @@ impl<'a> RouterDigestView<'a> {
                 epoch_id,
                 aligned,
                 unaligned,
-                artifact_section,
+                artifact_bytes,
             },
             r.used(),
         ))
@@ -278,41 +261,12 @@ impl<'a> RouterDigestView<'a> {
 
     /// Wire bytes of the sidecar artifact section (0 on v1 frames).
     pub fn artifact_bytes(&self) -> usize {
-        self.artifact_section.len()
+        self.artifact_bytes
     }
 
     /// Raw traffic bytes summarised.
     pub fn raw_bytes(&self) -> u64 {
         self.aligned.raw_bytes
-    }
-
-    /// Zero-copy `(kind, payload)` views of the sidecar artifacts
-    /// (empty on v1 frames). The section was validated by `parse`, so
-    /// this re-decode cannot fail.
-    pub fn artifacts(&self) -> Vec<(u32, &'a [u8])> {
-        if self.artifact_section.is_empty() {
-            return Vec::new();
-        }
-        let mut cursor = self.artifact_section;
-        artifact::decode_section_views(&mut cursor).expect("section validated at parse")
-    }
-
-    /// Copies the view into an owned [`RouterDigest`].
-    pub fn to_owned(&self) -> RouterDigest {
-        RouterDigest {
-            router_id: self.router_id,
-            epoch_id: self.epoch_id,
-            aligned: self.aligned.to_owned(),
-            unaligned: self.unaligned.to_owned(),
-            artifacts: self
-                .artifacts()
-                .into_iter()
-                .map(|(kind, payload)| Artifact {
-                    kind,
-                    payload: payload.to_vec(),
-                })
-                .collect(),
-        }
     }
 }
 
@@ -433,21 +387,21 @@ impl MonitoringPoint {
     /// epoch closes.
     ///
     /// # Errors
-    /// [`WireError::Malformed`] when `max_payload` is outside
+    /// [`FrameError::Malformed`] when `max_payload` is outside
     /// `1..=MAX_CHUNK_PAYLOAD`, checked before the epoch closes, so the
     /// epoch stays open. Once it has closed, any error of
-    /// [`RouterDigest::encode_wire`], and [`WireError::TooLarge`] for a
+    /// [`RouterDigest::encode_wire`], and [`FrameError::TooLarge`] for a
     /// bundle that needs more than `MAX_CHUNKS` chunks.
-    pub fn finish_epoch_chunks(&mut self, max_payload: usize) -> Result<Vec<Vec<u8>>, WireError> {
+    pub fn finish_epoch_chunks(&mut self, max_payload: usize) -> Result<Vec<Vec<u8>>, FrameError> {
         if !(1..=MAX_CHUNK_PAYLOAD).contains(&max_payload) {
-            return Err(WireError::Malformed(
+            return Err(FrameError::Malformed(
                 "chunk payload size outside 1..=MAX_CHUNK_PAYLOAD",
             ));
         }
         let digest = self.finish_epoch();
         let wire = digest.encode_wire()?;
         if wire.len().div_ceil(max_payload) > MAX_CHUNKS as usize {
-            return Err(WireError::TooLarge(
+            return Err(FrameError::TooLarge(
                 "bundle needs more than MAX_CHUNKS chunks",
             ));
         }
@@ -525,7 +479,7 @@ mod tests {
         assert_eq!(d.epoch_id, 0);
         assert_eq!(d.aligned.packets_seen, 500);
         assert_eq!(d.unaligned.packets_sampled, 500);
-        assert!(d.raw_bytes() > 0);
+        assert!(d.aligned.raw_bytes > 0);
         assert!(d.encoded_len() > 0);
         // The next epoch's bundle carries the next id.
         assert_eq!(mp.epochs_finished(), 1);
@@ -572,10 +526,12 @@ mod tests {
         assert_eq!(view.router_id, 9);
         assert_eq!(view.epoch_id, 1);
         assert_eq!(view.encoded_len(), d.encoded_len());
-        assert_eq!(view.raw_bytes(), d.raw_bytes());
-        let (back, _) = RouterDigest::decode_wire(&wire).expect("roundtrip");
-        assert_eq!(back.aligned, d.aligned);
-        assert_eq!(back.unaligned, d.unaligned);
+        assert_eq!(view.raw_bytes(), d.aligned.raw_bytes);
+        assert_eq!(
+            (view.aligned.packets_seen, view.unaligned.packets_sampled),
+            (d.aligned.packets_seen, d.unaligned.packets_sampled)
+        );
+        assert_eq!(view.unaligned.array_count(), d.unaligned.arrays.len());
     }
 
     /// `encode_wire` fills exactly the buffer it sized up front, with and
@@ -595,7 +551,7 @@ mod tests {
             assert_eq!(wire.len(), d.wire_len());
             let (view, used) = RouterDigestView::parse(&wire).expect("parses");
             assert_eq!(used, wire.len());
-            assert_eq!(view.artifact_bytes(), d.artifact_bytes());
+            assert_eq!(view.artifact_bytes(), artifact::section_len(&d.artifacts));
         }
     }
 
@@ -608,7 +564,7 @@ mod tests {
         for bad in [0, MAX_CHUNK_PAYLOAD + 1] {
             assert!(matches!(
                 mp.finish_epoch_chunks(bad),
-                Err(WireError::Malformed(_))
+                Err(FrameError::Malformed(_))
             ));
             assert_eq!(
                 mp.epochs_finished(),
@@ -619,7 +575,7 @@ mod tests {
         // A 1 Mbit bitmap is over 128 KiB: more than 65,536 one-byte chunks.
         assert_eq!(
             mp.finish_epoch_chunks(1).unwrap_err(),
-            WireError::TooLarge("bundle needs more than MAX_CHUNKS chunks")
+            FrameError::TooLarge("bundle needs more than MAX_CHUNKS chunks")
         );
         assert_eq!(mp.epochs_finished(), 1);
         let chunks = mp.finish_epoch_chunks(MAX_CHUNK_PAYLOAD).expect("fits");
@@ -637,21 +593,21 @@ mod tests {
             .expect("bundle fits the wire format");
         for cut in 0..wire.len() {
             assert!(
-                RouterDigest::decode_wire(&wire[..cut]).is_err(),
+                RouterDigestView::parse(&wire[..cut]).is_err(),
                 "strict prefix of {cut} bytes decoded"
             );
         }
         let mut bad = wire.to_vec();
         bad[0] = b'X';
         assert!(matches!(
-            RouterDigest::decode_wire(&bad),
-            Err(dcs_collect::WireError::BadMagic(_))
+            RouterDigestView::parse(&bad),
+            Err(FrameError::BadMagic(_))
         ));
         let mut bad = wire.to_vec();
         bad[4] = 9;
         assert!(matches!(
-            RouterDigest::decode_wire(&bad),
-            Err(dcs_collect::WireError::BadVersion(9))
+            RouterDigestView::parse(&bad),
+            Err(FrameError::BadVersion(9))
         ));
     }
 
@@ -708,11 +664,12 @@ mod tests {
         assert_eq!(wire[4], 2, "artifact-bearing bundles are v2");
         let (view, used) = RouterDigestView::parse(&wire).expect("parses");
         assert_eq!(used, wire.len());
-        assert_eq!(view.artifact_bytes(), d.artifact_bytes());
-        assert_eq!(view.to_owned().artifacts, d.artifacts);
+        assert_eq!(view.artifact_bytes(), artifact::section_len(&d.artifacts));
+        let mut section = &wire[wire.len() - view.artifact_bytes()..];
+        assert_eq!(artifact::decode_section(&mut section), Ok(d.artifacts));
         for cut in 0..wire.len() {
             assert!(
-                RouterDigest::decode_wire(&wire[..cut]).is_err(),
+                RouterDigestView::parse(&wire[..cut]).is_err(),
                 "strict v2 prefix of {cut} bytes decoded"
             );
         }
@@ -725,13 +682,25 @@ mod tests {
         let cfg = MonitorConfig::small(7, 1 << 12, 4);
         let mut plain = MonitoringPoint::new(2, &cfg);
         plain.observe_all(&pkts);
-        let wire = plain.finish_epoch().encode_wire().expect("encodes");
+        let d = plain.finish_epoch();
+        let wire = d.encode_wire().expect("encodes");
         assert_eq!(wire[4], 1, "artifact-free bundles stay on v1");
 
         // A hand-built v1 frame of the same digests matches byte for byte.
-        let (owned, _) = RouterDigest::decode_wire(&wire).expect("decodes");
-        assert!(owned.artifacts.is_empty());
-        assert_eq!(owned.encode_wire().expect("re-encodes"), wire);
+        let mut v1 = BUNDLE_MAGIC.to_vec();
+        v1.push(BUNDLE_VERSION_V1);
+        v1.extend_from_slice(&(d.router_id as u64).to_le_bytes());
+        v1.extend_from_slice(&d.epoch_id.to_le_bytes());
+        v1.extend_from_slice(&d.aligned.encode_wire());
+        v1.extend_from_slice(&d.unaligned.encode_wire().expect("fits"));
+        assert_eq!(wire, v1);
+        assert_eq!(
+            RouterDigestView::parse(&wire)
+                .expect("parses")
+                .0
+                .artifact_bytes(),
+            0
+        );
     }
 
     /// The cap bound is tight: a sketch at `MAX_SKETCH_CAP` holding a key

@@ -530,16 +530,8 @@ impl CollectedEpoch {
 /// Errors from decoding a collector checkpoint.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum CheckpointError {
-    /// Buffer too short for the declared structure.
-    Truncated,
-    /// Unexpected magic bytes.
-    BadMagic([u8; 4]),
-    /// Unsupported checkpoint version.
-    BadVersion(u8),
-    /// The CRC-32 trailer disagrees with the checkpoint bytes.
-    ChecksumMismatch,
-    /// Structurally impossible field.
-    Malformed(&'static str),
+    /// The checkpoint frame failed to decode.
+    Frame(FrameError),
     /// The checkpoint was written under a different collector
     /// configuration or router set.
     ConfigMismatch {
@@ -553,11 +545,7 @@ pub enum CheckpointError {
 impl fmt::Display for CheckpointError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
-            CheckpointError::Truncated => write!(f, "checkpoint truncated"),
-            CheckpointError::BadMagic(m) => write!(f, "bad checkpoint magic {m:02x?}"),
-            CheckpointError::BadVersion(v) => write!(f, "unsupported checkpoint version {v}"),
-            CheckpointError::ChecksumMismatch => write!(f, "checkpoint checksum mismatch"),
-            CheckpointError::Malformed(what) => write!(f, "malformed checkpoint: {what}"),
+            CheckpointError::Frame(e) => write!(f, "checkpoint: {e}"),
             CheckpointError::ConfigMismatch { stored, expected } => write!(
                 f,
                 "checkpoint config fingerprint {stored:#018x} does not match {expected:#018x}"
@@ -570,13 +558,7 @@ impl std::error::Error for CheckpointError {}
 
 impl From<FrameError> for CheckpointError {
     fn from(e: FrameError) -> Self {
-        match e {
-            FrameError::Truncated => CheckpointError::Truncated,
-            FrameError::BadMagic(m) => CheckpointError::BadMagic(m),
-            FrameError::BadVersion(v) => CheckpointError::BadVersion(v),
-            FrameError::ChecksumMismatch { .. } => CheckpointError::ChecksumMismatch,
-            FrameError::Malformed(what) => CheckpointError::Malformed(what),
-        }
+        CheckpointError::Frame(e)
     }
 }
 
@@ -963,11 +945,11 @@ impl EpochCollector {
                 session.advance_ack();
             }
             if sessions.insert(router_id, session).is_some() {
-                return Err(CheckpointError::Malformed("duplicate router session"));
+                return Err(FrameError::Malformed("duplicate router session").into());
             }
         }
         if !r.rest().is_empty() {
-            return Err(CheckpointError::Malformed("trailing bytes"));
+            return Err(FrameError::Malformed("trailing bytes").into());
         }
         let routers: Vec<u64> = sessions.keys().copied().collect();
         let expected = cfg.fingerprint(epoch_id, &routers);

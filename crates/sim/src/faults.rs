@@ -169,6 +169,7 @@ mod tests {
     use super::*;
     use dcs_bitmap::Bitmap;
     use dcs_collect::{AlignedDigest, UnalignedDigest};
+    use dcs_core::monitor::RouterDigestView;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 
@@ -200,7 +201,7 @@ mod tests {
         let frames = ship_with_faults(&mut rng, &digests, &FaultPlan::none());
         assert_eq!(frames.len(), 4);
         for (i, frame) in frames.iter().enumerate() {
-            let (back, used) = RouterDigest::decode_wire(frame).unwrap();
+            let (back, used) = RouterDigestView::parse(frame).unwrap();
             assert_eq!(used, frame.len());
             assert_eq!(back.router_id, i);
             assert_eq!(back.epoch_id, 5);
@@ -219,7 +220,7 @@ mod tests {
         assert_eq!(frames.len(), 4);
         let ids: Vec<usize> = frames
             .iter()
-            .map(|f| RouterDigest::decode_wire(f).unwrap().0.router_id)
+            .map(|f| RouterDigestView::parse(f).unwrap().0.router_id)
             .collect();
         assert_eq!(ids, vec![1, 2, 2, 3]);
     }
@@ -233,8 +234,8 @@ mod tests {
         };
         for _ in 0..50 {
             let frames = ship_with_faults(&mut rng, &digests, &plan);
-            assert!(RouterDigest::decode_wire(&frames[0]).is_err());
-            let (stale, _) = RouterDigest::decode_wire(&frames[1]).unwrap();
+            assert!(RouterDigestView::parse(&frames[0]).is_err());
+            let (stale, _) = RouterDigestView::parse(&frames[1]).unwrap();
             assert_eq!(stale.epoch_id, 4);
         }
     }
@@ -247,7 +248,7 @@ mod tests {
         for _ in 0..200 {
             for frame in ship_with_faults(&mut rng, &digests, &plan) {
                 // Either outcome is fine; panicking is not.
-                let _ = RouterDigest::decode_wire(&frame);
+                let _ = RouterDigestView::parse(&frame);
             }
         }
     }

@@ -5,8 +5,8 @@
 //!                   [--seed N] [--plant g,size[,unaligned]]
 //! dcs-cli collect   <in.trace> --router N [--seed N] [--bits N]
 //!                   [--groups N] [--config monitor.json]
-//!                   [--out digest.json]
-//! dcs-cli analyze   <digest.json>... [--threshold N] [--metrics-json path]
+//!                   [--out digest.dcsr]
+//! dcs-cli analyze   <digest.dcsr>... [--threshold N] [--metrics-json path]
 //! dcs-cli serve     [--config serve.json] [--bind addr] [--resume ckpt] …
 //! dcs-cli monitor   [--config monitor.json] [--center addr] [--router N] …
 //! dcs-cli demo
@@ -14,8 +14,9 @@
 //!
 //! `gen-trace` writes a synthetic trace (optionally with a planted common
 //! content); `collect` plays a monitoring point over a trace and emits the
-//! digest bundle as JSON; `analyze` fuses digest files and prints the
-//! epoch report (`--metrics-json` additionally dumps the centre's
+//! digest bundle as the `DCSR` frame a monitor ships; `analyze` hands the
+//! frames to the centre's ingest path, as `serve` does, and prints the
+//! epoch report as JSON (`--metrics-json` additionally dumps the centre's
 //! per-stage metrics snapshot); `serve`/`monitor` run the analysis centre
 //! and monitoring points as real socket processes (see [`deploy`]).
 //! Argument parsing is deliberately dependency-free.
@@ -168,7 +169,7 @@ fn collect(args: &[String]) -> CliResult {
     let [input] = args.as_slice() else {
         return Err("usage: collect <in.trace> [--router N] [--seed N] \
                     [--bits N] [--groups N] [--config monitor.json] \
-                    [--out digest.json]"
+                    [--out digest.dcsr]"
             .into());
     };
 
@@ -206,16 +207,16 @@ fn collect(args: &[String]) -> CliResult {
         );
     }
     let digest = point.finish_epoch();
-    let json = serde_json::to_string(&digest)?;
+    let frame = digest.encode_wire()?;
     match out {
         Some(path) => {
-            std::fs::write(&path, json)?;
+            std::fs::write(&path, &frame)?;
             println!(
                 "router {router}: {count} packets -> {} digest bytes -> {path}",
                 digest.encoded_len()
             );
         }
-        None => println!("{json}"),
+        None => std::io::stdout().write_all(&frame)?,
     }
     Ok(())
 }
@@ -227,26 +228,26 @@ fn analyze(args: &[String]) -> CliResult {
         .transpose()?;
     let metrics_out = take_flag(&mut args, "--metrics-json");
     if args.is_empty() {
-        return Err("usage: analyze <digest.json>... [--threshold N] [--metrics-json path]".into());
+        return Err("usage: analyze <digest.dcsr>... [--threshold N] [--metrics-json path]".into());
     }
-    let mut digests: Vec<RouterDigest> = Vec::new();
-    for path in &args {
-        let data = std::fs::read_to_string(path)?;
-        let digest: RouterDigest = serde_json::from_str(&data)?;
-        // `groups()` below divides by it before the centre validates.
-        if digest.unaligned.arrays_per_group == 0 {
-            return Err(format!("{path}: unaligned.arrays_per_group is 0").into());
-        }
-        digests.push(digest);
-    }
-    let total_groups: usize = digests.iter().map(|d| d.unaligned.groups()).sum();
+    let frames = args
+        .iter()
+        .map(|path| std::fs::read(path).map_err(|e| format!("{path}: {e}")))
+        .collect::<Result<Vec<_>, _>>()?;
+    // The centre is sized from the frames, so each must parse here.
+    let views = args
+        .iter()
+        .zip(&frames)
+        .map(|(path, frame)| RouterDigestView::parse(frame).map_err(|e| format!("{path}: {e}")))
+        .collect::<Result<Vec<_>, _>>()?;
+    let total_groups: usize = views.iter().map(|(v, _)| v.unaligned.groups()).sum();
     let mut cfg = AnalysisConfig::for_groups(total_groups.max(2));
-    cfg.search.n_prime = 4_000.min(digests[0].aligned.bitmap.len());
+    cfg.search.n_prime = 4_000.min(views[0].0.aligned.bitmap.len());
     if let Some(t) = threshold {
         cfg.component_threshold = Some(t);
     }
     let center = AnalysisCenter::new(cfg);
-    let report = center.analyze_epoch(&digests)?;
+    let report = center.analyze_epoch_collected(&CollectedEpoch::from_frames(frames))?;
     println!("{}", serde_json::to_string_pretty(&report)?);
     if let Some(path) = metrics_out {
         std::fs::write(&path, center.metrics().to_json_pretty() + "\n")?;
@@ -283,7 +284,7 @@ fn demo() -> CliResult {
             ]);
         }
         gen_trace(&cmd)?;
-        let digest = dir.join(format!("router{r}.json"));
+        let digest = dir.join(format!("router{r}.dcsr"));
         collect(&[
             trace.to_string_lossy().into_owned(),
             "--router".into(),

@@ -3,7 +3,6 @@
 //! detection → report.
 
 use dcs::prelude::*;
-use dcs_bitmap::Bitmap;
 use dcs_traffic::gen::{self, SizeMix};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -29,14 +28,10 @@ fn run_epoch(seed: u64, infected: usize, content_packets: usize) -> dcs::core::E
         }
         let mut point = MonitoringPoint::new(router, &monitor_cfg);
         point.observe_all(&traffic);
-        let mut digest = point.finish_epoch();
-
-        // Ship the aligned bitmap through the binary wire format, as a
-        // real deployment would, and analyse the decoded copy.
-        let wire = digest.aligned.bitmap.encode();
-        digest.aligned.bitmap = Bitmap::decode(&wire).expect("wire roundtrip");
-        digests.push(digest);
+        digests.push(point.finish_epoch());
     }
+    // `analyze_epoch` ships each digest as its DCSR frame, as a real
+    // deployment would, and analyses the parsed views.
     let mut cfg = AnalysisConfig::for_groups(ROUTERS * 4);
     cfg.search.n_prime = 400;
     cfg.search.hopefuls = 300;

@@ -349,16 +349,17 @@ fn all_aggregators_faulted_is_quorum_too_small_never_panic() {
     }
 }
 
-/// A digest file with zero arrays per group is a typed `dcs-cli analyze`
-/// error, not a panic: the CLI sizes the centre from the group count,
-/// which divides by that field, before the centre validates anything.
+/// A DCSR file with zero arrays per group is a typed `dcs-cli analyze`
+/// error naming the file, not a panic: the CLI sizes the centre from the
+/// group count, which divides by that field, and the frame parser
+/// refuses it first.
 #[test]
 fn cli_analyze_rejects_zero_arrays_per_group() {
     let mut point = MonitoringPoint::new(0, &MonitorConfig::small(1, 1 << 12, 4));
     let mut digest = point.finish_epoch();
     digest.unaligned.arrays_per_group = 0;
-    let path = std::env::temp_dir().join(format!("dcs-apg0-{}.json", std::process::id()));
-    std::fs::write(&path, serde_json::to_string(&digest).unwrap()).unwrap();
+    let path = std::env::temp_dir().join(format!("dcs-apg0-{}.dcsr", std::process::id()));
+    std::fs::write(&path, digest.encode_wire().expect("the encoder writes it")).unwrap();
     let out = std::process::Command::new(env!("CARGO_BIN_EXE_dcs-cli"))
         .arg("analyze")
         .arg(&path)
@@ -367,7 +368,25 @@ fn cli_analyze_rejects_zero_arrays_per_group() {
     std::fs::remove_file(&path).unwrap();
     let stderr = String::from_utf8_lossy(&out.stderr);
     assert_eq!(out.status.code(), Some(1), "{stderr}");
-    assert!(stderr.contains("arrays_per_group is 0"), "{stderr}");
+    assert!(stderr.contains(&*path.to_string_lossy()), "{stderr}");
+    assert!(stderr.contains("arrays_per_group = 0"), "{stderr}");
+}
+
+/// `dcs-cli demo` runs the staged flow end to end — traces, `collect` to
+/// DCSR files, `analyze` — and finds the content it planted.
+#[test]
+fn cli_demo_finds_the_planted_content() {
+    let out = std::process::Command::new(env!("CARGO_BIN_EXE_dcs-cli"))
+        .arg("demo")
+        .output()
+        .expect("run dcs-cli demo");
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    assert!(
+        out.status.success(),
+        "{}",
+        String::from_utf8_lossy(&out.stderr)
+    );
+    assert!(stdout.contains("\"found\": true"), "{stdout}");
 }
 
 #[test]

@@ -10,10 +10,10 @@
 //! fails when a `*_MAGIC` constant of a frame-owning crate has no row (or
 //! shares its FourCC), so a new format cannot skip the soup.
 
-use dcs_bitmap::{Bitmap, BitmapView, DecodeError, DIGEST_MAGIC};
+use dcs_bitmap::{Bitmap, DIGEST_MAGIC};
 use dcs_collect::artifact::{decode_section, section_len};
-use dcs_collect::wire::{ALIGNED_MAGIC, UNALIGNED_MAGIC};
-use dcs_collect::{AlignedDigest, UnalignedDigest, WireError};
+use dcs_collect::wire::{parse_bitmap, ALIGNED_MAGIC, UNALIGNED_MAGIC};
+use dcs_collect::{AlignedDigestView, UnalignedDigestView};
 use dcs_core::aggregate::{AggregateBundle, AGGREGATE_MAGIC, AGGREGATE_VERSION};
 use dcs_core::monitor::{
     MonitorConfig, MonitoringPoint, RouterDigest, RouterDigestView, SketchSpec, BUNDLE_MAGIC,
@@ -61,30 +61,21 @@ fn judge<T, E>(res: Result<(T, usize), E>, bad_magic: fn(&E) -> bool) -> Outcome
     }
 }
 
-fn wire_magic(e: &WireError) -> bool {
-    matches!(e, WireError::BadMagic(_))
-}
-
 fn frame_magic(e: &FrameError) -> bool {
     matches!(e, FrameError::BadMagic(_))
 }
 
-fn dcsb(b: &[u8]) -> Outcome {
-    judge(BitmapView::parse(b).map(|v| (v, v.encoded_len())), |e| {
-        matches!(e, DecodeError::BadMagic(_))
-    })
-}
-
-/// A decoded unaligned digest, however the bytes were mangled, has whole
+/// A parsed unaligned view, however the bytes were mangled, has whole
 /// groups of equal-width arrays.
 fn dcsu(b: &[u8]) -> Outcome {
-    let res = UnalignedDigest::decode_wire(b);
-    if let Ok((d, _)) = &res {
-        assert!(d.arrays_per_group > 0);
-        assert!(d.arrays.len().is_multiple_of(d.arrays_per_group));
-        assert!(d.arrays.iter().all(|a| a.len() == d.arrays[0].len()));
+    let res = UnalignedDigestView::parse(b);
+    if let Ok((v, _)) = &res {
+        assert!(v.arrays_per_group > 0);
+        assert!(v.array_count().is_multiple_of(v.arrays_per_group));
+        assert_eq!(v.arrays().count(), v.array_count());
+        assert!(v.arrays().all(|a| a.len() == v.array_bits()));
     }
-    judge(res, wire_magic)
+    judge(res, frame_magic)
 }
 
 fn dcsc(b: &[u8]) -> Outcome {
@@ -108,7 +99,7 @@ fn control(b: &[u8]) -> Outcome {
 fn checkpoint(b: &[u8]) -> Outcome {
     judge(
         EpochCollector::resume(b, CollectorConfig::default(), 1, 0).map(|c| (c, b.len())),
-        |e| matches!(e, CheckpointError::BadMagic(_)),
+        |e| matches!(e, CheckpointError::Frame(FrameError::BadMagic(_))),
     )
 }
 
@@ -156,14 +147,14 @@ fn rows() -> Vec<Row> {
             name: "DCSB",
             magic: Some(DIGEST_MAGIC),
             version: 1,
-            decode: dcsb,
+            decode: |b| judge(parse_bitmap(b), frame_magic),
             valid: || Bitmap::from_indices(200, [3, 150]).encode().to_vec(),
         },
         Row {
             name: "DCSA",
             magic: Some(ALIGNED_MAGIC),
             version: 1,
-            decode: |b| judge(AlignedDigest::decode_wire(b), wire_magic),
+            decode: |b| judge(AlignedDigestView::parse(b), frame_magic),
             valid: || digest().aligned.encode_wire().to_vec(),
         },
         Row {
@@ -177,7 +168,7 @@ fn rows() -> Vec<Row> {
             name: "DCSR",
             magic: Some(BUNDLE_MAGIC),
             version: 2,
-            decode: |b| judge(RouterDigest::decode_wire(b), wire_magic),
+            decode: |b| judge(RouterDigestView::parse(b), frame_magic),
             valid: bundle,
         },
         Row {

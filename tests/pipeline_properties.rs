@@ -1,7 +1,8 @@
 //! Property-based integration tests across crates: invariants of the
 //! collector → digest → matrix path under arbitrary traffic.
 
-use dcs_bitmap::Bitmap;
+use dcs_bitmap::{Bitmap, WordSource};
+use dcs_collect::wire::parse_bitmap;
 use dcs_collect::{AlignedCollector, AlignedConfig, UnalignedCollector, UnalignedConfig};
 use dcs_traffic::{FlowLabel, Packet};
 use proptest::prelude::*;
@@ -130,7 +131,11 @@ proptest! {
         idxs in proptest::collection::vec(any::<usize>(), 0..64),
     ) {
         let bm = Bitmap::from_indices(len, idxs.into_iter().map(|i| i % len));
-        let back = Bitmap::decode(&bm.encode()).expect("roundtrip");
-        prop_assert_eq!(bm, back);
+        let frame = bm.encode();
+        let (view, used) = parse_bitmap(&frame).expect("roundtrip");
+        prop_assert_eq!((used, view.len()), (frame.len(), len));
+        for (i, &w) in bm.words().iter().enumerate() {
+            prop_assert_eq!(view.word(i), w, "word {}", i);
+        }
     }
 }

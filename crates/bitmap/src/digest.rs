@@ -92,6 +92,17 @@ impl<'a> BitmapView<'a> {
         }
     }
 
+    /// A view of `(len, body)` that a [`new`](Self::new) call has already
+    /// accepted — how a parsed frame cuts its checked bytes again without
+    /// a second check. Debug builds re-run the check. Words are still read
+    /// through bounds-checked slices, so a caller that breaks the rule gets
+    /// wrong bits or a panic, never unsound memory access.
+    #[inline]
+    pub fn from_checked(len: usize, body: &'a [u8]) -> BitmapView<'a> {
+        debug_assert_eq!(Self::new(len, body).err(), None);
+        BitmapView { len, body }
+    }
+
     /// Logical length in bits.
     #[inline]
     pub fn len(&self) -> usize {
@@ -179,6 +190,10 @@ mod tests {
             let view = BitmapView::new(bits, &frame[DIGEST_HEADER..]).unwrap();
             assert_eq!((view.len(), view.is_empty()), (bits, bits == 0));
             assert_eq!(view.encoded_len(), bm.encoded_len());
+            assert_eq!(
+                BitmapView::from_checked(bits, &frame[DIGEST_HEADER..]),
+                view
+            );
             for (i, &w) in bm.words().iter().enumerate() {
                 assert_eq!(view.word(i), w, "{bits} bits, word {i}");
             }

@@ -147,12 +147,13 @@ impl<'a> UnalignedDigestView<'a> {
 
     /// Views of the arrays in group-major order, as in
     /// [`UnalignedDigest::arrays`](crate::UnalignedDigest::arrays): each
-    /// one's words, cut from the body at the stride `parse` checked.
+    /// one's words, cut from the body at the stride `parse` checked, each
+    /// exactly the bytes `parse` accepted as that array.
     pub fn arrays(&self) -> impl Iterator<Item = BitmapView<'a>> + 'a {
         let bits = self.array_bits;
         self.body
             .chunks_exact(DIGEST_HEADER + words_for(bits) * 8)
-            .filter_map(move |frame| BitmapView::new(bits, &frame[DIGEST_HEADER..]).ok())
+            .map(move |frame| BitmapView::from_checked(bits, &frame[DIGEST_HEADER..]))
     }
 }
 

@@ -450,6 +450,7 @@ impl MonitoringPoint {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use dcs_bitmap::WordSource;
     use dcs_traffic::{gen, BackgroundConfig, SizeMix};
     use rand::rngs::StdRng;
     use rand::SeedableRng;
@@ -527,11 +528,36 @@ mod tests {
         assert_eq!(view.epoch_id, 1);
         assert_eq!(view.encoded_len(), d.encoded_len());
         assert_eq!(view.raw_bytes(), d.aligned.raw_bytes);
+        let (a, u) = (&view.aligned, &view.unaligned);
         assert_eq!(
-            (view.aligned.packets_seen, view.unaligned.packets_sampled),
-            (d.aligned.packets_seen, d.unaligned.packets_sampled)
+            (a.packets_seen, a.packets_hashed, a.raw_bytes),
+            (
+                d.aligned.packets_seen,
+                d.aligned.packets_hashed,
+                d.aligned.raw_bytes
+            )
         );
-        assert_eq!(view.unaligned.array_count(), d.unaligned.arrays.len());
+        assert_eq!(a.bitmap.len(), d.aligned.bitmap.len());
+        for (i, &w) in d.aligned.bitmap.words().iter().enumerate() {
+            assert_eq!(a.bitmap.word(i), w, "aligned word {i}");
+        }
+        assert_eq!(
+            (u.packets_seen, u.packets_sampled, u.raw_bytes),
+            (
+                d.unaligned.packets_seen,
+                d.unaligned.packets_sampled,
+                d.unaligned.raw_bytes
+            )
+        );
+        assert_eq!(u.arrays_per_group, d.unaligned.arrays_per_group);
+        assert_eq!(u.array_count(), d.unaligned.arrays.len());
+        assert_eq!(u.arrays().count(), d.unaligned.arrays.len());
+        for (j, (v, bm)) in u.arrays().zip(&d.unaligned.arrays).enumerate() {
+            assert_eq!(v.len(), bm.len(), "array {j}");
+            for (i, &w) in bm.words().iter().enumerate() {
+                assert_eq!(v.word(i), w, "array {j} word {i}");
+            }
+        }
     }
 
     /// `encode_wire` fills exactly the buffer it sized up front, with and

@@ -17,7 +17,9 @@
 //! digest bundle as the `DCSR` frame a monitor ships; `analyze` hands the
 //! frames to the centre's ingest path, as `serve` does, and prints the
 //! epoch report as JSON (`--metrics-json` additionally dumps the centre's
-//! per-stage metrics snapshot); `serve`/`monitor` run the analysis centre
+//! per-stage metrics snapshot). `analyze` sizes the centre from the files,
+//! so a file that does not parse is an error naming it (exit 1), where
+//! `serve` would exclude that router's frame from the epoch; `serve`/`monitor` run the analysis centre
 //! and monitoring points as real socket processes (see [`deploy`]).
 //! Argument parsing is deliberately dependency-free.
 
@@ -234,7 +236,8 @@ fn analyze(args: &[String]) -> CliResult {
         .iter()
         .map(|path| std::fs::read(path).map_err(|e| format!("{path}: {e}")))
         .collect::<Result<Vec<_>, _>>()?;
-    // The centre is sized from the frames, so each must parse here.
+    // The centre is sized from the frames, so each must parse here; the
+    // ingest path then validates them again, as it does under `serve`.
     let views = args
         .iter()
         .zip(&frames)

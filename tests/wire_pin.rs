@@ -136,10 +136,9 @@ fn leaf_frame(seed: u64, router_id: usize) -> Vec<u8> {
         .to_vec()
 }
 
-/// The DCSG, DCSK and control encoders' bytes: (a) a level-2 bundle of
-/// seeded leaf frames, one spliced level-1 bundle and one exclusion of
-/// every `RouterFault` variant (nested `AtLevel` with and without an
-/// aggregator id); (b) a checkpoint holding one complete session, one
+/// The DCSG, DCSK and control encoders' bytes: (a) a level-1 bundle of
+/// seeded leaf frames and one exclusion of every `RouterFault` variant
+/// (a two-deep `AtLevel`, with and without an aggregator id); (b) a checkpoint holding one complete session, one
 /// partial session with a CRC-failed seq and one that never sent;
 /// (c) every control frame kind.
 #[test]
@@ -153,10 +152,6 @@ fn frames_are_pinned() {
         RouterFault::Wire("digest frame truncated".into()),
         RouterFault::DuplicateRouter { first_index: 3 },
         RouterFault::EmptyUnaligned,
-        RouterFault::GroupLayout {
-            arrays: 10,
-            arrays_per_group: 3,
-        },
         RouterFault::AlignedWidth {
             expected: 1024,
             got: 2048,
@@ -185,22 +180,19 @@ fn frames_are_pinned() {
             fault: Box::new(RouterFault::AtLevel {
                 level: 1,
                 aggregator_id: Some(77),
-                fault: Box::new(timed_out.clone()),
+                fault: Box::new(timed_out),
             }),
         },
     ];
-    let lower = AggregateBundle::assemble(
-        300,
-        5,
-        1,
-        vec![(10, leaf_frame(31, 10)), (11, leaf_frame(32, 11))],
-        vec![excluded(12, timed_out)],
-    );
     let bundle = AggregateBundle::assemble(
         400,
         5,
-        2,
-        vec![(1, leaf_frame(33, 1)), (300, lower.encode_wire())],
+        1,
+        vec![
+            (1, leaf_frame(33, 1)),
+            (10, leaf_frame(31, 10)),
+            (11, leaf_frame(32, 11)),
+        ],
         (20..).zip(faults).map(|(r, f)| excluded(r, f)).collect(),
     );
     let aggregate = bundle.encode_wire();
@@ -657,7 +649,11 @@ const DATAGRAM_FRAMES_PIN: u64 = 0x6459_89b9_c362_2c58;
 const STREAM_FRAMES_PIN: u64 = 0x392d_129e_a8f2_80a1;
 const SCREEN_PIN: u64 = 0xa70d_f29f_5071_8d5a;
 const NAIVE_PIN: u64 = 0x4ef5_137b_0ae3_809b;
-const AGGREGATE_PIN: u64 = 0x0fc5_6d11_7dc2_51b9;
+/// Re-captured once, before the nested-bundle splice was deleted, on
+/// the level-1 input `frames_are_pinned` builds now: the level-2 bundle
+/// it replaced spliced a level-1 child and carried a `GroupLayout`
+/// exclusion, neither of which any code builds any more.
+const AGGREGATE_PIN: u64 = 0x92a7_81e8_b053_4675;
 const CHECKPOINT_PIN: u64 = 0x55a6_5332_9a5c_a473;
 /// Re-captured once when control frames moved from the `DCSA` magic
 /// they shared with aligned digests to `DCSN`: the magic and the CRC-32

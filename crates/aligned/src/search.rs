@@ -145,7 +145,7 @@ impl SearchWork {
 }
 
 /// Tuning parameters of the greedy search.
-#[derive(Debug, Clone, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone)]
 pub struct SearchConfig {
     /// Size of the per-iteration hopefuls list (the paper's O(n)).
     pub hopefuls: usize,

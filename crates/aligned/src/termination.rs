@@ -20,7 +20,7 @@
 //! `c = 2`) reads as plateau, not dive.
 
 /// Tuning knobs of the curve reader.
-#[derive(Debug, Clone, Copy, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, Copy)]
 pub struct TerminationConfig {
     /// Coefficient `c` of the dive bound `w/2 + c·√w`. Default 2.0: noise
     /// steps (bias ≈ 1.5·√w) fall under the bound, plateaus of patterns

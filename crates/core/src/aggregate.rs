@@ -29,10 +29,13 @@
 //! verdict is byte-identical to flat ingest by construction (see
 //! DESIGN.md §7.1).
 //!
-//! Children the aggregator could not deliver (timed out, checksum-dead,
-//! unparseable) ride along as typed [`ChildExclusion`]s; the centre
-//! wraps them in [`RouterFault::AtLevel`] so every leaf lost anywhere in
-//! the tree surfaces in the final
+//! There is one aggregation level (the paper has none: its centre fuses
+//! the links' digests itself). An aggregator's children are leaves, and
+//! a child that ships a DCSG bundle instead of a DCSR digest is excluded
+//! like any frame that does not parse. Children the aggregator could not
+//! deliver (timed out, checksum-dead, unparseable) ride along as typed
+//! [`ChildExclusion`]s; the centre wraps them in [`RouterFault::AtLevel`]
+//! so every leaf lost below it surfaces in the final
 //! [`IngestReport`](crate::ingest::IngestReport) with its fault kind and
 //! level, and quorum stays a *leaf* count, never a bundle count.
 //!
@@ -123,14 +126,8 @@ impl AggregateBundle {
     /// [`RouterDigestView::parse`] become [`RouterFault::Wire`]
     /// exclusions and are **not** forwarded (they cannot parse at the
     /// centre either — dropping them here is the bandwidth the tier
-    /// saves). A child frame that is itself a DCSG bundle (a
-    /// lower-level aggregator) is flattened: its leaf frames splice in
-    /// verbatim and its exclusions are re-wrapped one level deeper in
-    /// [`RouterFault::AtLevel`]. A nested bundle that would take the
-    /// frames or exclusions past [`MAX_AGGREGATE_CHILDREN`] — counting
-    /// one slot for each child still to come — is not spliced: like a
-    /// lost aggregator at the centre, it becomes one exclusion with an
-    /// `AtLevel`-wrapped wire fault.
+    /// saves). A DCSG bundle is one of them: there is one aggregation
+    /// level.
     ///
     /// # Panics
     /// Panics if `child_frames` and `exclusions` together exceed
@@ -142,63 +139,19 @@ impl AggregateBundle {
         child_frames: Vec<(u64, Vec<u8>)>,
         mut exclusions: Vec<ChildExclusion>,
     ) -> AggregateBundle {
-        let cap = MAX_AGGREGATE_CHILDREN as usize;
         assert!(
-            child_frames.len() + exclusions.len() <= cap,
+            child_frames.len() + exclusions.len() <= MAX_AGGREGATE_CHILDREN as usize,
             "aggregate children over cap"
         );
         let mut frames = Vec::with_capacity(child_frames.len());
-        let mut pending = child_frames.len();
         for (router_id, bytes) in child_frames {
-            // Every child not yet placed keeps one slot of each list in
-            // reserve, so a splice can never squeeze a later child out.
-            pending -= 1;
-            if !bytes.starts_with(&AGGREGATE_MAGIC) {
-                match RouterDigestView::parse(&bytes) {
-                    Ok(_) => frames.push(bytes),
-                    Err(e) => exclusions.push(ChildExclusion {
-                        router_id,
-                        fault: RouterFault::Wire(e.to_string()),
-                    }),
-                }
-                continue;
-            }
-            // A child that is itself an aggregator ships a nested DCSG
-            // bundle; flatten it so the upstream tier (and ultimately the
-            // centre) keeps accounting in *leaves*, each exclusion
-            // re-wrapped so the fault's full path through the tree
-            // survives the hop.
-            let nested = match AggregateBundle::decode_wire(&bytes) {
-                Ok((nested, _)) => nested,
-                Err(e) => {
-                    exclusions.push(ChildExclusion {
-                        router_id,
-                        fault: RouterFault::Wire(format!("aggregate bundle: {e}")),
-                    });
-                    continue;
-                }
-            };
-            let wrap = |fault| RouterFault::AtLevel {
-                level: nested.level,
-                aggregator_id: Some(nested.aggregator_id),
-                fault: Box::new(fault),
-            };
-            if frames.len() + nested.frames.len() + pending > cap
-                || exclusions.len() + nested.exclusions.len() + pending > cap
-            {
-                exclusions.push(ChildExclusion {
+            match RouterDigestView::parse(&bytes) {
+                Ok(_) => frames.push(bytes),
+                Err(e) => exclusions.push(ChildExclusion {
                     router_id,
-                    fault: wrap(RouterFault::Wire(
-                        "nested aggregate bundle over the child cap".into(),
-                    )),
-                });
-                continue;
+                    fault: RouterFault::Wire(e.to_string()),
+                }),
             }
-            frames.extend(nested.frames);
-            exclusions.extend(nested.exclusions.into_iter().map(|e| ChildExclusion {
-                router_id: e.router_id,
-                fault: wrap(e.fault),
-            }));
         }
         AggregateBundle {
             aggregator_id,
@@ -313,7 +266,8 @@ impl AggregateBundle {
 const FT_WIRE: u8 = 0;
 const FT_DUPLICATE: u8 = 1;
 const FT_EMPTY_UNALIGNED: u8 = 2;
-const FT_GROUP_LAYOUT: u8 = 3;
+// Tag 3 is retired (a group-layout fault): it decodes as an unknown tag,
+// and a new variant takes a fresh number.
 const FT_ALIGNED_WIDTH: u8 = 4;
 const FT_ARRAYS_PER_GROUP: u8 = 5;
 const FT_ARRAY_WIDTH: u8 = 6;
@@ -340,8 +294,7 @@ fn fault_encoded_len(fault: &RouterFault) -> usize {
         RouterFault::Wire(e) => 4 + clip_fault_string(e).len(),
         RouterFault::DuplicateRouter { .. } => 8,
         RouterFault::EmptyUnaligned => 0,
-        RouterFault::GroupLayout { .. }
-        | RouterFault::AlignedWidth { .. }
+        RouterFault::AlignedWidth { .. }
         | RouterFault::ArraysPerGroup { .. }
         | RouterFault::ArrayWidth { .. }
         | RouterFault::EpochDesync { .. }
@@ -375,15 +328,6 @@ fn encode_fault(buf: &mut Vec<u8>, fault: &RouterFault, depth: usize) {
             buf.put_u64_le(*first_index as u64);
         }
         RouterFault::EmptyUnaligned => buf.put_u8(FT_EMPTY_UNALIGNED),
-        RouterFault::GroupLayout {
-            arrays,
-            arrays_per_group,
-        } => two(
-            buf,
-            FT_GROUP_LAYOUT,
-            *arrays as u64,
-            *arrays_per_group as u64,
-        ),
         RouterFault::AlignedWidth { expected, got } => {
             two(buf, FT_ALIGNED_WIDTH, *expected as u64, *got as u64)
         }
@@ -443,13 +387,6 @@ fn decode_fault(r: &mut Reader<'_>, depth: usize) -> Result<RouterFault, FrameEr
             first_index: as_usize(r.u64()?)?,
         },
         FT_EMPTY_UNALIGNED => RouterFault::EmptyUnaligned,
-        FT_GROUP_LAYOUT => {
-            let (arrays, arrays_per_group) = two(r)?;
-            RouterFault::GroupLayout {
-                arrays,
-                arrays_per_group,
-            }
-        }
         FT_ALIGNED_WIDTH => {
             let (expected, got) = two(r)?;
             RouterFault::AlignedWidth { expected, got }
@@ -546,16 +483,6 @@ impl Aggregator {
         self.id
     }
 
-    /// This tier's height above the leaves.
-    pub fn level(&self) -> u8 {
-        self.level
-    }
-
-    /// The expected children, in router-id order.
-    pub fn children(&self) -> &[u64] {
-        &self.children
-    }
-
     /// Offers one child chunk frame (see [`EpochCollector::offer`]).
     pub fn offer(&mut self, frame: &[u8], now: u64) -> ChunkDisposition {
         self.collector.offer(frame, now)
@@ -574,11 +501,6 @@ impl Aggregator {
     /// Whether the straggler policy says to stop waiting.
     pub fn ready(&self, now: u64) -> bool {
         self.collector.ready(now)
-    }
-
-    /// The wrapped collector's absolute deadline tick.
-    pub fn deadline(&self) -> u64 {
-        self.collector.deadline()
     }
 
     /// Child-hop delivery accounting so far.
@@ -709,95 +631,47 @@ mod tests {
     }
 
     #[test]
-    fn assemble_flattens_nested_bundles_into_leaf_accounting() {
-        // Two level-1 aggregators over disjoint leaf sets, one with a
-        // timed-out leaf, feed a level-2 aggregator alongside one direct
-        // leaf. The level-2 bundle must account in leaves, not bundles.
-        let leaves_a: Vec<(u64, Vec<u8>)> = (0..3)
-            .map(|id| (id, leaf_frame(40 + id, id as usize, 1 << 10)))
-            .collect();
-        let leaves_b: Vec<(u64, Vec<u8>)> = (3..5)
-            .map(|id| (id, leaf_frame(40 + id, id as usize, 1 << 10)))
-            .collect();
-        let mut expected_frames: Vec<Vec<u8>> = leaves_a.iter().map(|(_, f)| f.clone()).collect();
-        expected_frames.extend(leaves_b.iter().map(|(_, f)| f.clone()));
-        let direct = leaf_frame(99, 6, 1 << 10);
-        expected_frames.push(direct.clone());
+    fn a_bundle_handed_up_as_a_child_is_one_excluded_leaf() {
+        use crate::center::{AnalysisCenter, AnalysisConfig};
+        use crate::session::CollectedEpoch;
 
-        let l1_a = AggregateBundle::assemble(100, 5, 1, leaves_a, Vec::new());
-        let l1_b = AggregateBundle::assemble(101, 5, 1, leaves_b, vec![timed_out(5)]);
-        let l2 = AggregateBundle::assemble(
+        let leaves: Vec<(u64, Vec<u8>)> = (0..3)
+            .map(|id| (id, leaf_frame(40 + id, id as usize, 1 << 10)))
+            .collect();
+        let lower = AggregateBundle::assemble(100, 5, 1, leaves[..2].to_vec(), Vec::new());
+        let bundle = AggregateBundle::assemble(
             200,
             5,
-            2,
-            vec![
-                (100, roundtrip(&l1_a)),
-                (101, roundtrip(&l1_b)),
-                (6, direct),
-            ],
+            1,
+            vec![(100, roundtrip(&lower)), leaves[2].clone()],
             Vec::new(),
         );
+        // There is one aggregation level: a DCSG child fails the digest
+        // parser like any frame that is not a DCSR digest, and none of
+        // its bytes (nor its leaves' frames) ride upstream.
+        assert_eq!(bundle.frames, vec![leaves[2].1.clone()]);
+        assert_eq!(bundle.exclusions.len(), 1);
+        assert_eq!(bundle.exclusions[0].router_id, 100);
+        assert!(matches!(bundle.exclusions[0].fault, RouterFault::Wire(_)));
+        let wire = roundtrip(&bundle);
 
-        assert_eq!(l2.frames, expected_frames, "leaf frames splice verbatim");
-        assert_eq!(l2.leaves(), 7, "6 delivered leaves + 1 exclusion");
-        // The excluded leaf's fault gained one AtLevel wrapper recording
-        // which aggregator lost it.
-        assert_eq!(l2.exclusions.len(), 1);
-        assert_eq!(l2.exclusions[0].router_id, 5);
-        match &l2.exclusions[0].fault {
-            RouterFault::AtLevel {
-                level,
-                aggregator_id,
-                fault,
-            } => {
-                assert_eq!(*level, 1);
-                assert_eq!(*aggregator_id, Some(101));
-                assert!(matches!(**fault, RouterFault::TimedOut { .. }));
-            }
-            other => panic!("expected AtLevel wrapper, got {other:?}"),
-        }
-        // And the flattened bundle still round-trips the wire format.
-        roundtrip(&l2);
-    }
-
-    #[test]
-    fn nested_bundles_past_the_child_cap_become_one_exclusion() {
-        // Two level-1 bundles of 2,100 lost leaves each are within the
-        // cap apiece, but splicing both would carry 4,200 exclusions.
-        let lost = |agg: u64| {
-            let excl = (0..2100).map(|r| timed_out(agg * 10_000 + r)).collect();
-            AggregateBundle::assemble(agg, 0, 1, Vec::new(), excl).encode_wire()
-        };
-        let l2 = AggregateBundle::assemble(200, 0, 2, vec![(1, lost(1)), (2, lost(2))], Vec::new());
-        assert_eq!(l2.exclusions.len(), 2101, "first spliced, second one slot");
-        assert_eq!(l2.leaves(), 2101);
-        let last = l2.exclusions.last().unwrap();
-        assert_eq!(last.router_id, 2);
+        let center = AnalysisCenter::new(AnalysisConfig::for_groups(8));
+        let report = center
+            .analyze_epoch_aggregated_collected(&CollectedEpoch::from_frames([wire]))
+            .expect("the one forwarded leaf is a quorum of one");
+        assert_eq!(report.ingest.submitted, 2, "one leaf, one child");
+        assert_eq!(report.ingest.accepted, vec![2]);
+        assert_eq!(report.ingest.excluded.len(), 1);
+        let excluded = &report.ingest.excluded[0];
+        assert_eq!(excluded.router_id, Some(100));
         assert!(matches!(
-            &last.fault,
+            &excluded.fault,
             RouterFault::AtLevel {
                 level: 1,
-                aggregator_id: Some(2),
+                aggregator_id: Some(200),
                 fault,
             } if matches!(**fault, RouterFault::Wire(_))
         ));
-        roundtrip(&l2);
-
-        // The same pair reaches `encode_wire` through a real aggregator.
-        let ccfg = CollectorConfig {
-            deadline: 100,
-            straggler: StragglerPolicy::Deadline,
-            ..Default::default()
-        };
-        let mut agg = Aggregator::new(200, 2, 0, [1, 2], ccfg, 1, 0);
-        for child in [1u64, 2] {
-            for chunk in chunk_bundle(child, 0, &lost(child), 4096) {
-                agg.offer(&chunk, 0);
-            }
-        }
-        let bundle = agg.finalize(100, &MetricsRegistry::new());
-        assert_eq!(bundle.leaves(), 2101);
-        roundtrip(&bundle);
     }
 
     #[test]
@@ -893,6 +767,18 @@ mod tests {
                 Err(FrameError::BadVersion(version))
             );
         }
+        // Fault tag 3 is retired: a re-sealed frame carrying it in place
+        // of the last exclusion's (timed-out) tag fails typed.
+        let body = wire.len() - 4;
+        let mut retired = wire[..body].to_vec();
+        assert_eq!(retired[body - 17], FT_TIMED_OUT);
+        retired[body - 17] = 3;
+        let crc = crc32(&retired);
+        retired.extend_from_slice(&crc.to_le_bytes());
+        assert_eq!(
+            AggregateBundle::decode_wire(&retired),
+            Err(FrameError::Malformed("unknown fault tag"))
+        );
     }
 
     #[test]
@@ -904,7 +790,6 @@ mod tests {
         };
         let metrics = MetricsRegistry::new();
         let mut agg = Aggregator::new(500, 1, 0, [10, 11, 12], ccfg, 1, 0);
-        assert_eq!(agg.children(), &[10, 11, 12]);
         for child in [10u64, 11] {
             let frame = leaf_frame(60 + child, child as usize, 1 << 10);
             for chunk in chunk_bundle(child, 0, &frame, 256) {

@@ -17,7 +17,7 @@ use std::sync::{Mutex, MutexGuard};
 use std::time::Instant;
 
 /// Configuration of the analysis centre.
-#[derive(Debug, Clone, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone)]
 pub struct AnalysisConfig {
     /// Aligned-case greedy search settings.
     pub search: SearchConfig,
@@ -55,10 +55,6 @@ pub struct AnalysisConfig {
     pub ugraph: IncrementalConfig,
 }
 
-fn default_min_quorum() -> usize {
-    1
-}
-
 impl AnalysisConfig {
     /// A configuration tuned for a deployment with `n_groups` total
     /// flow-split groups across all routers.
@@ -74,7 +70,7 @@ impl AnalysisConfig {
             detect_p1: 8.0 / n,
             component_threshold: None,
             corefind: CoreFindConfig::default(),
-            min_quorum: default_min_quorum(),
+            min_quorum: 1,
             ugraph: IncrementalConfig::default(),
         }
     }

@@ -39,16 +39,6 @@ pub enum RouterFault {
     },
     /// The unaligned digest ships no arrays at all.
     EmptyUnaligned,
-    /// `arrays_per_group` is zero or does not divide the array count.
-    /// The wire parser rejects such a frame, so the centre reports it as
-    /// [`RouterFault::Wire`]; the variant stays for aggregate bundles in
-    /// flight that carry it.
-    GroupLayout {
-        /// Arrays shipped.
-        arrays: usize,
-        /// Claimed arrays per group.
-        arrays_per_group: usize,
-    },
     /// The aligned bitmap width disagrees with the epoch consensus.
     AlignedWidth {
         /// Consensus width in bits.
@@ -132,7 +122,6 @@ impl RouterFault {
             RouterFault::Wire(_) => "wire",
             RouterFault::DuplicateRouter { .. } => "duplicate_router",
             RouterFault::EmptyUnaligned => "empty_unaligned",
-            RouterFault::GroupLayout { .. } => "group_layout",
             RouterFault::AlignedWidth { .. } => "aligned_width",
             RouterFault::ArraysPerGroup { .. } => "arrays_per_group",
             RouterFault::ArrayWidth { .. } => "array_width",
@@ -162,13 +151,6 @@ impl fmt::Display for RouterFault {
                 write!(f, "duplicate router id (first seen at index {first_index})")
             }
             RouterFault::EmptyUnaligned => write!(f, "unaligned digest ships no arrays"),
-            RouterFault::GroupLayout {
-                arrays,
-                arrays_per_group,
-            } => write!(
-                f,
-                "{arrays} arrays do not form whole groups of {arrays_per_group}"
-            ),
             RouterFault::AlignedWidth { expected, got } => {
                 write!(f, "aligned bitmap width {got}, epoch consensus {expected}")
             }
@@ -230,14 +212,6 @@ impl serde::Serialize for RouterFault {
                 vec![tag("duplicate_router"), uint("first_index", *first_index)]
             }
             RouterFault::EmptyUnaligned => vec![tag("empty_unaligned")],
-            RouterFault::GroupLayout {
-                arrays,
-                arrays_per_group,
-            } => vec![
-                tag("group_layout"),
-                uint("arrays", *arrays),
-                uint("arrays_per_group", *arrays_per_group),
-            ],
             RouterFault::AlignedWidth { expected, got } => vec![
                 tag("aligned_width"),
                 uint("expected", *expected),
@@ -298,10 +272,6 @@ impl serde::Deserialize for RouterFault {
                 first_index: uint("first_index")?,
             },
             "empty_unaligned" => RouterFault::EmptyUnaligned,
-            "group_layout" => RouterFault::GroupLayout {
-                arrays: uint("arrays")?,
-                arrays_per_group: uint("arrays_per_group")?,
-            },
             "aligned_width" => RouterFault::AlignedWidth {
                 expected: uint("expected")?,
                 got: uint("got")?,
@@ -414,39 +384,6 @@ impl fmt::Display for IngestError {
 }
 
 impl std::error::Error for IngestError {}
-
-impl serde::Serialize for IngestError {
-    fn to_value(&self) -> serde::Value {
-        serde::Value::Object(match self {
-            IngestError::NoDigests => {
-                vec![("kind".to_string(), serde::Value::Str("no_digests".into()))]
-            }
-            IngestError::QuorumTooSmall { required, report } => vec![
-                (
-                    "kind".to_string(),
-                    serde::Value::Str("quorum_too_small".into()),
-                ),
-                ("required".to_string(), serde::Value::UInt(*required as u64)),
-                ("report".to_string(), report.to_value()),
-            ],
-        })
-    }
-}
-
-impl serde::Deserialize for IngestError {
-    fn from_value(v: &serde::Value) -> Result<Self, serde::Error> {
-        match String::from_value(v.field("kind")?)?.as_str() {
-            "no_digests" => Ok(IngestError::NoDigests),
-            "quorum_too_small" => Ok(IngestError::QuorumTooSmall {
-                required: usize::from_value(v.field("required")?)?,
-                report: IngestReport::from_value(v.field("report")?)?,
-            }),
-            other => Err(serde::Error::new(format!(
-                "unknown ingest error kind `{other}`"
-            ))),
-        }
-    }
-}
 
 /// The reference shape a digest bundle must match to be fused.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]

@@ -9,10 +9,10 @@
 //! answers what arrives with [`EpochCollector::answer`]. Control frames
 //! go back unimpaired and on the same tick. [`drive_hop`] is that loop,
 //! for any [`Receiver`]: an [`EpochCollector`] at the centre or an
-//! [`Aggregator`] in between. Every topology the soak driver runs, flat,
-//! two-level or three-level, is a list of `Tier`s handed to one
-//! `TierDriver`: an aggregator is a receiver whose `finalize` emits a
-//! bundle its own sender ships onto the next tier's links.
+//! [`Aggregator`] in between. Both topologies the soak driver runs, flat
+//! and two-level, are a list of `Tier`s handed to one `TierDriver`: an
+//! aggregator is a receiver whose `finalize` emits a bundle its own
+//! sender ships onto the centre's links.
 
 use crate::channel::{ChannelConfig, LossyChannel};
 use dcs_core::aggregate::Aggregator;
@@ -151,8 +151,8 @@ pub fn drive_hop<R: Receiver>(
     }
 }
 
-/// Aggregator router ids live far above any leaf id: receiver `a` of
-/// aggregation level `l` is `AGG_ID_BASE * l + a`.
+/// Aggregator router ids live far above any leaf id: aggregator `a` is
+/// `AGG_ID_BASE + a`.
 const AGG_ID_BASE: u64 = 1 << 20;
 
 /// Decorrelates the channel seeds of one tier's links.
@@ -192,10 +192,10 @@ pub(crate) struct Tier {
 }
 
 /// Carries epochs up a list of tiers. The last tier is the centre's
-/// [`EpochCollector`]; every tier before it is a row of [`Aggregator`]s
-/// (level 1, 2, …) that bundle what they collected and ship it up as
-/// ordinary chunks. Channels outlive the epoch: frames still in flight
-/// when an epoch closes arrive in the next one, late.
+/// [`EpochCollector`]; the one tier that may come before it is a row of
+/// level-1 [`Aggregator`]s that bundle what they collected and ship it
+/// up as ordinary chunks. Channels outlive the epoch: frames still in
+/// flight when an epoch closes arrive in the next one, late.
 #[derive(Debug)]
 pub(crate) struct TierDriver {
     tiers: Vec<(Tier, Vec<LossyChannel>)>,
@@ -210,6 +210,7 @@ impl TierDriver {
     /// digest bytes on every hop.
     pub fn new(tiers: &[Tier], max_payload: usize) -> Self {
         assert_eq!(tiers.last().map(|t| t.fan_in), Some(1), "one centre");
+        assert!(tiers.len() <= 2, "one aggregation level");
         TierDriver {
             tiers: tiers
                 .iter()
@@ -295,12 +296,11 @@ impl TierDriver {
                 return (epoch, stats);
             }
 
-            let level = below as u8 + 1;
             let mut aggs: Vec<Aggregator> = (0..tier.fan_in)
                 .map(|a| {
                     Aggregator::new(
-                        AGG_ID_BASE * u64::from(level) + a as u64,
-                        level,
+                        AGG_ID_BASE + a as u64,
+                        1,
                         epoch_id,
                         ids[region(ids.len(), tier.fan_in, a)].iter().copied(),
                         tier.collector,

@@ -22,11 +22,10 @@
 //!   collector or an aggregator, and the tier driver that carries an
 //!   epoch up a topology;
 //! * [`soak`] — the soak driver: many epochs of monitors → lossy hops →
-//!   (flat, two-level or three-level) → analysis centre, carrying the
-//!   aligned plant or an attack scenario (DNS amplification, elephant
-//!   flows), with an optional mid-soak centre kill/restart through the
-//!   checkpoint path and, through the tiers, per-epoch flat-replay
-//!   detection equivalence;
+//!   (flat, or through one aggregation tier) → analysis centre, carrying
+//!   the aligned plant or a DNS-amplification attack, with an optional
+//!   mid-soak centre kill/restart through the checkpoint path and,
+//!   through the tier, per-epoch flat-replay detection equivalence;
 //! * [`table`] — plain-text row/series formatting for the `repro_*`
 //!   binaries.
 

@@ -4,11 +4,10 @@
 //! tiers (see [`crate::hop`]) over
 //! [`LossyChannel`](crate::channel::LossyChannel)s:
 //! straight to the centre's [`EpochCollector`] ([`Topology::Flat`]), or
-//! through one or two rows of
-//! [`Aggregator`](dcs_core::aggregate::Aggregator)s that forward the
-//! epoch as DCSG bundles. The centre analyses what arrived. An optional
-//! [`KillPlan`] crashes the centre mid-epoch and resumes it from its
-//! checkpoint.
+//! through one row of [`Aggregator`](dcs_core::aggregate::Aggregator)s
+//! that forward the epoch as DCSG bundles ([`Topology::Tiered`]). The
+//! centre analyses what arrived. An optional [`KillPlan`] crashes the
+//! centre mid-epoch and resumes it from its checkpoint.
 //!
 //! An aggregated epoch also replays *flat*: the leaf frames inside the
 //! bundles the centre collected are fed to a second centre as bare
@@ -25,7 +24,7 @@ use crate::hop::{epoch_seed, Tier, TierDriver};
 use dcs_core::aggregate::AggregateBundle;
 use dcs_core::center::{AnalysisCenter, AnalysisConfig};
 use dcs_core::ingest::IngestError;
-use dcs_core::monitor::{MonitorConfig, MonitoringPoint};
+use dcs_core::monitor::{MonitorConfig, MonitoringPoint, RouterDigest};
 use dcs_core::report::{EpochReport, TransportStats};
 use dcs_core::session::{CollectedEpoch, CollectorConfig, EpochCollector};
 use dcs_traffic::{gen, BackgroundConfig, ContentObject, FlowLabel, Packet, Planting, SizeMix};
@@ -57,15 +56,6 @@ pub enum Topology {
         /// Regional aggregators.
         aggregators: usize,
     },
-    /// Leaves → `aggregators` regional aggregators → one level-2
-    /// super-aggregator → centre. The level-2 aggregator splices the leaf
-    /// frames of the bundles it receives verbatim and re-wraps their
-    /// exclusions one [`dcs_core::ingest::RouterFault::AtLevel`] deeper,
-    /// so the centre still counts quorum in leaves.
-    Deep {
-        /// Regional aggregators.
-        aggregators: usize,
-    },
 }
 
 /// The attack scenarios (DNS amplification after Afek et al.).
@@ -73,9 +63,6 @@ pub enum Topology {
 pub enum AttackScenario {
     /// Amplified DNS responses replayed to spoofed victims.
     DnsAmplification,
-    /// One very large flow per attacked leaf, all moving the same
-    /// object.
-    ElephantFlows,
 }
 
 /// What the leaves observe each epoch, on top of their background.
@@ -89,8 +76,7 @@ pub enum Traffic {
     Attack {
         /// Which attack is running.
         scenario: AttackScenario,
-        /// Times each attacked leaf replays the object per epoch (DNS), or
-        /// object repetitions on the elephant flow.
+        /// Times each attacked leaf replays the object per epoch.
         intensity: usize,
     },
 }
@@ -251,10 +237,10 @@ impl SoakConfig {
                     .collect()
             }
             Traffic::Attack {
-                scenario,
+                scenario: AttackScenario::DnsAmplification,
                 intensity,
             } => {
-                let injections = self.plan_attack(scenario, intensity, rng);
+                let injections = self.plan_attack(intensity, rng);
                 (0..self.leaves)
                     .map(|id| {
                         let mut traffic = gen::generate_epoch(rng, &bg);
@@ -273,41 +259,47 @@ impl SoakConfig {
         }
     }
 
-    /// One epoch's attack packets: `injections[l]` goes into leaf `l`'s
-    /// traffic.
-    fn plan_attack(
-        &self,
-        scenario: AttackScenario,
-        intensity: usize,
-        rng: &mut StdRng,
-    ) -> Vec<Vec<Packet>> {
+    /// One epoch at every leaf, outside the driver: [`Self::leaf_traffic`]
+    /// drawn from `seed`, observed by fresh monitoring points (so every
+    /// digest is epoch 0).
+    pub fn leaf_digests(&self, seed: u64) -> Vec<RouterDigest> {
+        let mcfg = self.monitor_config();
+        (self.leaf_traffic(&mut StdRng::seed_from_u64(seed)).iter())
+            .enumerate()
+            .map(|(id, traffic)| {
+                let mut mp = MonitoringPoint::new(id, &mcfg);
+                mp.observe_all(traffic);
+                mp.finish_epoch()
+            })
+            .collect()
+    }
+
+    /// The DCSR frames of [`Self::leaf_digests`], in leaf order.
+    pub fn leaf_frames(&self, seed: u64) -> Vec<Vec<u8>> {
+        (self.leaf_digests(seed).iter())
+            .map(|d| d.encode_wire().expect("leaf digests fit the wire").to_vec())
+            .collect()
+    }
+
+    /// One epoch's DNS-amplification packets: `injections[l]` goes into
+    /// leaf `l`'s traffic. The resolver replays the amplified response to
+    /// a fresh spoofed victim per repetition; src port 53/UDP marks the
+    /// reflector.
+    fn plan_attack(&self, intensity: usize, rng: &mut StdRng) -> Vec<Vec<Packet>> {
         let object = ContentObject::random_with_packets(rng, self.content_packets, PAYLOAD);
         let payloads = object.packetize(&[], PAYLOAD);
         (0..self.infected)
             .map(|_| {
                 let mut pkts = Vec::with_capacity(intensity * payloads.len());
-                match scenario {
-                    AttackScenario::DnsAmplification => {
-                        // The resolver replays the amplified response to a
-                        // fresh spoofed victim per repetition; src port 53/UDP
-                        // marks the reflector.
-                        for _ in 0..intensity {
-                            let flow = FlowLabel {
-                                src_ip: rng.gen(),
-                                dst_ip: rng.gen(),
-                                src_port: 53,
-                                dst_port: rng.gen_range(1024..=u16::MAX),
-                                proto: 17,
-                            };
-                            pkts.extend(payloads.iter().map(|p| Packet::new(flow, p.clone())));
-                        }
-                    }
-                    AttackScenario::ElephantFlows => {
-                        let flow = FlowLabel::random(rng);
-                        for _ in 0..intensity {
-                            pkts.extend(payloads.iter().map(|p| Packet::new(flow, p.clone())));
-                        }
-                    }
+                for _ in 0..intensity {
+                    let flow = FlowLabel {
+                        src_ip: rng.gen(),
+                        dst_ip: rng.gen(),
+                        src_port: 53,
+                        dst_port: rng.gen_range(1024..=u16::MAX),
+                        proto: 17,
+                    };
+                    pkts.extend(payloads.iter().map(|p| Packet::new(flow, p.clone())));
                 }
                 pkts
             })
@@ -330,11 +322,6 @@ impl SoakConfig {
             Topology::Tiered { aggregators } => {
                 vec![tier(aggregators, self.leaf_channel, 0, 0), centre]
             }
-            Topology::Deep { aggregators } => vec![
-                tier(aggregators, self.leaf_channel, 0, 0),
-                tier(1, self.up_channel, 0xB44B, 0x2222),
-                centre,
-            ],
         }
     }
 }
@@ -430,7 +417,7 @@ impl SoakResult {
 /// every transport or quorum failure is a typed [`EpochOutcome`].
 pub fn run_soak(cfg: &SoakConfig) -> SoakResult {
     assert!(cfg.infected <= cfg.leaves);
-    if let Topology::Tiered { aggregators } | Topology::Deep { aggregators } = cfg.topology {
+    if let Topology::Tiered { aggregators } = cfg.topology {
         assert!(aggregators >= 1 && cfg.leaves >= aggregators);
     }
     let mcfg = cfg.monitor_config();
@@ -601,63 +588,20 @@ mod tests {
     }
 
     #[test]
-    fn deep_soak_three_levels_detects_and_matches_flat_ingest() {
-        let cfg = SoakConfig {
-            topology: Topology::Deep { aggregators: 3 },
-            ..SoakConfig::tiered(2, 31)
-        };
-        let result = run_soak(&cfg);
-        assert_eq!(result.quorum_epochs(), 2, "{:?}", result.detection_pairs);
-        assert!(
-            result.detection_equivalent(),
-            "deep and flat detection diverged: {:?}",
-            result.detection_pairs
-        );
-        assert_every_epoch_found(&result);
-        for o in &result.outcomes {
-            let EpochOutcome::Report(r) = o else {
-                unreachable!()
-            };
-            // Leaf-based quorum accounting composes through the extra
-            // hop: everything the centre counts is a leaf, never an
-            // aggregator bundle.
-            assert!(r.ingest.submitted <= cfg.leaves);
-            assert!(r.ingest.accepted.len() >= cfg.min_quorum);
-        }
-        for level in [1, 2] {
-            assert!(
-                result
-                    .agg_metrics
-                    .gauge(&format!("aggregate_fuse_ns{{level={level}}}"))
-                    .is_some(),
-                "level-{level} finalize span missing"
-            );
-        }
-    }
-
-    #[test]
     fn perfect_channels_account_every_leaf_through_the_tiers() {
-        for (topology, seed) in [
-            (Topology::Tiered { aggregators: 3 }, 22),
-            (Topology::Deep { aggregators: 3 }, 32),
-        ] {
-            let mut cfg = SoakConfig {
-                topology,
-                ..SoakConfig::tiered(1, seed)
-            };
-            cfg.leaf_channel = ChannelConfig::perfect();
-            cfg.up_channel = ChannelConfig::perfect();
-            let result = run_soak(&cfg);
-            assert_eq!(result.quorum_epochs(), 1, "{topology:?}");
-            assert!(result.detection_equivalent(), "{topology:?}");
-            assert_eq!(result.leaf_totals.retransmits, 0, "{topology:?}");
-            assert_eq!(result.up_totals.retransmits, 0, "{topology:?}");
-            let EpochOutcome::Report(r) = &result.outcomes[0] else {
-                unreachable!()
-            };
-            assert_eq!(r.routers, 24, "{topology:?}");
-            assert_eq!(r.ingest.submitted, 24, "{topology:?}: quorum counts leaves");
-        }
+        let mut cfg = SoakConfig::tiered(1, 22);
+        cfg.leaf_channel = ChannelConfig::perfect();
+        cfg.up_channel = ChannelConfig::perfect();
+        let result = run_soak(&cfg);
+        assert_eq!(result.quorum_epochs(), 1);
+        assert!(result.detection_equivalent());
+        assert_eq!(result.leaf_totals.retransmits, 0);
+        assert_eq!(result.up_totals.retransmits, 0);
+        let EpochOutcome::Report(r) = &result.outcomes[0] else {
+            unreachable!()
+        };
+        assert_eq!(r.routers, 24);
+        assert_eq!(r.ingest.submitted, 24, "quorum counts leaves");
     }
 
     #[test]
@@ -692,22 +636,6 @@ mod tests {
     #[test]
     fn dns_amplification_attack_is_detected() {
         let result = run_soak(&SoakConfig::attack(AttackScenario::DnsAmplification, 2, 41));
-        assert_eq!(result.quorum_epochs(), 2);
-        assert_every_epoch_found(&result);
-        assert!(
-            result.detection_equivalent(),
-            "{:?}",
-            result.detection_pairs
-        );
-        assert!(
-            result.leaf_totals.retransmits > 0,
-            "lossy child hop must retransmit"
-        );
-    }
-
-    #[test]
-    fn elephant_flow_attack_is_detected() {
-        let result = run_soak(&SoakConfig::attack(AttackScenario::ElephantFlows, 2, 47));
         assert_eq!(result.quorum_epochs(), 2);
         assert_every_epoch_found(&result);
         assert!(

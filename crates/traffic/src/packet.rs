@@ -2,11 +2,10 @@
 
 use bytes::Bytes;
 use rand::Rng;
-use serde::{Deserialize, Serialize};
 
 /// The classic 5-tuple flow label (paper Figure 9 hashes this to pick a
 /// flow-split group, so all packets of one flow land in the same group).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct FlowLabel {
     /// Source IPv4 address.
     pub src_ip: u32,

@@ -14,7 +14,7 @@ use dcs_graph::peel::peel_to_size;
 use dcs_graph::{Graph, GraphBuilder};
 
 /// Tuning of the 3-step detection.
-#[derive(Debug, Clone, Copy, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, Copy)]
 pub struct CoreFindConfig {
     /// Peel target β: the size of the first core. Configured by
     /// Monte-Carlo so that, above the detectable threshold, the core is

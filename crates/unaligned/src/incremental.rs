@@ -33,7 +33,7 @@ use dcs_bitmap::RowMatrix;
 use dcs_graph::Graph;
 
 /// Knobs for the incremental engine.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct IncrementalConfig {
     /// Run the full-rebuild equality audit every this many epochs
     /// (`0` disables the audit; `1` audits every epoch).

@@ -10,7 +10,7 @@
 //!   surfaces at the centre as an `AtLevel`-wrapped fault.
 
 use dcs_sim::channel::ChannelConfig;
-use dcs_sim::soak::{run_soak, EpochOutcome, SoakConfig, Topology};
+use dcs_sim::soak::{run_soak, EpochOutcome, SoakConfig};
 
 fn wide_epochs() -> usize {
     match std::env::var("DCS_WIDE_EPOCHS") {
@@ -109,77 +109,6 @@ fn wide_tiered_soak_survives_at_thousand_plus_leaves() {
         .counter("pairs_exact_total")
         .expect("pairs_exact_total missing from wide-soak snapshot");
     assert!(exact > 0, "wide soak tested no unaligned row pairs");
-}
-
-/// Three aggregation levels at wide scale: leaves → regional
-/// aggregators → one super-aggregator → centre, an independent lossy
-/// hop between every tier. Leaf-based quorum accounting must compose
-/// through the extra hop (the centre only ever counts leaves, faults
-/// carry their tier), and tiered detection must still match flat
-/// ingest of the delivered frames.
-#[test]
-fn deep_wide_soak_composes_leaf_quorum_through_three_levels() {
-    let cfg = SoakConfig {
-        topology: Topology::Deep { aggregators: 8 },
-        ..SoakConfig::wide(520, 8, wide_epochs().min(2), 0xDEE9_50AC)
-    };
-    let result = run_soak(&cfg);
-    assert_eq!(result.outcomes.len(), cfg.epochs);
-    assert!(
-        result.detection_equivalent(),
-        "deep and flat detection diverged: {:?}",
-        result.detection_pairs.iter().find(|(t, f)| t != f)
-    );
-    for (e, o) in result.outcomes.iter().enumerate() {
-        match o {
-            EpochOutcome::Report(r) => {
-                assert!(
-                    r.ingest.submitted <= cfg.leaves,
-                    "epoch {e}: centre counted more than the leaf population"
-                );
-                assert!(
-                    r.ingest.accepted.len() >= cfg.min_quorum,
-                    "epoch {e}: report below quorum"
-                );
-                assert_eq!(
-                    r.ingest.submitted,
-                    r.ingest.accepted.len() + r.ingest.excluded.len(),
-                    "epoch {e}: every submission must be accepted or excluded"
-                );
-                // Transport loss happens below the centre on this
-                // topology; a fault can sit at tier 1 (regional) or
-                // tier 2 (super-aggregator), never deeper.
-                for x in &r.ingest.excluded {
-                    if matches!(
-                        x.fault.kind(),
-                        "timed_out" | "checksum_mismatch" | "incomplete"
-                    ) {
-                        let level = x.fault.level();
-                        assert!(
-                            (1..=2).contains(&level),
-                            "epoch {e}: tier loss at impossible level {level}: {:?}",
-                            x.fault
-                        );
-                    }
-                }
-            }
-            EpochOutcome::QuorumTooSmall { required, accepted } => {
-                assert!(
-                    accepted < required,
-                    "epoch {e}: typed quorum error with enough leaves"
-                );
-            }
-        }
-    }
-    // Both aggregation tiers ran their fuse stage.
-    assert!(result
-        .agg_metrics
-        .gauge("aggregate_fuse_ns{level=1}")
-        .is_some());
-    assert!(result
-        .agg_metrics
-        .gauge("aggregate_fuse_ns{level=2}")
-        .is_some());
 }
 
 /// Losing every aggregate bundle upstream must degrade to a typed

@@ -27,21 +27,6 @@ fn regime() -> SoakConfig {
     }
 }
 
-/// One clean epoch of the regime, its traffic drawn from `seed`.
-fn collect_epoch(seed: u64) -> Vec<RouterDigest> {
-    let cfg = regime();
-    let mcfg = cfg.monitor_config();
-    cfg.leaf_traffic(&mut StdRng::seed_from_u64(seed))
-        .iter()
-        .enumerate()
-        .map(|(id, traffic)| {
-            let mut point = MonitoringPoint::new(id, &mcfg);
-            point.observe_all(traffic);
-            point.finish_epoch()
-        })
-        .collect()
-}
-
 /// Analyses an epoch of bare frames — leaf bundles, or aggregate bundles
 /// when `aggregated` — on a fresh centre.
 fn analyze(frames: &[Vec<u8>], aggregated: bool) -> Result<EpochReport, IngestError> {
@@ -58,7 +43,7 @@ fn analyze(frames: &[Vec<u8>], aggregated: bool) -> Result<EpochReport, IngestEr
 /// satisfy: the epoch analyses, accounting balances, and the content is
 /// still found on the quorum.
 fn run_entry(seed: u64, kind: FaultKind) -> EpochReport {
-    let digests = collect_epoch(seed);
+    let digests = regime().leaf_digests(seed);
     let plan = FaultPlan::uniform(&VICTIMS, kind);
     let mut rng = StdRng::seed_from_u64(seed ^ 0xFA01);
     let frames = ship_with_faults(&mut rng, &digests, &plan);
@@ -148,7 +133,7 @@ fn fault_matrix_desync() {
 
 #[test]
 fn fault_matrix_mixed_random_plan() {
-    let digests = collect_epoch(26);
+    let digests = regime().leaf_digests(26);
     let mut rng = StdRng::seed_from_u64(26 ^ 0xFA01);
     let plan = FaultPlan::random(&mut rng, ROUTERS, 6);
     let frames = ship_with_faults(&mut rng, &digests, &plan);
@@ -160,7 +145,7 @@ fn fault_matrix_mixed_random_plan() {
 
 #[test]
 fn all_routers_truncated_is_a_typed_quorum_failure() {
-    let digests = collect_epoch(27);
+    let digests = regime().leaf_digests(27);
     let victims: Vec<usize> = (0..ROUTERS).collect();
     let plan = FaultPlan::uniform(&victims, FaultKind::Truncate);
     let mut rng = StdRng::seed_from_u64(27);
@@ -182,7 +167,7 @@ fn all_routers_truncated_is_a_typed_quorum_failure() {
 #[test]
 fn corrupt_frames_leave_no_trace_in_fusion() {
     for kind in [FaultKind::Truncate, FaultKind::BitFlip, FaultKind::Desync] {
-        let digests = collect_epoch(41);
+        let digests = regime().leaf_digests(41);
         let plan = FaultPlan::uniform(&VICTIMS, kind);
         let mut rng = StdRng::seed_from_u64(41 ^ 0xFA01);
         let frames = ship_with_faults(&mut rng, &digests, &plan);
@@ -211,29 +196,13 @@ fn corrupt_frames_leave_no_trace_in_fusion() {
     }
 }
 
-/// Encodes each digest to its wire frame, keyed by router id.
-fn wire_frames(digests: &[RouterDigest]) -> Vec<(u64, Vec<u8>)> {
-    digests
-        .iter()
-        .map(|d| {
-            (
-                d.router_id as u64,
-                d.encode_wire()
-                    .expect("collector digests fit the wire format")
-                    .to_vec(),
-            )
-        })
-        .collect()
-}
-
 /// A partially faulted aggregator — half its region's leaves never
 /// reported before its deadline — must surface at the centre as typed
 /// exclusions for *exactly its subtree*, and detection must match flat
 /// ingest of the frames that did make it through.
 #[test]
 fn faulted_aggregator_children_surface_as_its_subtree_exclusions() {
-    let digests = collect_epoch(77);
-    let frames = wire_frames(&digests);
+    let frames: Vec<(u64, Vec<u8>)> = (0..).zip(regime().leaf_frames(77)).collect();
 
     // Three regions of 8 leaves behind aggregators 1000..1003.
     // Aggregator 1001 (leaves 8..16) loses leaves 12..16 to timeouts.

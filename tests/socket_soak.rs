@@ -18,7 +18,6 @@
 //! `DCS_SOCKET_EPOCHS` (default 2) trade runtime for coverage.
 
 use dcs_core::clock::{Clock, TickClock};
-use dcs_core::monitor::MonitoringPoint;
 use dcs_core::net::{
     run_center_epoch, run_monitor_epoch, CenterEpochEnd, CenterSocket, ImpairmentConfig,
     ImpairmentShim, MonitorEpochConfig, MonitorEpochEnd, MonitorSocket, Transport,
@@ -29,8 +28,6 @@ use dcs_core::{AnalysisCenter, IngestError, MetricsRegistry, MetricsSnapshot};
 use dcs_sim::channel::{ChannelConfig, LossyChannel};
 use dcs_sim::hop::{drive_hop, Sender};
 use dcs_sim::soak::SoakConfig;
-use rand::rngs::StdRng;
-use rand::SeedableRng;
 use std::io::Write;
 use std::net::SocketAddr;
 use std::time::Duration;
@@ -64,24 +61,6 @@ fn regime(bits: usize) -> SoakConfig {
         aligned_bits: bits,
         ..SoakConfig::standard(1, 0)
     }
-}
-
-/// One epoch of wire bundles: `cfg`'s leaf traffic drawn from `seed`,
-/// observed by fresh monitoring points.
-fn epoch_frames(cfg: &SoakConfig, seed: u64) -> Vec<Vec<u8>> {
-    let mcfg = cfg.monitor_config();
-    cfg.leaf_traffic(&mut StdRng::seed_from_u64(seed))
-        .iter()
-        .enumerate()
-        .map(|(id, traffic)| {
-            let mut mp = MonitoringPoint::new(id, &mcfg);
-            mp.observe_all(traffic);
-            mp.finish_epoch()
-                .encode_wire()
-                .expect("bundle fits the wire format")
-                .to_vec()
-        })
-        .collect()
 }
 
 /// WaitAll with an effectively-infinite deadline and retransmit budget:
@@ -278,7 +257,7 @@ fn wire_soak_at_paper_scale_matches_the_in_memory_path() {
     let (mut chunks, mut center_sent, mut center_stalls) = (0u64, 0u64, 0u64);
     for e in 0..epochs {
         let seed = 0x0050_C4E7_u64.wrapping_add(e as u64 * 0x9E37_79B9_7F4A_7C15);
-        let frames = epoch_frames(&cfg, seed);
+        let frames = cfg.leaf_frames(seed);
         let reference = reference_fingerprint(&frames, seed, &cfg);
         let (fp, center_snap, monitor_snaps) =
             socket_epoch(&frames, seed, &cfg, ImpairmentConfig::soak(), None);
@@ -356,7 +335,7 @@ fn wire_soak_at_paper_scale_matches_the_in_memory_path() {
 fn mid_soak_centre_kill_restart_recovers_over_the_socket() {
     let cfg = regime(socket_bits());
     let seed = 0x0C4A_54ED_u64;
-    let frames = epoch_frames(&cfg, seed);
+    let frames = cfg.leaf_frames(seed);
     let reference = reference_fingerprint(&frames, seed, &cfg);
     let (fp, _, _) = socket_epoch(
         &frames,
@@ -379,7 +358,7 @@ fn mid_soak_centre_kill_restart_recovers_over_the_socket() {
 fn undersubscribed_epoch_yields_typed_quorum_too_small_over_the_socket() {
     let cfg = regime(1 << 14);
     let seed = 0x0DD;
-    let frames = epoch_frames(&cfg, seed);
+    let frames = cfg.leaf_frames(seed);
     let metrics = MetricsRegistry::new();
     let clock = TickClock::new(TICK);
     let mut sock = CenterSocket::bind("127.0.0.1:0", Transport::Udp).expect("bind centre");

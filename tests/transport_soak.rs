@@ -14,7 +14,6 @@
 //!   error (`tests/frame_soup.rs` feeds every decoder byte soup).
 
 use dcs_core::ingest::RouterFault;
-use dcs_core::monitor::MonitoringPoint;
 use dcs_core::session::{
     ChunkDisposition, CollectedEpoch, CollectorConfig, EpochCollector, StragglerPolicy,
 };
@@ -23,8 +22,6 @@ use dcs_core::AnalysisCenter;
 use dcs_sim::soak::{
     outcome_fingerprint, run_soak, EpochOutcome, KillPlan, SoakConfig, SoakResult,
 };
-use rand::rngs::StdRng;
-use rand::SeedableRng;
 
 fn soak_epochs() -> usize {
     match std::env::var("DCS_SOAK_EPOCHS") {
@@ -137,24 +134,6 @@ fn mid_soak_kill_restart_is_detection_identical() {
     assert!(a.iter().any(|(s, _)| s.contains("\"found\":true")));
 }
 
-/// One epoch of real wire frames: `cfg`'s leaf traffic drawn from
-/// `seed`, observed by fresh monitoring points.
-fn epoch_frames(cfg: &SoakConfig, seed: u64) -> Vec<Vec<u8>> {
-    let mcfg = cfg.monitor_config();
-    cfg.leaf_traffic(&mut StdRng::seed_from_u64(seed))
-        .iter()
-        .enumerate()
-        .map(|(id, traffic)| {
-            let mut mp = MonitoringPoint::new(id, &mcfg);
-            mp.observe_all(traffic);
-            mp.finish_epoch()
-                .encode_wire()
-                .expect("bundle fits the wire format")
-                .to_vec()
-        })
-        .collect()
-}
-
 /// Satellite (c), part 1: duplicate and overlapping chunk deliveries —
 /// every chunk sent three times, interleaved across routers, out of
 /// order — reassemble byte-exactly and detect identically to a clean
@@ -163,7 +142,7 @@ fn epoch_frames(cfg: &SoakConfig, seed: u64) -> Vec<Vec<u8>> {
 fn duplicate_and_overlapping_delivery_detects_identically() {
     let cfg = SoakConfig::standard(1, 0);
     let routers = cfg.leaves;
-    let frames = epoch_frames(&cfg, 31);
+    let frames = cfg.leaf_frames(31);
     let center = AnalysisCenter::new(cfg.analysis_config());
     let clean = center
         .analyze_epoch_collected(&CollectedEpoch::from_frames(frames.clone()))
@@ -231,7 +210,7 @@ fn late_digest_is_timed_out_and_detection_matches_survivor_baseline() {
     let cfg = SoakConfig::standard(1, 0);
     let routers = cfg.leaves;
     let straggler = 21usize; // an uninfected router, so detection sets align
-    let frames = epoch_frames(&cfg, 32);
+    let frames = cfg.leaf_frames(32);
 
     // Survivor-only baseline: the same frames minus the straggler.
     let survivors: Vec<Vec<u8>> = frames

@@ -138,9 +138,9 @@ fn leaf_frame(seed: u64, router_id: usize) -> Vec<u8> {
 
 /// The DCSG, DCSK and control encoders' bytes: (a) a level-1 bundle of
 /// seeded leaf frames and one exclusion of every `RouterFault` variant
-/// (a two-deep `AtLevel`, with and without an aggregator id); (b) a checkpoint holding one complete session, one
-/// partial session with a CRC-failed seq and one that never sent;
-/// (c) every control frame kind.
+/// (a two-deep `AtLevel`, with and without an aggregator id); (b) a
+/// checkpoint holding one complete session, one partial session with a
+/// CRC-failed seq and one that never sent; (c) every control frame kind.
 #[test]
 fn frames_are_pinned() {
     let excluded = |router_id, fault| ChildExclusion { router_id, fault };

@@ -5,7 +5,7 @@ use dcs_hash::IndexHasher;
 use dcs_traffic::Packet;
 
 /// Configuration of an aligned-case collector.
-#[derive(Debug, Clone, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone)]
 pub struct AlignedConfig {
     /// Bitmap width in bits. The paper uses 4 Mbit for an OC-48 link
     /// (≈2.4 M packets per one-second epoch at 50 % fill).
@@ -42,22 +42,6 @@ impl AlignedConfig {
             seed,
             ..AlignedConfig::default()
         }
-    }
-
-    /// `Ok` if an [`AlignedCollector`] can be built on this
-    /// configuration, else the first field it cannot be built on.
-    pub fn check(&self) -> Result<(), crate::ConfigError> {
-        use crate::require;
-        require(
-            self.bitmap_bits > 0,
-            "aligned.bitmap_bits",
-            "bitmap must be non-empty",
-        )?;
-        require(
-            self.target_fill > 0.0 && self.target_fill <= 1.0,
-            "aligned.target_fill",
-            "target fill must be in (0,1]",
-        )
     }
 }
 
@@ -100,11 +84,16 @@ impl AlignedCollector {
     /// Creates a collector.
     ///
     /// # Panics
-    /// Panics if [`AlignedConfig::check`] fails.
+    /// Panics on an empty bitmap or a target fill outside (0, 1].
     pub fn new(cfg: AlignedConfig) -> Self {
-        if let Err(e) = cfg.check() {
-            panic!("{e}");
-        }
+        assert!(
+            cfg.bitmap_bits > 0,
+            "aligned.bitmap_bits: bitmap must be non-empty"
+        );
+        assert!(
+            cfg.target_fill > 0.0 && cfg.target_fill <= 1.0,
+            "aligned.target_fill: target fill must be in (0,1]"
+        );
         let hasher = IndexHasher::new(cfg.seed);
         let bitmap = Bitmap::new(cfg.bitmap_bits);
         AlignedCollector {

@@ -30,34 +30,3 @@ pub use artifact::{Artifact, ARTIFACT_KIND_SKETCH, MAX_ARTIFACTS, MAX_ARTIFACT_P
 pub use unaligned::{UnalignedCollector, UnalignedConfig, UnalignedDigest};
 pub use view::{AlignedDigestView, UnalignedDigestView};
 pub use wire::MAX_ARRAY_BITS;
-
-/// A collector configuration field no collector can be built on, named
-/// as it appears in a monitor config file (`dcs-cli config`).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct ConfigError {
-    /// The offending field, e.g. `unaligned.arrays_per_group`.
-    pub field: &'static str,
-    /// What the field must satisfy.
-    pub rule: &'static str,
-}
-
-impl std::fmt::Display for ConfigError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(f, "{}: {}", self.field, self.rule)
-    }
-}
-
-impl std::error::Error for ConfigError {}
-
-/// `Err` naming `field` and `rule` unless `ok`.
-pub(crate) fn require(
-    ok: bool,
-    field: &'static str,
-    rule: &'static str,
-) -> Result<(), ConfigError> {
-    if ok {
-        Ok(())
-    } else {
-        Err(ConfigError { field, rule })
-    }
-}

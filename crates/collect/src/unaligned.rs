@@ -7,7 +7,7 @@ use dcs_hash::{Fnv1a, IndexHasher};
 use dcs_traffic::Packet;
 
 /// Configuration of an unaligned-case collector.
-#[derive(Debug, Clone, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone)]
 pub struct UnalignedConfig {
     /// Number of flow-split groups (paper: 128 per OC-48 collector).
     pub groups: usize,
@@ -60,38 +60,6 @@ impl UnalignedConfig {
             router_seed,
             ..UnalignedConfig::default()
         }
-    }
-
-    /// `Ok` if an [`UnalignedCollector`] can be built on this
-    /// configuration, else the first field it cannot be built on.
-    pub fn check(&self) -> Result<(), crate::ConfigError> {
-        use crate::require;
-        require(
-            self.groups > 0,
-            "unaligned.groups",
-            "need at least one group",
-        )?;
-        require(
-            self.arrays_per_group > 0,
-            "unaligned.arrays_per_group",
-            "need at least one array",
-        )?;
-        require(
-            (1..=crate::MAX_ARRAY_BITS).contains(&self.array_bits),
-            "unaligned.array_bits",
-            "array width must be 1 to MAX_ARRAY_BITS bits",
-        )?;
-        require(
-            self.fragment_len > 0,
-            "unaligned.fragment_len",
-            "fragments must be non-empty",
-        )?;
-        require(
-            self.fragment_len <= self.payload_modulus.min(self.min_payload),
-            "unaligned.fragment_len",
-            "fragment must fit inside both the offset modulus and the \
-             smallest sampled payload",
-        )
     }
 
     /// Largest usable offset + 1: offsets are drawn in
@@ -180,11 +148,29 @@ impl UnalignedCollector {
     /// epoch").
     ///
     /// # Panics
-    /// Panics if [`UnalignedConfig::check`] fails.
+    /// Panics on zero groups, arrays or fragment bytes, an array width
+    /// outside 1..=[`MAX_ARRAY_BITS`](crate::MAX_ARRAY_BITS), or a
+    /// fragment longer than the offset modulus or the smallest sampled
+    /// payload.
     pub fn new(cfg: UnalignedConfig) -> Self {
-        if let Err(e) = cfg.check() {
-            panic!("{e}");
-        }
+        assert!(cfg.groups > 0, "unaligned.groups: need at least one group");
+        assert!(
+            cfg.arrays_per_group > 0,
+            "unaligned.arrays_per_group: need at least one array"
+        );
+        assert!(
+            (1..=crate::MAX_ARRAY_BITS).contains(&cfg.array_bits),
+            "unaligned.array_bits: array width must be 1 to MAX_ARRAY_BITS bits"
+        );
+        assert!(
+            cfg.fragment_len > 0,
+            "unaligned.fragment_len: fragments must be non-empty"
+        );
+        assert!(
+            cfg.fragment_len <= cfg.payload_modulus.min(cfg.min_payload),
+            "unaligned.fragment_len: fragment must fit inside both the offset \
+             modulus and the smallest sampled payload"
+        );
         let hasher = IndexHasher::new(cfg.seed);
         let k = cfg.arrays_per_group;
         let span = cfg.offset_span() as u64;

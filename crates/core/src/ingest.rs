@@ -22,7 +22,7 @@
 //! a typed [`IngestError`] instead of a panic.
 
 use crate::monitor::RouterDigestView;
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 use std::collections::HashMap;
 use std::fmt;
 
@@ -261,66 +261,9 @@ impl serde::Serialize for RouterFault {
     }
 }
 
-impl serde::Deserialize for RouterFault {
-    fn from_value(v: &serde::Value) -> Result<Self, serde::Error> {
-        let kind = String::from_value(v.field("kind")?)?;
-        let uint =
-            |name: &str| -> Result<usize, serde::Error> { usize::from_value(v.field(name)?) };
-        Ok(match kind.as_str() {
-            "wire" => RouterFault::Wire(String::from_value(v.field("error")?)?),
-            "duplicate_router" => RouterFault::DuplicateRouter {
-                first_index: uint("first_index")?,
-            },
-            "empty_unaligned" => RouterFault::EmptyUnaligned,
-            "aligned_width" => RouterFault::AlignedWidth {
-                expected: uint("expected")?,
-                got: uint("got")?,
-            },
-            "arrays_per_group" => RouterFault::ArraysPerGroup {
-                expected: uint("expected")?,
-                got: uint("got")?,
-            },
-            "array_width" => RouterFault::ArrayWidth {
-                expected: uint("expected")?,
-                got: uint("got")?,
-            },
-            "epoch_desync" => RouterFault::EpochDesync {
-                expected: u64::from_value(v.field("expected")?)?,
-                got: u64::from_value(v.field("got")?)?,
-            },
-            "timed_out" => RouterFault::TimedOut {
-                received: uint("received")?,
-                total: uint("total")?,
-            },
-            "checksum_mismatch" => RouterFault::ChecksumMismatch {
-                seq: uint("seq")? as u32,
-            },
-            "incomplete" => RouterFault::Incomplete {
-                received: uint("received")?,
-                total: uint("total")?,
-            },
-            "at_level" => RouterFault::AtLevel {
-                level: u8::try_from(uint("level")?)
-                    .map_err(|_| serde::Error::new("aggregation level exceeds u8"))?,
-                // The field is omitted (not null) when unknown.
-                aggregator_id: match v.field("aggregator_id") {
-                    Ok(f) => Some(u64::from_value(f)?),
-                    Err(_) => None,
-                },
-                fault: Box::new(RouterFault::from_value(v.field("fault")?)?),
-            },
-            other => {
-                return Err(serde::Error::new(format!(
-                    "unknown router fault kind `{other}`"
-                )))
-            }
-        })
-    }
-}
-
 /// One excluded bundle: its position in the submitted batch, the router id
 /// when the bundle decoded far enough to know it, and the fault.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Serialize)]
 pub struct Exclusion {
     /// Position of the bundle in the submitted batch.
     pub index: usize,
@@ -331,7 +274,7 @@ pub struct Exclusion {
 }
 
 /// Per-epoch ingest accounting: what was fused, what was excluded and why.
-#[derive(Debug, Clone, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq, Eq, Serialize)]
 pub struct IngestReport {
     /// Bundles submitted for the epoch (wire frames or digests).
     pub submitted: usize,
@@ -665,7 +608,7 @@ mod tests {
     }
 
     #[test]
-    fn at_level_fault_wraps_kind_and_roundtrips() {
+    fn at_level_fault_wraps_kind() {
         let inner = RouterFault::TimedOut {
             received: 2,
             total: 5,
@@ -682,28 +625,103 @@ mod tests {
         assert_eq!(inner.level(), 0);
         assert!(wrapped.to_string().contains("at level 1"));
         assert!(wrapped.to_string().contains("aggregator 42"));
+    }
 
-        for fault in [
-            wrapped,
-            RouterFault::AtLevel {
-                level: 2,
-                aggregator_id: None,
-                fault: Box::new(RouterFault::Wire("bad magic".into())),
-            },
-        ] {
-            let json = serde_json::to_string(&fault).unwrap();
-            let back: RouterFault = serde_json::from_str(&json).unwrap();
-            assert_eq!(back, fault);
+    /// Each fault's JSON, `kind` tag and field names included, is what a
+    /// report reader sees; none is read back, so each is pinned.
+    #[test]
+    fn fault_json_is_pinned() {
+        let at = |level, aggregator_id, fault| RouterFault::AtLevel {
+            level,
+            aggregator_id,
+            fault: Box::new(fault),
+        };
+        let cases = [
+            (
+                RouterFault::Wire("bad magic".into()),
+                r#"{"kind":"wire","error":"bad magic"}"#,
+            ),
+            (
+                RouterFault::DuplicateRouter { first_index: 3 },
+                r#"{"kind":"duplicate_router","first_index":3}"#,
+            ),
+            (RouterFault::EmptyUnaligned, r#"{"kind":"empty_unaligned"}"#),
+            (
+                RouterFault::AlignedWidth {
+                    expected: 1024,
+                    got: 512,
+                },
+                r#"{"kind":"aligned_width","expected":1024,"got":512}"#,
+            ),
+            (
+                RouterFault::ArraysPerGroup {
+                    expected: 10,
+                    got: 9,
+                },
+                r#"{"kind":"arrays_per_group","expected":10,"got":9}"#,
+            ),
+            (
+                RouterFault::ArrayWidth {
+                    expected: 1024,
+                    got: 64,
+                },
+                r#"{"kind":"array_width","expected":1024,"got":64}"#,
+            ),
+            (
+                RouterFault::EpochDesync {
+                    expected: 7,
+                    got: 9,
+                },
+                r#"{"kind":"epoch_desync","expected":7,"got":9}"#,
+            ),
+            (
+                RouterFault::TimedOut {
+                    received: 2,
+                    total: 5,
+                },
+                r#"{"kind":"timed_out","received":2,"total":5}"#,
+            ),
+            (
+                RouterFault::ChecksumMismatch { seq: 4 },
+                r#"{"kind":"checksum_mismatch","seq":4}"#,
+            ),
+            (
+                RouterFault::Incomplete {
+                    received: 1,
+                    total: 0,
+                },
+                r#"{"kind":"incomplete","received":1,"total":0}"#,
+            ),
+            (
+                at(1, Some(42), RouterFault::EmptyUnaligned),
+                r#"{"kind":"at_level","level":1,"aggregator_id":42,"fault":{"kind":"empty_unaligned"}}"#,
+            ),
+            (
+                at(1, None, RouterFault::Wire("bad magic".into())),
+                r#"{"kind":"at_level","level":1,"fault":{"kind":"wire","error":"bad magic"}}"#,
+            ),
+            (
+                at(
+                    1,
+                    Some(5),
+                    at(2, None, RouterFault::ChecksumMismatch { seq: 1 }),
+                ),
+                r#"{"kind":"at_level","level":1,"aggregator_id":5,"fault":{"kind":"at_level","level":2,"fault":{"kind":"checksum_mismatch","seq":1}}}"#,
+            ),
+        ];
+        for (fault, json) in cases {
+            assert_eq!(serde_json::to_string(&fault).unwrap(), json, "{fault:?}");
         }
     }
 
     #[test]
-    fn report_serde_roundtrip() {
+    fn ingest_report_json_is_pinned() {
         let mut digests: Vec<_> = (0..3).map(|r| bundle(r, 0)).collect();
         digests[1].epoch_id = 9;
         let report = validate(&digests, 1).unwrap();
-        let json = serde_json::to_string(&report).unwrap();
-        let back: IngestReport = serde_json::from_str(&json).unwrap();
-        assert_eq!(back, report);
+        assert_eq!(
+            serde_json::to_string(&report).unwrap(),
+            r#"{"submitted":3,"accepted":[0,2],"excluded":[{"index":1,"router_id":1,"fault":{"kind":"epoch_desync","expected":0,"got":9}}]}"#
+        );
     }
 }

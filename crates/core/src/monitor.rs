@@ -17,7 +17,7 @@ use dcs_traffic::Packet;
 ///
 /// `cap == 0` disables the sketch entirely — the bundle then encodes
 /// byte-identically to the pre-artifact wire format.
-#[derive(Debug, Clone, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone)]
 pub struct SketchSpec {
     /// Tracked keys (0 disables the sketch).
     pub cap: usize,
@@ -46,7 +46,7 @@ impl SketchSpec {
 const MAX_SKETCH_CAP: usize = (artifact::MAX_ARTIFACT_PAYLOAD - wire::HEADER_LEN) / wire::ENTRY_LEN;
 
 /// Configuration of a monitoring point.
-#[derive(Debug, Clone, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone)]
 pub struct MonitorConfig {
     /// Aligned-case collector settings (shared hash seed across routers).
     pub aligned: AlignedConfig,

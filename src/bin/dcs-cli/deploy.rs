@@ -2,44 +2,104 @@
 //! monitoring points as real processes over localhost (or LAN) sockets.
 //!
 //! ```text
-//! dcs-cli serve   --print-config              # JSON config template
-//! dcs-cli serve   [--config serve.json] [--bind 127.0.0.1:7400]
-//!                 [--routers N] [--epochs N] [--resume ckpt.dcsk]
-//! dcs-cli monitor [--config monitor.json] [--center 127.0.0.1:7400]
-//!                 [--router N] [--epochs N] [--infected]
+//! dcs-cli serve   [--bind 127.0.0.1:7400] [--routers N] [--epochs N]
+//!                 [--wait-all true|false] [--quorum N]
+//!                 [--checkpoint ckpt.dcsk] [--metrics-json path]
+//!                 [--report report.jsonl] [--resume ckpt.dcsk]
+//! dcs-cli monitor [--center 127.0.0.1:7400] [--router N] [--epochs N]
+//!                 [--infected]
 //! ```
+//!
+//! Everything else is a deployment constant below, written once for
+//! both roles: the digest shape ([`ALIGNED_BITS`], [`GROUPS_PER_ROUTER`]),
+//! the digest seed, the tick and every timer.
 //!
 //! The centre runs one [`EpochCollector`] epoch at a time over a
 //! [`CenterSocket`], analyses each collected epoch, appends a JSONL
-//! outcome line to `report_path`, and snapshots metrics + a DCSK
+//! outcome line to the `--report` file, and snapshots metrics + a DCSK
 //! checkpoint on a periodic tick. SIGINT/SIGTERM flush a final
 //! checkpoint and metrics snapshot before exit; a later `--resume`
 //! continues the interrupted epoch from that checkpoint, with the
 //! monitors re-sending the missing chunks over the socket.
 //!
 //! Monitors generate deterministic synthetic traffic per epoch (same
-//! scheme as the soak harnesses: traffic from `seed`, planted content
-//! from the shared `content_seed`), so two runs with the same configs
-//! produce byte-identical digests — the property the restart tests pin.
+//! scheme as the soak harnesses: traffic seeded by the router id, planted
+//! content from the shared [`CONTENT_SEED`]), so two runs with the same
+//! flags produce byte-identical digests — the property the restart tests
+//! pin.
 
 use crate::{parse_or, positive, take_flag, CliResult};
 use dcs::core::clock::{Clock, TickClock};
 use dcs::core::net::{
-    run_center_epoch, run_monitor_epoch, CenterEpochEnd, CenterSocket, ImpairmentConfig,
-    ImpairmentShim, MonitorEpochConfig, MonitorEpochEnd, MonitorSocket, Transport,
+    run_center_epoch, run_monitor_epoch, CenterEpochEnd, CenterSocket, MonitorEpochConfig,
+    MonitorEpochEnd, MonitorSocket, Transport,
 };
 use dcs::core::prelude::*;
 use dcs::core::transport::DATAGRAM_SAFE_PAYLOAD;
 use dcs::traffic::gen::{generate_epoch, BackgroundConfig, SizeMix};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 use std::io::Write as _;
 use std::time::Duration;
 
-/// Per-epoch seed derivation shared by `serve`'s reference docs and
-/// `monitor`'s traffic generator (the soak harnesses use the same step).
+// ---------------------------------------------------------------------
+// Deployment constants
+// ---------------------------------------------------------------------
+
+/// Aligned bitmap width of every monitor's digest. The centre correlates
+/// bit positions, so one width (and one [`DIGEST_SEED`]) holds for the
+/// whole deployment.
+const ALIGNED_BITS: usize = 1 << 14;
+/// Flow-split groups per monitor; the centre analyses
+/// `routers × GROUPS_PER_ROUTER` groups.
+const GROUPS_PER_ROUTER: usize = 4;
+/// Real duration of one tick, the unit of every timer below.
+const TICK: Duration = Duration::from_micros(1_000);
+
+/// Straggler deadline in ticks, unless `--wait-all true`.
+const DEADLINE_TICKS: u64 = 512;
+/// Ticks between periodic checkpoint + metrics snapshots.
+const SNAPSHOT_EVERY_TICKS: u64 = 64;
+/// Ticks before a session's first retransmit NACK fires.
+const NACK_BASE_TICKS: u64 = 8;
+/// Cap on the exponential NACK backoff, in ticks.
+const NACK_CAP_TICKS: u64 = 512;
+/// NACK rounds before a session gives up. Under `--wait-all true` this
+/// is the centre's whole patience budget — it must cover monitor
+/// restarts and the centre's own checkpoint-resume gaps, so it is
+/// deliberately generous (the deadline policy cuts at the deadline
+/// regardless).
+const NACK_RETRIES: u32 = 1_000;
+/// Collector retransmit seed.
+const COLLECTOR_SEED: u64 = 42;
+/// Columns the centre's aligned search screens (n′).
+const N_PRIME: usize = 400;
+/// Screened columns the aligned search expands.
+const HOPEFULS: usize = 300;
+
+/// Background packets per monitor epoch.
+const PACKETS: usize = 800;
+/// Background flows per monitor epoch.
+const FLOWS: usize = 200;
+/// Payload bytes of every generated packet, planted ones included.
+const PAYLOAD: usize = 536;
+/// Digest hash seed, the same at every monitor.
+const DIGEST_SEED: u64 = 7;
+/// Seed of the planted content, shared so every `--infected` monitor
+/// carries the *same* object.
+const CONTENT_SEED: u64 = 1;
+/// Packets of planted content in an `--infected` monitor's epoch.
+const CONTENT_PACKETS: usize = 30;
+/// Per-epoch step of a monitor's traffic seed (the soak harnesses use
+/// the same step).
 const EPOCH_SEED_STEP: u64 = 0x9E37_79B9_7F4A_7C15;
+/// Ticks without ack progress before a monitor re-pushes unacked chunks.
+const RESEND_AFTER: u64 = 64;
+/// The monitor's resend backoff cap, in ticks.
+const MAX_BACKOFF: u64 = 1_024;
+/// Ticks of no ack progress before a monitor abandons an epoch.
+const GIVE_UP: u64 = 60_000;
 
 // ---------------------------------------------------------------------
 // Signal handling (serve-side graceful shutdown)
@@ -83,159 +143,42 @@ mod sig {
 }
 
 // ---------------------------------------------------------------------
-// Configs (JSON files via --config; flags override the loaded values)
+// Flags
 // ---------------------------------------------------------------------
 
-/// `dcs-cli serve` settings. Empty string paths disable that output.
-#[derive(Debug, Clone, Serialize, Deserialize)]
-#[serde(deny_unknown_fields)]
-pub struct ServeConfig {
+/// `dcs-cli serve` flags.
+#[derive(Debug)]
+struct ServeFlags {
     /// Bind address, e.g. `127.0.0.1:7400` (port 0 picks one).
-    pub bind: String,
+    bind: String,
     /// Router ids `0..routers` are expected each epoch.
-    pub routers: usize,
+    routers: usize,
     /// Epochs to serve; 0 = until SIGINT/SIGTERM.
-    pub epochs: usize,
-    /// Straggler deadline in ticks.
-    pub deadline_ticks: u64,
+    epochs: usize,
     /// Wait for every router instead of cutting at the deadline.
-    pub wait_all: bool,
+    wait_all: bool,
     /// Minimum surviving-router quorum at analysis (0 = no floor).
-    pub min_quorum: usize,
-    /// Real duration of one tick, in microseconds.
-    pub tick_micros: u64,
-    /// Aligned bitmap width the monitors use (analysis shape).
-    pub aligned_bits: usize,
-    /// Flow-split groups per router (analysis shape).
-    pub groups_per_router: usize,
+    min_quorum: usize,
     /// DCSK checkpoint file; rewritten periodically and on shutdown.
-    pub checkpoint_path: String,
+    checkpoint: Option<String>,
     /// Metrics JSON snapshot file; rewritten with the checkpoint.
-    pub metrics_path: String,
+    metrics: Option<String>,
     /// JSONL epoch-outcome log (appended).
-    pub report_path: String,
-    /// Ticks between periodic checkpoint + metrics snapshots.
-    pub snapshot_every_ticks: u64,
-    /// Ticks before a session's first retransmit NACK fires.
-    pub nack_base_ticks: u64,
-    /// Cap on the exponential NACK backoff, in ticks.
-    pub nack_cap_ticks: u64,
-    /// NACK rounds before a session gives up. Under `wait_all` this is
-    /// the centre's whole patience budget — it must cover monitor
-    /// restarts and our own checkpoint-resume gaps, so the default is
-    /// deliberately generous (the `deadline` policy cuts at the deadline
-    /// regardless).
-    pub nack_retries: u32,
-    /// Collector retransmit seed.
-    pub seed: u64,
+    report: Option<String>,
+    /// DCSK checkpoint to resume an interrupted epoch from.
+    resume: Option<String>,
 }
 
-impl Default for ServeConfig {
-    fn default() -> Self {
-        ServeConfig {
-            bind: "127.0.0.1:7400".into(),
-            routers: 24,
-            epochs: 0,
-            deadline_ticks: 512,
-            wait_all: false,
-            min_quorum: 0,
-            tick_micros: 1_000,
-            aligned_bits: 1 << 14,
-            groups_per_router: 4,
-            checkpoint_path: String::new(),
-            metrics_path: String::new(),
-            report_path: String::new(),
-            snapshot_every_ticks: 64,
-            nack_base_ticks: 8,
-            nack_cap_ticks: 512,
-            nack_retries: 1_000,
-            seed: 42,
-        }
-    }
-}
-
-/// `dcs-cli monitor` settings.
-#[derive(Debug, Clone, Serialize, Deserialize)]
-#[serde(deny_unknown_fields)]
-pub struct MonitorCliConfig {
+/// `dcs-cli monitor` flags.
+struct MonitorFlags {
     /// The centre's address, e.g. `127.0.0.1:7400`.
-    pub center: String,
-    /// This monitoring point's router id.
-    pub router_id: u64,
+    center: String,
+    /// This monitoring point's router id; it also seeds the traffic.
+    router_id: u64,
     /// Epochs to ship; 0 = until the centre says shutdown.
-    pub epochs: usize,
-    /// Background packets per epoch.
-    pub packets: usize,
-    /// Background flows per epoch.
-    pub flows: usize,
-    /// Packets of planted common content (0 = clean traffic).
-    pub content_packets: usize,
-    /// Seed of the planted content — share it across infected monitors
-    /// so they all carry the *same* object.
-    pub content_seed: u64,
-    /// Background traffic seed (vary per router); `null` = the router id.
-    pub seed: Option<u64>,
-    /// Digest hash-salt seed — must match every other monitor.
-    pub digest_seed: u64,
-    /// Aligned bitmap width.
-    pub aligned_bits: usize,
-    /// Flow-split groups.
-    pub groups: usize,
-    /// Chunk payload bound; the default stays datagram-safe.
-    pub max_payload: usize,
-    /// Real duration of one tick, in microseconds.
-    pub tick_micros: u64,
-    /// Ticks without ack progress before re-pushing unacked chunks.
-    pub resend_after: u64,
-    /// Resend backoff cap, in ticks.
-    pub max_backoff: u64,
-    /// Ticks of no ack progress before abandoning an epoch.
-    pub give_up: u64,
-    /// Outgoing impairment ‰ (testing): drop.
-    pub impair_drop: u16,
-    /// Outgoing impairment ‰: duplicate.
-    pub impair_duplicate: u16,
-    /// Outgoing impairment ‰: reorder.
-    pub impair_reorder: u16,
-    /// Outgoing impairment ‰: corrupt.
-    pub impair_corrupt: u16,
-    /// Impairment decision seed.
-    pub impair_seed: u64,
-}
-
-impl MonitorCliConfig {
-    /// The background traffic seed: `seed`, else the router id.
-    fn traffic_seed(&self) -> u64 {
-        self.seed.unwrap_or(self.router_id)
-    }
-}
-
-impl Default for MonitorCliConfig {
-    fn default() -> Self {
-        MonitorCliConfig {
-            center: "127.0.0.1:7400".into(),
-            router_id: 0,
-            epochs: 0,
-            packets: 800,
-            flows: 200,
-            content_packets: 0,
-            content_seed: 1,
-            seed: None,
-            digest_seed: 7,
-            aligned_bits: 1 << 14,
-            groups: 4,
-            max_payload: DATAGRAM_SAFE_PAYLOAD,
-            tick_micros: 1_000,
-            resend_after: 64,
-            max_backoff: 1_024,
-            give_up: 60_000,
-            impair_drop: 0,
-            impair_duplicate: 0,
-            impair_reorder: 0,
-            impair_corrupt: 0,
-            impair_seed: 0,
-        }
-    }
+    epochs: usize,
+    /// Plant the shared content object into every epoch.
+    infected: bool,
 }
 
 /// One line of the serve report JSONL.
@@ -265,85 +208,68 @@ fn append_line(path: &str, line: &str) -> std::io::Result<()> {
 // serve
 // ---------------------------------------------------------------------
 
-/// The centre settings: `--config` (or the defaults) under the flags
-/// that override it, which are taken out of `args`. A centre expecting
-/// no routers would find every epoch ready at once and spin through
-/// empty ones, so zero routers is refused with the analysis shape.
-fn serve_config(args: &mut Vec<String>) -> Result<ServeConfig, Box<dyn std::error::Error>> {
-    let mut cfg: ServeConfig = match take_flag(args, "--config") {
-        Some(path) => serde_json::from_str(&std::fs::read_to_string(path)?)?,
-        None => ServeConfig::default(),
+/// Reads the `serve` flags; anything else in `args` is refused. A
+/// centre expecting no routers would find every epoch ready at once and
+/// spin through empty ones, so zero routers is refused too.
+fn serve_flags(args: &[String]) -> Result<ServeFlags, Box<dyn std::error::Error>> {
+    let mut args = args.to_vec();
+    let flags = ServeFlags {
+        bind: take_flag(&mut args, "--bind").unwrap_or_else(|| "127.0.0.1:7400".into()),
+        routers: parse_or(take_flag(&mut args, "--routers"), 24)?,
+        epochs: parse_or(take_flag(&mut args, "--epochs"), 0)?,
+        wait_all: parse_or(take_flag(&mut args, "--wait-all"), false)?,
+        min_quorum: parse_or(take_flag(&mut args, "--quorum"), 0)?,
+        checkpoint: take_flag(&mut args, "--checkpoint"),
+        metrics: take_flag(&mut args, "--metrics-json"),
+        report: take_flag(&mut args, "--report"),
+        resume: take_flag(&mut args, "--resume"),
     };
-    if let Some(v) = take_flag(args, "--bind") {
-        cfg.bind = v;
+    if !args.is_empty() {
+        return Err(format!("serve: unrecognised arguments {args:?}").into());
     }
-    cfg.routers = parse_or(take_flag(args, "--routers"), cfg.routers)?;
-    cfg.epochs = parse_or(take_flag(args, "--epochs"), cfg.epochs)?;
-    cfg.min_quorum = parse_or(take_flag(args, "--quorum"), cfg.min_quorum)?;
-    cfg.wait_all = parse_or(take_flag(args, "--wait-all"), cfg.wait_all)?;
-    if let Some(v) = take_flag(args, "--checkpoint") {
-        cfg.checkpoint_path = v;
-    }
-    if let Some(v) = take_flag(args, "--metrics-json") {
-        cfg.metrics_path = v;
-    }
-    if let Some(v) = take_flag(args, "--report") {
-        cfg.report_path = v;
-    }
-    positive("routers", cfg.routers)?;
-    positive("groups_per_router", cfg.groups_per_router)?;
-    positive("aligned_bits", cfg.aligned_bits)?;
-    Ok(cfg)
+    positive("routers", flags.routers)?;
+    Ok(flags)
 }
 
 /// Runs the analysis centre as a socket process.
 pub fn serve(args: &[String]) -> CliResult {
-    let mut args = args.to_vec();
-    if args.iter().any(|a| a == "--print-config") {
-        println!("{}", serde_json::to_string_pretty(&ServeConfig::default())?);
-        return Ok(());
-    }
-    let cfg = serve_config(&mut args)?;
-    let resume_path = take_flag(&mut args, "--resume");
-    if !args.is_empty() {
-        return Err(format!("serve: unrecognised arguments {args:?}").into());
-    }
+    let flags = serve_flags(args)?;
 
     sig::install();
-    let clock = TickClock::new(Duration::from_micros(cfg.tick_micros.max(1)));
+    let clock = TickClock::new(TICK);
     let metrics = MetricsRegistry::new();
-    let mut sock = CenterSocket::bind(cfg.bind.as_str(), Transport::Udp)?;
+    let mut sock = CenterSocket::bind(flags.bind.as_str(), Transport::Udp)?;
     // Port 0 callers (tests) learn the actual address from this line.
     println!("serve: listening on {} (udp)", sock.local_addr()?);
 
     let collector_cfg = CollectorConfig {
-        deadline: cfg.deadline_ticks,
-        straggler: if cfg.wait_all {
+        deadline: DEADLINE_TICKS,
+        straggler: if flags.wait_all {
             StragglerPolicy::WaitAll
         } else {
             StragglerPolicy::Deadline
         },
         session: SessionConfig {
-            base_backoff: cfg.nack_base_ticks,
-            max_backoff: cfg.nack_cap_ticks.max(cfg.nack_base_ticks),
-            max_retries: cfg.nack_retries,
+            base_backoff: NACK_BASE_TICKS,
+            max_backoff: NACK_CAP_TICKS,
+            max_retries: NACK_RETRIES,
             ..SessionConfig::default()
         },
     };
-    let mut acfg = AnalysisConfig::for_groups((cfg.routers * cfg.groups_per_router).max(2));
-    if cfg.min_quorum > 0 {
-        acfg = acfg.with_min_quorum(cfg.min_quorum);
+    let mut acfg = AnalysisConfig::for_groups((flags.routers * GROUPS_PER_ROUTER).max(2));
+    if flags.min_quorum > 0 {
+        acfg = acfg.with_min_quorum(flags.min_quorum);
     }
-    acfg.search.n_prime = 400.min(cfg.aligned_bits);
-    acfg.search.hopefuls = 300.min(cfg.aligned_bits);
+    acfg.search.n_prime = N_PRIME;
+    acfg.search.hopefuls = HOPEFULS;
     let center = AnalysisCenter::new(acfg);
 
     // Resume an interrupted epoch from its DCSK checkpoint, or start
     // fresh at epoch 0.
-    let mut collector = match &resume_path {
+    let mut collector = match &flags.resume {
         Some(path) => {
             let bytes = std::fs::read(path)?;
-            let c = EpochCollector::resume(&bytes, collector_cfg, cfg.seed, clock.now())?;
+            let c = EpochCollector::resume(&bytes, collector_cfg, COLLECTOR_SEED, clock.now())?;
             println!(
                 "serve: resumed epoch {} from {path} ({} sessions complete)",
                 c.epoch_id(),
@@ -353,9 +279,9 @@ pub fn serve(args: &[String]) -> CliResult {
         }
         None => EpochCollector::new(
             0,
-            (0..cfg.routers as u64).collect::<Vec<_>>(),
+            (0..flags.routers as u64).collect::<Vec<_>>(),
             collector_cfg,
-            cfg.seed,
+            COLLECTOR_SEED,
             clock.now(),
         ),
     };
@@ -369,11 +295,9 @@ pub fn serve(args: &[String]) -> CliResult {
                 return true;
             }
             let now = clock.now();
-            if cfg.snapshot_every_ticks > 0
-                && now.saturating_sub(last_snapshot) >= cfg.snapshot_every_ticks
-            {
+            if now.saturating_sub(last_snapshot) >= SNAPSHOT_EVERY_TICKS {
                 last_snapshot = now;
-                snapshot_state(&cfg, c, &metrics, &center);
+                snapshot_state(&flags, c, &metrics, &center);
             }
             false
         });
@@ -381,7 +305,7 @@ pub fn serve(args: &[String]) -> CliResult {
             CenterEpochEnd::Aborted => {
                 // Graceful shutdown: flush the final checkpoint and
                 // metrics snapshot before exiting.
-                snapshot_state(&cfg, &collector, &metrics, &center);
+                snapshot_state(&flags, &collector, &metrics, &center);
                 println!(
                     "serve: shutdown at epoch {epoch_id} ({} sessions complete); state flushed",
                     collector.complete_sessions()
@@ -394,12 +318,12 @@ pub fn serve(args: &[String]) -> CliResult {
                     "serve: epoch {epoch_id} -> {} (accepted {})",
                     line.outcome, line.accepted
                 );
-                if !cfg.report_path.is_empty() {
-                    append_line(&cfg.report_path, &serde_json::to_string(&line)?)?;
+                if let Some(path) = &flags.report {
+                    append_line(path, &serde_json::to_string(&line)?)?;
                 }
-                snapshot_state(&cfg, &collector, &metrics, &center);
+                snapshot_state(&flags, &collector, &metrics, &center);
                 served += 1;
-                if cfg.epochs > 0 && served >= cfg.epochs {
+                if flags.epochs > 0 && served >= flags.epochs {
                     sock.broadcast(
                         |router_id| dcs::core::net::ControlFrame::Shutdown { router_id },
                         &metrics,
@@ -409,15 +333,15 @@ pub fn serve(args: &[String]) -> CliResult {
                 }
                 collector = EpochCollector::new(
                     epoch_id + 1,
-                    (0..cfg.routers as u64).collect::<Vec<_>>(),
+                    (0..flags.routers as u64).collect::<Vec<_>>(),
                     collector_cfg,
-                    cfg.seed,
+                    COLLECTOR_SEED,
                     clock.now(),
                 );
             }
         }
         if sig::requested() {
-            snapshot_state(&cfg, &collector, &metrics, &center);
+            snapshot_state(&flags, &collector, &metrics, &center);
             println!("serve: shutdown between epochs; state flushed");
             return Ok(());
         }
@@ -450,23 +374,23 @@ fn analyse_epoch(center: &AnalysisCenter, epoch: &CollectedEpoch) -> ReportLine 
 /// Writes the DCSK checkpoint and a combined socket + centre metrics
 /// snapshot (both atomically; both optional).
 fn snapshot_state(
-    cfg: &ServeConfig,
+    flags: &ServeFlags,
     collector: &EpochCollector,
     metrics: &MetricsRegistry,
     center: &AnalysisCenter,
 ) {
-    if !cfg.checkpoint_path.is_empty() {
-        if let Err(e) = write_atomic(&cfg.checkpoint_path, &collector.checkpoint()) {
+    if let Some(path) = &flags.checkpoint {
+        if let Err(e) = write_atomic(path, &collector.checkpoint()) {
             eprintln!("serve: checkpoint write failed: {e}");
         }
     }
-    if !cfg.metrics_path.is_empty() {
+    if let Some(path) = &flags.metrics {
         let combined = format!(
             "{{\"socket\":{},\"center\":{}}}\n",
             metrics.snapshot().to_json_pretty(),
             center.metrics().to_json_pretty()
         );
-        if let Err(e) = write_atomic(&cfg.metrics_path, combined.as_bytes()) {
+        if let Err(e) = write_atomic(path, combined.as_bytes()) {
             eprintln!("serve: metrics write failed: {e}");
         }
     }
@@ -476,108 +400,81 @@ fn snapshot_state(
 // monitor
 // ---------------------------------------------------------------------
 
-/// The monitor settings: `--config` (or the defaults) under the flags
-/// that override it, which are taken out of `args`.
-fn monitor_config(args: &mut Vec<String>) -> Result<MonitorCliConfig, Box<dyn std::error::Error>> {
-    let mut cfg: MonitorCliConfig = match take_flag(args, "--config") {
-        Some(path) => serde_json::from_str(&std::fs::read_to_string(path)?)?,
-        None => MonitorCliConfig::default(),
+/// Reads the `monitor` flags; anything else in `args` is refused.
+fn monitor_flags(args: &[String]) -> Result<MonitorFlags, Box<dyn std::error::Error>> {
+    let mut args = args.to_vec();
+    let mut flags = MonitorFlags {
+        center: take_flag(&mut args, "--center").unwrap_or_else(|| "127.0.0.1:7400".into()),
+        router_id: parse_or(take_flag(&mut args, "--router"), 0)?,
+        epochs: parse_or(take_flag(&mut args, "--epochs"), 0)?,
+        infected: false,
     };
-    if let Some(v) = take_flag(args, "--center") {
-        cfg.center = v;
-    }
-    cfg.router_id = parse_or(take_flag(args, "--router"), cfg.router_id)?;
-    cfg.epochs = parse_or(take_flag(args, "--epochs"), cfg.epochs)?;
-    cfg.seed = Some(parse_or(take_flag(args, "--seed"), cfg.traffic_seed())?);
-    // `--infected` plants the shared content object into this monitor's
-    // traffic at the soak's standard 30 packets.
     if let Some(pos) = args.iter().position(|a| a == "--infected") {
         args.remove(pos);
-        cfg.content_packets = 30;
+        flags.infected = true;
     }
-    positive("aligned_bits", cfg.aligned_bits)?;
-    positive("groups", cfg.groups)?;
-    // A zero budget abandons every epoch at its first check.
-    positive("give_up", cfg.give_up)?;
-    Ok(cfg)
+    if !args.is_empty() {
+        return Err(format!("monitor: unrecognised arguments {args:?}").into());
+    }
+    Ok(flags)
 }
 
 /// Runs one monitoring point as a socket process.
 pub fn monitor(args: &[String]) -> CliResult {
-    let mut args = args.to_vec();
-    if args.iter().any(|a| a == "--print-config") {
-        println!(
-            "{}",
-            serde_json::to_string_pretty(&MonitorCliConfig::default())?
-        );
-        return Ok(());
-    }
-    let cfg = monitor_config(&mut args)?;
-    if !args.is_empty() {
-        return Err(format!("monitor: unrecognised arguments {args:?}").into());
-    }
-    let seed = cfg.traffic_seed();
+    let flags = monitor_flags(args)?;
 
     sig::install();
-    let clock = TickClock::new(Duration::from_micros(cfg.tick_micros.max(1)));
+    let clock = TickClock::new(TICK);
     let metrics = MetricsRegistry::new();
-    let mut sock = MonitorSocket::connect(cfg.center.as_str(), Transport::Udp)?;
-    let impair = ImpairmentConfig {
-        drop_per_mille: cfg.impair_drop,
-        duplicate_per_mille: cfg.impair_duplicate,
-        reorder_per_mille: cfg.impair_reorder,
-        corrupt_per_mille: cfg.impair_corrupt,
-    };
-    if impair != ImpairmentConfig::perfect() {
-        sock.set_shim(ImpairmentShim::new(impair, cfg.impair_seed));
-    }
-
-    let mcfg = MonitorConfig::small(cfg.digest_seed, cfg.aligned_bits, cfg.groups);
-    let mut mp = MonitoringPoint::new(cfg.router_id as usize, &mcfg);
-    println!("monitor {}: shipping to {}", cfg.router_id, cfg.center);
+    let mut sock = MonitorSocket::connect(flags.center.as_str(), Transport::Udp)?;
+    let mcfg = MonitorConfig::small(DIGEST_SEED, ALIGNED_BITS, GROUPS_PER_ROUTER);
+    let mut mp = MonitoringPoint::new(flags.router_id as usize, &mcfg);
+    println!("monitor {}: shipping to {}", flags.router_id, flags.center);
 
     loop {
         if sig::requested() {
             return Ok(());
         }
         let epoch_id = mp.epochs_finished();
-        if cfg.epochs > 0 && epoch_id as usize >= cfg.epochs {
+        if flags.epochs > 0 && epoch_id as usize >= flags.epochs {
             println!(
                 "monitor {}: {} epochs shipped, exiting",
-                cfg.router_id, epoch_id
+                flags.router_id, epoch_id
             );
             return Ok(());
         }
-        let epoch_seed = seed.wrapping_add(epoch_id.wrapping_mul(EPOCH_SEED_STEP));
+        let epoch_seed = flags
+            .router_id
+            .wrapping_add(epoch_id.wrapping_mul(EPOCH_SEED_STEP));
         let mut rng = StdRng::seed_from_u64(epoch_seed);
         let mut traffic = generate_epoch(
             &mut rng,
             &BackgroundConfig {
-                packets: cfg.packets,
-                flows: cfg.flows.max(1),
+                packets: PACKETS,
+                flows: FLOWS,
                 zipf_exponent: 1.0,
-                size_mix: SizeMix::constant(536),
+                size_mix: SizeMix::constant(PAYLOAD),
             },
         );
-        if cfg.content_packets > 0 {
-            // The content object derives only from (content_seed, epoch),
+        if flags.infected {
+            // The content object derives only from (CONTENT_SEED, epoch),
             // so every infected monitor plants the same bytes.
-            let mut content_rng = StdRng::seed_from_u64(cfg.content_seed.wrapping_add(epoch_id));
+            let mut content_rng = StdRng::seed_from_u64(CONTENT_SEED.wrapping_add(epoch_id));
             let object =
-                ContentObject::random_with_packets(&mut content_rng, cfg.content_packets, 536);
-            Planting::aligned(object, 536).plant_into(&mut rng, &mut traffic);
+                ContentObject::random_with_packets(&mut content_rng, CONTENT_PACKETS, PAYLOAD);
+            Planting::aligned(object, PAYLOAD).plant_into(&mut rng, &mut traffic);
         }
         mp.observe_all(&traffic);
-        let chunks = mp.finish_epoch_chunks(cfg.max_payload)?;
+        let chunks = mp.finish_epoch_chunks(DATAGRAM_SAFE_PAYLOAD)?;
         let end = run_monitor_epoch(
             &mut sock,
             &chunks,
             &MonitorEpochConfig {
-                router_id: cfg.router_id,
+                router_id: flags.router_id,
                 epoch_id,
-                resend_after: cfg.resend_after,
-                max_backoff: cfg.max_backoff,
-                give_up: cfg.give_up,
+                resend_after: RESEND_AFTER,
+                max_backoff: MAX_BACKOFF,
+                give_up: GIVE_UP,
             },
             &clock,
             &metrics,
@@ -586,18 +483,18 @@ pub fn monitor(args: &[String]) -> CliResult {
             MonitorEpochEnd::Delivered => {
                 println!(
                     "monitor {}: epoch {epoch_id} delivered ({} chunks)",
-                    cfg.router_id,
+                    flags.router_id,
                     chunks.len()
                 );
             }
             MonitorEpochEnd::TimedOut => {
                 eprintln!(
-                    "monitor {}: epoch {epoch_id} abandoned after {} silent ticks",
-                    cfg.router_id, cfg.give_up
+                    "monitor {}: epoch {epoch_id} abandoned after {GIVE_UP} silent ticks",
+                    flags.router_id
                 );
             }
             MonitorEpochEnd::Shutdown => {
-                println!("monitor {}: centre sent shutdown", cfg.router_id);
+                println!("monitor {}: centre sent shutdown", flags.router_id);
                 return Ok(());
             }
         }
@@ -614,142 +511,11 @@ mod tests {
     }
 
     #[test]
-    fn monitor_seed_comes_from_the_flag_then_the_config_then_the_router_id() {
-        let path =
-            std::env::temp_dir().join(format!("dcs-monitor-seed-{}.json", std::process::id()));
-        let file = MonitorCliConfig {
-            seed: Some(99),
-            ..MonitorCliConfig::default()
-        };
-        std::fs::write(&path, serde_json::to_string(&file).unwrap()).unwrap();
-        let path = path.to_str().unwrap();
-
-        let configured = monitor_config(&mut args(&["--config", path, "--router", "5"])).unwrap();
-        let flagged = monitor_config(&mut args(&["--config", path, "--seed", "3"])).unwrap();
-        let plain = monitor_config(&mut args(&["--router", "5"])).unwrap();
-        std::fs::remove_file(path).unwrap();
-
-        assert_eq!(configured.traffic_seed(), 99);
-        assert_eq!(flagged.traffic_seed(), 3);
-        assert_eq!(plain.traffic_seed(), 5);
-    }
-
-    type Parse<C> = fn(&mut Vec<String>) -> Result<C, Box<dyn std::error::Error>>;
-
-    /// What `parse` makes of a `--config` file holding `json`.
-    fn parse_file<C>(
-        name: &str,
-        json: &str,
-        parse: Parse<C>,
-    ) -> Result<C, Box<dyn std::error::Error>> {
-        let path = std::env::temp_dir().join(format!("dcs-{name}-{}.json", std::process::id()));
-        std::fs::write(&path, json).unwrap();
-        let result = parse(&mut args(&["--config", path.to_str().unwrap()]));
-        std::fs::remove_file(&path).unwrap();
-        result
-    }
-
-    /// The [`ZeroShape`] `parse` fails with on a `--config` file holding
-    /// the default config with `edit` applied.
-    fn config_zero_shape<C: Default + Serialize + std::fmt::Debug>(
-        name: &str,
-        edit: impl FnOnce(&mut C),
-        parse: Parse<C>,
-    ) -> ZeroShape {
-        let mut file = C::default();
-        edit(&mut file);
-        let result = parse_file(name, &serde_json::to_string(&file).unwrap(), parse);
-        *result.unwrap_err().downcast::<ZeroShape>().unwrap()
-    }
-
-    /// The error `parse` refuses the default config with `entry` (a
-    /// `"key":value` pair) added in front of its fields.
-    fn refused_with<C: Default + Serialize + std::fmt::Debug>(
-        name: &str,
-        entry: &str,
-        parse: Parse<C>,
-    ) -> String {
-        let json = serde_json::to_string(&C::default()).unwrap();
-        let json = json.replacen('{', &format!("{{{entry},"), 1);
-        parse_file(name, &json, parse).unwrap_err().to_string()
-    }
-
-    #[test]
-    fn a_config_that_names_a_transport_is_refused_by_each_role() {
-        let entry = r#""transport":"tcp""#;
-        for err in [
-            refused_with("serve-transport", entry, serve_config),
-            refused_with("monitor-transport", entry, monitor_config),
-        ] {
-            assert!(err.contains("unknown field `transport`"), "{err}");
-        }
-    }
-
-    #[test]
-    fn a_misspelt_config_key_is_refused_not_ignored() {
-        let err = refused_with("monitor-seeds", r#""seeds":3"#, monitor_config);
-        assert!(err.contains("unknown field `seeds`"), "{err}");
-    }
-
-    /// `--print-config` prints the pretty default; `--config` reads it
-    /// back as the same settings.
-    #[test]
-    fn each_role_reads_back_the_config_it_prints() {
-        let printed = serde_json::to_string_pretty(&ServeConfig::default()).unwrap();
-        let serve = parse_file("serve-printed", &printed, serve_config).unwrap();
-        assert_eq!(serde_json::to_string_pretty(&serve).unwrap(), printed);
-        let printed = serde_json::to_string_pretty(&MonitorCliConfig::default()).unwrap();
-        let monitor = parse_file("monitor-printed", &printed, monitor_config).unwrap();
-        // The parser resolves the traffic seed; nothing else moves.
-        let resolved = MonitorCliConfig {
-            seed: Some(0),
-            ..MonitorCliConfig::default()
-        };
-        assert_eq!(
-            serde_json::to_string_pretty(&monitor).unwrap(),
-            serde_json::to_string_pretty(&resolved).unwrap()
-        );
-    }
-
-    fn monitor_zero_shape(name: &str, edit: impl FnOnce(&mut MonitorCliConfig)) -> ZeroShape {
-        config_zero_shape(name, edit, monitor_config)
-    }
-
-    #[test]
-    fn monitor_rejects_a_config_with_zero_aligned_bits() {
-        let shape = monitor_zero_shape("monitor-zero-bits", |c| c.aligned_bits = 0);
-        assert_eq!(shape, ZeroShape("aligned_bits"));
-    }
-
-    #[test]
-    fn monitor_rejects_a_config_with_zero_groups() {
-        let shape = monitor_zero_shape("monitor-zero-groups", |c| c.groups = 0);
-        assert_eq!(shape, ZeroShape("groups"));
-    }
-
-    #[test]
-    fn monitor_rejects_a_config_with_zero_give_up() {
-        let shape = monitor_zero_shape("monitor-zero-give-up", |c| c.give_up = 0);
-        assert_eq!(shape, ZeroShape("give_up"));
-    }
-
-    #[test]
     fn serve_rejects_zero_routers() {
-        let result = serve_config(&mut args(&["--routers", "0"]));
+        let result = serve_flags(&args(&["--routers", "0"]));
         assert_eq!(
             *result.unwrap_err().downcast::<ZeroShape>().unwrap(),
             ZeroShape("routers")
         );
-    }
-
-    #[test]
-    fn serve_rejects_a_config_with_a_zero_shape_field() {
-        let rejects = |field: &'static str, edit: fn(&mut ServeConfig)| {
-            let shape = config_zero_shape(&format!("serve-zero-{field}"), edit, serve_config);
-            assert_eq!(shape, ZeroShape(field));
-        };
-        rejects("routers", |c| c.routers = 0);
-        rejects("groups_per_router", |c| c.groups_per_router = 0);
-        rejects("aligned_bits", |c| c.aligned_bits = 0);
     }
 }

@@ -4,11 +4,10 @@
 //! dcs-cli gen-trace <out.trace> [--packets N] [--flows N] [--zipf S]
 //!                   [--seed N] [--plant g,size[,unaligned]]
 //! dcs-cli collect   <in.trace> --router N [--seed N] [--bits N]
-//!                   [--groups N] [--config monitor.json]
-//!                   [--out digest.dcsr]
+//!                   [--groups N] [--out digest.dcsr]
 //! dcs-cli analyze   <digest.dcsr>... [--threshold N] [--metrics-json path]
-//! dcs-cli serve     [--config serve.json] [--bind addr] [--resume ckpt] …
-//! dcs-cli monitor   [--config monitor.json] [--center addr] [--router N] …
+//! dcs-cli serve     [--bind addr] [--routers N] [--resume ckpt] …
+//! dcs-cli monitor   [--center addr] [--router N] [--infected] …
 //! dcs-cli demo
 //! ```
 //!
@@ -19,9 +18,11 @@
 //! epoch report as JSON (`--metrics-json` additionally dumps the centre's
 //! per-stage metrics snapshot). `analyze` sizes the centre from the files,
 //! so a file that does not parse is an error naming it (exit 1), where
-//! `serve` would exclude that router's frame from the epoch; `serve`/`monitor` run the analysis centre
-//! and monitoring points as real socket processes (see [`deploy`]).
-//! Argument parsing is deliberately dependency-free.
+//! `serve` would exclude that router's frame from the epoch;
+//! `serve`/`monitor` run the analysis centre and monitoring points as
+//! real socket processes (see [`deploy`]). Every setting is a flag or a
+//! named constant: no subcommand reads a config file. Argument parsing is
+//! deliberately dependency-free.
 
 mod deploy;
 
@@ -40,7 +41,6 @@ fn main() -> ExitCode {
         Some("analyze") => analyze(&args[1..]),
         Some("serve") => deploy::serve(&args[1..]),
         Some("monitor") => deploy::monitor(&args[1..]),
-        Some("config") => print_default_config(),
         Some("demo") => demo(),
         _ => {
             eprintln!(
@@ -81,8 +81,7 @@ fn parse_or<T: std::str::FromStr>(v: Option<String>, default: T) -> Result<T, St
 }
 
 /// An input of zero the program cannot run on — a bitmap width, a group
-/// or router count, a packet size, or a give-up budget — named by the
-/// flag or config field it came from.
+/// or router count, or a packet size — named by the flag it came from.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 struct ZeroShape(&'static str);
 
@@ -166,30 +165,18 @@ fn collect(args: &[String]) -> CliResult {
     let seed = parse_or(take_flag(&mut args, "--seed"), 0u64)?;
     let bits = parse_or(take_flag(&mut args, "--bits"), 1usize << 20)?;
     let groups = parse_or(take_flag(&mut args, "--groups"), 32usize)?;
-    let config_file = take_flag(&mut args, "--config");
     let out = take_flag(&mut args, "--out");
     let [input] = args.as_slice() else {
         return Err("usage: collect <in.trace> [--router N] [--seed N] \
-                    [--bits N] [--groups N] [--config monitor.json] \
-                    [--out digest.dcsr]"
+                    [--bits N] [--groups N] [--out digest.dcsr]"
             .into());
     };
 
-    // A config file (as printed by `dcs-cli config`) overrides the
-    // individual flags wholesale.
-    let cfg: MonitorConfig = match config_file {
-        Some(path) => {
-            let cfg: MonitorConfig = serde_json::from_str(&std::fs::read_to_string(path)?)?;
-            cfg.aligned.check()?;
-            cfg.unaligned.check()?;
-            cfg
-        }
-        None => MonitorConfig::small(
-            seed,
-            positive("--bits", bits)?,
-            positive("--groups", groups)?,
-        ),
-    };
+    let cfg = MonitorConfig::small(
+        seed,
+        positive("--bits", bits)?,
+        positive("--groups", groups)?,
+    );
     let mut point = MonitoringPoint::new(router, &cfg);
     let reader = TraceReader::new(BufReader::new(File::open(input)?))?;
     let mut count = 0u64;
@@ -308,19 +295,9 @@ fn demo() -> CliResult {
     Ok(())
 }
 
-fn print_default_config() -> CliResult {
-    // A starting-point monitor configuration; edit and pass to
-    // `collect --config`. The analysis centre derives its own settings
-    // from the digests.
-    let cfg = MonitorConfig::small(/*epoch_seed=*/ 0, 1 << 20, 32);
-    println!("{}", serde_json::to_string_pretty(&cfg)?);
-    Ok(())
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use dcs::collect::ConfigError;
 
     fn args(list: &[&str]) -> Vec<String> {
         list.iter().map(|a| a.to_string()).collect()
@@ -329,26 +306,6 @@ mod tests {
     /// The [`ZeroShape`] a subcommand failed with.
     fn zero_shape(result: CliResult) -> ZeroShape {
         *result.unwrap_err().downcast::<ZeroShape>().unwrap()
-    }
-
-    /// The config field a subcommand failed on.
-    fn config_field(result: CliResult) -> &'static str {
-        result.unwrap_err().downcast::<ConfigError>().unwrap().field
-    }
-
-    /// `collect --config` on the default config with `edit` applied.
-    fn collect_with_config(name: &str, edit: impl FnOnce(&mut MonitorConfig)) -> CliResult {
-        let path = std::env::temp_dir().join(format!("dcs-{name}-{}.json", std::process::id()));
-        let mut cfg = MonitorConfig::small(0, 1 << 10, 4);
-        edit(&mut cfg);
-        std::fs::write(&path, serde_json::to_string(&cfg).unwrap()).unwrap();
-        let result = collect(&args(&[
-            "missing.trace",
-            "--config",
-            path.to_str().unwrap(),
-        ]));
-        std::fs::remove_file(&path).unwrap();
-        result
     }
 
     #[test]
@@ -373,41 +330,5 @@ mod tests {
     fn collect_rejects_zero_groups() {
         let result = collect(&args(&["missing.trace", "--groups", "0"]));
         assert_eq!(zero_shape(result), ZeroShape("--groups"));
-    }
-
-    #[test]
-    fn collect_rejects_a_config_with_zero_bitmap_bits() {
-        let result = collect_with_config("zero-bits", |c| c.aligned.bitmap_bits = 0);
-        assert_eq!(config_field(result), "aligned.bitmap_bits");
-    }
-
-    #[test]
-    fn collect_rejects_a_config_with_zero_groups() {
-        let result = collect_with_config("zero-groups", |c| c.unaligned.groups = 0);
-        assert_eq!(config_field(result), "unaligned.groups");
-    }
-
-    #[test]
-    fn collect_rejects_a_config_with_zero_arrays_per_group() {
-        let result = collect_with_config("zero-arrays", |c| c.unaligned.arrays_per_group = 0);
-        assert_eq!(config_field(result), "unaligned.arrays_per_group");
-    }
-
-    #[test]
-    fn collect_rejects_a_config_with_zero_target_fill() {
-        let result = collect_with_config("zero-fill", |c| c.aligned.target_fill = 0.0);
-        assert_eq!(config_field(result), "aligned.target_fill");
-    }
-
-    #[test]
-    fn collect_rejects_a_config_with_zero_array_bits() {
-        let result = collect_with_config("zero-array-bits", |c| c.unaligned.array_bits = 0);
-        assert_eq!(config_field(result), "unaligned.array_bits");
-    }
-
-    #[test]
-    fn collect_rejects_a_config_with_zero_fragment_len() {
-        let result = collect_with_config("zero-fragment", |c| c.unaligned.fragment_len = 0);
-        assert_eq!(config_field(result), "unaligned.fragment_len");
     }
 }

@@ -3,7 +3,8 @@
 //! still analyses on the surviving quorum, the planted content is still
 //! detected with ≤ 25% of routers faulted, and every exclusion is
 //! accounted for. No fault may panic the centre, and no hostile digest
-//! file may panic `dcs-cli analyze`.
+//! file may panic `dcs-cli analyze`. The `cli_` tests run `dcs-cli` as a
+//! process.
 
 use dcs::prelude::*;
 use dcs::sim::faults::{ship_with_faults, FaultKind, FaultPlan, ALL_FAULTS};
@@ -356,6 +357,58 @@ fn cli_demo_finds_the_planted_content() {
         String::from_utf8_lossy(&out.stderr)
     );
     assert!(stdout.contains("\"found\": true"), "{stdout}");
+}
+
+/// `dcs-cli` reads no config file: `serve` and `monitor` refuse the
+/// flags that loaded or printed one (and `monitor --seed`, now the router
+/// id) before they bind a socket, and `config` is no subcommand.
+#[test]
+fn cli_refuses_the_removed_config_flags() {
+    use std::process::{Command, Stdio};
+    use std::time::{Duration, Instant};
+    // A `serve` past its flags would fail to bind this address, and a
+    // `monitor` past its flags would send its chunks to it.
+    let held = std::net::UdpSocket::bind("127.0.0.1:0").unwrap();
+    let addr = held.local_addr().unwrap().to_string();
+    for (role, address_flag, removed) in [
+        ("serve", "--bind", ["--config", "x"].as_slice()),
+        ("serve", "--bind", &["--print-config"]),
+        ("monitor", "--center", &["--seed", "3"]),
+        ("monitor", "--center", &["--config", "x"]),
+    ] {
+        let mut child = Command::new(env!("CARGO_BIN_EXE_dcs-cli"))
+            .args([role, address_flag, &addr, "--epochs", "1"])
+            .args(removed)
+            .stdout(Stdio::piped())
+            .stderr(Stdio::piped())
+            .spawn()
+            .expect("run dcs-cli");
+        let deadline = Instant::now() + Duration::from_secs(20);
+        while child.try_wait().unwrap().is_none() {
+            if Instant::now() > deadline {
+                child.kill().unwrap();
+                panic!("{role} {removed:?} was accepted");
+            }
+            std::thread::sleep(Duration::from_millis(10));
+        }
+        let out = child.wait_with_output().unwrap();
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(1), "{role} {removed:?}: {stderr}");
+        assert!(
+            stderr.contains(&format!("{role}: unrecognised arguments")),
+            "{role} {removed:?}: {stderr}"
+        );
+    }
+    held.set_nonblocking(true).unwrap();
+    assert!(held.recv(&mut [0; 64]).is_err(), "a monitor sent a frame");
+
+    let out = Command::new(env!("CARGO_BIN_EXE_dcs-cli"))
+        .arg("config")
+        .output()
+        .expect("run dcs-cli config");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(2), "{stderr}");
+    assert!(stderr.starts_with("usage: dcs-cli"), "{stderr}");
 }
 
 #[test]

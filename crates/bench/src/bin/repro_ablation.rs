@@ -9,6 +9,7 @@
 use dcs_bench::{banner, repro_search_config, RunScale};
 use dcs_sim::aligned::{detection_ratio, planted_matrix};
 use dcs_sim::table::render_table;
+use dcs_stats::hypergeom_tail_quantile;
 use dcs_unaligned::lambda::{p_star_for_edge_prob, LambdaTable};
 use dcs_unaligned::matchmodel::{offset_match_prob, MatchModel};
 use rand::rngs::StdRng;
@@ -51,8 +52,10 @@ fn ablate_flow_split() {
         model.n_bits = n_bits;
         model.row_weight = weight;
         let p_star = p_star_for_edge_prob(2.0 / 102_400.0, 100);
-        let table = LambdaTable::new(n_bits, p_star);
-        let lam = table.lambda(weight as u32, weight as u32);
+        // One λ a row, the quantile a `LambdaTable` cell caches; the
+        // one-group row is too wide for a table's 16-bit cells.
+        let (n, w) = (n_bits as u64, weight as u64);
+        let lam = hypergeom_tail_quantile(p_star, n, w, w) as u32;
         let q = model.matched_exceed_prob(lam);
         rows.push(vec![
             groups.to_string(),

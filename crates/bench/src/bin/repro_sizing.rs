@@ -26,12 +26,7 @@ fn main() {
     let div = if scale.quick { 512 } else { 64 };
     let bitmap_bits = 4 * 1024 * 1024 / div;
     let packets = 2_400_000 / div;
-    let mut aligned = AlignedCollector::new(AlignedConfig {
-        bitmap_bits,
-        hash_prefix_len: 64,
-        seed: 1,
-        target_fill: 1.0, // let us push the whole epoch through
-    });
+    let mut aligned = AlignedCollector::new(AlignedConfig::small(bitmap_bits, 1));
     let mut unaligned = UnalignedCollector::new(UnalignedConfig {
         groups: 128 / (div / 16).max(1),
         seed: 1,

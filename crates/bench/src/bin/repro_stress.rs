@@ -46,7 +46,6 @@ fn main() {
         packets_per_segment: groups_per_segment * 586,
         n1,
         content_packets,
-        payload_size: 536,
         burst: BurstModel::default(),
         detect_p1,
         corefind: CoreFindConfig {

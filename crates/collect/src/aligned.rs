@@ -4,32 +4,32 @@ use dcs_bitmap::Bitmap;
 use dcs_hash::IndexHasher;
 use dcs_traffic::Packet;
 
+/// How many leading payload bytes are hashed — the `len` of
+/// `hash(range(pkt.content, 0, len))` in Figure 3.
+pub const HASH_PREFIX_LEN: usize = 64;
+
+/// Fill ratio at which the epoch closes (paper: "once about half of the n
+/// bits become 1's, the measurement epoch ends").
+pub const TARGET_FILL: f64 = 0.5;
+
 /// Configuration of an aligned-case collector.
 #[derive(Debug, Clone)]
 pub struct AlignedConfig {
     /// Bitmap width in bits. The paper uses 4 Mbit for an OC-48 link
     /// (≈2.4 M packets per one-second epoch at 50 % fill).
     pub bitmap_bits: usize,
-    /// How many leading payload bytes are hashed — the `len` of
-    /// `hash(range(pkt.content, 0, len))` in Figure 3.
-    pub hash_prefix_len: usize,
     /// Epoch-wide hash seed. **Must be identical across all monitoring
     /// points** in a deployment: the analysis centre correlates bit
     /// *positions*, so the same payload must map to the same index
     /// everywhere.
     pub seed: u64,
-    /// Fill ratio at which the epoch closes (paper: "once about half of
-    /// the n bits become 1's, the measurement epoch ends").
-    pub target_fill: f64,
 }
 
 impl Default for AlignedConfig {
     fn default() -> Self {
         AlignedConfig {
             bitmap_bits: 4 * 1024 * 1024,
-            hash_prefix_len: 64,
             seed: 0,
-            target_fill: 0.5,
         }
     }
 }
@@ -37,11 +37,7 @@ impl Default for AlignedConfig {
 impl AlignedConfig {
     /// A small-scale configuration for tests and examples.
     pub fn small(bitmap_bits: usize, seed: u64) -> Self {
-        AlignedConfig {
-            bitmap_bits,
-            seed,
-            ..AlignedConfig::default()
-        }
+        AlignedConfig { bitmap_bits, seed }
     }
 }
 
@@ -84,15 +80,11 @@ impl AlignedCollector {
     /// Creates a collector.
     ///
     /// # Panics
-    /// Panics on an empty bitmap or a target fill outside (0, 1].
+    /// Panics on an empty bitmap.
     pub fn new(cfg: AlignedConfig) -> Self {
         assert!(
             cfg.bitmap_bits > 0,
             "aligned.bitmap_bits: bitmap must be non-empty"
-        );
-        assert!(
-            cfg.target_fill > 0.0 && cfg.target_fill <= 1.0,
-            "aligned.target_fill: target fill must be in (0,1]"
         );
         let hasher = IndexHasher::new(cfg.seed);
         let bitmap = Bitmap::new(cfg.bitmap_bits);
@@ -136,13 +128,13 @@ impl AlignedCollector {
         if !pkt.has_payload() {
             return None;
         }
-        let len = self.cfg.hash_prefix_len.min(pkt.payload.len());
+        let len = HASH_PREFIX_LEN.min(pkt.payload.len());
         Some(self.hasher.index(&pkt.payload[..len], self.cfg.bitmap_bits))
     }
 
-    /// Whether the bitmap has reached the target fill ratio.
+    /// Whether the bitmap has reached [`TARGET_FILL`].
     pub fn epoch_full(&self) -> bool {
-        self.fill_ratio() >= self.cfg.target_fill
+        self.fill_ratio() >= TARGET_FILL
     }
 
     /// Current fill ratio: the expression of [`Bitmap::fill_ratio`] on the
@@ -168,11 +160,6 @@ impl AlignedCollector {
         self.packets_hashed = 0;
         self.raw_bytes = 0;
         digest
-    }
-
-    /// The configuration in use.
-    pub fn config(&self) -> &AlignedConfig {
-        &self.cfg
     }
 }
 
@@ -255,36 +242,27 @@ mod tests {
         // and interleaved header-only packets, across two epochs (the
         // second catches a count that `finish_epoch` failed to reset).
         for bits in [256usize, 1_000, 65_536] {
-            for target_fill in [0.5, 0.37] {
-                let mut r = StdRng::seed_from_u64(9);
-                let mut c = AlignedCollector::new(AlignedConfig {
-                    target_fill,
-                    ..AlignedConfig::small(bits, 3)
-                });
-                let mut seen: Vec<Packet> = Vec::new();
-                for epoch in 0..2 {
-                    let mut closed = false;
-                    for n in 0..2 * bits {
-                        let pkt = match r.gen_range(0..10) {
-                            0 => packet(&mut r, 0),
-                            1..=3 if !seen.is_empty() => seen[r.gen_range(0..seen.len())].clone(),
-                            _ => packet(&mut r, 80),
-                        };
-                        let got = c.observe(&pkt);
-                        let want =
-                            f64::from(c.bitmap.weight()) / c.bitmap.len() as f64 >= target_fill;
-                        assert_eq!(
-                            got, want,
-                            "{bits} bits, fill {target_fill}, epoch {epoch}, packet {n}"
-                        );
-                        assert_eq!(c.fill_ratio(), c.bitmap.fill_ratio());
-                        closed |= got;
-                        seen.push(pkt);
-                    }
-                    assert!(closed, "{bits} bits: epoch {epoch} never closed");
-                    c.finish_epoch();
-                    seen.truncate(64);
+            let mut r = StdRng::seed_from_u64(9);
+            let mut c = AlignedCollector::new(AlignedConfig::small(bits, 3));
+            let mut seen: Vec<Packet> = Vec::new();
+            for epoch in 0..2 {
+                let mut closed = false;
+                for n in 0..2 * bits {
+                    let pkt = match r.gen_range(0..10) {
+                        0 => packet(&mut r, 0),
+                        1..=3 if !seen.is_empty() => seen[r.gen_range(0..seen.len())].clone(),
+                        _ => packet(&mut r, 80),
+                    };
+                    let got = c.observe(&pkt);
+                    let want = f64::from(c.bitmap.weight()) / c.bitmap.len() as f64 >= TARGET_FILL;
+                    assert_eq!(got, want, "{bits} bits, epoch {epoch}, packet {n}");
+                    assert_eq!(c.fill_ratio(), c.bitmap.fill_ratio());
+                    closed |= got;
+                    seen.push(pkt);
                 }
+                assert!(closed, "{bits} bits: epoch {epoch} never closed");
+                c.finish_epoch();
+                seen.truncate(64);
             }
         }
     }
@@ -374,14 +352,8 @@ mod tests {
     #[test]
     fn long_prefix_len_clamped_to_payload() {
         let mut r = StdRng::seed_from_u64(7);
-        let cfg = AlignedConfig {
-            bitmap_bits: 1024,
-            hash_prefix_len: 4096,
-            seed: 1,
-            target_fill: 0.5,
-        };
-        let mut c = AlignedCollector::new(cfg);
-        c.observe(&packet(&mut r, 100)); // shorter than prefix_len: no panic
+        let mut c = AlignedCollector::new(AlignedConfig::small(1024, 1));
+        c.observe(&packet(&mut r, 40)); // shorter than HASH_PREFIX_LEN: no panic
         assert_eq!(c.finish_epoch().packets_hashed, 1);
     }
 }

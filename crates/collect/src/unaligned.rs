@@ -6,6 +6,34 @@ use dcs_hash::mix::{reduce, splitmix64};
 use dcs_hash::{Fnv1a, IndexHasher};
 use dcs_traffic::Packet;
 
+/// Offset modulus: the payload size the deployment targets (paper:
+/// 536-byte MSS).
+pub const PAYLOAD_MODULUS: usize = 536;
+
+/// Packets with payloads shorter than this are skipped (paper: 500).
+pub const MIN_PAYLOAD: usize = 500;
+
+/// Packets with payloads at least this long use the secondary offset set
+/// too — "for packets 1000 bytes and above, we will use 20 different
+/// offsets, two offsets per array".
+pub const LARGE_PAYLOAD: usize = 1000;
+
+/// Bytes hashed per sampled fragment.
+pub const FRAGMENT_LEN: usize = 16;
+
+// A fragment must be non-empty and fit inside both the offset modulus and
+// the smallest sampled payload.
+const _: () =
+    assert!(0 < FRAGMENT_LEN && FRAGMENT_LEN <= MIN_PAYLOAD && MIN_PAYLOAD <= PAYLOAD_MODULUS);
+
+/// Largest usable offset + 1: offsets are drawn in `[0, MIN_PAYLOAD −
+/// FRAGMENT_LEN]` so a fragment never runs past the smallest payload the
+/// collector samples, primary and secondary alike (the paper draws offsets
+/// mod 536 while admitting 500-byte payloads; restricting the range
+/// preserves the matching semantics — offsets still live in the mod-536
+/// residue space — while staying in bounds).
+const OFFSET_SPAN: usize = MIN_PAYLOAD - FRAGMENT_LEN + 1;
+
 /// Configuration of an unaligned-case collector.
 #[derive(Debug, Clone)]
 pub struct UnalignedConfig {
@@ -15,18 +43,6 @@ pub struct UnalignedConfig {
     pub arrays_per_group: usize,
     /// Bits per array (paper: 1,024).
     pub array_bits: usize,
-    /// Offset modulus: the payload size the deployment targets (paper:
-    /// 536-byte MSS). Offsets are drawn in `[0, payload_modulus −
-    /// fragment_len]` so a fragment never runs off a minimum-size packet.
-    pub payload_modulus: usize,
-    /// Packets with payloads shorter than this are skipped (paper: 500).
-    pub min_payload: usize,
-    /// Packets with payloads at least this long use the secondary offset
-    /// set too — "for packets 1000 bytes and above, we will use 20
-    /// different offsets, two offsets per array".
-    pub large_payload: usize,
-    /// Bytes hashed per sampled fragment.
-    pub fragment_len: usize,
     /// Epoch-wide *content-hash* seed; must match across monitoring points
     /// (same fragment ⇒ same index everywhere).
     pub seed: u64,
@@ -41,10 +57,6 @@ impl Default for UnalignedConfig {
             groups: 128,
             arrays_per_group: 10,
             array_bits: 1024,
-            payload_modulus: 536,
-            min_payload: 500,
-            large_payload: 1000,
-            fragment_len: 16,
             seed: 0,
             router_seed: 0,
         }
@@ -61,16 +73,6 @@ impl UnalignedConfig {
             ..UnalignedConfig::default()
         }
     }
-
-    /// Largest usable offset + 1: offsets are drawn in
-    /// `[0, min(payload_modulus, min_payload) − fragment_len]` so a
-    /// fragment never runs past the smallest payload the collector samples
-    /// (the paper draws offsets mod 536 while admitting 500-byte payloads;
-    /// restricting the range preserves the matching semantics — offsets
-    /// still live in the mod-536 residue space — while staying in bounds).
-    fn offset_span(&self) -> usize {
-        self.payload_modulus.min(self.min_payload) - self.fragment_len + 1
-    }
 }
 
 /// The digest shipped at the end of an epoch: `groups × arrays_per_group`
@@ -84,7 +86,7 @@ pub struct UnalignedDigest {
     pub arrays_per_group: usize,
     /// Packets observed.
     pub packets_seen: u64,
-    /// Packets sampled (payload ≥ min_payload).
+    /// Packets sampled (payload ≥ [`MIN_PAYLOAD`]).
     pub packets_sampled: u64,
     /// Raw traffic volume summarised, in wire bytes.
     pub raw_bytes: u64,
@@ -148,10 +150,8 @@ impl UnalignedCollector {
     /// epoch").
     ///
     /// # Panics
-    /// Panics on zero groups, arrays or fragment bytes, an array width
-    /// outside 1..=[`MAX_ARRAY_BITS`](crate::MAX_ARRAY_BITS), or a
-    /// fragment longer than the offset modulus or the smallest sampled
-    /// payload.
+    /// Panics on zero groups or arrays, or an array width outside
+    /// 1..=[`MAX_ARRAY_BITS`](crate::MAX_ARRAY_BITS).
     pub fn new(cfg: UnalignedConfig) -> Self {
         assert!(cfg.groups > 0, "unaligned.groups: need at least one group");
         assert!(
@@ -162,20 +162,13 @@ impl UnalignedCollector {
             (1..=crate::MAX_ARRAY_BITS).contains(&cfg.array_bits),
             "unaligned.array_bits: array width must be 1 to MAX_ARRAY_BITS bits"
         );
-        assert!(
-            cfg.fragment_len > 0,
-            "unaligned.fragment_len: fragments must be non-empty"
-        );
-        assert!(
-            cfg.fragment_len <= cfg.payload_modulus.min(cfg.min_payload),
-            "unaligned.fragment_len: fragment must fit inside both the offset \
-             modulus and the smallest sampled payload"
-        );
         let hasher = IndexHasher::new(cfg.seed);
         let k = cfg.arrays_per_group;
-        let span = cfg.offset_span() as u64;
         let offset_at = |i: u64| -> usize {
-            reduce(splitmix64(cfg.router_seed ^ (0xA11CE + i)), span) as usize
+            reduce(
+                splitmix64(cfg.router_seed ^ (0xA11CE + i)),
+                OFFSET_SPAN as u64,
+            ) as usize
         };
         let offsets_primary: Vec<usize> = (0..k as u64).map(offset_at).collect();
         let offsets_secondary: Vec<usize> = (k as u64..2 * k as u64).map(offset_at).collect();
@@ -208,28 +201,25 @@ impl UnalignedCollector {
         self.packets_seen += 1;
         self.raw_bytes += pkt.wire_len() as u64;
         let payload = &pkt.payload;
-        if payload.len() < self.cfg.min_payload {
+        if payload.len() < MIN_PAYLOAD {
             return;
         }
         self.packets_sampled += 1;
         let group = self.group_of(pkt);
         let k = self.cfg.arrays_per_group;
         let base = group * k;
-        let large = payload.len() >= self.cfg.large_payload;
+        let large = payload.len() >= LARGE_PAYLOAD;
         for a in 0..k {
             let row = &mut self.arrays[base + a];
             let off = self.offsets_primary[a];
-            let frag = &payload[off..off + self.cfg.fragment_len];
+            let frag = &payload[off..off + FRAGMENT_LEN];
             let idx = self.hasher.index(frag, self.cfg.array_bits);
             row.set(idx);
             if large {
                 let off2 = self.offsets_secondary[a];
-                let end = off2 + self.cfg.fragment_len;
-                if end <= payload.len() {
-                    let frag2 = &payload[off2..end];
-                    let idx2 = self.hasher.index(frag2, self.cfg.array_bits);
-                    row.set(idx2);
-                }
+                let frag2 = &payload[off2..off2 + FRAGMENT_LEN];
+                let idx2 = self.hasher.index(frag2, self.cfg.array_bits);
+                row.set(idx2);
             }
         }
     }
@@ -330,10 +320,8 @@ mod tests {
         let c2 = UnalignedCollector::new(UnalignedConfig::small(1, 1, 200));
         assert_ne!(c1.offsets().0, c2.offsets().0);
         // And offsets never let a fragment overrun a minimum-size payload.
-        let cfg = c1.config();
-        let limit = cfg.payload_modulus.min(cfg.min_payload);
         for &o in c1.offsets().0.iter().chain(c1.offsets().1) {
-            assert!(o + cfg.fragment_len <= limit);
+            assert!(o + FRAGMENT_LEN <= MIN_PAYLOAD);
         }
     }
 
@@ -426,16 +414,5 @@ mod tests {
         assert_eq!(rows.ncols(), 1024);
         assert!(d.compression_ratio() > 1.0);
         assert_eq!(d.raw_bytes, 200 * 576);
-    }
-
-    #[test]
-    #[should_panic(expected = "fragment must fit")]
-    fn invalid_config_rejected() {
-        let cfg = UnalignedConfig {
-            min_payload: 8,
-            fragment_len: 16,
-            ..UnalignedConfig::default()
-        };
-        UnalignedCollector::new(cfg);
     }
 }

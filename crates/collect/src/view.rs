@@ -62,7 +62,7 @@ pub struct UnalignedDigestView<'a> {
     pub arrays_per_group: usize,
     /// Packets observed.
     pub packets_seen: u64,
-    /// Packets sampled (payload ≥ min_payload).
+    /// Packets sampled (payload ≥ [`MIN_PAYLOAD`](crate::unaligned::MIN_PAYLOAD)).
     pub packets_sampled: u64,
     /// Raw traffic volume summarised, in wire bytes.
     pub raw_bytes: u64,

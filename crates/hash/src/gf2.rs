@@ -4,17 +4,19 @@
 //! the `x^64` term implicit; residues are full `u64` values (degree < 64).
 //! This is all that Rabin fingerprinting needs: multiplication and
 //! exponentiation of residues modulo an *irreducible* degree-64 polynomial,
-//! plus Rabin's irreducibility test so moduli can be validated or generated
-//! from a seed.
+//! plus Rabin's irreducibility test. [`rabin`](crate::rabin) builds its fold
+//! tables and checks its modulus with these at compile time, so they are
+//! `const fn`s.
 
 /// Multiplies two residues modulo the degree-64 polynomial `x^64 + modulus`.
 ///
 /// Shift-and-xor schoolbook multiplication with reduction folded into every
 /// doubling step; constant 64 iterations.
 #[inline]
-pub fn mulmod(mut a: u64, b: u64, modulus: u64) -> u64 {
+pub const fn mulmod(mut a: u64, b: u64, modulus: u64) -> u64 {
     let mut acc = 0u64;
-    for i in 0..64 {
+    let mut i = 0;
+    while i < 64 {
         if b >> i & 1 == 1 {
             acc ^= a;
         }
@@ -23,19 +25,20 @@ pub fn mulmod(mut a: u64, b: u64, modulus: u64) -> u64 {
         if carry == 1 {
             a ^= modulus;
         }
+        i += 1;
     }
     acc
 }
 
 /// Squares a residue modulo `x^64 + modulus`.
 #[inline]
-pub fn sqrmod(a: u64, modulus: u64) -> u64 {
+pub const fn sqrmod(a: u64, modulus: u64) -> u64 {
     mulmod(a, a, modulus)
 }
 
 /// Computes `x^e mod (x^64 + modulus)` where `e` counts in *bit* positions,
 /// i.e. the residue of the monomial of degree `e`.
-pub fn x_pow_mod(e: u64, modulus: u64) -> u64 {
+pub const fn x_pow_mod(e: u64, modulus: u64) -> u64 {
     // Square-and-multiply on the monomial x (residue 0b10).
     let mut result = 1u64; // x^0
     let mut base = 2u64; // x^1
@@ -52,7 +55,7 @@ pub fn x_pow_mod(e: u64, modulus: u64) -> u64 {
 
 /// GCD of two polynomials over GF(2), represented with all coefficient bits
 /// explicit (so inputs must have degree < 64, or be encoded in `u128`).
-fn poly_gcd(mut a: u128, mut b: u128) -> u128 {
+const fn poly_gcd(mut a: u128, mut b: u128) -> u128 {
     while b != 0 {
         let r = poly_rem(a, b);
         a = b;
@@ -62,7 +65,7 @@ fn poly_gcd(mut a: u128, mut b: u128) -> u128 {
 }
 
 /// Remainder of polynomial division over GF(2) (explicit representation).
-fn poly_rem(mut a: u128, b: u128) -> u128 {
+const fn poly_rem(mut a: u128, b: u128) -> u128 {
     debug_assert!(b != 0);
     let db = 127 - b.leading_zeros() as i32;
     loop {
@@ -79,7 +82,7 @@ fn poly_rem(mut a: u128, b: u128) -> u128 {
 
 /// Degree-64 polynomial `x^64 + low` in explicit `u128` form.
 #[inline]
-fn explicit64(low: u64) -> u128 {
+const fn explicit64(low: u64) -> u128 {
     (1u128 << 64) | low as u128
 }
 
@@ -89,15 +92,17 @@ fn explicit64(low: u64) -> u128 {
 /// `x^(2^n) ≡ x (mod f)` and `gcd(x^(2^(n/q)) − x, f) = 1` for every prime
 /// divisor `q` of `n`. For n = 64 the only prime divisor is 2, so we check
 /// the chain of repeated squarings at step 32.
-pub fn is_irreducible64(low: u64) -> bool {
+pub const fn is_irreducible64(low: u64) -> bool {
     // t_k = x^(2^k) mod f, computed by repeated squaring of the residue.
     let mut t = 2u64; // x^(2^0) = x
     let mut t32 = 0u64;
-    for k in 1..=64 {
+    let mut k = 1;
+    while k <= 64 {
         t = sqrmod(t, low);
         if k == 32 {
             t32 = t;
         }
+        k += 1;
     }
     if t != 2 {
         return false; // x^(2^64) != x  =>  reducible
@@ -108,23 +113,6 @@ pub fn is_irreducible64(low: u64) -> bool {
         return false; // f divides x^(2^32) - x: factors of degree <= 32
     }
     poly_gcd(explicit64(low), diff) == 1
-}
-
-/// Finds an irreducible degree-64 polynomial by scanning candidates derived
-/// from a seed counter. Expected ~64 attempts (density of irreducibles of
-/// degree n is ~1/n).
-pub fn find_irreducible64(seed: u64) -> u64 {
-    let mut s = seed;
-    loop {
-        s = s
-            .wrapping_mul(6364136223846793005)
-            .wrapping_add(1442695040888963407);
-        // Force the constant term so x never divides the polynomial.
-        let cand = s | 1;
-        if is_irreducible64(cand) {
-            return cand;
-        }
-    }
 }
 
 /// Generic irreducibility test for small-degree polynomials (explicit
@@ -208,15 +196,6 @@ mod tests {
         assert!(!is_irreducible64(1));
         // x^64 + x^2 = x^2 (x^62 + 1): constant term 0.
         assert!(!is_irreducible64(0b100));
-    }
-
-    #[test]
-    fn find_irreducible64_terminates_and_validates() {
-        for seed in 0..4u64 {
-            let p = find_irreducible64(seed);
-            assert!(is_irreducible64(p), "candidate {p:#x} not irreducible");
-            assert_eq!(p & 1, 1);
-        }
     }
 
     #[test]

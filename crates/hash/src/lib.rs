@@ -6,11 +6,11 @@
 //! so any good 64-bit hash works; we provide, from scratch:
 //!
 //! * [`rabin`] — Rabin fingerprints over GF(2) (the paper's citation \[22\])
-//!   with table-driven byte updates, plus the polynomial arithmetic and irreducibility testing needed to pick safe
-//!   moduli;
+//!   with table-driven byte updates, over one modulus whose fold tables
+//!   and irreducibility check [`gf2`] computes at compile time;
 //! * [`fnv`] — FNV-1a, a minimal seedable byte hash;
 //! * [`crc32()`] — CRC-32/IEEE for wire-frame integrity trailers;
-//! * [`mix`] — SplitMix64 finalisation and multiply-shift universal hashing;
+//! * [`mix`] — SplitMix64 finalisation and unbiased range reduction;
 //! * [`IndexHasher`] — the composition used by the collectors: fingerprint
 //!   a payload fragment, finalise with a per-epoch seed, and reduce to a
 //!   bitmap index without modulo bias.
@@ -34,19 +34,8 @@ mod proptests;
 
 pub use crc32::{crc32, Crc32};
 pub use fnv::Fnv1a;
-pub use rabin::{RabinFingerprinter, DEFAULT_POLY};
 
 use mix::{reduce, splitmix64};
-use std::sync::OnceLock;
-
-/// The process-wide [`DEFAULT_POLY`] fingerprinter. Every [`IndexHasher`]
-/// borrows this one, so its 16 KiB of fold tables exist once however many
-/// hashers a deployment builds (a monitoring point alone builds three, and
-/// three private copies would compete for the same L1 lines).
-fn default_fingerprinter() -> &'static RabinFingerprinter {
-    static FP: OnceLock<RabinFingerprinter> = OnceLock::new();
-    FP.get_or_init(|| RabinFingerprinter::new(DEFAULT_POLY))
-}
 
 /// Hashes byte strings to bitmap indices: the collectors' `hash(...)` in
 /// Figures 3, 8 and 9 of the paper.
@@ -57,23 +46,18 @@ fn default_fingerprinter() -> &'static RabinFingerprinter {
 /// unbiased multiply-high trick.
 #[derive(Debug, Clone)]
 pub struct IndexHasher {
-    fp: &'static RabinFingerprinter,
     seed: u64,
 }
 
 impl IndexHasher {
-    /// Creates a hasher with the default irreducible polynomial and the
-    /// given seed.
+    /// Creates a hasher with the given seed.
     pub fn new(seed: u64) -> Self {
-        IndexHasher {
-            fp: default_fingerprinter(),
-            seed,
-        }
+        IndexHasher { seed }
     }
 
     /// 64-bit hash of `bytes`.
     pub fn hash64(&self, bytes: &[u8]) -> u64 {
-        splitmix64(self.fp.fingerprint(bytes) ^ self.seed)
+        splitmix64(rabin::fingerprint(bytes) ^ self.seed)
     }
 
     /// Index of `bytes` in a table of `n` slots.

@@ -2,8 +2,6 @@
 //!
 //! [`splitmix64`] is the finaliser from Vigna's SplitMix64 generator: a
 //! bijective avalanche mix used to decorrelate fingerprints from seeds.
-//! [`MultiplyShift`] is the classic 2-universal multiply-shift family,
-//! offered as a cheaper alternative where provable universality matters.
 //! [`reduce`] maps a 64-bit hash onto `[0, n)` with the multiply-high trick
 //! (Lemire), avoiding both modulo cost and modulo bias.
 
@@ -21,36 +19,6 @@ pub fn splitmix64(mut z: u64) -> u64 {
 #[inline]
 pub fn reduce(hash: u64, n: u64) -> u64 {
     ((u128::from(hash) * u128::from(n)) >> 64) as u64
-}
-
-/// 2-universal multiply-shift hash family for 64-bit keys.
-///
-/// `h(x) = (a·x + b) >> (64 − out_bits)` with odd `a`; pairwise collision
-/// probability ≤ 2^(1−out_bits) over the random choice of `(a, b)`.
-#[derive(Debug, Clone, Copy)]
-pub struct MultiplyShift {
-    a: u64,
-    b: u64,
-    out_bits: u32,
-}
-
-impl MultiplyShift {
-    /// Creates a family member from a seed, producing `out_bits`-bit values.
-    ///
-    /// # Panics
-    /// Panics unless `1 <= out_bits <= 64`.
-    pub fn new(seed: u64, out_bits: u32) -> Self {
-        assert!((1..=64).contains(&out_bits), "out_bits must be in 1..=64");
-        let a = splitmix64(seed) | 1; // multiplier must be odd
-        let b = splitmix64(seed.wrapping_add(0xABCD_EF01));
-        MultiplyShift { a, b, out_bits }
-    }
-
-    /// Hashes a 64-bit key to `out_bits` bits.
-    #[inline]
-    pub fn hash(&self, x: u64) -> u64 {
-        self.a.wrapping_mul(x).wrapping_add(self.b) >> (64 - self.out_bits)
-    }
 }
 
 #[cfg(test)]
@@ -83,33 +51,5 @@ mod tests {
         assert_eq!(reduce(0, 100), 0);
         assert_eq!(reduce(u64::MAX, 100), 99);
         assert_eq!(reduce(12345, 1), 0);
-    }
-
-    #[test]
-    fn multiply_shift_range() {
-        let h = MultiplyShift::new(3, 10);
-        for x in 0..1000u64 {
-            assert!(h.hash(x) < 1024);
-        }
-    }
-
-    #[test]
-    fn multiply_shift_collision_rate_reasonable() {
-        // 1,000 keys into 2^16 buckets: expected collisions ~ C(1000,2)/65536
-        // ≈ 7.6; assert we are within a loose factor.
-        let h = MultiplyShift::new(99, 16);
-        let mut buckets = std::collections::HashMap::new();
-        let mut collisions = 0u32;
-        for x in 0..1000u64 {
-            let v = h.hash(splitmix64(x));
-            collisions += *buckets.entry(v).and_modify(|c| *c += 1).or_insert(0u32);
-        }
-        assert!(collisions < 60, "too many collisions: {collisions}");
-    }
-
-    #[test]
-    #[should_panic(expected = "out_bits")]
-    fn zero_out_bits_panics() {
-        MultiplyShift::new(0, 0);
     }
 }

@@ -1,7 +1,7 @@
 //! Property-based tests for the hashing substrate.
 
 use crate::gf2::{mulmod, sqrmod, x_pow_mod};
-use crate::rabin::{RabinFingerprinter, DEFAULT_POLY};
+use crate::rabin::{append_byte, fingerprint, POLY};
 use proptest::prelude::*;
 
 proptest! {
@@ -9,7 +9,7 @@ proptest! {
 
     #[test]
     fn gf2_mul_commutative_associative(a in any::<u64>(), b in any::<u64>(), c in any::<u64>()) {
-        let m = DEFAULT_POLY;
+        let m = POLY;
         prop_assert_eq!(mulmod(a, b, m), mulmod(b, a, m));
         prop_assert_eq!(
             mulmod(mulmod(a, b, m), c, m),
@@ -19,7 +19,7 @@ proptest! {
 
     #[test]
     fn gf2_distributive(a in any::<u64>(), b in any::<u64>(), c in any::<u64>()) {
-        let m = DEFAULT_POLY;
+        let m = POLY;
         prop_assert_eq!(
             mulmod(a, b ^ c, m),
             mulmod(a, b, m) ^ mulmod(a, c, m)
@@ -28,13 +28,13 @@ proptest! {
 
     #[test]
     fn gf2_square_matches_mul(a in any::<u64>()) {
-        prop_assert_eq!(sqrmod(a, DEFAULT_POLY), mulmod(a, a, DEFAULT_POLY));
+        prop_assert_eq!(sqrmod(a, POLY), mulmod(a, a, POLY));
     }
 
     #[test]
     fn x_pow_additive(e1 in 0u64..10_000, e2 in 0u64..10_000) {
         // x^(e1+e2) = x^e1 · x^e2 in the field.
-        let m = DEFAULT_POLY;
+        let m = POLY;
         prop_assert_eq!(
             x_pow_mod(e1 + e2, m),
             mulmod(x_pow_mod(e1, m), x_pow_mod(e2, m), m)
@@ -47,33 +47,27 @@ proptest! {
         b in proptest::collection::vec(any::<u8>(), 0..64),
     ) {
         // fp(a ++ b) must equal continuing fp(a) with b's bytes.
-        let fp = RabinFingerprinter::new(DEFAULT_POLY);
-        let mut state = fp.fingerprint(&a);
+        let mut state = fingerprint(&a);
         for &byte in &b {
-            state = fp.append_byte(state, byte);
+            state = append_byte(state, byte);
         }
         let mut ab = a.clone();
         ab.extend_from_slice(&b);
-        prop_assert_eq!(state, fp.fingerprint(&ab));
+        prop_assert_eq!(state, fingerprint(&ab));
     }
 
     #[test]
     fn word_fold_equals_byte_fold(
         data in proptest::collection::vec(any::<u8>(), 303..304),
-        poly_seed in any::<u64>(),
     ) {
         // Every length 0..=300 at start offsets 0, 1 and 3, so the 8-byte
         // words fall on every alignment of the buffer; `append_byte` is
         // the byte-serial reference.
-        let default = RabinFingerprinter::new(DEFAULT_POLY);
-        let custom = RabinFingerprinter::new(crate::gf2::find_irreducible64(poly_seed));
-        for fp in [&default, &custom] {
-            for start in [0usize, 1, 3] {
-                for len in 0..=300 {
-                    let b = &data[start..start + len];
-                    let serial = b.iter().fold(1, |f, &x| fp.append_byte(f, x));
-                    prop_assert_eq!(fp.fingerprint(b), serial, "start {} len {}", start, len);
-                }
+        for start in [0usize, 1, 3] {
+            for len in 0..=300 {
+                let b = &data[start..start + len];
+                let serial = b.iter().fold(1, |f, &x| append_byte(f, x));
+                prop_assert_eq!(fingerprint(b), serial, "start {} len {}", start, len);
             }
         }
     }

@@ -58,24 +58,16 @@ pub enum Topology {
     },
 }
 
-/// The attack scenarios (DNS amplification after Afek et al.).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum AttackScenario {
-    /// Amplified DNS responses replayed to spoofed victims.
-    DnsAmplification,
-}
-
 /// What the leaves observe each epoch, on top of their background.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Traffic {
     /// One aligned content object (none when `content_packets` is 0)
     /// planted at leaves `0..infected`.
     Plant,
-    /// `scenario`'s packets spliced into the traffic of leaves
-    /// `0..infected`.
+    /// A DNS-amplification attack (after Afek et al.): amplified DNS
+    /// responses replayed to spoofed victims, spliced into the traffic of
+    /// leaves `0..infected`.
     Attack {
-        /// Which attack is running.
-        scenario: AttackScenario,
         /// Times each attacked leaf replays the object per epoch.
         intensity: usize,
     },
@@ -178,14 +170,11 @@ impl SoakConfig {
         }
     }
 
-    /// `scenario` at 20 of 24 leaves behind 3 aggregators, the object
-    /// replayed 20 times over a lighter background.
-    pub fn attack(scenario: AttackScenario, epochs: usize, seed: u64) -> Self {
+    /// The DNS-amplification attack at 20 of 24 leaves behind 3
+    /// aggregators, the object replayed 20 times over a lighter background.
+    pub fn attack(epochs: usize, seed: u64) -> Self {
         SoakConfig {
-            traffic: Traffic::Attack {
-                scenario,
-                intensity: 20,
-            },
+            traffic: Traffic::Attack { intensity: 20 },
             bg_packets: 400,
             bg_flows: 120,
             ..Self::tiered(epochs, seed)
@@ -236,10 +225,7 @@ impl SoakConfig {
                     })
                     .collect()
             }
-            Traffic::Attack {
-                scenario: AttackScenario::DnsAmplification,
-                intensity,
-            } => {
+            Traffic::Attack { intensity } => {
                 let injections = self.plan_attack(intensity, rng);
                 (0..self.leaves)
                     .map(|id| {
@@ -635,7 +621,7 @@ mod tests {
 
     #[test]
     fn dns_amplification_attack_is_detected() {
-        let result = run_soak(&SoakConfig::attack(AttackScenario::DnsAmplification, 2, 41));
+        let result = run_soak(&SoakConfig::attack(2, 41));
         assert_eq!(result.quorum_epochs(), 2);
         assert_every_epoch_found(&result);
         assert!(
@@ -651,7 +637,7 @@ mod tests {
 
     #[test]
     fn attack_quorum_collapse_is_a_typed_outcome() {
-        let mut cfg = SoakConfig::attack(AttackScenario::DnsAmplification, 1, 53);
+        let mut cfg = SoakConfig::attack(1, 53);
         // Nothing survives a hop that drops everything; the soak must
         // still terminate with a typed quorum failure, not a panic.
         cfg.up_channel = ChannelConfig {

@@ -9,6 +9,7 @@
 //! substrate standing in for the ISP trace.
 
 use dcs_bitmap::RowMatrix;
+use dcs_collect::unaligned::PAYLOAD_MODULUS;
 use dcs_collect::{UnalignedCollector, UnalignedConfig};
 use dcs_traffic::burst::{coefficient_of_variation, BurstModel};
 use dcs_traffic::{gen, BackgroundConfig, ContentObject, Planting, SizeMix};
@@ -31,10 +32,9 @@ pub struct StressConfig {
     pub packets_per_segment: usize,
     /// Number of segments that carry one planted content instance.
     pub n1: usize,
-    /// Content length in packets.
+    /// Content length in packets, each carrying [`PAYLOAD_MODULUS`]
+    /// bytes, as the background does.
     pub content_packets: usize,
-    /// Payload size carrying the content (and the background), bytes.
-    pub payload_size: usize,
     /// Burst model for per-segment load modulation.
     pub burst: BurstModel,
     /// Detection-graph edge probability (sets λ′ through p*).
@@ -55,7 +55,6 @@ impl StressConfig {
             packets_per_segment: 16 * 586,
             n1: 25,
             content_packets: 150,
-            payload_size: 536,
             burst: BurstModel::default(),
             detect_p1: 2.0 / n_groups as f64,
             corefind: CoreFindConfig { beta: 30, d: 2 },
@@ -95,8 +94,8 @@ pub fn run_stress(cfg: &StressConfig) -> StressOutcome {
 
     // One shared content object; each infected segment gets an instance
     // with its own random prefix (the unaligned case).
-    let object = ContentObject::random(&mut rng, cfg.content_packets * cfg.payload_size);
-    let planting = Planting::unaligned(object, cfg.payload_size);
+    let object = ContentObject::random(&mut rng, cfg.content_packets * PAYLOAD_MODULUS);
+    let planting = Planting::unaligned(object, PAYLOAD_MODULUS);
 
     // Choose infected segments.
     use rand::seq::SliceRandom;
@@ -117,17 +116,13 @@ pub fn run_stress(cfg: &StressConfig) -> StressOutcome {
                 packets,
                 flows: (packets / 12).max(8),
                 zipf_exponent: 1.0,
-                size_mix: SizeMix::constant(cfg.payload_size),
+                size_mix: SizeMix::constant(PAYLOAD_MODULUS),
             },
         );
         let ucfg = UnalignedConfig {
             groups: cfg.groups_per_segment,
             arrays_per_group: k,
             array_bits: 1024,
-            payload_modulus: cfg.payload_size,
-            min_payload: 500.min(cfg.payload_size),
-            large_payload: 1000,
-            fragment_len: 16,
             seed: cfg.seed ^ 0xC0DE, // shared content-hash seed
             router_seed: seg as u64, // per-interface offsets
         };

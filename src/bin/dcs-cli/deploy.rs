@@ -28,7 +28,7 @@
 //! flags produce byte-identical digests — the property the restart tests
 //! pin.
 
-use crate::{parse_or, positive, take_flag, CliResult};
+use crate::{flag, positive, CliResult};
 use dcs::core::clock::{Clock, TickClock};
 use dcs::core::net::{
     run_center_epoch, run_monitor_epoch, CenterEpochEnd, CenterSocket, MonitorEpochConfig,
@@ -214,15 +214,15 @@ fn append_line(path: &str, line: &str) -> std::io::Result<()> {
 fn serve_flags(args: &[String]) -> Result<ServeFlags, Box<dyn std::error::Error>> {
     let mut args = args.to_vec();
     let flags = ServeFlags {
-        bind: take_flag(&mut args, "--bind").unwrap_or_else(|| "127.0.0.1:7400".into()),
-        routers: parse_or(take_flag(&mut args, "--routers"), 24)?,
-        epochs: parse_or(take_flag(&mut args, "--epochs"), 0)?,
-        wait_all: parse_or(take_flag(&mut args, "--wait-all"), false)?,
-        min_quorum: parse_or(take_flag(&mut args, "--quorum"), 0)?,
-        checkpoint: take_flag(&mut args, "--checkpoint"),
-        metrics: take_flag(&mut args, "--metrics-json"),
-        report: take_flag(&mut args, "--report"),
-        resume: take_flag(&mut args, "--resume"),
+        bind: flag(&mut args, "--bind")?.unwrap_or_else(|| "127.0.0.1:7400".into()),
+        routers: flag(&mut args, "--routers")?.unwrap_or(24),
+        epochs: flag(&mut args, "--epochs")?.unwrap_or(0),
+        wait_all: flag(&mut args, "--wait-all")?.unwrap_or(false),
+        min_quorum: flag(&mut args, "--quorum")?.unwrap_or(0),
+        checkpoint: flag(&mut args, "--checkpoint")?,
+        metrics: flag(&mut args, "--metrics-json")?,
+        report: flag(&mut args, "--report")?,
+        resume: flag(&mut args, "--resume")?,
     };
     if !args.is_empty() {
         return Err(format!("serve: unrecognised arguments {args:?}").into());
@@ -404,9 +404,9 @@ fn snapshot_state(
 fn monitor_flags(args: &[String]) -> Result<MonitorFlags, Box<dyn std::error::Error>> {
     let mut args = args.to_vec();
     let mut flags = MonitorFlags {
-        center: take_flag(&mut args, "--center").unwrap_or_else(|| "127.0.0.1:7400".into()),
-        router_id: parse_or(take_flag(&mut args, "--router"), 0)?,
-        epochs: parse_or(take_flag(&mut args, "--epochs"), 0)?,
+        center: flag(&mut args, "--center")?.unwrap_or_else(|| "127.0.0.1:7400".into()),
+        router_id: flag(&mut args, "--router")?.unwrap_or(0),
+        epochs: flag(&mut args, "--epochs")?.unwrap_or(0),
         infected: false,
     };
     if let Some(pos) = args.iter().position(|a| a == "--infected") {
@@ -517,5 +517,11 @@ mod tests {
             *result.unwrap_err().downcast::<ZeroShape>().unwrap(),
             ZeroShape("routers")
         );
+    }
+
+    #[test]
+    fn serve_names_the_flag_it_cannot_parse() {
+        let err = serve_flags(&args(&["--wait-all", "yes"])).unwrap_err();
+        assert_eq!(err.to_string(), r#"--wait-all: cannot parse "yes""#);
     }
 }

@@ -26,6 +26,7 @@
 
 mod deploy;
 
+use dcs::collect::aligned::TARGET_FILL;
 use dcs::core::prelude::*;
 use dcs::traffic::gen::{generate_epoch, BackgroundConfig, SizeMix};
 use dcs::traffic::trace::{TraceReader, TraceWriter};
@@ -62,22 +63,22 @@ fn main() -> ExitCode {
 
 type CliResult = Result<(), Box<dyn std::error::Error>>;
 
-/// Pulls `--name value` out of an argument list; returns the remainder.
-fn take_flag(args: &mut Vec<String>, name: &str) -> Option<String> {
-    let pos = args.iter().position(|a| a == name)?;
+/// Pulls `--name value` out of `args` and parses the value; `None` when
+/// the flag is absent or has no value after it (it then stays in `args`).
+/// A value that does not parse is an error naming the flag.
+fn flag<T: std::str::FromStr>(args: &mut Vec<String>, name: &str) -> Result<Option<T>, String> {
+    let Some(pos) = args.iter().position(|a| a == name) else {
+        return Ok(None);
+    };
     if pos + 1 >= args.len() {
-        return None;
+        return Ok(None);
     }
     let value = args.remove(pos + 1);
     args.remove(pos);
-    Some(value)
-}
-
-fn parse_or<T: std::str::FromStr>(v: Option<String>, default: T) -> Result<T, String> {
-    match v {
-        None => Ok(default),
-        Some(s) => s.parse().map_err(|_| format!("bad numeric value {s:?}")),
-    }
+    value
+        .parse()
+        .map(Some)
+        .map_err(|_| format!("{name}: cannot parse {value:?}"))
 }
 
 /// An input of zero the program cannot run on — a bitmap width, a group
@@ -104,14 +105,14 @@ fn positive<T: Default + PartialEq>(name: &'static str, value: T) -> Result<T, Z
 
 fn gen_trace(args: &[String]) -> CliResult {
     let mut args = args.to_vec();
-    let packets = parse_or(take_flag(&mut args, "--packets"), 20_000usize)?;
-    let flows = parse_or(take_flag(&mut args, "--flows"), packets / 10)?;
-    let zipf = parse_or(take_flag(&mut args, "--zipf"), 1.0f64)?;
-    let seed = parse_or(take_flag(&mut args, "--seed"), 0u64)?;
-    let plant_spec = take_flag(&mut args, "--plant");
+    let packets = flag(&mut args, "--packets")?.unwrap_or(20_000usize);
+    let flows = flag(&mut args, "--flows")?.unwrap_or(packets / 10);
+    let zipf = flag(&mut args, "--zipf")?.unwrap_or(1.0f64);
+    let seed = flag(&mut args, "--seed")?.unwrap_or(0u64);
+    let plant_spec: Option<String> = flag(&mut args, "--plant")?;
     // The planted object is generated from its own seed so different
     // routers (different --seed) can still carry the *same* content.
-    let content_seed = parse_or(take_flag(&mut args, "--content-seed"), 1u64)?;
+    let content_seed = flag(&mut args, "--content-seed")?.unwrap_or(1u64);
     let [out] = args.as_slice() else {
         return Err("usage: gen-trace <out.trace> [--packets N] [--flows N] \
                     [--zipf S] [--seed N] [--content-seed N] \
@@ -161,11 +162,11 @@ fn gen_trace(args: &[String]) -> CliResult {
 
 fn collect(args: &[String]) -> CliResult {
     let mut args = args.to_vec();
-    let router = parse_or(take_flag(&mut args, "--router"), 0usize)?;
-    let seed = parse_or(take_flag(&mut args, "--seed"), 0u64)?;
-    let bits = parse_or(take_flag(&mut args, "--bits"), 1usize << 20)?;
-    let groups = parse_or(take_flag(&mut args, "--groups"), 32usize)?;
-    let out = take_flag(&mut args, "--out");
+    let router = flag(&mut args, "--router")?.unwrap_or(0usize);
+    let seed = flag(&mut args, "--seed")?.unwrap_or(0u64);
+    let bits = flag(&mut args, "--bits")?.unwrap_or(1usize << 20);
+    let groups = flag(&mut args, "--groups")?.unwrap_or(32usize);
+    let out: Option<String> = flag(&mut args, "--out")?;
     let [input] = args.as_slice() else {
         return Err("usage: collect <in.trace> [--router N] [--seed N] \
                     [--bits N] [--groups N] [--out digest.dcsr]"
@@ -192,7 +193,7 @@ fn collect(args: &[String]) -> CliResult {
             "router {router}: aligned bitmap reached {:.3} fill (target {:.3}); \
              cut the trace into shorter epochs or raise --bits",
             point.aligned().fill_ratio(),
-            point.aligned().config().target_fill
+            TARGET_FILL
         );
     }
     let digest = point.finish_epoch();
@@ -212,10 +213,8 @@ fn collect(args: &[String]) -> CliResult {
 
 fn analyze(args: &[String]) -> CliResult {
     let mut args = args.to_vec();
-    let threshold = take_flag(&mut args, "--threshold")
-        .map(|t| t.parse::<usize>())
-        .transpose()?;
-    let metrics_out = take_flag(&mut args, "--metrics-json");
+    let threshold: Option<usize> = flag(&mut args, "--threshold")?;
+    let metrics_out: Option<String> = flag(&mut args, "--metrics-json")?;
     if args.is_empty() {
         return Err("usage: analyze <digest.dcsr>... [--threshold N] [--metrics-json path]".into());
     }

@@ -36,7 +36,7 @@
 
 use dcs_core::report::TransportStats;
 use dcs_hash::Fnv1a;
-use dcs_sim::soak::{outcome_fingerprint, run_soak, AttackScenario, KillPlan, SoakConfig};
+use dcs_sim::soak::{outcome_fingerprint, run_soak, KillPlan, SoakConfig};
 
 /// The two halves of a driver's pin.
 #[derive(Debug, PartialEq, Eq)]
@@ -92,7 +92,7 @@ fn tiered_drivers_replay_their_pinned_runs() {
 
 #[test]
 fn attack_driver_replays_its_pinned_run() {
-    let cfg = SoakConfig::attack(AttackScenario::DnsAmplification, 3, 7);
+    let cfg = SoakConfig::attack(3, 7);
     assert_eq!(pin(&cfg), ATTACK_PIN);
 }
 

@@ -2,6 +2,7 @@
 //! collector → digest → matrix path under arbitrary traffic.
 
 use dcs_bitmap::{Bitmap, WordSource};
+use dcs_collect::unaligned::MIN_PAYLOAD;
 use dcs_collect::wire::parse_bitmap;
 use dcs_collect::{AlignedCollector, AlignedConfig, UnalignedCollector, UnalignedConfig};
 use dcs_traffic::{FlowLabel, Packet};
@@ -105,7 +106,7 @@ proptest! {
         // Track which groups received sampled packets.
         let mut touched = vec![false; groups];
         for p in &pkts {
-            if p.payload.len() >= c.config().min_payload {
+            if p.payload.len() >= MIN_PAYLOAD {
                 touched[c.group_of(p)] = true;
             }
             c.observe(p);

@@ -1,5 +1,6 @@
 //! Aligned-case collector (paper Figure 3).
 
+use dcs_bitmap::words::WORD_BITS;
 use dcs_bitmap::Bitmap;
 use dcs_hash::IndexHasher;
 use dcs_traffic::Packet;
@@ -117,6 +118,16 @@ impl AlignedCollector {
             self.packets_hashed += 1;
         }
         self.epoch_full()
+    }
+
+    /// Starts loading the bitmap word that [`observe_at`](Self::observe_at)
+    /// sets for `idx`, so a caller that learns the index a packet ahead
+    /// does not wait on it. Changes nothing.
+    ///
+    /// # Panics
+    /// Panics if `idx` lies past the bitmap's last word.
+    pub fn prefetch_index(&self, idx: usize) {
+        dcs_hash::prefetch(std::slice::from_ref(&self.bitmap.words()[idx / WORD_BITS]));
     }
 
     /// The bitmap index this packet's payload hashes to — the index

@@ -2,11 +2,10 @@
 //!
 //! A degree-64 modulus is represented by its low 64 coefficient bits with
 //! the `x^64` term implicit; residues are full `u64` values (degree < 64).
-//! This is all that Rabin fingerprinting needs: multiplication and
-//! exponentiation of residues modulo an *irreducible* degree-64 polynomial,
-//! plus Rabin's irreducibility test. [`rabin`](crate::rabin) builds its fold
-//! tables and checks its modulus with these at compile time, so they are
-//! `const fn`s.
+//! Rabin's irreducibility test checks the fingerprint modulus at compile
+//! time ([`rabin`](crate::rabin)), so these are `const fn`s. The fold
+//! itself needs no table; the tests multiply residues with [`mulmod`] as
+//! its definition.
 
 /// Multiplies two residues modulo the degree-64 polynomial `x^64 + modulus`.
 ///
@@ -34,23 +33,6 @@ pub const fn mulmod(mut a: u64, b: u64, modulus: u64) -> u64 {
 #[inline]
 pub const fn sqrmod(a: u64, modulus: u64) -> u64 {
     mulmod(a, a, modulus)
-}
-
-/// Computes `x^e mod (x^64 + modulus)` where `e` counts in *bit* positions,
-/// i.e. the residue of the monomial of degree `e`.
-pub const fn x_pow_mod(e: u64, modulus: u64) -> u64 {
-    // Square-and-multiply on the monomial x (residue 0b10).
-    let mut result = 1u64; // x^0
-    let mut base = 2u64; // x^1
-    let mut e = e;
-    while e > 0 {
-        if e & 1 == 1 {
-            result = mulmod(result, base, modulus);
-        }
-        base = sqrmod(base, modulus);
-        e >>= 1;
-    }
-    result
 }
 
 /// GCD of two polynomials over GF(2), represented with all coefficient bits
@@ -115,34 +97,53 @@ pub const fn is_irreducible64(low: u64) -> bool {
     poly_gcd(explicit64(low), diff) == 1
 }
 
-/// Generic irreducibility test for small-degree polynomials (explicit
-/// representation, degree <= 63), by trial division. Used to validate the
-/// fast test against ground truth in tests.
-pub fn is_irreducible_explicit(f: u128) -> bool {
-    let deg = 127 - f.leading_zeros() as i32;
-    if deg <= 0 {
-        return false;
-    }
-    if deg == 1 {
-        return true;
-    }
-    if f & 1 == 0 {
-        return false; // divisible by x
-    }
-    // Trial divide by all polynomials of degree 1..=deg/2.
-    for d in 1..=(deg / 2) {
-        for g in (1u128 << d)..(1u128 << (d + 1)) {
-            if poly_rem(f, g) == 0 {
-                return false;
-            }
+/// Computes `x^e mod (x^64 + modulus)` where `e` counts in *bit* positions,
+/// i.e. the residue of the monomial of degree `e`: the tests' reference
+/// for the shifts the Rabin fold takes.
+#[cfg(test)]
+pub(crate) const fn x_pow_mod(e: u64, modulus: u64) -> u64 {
+    // Square-and-multiply on the monomial x (residue 0b10).
+    let mut result = 1u64; // x^0
+    let mut base = 2u64; // x^1
+    let mut e = e;
+    while e > 0 {
+        if e & 1 == 1 {
+            result = mulmod(result, base, modulus);
         }
+        base = sqrmod(base, modulus);
+        e >>= 1;
     }
-    true
+    result
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// Generic irreducibility test for small-degree polynomials (explicit
+    /// representation, degree <= 63), by trial division: the ground truth the
+    /// fast test is checked against.
+    fn is_irreducible_explicit(f: u128) -> bool {
+        let deg = 127 - f.leading_zeros() as i32;
+        if deg <= 0 {
+            return false;
+        }
+        if deg == 1 {
+            return true;
+        }
+        if f & 1 == 0 {
+            return false; // divisible by x
+        }
+        // Trial divide by all polynomials of degree 1..=deg/2.
+        for d in 1..=(deg / 2) {
+            for g in (1u128 << d)..(1u128 << (d + 1)) {
+                if poly_rem(f, g) == 0 {
+                    return false;
+                }
+            }
+        }
+        true
+    }
 
     #[test]
     fn mulmod_identity_and_commutativity() {

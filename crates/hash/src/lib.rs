@@ -5,20 +5,22 @@
 //! The analysis only requires the indices to look uniform and independent,
 //! so any good 64-bit hash works; we provide, from scratch:
 //!
-//! * [`rabin`] — Rabin fingerprints over GF(2) (the paper's citation \[22\])
-//!   with table-driven byte updates, over one modulus whose fold tables
-//!   and irreducibility check [`gf2`] computes at compile time;
+//! * [`rabin`] — Rabin fingerprints over GF(2) (the paper's citation \[22\]),
+//!   folded a word at a time with shifts and XORs, over one modulus whose
+//!   irreducibility [`gf2`] checks at compile time;
 //! * [`fnv`] — FNV-1a, a minimal seedable byte hash;
 //! * [`crc32()`] — CRC-32/IEEE for wire-frame integrity trailers;
 //! * [`mix`] — SplitMix64 finalisation and unbiased range reduction;
 //! * [`IndexHasher`] — the composition used by the collectors: fingerprint
 //!   a payload fragment, finalise with a per-epoch seed, and reduce to a
-//!   bitmap index without modulo bias.
+//!   bitmap index without modulo bias;
+//! * [`prefetch`] — a cache hint for memory a caller will read soon.
 //!
-//! `unsafe` is denied crate-wide. One module, the carry-less CRC-32
-//! folding kernel inside [`crc32`](mod@crc32), is allowed it, for one
-//! block: the call into its `#[target_feature]` body after the runtime
-//! check that the host has those features.
+//! `unsafe` is denied crate-wide. Two places are allowed it, one block
+//! each: the carry-less CRC-32 folding kernel inside
+//! [`crc32`](mod@crc32), for the call into its `#[target_feature]` body
+//! after the runtime check that the host has those features; and
+//! [`prefetch`], for the prefetch instruction.
 
 #![deny(unsafe_code)]
 #![warn(missing_docs)]
@@ -68,11 +70,38 @@ impl IndexHasher {
         assert!(n > 0, "index: empty range");
         reduce(self.hash64(bytes), n as u64) as usize
     }
+}
 
-    /// The seed this hasher was built with.
-    pub fn seed(&self) -> u64 {
-        self.seed
+/// Asks the CPU to start loading every cache line `items` spans, so that
+/// a read of them a little later does not wait on memory. Only a hint: it
+/// changes nothing a program can observe, and off x86-64 it does nothing.
+#[inline]
+pub fn prefetch<T>(items: &[T]) {
+    #[cfg(target_arch = "x86_64")]
+    {
+        use core::arch::x86_64::{_mm_prefetch, _MM_HINT_T0};
+        const LINE: usize = 64;
+        let start = items.as_ptr().cast::<i8>();
+        let bytes = core::mem::size_of_val(items);
+        let skew = start.addr() % LINE;
+        // None for an empty slice, whose pointer may dangle.
+        let lines = if bytes == 0 {
+            0
+        } else {
+            (skew + bytes).div_ceil(LINE)
+        };
+        for line in 0..lines {
+            let at = start.wrapping_sub(skew).wrapping_add(line * LINE);
+            // SAFETY: a prefetch never faults and dereferences nothing: it
+            // is a hint, on any address, and `at` lies on a line of `items`.
+            #[allow(unsafe_code)]
+            unsafe {
+                _mm_prefetch::<_MM_HINT_T0>(at)
+            };
+        }
     }
+    #[cfg(not(target_arch = "x86_64"))]
+    let _ = items;
 }
 
 #[cfg(test)]

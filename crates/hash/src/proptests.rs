@@ -73,6 +73,41 @@ proptest! {
     }
 
     #[test]
+    fn fold_equals_the_definition(
+        data in proptest::collection::vec(any::<u8>(), 303..304),
+    ) {
+        // The fold's shifts against what they compute: each 8-byte word
+        // takes f to f·x^64 + word and each tail byte f to f·x^8 + byte,
+        // multiplied out by `mulmod`, which shares no shift with the
+        // fold. Every length 0..=300 at start offsets 0, 1 and 3.
+        let x64 = x_pow_mod(64, POLY);
+        let x8 = x_pow_mod(8, POLY);
+        for start in [0usize, 1, 3] {
+            for len in 0..=300 {
+                let b = &data[start..start + len];
+                let (words, tail) = b.split_at(len / 8 * 8);
+                let mut f = 1;
+                for w in words.chunks_exact(8) {
+                    let word = u64::from_be_bytes(w.try_into().expect("8 bytes"));
+                    f = mulmod(f, x64, POLY) ^ word;
+                }
+                for &byte in tail {
+                    f = mulmod(f, x8, POLY) ^ u64::from(byte);
+                }
+                prop_assert_eq!(fingerprint(b), f, "start {} len {}", start, len);
+            }
+        }
+    }
+
+    #[test]
+    fn append_byte_is_times_x8_plus_byte(f in any::<u64>(), byte in any::<u8>()) {
+        prop_assert_eq!(
+            append_byte(f, byte),
+            mulmod(f, x_pow_mod(8, POLY), POLY) ^ u64::from(byte)
+        );
+    }
+
+    #[test]
     fn index_hasher_range(bytes in proptest::collection::vec(any::<u8>(), 0..64), n in 1usize..1_000_000) {
         let h = crate::IndexHasher::new(5);
         prop_assert!(h.index(&bytes, n) < n);

@@ -1,4 +1,4 @@
-//! Rabin fingerprints over GF(2) with table-driven updates.
+//! Rabin fingerprints over GF(2), folded with shifts and XORs.
 //!
 //! A message `b_0 b_1 … b_{k-1}` is interpreted as a polynomial over GF(2)
 //! and reduced modulo a fixed irreducible degree-64 polynomial. Fingerprints
@@ -6,7 +6,7 @@
 //! collide with probability ~`k/2^64` — exactly the property the paper's
 //! content-signature bitmaps rely on.
 
-use crate::gf2::{is_irreducible64, mulmod, x_pow_mod};
+use crate::gf2::is_irreducible64;
 
 /// The modulus `x^64 + x^4 + x^3 + x + 1`. Every monitoring point must
 /// fingerprint a payload to the same residue, so it is one constant.
@@ -19,54 +19,47 @@ const _: () = assert!(
     "the Rabin modulus x^64 + POLY is not irreducible"
 );
 
-/// `TABLES[k][v]` = residue of `v(x) · x^(64+8k)` modulo `x^64 + POLY`:
-/// where byte `k` of the state lands after the state is shifted up by one
-/// 64-bit word. `TABLES[0]` alone folds the 8 bits that overflow on a
-/// single byte shift. Built at compile time, as `crc32`'s tables are; the
-/// 16 KiB exist once per process.
-static TABLES: [[u64; 256]; 8] = {
-    let mut tables = [[0u64; 256]; 8];
-    let mut k = 0;
-    while k < 8 {
-        let shift = x_pow_mod(64 + 8 * k as u64, POLY);
-        let mut v = 0;
-        while v < 256 {
-            tables[k][v] = mulmod(v as u64, shift, POLY);
-            v += 1;
-        }
-        k += 1;
-    }
-    tables
-};
-
-/// Appends one byte to a fingerprint state.
-#[inline]
-pub(crate) fn append_byte(f: u64, byte: u8) -> u64 {
-    (f << 8 | u64::from(byte)) ^ TABLES[0][(f >> 56) as usize]
+/// `t · POLY` for `t` of degree below 60, where the product cannot
+/// overflow 64 bits: one shift a term of `POLY`, which has four.
+#[inline(always)]
+const fn times_poly(t: u64) -> u64 {
+    t ^ t << 1 ^ t << 3 ^ t << 4
 }
 
-/// Appends `bytes` to the state `f`, a 64-bit word at a time.
-///
-/// Appending eight bytes takes `f` to `f·x^64 + B` (`B` = the bytes as
-/// a big-endian word). Splitting `f` into its bytes `f_k`,
-/// `f·x^64 = Σ f_k·x^(64+8k)`, and each term is one look-up in
-/// `TABLES[k]` — eight independent loads where the byte-serial fold
-/// chains eight dependent ones, for the identical residue.
+// The shifts above are POLY's terms.
+const _: () = assert!(
+    times_poly(1) == POLY,
+    "times_poly does not multiply by POLY"
+);
+
+/// `f · x^64` modulo `x^64 + POLY`, which is `f · POLY`. The product's
+/// low 64 bits are `times_poly(f)` with the shifted-out bits dropped; the
+/// dropped bits, `f >> (64 − s)` for each shift `s`, are a residue of
+/// degree below 4, whose own `· x^64` is one more `times_poly` that no
+/// longer overflows.
+#[inline(always)]
+const fn times_x64(f: u64) -> u64 {
+    let over = f >> 63 ^ f >> 61 ^ f >> 60;
+    times_poly(f) ^ times_poly(over)
+}
+
+/// Appends one byte to a fingerprint state: `f · x^8 + byte`, where the
+/// top byte of `f` that the shift pushes past `x^63` comes back as
+/// `(f >> 56) · POLY`.
+#[inline]
+pub(crate) fn append_byte(f: u64, byte: u8) -> u64 {
+    (f << 8 | u64::from(byte)) ^ times_poly(f >> 56)
+}
+
+/// Appends `bytes` to the state `f`, a 64-bit word at a time: eight
+/// bytes take `f` to `f·x^64 + B` (`B` = the bytes as a big-endian word),
+/// the same residue as eight [`append_byte`] steps.
 #[inline]
 fn fold(mut f: u64, bytes: &[u8]) -> u64 {
-    let t = &TABLES;
     let mut words = bytes.chunks_exact(8);
     for w in &mut words {
         let b = u64::from_be_bytes(w.try_into().expect("chunks_exact(8) yields 8 bytes"));
-        f = b
-            ^ t[0][usize::from(f as u8)]
-            ^ t[1][usize::from((f >> 8) as u8)]
-            ^ t[2][usize::from((f >> 16) as u8)]
-            ^ t[3][usize::from((f >> 24) as u8)]
-            ^ t[4][usize::from((f >> 32) as u8)]
-            ^ t[5][usize::from((f >> 40) as u8)]
-            ^ t[6][usize::from((f >> 48) as u8)]
-            ^ t[7][usize::from((f >> 56) as u8)];
+        f = times_x64(f) ^ b;
     }
     for &b in words.remainder() {
         f = append_byte(f, b);

@@ -68,13 +68,11 @@ impl AlignedDigest {
 pub struct AlignedCollector {
     cfg: AlignedConfig,
     hasher: IndexHasher,
-    bitmap: Bitmap,
-    /// Ones in `bitmap`, counted as bits turn on, so the per-packet
-    /// epoch-close check does not popcount the whole bitmap.
+    /// The epoch so far, in the form it ships.
+    live: AlignedDigest,
+    /// Ones in the live bitmap, counted as bits turn on, so the
+    /// per-packet epoch-close check does not popcount the whole bitmap.
     ones: u32,
-    packets_seen: u64,
-    packets_hashed: u64,
-    raw_bytes: u64,
 }
 
 impl AlignedCollector {
@@ -87,16 +85,11 @@ impl AlignedCollector {
             cfg.bitmap_bits > 0,
             "aligned.bitmap_bits: bitmap must be non-empty"
         );
-        let hasher = IndexHasher::new(cfg.seed);
-        let bitmap = Bitmap::new(cfg.bitmap_bits);
         AlignedCollector {
+            hasher: IndexHasher::new(cfg.seed),
+            live: empty_digest(cfg.bitmap_bits),
             cfg,
-            hasher,
-            bitmap,
             ones: 0,
-            packets_seen: 0,
-            packets_hashed: 0,
-            raw_bytes: 0,
         }
     }
 
@@ -111,11 +104,11 @@ impl AlignedCollector {
     /// `idx = self.index_of(pkt)`, so a packet whose column also keys a
     /// sidecar sketch is hashed once.
     pub fn observe_at(&mut self, pkt: &Packet, idx: Option<usize>) -> bool {
-        self.packets_seen += 1;
-        self.raw_bytes += pkt.wire_len() as u64;
+        self.live.packets_seen += 1;
+        self.live.raw_bytes += pkt.wire_len() as u64;
         if let Some(idx) = idx {
-            self.ones += u32::from(self.bitmap.set(idx));
-            self.packets_hashed += 1;
+            self.ones += u32::from(self.live.bitmap.set(idx));
+            self.live.packets_hashed += 1;
         }
         self.epoch_full()
     }
@@ -127,7 +120,9 @@ impl AlignedCollector {
     /// # Panics
     /// Panics if `idx` lies past the bitmap's last word.
     pub fn prefetch_index(&self, idx: usize) {
-        dcs_hash::prefetch(std::slice::from_ref(&self.bitmap.words()[idx / WORD_BITS]));
+        dcs_hash::prefetch(std::slice::from_ref(
+            &self.live.bitmap.words()[idx / WORD_BITS],
+        ));
     }
 
     /// The bitmap index this packet's payload hashes to — the index
@@ -154,23 +149,45 @@ impl AlignedCollector {
         f64::from(self.ones) / self.cfg.bitmap_bits as f64
     }
 
-    /// Closes the epoch: returns the digest and resets all state for the
-    /// next epoch.
+    /// Closes the epoch: returns the digest and starts the next epoch on
+    /// a freshly allocated bitmap.
     pub fn finish_epoch(&mut self) -> AlignedDigest {
-        let mut bitmap = Bitmap::new(self.cfg.bitmap_bits);
-        std::mem::swap(&mut bitmap, &mut self.bitmap);
-        debug_assert_eq!(self.ones, bitmap.weight(), "running fill count drifted");
+        debug_assert_eq!(
+            self.ones,
+            self.live.bitmap.weight(),
+            "running fill count drifted"
+        );
         self.ones = 0;
-        let digest = AlignedDigest {
-            bitmap,
-            packets_seen: self.packets_seen,
-            packets_hashed: self.packets_hashed,
-            raw_bytes: self.raw_bytes,
-        };
-        self.packets_seen = 0;
-        self.packets_hashed = 0;
-        self.raw_bytes = 0;
-        digest
+        std::mem::replace(&mut self.live, empty_digest(self.cfg.bitmap_bits))
+    }
+
+    /// Closes the epoch without reallocating: lends its digest to `ship`
+    /// (which encodes it), then zeroes the bitmap and the counters in
+    /// place for the next epoch. The next epoch starts as it does after
+    /// [`finish_epoch`](Self::finish_epoch).
+    pub fn finish_epoch_with<R>(&mut self, ship: impl FnOnce(&AlignedDigest) -> R) -> R {
+        debug_assert_eq!(
+            self.ones,
+            self.live.bitmap.weight(),
+            "running fill count drifted"
+        );
+        let shipped = ship(&self.live);
+        self.live.bitmap.reset();
+        self.live.packets_seen = 0;
+        self.live.packets_hashed = 0;
+        self.live.raw_bytes = 0;
+        self.ones = 0;
+        shipped
+    }
+}
+
+/// The digest of an epoch that has seen nothing.
+fn empty_digest(bitmap_bits: usize) -> AlignedDigest {
+    AlignedDigest {
+        bitmap: Bitmap::new(bitmap_bits),
+        packets_seen: 0,
+        packets_hashed: 0,
+        raw_bytes: 0,
     }
 }
 
@@ -265,9 +282,10 @@ mod tests {
                         _ => packet(&mut r, 80),
                     };
                     let got = c.observe(&pkt);
-                    let want = f64::from(c.bitmap.weight()) / c.bitmap.len() as f64 >= TARGET_FILL;
+                    let want = f64::from(c.live.bitmap.weight()) / c.live.bitmap.len() as f64
+                        >= TARGET_FILL;
                     assert_eq!(got, want, "{bits} bits, epoch {epoch}, packet {n}");
-                    assert_eq!(c.fill_ratio(), c.bitmap.fill_ratio());
+                    assert_eq!(c.fill_ratio(), c.live.bitmap.fill_ratio());
                     closed |= got;
                     seen.push(pkt);
                 }
@@ -348,11 +366,11 @@ mod tests {
             let p = packet(&mut r, len);
             let predicted = c.index_of(&p);
             let before: Vec<usize> = {
-                let d = c.bitmap.clone();
+                let d = c.live.bitmap.clone();
                 d.iter_ones().collect()
             };
             c.observe(&p);
-            let after: Vec<usize> = c.bitmap.iter_ones().collect();
+            let after: Vec<usize> = c.live.bitmap.iter_ones().collect();
             match predicted {
                 None => assert_eq!(before, after, "header-only packet set a bit"),
                 Some(idx) => assert!(after.contains(&idx), "len {len}: predicted {idx} unset"),

@@ -28,7 +28,7 @@
 //! the existing transport and checkpoint byte-identity tests pin.
 
 use crate::frame::FrameError;
-use bytes::{Buf, BufMut, BytesMut};
+use bytes::{Buf, BufMut};
 use dcs_hash::Crc32;
 
 /// Maximum artifacts per section.
@@ -78,7 +78,7 @@ pub fn section_len(artifacts: &[Artifact]) -> usize {
 
 // The vendored `bytes` stand-in has no u16 accessors; the count field
 // stays u16 on the wire via these local helpers.
-fn put_u16_le(buf: &mut BytesMut, v: u16) {
+fn put_u16_le(buf: &mut impl BufMut, v: u16) {
     buf.put_slice(&v.to_le_bytes());
 }
 
@@ -101,7 +101,7 @@ fn artifact_crc(kind: u32, payload: &[u8]) -> u32 {
 /// # Errors
 /// [`FrameError::TooLarge`] when a cap is exceeded — a frame must never
 /// ship a section its own decoder would reject.
-pub fn encode_section(artifacts: &[Artifact], buf: &mut BytesMut) -> Result<(), FrameError> {
+pub fn encode_section(artifacts: &[Artifact], buf: &mut impl BufMut) -> Result<(), FrameError> {
     if artifacts.is_empty() {
         return Ok(());
     }
@@ -178,6 +178,7 @@ pub fn decode_section_views<'a>(buf: &mut &'a [u8]) -> Result<Vec<(u32, &'a [u8]
 #[cfg(test)]
 mod tests {
     use super::*;
+    use bytes::BytesMut;
 
     fn sample() -> Vec<Artifact> {
         vec![

@@ -138,10 +138,8 @@ pub struct UnalignedCollector {
     offsets_primary: Vec<usize>,
     /// Secondary offset for each array (added for large packets).
     offsets_secondary: Vec<usize>,
-    arrays: Vec<Bitmap>,
-    packets_seen: u64,
-    packets_sampled: u64,
-    raw_bytes: u64,
+    /// The epoch so far, in the form it ships.
+    live: UnalignedDigest,
 }
 
 impl UnalignedCollector {
@@ -172,16 +170,12 @@ impl UnalignedCollector {
         };
         let offsets_primary: Vec<usize> = (0..k as u64).map(offset_at).collect();
         let offsets_secondary: Vec<usize> = (k as u64..2 * k as u64).map(offset_at).collect();
-        let arrays = vec![Bitmap::new(cfg.array_bits); cfg.groups * k];
         UnalignedCollector {
+            live: empty_digest(&cfg),
             cfg,
             hasher,
             offsets_primary,
             offsets_secondary,
-            arrays,
-            packets_seen: 0,
-            packets_sampled: 0,
-            raw_bytes: 0,
         }
     }
 
@@ -198,19 +192,19 @@ impl UnalignedCollector {
 
     /// Processes one packet (Figures 8 + 9 update algorithm).
     pub fn observe(&mut self, pkt: &Packet) {
-        self.packets_seen += 1;
-        self.raw_bytes += pkt.wire_len() as u64;
+        self.live.packets_seen += 1;
+        self.live.raw_bytes += pkt.wire_len() as u64;
         let payload = &pkt.payload;
         if payload.len() < MIN_PAYLOAD {
             return;
         }
-        self.packets_sampled += 1;
+        self.live.packets_sampled += 1;
         let group = self.group_of(pkt);
         let k = self.cfg.arrays_per_group;
         let base = group * k;
         let large = payload.len() >= LARGE_PAYLOAD;
         for a in 0..k {
-            let row = &mut self.arrays[base + a];
+            let row = &mut self.live.arrays[base + a];
             let off = self.offsets_primary[a];
             let frag = &payload[off..off + FRAGMENT_LEN];
             let idx = self.hasher.index(frag, self.cfg.array_bits);
@@ -224,27 +218,39 @@ impl UnalignedCollector {
         }
     }
 
-    /// Closes the epoch and resets.
+    /// Closes the epoch: returns the digest and starts the next epoch on
+    /// freshly allocated arrays.
     pub fn finish_epoch(&mut self) -> UnalignedDigest {
-        let mut arrays =
-            vec![Bitmap::new(self.cfg.array_bits); self.cfg.groups * self.cfg.arrays_per_group];
-        std::mem::swap(&mut arrays, &mut self.arrays);
-        let d = UnalignedDigest {
-            arrays,
-            arrays_per_group: self.cfg.arrays_per_group,
-            packets_seen: self.packets_seen,
-            packets_sampled: self.packets_sampled,
-            raw_bytes: self.raw_bytes,
-        };
-        self.packets_seen = 0;
-        self.packets_sampled = 0;
-        self.raw_bytes = 0;
-        d
+        std::mem::replace(&mut self.live, empty_digest(&self.cfg))
+    }
+
+    /// Closes the epoch without reallocating: lends its digest to `ship`
+    /// (which encodes it), then zeroes the arrays and the counters in
+    /// place for the next epoch. The next epoch starts as it does after
+    /// [`finish_epoch`](Self::finish_epoch).
+    pub fn finish_epoch_with<R>(&mut self, ship: impl FnOnce(&UnalignedDigest) -> R) -> R {
+        let shipped = ship(&self.live);
+        self.live.arrays.iter_mut().for_each(Bitmap::reset);
+        self.live.packets_seen = 0;
+        self.live.packets_sampled = 0;
+        self.live.raw_bytes = 0;
+        shipped
     }
 
     /// The configuration in use.
     pub fn config(&self) -> &UnalignedConfig {
         &self.cfg
+    }
+}
+
+/// The digest of an epoch that has seen nothing.
+fn empty_digest(cfg: &UnalignedConfig) -> UnalignedDigest {
+    UnalignedDigest {
+        arrays: vec![Bitmap::new(cfg.array_bits); cfg.groups * cfg.arrays_per_group],
+        arrays_per_group: cfg.arrays_per_group,
+        packets_seen: 0,
+        packets_sampled: 0,
+        raw_bytes: 0,
     }
 }
 

@@ -845,7 +845,7 @@ mod tests {
         let digests = clean_digests(8, 8);
         let frames = digests
             .iter()
-            .map(|d| d.encode_wire().expect("clean digest").to_vec());
+            .map(|d| d.encode_wire().expect("clean digest"));
         let (a, b) = (
             CollectedEpoch::from_digests(&digests),
             CollectedEpoch::from_frames(frames),
@@ -979,7 +979,7 @@ mod tests {
                 .map(|d| {
                     // The bundle with its unaligned digest replaced by two
                     // one-array groups (zero counters, 1 array a group).
-                    let mut frame = d.encode_wire().expect("clean digest").to_vec();
+                    let mut frame = d.encode_wire().expect("clean digest");
                     frame.truncate(frame.len() - d.unaligned.encoded_len() - UNALIGNED_HEADER);
                     frame.extend_from_slice(b"DCSU\x01");
                     frame.extend_from_slice(&[0; 24]);

@@ -1,7 +1,8 @@
 //! One monitoring point: both collectors wired to a router's traffic.
 
-use crate::transport::{MAX_CHUNKS, MAX_CHUNK_PAYLOAD};
-use bytes::{BufMut, Bytes, BytesMut};
+use crate::session::Missing;
+use crate::transport::{chunk_bundle, cut_chunk, MAX_CHUNKS, MAX_CHUNK_PAYLOAD};
+use bytes::BufMut;
 use dcs_collect::aligned::HASH_PREFIX_LEN;
 use dcs_collect::frame::{FrameError, Reader};
 use dcs_collect::unaligned::MIN_PAYLOAD;
@@ -176,12 +177,7 @@ impl RouterDigest {
     /// Bytes [`encode_wire`](Self::encode_wire) returns: the bundle
     /// header, both digest frames and the artifact section.
     pub fn wire_len(&self) -> usize {
-        BUNDLE_HEADER
-            + ALIGNED_HEADER
-            + self.aligned.bitmap.encoded_len()
-            + UNALIGNED_HEADER
-            + self.unaligned.encoded_len()
-            + artifact::section_len(&self.artifacts)
+        bundle_len(&self.aligned, &self.unaligned, &self.artifacts)
     }
 
     /// Encodes the whole bundle as one wire frame: bundle header (magic,
@@ -189,23 +185,65 @@ impl RouterDigest {
     /// frames, then — v2 only — the artifact section. This is what the
     /// measurement plane ships. Bundles without artifacts encode as v1,
     /// byte-identical to the pre-artifact format. Everything is written
-    /// straight into one buffer of exactly [`wire_len`](Self::wire_len)
-    /// bytes.
-    pub fn encode_wire(&self) -> Result<Bytes, FrameError> {
-        let mut buf = BytesMut::with_capacity(self.wire_len());
-        buf.put_slice(&BUNDLE_MAGIC);
-        buf.put_u8(if self.artifacts.is_empty() {
-            BUNDLE_VERSION_V1
-        } else {
-            BUNDLE_VERSION_V2
-        });
-        buf.put_u64_le(self.router_id as u64);
-        buf.put_u64_le(self.epoch_id);
-        self.aligned.encode_into(&mut buf);
-        self.unaligned.encode_into(&mut buf)?;
-        artifact::encode_section(&self.artifacts, &mut buf)?;
-        Ok(buf.freeze())
+    /// once, by [`encode_into`](Self::encode_into), into one buffer of
+    /// exactly [`wire_len`](Self::wire_len) bytes.
+    pub fn encode_wire(&self) -> Result<Vec<u8>, FrameError> {
+        let mut buf = Vec::with_capacity(self.wire_len());
+        self.encode_into(&mut buf)?;
+        Ok(buf)
     }
+
+    /// Appends the frame [`encode_wire`](Self::encode_wire) returns to
+    /// `buf`. [`MonitoringPoint::finish_epoch_chunks`] writes its bundles
+    /// through the same encoder, straight from the live collectors.
+    pub fn encode_into(&self, buf: &mut impl BufMut) -> Result<(), FrameError> {
+        encode_bundle(
+            buf,
+            self.router_id,
+            self.epoch_id,
+            &self.aligned,
+            &self.unaligned,
+            &self.artifacts,
+        )
+    }
+}
+
+/// Bytes [`encode_bundle`] writes for these parts.
+fn bundle_len(
+    aligned: &AlignedDigest,
+    unaligned: &UnalignedDigest,
+    artifacts: &[Artifact],
+) -> usize {
+    BUNDLE_HEADER
+        + ALIGNED_HEADER
+        + aligned.bitmap.encoded_len()
+        + UNALIGNED_HEADER
+        + unaligned.encoded_len()
+        + artifact::section_len(artifacts)
+}
+
+/// The `DCSR` encoder: the body of [`RouterDigest::encode_into`], over
+/// borrowed parts so a monitoring point can encode its collectors' live
+/// digests without moving them into a [`RouterDigest`].
+fn encode_bundle(
+    buf: &mut impl BufMut,
+    router_id: usize,
+    epoch_id: u64,
+    aligned: &AlignedDigest,
+    unaligned: &UnalignedDigest,
+    artifacts: &[Artifact],
+) -> Result<(), FrameError> {
+    buf.put_slice(&BUNDLE_MAGIC);
+    buf.put_u8(if artifacts.is_empty() {
+        BUNDLE_VERSION_V1
+    } else {
+        BUNDLE_VERSION_V2
+    });
+    buf.put_u64_le(router_id as u64);
+    buf.put_u64_le(epoch_id);
+    aligned.encode_into(buf);
+    unaligned.encode_into(buf)?;
+    artifact::encode_section(artifacts, buf)
 }
 
 /// Borrowed, validated view of one [`RouterDigest`] wire frame.
@@ -281,14 +319,15 @@ impl<'a> RouterDigestView<'a> {
     }
 }
 
-/// Bounded resend buffer: the chunk frames of one shipped epoch, kept
-/// until the next epoch closes so the analysis centre's retransmit
-/// requests (and post-restart recovery) can be served. Acked chunks are
-/// pruned to bound memory further.
+/// What a monitoring point needs, beside the bundle it keeps, to re-cut
+/// the chunk frames of the epoch it shipped last: the epoch, the chunk
+/// size it was cut at, and the cumulative ack below which no chunk is
+/// resent. It lasts until the next epoch closes.
 #[derive(Debug)]
 struct ResendBuffer {
     epoch_id: u64,
-    chunks: Vec<Option<Vec<u8>>>,
+    max_payload: usize,
+    acked: u32,
 }
 
 /// A monitoring point running both streaming modules over one router's
@@ -300,6 +339,10 @@ pub struct MonitoringPoint {
     aligned: AlignedCollector,
     unaligned: UnalignedCollector,
     sketch: Option<SketchCollector>,
+    /// The `DCSR` bundle [`finish_epoch_chunks`](Self::finish_epoch_chunks)
+    /// encoded last. Kept across epochs, so a close reuses its pages, and
+    /// the source every resend is re-cut from.
+    bundle: Vec<u8>,
     resend: Option<ResendBuffer>,
 }
 
@@ -321,6 +364,7 @@ impl MonitoringPoint {
             aligned: AlignedCollector::new(cfg.aligned.clone()),
             unaligned: UnalignedCollector::new(ucfg),
             sketch,
+            bundle: Vec::new(),
             resend: None,
         }
     }
@@ -408,88 +452,127 @@ impl MonitoringPoint {
     }
 
     /// Closes the epoch and ships the digest bundle (with the sketch
-    /// artifact attached when a sketch is configured).
+    /// artifact attached when a sketch is configured). The collectors
+    /// start the next epoch on freshly allocated bitmaps.
     pub fn finish_epoch(&mut self) -> RouterDigest {
         let epoch_id = self.epoch;
         self.epoch += 1;
-        let artifacts = match self.sketch.as_mut() {
-            Some(s) => vec![Artifact::sketch(s.finish_epoch())],
-            None => Vec::new(),
-        };
         RouterDigest {
             router_id: self.router_id,
             epoch_id,
+            artifacts: self.finish_sketch(),
             aligned: self.aligned.finish_epoch(),
             unaligned: self.unaligned.finish_epoch(),
-            artifacts,
+        }
+    }
+
+    /// The closing epoch's sketch artifact, if a sketch is configured; the
+    /// sketch restarts empty.
+    fn finish_sketch(&mut self) -> Vec<Artifact> {
+        match self.sketch.as_mut() {
+            Some(s) => vec![Artifact::sketch(s.finish_epoch())],
+            None => Vec::new(),
         }
     }
 
     /// Closes the epoch and ships it as chunk frames (see
-    /// [`crate::transport`]): the wire bundle split into CRC-trailed
-    /// chunks of at most `max_payload` digest bytes each. The chunks are
-    /// also retained in a bounded resend buffer — exactly one epoch deep,
-    /// replacing the previous epoch's — so the analysis centre can
-    /// [`resend`](Self::resend) lost or corrupted chunks until the next
-    /// epoch closes.
+    /// [`crate::transport`]): the bundle [`finish_epoch`](Self::finish_epoch)
+    /// would return, encoded, split into CRC-trailed chunks of at most
+    /// `max_payload` digest bytes each — byte for byte what
+    /// [`chunk_bundle`] cuts from [`RouterDigest::encode_wire`].
+    ///
+    /// Nothing is reallocated: the collectors encode their live state
+    /// straight into a bundle buffer the point keeps across epochs, then
+    /// zero their bitmaps and counters in place. That buffer is the resend
+    /// buffer — exactly one epoch deep, overwritten by the next close — so
+    /// the analysis centre can have lost or corrupted chunks
+    /// [`resend`](Self::resend) until the next epoch closes.
     ///
     /// # Errors
     /// [`FrameError::Malformed`] when `max_payload` is outside
     /// `1..=MAX_CHUNK_PAYLOAD`, checked before the epoch closes, so the
     /// epoch stays open. Once it has closed, any error of
     /// [`RouterDigest::encode_wire`], and [`FrameError::TooLarge`] for a
-    /// bundle that needs more than `MAX_CHUNKS` chunks.
+    /// bundle that needs more than `MAX_CHUNKS` chunks. A close that fails
+    /// still closes the epoch, and leaves nothing to resend: the previous
+    /// epoch's bundle is gone.
     pub fn finish_epoch_chunks(&mut self, max_payload: usize) -> Result<Vec<Vec<u8>>, FrameError> {
         if !(1..=MAX_CHUNK_PAYLOAD).contains(&max_payload) {
             return Err(FrameError::Malformed(
                 "chunk payload size outside 1..=MAX_CHUNK_PAYLOAD",
             ));
         }
-        let digest = self.finish_epoch();
-        let wire = digest.encode_wire()?;
-        if wire.len().div_ceil(max_payload) > MAX_CHUNKS as usize {
+        let (router_id, epoch_id) = (self.router_id, self.epoch);
+        self.epoch += 1;
+        self.resend = None;
+        let artifacts = self.finish_sketch();
+        let (bundle, unaligned) = (&mut self.bundle, &mut self.unaligned);
+        bundle.clear();
+        self.aligned.finish_epoch_with(|a| {
+            unaligned.finish_epoch_with(|u| {
+                // Exact, so a kept buffer holds no growth slack.
+                bundle.reserve_exact(bundle_len(a, u, &artifacts));
+                encode_bundle(bundle, router_id, epoch_id, a, u, &artifacts)
+            })
+        })?;
+        if self.bundle.len().div_ceil(max_payload) > MAX_CHUNKS as usize {
             return Err(FrameError::TooLarge(
                 "bundle needs more than MAX_CHUNKS chunks",
             ));
         }
-        let chunks = crate::transport::chunk_bundle(
-            self.router_id as u64,
-            digest.epoch_id,
-            &wire,
-            max_payload,
-        );
         self.resend = Some(ResendBuffer {
-            epoch_id: digest.epoch_id,
-            chunks: chunks.iter().cloned().map(Some).collect(),
+            epoch_id,
+            max_payload,
+            acked: 0,
         });
-        Ok(chunks)
+        Ok(chunk_bundle(
+            router_id as u64,
+            epoch_id,
+            &self.bundle,
+            max_payload,
+        ))
     }
 
-    /// Serves a retransmit request from the resend buffer: the still-held
-    /// chunk frames of `epoch_id` selected by `missing`. Empty when the
-    /// buffer holds a different epoch (the request outlived the buffer's
-    /// one-epoch retention) or the requested chunks were pruned by
-    /// [`ack`](Self::ack).
+    /// Serves a retransmit request from the resend buffer: the chunk
+    /// frames of `epoch_id` that `missing` names, re-cut from the kept
+    /// bundle — byte for byte the frames
+    /// [`finish_epoch_chunks`](Self::finish_epoch_chunks) returned — in
+    /// request order. A repeated seq is served again; a seq past the
+    /// bundle's last chunk, or below the cumulative [`ack`](Self::ack),
+    /// is skipped. Empty when the buffer holds a different epoch (the
+    /// request outlived the buffer's one-epoch retention) or the last
+    /// close failed.
     ///
     /// No driver of the workspace calls this or [`ack`](Self::ack): a
     /// sender answers from its own chunks (`session::SendSession`). Both
     /// stay for the end-to-end benchmark's frozen adapter until it is
     /// re-baselined (ROADMAP item 6).
-    pub fn resend(&self, epoch_id: u64, missing: &crate::session::Missing) -> Vec<Vec<u8>> {
+    pub fn resend(&self, epoch_id: u64, missing: &Missing) -> Vec<Vec<u8>> {
         let Some(buf) = self.resend.as_ref().filter(|b| b.epoch_id == epoch_id) else {
             return Vec::new();
         };
-        missing.select(&buf.chunks).flatten().cloned().collect()
+        let total = self.bundle.len().div_ceil(buf.max_payload) as u32;
+        missing
+            .seqs(total)
+            .filter(|&seq| seq >= buf.acked)
+            .map(|seq| {
+                cut_chunk(
+                    self.router_id as u64,
+                    epoch_id,
+                    &self.bundle,
+                    buf.max_payload,
+                    seq,
+                )
+            })
+            .collect()
     }
 
-    /// Applies a cumulative ack from the collector: every chunk of
-    /// `epoch_id` below `cumulative_ack` is pruned from the resend
-    /// buffer, releasing its memory.
+    /// Applies a cumulative ack from the collector: no chunk of
+    /// `epoch_id` below `cumulative_ack` is resent from now on. The ack
+    /// only raises a watermark; an ack for another epoch is ignored.
     pub fn ack(&mut self, epoch_id: u64, cumulative_ack: u32) {
         if let Some(buf) = self.resend.as_mut().filter(|b| b.epoch_id == epoch_id) {
-            for c in buf.chunks.iter_mut().take(cumulative_ack as usize) {
-                *c = None;
-            }
+            buf.acked = buf.acked.max(cumulative_ack);
         }
     }
 }
@@ -608,7 +691,8 @@ mod tests {
     }
 
     /// `encode_wire` fills exactly the buffer it sized up front, with and
-    /// without an artifact section, so a bundle is one allocation.
+    /// without an artifact section, so a bundle is one allocation and
+    /// one copy.
     #[test]
     fn bundle_is_encoded_into_one_buffer_sized_up_front() {
         let mut r = StdRng::seed_from_u64(3);
@@ -622,6 +706,7 @@ mod tests {
             let d = mp.finish_epoch();
             let wire = d.encode_wire().expect("bundle fits the wire format");
             assert_eq!(wire.len(), d.wire_len());
+            assert_eq!(wire.capacity(), d.wire_len(), "the buffer grew");
             let (view, used) = RouterDigestView::parse(&wire).expect("parses");
             assert_eq!(used, wire.len());
             assert_eq!(view.artifact_bytes(), artifact::section_len(&d.artifacts));
@@ -653,7 +738,7 @@ mod tests {
         assert_eq!(mp.epochs_finished(), 1);
         let chunks = mp.finish_epoch_chunks(MAX_CHUNK_PAYLOAD).expect("fits");
         assert_eq!(chunks.len(), 3);
-        assert_eq!(mp.resend(1, &crate::session::Missing::All), chunks);
+        assert_eq!(mp.resend(1, &Missing::All), chunks);
     }
 
     #[test]
@@ -670,13 +755,13 @@ mod tests {
                 "strict prefix of {cut} bytes decoded"
             );
         }
-        let mut bad = wire.to_vec();
+        let mut bad = wire.clone();
         bad[0] = b'X';
         assert!(matches!(
             RouterDigestView::parse(&bad),
             Err(FrameError::BadMagic(_))
         ));
-        let mut bad = wire.to_vec();
+        let mut bad = wire.clone();
         bad[4] = 9;
         assert!(matches!(
             RouterDigestView::parse(&bad),
@@ -684,17 +769,19 @@ mod tests {
         ));
     }
 
+    /// Resends are re-cut from the kept bundle: byte for byte the frames
+    /// the close returned, for one epoch, above the ack watermark.
     #[test]
     fn resend_buffer_serves_one_epoch_and_prunes_on_ack() {
-        use crate::session::Missing;
-
-        let cfg = MonitorConfig::small(7, 1 << 12, 4);
+        // 64 KiB of aligned bitmap: over `MAX_CHUNKS` one-byte chunks.
+        let cfg = MonitorConfig::small(7, 1 << 19, 4);
         let mut mp = MonitoringPoint::new(6, &cfg);
         let mut r = StdRng::seed_from_u64(8);
         let pkts = background(&mut r, 300, 60);
         mp.observe_all(&pkts);
         let chunks = mp.finish_epoch_chunks(256).expect("bundle fits the wire");
-        assert!(chunks.len() > 1, "bundle should need several chunks");
+        let total = chunks.len() as u32;
+        assert!(total > 4, "bundle should need several chunks");
 
         // Reassembling the resent chunks reproduces the original wire
         // bundle exactly.
@@ -702,22 +789,52 @@ mod tests {
         assert_eq!(all, chunks);
         let some = mp.resend(0, &Missing::Seqs(vec![1, 3]));
         assert_eq!(some, vec![chunks[1].clone(), chunks[3].clone()]);
+        // A repeated seq is served again, in request order; seqs past the
+        // last chunk are skipped.
+        let odd = Missing::Seqs(vec![3, total, 1, 3, u32::MAX, total - 1]);
+        assert_eq!(
+            mp.resend(0, &odd),
+            [3, 1, 3, total - 1].map(|s| chunks[s as usize].clone())
+        );
         // Wrong epoch: nothing.
         assert!(mp.resend(9, &Missing::All).is_empty());
 
-        // Acks prune; pruned chunks are no longer resendable.
+        // Acks raise a watermark; chunks below it are no longer resent.
         mp.ack(0, 2);
         assert_eq!(mp.resend(0, &Missing::All), chunks[2..]);
         assert_eq!(
             mp.resend(0, &Missing::Seqs(vec![0, 1, 2])),
             vec![chunks[2].clone()]
         );
+        // A lower ack does not lower it; an ack for another epoch is
+        // ignored.
+        mp.ack(0, 1);
+        mp.ack(1, total);
+        assert_eq!(mp.resend(0, &Missing::All), chunks[2..]);
+        // An ack past the last chunk leaves nothing to resend.
+        mp.ack(0, total + 5);
+        assert!(mp.resend(0, &Missing::All).is_empty());
+        assert!(mp.resend(0, &Missing::Seqs(vec![0, total - 1])).is_empty());
 
         // The next epoch evicts the buffer entirely (one epoch deep).
         mp.observe_all(&pkts);
         let next = mp.finish_epoch_chunks(256).expect("bundle fits the wire");
         assert!(mp.resend(0, &Missing::All).is_empty());
         assert_eq!(mp.resend(1, &Missing::All), next);
+
+        // A close that fails still closes the epoch, and leaves nothing to
+        // resend: neither the failed epoch nor the one before it.
+        assert_eq!(
+            mp.finish_epoch_chunks(1).unwrap_err(),
+            FrameError::TooLarge("bundle needs more than MAX_CHUNKS chunks")
+        );
+        assert!(mp.resend(1, &Missing::All).is_empty());
+        assert!(mp.resend(2, &Missing::All).is_empty());
+        mp.ack(2, 1);
+        assert!(mp.resend(2, &Missing::Seqs(vec![1])).is_empty());
+        // The epoch after it ships and resends as usual.
+        let after = mp.finish_epoch_chunks(256).expect("bundle fits the wire");
+        assert_eq!(mp.resend(3, &Missing::All), after);
     }
 
     #[test]

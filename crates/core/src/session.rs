@@ -161,17 +161,16 @@ pub enum Missing {
 }
 
 impl Missing {
-    /// The entries of `chunks` (indexed by chunk sequence number) this
-    /// request asks for, in request order. A request is outside input: a
-    /// sequence number beyond `chunks` selects nothing, and a repeated one
-    /// selects its chunk again.
-    pub fn select<'a, T>(&'a self, chunks: &'a [T]) -> impl Iterator<Item = &'a T> {
-        let (all, seqs): (&[T], &[u32]) = match self {
-            Missing::All => (chunks, &[]),
-            Missing::Seqs(seqs) => (&[], seqs),
+    /// The sequence numbers, below `total`, this request asks for, in
+    /// request order. A request is outside input: a sequence number at or
+    /// past `total` selects nothing, and a repeated one selects its chunk
+    /// again.
+    pub fn seqs(&self, total: u32) -> impl Iterator<Item = u32> + '_ {
+        let (all, seqs): (_, &[u32]) = match self {
+            Missing::All => (0..total, &[]),
+            Missing::Seqs(seqs) => (0..0, seqs),
         };
-        all.iter()
-            .chain(seqs.iter().filter_map(move |&s| chunks.get(s as usize)))
+        all.chain(seqs.iter().copied().filter(move |&s| s < total))
     }
 }
 
@@ -509,7 +508,7 @@ impl CollectedEpoch {
         let mut exclusions = Vec::new();
         for (index, d) in digests.iter().enumerate() {
             match d.encode_wire() {
-                Ok(frame) => frames.push((index, frame.to_vec())),
+                Ok(frame) => frames.push((index, frame)),
                 Err(e) => exclusions.push(Exclusion {
                     index,
                     router_id: Some(d.router_id),
@@ -1485,20 +1484,14 @@ mod tests {
     }
 
     #[test]
-    fn missing_select_is_bounds_checked() {
-        let chunks = ["c0", "c1", "c2"];
-        assert_eq!(
-            Missing::All.select(&chunks).collect::<Vec<_>>(),
-            [&"c0", &"c1", &"c2"]
-        );
+    fn missing_seqs_are_bounds_checked() {
+        assert_eq!(Missing::All.seqs(3).collect::<Vec<_>>(), [0, 1, 2]);
         // An out-of-range seq (a NACK is outside input) selects nothing;
         // a duplicate selects its chunk again, in request order.
-        let nack = Missing::Seqs(vec![2, 7, 0, 2, u32::MAX]);
-        assert_eq!(
-            nack.select(&chunks).collect::<Vec<_>>(),
-            [&"c2", &"c0", &"c2"]
-        );
-        assert_eq!(Missing::Seqs(vec![0]).select::<u8>(&[]).count(), 0);
+        let nack = Missing::Seqs(vec![2, 7, 0, 2, 3, u32::MAX]);
+        assert_eq!(nack.seqs(3).collect::<Vec<_>>(), [2, 0, 2]);
+        assert_eq!(Missing::Seqs(vec![0]).seqs(0).count(), 0);
+        assert_eq!(Missing::All.seqs(0).count(), 0);
     }
 
     #[test]

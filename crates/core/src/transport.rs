@@ -170,20 +170,35 @@ pub fn chunk_bundle(
     );
     let total = bundle.len().div_ceil(max_payload).max(1);
     assert!(total <= MAX_CHUNKS as usize, "bundle needs too many chunks");
-    (0..total)
-        .map(|seq| {
-            let start = seq * max_payload;
-            let end = (start + max_payload).min(bundle.len());
-            ChunkFrame {
-                router_id,
-                epoch_id,
-                seq: seq as u32,
-                total: total as u32,
-                payload: &bundle[start..end],
-            }
-            .encode()
-        })
+    (0..total as u32)
+        .map(|seq| cut_chunk(router_id, epoch_id, bundle, max_payload, seq))
         .collect()
+}
+
+/// Frame `seq` of [`chunk_bundle`]`(router_id, epoch_id, bundle,
+/// max_payload)`, cut on its own: how a monitoring point re-encodes a
+/// resent chunk from the bundle it keeps.
+///
+/// # Panics
+/// Panics where [`chunk_bundle`] does, and if `seq` is not one of its
+/// frames.
+pub(crate) fn cut_chunk(
+    router_id: u64,
+    epoch_id: u64,
+    bundle: &[u8],
+    max_payload: usize,
+    seq: u32,
+) -> Vec<u8> {
+    let total = bundle.len().div_ceil(max_payload).max(1);
+    let start = seq as usize * max_payload;
+    ChunkFrame {
+        router_id,
+        epoch_id,
+        seq,
+        total: total as u32,
+        payload: &bundle[start..(start + max_payload).min(bundle.len())],
+    }
+    .encode()
 }
 
 #[cfg(test)]

@@ -129,7 +129,6 @@ pub fn ship_with_faults<R: Rng>(
         let encode = |d: &RouterDigest| -> Vec<u8> {
             d.encode_wire()
                 .expect("collector digests fit the wire format")
-                .to_vec()
         };
         match plan.fault_for(index) {
             None => frames.push(encode(digest)),

@@ -263,7 +263,7 @@ impl SoakConfig {
     /// The DCSR frames of [`Self::leaf_digests`], in leaf order.
     pub fn leaf_frames(&self, seed: u64) -> Vec<Vec<u8>> {
         (self.leaf_digests(seed).iter())
-            .map(|d| d.encode_wire().expect("leaf digests fit the wire").to_vec())
+            .map(|d| d.encode_wire().expect("leaf digests fit the wire"))
             .collect()
     }
 

@@ -46,6 +46,21 @@ proptest! {
     }
 
     #[test]
+    fn ln_choose_small_k_matches_the_exact_binomial(
+        bits in 0u32..=32,
+        low in any::<u64>(),
+        k in 0u64..=3,
+    ) {
+        // Every magnitude up to 2³² alike: `n` has `bits` significant bits.
+        let n = ((1u64 << bits) | (low & ((1u64 << bits) - 1))).min(1 << 32);
+        prop_assume!(k <= n);
+        let exact = (0..k).fold(1u128, |c, i| c * u128::from(n - i) / u128::from(i + 1));
+        let want = (exact as f64).ln();
+        let got = ln_choose(n, k);
+        prop_assert!((got - want).abs() <= 1e-12 * want.abs(), "C({n}, {k}): {got} vs {want}");
+    }
+
+    #[test]
     fn hypergeom_pmf_normalised(n in 2u64..120, i in 0u64..120, j in 0u64..120) {
         prop_assume!(i <= n && j <= n);
         let (lo, hi) = hypergeom_support(n, i, j);

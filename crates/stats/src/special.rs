@@ -74,7 +74,15 @@ pub fn ln_factorial(n: u64) -> f64 {
     }
 }
 
-/// Natural log of the binomial coefficient `C(n, k)`.
+/// Up to this `k`, [`ln_choose`] sums `ln(n − i)` instead of taking a
+/// difference of log-factorials. The difference cancels: `ln n!` carries
+/// an absolute error of an ulp of itself, about `n ln n · 1e-16`, which
+/// at `n = 2³²` is 1e-5 against an `ln C(n, 1)` of 22.
+const LN_CHOOSE_SUMMED_K: u64 = 3;
+
+/// Natural log of the binomial coefficient `C(n, k)`: for `min(k, n − k)`
+/// up to 3 the sum `Σ_{i<k} ln(n − i) − ln k!`, relative error below
+/// 1e-12 at any `n`; beyond it a difference of [`ln_factorial`]s.
 ///
 /// Returns `f64::NEG_INFINITY` when `k > n` (the coefficient is zero).
 pub fn ln_choose(n: u64, k: u64) -> f64 {
@@ -84,6 +92,9 @@ pub fn ln_choose(n: u64, k: u64) -> f64 {
     let k = k.min(n - k);
     if k == 0 {
         return 0.0;
+    }
+    if k <= LN_CHOOSE_SUMMED_K {
+        return (0..k).map(|i| ((n - i) as f64).ln()).sum::<f64>() - ln_factorial(k);
     }
     ln_factorial(n) - ln_factorial(k) - ln_factorial(n - k)
 }

@@ -135,10 +135,7 @@ fn digest() -> RouterDigest {
 }
 
 fn bundle() -> Vec<u8> {
-    digest()
-        .encode_wire()
-        .expect("a small digest fits")
-        .to_vec()
+    digest().encode_wire().expect("a small digest fits")
 }
 
 fn rows() -> Vec<Row> {

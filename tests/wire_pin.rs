@@ -133,7 +133,6 @@ fn leaf_frame(seed: u64, router_id: usize) -> Vec<u8> {
     mp.finish_epoch()
         .encode_wire()
         .expect("a small digest fits the wire")
-        .to_vec()
 }
 
 /// The DCSG, DCSK and control encoders' bytes: (a) a level-1 bundle of

@@ -14,6 +14,9 @@
 //! release and under `DCS_FORCE_SCALAR=1`. They change only when a
 //! checksum, a shipped frame byte, a screened column, a candidate, a
 //! search count, a group edge, a row-pair tally or a λ cell does.
+//! `group_graph_is_pinned`'s four were re-captured once, with no edge or
+//! tally moved, when the hash stopped reading `EpochStats::audited`, the
+//! flag of a run-time self-check.
 //! `group_graph_is_pinned` writes one `kernel pins: <kernel>` line to
 //! stderr, past the harness's capture, naming the popcount kernel the
 //! run dispatched to.
@@ -480,7 +483,7 @@ const GRAPH_CASES: [(&str, bool, f64); 4] = [
 /// auditing every third epoch over the nine epochs of [`graph_epochs`]
 /// at 8 % and 100 % group churn, on the uniform and the mixed weight
 /// regime. Each epoch feeds the sorted edge list and every `EpochStats`
-/// field, then the all-pairs `build_group_graph` edges and `pairs_exact`
+/// field but `audited`, then the all-pairs `build_group_graph` edges and `pairs_exact`
 /// of the same matrix, into one hash per case.
 #[test]
 fn group_graph_is_pinned() {
@@ -492,10 +495,10 @@ fn group_graph_is_pinned() {
         rows_per_group: GRAPH_K,
     };
     let pins = [
-        0x1434_119b_0b4a_5ec0_u64,
-        0x0f24_b24c_b97a_869c,
-        0x5324_2f33_e5cf_4b0c,
-        0xc2f2_4bba_bc34_a69d,
+        0x8091_b707_1ab9_3fbb_u64,
+        0x075f_2317_c59f_58c7,
+        0xbfdd_d142_931e_2d6d,
+        0x7489_5149_022d_9884,
     ];
     for (seed, ((name, uniform, churn), want)) in (41..).zip(GRAPH_CASES.into_iter().zip(pins)) {
         let epochs = graph_epochs(seed, uniform, churn);
@@ -513,7 +516,7 @@ fn group_graph_is_pinned() {
                 h.update(&v.to_le_bytes());
             }
             h.update(&(s.edges_live as u64).to_le_bytes());
-            h.update(&[u8::from(s.full_rebuild), u8::from(s.audited)]);
+            h.update(&[u8::from(s.full_rebuild)]);
             let (full, pairs_exact) = build_group_graph(m, layout, &tables.test);
             hash_edges(&full, &mut h);
             h.update(&pairs_exact.to_le_bytes());

@@ -10,8 +10,7 @@ use dcs_aligned::{refined_detect_cached, SearchConfig, SearchScratch};
 use dcs_bitmap::{BitmapView, RowMatrix};
 use dcs_obs::{MetricsRegistry, MetricsSnapshot};
 use dcs_unaligned::{
-    er_test, find_pattern, CoreFindConfig, GroupLayout, IncrementalConfig, IncrementalCorrelator,
-    LambdaTables,
+    er_test, find_pattern, CoreFindConfig, GroupLayout, IncrementalCorrelator, LambdaTables,
 };
 use std::sync::{Mutex, MutexGuard};
 use std::time::Instant;
@@ -45,14 +44,6 @@ pub struct AnalysisConfig {
     /// [`IngestError::QuorumTooSmall`] instead of running the pipelines
     /// on a sliver of the deployment. 1 = run on whatever survives.
     pub min_quorum: usize,
-    /// Unaligned graph engine settings: the test graph and the detection
-    /// graph an alarm reads are maintained incrementally across epochs
-    /// by one pair loop (delta re-test of changed groups only, one
-    /// popcount a row pair for both), and each is audited against its
-    /// all-pairs build ([`dcs_unaligned::build_group_graph`]) at this
-    /// cadence. The pair loop, like every stage, runs on the thread that
-    /// analyses the epoch.
-    pub ugraph: IncrementalConfig,
 }
 
 impl AnalysisConfig {
@@ -71,7 +62,6 @@ impl AnalysisConfig {
             component_threshold: None,
             corefind: CoreFindConfig::default(),
             min_quorum: 1,
-            ugraph: IncrementalConfig::default(),
         }
     }
 
@@ -145,12 +135,11 @@ const _: () = {
 impl AnalysisCenter {
     /// Creates the centre.
     pub fn new(cfg: AnalysisConfig) -> Self {
-        let correlator = IncrementalCorrelator::new(cfg.ugraph);
         AnalysisCenter {
             cfg,
             state: Mutex::new(CenterState {
                 scratch: EpochScratch::new(),
-                correlator,
+                correlator: IncrementalCorrelator::new(),
                 lambda: None,
                 threshold: None,
             }),
@@ -180,7 +169,7 @@ impl AnalysisCenter {
         self.state.lock().unwrap_or_else(|poisoned| {
             let mut state = poisoned.into_inner();
             state.scratch = EpochScratch::new();
-            state.correlator = IncrementalCorrelator::new(self.cfg.ugraph);
+            state.correlator = IncrementalCorrelator::new();
             self.state.clear_poison();
             state
         })
@@ -527,8 +516,7 @@ impl AnalysisCenter {
     /// The test and detection graphs are maintained incrementally across
     /// epochs and are bit-identical to their all-pairs oracles. Per-epoch
     /// engine accounting lands in the `pairs_exact_total` /
-    /// `graph_full_rebuilds_total` / `graph_audit_runs_total` counters
-    /// and the `graph_edges_live` / `graph_groups_changed` gauges; the λ
+    /// `graph_full_rebuilds_total` counters and the `graph_edges_live` / `graph_groups_changed` gauges; the λ
     /// tables report `lambda_quantiles_computed_total` (cells this epoch
     /// had to compute: those its re-tested row pairs read that no earlier
     /// epoch did) and `lambda_cells_filled` (cells the current pair
@@ -563,7 +551,6 @@ impl AnalysisCenter {
         let c = |name: &str, v: u64| self.metrics.counter(name, &[]).add(v);
         c("pairs_exact_total", gstats.pairs_exact);
         c("graph_full_rebuilds_total", u64::from(gstats.full_rebuild));
-        c("graph_audit_runs_total", u64::from(gstats.audited));
         let g = |name: &str, v: u64| self.metrics.gauge(name, &[]).set(v);
         g("graph_edges_live", gstats.edges_live as u64);
         g("graph_groups_changed", gstats.groups_changed as u64);
@@ -1379,9 +1366,8 @@ mod tests {
             })
             .collect();
 
-        let mut inc_cfg = AnalysisConfig::for_groups(routers * 4);
-        inc_cfg.ugraph.audit_every = 2;
-        let inc = AnalysisCenter::new(inc_cfg.clone());
+        let cfg = AnalysisConfig::for_groups(routers * 4);
+        let inc = AnalysisCenter::new(cfg.clone());
         let mut full_pairs = 0;
 
         for epoch in 0..5u64 {
@@ -1395,7 +1381,7 @@ mod tests {
                 d.epoch_id = epoch;
             }
             let a = inc.analyze_epoch(&digests).expect("quorum").unaligned;
-            let cold = AnalysisCenter::new(inc_cfg.clone());
+            let cold = AnalysisCenter::new(cfg.clone());
             let b = cold.analyze_epoch(&digests).expect("quorum").unaligned;
             let cold_snap = cold.metrics();
             assert_eq!(cold_snap.counter("graph_full_rebuilds_total"), Some(1));
@@ -1411,11 +1397,6 @@ mod tests {
             snap.counter("graph_full_rebuilds_total"),
             Some(1),
             "only the cold epoch may rebuild from scratch"
-        );
-        assert_eq!(
-            snap.counter("graph_audit_runs_total"),
-            Some(2),
-            "audit cadence 2 over 5 epochs"
         );
         assert!(snap.counter("pairs_exact_total").unwrap_or(0) > 0);
         assert!(snap.gauge("graph_edges_live").is_some());

@@ -1171,32 +1171,36 @@ mod tests {
         assert_eq!(bursts.unwrap_or(0), 0, "acks were advancing every tick");
     }
 
-    /// A lost last chunk is probed about one round trip after the ack
-    /// that stops short of it: not when the resend timer (200 ms here)
-    /// fires, nor after a kernel jiffy. A plain `UdpSocket` plays the
-    /// centre: it acks every chunk it holds, drops the first copy of the
-    /// final chunk, and times how long the second copy takes.
+    /// A lost last chunk comes back as the monitor's tail probe, not in
+    /// a resend burst. A plain `UdpSocket` plays the centre: it acks
+    /// every chunk it holds and drops the first copy of the final chunk.
+    /// A manual clock stands at tick 1 while the acks go out, then steps
+    /// one tick at a time until the probe comes, and never reaches the
+    /// resend timer (1,000 ticks past the last ack), so the probe alone
+    /// can recover the chunk. How many ticks the probe takes is
+    /// `dcs_sim::hop`'s `a_lost_tail_is_probed_a_pto_after_the_short_ack`.
     #[test]
-    fn a_lost_tail_is_probed_within_3_ms() {
+    fn a_lost_tail_is_recovered_by_the_probe() {
+        const RESEND_AFTER: u64 = 1_000;
         let bundle: Vec<u8> = (0..8_000u32).map(|i| (i % 251) as u8).collect();
         let chunks = chunk_bundle(8, 0, &bundle, 1000);
         let last = chunks.len() as u32 - 1;
         let metrics = MetricsRegistry::new();
-        let clock = TickClock::new(Duration::from_micros(200));
+        let clock = ManualClock::new(0);
         let center = UdpSocket::bind("127.0.0.1:0").unwrap();
         center
             .set_read_timeout(Some(Duration::from_secs(5)))
             .unwrap();
         let mut sock =
             MonitorSocket::connect(center.local_addr().unwrap(), Transport::Udp).unwrap();
-        let (end, probed_after) = std::thread::scope(|s| {
+        let end = std::thread::scope(|s| {
             let monitor = s.spawn(|| {
                 let cfg = MonitorEpochConfig {
                     router_id: 8,
                     epoch_id: 0,
-                    resend_after: 1_000,
-                    max_backoff: 1_000,
-                    give_up: 10_000,
+                    resend_after: RESEND_AFTER,
+                    max_backoff: RESEND_AFTER,
+                    give_up: 10 * RESEND_AFTER,
                 };
                 run_monitor_epoch(&mut sock, &chunks, &cfg, &clock, &metrics)
             });
@@ -1210,30 +1214,37 @@ mod tests {
                 };
                 center.send_to(&frame.encode(), monitor_addr).unwrap();
             };
-            let mut held = 0;
-            let mut dropped_at = None;
-            let probed_after = loop {
-                let n = center.recv(&mut buf).unwrap();
-                let Ok((chunk, _)) = ChunkFrame::decode(&buf[..n]) else {
-                    continue;
-                };
-                match (chunk.seq == last, dropped_at) {
-                    (true, None) => dropped_at = Some(Instant::now()),
-                    (true, Some(at)) => break at.elapsed(),
-                    (false, _) => {
-                        held = held.max(chunk.seq + 1);
-                        ack(held);
-                    }
-                }
+            // The seq of the next frame to arrive, if it is a chunk.
+            let mut next_seq = || -> std::io::Result<Option<u32>> {
+                let n = center.recv(&mut buf)?;
+                Ok(ChunkFrame::decode(&buf[..n]).ok().map(|(c, _)| c.seq))
             };
+            clock.set(1);
+            let mut held = 0;
+            while held < last {
+                if let Some(seq) = next_seq().unwrap() {
+                    held = held.max(seq + 1);
+                    ack(held);
+                }
+            }
+            // The tail itself: this copy is lost.
+            while next_seq().unwrap() != Some(last) {}
+            center
+                .set_read_timeout(Some(Duration::from_millis(5)))
+                .unwrap();
+            let probe = (2..RESEND_AFTER).find_map(|tick| {
+                clock.set(tick);
+                next_seq().ok().flatten()
+            });
+            assert_eq!(probe, Some(last), "the probe re-sends the lost tail");
             ack(last + 1);
-            (monitor.join().unwrap(), probed_after)
+            monitor.join().unwrap()
         });
         assert_eq!(end, MonitorEpochEnd::Delivered);
-        assert!(
-            probed_after < Duration::from_millis(3),
-            "the probe came {probed_after:?} after the tail was lost"
-        );
+        let bursts = metrics
+            .snapshot()
+            .counter("socket_resend_bursts_total{role=monitor}");
+        assert_eq!(bursts.unwrap_or(0), 0, "the resend timer never fired");
     }
 
     /// A monitor restarted mid-epoch re-ships the epoch from seq 0 to a

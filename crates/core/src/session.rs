@@ -240,9 +240,11 @@ pub struct RouterSession {
     next_request_at: u64,
     /// No retransmit budget left; the session will never request again.
     gave_up: bool,
-    /// Seqs whose frames failed CRC at least once (via salvage), still
-    /// missing or since recovered.
-    crc_failed_seqs: Vec<u32>,
+    /// Salvaged seqs of frames that failed CRC (a clean arrival removes
+    /// its seq), each below the declared total (below `MAX_CHUNKS` while
+    /// it is unknown): an untrusted header can grow the set no further
+    /// than the bundle, nor get a seq past it named in a fault.
+    crc_failed_seqs: BTreeSet<u32>,
 }
 
 impl RouterSession {
@@ -257,7 +259,7 @@ impl RouterSession {
             attempts: 0,
             next_request_at: 0,
             gave_up: false,
-            crc_failed_seqs: Vec::new(),
+            crc_failed_seqs: BTreeSet::new(),
         };
         s.next_request_at = now
             .saturating_add(cfg.base_backoff)
@@ -359,6 +361,7 @@ impl RouterSession {
                 }
                 self.total = Some(frame.total);
                 self.chunks.resize(frame.total as usize, None);
+                self.crc_failed_seqs.split_off(&frame.total);
             }
             Some(t) if t != frame.total => {
                 return ChunkDisposition::Inconsistent {
@@ -377,10 +380,19 @@ impl RouterSession {
         self.received += 1;
         self.high = self.high.max(frame.seq as usize + 1);
         self.advance_ack();
-        self.crc_failed_seqs.retain(|&s| s != frame.seq);
+        self.crc_failed_seqs.remove(&frame.seq);
         ChunkDisposition::Accepted {
             router_id: self.router_id,
             cumulative_ack: self.cumulative_ack(),
+        }
+    }
+
+    /// Remembers the salvaged seq of a frame that failed CRC, for fault
+    /// attribution, unless it lies at or past the declared total (or
+    /// `MAX_CHUNKS` while the total is unknown).
+    fn note_crc_failure(&mut self, seq: u32) {
+        if seq < self.total.unwrap_or(MAX_CHUNKS) {
+            self.crc_failed_seqs.insert(seq);
         }
     }
 
@@ -434,12 +446,11 @@ impl RouterSession {
     /// The exclusion fault for an incomplete session at finalize time.
     fn failure(&self, past_deadline: bool) -> RouterFault {
         let total = self.total.map_or(0, |t| t as usize);
-        let unrecovered: Option<u32> = self
+        let unrecovered = self
             .crc_failed_seqs
             .iter()
             .copied()
-            .filter(|&s| self.chunks.get(s as usize).is_none_or(|c| c.is_none()))
-            .min();
+            .find(|&s| self.chunks.get(s as usize).is_none_or(|c| c.is_none()));
         if let Some(seq) = unrecovered {
             if self.gave_up || past_deadline {
                 return RouterFault::ChecksumMismatch { seq };
@@ -657,9 +668,7 @@ impl EpochCollector {
                                 // Fast NACK: pull the timer forward so the
                                 // next poll re-requests immediately, and
                                 // remember the seq for fault attribution.
-                                if !s.crc_failed_seqs.contains(&seq) {
-                                    s.crc_failed_seqs.push(seq);
-                                }
+                                s.note_crc_failure(seq);
                                 if !s.is_complete() && !s.gave_up {
                                     s.next_request_at = s.next_request_at.min(now);
                                 }
@@ -928,11 +937,15 @@ impl EpochCollector {
             let total = r.count(MAX_CHUNKS as usize, 0, "total over cap")?;
             let n_failed = r.count(usize::MAX, 4, "failed-seq count")?;
             let mut session = RouterSession::new(router_id, &cfg.session, seed, now);
-            session.crc_failed_seqs = (0..n_failed).map(|_| r.u32()).collect::<Result<_, _>>()?;
             if total > 0 {
-                let bitmap = r.bytes(total.div_ceil(8))?;
                 session.total = Some(total as u32);
                 session.chunks = vec![None; total];
+            }
+            for _ in 0..n_failed {
+                session.note_crc_failure(r.u32()?);
+            }
+            if total > 0 {
+                let bitmap = r.bytes(total.div_ceil(8))?;
                 for seq in 0..total {
                     if bitmap[seq / 8] & (1 << (seq % 8)) != 0 {
                         let len = r.count(MAX_CHUNK_PAYLOAD, 1, "payload length over cap")?;
@@ -1670,6 +1683,61 @@ mod tests {
         assert!(
             epoch.exclusions.is_empty(),
             "recovered session must not be excluded"
+        );
+    }
+
+    /// A link that corrupts frames into thousands of distinct salvaged
+    /// seqs, most of them past the bundle, leaves the session holding
+    /// at most one seq a chunk of the bundle (`MAX_CHUNKS` while its
+    /// total is unknown), and the fault names a seq below the total.
+    #[test]
+    fn salvaged_seqs_stay_below_the_declared_total() {
+        let chunks = chunk_bundle(4, 2, &bundle_bytes(4, 500), 128);
+        // Chunk 1 with its payload corrupted and any seq in its header
+        // (the seq field sits past magic, version, router id and epoch
+        // id): its CRC fails and its header salvages.
+        let with_seq = |seq: u32| {
+            let mut f = chunks[1].clone();
+            f[21..25].copy_from_slice(&seq.to_le_bytes());
+            f[crate::transport::CHUNK_HEADER + 3] ^= 0x40;
+            assert_eq!(ChunkFrame::salvage_header(&f), Some((4, 2, seq)));
+            f
+        };
+        let mut coll = EpochCollector::new(2, [4], cfg(), 7, 0);
+        let flood = (MAX_CHUNKS - 8..MAX_CHUNKS + 4000).chain([u32::MAX]);
+        for seq in flood.clone() {
+            assert_eq!(coll.offer(&with_seq(seq), 0), ChunkDisposition::Corrupt);
+        }
+        assert_eq!(coll.sessions[&4].crc_failed_seqs.len(), 8);
+        // Learning the total (4) drops every recorded seq at or past it.
+        coll.offer(&chunks[0], 1);
+        assert!(coll.sessions[&4].crc_failed_seqs.is_empty());
+        for seq in (0..4000).rev().chain(flood) {
+            coll.offer(&with_seq(seq), 2);
+        }
+        let failed = &coll.sessions[&4].crc_failed_seqs;
+        assert_eq!(failed.iter().copied().collect::<Vec<_>>(), [0, 1, 2, 3]);
+        let epoch = coll.finalize(100);
+        assert_eq!(
+            epoch.exclusions[0].fault,
+            RouterFault::ChecksumMismatch { seq: 1 }
+        );
+
+        // Corrupt seqs past the total alone leave the session a plain
+        // straggler.
+        let mut coll = EpochCollector::new(2, [4], cfg(), 7, 0);
+        coll.offer(&chunks[0], 0);
+        for seq in 4..4000 {
+            coll.offer(&with_seq(seq), 1);
+        }
+        assert!(coll.sessions[&4].crc_failed_seqs.is_empty());
+        let epoch = coll.finalize(100);
+        assert_eq!(
+            epoch.exclusions[0].fault,
+            RouterFault::TimedOut {
+                received: 1,
+                total: 4
+            }
         );
     }
 

@@ -338,7 +338,8 @@ impl TierDriver {
 mod tests {
     use super::*;
     use dcs_core::ingest::RouterFault;
-    use dcs_core::session::SEND_WINDOW;
+    use dcs_core::session::{SessionConfig, SEND_WINDOW};
+    use dcs_core::transport::ChunkFrame;
     use std::cell::RefCell;
 
     fn stored_chunks(routers: u64, len: usize) -> Vec<Vec<Vec<u8>>> {
@@ -457,6 +458,83 @@ mod tests {
         // An ack came back every tick, so no probe timeout passed.
         let epoch = collector[0].finalize(now);
         assert_eq!(epoch.stats.chunks_received, 3 * SEND_WINDOW as u64);
+        assert_eq!(epoch.stats.duplicate_chunks, 0);
+    }
+
+    /// A collector that loses the first copy of router 0's chunk `last`
+    /// on its way in.
+    struct LosesTheTail {
+        collector: EpochCollector,
+        last: u32,
+        lost: bool,
+    }
+
+    impl Receiver for LosesTheTail {
+        fn answer(&mut self, frames: &[Vec<u8>], now: u64) -> Vec<ControlFrame> {
+            let mut kept = frames.to_vec();
+            kept.retain(|f| {
+                let tail = ChunkFrame::decode(f).is_ok_and(|(c, _)| c.seq == self.last);
+                let lose = tail && !self.lost;
+                self.lost |= lose;
+                !lose
+            });
+            self.collector.answer(&kept, now)
+        }
+        fn ready(&self, now: u64) -> bool {
+            self.collector.ready(now)
+        }
+    }
+
+    /// A lost last chunk is re-sent as the tail probe one probe timeout
+    /// after the ack that stops short of it, on a link one tick long:
+    /// long before the sender's resend timer or the collector's
+    /// retransmit timer (1,000 ticks each) could act.
+    #[test]
+    fn a_lost_tail_is_probed_a_pto_after_the_short_ack() {
+        let chunks = stored_chunks(1, 8 * 256);
+        let last = chunks[0].len() as u32 - 1;
+        let one_tick = ChannelConfig {
+            base_delay: 1,
+            ..ChannelConfig::perfect()
+        };
+        let mut channels = [LossyChannel::new(one_tick, 1)];
+        let patient = CollectorConfig {
+            deadline: 1 << 20,
+            session: SessionConfig {
+                base_backoff: 1_000,
+                ..SessionConfig::default()
+            },
+            ..CollectorConfig::default()
+        };
+        let mut receiver = [LosesTheTail {
+            collector: EpochCollector::new(0, [0], patient, 1, 0),
+            last,
+            lost: false,
+        }];
+        let cfg = MonitorEpochConfig {
+            router_id: 0,
+            epoch_id: 0,
+            resend_after: 1_000,
+            max_backoff: 1_000,
+            give_up: 10_000,
+        };
+        let mut now = 0;
+        let converged = drive_hop(
+            &mut channels,
+            &mut receiver,
+            &mut [Sender::new(0, &chunks[0], &cfg, 0)],
+            &mut now,
+            100,
+            |_, _, _| {},
+        );
+        assert!(converged && receiver[0].lost);
+        // Tick 0 sends every chunk, and tick 1 acks all but the last: a
+        // one-tick round trip (SRTT 1, RTTVAR ½), so the probe timeout
+        // is 1 + 4·½ = 3 ticks. The probe goes at tick 4 and lands at 5.
+        assert_eq!(now, 5);
+        let epoch = receiver[0].collector.finalize(now);
+        assert!(epoch.exclusions.is_empty());
+        assert_eq!(epoch.stats.chunks_received, chunks[0].len() as u64);
         assert_eq!(epoch.stats.duplicate_chunks, 0);
     }
 

@@ -16,7 +16,7 @@
 //! the incremental correlator decides the test graph (Λ) and the
 //! detection graph (Λ′) of the changed groups in one pass;
 //! [`build_group_graph`] is the loop over every group under one table,
-//! the all-pairs build both graphs are audited against. A count is
+//! the all-pairs reference the tests hold both graphs to. A count is
 //! compared with a coarse-grid λ cell first (`GRID`), so the λ quantiles
 //! the loop computes are mostly the grid's, shared by every pair whose
 //! weights round to it.

@@ -21,30 +21,16 @@
 //! Steady-state work is `O(c · n)` group tests for churn fraction `c`
 //! instead of `O(n²/2)` — the headline subquadratic win on persisting
 //! traffic — and an alarm epoch, which reads the detection graph, costs
-//! no more. Correctness does not rest on trust: every
-//! [`IncrementalConfig::audit_every`]-th epoch the engine runs the
-//! all-pairs build of each graph anyway and asserts both edge lists are
-//! identical (audit work is kept out of the pair tally so the metrics
-//! keep describing the incremental path).
+//! no more. Equality with the all-pairs
+//! [`build_group_graph`](crate::build_group_graph) of each graph is
+//! proved offline, on every epoch of seeded and randomised churn (this
+//! module's tests and the workspace's group-graph pins); the verdict
+//! path runs no second build.
 
 use crate::graphbuild::{edges_touching, graph_of, GroupLayout};
 use crate::lambda::LambdaTables;
 use dcs_bitmap::RowMatrix;
 use dcs_graph::Graph;
-
-/// Knobs for the incremental engine.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct IncrementalConfig {
-    /// Run the full-rebuild equality audit every this many epochs
-    /// (`0` disables the audit; `1` audits every epoch).
-    pub audit_every: u64,
-}
-
-impl Default for IncrementalConfig {
-    fn default() -> Self {
-        IncrementalConfig { audit_every: 16 }
-    }
-}
 
 /// What one incremental epoch did — the source for the engine's
 /// per-epoch metrics.
@@ -61,8 +47,6 @@ pub struct EpochStats {
     /// Whether this epoch paid a full from-scratch build (cold start or
     /// deployment-shape change).
     pub full_rebuild: bool,
-    /// Whether the full-rebuild equality audit ran this epoch.
-    pub audited: bool,
 }
 
 /// The deployment shape an incremental state is valid for; any change
@@ -83,8 +67,6 @@ struct Shape {
 /// persisting traffic.
 #[derive(Debug)]
 pub struct IncrementalCorrelator {
-    cfg: IncrementalConfig,
-    epochs_seen: u64,
     shape: Option<Shape>,
     prev_rows: RowMatrix,
     /// The live edges under Λ, then under Λ′: `(u, v)` with `u < v`,
@@ -92,12 +74,16 @@ pub struct IncrementalCorrelator {
     edges: [Vec<(u32, u32)>; 2],
 }
 
+impl Default for IncrementalCorrelator {
+    fn default() -> Self {
+        Self::new()
+    }
+}
+
 impl IncrementalCorrelator {
     /// A cold correlator: the first epoch is a full build.
-    pub fn new(cfg: IncrementalConfig) -> Self {
+    pub fn new() -> Self {
         IncrementalCorrelator {
-            cfg,
-            epochs_seen: 0,
             shape: None,
             prev_rows: RowMatrix::new(64),
             edges: [Vec::new(), Vec::new()],
@@ -110,10 +96,6 @@ impl IncrementalCorrelator {
     /// under `tables.test` — and the epoch's work accounting. The same
     /// pass brings the detection graph under `tables.detect` up to date for
     /// [`detection_graph`](Self::detection_graph).
-    ///
-    /// # Panics
-    /// Panics if the equality audit detects divergence (an engine bug by
-    /// definition — the audit exists to turn silent wrongness loud).
     pub fn epoch(
         &mut self,
         rows: &RowMatrix,
@@ -128,7 +110,6 @@ impl IncrementalCorrelator {
             rows_per_group: layout.rows_per_group,
             tables: both.map(|t| (t.n_bits(), t.p_star().to_bits())),
         };
-        self.epochs_seen += 1;
         let full_rebuild = self.shape != Some(shape);
 
         // Changed rows: all of them after a cold start or shape change,
@@ -166,30 +147,6 @@ impl IncrementalCorrelator {
             stats.pairs_exact = pairs_exact;
         }
         stats.edges_live = self.edges[0].len();
-
-        // An all-pairs epoch has nothing to audit.
-        if !full_rebuild
-            && self.cfg.audit_every > 0
-            && self.epochs_seen.is_multiple_of(self.cfg.audit_every)
-        {
-            // Full-rebuild audit: recompute each graph from scratch under
-            // its own table alone and demand edge equality. Deliberately
-            // outside the pair tally — metrics describe the incremental
-            // path, not the safety net.
-            for (table, edges) in both.into_iter().zip(&self.edges) {
-                let ([mut want], _) = edges_touching(rows, layout, [table], &vec![true; n]);
-                want.sort_unstable();
-                assert_eq!(
-                    *edges,
-                    want,
-                    "incremental graph (p* {}) diverged from full rebuild at epoch {}",
-                    table.p_star(),
-                    self.epochs_seen
-                );
-            }
-            stats.audited = true;
-        }
-
         (graph_of(n, &self.edges[0]), stats)
     }
 
@@ -286,7 +243,7 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(31);
         let layout = GroupLayout { rows_per_group: K };
         let t = tables(1e-4, 1e-3);
-        let mut corr = IncrementalCorrelator::new(IncrementalConfig { audit_every: 3 });
+        let mut corr = IncrementalCorrelator::new();
         let mut m = random_matrix(&mut rng, 14, Some(460));
         for epoch in 0..8u64 {
             let (g, stats) = corr.epoch(&m, layout, &t);
@@ -315,7 +272,7 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(33);
         let layout = GroupLayout { rows_per_group: K };
         let t = tables(1e-4, 1e-3);
-        let mut corr = IncrementalCorrelator::new(IncrementalConfig { audit_every: 0 });
+        let mut corr = IncrementalCorrelator::new();
         let m = random_matrix(&mut rng, 10, Some(460));
         let (g0, s0) = corr.epoch(&m, layout, &t);
         assert!(s0.full_rebuild);
@@ -333,7 +290,7 @@ mod tests {
     fn shape_change_forces_full_rebuild() {
         let mut rng = StdRng::seed_from_u64(34);
         let layout = GroupLayout { rows_per_group: K };
-        let mut corr = IncrementalCorrelator::new(IncrementalConfig::default());
+        let mut corr = IncrementalCorrelator::new();
         let m = random_matrix(&mut rng, 8, Some(460));
         corr.epoch(&m, layout, &tables(1e-4, 1e-3));
         let bigger = random_matrix(&mut rng, 12, Some(460));
@@ -372,7 +329,7 @@ mod tests {
             rows.iter().for_each(|r| m.push_bitmap(r));
             m
         };
-        let mut corr = IncrementalCorrelator::new(IncrementalConfig { audit_every: 0 });
+        let mut corr = IncrementalCorrelator::new();
         corr.epoch(&stack(&rows), layout, &t);
         for epoch in 0..4 {
             for g in (0..5).map(|i| (epoch * 5 + i) % GROUPS) {
@@ -414,7 +371,7 @@ mod tests {
             // p* high enough that random matrices grow real edges, so
             // churn has edges to drop.
             let t = tables(1e-2, 10f64.powi(-detect_exp));
-            let mut corr = IncrementalCorrelator::new(IncrementalConfig { audit_every: 2 });
+            let mut corr = IncrementalCorrelator::new();
             let mut m = random_matrix(&mut rng, groups, uniform);
             for (i, &frac) in fracs.iter().enumerate() {
                 let (g, _) = corr.epoch(&m, layout, &t);

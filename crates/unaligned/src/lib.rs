@@ -19,8 +19,7 @@
 //! * [`incremental`] — the cross-epoch delta engine: sorted edge lists of
 //!   the test graph (Λ) and the detection graph (Λ′) whose edges between
 //!   unchanged groups carry over, while pairs with a changed end are
-//!   re-tested for both at once, with a periodic all-pairs equality audit
-//!   of each;
+//!   re-tested for both at once;
 //! * [`matchmodel`] — the offset-sampling match-probability model
 //!   (`1 − e^(−k²/536)`) and the resulting pattern edge probability p₂;
 //! * [`thresholds`] — the non-naturally-occurring cluster bound of
@@ -40,7 +39,7 @@ pub mod thresholds;
 pub use corefind::{find_pattern, CoreFindConfig, PatternResult};
 pub use ertest::{er_test, ErTestResult};
 pub use graphbuild::{build_group_graph, GroupLayout};
-pub use incremental::{EpochStats, IncrementalConfig, IncrementalCorrelator};
+pub use incremental::{EpochStats, IncrementalCorrelator};
 pub use lambda::{LambdaTable, LambdaTables};
 pub use matchmodel::{offset_match_prob, pattern_edge_prob, MatchModel};
 pub use thresholds::{cluster_threshold, ClusterThreshold};

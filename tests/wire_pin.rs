@@ -15,8 +15,8 @@
 //! checksum, a shipped frame byte, a screened column, a candidate, a
 //! search count, a group edge, a row-pair tally or a λ cell does.
 //! `group_graph_is_pinned`'s four were re-captured once, with no edge or
-//! tally moved, when the hash stopped reading `EpochStats::audited`, the
-//! flag of a run-time self-check.
+//! tally moved, when the hash dropped the flag of a run-time self-check
+//! the engine no longer runs.
 //! `group_graph_is_pinned` writes one `kernel pins: <kernel>` line to
 //! stderr, past the harness's capture, naming the popcount kernel the
 //! run dispatched to.
@@ -37,8 +37,7 @@ use dcs_hash::crc32::{crc32, Crc32};
 use dcs_hash::Fnv1a;
 use dcs_traffic::{gen, BackgroundConfig, SizeMix};
 use dcs_unaligned::{
-    build_group_graph, GroupLayout, IncrementalConfig, IncrementalCorrelator, LambdaTable,
-    LambdaTables,
+    build_group_graph, GroupLayout, IncrementalCorrelator, LambdaTable, LambdaTables,
 };
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
@@ -480,11 +479,12 @@ const GRAPH_CASES: [(&str, bool, f64); 4] = [
 ];
 
 /// The unaligned group graph, epoch by epoch: an `IncrementalCorrelator`
-/// auditing every third epoch over the nine epochs of [`graph_epochs`]
-/// at 8 % and 100 % group churn, on the uniform and the mixed weight
-/// regime. Each epoch feeds the sorted edge list and every `EpochStats`
-/// field but `audited`, then the all-pairs `build_group_graph` edges and `pairs_exact`
-/// of the same matrix, into one hash per case.
+/// over the nine epochs of [`graph_epochs`] at 8 % and 100 % group
+/// churn, on the uniform and the mixed weight regime. Each epoch feeds
+/// the sorted edge list and every `EpochStats` field, then the all-pairs
+/// `build_group_graph` edges and `pairs_exact` of the same matrix, into
+/// one hash per case; the correlator's Λ edges must equal that build's
+/// on every epoch.
 #[test]
 fn group_graph_is_pinned() {
     // One line past the harness's capture naming the popcount kernel the
@@ -503,9 +503,9 @@ fn group_graph_is_pinned() {
     for (seed, ((name, uniform, churn), want)) in (41..).zip(GRAPH_CASES.into_iter().zip(pins)) {
         let epochs = graph_epochs(seed, uniform, churn);
         let tables = graph_tables();
-        let mut corr = IncrementalCorrelator::new(IncrementalConfig { audit_every: 3 });
+        let mut corr = IncrementalCorrelator::new();
         let mut h = Fnv1a::new();
-        for m in &epochs {
+        for (epoch, m) in epochs.iter().enumerate() {
             let (graph, s) = corr.epoch(m, layout, &tables);
             hash_edges(&graph, &mut h);
             for v in [
@@ -518,6 +518,11 @@ fn group_graph_is_pinned() {
             h.update(&(s.edges_live as u64).to_le_bytes());
             h.update(&[u8::from(s.full_rebuild)]);
             let (full, pairs_exact) = build_group_graph(m, layout, &tables.test);
+            assert_eq!(
+                graph.edges().collect::<Vec<_>>(),
+                full.edges().collect::<Vec<_>>(),
+                "{name}: epoch {epoch}"
+            );
             hash_edges(&full, &mut h);
             h.update(&pairs_exact.to_le_bytes());
         }
@@ -544,7 +549,7 @@ fn detection_graph_is_pinned() {
     for (seed, ((name, uniform, churn), want)) in (41..).zip(GRAPH_CASES.into_iter().zip(pins)) {
         let epochs = graph_epochs(seed, uniform, churn);
         let tables = graph_tables();
-        let mut corr = IncrementalCorrelator::new(IncrementalConfig { audit_every: 3 });
+        let mut corr = IncrementalCorrelator::new();
         let mut h = Fnv1a::new();
         for (epoch, m) in epochs.iter().enumerate() {
             corr.epoch(m, layout, &tables);

@@ -516,12 +516,12 @@ impl AnalysisCenter {
     /// The test and detection graphs are maintained incrementally across
     /// epochs and are bit-identical to their all-pairs oracles. Per-epoch
     /// engine accounting lands in the `pairs_exact_total` /
-    /// `graph_full_rebuilds_total` counters and the `graph_edges_live` / `graph_groups_changed` gauges; the λ
-    /// tables report `lambda_quantiles_computed_total` (cells this epoch
-    /// had to compute: those its re-tested row pairs read that no earlier
-    /// epoch did) and `lambda_cells_filled` (cells the current pair
-    /// holds). All are registered every epoch, so the keys exist even at
-    /// zero.
+    /// `graph_full_rebuilds_total` counters and the `graph_edges_live` /
+    /// `graph_groups_changed` gauges; the λ tables report
+    /// `lambda_quantiles_computed_total` (cells this epoch had to
+    /// compute: those its re-tested row pairs read that no earlier epoch
+    /// did) and `lambda_cells_filled` (cells the current pair holds).
+    /// All are registered every epoch, so the keys exist even at zero.
     fn unaligned_from_rows(
         &self,
         state: &mut CenterState,

@@ -22,10 +22,11 @@
 //!   ([`ColumnCounts`]: plane k = bit k of 64 columns' counts a word);
 //! * the heaviest-column screen compares no two columns until the n′
 //!   survivors are sorted: a weight takes one of `nrows + 1` values, so
-//!   a binary search over the threshold — each probe one bit-sliced
-//!   comparator pass over the planes — finds the cut weight, and only
-//!   the n′ columns at or above it are decoded and gathered, bit by bit
-//!   from the rows, into the column-major working matrix;
+//!   a binary search over the threshold — each probe a sum of the
+//!   counts' per-block table, no plane read — finds the cut weight, and
+//!   only the n′ columns at or above it are decoded (the comparator
+//!   runs only on blocks that hold one) and gathered, bit by bit from
+//!   the rows, into the column-major working matrix;
 //! * the expansion sweep is the same count over only the core's rows,
 //!   thresholded at `weight(core) − γ`;
 //! * the per-iteration fan-out of each hopeful over the screened columns
@@ -481,8 +482,9 @@ pub fn refined_detect_cached<S: WordSource>(
 /// between columns: a binary search finds the cut weight w* — the
 /// greatest t with `count_ge(t) ≥ n′` — every column heavier than w* is
 /// kept, and of those that weigh exactly w* the first
-/// `n′ − count(w > w*)`: the lowest indices, as the tie-break asks. Only
-/// the survivors' weights are read, and only they are sorted.
+/// `n′ − count(w > w*)`: the lowest indices, as the tie-break asks. The
+/// search reads only the counts' per-block table, the survivors are
+/// found on the blocks that hold one, and only they are sorted.
 pub fn screen(counts: &ColumnCounts, n_prime: usize, order: &mut Vec<usize>) {
     let n_prime = n_prime.min(counts.ncols());
     let (mut cut, mut hi) = (0, counts.rows() as u32);
@@ -496,8 +498,7 @@ pub fn screen(counts: &ColumnCounts, n_prime: usize, order: &mut Vec<usize>) {
     }
     order.clear();
     order.extend(counts.iter_ge(cut + 1));
-    let ties = counts.iter_ge(cut).filter(|&j| counts.at(j) == cut);
-    order.extend(ties.take(n_prime - order.len()));
+    order.extend(counts.iter_eq(cut).take(n_prime - order.len()));
     // Both runs ascend in index and the ties weigh least, so a stable
     // sort by weight alone leaves equal weights in index order.
     order.sort_by_cached_key(|&j| Reverse(counts.at(j)));
@@ -790,6 +791,43 @@ mod tests {
                         );
                     }
                 }
+            }
+        }
+        // Wide, sparse stacks — `collect-mix`'s 2 rows × 4 Mbit at ≈ 0.07 %
+        // fill with 30 columns common to both rows among them — where
+        // whole 8,192-column counting blocks hold no column above the
+        // cut, and an n′ past the nonzero columns, which ends in
+        // zero-weight ties.
+        for (nrows, n, ones) in [
+            (2usize, 4 << 20, 2_900),
+            (3, 70_000, 40),
+            (24, 600_000, 900),
+        ] {
+            let mut rows = vec![Bitmap::new(n); nrows];
+            let common: Vec<usize> = (0..30).map(|_| r.gen_range(0..n)).collect();
+            for row in &mut rows {
+                (0..ones).for_each(|_| _ = row.set(r.gen_range(0..n)));
+                common.iter().for_each(|&j| _ = row.set(j));
+            }
+            let mut weights = vec![0u32; n];
+            rows.iter()
+                .flat_map(Bitmap::iter_ones)
+                .for_each(|j| weights[j] += 1);
+            let nonzero = weights.iter().filter(|&&w| w > 0).count();
+            counts.count(&rows, |_| true);
+            for n_prime in [1, 200, nonzero, nonzero + 5] {
+                screen(&counts, n_prime, &mut order);
+                let want = screen_reference(&weights, n_prime);
+                assert_eq!(order, want, "nrows {nrows}, n {n}, n_prime {n_prime}");
+                let cut = weights[*want.last().unwrap()];
+                let empty_blocks = weights
+                    .chunks(8_192)
+                    .filter(|b| b.iter().all(|&w| w <= cut))
+                    .count();
+                assert!(
+                    n_prime >= nonzero || empty_blocks > 0,
+                    "nrows {nrows}, n {n}, n_prime {n_prime}: no block to skip"
+                );
             }
         }
     }

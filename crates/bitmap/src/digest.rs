@@ -137,6 +137,14 @@ impl WordSource for BitmapView<'_> {
                 .expect("8-byte slice"),
         )
     }
+
+    #[inline]
+    fn read_words(&self, first: usize, out: &mut [u64]) {
+        let bytes = &self.body[first * 8..(first + out.len()) * 8];
+        for (w, b) in out.iter_mut().zip(bytes.chunks_exact(8)) {
+            *w = u64::from_le_bytes(b.try_into().expect("8-byte chunk"));
+        }
+    }
 }
 
 #[cfg(test)]

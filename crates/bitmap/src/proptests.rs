@@ -3,14 +3,15 @@
 //! references for every slice length — vector body, vector remainder,
 //! and masked tails alike — and count saturated slices exactly) and the
 //! bit-sliced column counts (against the weights of the gathered
-//! columns).
+//! columns, from owned rows and from wire views), and the bulk word
+//! reads of both row sources.
 
 use crate::words::tests::available_kernels;
 use crate::words::{
     and_weight_each_into, and_weight_each_with, and_weight_scalar, and_weight_with, tail_mask,
     weight_scalar, weight_with, words_for,
 };
-use crate::{Bitmap, ColMatrix, ColumnCounts, RowMatrix};
+use crate::{Bitmap, BitmapView, ColMatrix, ColumnCounts, RowMatrix, WordSource, DIGEST_HEADER};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -206,10 +207,47 @@ fn seeded_rows(rng: &mut StdRng, nrows: usize, bits: usize, fill: f64) -> Vec<Bi
         .collect()
 }
 
+/// Each row's encoded frame behind a 4-byte prefix and before a 3-byte
+/// suffix: the words start at an odd byte offset of a larger buffer, as
+/// they do inside a DCSR frame.
+fn framed(rows: &[Bitmap]) -> Vec<Vec<u8>> {
+    rows.iter()
+        .map(|r| [&[0xA5; 4][..], &r.encode(), &[0x5A; 3]].concat())
+        .collect()
+}
+
+/// The views over the words of [`framed`] rows of `bits` bits.
+fn views(frames: &[Vec<u8>], bits: usize) -> Vec<BitmapView<'_>> {
+    frames
+        .iter()
+        .map(|f| BitmapView::new(bits, &f[4 + DIGEST_HEADER..f.len() - 3]).unwrap())
+        .collect()
+}
+
+/// Checks `counts` against the column weights `want`: every count, and
+/// the columns at or above and at exactly each threshold. t = 0 on a
+/// ragged tail reports every real column and no phantom; t past what the
+/// planes can hold reports none.
+fn assert_counts(counts: &ColumnCounts, want: &[u32], what: &str) {
+    assert_eq!(counts.ncols(), want.len(), "{what}");
+    let got: Vec<u32> = (0..want.len()).map(|j| counts.at(j)).collect();
+    assert_eq!(got, want, "{what}");
+    for t in 0..=counts.rows() as u32 + 2 {
+        let ge: Vec<usize> = (0..want.len()).filter(|&j| want[j] >= t).collect();
+        let eq: Vec<usize> = (0..want.len()).filter(|&j| want[j] == t).collect();
+        assert_eq!(counts.count_ge(t), ge.len(), "{what}, t {t}");
+        assert_eq!(counts.iter_ge(t).collect::<Vec<_>>(), ge, "{what}, t {t}");
+        assert_eq!(counts.iter_eq(t).collect::<Vec<_>>(), eq, "{what}, t {t}");
+    }
+    assert_eq!(counts.count_ge(u32::MAX), 0, "{what}");
+    assert_eq!(counts.iter_eq(u32::MAX).count(), 0, "{what}");
+}
+
 /// Row counts on both sides of every plane boundary and of the 64-row
 /// band, widths on both sides of every word edge (ragged tails) and one
 /// past a counting block, plus two multi-block widths whose last block
-/// is whole and partial; all rows and random subsets of them.
+/// is whole and partial; all rows and random subsets of them, counted
+/// from owned bitmaps and from views at an odd byte offset.
 #[test]
 fn column_counts_match_the_gathered_column_weights() {
     let mut rng = StdRng::seed_from_u64(61);
@@ -223,6 +261,8 @@ fn column_counts_match_the_gathered_column_weights() {
     for (nrows, bits) in grid.chain(multi_block) {
         let fill = [0.03, 0.5, 0.97][(nrows + bits) % 3];
         let rows = seeded_rows(&mut rng, nrows, bits, fill);
+        let frames = framed(&rows);
+        let views = views(&frames, bits);
         for subset in [false, true] {
             let picks: Vec<bool> = (0..nrows).map(|_| !subset || rng.gen()).collect();
             let picked: Vec<Bitmap> = rows
@@ -236,20 +276,41 @@ fn column_counts_match_the_gathered_column_weights() {
             } else {
                 ColMatrix::from_router_bitmaps(&picked).col_weights()
             };
-            counts.count(&rows, |r| picks[r]);
             let what = format!("{nrows} x {bits}, {} picked", picked.len());
-            assert_eq!(counts.ncols(), want.len(), "{what}");
-            let got: Vec<u32> = (0..want.len()).map(|j| counts.at(j)).collect();
-            assert_eq!(got, want, "{what}");
-            // t = 0 on a ragged tail reports every real column and no
-            // phantom; t past what the planes can hold reports none.
-            for t in 0..=nrows as u32 + 2 {
-                let ge: Vec<usize> = (0..want.len()).filter(|&j| want[j] >= t).collect();
-                assert_eq!(counts.count_ge(t), ge.len(), "{what}, t {t}");
-                assert_eq!(counts.iter_ge(t).collect::<Vec<_>>(), ge, "{what}, t {t}");
-            }
-            assert_eq!(counts.count_ge(u32::MAX), 0, "{what}");
+            counts.count(&rows, |r| picks[r]);
+            assert_counts(&counts, &want, &what);
+            counts.count(&views, |r| picks[r]);
+            assert_counts(&counts, &want, &format!("{what}, views"));
         }
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// A bulk read returns what a loop of `word` returns, on owned
+    /// bitmaps and on views at an odd byte offset, over any run.
+    #[test]
+    fn read_words_equals_a_loop_of_word(
+        bits in 0usize..3_000,
+        idxs in proptest::collection::vec(any::<usize>(), 0..200),
+        run in (any::<usize>(), any::<usize>()),
+    ) {
+        let bm = Bitmap::from_indices(bits, idxs.into_iter().filter(|_| bits > 0).map(|i| i % bits));
+        let frames = framed(std::slice::from_ref(&bm));
+        let view = views(&frames, bits)[0];
+        let words = words_for(bits);
+        let first = run.0 % (words + 1);
+        let len = run.1 % (words - first + 1);
+        let want: Vec<u64> = (first..first + len).map(|i| bm.word(i)).collect();
+        let mut out = vec![u64::MAX; len];
+        bm.read_words(first, &mut out);
+        prop_assert_eq!(&out, &want, "owned, words {}..{}", first, first + len);
+        out.fill(u64::MAX);
+        view.read_words(first, &mut out);
+        prop_assert_eq!(&out, &want, "view, words {}..{}", first, first + len);
+        let loop_of_word: Vec<u64> = (first..first + len).map(|i| view.word(i)).collect();
+        prop_assert_eq!(&loop_of_word, &want, "view words");
     }
 }
 
@@ -264,10 +325,20 @@ fn column_counts_reuse_their_store() {
     let mut rng = StdRng::seed_from_u64(63);
     let mut counts = ColumnCounts::default();
     counts.count(&seeded_rows(&mut rng, 24, 20_000, 0.5), |_| true);
-    let cap = counts.word_capacity();
-    assert!(cap > 0);
-    // Same shape, then fewer rows picked (fewer planes): nothing regrows.
-    counts.count(&seeded_rows(&mut rng, 24, 20_000, 0.5), |_| true);
-    counts.count(&seeded_rows(&mut rng, 24, 20_000, 0.5), |r| r % 3 == 0);
-    assert_eq!(counts.word_capacity(), cap);
+    let cap = (counts.word_capacity(), counts.table_capacity());
+    assert!(cap.0 > 0 && cap.1 > 0);
+    // Same shape, then fewer rows picked (fewer planes, a shorter table
+    // a block): nothing regrows, and the table of a refill is the
+    // refill's.
+    for pick in [|_| true, |r| r % 3 == 0] {
+        let rows = seeded_rows(&mut rng, 24, 20_000, 0.5);
+        counts.count(&rows, pick);
+        let picked: Vec<Bitmap> = (0..rows.len())
+            .filter(|&r| pick(r))
+            .map(|r| rows[r].clone())
+            .collect();
+        let want = ColMatrix::from_router_bitmaps(&picked).col_weights();
+        assert_counts(&counts, &want, &format!("refill of {} rows", picked.len()));
+        assert_eq!((counts.word_capacity(), counts.table_capacity()), cap);
+    }
 }

@@ -8,6 +8,12 @@
 //! views ([`BitmapView`]); this trait is the one seam between the two,
 //! so the zero-copy ingest path and the owned path share every kernel.
 //!
+//! A kernel that streams a run of words asks for them in bulk
+//! ([`WordSource::read_words`]): an owned bitmap copies its slice, and a
+//! view decodes its little-endian bytes eight at a time, which compiles
+//! to plain loads with no bounds check a word. Single-word reads
+//! ([`WordSource::word`]) serve the kernels that pick scattered bits.
+//!
 //! [`ColumnCounts::count`]: crate::ColumnCounts::count
 //! [`ColMatrix::gather_from_rows`]: crate::ColMatrix::gather_from_rows
 //! [`RowMatrix::push_row_from`]: crate::RowMatrix::push_row_from
@@ -33,6 +39,18 @@ pub trait WordSource {
     /// Panics if `i >= word_len()`.
     fn word(&self, i: usize) -> u64;
 
+    /// Fills `out` with words `first..first + out.len()`: what a loop of
+    /// [`word`](Self::word) returns, read in one run.
+    ///
+    /// # Panics
+    /// Panics if the run reaches past `word_len()`.
+    #[inline]
+    fn read_words(&self, first: usize, out: &mut [u64]) {
+        for (i, w) in out.iter_mut().enumerate() {
+            *w = self.word(first + i);
+        }
+    }
+
     /// Number of words (`ceil(bit_len / 64)`).
     #[inline]
     fn word_len(&self) -> usize {
@@ -50,6 +68,11 @@ impl WordSource for Bitmap {
     fn word(&self, i: usize) -> u64 {
         self.words()[i]
     }
+
+    #[inline]
+    fn read_words(&self, first: usize, out: &mut [u64]) {
+        out.copy_from_slice(&self.words()[first..first + out.len()]);
+    }
 }
 
 impl<S: WordSource + ?Sized> WordSource for &S {
@@ -61,5 +84,10 @@ impl<S: WordSource + ?Sized> WordSource for &S {
     #[inline]
     fn word(&self, i: usize) -> u64 {
         (**self).word(i)
+    }
+
+    #[inline]
+    fn read_words(&self, first: usize, out: &mut [u64]) {
+        (**self).read_words(first, out);
     }
 }

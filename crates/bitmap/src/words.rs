@@ -11,10 +11,11 @@
 //! the straight-line `count_ones` loops `weight_scalar` /
 //! `and_weight_scalar`, which the optimiser auto-vectorises. Both vector
 //! kernels hand slices shorter than `VECTOR_MIN_WORDS` (8) to the scalar
-//! loop. Every AND-popcount of the pipeline is 16 words or shorter — a
+//! loop. Every AND-popcount of the pair loops is 16 words or shorter — a
 //! 1,024-bit unaligned array, an aligned column of m ≤ 1,000 routers —
-//! so the shapes that matter are short ones. The scalar loops are the
-//! reference: the property tests assert both vector kernels are
+//! so the shapes that matter most are short ones; the one long shape is
+//! the 128-word block mask of the column counts' tally. The scalar loops
+//! are the reference: the property tests assert both vector kernels are
 //! bit-identical to them.
 //!
 //! [`and_weight_each_into`] is the batched form — one base slice against

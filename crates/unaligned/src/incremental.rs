@@ -230,21 +230,30 @@ mod tests {
         out
     }
 
-    fn assert_same_edges(a: &Graph, b: &Graph, what: &str) {
-        let mut ea: Vec<_> = a.edges().collect();
-        let mut eb: Vec<_> = b.edges().collect();
-        ea.sort_unstable();
-        eb.sort_unstable();
-        assert_eq!(ea, eb, "{what}");
+    /// Sorted edges of `g`.
+    fn edge_list(g: &Graph) -> Vec<(u32, u32)> {
+        let mut e: Vec<_> = g.edges().collect();
+        e.sort_unstable();
+        e
     }
 
+    fn assert_same_edges(a: &Graph, b: &Graph, what: &str) {
+        assert_eq!(edge_list(a), edge_list(b), "{what}");
+    }
+
+    /// Eight epochs of 30 % group churn. The p\* of both tables sits high
+    /// enough that each graph holds edges on every epoch and that every
+    /// delta epoch drops at least one edge the last epoch carried: a
+    /// correlator that kept a changed group's old edges, or missed its
+    /// new ones, differs from the oracle.
     #[test]
     fn incremental_tracks_oracle_over_epochs() {
         let mut rng = StdRng::seed_from_u64(31);
         let layout = GroupLayout { rows_per_group: K };
-        let t = tables(1e-4, 1e-3);
+        let t = tables(2e-2, 1e-1);
         let mut corr = IncrementalCorrelator::new();
         let mut m = random_matrix(&mut rng, 14, Some(460));
+        let mut last: Option<[Vec<(u32, u32)>; 2]> = None;
         for epoch in 0..8u64 {
             let (g, stats) = corr.epoch(&m, layout, &t);
             let oracle = oracle_group_graph(&m, layout, &t.test);
@@ -257,12 +266,21 @@ mod tests {
             );
             assert_eq!(stats.full_rebuild, epoch == 0);
             assert_eq!(stats.edges_live, oracle.m());
+            let now = [edge_list(&oracle), edge_list(&detect)];
+            for (i, graph) in ["Λ", "Λ′"].into_iter().enumerate() {
+                assert!(!now[i].is_empty(), "{graph} epoch {epoch} has no edge");
+                if let Some(before) = &last {
+                    let dropped = before[i].iter().any(|e| now[i].binary_search(e).is_err());
+                    assert!(dropped, "{graph} epoch {epoch} dropped no edge of the last");
+                }
+            }
             if epoch > 0 {
                 assert!(
                     stats.pairs_exact <= (stats.groups_changed * 14) as u64 * (K * K) as u64,
                     "delta epoch did more than changed × all work: {stats:?}"
                 );
             }
+            last = Some(now);
             m = churn(&mut rng, &m, 0.3, Some(460));
         }
     }

@@ -330,6 +330,28 @@ fn seeded_matrix(
     mat
 }
 
+/// `nrows` rows of `nbits` bits, each with `ones` random ones, and `b`
+/// random columns set on the first `a` rows: a live monitor's sparse
+/// digest, built as rows because its column store would not fit.
+fn sparse_rows(
+    seed: u64,
+    nrows: usize,
+    nbits: usize,
+    ones: usize,
+    (a, b): (usize, usize),
+) -> Vec<Bitmap> {
+    let mut rng = StdRng::seed_from_u64(seed);
+    let mut rows = vec![Bitmap::new(nbits); nrows];
+    for row in &mut rows {
+        (0..ones).for_each(|_| _ = row.set(rng.gen_range(0..nbits)));
+    }
+    for _ in 0..b {
+        let c = rng.gen_range(0..nbits);
+        rows[..a].iter_mut().for_each(|row| _ = row.set(c));
+    }
+    rows
+}
+
 fn detection_pin(det: &AlignedDetection) -> u64 {
     let mut h = Fnv1a::new();
     hash_detection(det, &mut h);
@@ -340,10 +362,19 @@ fn detection_pin(det: &AlignedDetection) -> u64 {
 /// The product search and the expansion sweep on the shapes that stress
 /// their inner loops differently: every candidate tying at the hopefuls
 /// bar (12 rows, and the sparse 24 rows whose products weigh 0–3), the
-/// half-full 24-row null, and columns of 2 and 16 words: each
-/// detection, and the exact scanned / pruned split of its search.
+/// half-full 24-row null, columns of 2 and 16 words, and the wide sparse
+/// 2- and 4-row stacks of live monitors, where almost every offer ties
+/// at the bar: each detection, and the exact scanned / pruned split of
+/// its search.
 #[test]
 fn search_results_are_pinned() {
+    let check = |name: &str, rows: &[Bitmap], cfg: &SearchConfig, want: u64, want_work| {
+        let mut scratch = SearchScratch::new();
+        let (det, _, work) = refined_detect_cached(rows, cfg, &mut scratch);
+        let got = detection_pin(&det);
+        assert_eq!(got, want, "{name}: got {got:#018x}");
+        assert_eq!((work.pairs_scanned, work.pairs_pruned), want_work, "{name}");
+    };
     // (shape, matrix, detection pin, (pairs_scanned, pairs_pruned)).
     let cases = [
         (
@@ -382,16 +413,32 @@ fn search_results_are_pinned() {
         hopefuls: 250,
         ..SearchConfig::default()
     };
-    for (name, mat, want, want_work) in &cases {
-        let mut scratch = SearchScratch::new();
-        let (det, _, work) = refined_detect_cached(&mat.row_bitmaps(), &cfg, &mut scratch);
-        let got = detection_pin(&det);
-        assert_eq!(got, *want, "{name}: got {got:#018x}");
-        assert_eq!(
-            (work.pairs_scanned, work.pairs_pruned),
-            *want_work,
-            "{name}"
-        );
+    for (name, mat, want, want_work) in cases {
+        check(name, &mat.row_bitmaps(), &cfg, want, want_work);
+    }
+
+    // `collect-mix`'s and `wire-udp-lossy`'s stacks at their (n′, H).
+    let wide = [
+        (
+            "2 x 4 Mbit at 0.07 % with 2 x 30",
+            sparse_rows(37, 2, 4 << 20, 2_900, (2, 30)),
+            0x37d0_9341_f654_1ca7,
+            (93_022, 52_615),
+        ),
+        (
+            "4 x 2 Mbit at 0.01 % with 3 x 30",
+            sparse_rows(38, 4, 2 << 20, 250, (3, 30)),
+            0x87ce_888a_41f9_2937,
+            (93_774, 52_615),
+        ),
+    ];
+    let cfg = SearchConfig {
+        n_prime: 200,
+        hopefuls: 100,
+        ..SearchConfig::default()
+    };
+    for (name, rows, want, want_work) in wide {
+        check(name, &rows, &cfg, want, want_work);
     }
 
     // The naive search sees the columns unsorted, so its weight-bound

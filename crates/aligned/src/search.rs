@@ -12,10 +12,15 @@
 //!   (canonical combinatorial order), which enumerates every column set at
 //!   most once — the paper's `w ∉ A_v` rule plus duplicate suppression;
 //! * the per-iteration "hopefuls" list keeps the H heaviest candidates —
-//!   the paper's priority queue of size O(n) — as a bucket queue: a
-//!   product weight takes one of `nrows + 1` values, so candidates are
-//!   grouped by weight (one FIFO each) and neither an offer nor an
-//!   eviction compares two of them, however many tie at the bar;
+//!   the paper's priority queue of size O(n) — by a top-H selection
+//!   that compares no two of them: a product weight takes one of
+//!   `nrows + 1` values, so the selector takes a parent's whole fan-out
+//!   run at once, logs the weights at or above the bar (16 at a time,
+//!   branch-free), counts them into a histogram that raises the bar
+//!   between runs, and ranks the survivors by a counting sort;
+//! * the hopefuls live in two flat generations — row words, weights and
+//!   members, one stride each — which swap every iteration, so an
+//!   iteration allocates nothing but its best product;
 //! * the refined search works on the rows it is given (owned bitmaps or
 //!   borrowed wire views) and never transposes them: one pass counts
 //!   every column's weight into bit-sliced counters
@@ -33,32 +38,29 @@
 //!   after it (iteration 1 fans out the single columns, i.e. all
 //!   2-products) goes through one batched AND-popcount kernel over the
 //!   working matrix's contiguous column store ([`and_weight_each_into`]);
-//! * the whole search runs on the caller's thread. One candidate queue
-//!   sees every offer in ascending `(parent, column)` order, so each
-//!   weight class already holds its candidates sorted, and the top-H
-//!   list is read off the classes from the heaviest down: the canonical
-//!   order of the full `(weight, parent, column)` tuple. The queue's bar
-//!   rises with every offer it keeps, so the weight-bound break prunes
-//!   against one bar and the scanned/pruned split is a function of the
-//!   input.
+//! * the whole search runs on the caller's thread. The selector sees
+//!   the runs in ascending `(parent, column)` order, so its log stays
+//!   sorted, ties at the bar resolve to the last logged, and the ranked
+//!   list is the canonical order of the full `(weight, parent, column)`
+//!   tuple. Each parent's run is pruned against the bar the runs before
+//!   it left — the bar of a bounded heap fed the same candidates — so
+//!   the scanned/pruned split is a function of the input.
 
 use crate::termination::{stop_point, TerminationConfig};
 use crate::thresholds::ln_natural_occurrence;
-use dcs_bitmap::words::{and_assign, and_weight_each_into, iter_ones, WORD_BITS};
+use dcs_bitmap::words::{and_weight_each_into, iter_ones, words_for, WORD_BITS};
 use dcs_bitmap::{ColMatrix, ColumnCounts, WordSource};
 use std::cmp::Reverse;
-use std::collections::VecDeque;
 use std::time::Instant;
 
 /// Reusable buffers for repeated refined detections (one per epoch).
 ///
 /// Holds everything [`refined_detect_cached`] needs between the row
 /// stack and the detection report: the column-count planes, the screened
-/// column order, the screened working matrix, and the popcount buffer
-/// of the product search's fan-outs. All of it is allocated on the
-/// first epoch and reused — steady-state detection performs no per-epoch
-/// counting or screening allocations beyond what the candidate products
-/// themselves need.
+/// column order, the screened working matrix, and the product search's
+/// hopefuls, fan-out and top-H buffers. All of it is allocated on the
+/// first epoch and reused — steady-state detection allocates only the
+/// weight curve and each iteration's best product.
 #[derive(Debug)]
 pub struct SearchScratch {
     /// Per-column counts: over every row for the screen, then over the
@@ -68,8 +70,8 @@ pub struct SearchScratch {
     order: Vec<usize>,
     /// The screened working matrix (the n′ heaviest columns).
     work: ColMatrix,
-    /// Popcount buffer of the product search's fan-outs.
-    fanout: Vec<u32>,
+    /// The product search's buffers.
+    hopefuls: Hopefuls,
 }
 
 impl Default for SearchScratch {
@@ -78,7 +80,7 @@ impl Default for SearchScratch {
             counts: ColumnCounts::default(),
             order: Vec::new(),
             work: ColMatrix::new(0, 0),
-            fanout: Vec::new(),
+            hopefuls: Hopefuls::default(),
         }
     }
 }
@@ -90,15 +92,26 @@ impl SearchScratch {
     }
 
     /// Capacities of the internal buffers (count-plane words, column
-    /// order, screened matrix words, fan-out slots) — diagnostic
-    /// hook for steady-state reuse tests: across epochs of equal shape
-    /// these must not grow.
-    pub fn capacities(&self) -> [usize; 4] {
+    /// order, screened matrix words, then the product search's: both
+    /// generations' words, weights and members, suffix maxima, fan-out,
+    /// top-H log, histogram and ranked slots) — diagnostic hook for
+    /// steady-state reuse tests: across epochs of equal shape these must
+    /// not grow.
+    pub fn capacities(&self) -> [usize; 11] {
+        let [words, weights, members, suffix, fanout, log, hist, ranked] =
+            self.hopefuls.capacities();
         [
             self.counts.word_capacity(),
             self.order.capacity(),
             self.work.word_capacity(),
-            self.fanout.capacity(),
+            words,
+            weights,
+            members,
+            suffix,
+            fanout,
+            log,
+            hist,
+            ranked,
         ]
     }
 }
@@ -209,7 +222,8 @@ impl AlignedDetection {
     }
 }
 
-/// A k-product under construction.
+/// A k-product: the best of one iteration, which the termination
+/// procedure and the verdict read.
 #[derive(Debug, Clone)]
 struct Product {
     words: Vec<u64>,
@@ -221,128 +235,280 @@ struct Product {
 /// A candidate product: `(weight, parent, column)`, compared as a tuple.
 type Candidate = (u32, u32, u32);
 
-/// The `cap` greatest candidates offered so far, as a bucket queue: a
-/// product weight takes one of `nrows + 1` values, so candidates are
-/// grouped by weight — one FIFO each — instead of compared.
+/// Weights [`TopH::offer_run`] filters against the bar at a time.
+const LANES: usize = 16;
+
+/// The `cap` greatest candidates of one fan-out, taken one parent's
+/// whole run at a time.
 ///
-/// Offers must arrive in ascending `(parent, column)` order (the fan-out
-/// walks its parents, and each parent's columns, upwards). Every FIFO
-/// is then sorted, the front of the lightest non-empty one is the least
-/// candidate held, and evicting it costs no comparison however many
-/// candidates tie at the bar.
-struct CandidateQueue {
+/// Runs must arrive in ascending `(parent, column)` order (the fan-out
+/// walks its parents upwards, and each run's columns are consecutive).
+/// A run's keepers — every weight at or above the bar — are appended to
+/// a log, which therefore stays in that order, and counted into a
+/// histogram of weights. Between runs the bar rises to the greatest `w`
+/// with `count(≥ w) ≥ cap`: the weight of the `cap`-th greatest
+/// candidate, the bar a bounded heap of the candidates offered so far
+/// would show. A log past `2·cap` is cut back to the `cap` greatest:
+/// every weight above the bar and the *last* ties at it, the greatest in
+/// `(parent, column)`.
+#[derive(Debug, Default)]
+struct TopH {
     cap: usize,
+    /// The weight below which no candidate can enter: once `cap` are
+    /// held, a weight *strictly* below the lightest loses to it for any
+    /// tie-break — while an equal weight may still win.
+    bar: u32,
+    /// Candidates offered at or above the bar.
+    above: usize,
+    /// `hist[w]`: candidates of weight `w` logged; after [`TopH::ranked`],
+    /// the counting sort's slots.
+    hist: Vec<usize>,
+    /// `2·cap` slots plus one run's, of which the first `len` are live.
+    log: Vec<Candidate>,
     len: usize,
-    /// Lightest non-empty weight class (`classes.len()` while empty).
-    floor: usize,
-    /// `classes[w]`: the `(parent, column)` of the held candidates of
-    /// weight `w`, oldest first.
-    classes: Vec<VecDeque<(u32, u32)>>,
+    /// The kept candidates, greatest first.
+    ranked: Vec<Candidate>,
 }
 
-impl CandidateQueue {
-    fn new(nrows: usize, cap: usize) -> Self {
-        CandidateQueue {
-            cap,
-            len: 0,
-            floor: nrows + 1,
-            classes: vec![VecDeque::new(); nrows + 1],
-        }
+impl TopH {
+    /// Empties the selector for a fan-out over products of `nrows` rows
+    /// whose runs are shorter than `max_run`.
+    fn reset(&mut self, nrows: usize, cap: usize, max_run: usize) {
+        self.cap = cap;
+        self.bar = 0;
+        self.above = 0;
+        self.hist.clear();
+        self.hist.resize(nrows + 1, 0);
+        self.log.resize(2 * cap + max_run, (0, 0, 0));
+        self.len = 0;
+        self.ranked.clear();
+        self.ranked.reserve_exact(cap);
     }
 
-    /// The weight below which no candidate can enter: once the queue is
-    /// full, a weight *strictly* below the lightest one held loses to it
-    /// for any tie-break — while an equal weight may still win.
-    fn bar(&self) -> u32 {
-        if self.len == self.cap && self.cap > 0 {
-            self.floor as u32
-        } else {
-            0
-        }
-    }
-
-    /// Offers a candidate; the queue keeps the `cap` greatest.
-    #[inline]
-    fn offer(&mut self, weight: u32, parent: u32, column: u32) {
-        if weight < self.bar() || self.cap == 0 {
+    /// Offers candidate `(weights[k], parent, start + k)` for every `k`.
+    fn offer_run(&mut self, parent: u32, start: u32, weights: &[u32]) {
+        if self.cap == 0 {
             return;
         }
-        let class = &mut self.classes[weight as usize];
         debug_assert!(
-            class.back().is_none_or(|&held| held < (parent, column)),
-            "offers must ascend in (parent, column)"
+            self.log[..self.len]
+                .last()
+                .is_none_or(|&(_, p, c)| (p, c) < (parent, start)),
+            "runs must ascend in (parent, column)"
         );
-        class.push_back((parent, column));
-        self.floor = self.floor.min(weight as usize);
-        if self.len < self.cap {
-            self.len += 1;
-            return;
+        let fresh = self.len;
+        let mut chunks = weights.chunks_exact(LANES);
+        let mut column = start;
+        for chunk in chunks.by_ref() {
+            self.log_chunk(parent, column, chunk);
+            column += LANES as u32;
         }
-        self.classes[self.floor].pop_front();
-        while self.classes[self.floor].is_empty() {
-            self.floor += 1;
+        self.log_chunk(parent, column, chunks.remainder());
+        for &(w, ..) in &self.log[fresh..self.len] {
+            self.hist[w as usize] += 1;
+        }
+        self.above += self.len - fresh;
+        while self.above - self.hist[self.bar as usize] >= self.cap {
+            self.above -= self.hist[self.bar as usize];
+            self.bar += 1;
+        }
+        if self.len > 2 * self.cap {
+            self.compact();
         }
     }
 
-    /// The candidates held, greatest first: the weight classes from the
-    /// heaviest down, each already in `(parent, column)` order.
-    fn ranked(&self) -> Vec<Candidate> {
-        let classes = self.classes.iter().enumerate().rev();
-        classes
-            .flat_map(|(w, class)| class.iter().rev().map(move |&(p, c)| (w as u32, p, c)))
-            .collect()
+    /// Logs the weights of `chunk` at or above the bar. A chunk with none
+    /// costs one OR-reduce; one with some writes every slot, branch-free,
+    /// and advances the log only past a keeper.
+    #[inline(always)]
+    fn log_chunk(&mut self, parent: u32, start: u32, chunk: &[u32]) {
+        let bar = self.bar;
+        if !chunk.iter().fold(false, |any, &w| any | (w >= bar)) {
+            return;
+        }
+        let mut len = self.len;
+        for (&w, column) in chunk.iter().zip(start..) {
+            self.log[len] = (w, parent, column);
+            len += usize::from(w >= bar);
+        }
+        self.len = len;
+    }
+
+    /// Cuts the log back to the `cap` greatest candidates, in order.
+    fn compact(&mut self) {
+        let bar = self.bar;
+        let heavier = self.above - self.hist[bar as usize];
+        let ties = self.log[..self.len].iter().filter(|c| c.0 == bar).count();
+        let mut drop = ties - (self.cap - heavier);
+        let mut kept = 0;
+        for i in 0..self.len {
+            let (w, ..) = self.log[i];
+            if w < bar || w == bar && drop > 0 {
+                drop -= usize::from(w == bar);
+                continue;
+            }
+            self.log[kept] = self.log[i];
+            kept += 1;
+        }
+        debug_assert_eq!(kept, self.cap);
+        self.len = kept;
+    }
+
+    /// The kept candidates, greatest first, by a counting sort: heaviest
+    /// weight first and, within one, the log read backwards.
+    fn ranked(&mut self) -> &[Candidate] {
+        self.ranked.clear();
+        if self.cap == 0 {
+            return &self.ranked;
+        }
+        let bar = self.bar as usize;
+        let heavier = self.above - self.hist[bar];
+        let end = heavier + self.hist[bar].min(self.cap - heavier);
+        let mut slot = 0;
+        for w in (bar + 1..self.hist.len()).rev() {
+            slot += std::mem::replace(&mut self.hist[w], slot);
+        }
+        self.hist[bar] = heavier;
+        self.ranked.resize(end, (0, 0, 0));
+        for &candidate in self.log[..self.len].iter().rev() {
+            let w = candidate.0 as usize;
+            if w < bar || w == bar && self.hist[bar] == end {
+                continue;
+            }
+            self.ranked[self.hist[w]] = candidate;
+            self.hist[w] += 1;
+        }
+        &self.ranked
     }
 }
 
-/// One iteration of the product search: every parent is ANDed with every
-/// column after its largest member, and the `cfg.hopefuls` heaviest
-/// `(weight, parent index, column)` come back ranked.
-///
-/// The [`CandidateQueue`] retains its top-H for any offer order, so the
-/// conservative weight-bound break is lossless: a candidate whose
-/// `min(parent weight, max w_remaining)` upper bound sits strictly below
-/// a full queue's bar can never enter and is skipped unscanned.
-/// `work_stats` accumulates the scanned/pruned candidate counts.
-fn fan_out(
-    work: &ColMatrix,
-    cfg: &SearchConfig,
-    suffix_max: &[u32],
-    parents: &[Product],
-    fanout: &mut Vec<u32>,
-    work_stats: &mut SearchWork,
-) -> Vec<Candidate> {
-    let n = work.ncols();
-    let mut queue = CandidateQueue::new(work.nrows(), cfg.hopefuls);
-    for (pi, p) in parents.iter().enumerate() {
-        let start = p.members.last().map_or(0, |&j| j as usize + 1);
-        if start >= n {
-            continue;
-        }
-        let bar = queue.bar();
-        if p.weight < bar {
-            work_stats.pairs_pruned += (n - start) as u64;
-            continue;
-        }
-        let end = start + suffix_max[start..].partition_point(|&sm| sm >= bar);
-        work_stats.pairs_pruned += (n - end) as u64;
-        fanout.resize(fanout.len().max(end - start), 0);
-        let weights = &mut fanout[..end - start];
-        and_weight_each_into(&p.words, work.column_range(start..end), weights);
-        for (j, &w) in (start..end).zip(weights.iter()) {
-            queue.offer(w, pi as u32, j as u32);
-        }
-        work_stats.pairs_scanned += (end - start) as u64;
+/// One iteration's hopefuls, laid out flat: product `i` has the row
+/// words `words[i·wpc..][..wpc]`, the weight `weights[i]` and the
+/// ascending member columns `members[i·order..][..order]`.
+#[derive(Debug, Default)]
+struct Generation {
+    /// Words per product (per working-matrix column).
+    wpc: usize,
+    /// Columns a product ANDs together.
+    order: usize,
+    words: Vec<u64>,
+    weights: Vec<u32>,
+    members: Vec<u32>,
+}
+
+impl Generation {
+    fn reset(&mut self, wpc: usize, order: usize) {
+        self.wpc = wpc;
+        self.order = order;
+        self.words.clear();
+        self.weights.clear();
+        self.members.clear();
     }
-    queue.ranked()
+
+    fn len(&self) -> usize {
+        self.weights.len()
+    }
+
+    fn words(&self, i: usize) -> &[u64] {
+        &self.words[i * self.wpc..(i + 1) * self.wpc]
+    }
+
+    fn members(&self, i: usize) -> &[u32] {
+        &self.members[i * self.order..(i + 1) * self.order]
+    }
+
+    /// Appends product `i` of `parents` ANDed with column `j` (`column`
+    /// its words), of weight `weight`.
+    fn push_child(&mut self, parents: &Generation, i: usize, j: u32, column: &[u64], weight: u32) {
+        let words = parents.words(i).iter().zip(column);
+        self.words.extend(words.map(|(a, b)| a & b));
+        self.weights.push(weight);
+        self.members.extend_from_slice(parents.members(i));
+        self.members.push(j);
+    }
+
+    fn product(&self, i: usize) -> Product {
+        Product {
+            words: self.words(i).to_vec(),
+            weight: self.weights[i],
+            members: self.members(i).to_vec(),
+        }
+    }
+}
+
+/// The product search's buffers, reserved from the search's shape — the
+/// screened columns, their words, H and the iteration budget — so that
+/// their capacities never depend on the data.
+#[derive(Debug, Default)]
+struct Hopefuls {
+    /// The generation an iteration fans out, and the one it fills; they
+    /// swap each iteration. The first holds the single columns.
+    parents: Generation,
+    children: Generation,
+    /// `suffix_max[j]`: the heaviest column from `j` on.
+    suffix_max: Vec<u32>,
+    /// Popcounts of one parent's fan-out run.
+    fanout: Vec<u32>,
+    top: TopH,
+}
+
+impl Hopefuls {
+    /// Capacities: generation words, weights and members (both
+    /// generations together), suffix maxima, fan-out slots, log slots,
+    /// histogram slots and ranked slots.
+    fn capacities(&self) -> [usize; 8] {
+        let (a, b) = (&self.parents, &self.children);
+        [
+            a.words.capacity() + b.words.capacity(),
+            a.weights.capacity() + b.weights.capacity(),
+            a.members.capacity() + b.members.capacity(),
+            self.suffix_max.capacity(),
+            self.fanout.capacity(),
+            self.top.log.capacity(),
+            self.top.hist.capacity(),
+            self.top.ranked.capacity(),
+        ]
+    }
+
+    /// One iteration of the product search: every parent is ANDed with
+    /// every column after its largest member, and the `cfg.hopefuls`
+    /// heaviest `(weight, parent index, column)` are left in `top`.
+    ///
+    /// Each parent's run is cut short by the conservative weight-bound
+    /// break: a candidate whose `min(parent weight, max w_remaining)`
+    /// upper bound sits strictly below the bar the runs before it left
+    /// can never enter and is skipped unscanned. `work_stats` accumulates
+    /// the scanned/pruned candidate counts.
+    fn fan_out(&mut self, work: &ColMatrix, cfg: &SearchConfig, work_stats: &mut SearchWork) {
+        let n = work.ncols();
+        let parents = &self.parents;
+        self.top.reset(work.nrows(), cfg.hopefuls, n);
+        for pi in 0..parents.len() {
+            let start = parents.members(pi).last().map_or(0, |&j| j as usize + 1);
+            if start >= n {
+                continue;
+            }
+            let bar = self.top.bar;
+            if parents.weights[pi] < bar {
+                work_stats.pairs_pruned += (n - start) as u64;
+                continue;
+            }
+            let end = start + self.suffix_max[start..].partition_point(|&sm| sm >= bar);
+            work_stats.pairs_pruned += (n - end) as u64;
+            let weights = &mut self.fanout[..end - start];
+            and_weight_each_into(parents.words(pi), work.column_range(start..end), weights);
+            self.top.offer_run(pi as u32, start as u32, weights);
+            work_stats.pairs_scanned += (end - start) as u64;
+        }
+    }
 }
 
 /// Runs the greedy core search on `work` (a column subset of the original
-/// matrix). Returns the best product per iteration. `fanout` is the
-/// fan-out buffer, reused across iterations and calls.
+/// matrix) in the buffers of `hs`. Returns the best product per iteration.
 fn product_search(
     work: &ColMatrix,
     cfg: &SearchConfig,
-    fanout: &mut Vec<u32>,
+    hs: &mut Hopefuls,
     work_stats: &mut SearchWork,
 ) -> (Vec<u32>, Vec<Product>) {
     let n = work.ncols();
@@ -351,47 +517,60 @@ fn product_search(
     if n < 2 || cfg.hopefuls == 0 {
         return (curve, best_per_iter);
     }
+    let (h, wpc) = (cfg.hopefuls, words_for(work.nrows()));
+    let iterations = cfg.max_iterations.max(1);
+    for g in [&mut hs.parents, &mut hs.children] {
+        g.reset(wpc, 1);
+        g.words.reserve_exact(n.max(h) * wpc);
+        g.weights.reserve_exact(n.max(h));
+        g.members.reserve_exact(n.max(h * (iterations + 1)));
+    }
+    hs.fanout.resize(n, 0);
+
+    // The search starts from the single columns, so its first iteration
+    // ranks all 2-products; each later one extends the hopefuls the last
+    // one kept.
+    let singles = &mut hs.parents;
+    singles.words.extend_from_slice(work.column_range(0..n));
+    singles.weights.extend((0..n).map(|j| work.col_weight(j)));
+    singles.members.extend(0..n as u32);
+
     // Per-column weight upper bounds for the conservative break: a
     // product with column j weighs at most w[j], and any candidate
     // drawn from columns ≥ j weighs at most suffix_max[j]. (On the
     // refined path the columns arrive weight-sorted so suffix_max[j]
     // == w[j]; the naive path is unsorted and needs the real suffix.)
-    let w = work.col_weights();
-    let mut suffix_max = w.clone();
+    hs.suffix_max.clear();
+    hs.suffix_max.extend_from_slice(&singles.weights);
     for j in (0..n - 1).rev() {
-        suffix_max[j] = suffix_max[j].max(suffix_max[j + 1]);
+        hs.suffix_max[j] = hs.suffix_max[j].max(hs.suffix_max[j + 1]);
     }
 
-    // The search starts from the single columns, so its first iteration
-    // ranks all 2-products; each later one extends the hopefuls the last
-    // one kept.
-    let mut hopefuls: Vec<Product> = (0..n)
-        .map(|j| Product {
-            words: work.column(j).to_vec(),
-            weight: w[j],
-            members: vec![j as u32],
-        })
-        .collect();
-    for _ in 0..cfg.max_iterations.max(1) {
-        hopefuls = fan_out(work, cfg, &suffix_max, &hopefuls, fanout, work_stats)
-            .into_iter()
-            .map(|(weight, pi, j)| {
-                let mut next = hopefuls[pi as usize].clone();
-                and_assign(&mut next.words, work.column(j as usize));
-                next.weight = weight;
-                next.members.push(j);
-                next
-            })
-            .collect();
-        let Some(best) = hopefuls.first() else {
+    for _ in 0..iterations {
+        hs.fan_out(work, cfg, work_stats);
+        let Hopefuls {
+            parents,
+            children,
+            top,
+            ..
+        } = &mut *hs;
+        children.reset(wpc, parents.order + 1);
+        for &(weight, pi, j) in top.ranked() {
+            let column = work.column(j as usize);
+            children.push_child(parents, pi as usize, j, column, weight);
+        }
+        std::mem::swap(parents, children);
+        if parents.len() == 0 {
             break;
-        };
+        }
+        let best = parents.product(0);
         curve.push(best.weight);
-        best_per_iter.push(best.clone());
         // Early exit: once the curve shows a plateau followed by a dive we
         // already have everything the termination procedure needs.
         let dived = stop_point(&curve, cfg.termination).is_some_and(|stop| curve.len() - stop > 3);
-        if best.weight == 0 || dived {
+        let done = best.weight == 0 || dived;
+        best_per_iter.push(best);
+        if done {
             break;
         }
     }
@@ -401,7 +580,8 @@ fn product_search(
 /// The naive algorithm (Figure 5): product search over the whole matrix,
 /// no screening, no expansion sweep.
 pub fn naive_detect(matrix: &ColMatrix, cfg: &SearchConfig) -> AlignedDetection {
-    let (curve, core) = find_core(matrix, cfg, &mut Vec::new(), &mut SearchWork::default());
+    let mut hopefuls = Hopefuls::default();
+    let (curve, core) = find_core(matrix, cfg, &mut hopefuls, &mut SearchWork::default());
     let Some((stop, core)) = core else {
         return AlignedDetection::not_found(curve);
     };
@@ -436,7 +616,7 @@ pub fn refined_detect_cached<S: WordSource>(
         counts,
         order,
         work,
-        fanout,
+        hopefuls,
     } = scratch;
     let mut timings = SearchTimings::default();
     let mut work_stats = SearchWork::default();
@@ -452,7 +632,7 @@ pub fn refined_detect_cached<S: WordSource>(
     screen(counts, cfg.n_prime, order);
     work.gather_from_rows(rows, order);
     timings.screen_ns = split();
-    let (curve, core) = find_core(work, cfg, fanout, &mut work_stats);
+    let (curve, core) = find_core(work, cfg, hopefuls, &mut work_stats);
     timings.core_ns = split();
     let Some((stop, core)) = core else {
         return (AlignedDetection::not_found(curve), timings, work_stats);
@@ -510,10 +690,10 @@ pub fn screen(counts: &ColumnCounts, n_prime: usize, order: &mut Vec<usize>) {
 fn find_core(
     work: &ColMatrix,
     cfg: &SearchConfig,
-    fanout: &mut Vec<u32>,
+    hopefuls: &mut Hopefuls,
     work_stats: &mut SearchWork,
 ) -> (Vec<u32>, Option<(usize, Product)>) {
-    let (curve, mut best) = product_search(work, cfg, fanout, work_stats);
+    let (curve, mut best) = product_search(work, cfg, hopefuls, work_stats);
     let core = stop_point(&curve, cfg.termination).map(|stop| (stop, best.swap_remove(stop)));
     (curve, core)
 }
@@ -721,9 +901,9 @@ mod tests {
         assert!(timings.count_ns > 0, "the count pass must be timed");
         assert!(timings.core_ns > 0, "core search must be timed");
         // A second epoch through the same scratch must not regrow the
-        // counting or screening buffers.
+        // counting, screening or search buffers.
         let warm = scratch.capacities();
-        assert!(warm[0] > 0, "the count planes never materialised");
+        assert!(warm.iter().all(|&c| c > 0), "a buffer never materialised");
         let (again, _, _) = refined_detect_cached(&rows, &cfg, &mut scratch);
         assert_eq!(again.cols, plain.cols);
         assert_eq!(scratch.capacities(), warm);
@@ -855,7 +1035,7 @@ mod tests {
         }
     }
 
-    /// The hopefuls list this crate kept before it bucketed by weight: a
+    /// The hopefuls list this crate kept before it selected by weight: a
     /// bounded min-heap comparing the full `(weight, parent, column)`
     /// tuple, whose retained set is a canonical function of the candidate
     /// multiset for any offer order.
@@ -893,45 +1073,59 @@ mod tests {
         ranked
     }
 
-    /// Offers in ascending `(parent, column)` order whose weights take at
-    /// most four values in `0..=nrows`, so most of them tie at the bar.
-    fn offer_stream(r: &mut StdRng, nrows: usize) -> Vec<Candidate> {
+    /// Fan-out runs in ascending `(parent, column)` order whose weights
+    /// take at most four values in `0..=nrows`, so most of them tie at
+    /// the bar. Some runs are all ties, some lie wholly below the bar
+    /// `bar_of` reports when they are drawn, and some are longer than
+    /// `2·cap`, so the log compacts inside them.
+    fn offer_runs(r: &mut StdRng, nrows: usize, cap: usize) -> Vec<(u32, u32, Vec<u32>)> {
         let span = r.gen_range(0..=nrows.min(3)) as u32;
         let base = r.gen_range(0..=nrows as u32 - span);
-        let mut offers = Vec::new();
-        for parent in 0..r.gen_range(1..40u32) {
-            for column in parent + 1..parent + 1 + r.gen_range(0..40u32) {
-                if r.gen_range(0..4) > 0 {
-                    offers.push((base + r.gen_range(0..=span), parent, column));
-                }
-            }
+        let mut runs = Vec::new();
+        let mut parent = 0;
+        for _ in 0..r.gen_range(1..40) {
+            parent += r.gen_range(1..3u32);
+            let start = parent + r.gen_range(1..4u32);
+            let len = match r.gen_range(0..6) {
+                0 => 2 * cap + r.gen_range(1..40usize),
+                _ => r.gen_range(0..40),
+            };
+            let weights = match r.gen_range(0..4) {
+                0 => vec![base + r.gen_range(0..=span); len],
+                1 => vec![u32::MAX; len],
+                _ => (0..len).map(|_| base + r.gen_range(0..=span)).collect(),
+            };
+            runs.push((parent, start, weights));
         }
-        offers
+        runs
     }
 
     #[test]
-    fn bucket_queue_equals_bounded_heap_after_every_offer() {
+    fn top_h_equals_bounded_heap_after_every_run() {
         let mut r = StdRng::seed_from_u64(55);
-        for nrows in [1usize, 2, 12, 24, 130] {
+        let mut top = TopH::default();
+        for nrows in [1usize, 2, 3, 12, 24, 64, 130] {
             for cap in [0usize, 1, 2, 7, 250] {
                 for _ in 0..8 {
-                    let mut queue = CandidateQueue::new(nrows, cap);
+                    top.reset(nrows, cap, 2 * cap + 40);
                     let mut heap = CandidateHeap::new();
-                    for (w, parent, column) in offer_stream(&mut r, nrows) {
-                        queue.offer(w, parent, column);
-                        push_bounded(&mut heap, cap, (w, parent, column));
+                    for (parent, start, mut weights) in offer_runs(&mut r, nrows, cap) {
+                        // `u32::MAX` marks a run drawn wholly below the bar.
+                        let bar = heap_bar(&heap, cap);
+                        for w in weights.iter_mut().filter(|w| **w == u32::MAX) {
+                            *w = r.gen_range(0..bar.max(1));
+                        }
+                        top.offer_run(parent, start, &weights);
+                        for (&w, column) in weights.iter().zip(start..) {
+                            push_bounded(&mut heap, cap, (w, parent, column));
+                        }
                         assert_eq!(
-                            queue.bar(),
+                            top.bar,
                             heap_bar(&heap, cap),
-                            "nrows {nrows}, cap {cap}, after {:?}",
-                            (w, parent, column)
+                            "nrows {nrows}, cap {cap}, after parent {parent}'s run {weights:?}"
                         );
                     }
-                    assert_eq!(
-                        queue.ranked(),
-                        heap_ranked(heap),
-                        "nrows {nrows}, cap {cap}"
-                    );
+                    assert_eq!(top.ranked(), heap_ranked(heap), "nrows {nrows}, cap {cap}");
                 }
             }
         }

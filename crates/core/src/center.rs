@@ -485,18 +485,11 @@ impl AnalysisCenter {
     /// Steady-state epochs of one deployment shape must not grow any of
     /// these — the no-allocation invariant the zero-copy ingest path is
     /// built around.
-    pub fn scratch_capacities(&self) -> [usize; 6] {
+    pub fn scratch_capacities(&self) -> Vec<usize> {
         let state = self.lock_state();
         let s = &state.scratch;
-        let [planes, order, work, fanouts] = s.search.capacities();
-        [
-            s.urows.word_capacity(),
-            s.group_owner.capacity(),
-            planes,
-            order,
-            work,
-            fanouts,
-        ]
+        let unaligned = [s.urows.word_capacity(), s.group_owner.capacity()];
+        unaligned.into_iter().chain(s.search.capacities()).collect()
     }
 
     /// Panics the way a pipeline bug would: mid-epoch, holding the
@@ -853,6 +846,10 @@ mod tests {
         let warm = center.scratch_capacities();
         assert!(warm[0] > 0, "unaligned rows never materialised");
         assert!(warm[2] > 0, "column-count planes never materialised");
+        assert!(
+            warm[5..].iter().all(|&c| c > 0),
+            "a product-search buffer never materialised: {warm:?}"
+        );
         for epoch in 0..3 {
             let frames = wire_frames(10 + epoch, 8);
             analyze_bare(&center, &frames).expect("quorum");

@@ -8,7 +8,8 @@
 //! loop decides the test and detection group graphs from λ cells. All
 //! were rewritten for speed (sixteen bytes a step, then 64 bytes a step
 //! by carry-less multiply; counting instead of
-//! selecting; buckets instead of a heap, one batched popcount kernel;
+//! selecting; a histogram-cut top-H over whole fan-out runs instead of
+//! a heap, one batched popcount kernel;
 //! one popcount for both graphs, fills walked from a neighbour cell);
 //! each constant was captured before its code was touched, in debug,
 //! release and under `DCS_FORCE_SCALAR=1`. They change only when a

@@ -1075,9 +1075,9 @@ mod tests {
 
     /// Fan-out runs in ascending `(parent, column)` order whose weights
     /// take at most four values in `0..=nrows`, so most of them tie at
-    /// the bar. Some runs are all ties, some lie wholly below the bar
-    /// `bar_of` reports when they are drawn, and some are longer than
-    /// `2·cap`, so the log compacts inside them.
+    /// the bar. Some runs are all ties, some are marked `u32::MAX` for
+    /// the caller to draw wholly below the bar it has reached, and some
+    /// are longer than `2·cap`, so the log compacts inside them.
     fn offer_runs(r: &mut StdRng, nrows: usize, cap: usize) -> Vec<(u32, u32, Vec<u32>)> {
         let span = r.gen_range(0..=nrows.min(3)) as u32;
         let base = r.gen_range(0..=nrows as u32 - span);

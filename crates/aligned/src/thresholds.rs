@@ -215,6 +215,23 @@ mod tests {
         assert!(b25 >= 1_000, "a=25 needs b={b25}, paper ≈3029");
     }
 
+    /// Figure 12's anchors at the paper's geometry (1,000 routers ×
+    /// 4 Mbit, n′ = 4,000, ε = 1e-3, a 95 % detection target), exactly:
+    /// the values `repro_fig12` prints (it steps a by 5; a = 28 is the
+    /// paper's own anchor, where it says b ≈ 21).
+    #[test]
+    fn figure_12_anchors_are_pinned() {
+        let p = DetectableParams::paper_default();
+        for (a, b) in [(25, 28), (28, 21), (30, 19), (70, 8)] {
+            let nn = non_natural_min_b(p.m, p.n, a, p.epsilon, 10_000);
+            assert_eq!(nn, Some(b), "non-natural min b at a = {a}");
+        }
+        for (a, b) in [(25, 2_442), (70, 74), (100, 19)] {
+            let det = detectable_min_b(p, a, 0.95, 10_000);
+            assert_eq!(det, Some(b), "detectable min b at a = {a}");
+        }
+    }
+
     #[test]
     fn detectable_always_above_non_natural() {
         // "The detectable threshold curve always lies above the

@@ -105,7 +105,7 @@ struct CenterState {
     /// The incremental engine of the test and detection graphs; its
     /// state must see every epoch in order to be worth anything.
     correlator: IncrementalCorrelator,
-    /// The Λ/Λ′ threshold tables (a quantile costs about a thousand of
+    /// The Λ/Λ′ threshold tables (a quantile costs about a hundred of
     /// the popcounts it gates); replaced only when the array width, the
     /// arrays per group or an edge probability changes.
     lambda: Option<LambdaTables>,

@@ -337,10 +337,12 @@ impl TierDriver {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::soak::SoakConfig;
     use dcs_core::ingest::RouterFault;
-    use dcs_core::session::{SessionConfig, SEND_WINDOW};
-    use dcs_core::transport::ChunkFrame;
+    use dcs_core::session::{SessionConfig, StragglerPolicy, SEND_WINDOW};
+    use dcs_core::transport::{ChunkFrame, DATAGRAM_SAFE_PAYLOAD};
     use std::cell::RefCell;
+    use std::io::Write;
 
     fn stored_chunks(routers: u64, len: usize) -> Vec<Vec<Vec<u8>>> {
         (0..routers)
@@ -536,6 +538,93 @@ mod tests {
         assert!(epoch.exclusions.is_empty());
         assert_eq!(epoch.stats.chunks_received, chunks[0].len() as u64);
         assert_eq!(epoch.stats.duplicate_chunks, 0);
+    }
+
+    /// A collector that counts the frames its link delivers.
+    struct Counted {
+        collector: EpochCollector,
+        delivered: u64,
+    }
+
+    impl Receiver for Counted {
+        fn answer(&mut self, frames: &[Vec<u8>], now: u64) -> Vec<ControlFrame> {
+            self.delivered += frames.len() as u64;
+            self.collector.answer(frames, now)
+        }
+        fn ready(&self, now: u64) -> bool {
+            self.collector.ready(now)
+        }
+    }
+
+    /// The socket soak's send amplification in virtual time: the 24
+    /// leaves of `SoakConfig::standard` at the socket soak's 4 Mbit
+    /// bitmaps ship one seeded epoch, cut at `DATAGRAM_SAFE_PAYLOAD`, over
+    /// one `ChannelConfig::soak()` link into one patient WaitAll
+    /// collector, as `tests/socket_soak.rs` does over loopback UDP. The
+    /// frames the links carry after their losses and duplicates — what the
+    /// socket monitors count after their impairment shim — divided by the
+    /// unique chunks must stay under that soak's 3.5× gate.
+    #[test]
+    fn soak_send_amplification_stays_under_the_socket_gate() {
+        let soak = SoakConfig {
+            aligned_bits: 4 << 20,
+            ..SoakConfig::standard(1, 0)
+        };
+        let chunks: Vec<Vec<Vec<u8>>> = (soak.leaf_frames(0x5EED).iter().enumerate())
+            .map(|(id, f)| chunk_bundle(id as u64, 0, f, DATAGRAM_SAFE_PAYLOAD))
+            .collect();
+        let unique: u64 = chunks.iter().map(|c| c.len() as u64).sum();
+        let patient = CollectorConfig {
+            deadline: 1 << 40,
+            straggler: StragglerPolicy::WaitAll,
+            session: SessionConfig {
+                base_backoff: 50,
+                max_backoff: 2_000,
+                max_retries: 100_000,
+                jitter: 4,
+            },
+        };
+        let mut channels = [LossyChannel::new(soak.leaf_channel, 0x5EED)];
+        let mut receivers = [Counted {
+            collector: EpochCollector::new(0, 0..soak.leaves as u64, patient, 0x5EED, 0),
+            delivered: 0,
+        }];
+        let mut senders: Vec<Sender<'_>> = (chunks.iter().enumerate())
+            .map(|(l, chunks)| {
+                let cfg = MonitorEpochConfig {
+                    router_id: l as u64,
+                    epoch_id: 0,
+                    resend_after: patient.session.base_backoff,
+                    max_backoff: patient.session.max_backoff,
+                    give_up: 1 << 20,
+                };
+                Sender::new(0, chunks, &cfg, 0)
+            })
+            .collect();
+        let mut now = 0;
+        let converged = drive_hop(
+            &mut channels,
+            &mut receivers,
+            &mut senders,
+            &mut now,
+            100_000,
+            |_, _, _| {},
+        );
+        assert!(converged, "the hop ran into its cap at tick {now}");
+        let sent = receivers[0].delivered + channels[0].in_flight() as u64;
+        let epoch = receivers[0].collector.finalize(now);
+        assert!(epoch.exclusions.is_empty(), "{:?}", epoch.exclusions);
+        let amplification = sent as f64 / unique as f64;
+        // Past the harness's capture, like the socket soak's own line.
+        let _ = writeln!(
+            std::io::stderr(),
+            "virtual soak: {unique} unique chunks, {sent} frames sent \
+             (send amplification {amplification:.2}x), {now} ticks"
+        );
+        assert!(
+            2 * sent <= 7 * unique,
+            "{sent} frames for {unique} unique chunks"
+        );
     }
 
     /// A receiver that only logs what the loop does to it.

@@ -10,7 +10,9 @@
 //! ```
 //!
 //! The Λ threshold tables are the upper-tail quantiles of this law:
-//! `λ_{i,j}` is the smallest `t` with `P[X > t] ≤ p*`.
+//! `λ_{i,j}` is the smallest `t` with `P[X > t] ≤ p*`. The quantile
+//! searches decide each `t` with [`hypergeom_sf_le`]: the full sum's
+//! comparison, cut short (often after a term or two) once it is certain.
 
 use crate::special::ln_choose;
 
@@ -93,19 +95,75 @@ pub fn hypergeom_sf(t: i64, n_total: u64, i: u64, j: u64) -> f64 {
     }
 }
 
+/// How far below `p_star` (relative) an early "yes" must sit: the rounding
+/// of the bound and of the ≤ ~4,200 terms left before the 1e-18 cut is
+/// under 1e-12.
+const SF_LE_MARGIN: f64 = 1e-9;
+
+/// Below this `p_star` the full sum decides: a subnormal term rounds by up
+/// to 2⁻¹⁰⁷⁴ absolute, which the relative margin would not cover.
+const SF_LE_FLOOR: f64 = 1e-290;
+
+/// `hypergeom_sf(t, n_total, i, j) <= p_star`, for every input, often
+/// without finishing the sum.
+///
+/// At or above the mode it runs [`hypergeom_sf`]'s float operations in
+/// the same order and returns once the answer is certain:
+/// - "no" once the running sum passes `p_star` (below 1): the terms are
+///   non-negative, so the rounded sum never falls;
+/// - "yes" once the sum plus `p·r/(1−r)` sits a relative 1e-9 below
+///   `p_star`, where `p` is the last term and `r < 0.99` the next ratio.
+///   The ratio falls as `k` rises, and so does its rounded value (each
+///   rounding is monotone), so every later term is at most `p·rᵐ`, up to
+///   one rounding a term.
+///
+/// Below the mode, and whenever neither exit fires, the full sum decides.
+pub fn hypergeom_sf_le(t: i64, n_total: u64, i: u64, j: u64, p_star: f64) -> bool {
+    let (lo, hi) = hypergeom_support(n_total, i, j);
+    let nf = n_total as f64;
+    let (fi, fj) = (i as f64, j as f64);
+    let mode = ((i + 1) as f64 * (j + 1) as f64 / (nf + 2.0)).floor() as u64;
+    let early = (SF_LE_FLOOR..1.0).contains(&p_star);
+    if !early || t < lo as i64 || t >= hi as i64 || (t as u64) + 1 < mode {
+        return hypergeom_sf(t, n_total, i, j) <= p_star;
+    }
+    let yes_below = p_star * (1.0 - SF_LE_MARGIN);
+    let first = t as u64 + 1;
+    let mut p = ln_hypergeom_pmf(first, n_total, i, j).exp();
+    let mut acc = p;
+    let mut k = first as f64;
+    while (k as u64) < hi {
+        if acc > p_star {
+            return false;
+        }
+        let ratio = (fi - k) * (fj - k) / ((k + 1.0) * (nf - fi - fj + k + 1.0));
+        if ratio < 0.99 && acc + p * ratio / (1.0 - ratio) <= yes_below {
+            return true;
+        }
+        p *= ratio;
+        acc += p;
+        k += 1.0;
+        if p < acc * 1e-18 {
+            break;
+        }
+    }
+    acc.min(1.0) <= p_star
+}
+
 /// Smallest `t` with `P[X > t] ≤ p_star` — the paper's `λ_{i,j}`.
 ///
-/// Binary search over the support using the monotone survival function.
+/// Binary search over the support using the monotone survival function,
+/// each step one [`hypergeom_sf_le`] decision.
 pub fn hypergeom_tail_quantile(p_star: f64, n_total: u64, i: u64, j: u64) -> u64 {
     assert!(p_star > 0.0 && p_star < 1.0, "p* must be in (0,1)");
     let (lo, hi) = hypergeom_support(n_total, i, j);
-    if hypergeom_sf(lo as i64, n_total, i, j) <= p_star {
+    if hypergeom_sf_le(lo as i64, n_total, i, j, p_star) {
         return lo;
     }
     let (mut a, mut b) = (lo, hi); // sf(a) > p*, sf(b) = 0 <= p*
     while b - a > 1 {
         let mid = a + (b - a) / 2;
-        if hypergeom_sf(mid as i64, n_total, i, j) <= p_star {
+        if hypergeom_sf_le(mid as i64, n_total, i, j, p_star) {
             b = mid;
         } else {
             a = mid;
@@ -118,13 +176,13 @@ pub fn hypergeom_tail_quantile(p_star: f64, n_total: u64, i: u64, j: u64) -> u64
 /// the support) instead of bisecting: the same `t` for any guess, at
 /// `|t − guess| + 2` survival evaluations at most. One more one in either
 /// row moves the overlap by at most 1, so the quantiles of weight pairs
-/// `d` apart differ by at most `d`: seeded from the neighbouring pair's
-/// quantile, the walk costs about two evaluations against the
-/// bisection's log₂ of the support.
+/// `d` apart differ by at most `d`: seeded from a close guess (the λ
+/// tables use the last fill's standardised quantile), the walk costs
+/// about two evaluations against the bisection's log₂ of the support.
 pub fn hypergeom_tail_quantile_near(p_star: f64, n_total: u64, i: u64, j: u64, guess: u64) -> u64 {
     assert!(p_star > 0.0 && p_star < 1.0, "p* must be in (0,1)");
     let (lo, hi) = hypergeom_support(n_total, i, j);
-    let within = |t: u64| hypergeom_sf(t as i64, n_total, i, j) <= p_star;
+    let within = |t: u64| hypergeom_sf_le(t as i64, n_total, i, j, p_star);
     let mut t = guess.clamp(lo, hi);
     if within(t) {
         while t > lo && within(t - 1) {

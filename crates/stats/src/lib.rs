@@ -34,7 +34,8 @@ mod proptests;
 pub use binomial::{binocdf, binomial_sf, ln_binomial_pmf};
 pub use ecdf::Ecdf;
 pub use hypergeom::{
-    hypergeom_pmf, hypergeom_sf, hypergeom_tail_quantile, hypergeom_tail_quantile_near,
+    hypergeom_pmf, hypergeom_sf, hypergeom_sf_le, hypergeom_tail_quantile,
+    hypergeom_tail_quantile_near,
 };
 pub use progeny::{component_threshold, progeny_sf};
 pub use special::{ln_choose, ln_factorial, ln_gamma};

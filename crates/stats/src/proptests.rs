@@ -2,7 +2,7 @@
 
 use crate::binomial::{binocdf, binomial_quantile, binomial_sf, ln_binomial_pmf};
 use crate::hypergeom::{
-    hypergeom_pmf, hypergeom_sf, hypergeom_support, hypergeom_tail_quantile,
+    hypergeom_pmf, hypergeom_sf, hypergeom_sf_le, hypergeom_support, hypergeom_tail_quantile,
     hypergeom_tail_quantile_near,
 };
 use crate::special::ln_choose;
@@ -69,8 +69,12 @@ proptest! {
     }
 
     #[test]
-    fn hypergeom_sf_monotone_and_bounded(n in 2u64..200, i in 1u64..200, j in 1u64..200) {
-        prop_assume!(i <= n && j <= n);
+    fn hypergeom_sf_monotone_and_bounded(
+        n in 2u64..=1024,
+        i_frac in 0.0f64..=1.0,
+        j_frac in 0.0f64..=1.0,
+    ) {
+        let (i, j) = (((i_frac * n as f64) as u64).max(1), ((j_frac * n as f64) as u64).max(1));
         let (lo, hi) = hypergeom_support(n, i, j);
         let mut prev = 1.0f64;
         for t in (lo as i64 - 1)..=(hi as i64) {
@@ -114,36 +118,114 @@ proptest! {
     }
 }
 
+/// A weight `frac` of the way across `0..=n`, or pinned to an end: 0, N,
+/// or within 4 of either (where λ often sits at the support's low end).
+fn pick_weight(n: u64, frac: f64, edge: u8) -> u64 {
+    match edge {
+        0 => 0,
+        1 => n,
+        2 => ((frac * 4.0) as u64).min(n),
+        3 => n - ((frac * 4.0) as u64).min(n),
+        _ => (frac * n as f64) as u64,
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(1024))]
 
     /// The walk from any guess, in or out of the support, lands where
     /// the bisection does: weights 0 and N included, weights within 4 of
-    /// either end (where λ often sits at the support's low end), p* from
-    /// 1e-8 to 0.5.
+    /// either end, p* from 1e-8 to 0.5.
     #[test]
     fn quantile_walk_equals_bisection(
-        n in 1u64..=300,
+        n in 1u64..=1024,
         i_frac in 0.0f64..=1.0,
         j_frac in 0.0f64..=1.0,
         edge_i in 0u8..6,
         edge_j in 0u8..6,
         p_exp in 0.301f64..8.0,
-        guess in 0u64..=320,
+        guess_frac in 0.0f64..=1.1,
     ) {
-        let pick = |frac: f64, edge: u8| match edge {
-            0 => 0,
-            1 => n,
-            2 => ((frac * 4.0) as u64).min(n),
-            3 => n - ((frac * 4.0) as u64).min(n),
-            _ => (frac * n as f64) as u64,
-        };
-        let (i, j) = (pick(i_frac, edge_i), pick(j_frac, edge_j));
+        let (i, j) = (pick_weight(n, i_frac, edge_i), pick_weight(n, j_frac, edge_j));
         let p_star = 10f64.powf(-p_exp);
+        let guess = (guess_frac * n as f64) as u64;
         prop_assert_eq!(
             hypergeom_tail_quantile_near(p_star, n, i, j, guess),
             hypergeom_tail_quantile(p_star, n, i, j),
             "N={} ({}, {}) p*={} guess {}", n, i, j, p_star, guess
         );
+    }
+
+    /// The early-exit decision equals the full sum's comparison at every
+    /// `t` from below the support to above it, with p\* exactly at
+    /// sf(t), one float either side of it, a relative 1e-10 either side
+    /// (inside the early "yes" margin), a random relative step of 1e-12
+    /// to 1e-2 either side, and anywhere from 1e-12 to 1.
+    #[test]
+    fn sf_le_equals_the_full_sum(
+        n in 1u64..=1024,
+        i_frac in 0.0f64..=1.0,
+        j_frac in 0.0f64..=1.0,
+        edge_i in 0u8..6,
+        edge_j in 0u8..6,
+        t_frac in -0.1f64..=1.1,
+        step_exp in 2.0f64..12.0,
+        p_exp in 0.0f64..12.0,
+    ) {
+        let (i, j) = (pick_weight(n, i_frac, edge_i), pick_weight(n, j_frac, edge_j));
+        let (lo, hi) = hypergeom_support(n, i, j);
+        let span = (hi - lo) as f64 + 2.0;
+        let t = lo as i64 - 1 + (t_frac * span).round() as i64;
+        let sf = hypergeom_sf(t, n, i, j);
+        let step = 10f64.powf(-step_exp);
+        for p_star in [
+            sf,
+            sf.next_down(),
+            sf.next_up(),
+            sf * (1.0 + 1e-10),
+            sf * (1.0 - 1e-10),
+            sf * (1.0 + step),
+            sf * (1.0 - step),
+            10f64.powf(-p_exp),
+        ] {
+            prop_assert_eq!(
+                hypergeom_sf_le(t, n, i, j, p_star),
+                sf <= p_star,
+                "N={} ({}, {}) t={} sf={:e} p*={:e}", n, i, j, t, sf, p_star
+            );
+        }
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(24))]
+
+    /// The same two equalities near the widest row a λ cell holds
+    /// (65,534 bits), at the weights a table there would see, around the
+    /// quantile where the walk tests the decision.
+    #[test]
+    fn widest_rows_walk_and_decide_like_the_full_sum(
+        n in 65_000u64..=65_534,
+        i_frac in 0.0f64..=1.0,
+        j_frac in 0.0f64..=1.0,
+        edge_i in 0u8..6,
+        edge_j in 0u8..6,
+        p_exp in 0.301f64..8.0,
+        offset in -3i64..=3,
+    ) {
+        let (i, j) = (pick_weight(n, i_frac, edge_i), pick_weight(n, j_frac, edge_j));
+        let p_star = 10f64.powf(-p_exp);
+        let lam = hypergeom_tail_quantile(p_star, n, i, j);
+        prop_assert_eq!(hypergeom_tail_quantile_near(p_star, n, i, j, lam.saturating_sub(3)), lam);
+        prop_assert_eq!(hypergeom_tail_quantile_near(p_star, n, i, j, lam + 3), lam);
+        let t = lam as i64 + offset;
+        let sf = hypergeom_sf(t, n, i, j);
+        for p in [p_star, sf, sf.next_down(), sf.next_up(), sf * (1.0 + 1e-10), sf * (1.0 - 1e-10)] {
+            prop_assert_eq!(
+                hypergeom_sf_le(t, n, i, j, p),
+                sf <= p,
+                "N={} ({}, {}) t={} sf={:e} p*={:e}", n, i, j, t, sf, p
+            );
+        }
     }
 }

@@ -7,19 +7,21 @@
 //! with `P[X(i,j) > t] ≤ p*`.
 //!
 //! **Owner and lifetime.** The paper compares against a *precomputed*
-//! table, and a quantile costs microseconds where the AND-popcount it
-//! gates costs nanoseconds, so a table must outlive the epoch. The
-//! analysis centre holds one [`LambdaTables`] pair — Λ for the
+//! table, and a quantile costs a few hundred nanoseconds where the
+//! AND-popcount it gates costs a few, so a table must outlive the epoch.
+//! The analysis centre holds one [`LambdaTables`] pair — Λ for the
 //! statistical-test graph, Λ′ for the detection graph — and
 //! [`LambdaTables::for_shape`] replaces it only when the row width, the
 //! rows per group or an edge probability changes. A table is still
 //! filled lazily, but off the pair loop's common path: the loop rules a
 //! row pair out on a coarse grid cell most pairs share and reads the
 //! pair's own cell only when the count exceeds it (`graphbuild`'s
-//! `GRID`). The weight band is wide — `tiered-chan` rows hold 240–870 of
-//! 1,024 bits, 220–260 distinct weights an epoch — but grid cells lie
-//! within `SEED_REACH` of each other along a row, so most fills still
-//! walk from a filled neighbour instead of bisecting.
+//! `GRID`).
+//!
+//! **Seeded fills.** A fill walks from `mean + z·sd` of its null law,
+//! `z` the standardised quantile of the table's last fill, one
+//! [`hypergeom_sf_le`](dcs_stats::hypergeom_sf_le) decision a step; only a
+//! table's first fill bisects. DESIGN §3.4 has the measured cost.
 //!
 //! **Layout and memory bound.** A [`LambdaTable`] is a directory of
 //! `N + 1` rows indexed by the first weight; row `i` is allocated the
@@ -41,12 +43,6 @@ use std::cell::{Cell, OnceCell};
 /// and [`LambdaTable::new`] keeps the row width below this.
 const UNSET: u16 = u16::MAX;
 
-/// How far along its two rows a fill looks for a filled cell to walk
-/// from. A seed `d` cells away is within `d` of the quantile, so the walk
-/// costs at most `d + 2` tail evaluations, under the ≈ 9 a bisection
-/// spends at N = 1,024.
-const SEED_REACH: u32 = 6;
-
 /// One row of λ cells, allocated the first time its weight is looked up.
 type Row = OnceCell<Box<[Cell<u16>]>>;
 
@@ -58,6 +54,9 @@ pub struct LambdaTable {
     /// `rows[i][j]` is `λ(i, j)` or [`UNSET`]; both `(i, j)` and `(j, i)`
     /// are written on a fill.
     rows: Box<[Row]>,
+    /// `(λ − mean)/sd` of the last fill whose null law has a spread: the
+    /// seed of the next fill's walk.
+    z: Cell<Option<f64>>,
     /// Distinct unordered weight pairs filled so far.
     filled: Cell<u64>,
     /// Fills not yet handed out by [`take_new_fills`](Self::take_new_fills).
@@ -110,6 +109,7 @@ impl LambdaTable {
             n_bits,
             p_star,
             rows: (0..=n_bits).map(|_| OnceCell::new()).collect(),
+            z: Cell::new(None),
             filled: Cell::new(0),
             unreported: Cell::new(0),
         }
@@ -153,18 +153,29 @@ impl LambdaTable {
     }
 
     /// The miss path: computes `λ(i, j)` and stores it under both
-    /// argument orders, which are only ever unset together. The quantile is walked from the nearest filled cell of row `i` or row
-    /// `j` (see [`hypergeom_tail_quantile_near`]: exact from any start,
-    /// so the fill order changes only the cost) and bisected when neither
-    /// row has one within [`SEED_REACH`].
+    /// argument orders, which are only ever unset together. The quantile
+    /// is walked from `mean + z·sd` of the pair's null law, `z` the
+    /// standardised quantile of the table's last fill (see
+    /// [`hypergeom_tail_quantile_near`]: exact from any start, so the fill
+    /// order changes only the cost), and bisected only before any fill
+    /// has set `z`.
     #[cold]
     fn fill(&self, i: u32, j: u32) -> u32 {
         let (lo, hi) = (i.min(j), i.max(j));
         let (n, wlo, whi) = (self.n_bits as u64, u64::from(lo), u64::from(hi));
-        let lam = match self.filled_near(lo, hi) {
-            Some(guess) => hypergeom_tail_quantile_near(self.p_star, n, wlo, whi, guess.into()),
+        let (nf, fi, fj) = (n as f64, f64::from(lo), f64::from(hi));
+        let mean = fi * fj / nf;
+        let sd = (mean * (nf - fi) * (nf - fj) / (nf * (nf - 1.0).max(1.0))).sqrt();
+        // Rounded down: a guess one low costs the walk no more than an
+        // exact one, one high costs one more evaluation. A negative guess
+        // saturates to 0, and the walk clamps it to the support.
+        let lam = match self.z.get().map(|z| (mean + z * sd) as u64) {
+            Some(guess) => hypergeom_tail_quantile_near(self.p_star, n, wlo, whi, guess),
             None => hypergeom_tail_quantile(self.p_star, n, wlo, whi),
         };
+        if sd > 0.0 {
+            self.z.set(Some((lam as f64 - mean) / sd));
+        }
         let v = u16::try_from(lam).expect("λ is at most the row width");
         let (lo_row, hi_row) = (self.cells(lo), self.cells(hi));
         lo_row[hi as usize].set(v);
@@ -172,21 +183,6 @@ impl LambdaTable {
         self.filled.set(self.filled.get() + 1);
         self.unreported.set(self.unreported.get() + 1);
         u32::from(v)
-    }
-
-    /// The value of the filled cell nearest `(i, j)` along row `i` or row
-    /// `j`, at most [`SEED_REACH`] cells away; rows not yet allocated have
-    /// none.
-    fn filled_near(&self, i: u32, j: u32) -> Option<u16> {
-        let cell = |row: u32, col: Option<u32>| {
-            let v = self.rows[row as usize].get()?.get(col? as usize)?;
-            Some(v.get()).filter(|&v| v != UNSET)
-        };
-        (1..=SEED_REACH).find_map(|d| {
-            [(i, j), (j, i)].into_iter().find_map(|(row, col)| {
-                cell(row, col.checked_sub(d)).or_else(|| cell(row, col.checked_add(d)))
-            })
-        })
     }
 
     /// Number of distinct unordered weight pairs filled so far.
@@ -408,10 +404,11 @@ mod tests {
         }
 
         /// A band of up to 20 weights — starting at 0, ending at N, or
-        /// anywhere between — filled in a random order, so most fills
-        /// walk from a neighbour another order would not have filled yet:
-        /// every cell equals the bisected quantile, and each weight pair
-        /// counts as one fill, once.
+        /// anywhere between — filled in a random order, so each fill
+        /// walks from a seed (the last fill's standardised quantile)
+        /// another order would not give it: every cell equals the
+        /// bisected quantile, and each weight pair counts as one fill,
+        /// once.
         #[test]
         fn random_fill_order_equals_quantile(
             n in 1usize..=300,

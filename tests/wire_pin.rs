@@ -10,7 +10,8 @@
 //! by carry-less multiply; counting instead of
 //! selecting; a histogram-cut top-H over whole fan-out runs instead of
 //! a heap, one batched popcount kernel;
-//! one popcount for both graphs, fills walked from a neighbour cell);
+//! one popcount for both graphs, fills walked from the last fill's
+//! standardised quantile through an early-exit tail decision);
 //! each constant was captured before its code was touched, in debug,
 //! release and under `DCS_FORCE_SCALAR=1`. They change only when a
 //! checksum, a shipped frame byte, a screened column, a candidate, a
@@ -618,9 +619,10 @@ fn detection_graph_is_pinned() {
 
 /// λ(i, j) at N = 1,024 for every weight pair in 64..=320, at the Λ and
 /// Λ′ levels `AnalysisConfig::for_groups(144)` derives for 10 arrays a
-/// group. The cells are filled in a seeded shuffled order, so a fill
-/// sees a different set of filled neighbours than a row-by-row sweep
-/// would, and read back row by row into the hash.
+/// group. The cells are filled in a seeded shuffled order, so each fill
+/// walks from a different seed (the standardised quantile of the fill
+/// before it) than a row-by-row sweep would give it, and read back row
+/// by row into the hash.
 #[test]
 fn lambda_table_is_pinned() {
     let cfg = AnalysisConfig::for_groups(144);

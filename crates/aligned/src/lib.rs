@@ -27,7 +27,7 @@ pub mod thresholds;
 
 pub use search::{
     naive_detect, refined_detect, refined_detect_cached, AlignedDetection, SearchConfig,
-    SearchScratch, SearchTimings, SearchWork,
+    SearchScratch, SearchTimings, SearchWork, EPSILON,
 };
 pub use termination::{stop_point, TerminationConfig};
 pub use thresholds::{detectable_min_b, ln_natural_occurrence, non_natural_min_b};

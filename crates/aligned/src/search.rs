@@ -158,6 +158,12 @@ impl SearchWork {
     }
 }
 
+/// The non-natural level ε of both verdicts: the aligned witness, and
+/// the unaligned test graph's largest component, each alarms on what a
+/// background matrix produces with probability at most ε (the paper's
+/// 10⁻³, Sections III–V).
+pub const EPSILON: f64 = 1e-3;
+
 /// Tuning parameters of the greedy search.
 #[derive(Debug, Clone)]
 pub struct SearchConfig {
@@ -171,8 +177,6 @@ pub struct SearchConfig {
     /// Core-expansion slack γ: columns within γ of the core weight join
     /// the witness set (paper: "setting γ to 2 or 3 will work very well").
     pub gamma: u32,
-    /// Non-natural level ε for the final verdict.
-    pub epsilon: f64,
     /// Weight-curve reader configuration.
     pub termination: TerminationConfig,
 }
@@ -184,7 +188,6 @@ impl Default for SearchConfig {
             max_iterations: 40,
             n_prime: 4_000,
             gamma: 2,
-            epsilon: 1e-3,
             termination: TerminationConfig::default(),
         }
     }
@@ -587,7 +590,7 @@ pub fn naive_detect(matrix: &ColMatrix, cfg: &SearchConfig) -> AlignedDetection 
     };
     let cols: Vec<usize> = core.members.iter().map(|&k| k as usize).collect();
     let shape = (matrix.nrows(), matrix.ncols());
-    conclude(shape, &core, cols.clone(), cols, curve, stop, cfg)
+    conclude(shape, &core, cols.clone(), cols, curve, stop)
 }
 
 /// The refined algorithm (Figure 6) on a column-major matrix: the
@@ -650,7 +653,7 @@ pub fn refined_detect_cached<S: WordSource>(
 
     let core_cols: Vec<usize> = core.members.iter().map(|&k| order[k as usize]).collect();
     let shape = (rows.len(), counts.ncols());
-    let det = conclude(shape, &core, core_cols, cols, curve, stop, cfg);
+    let det = conclude(shape, &core, core_cols, cols, curve, stop);
     timings.verdict_ns = split();
     (det, timings, work_stats)
 }
@@ -699,7 +702,7 @@ fn find_core(
 }
 
 /// Verdict: is the `weight(core) × |cols|` witness non-naturally-occurring
-/// in a matrix of `shape` = (rows, columns)?
+/// at level [`EPSILON`] in a matrix of `shape` = (rows, columns)?
 fn conclude(
     shape: (usize, usize),
     core: &Product,
@@ -707,7 +710,6 @@ fn conclude(
     cols: Vec<usize>,
     weight_curve: Vec<u32>,
     stop: usize,
-    cfg: &SearchConfig,
 ) -> AlignedDetection {
     let ln_p = ln_natural_occurrence(
         shape.0 as u64,
@@ -715,7 +717,7 @@ fn conclude(
         u64::from(core.weight),
         cols.len() as u64,
     );
-    let found = ln_p <= cfg.epsilon.ln();
+    let found = ln_p <= EPSILON.ln();
     let rows = iter_ones(&core.words).map(|r| r as u32);
     AlignedDetection {
         found,
@@ -776,7 +778,6 @@ mod tests {
             max_iterations: 25,
             n_prime: 120,
             gamma: 2,
-            epsilon: 1e-3,
             termination: TerminationConfig::default(),
         }
     }

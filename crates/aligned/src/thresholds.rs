@@ -218,7 +218,11 @@ mod tests {
     /// Figure 12's anchors at the paper's geometry (1,000 routers ×
     /// 4 Mbit, n′ = 4,000, ε = 1e-3, a 95 % detection target), exactly:
     /// the values `repro_fig12` prints (it steps a by 5; a = 28 is the
-    /// paper's own anchor, where it says b ≈ 21).
+    /// paper's own anchor, where it says b ≈ 21). Over that sweep, a = 20
+    /// to 200, the detectable curve lies strictly above the non-natural
+    /// one up to a = 165 and meets it at b = 5 from a = 170 on: there a
+    /// pattern that is non-natural at all is found 95 % of the time. It
+    /// can never lie below, because a detection must be non-natural.
     #[test]
     fn figure_12_anchors_are_pinned() {
         let p = DetectableParams::paper_default();
@@ -229,6 +233,20 @@ mod tests {
         for (a, b) in [(25, 2_442), (70, 74), (100, 19)] {
             let det = detectable_min_b(p, a, 0.95, 10_000);
             assert_eq!(det, Some(b), "detectable min b at a = {a}");
+        }
+        for a in (20..=200).step_by(5) {
+            let nn = non_natural_min_b(p.m, p.n, a, p.epsilon, 10_000);
+            let nn = nn.unwrap_or_else(|| panic!("a = {a}: no non-natural b under 10,000"));
+            let det = detectable_min_b(p, a, 0.95, 10_000);
+            let det = det.unwrap_or_else(|| panic!("a = {a}: no detectable b under 10,000"));
+            if a < 170 {
+                assert!(
+                    det > nn,
+                    "a = {a}: detectable {det} is not above non-natural {nn}"
+                );
+            } else {
+                assert_eq!((det, nn), (5, 5), "a = {a}: the curves meet");
+            }
         }
     }
 

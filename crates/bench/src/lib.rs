@@ -74,7 +74,6 @@ pub fn repro_search_config() -> SearchConfig {
         max_iterations: 40,
         n_prime: aligned_paper::N_PRIME,
         gamma: 2,
-        epsilon: 1e-3,
         termination: Default::default(),
     }
 }

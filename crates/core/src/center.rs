@@ -6,7 +6,7 @@ use crate::monitor::{RouterDigest, RouterDigestView};
 use crate::report::{AlignedReport, EpochReport, TransportStats, UnalignedReport};
 use crate::session::CollectedEpoch;
 use crate::stages::{Stage, StageRecorder};
-use dcs_aligned::{refined_detect_cached, SearchConfig, SearchScratch};
+use dcs_aligned::{refined_detect_cached, SearchConfig, SearchScratch, EPSILON};
 use dcs_bitmap::{BitmapView, RowMatrix};
 use dcs_obs::{MetricsRegistry, MetricsSnapshot};
 use dcs_unaligned::{
@@ -20,21 +20,18 @@ use std::time::Instant;
 pub struct AnalysisConfig {
     /// Aligned-case greedy search settings.
     pub search: SearchConfig,
-    /// Edge probability of the *statistical-test* graph (must stay below
-    /// the 1/n phase transition; the paper uses 0.65/n).
-    pub test_p1: f64,
-    /// Edge probability of the *detection* graph (deliberately above 1/n;
-    /// the paper uses ~8/n).
-    pub detect_p1: f64,
+    /// The group count the configuration was made for, which sets both
+    /// edge probabilities ([`AnalysisConfig::edge_probabilities`]).
+    groups: usize,
     /// The unaligned verdict alarms when the test graph's largest
     /// component is larger than this. `None` derives it from the number
-    /// of groups n, `test_p1` and `search.epsilon` (the ε the
-    /// aligned verdict reads): the size a null graph's largest component
-    /// exceeds with probability at most ε
+    /// of groups n, the test graph's p₁ and [`dcs_aligned::EPSILON`]
+    /// (the ε the aligned verdict reads): the size a null graph's largest
+    /// component exceeds with probability at most ε
     /// ([`dcs_stats::component_threshold`]), once per group count: the
     /// centre keeps it until an epoch brings a different n. It is n, so
-    /// the verdict never alarms, when n·`test_p1` ≥ 1. `Some` is an
-    /// operator's override.
+    /// the verdict never alarms, when n·p₁ ≥ 1. `Some` is an operator's
+    /// override.
     pub component_threshold: Option<usize>,
     /// Core-finding settings (β and d).
     pub corefind: CoreFindConfig,
@@ -54,15 +51,23 @@ impl AnalysisConfig {
     /// Panics if `n_groups < 2`.
     pub fn for_groups(n_groups: usize) -> Self {
         assert!(n_groups >= 2, "need at least two groups");
-        let n = n_groups as f64;
         AnalysisConfig {
             search: SearchConfig::default(),
-            test_p1: 0.65 / n,
-            detect_p1: 8.0 / n,
+            groups: n_groups,
             component_threshold: None,
             corefind: CoreFindConfig::default(),
             min_quorum: 1,
         }
+    }
+
+    /// The group-edge probabilities `(p₁, p₁′)` of the two unaligned
+    /// graphs, from the group count n the configuration was made for:
+    /// the statistical-test graph's p₁ = 0.65/n sits below the 1/n phase
+    /// transition, the detection graph's p₁′ = 8/n above it (the paper's
+    /// values, Section IV).
+    pub fn edge_probabilities(&self) -> (f64, f64) {
+        let n = self.groups as f64;
+        (0.65 / n, 8.0 / n)
     }
 
     /// Sets the minimum surviving-bundle count required to analyse.
@@ -527,13 +532,8 @@ impl AnalysisCenter {
         let layout = GroupLayout { rows_per_group: k };
         let n_groups = group_owner.len();
 
-        let tables = LambdaTables::for_shape(
-            &mut state.lambda,
-            ncols,
-            k,
-            self.cfg.test_p1,
-            self.cfg.detect_p1,
-        );
+        let (test_p1, detect_p1) = self.cfg.edge_probabilities();
+        let tables = LambdaTables::for_shape(&mut state.lambda, ncols, k, test_p1, detect_p1);
 
         // Statistical-test and detection graphs through the incremental
         // engine, in one pass.
@@ -557,8 +557,7 @@ impl AnalysisCenter {
                 .unwrap_or_else(|| match *cached {
                     Some((n, t)) if n == n_groups => t,
                     _ => {
-                        let (p1, eps) = (self.cfg.test_p1, self.cfg.search.epsilon);
-                        let t = dcs_stats::component_threshold(n_groups, p1, eps);
+                        let t = dcs_stats::component_threshold(n_groups, test_p1, EPSILON);
                         *cached = Some((n_groups, t));
                         t
                     }
@@ -1408,7 +1407,7 @@ mod tests {
     }
     /// The λ tables outlive the epoch and follow the deployment shape: a
     /// repeated epoch computes no quantile, and an epoch whose array
-    /// width, arrays per group or test edge probability differs gets
+    /// width, arrays per group or edge probabilities differ gets
     /// fresh tables and the report a fresh centre returns. The component
     /// threshold of 0 alarms every epoch, so the λ′ table is on the path
     /// throughout.
@@ -1454,10 +1453,10 @@ mod tests {
         narrow.unaligned.array_bits = 512;
         let mut fewer_arrays = base_mcfg.clone();
         fewer_arrays.unaligned.arrays_per_group = 5;
-        for (what, next_mcfg, test_p1_factor) in [
-            ("ncols", &narrow, 1.0),
-            ("rows_per_group", &fewer_arrays, 1.0),
-            ("test_p1", &base_mcfg, 0.5),
+        for (what, next_mcfg, groups_factor) in [
+            ("ncols", &narrow, 1),
+            ("rows_per_group", &fewer_arrays, 1),
+            ("edge probabilities", &base_mcfg, 2),
         ] {
             let mut center = AnalysisCenter::new(base_cfg.clone());
             let base = digests(&base_mcfg);
@@ -1474,7 +1473,7 @@ mod tests {
                 "{what}: a repeated epoch must compute no quantile"
             );
 
-            center.cfg.test_p1 *= test_p1_factor;
+            center.cfg.groups *= groups_factor;
             let next = digests(next_mcfg);
             let got = center.analyze_epoch(&next).expect("quorum");
             let fresh = AnalysisCenter::new(center.cfg.clone());
@@ -1524,7 +1523,8 @@ mod tests {
 
     /// The derived threshold is kept per group count: one centre fed
     /// epochs of 48, then 96, then 48 groups again reports
-    /// `component_threshold(n, test_p1, ε)` for each count.
+    /// `component_threshold(n, p₁, EPSILON)` for each count, with the p₁
+    /// of the count the configuration was made for.
     #[test]
     fn the_derived_threshold_follows_the_group_count() {
         let cfg = AnalysisConfig::for_groups(48);
@@ -1536,7 +1536,7 @@ mod tests {
                 .expect("clean digests form a quorum");
             assert_eq!(
                 report.unaligned.component_threshold,
-                dcs_stats::component_threshold(n, cfg.test_p1, cfg.search.epsilon),
+                dcs_stats::component_threshold(n, cfg.edge_probabilities().0, EPSILON),
                 "{n} groups"
             );
         }
@@ -1560,11 +1560,10 @@ mod tests {
         const EPOCHS: u64 = 1_000;
         const EPS: f64 = 0.2;
         let (groups, rows_per_group, bits) = (48, 10, 1_024);
-        let cfg = AnalysisConfig::for_groups(groups);
-        let threshold = dcs_stats::component_threshold(groups, cfg.test_p1, EPS);
+        let (test_p1, detect_p1) = AnalysisConfig::for_groups(groups).edge_probabilities();
+        let threshold = dcs_stats::component_threshold(groups, test_p1, EPS);
         let mut slot = None;
-        let tables =
-            LambdaTables::for_shape(&mut slot, bits, rows_per_group, cfg.test_p1, cfg.detect_p1);
+        let tables = LambdaTables::for_shape(&mut slot, bits, rows_per_group, test_p1, detect_p1);
         let layout = GroupLayout { rows_per_group };
         let mut r = StdRng::seed_from_u64(0x4E55_0045);
         let mut rows = RowMatrix::new(bits);

@@ -1,6 +1,6 @@
 //! Real-socket transport: the UDP binding of the delivery protocol, plus
 //! the in-process impairment shim the wire-speed soak injects faults
-//! with.
+//! with on a monitor's outgoing frames.
 //!
 //! The protocol itself lives in [`crate::session`], as two state machines
 //! that do no IO: the sender ([`SendSession`]) and the receiver
@@ -60,6 +60,7 @@
 use crate::clock::Clock;
 use crate::session::{CollectedEpoch, EpochCollector, SendSession, SendStep, MAX_DATAGRAM};
 use crate::transport::ChunkFrame;
+use dcs_hash::mix::splitmix64;
 use dcs_obs::{Counter, Gauge, MetricsRegistry};
 use std::cell::OnceCell;
 use std::collections::{BTreeMap, VecDeque};
@@ -94,9 +95,10 @@ const MAX_NAP: Duration = Duration::from_millis(1);
 // Impairment shim
 // ---------------------------------------------------------------------
 
-/// Impairment probabilities, in per-mille, applied to outgoing frames
-/// *before* they reach the socket. The shim is how the soak makes a real
-/// localhost link behave like a lossy WAN while staying deterministic.
+/// Impairment probabilities, in per-mille, applied to a monitor's
+/// outgoing frames *before* they reach the socket. The shim is how the
+/// soak makes a real localhost link behave like a lossy WAN while staying
+/// deterministic.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ImpairmentConfig {
     /// Frame silently dropped (‰).
@@ -142,14 +144,6 @@ pub struct ImpairmentShim {
     held: Option<Vec<u8>>,
 }
 
-fn splitmix64(state: &mut u64) -> u64 {
-    *state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    let mut z = *state;
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
-}
-
 impl ImpairmentShim {
     /// A shim applying `cfg` with deterministic decisions from `seed`.
     pub fn new(cfg: ImpairmentConfig, seed: u64) -> Self {
@@ -160,8 +154,16 @@ impl ImpairmentShim {
         }
     }
 
+    /// The generator's next output: the SplitMix64 finaliser of the
+    /// state, which then steps by the golden-ratio increment.
+    fn next(&mut self) -> u64 {
+        let z = splitmix64(self.state);
+        self.state = self.state.wrapping_add(0x9E37_79B9_7F4A_7C15);
+        z
+    }
+
     fn chance(&mut self, per_mille: u16) -> bool {
-        per_mille > 0 && splitmix64(&mut self.state) % 1000 < per_mille as u64
+        per_mille > 0 && self.next() % 1000 < per_mille as u64
     }
 
     /// Applies the impairment schedule to one outgoing frame, returning
@@ -178,7 +180,7 @@ impl ImpairmentShim {
         }
         let mut frame = frame.to_vec();
         if self.chance(self.cfg.corrupt_per_mille) && !frame.is_empty() {
-            let bit = splitmix64(&mut self.state) as usize % (frame.len() * 8);
+            let bit = self.next() as usize % (frame.len() * 8);
             frame[bit / 8] ^= 1 << (bit % 8);
             counts.inc(Impairment::Corrupt);
         }
@@ -258,18 +260,17 @@ impl<'a> ImpairedCounters<'a> {
 /// them registers each family at zero, so a snapshot names every family a
 /// role can count before the first event, as the centre's registry does
 /// (DESIGN §8).
-struct SocketMetrics<'a> {
+struct SocketMetrics {
     frames_sent: Counter,
     frames_received: Counter,
     send_stalls: Counter,
     send_errors: Counter,
     recv_errors: Counter,
     queue_depth: Gauge,
-    impaired: ImpairedCounters<'a>,
 }
 
-impl<'a> SocketMetrics<'a> {
-    fn new(registry: &'a MetricsRegistry, role: &str) -> Self {
+impl SocketMetrics {
+    fn new(registry: &MetricsRegistry, role: &str) -> Self {
         let role = [("role", role)];
         SocketMetrics {
             frames_sent: registry.counter("socket_frames_sent_total", &role),
@@ -278,7 +279,6 @@ impl<'a> SocketMetrics<'a> {
             send_errors: registry.counter("socket_send_errors_total", &role),
             recv_errors: registry.counter("socket_recv_errors_total", &role),
             queue_depth: registry.gauge("socket_send_queue_depth", &role),
-            impaired: ImpairedCounters::new(registry),
         }
     }
 }
@@ -286,14 +286,14 @@ impl<'a> SocketMetrics<'a> {
 /// The centre's instruments, resolved once per [`run_center_epoch`] call
 /// (or per call of a public [`CenterSocket`] method), so the per-datagram
 /// path only adds to atomics.
-struct CenterMetrics<'a> {
-    io: SocketMetrics<'a>,
+struct CenterMetrics {
+    io: SocketMetrics,
     unknown_peer: Counter,
     backlog: Gauge,
 }
 
-impl<'a> CenterMetrics<'a> {
-    fn new(registry: &'a MetricsRegistry) -> Self {
+impl CenterMetrics {
+    fn new(registry: &MetricsRegistry) -> Self {
         CenterMetrics {
             io: SocketMetrics::new(registry, "center"),
             unknown_peer: registry.counter("socket_unknown_peer_total", &[]),
@@ -303,9 +303,12 @@ impl<'a> CenterMetrics<'a> {
 }
 
 /// A monitor's instruments, resolved once per [`run_monitor_epoch`] call
-/// (or per call of a public [`MonitorSocket`] method).
+/// (or per call of a public [`MonitorSocket`] method). The impairment
+/// shim sits on the monitor's side only, so only a monitor counts what
+/// it did.
 struct MonitorMetrics<'a> {
-    io: SocketMetrics<'a>,
+    io: SocketMetrics,
+    impaired: ImpairedCounters<'a>,
     control_corrupt: Counter,
     resend_bursts: Counter,
     epochs_abandoned: Counter,
@@ -316,6 +319,7 @@ impl<'a> MonitorMetrics<'a> {
         let role = [("role", "monitor")];
         MonitorMetrics {
             io: SocketMetrics::new(registry, "monitor"),
+            impaired: ImpairedCounters::new(registry),
             control_corrupt: registry.counter("socket_control_corrupt_total", &role),
             resend_bursts: registry.counter("socket_resend_bursts_total", &role),
             epochs_abandoned: registry.counter("socket_epochs_abandoned_total", &role),
@@ -415,7 +419,6 @@ pub struct CenterSocket {
     peers: BTreeMap<u64, SocketAddr>,
     outq: VecDeque<(SocketAddr, Vec<u8>)>,
     scratch: Vec<u8>,
-    shim: Option<ImpairmentShim>,
 }
 
 /// Puts one queued frame on the wire through `send` and counts the
@@ -450,13 +453,7 @@ impl CenterSocket {
             peers: BTreeMap::new(),
             outq: VecDeque::new(),
             scratch: vec![0u8; MAX_DATAGRAM],
-            shim: None,
         })
-    }
-
-    /// Injects an impairment shim on the centre's outgoing frames.
-    pub fn set_shim(&mut self, shim: ImpairmentShim) {
-        self.shim = Some(shim);
     }
 
     /// The bound address.
@@ -509,15 +506,7 @@ impl CenterSocket {
             m.unknown_peer.inc();
             return false;
         };
-        let encoded = control.encode();
-        match &mut self.shim {
-            Some(shim) => {
-                for frame in shim.impair(&encoded, &m.io.impaired) {
-                    self.outq.push_back((peer, frame));
-                }
-            }
-            None => self.outq.push_back((peer, encoded)),
-        }
+        self.outq.push_back((peer, control.encode()));
         self.flush(&m.io);
         true
     }
@@ -591,7 +580,7 @@ impl MonitorSocket {
     fn send(&mut self, frame: &[u8], m: &MonitorMetrics) {
         match &mut self.shim {
             Some(shim) => {
-                let impaired = shim.impair(frame, &m.io.impaired);
+                let impaired = shim.impair(frame, &m.impaired);
                 self.outq.extend(impaired);
             }
             None => self.outq.push_back(frame.to_vec()),
@@ -858,6 +847,47 @@ mod tests {
                 .counter("socket_impaired_total{kind=reorder}")
                 .unwrap()
                 > 0
+        );
+    }
+
+    /// The soak shim's first 256 decisions at two seeds, exactly: which
+    /// frames it drops, which bit it flips, which it holds back and
+    /// which it duplicates. Each frame's decision is read from the
+    /// counters it bumped; the frames it released, in order, carry the
+    /// flipped bits and the reordering. Both are hashed, with the count
+    /// of each kind beside the hash.
+    #[test]
+    fn shim_decisions_are_pinned() {
+        let run = |seed: u64| {
+            let metrics = MetricsRegistry::new();
+            let counts = ImpairedCounters::new(&metrics);
+            let kinds = ["drop", "corrupt", "reorder", "duplicate"];
+            let tally = || {
+                let snapshot = metrics.snapshot();
+                kinds.map(|k| {
+                    let key = format!("socket_impaired_total{{kind={k}}}");
+                    snapshot.counter(&key).unwrap_or(0)
+                })
+            };
+            let mut shim = ImpairmentShim::new(ImpairmentConfig::soak(), seed);
+            let mut digest = dcs_hash::Fnv1a::new();
+            for i in 0..256u64 {
+                let before = tally();
+                let released = shim.impair(&i.to_le_bytes(), &counts);
+                let after = tally();
+                let decision = (0..4).fold(0u8, |d, k| d | u8::from(after[k] > before[k]) << k);
+                digest.update(&[decision, released.len() as u8]);
+                for frame in &released {
+                    digest.update(frame);
+                }
+            }
+            (tally(), digest.finish())
+        };
+        assert_eq!(run(7), ([20, 6, 12, 5], 199_369_286_839_211_506), "seed 7");
+        assert_eq!(
+            run(0xD15C),
+            ([21, 6, 8, 10], 10_615_272_934_699_602_287),
+            "seed 0xD15C"
         );
     }
 

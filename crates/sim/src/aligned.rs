@@ -331,7 +331,6 @@ mod tests {
             max_iterations: 30,
             n_prime: 0, // overridden inside
             gamma: 2,
-            epsilon: 1e-3,
             termination: Default::default(),
         };
         let (det, truth) = paper_scale_trial(99, 200, 100_000, 40, 20, 300, &cfg);
@@ -349,7 +348,6 @@ mod tests {
             max_iterations: 25,
             n_prime: 0,
             gamma: 2,
-            epsilon: 1e-3,
             termination: Default::default(),
         };
         let strong = detection_ratio(7, 200, 100_000, 40, 20, 250, &cfg, 6, 3);

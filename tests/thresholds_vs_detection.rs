@@ -17,7 +17,7 @@ fn params() -> DetectableParams {
         m: M as u64,
         n: N as u64,
         n_prime: N_PRIME as u64,
-        epsilon: 1e-3,
+        epsilon: dcs_aligned::EPSILON,
     }
 }
 
@@ -27,7 +27,6 @@ fn search_cfg() -> dcs_aligned::SearchConfig {
         max_iterations: 30,
         n_prime: 0,
         gamma: 2,
-        epsilon: 1e-3,
         termination: Default::default(),
     }
 }
@@ -110,4 +109,79 @@ fn detectable_above_non_natural_everywhere() {
         };
         assert!(det >= nn, "a={a}: detectable {det} < non-natural {nn}");
     }
+}
+
+/// Ablation 1 through the deployed collector: two routers' offset sets
+/// A and B match a uniform prefix shift d ∈ ℤ₅₃₆ when d ≡ a − b for some
+/// a ∈ A, b ∈ B, so a pair's match probability is its count of distinct
+/// residues (a − b) mod 536 over 536. Over 2,048 seeded router-seed
+/// pairs of `UnalignedCollector`'s primary offsets (k = 10), the total
+/// count must lie inside the two-sided 10⁻⁶ quantiles of
+/// Bin(536 · pairs, p) at the paper's p = 1 − e^(−k²/536) ≈ 0.170
+/// (`offset_match_prob`). The collector draws offsets in `0..485`, so a
+/// pair's residues are not uniform on ℤ₅₃₆, and the test measures what
+/// that costs. The binomial treats a pair's 536 shifts as independent
+/// trials; a pair's count spreads less than that (the test checks it),
+/// so the binomial's quantiles are the looser bound.
+#[test]
+fn offset_match_probability_holds_through_the_collector() {
+    use dcs_collect::unaligned::{UnalignedCollector, UnalignedConfig, PAYLOAD_MODULUS};
+    use dcs_stats::binomial::binomial_quantile;
+    use dcs_unaligned::matchmodel::offset_match_prob;
+    use rand::{rngs::StdRng, Rng, SeedableRng};
+    const PAIRS: u64 = 2_048;
+    let offsets = |router_seed: u64| {
+        let cfg = UnalignedConfig {
+            groups: 1,
+            router_seed,
+            ..UnalignedConfig::default()
+        };
+        UnalignedCollector::new(cfg).offsets().0.to_vec()
+    };
+    let mut r = StdRng::seed_from_u64(0x0FF5_E75A);
+    let counts: Vec<u64> = (0..PAIRS)
+        .map(|_| {
+            let (a, b) = (offsets(r.gen()), offsets(r.gen()));
+            assert_eq!((a.len(), b.len()), (10, 10), "k = 10 offsets a router");
+            let mut hit = [false; PAYLOAD_MODULUS];
+            for &x in &a {
+                for &y in &b {
+                    hit[(x + PAYLOAD_MODULUS - y) % PAYLOAD_MODULUS] = true;
+                }
+            }
+            hit.iter().filter(|&&h| h).count() as u64
+        })
+        .collect();
+
+    let p = offset_match_prob(10, PAYLOAD_MODULUS);
+    assert!(
+        (p - 0.170).abs() < 5e-4,
+        "the paper's 1 − e^(−100/536) is {p}"
+    );
+    let trials = PAYLOAD_MODULUS as u64 * PAIRS;
+    let total: u64 = counts.iter().sum();
+    let (lo, hi) = (
+        binomial_quantile(1e-6, trials, p),
+        binomial_quantile(1.0 - 1e-6, trials, p),
+    );
+    let measured = total as f64 / trials as f64;
+    eprintln!(
+        "offset match: {measured:.5} measured, {p:.5} modelled, bound [{lo}, {hi}] of {trials}"
+    );
+    assert!(
+        (lo..=hi).contains(&total),
+        "{total} matching shifts of {trials} ({measured:.5}) outside [{lo}, {hi}] at p = {p:.5}"
+    );
+
+    let mean = total as f64 / PAIRS as f64;
+    let var = counts
+        .iter()
+        .map(|&c| (c as f64 - mean).powi(2))
+        .sum::<f64>()
+        / (PAIRS - 1) as f64;
+    let binomial_var = PAYLOAD_MODULUS as f64 * p * (1.0 - p);
+    assert!(
+        var <= binomial_var,
+        "a pair's residue count spreads wider ({var:.1}) than independent shifts ({binomial_var:.1})"
+    );
 }

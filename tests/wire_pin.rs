@@ -625,9 +625,9 @@ fn detection_graph_is_pinned() {
 /// by row into the hash.
 #[test]
 fn lambda_table_is_pinned() {
-    let cfg = AnalysisConfig::for_groups(144);
+    let (test_p1, detect_p1) = AnalysisConfig::for_groups(144).edge_probabilities();
     let mut slot = None;
-    let tables = LambdaTables::for_shape(&mut slot, GRAPH_BITS, 10, cfg.test_p1, cfg.detect_p1);
+    let tables = LambdaTables::for_shape(&mut slot, GRAPH_BITS, 10, test_p1, detect_p1);
     let weights = 64..=320u32;
     let mut cells: Vec<(u32, u32)> = weights
         .clone()
@@ -668,9 +668,9 @@ fn lambda_table_is_pinned() {
 fn lambda_is_monotone_in_each_weight() {
     let n = GRAPH_BITS as u32;
     for groups in [48, 144] {
-        let cfg = AnalysisConfig::for_groups(groups);
+        let (test_p1, detect_p1) = AnalysisConfig::for_groups(groups).edge_probabilities();
         let mut slot = None;
-        let tables = LambdaTables::for_shape(&mut slot, GRAPH_BITS, 10, cfg.test_p1, cfg.detect_p1);
+        let tables = LambdaTables::for_shape(&mut slot, GRAPH_BITS, 10, test_p1, detect_p1);
         for (name, table) in [("Λ", &tables.test), ("Λ′", &tables.detect)] {
             let cells: Vec<Vec<u32>> = (0..=n)
                 .map(|i| {

@@ -215,14 +215,16 @@ mod tests {
         assert!(b25 >= 1_000, "a=25 needs b={b25}, paper ≈3029");
     }
 
-    /// Figure 12's anchors at the paper's geometry (1,000 routers ×
-    /// 4 Mbit, n′ = 4,000, ε = 1e-3, a 95 % detection target), exactly:
-    /// the values `repro_fig12` prints (it steps a by 5; a = 28 is the
-    /// paper's own anchor, where it says b ≈ 21). Over that sweep, a = 20
-    /// to 200, the detectable curve lies strictly above the non-natural
-    /// one up to a = 165 and meets it at b = 5 from a = 170 on: there a
-    /// pattern that is non-natural at all is found 95 % of the time. It
-    /// can never lie below, because a detection must be non-natural.
+    /// Figure 12 at the paper's geometry (1,000 routers × 4 Mbit,
+    /// n′ = 4,000, ε = 1e-3, a 95 % detection target): its anchors,
+    /// exactly (a = 28 is the paper's own anchor, where it says b ≈ 21),
+    /// and both curves over a = 20 to 200 in steps of 5, one
+    /// `a non-natural detectable` line per a on stderr (run with
+    /// `--nocapture` to print the figure). Over that sweep the detectable
+    /// curve lies strictly above the non-natural one up to a = 165 and
+    /// meets it at b = 5 from a = 170 on: there a pattern that is
+    /// non-natural at all is found 95 % of the time. It can never lie
+    /// below, because a detection must be non-natural.
     #[test]
     fn figure_12_anchors_are_pinned() {
         let p = DetectableParams::paper_default();
@@ -239,6 +241,7 @@ mod tests {
             let nn = nn.unwrap_or_else(|| panic!("a = {a}: no non-natural b under 10,000"));
             let det = detectable_min_b(p, a, 0.95, 10_000);
             let det = det.unwrap_or_else(|| panic!("a = {a}: no detectable b under 10,000"));
+            eprintln!("{a} {nn} {det}");
             if a < 170 {
                 assert!(
                     det > nn,

@@ -98,17 +98,18 @@ const MAX_NAP: Duration = Duration::from_millis(1);
 /// Impairment probabilities, in per-mille, applied to a monitor's
 /// outgoing frames *before* they reach the socket. The shim is how the
 /// soak makes a real localhost link behave like a lossy WAN while staying
-/// deterministic.
+/// deterministic. There are two presets, [`Self::perfect`] and
+/// [`Self::soak`]; the rates are not settable one by one.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ImpairmentConfig {
     /// Frame silently dropped (‰).
-    pub drop_per_mille: u16,
+    drop_per_mille: u16,
     /// Frame sent twice (‰).
-    pub duplicate_per_mille: u16,
+    duplicate_per_mille: u16,
     /// Frame held back and released after the next send (‰).
-    pub reorder_per_mille: u16,
+    reorder_per_mille: u16,
     /// One bit of the frame flipped (‰) — the CRC layer must catch it.
-    pub corrupt_per_mille: u16,
+    corrupt_per_mille: u16,
 }
 
 impl ImpairmentConfig {
@@ -342,14 +343,11 @@ pub enum Transport {
 }
 
 /// The router whose address `src` a received frame may teach the centre:
-/// the id of a DCSN control frame that decodes, or of a DCSC chunk whose
-/// CRC checks. A chunk from the address `peers` already holds for its
-/// router would move nothing and is not decoded. A bit flip in a chunk's
-/// router id must not send another router's acks to this sender.
+/// the id of a DCSC chunk whose CRC checks. A chunk from the address
+/// `peers` already holds for its router would move nothing and is not
+/// decoded. A bit flip in a chunk's router id must not send another
+/// router's acks to this sender.
 fn peer_update(frame: &[u8], src: SocketAddr, peers: &BTreeMap<u64, SocketAddr>) -> Option<u64> {
-    if frame.starts_with(&CONTROL_MAGIC) {
-        return ControlFrame::decode(frame).ok().map(|c| c.router_id());
-    }
     let (router_id, _, _) = ChunkFrame::salvage_header(frame)?;
     if peers.get(&router_id) == Some(&src) {
         return None;
@@ -575,7 +573,7 @@ impl MonitorSocket {
         self.shim = Some(shim);
     }
 
-    /// Queues one frame (data chunk or Hello) through the shim and
+    /// Queues one chunk frame through the shim and
     /// flushes what the socket will take.
     fn send(&mut self, frame: &[u8], m: &MonitorMetrics) {
         match &mut self.shim {
@@ -650,8 +648,7 @@ pub enum CenterEpochEnd {
 /// Drives one epoch of the centre's collector over `sock` until the
 /// straggler policy is satisfied or `should_abort` returns true.
 ///
-/// Each iteration drains a batch of datagrams (a `Hello` only teaches the
-/// socket its sender's address) and sends back what
+/// Each iteration drains a batch of datagrams and sends back what
 /// [`EpochCollector::answer`] decides about it: acks, `Advance` for late
 /// chunks, gap NACKs and timer NACKs. Then it updates the
 /// `socket_reassembly_backlog` gauge. An idle iteration blocks on the
@@ -707,9 +704,10 @@ pub fn run_center_epoch(
 ///
 /// The decisions are [`SendSession`]'s: which chunks the window opens,
 /// which a NACK asks for, when the resend timer fires and when to give
-/// up. This loop sends a `Hello`, then repeatedly drains the centre's
-/// control frames into the session, steps it, and sends the chunks it
-/// names, releasing the shim's held frame after any step that sent. It
+/// up. This loop repeatedly drains the centre's control frames into the
+/// session, steps it, and sends the chunks it names (the first step
+/// sends the first window, whose chunks teach the centre this monitor's
+/// address), releasing the shim's held frame after any step that sent. It
 /// then waits for the centre's next frame, but no later than the
 /// session's [`SendSession::next_deadline`] (the tail probe, the resend
 /// timer or give-up): short sleeps between nonblocking peeks, starting
@@ -722,10 +720,6 @@ pub fn run_monitor_epoch(
     metrics: &MetricsRegistry,
 ) -> MonitorEpochEnd {
     let m = MonitorMetrics::new(metrics);
-    let hello = ControlFrame::Hello {
-        router_id: cfg.router_id,
-    };
-    sock.send(&hello.encode(), &m);
     let mut session = SendSession::new(cfg, chunks.len(), clock.now());
     let mut seqs = Vec::new();
     loop {
@@ -769,7 +763,6 @@ mod tests {
     #[test]
     fn control_frames_roundtrip() {
         let frames = [
-            ControlFrame::Hello { router_id: 7 },
             ControlFrame::Ack {
                 router_id: 1,
                 epoch_id: 9,
@@ -1001,8 +994,8 @@ mod tests {
     /// every family a role can count is registered at zero when its
     /// driver starts, and `socket_impaired_total` gains a `kind` with the
     /// first impairment of that kind. The soak shim's first pass over
-    /// the Hello and the 34 chunks impairs every kind at seed 7, so the
-    /// impaired run's key set does not hang on how many resends it took.
+    /// the 34 chunks impairs every kind at seed 7, so the impaired run's
+    /// key set does not hang on how many resends it took.
     #[test]
     fn socket_drivers_register_a_fixed_key_set() {
         const CENTER: [&str; 8] = [
@@ -1035,7 +1028,7 @@ mod tests {
         let first_pass = MetricsRegistry::new();
         let counts = ImpairedCounters::new(&first_pass);
         let mut shim = ImpairmentShim::new(ImpairmentConfig::soak(), 7);
-        for _ in 0..35 {
+        for _ in 0..34 {
             shim.impair(&[0; 8], &counts);
         }
         assert_eq!(keys(&first_pass.snapshot()), IMPAIRED);
@@ -1070,11 +1063,11 @@ mod tests {
     }
 
     /// The 0 % gate: over a perfect link one monitor puts each chunk on
-    /// the wire about once — at most 1.5 frames a chunk, the Hello
-    /// counted — and its resend timer never fires. Four windows of chunks
-    /// make the window open three times on acks. Both ends' timers are a
-    /// second long, so the frames counted are the window's and the tail
-    /// probes', not a backstop's.
+    /// the wire about once — at most 1.5 frames a chunk — and its resend
+    /// timer never fires. Four windows of chunks make the window open
+    /// three times on acks. Both ends' timers are a second long, so the
+    /// frames counted are the window's and the tail probes', not a
+    /// backstop's.
     #[test]
     fn a_perfect_link_sends_each_chunk_about_once() {
         let bundle: Vec<u8> = (0..4 * SEND_WINDOW as u32 * 1000)
@@ -1131,7 +1124,7 @@ mod tests {
             .counter("socket_frames_sent_total{role=monitor}")
             .unwrap();
         assert!(
-            2 * sent <= 3 * (chunks.len() as u64 + 1),
+            2 * sent <= 3 * chunks.len() as u64,
             "{sent} frames for {} chunks",
             chunks.len()
         );
@@ -1175,7 +1168,8 @@ mod tests {
                     &metrics,
                 )
             });
-            // The monitor's first frame, its Hello, gives its address.
+            // The monitor's first frame, its first chunk, gives its
+            // address.
             let mut buf = vec![0u8; MAX_DATAGRAM];
             let (_, monitor_addr) = center.recv_from(&mut buf).unwrap();
             let ack = |cumulative_ack: u32| {
@@ -1310,7 +1304,7 @@ mod tests {
                 };
                 run_monitor_epoch(&mut sock, &chunks, &cfg, &clock, &metrics)
             });
-            // Hello, then the first window: a restarted monitor starts at 0.
+            // The first window: a restarted monitor starts at 0.
             let mut buf = vec![0u8; MAX_DATAGRAM];
             let (mut n, monitor_addr) = center.recv_from(&mut buf).unwrap();
             while seq_of(&buf[..n]).is_none_or(|seq| seq + 1 < SEND_WINDOW as u32) {
@@ -1405,7 +1399,7 @@ mod tests {
     }
 
     /// A chunk whose CRC fails cannot re-point a router's address: router
-    /// 0 says Hello from socket A, then socket B sends router 1's chunk
+    /// 0 sends a chunk from socket A, then socket B sends router 1's chunk
     /// with bit 0 of its router id flipped, so its header names router 0.
     /// The centre's next control frame to router 0 still goes to A.
     #[test]
@@ -1422,17 +1416,19 @@ mod tests {
         };
         let a = UdpSocket::bind("127.0.0.1:0").unwrap();
         let b = UdpSocket::bind("127.0.0.1:0").unwrap();
-        a.send_to(&ControlFrame::Hello { router_id: 0 }.encode(), addr)
-            .unwrap();
+        let chunk = |router_id| {
+            ChunkFrame {
+                router_id,
+                epoch_id: 0,
+                seq: 0,
+                total: 1,
+                payload: b"x",
+            }
+            .encode()
+        };
+        a.send_to(&chunk(0), addr).unwrap();
         poll_one(&mut center);
-        let mut chunk = ChunkFrame {
-            router_id: 1,
-            epoch_id: 0,
-            seq: 0,
-            total: 1,
-            payload: b"x",
-        }
-        .encode();
+        let mut chunk = chunk(1);
         // The router id is the u64 after the magic and the version byte.
         chunk[5] ^= 1;
         assert_eq!(ChunkFrame::salvage_header(&chunk).map(|h| h.0), Some(0));

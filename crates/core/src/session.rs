@@ -774,8 +774,9 @@ impl EpochCollector {
     /// sender may be missing, and a sender reads only the largest ack, so
     /// one a batch says all that one a chunk would. A late chunk is
     /// answered with `Advance` to the epoch collected now, since its
-    /// sender is still pushing an older epoch. Control frames in the
-    /// batch (a sender's `Hello`) are skipped. Then come the gap NACKs
+    /// sender is still pushing an older epoch. A frame that does not
+    /// decode as a chunk, a DCSN control frame among them, counts as a
+    /// corrupt chunk. Then come the gap NACKs
     /// the batch calls for ([`Self::gap_requests`]), and then the due
     /// retransmit timers ([`Self::poll`]), the backstop for silent
     /// senders and lost tails; every NACK is clipped to
@@ -784,7 +785,7 @@ impl EpochCollector {
         let marks = self.high_marks();
         let mut heard = BTreeSet::new();
         let mut advances = Vec::new();
-        for frame in frames.iter().filter(|f| !f.starts_with(&CONTROL_MAGIC)) {
+        for frame in frames {
             match self.offer(frame, now) {
                 ChunkDisposition::Accepted { router_id, .. }
                 | ChunkDisposition::Duplicate { router_id } => {
@@ -1010,7 +1011,6 @@ pub const MAX_NACK_SEQS: usize = (MAX_DATAGRAM - CONTROL_HEADER - 4) / 4;
 
 const _: () = assert!(CONTROL_HEADER + 4 * MAX_NACK_SEQS + 4 <= MAX_DATAGRAM);
 
-const KIND_HELLO: u8 = 0;
 const KIND_ACK: u8 = 1;
 const KIND_NACK_ALL: u8 = 2;
 const KIND_NACK_SEQS: u8 = 3;
@@ -1020,12 +1020,6 @@ const KIND_SHUTDOWN: u8 = 5;
 /// A decoded DCSN control frame.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum ControlFrame {
-    /// Monitor → centre: register this router's address before (or
-    /// without) sending data.
-    Hello {
-        /// The registering router.
-        router_id: u64,
-    },
     /// Centre → monitor: the session's cumulative ack for `epoch_id`.
     Ack {
         /// The acked router.
@@ -1070,8 +1064,7 @@ impl ControlFrame {
     /// The addressed router.
     pub fn router_id(&self) -> u64 {
         match *self {
-            ControlFrame::Hello { router_id }
-            | ControlFrame::Ack { router_id, .. }
+            ControlFrame::Ack { router_id, .. }
             | ControlFrame::NackAll { router_id, .. }
             | ControlFrame::NackSeqs { router_id, .. }
             | ControlFrame::Advance { router_id, .. }
@@ -1085,7 +1078,6 @@ impl ControlFrame {
     /// Panics if a `NackSeqs` list is longer than [`MAX_NACK_SEQS`].
     pub fn encode(&self) -> Vec<u8> {
         let (kind, router_id, epoch_id, arg, seqs): (u8, u64, u64, u32, &[u32]) = match self {
-            ControlFrame::Hello { router_id } => (KIND_HELLO, *router_id, 0, 0, &[]),
             ControlFrame::Ack {
                 router_id,
                 epoch_id,
@@ -1136,7 +1128,6 @@ impl ControlFrame {
         let seqs = (0..nseqs).map(|_| r.u32()).collect::<Result<Vec<_>, _>>()?;
         r.crc_trailer()?;
         Ok(match kind {
-            KIND_HELLO => ControlFrame::Hello { router_id },
             KIND_ACK => ControlFrame::Ack {
                 router_id,
                 epoch_id,
@@ -2429,7 +2420,6 @@ mod tests {
                 router_id: ROUTER,
                 epoch_id: 0,
             },
-            ControlFrame::Hello { router_id: ROUTER },
         ];
         assert_eq!(step(&mut s, &strays, 1), Ok(vec![]));
         let advance = ControlFrame::Advance {
@@ -2457,9 +2447,10 @@ mod tests {
         let mut coll = EpochCollector::new(1, [4], cfg(), 1, 0);
         let chunks = chunk_bundle(4, 1, &bundle_bytes(4, 500), 128);
         let stale = chunk_bundle(4, 0, &bundle_bytes(4, 500), 128);
-        let hello = ControlFrame::Hello { router_id: 4 }.encode();
+        // A control frame that reached the receiver is no chunk.
+        let control = ControlFrame::Shutdown { router_id: 4 }.encode();
         let batch = [
-            hello,
+            control,
             stale[2].clone(),
             chunks[0].clone(),
             chunks[0].clone(),
@@ -2470,7 +2461,11 @@ mod tests {
         };
         // The ack comes first, then the late chunk's Advance.
         assert_eq!(coll.answer(&batch, 0), [router_ack(4, 1, 1), advance]);
-        assert_eq!(coll.stats().corrupt_chunks, 0, "a Hello is no chunk");
+        assert_eq!(
+            coll.stats().corrupt_chunks,
+            1,
+            "a control frame is no chunk"
+        );
         // A batch of duplicates alone still draws the re-ack.
         let again = [chunks[0].clone()];
         assert_eq!(coll.answer(&again, 1), [router_ack(4, 1, 1)]);

@@ -37,6 +37,12 @@ const PAYLOAD: usize = 536;
 /// Kill the centre mid-epoch: checkpoint the collector at the given tick
 /// offset of the given epoch, lose everything in flight, resume from the
 /// checkpoint.
+///
+/// The checkpoint is taken at the instant the centre dies. That is the
+/// state `dcs-cli serve` writes only on SIGTERM, so a soak with a
+/// `KillPlan` covers a graceful restart. No test covers a SIGKILL
+/// between `serve`'s periodic (64-tick) snapshots, where the resumed
+/// centre starts from an older checkpoint than the one it died with.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct KillPlan {
     /// Which soak epoch (0-based) the crash hits.

@@ -11,8 +11,11 @@
 //! ```
 //!
 //! Everything else is a deployment constant below, written once for
-//! both roles: the digest shape ([`ALIGNED_BITS`], [`GROUPS_PER_ROUTER`]),
-//! the digest seed, the tick and every timer.
+//! every role: the digest shape ([`ALIGNED_BITS`], [`GROUPS_PER_ROUTER`]),
+//! the digest seed, the centre's search budget, the tick and every
+//! timer. The file roles build from the same two rules: `collect` makes
+//! the digest `monitor` ships ([`monitor_config`]), and `analyze` judges
+//! with the centre `serve` runs ([`analysis_config`]).
 //!
 //! The centre runs one [`EpochCollector`] epoch at a time over a
 //! [`CenterSocket`], analyses each collected epoch, appends a JSONL
@@ -77,6 +80,25 @@ const COLLECTOR_SEED: u64 = 42;
 const N_PRIME: usize = 400;
 /// Screened columns the aligned search expands.
 const HOPEFULS: usize = 300;
+
+/// The digest every monitoring point builds. The centre correlates bit
+/// positions, so one width, one group count and one seed hold for the
+/// whole deployment: `monitor` ships this digest and `collect` writes it.
+pub(crate) fn monitor_config() -> MonitorConfig {
+    MonitorConfig::small(DIGEST_SEED, ALIGNED_BITS, GROUPS_PER_ROUTER)
+}
+
+/// The centre's analysis configuration over `groups` flow-split groups
+/// in all, on aligned bitmaps `bits` wide: n′ = [`N_PRIME`] and H =
+/// [`HOPEFULS`], each capped at the width. `serve` gives its routers ×
+/// [`GROUPS_PER_ROUTER`] groups at [`ALIGNED_BITS`], `analyze` the Σ
+/// groups and the width of its files.
+pub(crate) fn analysis_config(groups: usize, bits: usize) -> AnalysisConfig {
+    let mut cfg = AnalysisConfig::for_groups(groups.max(2));
+    cfg.search.n_prime = N_PRIME.min(bits);
+    cfg.search.hopefuls = HOPEFULS.min(bits);
+    cfg
+}
 
 /// Background packets per monitor epoch.
 const PACKETS: usize = 800;
@@ -242,27 +264,8 @@ pub fn serve(args: &[String]) -> CliResult {
     // Port 0 callers (tests) learn the actual address from this line.
     println!("serve: listening on {} (udp)", sock.local_addr()?);
 
-    let collector_cfg = CollectorConfig {
-        deadline: DEADLINE_TICKS,
-        straggler: if flags.wait_all {
-            StragglerPolicy::WaitAll
-        } else {
-            StragglerPolicy::Deadline
-        },
-        session: SessionConfig {
-            base_backoff: NACK_BASE_TICKS,
-            max_backoff: NACK_CAP_TICKS,
-            max_retries: NACK_RETRIES,
-            ..SessionConfig::default()
-        },
-    };
-    let mut acfg = AnalysisConfig::for_groups((flags.routers * GROUPS_PER_ROUTER).max(2));
-    if flags.min_quorum > 0 {
-        acfg = acfg.with_min_quorum(flags.min_quorum);
-    }
-    acfg.search.n_prime = N_PRIME;
-    acfg.search.hopefuls = HOPEFULS;
-    let center = AnalysisCenter::new(acfg);
+    let collector_cfg = collector_config(flags.wait_all);
+    let center = serve_center(&flags);
 
     // Resume an interrupted epoch from its DCSK checkpoint, or start
     // fresh at epoch 0.
@@ -348,6 +351,35 @@ pub fn serve(args: &[String]) -> CliResult {
     }
 }
 
+/// The collector settings of every `serve` epoch.
+fn collector_config(wait_all: bool) -> CollectorConfig {
+    CollectorConfig {
+        deadline: DEADLINE_TICKS,
+        straggler: if wait_all {
+            StragglerPolicy::WaitAll
+        } else {
+            StragglerPolicy::Deadline
+        },
+        session: SessionConfig {
+            base_backoff: NACK_BASE_TICKS,
+            max_backoff: NACK_CAP_TICKS,
+            max_retries: NACK_RETRIES,
+            ..SessionConfig::default()
+        },
+    }
+}
+
+/// The centre `serve` judges its epochs with: [`analysis_config`] over
+/// routers × [`GROUPS_PER_ROUTER`] groups, with the `--quorum` floor.
+fn serve_center(flags: &ServeFlags) -> AnalysisCenter {
+    let acfg = analysis_config(flags.routers * GROUPS_PER_ROUTER, ALIGNED_BITS);
+    AnalysisCenter::new(if flags.min_quorum > 0 {
+        acfg.with_min_quorum(flags.min_quorum)
+    } else {
+        acfg
+    })
+}
+
 fn analyse_epoch(center: &AnalysisCenter, epoch: &CollectedEpoch) -> ReportLine {
     match center.analyze_epoch_collected(epoch) {
         Ok(report) => ReportLine {
@@ -427,8 +459,7 @@ pub fn monitor(args: &[String]) -> CliResult {
     let clock = TickClock::new(TICK);
     let metrics = MetricsRegistry::new();
     let mut sock = MonitorSocket::connect(flags.center.as_str(), Transport::Udp)?;
-    let mcfg = MonitorConfig::small(DIGEST_SEED, ALIGNED_BITS, GROUPS_PER_ROUTER);
-    let mut mp = MonitoringPoint::new(flags.router_id as usize, &mcfg);
+    let mut mp = MonitoringPoint::new(flags.router_id as usize, &monitor_config());
     println!("monitor {}: shipping to {}", flags.router_id, flags.center);
 
     loop {
@@ -505,6 +536,7 @@ pub fn monitor(args: &[String]) -> CliResult {
 mod tests {
     use super::*;
     use crate::ZeroShape;
+    use dcs::core::transport::chunk_bundle;
 
     fn args(list: &[&str]) -> Vec<String> {
         list.iter().map(|a| a.to_string()).collect()
@@ -517,6 +549,56 @@ mod tests {
             *result.unwrap_err().downcast::<ZeroShape>().unwrap(),
             ZeroShape("routers")
         );
+    }
+
+    /// `analyze` judges a deployment's digests as `serve` does. One
+    /// planted epoch of deployment-shaped bundles: 48 monitors, each
+    /// hashing 8,000 background packets (fill ≈ 0.39, under the 0.5
+    /// target), the first 16 also the same 30-packet content object. The
+    /// epoch reads the same detection fingerprint through `serve`'s path
+    /// (the chunks through its collector, its centre) as through
+    /// `analyze`'s (the whole DCSR frames, the centre sized from them).
+    #[test]
+    fn analyze_judges_an_epoch_as_serve_does() {
+        const ROUTERS: u64 = 48;
+        const INFECTED: u64 = 16;
+        let background = BackgroundConfig {
+            packets: 8_000,
+            flows: 2_000,
+            zipf_exponent: 1.0,
+            size_mix: SizeMix::constant(PAYLOAD),
+        };
+        let frames: Vec<Vec<u8>> = (0..ROUTERS)
+            .map(|r| {
+                let mut rng = StdRng::seed_from_u64(r);
+                let mut traffic = generate_epoch(&mut rng, &background);
+                if r < INFECTED {
+                    let mut content_rng = StdRng::seed_from_u64(CONTENT_SEED);
+                    let object = ContentObject::random_with_packets(
+                        &mut content_rng,
+                        CONTENT_PACKETS,
+                        PAYLOAD,
+                    );
+                    Planting::aligned(object, PAYLOAD).plant_into(&mut rng, &mut traffic);
+                }
+                let mut mp = MonitoringPoint::new(r as usize, &monitor_config());
+                mp.observe_all(&traffic);
+                mp.finish_epoch().encode_wire().unwrap()
+            })
+            .collect();
+
+        let flags = serve_flags(&args(&["--routers", &ROUTERS.to_string()])).unwrap();
+        let cfg = collector_config(flags.wait_all);
+        let mut collector = EpochCollector::new(0, 0..ROUTERS, cfg, COLLECTOR_SEED, 0);
+        for (r, frame) in (0..).zip(&frames) {
+            collector.answer(&chunk_bundle(r, 0, frame, DATAGRAM_SAFE_PAYLOAD), 0);
+        }
+        let served = analyse_epoch(&serve_center(&flags), &collector.finalize(0));
+        assert_eq!(served.outcome, "report");
+
+        let paths: Vec<String> = (0..ROUTERS).map(|r| format!("digest{r}.dcsr")).collect();
+        let (_, report) = crate::judge_files(&paths, frames).unwrap();
+        assert_eq!(served.detection, report.detection_fingerprint());
     }
 
     #[test]

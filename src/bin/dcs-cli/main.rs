@@ -1,11 +1,10 @@
 //! `dcs-cli` — command-line front end for the DCS toolchain.
 //!
 //! ```text
-//! dcs-cli gen-trace <out.trace> [--packets N] [--flows N] [--zipf S]
-//!                   [--seed N] [--plant g,size[,unaligned]]
-//! dcs-cli collect   <in.trace> --router N [--seed N] [--bits N]
-//!                   [--groups N] [--out digest.dcsr]
-//! dcs-cli analyze   <digest.dcsr>... [--threshold N] [--metrics-json path]
+//! dcs-cli gen-trace <out.trace> [--packets N] [--seed N]
+//!                   [--content-seed N] [--plant g,size[,unaligned]]
+//! dcs-cli collect   <in.trace> [--router N] [--out digest.dcsr]
+//! dcs-cli analyze   <digest.dcsr>... [--metrics-json path]
 //! dcs-cli serve     [--bind addr] [--routers N] [--resume ckpt] …
 //! dcs-cli monitor   [--center addr] [--router N] [--infected] …
 //! dcs-cli demo
@@ -20,9 +19,10 @@
 //! so a file that does not parse is an error naming it (exit 1), where
 //! `serve` would exclude that router's frame from the epoch;
 //! `serve`/`monitor` run the analysis centre and monitoring points as
-//! real socket processes (see [`deploy`]). Every setting is a flag or a
-//! named constant: no subcommand reads a config file. Argument parsing is
-//! deliberately dependency-free.
+//! real socket processes (see [`deploy`]). Every role builds digests and
+//! judges them with the one deployment shape in [`deploy`], and refuses
+//! a flag it does not take: no subcommand reads a config file. Argument
+//! parsing is deliberately dependency-free.
 
 mod deploy;
 
@@ -81,8 +81,18 @@ fn flag<T: std::str::FromStr>(args: &mut Vec<String>, name: &str) -> Result<Opti
         .map_err(|_| format!("{name}: cannot parse {value:?}"))
 }
 
-/// An input of zero the program cannot run on — a bitmap width, a group
-/// or router count, or a packet size — named by the flag it came from.
+/// Refuses any `--flag` left in `args` once `role` has taken its own.
+fn no_other_flags(role: &str, args: &[String]) -> Result<(), String> {
+    let other: Vec<&String> = args.iter().filter(|a| a.starts_with("--")).collect();
+    if other.is_empty() {
+        Ok(())
+    } else {
+        Err(format!("{role}: unrecognised arguments {other:?}"))
+    }
+}
+
+/// An input of zero the program cannot run on — a router count or a
+/// packet size — named by the flag it came from.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 struct ZeroShape(&'static str);
 
@@ -106,17 +116,15 @@ fn positive<T: Default + PartialEq>(name: &'static str, value: T) -> Result<T, Z
 fn gen_trace(args: &[String]) -> CliResult {
     let mut args = args.to_vec();
     let packets = flag(&mut args, "--packets")?.unwrap_or(20_000usize);
-    let flows = flag(&mut args, "--flows")?.unwrap_or(packets / 10);
-    let zipf = flag(&mut args, "--zipf")?.unwrap_or(1.0f64);
     let seed = flag(&mut args, "--seed")?.unwrap_or(0u64);
     let plant_spec: Option<String> = flag(&mut args, "--plant")?;
     // The planted object is generated from its own seed so different
     // routers (different --seed) can still carry the *same* content.
     let content_seed = flag(&mut args, "--content-seed")?.unwrap_or(1u64);
+    no_other_flags("gen-trace", &args)?;
     let [out] = args.as_slice() else {
-        return Err("usage: gen-trace <out.trace> [--packets N] [--flows N] \
-                    [--zipf S] [--seed N] [--content-seed N] \
-                    [--plant g,size[,unaligned]]"
+        return Err("usage: gen-trace <out.trace> [--packets N] [--seed N] \
+                    [--content-seed N] [--plant g,size[,unaligned]]"
             .into());
     };
 
@@ -126,8 +134,8 @@ fn gen_trace(args: &[String]) -> CliResult {
         &mut rng,
         &BackgroundConfig {
             packets,
-            flows: flows.max(1),
-            zipf_exponent: zipf,
+            flows: (packets / 10).max(1),
+            zipf_exponent: 1.0,
             size_mix: SizeMix::internet_default(),
         },
     );
@@ -163,22 +171,13 @@ fn gen_trace(args: &[String]) -> CliResult {
 fn collect(args: &[String]) -> CliResult {
     let mut args = args.to_vec();
     let router = flag(&mut args, "--router")?.unwrap_or(0usize);
-    let seed = flag(&mut args, "--seed")?.unwrap_or(0u64);
-    let bits = flag(&mut args, "--bits")?.unwrap_or(1usize << 20);
-    let groups = flag(&mut args, "--groups")?.unwrap_or(32usize);
     let out: Option<String> = flag(&mut args, "--out")?;
+    no_other_flags("collect", &args)?;
     let [input] = args.as_slice() else {
-        return Err("usage: collect <in.trace> [--router N] [--seed N] \
-                    [--bits N] [--groups N] [--out digest.dcsr]"
-            .into());
+        return Err("usage: collect <in.trace> [--router N] [--out digest.dcsr]".into());
     };
 
-    let cfg = MonitorConfig::small(
-        seed,
-        positive("--bits", bits)?,
-        positive("--groups", groups)?,
-    );
-    let mut point = MonitoringPoint::new(router, &cfg);
+    let mut point = MonitoringPoint::new(router, &deploy::monitor_config());
     let reader = TraceReader::new(BufReader::new(File::open(input)?))?;
     let mut count = 0u64;
     let mut full = false;
@@ -191,7 +190,7 @@ fn collect(args: &[String]) -> CliResult {
         // centre's thresholds no longer describe this bitmap.
         eprintln!(
             "router {router}: aligned bitmap reached {:.3} fill (target {:.3}); \
-             cut the trace into shorter epochs or raise --bits",
+             cut the trace into shorter epochs",
             point.aligned().fill_ratio(),
             TARGET_FILL
         );
@@ -213,36 +212,43 @@ fn collect(args: &[String]) -> CliResult {
 
 fn analyze(args: &[String]) -> CliResult {
     let mut args = args.to_vec();
-    let threshold: Option<usize> = flag(&mut args, "--threshold")?;
     let metrics_out: Option<String> = flag(&mut args, "--metrics-json")?;
+    no_other_flags("analyze", &args)?;
     if args.is_empty() {
-        return Err("usage: analyze <digest.dcsr>... [--threshold N] [--metrics-json path]".into());
+        return Err("usage: analyze <digest.dcsr>... [--metrics-json path]".into());
     }
     let frames = args
         .iter()
         .map(|path| std::fs::read(path).map_err(|e| format!("{path}: {e}")))
         .collect::<Result<Vec<_>, _>>()?;
-    // The centre is sized from the frames, so each must parse here; the
-    // ingest path then validates them again, as it does under `serve`.
-    let views = args
-        .iter()
-        .zip(&frames)
-        .map(|(path, frame)| RouterDigestView::parse(frame).map_err(|e| format!("{path}: {e}")))
-        .collect::<Result<Vec<_>, _>>()?;
-    let total_groups: usize = views.iter().map(|(v, _)| v.unaligned.groups()).sum();
-    let mut cfg = AnalysisConfig::for_groups(total_groups.max(2));
-    cfg.search.n_prime = 4_000.min(views[0].0.aligned.bitmap.len());
-    if let Some(t) = threshold {
-        cfg.component_threshold = Some(t);
-    }
-    let center = AnalysisCenter::new(cfg);
-    let report = center.analyze_epoch_collected(&CollectedEpoch::from_frames(frames))?;
+    let (center, report) = judge_files(&args, frames)?;
     println!("{}", serde_json::to_string_pretty(&report)?);
     if let Some(path) = metrics_out {
         std::fs::write(&path, center.metrics().to_json_pretty() + "\n")?;
         eprintln!("wrote metrics snapshot to {path}");
     }
     Ok(())
+}
+
+/// Judges the DCSR `frames` read from `paths` as one epoch, with the
+/// deployment's centre ([`deploy::analysis_config`]) over the Σ groups
+/// of the frames and the width of the first. The centre is sized from
+/// the frames, so each must parse here, or the error names its path; the
+/// ingest path then validates them again, as it does under `serve`.
+fn judge_files(
+    paths: &[String],
+    frames: Vec<Vec<u8>>,
+) -> Result<(AnalysisCenter, EpochReport), Box<dyn std::error::Error>> {
+    let views = paths
+        .iter()
+        .zip(&frames)
+        .map(|(path, frame)| RouterDigestView::parse(frame).map_err(|e| format!("{path}: {e}")))
+        .collect::<Result<Vec<_>, _>>()?;
+    let total_groups: usize = views.iter().map(|(v, _)| v.unaligned.groups()).sum();
+    let bits = views[0].0.aligned.bitmap.len();
+    let center = AnalysisCenter::new(deploy::analysis_config(total_groups, bits));
+    let report = center.analyze_epoch_collected(&CollectedEpoch::from_frames(frames))?;
+    Ok((center, report))
 }
 
 fn demo() -> CliResult {
@@ -278,12 +284,6 @@ fn demo() -> CliResult {
             trace.to_string_lossy().into_owned(),
             "--router".into(),
             format!("{r}"),
-            "--seed".into(),
-            "7".into(),
-            "--bits".into(),
-            "16384".into(),
-            "--groups".into(),
-            "4".into(),
             "--out".into(),
             digest.to_string_lossy().into_owned(),
         ])?;
@@ -319,15 +319,27 @@ mod tests {
         assert_eq!(zero_shape(result), ZeroShape("--plant size"));
     }
 
+    /// The digest width is the deployment's: `collect` refuses a `--bits`
+    /// of zero (or any other) as a flag it does not take, before it opens
+    /// the trace.
     #[test]
     fn collect_rejects_zero_bits() {
         let result = collect(&args(&["missing.trace", "--bits", "0"]));
-        assert_eq!(zero_shape(result), ZeroShape("--bits"));
+        assert_eq!(
+            result.unwrap_err().to_string(),
+            r#"collect: unrecognised arguments ["--bits"]"#
+        );
     }
 
+    /// The group count is the deployment's: `collect` refuses a
+    /// `--groups` of zero (or any other) as a flag it does not take,
+    /// before it opens the trace.
     #[test]
     fn collect_rejects_zero_groups() {
         let result = collect(&args(&["missing.trace", "--groups", "0"]));
-        assert_eq!(zero_shape(result), ZeroShape("--groups"));
+        assert_eq!(
+            result.unwrap_err().to_string(),
+            r#"collect: unrecognised arguments ["--groups"]"#
+        );
     }
 }

@@ -33,6 +33,13 @@
 //! sample, so more tails wait for a timer: the flat pin soak went from
 //! 52 to 79 virtual ticks, its timer NACKs from 20 to 37, duplicate
 //! chunks from 560 to 553; the two-level one from 62 to 97 ticks.
+//!
+//! The killed pin's [`KillPlan`] checkpoints the collector at the
+//! instant the centre dies, which is the state `dcs-cli serve` writes
+//! only on SIGTERM: `KILLED_SOAK_PIN` (like `transport_soak`'s
+//! `mid_soak_kill_restart_is_detection_identical`) covers a graceful
+//! restart. No test covers a SIGKILL between `serve`'s 64-tick
+//! snapshots.
 
 use dcs_core::report::TransportStats;
 use dcs_hash::Fnv1a;

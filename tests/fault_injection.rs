@@ -411,6 +411,35 @@ fn cli_refuses_the_removed_config_flags() {
     assert!(stderr.starts_with("usage: dcs-cli"), "{stderr}");
 }
 
+/// Every role runs the deployment's one digest shape and centre:
+/// `collect`, `analyze` and `gen-trace` refuse the flags that set them
+/// (or that nothing passed) with exit code 1, before they read or write
+/// a file.
+#[test]
+fn cli_file_roles_refuse_the_removed_flags() {
+    let path = std::env::temp_dir().join(format!("dcs-removed-{}", std::process::id()));
+    for (role, removed) in [
+        ("collect", ["--seed", "7"]),
+        ("collect", ["--bits", "16384"]),
+        ("collect", ["--groups", "4"]),
+        ("analyze", ["--threshold", "5"]),
+        ("gen-trace", ["--flows", "100"]),
+        ("gen-trace", ["--zipf", "1.0"]),
+    ] {
+        let out = std::process::Command::new(env!("CARGO_BIN_EXE_dcs-cli"))
+            .arg(role)
+            .arg(&path)
+            .args(removed)
+            .output()
+            .expect("run dcs-cli");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(1), "{role} {removed:?}: {stderr}");
+        let want = format!("{role}: unrecognised arguments [\"{}\"]", removed[0]);
+        assert!(stderr.contains(&want), "{role} {removed:?}: {stderr}");
+        assert!(!path.exists(), "{role} {removed:?} wrote {path:?}");
+    }
+}
+
 #[test]
 fn every_fault_kind_is_covered_by_the_matrix() {
     // Keep this test in sync with the matrix above: if a kind is added to

@@ -185,3 +185,77 @@ fn offset_match_probability_holds_through_the_collector() {
         "a pair's residue count spreads wider ({var:.1}) than independent shifts ({binomial_var:.1})"
     );
 }
+
+/// The two Section V baseline claims `repro_baselines` prints, on its
+/// seeded epoch (seed 0xBA5E; 24 routers of 800 × 536 B background, the
+/// first 18 also carrying one 30-packet object): a single-vantage
+/// prevalence detector is blind to content spread one instance per link
+/// (no link alarms, the highest local prevalence is 1), while raw
+/// aggregation names every infected router.
+#[test]
+fn local_prevalence_is_blind_where_raw_aggregation_sees_every_router() {
+    use dcs_sim::baseline::{LocalPrevalenceDetector, RawAggregationDetector};
+    use dcs_traffic::{gen, BackgroundConfig, ContentObject, Planting, SizeMix};
+    use rand::{rngs::StdRng, SeedableRng};
+    const ROUTERS: usize = 24;
+    const INFECTED: usize = 18;
+    const CONTENT_PACKETS: usize = 30;
+    let mut rng = StdRng::seed_from_u64(0xBA5E);
+    let object = ContentObject::random_with_packets(&mut rng, CONTENT_PACKETS, 536);
+    let plant = Planting::aligned(object, 536);
+    let bg = BackgroundConfig {
+        packets: 800,
+        flows: 200,
+        zipf_exponent: 1.0,
+        size_mix: SizeMix::constant(536),
+    };
+    let traffic: Vec<_> = (0..ROUTERS)
+        .map(|r| {
+            let mut t = gen::generate_epoch(&mut rng, &bg);
+            if r < INFECTED {
+                plant.plant_into(&mut rng, &mut t);
+            }
+            t
+        })
+        .collect();
+
+    let mut raw = RawAggregationDetector::new(7);
+    for (r, t) in (0..).zip(&traffic) {
+        raw.ingest(r, t);
+        let mut local = LocalPrevalenceDetector::new(7);
+        t.iter().for_each(|p| local.observe(p));
+        assert_eq!(local.max_prevalence(), 1, "router {r}");
+        assert!(!local.alarm(2), "router {r}");
+    }
+    let found = raw.detect(INFECTED / 2, CONTENT_PACKETS / 2);
+    let infected: Vec<u32> = (0..INFECTED as u32).collect();
+    assert_eq!(found.first().map(|c| &c.routers), Some(&infected));
+}
+
+/// Section III-A's sizing claim on `repro_sizing`'s quick epoch (seed
+/// 0x512E, the OC-48 second scaled down 512-fold to 4,687 packets on an
+/// 8,192-bit bitmap): the aligned digest is at least 1,000 times smaller
+/// than the traffic it summarises.
+#[test]
+fn aligned_digest_is_a_thousandth_of_the_traffic() {
+    use dcs_collect::{AlignedCollector, AlignedConfig};
+    use dcs_traffic::{gen, BackgroundConfig, SizeMix};
+    use rand::{rngs::StdRng, SeedableRng};
+    const DIV: usize = 512;
+    let packets = 2_400_000 / DIV;
+    let epoch = gen::generate_epoch(
+        &mut StdRng::seed_from_u64(0x512E),
+        &BackgroundConfig {
+            packets,
+            flows: packets / 10,
+            zipf_exponent: 1.0,
+            size_mix: SizeMix::internet_default(),
+        },
+    );
+    let mut aligned = AlignedCollector::new(AlignedConfig::small(4 * 1024 * 1024 / DIV, 1));
+    epoch.iter().for_each(|p| {
+        aligned.observe(p);
+    });
+    let ratio = aligned.finish_epoch().compression_ratio();
+    assert!(ratio >= 1_000.0, "the digest is only {ratio:.0}x smaller");
+}

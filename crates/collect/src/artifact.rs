@@ -121,19 +121,6 @@ pub fn encode_section(artifacts: &[Artifact], buf: &mut impl BufMut) -> Result<(
     Ok(())
 }
 
-/// Decodes an artifact section from the front of `buf`, advancing it:
-/// owned copies of what [`decode_section_views`] validates.
-pub fn decode_section(buf: &mut &[u8]) -> Result<Vec<Artifact>, FrameError> {
-    let views = decode_section_views(buf)?;
-    Ok(views
-        .into_iter()
-        .map(|(kind, payload)| Artifact {
-            kind,
-            payload: payload.to_vec(),
-        })
-        .collect())
-}
-
 /// Validates an artifact section at the front of `buf`, advancing it;
 /// payloads stay slices into the frame. Call only when the containing
 /// frame says a section is present; an empty `buf` is a missing count,
@@ -190,23 +177,24 @@ mod tests {
         ]
     }
 
+    /// `arts` as the `(kind, payload)` pairs [`decode_section_views`]
+    /// yields.
+    fn as_views(arts: &[Artifact]) -> Vec<(u32, &[u8])> {
+        arts.iter().map(|a| (a.kind, &a.payload[..])).collect()
+    }
+
     #[test]
-    fn round_trip_owned_and_view() {
+    fn round_trip() {
         let arts = sample();
         let mut buf = BytesMut::new();
         encode_section(&arts, &mut buf).expect("encodes");
         assert_eq!(buf.len(), section_len(&arts));
 
         let mut rd: &[u8] = &buf;
-        let got = decode_section(&mut rd).expect("decodes");
-        assert_eq!(got, arts);
-        assert!(rd.is_empty(), "decoder must consume the whole section");
-
-        let mut rd: &[u8] = &buf;
-        let views = decode_section_views(&mut rd).expect("view decodes");
-        assert_eq!(views.len(), 2);
+        let views = decode_section_views(&mut rd).expect("decodes");
+        assert_eq!(views, as_views(&arts));
         assert_eq!(views[0].0, ARTIFACT_KIND_SKETCH);
-        assert_eq!(views[0].1, &arts[0].payload[..]);
+        assert!(rd.is_empty(), "decoder must consume the whole section");
     }
 
     #[test]
@@ -226,7 +214,10 @@ mod tests {
         let mut buf = BytesMut::new();
         encode_section(&arts, &mut buf).expect("encodes");
         let mut rd: &[u8] = &buf;
-        assert_eq!(decode_section(&mut rd).expect("decodes"), arts);
+        assert_eq!(
+            decode_section_views(&mut rd).expect("decodes"),
+            as_views(&arts)
+        );
     }
 
     #[test]
@@ -239,7 +230,7 @@ mod tests {
             bad[pos] ^= 0x40;
             let mut rd: &[u8] = &bad;
             assert!(
-                decode_section(&mut rd).is_err(),
+                decode_section_views(&mut rd).is_err(),
                 "flip at {pos} went unnoticed"
             );
         }
@@ -272,13 +263,13 @@ mod tests {
         // Decoder: a hostile count dies on the remaining-length
         // pre-check, not on allocation.
         let mut rd: &[u8] = &[0xFF, 0xFF];
-        assert!(decode_section(&mut rd).is_err());
+        assert!(decode_section_views(&mut rd).is_err());
         // A hostile payload length likewise.
         let mut frame = BytesMut::new();
         put_u16_le(&mut frame, 1);
         frame.put_u32_le(7);
         frame.put_u32_le(u32::MAX);
         let mut rd: &[u8] = &frame;
-        assert!(decode_section(&mut rd).is_err());
+        assert!(decode_section_views(&mut rd).is_err());
     }
 }

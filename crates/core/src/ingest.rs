@@ -284,13 +284,6 @@ pub struct IngestReport {
     pub excluded: Vec<Exclusion>,
 }
 
-impl IngestReport {
-    /// Whether any bundle was excluded this epoch.
-    pub fn is_degraded(&self) -> bool {
-        !self.excluded.is_empty()
-    }
-}
-
 /// Fatal ingest failures: nothing (or not enough) left to analyse.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum IngestError {
@@ -499,7 +492,7 @@ mod tests {
         let digests: Vec<_> = (0..5).map(|r| bundle(r, 3)).collect();
         let report = validate(&digests, 1).unwrap();
         assert_eq!(report.accepted, vec![0, 1, 2, 3, 4]);
-        assert!(!report.is_degraded());
+        assert!(report.excluded.is_empty());
     }
 
     #[test]

@@ -47,32 +47,3 @@ pub use transport::{chunk_bundle, ChunkFrame, DATAGRAM_SAFE_PAYLOAD};
 
 pub use dcs_collect::frame::FrameError;
 pub use dcs_obs::{MetricsRegistry, MetricsSnapshot};
-
-/// Convenient glob-import surface.
-pub mod prelude {
-    pub use crate::aggregate::{AggregateBundle, Aggregator, ChildExclusion};
-    pub use crate::center::{AnalysisCenter, AnalysisConfig};
-    pub use crate::clock::{Clock, ManualClock, TickClock};
-    pub use crate::ingest::{Exclusion, IngestError, IngestReport, RouterFault};
-    pub use crate::monitor::{
-        MonitorConfig, MonitoringPoint, RouterDigest, RouterDigestView, SketchSpec,
-    };
-    pub use crate::net::{
-        run_center_epoch, run_monitor_epoch, CenterEpochEnd, CenterSocket, ControlFrame,
-        ImpairmentConfig, ImpairmentShim, MonitorEpochConfig, MonitorEpochEnd, MonitorSocket,
-        Transport,
-    };
-    pub use crate::report::{AlignedReport, EpochReport, TransportStats, UnalignedReport};
-    pub use crate::session::{
-        CollectedEpoch, CollectorConfig, EpochCollector, RetransmitRequest, SessionConfig,
-        StragglerPolicy,
-    };
-    pub use crate::stages::{Stage, StageRecorder};
-    pub use crate::transport::{chunk_bundle, ChunkFrame, DATAGRAM_SAFE_PAYLOAD};
-    pub use dcs_aligned::{refined_detect, SearchConfig};
-    pub use dcs_collect::frame::FrameError;
-    pub use dcs_collect::{AlignedConfig, UnalignedConfig};
-    pub use dcs_obs::{MetricsRegistry, MetricsSnapshot};
-    pub use dcs_traffic::{BackgroundConfig, ContentObject, FlowLabel, Packet, Planting};
-    pub use dcs_unaligned::CoreFindConfig;
-}

@@ -57,6 +57,10 @@ const _: () = assert!(HASH_PREFIX_LEN <= MIN_PAYLOAD);
 /// (`MAX_ARTIFACT_PAYLOAD`), so every epoch's bundle encodes.
 const MAX_SKETCH_CAP: usize = (artifact::MAX_ARTIFACT_PAYLOAD - wire::HEADER_LEN) / wire::ENTRY_LEN;
 
+/// The digest hash seed every deployed monitoring point shares: the
+/// centre correlates bit positions, so one seed holds deployment-wide.
+const DIGEST_SEED: u64 = 7;
+
 /// Configuration of a monitoring point.
 #[derive(Debug, Clone)]
 pub struct MonitorConfig {
@@ -78,6 +82,13 @@ impl MonitorConfig {
             unaligned: UnalignedConfig::small(groups, epoch_seed, 0),
             sketch: SketchSpec::disabled(),
         }
+    }
+
+    /// The deployed digest, `aligned_bits` wide with `groups` flow-split
+    /// groups: [`MonitorConfig::small`] under the one seed every
+    /// monitoring point shares.
+    pub fn deployed(aligned_bits: usize, groups: usize) -> Self {
+        Self::small(DIGEST_SEED, aligned_bits, groups)
     }
 
     /// The same configuration with a sidecar sketch enabled.
@@ -856,7 +867,12 @@ mod tests {
         assert_eq!(used, wire.len());
         assert_eq!(view.artifact_bytes(), artifact::section_len(&d.artifacts));
         let mut section = &wire[wire.len() - view.artifact_bytes()..];
-        assert_eq!(artifact::decode_section(&mut section), Ok(d.artifacts));
+        let payloads: Vec<(u32, &[u8])> = d
+            .artifacts
+            .iter()
+            .map(|a| (a.kind, &a.payload[..]))
+            .collect();
+        assert_eq!(artifact::decode_section_views(&mut section), Ok(payloads));
         for cut in 0..wire.len() {
             assert!(
                 RouterDigestView::parse(&wire[..cut]).is_err(),

@@ -17,8 +17,7 @@
 //! conventional families are `stage`, `pipeline`, `router_id` and
 //! `kernel`. [`MetricsSnapshot`] captures the whole registry as a
 //! deterministic (key-sorted), serde-serializable value with JSON export
-//! ([`MetricsSnapshot::to_json_pretty`]) and snapshot-to-snapshot deltas
-//! ([`MetricsSnapshot::delta_since`]) for per-epoch rates.
+//! ([`MetricsSnapshot::to_json_pretty`]).
 //!
 //! The crate depends only on the workspace serde stand-ins — no clocks
 //! beyond `std::time`, no allocator tricks, no platform code — so every

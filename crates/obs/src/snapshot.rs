@@ -92,64 +92,9 @@ impl MetricsSnapshot {
         self.histograms.iter().find(|e| e.key == key)
     }
 
-    /// Compact JSON rendering. Snapshots hold only integers and metric
-    /// keys, so encoding cannot fail.
-    pub fn to_json(&self) -> String {
-        serde_json::to_string(self).expect("snapshot holds only integers and strings")
-    }
-
     /// Pretty-printed JSON rendering (the `--metrics-json` file format).
     pub fn to_json_pretty(&self) -> String {
         serde_json::to_string_pretty(self).expect("snapshot holds only integers and strings")
-    }
-
-    /// Parses a snapshot back from its JSON rendering.
-    pub fn from_json(json: &str) -> Result<Self, serde_json::Error> {
-        serde_json::from_str(json)
-    }
-
-    /// The change from `earlier` to `self` — the per-epoch rate view.
-    ///
-    /// Counters and histogram counts/sums/buckets subtract (saturating,
-    /// so a restarted registry yields zeros rather than wrapping); keys
-    /// absent from `earlier` keep their full value. Gauges are
-    /// last-value instruments and keep `self`'s reading, as do histogram
-    /// extrema (`min`/`max` are lifetime extremes — a delta cannot
-    /// reconstruct interval extrema from totals).
-    pub fn delta_since(&self, earlier: &MetricsSnapshot) -> MetricsSnapshot {
-        MetricsSnapshot {
-            counters: self
-                .counters
-                .iter()
-                .map(|e| CounterEntry {
-                    key: e.key.clone(),
-                    value: e.value.saturating_sub(earlier.counter(&e.key).unwrap_or(0)),
-                })
-                .collect(),
-            gauges: self.gauges.clone(),
-            histograms: self
-                .histograms
-                .iter()
-                .map(|e| {
-                    let base = earlier.histogram(&e.key);
-                    let bucket =
-                        |i: usize| base.and_then(|b| b.buckets.get(i)).copied().unwrap_or(0);
-                    HistogramEntry {
-                        key: e.key.clone(),
-                        count: e.count.saturating_sub(base.map_or(0, |b| b.count)),
-                        sum: e.sum.saturating_sub(base.map_or(0, |b| b.sum)),
-                        min: e.min,
-                        max: e.max,
-                        buckets: e
-                            .buckets
-                            .iter()
-                            .enumerate()
-                            .map(|(i, &v)| v.saturating_sub(bucket(i)))
-                            .collect(),
-                    }
-                })
-                .collect(),
-        }
     }
 }
 
@@ -200,50 +145,8 @@ mod tests {
         reg.gauge("g", &[]).set(u64::MAX);
         reg.histogram("h", &[]).observe(1024);
         let snap = reg.snapshot();
-        let back = MetricsSnapshot::from_json(&snap.to_json_pretty()).unwrap();
+        let back: MetricsSnapshot = serde_json::from_str(&snap.to_json_pretty()).unwrap();
         assert_eq!(back, snap);
         assert_eq!(back.gauge("g"), Some(u64::MAX), "u64 must be exact");
-    }
-
-    #[test]
-    fn delta_subtracts_counters_and_histograms() {
-        let reg = MetricsRegistry::new();
-        let c = reg.counter("epochs_total", &[]);
-        let h = reg.histogram("lat", &[]);
-        c.add(2);
-        h.observe(8);
-        let early = reg.snapshot();
-        c.add(3);
-        h.observe(8);
-        h.observe(16);
-        reg.gauge("g", &[]).set(5);
-        let late = reg.snapshot();
-        let d = late.delta_since(&early);
-        assert_eq!(d.counter("epochs_total"), Some(3));
-        let dh = d.histogram("lat").unwrap();
-        assert_eq!(dh.count, 2);
-        assert_eq!(dh.sum, 24);
-        assert_eq!(d.gauge("g"), Some(5), "gauges keep the later reading");
-        // A key the earlier snapshot never saw keeps its full value.
-        assert_eq!(
-            late.delta_since(&MetricsSnapshot::default())
-                .counter("epochs_total"),
-            Some(5)
-        );
-    }
-
-    #[test]
-    fn delta_saturates_after_registry_restart() {
-        let a = {
-            let reg = MetricsRegistry::new();
-            reg.counter("c", &[]).add(100);
-            reg.snapshot()
-        };
-        let b = {
-            let reg = MetricsRegistry::new();
-            reg.counter("c", &[]).add(10);
-            reg.snapshot()
-        };
-        assert_eq!(b.delta_since(&a).counter("c"), Some(0));
     }
 }

@@ -189,7 +189,7 @@ impl SoakConfig {
 
     /// Every leaf's monitoring-point configuration.
     pub fn monitor_config(&self) -> MonitorConfig {
-        let mut mcfg = MonitorConfig::small(7, self.aligned_bits, self.groups_per_leaf);
+        let mut mcfg = MonitorConfig::deployed(self.aligned_bits, self.groups_per_leaf);
         mcfg.unaligned.arrays_per_group = self.arrays_per_group;
         mcfg.unaligned.array_bits = self.array_bits;
         mcfg
@@ -197,11 +197,8 @@ impl SoakConfig {
 
     /// The centre's configuration.
     pub fn analysis_config(&self) -> AnalysisConfig {
-        let mut acfg = AnalysisConfig::for_groups(self.leaves * self.groups_per_leaf)
-            .with_min_quorum(self.min_quorum);
-        acfg.search.n_prime = 400.min(self.aligned_bits);
-        acfg.search.hopefuls = 300.min(self.aligned_bits);
-        acfg
+        AnalysisConfig::deployed(self.leaves * self.groups_per_leaf, self.aligned_bits)
+            .with_min_quorum(self.min_quorum)
     }
 
     /// One epoch's traffic at every leaf, drawn from `rng`: the content

@@ -9,8 +9,9 @@
 //!
 //! Run with: `cargo run --release --example hot_object`
 
-use dcs::prelude::*;
+use dcs_core::{AnalysisCenter, AnalysisConfig, MonitorConfig, MonitoringPoint};
 use dcs_traffic::gen::{self, SizeMix};
+use dcs_traffic::{BackgroundConfig, ContentObject, Planting};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::collections::HashMap;
@@ -25,10 +26,7 @@ fn main() {
     let object = ContentObject::random_with_packets(&mut rng, 40, 536);
     let hot = Planting::aligned(object, 536);
 
-    let mut analysis_cfg = AnalysisConfig::for_groups(ROUTERS * 4);
-    analysis_cfg.search.n_prime = 400;
-    analysis_cfg.search.hopefuls = 300;
-    let center = AnalysisCenter::new(analysis_cfg);
+    let center = AnalysisCenter::new(AnalysisConfig::deployed(ROUTERS * 4, 1 << 14));
 
     // Popularity ramp: fraction of routers serving the object per epoch.
     // With 24 monitoring points the detectable threshold sits around 16

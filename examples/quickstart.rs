@@ -7,8 +7,9 @@
 //!
 //! Run with: `cargo run --release --example quickstart`
 
-use dcs::prelude::*;
+use dcs_core::{AnalysisCenter, AnalysisConfig, MonitorConfig, MonitoringPoint};
 use dcs_traffic::gen::{self, SizeMix};
+use dcs_traffic::{BackgroundConfig, ContentObject, Planting};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
@@ -17,10 +18,10 @@ fn main() {
     const ROUTERS: usize = 24;
     const INFECTED: usize = 18;
 
-    // Deployment-wide collector settings: every router shares the epoch
-    // hash seed (so identical payloads hash identically everywhere) and a
-    // 16-Kbit aligned bitmap scaled to this toy epoch.
-    let monitor_cfg = MonitorConfig::small(/*epoch_seed=*/ 7, 1 << 14, /*groups=*/ 4);
+    // The deployed collector settings: every router shares the digest
+    // hash seed (so identical payloads hash identically everywhere), on a
+    // 16-Kbit aligned bitmap scaled to this toy epoch and 4 groups.
+    let monitor_cfg = MonitorConfig::deployed(1 << 14, /*groups=*/ 4);
 
     // The common content: a 30-packet object carried on 536-byte payloads.
     let object = ContentObject::random_with_packets(&mut rng, 30, 536);
@@ -45,10 +46,7 @@ fn main() {
         digests.push(point.finish_epoch());
     }
 
-    let mut analysis_cfg = AnalysisConfig::for_groups(ROUTERS * 4);
-    analysis_cfg.search.n_prime = 400;
-    analysis_cfg.search.hopefuls = 300;
-    let center = AnalysisCenter::new(analysis_cfg);
+    let center = AnalysisCenter::new(AnalysisConfig::deployed(ROUTERS * 4, 1 << 14));
     let report = center
         .analyze_epoch(&digests)
         .expect("freshly collected digests form a quorum");

@@ -8,9 +8,11 @@
 //!
 //! Run with: `cargo run --release --example spam_campaign`
 
-use dcs::prelude::*;
+use dcs_core::{AnalysisCenter, AnalysisConfig, MonitorConfig, MonitoringPoint};
 use dcs_traffic::gen::{self, SizeMix};
 use dcs_traffic::trace::{TraceReader, TraceWriter};
+use dcs_traffic::{BackgroundConfig, ContentObject, Planting};
+use dcs_unaligned::CoreFindConfig;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
@@ -67,9 +69,7 @@ fn main() {
     }
 
     // Analysis: calibrate the ER threshold on a clean replay, then test.
-    let mut analysis_cfg = AnalysisConfig::for_groups(ROUTERS * GROUPS);
-    analysis_cfg.search.n_prime = 400;
-    analysis_cfg.search.hopefuls = 300;
+    let mut analysis_cfg = AnalysisConfig::deployed(ROUTERS * GROUPS, 1 << 14);
     analysis_cfg.component_threshold = Some(12);
     // ~30 relay flow-groups carry the blast; size the core accordingly.
     analysis_cfg.corefind = CoreFindConfig { beta: 12, d: 2 };

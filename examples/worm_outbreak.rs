@@ -12,8 +12,10 @@
 //!
 //! Run with: `cargo run --release --example worm_outbreak`
 
-use dcs::prelude::*;
+use dcs_core::{AnalysisCenter, AnalysisConfig, MonitorConfig, MonitoringPoint, RouterDigest};
 use dcs_traffic::gen::{self, SizeMix};
+use dcs_traffic::{BackgroundConfig, ContentObject, Planting};
+use dcs_unaligned::CoreFindConfig;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
@@ -57,9 +59,7 @@ fn main() {
     let attachment = ContentObject::random(&mut rng, 150 * 536);
     let worm = Planting::unaligned(attachment, 536);
 
-    let mut analysis_cfg = AnalysisConfig::for_groups(ROUTERS * GROUPS);
-    analysis_cfg.search.n_prime = 400;
-    analysis_cfg.search.hopefuls = 300;
+    let mut analysis_cfg = AnalysisConfig::deployed(ROUTERS * GROUPS, 1 << 14);
     // β sized for this deployment: the infected flow groups number in the
     // tens, not the default 50 (which would pad the core with noise).
     analysis_cfg.corefind = CoreFindConfig { beta: 12, d: 2 };

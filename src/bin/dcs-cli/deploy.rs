@@ -12,10 +12,12 @@
 //!
 //! Everything else is a deployment constant below, written once for
 //! every role: the digest shape ([`ALIGNED_BITS`], [`GROUPS_PER_ROUTER`]),
-//! the digest seed, the centre's search budget, the tick and every
-//! timer. The file roles build from the same two rules: `collect` makes
-//! the digest `monitor` ships ([`monitor_config`]), and `analyze` judges
-//! with the centre `serve` runs ([`analysis_config`]).
+//! the tick and every timer. The digest seed and the centre's search
+//! budget are `dcs-core`'s deployment rule ([`MonitorConfig::deployed`],
+//! [`AnalysisConfig::deployed`]), which the soak driver builds from too.
+//! The file roles build from the same two rules: `collect` makes the
+//! digest `monitor` ships ([`monitor_config`]), and `analyze` judges with
+//! the centre `serve` runs.
 //!
 //! The centre runs one [`EpochCollector`] epoch at a time over a
 //! [`CenterSocket`], analyses each collected epoch, appends a JSONL
@@ -32,14 +34,20 @@
 //! pin.
 
 use crate::{flag, positive, CliResult};
-use dcs::core::clock::{Clock, TickClock};
-use dcs::core::net::{
+use dcs_core::clock::{Clock, TickClock};
+use dcs_core::net::{
     run_center_epoch, run_monitor_epoch, CenterEpochEnd, CenterSocket, MonitorEpochConfig,
     MonitorEpochEnd, MonitorSocket, Transport,
 };
-use dcs::core::prelude::*;
-use dcs::core::transport::DATAGRAM_SAFE_PAYLOAD;
-use dcs::traffic::gen::{generate_epoch, BackgroundConfig, SizeMix};
+use dcs_core::session::{
+    CollectedEpoch, CollectorConfig, EpochCollector, SessionConfig, StragglerPolicy,
+};
+use dcs_core::transport::DATAGRAM_SAFE_PAYLOAD;
+use dcs_core::{
+    AnalysisCenter, AnalysisConfig, IngestError, MetricsRegistry, MonitorConfig, MonitoringPoint,
+};
+use dcs_traffic::gen::{generate_epoch, BackgroundConfig, SizeMix};
+use dcs_traffic::{ContentObject, Planting};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use serde::Serialize;
@@ -51,7 +59,7 @@ use std::time::Duration;
 // ---------------------------------------------------------------------
 
 /// Aligned bitmap width of every monitor's digest. The centre correlates
-/// bit positions, so one width (and one [`DIGEST_SEED`]) holds for the
+/// bit positions, so one width (and one digest seed) holds for the
 /// whole deployment.
 const ALIGNED_BITS: usize = 1 << 14;
 /// Flow-split groups per monitor; the centre analyses
@@ -76,28 +84,12 @@ const NACK_CAP_TICKS: u64 = 512;
 const NACK_RETRIES: u32 = 1_000;
 /// Collector retransmit seed.
 const COLLECTOR_SEED: u64 = 42;
-/// Columns the centre's aligned search screens (n′).
-const N_PRIME: usize = 400;
-/// Screened columns the aligned search expands.
-const HOPEFULS: usize = 300;
 
 /// The digest every monitoring point builds. The centre correlates bit
 /// positions, so one width, one group count and one seed hold for the
 /// whole deployment: `monitor` ships this digest and `collect` writes it.
 pub(crate) fn monitor_config() -> MonitorConfig {
-    MonitorConfig::small(DIGEST_SEED, ALIGNED_BITS, GROUPS_PER_ROUTER)
-}
-
-/// The centre's analysis configuration over `groups` flow-split groups
-/// in all, on aligned bitmaps `bits` wide: n′ = [`N_PRIME`] and H =
-/// [`HOPEFULS`], each capped at the width. `serve` gives its routers ×
-/// [`GROUPS_PER_ROUTER`] groups at [`ALIGNED_BITS`], `analyze` the Σ
-/// groups and the width of its files.
-pub(crate) fn analysis_config(groups: usize, bits: usize) -> AnalysisConfig {
-    let mut cfg = AnalysisConfig::for_groups(groups.max(2));
-    cfg.search.n_prime = N_PRIME.min(bits);
-    cfg.search.hopefuls = HOPEFULS.min(bits);
-    cfg
+    MonitorConfig::deployed(ALIGNED_BITS, GROUPS_PER_ROUTER)
 }
 
 /// Background packets per monitor epoch.
@@ -106,8 +98,6 @@ const PACKETS: usize = 800;
 const FLOWS: usize = 200;
 /// Payload bytes of every generated packet, planted ones included.
 const PAYLOAD: usize = 536;
-/// Digest hash seed, the same at every monitor.
-const DIGEST_SEED: u64 = 7;
 /// Seed of the planted content, shared so every `--infected` monitor
 /// carries the *same* object.
 const CONTENT_SEED: u64 = 1;
@@ -328,7 +318,7 @@ pub fn serve(args: &[String]) -> CliResult {
                 served += 1;
                 if flags.epochs > 0 && served >= flags.epochs {
                     sock.broadcast(
-                        |router_id| dcs::core::net::ControlFrame::Shutdown { router_id },
+                        |router_id| dcs_core::net::ControlFrame::Shutdown { router_id },
                         &metrics,
                     );
                     println!("serve: {served} epochs served, exiting");
@@ -369,10 +359,11 @@ fn collector_config(wait_all: bool) -> CollectorConfig {
     }
 }
 
-/// The centre `serve` judges its epochs with: [`analysis_config`] over
-/// routers × [`GROUPS_PER_ROUTER`] groups, with the `--quorum` floor.
+/// The centre `serve` judges its epochs with: the deployed centre
+/// ([`AnalysisConfig::deployed`]) over routers × [`GROUPS_PER_ROUTER`]
+/// groups at [`ALIGNED_BITS`], with the `--quorum` floor.
 fn serve_center(flags: &ServeFlags) -> AnalysisCenter {
-    let acfg = analysis_config(flags.routers * GROUPS_PER_ROUTER, ALIGNED_BITS);
+    let acfg = AnalysisConfig::deployed(flags.routers * GROUPS_PER_ROUTER, ALIGNED_BITS);
     AnalysisCenter::new(if flags.min_quorum > 0 {
         acfg.with_min_quorum(flags.min_quorum)
     } else {
@@ -536,7 +527,7 @@ pub fn monitor(args: &[String]) -> CliResult {
 mod tests {
     use super::*;
     use crate::ZeroShape;
-    use dcs::core::transport::chunk_bundle;
+    use dcs_core::transport::chunk_bundle;
 
     fn args(list: &[&str]) -> Vec<String> {
         list.iter().map(|a| a.to_string()).collect()

@@ -26,10 +26,13 @@
 
 mod deploy;
 
-use dcs::collect::aligned::TARGET_FILL;
-use dcs::core::prelude::*;
-use dcs::traffic::gen::{generate_epoch, BackgroundConfig, SizeMix};
-use dcs::traffic::trace::{TraceReader, TraceWriter};
+use dcs_collect::aligned::TARGET_FILL;
+use dcs_core::{
+    AnalysisCenter, AnalysisConfig, CollectedEpoch, EpochReport, MonitoringPoint, RouterDigestView,
+};
+use dcs_traffic::gen::{generate_epoch, BackgroundConfig, SizeMix};
+use dcs_traffic::trace::{TraceReader, TraceWriter};
+use dcs_traffic::{ContentObject, Planting};
 use std::fs::File;
 use std::io::{BufReader, BufWriter, Write as _};
 use std::process::ExitCode;
@@ -231,7 +234,7 @@ fn analyze(args: &[String]) -> CliResult {
 }
 
 /// Judges the DCSR `frames` read from `paths` as one epoch, with the
-/// deployment's centre ([`deploy::analysis_config`]) over the Σ groups
+/// deployment's centre ([`AnalysisConfig::deployed`]) over the Σ groups
 /// of the frames and the width of the first. The centre is sized from
 /// the frames, so each must parse here, or the error names its path; the
 /// ingest path then validates them again, as it does under `serve`.
@@ -246,7 +249,7 @@ fn judge_files(
         .collect::<Result<Vec<_>, _>>()?;
     let total_groups: usize = views.iter().map(|(v, _)| v.unaligned.groups()).sum();
     let bits = views[0].0.aligned.bitmap.len();
-    let center = AnalysisCenter::new(deploy::analysis_config(total_groups, bits));
+    let center = AnalysisCenter::new(AnalysisConfig::deployed(total_groups.max(2), bits));
     let report = center.analyze_epoch_collected(&CollectedEpoch::from_frames(frames))?;
     Ok((center, report))
 }

@@ -2,14 +2,15 @@
 //! digest shipping (through the wire encoding) → fused matrix → refined
 //! detection → report.
 
-use dcs::prelude::*;
+use dcs_core::{AnalysisCenter, AnalysisConfig, MonitorConfig, MonitoringPoint};
 use dcs_traffic::gen::{self, SizeMix};
+use dcs_traffic::{BackgroundConfig, ContentObject, Planting};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
 const ROUTERS: usize = 24;
 
-fn run_epoch(seed: u64, infected: usize, content_packets: usize) -> dcs::core::EpochReport {
+fn run_epoch(seed: u64, infected: usize, content_packets: usize) -> dcs_core::EpochReport {
     let mut rng = StdRng::seed_from_u64(seed);
     let monitor_cfg = MonitorConfig::small(5, 1 << 14, 4);
     let object = ContentObject::random_with_packets(&mut rng, content_packets, 536);
@@ -32,10 +33,7 @@ fn run_epoch(seed: u64, infected: usize, content_packets: usize) -> dcs::core::E
     }
     // `analyze_epoch` ships each digest as its DCSR frame, as a real
     // deployment would, and analyses the parsed views.
-    let mut cfg = AnalysisConfig::for_groups(ROUTERS * 4);
-    cfg.search.n_prime = 400;
-    cfg.search.hopefuls = 300;
-    AnalysisCenter::new(cfg)
+    AnalysisCenter::new(AnalysisConfig::deployed(ROUTERS * 4, 1 << 14))
         .analyze_epoch(&digests)
         .expect("freshly collected digests form a quorum")
 }

@@ -2,8 +2,10 @@
 //! through offset-sampling collectors, ER test calibration, alarm and
 //! localisation.
 
-use dcs::prelude::*;
+use dcs_core::{AnalysisCenter, AnalysisConfig, MonitorConfig, MonitoringPoint, RouterDigest};
 use dcs_traffic::gen::{self, SizeMix};
+use dcs_traffic::{BackgroundConfig, ContentObject, Planting};
+use dcs_unaligned::CoreFindConfig;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 

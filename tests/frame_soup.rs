@@ -11,7 +11,7 @@
 //! shares its FourCC), so a new format cannot skip the soup.
 
 use dcs_bitmap::{Bitmap, DIGEST_MAGIC};
-use dcs_collect::artifact::{decode_section, section_len};
+use dcs_collect::artifact::{decode_section_views, section_len, Artifact};
 use dcs_collect::wire::{parse_bitmap, ALIGNED_MAGIC, UNALIGNED_MAGIC};
 use dcs_collect::{AlignedDigestView, UnalignedDigestView};
 use dcs_core::aggregate::{AggregateBundle, AGGREGATE_MAGIC, AGGREGATE_VERSION};
@@ -106,9 +106,16 @@ fn checkpoint(b: &[u8]) -> Outcome {
 /// A decoded artifact section covers exactly the bytes it re-encodes to.
 fn artifact_section(b: &[u8]) -> Outcome {
     let mut rest = b;
-    match decode_section(&mut rest) {
-        Ok(artifacts) => {
+    match decode_section_views(&mut rest) {
+        Ok(views) => {
             let used = b.len() - rest.len();
+            let artifacts: Vec<Artifact> = views
+                .into_iter()
+                .map(|(kind, payload)| Artifact {
+                    kind,
+                    payload: payload.to_vec(),
+                })
+                .collect();
             assert_eq!(used, section_len(&artifacts), "consumed length");
             Outcome::Frame(used)
         }

@@ -3,10 +3,18 @@
 //! timer sums stay within the epoch total, and the deterministic
 //! parts of a snapshot are identical from run to run.
 
-use dcs::bitmap::{active_kernel, Kernel};
-use dcs::core::stages::Stage;
-use dcs::prelude::*;
+use dcs_bitmap::{active_kernel, Kernel};
+use dcs_core::stages::Stage;
+use dcs_core::{
+    chunk_bundle, run_center_epoch, run_monitor_epoch, Aggregator, AnalysisCenter, AnalysisConfig,
+    CenterEpochEnd, CenterSocket, Clock, CollectedEpoch, CollectorConfig, EpochCollector,
+    ImpairmentConfig, ImpairmentShim, MetricsRegistry, MonitorConfig, MonitorEpochConfig,
+    MonitorEpochEnd, MonitorSocket, MonitoringPoint, RouterDigest, TickClock, Transport,
+    DATAGRAM_SAFE_PAYLOAD,
+};
+use dcs_obs::MetricsSnapshot;
 use dcs_traffic::gen::{self, SizeMix};
+use dcs_traffic::{BackgroundConfig, ContentObject, Planting};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
@@ -59,7 +67,7 @@ fn every_stage_of_both_pipelines_records_nonzero() {
             .unwrap_or_else(|| panic!("stage {} missing from snapshot", stage.name()));
         assert!(gauge > 0, "stage {} recorded zero ns", stage.name());
         let runs = snap
-            .counter(&dcs::obs::metric_key(
+            .counter(&dcs_obs::metric_key(
                 "stage_runs_total",
                 &[("pipeline", stage.pipeline()), ("stage", stage.name())],
             ))
@@ -106,7 +114,7 @@ fn real_epoch_snapshot_roundtrips_through_json() {
     let center = center();
     center.analyze_epoch(&make_digests(34, 4)).expect("quorum");
     let snap = center.metrics();
-    let back = MetricsSnapshot::from_json(&snap.to_json_pretty()).expect("parse back");
+    let back: MetricsSnapshot = serde_json::from_str(&snap.to_json_pretty()).expect("parse back");
     assert_eq!(back, snap);
 }
 
@@ -153,7 +161,7 @@ fn deterministic_metrics_are_identical_across_runs() {
         // Irrefutable only while it names every variant: a new one stops
         // this compiling until it joins `Kernel::ALL` and this pattern.
         let (Kernel::Scalar | Kernel::Avx2 | Kernel::Avx512) = k;
-        dcs::obs::metric_key("kernel_active", &[("kernel", k.name())])
+        dcs_obs::metric_key("kernel_active", &[("kernel", k.name())])
     };
     let mut kernel_keys: Vec<String> = (seq_view.gauge_keys.iter())
         .filter(|k| k.starts_with("kernel_"))
